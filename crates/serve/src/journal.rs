@@ -11,14 +11,23 @@
 //!   replay has a total order;
 //! * on a Daly-informed cadence (from
 //!   [`antarex_rtrm::checkpoint::daly_interval_s`]) the service takes a
-//!   [`Snapshot`] — full clones of sessions, cache entries, breaker
-//!   states — and compacts the journal up to it;
+//!   [`Snapshot`] — every session shared with the store until the
+//!   store next writes to it, plus copies of the cache entries and
+//!   breaker states — and compacts the journal up to it;
 //! * after a crash, [`replay`] applies the journal suffix on top of
 //!   the last snapshot. Because every mutating call
 //!   (`select`/`observe`/`adapt`, breaker transitions, cache fills) is
 //!   deterministic and the journal preserves program order, the
 //!   recovered state is **bit-identical** to the pre-crash state — the
 //!   property the `r2` chaos experiment checks end to end.
+//!
+//! **A snapshot is immutable: the store copies before it writes.**
+//! Sessions are `Arc`-shared between the [`SessionStore`] and the
+//! snapshot; [`SessionStore::with`] deep-copies a shared session on its
+//! first write after the checkpoint and never writes through. So a
+//! checkpoint costs one reference-count bump per session when it is
+//! cut, and one session copy per tenant a request touches before the
+//! next one — resilience paid in proportion to the state that changed.
 //!
 //! The journal lives in memory here (the simulator has no disk), but
 //! the contract is exactly a WAL's: entries are durable the moment
@@ -33,7 +42,7 @@ use crate::store::{mix64, Session, SessionStore, TenantClass, TenantId};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::Configuration;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One durable state delta of the serving tier.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,15 +229,19 @@ impl Journal {
     }
 }
 
-/// One atomic checkpoint of the full serving state.
+/// One atomic checkpoint of the full serving state. Cloning one shares
+/// its sessions rather than copying them.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Virtual time the snapshot was taken, seconds.
     pub at_s: f64,
     /// Journal watermark: entries with `seq < through_seq` are covered.
     pub through_seq: u64,
-    /// Every tenant session, sorted by tenant id.
-    pub sessions: Vec<(TenantId, Session)>,
+    /// Every tenant session as of the checkpoint, sorted by tenant id.
+    /// Shared with the store that was dumped (and with any store
+    /// recovered from this snapshot) until that store writes to the
+    /// session, which copies it first.
+    pub sessions: Vec<(TenantId, Arc<Session>)>,
     /// Every cached design point, sorted by key.
     pub cache: Vec<(DesignKey, Metrics)>,
     /// Every tenant's circuit breaker, sorted by tenant id.
@@ -241,8 +254,10 @@ pub struct Snapshot {
 }
 
 /// Captures a snapshot of the serving state at virtual time `at_s`.
-/// `front_door` carries the admission controller and autoscaler when
-/// the service runs one.
+/// Sessions are shared with `store`, not copied
+/// ([`SessionStore::dump`]); cache entries, breakers and front-door
+/// state are copied. `front_door` carries the admission controller and
+/// autoscaler when the service runs one.
 pub fn take_snapshot(
     at_s: f64,
     journal: &Journal,

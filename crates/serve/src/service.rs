@@ -409,6 +409,8 @@ impl<E: Evaluator> TuningService<E> {
             service = service.with_front_door(fd);
         }
         if let Some(snap) = &snapshot {
+            // the recovered store shares the retained snapshot's
+            // sessions; replay copies the ones the suffix touches
             service.store = SessionStore::recover(config.store_shards, snap.sessions.clone());
             for (key, metrics) in &snap.cache {
                 service.cache.insert(key.clone(), metrics.clone());
@@ -1406,7 +1408,9 @@ impl<E: Evaluator> TuningService<E> {
         }
 
         // 5. Daly-informed snapshot cadence: checkpoint the full state
-        // and compact the journal once the interval has elapsed
+        // and compact the journal once the interval has elapsed. The
+        // snapshot shares every session with the store; the store
+        // copies a session when a later request first writes to it
         if let Some(journal) = &self.journal {
             if batch_end_s.is_finite() {
                 let mut due = lock_or_recover(&self.next_snapshot_s);

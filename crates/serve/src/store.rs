@@ -6,12 +6,20 @@
 //! index is a pure function of the tenant id, so every whole-store
 //! iteration (`tenants`, `fold`) visits sessions in the same order on
 //! every run — the determinism the service's reports rely on.
+//!
+//! Sessions are copy-on-write: a shard holds `Arc<Session>`, a
+//! [`SessionStore::dump`] shares those `Arc`s with the journal's
+//! snapshot, and [`SessionStore::with`] copies a session before the
+//! first write after a dump. A dump is therefore immutable, and a
+//! checkpoint costs one deep copy per session *touched* since the last
+//! one, not one per session.
 
 use crate::error::ServeError;
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::Configuration;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tenant identifier: one concurrent application instance.
 pub type TenantId = u64;
@@ -62,8 +70,8 @@ impl TenantClass {
 /// Per-tenant session state: the tenant's runtime autotuner plus the
 /// bookkeeping the service layer needs around it.
 ///
-/// `Clone` so the journal's snapshot/recovery machinery can capture the
-/// full session state at a checkpoint boundary.
+/// `Clone` so the store can copy a session a snapshot still shares
+/// before writing to it.
 #[derive(Debug, Clone)]
 pub struct Session {
     /// The tenant's mARGOt-style runtime manager (knowledge base, SLA
@@ -107,7 +115,7 @@ impl Session {
     }
 }
 
-type Shard = BTreeMap<TenantId, Session>;
+type Shard = BTreeMap<TenantId, Arc<Session>>;
 
 /// SplitMix64 finalizer: a fixed, platform-independent mix so the
 /// shard of a tenant never depends on hasher randomization.
@@ -256,16 +264,21 @@ impl SessionStore {
         if shard.contains_key(&tenant) {
             return Err(ServeError::TenantExists(tenant));
         }
-        shard.insert(tenant, session);
+        shard.insert(tenant, Arc::new(session));
         Ok(())
     }
 
-    /// Removes a tenant session, returning it if present.
+    /// Removes a tenant session, returning it if present (copied only
+    /// when a dump still shares it).
     pub fn remove(&self, tenant: TenantId) -> Option<Session> {
-        self.lock(self.shard_of(tenant)).remove(&tenant)
+        self.lock(self.shard_of(tenant))
+            .remove(&tenant)
+            .map(Arc::unwrap_or_clone)
     }
 
-    /// Runs `f` on the tenant's session under the shard lock.
+    /// Runs `f` on the tenant's session under the shard lock. A
+    /// session a dump still shares is copied first, so `f` never writes
+    /// through to a snapshot.
     pub fn with<R>(
         &self,
         tenant: TenantId,
@@ -273,7 +286,7 @@ impl SessionStore {
     ) -> Result<R, ServeError> {
         let mut shard = self.lock(self.shard_of(tenant));
         match shard.get_mut(&tenant) {
-            Some(session) => Ok(f(session)),
+            Some(session) => Ok(f(Arc::make_mut(session))),
             None => Err(ServeError::UnknownTenant(tenant)),
         }
     }
@@ -291,51 +304,71 @@ impl SessionStore {
     /// Every tenant id, sorted — a deterministic iteration order for
     /// reports and aggregate control decisions.
     pub fn tenants(&self) -> Vec<TenantId> {
-        let mut out: Vec<TenantId> = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.lock(i).keys().copied());
-        }
-        out.sort_unstable();
-        out
+        self.fold_shared(Vec::new(), |mut out, tenant, _| {
+            out.push(tenant);
+            out
+        })
     }
 
-    /// Clones every session in sorted-tenant order — the atomic dump
-    /// the journal's snapshot machinery persists.
-    pub fn dump(&self) -> Vec<(TenantId, Session)> {
-        self.fold(Vec::new(), |mut acc, tenant, session| {
-            acc.push((tenant, session.clone()));
+    /// Every session in sorted-tenant order, shared with the store —
+    /// the atomic dump the journal's snapshot machinery persists. No
+    /// session is copied here: the store copies one before it next
+    /// writes to it, so the dump never changes.
+    pub fn dump(&self) -> Vec<(TenantId, Arc<Session>)> {
+        self.fold_shared(Vec::new(), |mut acc, tenant, session| {
+            acc.push((tenant, Arc::clone(session)));
             acc
         })
     }
 
-    /// Rebuilds a store from a snapshot dump (crash recovery). The
-    /// journal suffix is replayed on top by the caller — see
-    /// [`crate::journal::replay`].
+    /// Rebuilds a store from a snapshot dump (crash recovery), adopting
+    /// the dump's sessions without copying them. The journal suffix is
+    /// replayed on top by the caller — see [`crate::journal::replay`].
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
-    pub fn recover(shards: usize, sessions: Vec<(TenantId, Session)>) -> Self {
-        let store = SessionStore::new(shards);
+    /// Panics if `shards` is zero, or if the dump names a tenant twice
+    /// (a [`dump`](SessionStore::dump) never does).
+    pub fn recover(shards: usize, sessions: Vec<(TenantId, Arc<Session>)>) -> Self {
+        let mut store = SessionStore::new(shards);
         for (tenant, session) in sessions {
-            let _ = store.insert(tenant, session);
+            let index = store.shard_of(tenant);
+            let shard = store.shards[index]
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            assert!(
+                shard.insert(tenant, session).is_none(),
+                "tenant {tenant} appears twice in the dump"
+            );
         }
         store
     }
 
-    /// Folds `f` over every session in sorted-tenant order (shard by
-    /// shard internally, then merged deterministically).
+    /// Folds `f` over every session in sorted-tenant order, reading
+    /// each in place. Every shard is locked for the whole fold, so `f`
+    /// sees one consistent cut of the store and must not call back
+    /// into it.
     pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, TenantId, &Session) -> A) -> A {
-        let mut entries: Vec<(TenantId, usize)> = Vec::new();
-        for i in 0..self.shards.len() {
-            entries.extend(self.lock(i).keys().map(|&t| (t, i)));
-        }
-        entries.sort_unstable();
+        self.fold_shared(init, |acc, tenant, session| f(acc, tenant, session))
+    }
+
+    /// [`fold`](SessionStore::fold) over the shared handles: takes each
+    /// shard guard once, in index order, and merges the shards' sorted
+    /// iterators.
+    fn fold_shared<A>(&self, init: A, mut f: impl FnMut(A, TenantId, &Arc<Session>) -> A) -> A {
+        let guards: Vec<_> = (0..self.shards.len()).map(|i| self.lock(i)).collect();
+        let mut iters: Vec<_> = guards.iter().map(|g| g.iter().peekable()).collect();
+        let mut heads: BinaryHeap<Reverse<(TenantId, usize)>> = iters
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, iter)| iter.peek().map(|(&tenant, _)| Reverse((tenant, i))))
+            .collect();
         let mut acc = init;
-        for (tenant, shard_index) in entries {
-            let shard = self.lock(shard_index);
-            if let Some(session) = shard.get(&tenant) {
-                acc = f(acc, tenant, session);
+        while let Some(Reverse((_, i))) = heads.pop() {
+            let (&tenant, session) = iters[i].next().expect("the heap holds peeked heads");
+            acc = f(acc, tenant, session);
+            if let Some((&next, _)) = iters[i].peek() {
+                heads.push(Reverse((next, i)));
             }
         }
         acc
@@ -401,6 +434,28 @@ mod tests {
             acc
         });
         assert_eq!(order, vec![2, 4, 9, 17]);
+    }
+
+    #[test]
+    fn fold_merges_uneven_and_empty_shards_in_sorted_order() {
+        // more shards than tenants leaves some empty; many tenants per
+        // shard exercises the merge past each shard's first head
+        for shards in [1, 2, 7, 64] {
+            let store = SessionStore::new(shards);
+            let mut expected: Vec<TenantId> = (0..40).map(|t| mix64(t) % 1000).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            for &t in expected.iter().rev() {
+                store.insert(t, session()).unwrap();
+            }
+            let order = store.fold(Vec::new(), |mut acc, t, _| {
+                acc.push(t);
+                acc
+            });
+            assert_eq!(order, expected, "{shards} shards");
+            assert_eq!(store.tenants(), expected);
+        }
+        assert_eq!(SessionStore::new(3).fold(0, |n, _, _| n + 1), 0);
     }
 
     #[test]
@@ -487,5 +542,49 @@ mod tests {
         let recovered = SessionStore::recover(4, dump);
         assert_eq!(recovered.tenants(), store.tenants());
         assert_eq!(recovered.with(9, |s| s.requests).unwrap(), 42);
+    }
+
+    #[test]
+    fn dump_is_shared_until_the_store_writes() {
+        let store = SessionStore::new(2);
+        for t in [1, 2] {
+            store.insert(t, session()).unwrap();
+        }
+        let dump = store.dump();
+        store.with(2, |s| s.requests = 7).unwrap();
+        let after = store.dump();
+        assert!(Arc::ptr_eq(&dump[0].1, &after[0].1), "untouched: shared");
+        assert!(!Arc::ptr_eq(&dump[1].1, &after[1].1), "written: copied");
+        assert_eq!(dump[1].1.requests, 0, "the dump never changes");
+        assert_eq!(after[1].1.requests, 7);
+        // a store recovered from the dump adopts its sessions as they
+        // are, and copies before it writes too
+        let recovered = SessionStore::recover(2, dump.clone());
+        assert!(Arc::ptr_eq(&dump[0].1, &recovered.dump()[0].1));
+        recovered.with(1, |s| s.requests = 9).unwrap();
+        assert_eq!(dump[0].1.requests, 0);
+        assert_eq!(store.with(1, |s| s.requests).unwrap(), 0);
+    }
+
+    #[test]
+    fn remove_returns_an_owned_session_shared_or_not() {
+        let store = SessionStore::new(2);
+        for t in [1, 2] {
+            store.insert(t, session()).unwrap();
+        }
+        store.with(1, |s| s.requests = 3).unwrap();
+        assert_eq!(store.remove(1).map(|s| s.requests), Some(3));
+        let dump = store.dump();
+        let mut removed = store.remove(2).expect("tenant 2 is registered");
+        removed.requests = 5;
+        assert_eq!(dump[0].1.requests, 0, "the dump keeps its own session");
+        assert!(store.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant 5 appears twice")]
+    fn recover_rejects_a_duplicate_tenant() {
+        let twice = vec![(5, Arc::new(session())), (5, Arc::new(session()))];
+        let _ = SessionStore::recover(4, twice);
     }
 }
