@@ -15,13 +15,33 @@ pub struct Sample {
 ///
 /// When full, the oldest sample is evicted (sliding window by count). Use
 /// [`TimeSeries::window_since`] for time-based windows.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TimeSeries {
     samples: VecDeque<Sample>,
     capacity: usize,
     total_pushed: u64,
     ewma: Option<f64>,
     ewma_alpha: f64,
+    /// `true` while every push arrived at a time `>=` its predecessor's
+    /// (a NaN time on either side clears it), so the samples with
+    /// `time >= since` are a suffix of `samples`. Derived state, left
+    /// out of `Debug`.
+    time_ordered: bool,
+}
+
+impl std::fmt::Debug for TimeSeries {
+    /// Shows the stored state only: crash-recovery reports byte-compare
+    /// this rendering, and whether the series is still time-ordered
+    /// follows from the samples ever pushed.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("samples", &self.samples)
+            .field("capacity", &self.capacity)
+            .field("total_pushed", &self.total_pushed)
+            .field("ewma", &self.ewma)
+            .field("ewma_alpha", &self.ewma_alpha)
+            .finish()
+    }
 }
 
 impl TimeSeries {
@@ -38,6 +58,7 @@ impl TimeSeries {
             total_pushed: 0,
             ewma: None,
             ewma_alpha: 0.2,
+            time_ordered: true,
         }
     }
 
@@ -54,6 +75,10 @@ impl TimeSeries {
 
     /// Appends a sample, evicting the oldest if at capacity.
     pub fn push(&mut self, time: f64, value: f64) {
+        if let Some(last) = self.samples.back() {
+            // false for a late sample and for a NaN time on either side
+            self.time_ordered &= time >= last.time;
+        }
         if self.samples.len() == self.capacity {
             self.samples.pop_front();
         }
@@ -167,13 +192,38 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Mean over the time window `[since, ..]`.
+    /// Mean over the time window `[since, ..]`: the values of the
+    /// samples with `time >= since`, summed oldest first.
+    ///
+    /// Allocates nothing. While every sample was pushed in time order —
+    /// the only way the autotuner's monitors are fed — the window is a
+    /// suffix of the series, so this walks back from the newest sample
+    /// and costs the samples *in the window*, not the samples retained.
+    /// A series that ever took an out-of-order push (or a NaN time)
+    /// filters all retained samples instead; both paths add the same
+    /// values in the same order and return the same bits.
+    ///
+    /// The boundary is inclusive. A caller that averages consecutive
+    /// windows `[t0, ..]`, `[t1, ..]` (as
+    /// `AppManager::adapt` does, with `since` = the previous round's
+    /// `now`) counts a sample stamped exactly `t1` in both: once as the
+    /// last arrival of the first window and again as the first of the
+    /// second. Every recorded outcome depends on that double count, so
+    /// it is part of the contract.
     pub fn mean_since(&self, since: f64) -> Option<f64> {
-        let window = self.window_since(since);
-        if window.is_empty() {
-            return None;
-        }
-        Some(window.iter().map(|s| s.value).sum::<f64>() / window.len() as f64)
+        let in_window = |s: &&Sample| s.time >= since;
+        // both arms feed `Sum for f64` the window oldest first, as the
+        // collected window did: same initial value, same order, same bits
+        let (sum, count) = if self.time_ordered {
+            let count = self.samples.iter().rev().take_while(in_window).count();
+            let suffix = self.samples.range(self.samples.len() - count..);
+            (suffix.map(|s| s.value).sum::<f64>(), count)
+        } else {
+            let mut count = 0;
+            let window = self.samples.iter().filter(in_window);
+            (window.inspect(|_| count += 1).map(|s| s.value).sum(), count)
+        };
+        (count > 0).then(|| sum / count as f64)
     }
 
     /// Slope of a least-squares linear fit over the retained samples
@@ -203,6 +253,7 @@ impl TimeSeries {
     pub fn clear(&mut self) {
         self.samples.clear();
         self.ewma = None;
+        self.time_ordered = true;
     }
 }
 

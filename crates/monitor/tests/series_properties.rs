@@ -1,0 +1,151 @@
+//! Property suite for `TimeSeries::mean_since`.
+//!
+//! `mean_since` walks back from the newest sample while the series is
+//! time-ordered and filters every retained sample otherwise; both
+//! promise the *bits* of the body they replaced, which survives here as
+//! the oracle: filter the retained samples on `time >= since`, collect
+//! them, sum oldest first, divide by the count.
+
+use antarex_monitor::series::{Sample, TimeSeries};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The pre-optimization body of `mean_since`, verbatim.
+fn mean_since_oracle(series: &TimeSeries, since: f64) -> Option<f64> {
+    let window: Vec<Sample> = series.iter().filter(|s| s.time >= since).copied().collect();
+    if window.is_empty() {
+        return None;
+    }
+    Some(window.iter().map(|s| s.value).sum::<f64>() / window.len() as f64)
+}
+
+fn random_value(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..16) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        5 => -rng.gen::<f64>() * 1e6,
+        _ => rng.gen::<f64>() * 10.0,
+    }
+}
+
+/// Every `since` worth asking about: each retained time exactly (the
+/// inclusive boundary), just either side of it, both infinities, NaN.
+fn probes(series: &TimeSeries) -> Vec<f64> {
+    let mut probes = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0, -1.0, 1e12];
+    for sample in series.iter() {
+        probes.extend([sample.time, sample.time - 0.25, sample.time + 0.25]);
+    }
+    probes
+}
+
+fn assert_matches_oracle(series: &TimeSeries, context: &str) {
+    for since in probes(series) {
+        assert_eq!(
+            series.mean_since(since).map(f64::to_bits),
+            mean_since_oracle(series, since).map(f64::to_bits),
+            "{context}: mean_since({since}) over {series:?}"
+        );
+    }
+}
+
+#[test]
+fn time_ordered_series_match_the_filter_oracle() {
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let capacity = rng.gen_range(1..12);
+        let mut series = TimeSeries::with_capacity(capacity);
+        assert_matches_oracle(&series, "empty");
+        // up to four times the capacity, so the ring wraps repeatedly
+        let mut time = if seed % 8 == 0 {
+            f64::NEG_INFINITY
+        } else {
+            0.0
+        };
+        for step in 0..rng.gen_range(0..4 * capacity + 2) {
+            // steps of zero make runs of ties at one timestamp
+            time += [0.0, 0.0, 0.5, 1.0, 3.0][rng.gen_range(0..5usize)];
+            if seed % 8 == 1 && step == 2 * capacity {
+                time = f64::INFINITY;
+            }
+            series.push(time, random_value(&mut rng));
+            assert_matches_oracle(&series, &format!("seed {seed} step {step}"));
+        }
+    }
+}
+
+#[test]
+fn out_of_order_and_nan_times_take_the_filter_path() {
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(1_000 + seed);
+        let capacity = rng.gen_range(1..12);
+        let mut series = TimeSeries::with_capacity(capacity);
+        for step in 0..rng.gen_range(1..4 * capacity + 2) {
+            let time = match rng.gen_range(0..12) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => f64::from(rng.gen_range(0..8)),
+            };
+            series.push(time, random_value(&mut rng));
+            assert_matches_oracle(&series, &format!("seed {seed} step {step}"));
+        }
+        // the series may look ordered again once the ring has turned
+        // over, and `clear` starts a new one
+        for step in 0..2 * capacity {
+            series.push(100.0 + step as f64, random_value(&mut rng));
+            assert_matches_oracle(&series, &format!("seed {seed} refill {step}"));
+        }
+        series.clear();
+        for step in 0..capacity + 1 {
+            series.push(step as f64, random_value(&mut rng));
+            assert_matches_oracle(&series, &format!("seed {seed} cleared {step}"));
+        }
+    }
+}
+
+#[test]
+fn a_window_is_not_assumed_to_be_a_suffix_after_a_late_sample() {
+    // a walk back from the newest sample would stop at the late one and
+    // miss the first
+    let mut series = TimeSeries::with_capacity(8);
+    series.push(5.0, 1.0);
+    series.push(1.0, 100.0);
+    series.push(6.0, 3.0);
+    assert_eq!(series.mean_since(5.0), Some(2.0));
+    // a NaN time is never in a window but must not end the walk either
+    let mut series = TimeSeries::with_capacity(8);
+    series.push(2.0, 1.0);
+    series.push(f64::NAN, 100.0);
+    series.push(3.0, 3.0);
+    assert_eq!(series.mean_since(2.0), Some(2.0));
+}
+
+#[test]
+fn the_boundary_sample_is_counted_in_both_windows() {
+    // consecutive windows [0, ..] then [2, ..]: the sample stamped
+    // exactly 2 belongs to both
+    let mut series = TimeSeries::with_capacity(8);
+    series.extend([(1.0, 10.0), (2.0, 20.0)]);
+    assert_eq!(series.mean_since(0.0), Some(15.0));
+    series.push(3.0, 40.0);
+    assert_eq!(series.mean_since(2.0), Some(30.0));
+}
+
+#[test]
+fn debug_rendering_shows_stored_state_only() {
+    // crash-recovery reports byte-compare this rendering: whether the
+    // series ever took a late sample must not show in it
+    let mut late = TimeSeries::with_capacity(2);
+    late.extend([(2.0, 1.0), (1.0, 1.0), (2.0, 2.0)]);
+    let mut ordered = TimeSeries::with_capacity(2);
+    ordered.extend([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0)]);
+    assert_eq!(format!("{late:?}"), format!("{ordered:?}"));
+    assert_eq!(
+        format!("{ordered:?}"),
+        "TimeSeries { samples: [Sample { time: 1.0, value: 1.0 }, Sample { time: 2.0, value: 2.0 }], \
+         capacity: 2, total_pushed: 3, ewma: Some(1.2), ewma_alpha: 0.2 }"
+    );
+}

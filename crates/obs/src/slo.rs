@@ -33,13 +33,19 @@ pub struct BurnRow {
 }
 
 /// Per-tenant SLO bank: registers objectives lazily and accumulates
-/// violation records deterministically (storage is ordered by
-/// `(tenant, objective)`, so iteration and exposition order never
-/// depend on insertion order).
+/// violation records deterministically (storage and
+/// [`burn_rates`](SloBank::burn_rates) are ordered, so iteration and
+/// exposition order never depend on insertion order).
 pub struct SloBank {
     /// Target good fraction in `[0, 1)`, shared by all objectives.
     target: f64,
-    slos: Mutex<BTreeMap<(u64, String), Sla>>,
+    /// Objective → tenant → SLA. Nested rather than keyed by
+    /// `(u64, String)` so a check probes by `&str` and then by `u64`,
+    /// allocating only the first time an objective name is seen; the
+    /// objective is the outer key because there are a handful of
+    /// objectives and thousands of tenants (one map node per tenant
+    /// would be mostly empty slots).
+    slos: Mutex<BTreeMap<String, BTreeMap<u64, Sla>>>,
 }
 
 impl SloBank {
@@ -74,10 +80,14 @@ impl SloBank {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let sla = slos
-            .entry((tenant, objective.to_string()))
-            .or_insert_with(|| Sla::upper_bound(objective, threshold));
-        sla.check(time_s, value)
+        if !slos.contains_key(objective) {
+            slos.insert(objective.to_string(), BTreeMap::new());
+        }
+        let tenants = slos.get_mut(objective).expect("inserted above");
+        tenants
+            .entry(tenant)
+            .or_insert_with(|| Sla::upper_bound(objective, threshold))
+            .check(time_s, value)
     }
 
     /// Burn-rate rows for every registered `(tenant, objective)`,
@@ -87,25 +97,32 @@ impl SloBank {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        slos.iter()
-            .map(|((tenant, objective), sla)| {
-                let report = sla.report();
-                BurnRow {
-                    tenant: *tenant,
-                    objective: objective.clone(),
-                    report,
-                    burn: report.burn_rate(self.target),
-                }
+        let mut rows: Vec<BurnRow> = slos
+            .iter()
+            .flat_map(|(objective, tenants)| {
+                tenants.iter().map(|(tenant, sla)| {
+                    let report = sla.report();
+                    BurnRow {
+                        tenant: *tenant,
+                        objective: objective.clone(),
+                        report,
+                        burn: report.burn_rate(self.target),
+                    }
+                })
             })
-            .collect()
+            .collect();
+        // objectives were visited in name order and the sort is stable
+        rows.sort_by_key(|row| row.tenant);
+        rows
     }
 
     /// Number of registered `(tenant, objective)` pairs.
     pub fn len(&self) -> usize {
-        match self.slos.lock() {
-            Ok(guard) => guard.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
+        let slos = match self.slos.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        slos.values().map(BTreeMap::len).sum()
     }
 
     /// `true` when no objective has been registered.
@@ -166,6 +183,15 @@ mod tests {
             .map(|row| (row.tenant, row.objective.as_str()))
             .collect();
         assert_eq!(keys, vec![(1, "latency"), (1, "power"), (9, "zz")]);
+        assert_eq!(bank.len(), 3, "pairs, not tenants");
+        // a second check of a registered pair registers nothing
+        bank.check_upper(1, "power", 99.0, 1.0, 5.0);
+        assert_eq!(bank.len(), 3);
+        assert_eq!(
+            bank.burn_rates()[1].report.violations,
+            1,
+            "threshold stays 1.0"
+        );
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! cache's accessors and the observability plane read the same cells
 //! rather than maintaining duplicate tallies.
 //!
+//! **Published metrics are immutable; a writer copies first.** An entry
+//! is a [`Metrics`] handle on one shared map: [`DesignPointCache::get`]
+//! hands out a reference-count bump, not a copy, and the same
+//! allocation travels on through the response and the journal. Nothing
+//! can write through a handle — mutation copies the map first — which
+//! is the premise of the quarantine path: a corrupted delivery is a
+//! private copy, and the cached entry it was taken from stays clean.
+//! (The same rule as session snapshots, see [`crate::journal`].)
+//!
 //! # Key representation
 //!
 //! [`DesignKey`] used to render the configuration to a `String`
@@ -39,10 +48,73 @@ use antarex_tuner::intern::SymbolId;
 use antarex_tuner::{Configuration, KnobValue};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Mutex};
 
-/// Measured metrics of one design point (metric name → value).
-pub type Metrics = BTreeMap<String, f64>;
+/// Measured metrics of one design point (metric name → value): a
+/// shared, immutable `BTreeMap<String, f64>`.
+///
+/// **Published metrics are immutable; a writer copies first.** Cloning
+/// is a reference-count bump, so the cache entry, the response that
+/// answers from it and the journal entry that records the answer are
+/// one allocation. Reading goes through [`Deref`] (every `BTreeMap`
+/// accessor, `&metrics` iteration, `metrics["power"]`); writing goes
+/// through [`DerefMut`], which copies the map first when any other
+/// handle shares it — so a fault injector flipping a bit in a delivered
+/// result ([`chaos::corrupt_evaluation`](crate::chaos::corrupt_evaluation))
+/// can never reach the memoized entry. `Debug` and `PartialEq` are the
+/// map's own.
+#[derive(Clone, Default, PartialEq)]
+pub struct Metrics(Arc<BTreeMap<String, f64>>);
+
+impl Metrics {
+    /// An empty metric set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether two handles share one allocation (not merely equal
+    /// contents).
+    pub fn ptr_eq(&self, other: &Metrics) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Metrics {
+    type Target = BTreeMap<String, f64>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Metrics {
+    /// Copy-on-write: clones the map first if another handle shares it.
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl std::fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl FromIterator<(String, f64)> for Metrics {
+    fn from_iter<I: IntoIterator<Item = (String, f64)>>(iter: I) -> Self {
+        Metrics(Arc::new(iter.into_iter().collect()))
+    }
+}
+
+impl<'a> IntoIterator for &'a Metrics {
+    type Item = (&'a String, &'a f64);
+    type IntoIter = std::collections::btree_map::Iter<'a, String, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// A knob value encoded for exact, totally-ordered comparison.
 ///
@@ -283,7 +355,8 @@ impl DesignPointCache {
         }
     }
 
-    /// Looks up a design point, counting a hit or a miss.
+    /// Looks up a design point, counting a hit or a miss. A hit shares
+    /// the cached entry's allocation.
     pub fn get(&self, key: &DesignKey) -> Option<Metrics> {
         let found = self.lock(self.shard_of(key)).get(key).cloned();
         match &found {
@@ -392,6 +465,72 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn hits_share_the_cached_allocation() {
+        let cache = DesignPointCache::new(4);
+        let key = DesignKey::new(&config(2), &[10.0]);
+        let inserted = metrics(0.3);
+        cache.insert(key.clone(), inserted.clone());
+        let (first, second) = (cache.get(&key).unwrap(), cache.get(&key).unwrap());
+        assert!(first.ptr_eq(&second), "two hits, one allocation");
+        assert!(
+            first.ptr_eq(&inserted),
+            "the inserted map itself is published"
+        );
+        assert!(
+            !first.ptr_eq(&metrics(0.3)),
+            "equal contents are not sharing"
+        );
+        assert!(cache.entries()[0].1.ptr_eq(&first), "a dump shares it too");
+    }
+
+    #[test]
+    fn a_writer_copies_before_it_writes() {
+        // the quarantine path's premise: corrupting a delivered result
+        // can never reach the entry it was answered from
+        let cache = DesignPointCache::new(4);
+        let key = DesignKey::new(&config(2), &[10.0]);
+        cache.insert(key.clone(), metrics(0.3));
+        let delivered = crate::pool::Evaluation {
+            metrics: cache.get(&key).unwrap(),
+            cost_s: 0.3,
+            energy_j: 1.0,
+        };
+        let corrupted = crate::chaos::corrupt_evaluation(&delivered);
+        assert_ne!(corrupted.metrics, delivered.metrics, "a bit flipped");
+        assert!(!corrupted.metrics.ptr_eq(&delivered.metrics));
+        let cached = cache.get(&key).unwrap();
+        assert_eq!(cached, metrics(0.3), "cached entry untouched");
+        assert!(cached.ptr_eq(&delivered.metrics), "and still shared");
+        // a sole owner writes in place
+        let mut own = metrics(0.1);
+        let before = std::ptr::from_ref(&*own);
+        own.insert("power".to_string(), 5.0);
+        assert_eq!(std::ptr::from_ref(&*own), before);
+    }
+
+    #[test]
+    fn metrics_render_and_compare_as_the_map_they_wrap() {
+        let map: BTreeMap<String, f64> = [
+            ("latency".to_string(), 0.25),
+            ("power".to_string(), f64::NAN),
+            ("quality".to_string(), -0.0),
+        ]
+        .into_iter()
+        .collect();
+        let shared: Metrics = map.clone().into_iter().collect();
+        assert_eq!(format!("{shared:?}"), format!("{map:?}"));
+        assert_eq!(format!("{shared:#?}"), format!("{map:#?}"));
+        assert_eq!(format!("{:?}", Metrics::new()), "{}");
+        assert_eq!(*shared == map, map == map, "NaN compares as in the map");
+        let bits = |(name, value): (&String, &f64)| (name.clone(), value.to_bits());
+        assert_eq!(
+            (&shared).into_iter().map(bits).collect::<Vec<_>>(),
+            map.iter().map(bits).collect::<Vec<_>>()
+        );
+        assert_eq!(shared["latency"], 0.25);
     }
 
     #[test]

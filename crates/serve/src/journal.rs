@@ -333,7 +333,9 @@ pub fn replay<F>(
             } => {
                 let _ = store.with(*tenant, |session| {
                     session.requests += 1;
-                    session.last_config = Some(config.clone());
+                    if session.last_config.as_ref() != Some(config) {
+                        session.last_config = Some(config.clone());
+                    }
                     session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);
                     for (metric, value) in metrics {
                         session.manager.observe(*time_s, metric, *value);

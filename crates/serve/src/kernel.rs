@@ -49,6 +49,14 @@ pub const DEFAULT_KERNEL: &str = "double kernel(double a[], double b[], int n) {
 /// Knob: `mantissa` (int, 2..=52) — the mantissa width every float
 /// declaration in the kernel is lowered to. Workload features:
 /// `[problem_size]` (elements; defaults to 32).
+///
+/// The probe runs over `problem_size` clamped to `[4, 256]` elements.
+/// The clamp bounds a probe's cost, not its identity: the unclamped
+/// feature still keys the design-point cache and seeds the input data,
+/// so tenants asking for 300 and for 4,000 elements run distinct
+/// probes of the same 256-element size. (Of `serve_kernel_cold`'s 4,000
+/// tenants, sized 64‥4,159, all but about 190 run at n = 256 — its
+/// per-probe figures are 256-element figures.)
 #[derive(Debug, Clone)]
 pub struct KernelEvaluator {
     source: String,

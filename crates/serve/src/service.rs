@@ -1018,12 +1018,11 @@ impl<E: Evaluator> TuningService<E> {
             let key = DesignKey::new(&result.job.config, &result.job.features);
             match job_outcome {
                 Ok(_) => {
-                    self.cache
-                        .insert(key.clone(), result.evaluation.metrics.clone());
                     self.journal_append(|| JournalEntry::CacheInsert {
-                        key,
+                        key: key.clone(),
                         metrics: result.evaluation.metrics.clone(),
                     });
+                    self.cache.insert(key, result.evaluation.metrics.clone());
                 }
                 Err(_) => {
                     self.cache.quarantine(&key);
@@ -1138,8 +1137,8 @@ impl<E: Evaluator> TuningService<E> {
             );
             match &response {
                 Ok(answer) => {
-                    let metrics = answer.metrics.clone();
-                    let config = answer.config.clone();
+                    let metrics = &answer.metrics;
+                    let config = &answer.config;
                     let arrival = answer.arrival_s;
                     self.obs.served.inc();
                     if answer.cache_hit {
@@ -1189,9 +1188,11 @@ impl<E: Evaluator> TuningService<E> {
                     );
                     let _ = self.store.with(request.tenant, |session| {
                         session.requests += 1;
-                        session.last_config = Some(config.clone());
+                        if session.last_config.as_ref() != Some(config) {
+                            session.last_config = Some(config.clone());
+                        }
                         session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);
-                        for (metric, value) in &metrics {
+                        for (metric, value) in metrics {
                             session.manager.observe(arrival, metric, *value);
                         }
                     });
@@ -1202,8 +1203,8 @@ impl<E: Evaluator> TuningService<E> {
                     self.journal_append(|| JournalEntry::Learn {
                         tenant: request.tenant,
                         time_s: arrival,
-                        config,
-                        metrics,
+                        config: config.clone(),
+                        metrics: metrics.clone(),
                     });
                     if !touched.contains(&request.tenant) {
                         touched.push(request.tenant);

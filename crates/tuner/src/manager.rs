@@ -157,27 +157,54 @@ impl AppManager {
     /// One adaptation round at time `now`: folds measurements since the
     /// previous round into the knowledge base (for the current
     /// configuration), re-selects, and reports the decision.
+    ///
+    /// The fold is in place: each monitor's mean over `[previous now,
+    /// ..]` (inclusive — see [`TimeSeries::mean_since`]) is blended
+    /// straight into the current configuration's operating point, one
+    /// [`KnowledgeBase::learn_metric`] per metric that has fresh
+    /// samples, and the decision is read off `switches()` rather than
+    /// off a saved copy of the configuration. A round whose current
+    /// configuration the knowledge base cannot find (only a
+    /// configuration that is not equal to itself, i.e. one holding a
+    /// NaN knob) appends a new point instead, which allocates.
     pub fn adapt(&mut self, now: f64) -> Decision {
         let since = self.last_adapt;
         self.last_adapt = now;
-        if let Some(current) = self.current.clone() {
-            let learned: Vec<(SymbolId, f64)> = self
+        if let Some(current) = &self.current {
+            let fresh = self
                 .monitors
                 .iter()
-                .filter_map(|(&metric, series)| Some((metric, series.mean_since(since)?)))
-                .collect();
-            if !learned.is_empty() {
-                self.knowledge.learn(
-                    OperatingPoint::with_metric_ids(current, learned),
-                    self.learn_alpha,
-                );
+                .filter_map(|(&metric, series)| Some((metric, series.mean_since(since)?)));
+            match self.knowledge.find_index(current) {
+                Some(index) => {
+                    for (metric, mean) in fresh {
+                        self.knowledge
+                            .learn_metric(index, metric, mean, self.learn_alpha);
+                    }
+                }
+                None => {
+                    let point = OperatingPoint::with_metric_ids(current.clone(), fresh);
+                    if point.metric_count() > 0 {
+                        self.knowledge.push(point);
+                    }
+                }
             }
         }
-        let previous = self.current.clone();
-        self.select();
-        match (&previous, &self.current) {
-            (Some(prev), Some(next)) if prev != next => Decision::Switch(next.to_string()),
-            (None, Some(next)) => Decision::Switch(next.to_string()),
+        let had_current = self.current.is_some();
+        let switches = self.switches;
+        let reselected = self.select().is_some();
+        match &self.current {
+            // `select` counts a switch exactly when it replaces a
+            // deployed configuration with an unequal one. When it finds
+            // no feasible point it leaves `current` alone, and the
+            // decision has always been "previous != current" — true of
+            // a configuration that is not equal to itself.
+            #[allow(clippy::eq_op)]
+            Some(next)
+                if !had_current || self.switches != switches || (!reselected && next != next) =>
+            {
+                Decision::Switch(next.to_string())
+            }
             _ => Decision::Stay,
         }
     }

@@ -7,7 +7,8 @@
 //!
 //! Selection is the runtime hot path, so the knowledge base keeps two
 //! auxiliary indexes maintained incrementally by [`KnowledgeBase::push`],
-//! [`upsert`](KnowledgeBase::upsert) and [`learn`](KnowledgeBase::learn):
+//! [`upsert`](KnowledgeBase::upsert), [`learn`](KnowledgeBase::learn) and
+//! [`learn_metric`](KnowledgeBase::learn_metric):
 //! a structural-hash map from configuration to point index (O(1)
 //! [`find`](KnowledgeBase::find)), and one sorted column per metric so
 //! [`best`](KnowledgeBase::best) is an ordered-index probe instead of a
@@ -47,9 +48,8 @@ impl OperatingPoint {
         point
     }
 
-    /// Creates an operating point from pre-interned metric ids — the
-    /// allocation-free path the runtime manager uses when folding
-    /// monitor means back into the knowledge base.
+    /// Creates an operating point from pre-interned metric ids (no
+    /// name is hashed or interned; the column is still name-sorted).
     pub fn with_metric_ids(
         config: Configuration,
         metrics: impl IntoIterator<Item = (SymbolId, f64)>,
@@ -370,29 +370,47 @@ impl KnowledgeBase {
     /// `alpha` (`new = old + alpha * (measured - old)`); appends when the
     /// configuration is unknown. This is the paper's "continuous on-line
     /// learning ... to update the knowledge from the data collected by the
-    /// monitors". Each touched metric's column entry is moved in place.
+    /// monitors". One [`learn_metric`](Self::learn_metric) per metric of
+    /// a known configuration.
     pub fn learn(&mut self, point: OperatingPoint, alpha: f64) {
         match self.find_index(&point.config) {
             Some(i) => {
-                let idx = i as u32;
                 for (id, measured) in point.metrics {
-                    let at = self.points[i].metrics.iter().position(|(o, _)| *o == id);
-                    match at {
-                        Some(at) => {
-                            let old = self.points[i].metrics[at].1;
-                            let new = old + alpha * (measured - old);
-                            self.points[i].metrics[at].1 = new;
-                            unindex_metric(&mut self.columns, id, old, idx);
-                            index_metric(&mut self.columns, id, new, idx);
-                        }
-                        None => {
-                            self.points[i].set_metric(id, measured);
-                            index_metric(&mut self.columns, id, measured, idx);
-                        }
-                    }
+                    self.learn_metric(i, id, measured, alpha);
                 }
             }
             None => self.push(point),
+        }
+    }
+
+    /// Blends one measurement into the point at `index` (from
+    /// [`find_index`](Self::find_index)) — the per-metric step of
+    /// [`learn`](Self::learn), for callers that already hold the index
+    /// and the interned metric id. The column entry is re-indexed only
+    /// when the blended value sorts differently from the old one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn learn_metric(&mut self, index: usize, id: SymbolId, measured: f64, alpha: f64) {
+        let idx = index as u32;
+        let point = &mut self.points[index];
+        match point.metrics.iter_mut().find(|(other, _)| *other == id) {
+            Some((_, value)) => {
+                let old = *value;
+                let new = old + alpha * (measured - old);
+                *value = new;
+                // removing and re-inserting the same `(key, idx)` entry
+                // (or un- and re-counting a NaN) would change nothing
+                if sort_key(old) != sort_key(new) {
+                    unindex_metric(&mut self.columns, id, old, idx);
+                    index_metric(&mut self.columns, id, new, idx);
+                }
+            }
+            None => {
+                point.set_metric(id, measured);
+                index_metric(&mut self.columns, id, measured, idx);
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 //! run must end in the uninterrupted run's state and have answered
 //! every request identically.
 
+use antarex::serve::cache::DesignKey;
 use antarex::serve::chaos::ChaosConfig;
 use antarex::serve::driver::{self, DriverConfig};
 use antarex::serve::nav::NavEvaluator;
@@ -103,4 +104,27 @@ fn crash_mid_campaign_recovers_state_and_answers() {
 
     assert_eq!(recovered.state_report(), reference.state_report());
     assert_eq!(digest(&reports), digest(&expected));
+
+    // published metrics are shared, never copied: every answer the
+    // recovered service gave — cache hit, coalesced or freshly probed,
+    // from entries restored out of the snapshot, replayed out of the
+    // journal or memoized since — is the very allocation its cache
+    // holds for that design point (a memoized point is never replaced:
+    // only a probe's failure quarantines, and a cached point is not
+    // probed)
+    let mut shared = 0;
+    for answer in reports[crash_at..]
+        .iter()
+        .flat_map(|r| &r.responses)
+        .flatten()
+    {
+        let features = driver::archetype_features(answer.tenant as usize % config.archetypes);
+        let cached = recovered
+            .cache()
+            .get(&DesignKey::new(&answer.config, &features))
+            .expect("an answered design point is cached");
+        assert!(answer.metrics.ptr_eq(&cached), "tenant {}", answer.tenant);
+        shared += 1;
+    }
+    assert!(shared > 0, "the recovered service answered something");
 }
