@@ -3,8 +3,8 @@
 //! The navigation server originally treated every degenerate input as a
 //! programmer error and panicked. A multi-tenant serving tier cannot
 //! afford that: one malformed request must not take down the process.
-//! The `try_*` methods on [`NavigationServer`](super::NavigationServer)
-//! surface these conditions as values instead.
+//! [`NavigationServer::try_serve`](super::NavigationServer::try_serve)
+//! surfaces these conditions as values instead.
 
 use std::fmt;
 
@@ -20,38 +20,6 @@ pub enum NavError {
         /// Destination node drawn for the request.
         destination: usize,
     },
-    /// The failure probability handed to the resilient path is outside
-    /// `[0, 1]`.
-    InvalidFailureProbability(f64),
-    /// The retry policy is malformed (the message names the field).
-    InvalidPolicy(&'static str),
-    /// The shared autotuning service (the serving tier this app rides
-    /// on) failed the request; `retryable` separates transient faults
-    /// (worker crash, deadline, open breaker) from terminal ones
-    /// (unknown tenant, infeasible SLA).
-    Upstream {
-        /// Whether the caller may retry — transient serving-tier
-        /// faults clear on their own; terminal ones never do.
-        retryable: bool,
-        /// Human-readable cause from the serving tier.
-        reason: String,
-    },
-}
-
-impl NavError {
-    /// Is retrying this request worthwhile? Routing failures and
-    /// malformed inputs are terminal; transient upstream faults are
-    /// not. [`NavigationServer::try_serve_resilient`](super::NavigationServer::try_serve_resilient)
-    /// consults this to decide between backoff-and-retry and giving up.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            NavError::EmptyNetwork
-            | NavError::NoRoute { .. }
-            | NavError::InvalidFailureProbability(_)
-            | NavError::InvalidPolicy(_) => false,
-            NavError::Upstream { retryable, .. } => *retryable,
-        }
-    }
 }
 
 impl fmt::Display for NavError {
@@ -62,14 +30,6 @@ impl fmt::Display for NavError {
                 origin,
                 destination,
             } => write!(f, "no route from node {origin} to node {destination}"),
-            NavError::InvalidFailureProbability(p) => {
-                write!(f, "failure probability must be in [0, 1], got {p}")
-            }
-            NavError::InvalidPolicy(reason) => write!(f, "invalid retry policy: {reason}"),
-            NavError::Upstream { retryable, reason } => {
-                let class = if *retryable { "transient" } else { "terminal" };
-                write!(f, "upstream serving tier ({class}): {reason}")
-            }
         }
     }
 }
@@ -89,44 +49,11 @@ mod tests {
         }
         .to_string()
         .contains("3 to node 9"));
-        assert!(NavError::InvalidFailureProbability(1.5)
-            .to_string()
-            .contains("probability"));
-        assert!(NavError::InvalidPolicy("need at least one attempt")
-            .to_string()
-            .contains("attempt"));
     }
 
     #[test]
     fn error_trait_is_implemented() {
         let e: Box<dyn std::error::Error> = Box::new(NavError::EmptyNetwork);
         assert!(!e.to_string().is_empty());
-    }
-
-    #[test]
-    fn retryable_classifier_separates_transient_from_terminal() {
-        assert!(!NavError::EmptyNetwork.is_retryable());
-        assert!(!NavError::NoRoute {
-            origin: 0,
-            destination: 1
-        }
-        .is_retryable());
-        assert!(!NavError::InvalidPolicy("x").is_retryable());
-        assert!(NavError::Upstream {
-            retryable: true,
-            reason: "worker 2 crashed".into()
-        }
-        .is_retryable());
-        assert!(!NavError::Upstream {
-            retryable: false,
-            reason: "tenant 9 unknown".into()
-        }
-        .is_retryable());
-        assert!(NavError::Upstream {
-            retryable: true,
-            reason: "x".into()
-        }
-        .to_string()
-        .contains("transient"));
     }
 }

@@ -26,65 +26,6 @@ pub struct RequestOutcome {
     pub alternatives: usize,
 }
 
-/// Bounded retry with exponential backoff, plus a load-shedding
-/// threshold, for serving requests on a faulty backend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per request (first try included).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied to the backoff after each failed retry.
-    pub backoff_multiplier: f64,
-    /// Backlog (seconds of queued service time) beyond which the
-    /// server sheds load by answering with a single alternative.
-    pub shed_backlog_s: f64,
-}
-
-impl RetryPolicy {
-    /// Three attempts, 50 ms initial backoff doubling each time, shed
-    /// above two seconds of backlog.
-    pub fn standard() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_s: 0.05,
-            backoff_multiplier: 2.0,
-            shed_backlog_s: 2.0,
-        }
-    }
-
-    /// Validates the policy: at least one attempt, a non-negative
-    /// backoff and shed threshold, a multiplier of at least 1.
-    pub fn try_validate(&self) -> Result<(), NavError> {
-        if self.max_attempts == 0 {
-            return Err(NavError::InvalidPolicy("need at least one attempt"));
-        }
-        if self.base_backoff_s < 0.0 {
-            return Err(NavError::InvalidPolicy("backoff must be non-negative"));
-        }
-        if self.backoff_multiplier < 1.0 {
-            return Err(NavError::InvalidPolicy("multiplier must be >= 1"));
-        }
-        if self.shed_backlog_s < 0.0 {
-            return Err(NavError::InvalidPolicy("shed threshold non-negative"));
-        }
-        Ok(())
-    }
-}
-
-/// Outcome of serving one request through [`NavigationServer::serve_resilient`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilientOutcome {
-    /// The answered request, if any attempt succeeded.
-    pub outcome: Option<RequestOutcome>,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Compute seconds burned by failed attempts (wasted work).
-    pub wasted_compute_s: f64,
-    /// Whether load shedding degraded the request to one alternative.
-    pub shed: bool,
-}
-
 /// The navigation server.
 #[derive(Debug, Clone)]
 pub struct NavigationServer {
@@ -233,107 +174,6 @@ impl NavigationServer {
         }
     }
 
-    /// Serves one request on a backend that fails each attempt with
-    /// probability `failure_prob`, applying `policy`: failed attempts
-    /// burn their compute (it still lands on the queue) and add an
-    /// exponentially growing backoff to the request latency; when the
-    /// backlog exceeds `policy.shed_backlog_s` the request is degraded
-    /// to a single alternative before the first attempt (load
-    /// shedding). Returns `outcome: None` when every attempt failed.
-    ///
-    /// With `failure_prob == 0` and a backlog below the shed threshold
-    /// this is byte-identical to [`NavigationServer::serve`] — the
-    /// fault-free path draws the same RNG stream and runs the same
-    /// planner.
-    ///
-    /// Result-based variant of [`NavigationServer::serve_resilient`]:
-    /// an out-of-range `failure_prob`, a malformed policy, or a
-    /// degenerate network come back as [`NavError`] values.
-    pub fn try_serve_resilient(
-        &mut self,
-        arrival_s: f64,
-        rng: &mut impl Rng,
-        failure_prob: f64,
-        policy: RetryPolicy,
-    ) -> Result<ResilientOutcome, NavError> {
-        if !(0.0..=1.0).contains(&failure_prob) {
-            return Err(NavError::InvalidFailureProbability(failure_prob));
-        }
-        policy.try_validate()?;
-        let shed = self.backlog_s > policy.shed_backlog_s && self.alternatives > 1;
-        let saved_alternatives = self.alternatives;
-        if shed {
-            self.alternatives = 1;
-        }
-        let mut wasted_compute_s = 0.0;
-        let mut backoff_total_s = 0.0;
-        let mut backoff_s = policy.base_backoff_s;
-        let mut result = ResilientOutcome {
-            outcome: None,
-            attempts: 0,
-            wasted_compute_s: 0.0,
-            shed,
-        };
-        for attempt in 1..=policy.max_attempts {
-            result.attempts = attempt;
-            // draw the failure AFTER computing, as a real backend
-            // would: the work is done, then the reply is lost
-            let backlog_before = self.backlog_s;
-            let served = self.try_serve(arrival_s, rng);
-            let mut outcome = match served {
-                Ok(outcome) => outcome,
-                // terminal errors (no route, degenerate network) are
-                // returned at once; transient upstream faults burn an
-                // attempt and back off like a lost reply would
-                Err(e) if !e.is_retryable() || attempt == policy.max_attempts => {
-                    self.alternatives = saved_alternatives;
-                    return Err(e);
-                }
-                Err(_) => {
-                    backoff_total_s += backoff_s;
-                    self.drain(backoff_s);
-                    backoff_s *= policy.backoff_multiplier;
-                    continue;
-                }
-            };
-            let compute_s = self.backlog_s - backlog_before;
-            let failed = failure_prob > 0.0 && rng.gen_bool(failure_prob);
-            if !failed {
-                outcome.latency_s += backoff_total_s;
-                result.outcome = Some(outcome);
-                break;
-            }
-            wasted_compute_s += compute_s;
-            if attempt < policy.max_attempts {
-                backoff_total_s += backoff_s;
-                // the queue drains while this request sits out its backoff
-                self.drain(backoff_s);
-                backoff_s *= policy.backoff_multiplier;
-            }
-        }
-        self.alternatives = saved_alternatives;
-        result.wasted_compute_s = wasted_compute_s;
-        Ok(result)
-    }
-
-    /// # Panics
-    ///
-    /// Panics if `failure_prob` is outside `[0, 1]`, the policy is
-    /// invalid, or the network is degenerate — the conditions
-    /// [`NavigationServer::try_serve_resilient`] reports as errors.
-    pub fn serve_resilient(
-        &mut self,
-        arrival_s: f64,
-        rng: &mut impl Rng,
-        failure_prob: f64,
-        policy: RetryPolicy,
-    ) -> ResilientOutcome {
-        match self.try_serve_resilient(arrival_s, rng, failure_prob, policy) {
-            Ok(result) => result,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Route-quality proxy of the current knob setting: the expected
     /// improvement of best-of-k over best-of-1 on random OD pairs at a
     /// reference time (1.0 = no improvement). Larger k explores more
@@ -456,81 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn resilient_with_zero_failures_matches_plain_serve() {
-        let mut plain = server();
-        let mut resilient = server();
-        let mut rng_a = StdRng::seed_from_u64(30);
-        let mut rng_b = StdRng::seed_from_u64(30);
-        for i in 0..10 {
-            let t = 8.0 * 3600.0 + f64::from(i);
-            let a = plain.serve(t, &mut rng_a);
-            let b = resilient.serve_resilient(t, &mut rng_b, 0.0, RetryPolicy::standard());
-            assert_eq!(b.outcome.as_ref(), Some(&a), "request {i} diverged");
-            assert_eq!(b.attempts, 1);
-            assert_eq!(b.wasted_compute_s, 0.0);
-        }
-        assert_eq!(plain.backlog_s(), resilient.backlog_s());
-    }
-
-    #[test]
-    fn certain_failure_exhausts_attempts_and_wastes_compute() {
-        let mut s = server();
-        let mut rng = StdRng::seed_from_u64(31);
-        let policy = RetryPolicy::standard();
-        let r = s.serve_resilient(8.0 * 3600.0, &mut rng, 1.0, policy);
-        assert_eq!(r.outcome, None);
-        assert_eq!(r.attempts, policy.max_attempts);
-        assert!(r.wasted_compute_s > 0.0);
-    }
-
-    #[test]
-    fn backoff_adds_to_latency_of_eventual_success() {
-        // force the first attempt to fail, the second to succeed, by
-        // finding a seed whose failure draws cooperate under p = 0.5
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_backoff_s: 1.0,
-            backoff_multiplier: 2.0,
-            shed_backlog_s: f64::INFINITY,
-        };
-        let mut found_retry = false;
-        for seed in 0..50 {
-            let mut s = server();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let r = s.serve_resilient(8.0 * 3600.0, &mut rng, 0.5, policy);
-            if let Some(outcome) = &r.outcome {
-                if r.attempts > 1 {
-                    // at least base_backoff_s of waiting is in the latency
-                    assert!(outcome.latency_s >= policy.base_backoff_s);
-                    assert!(r.wasted_compute_s > 0.0);
-                    found_retry = true;
-                    break;
-                }
-            }
-        }
-        assert!(found_retry, "no retried-then-succeeded case in 50 seeds");
-    }
-
-    #[test]
-    fn overload_sheds_to_one_alternative() {
-        let mut s = server();
-        s.set_alternatives(6);
-        let mut rng = StdRng::seed_from_u64(33);
-        let policy = RetryPolicy {
-            shed_backlog_s: 0.0,
-            ..RetryPolicy::standard()
-        };
-        // build up backlog beyond the (zero) threshold
-        s.serve(8.0 * 3600.0, &mut rng);
-        assert!(s.backlog_s() > 0.0);
-        let r = s.serve_resilient(8.0 * 3600.0, &mut rng, 0.0, policy);
-        assert!(r.shed);
-        assert_eq!(r.outcome.expect("served").alternatives, 1);
-        // the quality knob is restored afterwards
-        assert_eq!(s.alternatives(), 6);
-    }
-
-    #[test]
     fn try_serve_matches_serve() {
         let mut plain = server();
         let mut fallible = server();
@@ -545,40 +310,6 @@ mod tests {
             assert_eq!(a, b, "request {i} diverged");
         }
         assert_eq!(plain.backlog_s(), fallible.backlog_s());
-    }
-
-    #[test]
-    fn bad_probability_is_a_typed_error() {
-        let mut s = server();
-        let mut rng = StdRng::seed_from_u64(35);
-        let err = s
-            .try_serve_resilient(0.0, &mut rng, -0.5, RetryPolicy::standard())
-            .unwrap_err();
-        assert_eq!(err, NavError::InvalidFailureProbability(-0.5));
-    }
-
-    #[test]
-    fn bad_policy_is_a_typed_error() {
-        let mut s = server();
-        let mut rng = StdRng::seed_from_u64(36);
-        let policy = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::standard()
-        };
-        let err = s
-            .try_serve_resilient(0.0, &mut rng, 0.0, policy)
-            .unwrap_err();
-        assert_eq!(err, NavError::InvalidPolicy("need at least one attempt"));
-        // errors leave the quality knob untouched
-        assert_eq!(s.alternatives(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn bad_failure_probability_rejected() {
-        let mut s = server();
-        let mut rng = StdRng::seed_from_u64(34);
-        let _ = s.serve_resilient(0.0, &mut rng, 1.5, RetryPolicy::standard());
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! cargo run -p antarex-bench --bin experiments -- --list
 //! ```
 //!
+//! An id after `--only` that names no experiment is an error: nothing
+//! runs and the exit status is 2.
+//!
 //! `--jobs N` runs experiments on N worker threads; each report renders
 //! into its own buffer and the merged output is printed in registry
 //! order, byte-identical to a serial run.
@@ -52,7 +55,10 @@ fn main() {
             None => std::path::PathBuf::from("target/experiments_output.txt"),
         }
     });
-    let report = run_selected_jobs(&only, jobs);
+    let report = run_selected_jobs(&only, jobs).unwrap_or_else(|unknown| {
+        eprintln!("{unknown}");
+        std::process::exit(2);
+    });
     print!("{report}");
     if let Some(path) = out {
         if let Some(parent) = path.parent() {

@@ -201,25 +201,39 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
-/// Runs experiments by id (all when `only` is empty), rendering a full
-/// report.
-pub fn run_selected(only: &[String]) -> String {
-    run_selected_jobs(only, 1)
-}
-
 /// Runs experiments by id (all when `only` is empty) on `jobs` worker
 /// threads.
 ///
 /// Each experiment renders into its own buffer; the merged report is
-/// emitted in registry order, so the output is identical to the serial
-/// [`run_selected`] no matter how the workers interleave.
+/// emitted in registry order, so the output is identical to a serial
+/// run (`jobs = 1`) no matter how the workers interleave.
+///
+/// # Errors
+///
+/// An id in `only` that names no experiment runs nothing and returns
+/// `unknown experiment id(s): …; valid ids: …` — a typo must not read
+/// as an empty, and therefore trivially deterministic, report.
 ///
 /// # Panics
 ///
 /// Panics when `jobs` is zero.
-pub fn run_selected_jobs(only: &[String], jobs: usize) -> String {
+pub fn run_selected_jobs(only: &[String], jobs: usize) -> Result<String, String> {
     assert!(jobs > 0, "at least one job is required");
-    let selected: Vec<Experiment> = all_experiments()
+    let registry = all_experiments();
+    let unknown: Vec<&str> = only
+        .iter()
+        .map(String::as_str)
+        .filter(|id| registry.iter().all(|e| e.id != *id))
+        .collect();
+    if !unknown.is_empty() {
+        let valid: Vec<&str> = registry.iter().map(|e| e.id).collect();
+        return Err(format!(
+            "unknown experiment id(s): {}; valid ids: {}",
+            unknown.join(", "),
+            valid.join(", ")
+        ));
+    }
+    let selected: Vec<Experiment> = registry
         .into_iter()
         .filter(|e| only.is_empty() || only.iter().any(|o| o == e.id))
         .collect();
@@ -254,7 +268,7 @@ pub fn run_selected_jobs(only: &[String], jobs: usize) -> String {
         out.push_str(&body);
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -274,15 +288,27 @@ mod tests {
 
     #[test]
     fn selection_filters() {
-        let report = run_selected(&["c4".to_string()]);
+        let report = run_selected_jobs(&["c4".to_string()], 1).unwrap();
         assert!(report.contains("[c4]"));
         assert!(!report.contains("[c1]"));
     }
 
     #[test]
+    fn unknown_ids_are_an_error_not_an_empty_report() {
+        let only = ["c4", "zz9", "s1", "r22"].map(String::from);
+        let error = run_selected_jobs(&only, 2).unwrap_err();
+        assert!(
+            error.starts_with("unknown experiment id(s): zz9, r22; valid ids: f2, f3, "),
+            "{error}"
+        );
+        assert!(error.ends_with(", d1, e1"), "{error}");
+    }
+
+    #[test]
     fn parallel_jobs_match_serial_output() {
         let only = vec!["c4".to_string(), "c5".to_string()];
-        assert_eq!(run_selected_jobs(&only, 3), run_selected(&only));
+        let serial = run_selected_jobs(&only, 1).expect("known ids");
+        assert_eq!(run_selected_jobs(&only, 3), Ok(serial));
     }
 
     #[test]

@@ -28,7 +28,8 @@
 
 use antarex_serve::cache::{DesignKey, ReferenceKey};
 use antarex_serve::probe_seed;
-use antarex_tuner::dse::{explore_parallel, virtual_makespan, DseReport};
+use antarex_sim::sched::list_schedule;
+use antarex_tuner::dse::{explore_parallel, DseReport};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::{Knob, KnobValue};
 use antarex_tuner::search::batch::{BatchTechnique, ExhaustiveBatch, GeneticBatch, RandomBatch};
@@ -325,7 +326,7 @@ pub fn dse_row(
         invariant,
         makespans: WORKER_COUNTS
             .iter()
-            .map(|&w| virtual_makespan(&costs, w))
+            .map(|&w| list_schedule(&costs, w).makespan_s)
             .collect(),
     }
 }

@@ -179,10 +179,7 @@ impl AdmissionController {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<TenantId, TenantAdmission>> {
-        match self.tenants.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock_or_recover(&self.tenants)
     }
 
     /// The tenant's current tier (admitted when never seen).

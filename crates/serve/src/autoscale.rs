@@ -117,10 +117,7 @@ impl Autoscaler {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, AutoscalerState> {
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock_or_recover(&self.state)
     }
 
     /// The current virtual worker capacity.
@@ -140,27 +137,29 @@ impl Autoscaler {
         let next = if (per_worker > self.config.queue_high || burn > self.config.burn_high)
             && state.capacity < self.config.max_workers
         {
-            state.scale_ups += 1;
             (state.capacity * 2).min(self.config.max_workers)
         } else if per_worker < self.config.queue_low
             && burn <= self.config.burn_high
             && state.capacity > self.config.min_workers
         {
-            state.scale_downs += 1;
             state.capacity - 1
         } else {
             return None;
         };
-        state.capacity = next;
-        state.last_change_s = now_s;
+        self.commit(&mut state, now_s, next);
         Some(next)
     }
 
-    /// Applies a journaled scaling decision during replay: sets the
-    /// capacity and decision clock exactly as the live `decide` did,
-    /// inferring the up/down tally from the capacity delta.
+    /// Applies a journaled scaling decision during replay — the same
+    /// commit the live `decide` ended in.
     pub fn force(&self, now_s: f64, capacity: usize) {
-        let mut state = self.lock();
+        self.commit(&mut self.lock(), now_s, capacity);
+    }
+
+    /// The one body of a capacity change: the up/down tally follows
+    /// the capacity delta, the capacity stays within the configured
+    /// bounds, and the decision clock restarts.
+    fn commit(&self, state: &mut AutoscalerState, now_s: f64, capacity: usize) {
         if capacity > state.capacity {
             state.scale_ups += 1;
         } else if capacity < state.capacity {

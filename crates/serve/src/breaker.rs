@@ -232,6 +232,12 @@ impl BreakerBank {
         self.config
     }
 
+    /// Whether breakers are live at all. A disabled bank is never fed:
+    /// feedback would materialize breakers that can never trip.
+    pub(crate) fn enabled(&self) -> bool {
+        self.config.failure_threshold > 0
+    }
+
     /// Runs `f` on the tenant's breaker (creating it closed if absent).
     /// Trips that happen inside `f` are mirrored onto the bank's trip
     /// counter.

@@ -349,10 +349,7 @@ impl DesignPointCache {
     }
 
     fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, HashMap<DesignKey, Metrics>> {
-        match self.shards[index].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock_or_recover(&self.shards[index])
     }
 
     /// Looks up a design point, counting a hit or a miss. A hit shares

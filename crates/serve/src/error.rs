@@ -6,7 +6,6 @@
 //! remain documented panics, matching the rest of the workspace.
 
 use crate::store::TenantId;
-use antarex_apps::nav::NavError;
 use std::fmt;
 
 /// Why the service could not answer a request.
@@ -71,7 +70,70 @@ pub enum ServeError {
     },
 }
 
+/// The terminal counter a request that ended in an error lands in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ErrorCounter {
+    /// Load: queue overflow or deliberate backpressure.
+    Shed,
+    /// An infrastructure fault: the service answered badly.
+    Failed,
+    /// A tenant contract error.
+    Rejected,
+}
+
+/// What an error means to the batch that answers with it — the one
+/// row the counter bump, the SLO burn tally, the breaker call and the
+/// journaled `breaker_feedback` flag all read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ErrorRow {
+    /// Which of `served`'s three siblings counts the request.
+    pub(crate) counter: ErrorCounter,
+    /// Whether the error burns the tenant's SLO error budget at the
+    /// front door.
+    pub(crate) burns_slo: bool,
+    /// Whether the error says the eval path is unhealthy for this
+    /// tenant, i.e. counts against its circuit breaker.
+    pub(crate) feeds_breaker: bool,
+    /// See [`ServeError::is_retryable`].
+    pub(crate) retryable: bool,
+}
+
 impl ServeError {
+    /// This error's bookkeeping row. `degraded` is the one contextual
+    /// input: whether the request's tenant sat in the degrade tier
+    /// when it was admitted.
+    ///
+    /// An infrastructure failure burns the tenant's budget (the
+    /// service answered badly), and unmet probe demand counts too — a
+    /// queue overflow on an admitted tenant, or a degraded tenant's
+    /// rejected cache miss. That is what escalates an abuser to the
+    /// shed tier: a flooding tenant burns even while its probes only
+    /// ever overflow the queue, while a tenant mostly served from
+    /// cache dilutes the odd overflow below the degrade threshold. A
+    /// hard shed burns nothing, so a backed-off tenant decays home.
+    /// Only worker faults and missed deadlines feed the breaker; shed,
+    /// open circuits, and contract errors do not.
+    pub(crate) fn row(&self, degraded: bool) -> ErrorRow {
+        use ErrorCounter::{Failed, Rejected, Shed};
+        let (counter, burns_slo, feeds_breaker, retryable) = match self {
+            ServeError::Shed { .. } => (Shed, true, false, true),
+            ServeError::AdmissionRejected { .. } => (Shed, degraded, false, false),
+            ServeError::WorkerFailed { .. } | ServeError::Deadline => (Failed, true, true, true),
+            ServeError::CircuitOpen { .. } => (Failed, false, false, true),
+            ServeError::UnknownTenant(_)
+            | ServeError::TenantExists(_)
+            | ServeError::Infeasible(_)
+            | ServeError::EmptyKnowledge(_)
+            | ServeError::InvalidConfig { .. } => (Rejected, false, false, false),
+        };
+        ErrorRow {
+            counter,
+            burns_slo,
+            feeds_breaker,
+            retryable,
+        }
+    }
+
     /// Is retrying this request (later, or against a healthy worker)
     /// worthwhile? Transient capacity and fault errors are retryable;
     /// contract errors (unknown tenant, infeasible SLA, empty
@@ -81,18 +143,7 @@ impl ServeError {
     /// the very backpressure protecting its neighbors — honor
     /// [`ServeError::retry_after_ms`] instead.
     pub fn is_retryable(&self) -> bool {
-        match self {
-            ServeError::Shed { .. }
-            | ServeError::WorkerFailed { .. }
-            | ServeError::Deadline
-            | ServeError::CircuitOpen { .. } => true,
-            ServeError::UnknownTenant(_)
-            | ServeError::TenantExists(_)
-            | ServeError::Infeasible(_)
-            | ServeError::EmptyKnowledge(_)
-            | ServeError::AdmissionRejected { .. }
-            | ServeError::InvalidConfig { .. } => false,
-        }
+        self.row(false).retryable
     }
 
     /// The backpressure hint carried by an admission rejection:
@@ -102,18 +153,6 @@ impl ServeError {
         match self {
             ServeError::AdmissionRejected { retry_after_ms, .. } => Some(*retry_after_ms),
             _ => None,
-        }
-    }
-}
-
-/// Maps serving-tier failures onto the navigation app's error type, so
-/// `try_serve_resilient` can distinguish retryable from terminal
-/// failures via [`NavError::is_retryable`].
-impl From<ServeError> for NavError {
-    fn from(e: ServeError) -> Self {
-        NavError::Upstream {
-            retryable: e.is_retryable(),
-            reason: e.to_string(),
         }
     }
 }
@@ -202,33 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn retryability_classifier() {
-        assert!(ServeError::Shed { capacity: 4 }.is_retryable());
-        assert!(ServeError::WorkerFailed { worker: 0 }.is_retryable());
-        assert!(ServeError::Deadline.is_retryable());
-        assert!(ServeError::CircuitOpen { tenant: 1 }.is_retryable());
-        assert!(!ServeError::UnknownTenant(1).is_retryable());
-        assert!(!ServeError::TenantExists(1).is_retryable());
-        assert!(!ServeError::Infeasible(1).is_retryable());
-        assert!(!ServeError::EmptyKnowledge(1).is_retryable());
-        assert!(
-            !ServeError::AdmissionRejected {
-                tenant: 1,
-                retry_after_ms: 1000,
-            }
-            .is_retryable(),
-            "a shedding controller must not be retried blind"
-        );
-        assert!(
-            !ServeError::InvalidConfig {
-                reason: "need at least one virtual worker"
-            }
-            .is_retryable(),
-            "misconfiguration never clears on its own"
-        );
-    }
-
-    #[test]
     fn retry_after_hint_surfaces_only_on_admission_rejections() {
         let rejected = ServeError::AdmissionRejected {
             tenant: 3,
@@ -239,54 +251,47 @@ mod tests {
         assert_eq!(ServeError::CircuitOpen { tenant: 3 }.retry_after_ms(), None);
     }
 
-    /// The stampede guard: a hedged-retry client looping on
-    /// `is_retryable` — the exact stop condition of the nav server's
-    /// `try_serve_resilient` — must burn exactly ONE attempt against a
-    /// shedding tenant, while a transient fault still gets its full
-    /// retry budget.
+    /// The policy as one table, a line per variant — a change of
+    /// policy is a one-line diff here. An admission rejection is the
+    /// row to watch: it burns only for a degraded tenant, and it is
+    /// not retryable (a shedding controller must not be retried blind),
+    /// while every transient fault is.
     #[test]
-    fn hedged_retries_do_not_stampede_a_shedding_tenant() {
-        fn drive_retries(error: ServeError, max_attempts: u32) -> u32 {
-            let mut attempts = 0;
-            for attempt in 1..=max_attempts {
-                attempts = attempt;
-                // mirror of `try_serve_resilient`'s loop: stop on a
-                // non-retryable error or an exhausted budget
-                if !error.is_retryable() || attempt == max_attempts {
-                    break;
-                }
-            }
-            attempts
-        }
-        let shedding = ServeError::AdmissionRejected {
-            tenant: 7,
-            retry_after_ms: 5000,
+    fn every_variant_has_its_row() {
+        use ErrorCounter::{Failed, Rejected, Shed};
+        const T: bool = true;
+        const F: bool = false;
+        let rejected = ServeError::AdmissionRejected {
+            tenant: 1,
+            retry_after_ms: 1000,
         };
-        assert_eq!(drive_retries(shedding, 5), 1, "one attempt, then back off");
-        assert_eq!(
-            drive_retries(ServeError::WorkerFailed { worker: 0 }, 5),
-            5,
-            "transient faults keep their retry budget"
-        );
-    }
-
-    #[test]
-    fn maps_into_nav_error_preserving_retryability() {
-        let transient: NavError = ServeError::WorkerFailed { worker: 3 }.into();
-        assert!(transient.is_retryable());
-        assert!(transient.to_string().contains("worker 3"));
-        let terminal: NavError = ServeError::Infeasible(9).into();
-        assert!(!terminal.is_retryable());
-        let breaker: NavError = ServeError::CircuitOpen { tenant: 2 }.into();
-        assert!(breaker.is_retryable(), "breaker opens clear after cooldown");
-        // the mapping is what stops `try_serve_resilient` from
-        // stampeding a shedding tenant through the nav retry path
-        let shed: NavError = ServeError::AdmissionRejected {
-            tenant: 4,
-            retry_after_ms: 5000,
+        let invalid = ServeError::InvalidConfig {
+            reason: "queue capacity must be positive",
+        };
+        // error, counter, burns, burns if degraded, feeds breaker, retryable
+        let table = [
+            (ServeError::UnknownTenant(1), Rejected, F, F, F, F),
+            (ServeError::TenantExists(1), Rejected, F, F, F, F),
+            (ServeError::Shed { capacity: 4 }, Shed, T, T, F, T),
+            (ServeError::Infeasible(1), Rejected, F, F, F, F),
+            (ServeError::EmptyKnowledge(1), Rejected, F, F, F, F),
+            (ServeError::WorkerFailed { worker: 0 }, Failed, T, T, T, T),
+            (ServeError::Deadline, Failed, T, T, T, T),
+            (ServeError::CircuitOpen { tenant: 1 }, Failed, F, F, F, T),
+            (rejected, Shed, F, T, F, F),
+            (invalid, Rejected, F, F, F, F),
+        ];
+        for (error, counter, burns, burns_degraded, feeds_breaker, retryable) in table {
+            for (degraded, burns_slo) in [(false, burns), (true, burns_degraded)] {
+                let row = ErrorRow {
+                    counter,
+                    burns_slo,
+                    feeds_breaker,
+                    retryable,
+                };
+                assert_eq!(error.row(degraded), row, "{error:?}, degraded={degraded}");
+            }
+            assert_eq!(error.is_retryable(), retryable, "{error:?}");
         }
-        .into();
-        assert!(!shed.is_retryable());
-        assert!(shed.to_string().contains("retry after 5000 ms"));
     }
 }

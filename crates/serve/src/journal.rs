@@ -180,10 +180,7 @@ impl Journal {
     }
 
     fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, Vec<(u64, JournalEntry)>> {
-        match self.shards[index].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock_or_recover(&self.shards[index])
     }
 
     /// Appends one delta; returns its sequence number.
@@ -279,6 +276,97 @@ pub fn take_snapshot(
     }
 }
 
+/// What each journaled delta *does*, written once. The live batch
+/// stages call these functions and then append the entry; [`replay`]'s
+/// arms call the same functions with the entry's fields. The deltas
+/// that are a single method of the state they change need no function
+/// here, for the same reason: both sides call that method
+/// ([`DesignPointCache::insert`] and [`DesignPointCache::quarantine`],
+/// [`AdmissionController::update`]; [`Autoscaler::decide`] and
+/// [`Autoscaler::force`] commit through one private body).
+pub(crate) mod apply {
+    use super::{BreakerBank, Configuration, Metrics, SessionStore, TenantClass, TenantId};
+    use crate::error::ServeError;
+
+    /// `Select`: the tenant's manager deploys its best feasible
+    /// operating point; `read` sees it beside the borrowed session's
+    /// features and class. `Err` means `select()` did not run (unknown
+    /// tenant, empty knowledge) and nothing is journaled; `Ok(None)`
+    /// means it ran and found the SLA infeasible.
+    pub(crate) fn select<R>(
+        store: &SessionStore,
+        tenant: TenantId,
+        read: impl FnOnce(&Configuration, &[f64], TenantClass) -> R,
+    ) -> Result<Option<R>, ServeError> {
+        store.with(tenant, |session| {
+            if session.manager.knowledge().is_empty() {
+                return Err(ServeError::EmptyKnowledge(tenant));
+            }
+            let chosen = session.manager.select();
+            Ok(chosen.map(|config| read(config, &session.features, session.class)))
+        })?
+    }
+
+    /// `BreakerAllow`: the tenant's breaker is asked to admit a request
+    /// at `time_s` (an open breaker past its cooldown goes half-open).
+    /// Journaled only when it said yes.
+    pub(crate) fn breaker_allow(breakers: &BreakerBank, tenant: TenantId, time_s: f64) -> bool {
+        breakers.with(tenant, |b| b.allow(time_s))
+    }
+
+    /// `Learn`: session bookkeeping, one `observe()` per metric, and
+    /// breaker success feedback when breakers are live.
+    pub(crate) fn learn(
+        store: &SessionStore,
+        breakers: &BreakerBank,
+        tenant: TenantId,
+        time_s: f64,
+        config: &Configuration,
+        metrics: &Metrics,
+    ) {
+        let _ = store.with(tenant, |session| {
+            session.requests += 1;
+            if session.last_config.as_ref() != Some(config) {
+                session.last_config = Some(config.clone());
+            }
+            session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);
+            for (metric, value) in metrics {
+                session.manager.observe(time_s, metric, *value);
+            }
+        });
+        if breakers.enabled() {
+            breakers.with(tenant, |b| b.on_success(time_s));
+        }
+    }
+
+    /// `Reject`: breaker failure feedback when the error earned it,
+    /// then rejection bookkeeping. Returns whether the tenant is known
+    /// — an unknown tenant's rejection leaves no state and no entry.
+    pub(crate) fn reject(
+        store: &SessionStore,
+        breakers: &BreakerBank,
+        tenant: TenantId,
+        time_s: f64,
+        breaker_feedback: bool,
+    ) -> bool {
+        if breaker_feedback {
+            breakers.with(tenant, |b| b.on_failure(time_s));
+        }
+        store
+            .with(tenant, |session| {
+                session.rejected += 1;
+            })
+            .is_ok()
+    }
+
+    /// `Adapt`: one adaptation round of the tenant's manager.
+    pub(crate) fn adapt(store: &SessionStore, tenant: TenantId, now_s: f64) {
+        let _ = store.with(tenant, |session| {
+            session.manager.adapt(now_s);
+        });
+    }
+}
+
 /// Replays a journal suffix onto (already snapshot-restored) state.
 ///
 /// Entries must be in append order. `make_manager` rebuilds the
@@ -287,8 +375,9 @@ pub fn take_snapshot(
 /// original registration used. `front_door` receives admission and
 /// scaling entries; a service without one ignores them.
 ///
-/// Every application step is the exact call the service performed, so
-/// replay is bit-identical to the original execution.
+/// The arms are not copies of the live path: each one calls the very
+/// function the batch stage that journaled the entry called, so replay
+/// is bit-identical to the original execution by construction.
 pub fn replay<F>(
     entries: &[JournalEntry],
     store: &SessionStore,
@@ -299,10 +388,6 @@ pub fn replay<F>(
 ) where
     F: Fn(TenantId) -> AppManager,
 {
-    // the live path feeds breakers only when they are enabled; replay
-    // must mirror that or it would materialize breakers the original
-    // execution never touched
-    let breaker_on = breakers.config().failure_threshold > 0;
     for entry in entries {
         match entry {
             JournalEntry::Register {
@@ -316,58 +401,29 @@ pub fn replay<F>(
                 );
             }
             JournalEntry::Select { tenant } => {
-                let _ = store.with(*tenant, |session| {
-                    let _ = session.manager.select();
-                });
+                let _ = apply::select(store, *tenant, |_, _, _| ());
             }
             JournalEntry::BreakerAllow { tenant, time_s } => {
-                breakers.with(*tenant, |b| {
-                    let _ = b.allow(*time_s);
-                });
+                apply::breaker_allow(breakers, *tenant, *time_s);
             }
             JournalEntry::Learn {
                 tenant,
                 time_s,
                 config,
                 metrics,
-            } => {
-                let _ = store.with(*tenant, |session| {
-                    session.requests += 1;
-                    if session.last_config.as_ref() != Some(config) {
-                        session.last_config = Some(config.clone());
-                    }
-                    session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);
-                    for (metric, value) in metrics {
-                        session.manager.observe(*time_s, metric, *value);
-                    }
-                });
-                if breaker_on {
-                    breakers.with(*tenant, |b| b.on_success(*time_s));
-                }
-            }
+            } => apply::learn(store, breakers, *tenant, *time_s, config, metrics),
             JournalEntry::Reject {
                 tenant,
                 time_s,
                 breaker_feedback,
             } => {
-                if *breaker_feedback {
-                    breakers.with(*tenant, |b| b.on_failure(*time_s));
-                }
-                let _ = store.with(*tenant, |session| {
-                    session.rejected += 1;
-                });
+                apply::reject(store, breakers, *tenant, *time_s, *breaker_feedback);
             }
-            JournalEntry::Adapt { tenant, now_s } => {
-                let _ = store.with(*tenant, |session| {
-                    session.manager.adapt(*now_s);
-                });
-            }
+            JournalEntry::Adapt { tenant, now_s } => apply::adapt(store, *tenant, *now_s),
             JournalEntry::CacheInsert { key, metrics } => {
                 cache.insert(key.clone(), metrics.clone());
             }
-            JournalEntry::Quarantine { key } => {
-                cache.quarantine(key);
-            }
+            JournalEntry::Quarantine { key } => cache.quarantine(key),
             JournalEntry::AdmissionUpdate {
                 tenant,
                 time_s,

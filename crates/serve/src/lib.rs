@@ -100,3 +100,13 @@ pub use service::{
     TuningRequest, TuningResponse, TuningService,
 };
 pub use store::{Session, SessionStore, TenantId};
+
+/// Locks a mutex, recovering the guarded data from a poisoned lock — the
+/// crate's one poisoned-lock policy: a panic under another holder
+/// leaves the guarded maps and vectors structurally sound, so serving
+/// goes on.
+pub(crate) fn lock_or_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

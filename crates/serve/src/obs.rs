@@ -134,36 +134,18 @@ impl ServeObs {
             sched_steal_fails: reg.counter("serve_sched_steal_fails_total", Scope::Timing),
             sched_queue_depth: reg.histogram("serve_sched_queue_depth", Scope::Timing),
             class_steals: TenantClass::all().map(|class| {
-                reg.counter(
-                    match class {
-                        TenantClass::Generic => "serve_sched_steals_generic_total",
-                        TenantClass::Nav => "serve_sched_steals_nav_total",
-                        TenantClass::Docking => "serve_sched_steals_docking_total",
-                    },
-                    Scope::Timing,
-                )
+                let name = format!("serve_sched_steals_{}_total", class.label());
+                reg.counter(&name, Scope::Timing)
             }),
             class_makespan: TenantClass::all().map(|class| {
-                reg.histogram(
-                    match class {
-                        TenantClass::Generic => "serve_class_makespan_seconds_generic",
-                        TenantClass::Nav => "serve_class_makespan_seconds_nav",
-                        TenantClass::Docking => "serve_class_makespan_seconds_docking",
-                    },
-                    Scope::Timing,
-                )
+                let name = format!("serve_class_makespan_seconds_{}", class.label());
+                reg.histogram(&name, Scope::Timing)
             }),
             // attributed energy is pure work content (probe joules plus
             // a demand-weighted overhead share) — worker-count invariant
             class_energy: TenantClass::all().map(|class| {
-                reg.histogram(
-                    match class {
-                        TenantClass::Generic => "serve_class_energy_joules_generic",
-                        TenantClass::Nav => "serve_class_energy_joules_nav",
-                        TenantClass::Docking => "serve_class_energy_joules_docking",
-                    },
-                    inv,
-                )
+                let name = format!("serve_class_energy_joules_{}", class.label());
+                reg.histogram(&name, inv)
             }),
             energy_facility_nj: reg.counter("serve_energy_facility_nj_total", inv),
             energy_attributed_nj: reg.counter("serve_energy_attributed_nj_total", inv),

@@ -20,10 +20,9 @@
 //! fallback. A mixed batch resolves to the most dynamic policy among
 //! its classes.
 //!
-//! Admission control follows the shed pattern of
-//! [`antarex_apps::nav::server`]: the queue is bounded, and a batch
-//! that overflows it has its tail shed *before* any work starts rather
-//! than stalling every tenant behind it.
+//! Admission control is load shedding: the queue is bounded, and a
+//! batch that overflows it has its tail shed *before* any work starts
+//! rather than stalling every tenant behind it.
 
 use crate::cache::{probe_seed, Metrics};
 use crate::error::ServeError;
@@ -222,10 +221,7 @@ impl CostEstimator {
     /// Predicted cost for a probe key: the refined per-key EWMA, the
     /// global mean for unseen keys, or 1.0 before any observation.
     pub fn estimate(&self, key: u64) -> f64 {
-        let state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let state = crate::lock_or_recover(&self.state);
         match state.table.get(&key) {
             Some(&cost) => cost,
             None if state.observed > 0 => state.mean,
@@ -237,10 +233,7 @@ impl CostEstimator {
     /// global mean.
     pub fn observe(&self, key: u64, cost_s: f64) {
         let cost = cost_s.max(0.0);
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut state = crate::lock_or_recover(&self.state);
         state
             .table
             .entry(key)
@@ -253,11 +246,7 @@ impl CostEstimator {
 
     /// Number of distinct probe keys with a refined estimate.
     pub fn keys(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .table
-            .len()
+        crate::lock_or_recover(&self.state).table.len()
     }
 }
 

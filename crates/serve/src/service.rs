@@ -11,31 +11,26 @@
 //! power demands aggregate into the cluster power manager's budget
 //! split.
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionTier};
+mod batch;
+
+use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::autoscale::{AutoscaleConfig, Autoscaler};
 use crate::breaker::{BreakerBank, BreakerConfig};
-use crate::cache::{probe_seed, DesignKey, DesignPointCache, Metrics};
-use crate::chaos::{chaos_schedule, ChaosConfig, HedgePolicy};
+use crate::cache::{DesignPointCache, Metrics};
+use crate::chaos::{ChaosConfig, HedgePolicy};
 use crate::error::ServeError;
-use crate::journal::{take_snapshot, Journal, JournalEntry, Snapshot};
-use crate::obs::{ServeObs, ADAPT_SPAN_S, CACHE_PROBE_SPAN_S, LEARN_SPAN_S, SELECT_SPAN_S};
-use crate::pool::{EvalJob, EvalPool, Evaluation, PoolConfig, SchedConfig};
+use crate::journal::{Journal, JournalEntry, Snapshot};
+use crate::obs::ServeObs;
+use crate::pool::{EvalPool, Evaluation, PoolConfig, SchedConfig};
 use crate::store::{Session, SessionStore, TenantClass, TenantId};
-use antarex_obs::{
-    largest_remainder_split, nj_to_j, to_nj, EnergyModel, Layer, SpanId, TraceCtx, TraceEvent,
-    TraceId, WindowSummary,
-};
+use antarex_obs::{EnergyModel, Layer, SpanId, TraceEvent, TraceId};
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::powercap::{split_digest, try_weighted_split_observed};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::Configuration;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
-
-/// Virtual cost of answering from the cache, seconds.
-const CACHE_LOOKUP_S: f64 = 1e-4;
 
 /// Measures design points for the service.
 ///
@@ -423,7 +418,7 @@ impl<E: Evaluator> TuningService<E> {
                     service.obs.pool_capacity.set(state.capacity as f64);
                 }
             }
-            *lock_or_recover(&service.next_snapshot_s) =
+            *crate::lock_or_recover(&service.next_snapshot_s) =
                 snap.at_s + resilience.snapshot_interval_s();
         }
         crate::journal::replay(
@@ -443,7 +438,7 @@ impl<E: Evaluator> TuningService<E> {
                 .pool_capacity
                 .set(fd.autoscaler.capacity() as f64);
         }
-        *lock_or_recover(&service.snapshot) = snapshot;
+        *crate::lock_or_recover(&service.snapshot) = snapshot;
         service
     }
 
@@ -596,860 +591,6 @@ impl<E: Evaluator> TuningService<E> {
         out
     }
 
-    /// Serves one batch of requests.
-    ///
-    /// The batch is processed in arrival order: operating points are
-    /// selected per tenant (tenants with an open circuit fail fast
-    /// first), cache misses are deduplicated and evaluated in parallel
-    /// (bounded queue; overflow is shed). Under an injected
-    /// [`ChaosConfig`] each probe is replayed through the fault-aware
-    /// scheduler — crashes retried with capped backoff, stragglers
-    /// hedged, results integrity-checked, deadlines enforced. Verified
-    /// results land in the cache and in each tenant's knowledge base;
-    /// failed design points are quarantined so waiters re-probe;
-    /// breakers take success/failure feedback; and every touched tenant
-    /// runs one adaptation round at the batch's end time. When
-    /// journaling is on, every mutation is appended to the WAL first
-    /// and a snapshot is taken on the Daly cadence.
-    pub fn serve_batch(&self, requests: &[TuningRequest]) -> BatchReport {
-        // 1. select per request, splitting cache hits from misses
-        enum Pending {
-            Err(ServeError),
-            Hit(Configuration, Metrics),
-            Job {
-                config: Configuration,
-                job_id: usize,
-                coalesced: bool,
-            },
-        }
-        self.obs.requests.add(requests.len() as u64);
-        let breaker_on = self.resilience.breaker.failure_threshold > 0;
-        let mut pending: Vec<Pending> = Vec::with_capacity(requests.len());
-        let mut jobs: Vec<EvalJob> = Vec::new();
-        let mut job_of_key: BTreeMap<DesignKey, usize> = BTreeMap::new();
-        let mut degraded = 0usize;
-        let mut admission_shed = 0usize;
-        // causal tracing: every request derives a TraceCtx from
-        // (tenant, probe seed, batch ordinal, position) — no wall
-        // clock — so trace ids are byte-identical at any worker count.
-        // One (ctx, class) row per request, aligned with `pending`.
-        let batch_ordinal = self.batch_ordinal.fetch_add(1, Ordering::Relaxed);
-        let mut req_meta: Vec<(TraceCtx, TenantClass)> = Vec::with_capacity(requests.len());
-        let record_admission = |ctx: TraceCtx, arrival_s: f64, tier_name: &'static str| {
-            if ctx.sampled {
-                self.obs.plane.trace.record(TraceEvent {
-                    trace: ctx.id,
-                    tenant: ctx.tenant,
-                    layer: Layer::Admission,
-                    name: tier_name,
-                    start_s: arrival_s,
-                    end_s: arrival_s,
-                    value: 0.0,
-                    span: SpanId::NONE,
-                });
-            }
-        };
-        for request in requests {
-            // the SLO front door runs first: a shed-tier tenant is
-            // rejected before it costs a breaker check, a select, or
-            // pool capacity — exactly one fail-fast path per request
-            let tier = self
-                .front_door
-                .as_ref()
-                .map(|fd| fd.admission.tier(request.tenant))
-                .unwrap_or(AdmissionTier::Admit);
-            if tier == AdmissionTier::Shed {
-                admission_shed += 1;
-                self.obs.admission_shed.inc();
-                let retry_after_ms = self
-                    .front_door
-                    .as_ref()
-                    .map(|fd| fd.admission.retry_after_ms(request.tenant))
-                    .unwrap_or(0);
-                let ctx = self.obs.plane.trace.derive(
-                    request.tenant,
-                    0,
-                    batch_ordinal,
-                    req_meta.len() as u32,
-                );
-                record_admission(ctx, request.arrival_s, "shed");
-                req_meta.push((ctx, TenantClass::Generic));
-                pending.push(Pending::Err(ServeError::AdmissionRejected {
-                    tenant: request.tenant,
-                    retry_after_ms,
-                }));
-                continue;
-            }
-            // fail fast for tenants whose circuit is open: the request
-            // costs a breaker check, not pool capacity
-            if breaker_on
-                && !self
-                    .breakers
-                    .with(request.tenant, |b| b.allow(request.arrival_s))
-            {
-                let ctx = self.obs.plane.trace.derive(
-                    request.tenant,
-                    0,
-                    batch_ordinal,
-                    req_meta.len() as u32,
-                );
-                record_admission(ctx, request.arrival_s, "circuit_open");
-                req_meta.push((ctx, TenantClass::Generic));
-                pending.push(Pending::Err(ServeError::CircuitOpen {
-                    tenant: request.tenant,
-                }));
-                continue;
-            }
-            if breaker_on {
-                self.journal_append(|| JournalEntry::BreakerAllow {
-                    tenant: request.tenant,
-                    time_s: request.arrival_s,
-                });
-            }
-            let selected = self.store.with(request.tenant, |session| {
-                if session.manager.knowledge().is_empty() {
-                    return Err(ServeError::EmptyKnowledge(request.tenant));
-                }
-                match session.manager.select() {
-                    Some(config) => Ok((config.clone(), session.features.clone(), session.class)),
-                    None => Err(ServeError::Infeasible(request.tenant)),
-                }
-            });
-            // `select()` mutates the manager (deploy/switch): journal it
-            // whenever it ran, even when it found the SLA infeasible
-            if matches!(&selected, Ok(Ok(_)) | Ok(Err(ServeError::Infeasible(_)))) {
-                self.obs.selects.inc();
-                self.journal_append(|| JournalEntry::Select {
-                    tenant: request.tenant,
-                });
-            }
-            let seq = req_meta.len() as u32;
-            let mut ctx = self
-                .obs
-                .plane
-                .trace
-                .derive(request.tenant, 0, batch_ordinal, seq);
-            let mut req_class = TenantClass::Generic;
-            let entry = match selected {
-                Err(e) | Ok(Err(e)) => Pending::Err(e),
-                Ok(Ok((config, features, class))) if tier == AdmissionTier::Degrade => {
-                    // degraded tier: cache-only service. A memoized
-                    // design point still answers (cheap, no pool), but
-                    // the tenant gets no fresh probe — cache-miss
-                    // demand is rejected and fed back as violation
-                    // pressure so a probe-hungry tenant escalates to
-                    // shed while a coasting one recovers
-                    degraded += 1;
-                    self.obs.admission_degraded.inc();
-                    ctx = self.obs.plane.trace.derive(
-                        request.tenant,
-                        probe_seed(&config, &features),
-                        batch_ordinal,
-                        seq,
-                    );
-                    req_class = class;
-                    let key = DesignKey::new(&config, &features);
-                    match self.cache.get(&key) {
-                        Some(metrics) => Pending::Hit(config, metrics),
-                        None => Pending::Err(ServeError::AdmissionRejected {
-                            tenant: request.tenant,
-                            retry_after_ms: self
-                                .front_door
-                                .as_ref()
-                                .map(|fd| fd.admission.retry_after_ms(request.tenant))
-                                .unwrap_or(0),
-                        }),
-                    }
-                }
-                Ok(Ok((config, features, class))) => {
-                    ctx = self.obs.plane.trace.derive(
-                        request.tenant,
-                        probe_seed(&config, &features),
-                        batch_ordinal,
-                        seq,
-                    );
-                    req_class = class;
-                    let key = DesignKey::new(&config, &features);
-                    if let Some(&job_id) = job_of_key.get(&key) {
-                        // an earlier request in this batch already queued
-                        // this exact design point: coalesce onto it
-                        Pending::Job {
-                            config,
-                            job_id,
-                            coalesced: true,
-                        }
-                    } else {
-                        match self.cache.get(&key) {
-                            Some(metrics) => Pending::Hit(config, metrics),
-                            None => {
-                                let job_id = jobs.len();
-                                // the job carries the first owner's
-                                // trace: sched/VM events link to it
-                                jobs.push(EvalJob {
-                                    id: job_id,
-                                    tenant: request.tenant,
-                                    class,
-                                    config: config.clone(),
-                                    features,
-                                    trace: ctx,
-                                });
-                                job_of_key.insert(key, job_id);
-                                Pending::Job {
-                                    config,
-                                    job_id,
-                                    coalesced: false,
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            record_admission(
-                ctx,
-                request.arrival_s,
-                match tier {
-                    AdmissionTier::Admit => "admit",
-                    AdmissionTier::Degrade => "degrade",
-                    AdmissionTier::Shed => "shed",
-                },
-            );
-            req_meta.push((ctx, req_class));
-            pending.push(entry);
-        }
-
-        let batch_start_s = requests
-            .iter()
-            .map(|r| r.arrival_s)
-            .fold(f64::INFINITY, f64::min);
-        let batch_start_s = if batch_start_s.is_finite() {
-            batch_start_s
-        } else {
-            0.0
-        };
-
-        // autoscaling decision at the batch start: queue depth is this
-        // window's deduplicated probe demand, burn is the worst EWMA
-        // among still-admitted tenants. The decision resizes *virtual*
-        // capacity only — physical parallelism stays at the pool's
-        // config — so outputs stay byte-identical at any thread count.
-        let mut capacity = self.pool.config().workers;
-        if let Some(fd) = &self.front_door {
-            capacity = fd.autoscaler.capacity();
-            if !requests.is_empty() {
-                if let Some(resized) = fd.autoscaler.decide(
-                    batch_start_s,
-                    jobs.len(),
-                    fd.admission.max_admitted_burn(),
-                ) {
-                    capacity = resized;
-                    self.obs.scale_events.inc();
-                    self.obs.pool_capacity.set(resized as f64);
-                    self.journal_append(|| JournalEntry::Scale {
-                        time_s: batch_start_s,
-                        workers: resized,
-                    });
-                }
-            }
-        }
-
-        // 2. evaluate the deduplicated misses in parallel (the probes
-        // are pure and computed exactly once; under chaos only the
-        // virtual scheduling of those evaluations changes)
-        let evaluator = &self.evaluator;
-        // sampled jobs additionally report VM sub-segments for the
-        // trace; the map is keyed by job id so insertion order under
-        // physical parallelism cannot influence anything downstream
-        let segment_stash: Mutex<BTreeMap<usize, Vec<ProbeSegment>>> = Mutex::new(BTreeMap::new());
-        let outcome = self
-            .pool
-            .evaluate_batch_on(jobs, capacity, &|job: &EvalJob| {
-                if job.trace.sampled {
-                    let (evaluation, segments) =
-                        evaluator.evaluate_segmented(&job.config, &job.features);
-                    if !segments.is_empty() {
-                        lock_or_recover(&segment_stash).insert(job.id, segments);
-                    }
-                    evaluation
-                } else {
-                    evaluator.evaluate(&job.config, &job.features)
-                }
-            });
-        let segment_stash = lock_or_recover(&segment_stash);
-        let admitted = outcome.results.len();
-        let mut retries = 0u64;
-        let mut hedges = 0u64;
-        let mut quarantined = 0u64;
-        // per admitted job: virtual completion relative to batch start,
-        // or the typed error that ended it
-        let (job_outcomes, makespan_s) = match &self.chaos {
-            Some(chaos) => {
-                let evaluations: Vec<Evaluation> = outcome
-                    .results
-                    .iter()
-                    .map(|r| r.evaluation.clone())
-                    .collect();
-                let poisoned: Vec<bool> = outcome
-                    .results
-                    .iter()
-                    .map(|r| chaos.poisoned_tenants.contains(&r.job.tenant))
-                    .collect();
-                let (outcomes, stats, makespan) = chaos_schedule(
-                    &evaluations,
-                    &poisoned,
-                    capacity,
-                    batch_start_s,
-                    chaos,
-                    &self.resilience.hedge,
-                );
-                for s in &stats {
-                    retries += u64::from(s.retries);
-                    hedges += u64::from(s.hedges);
-                }
-                let relative: Vec<Result<f64, ServeError>> = outcomes
-                    .into_iter()
-                    .map(|o| o.map(|t| t - batch_start_s))
-                    .collect();
-                (relative, makespan)
-            }
-            None => (
-                outcome.results.iter().map(|r| Ok(r.completion_s)).collect(),
-                outcome.makespan_s,
-            ),
-        };
-        self.obs.evaluated.add(admitted as u64);
-        self.obs.retries.add(retries);
-        self.obs.hedges.add(hedges);
-        self.obs.makespan.record(makespan_s);
-        // scheduler accounting: batch-level, so the 25 ns hot-path
-        // budget is untouched. Stolen jobs attribute to their tenant
-        // class; per-class makespan is the latest completion among that
-        // class's jobs in the pool's (chaos-free) schedule.
-        if !outcome.results.is_empty() {
-            self.obs.sched_steals.add(outcome.stats.steals);
-            self.obs.sched_steal_fails.add(outcome.stats.steal_fails);
-            self.obs
-                .sched_queue_depth
-                .record(outcome.stats.max_queue_depth as f64);
-            for &job_id in &outcome.stats.stolen_jobs {
-                let class = outcome.results[job_id].job.class;
-                self.obs.class_steals[class.index()].inc();
-            }
-            let mut class_makespan = [f64::NEG_INFINITY; TenantClass::COUNT];
-            for result in &outcome.results {
-                let slot = &mut class_makespan[result.job.class.index()];
-                *slot = slot.max(result.completion_s);
-            }
-            for (index, &span) in class_makespan.iter().enumerate() {
-                if span.is_finite() {
-                    self.obs.class_makespan[index].record(span);
-                }
-            }
-        }
-
-        // trace spans record *work content* on virtual time — a probe's
-        // compute cost, a lookup's nominal cost — never queue placement,
-        // so the retained trace is byte-identical at any worker count
-        let batch_span = if requests.is_empty() {
-            SpanId::NONE
-        } else {
-            let total_cost_s: f64 = outcome.results.iter().map(|r| r.evaluation.cost_s).sum();
-            let max_arrival_s = requests
-                .iter()
-                .map(|r| r.arrival_s)
-                .fold(batch_start_s, f64::max);
-            self.obs.plane.tracer.record(
-                "batch",
-                None,
-                SpanId::NONE,
-                batch_start_s,
-                max_arrival_s + total_cost_s,
-            )
-        };
-        for result in &outcome.results {
-            let eval_span = self.obs.plane.tracer.record(
-                "eval",
-                Some(result.job.tenant),
-                batch_span,
-                batch_start_s,
-                batch_start_s + result.evaluation.cost_s,
-            );
-            let ctx = result.job.trace;
-            if !ctx.sampled {
-                continue;
-            }
-            // sched layer: where the pool's virtual schedule placed the
-            // probe (completion relative to batch start, chaos-free
-            // view); value carries the probe's compute cost
-            self.obs.plane.trace.record(TraceEvent {
-                trace: ctx.id,
-                tenant: ctx.tenant,
-                layer: Layer::Sched,
-                name: "place",
-                start_s: batch_start_s,
-                end_s: batch_start_s + result.completion_s,
-                value: result.evaluation.cost_s,
-                span: eval_span,
-            });
-            // VM layer: the probe's metered sub-segments laid out
-            // sequentially on virtual time; value carries each
-            // segment's metered joules
-            if let Some(segments) = segment_stash.get(&result.job.id) {
-                let mut seg_start_s = batch_start_s;
-                for segment in segments {
-                    self.obs.plane.trace.record(TraceEvent {
-                        trace: ctx.id,
-                        tenant: ctx.tenant,
-                        layer: Layer::Vm,
-                        name: segment.name,
-                        start_s: seg_start_s,
-                        end_s: seg_start_s + segment.cost_s,
-                        value: segment.energy_j,
-                        span: eval_span,
-                    });
-                    seg_start_s += segment.cost_s;
-                }
-            }
-        }
-
-        // verified results are memoized; failed design points are
-        // quarantined so coalesced waiters re-probe next time instead
-        // of being served a poisoned entry
-        for (result, job_outcome) in outcome.results.iter().zip(&job_outcomes) {
-            let key = DesignKey::new(&result.job.config, &result.job.features);
-            match job_outcome {
-                Ok(_) => {
-                    self.journal_append(|| JournalEntry::CacheInsert {
-                        key: key.clone(),
-                        metrics: result.evaluation.metrics.clone(),
-                    });
-                    self.cache.insert(key, result.evaluation.metrics.clone());
-                }
-                Err(_) => {
-                    self.cache.quarantine(&key);
-                    quarantined += 1;
-                    self.journal_append(|| JournalEntry::Quarantine { key });
-                }
-            }
-        }
-
-        // 3. answer requests in order, feeding measurements back
-        let mut responses: Vec<Result<TuningResponse, ServeError>> =
-            Vec::with_capacity(requests.len());
-        let mut shed = 0;
-        let mut touched: Vec<TenantId> = Vec::new();
-        let mut batch_end_s = f64::NEG_INFINITY;
-        // per-tenant (checked, violations) the front door consumes at
-        // the batch end; every request's tenant gets an entry so a
-        // quiet (fully shed) tenant still decays toward readmission
-        let mut slo_tally: BTreeMap<TenantId, (u64, u64)> = BTreeMap::new();
-        let front_door_on = self.front_door.is_some();
-        // energy attribution: one row per *served* response, carrying
-        // its direct metered nanojoules (probe energy for fresh
-        // evaluations, nominal lookup energy for cache answers). The
-        // overhead split and the ledger window close after the loop.
-        struct ServedRow {
-            index: usize,
-            tenant: TenantId,
-            class: TenantClass,
-            ctx: TraceCtx,
-            arrival_s: f64,
-            direct_nj: u64,
-        }
-        let lookup_nj = to_nj(self.energy.cache_lookup_w * CACHE_LOOKUP_S);
-        let mut served_rows: Vec<ServedRow> = Vec::new();
-        let mut cache_lookups = 0u64;
-        for (index, (request, entry)) in requests.iter().zip(pending).enumerate() {
-            batch_end_s = batch_end_s.max(request.arrival_s);
-            if front_door_on {
-                slo_tally.entry(request.tenant).or_default();
-            }
-            // `work_s` is the request's worker-invariant span width: the
-            // probe's compute cost for a fresh evaluation, the nominal
-            // lookup cost for cache answers, zero for errors
-            let (response, work_s, direct_nj) = match entry {
-                Pending::Err(e) => (Err(e), 0.0, 0u64),
-                Pending::Hit(config, metrics) => (
-                    Ok(TuningResponse {
-                        tenant: request.tenant,
-                        arrival_s: request.arrival_s,
-                        config,
-                        metrics,
-                        latency_s: CACHE_LOOKUP_S,
-                        cache_hit: true,
-                        energy_j: 0.0,
-                    }),
-                    CACHE_LOOKUP_S,
-                    lookup_nj,
-                ),
-                Pending::Job {
-                    config,
-                    job_id,
-                    coalesced,
-                } => {
-                    if job_id < admitted {
-                        match &job_outcomes[job_id] {
-                            Ok(completion_s) => {
-                                if coalesced {
-                                    self.cache.note_coalesced_hit();
-                                }
-                                (
-                                    Ok(TuningResponse {
-                                        tenant: request.tenant,
-                                        arrival_s: request.arrival_s,
-                                        config,
-                                        metrics: outcome.results[job_id].evaluation.metrics.clone(),
-                                        latency_s: *completion_s,
-                                        cache_hit: coalesced,
-                                        energy_j: 0.0,
-                                    }),
-                                    if coalesced {
-                                        CACHE_LOOKUP_S
-                                    } else {
-                                        outcome.results[job_id].evaluation.cost_s
-                                    },
-                                    if coalesced {
-                                        lookup_nj
-                                    } else {
-                                        to_nj(outcome.results[job_id].evaluation.energy_j)
-                                    },
-                                )
-                            }
-                            // coalesced waiters share their job's fate
-                            Err(e) => (Err(e.clone()), 0.0, 0),
-                        }
-                    } else {
-                        (
-                            Err(ServeError::Shed {
-                                capacity: self.pool.config().queue_capacity,
-                            }),
-                            0.0,
-                            0,
-                        )
-                    }
-                }
-            };
-            let request_span = self.obs.plane.tracer.record(
-                "request",
-                Some(request.tenant),
-                batch_span,
-                request.arrival_s,
-                request.arrival_s + work_s,
-            );
-            match &response {
-                Ok(answer) => {
-                    let metrics = &answer.metrics;
-                    let config = &answer.config;
-                    let arrival = answer.arrival_s;
-                    self.obs.served.inc();
-                    if answer.cache_hit {
-                        self.obs.cache_hit_responses.inc();
-                        cache_lookups += 1;
-                    }
-                    let (ctx, class) = req_meta[index];
-                    served_rows.push(ServedRow {
-                        index,
-                        tenant: request.tenant,
-                        class,
-                        ctx,
-                        arrival_s: arrival,
-                        direct_nj,
-                    });
-                    self.obs.learns.add(metrics.len() as u64);
-                    self.obs.latency.record(answer.latency_s);
-                    let slo_met =
-                        self.obs
-                            .check_latency_slo(request.tenant, arrival, answer.latency_s);
-                    if front_door_on {
-                        let tally = slo_tally.entry(request.tenant).or_default();
-                        tally.0 += 1;
-                        tally.1 += u64::from(!slo_met);
-                    }
-                    let select_end_s = arrival + SELECT_SPAN_S;
-                    self.obs.plane.tracer.record(
-                        "select",
-                        Some(request.tenant),
-                        request_span,
-                        arrival,
-                        select_end_s,
-                    );
-                    self.obs.plane.tracer.record(
-                        "cache_probe",
-                        Some(request.tenant),
-                        request_span,
-                        select_end_s,
-                        select_end_s + CACHE_PROBE_SPAN_S,
-                    );
-                    self.obs.plane.tracer.record(
-                        "learn",
-                        Some(request.tenant),
-                        request_span,
-                        arrival + work_s,
-                        arrival + work_s + LEARN_SPAN_S,
-                    );
-                    let _ = self.store.with(request.tenant, |session| {
-                        session.requests += 1;
-                        if session.last_config.as_ref() != Some(config) {
-                            session.last_config = Some(config.clone());
-                        }
-                        session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);
-                        for (metric, value) in metrics {
-                            session.manager.observe(arrival, metric, *value);
-                        }
-                    });
-                    if breaker_on {
-                        self.breakers
-                            .with(request.tenant, |b| b.on_success(arrival));
-                    }
-                    self.journal_append(|| JournalEntry::Learn {
-                        tenant: request.tenant,
-                        time_s: arrival,
-                        config: config.clone(),
-                        metrics: metrics.clone(),
-                    });
-                    if !touched.contains(&request.tenant) {
-                        touched.push(request.tenant);
-                    }
-                }
-                Err(e) => {
-                    if matches!(e, ServeError::Shed { .. }) {
-                        shed += 1;
-                    }
-                    // classification mirrors the drive loop's: shed is
-                    // load (queue overflow or deliberate backpressure),
-                    // infrastructure faults are failures, tenant
-                    // contract errors are rejections
-                    match e {
-                        ServeError::Shed { .. } | ServeError::AdmissionRejected { .. } => {
-                            self.obs.shed.inc()
-                        }
-                        ServeError::WorkerFailed { .. }
-                        | ServeError::Deadline
-                        | ServeError::CircuitOpen { .. } => self.obs.failed.inc(),
-                        _ => self.obs.rejected.inc(),
-                    }
-                    if front_door_on {
-                        // feedback: an infrastructure failure burns the
-                        // tenant's budget (the service answered badly),
-                        // and unmet probe demand counts too — a queue
-                        // overflow on an admitted tenant, or a degraded
-                        // tenant's rejected cache miss. That is what
-                        // escalates an abuser to the shed tier: a
-                        // flooding tenant burns even while its probes
-                        // only ever overflow the queue, while a tenant
-                        // mostly served from cache dilutes the odd
-                        // overflow below the degrade threshold. A hard
-                        // shed contributes nothing, so a backed-off
-                        // tenant decays home.
-                        let burned = match &e {
-                            ServeError::WorkerFailed { .. }
-                            | ServeError::Deadline
-                            | ServeError::Shed { .. } => true,
-                            ServeError::AdmissionRejected { .. } => {
-                                self.front_door.as_ref().is_some_and(|fd| {
-                                    fd.admission.tier(request.tenant) == AdmissionTier::Degrade
-                                })
-                            }
-                            _ => false,
-                        };
-                        if burned {
-                            let tally = slo_tally.entry(request.tenant).or_default();
-                            tally.0 += 1;
-                            tally.1 += 1;
-                        }
-                    }
-                    // worker faults and missed deadlines say the eval
-                    // path is unhealthy for this tenant; shed, open
-                    // circuits, and contract errors do not
-                    let feedback = breaker_on
-                        && matches!(e, ServeError::WorkerFailed { .. } | ServeError::Deadline);
-                    if feedback {
-                        self.breakers
-                            .with(request.tenant, |b| b.on_failure(request.arrival_s));
-                    }
-                    let known = self
-                        .store
-                        .with(request.tenant, |session| {
-                            session.rejected += 1;
-                        })
-                        .is_ok();
-                    if known {
-                        self.journal_append(|| JournalEntry::Reject {
-                            tenant: request.tenant,
-                            time_s: request.arrival_s,
-                            breaker_feedback: feedback,
-                        });
-                    }
-                }
-            }
-            responses.push(response);
-        }
-
-        // 3b. close the batch's energy window. All bookkeeping is in
-        // integer nanojoules with exactly one rounding per meter
-        // reading, so Σ attributed + idle ≡ the facility meter to the
-        // last bit (the ledger re-checks the invariant per window).
-        if !requests.is_empty() {
-            // direct metered energy: every probe the pool ran (served
-            // or not) plus one nominal lookup per cache-hit answer
-            let spent_eval_nj: u64 = outcome
-                .results
-                .iter()
-                .map(|r| to_nj(r.evaluation.energy_j))
-                .sum();
-            let direct_nj = spent_eval_nj + lookup_nj * cache_lookups;
-            // node static power burns over busy *work content* — never
-            // the worker-dependent makespan — keeping the window
-            // byte-identical at any physical or virtual worker count
-            let busy_s: f64 = outcome
-                .results
-                .iter()
-                .map(|r| r.evaluation.cost_s)
-                .sum::<f64>()
-                + cache_lookups as f64 * CACHE_LOOKUP_S;
-            let static_nj = to_nj(self.energy.node_static_w * busy_s);
-            let it_nj = direct_nj + static_nj;
-            let cooling_nj = to_nj(self.energy.cooling_overhead * nj_to_j(it_nj as u128));
-            let facility_nj = it_nj + cooling_nj;
-            let overhead_nj = static_nj + cooling_nj;
-            // overhead splits across served requests proportionally to
-            // their direct demand (largest remainder, so shares sum
-            // exactly); failed probes' direct energy stays unattributed
-            let weights: Vec<u64> = served_rows.iter().map(|r| r.direct_nj).collect();
-            let shares = largest_remainder_split(overhead_nj, &weights);
-            let mut attributed_nj = 0u64;
-            let mut per_tenant: BTreeMap<TenantId, u64> = BTreeMap::new();
-            for (row, &share) in served_rows.iter().zip(&shares) {
-                let request_nj = row.direct_nj + share;
-                attributed_nj += request_nj;
-                *per_tenant.entry(row.tenant).or_default() += request_nj;
-                let energy_j = nj_to_j(request_nj as u128);
-                if let Ok(answer) = &mut responses[row.index] {
-                    answer.energy_j = energy_j;
-                }
-                self.obs.class_energy[row.class.index()].record(energy_j);
-                // observed-only SLO: burn accrues under the `energy`
-                // objective but no admission tier acts on it yet
-                let _ = self
-                    .obs
-                    .check_energy_slo(row.tenant, row.arrival_s, energy_j);
-                if row.ctx.sampled {
-                    self.obs.plane.trace.record(TraceEvent {
-                        trace: row.ctx.id,
-                        tenant: row.ctx.tenant,
-                        layer: Layer::Serve,
-                        name: "energy",
-                        start_s: row.arrival_s,
-                        end_s: row.arrival_s,
-                        value: energy_j,
-                        span: SpanId::NONE,
-                    });
-                }
-            }
-            let idle_nj = facility_nj - attributed_nj;
-            self.obs.energy_facility_nj.add(facility_nj);
-            self.obs.energy_attributed_nj.add(attributed_nj);
-            self.obs.energy_idle_nj.add(idle_nj);
-            self.obs.energy_windows.inc();
-            let per_tenant_rows: Vec<(TenantId, u64)> = per_tenant.into_iter().collect();
-            self.obs.plane.energy.record_window(
-                WindowSummary {
-                    index: batch_ordinal,
-                    requests: served_rows.len() as u64,
-                    direct_nj,
-                    overhead_nj,
-                    facility_nj,
-                    attributed_nj,
-                    idle_nj,
-                },
-                &per_tenant_rows,
-            );
-        }
-
-        // 4. one adaptation round per touched tenant, sorted order
-        touched.sort_unstable();
-        for tenant in touched {
-            let _ = self.store.with(tenant, |session| {
-                session.manager.adapt(batch_end_s);
-            });
-            self.obs.adapts.inc();
-            self.obs.plane.tracer.record(
-                "adapt",
-                Some(tenant),
-                batch_span,
-                batch_end_s,
-                batch_end_s + ADAPT_SPAN_S,
-            );
-            self.journal_append(|| JournalEntry::Adapt {
-                tenant,
-                now_s: batch_end_s,
-            });
-        }
-
-        // feed the batch's SLO outcomes to the admission controller:
-        // one EWMA window per tenant at the batch end, journaled so
-        // replay reproduces every tier transition bit-identically
-        if let Some(fd) = &self.front_door {
-            if batch_end_s.is_finite() {
-                for (&tenant, &(checked, violations)) in &slo_tally {
-                    if fd
-                        .admission
-                        .update(tenant, batch_end_s, checked, violations)
-                        .is_some()
-                    {
-                        self.obs.admission_transitions.inc();
-                    }
-                    self.journal_append(|| JournalEntry::AdmissionUpdate {
-                        tenant,
-                        time_s: batch_end_s,
-                        checked,
-                        violations,
-                    });
-                }
-            }
-        }
-
-        // 5. Daly-informed snapshot cadence: checkpoint the full state
-        // and compact the journal once the interval has elapsed. The
-        // snapshot shares every session with the store; the store
-        // copies a session when a later request first writes to it
-        if let Some(journal) = &self.journal {
-            if batch_end_s.is_finite() {
-                let mut due = lock_or_recover(&self.next_snapshot_s);
-                if batch_end_s >= *due {
-                    let snap = take_snapshot(
-                        batch_end_s,
-                        journal,
-                        &self.store,
-                        &self.cache,
-                        &self.breakers,
-                        self.front_door
-                            .as_ref()
-                            .map(|fd| (&fd.admission, &fd.autoscaler)),
-                    );
-                    journal.compact(snap.through_seq);
-                    *lock_or_recover(&self.snapshot) = Some(snap);
-                    let interval = self.resilience.snapshot_interval_s();
-                    while *due <= batch_end_s {
-                        *due += interval;
-                    }
-                }
-            }
-        }
-
-        BatchReport {
-            responses,
-            makespan_s,
-            evaluated: admitted,
-            shed,
-            degraded,
-            admission_shed,
-            capacity,
-            retries,
-            hedges,
-            quarantined,
-        }
-    }
-
     /// Total power demand across every tenant's current operating
     /// point, watts — the figure the RTRM's facility capper consumes.
     pub fn aggregate_power_demand_w(&self) -> f64 {
@@ -1486,18 +627,10 @@ impl<E: Evaluator> TuningService<E> {
     }
 }
 
-/// Locks a mutex, recovering the guarded data from a poisoned lock —
-/// a panic under another holder leaves these states structurally sound.
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::AdmissionTier;
     use antarex_tuner::goal::{Constraint, Objective};
     use antarex_tuner::{KnobValue, KnowledgeBase, OperatingPoint};
 

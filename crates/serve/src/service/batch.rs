@@ -1,0 +1,874 @@
+//! The life of one request batch: [`TuningService::serve_batch`] and
+//! the stages it runs, in order.
+//!
+//! Every stage is a plain function over the service and one borrowed
+//! per-batch context ([`Batch`]); each decision is taken in exactly
+//! one of them. A state mutation is the function replay calls for its
+//! entry (see [`apply`]), followed by a lazy `journal_append`, so an
+//! unjournaled service builds no entry.
+//!
+//! Record order is part of the output — spans get sequential ids and
+//! the trace store keeps the first events it is offered — so the
+//! stages run, and record, in one fixed order at any worker count.
+
+use super::{BatchReport, Evaluator, ProbeSegment, TuningRequest, TuningResponse, TuningService};
+use crate::admission::AdmissionTier;
+use crate::cache::{probe_seed, DesignKey, Metrics};
+use crate::chaos::chaos_schedule;
+use crate::error::{ErrorCounter, ServeError};
+use crate::journal::{apply, take_snapshot, JournalEntry};
+use crate::obs::{ADAPT_SPAN_S, CACHE_PROBE_SPAN_S, LEARN_SPAN_S, SELECT_SPAN_S};
+use crate::pool::{BatchOutcome, EvalJob, Evaluation};
+use crate::store::{TenantClass, TenantId};
+use antarex_obs::{
+    largest_remainder_split, nj_to_j, to_nj, Layer, SpanId, TraceCtx, TraceEvent, WindowSummary,
+};
+use antarex_tuner::Configuration;
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::Mutex;
+
+/// Virtual cost of answering from the cache, seconds.
+const CACHE_LOOKUP_S: f64 = 1e-4;
+
+/// The front door's verdict on one tenant, resolved once per request.
+#[derive(Clone, Copy)]
+struct Door {
+    tier: AdmissionTier,
+    /// Backpressure hint a rejection carries (zero while admitted).
+    retry_after_ms: u64,
+}
+
+/// What `select()` chose for one request, with the identities derived
+/// from it while the session was borrowed.
+struct Selected {
+    config: Configuration,
+    key: DesignKey,
+    seed: u64,
+    class: TenantClass,
+}
+
+/// What a request waits for between admission and its answer.
+enum Pending {
+    Err(ServeError),
+    Hit(Configuration, Metrics),
+    Job {
+        config: Configuration,
+        job_id: usize,
+        coalesced: bool,
+    },
+}
+
+/// One request's identity row, aligned with the submitted batch.
+#[derive(Clone, Copy)]
+struct Meta {
+    ctx: TraceCtx,
+    class: TenantClass,
+    /// The tenant sat in the degrade tier when admitted — the one
+    /// contextual input of [`ServeError::row`].
+    degraded: bool,
+}
+
+/// The per-batch context the stages read and write.
+#[derive(Default)]
+struct Batch<'a> {
+    requests: &'a [TuningRequest],
+    ordinal: u64,
+    /// Earliest arrival (zero for an empty batch).
+    start_s: f64,
+    /// Latest arrival (−∞ for an empty batch).
+    end_s: f64,
+    lookup_nj: u64,
+    /// One row per request; `pending` is consumed by the answer stage.
+    meta: Vec<Meta>,
+    pending: Vec<Pending>,
+    jobs: Vec<EvalJob>,
+    /// Coalescing map of this batch's queued design points; owns the
+    /// keys memoize/quarantine later file results under.
+    job_of_key: BTreeMap<DesignKey, usize>,
+    /// Per admitted job: virtual completion relative to batch start,
+    /// or the typed error that ended it.
+    fates: Vec<Result<f64, ServeError>>,
+    span: SpanId,
+    /// One `(request index, direct nanojoules)` row per *served*
+    /// response: probe energy for fresh evaluations, nominal lookup
+    /// energy for cache answers.
+    served: Vec<(usize, u64)>,
+    cache_lookups: u64,
+    touched: Vec<TenantId>,
+    /// Per-tenant (checked, violations) the front door consumes at the
+    /// batch end; every request's tenant gets an entry so a quiet
+    /// (fully shed) tenant still decays toward readmission.
+    slo_tally: BTreeMap<TenantId, (u64, u64)>,
+    // the report's tallies
+    makespan_s: f64,
+    shed: usize,
+    degraded: usize,
+    admission_shed: usize,
+    retries: u64,
+    hedges: u64,
+    quarantined: u64,
+}
+
+impl<E: Evaluator> TuningService<E> {
+    /// Serves one batch of requests, in arrival order, through these
+    /// stages: front door and breaker admit → select + key →
+    /// cache-probe / coalesce (per request) → autoscale → evaluate →
+    /// fault-schedule (chaos or pass-through) → sched/VM trace →
+    /// memoize / quarantine → answer, learn or reject (per request) →
+    /// energy window → adapt → admission feedback → Daly checkpoint.
+    /// `DESIGN.md` §8 tabulates what each reads, mutates and journals.
+    pub fn serve_batch(&self, requests: &[TuningRequest]) -> BatchReport {
+        let mut batch = self.open(requests);
+        for request in requests {
+            let door = self.door(request.tenant);
+            let (verdict, admitted) = self.admit(&mut batch, request, door);
+            let selected = admitted.and_then(|()| self.select(request));
+            self.probe(&mut batch, request, door, verdict, selected);
+        }
+        let capacity = self.autoscale(&batch);
+        let (outcome, segments) = self.evaluate(std::mem::take(&mut batch.jobs), capacity);
+        self.fault_schedule(&mut batch, &outcome, capacity);
+        self.trace_probes(&mut batch, &outcome, &segments);
+        self.memoize(&mut batch, &outcome);
+        let mut responses = Vec::with_capacity(requests.len());
+        for (index, pending) in std::mem::take(&mut batch.pending).into_iter().enumerate() {
+            responses.push(self.answer(&mut batch, index, pending, &outcome));
+        }
+        self.close_energy_window(&batch, &outcome, &mut responses);
+        self.adapt(&mut batch);
+        self.admission_feedback(&batch);
+        self.checkpoint(&batch);
+        BatchReport {
+            responses,
+            makespan_s: batch.makespan_s,
+            evaluated: outcome.results.len(),
+            shed: batch.shed,
+            degraded: batch.degraded,
+            admission_shed: batch.admission_shed,
+            capacity,
+            retries: batch.retries,
+            hedges: batch.hedges,
+            quarantined: batch.quarantined,
+        }
+    }
+
+    fn open<'a>(&self, requests: &'a [TuningRequest]) -> Batch<'a> {
+        self.obs.requests.add(requests.len() as u64);
+        let arrivals = || requests.iter().map(|r| r.arrival_s);
+        let start_s = arrivals().fold(f64::INFINITY, f64::min);
+        Batch {
+            requests,
+            ordinal: self.batch_ordinal.fetch_add(1, Ordering::Relaxed),
+            start_s: if start_s.is_finite() { start_s } else { 0.0 },
+            end_s: arrivals().fold(f64::NEG_INFINITY, f64::max),
+            lookup_nj: to_nj(self.energy.cache_lookup_w * CACHE_LOOKUP_S),
+            meta: Vec::with_capacity(requests.len()),
+            pending: Vec::with_capacity(requests.len()),
+            touched: Vec::with_capacity(requests.len()),
+            ..Batch::default()
+        }
+    }
+
+    /// The front door, consulted once per request.
+    fn door(&self, tenant: TenantId) -> Door {
+        let admitted = Door {
+            tier: AdmissionTier::Admit,
+            retry_after_ms: 0,
+        };
+        let Some(fd) = &self.front_door else {
+            return admitted;
+        };
+        match fd.admission.tier(tenant) {
+            AdmissionTier::Admit => admitted,
+            tier => Door {
+                tier,
+                retry_after_ms: fd.admission.retry_after_ms(tenant),
+            },
+        }
+    }
+
+    /// Stage: front door, then breaker — exactly one fail-fast path
+    /// per request. A shed-tier tenant is rejected before it costs a
+    /// breaker check, a select, or pool capacity; a tenant whose
+    /// circuit is open costs a breaker check, not pool capacity.
+    /// Returns the verdict the admission trace event is named after.
+    fn admit(
+        &self,
+        batch: &mut Batch,
+        request: &TuningRequest,
+        door: Door,
+    ) -> (&'static str, Result<(), ServeError>) {
+        let tenant = request.tenant;
+        if door.tier == AdmissionTier::Shed {
+            batch.admission_shed += 1;
+            self.obs.admission_shed.inc();
+            let rejected = ServeError::AdmissionRejected {
+                tenant,
+                retry_after_ms: door.retry_after_ms,
+            };
+            return (door.tier.label(), Err(rejected));
+        }
+        if self.breakers.enabled() {
+            if !apply::breaker_allow(&self.breakers, tenant, request.arrival_s) {
+                return ("circuit_open", Err(ServeError::CircuitOpen { tenant }));
+            }
+            self.journal_append(|| JournalEntry::BreakerAllow {
+                tenant,
+                time_s: request.arrival_s,
+            });
+        }
+        (door.tier.label(), Ok(()))
+    }
+
+    /// Stage: select the tenant's operating point and, while the
+    /// session is still borrowed, build the request's probe seed and
+    /// design key — once, with no copy of the features.
+    fn select(&self, request: &TuningRequest) -> Result<Selected, ServeError> {
+        let tenant = request.tenant;
+        let selected = apply::select(&self.store, tenant, |config, features, class| Selected {
+            config: config.clone(),
+            key: DesignKey::new(config, features),
+            seed: probe_seed(config, features),
+            class,
+        })?;
+        // `select()` mutates the manager (deploy/switch): journal it
+        // whenever it ran, even when it found the SLA infeasible
+        self.obs.selects.inc();
+        self.journal_append(|| JournalEntry::Select { tenant });
+        selected.ok_or(ServeError::Infeasible(tenant))
+    }
+
+    /// Stage: derive the request's causal identity — from (tenant,
+    /// probe seed, batch ordinal, position), no wall clock, so trace
+    /// ids are byte-identical at any worker count — then answer from
+    /// the cache, coalesce onto a probe this batch already queued, or
+    /// queue one.
+    fn probe(
+        &self,
+        batch: &mut Batch,
+        request: &TuningRequest,
+        door: Door,
+        verdict: &'static str,
+        selected: Result<Selected, ServeError>,
+    ) {
+        let tenant = request.tenant;
+        let seed = selected.as_ref().map_or(0, |s| s.seed);
+        let seq = batch.meta.len() as u32;
+        let ctx = self
+            .obs
+            .plane
+            .trace
+            .derive(tenant, seed, batch.ordinal, seq);
+        let degraded = door.tier == AdmissionTier::Degrade;
+        let (class, pending) = match selected {
+            Err(e) => (TenantClass::Generic, Pending::Err(e)),
+            Ok(s) if degraded => {
+                // degraded tier: cache-only service. A memoized design
+                // point still answers (cheap, no pool), but the tenant
+                // gets no fresh probe — cache-miss demand is rejected
+                // and fed back as violation pressure so a probe-hungry
+                // tenant escalates to shed while a coasting one
+                // recovers
+                batch.degraded += 1;
+                self.obs.admission_degraded.inc();
+                let pending = match self.cache.get(&s.key) {
+                    Some(metrics) => Pending::Hit(s.config, metrics),
+                    None => Pending::Err(ServeError::AdmissionRejected {
+                        tenant,
+                        retry_after_ms: door.retry_after_ms,
+                    }),
+                };
+                (s.class, pending)
+            }
+            Ok(s) => (s.class, self.hit_or_enqueue(batch, tenant, ctx, s)),
+        };
+        self.mark(ctx, Layer::Admission, verdict, request.arrival_s, 0.0);
+        batch.pending.push(pending);
+        batch.meta.push(Meta {
+            ctx,
+            class,
+            degraded,
+        });
+    }
+
+    /// Records a point event on a sampled request's causal trace.
+    fn mark(&self, ctx: TraceCtx, layer: Layer, name: &'static str, at_s: f64, value: f64) {
+        if ctx.sampled {
+            self.obs.plane.trace.record(TraceEvent {
+                trace: ctx.id,
+                tenant: ctx.tenant,
+                layer,
+                name,
+                start_s: at_s,
+                end_s: at_s,
+                value,
+                span: SpanId::NONE,
+            });
+        }
+    }
+
+    /// An admitted request's design point: coalesced onto an earlier
+    /// request's probe, answered from the cache, or queued as a new
+    /// pool job — the only path that copies the tenant's features.
+    fn hit_or_enqueue(
+        &self,
+        batch: &mut Batch,
+        tenant: TenantId,
+        ctx: TraceCtx,
+        selected: Selected,
+    ) -> Pending {
+        let Selected {
+            config, key, class, ..
+        } = selected;
+        if let Some(&job_id) = batch.job_of_key.get(&key) {
+            return Pending::Job {
+                config,
+                job_id,
+                coalesced: true,
+            };
+        }
+        if let Some(metrics) = self.cache.get(&key) {
+            return Pending::Hit(config, metrics);
+        }
+        let features = match self.store.with(tenant, |session| session.features.clone()) {
+            Ok(features) => features,
+            Err(e) => return Pending::Err(e),
+        };
+        let job_id = batch.jobs.len();
+        // the job carries the first owner's trace: sched/VM events
+        // link to it
+        batch.jobs.push(EvalJob {
+            id: job_id,
+            tenant,
+            class,
+            config: config.clone(),
+            features,
+            trace: ctx,
+        });
+        batch.job_of_key.insert(key, job_id);
+        Pending::Job {
+            config,
+            job_id,
+            coalesced: false,
+        }
+    }
+
+    /// Stage: the autoscaling decision at the batch start. Queue depth
+    /// is this window's deduplicated probe demand, burn is the worst
+    /// EWMA among still-admitted tenants. The decision resizes
+    /// *virtual* capacity only — physical parallelism stays at the
+    /// pool's config — so outputs stay byte-identical at any thread
+    /// count.
+    fn autoscale(&self, batch: &Batch) -> usize {
+        let Some(fd) = &self.front_door else {
+            return self.pool.config().workers;
+        };
+        let capacity = fd.autoscaler.capacity();
+        if batch.requests.is_empty() {
+            return capacity;
+        }
+        let burn = fd.admission.max_admitted_burn();
+        let Some(resized) = fd.autoscaler.decide(batch.start_s, batch.jobs.len(), burn) else {
+            return capacity;
+        };
+        self.obs.scale_events.inc();
+        self.obs.pool_capacity.set(resized as f64);
+        self.journal_append(|| JournalEntry::Scale {
+            time_s: batch.start_s,
+            workers: resized,
+        });
+        resized
+    }
+
+    /// Stage: evaluate the deduplicated misses in parallel. The probes
+    /// are pure and computed exactly once; sampled jobs additionally
+    /// report VM sub-segments for the trace, keyed by job id so
+    /// insertion order under physical parallelism cannot influence
+    /// anything downstream.
+    fn evaluate(
+        &self,
+        jobs: Vec<EvalJob>,
+        capacity: usize,
+    ) -> (BatchOutcome, BTreeMap<usize, Vec<ProbeSegment>>) {
+        let evaluator = &self.evaluator;
+        let stash: Mutex<BTreeMap<usize, Vec<ProbeSegment>>> = Mutex::new(BTreeMap::new());
+        let outcome = self
+            .pool
+            .evaluate_batch_on(jobs, capacity, &|job: &EvalJob| {
+                if !job.trace.sampled {
+                    return evaluator.evaluate(&job.config, &job.features);
+                }
+                let (evaluation, segments) =
+                    evaluator.evaluate_segmented(&job.config, &job.features);
+                if !segments.is_empty() {
+                    crate::lock_or_recover(&stash).insert(job.id, segments);
+                }
+                evaluation
+            });
+        let segments = std::mem::take(&mut *crate::lock_or_recover(&stash));
+        (outcome, segments)
+    }
+
+    /// Stage: what became of each admitted probe. Under an injected
+    /// chaos config the evaluations are replayed through the
+    /// fault-aware scheduler (only their virtual scheduling changes);
+    /// otherwise the pool's own schedule passes through.
+    fn fault_schedule(&self, batch: &mut Batch, outcome: &BatchOutcome, capacity: usize) {
+        let results = &outcome.results;
+        if let Some(chaos) = &self.chaos {
+            let evaluations: Vec<Evaluation> =
+                results.iter().map(|r| r.evaluation.clone()).collect();
+            let poisoned: Vec<bool> = results
+                .iter()
+                .map(|r| chaos.poisoned_tenants.contains(&r.job.tenant))
+                .collect();
+            let (fates, stats, makespan_s) = chaos_schedule(
+                &evaluations,
+                &poisoned,
+                capacity,
+                batch.start_s,
+                chaos,
+                &self.resilience.hedge,
+            );
+            let start_s = batch.start_s;
+            batch.fates = fates.into_iter().map(|f| f.map(|t| t - start_s)).collect();
+            batch.makespan_s = makespan_s;
+            batch.retries = stats.iter().map(|s| u64::from(s.retries)).sum();
+            batch.hedges = stats.iter().map(|s| u64::from(s.hedges)).sum();
+        } else {
+            batch.fates = results.iter().map(|r| Ok(r.completion_s)).collect();
+            batch.makespan_s = outcome.makespan_s;
+        }
+        self.obs.evaluated.add(results.len() as u64);
+        self.obs.retries.add(batch.retries);
+        self.obs.hedges.add(batch.hedges);
+        self.obs.makespan.record(batch.makespan_s);
+    }
+
+    /// Stage: scheduler accounting, the batch and per-probe spans, and
+    /// the sched/VM layers of the causal trace. Spans record *work
+    /// content* on virtual time — a probe's compute cost, never queue
+    /// placement — so the retained trace is byte-identical at any
+    /// worker count.
+    fn trace_probes(
+        &self,
+        batch: &mut Batch,
+        outcome: &BatchOutcome,
+        segments: &BTreeMap<usize, Vec<ProbeSegment>>,
+    ) {
+        let results = &outcome.results;
+        // batch-level, so the per-request budget is untouched. Stolen
+        // jobs attribute to their tenant class; per-class makespan is
+        // the latest completion among that class's jobs in the pool's
+        // (chaos-free) schedule.
+        if !results.is_empty() {
+            self.obs.sched_steals.add(outcome.stats.steals);
+            self.obs.sched_steal_fails.add(outcome.stats.steal_fails);
+            self.obs
+                .sched_queue_depth
+                .record(outcome.stats.max_queue_depth as f64);
+            for &job_id in &outcome.stats.stolen_jobs {
+                self.obs.class_steals[results[job_id].job.class.index()].inc();
+            }
+            let mut class_makespan = [f64::NEG_INFINITY; TenantClass::COUNT];
+            for result in results {
+                let slot = &mut class_makespan[result.job.class.index()];
+                *slot = slot.max(result.completion_s);
+            }
+            for (index, &span) in class_makespan.iter().enumerate() {
+                if span.is_finite() {
+                    self.obs.class_makespan[index].record(span);
+                }
+            }
+        }
+        let start_s = batch.start_s;
+        if !batch.requests.is_empty() {
+            let total_cost_s: f64 = results.iter().map(|r| r.evaluation.cost_s).sum();
+            batch.span = self.obs.plane.tracer.record(
+                "batch",
+                None,
+                SpanId::NONE,
+                start_s,
+                batch.end_s.max(start_s) + total_cost_s,
+            );
+        }
+        for result in results {
+            let cost_s = result.evaluation.cost_s;
+            let eval_span = self.obs.plane.tracer.record(
+                "eval",
+                Some(result.job.tenant),
+                batch.span,
+                start_s,
+                start_s + cost_s,
+            );
+            let ctx = result.job.trace;
+            if !ctx.sampled {
+                continue;
+            }
+            // sched layer: where the pool's virtual schedule placed the
+            // probe (completion relative to batch start, chaos-free
+            // view); value carries the probe's compute cost
+            let event = TraceEvent {
+                trace: ctx.id,
+                tenant: ctx.tenant,
+                layer: Layer::Sched,
+                name: "place",
+                start_s,
+                end_s: start_s + result.completion_s,
+                value: cost_s,
+                span: eval_span,
+            };
+            self.obs.plane.trace.record(event);
+            // VM layer: the probe's metered sub-segments laid out
+            // sequentially on virtual time; value carries each
+            // segment's metered joules
+            let mut seg_start_s = start_s;
+            for segment in segments.get(&result.job.id).into_iter().flatten() {
+                self.obs.plane.trace.record(TraceEvent {
+                    layer: Layer::Vm,
+                    name: segment.name,
+                    start_s: seg_start_s,
+                    end_s: seg_start_s + segment.cost_s,
+                    value: segment.energy_j,
+                    ..event
+                });
+                seg_start_s += segment.cost_s;
+            }
+        }
+    }
+
+    /// Stage: verified results are memoized; failed design points are
+    /// quarantined so coalesced waiters re-probe next time instead of
+    /// being served a poisoned entry. Filed under the keys the
+    /// coalescing map already owns.
+    fn memoize(&self, batch: &mut Batch, outcome: &BatchOutcome) {
+        let mut keys: Vec<(DesignKey, usize)> =
+            std::mem::take(&mut batch.job_of_key).into_iter().collect();
+        keys.sort_unstable_by_key(|&(_, job_id)| job_id);
+        // results hold the admitted prefix of the jobs, in id order
+        for ((result, fate), (key, _)) in outcome.results.iter().zip(&batch.fates).zip(keys) {
+            let metrics = &result.evaluation.metrics;
+            if fate.is_ok() {
+                self.journal_append(|| JournalEntry::CacheInsert {
+                    key: key.clone(),
+                    metrics: metrics.clone(),
+                });
+                self.cache.insert(key, metrics.clone());
+            } else {
+                self.cache.quarantine(&key);
+                batch.quarantined += 1;
+                self.journal_append(|| JournalEntry::Quarantine { key });
+            }
+        }
+    }
+
+    /// Stage: answer request `index` and feed the outcome back —
+    /// `learn` for a served response, `reject` for an error.
+    fn answer(
+        &self,
+        batch: &mut Batch,
+        index: usize,
+        pending: Pending,
+        outcome: &BatchOutcome,
+    ) -> Result<TuningResponse, ServeError> {
+        let TuningRequest { tenant, arrival_s } = batch.requests[index];
+        if self.front_door.is_some() {
+            batch.slo_tally.entry(tenant).or_default();
+        }
+        let served = |config, metrics, latency_s, cache_hit| TuningResponse {
+            tenant,
+            arrival_s,
+            config,
+            metrics,
+            latency_s,
+            cache_hit,
+            energy_j: 0.0,
+        };
+        let lookup = (CACHE_LOOKUP_S, batch.lookup_nj);
+        // `work_s` is the request's worker-invariant span width: the
+        // probe's compute cost for a fresh evaluation, the nominal
+        // lookup cost for cache answers, zero for errors
+        let (response, (work_s, direct_nj)) = match pending {
+            Pending::Err(e) => (Err(e), (0.0, 0)),
+            Pending::Hit(config, metrics) => {
+                (Ok(served(config, metrics, CACHE_LOOKUP_S, true)), lookup)
+            }
+            Pending::Job {
+                config,
+                job_id,
+                coalesced,
+            } => match batch.fates.get(job_id) {
+                Some(Ok(completion_s)) => {
+                    let evaluation = &outcome.results[job_id].evaluation;
+                    let spent = if coalesced {
+                        self.cache.note_coalesced_hit();
+                        lookup
+                    } else {
+                        (evaluation.cost_s, to_nj(evaluation.energy_j))
+                    };
+                    let metrics = evaluation.metrics.clone();
+                    (Ok(served(config, metrics, *completion_s, coalesced)), spent)
+                }
+                // coalesced waiters share their job's fate
+                Some(Err(e)) => (Err(e.clone()), (0.0, 0)),
+                // past the admitted prefix: the bounded queue overflowed
+                None => {
+                    batch.shed += 1;
+                    let capacity = self.pool.config().queue_capacity;
+                    (Err(ServeError::Shed { capacity }), (0.0, 0))
+                }
+            },
+        };
+        let request_span = self.obs.plane.tracer.record(
+            "request",
+            Some(tenant),
+            batch.span,
+            arrival_s,
+            arrival_s + work_s,
+        );
+        match &response {
+            Ok(answer) => {
+                batch.served.push((index, direct_nj));
+                self.learn(batch, answer, work_s, request_span);
+            }
+            Err(e) => self.reject(batch, index, e),
+        }
+        response
+    }
+
+    /// A served response: counters, the latency SLO check, the
+    /// request's child spans, then online learning — the measurement
+    /// flows into the tenant's session and monitors.
+    fn learn(&self, batch: &mut Batch, answer: &TuningResponse, work_s: f64, request_span: SpanId) {
+        let (tenant, arrival) = (answer.tenant, answer.arrival_s);
+        self.obs.served.inc();
+        if answer.cache_hit {
+            self.obs.cache_hit_responses.inc();
+            batch.cache_lookups += 1;
+        }
+        self.obs.learns.add(answer.metrics.len() as u64);
+        self.obs.latency.record(answer.latency_s);
+        let slo_met = self
+            .obs
+            .check_latency_slo(tenant, arrival, answer.latency_s);
+        if self.front_door.is_some() {
+            let tally = batch.slo_tally.entry(tenant).or_default();
+            tally.0 += 1;
+            tally.1 += u64::from(!slo_met);
+        }
+        let select_end_s = arrival + SELECT_SPAN_S;
+        let learn_s = arrival + work_s;
+        for (name, start_s, end_s) in [
+            ("select", arrival, select_end_s),
+            (
+                "cache_probe",
+                select_end_s,
+                select_end_s + CACHE_PROBE_SPAN_S,
+            ),
+            ("learn", learn_s, learn_s + LEARN_SPAN_S),
+        ] {
+            self.obs
+                .plane
+                .tracer
+                .record(name, Some(tenant), request_span, start_s, end_s);
+        }
+        let (config, metrics) = (&answer.config, &answer.metrics);
+        apply::learn(
+            &self.store,
+            &self.breakers,
+            tenant,
+            arrival,
+            config,
+            metrics,
+        );
+        self.journal_append(|| JournalEntry::Learn {
+            tenant,
+            time_s: arrival,
+            config: config.clone(),
+            metrics: metrics.clone(),
+        });
+        batch.touched.push(tenant);
+    }
+
+    /// An errored request: what the error means is one row
+    /// ([`ServeError::row`]); the counter, the burn tally, the breaker
+    /// and the journaled flag all read it.
+    fn reject(&self, batch: &mut Batch, index: usize, error: &ServeError) {
+        let TuningRequest { tenant, arrival_s } = batch.requests[index];
+        let row = error.row(batch.meta[index].degraded);
+        match row.counter {
+            ErrorCounter::Shed => self.obs.shed.inc(),
+            ErrorCounter::Failed => self.obs.failed.inc(),
+            ErrorCounter::Rejected => self.obs.rejected.inc(),
+        }
+        if row.burns_slo && self.front_door.is_some() {
+            let tally = batch.slo_tally.entry(tenant).or_default();
+            tally.0 += 1;
+            tally.1 += 1;
+        }
+        let breaker_feedback = row.feeds_breaker && self.breakers.enabled();
+        if apply::reject(
+            &self.store,
+            &self.breakers,
+            tenant,
+            arrival_s,
+            breaker_feedback,
+        ) {
+            self.journal_append(|| JournalEntry::Reject {
+                tenant,
+                time_s: arrival_s,
+                breaker_feedback,
+            });
+        }
+    }
+
+    /// Stage: close the batch's energy window. All bookkeeping is in
+    /// integer nanojoules with exactly one rounding per meter reading,
+    /// so Σ attributed + idle ≡ the facility meter to the last bit (the
+    /// ledger re-checks the invariant per window).
+    fn close_energy_window(
+        &self,
+        batch: &Batch,
+        outcome: &BatchOutcome,
+        responses: &mut [Result<TuningResponse, ServeError>],
+    ) {
+        if batch.requests.is_empty() {
+            return;
+        }
+        let evaluations = || outcome.results.iter().map(|r| &r.evaluation);
+        // direct metered energy: every probe the pool ran (served or
+        // not) plus one nominal lookup per cache-hit answer
+        let spent_eval_nj: u64 = evaluations().map(|e| to_nj(e.energy_j)).sum();
+        let direct_nj = spent_eval_nj + batch.lookup_nj * batch.cache_lookups;
+        // node static power burns over busy *work content* — never the
+        // worker-dependent makespan — keeping the window byte-identical
+        // at any physical or virtual worker count
+        let busy_s: f64 = evaluations().map(|e| e.cost_s).sum::<f64>()
+            + batch.cache_lookups as f64 * CACHE_LOOKUP_S;
+        let static_nj = to_nj(self.energy.node_static_w * busy_s);
+        let it_nj = direct_nj + static_nj;
+        let cooling_nj = to_nj(self.energy.cooling_overhead * nj_to_j(it_nj as u128));
+        let facility_nj = it_nj + cooling_nj;
+        let overhead_nj = static_nj + cooling_nj;
+        // overhead splits across served requests proportionally to
+        // their direct demand (largest remainder, so shares sum
+        // exactly); failed probes' direct energy stays unattributed
+        let weights: Vec<u64> = batch.served.iter().map(|&(_, nj)| nj).collect();
+        let shares = largest_remainder_split(overhead_nj, &weights);
+        let mut attributed_nj = 0u64;
+        let mut per_tenant: BTreeMap<TenantId, u64> = BTreeMap::new();
+        for (&(index, direct_nj), &share) in batch.served.iter().zip(&shares) {
+            let TuningRequest { tenant, arrival_s } = batch.requests[index];
+            let Meta { ctx, class, .. } = batch.meta[index];
+            let request_nj = direct_nj + share;
+            attributed_nj += request_nj;
+            *per_tenant.entry(tenant).or_default() += request_nj;
+            let energy_j = nj_to_j(request_nj as u128);
+            if let Ok(answer) = &mut responses[index] {
+                answer.energy_j = energy_j;
+            }
+            self.obs.class_energy[class.index()].record(energy_j);
+            // observed-only SLO: burn accrues under the `energy`
+            // objective but no admission tier acts on it yet
+            let _ = self.obs.check_energy_slo(tenant, arrival_s, energy_j);
+            self.mark(ctx, Layer::Serve, "energy", arrival_s, energy_j);
+        }
+        let idle_nj = facility_nj - attributed_nj;
+        self.obs.energy_facility_nj.add(facility_nj);
+        self.obs.energy_attributed_nj.add(attributed_nj);
+        self.obs.energy_idle_nj.add(idle_nj);
+        self.obs.energy_windows.inc();
+        let per_tenant_rows: Vec<(TenantId, u64)> = per_tenant.into_iter().collect();
+        self.obs.plane.energy.record_window(
+            WindowSummary {
+                index: batch.ordinal,
+                requests: batch.served.len() as u64,
+                direct_nj,
+                overhead_nj,
+                facility_nj,
+                attributed_nj,
+                idle_nj,
+            },
+            &per_tenant_rows,
+        );
+    }
+
+    /// Stage: one adaptation round per tenant served in this batch, in
+    /// sorted order, at the batch's end time.
+    fn adapt(&self, batch: &mut Batch) {
+        batch.touched.sort_unstable();
+        batch.touched.dedup();
+        let now_s = batch.end_s;
+        for &tenant in &batch.touched {
+            apply::adapt(&self.store, tenant, now_s);
+            self.obs.adapts.inc();
+            self.obs.plane.tracer.record(
+                "adapt",
+                Some(tenant),
+                batch.span,
+                now_s,
+                now_s + ADAPT_SPAN_S,
+            );
+            self.journal_append(|| JournalEntry::Adapt { tenant, now_s });
+        }
+    }
+
+    /// Stage: feed the batch's SLO outcomes to the admission
+    /// controller — one EWMA window per tenant at the batch end,
+    /// journaled so replay reproduces every tier transition
+    /// bit-identically.
+    fn admission_feedback(&self, batch: &Batch) {
+        let Some(fd) = &self.front_door else { return };
+        if !batch.end_s.is_finite() {
+            return;
+        }
+        let time_s = batch.end_s;
+        for (&tenant, &(checked, violations)) in &batch.slo_tally {
+            if fd
+                .admission
+                .update(tenant, time_s, checked, violations)
+                .is_some()
+            {
+                self.obs.admission_transitions.inc();
+            }
+            self.journal_append(|| JournalEntry::AdmissionUpdate {
+                tenant,
+                time_s,
+                checked,
+                violations,
+            });
+        }
+    }
+
+    /// Stage: the Daly-informed snapshot cadence — checkpoint the full
+    /// state and compact the journal once the interval has elapsed.
+    /// The snapshot shares every session with the store; the store
+    /// copies a session when a later request first writes to it.
+    fn checkpoint(&self, batch: &Batch) {
+        let Some(journal) = &self.journal else { return };
+        if !batch.end_s.is_finite() {
+            return;
+        }
+        let mut due = crate::lock_or_recover(&self.next_snapshot_s);
+        if batch.end_s < *due {
+            return;
+        }
+        let snap = take_snapshot(
+            batch.end_s,
+            journal,
+            &self.store,
+            &self.cache,
+            &self.breakers,
+            self.front_door
+                .as_ref()
+                .map(|fd| (&fd.admission, &fd.autoscaler)),
+        );
+        journal.compact(snap.through_seq);
+        *crate::lock_or_recover(&self.snapshot) = Some(snap);
+        let interval = self.resilience.snapshot_interval_s();
+        while *due <= batch.end_s {
+            *due += interval;
+        }
+    }
+}

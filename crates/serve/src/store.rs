@@ -250,12 +250,7 @@ impl SessionStore {
     }
 
     fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, Shard> {
-        // a poisoned shard means a panic under another lock holder;
-        // the data itself is still structurally sound, so recover
-        match self.shards[index].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        crate::lock_or_recover(&self.shards[index])
     }
 
     /// Registers a new tenant session.

@@ -354,6 +354,12 @@ mod tests {
         let s = list_schedule(&costs, 2);
         assert_eq!(s.completions, vec![1.0, 1.0, 2.0, 2.0]);
         assert_eq!(s.makespan_s, 2.0);
+        // unequal costs: core 0 runs 4+1, core 1 runs 3+2
+        let costs = [4.0, 3.0, 2.0, 1.0];
+        assert_eq!(list_schedule(&costs, 1).makespan_s, 10.0);
+        assert_eq!(list_schedule(&costs, 2).makespan_s, 5.0);
+        assert_eq!(list_schedule(&costs, 4).makespan_s, 4.0);
+        assert_eq!(list_schedule(&[], 3).makespan_s, 0.0);
     }
 
     #[test]

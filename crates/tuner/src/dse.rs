@@ -278,31 +278,6 @@ where
     }
 }
 
-/// The virtual wall-clock of running evaluations whose costs are
-/// `costs` (in proposal order) on `workers` machines under greedy list
-/// scheduling: each job goes to the earliest-available worker. This is
-/// the same virtual-time determinism the serving layer's evaluation
-/// pool uses — speedup numbers derived from it are exact and identical
-/// on any host, including a single-core CI runner.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn virtual_makespan(costs: &[f64], workers: usize) -> f64 {
-    assert!(workers > 0, "makespan needs at least one worker");
-    let mut free_at = vec![0.0f64; workers];
-    for cost in costs {
-        let worker = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .map(|(i, _)| i)
-            .expect("workers > 0");
-        free_at[worker] += cost.max(0.0);
-    }
-    free_at.iter().copied().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,22 +468,6 @@ mod tests {
             (u - 20).abs() <= 3 && (b - 9).abs() <= 3,
             "GA should land near (20, 9), got ({u}, {b})"
         );
-    }
-
-    #[test]
-    fn makespan_models_list_scheduling() {
-        let costs = [4.0, 3.0, 2.0, 1.0];
-        assert_eq!(virtual_makespan(&costs, 1), 10.0);
-        // worker 0: 4+1, worker 1: 3+2 => makespan 5
-        assert_eq!(virtual_makespan(&costs, 2), 5.0);
-        assert_eq!(virtual_makespan(&costs, 4), 4.0);
-        assert_eq!(virtual_makespan(&[], 3), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn makespan_rejects_zero_workers() {
-        let _ = virtual_makespan(&[1.0], 0);
     }
 
     #[test]
