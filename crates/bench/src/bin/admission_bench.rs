@@ -23,13 +23,9 @@
 use antarex_bench::admission_exp::{
     crash_recovery_drill, overload_campaign, worker_invariance, AdmissionScale, RunOutcome,
 };
-use std::time::Instant;
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
+use antarex_bench::{
+    exit_on_failed_gates, physical_cores, print_crash_recovery, print_gates, timed,
+};
 
 fn print_run(row: &RunOutcome, comma: &str) {
     println!("    \"{}\": {{", row.profile);
@@ -108,15 +104,8 @@ fn main() {
             recovery.bit_identical,
         ),
     ];
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, _, ok)| !ok)
-        .map(|(name, _, _)| *name)
-        .collect();
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-serve: SLO front door under bursty overload\",");
     println!("  \"physical_cores\": {cores},");
@@ -140,26 +129,8 @@ fn main() {
     );
     println!("    \"state_identical\": {}", invariance.state_identical);
     println!("  }},");
-    println!("  \"crash_recovery\": {{");
-    println!(
-        "    \"windows_before_crash\": {},",
-        recovery.windows_before_crash
-    );
-    println!(
-        "    \"windows_after_crash\": {},",
-        recovery.windows_after_crash
-    );
-    println!("    \"had_snapshot\": {},", recovery.had_snapshot);
-    println!("    \"replayed_entries\": {},", recovery.replayed_entries);
-    println!("    \"bit_identical\": {}", recovery.bit_identical);
-    println!("  }},");
-    println!("  \"gates\": {{");
-    for (i, (name, detail, ok)) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        println!("    \"{name}\": {{ \"pass\": {ok}, \"detail\": \"{detail}\" }}{comma}");
-    }
-    println!("  }},");
-    println!("  \"gates_passed\": {},", failed.is_empty());
+    print_crash_recovery(&recovery);
+    print_gates(&gates);
     println!("  \"wall_clock_s\": {{");
     println!("    \"overload_campaign\": {wall_campaign_s:.3},");
     println!("    \"worker_invariance\": {wall_invariance_s:.3},");
@@ -167,8 +138,5 @@ fn main() {
     println!("  }}");
     println!("}}");
 
-    if !failed.is_empty() {
-        eprintln!("admission_bench: FAILED gates: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+    exit_on_failed_gates("admission_bench", &gates);
 }

@@ -12,13 +12,7 @@
 use antarex_bench::chaos_exp::{
     crash_recovery_drill, goodput_campaign, poisoned_tenant_containment, ChaosScale,
 };
-use std::time::Instant;
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
+use antarex_bench::{physical_cores, print_crash_recovery, timed};
 
 fn main() {
     let seed = 42;
@@ -29,9 +23,7 @@ fn main() {
     let (recovery, wall_recovery_s) = timed(|| crash_recovery_drill(seed, &scale));
 
     let baseline = rows[0].stats.goodput();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-serve: chaos-hardened serving tier\",");
     println!("  \"physical_cores\": {cores},");
@@ -75,19 +67,7 @@ fn main() {
     println!("    \"quarantined\": {},", containment.quarantined);
     println!("    \"others_served\": {}", containment.others_served);
     println!("  }},");
-    println!("  \"crash_recovery\": {{");
-    println!(
-        "    \"windows_before_crash\": {},",
-        recovery.windows_before_crash
-    );
-    println!(
-        "    \"windows_after_crash\": {},",
-        recovery.windows_after_crash
-    );
-    println!("    \"had_snapshot\": {},", recovery.had_snapshot);
-    println!("    \"replayed_entries\": {},", recovery.replayed_entries);
-    println!("    \"bit_identical\": {}", recovery.bit_identical);
-    println!("  }},");
+    print_crash_recovery(&recovery);
     println!("  \"wall_clock_s\": {{");
     println!("    \"goodput_campaign\": {wall_goodput_s:.3},");
     println!("    \"containment\": {wall_containment_s:.3},");

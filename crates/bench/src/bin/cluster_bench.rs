@@ -21,20 +21,12 @@
 //! Usage: `cargo run --release -p antarex-bench --bin cluster_bench`
 
 use antarex_bench::cluster_exp::{cluster_campaign, worker_invariance, ClusterScale};
-use std::time::Instant;
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
+use antarex_bench::{exit_on_failed_gates, physical_cores, print_gates, timed};
 
 fn main() {
     let seed = 42;
     let scale = ClusterScale::full();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
     let workers = cores.min(8);
 
     let (rows, wall_campaign_s) = timed(|| cluster_campaign(seed, &scale, workers));
@@ -81,11 +73,6 @@ fn main() {
             invariance.identical,
         ),
     ];
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, _, ok)| !ok)
-        .map(|(name, _, _)| *name)
-        .collect();
 
     println!("{{");
     println!("  \"benchmark\": \"antarex-rtrm: fault-tolerant cluster-scale control plane\",");
@@ -142,21 +129,12 @@ fn main() {
     );
     println!("    \"identical\": {}", invariance.identical);
     println!("  }},");
-    println!("  \"gates\": {{");
-    for (i, (name, detail, ok)) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        println!("    \"{name}\": {{ \"pass\": {ok}, \"detail\": \"{detail}\" }}{comma}");
-    }
-    println!("  }},");
-    println!("  \"gates_passed\": {},", failed.is_empty());
+    print_gates(&gates);
     println!("  \"wall_clock_s\": {{");
     println!("    \"campaign\": {wall_campaign_s:.3},");
     println!("    \"worker_invariance\": {wall_invariance_s:.3}");
     println!("  }}");
     println!("}}");
 
-    if !failed.is_empty() {
-        eprintln!("cluster_bench: FAILED gates: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+    exit_on_failed_gates("cluster_bench", &gates);
 }

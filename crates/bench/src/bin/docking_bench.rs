@@ -24,19 +24,11 @@
 use antarex_bench::docking_exp::{
     campaign_invariance, scaffold_sorted_library, schedule_grid, uniform_library, DockingScale,
 };
-use std::time::Instant;
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
+use antarex_bench::{exit_on_failed_gates, physical_cores, print_gates, timed};
 
 fn main() {
     let scale = DockingScale::million();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
 
     let (imbalanced, wall_library_s) = timed(|| scaffold_sorted_library(&scale));
     let total_work: f64 = imbalanced.costs.iter().sum();
@@ -80,11 +72,6 @@ fn main() {
             identical,
         ),
     ];
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, _, ok)| !ok)
-        .map(|(name, _, _)| *name)
-        .collect();
 
     println!("{{");
     println!(
@@ -133,13 +120,7 @@ fn main() {
     );
     println!("    \"identical\": {identical}");
     println!("  }},");
-    println!("  \"gates\": {{");
-    for (i, (name, detail, ok)) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        println!("    \"{name}\": {{ \"pass\": {ok}, \"detail\": \"{detail}\" }}{comma}");
-    }
-    println!("  }},");
-    println!("  \"gates_passed\": {},", failed.is_empty());
+    print_gates(&gates);
     println!("  \"wall_clock_s\": {{");
     println!("    \"library\": {wall_library_s:.3},");
     println!("    \"schedule_grid\": {wall_grid_s:.3},");
@@ -148,8 +129,5 @@ fn main() {
     println!("  }}");
     println!("}}");
 
-    if !failed.is_empty() {
-        eprintln!("docking_bench: FAILED gates: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+    exit_on_failed_gates("docking_bench", &gates);
 }

@@ -22,26 +22,9 @@
 //! Usage: `cargo run --release -p antarex-bench --bin energy_obs_bench`
 
 use antarex_bench::energy_obs::{campaign_invariance, EnergyScale};
+use antarex_bench::{env_budget_ns, exit_on_failed_gates, ns_per_op, physical_cores};
 use antarex_obs::{Layer, SpanId, TraceCtx, TraceEvent, TraceId, TraceStore};
 use std::hint::black_box;
-use std::time::Instant;
-
-/// ns/op of `op` over `iters` iterations.
-fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// A budget override from the environment, in nanoseconds.
-fn env_budget_ns(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     // wall-clock: the per-request cost tracing adds even when nothing
@@ -84,10 +67,7 @@ fn main() {
     let trace_budget_ns = env_budget_ns("ENERGY_OBS_TRACE_BUDGET_NS", 25.0);
     let trace_ctx_within_budget = derive_ns <= trace_budget_ns;
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json_bool = |b: bool| if b { "true" } else { "false" };
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-obs: causal tracing + energy attribution\",");
     println!("  \"physical_cores\": {cores},");
@@ -95,19 +75,16 @@ fn main() {
     println!("  \"trace_budget_ns\": {trace_budget_ns:.1},");
     println!(
         "  \"trace_ctx_within_budget\": {},",
-        json_bool(trace_ctx_within_budget)
+        trace_ctx_within_budget
     );
     println!("  \"trace_record_ns\": {record_ns:.1},");
     println!("  \"campaign_requests\": {},", reference.requests);
     println!("  \"campaign_served\": {},", reference.served);
-    println!("  \"requests_at_scale\": {},", json_bool(requests_at_scale));
+    println!("  \"requests_at_scale\": {},", requests_at_scale);
     println!("  \"facility_joules\": {:.6},", reference.facility_j);
     println!("  \"attributed_joules\": {:.6},", reference.attributed_j);
     println!("  \"idle_joules\": {:.6},", reference.idle_j);
-    println!(
-        "  \"conservation_exact\": {},",
-        json_bool(conservation_exact)
-    );
+    println!("  \"conservation_exact\": {},", conservation_exact);
     println!(
         "  \"worker_digests\": [{}],",
         runs.iter()
@@ -115,12 +92,19 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("  \"worker_invariant\": {},", json_bool(worker_invariant));
+    println!("  \"worker_invariant\": {},", worker_invariant);
     println!("  \"trace_events_retained\": {},", reference.trace_retained);
     println!("  \"trace_events_dropped\": {}", reference.trace_dropped);
     println!("}}");
 
-    if !(trace_ctx_within_budget && requests_at_scale && conservation_exact && worker_invariant) {
-        std::process::exit(1);
-    }
+    let gate = |name, pass| (name, String::new(), pass);
+    exit_on_failed_gates(
+        "energy_obs_bench",
+        &[
+            gate("trace_ctx_within_budget", trace_ctx_within_budget),
+            gate("requests_at_scale", requests_at_scale),
+            gate("conservation_exact", conservation_exact),
+            gate("worker_invariant", worker_invariant),
+        ],
+    );
 }

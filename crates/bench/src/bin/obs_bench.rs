@@ -25,26 +25,9 @@
 
 use antarex_bench::obs_exp::{dual_accounting, invariance_holds, ObsScale};
 use antarex_bench::serve_exp::{scaling_row, ServeScale};
+use antarex_bench::{env_budget_ns, exit_on_failed_gates, ns_per_op, physical_cores};
 use antarex_obs::{MetricsRegistry, Scope, SpanId, Tracer};
 use std::hint::black_box;
-use std::time::Instant;
-
-/// ns/op of `op` over `iters` iterations.
-fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// A budget override from the environment, in nanoseconds.
-fn env_budget_ns(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let registry = MetricsRegistry::new();
@@ -84,7 +67,7 @@ fn main() {
         && one.served == four.served
         && one.shed == four.shed
         && one.evaluated == four.evaluated
-        && one.cache_hit_rate == four.cache_hit_rate;
+        && one.cache_hit_rate() == four.cache_hit_rate();
 
     let budget_ns = env_budget_ns("OBS_BUDGET_NS", 25.0);
     let span_budget_ns = env_budget_ns("OBS_SPAN_BUDGET_NS", 250.0);
@@ -92,10 +75,7 @@ fn main() {
     let within_budget = hot_path_event_ns <= budget_ns;
     let span_within_budget = span_record_ns <= span_budget_ns;
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json_bool = |b: bool| if b { "true" } else { "false" };
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-obs: tracing + metrics plane\",");
     println!("  \"physical_cores\": {cores},");
@@ -107,23 +87,23 @@ fn main() {
     println!("  }},");
     println!("  \"hot_path_event_ns\": {hot_path_event_ns:.1},");
     println!("  \"budget_ns\": {budget_ns:.1},");
-    println!("  \"within_budget\": {},", json_bool(within_budget));
+    println!("  \"within_budget\": {},", within_budget);
     println!("  \"span_budget_ns\": {span_budget_ns:.1},");
-    println!(
-        "  \"span_within_budget\": {},",
-        json_bool(span_within_budget)
-    );
-    println!("  \"worker_invariant\": {},", json_bool(worker_invariant));
-    println!("  \"s1_figures_match\": {},", json_bool(s1_figures_match));
-    println!("  \"r2_figures_match\": {}", json_bool(r2_figures_match));
+    println!("  \"span_within_budget\": {},", span_within_budget);
+    println!("  \"worker_invariant\": {},", worker_invariant);
+    println!("  \"s1_figures_match\": {},", s1_figures_match);
+    println!("  \"r2_figures_match\": {}", r2_figures_match);
     println!("}}");
 
-    if !(within_budget
-        && span_within_budget
-        && worker_invariant
-        && s1_figures_match
-        && r2_figures_match)
-    {
-        std::process::exit(1);
-    }
+    let gate = |name, pass| (name, String::new(), pass);
+    exit_on_failed_gates(
+        "obs_bench",
+        &[
+            gate("within_budget", within_budget),
+            gate("span_within_budget", span_within_budget),
+            gate("worker_invariant", worker_invariant),
+            gate("s1_figures_match", s1_figures_match),
+            gate("r2_figures_match", r2_figures_match),
+        ],
+    );
 }

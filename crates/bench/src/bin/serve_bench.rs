@@ -10,13 +10,7 @@
 //! Usage: `cargo run --release -p antarex-bench --bin serve_bench`
 
 use antarex_bench::serve_exp::{batched_evaluation, scaling_row, ServeScale};
-use std::time::Instant;
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
+use antarex_bench::{physical_cores, timed};
 
 fn main() {
     let seed = 42;
@@ -27,9 +21,7 @@ fn main() {
     let (four, wall_four_s) = timed(|| scaling_row(seed, &scale, tenants, 4));
     let (bench, _) = timed(|| batched_evaluation(seed, scale.batch_tenants, 4));
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-serve: multi-tenant autotuning service\",");
     println!("  \"physical_cores\": {cores},");
@@ -37,14 +29,14 @@ fn main() {
     println!("    \"tenants\": {tenants},");
     println!("    \"requests\": {},", one.requests);
     println!("    \"served\": {},", one.served);
-    println!("    \"cache_hit_rate\": {:.4},", one.cache_hit_rate);
+    println!("    \"cache_hit_rate\": {:.4},", one.cache_hit_rate());
     println!(
         "    \"virtual_throughput_rps_1_worker\": {:.1},",
-        one.throughput_rps
+        one.throughput_rps()
     );
     println!(
         "    \"virtual_throughput_rps_4_workers\": {:.1},",
-        four.throughput_rps
+        four.throughput_rps()
     );
     println!("    \"wall_s_1_worker\": {wall_one_s:.3},");
     println!("    \"wall_s_4_workers\": {wall_four_s:.3}");

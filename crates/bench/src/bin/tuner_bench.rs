@@ -11,6 +11,7 @@
 //! Usage: `cargo run --release -p antarex-bench --bin tuner_bench`
 
 use antarex_bench::tuner_exp::{dse_grid, HotPathScale, WORKER_COUNTS};
+use antarex_bench::{ns_per_op, physical_cores, timed};
 use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::KnobValue;
@@ -20,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::time::Instant;
 
 fn config(i: u64) -> Configuration {
     let mut c = Configuration::new();
@@ -44,15 +44,6 @@ fn knowledge(points: u64) -> KnowledgeBase {
             )
         })
         .collect()
-}
-
-/// ns/op of `op` over `iters` iterations.
-fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn main() {
@@ -103,14 +94,10 @@ fn main() {
 
     // parallel DSE: deterministic virtual speedups + wall clock
     let scale = HotPathScale::full();
-    let wall_start = Instant::now();
-    let grid = dse_grid(424244, scale.dse_budget);
-    let dse_wall_s = wall_start.elapsed().as_secs_f64();
+    let (grid, dse_wall_s) = timed(|| dse_grid(424244, scale.dse_budget));
     let invariant = grid.iter().all(|r| r.invariant);
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-tuner: hot-path data plane\",");
     println!("  \"physical_cores\": {cores},");

@@ -17,6 +17,7 @@
 //! Usage: `cargo run --release -p antarex-bench --bin vm_bench`
 
 use antarex_bench::vm_exp::kernel_suite;
+use antarex_bench::{exit_on_failed_gates, ns_per_op, physical_cores};
 use antarex_ir::cost::CostModel;
 use antarex_ir::interp::{ExecEnv, Interp};
 use antarex_ir::parse_program;
@@ -25,16 +26,6 @@ use antarex_serve::Evaluator;
 use antarex_tuner::{Configuration, KnobValue};
 use antarex_vm::{lower_program, Vm};
 use std::hint::black_box;
-use std::time::Instant;
-
-/// ns/op of `op` over `iters` iterations.
-fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
 
 /// Minimum ns/op across `windows` measurement windows: the minimum is the
 /// standard estimator for "time absent interference" on a noisy machine —
@@ -105,15 +96,8 @@ fn main() {
             hit_rate >= 0.95,
         ),
     ];
-    let failed: Vec<&str> = gates
-        .iter()
-        .filter(|(_, _, ok)| !ok)
-        .map(|(name, _, _)| *name)
-        .collect();
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = physical_cores();
     println!("{{");
     println!("  \"benchmark\": \"antarex-vm: metered bytecode probe throughput\",");
     println!("  \"physical_cores\": {cores},");
@@ -138,10 +122,7 @@ fn main() {
         println!("    \"{name}\": {{\"detail\": \"{detail}\", \"pass\": {ok}}}{comma}");
     }
     println!("  }},");
-    println!("  \"gates_passed\": {}", failed.is_empty());
+    println!("  \"gates_passed\": {}", gates.iter().all(|gate| gate.2));
     println!("}}");
-    if !failed.is_empty() {
-        eprintln!("vm_bench: FAILED gates: {}", failed.join(", "));
-        std::process::exit(1);
-    }
+    exit_on_failed_gates("vm_bench", &gates);
 }

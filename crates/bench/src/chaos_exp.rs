@@ -16,22 +16,19 @@
 //!    while the other tenants keep serving.
 //! 3. **Crash and recovery** — the hardened, journaled service is
 //!    killed mid-run; recovery (snapshot + journal-suffix replay)
-//!    continues the remaining windows and the final
-//!    [`TuningService::state_report`] is compared byte for byte against
-//!    an uninterrupted run of the same seed.
+//!    continues the remaining windows and must be
+//!    [bit-identical](CrashDrill::bit_identical) to an uninterrupted run
+//!    of the same seed.
 //!
 //! Everything is virtual-time and seeded, so the whole report is
 //! reproducible byte for byte — the CI determinism smoke diffs two runs.
 
 use antarex_serve::chaos::ChaosConfig;
-use antarex_serve::driver::{self, DriveStats, DriverConfig};
+use antarex_serve::driver::{Batching, Campaign, Cohort, CrashDrill, DriveStats};
 use antarex_serve::nav::NavEvaluator;
-use antarex_serve::pool::PoolConfig;
 use antarex_serve::service::ResilienceConfig;
 use antarex_serve::store::TenantId;
-use antarex_serve::{ServiceConfig, TuningRequest, TuningService};
 use antarex_sim::faults::{FaultConfig, FaultSchedule};
-use antarex_tuner::manager::AppManager;
 use std::fmt::Write as _;
 
 /// Size of one R2 run.
@@ -77,15 +74,33 @@ impl ChaosScale {
         }
     }
 
-    fn driver(&self, seed: u64) -> DriverConfig {
-        DriverConfig {
-            tenants: self.tenants,
-            archetypes: self.archetypes,
-            duration_s: self.duration_s,
-            rate_per_tenant_hz: self.rate_per_tenant_hz,
-            batch_window_s: 5.0,
-            seed,
+    /// The campaign served under one (resilience, chaos) profile.
+    fn campaign(
+        &self,
+        seed: u64,
+        resilience: ResilienceConfig,
+        chaos: Option<ChaosConfig>,
+    ) -> Campaign {
+        Campaign {
+            cohorts: vec![Cohort::new(
+                self.tenants,
+                self.archetypes,
+                self.rate_per_tenant_hz,
+            )],
+            resilience,
+            chaos,
+            ..Campaign::new(seed, self.duration_s, Batching::Window(5.0))
         }
+        .workers(self.workers)
+    }
+
+    /// A chaos plane over `faults`, one schedule node per pool worker.
+    fn chaos(&self, faults: &FaultConfig) -> ChaosConfig {
+        ChaosConfig::new(FaultSchedule::generate(
+            faults,
+            self.workers,
+            self.duration_s + 60.0,
+        ))
     }
 }
 
@@ -107,29 +122,6 @@ pub fn serving_faults(seed: u64) -> FaultConfig {
     config
 }
 
-fn nav_service(
-    seed: u64,
-    scale: &ChaosScale,
-    resilience: ResilienceConfig,
-    chaos: Option<ChaosConfig>,
-) -> TuningService<NavEvaluator> {
-    let service = TuningService::with_resilience(
-        ServiceConfig {
-            pool: PoolConfig {
-                workers: scale.workers,
-                queue_capacity: 256,
-            },
-            ..ServiceConfig::default()
-        },
-        resilience,
-        NavEvaluator::city(seed),
-    );
-    match chaos {
-        Some(chaos) => service.with_chaos(chaos),
-        None => service,
-    }
-}
-
 /// One row of the goodput comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoodputRow {
@@ -149,10 +141,9 @@ pub fn goodput_run(
     resilience: ResilienceConfig,
     chaos: Option<ChaosConfig>,
 ) -> GoodputRow {
-    let config = scale.driver(seed);
-    let service = nav_service(seed, scale, resilience, chaos);
-    driver::register_nav_tenants(&service, &config, 0.5);
-    let stats = driver::drive(&service, &config);
+    let (service, stats) = scale
+        .campaign(seed, resilience, chaos)
+        .run(NavEvaluator::city(seed));
     GoodputRow {
         profile,
         stats,
@@ -163,13 +154,7 @@ pub fn goodput_run(
 /// The three-way goodput comparison: baseline, unhardened under faults,
 /// hardened under the same faults.
 pub fn goodput_campaign(seed: u64, scale: &ChaosScale) -> Vec<GoodputRow> {
-    let schedule = || {
-        FaultSchedule::generate(
-            &serving_faults(seed),
-            scale.workers,
-            scale.duration_s + 60.0,
-        )
-    };
+    let chaos = || Some(scale.chaos(&serving_faults(seed)));
     let unhardened = ResilienceConfig {
         hedge: antarex_serve::chaos::HedgePolicy::disabled(),
         breaker: antarex_serve::breaker::BreakerConfig::disabled(),
@@ -179,19 +164,13 @@ pub fn goodput_campaign(seed: u64, scale: &ChaosScale) -> Vec<GoodputRow> {
     };
     vec![
         goodput_run(seed, scale, "baseline", ResilienceConfig::disabled(), None),
-        goodput_run(
-            seed,
-            scale,
-            "unhardened",
-            unhardened,
-            Some(ChaosConfig::new(schedule())),
-        ),
+        goodput_run(seed, scale, "unhardened", unhardened, chaos()),
         goodput_run(
             seed,
             scale,
             "hardened",
             ResilienceConfig::hardened(),
-            Some(ChaosConfig::new(schedule())),
+            chaos(),
         ),
     ]
 }
@@ -216,20 +195,10 @@ pub struct ContainmentOutcome {
 /// Poisons one tenant's probes and measures the blast radius.
 pub fn poisoned_tenant_containment(seed: u64, scale: &ChaosScale) -> ContainmentOutcome {
     let poisoned: TenantId = 0;
-    let config = scale.driver(seed);
-    let schedule = FaultSchedule::generate(
-        &FaultConfig::none(seed),
-        scale.workers,
-        scale.duration_s + 60.0,
-    );
-    let service = nav_service(
-        seed,
-        scale,
-        ResilienceConfig::hardened(),
-        Some(ChaosConfig::new(schedule).poison(poisoned)),
-    );
-    driver::register_nav_tenants(&service, &config, 0.5);
-    let stats = driver::drive(&service, &config);
+    let chaos = scale.chaos(&FaultConfig::none(seed)).poison(poisoned);
+    let (service, stats) = scale
+        .campaign(seed, ResilienceConfig::hardened(), Some(chaos))
+        .run(NavEvaluator::city(seed));
     let (requests, rejected) = service
         .store()
         .with(poisoned, |s| (s.requests + s.rejected, s.rejected))
@@ -252,112 +221,18 @@ pub fn poisoned_tenant_containment(seed: u64, scale: &ChaosScale) -> Containment
     }
 }
 
-/// Outcome of the crash-recovery drill.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryOutcome {
-    /// Batch windows served before the crash.
-    pub windows_before_crash: usize,
-    /// Batch windows served after recovery.
-    pub windows_after_crash: usize,
-    /// Whether a Daly snapshot existed at the crash.
-    pub had_snapshot: bool,
-    /// Journal-suffix entries replayed on recovery.
-    pub replayed_entries: usize,
-    /// Whether the recovered run's final state report equals the
-    /// uninterrupted run's, byte for byte.
-    pub bit_identical: bool,
-}
-
-/// Chunks the arrival stream into non-empty batch windows.
-fn batch_windows(events: &[TuningRequest], window_s: f64) -> Vec<&[TuningRequest]> {
-    let mut windows = Vec::new();
-    let mut start = 0;
-    let mut window_end = window_s;
-    while start < events.len() {
-        let end = events[start..]
-            .iter()
-            .position(|e| e.arrival_s >= window_end)
-            .map(|offset| start + offset)
-            .unwrap_or(events.len());
-        if end == start {
-            window_end += window_s;
-            continue;
-        }
-        windows.push(&events[start..end]);
-        start = end;
-    }
-    windows
-}
-
 /// Kills the hardened service mid-run, recovers from snapshot + journal
 /// suffix, finishes the workload, and compares against an uninterrupted
 /// run of the same seed.
-pub fn crash_recovery_drill(seed: u64, scale: &ChaosScale) -> RecoveryOutcome {
-    let config = scale.driver(seed);
-    let service_config = ServiceConfig {
-        pool: PoolConfig {
-            workers: scale.workers,
-            queue_capacity: 256,
-        },
-        ..ServiceConfig::default()
-    };
-    let resilience = ResilienceConfig::hardened();
-    let chaos = || {
-        ChaosConfig::new(FaultSchedule::generate(
-            &serving_faults(seed),
-            scale.workers,
-            scale.duration_s + 60.0,
-        ))
-    };
-    let make_manager = |_tenant: TenantId| -> AppManager { driver::nav_manager(0.5) };
-
-    let events = driver::arrivals(&config);
-    let windows = batch_windows(&events, config.batch_window_s);
-    let crash_at = windows.len() / 2;
-
-    let build = || {
-        let service =
-            TuningService::with_resilience(service_config, resilience, NavEvaluator::city(seed))
-                .with_chaos(chaos());
-        driver::register_nav_tenants(&service, &config, 0.5);
-        service
-    };
-
-    // the uninterrupted reference
-    let reference = build();
-    for window in &windows {
-        reference.serve_batch(window);
-    }
-
-    // the victim: crash after `crash_at` windows, recover, continue
-    let victim = build();
-    for window in &windows[..crash_at] {
-        victim.serve_batch(window);
-    }
-    let (snapshot, entries) = victim.crash();
-    let had_snapshot = snapshot.is_some();
-    let replayed_entries = entries.len();
-    let recovered = TuningService::recover(
-        service_config,
-        resilience,
-        Some(chaos()),
-        None,
-        NavEvaluator::city(seed),
-        snapshot,
-        &entries,
-        &make_manager,
+pub fn crash_recovery_drill(seed: u64, scale: &ChaosScale) -> CrashDrill<NavEvaluator> {
+    let campaign = scale.campaign(
+        seed,
+        ResilienceConfig::hardened(),
+        Some(scale.chaos(&serving_faults(seed))),
     );
-    for window in &windows[crash_at..] {
-        recovered.serve_batch(window);
-    }
-
-    RecoveryOutcome {
-        windows_before_crash: crash_at,
-        windows_after_crash: windows.len() - crash_at,
-        had_snapshot,
-        replayed_entries,
-        bit_identical: recovered.state_report() == reference.state_report(),
-    }
+    let requests = campaign.arrivals();
+    let crash_at = campaign.batching.batches(&requests).count() / 2;
+    campaign.crash_drill(&NavEvaluator::city(seed), &requests, crash_at)
 }
 
 /// Renders the full R2 report for one seed and scale.
@@ -439,20 +314,10 @@ pub fn r2_report(seed: u64, scale: &ChaosScale) -> String {
         containment.others_served
     );
 
-    let recovery = crash_recovery_drill(seed, scale);
-    let _ = writeln!(
-        out,
-        "\ncrash after {} of {} windows: snapshot {}, {} journal entries replayed, recovered state {} the uninterrupted run",
-        recovery.windows_before_crash,
-        recovery.windows_before_crash + recovery.windows_after_crash,
-        if recovery.had_snapshot { "present" } else { "absent" },
-        recovery.replayed_entries,
-        if recovery.bit_identical {
-            "IDENTICAL to"
-        } else {
-            "DIVERGED from"
-        }
-    );
+    out.push_str(&crate::crash_drill_line(
+        &crash_recovery_drill(seed, scale),
+        "state",
+    ));
     out
 }
 
@@ -505,8 +370,9 @@ mod tests {
     #[test]
     fn crash_recovery_is_bit_identical() {
         let outcome = crash_recovery_drill(7, &ChaosScale::tiny());
-        assert!(outcome.windows_before_crash > 0);
-        assert!(outcome.windows_after_crash > 0);
+        assert!(outcome.batches_before_crash > 0);
+        assert!(outcome.had_snapshot);
+        assert!(!outcome.reports.is_empty());
         assert!(outcome.bit_identical, "recovery must replay exactly");
     }
 }

@@ -23,6 +23,7 @@
 //! running FNV-1a digest over the facility-power trajectory and final
 //! state is byte-identical at any worker count.
 
+use crate::Digest;
 use antarex_obs::{MetricsRegistry, Scope};
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::cluster_ctrl::{
@@ -230,25 +231,6 @@ fn exec_rate_flops_s(spec: &NodeSpec, pstate_index: usize, intensity: f64) -> f6
     let compute = spec.cpu_peak_gflops(spec.pstates.state(pstate_index).freq_ghz) * 1e9;
     let memory = spec.mem_bw_gbs * 1e9 * intensity;
     compute.min(memory)
-}
-
-/// FNV-1a over the campaign's observable state.
-#[derive(Debug, Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn f64(&mut self, value: f64) {
-        self.u64(value.to_bits());
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@
 //!   true per-ligand cost. Stealing must beat the block partition on
 //!   the scaffold-sorted library and hold parity on a uniform one.
 //! * **Part B — mixed campaign.** Navigation and docking tenants in one
-//!   [`TuningService`] behind a [`TenantMux`], scheduled with stealing,
+//!   [`antarex_serve::TuningService`] behind a [`TenantMux`], scheduled with stealing,
 //!   run at 1/2/4/8 *physical* workers with virtual capacity pinned —
 //!   the full response/state digest must be byte-identical.
 
-use antarex_serve::docking::{register_docking_tenants, TenantMux};
-use antarex_serve::driver::{self, DriverConfig};
+use crate::Digest;
+use antarex_serve::docking::TenantMux;
+use antarex_serve::driver::{self, Batching, Campaign, Cohort, DriverConfig};
 use antarex_serve::service::FrontDoorConfig;
-use antarex_serve::{AdmissionConfig, AutoscaleConfig, SchedConfig, ServiceConfig, TuningService};
+use antarex_serve::store::TenantClass;
+use antarex_serve::{AdmissionConfig, AutoscaleConfig, SchedConfig, TuningRequest};
 use antarex_sim::sched::{block_schedule, list_schedule, lpt_schedule, steal_schedule};
 use antarex_sim::workload::lognormal;
 use rand::rngs::StdRng;
@@ -36,28 +38,6 @@ const SECONDS_PER_INTERACTION: f64 = 2000.0 / 4.0e9;
 /// fragment screens and exhaustive refinement is what makes a
 /// scaffold-sorted library adversarial for static partitioning.
 const FAMILY_POSES: [usize; 6] = [64, 32, 16, 8, 4, 2];
-
-/// FNV-1a over schedule and campaign state.
-#[derive(Debug, Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, value: u64) {
-        self.bytes(&value.to_le_bytes());
-    }
-    fn f64(&mut self, value: f64) {
-        self.u64(value.to_bits());
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Part A — the synthetic screening library
@@ -215,45 +195,61 @@ pub fn schedule_grid(library: &Library, cores_grid: &[usize]) -> Vec<GridRow> {
 // Part B — mixed nav + docking campaign invariance
 // ---------------------------------------------------------------------------
 
+/// First docking tenant id of the mixed campaigns (`d1`, `e1`) — nav
+/// tenants occupy the ids below it.
+pub(crate) const DOCKING_BASE: u64 = 1000;
+
+/// A mixed nav + docking campaign over `cohorts` at `physical` pool
+/// workers: work stealing, and the hardened front door with its
+/// autoscaler pinned to four *virtual* workers, so everything
+/// observable may depend only on the workload.
+pub(crate) fn pinned_campaign(
+    seed: u64,
+    duration_s: f64,
+    cohorts: Vec<Cohort>,
+    batch: usize,
+    physical: usize,
+) -> Campaign {
+    Campaign {
+        cohorts,
+        sched: SchedConfig::work_stealing(),
+        front_door: Some(FrontDoorConfig {
+            admission: AdmissionConfig::hardened(),
+            autoscale: AutoscaleConfig {
+                min_workers: 4,
+                max_workers: 4,
+                ..AutoscaleConfig::hardened()
+            },
+        }),
+        ..Campaign::new(seed, duration_s, Batching::Count(batch))
+    }
+    .workers(physical)
+}
+
 /// Runs the mixed campaign at the given *physical* worker count and
-/// digests every response plus the final service state. Virtual
-/// capacity is pinned by the front door, so the digest may depend only
-/// on the workload.
+/// digests every response plus the final service state.
 pub fn mixed_campaign_digest(seed: u64, physical: usize) -> u64 {
-    let mut config = ServiceConfig::default();
-    config.pool.workers = physical;
-    let front_door = FrontDoorConfig {
-        admission: AdmissionConfig::hardened(),
-        autoscale: AutoscaleConfig {
-            min_workers: 4,
-            max_workers: 4,
-            ..AutoscaleConfig::hardened()
-        },
-    };
-    let service = TuningService::new(config, TenantMux::city_and_screening(seed))
-        .with_scheduler(SchedConfig::work_stealing())
-        .with_front_door(front_door);
-    let driver_config = DriverConfig::smoke(seed);
-    driver::register_nav_tenants(&service, &driver_config, 0.5);
-    register_docking_tenants(&service, 1000, 8, seed, 0.5);
-    let mut requests = driver::arrivals(&driver_config);
-    // docking tenants probe on the same clock, interleaved with nav
-    for (index, arrival_s) in (0..48).map(|i| (i, 0.4 + 1.1 * i as f64)) {
-        requests.push(antarex_serve::TuningRequest {
-            tenant: 1000 + index % 8,
-            arrival_s,
-        });
-    }
-    requests.sort_by(|a, b| {
-        a.arrival_s
-            .total_cmp(&b.arrival_s)
-            .then(a.tenant.cmp(&b.tenant))
+    let smoke = DriverConfig::smoke(seed);
+    let mut cohorts = smoke.campaign().cohorts;
+    // registered only: docking tenants probe on a fixed clock,
+    // interleaved with the nav arrivals
+    cohorts.push(Cohort {
+        first: DOCKING_BASE,
+        class: TenantClass::Docking,
+        ..Cohort::new(8, 1, 0.0)
     });
+    let campaign = pinned_campaign(seed, smoke.duration_s, cohorts, 16, physical);
+    let service = campaign.build(TenantMux::city_and_screening(seed));
+    let mut requests = campaign.arrivals();
+    requests.extend((0..48).map(|i| TuningRequest {
+        tenant: DOCKING_BASE + i % 8,
+        arrival_s: 0.4 + 1.1 * i as f64,
+    }));
+    driver::sort_arrivals(&mut requests);
     let mut digest = Digest::new();
-    for batch in requests.chunks(16) {
-        let report = service.serve_batch(batch);
+    campaign.drive(&service, &requests, |_, report| {
         digest.bytes(format!("{report:?}").as_bytes());
-    }
+    });
     digest.bytes(service.state_report().as_bytes());
     digest.0
 }

@@ -19,15 +19,12 @@
 //! * **Bounded cost.** Deriving a [`antarex_obs::TraceCtx`] is gated
 //!   ≤ 25 ns by `energy_obs_bench`, so the untraced hot path stays hot.
 
+use crate::docking_exp::{pinned_campaign, DOCKING_BASE};
+use crate::{head, Digest};
 use antarex_obs::nj_to_j;
-use antarex_serve::docking::{register_docking_tenants, TenantMux};
-use antarex_serve::driver::{self, DriverConfig};
-use antarex_serve::service::FrontDoorConfig;
+use antarex_serve::docking::TenantMux;
+use antarex_serve::driver::Cohort;
 use antarex_serve::store::TenantClass;
-use antarex_serve::{AdmissionConfig, AutoscaleConfig, SchedConfig, ServiceConfig, TuningService};
-
-/// First docking tenant id — nav tenants occupy `0..nav_tenants`.
-const DOCKING_BASE: u64 = 1000;
 
 /// Campaign sizing.
 #[derive(Debug, Clone)]
@@ -81,22 +78,6 @@ impl EnergyScale {
     }
 }
 
-/// FNV-1a over the campaign's observable surface.
-#[derive(Debug, Clone, Copy)]
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 /// Everything one campaign run exposes, plus the invariance digest.
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
@@ -136,72 +117,40 @@ pub struct CampaignRun {
 /// capacity is pinned by the front door (as in `d1`), so everything
 /// observable may depend only on the workload.
 pub fn run_campaign(scale: &EnergyScale, physical: usize) -> CampaignRun {
-    let mut config = ServiceConfig::default();
-    config.pool.workers = physical;
-    let front_door = FrontDoorConfig {
-        admission: AdmissionConfig::hardened(),
-        autoscale: AutoscaleConfig {
-            min_workers: 4,
-            max_workers: 4,
-            ..AutoscaleConfig::hardened()
-        },
+    // the explicit Nav class lets the per-class energy histograms
+    // separate the use cases; docking arrivals come from a second
+    // Poisson stream on the same clock
+    let nav = Cohort {
+        class: TenantClass::Nav,
+        ..Cohort::new(
+            scale.nav_tenants,
+            scale.archetypes,
+            scale.rate_per_tenant_hz,
+        )
     };
-    let service = TuningService::new(config, TenantMux::city_and_screening(scale.seed))
-        .with_scheduler(SchedConfig::work_stealing())
-        .with_front_door(front_door);
-
-    let nav_config = DriverConfig {
-        tenants: scale.nav_tenants,
-        archetypes: scale.archetypes,
-        duration_s: scale.duration_s,
-        rate_per_tenant_hz: scale.rate_per_tenant_hz,
-        batch_window_s: 1.0,
-        seed: scale.seed,
+    let docking = Cohort {
+        first: DOCKING_BASE,
+        count: scale.docking_tenants,
+        class: TenantClass::Docking,
+        stream: 1,
+        ..nav
     };
-    // like driver::register_nav_tenants, but under the explicit Nav
-    // class so the per-class energy histograms separate the use cases
-    for tenant in 0..scale.nav_tenants as u64 {
-        let features = driver::archetype_features(tenant as usize % scale.archetypes);
-        let _ = service.register_tenant_classed(
-            tenant,
-            TenantClass::Nav,
-            driver::nav_manager(0.5),
-            features,
-        );
-    }
-    register_docking_tenants(
-        &service,
-        DOCKING_BASE,
-        scale.docking_tenants,
+    let campaign = pinned_campaign(
         scale.seed,
-        0.5,
+        scale.duration_s,
+        vec![nav, docking],
+        scale.batch,
+        physical,
     );
-
-    // docking arrivals come from a second Poisson stream on the same
-    // clock, remapped onto the docking tenant range and merged
-    let docking_config = DriverConfig {
-        tenants: scale.docking_tenants,
-        seed: scale.seed.wrapping_add(1),
-        ..nav_config
-    };
-    let mut requests = driver::arrivals(&nav_config);
-    requests.extend(driver::arrivals(&docking_config).into_iter().map(|mut r| {
-        r.tenant += DOCKING_BASE;
-        r
-    }));
-    requests.sort_by(|a, b| {
-        a.arrival_s
-            .total_cmp(&b.arrival_s)
-            .then(a.tenant.cmp(&b.tenant))
-    });
+    let service = campaign.build(TenantMux::city_and_screening(scale.seed));
+    let requests = campaign.arrivals();
 
     let mut digest = Digest::new();
     let mut served = 0usize;
-    for batch in requests.chunks(scale.batch) {
-        let report = service.serve_batch(batch);
+    campaign.drive(&service, &requests, |_, report| {
         served += report.responses.iter().filter(|r| r.is_ok()).count();
         digest.bytes(format!("{report:?}").as_bytes());
-    }
+    });
 
     let obs = service.obs();
     let plane = obs.plane();
@@ -256,17 +205,6 @@ pub fn campaign_invariance(scale: &EnergyScale, counts: &[usize]) -> (Vec<Campai
         .collect();
     let identical = runs.windows(2).all(|pair| pair[0].digest == pair[1].digest);
     (runs, identical)
-}
-
-/// First `lines` lines of `text`, each indented two spaces.
-fn head(text: &str, lines: usize) -> String {
-    let mut out = String::new();
-    for line in text.lines().take(lines) {
-        out.push_str("  ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
 }
 
 /// The registered `e1` experiment: the tiny-scale campaign across the

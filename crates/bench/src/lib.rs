@@ -37,8 +37,11 @@
 //! | d1 | §VII-a | work-stealing scheduler at drug-discovery scale: 10⁶ heavy-tailed docking tasks |
 //! | e1 | —      | energy observability: causal traces + per-request joules, conservation exact |
 
+use antarex_serve::driver::CrashDrill;
+use antarex_serve::Evaluator;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 pub mod ablations;
 pub mod admission_exp;
@@ -54,6 +57,131 @@ pub mod serve_exp;
 pub mod tuner_exp;
 pub mod use_cases;
 pub mod vm_exp;
+
+/// The first `lines` lines of `text`, each indented two spaces.
+pub(crate) fn head(text: &str, lines: usize) -> String {
+    let mut out = String::new();
+    for line in text.lines().take(lines) {
+        out.push_str("  ");
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// 64-bit FNV-1a over a campaign's observable state: what every
+/// worker-invariance check compares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Digest(pub(crate) u64);
+
+impl Digest {
+    pub(crate) fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn u64(&mut self, value: u64) {
+        self.bytes(&value.to_le_bytes());
+    }
+
+    pub(crate) fn f64(&mut self, value: f64) {
+        self.u64(value.to_bits());
+    }
+}
+
+/// Runs `f`; returns its value and the wall-clock seconds it took.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let value = f();
+    (value, start.elapsed().as_secs_f64())
+}
+
+/// ns/op of `op` over `iters` iterations.
+pub fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        op();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// A budget override from the environment, in nanoseconds.
+pub fn env_budget_ns(name: &str, default: f64) -> f64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The host's hardware threads: the `"physical_cores"` of a gate file.
+pub fn physical_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// One acceptance gate of a `*_bench` binary: its name, the measured
+/// detail it was judged on, and the verdict.
+pub type Gate = (&'static str, String, bool);
+
+/// Prints the `"gates"` object and the `"gates_passed"` line of a gate
+/// file.
+pub fn print_gates(gates: &[Gate]) {
+    println!("  \"gates\": {{");
+    for (i, (name, detail, ok)) in gates.iter().enumerate() {
+        let comma = if i + 1 < gates.len() { "," } else { "" };
+        println!("    \"{name}\": {{ \"pass\": {ok}, \"detail\": \"{detail}\" }}{comma}");
+    }
+    println!("  }},");
+    println!("  \"gates_passed\": {},", gates.iter().all(|gate| gate.2));
+}
+
+/// Ends a `*_bench` binary: names the failed gates on stderr and exits
+/// nonzero, so CI can run the binary directly; returns when all passed.
+pub fn exit_on_failed_gates(bin: &str, gates: &[Gate]) {
+    let failed: Vec<&str> = gates.iter().filter(|g| !g.2).map(|g| g.0).collect();
+    if !failed.is_empty() {
+        eprintln!("{bin}: FAILED gates: {}", failed.join(", "));
+        std::process::exit(1);
+    }
+}
+
+/// The crash-drill paragraph of a report; `what` names the state whose
+/// recovery it vouches for.
+pub(crate) fn crash_drill_line<E: Evaluator>(recovery: &CrashDrill<E>, what: &str) -> String {
+    format!(
+        "\ncrash after {} of {} windows: snapshot {}, {} journal entries replayed, recovered {what} {} the uninterrupted run\n",
+        recovery.batches_before_crash,
+        recovery.batches_before_crash + recovery.reports.len(),
+        if recovery.had_snapshot { "present" } else { "absent" },
+        recovery.replayed_entries,
+        if recovery.bit_identical {
+            "IDENTICAL to"
+        } else {
+            "DIVERGED from"
+        }
+    )
+}
+
+/// Prints the `"crash_recovery"` object of a gate file.
+pub fn print_crash_recovery<E: Evaluator>(recovery: &CrashDrill<E>) {
+    println!("  \"crash_recovery\": {{");
+    println!(
+        "    \"windows_before_crash\": {},",
+        recovery.batches_before_crash
+    );
+    println!("    \"windows_after_crash\": {},", recovery.reports.len());
+    println!("    \"had_snapshot\": {},", recovery.had_snapshot);
+    println!("    \"replayed_entries\": {},", recovery.replayed_entries);
+    println!("    \"bit_identical\": {}", recovery.bit_identical);
+    println!("  }},");
+}
 
 /// One registered experiment.
 pub struct Experiment {

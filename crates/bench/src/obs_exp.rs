@@ -21,13 +21,13 @@
 //! Everything is virtual-time and seeded: the whole report reproduces
 //! byte for byte, and CI diffs two runs.
 
+use crate::head;
 use antarex_obs::MetricValue;
 use antarex_serve::chaos::ChaosConfig;
-use antarex_serve::driver::{self, DriverConfig};
+use antarex_serve::driver::{Batching, Campaign, Cohort, DriveStats};
 use antarex_serve::nav::NavEvaluator;
-use antarex_serve::pool::PoolConfig;
 use antarex_serve::service::ResilienceConfig;
-use antarex_serve::{Evaluator, ServiceConfig, TuningService};
+use antarex_serve::{Evaluator, TuningService};
 use antarex_sim::faults::FaultSchedule;
 use std::fmt::Write as _;
 
@@ -69,29 +69,18 @@ impl ObsScale {
         }
     }
 
-    fn driver(&self, seed: u64) -> DriverConfig {
-        DriverConfig {
-            tenants: self.tenants,
-            archetypes: self.archetypes,
-            duration_s: self.duration_s,
-            rate_per_tenant_hz: self.rate_per_tenant_hz,
-            batch_window_s: 10.0,
-            seed,
+    /// The driven campaign on a `workers`-wide pool.
+    fn campaign(&self, seed: u64, workers: usize) -> Campaign {
+        Campaign {
+            cohorts: vec![Cohort::new(
+                self.tenants,
+                self.archetypes,
+                self.rate_per_tenant_hz,
+            )],
+            ..Campaign::new(seed, self.duration_s, Batching::Window(10.0))
         }
+        .workers(workers)
     }
-}
-
-fn nav_service(seed: u64, workers: usize) -> TuningService<NavEvaluator> {
-    TuningService::new(
-        ServiceConfig {
-            pool: PoolConfig {
-                workers,
-                queue_capacity: 256,
-            },
-            ..ServiceConfig::default()
-        },
-        NavEvaluator::city(seed),
-    )
 }
 
 /// Reads one service-wide counter from the registry by name.
@@ -114,14 +103,8 @@ pub fn counter_value<E: Evaluator>(service: &TuningService<E>, name: &str) -> u6
 pub struct ObsRun {
     /// Pool workers the run used.
     pub workers: usize,
-    /// Requests generated.
-    pub requests: usize,
-    /// Requests served.
-    pub served: usize,
-    /// Probes evaluated.
-    pub evaluated: usize,
-    /// Cache hit fraction among served requests.
-    pub cache_hit_rate: f64,
+    /// The driven run's statistics.
+    pub stats: DriveStats,
     /// Invariant-scoped metric exposition.
     pub invariant_exposition: String,
     /// Folded span trace.
@@ -130,16 +113,10 @@ pub struct ObsRun {
 
 /// Drives the seeded workload at `workers` and captures the plane.
 pub fn observed_run(seed: u64, scale: &ObsScale, workers: usize) -> ObsRun {
-    let config = scale.driver(seed);
-    let service = nav_service(seed, workers);
-    driver::register_nav_tenants(&service, &config, 0.5);
-    let stats = driver::drive(&service, &config);
+    let (service, stats) = scale.campaign(seed, workers).run(NavEvaluator::city(seed));
     ObsRun {
         workers,
-        requests: stats.requests,
-        served: stats.served,
-        evaluated: stats.evaluated,
-        cache_hit_rate: stats.cache_hit_rate(),
+        stats,
         invariant_exposition: service.obs().invariant_exposition(),
         folded: service.obs().folded_trace(),
     }
@@ -176,42 +153,22 @@ pub struct AccountingRow {
 /// the batch reports the way the driver did before the migration, and
 /// compares every figure against the registry.
 pub fn dual_accounting(seed: u64, scale: &ObsScale) -> Vec<AccountingRow> {
-    let config = scale.driver(seed);
     let schedule = FaultSchedule::generate(
         &crate::chaos_exp::serving_faults(seed),
         4,
         scale.duration_s + 60.0,
     );
-    let service = TuningService::with_resilience(
-        ServiceConfig {
-            pool: PoolConfig {
-                workers: 4,
-                queue_capacity: 256,
-            },
-            ..ServiceConfig::default()
-        },
-        ResilienceConfig::hardened(),
-        NavEvaluator::city(seed),
-    )
-    .with_chaos(ChaosConfig::new(schedule));
-    driver::register_nav_tenants(&service, &config, 0.5);
+    let campaign = Campaign {
+        resilience: ResilienceConfig::hardened(),
+        chaos: Some(ChaosConfig::new(schedule)),
+        ..scale.campaign(seed, 4)
+    };
+    let service = campaign.build(NavEvaluator::city(seed));
 
-    let events = driver::arrivals(&config);
+    let events = campaign.arrivals();
     let (mut served, mut cache_hits, mut evaluated) = (0u64, 0u64, 0u64);
     let (mut shed, mut retries, mut hedges, mut quarantined) = (0u64, 0u64, 0u64, 0u64);
-    let mut start = 0;
-    let mut window_end = config.batch_window_s;
-    while start < events.len() {
-        let end = events[start..]
-            .iter()
-            .position(|e| e.arrival_s >= window_end)
-            .map(|offset| start + offset)
-            .unwrap_or(events.len());
-        if end == start {
-            window_end += config.batch_window_s;
-            continue;
-        }
-        let report = service.serve_batch(&events[start..end]);
+    campaign.drive(&service, &events, |_, report| {
         evaluated += report.evaluated as u64;
         shed += report.shed as u64;
         retries += report.retries;
@@ -221,8 +178,7 @@ pub fn dual_accounting(seed: u64, scale: &ObsScale) -> Vec<AccountingRow> {
             served += 1;
             cache_hits += u64::from(answer.cache_hit);
         }
-        start = end;
-    }
+    });
     let per_breaker_trips: u64 = service
         .breakers()
         .snapshot()
@@ -246,17 +202,6 @@ pub fn dual_accounting(seed: u64, scale: &ObsScale) -> Vec<AccountingRow> {
         row("serve_cache_quarantined_total", quarantined),
         row("serve_breaker_trips_total", per_breaker_trips),
     ]
-}
-
-/// The first `lines` lines of `text`, each indented two spaces.
-fn head(text: &str, lines: usize) -> String {
-    let mut out = String::new();
-    for line in text.lines().take(lines) {
-        out.push_str("  ");
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
 }
 
 /// Renders the full O1 report for one seed and scale.
@@ -296,10 +241,10 @@ pub fn o1_report(seed: u64, scale: &ObsScale) -> String {
             out,
             "{:>8} {:>9} {:>7} {:>6} {:>6.1}% {:>12} {:>12}",
             run.workers,
-            run.requests,
-            run.served,
-            run.evaluated,
-            100.0 * run.cache_hit_rate,
+            run.stats.requests,
+            run.stats.served,
+            run.stats.evaluated,
+            100.0 * run.stats.cache_hit_rate(),
             expo,
             fold,
         );
@@ -345,10 +290,9 @@ pub fn o1_report(seed: u64, scale: &ObsScale) -> String {
     }
 
     // 3. per-tenant SLO burn rows of the reference run
-    let config = scale.driver(seed);
-    let service = nav_service(seed, scale.worker_counts[0]);
-    driver::register_nav_tenants(&service, &config, 0.5);
-    let _ = driver::drive(&service, &config);
+    let (service, _) = scale
+        .campaign(seed, scale.worker_counts[0])
+        .run(NavEvaluator::city(seed));
     let burn = antarex_obs::burn_exposition(&service.obs().plane().slo.burn_rates());
     let _ = writeln!(
         out,

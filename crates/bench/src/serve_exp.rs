@@ -20,10 +20,9 @@
 //! Everything is seeded: the same seed reproduces the identical report,
 //! byte for byte (the determinism test relies on it).
 
-use antarex_serve::driver::{self, DriverConfig};
+use antarex_serve::driver::{Batching, Campaign, Cohort, DriveStats};
 use antarex_serve::nav::NavEvaluator;
-use antarex_serve::pool::PoolConfig;
-use antarex_serve::{ServiceConfig, TuningRequest, TuningService};
+use antarex_serve::TuningRequest;
 use std::fmt::Write as _;
 
 /// Size of one S1 run.
@@ -66,66 +65,22 @@ impl ServeScale {
     }
 }
 
-/// One row of the scaling grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
-    /// Tenant sessions.
-    pub tenants: usize,
-    /// Pool workers.
-    pub workers: usize,
-    /// Requests generated by the driver.
-    pub requests: usize,
-    /// Requests answered with a configuration.
-    pub served: usize,
-    /// Requests shed by admission control.
-    pub shed: usize,
-    /// Probes the pool actually ran.
-    pub evaluated: usize,
-    /// Cache hit fraction among served requests.
-    pub cache_hit_rate: f64,
-    /// Served requests per second of virtual pool busy time.
-    pub throughput_rps: f64,
-    /// 95th-percentile virtual service latency, seconds.
-    pub p95_latency_s: f64,
-}
-
-fn nav_service(seed: u64, workers: usize) -> TuningService<NavEvaluator> {
-    TuningService::new(
-        ServiceConfig {
-            pool: PoolConfig {
-                workers,
-                queue_capacity: 256,
-            },
-            ..ServiceConfig::default()
-        },
-        NavEvaluator::city(seed),
-    )
-}
-
-/// Runs one driven workload and condenses it to a grid row.
-pub fn scaling_row(seed: u64, scale: &ServeScale, tenants: usize, workers: usize) -> ScalingRow {
-    let config = DriverConfig {
-        tenants,
-        archetypes: (tenants / 4).max(2),
-        duration_s: scale.duration_s,
-        rate_per_tenant_hz: scale.rate_per_tenant_hz,
-        batch_window_s: 10.0,
-        seed,
-    };
-    let service = nav_service(seed, workers);
-    driver::register_nav_tenants(&service, &config, 0.5);
-    let stats = driver::drive(&service, &config);
-    ScalingRow {
-        tenants,
-        workers,
-        requests: stats.requests,
-        served: stats.served,
-        shed: stats.shed,
-        evaluated: stats.evaluated,
-        cache_hit_rate: stats.cache_hit_rate(),
-        throughput_rps: stats.throughput_rps(),
-        p95_latency_s: stats.p95_latency_s,
+/// The grid's driven campaign at one (tenants, workers) cell.
+fn campaign(seed: u64, scale: &ServeScale, tenants: usize, workers: usize) -> Campaign {
+    let archetypes = (tenants / 4).max(2);
+    Campaign {
+        cohorts: vec![Cohort::new(tenants, archetypes, scale.rate_per_tenant_hz)],
+        ..Campaign::new(seed, scale.duration_s, Batching::Window(10.0))
     }
+    .workers(workers)
+}
+
+/// Runs one driven workload: the stats of a grid row. Only pool timing
+/// depends on `workers`.
+pub fn scaling_row(seed: u64, scale: &ServeScale, tenants: usize, workers: usize) -> DriveStats {
+    campaign(seed, scale, tenants, workers)
+        .run(NavEvaluator::city(seed))
+        .1
 }
 
 /// Result of the batched-evaluation benchmark.
@@ -176,16 +131,14 @@ impl BatchBench {
 /// `workers`; both runs see identical jobs.
 pub fn batched_evaluation(seed: u64, tenants: usize, workers: usize) -> BatchBench {
     let run = |pool_workers: usize| {
-        let service = nav_service(seed, pool_workers);
-        let config = DriverConfig {
-            tenants,
-            archetypes: tenants, // all-distinct features: cache cannot help
-            duration_s: 1.0,
-            rate_per_tenant_hz: 1.0,
-            batch_window_s: 1.0,
-            seed,
-        };
-        driver::register_nav_tenants(&service, &config, 0.5);
+        // all-distinct features: the cache cannot help; the batch below
+        // stands in for arrivals
+        let service = Campaign {
+            cohorts: vec![Cohort::new(tenants, tenants, 0.0)],
+            ..Campaign::new(seed, 1.0, Batching::Count(tenants))
+        }
+        .workers(pool_workers)
+        .build(NavEvaluator::city(seed));
         let requests: Vec<TuningRequest> = (0..tenants as u64)
             .map(|tenant| TuningRequest {
                 tenant,
@@ -224,14 +177,14 @@ pub fn s1_report(seed: u64, scale: &ServeScale) -> String {
             let _ = writeln!(
                 out,
                 "{:>8} {:>8} {:>9} {:>7} {:>6} {:>6} {:>6.1}% {:>11.1} {:>9.1}",
-                row.tenants,
-                row.workers,
+                tenants,
+                workers,
                 row.requests,
                 row.served,
                 row.shed,
                 row.evaluated,
-                100.0 * row.cache_hit_rate,
-                row.throughput_rps,
+                100.0 * row.cache_hit_rate(),
+                row.throughput_rps(),
                 1e3 * row.p95_latency_s,
             );
         }
@@ -256,17 +209,7 @@ pub fn s1_report(seed: u64, scale: &ServeScale) -> String {
 
     // facility power split over the sessions of the largest driven run
     let tenants = scale.tenant_counts.iter().copied().max().unwrap_or(8);
-    let config = DriverConfig {
-        tenants,
-        archetypes: (tenants / 4).max(2),
-        duration_s: scale.duration_s,
-        rate_per_tenant_hz: scale.rate_per_tenant_hz,
-        batch_window_s: 10.0,
-        seed,
-    };
-    let service = nav_service(seed, 4);
-    driver::register_nav_tenants(&service, &config, 0.5);
-    let _ = driver::drive(&service, &config);
+    let (service, _) = campaign(seed, scale, tenants, 4).run(NavEvaluator::city(seed));
     let demand_w = service.aggregate_power_demand_w();
     let budget_w = 0.6 * demand_w;
     let _ = writeln!(
@@ -328,7 +271,7 @@ mod tests {
         assert_eq!(one.requests, four.requests);
         assert_eq!(one.served, four.served);
         assert_eq!(one.evaluated, four.evaluated);
-        assert_eq!(one.cache_hit_rate, four.cache_hit_rate);
-        assert!(four.throughput_rps >= one.throughput_rps);
+        assert_eq!(one.cache_hit_rate(), four.cache_hit_rate());
+        assert!(four.throughput_rps() >= one.throughput_rps());
     }
 }

@@ -7,16 +7,15 @@
 //! budget. Energy is measured by the engine's precision-weighted
 //! [`flop_energy`](antarex_ir::cost::ExecStats::flop_energy).
 //!
-//! Candidates run on the bytecode VM by default (bit-identical to the
-//! reference interpreter, much faster across the many sweep evaluations);
-//! [`PrecisionTuner::with_reference_engine`] switches back to the
-//! interpreter, and [`PrecisionTuner::with_cache`] shares instrumented
-//! bytecode across candidates, sweeps and tuner instances.
+//! Candidates run on the bytecode VM (bit-identical to the reference
+//! interpreter, much faster across the many sweep evaluations);
+//! [`PrecisionTuner::with_cache`] shares instrumented bytecode across
+//! candidates, sweeps and tuner instances.
 
 use crate::error::max_rel_error;
 use crate::vars::{float_vars, set_precision};
 use antarex_ir::cost::CostModel;
-use antarex_ir::interp::{ExecEnv, Interp};
+use antarex_ir::interp::ExecEnv;
 use antarex_ir::value::Value;
 use antarex_ir::{Executor, IrError, Program};
 use antarex_vm::{InstrumentedCodeCache, Vm};
@@ -66,6 +65,7 @@ pub struct PrecisionTuner {
     program: Program,
     function: String,
     inputs: Vec<Vec<Value>>,
+    #[cfg(test)]
     use_reference_engine: bool,
     cache: Option<Arc<InstrumentedCodeCache>>,
 }
@@ -78,14 +78,16 @@ impl PrecisionTuner {
             program,
             function: function.into(),
             inputs,
+            #[cfg(test)]
             use_reference_engine: false,
             cache: None,
         }
     }
 
     /// Evaluates candidates on the reference tree-walking interpreter
-    /// instead of the bytecode VM (slower; results are identical).
-    pub fn with_reference_engine(mut self) -> Self {
+    /// instead of the bytecode VM: the oracle of the equivalence test.
+    #[cfg(test)]
+    fn with_reference_engine(mut self) -> Self {
         self.use_reference_engine = true;
         self
     }
@@ -99,12 +101,13 @@ impl PrecisionTuner {
 
     /// Builds the candidate-evaluation engine for one program.
     fn engine(&self, program: &Program) -> Box<dyn Executor> {
+        #[cfg(test)]
         if self.use_reference_engine {
-            Box::new(Interp::new(program.clone()))
-        } else if let Some(cache) = &self.cache {
-            Box::new(Vm::with_cache(program.clone(), CostModel::new(), cache))
-        } else {
-            Box::new(Vm::new(program.clone()))
+            return Box::new(antarex_ir::interp::Interp::new(program.clone()));
+        }
+        match &self.cache {
+            Some(cache) => Box::new(Vm::with_cache(program.clone(), CostModel::new(), cache)),
+            None => Box::new(Vm::new(program.clone())),
         }
     }
 

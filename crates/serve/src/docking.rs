@@ -211,8 +211,9 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
     use crate::autoscale::AutoscaleConfig;
+    use crate::driver::{Batching, Campaign, Cohort, DriverConfig};
     use crate::pool::{SchedConfig, SchedPolicy};
-    use crate::service::{FrontDoorConfig, ServiceConfig, TuningRequest};
+    use crate::service::{FrontDoorConfig, TuningRequest};
 
     fn config(poses: i64) -> Configuration {
         let mut c = Configuration::new();
@@ -286,15 +287,22 @@ mod tests {
         assert!(nav.metrics.contains_key("quality"));
     }
 
+    /// `count` docking tenants from id `first`, registered only.
+    fn docking_cohort(first: TenantId, count: usize) -> Cohort {
+        Cohort {
+            first,
+            class: TenantClass::Docking,
+            ..Cohort::new(count, 1, 0.0)
+        }
+    }
+
     #[test]
     fn mixed_campaign_serves_both_classes_end_to_end() {
-        let service =
-            TuningService::new(ServiceConfig::default(), TenantMux::city_and_screening(17))
-                .with_scheduler(
-                    SchedConfig::default().with_class(TenantClass::Docking, SchedPolicy::WorkSteal),
-                );
-        crate::driver::register_nav_tenants(&service, &crate::driver::DriverConfig::smoke(17), 0.5);
-        register_docking_tenants(&service, 1000, 8, 17, 0.5);
+        let mut campaign = DriverConfig::smoke(17).campaign();
+        campaign.cohorts.push(docking_cohort(1000, 8));
+        campaign.sched =
+            SchedConfig::default().with_class(TenantClass::Docking, SchedPolicy::WorkSteal);
+        let service = campaign.build(TenantMux::city_and_screening(17));
         let mut requests: Vec<TuningRequest> = (0..4)
             .map(|tenant| TuningRequest {
                 tenant,
@@ -321,22 +329,23 @@ mod tests {
     #[test]
     fn docking_outcomes_are_physical_worker_invariant() {
         let run = |physical: usize| {
-            let mut cfg = ServiceConfig::default();
-            cfg.pool.workers = physical;
             // the front door's pinned autoscaler (4..=4) fixes *virtual*
             // capacity, so `physical` varies thread parallelism alone
-            let front_door = FrontDoorConfig {
-                admission: AdmissionConfig::hardened(),
-                autoscale: AutoscaleConfig {
-                    min_workers: 4,
-                    max_workers: 4,
-                    ..AutoscaleConfig::hardened()
-                },
-            };
-            let service = TuningService::new(cfg, DockingEvaluator::screening(23))
-                .with_scheduler(SchedConfig::work_stealing())
-                .with_front_door(front_door);
-            register_docking_tenants(&service, 0, 32, 23, 0.5);
+            let service = Campaign {
+                cohorts: vec![docking_cohort(0, 32)],
+                sched: SchedConfig::work_stealing(),
+                front_door: Some(FrontDoorConfig {
+                    admission: AdmissionConfig::hardened(),
+                    autoscale: AutoscaleConfig {
+                        min_workers: 4,
+                        max_workers: 4,
+                        ..AutoscaleConfig::hardened()
+                    },
+                }),
+                ..Campaign::new(23, 1.0, Batching::Count(32))
+            }
+            .workers(physical)
+            .build(DockingEvaluator::screening(23));
             let requests: Vec<TuningRequest> = (0..32)
                 .map(|tenant| TuningRequest {
                     tenant,

@@ -1,22 +1,48 @@
-//! The deterministic virtual-time request driver.
+//! A campaign is a value.
 //!
-//! Synthesizes the "thousands of concurrent application instances"
-//! workload: every tenant emits Poisson arrivals on its own seeded RNG
-//! stream, the merged arrival sequence is chunked into batch windows,
-//! and each window is served through the [`TuningService`]. All timing
-//! is virtual (arrival clocks, pool makespans), so a run is a pure
-//! function of its seed: byte-identical however many worker threads the
-//! pool really uses.
+//! Every experiment and every recovery test starts from the same
+//! thing: tenants, their arrivals, the optional subsystems of the
+//! service, and how to batch, crash and recover it. [`Campaign`] is
+//! that thing as one plain, `Debug`-printable description, and this
+//! module is the only place that turns one into a [`TuningService`]:
+//! [`Campaign::build`] assembles the service and registers every
+//! [`Cohort`]; [`Campaign::arrivals`] merges the tenants' seeded
+//! Poisson or [bursty](BurstProfile) streams; [`Batching::batches`]
+//! cuts them into `serve_batch` calls that [`Campaign::drive`] serves;
+//! [`Campaign::recover`] re-creates a crashed service *from the same
+//! value*, so nothing can drift between build and recovery, and
+//! [`Campaign::crash_drill`] is the recover ≡ uninterrupted check.
+//!
+//! All timing is virtual (arrival clocks, pool makespans), so a run is
+//! a pure function of the value: byte-identical however many worker
+//! threads the pool really uses. [`DriverConfig`] is shorthand for the
+//! commonest campaign, and the free functions over it are calls into
+//! the campaign it [describes](DriverConfig::campaign).
 
-use crate::service::{Evaluator, TuningRequest, TuningService};
-use crate::store::TenantId;
+use crate::chaos::ChaosConfig;
+use crate::docking::{docking_manager, register_docking_tenants};
+use crate::journal::{JournalEntry, Snapshot};
+use crate::pool::SchedConfig;
+use crate::service::{
+    BatchReport, Evaluator, FrontDoorConfig, ResilienceConfig, ServiceConfig, TuningRequest,
+    TuningService,
+};
+use crate::store::{mix64, TenantClass, TenantId};
+use antarex_obs::EnergyModel;
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Workload shape of one driver run.
+/// The latency SLA every campaign tenant registers with, seconds.
+const SLA_S: f64 = 0.5;
+
+/// Salt keeping a bursty stream decorrelated from the plain one at the
+/// same seed.
+const BURST_SALT: u64 = 0x00B0_4575_EAD0;
+
+/// Shorthand for a one-cohort navigation campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
     /// Concurrent tenant sessions.
@@ -48,12 +74,21 @@ impl DriverConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.tenants > 0, "need at least one tenant");
-        assert!(self.archetypes > 0, "need at least one archetype");
-        assert!(self.duration_s > 0.0, "duration must be positive");
-        assert!(self.rate_per_tenant_hz > 0.0, "rate must be positive");
-        assert!(self.batch_window_s > 0.0, "window must be positive");
+    /// The campaign this shorthand describes: one [`Cohort::new`] of
+    /// tenants, windowed batching, every optional subsystem off.
+    pub fn campaign(&self) -> Campaign {
+        Campaign {
+            cohorts: vec![Cohort::new(
+                self.tenants,
+                self.archetypes,
+                self.rate_per_tenant_hz,
+            )],
+            ..Campaign::new(
+                self.seed,
+                self.duration_s,
+                Batching::Window(self.batch_window_s),
+            )
+        }
     }
 }
 
@@ -166,52 +201,6 @@ pub fn nav_manager(sla_s: f64) -> AppManager {
     manager
 }
 
-/// Registers `config.tenants` navigation tenants on the service, each
-/// with its archetype's workload features.
-pub fn register_nav_tenants<E: Evaluator>(
-    service: &TuningService<E>,
-    config: &DriverConfig,
-    sla_s: f64,
-) {
-    for tenant in 0..config.tenants as TenantId {
-        let features = archetype_features(tenant as usize % config.archetypes);
-        // tenants re-registered across runs are a caller bug; the driver
-        // itself only ever registers once
-        let _ = service.register_tenant(tenant, nav_manager(sla_s), features);
-    }
-}
-
-/// Generates the merged arrival sequence: per-tenant Poisson streams,
-/// sorted by (time, tenant) — a total order independent of map or
-/// thread iteration.
-pub fn arrivals(config: &DriverConfig) -> Vec<TuningRequest> {
-    config.validate();
-    let mut events: Vec<TuningRequest> = Vec::new();
-    for tenant in 0..config.tenants as TenantId {
-        let mut rng = StdRng::seed_from_u64(crate::store::mix64(
-            config.seed ^ tenant.wrapping_mul(0x517c_c1b7_2722_0a95),
-        ));
-        let mut t = 0.0;
-        loop {
-            let u: f64 = rng.gen_range(0.0..1.0);
-            t += -(1.0 - u).ln() / config.rate_per_tenant_hz;
-            if t >= config.duration_s {
-                break;
-            }
-            events.push(TuningRequest {
-                tenant,
-                arrival_s: t,
-            });
-        }
-    }
-    events.sort_by(|a, b| {
-        a.arrival_s
-            .total_cmp(&b.arrival_s)
-            .then(a.tenant.cmp(&b.tenant))
-    });
-    events
-}
-
 /// Burst shape of a Markov-modulated Poisson arrival stream: each
 /// tenant flips between a calm phase (the configured base rate) and an
 /// on phase running `on_rate_multiplier` times hotter, with
@@ -249,54 +238,505 @@ impl BurstProfile {
     }
 }
 
-/// Generates a bursty (Markov-modulated Poisson) arrival sequence:
-/// every tenant alternates calm and on phases per its own seeded RNG
-/// stream, emitting Poisson arrivals at the phase's rate. Sorted by
-/// (time, tenant) like [`arrivals`]; a distinct stream salt keeps the
-/// bursty workload decorrelated from the plain one at the same seed.
-pub fn bursty_arrivals(config: &DriverConfig, profile: &BurstProfile) -> Vec<TuningRequest> {
-    config.validate();
-    profile.validate();
-    let mut events: Vec<TuningRequest> = Vec::new();
-    for tenant in 0..config.tenants as TenantId {
-        let mut rng = StdRng::seed_from_u64(crate::store::mix64(
-            config.seed ^ tenant.wrapping_mul(0x517c_c1b7_2722_0a95) ^ 0x00B0_4575_EAD0_u64,
-        ));
-        let mut t = 0.0;
-        let mut on = false;
-        while t < config.duration_s {
-            let (rate, mean_dwell_s) = if on {
-                (
-                    config.rate_per_tenant_hz * profile.on_rate_multiplier,
-                    profile.mean_on_s,
-                )
-            } else {
-                (config.rate_per_tenant_hz, profile.mean_off_s)
-            };
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let phase_end_s = (t - (1.0 - u).ln() * mean_dwell_s).min(config.duration_s);
-            let mut s = t;
-            loop {
-                let u: f64 = rng.gen_range(0.0..1.0);
-                s += -(1.0 - u).ln() / rate;
-                if s >= phase_end_s {
-                    break;
-                }
-                events.push(TuningRequest {
-                    tenant,
-                    arrival_s: s,
-                });
-            }
-            t = phase_end_s;
-            on = !on;
+/// A run of tenants with consecutive ids that register and arrive
+/// alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cohort {
+    /// Id of the cohort's first tenant.
+    pub first: TenantId,
+    /// Tenants in the cohort.
+    pub count: usize,
+    /// Workload class the tenants register under.
+    /// [`TenantClass::Docking`] tenants get the screening manager and
+    /// ligand-size features drawn from the campaign seed; the other
+    /// classes get the navigation manager and archetype features.
+    pub class: TenantClass,
+    /// Navigation archetypes shared within the cohort: tenant `t`
+    /// carries archetype `t % archetypes`.
+    pub archetypes: usize,
+    /// Every `fresh_every`-th tenant instead carries an archetype of
+    /// its own (`archetypes + t`), so its first request always probes:
+    /// `0` shares every tenant's features, `1` shares none.
+    pub fresh_every: usize,
+    /// Mean request rate per tenant, Hz; `0.0` registers the tenants
+    /// without generating arrivals for them.
+    pub rate_hz: f64,
+    /// Bursty instead of plain Poisson arrivals.
+    pub burst: Option<BurstProfile>,
+    /// Added to the campaign seed for this cohort's arrival streams;
+    /// cohorts under one arrival law need distinct values.
+    pub stream: u64,
+}
+
+impl Cohort {
+    /// `count` [`TenantClass::Generic`] tenants from id 0 sharing
+    /// `archetypes` navigation archetypes, each a plain Poisson stream
+    /// at `rate_hz`.
+    pub fn new(count: usize, archetypes: usize, rate_hz: f64) -> Self {
+        Cohort {
+            first: 0,
+            count,
+            class: TenantClass::Generic,
+            archetypes,
+            fresh_every: 0,
+            rate_hz,
+            burst: None,
+            stream: 0,
         }
     }
-    events.sort_by(|a, b| {
+
+    fn register<E: Evaluator>(&self, service: &TuningService<E>, seed: u64, sla_s: f64) {
+        if self.class == TenantClass::Docking {
+            return register_docking_tenants(service, self.first, self.count, seed, sla_s);
+        }
+        assert!(self.archetypes > 0, "need at least one archetype");
+        for tenant in (self.first..).take(self.count) {
+            let t = tenant as usize;
+            let fresh = self.fresh_every > 0 && t % self.fresh_every == self.fresh_every - 1;
+            let archetype = if fresh {
+                self.archetypes + t
+            } else {
+                t % self.archetypes
+            };
+            // a tenant id registered twice is a caller bug; the first
+            // registration stands
+            let _ = service.register_tenant_classed(
+                tenant,
+                self.class,
+                nav_manager(sla_s),
+                archetype_features(archetype),
+            );
+        }
+    }
+
+    /// Appends every tenant's arrivals over `[0, duration_s)`, tenant
+    /// by tenant, each from its own seeded stream.
+    fn arrivals_into(&self, seed: u64, duration_s: f64, events: &mut Vec<TuningRequest>) {
+        assert!(self.rate_hz >= 0.0, "rate must not be negative");
+        if self.rate_hz == 0.0 {
+            return;
+        }
+        let salt = self.burst.map_or(0, |profile| {
+            profile.validate();
+            BURST_SALT
+        });
+        for (index, tenant) in (self.first..).take(self.count).enumerate() {
+            let mut rng = StdRng::seed_from_u64(mix64(
+                seed.wrapping_add(self.stream)
+                    ^ (index as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+                    ^ salt,
+            ));
+            let Some(profile) = self.burst else {
+                poisson(&mut rng, tenant, self.rate_hz, 0.0, duration_s, events);
+                continue;
+            };
+            let mut t = 0.0;
+            let mut on = false;
+            while t < duration_s {
+                let (rate_hz, mean_dwell_s) = if on {
+                    (self.rate_hz * profile.on_rate_multiplier, profile.mean_on_s)
+                } else {
+                    (self.rate_hz, profile.mean_off_s)
+                };
+                let u: f64 = rng.gen_range(0.0..1.0);
+                let phase_end_s = (t - (1.0 - u).ln() * mean_dwell_s).min(duration_s);
+                poisson(&mut rng, tenant, rate_hz, t, phase_end_s, events);
+                t = phase_end_s;
+                on = !on;
+            }
+        }
+    }
+}
+
+/// Appends one tenant's Poisson arrivals at `rate_hz` over
+/// `(from_s, until_s)`.
+fn poisson(
+    rng: &mut StdRng,
+    tenant: TenantId,
+    rate_hz: f64,
+    from_s: f64,
+    until_s: f64,
+    events: &mut Vec<TuningRequest>,
+) {
+    let mut t = from_s;
+    loop {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        t += -(1.0 - u).ln() / rate_hz;
+        if t >= until_s {
+            break;
+        }
+        events.push(TuningRequest {
+            tenant,
+            arrival_s: t,
+        });
+    }
+}
+
+/// Sorts requests by (time, tenant) — the one total order of an arrival
+/// sequence, independent of map or thread iteration. Callers that
+/// append requests of their own to [`Campaign::arrivals`] re-merge with
+/// this.
+pub fn sort_arrivals(requests: &mut [TuningRequest]) {
+    requests.sort_by(|a, b| {
         a.arrival_s
             .total_cmp(&b.arrival_s)
             .then(a.tenant.cmp(&b.tenant))
     });
-    events
+}
+
+/// How an arrival sequence is cut into `serve_batch` calls.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Batching {
+    /// Requests arriving within one window of this many seconds form a
+    /// batch; windows tile the clock from zero.
+    Window(f64),
+    /// Every run of this many consecutive requests forms a batch.
+    Count(usize),
+}
+
+impl Batching {
+    /// Cuts `requests` (in arrival order) into consecutive batches,
+    /// none of them empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the window or the count is not positive.
+    pub fn batches<'a>(
+        self,
+        requests: &'a [TuningRequest],
+    ) -> impl Iterator<Item = &'a [TuningRequest]> + 'a {
+        match self {
+            Batching::Window(window_s) => assert!(window_s > 0.0, "window must be positive"),
+            Batching::Count(count) => assert!(count > 0, "batch size must be positive"),
+        }
+        let mut rest = requests;
+        let mut window_end = 0.0;
+        std::iter::from_fn(move || {
+            let first = rest.first()?;
+            let len = match self {
+                Batching::Count(count) => count.min(rest.len()),
+                Batching::Window(window_s) => {
+                    while first.arrival_s >= window_end {
+                        window_end += window_s;
+                    }
+                    rest.iter()
+                        .position(|e| e.arrival_s >= window_end)
+                        .unwrap_or(rest.len())
+                }
+            };
+            let (batch, tail) = rest.split_at(len);
+            rest = tail;
+            Some(batch)
+        })
+    }
+}
+
+/// One campaign: who the tenants are, when they ask, what the service
+/// they ask is made of, and how their requests are batched.
+#[derive(Debug, Clone)]
+pub struct Campaign {
+    /// Master seed: arrival streams and docking ligand sizes derive
+    /// from it.
+    pub seed: u64,
+    /// Virtual duration of the arrival streams, seconds.
+    pub duration_s: f64,
+    /// The tenants, in registration order.
+    pub cohorts: Vec<Cohort>,
+    /// How arrivals are cut into batches.
+    pub batching: Batching,
+    /// Service sizing.
+    pub service: ServiceConfig,
+    /// Retry / hedge / breaker / journal profile.
+    pub resilience: ResilienceConfig,
+    /// Fault environment with its poisoned tenants, if any.
+    pub chaos: Option<ChaosConfig>,
+    /// SLO front door, if any.
+    pub front_door: Option<FrontDoorConfig>,
+    /// Virtual scheduler policies of the evaluation pool.
+    pub sched: SchedConfig,
+    /// Model attributing static and cooling energy to requests.
+    pub energy: EnergyModel,
+}
+
+impl Campaign {
+    /// A campaign without tenants on a default-sized service with every
+    /// optional subsystem off; callers fill in the rest with struct
+    /// update syntax.
+    pub fn new(seed: u64, duration_s: f64, batching: Batching) -> Self {
+        Campaign {
+            seed,
+            duration_s,
+            cohorts: Vec::new(),
+            batching,
+            service: ServiceConfig::default(),
+            resilience: ResilienceConfig::disabled(),
+            chaos: None,
+            front_door: None,
+            sched: SchedConfig::default(),
+            energy: EnergyModel::default(),
+        }
+    }
+
+    /// The same campaign on a pool of `workers` physical workers — the
+    /// one sizing every experiment sweeps.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.service.pool.workers = workers;
+        self
+    }
+
+    /// The service this value describes around `evaluator` — fresh, or
+    /// recovered from what a crash left on stable storage. Scheduler
+    /// policy and energy model are not journaled, so both paths apply
+    /// them here.
+    fn assemble<E: Evaluator>(
+        &self,
+        evaluator: E,
+        crashed: Option<(Option<Snapshot>, &[JournalEntry])>,
+    ) -> TuningService<E> {
+        let service = match crashed {
+            Some((snapshot, entries)) => TuningService::recover(
+                self.service,
+                self.resilience,
+                self.chaos.clone(),
+                self.front_door,
+                evaluator,
+                snapshot,
+                entries,
+                &|tenant| self.manager(tenant),
+            ),
+            None => {
+                let mut service =
+                    TuningService::with_resilience(self.service, self.resilience, evaluator);
+                if let Some(chaos) = &self.chaos {
+                    service = service.with_chaos(chaos.clone());
+                }
+                if let Some(front_door) = self.front_door {
+                    service = service.with_front_door(front_door);
+                }
+                service
+            }
+        };
+        service
+            .with_scheduler(self.sched)
+            .with_energy_model(self.energy)
+    }
+
+    /// The registration-time manager of `tenant`.
+    fn manager(&self, tenant: TenantId) -> AppManager {
+        let docking = self.cohorts.iter().any(|cohort| {
+            cohort.class == TenantClass::Docking
+                && (cohort.first..cohort.first + cohort.count as TenantId).contains(&tenant)
+        });
+        if docking {
+            docking_manager(SLA_S)
+        } else {
+            nav_manager(SLA_S)
+        }
+    }
+
+    /// Builds the service with every cohort registered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inconsistent sizing or controller configs, like the
+    /// [`TuningService`] constructors.
+    pub fn build<E: Evaluator>(&self, evaluator: E) -> TuningService<E> {
+        let service = self.assemble(evaluator, None);
+        for cohort in &self.cohorts {
+            cohort.register(&service, self.seed, SLA_S);
+        }
+        service
+    }
+
+    /// Rebuilds the service after a crash from its last snapshot and
+    /// the journal suffix — what [`TuningService::crash`] returns — to
+    /// the crashed instance's state, bit for bit.
+    pub fn recover<E: Evaluator>(
+        &self,
+        evaluator: E,
+        snapshot: Option<Snapshot>,
+        entries: &[JournalEntry],
+    ) -> TuningService<E> {
+        self.assemble(evaluator, Some((snapshot, entries)))
+    }
+
+    /// The merged arrival sequence of every cohort, in
+    /// [`sort_arrivals`] order.
+    pub fn arrivals(&self) -> Vec<TuningRequest> {
+        assert!(self.duration_s > 0.0, "duration must be positive");
+        let mut events = Vec::new();
+        for cohort in &self.cohorts {
+            cohort.arrivals_into(self.seed, self.duration_s, &mut events);
+        }
+        sort_arrivals(&mut events);
+        events
+    }
+
+    /// Serves `requests` batch by batch, handing each batch and its
+    /// report to `each`.
+    ///
+    /// Counts come from the service's metrics registry — the loop keeps
+    /// no parallel tallies, so the run's stats and the exposition can
+    /// never drift apart. Counter deltas are taken across the run,
+    /// making the stats correct even on a service that already served
+    /// traffic.
+    pub fn drive<E: Evaluator>(
+        &self,
+        service: &TuningService<E>,
+        requests: &[TuningRequest],
+        mut each: impl FnMut(&[TuningRequest], BatchReport),
+    ) -> DriveStats {
+        let base = counter_snapshot(service);
+        let mut busy_s = 0.0;
+        let mut latencies: Vec<f64> = Vec::new();
+        for batch in self.batching.batches(requests) {
+            let report = service.serve_batch(batch);
+            busy_s += report.makespan_s;
+            latencies.extend(report.responses.iter().flatten().map(|a| a.latency_s));
+            each(batch, report);
+        }
+        let now = counter_snapshot(service);
+        let delta = |i: usize| now[i] - base[i];
+        let mut stats = DriveStats {
+            requests: delta(0) as usize,
+            served: delta(1) as usize,
+            shed: delta(2) as usize,
+            rejected: delta(3) as usize,
+            failed: delta(4) as usize,
+            cache_hits: delta(5) as usize,
+            evaluated: delta(6) as usize,
+            retries: delta(7),
+            hedges: delta(8),
+            quarantined: delta(9),
+            busy_s,
+            mean_latency_s: 0.0,
+            p95_latency_s: 0.0,
+        };
+        if !latencies.is_empty() {
+            stats.mean_latency_s = latencies.iter().sum::<f64>() / latencies.len() as f64;
+            latencies.sort_by(f64::total_cmp);
+            let p95 =
+                ((latencies.len() as f64 * 0.95).ceil() as usize).clamp(1, latencies.len()) - 1;
+            stats.p95_latency_s = latencies[p95];
+        }
+        stats
+    }
+
+    /// Builds the service and drives the campaign's own arrivals
+    /// through it.
+    pub fn run<E: Evaluator>(&self, evaluator: E) -> (TuningService<E>, DriveStats) {
+        let service = self.build(evaluator);
+        let stats = self.drive(&service, &self.arrivals(), |_, _| ());
+        (service, stats)
+    }
+
+    /// The crash drill: serves `requests` once uninterrupted and once
+    /// through a victim killed after `crash_at` batches, recovered from
+    /// snapshot + journal suffix, and driven to the end.
+    pub fn crash_drill<E: Evaluator + Clone>(
+        &self,
+        evaluator: &E,
+        requests: &[TuningRequest],
+        crash_at: usize,
+    ) -> CrashDrill<E> {
+        let served: usize = self
+            .batching
+            .batches(requests)
+            .take(crash_at)
+            .map(<[TuningRequest]>::len)
+            .sum();
+        let (before, after) = requests.split_at(served);
+        let energy = |service: &TuningService<E>| service.obs().plane().energy.totals_nj();
+
+        let reference = self.build(evaluator.clone());
+        self.drive(&reference, before, |_, _| ());
+        let at_crash = energy(&reference);
+        let mut expected = Vec::new();
+        self.drive(&reference, after, |_, report| expected.push(report));
+        let end = energy(&reference);
+
+        let victim = self.build(evaluator.clone());
+        self.drive(&victim, before, |_, _| ());
+        let (snapshot, entries) = victim.crash();
+        let had_snapshot = snapshot.is_some();
+        let recovered = self.recover(evaluator.clone(), snapshot, &entries);
+        let mut reports = Vec::new();
+        self.drive(&recovered, after, |_, report| reports.push(report));
+
+        let expected_energy_nj = (end.0 - at_crash.0, end.1 - at_crash.1, end.2 - at_crash.2);
+        CrashDrill {
+            bit_identical: recovered.state_report() == reference.state_report()
+                && reports == expected
+                && energy(&recovered) == expected_energy_nj,
+            reference,
+            recovered,
+            expected,
+            reports,
+            expected_energy_nj,
+            batches_before_crash: crash_at,
+            had_snapshot,
+            replayed_entries: entries.len(),
+        }
+    }
+}
+
+/// What a [`Campaign::crash_drill`] leaves to compare.
+#[derive(Debug)]
+pub struct CrashDrill<E> {
+    /// The uninterrupted service after its last batch.
+    pub reference: TuningService<E>,
+    /// The recovered service after its last batch.
+    pub recovered: TuningService<E>,
+    /// The uninterrupted run's reports of the batches after the crash
+    /// point.
+    pub expected: Vec<BatchReport>,
+    /// The recovered service's reports of the same batches.
+    pub reports: Vec<BatchReport>,
+    /// `(facility, attributed, idle)` nanojoules the uninterrupted run
+    /// metered over the batches after the crash point; the recovered
+    /// service's ledger starts empty, so its totals are the same span.
+    pub expected_energy_nj: (u128, u128, u128),
+    /// Batches served before the crash.
+    pub batches_before_crash: usize,
+    /// Whether a Daly snapshot existed at the crash.
+    pub had_snapshot: bool,
+    /// Journal-suffix entries replayed on recovery.
+    pub replayed_entries: usize,
+    /// Whether recovery was exact: final state report, every report
+    /// after the crash point, and the energy metered since all equal
+    /// the uninterrupted run's.
+    pub bit_identical: bool,
+}
+
+/// Registers `config.tenants` navigation tenants on the service, each
+/// with its archetype's workload features.
+pub fn register_nav_tenants<E: Evaluator>(
+    service: &TuningService<E>,
+    config: &DriverConfig,
+    sla_s: f64,
+) {
+    Cohort::new(config.tenants, config.archetypes, config.rate_per_tenant_hz).register(
+        service,
+        config.seed,
+        sla_s,
+    );
+}
+
+/// Generates the merged arrival sequence: per-tenant Poisson streams in
+/// [`sort_arrivals`] order.
+pub fn arrivals(config: &DriverConfig) -> Vec<TuningRequest> {
+    config.campaign().arrivals()
+}
+
+/// Generates a bursty (Markov-modulated Poisson) arrival sequence:
+/// every tenant alternates calm and on phases per its own seeded RNG
+/// stream, emitting Poisson arrivals at the phase's rate. Sorted like
+/// [`arrivals`]; a distinct stream salt keeps the bursty workload
+/// decorrelated from the plain one at the same seed.
+pub fn bursty_arrivals(config: &DriverConfig, profile: &BurstProfile) -> Vec<TuningRequest> {
+    let mut campaign = config.campaign();
+    campaign.cohorts[0].burst = Some(*profile);
+    campaign.arrivals()
 }
 
 /// Snapshot of the serving counters a drive derives its stats from.
@@ -318,130 +758,71 @@ fn counter_snapshot<E: Evaluator>(service: &TuningService<E>) -> [u64; 10] {
 
 /// Drives the service with the configured workload: arrivals are
 /// chunked into batch windows and served window by window.
-///
-/// Counts come from the service's metrics registry — the drive loop
-/// keeps no parallel tallies, so the run's stats and the exposition can
-/// never drift apart. Counter deltas are taken across the run, making
-/// the stats correct even on a service that already served traffic.
 pub fn drive<E: Evaluator>(service: &TuningService<E>, config: &DriverConfig) -> DriveStats {
-    let events = arrivals(config);
-    let base = counter_snapshot(service);
-    let mut busy_s = 0.0;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut start = 0;
-    let mut window_end = config.batch_window_s;
-    while start < events.len() {
-        let end = events[start..]
-            .iter()
-            .position(|e| e.arrival_s >= window_end)
-            .map(|offset| start + offset)
-            .unwrap_or(events.len());
-        if end == start {
-            window_end += config.batch_window_s;
-            continue;
-        }
-        let report = service.serve_batch(&events[start..end]);
-        busy_s += report.makespan_s;
-        for answer in report.responses.iter().flatten() {
-            latencies.push(answer.latency_s);
-        }
-        start = end;
-    }
-    let now = counter_snapshot(service);
-    let delta = |i: usize| now[i] - base[i];
-    let mut stats = DriveStats {
-        requests: delta(0) as usize,
-        served: delta(1) as usize,
-        shed: delta(2) as usize,
-        rejected: delta(3) as usize,
-        failed: delta(4) as usize,
-        cache_hits: delta(5) as usize,
-        evaluated: delta(6) as usize,
-        retries: delta(7),
-        hedges: delta(8),
-        quarantined: delta(9),
-        busy_s,
-        mean_latency_s: 0.0,
-        p95_latency_s: 0.0,
-    };
-    if !latencies.is_empty() {
-        stats.mean_latency_s = latencies.iter().sum::<f64>() / latencies.len() as f64;
-        latencies.sort_by(f64::total_cmp);
-        let p95 = ((latencies.len() as f64 * 0.95).ceil() as usize).clamp(1, latencies.len()) - 1;
-        stats.p95_latency_s = latencies[p95];
-    }
-    stats
+    let campaign = config.campaign();
+    campaign.drive(service, &campaign.arrivals(), |_, _| ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nav::NavEvaluator;
-    use crate::pool::PoolConfig;
-    use crate::service::ServiceConfig;
 
-    fn service(workers: usize) -> TuningService<NavEvaluator> {
-        TuningService::new(
-            ServiceConfig {
-                pool: PoolConfig {
-                    workers,
-                    queue_capacity: 64,
-                },
-                ..ServiceConfig::default()
-            },
-            NavEvaluator::city(900),
-        )
-    }
-
-    #[test]
-    fn arrivals_are_sorted_and_deterministic() {
-        let config = DriverConfig::smoke(5);
-        let a = arrivals(&config);
-        let b = arrivals(&config);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        for pair in a.windows(2) {
-            assert!(pair[0].arrival_s <= pair[1].arrival_s);
-        }
-        let c = arrivals(&DriverConfig::smoke(6));
-        assert_ne!(a, c, "different seeds must differ");
+    /// Runs the shorthand's campaign on a `workers`-wide pool.
+    fn run(config: &DriverConfig, workers: usize) -> DriveStats {
+        let campaign = config.campaign().workers(workers);
+        campaign.run(NavEvaluator::city(900)).1
     }
 
     #[test]
     fn driven_run_is_deterministic_despite_parallelism() {
         let config = DriverConfig::smoke(7);
-        let run = |workers: usize| {
-            let service = service(workers);
-            register_nav_tenants(&service, &config, 0.5);
-            drive(&service, &config)
-        };
-        let a = run(4);
-        let b = run(4);
+        let a = run(&config, 4);
+        let b = run(&config, 4);
         assert_eq!(a, b, "same seed, same stats — regardless of threads");
         // stats other than pool busy time are worker-count independent
-        let serial = run(1);
+        let serial = run(&config, 1);
         assert_eq!(a.served, serial.served);
         assert_eq!(a.cache_hits, serial.cache_hits);
         assert_eq!(a.evaluated, serial.evaluated);
     }
 
     #[test]
-    fn bursty_arrivals_are_sorted_and_deterministic() {
-        let config = DriverConfig::smoke(5);
+    fn the_shorthand_functions_are_the_campaign() {
+        let config = DriverConfig::smoke(11);
+        let bare = Campaign::new(config.seed, config.duration_s, Batching::Count(1))
+            .build(NavEvaluator::city(900));
+        register_nav_tenants(&bare, &config, SLA_S);
+        assert_eq!(drive(&bare, &config), run(&config, 4));
+    }
+
+    #[test]
+    fn arrival_streams_are_sorted_and_deterministic() {
         let profile = BurstProfile::aggressive();
-        let a = bursty_arrivals(&config, &profile);
-        let b = bursty_arrivals(&config, &profile);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        for pair in a.windows(2) {
-            assert!(pair[0].arrival_s <= pair[1].arrival_s);
+        let plain: fn(&DriverConfig) -> Vec<TuningRequest> = arrivals;
+        let bursty = |config: &DriverConfig| bursty_arrivals(config, &profile);
+        for stream in [
+            &plain as &dyn Fn(&DriverConfig) -> Vec<TuningRequest>,
+            &bursty,
+        ] {
+            let a = stream(&DriverConfig::smoke(5));
+            assert_eq!(a, stream(&DriverConfig::smoke(5)));
+            assert!(!a.is_empty());
+            for pair in a.windows(2) {
+                assert!(pair[0].arrival_s <= pair[1].arrival_s);
+            }
+            assert_ne!(
+                a,
+                stream(&DriverConfig::smoke(6)),
+                "different seeds must differ"
+            );
         }
+        let config = DriverConfig::smoke(5);
         assert_ne!(
-            a,
-            bursty_arrivals(&DriverConfig::smoke(6), &profile),
-            "different seeds must differ"
+            bursty(&config),
+            arrivals(&config),
+            "burst stream has its own salt"
         );
-        assert_ne!(a, arrivals(&config), "burst stream has its own salt");
     }
 
     #[test]
@@ -494,10 +875,7 @@ mod tests {
 
     #[test]
     fn repeated_tenants_hit_the_cache() {
-        let config = DriverConfig::smoke(11);
-        let service = service(2);
-        register_nav_tenants(&service, &config, 0.5);
-        let stats = drive(&service, &config);
+        let stats = run(&DriverConfig::smoke(11), 2);
         assert!(stats.served > 0);
         assert!(
             stats.cache_hit_rate() > 0.0,
@@ -508,10 +886,7 @@ mod tests {
 
     #[test]
     fn fault_free_run_reports_clean_chaos_counters() {
-        let config = DriverConfig::smoke(17);
-        let service = service(2);
-        register_nav_tenants(&service, &config, 0.5);
-        let stats = drive(&service, &config);
+        let stats = run(&DriverConfig::smoke(17), 2);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.hedges, 0);
@@ -533,13 +908,8 @@ mod tests {
             batch_window_s: 10.0,
             seed: 13,
         };
-        let run = |workers: usize| {
-            let service = service(workers);
-            register_nav_tenants(&service, &config, 0.5);
-            drive(&service, &config)
-        };
-        let one = run(1);
-        let four = run(4);
+        let one = run(&config, 1);
+        let four = run(&config, 4);
         assert!(
             four.throughput_rps() >= 2.0 * one.throughput_rps(),
             "4 workers {} req/s vs 1 worker {} req/s",

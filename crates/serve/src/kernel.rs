@@ -255,7 +255,8 @@ pub fn kernel_manager(error_budget: f64) -> AppManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{ServiceConfig, TuningRequest, TuningService};
+    use crate::driver::{Batching, Campaign};
+    use crate::service::TuningRequest;
 
     fn config(bits: i64) -> Configuration {
         let mut c = Configuration::new();
@@ -306,7 +307,7 @@ mod tests {
 
     #[test]
     fn service_serves_kernel_tenants_end_to_end() {
-        let service = TuningService::new(ServiceConfig::default(), KernelEvaluator::fma());
+        let service = Campaign::new(0, 1.0, Batching::Count(4)).build(KernelEvaluator::fma());
         for tenant in 0..4 {
             service
                 .register_tenant(tenant, kernel_manager(1e-3), vec![32.0])

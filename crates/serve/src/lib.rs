@@ -35,8 +35,10 @@
 //!   [`ObsPlane`](antarex_obs::ObsPlane), with traces recorded on
 //!   virtual work content so they are byte-identical at any worker
 //!   count;
-//! * [`driver`] — the deterministic **virtual-time request driver**:
-//!   seeded per-tenant Poisson arrivals merged into batch windows;
+//! * [`driver`] — **a campaign as a value**: tenants, seeded
+//!   per-tenant arrivals, the optional subsystems and the batching in
+//!   one description that builds, drives, crashes and recovers the
+//!   service on virtual time;
 //! * [`nav`] — the navigation use case wired through the service as a
 //!   real evaluator;
 //! * [`docking`] — the drug-discovery use case as a second **tenant
@@ -53,14 +55,11 @@
 //! # Examples
 //!
 //! ```
-//! use antarex_serve::driver::{self, DriverConfig};
+//! use antarex_serve::driver::DriverConfig;
 //! use antarex_serve::nav::NavEvaluator;
-//! use antarex_serve::{ServiceConfig, TuningService};
 //!
-//! let service = TuningService::new(ServiceConfig::default(), NavEvaluator::city(1));
-//! let config = DriverConfig::smoke(1);
-//! driver::register_nav_tenants(&service, &config, 0.5);
-//! let stats = driver::drive(&service, &config);
+//! let campaign = DriverConfig::smoke(1).campaign();
+//! let (_service, stats) = campaign.run(NavEvaluator::city(1));
 //! assert!(stats.served > 0);
 //! assert_eq!(
 //!     stats.served + stats.shed + stats.rejected + stats.failed,

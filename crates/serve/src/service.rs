@@ -1191,73 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_recovery_restores_front_door_state_bit_identically() {
-        fn factory(_tenant: TenantId) -> AppManager {
-            manager()
-        }
-        let config = ServiceConfig::default();
-        let resilience = ResilienceConfig::hardened();
-        let front_door = FrontDoorConfig::hardened();
-        let build = || {
-            let service = TuningService::with_resilience(config, resilience, Probe)
-                .with_chaos(ChaosConfig::new(quiet_schedule(4)).poison(2))
-                .with_front_door(front_door);
-            for tenant in 0..4u64 {
-                service
-                    .register_tenant(tenant, factory(tenant), vec![1.0 + (tenant % 2) as f64])
-                    .unwrap();
-            }
-            service
-        };
-        // tenant 2 is poisoned: its windows burn, driving admission
-        // tier transitions; 26 distinct-feature probes per window would
-        // push the autoscaler as well via the shared cache misses
-        let batch_at = |t0: f64| -> Vec<TuningRequest> {
-            (0..4u64)
-                .map(|tenant| TuningRequest {
-                    tenant,
-                    arrival_s: t0 + 0.5 * tenant as f64,
-                })
-                .collect()
-        };
-        let windows = [0.0, 6.0, 20.0, 30.0, 36.0];
-
-        let reference = build();
-        for &t0 in &windows {
-            reference.serve_batch(&batch_at(t0));
-        }
-        let reference_report = reference.state_report();
-        assert!(
-            reference_report.contains("admission 2:"),
-            "poisoned tenant must have admission state:\n{reference_report}"
-        );
-        assert!(reference_report.contains("autoscaler: capacity="));
-
-        let victim = build();
-        for &t0 in &windows[..4] {
-            victim.serve_batch(&batch_at(t0));
-        }
-        let (snapshot, entries) = victim.crash();
-        assert!(snapshot.is_some(), "Daly cadence must have snapshotted");
-        let recovered = TuningService::recover(
-            config,
-            resilience,
-            Some(ChaosConfig::new(quiet_schedule(4)).poison(2)),
-            Some(front_door),
-            Probe,
-            snapshot,
-            &entries,
-            &factory,
-        );
-        recovered.serve_batch(&batch_at(windows[4]));
-        assert_eq!(
-            recovered.state_report(),
-            reference_report,
-            "front-door state must recover exactly"
-        );
-    }
-
-    #[test]
     fn recovery_from_journal_alone_rebuilds_registrations() {
         fn factory(_tenant: TenantId) -> AppManager {
             manager()

@@ -20,73 +20,61 @@
 use antarex_obs::hist::relative_error_bound;
 use antarex_obs::STANDARD_QUANTILES;
 use antarex_serve::chaos::ChaosConfig;
-use antarex_serve::docking::{register_docking_tenants, TenantMux};
-use antarex_serve::driver::{self, DriverConfig};
+use antarex_serve::docking::TenantMux;
+use antarex_serve::driver::{Batching, Campaign, Cohort};
 use antarex_serve::store::TenantClass;
-use antarex_serve::{ResilienceConfig, SchedConfig, ServiceConfig, TuningRequest, TuningService};
+use antarex_serve::{BatchReport, ResilienceConfig, SchedConfig, TuningService};
 use antarex_sim::faults::{FaultConfig, FaultSchedule};
 use std::collections::BTreeSet;
 
 /// First docking tenant id — nav tenants occupy the low range.
 const DOCKING_BASE: u64 = 1000;
 
-fn mixed_requests(seed: u64, tenants: usize, docking: usize) -> Vec<TuningRequest> {
-    let nav_config = DriverConfig {
-        tenants,
-        archetypes: 3,
-        duration_s: 30.0,
-        rate_per_tenant_hz: 0.8,
-        batch_window_s: 1.0,
-        seed,
-    };
-    let docking_config = DriverConfig {
-        tenants: docking,
-        seed: seed.wrapping_add(1),
-        ..nav_config
-    };
-    let mut requests = driver::arrivals(&nav_config);
-    requests.extend(driver::arrivals(&docking_config).into_iter().map(|mut r| {
-        r.tenant += DOCKING_BASE;
-        r
-    }));
-    requests.sort_by(|a, b| {
-        a.arrival_s
-            .total_cmp(&b.arrival_s)
-            .then(a.tenant.cmp(&b.tenant))
-    });
-    requests
-}
-
-fn mixed_service(
+/// Six nav tenants (under the explicit Nav class, so the per-class
+/// histograms split the use cases) and two docking tenants, served 16
+/// requests a batch on `physical` pool workers; hardened when chaos is
+/// on.
+fn mixed_campaign(
     seed: u64,
     physical: usize,
     sched: SchedConfig,
     chaos: Option<ChaosConfig>,
-) -> TuningService<TenantMux> {
-    let mut config = ServiceConfig::default();
-    config.pool.workers = physical;
-    let resilience = if chaos.is_some() {
-        ResilienceConfig::hardened()
-    } else {
-        ResilienceConfig::disabled()
+) -> Campaign {
+    let nav = Cohort {
+        class: TenantClass::Nav,
+        ..Cohort::new(6, 3, 0.8)
     };
-    let mut service =
-        TuningService::with_resilience(config, resilience, TenantMux::city_and_screening(seed))
-            .with_scheduler(sched);
-    if let Some(chaos) = chaos {
-        service = service.with_chaos(chaos);
+    let docking = Cohort {
+        first: DOCKING_BASE,
+        count: 2,
+        class: TenantClass::Docking,
+        stream: 1,
+        ..nav
+    };
+    Campaign {
+        cohorts: vec![nav, docking],
+        resilience: if chaos.is_some() {
+            ResilienceConfig::hardened()
+        } else {
+            ResilienceConfig::disabled()
+        },
+        chaos,
+        sched,
+        ..Campaign::new(seed, 30.0, Batching::Count(16))
     }
-    // explicit Nav class so the per-class histograms split the use cases
-    for tenant in 0..6u64 {
-        let features = driver::archetype_features(tenant as usize % 3);
-        let _ = service.register_tenant_classed(
-            tenant,
-            TenantClass::Nav,
-            driver::nav_manager(0.5),
-            features,
-        );
-    }
-    register_docking_tenants(&service, DOCKING_BASE, 2, seed, 0.5);
+    .workers(physical)
+}
+
+/// Builds the campaign's service and serves its arrivals, checking
+/// `each_batch` at every batch boundary.
+fn serve(
+    campaign: &Campaign,
+    mut each_batch: impl FnMut(&TuningService<TenantMux>, BatchReport),
+) -> TuningService<TenantMux> {
+    let service = campaign.build(TenantMux::city_and_screening(campaign.seed));
+    campaign.drive(&service, &campaign.arrivals(), |_, report| {
+        each_batch(&service, report)
+    });
     service
 }
 
@@ -110,17 +98,15 @@ fn conservation_is_exact_under_random_chaos_schedules() {
         // a poisoned tenant guarantees integrity failures on top of
         // whatever the random schedule lands
         let chaos = random_chaos(seed, 4).poison(2);
-        let service = mixed_service(seed, 2, SchedConfig::work_stealing(), Some(chaos));
-        let requests = mixed_requests(seed, 6, 2);
-        for batch in requests.chunks(16) {
-            service.serve_batch(batch);
+        let campaign = mixed_campaign(seed, 2, SchedConfig::work_stealing(), Some(chaos));
+        let service = serve(&campaign, |service, _| {
             // the invariant holds at every window boundary, not just
             // at the end of the campaign
             assert!(
                 service.obs().plane().energy.conservation_holds(),
                 "seed {seed}: conservation broke mid-campaign"
             );
-        }
+        });
         let (facility, attributed, idle) = service.obs().plane().energy.totals_nj();
         assert_eq!(attributed + idle, facility, "seed {seed}");
         assert!(facility > 0, "seed {seed}: campaign spent no energy");
@@ -134,10 +120,8 @@ fn failed_probes_are_idle_energy_never_lost() {
     let chaos = ChaosConfig::new(FaultSchedule::generate(&FaultConfig::none(1), 4, 1000.0))
         .poison(DOCKING_BASE)
         .poison(DOCKING_BASE + 1);
-    let service = mixed_service(3, 2, SchedConfig::work_stealing(), Some(chaos));
-    for batch in mixed_requests(3, 6, 2).chunks(16) {
-        service.serve_batch(batch);
-    }
+    let campaign = mixed_campaign(3, 2, SchedConfig::work_stealing(), Some(chaos));
+    let service = serve(&campaign, |_, _| ());
     let (facility, attributed, idle) = service.obs().plane().energy.totals_nj();
     assert_eq!(attributed + idle, facility);
     assert!(idle > 0, "poisoned probes must leave unattributed energy");
@@ -149,11 +133,7 @@ fn failed_probes_are_idle_energy_never_lost() {
 }
 
 fn trace_id_set(physical: usize, sched: SchedConfig) -> BTreeSet<String> {
-    let service = mixed_service(7, physical, sched, None);
-    for batch in mixed_requests(7, 6, 2).chunks(16) {
-        service.serve_batch(batch);
-    }
-    service
+    serve(&mixed_campaign(7, physical, sched, None), |_, _| ())
         .obs()
         .plane()
         .trace
@@ -183,13 +163,11 @@ fn trace_ids_are_invariant_in_physical_workers_and_steal_policy() {
 
 #[test]
 fn class_energy_quantiles_respect_the_gamma_bound() {
-    let service = mixed_service(11, 2, SchedConfig::work_stealing(), None);
-    let requests = mixed_requests(11, 6, 2);
     // exact per-class samples: every Ok response's attributed energy,
     // which is precisely what the service records into the histograms
     let mut samples: [Vec<f64>; TenantClass::COUNT] = Default::default();
-    for batch in requests.chunks(16) {
-        let report = service.serve_batch(batch);
+    let campaign = mixed_campaign(11, 2, SchedConfig::work_stealing(), None);
+    let service = serve(&campaign, |_, report| {
         for response in report.responses.iter().flatten() {
             let class = if response.tenant >= DOCKING_BASE {
                 TenantClass::Docking
@@ -198,7 +176,7 @@ fn class_energy_quantiles_respect_the_gamma_bound() {
             };
             samples[class.index()].push(response.energy_j);
         }
-    }
+    });
     let bound = relative_error_bound();
     for class in [TenantClass::Nav, TenantClass::Docking] {
         let mut exact = samples[class.index()].clone();

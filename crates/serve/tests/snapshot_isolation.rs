@@ -243,6 +243,11 @@ fn recovery_is_exact_at_every_kind_of_batch_boundary() {
         let reference = campaign.service();
         campaign.serve(&reference, 0, BATCHES);
         let expected = reference.state_report();
+        assert!(
+            expected.contains(&format!("admission {POISONED}:"))
+                && expected.contains("autoscaler: capacity="),
+            "seed {seed}: front-door state to recover:\n{expected}"
+        );
 
         // the first batch whose crash leaves a snapshot and an empty
         // suffix is the first Daly snapshot batch

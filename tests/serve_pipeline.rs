@@ -29,12 +29,13 @@
 
 use antarex::obs::EnergyModel;
 use antarex::serve::chaos::{ChaosConfig, HedgePolicy};
-use antarex::serve::docking::{self, TenantMux};
-use antarex::serve::driver::{self, BurstProfile, DriverConfig};
-use antarex::serve::pool::{Evaluation, PoolConfig, SchedConfig};
+use antarex::serve::docking::TenantMux;
+use antarex::serve::driver::{self, Batching, BurstProfile, Campaign, Cohort, DriverConfig};
+use antarex::serve::pool::{Evaluation, SchedConfig};
+use antarex::serve::store::TenantClass;
 use antarex::serve::{
     AdmissionConfig, AutoscaleConfig, BatchReport, Evaluator, FrontDoorConfig, JournalEntry,
-    ProbeSegment, ResilienceConfig, ServeError, ServiceConfig, TuningRequest, TuningService,
+    ProbeSegment, ResilienceConfig, ServeError, TuningRequest, TuningService,
 };
 use antarex::sim::faults::{FaultConfig, FaultSchedule};
 use antarex::tuner::goal::Objective;
@@ -109,26 +110,24 @@ fn faults() -> FaultConfig {
     config
 }
 
-fn build() -> TuningService<Segmented> {
+/// Everything the campaign value can say: the nav and docking cohorts
+/// and every optional subsystem.
+fn campaign() -> Campaign {
     let chaos =
         ChaosConfig::new(FaultSchedule::generate(&faults(), 8, DURATION_S + 60.0)).poison(POISONED);
-    // a planner fast enough that the 0.5 s SLO is meetable whenever
-    // capacity matches demand
-    let mut mux = TenantMux::city_and_screening(SEED);
-    mux.nav.expansions_per_s *= 8.0;
-    let service = TuningService::with_resilience(
-        ServiceConfig {
-            // a queue just shorter than the first window's probe
-            // demand, so the pool sheds a few
-            pool: PoolConfig {
-                workers: 2,
-                queue_capacity: QUEUE_CAPACITY,
+    let mut campaign = Campaign {
+        cohorts: vec![
+            Cohort::new(NAV_TENANTS, NAV_ARCHETYPES, 0.8),
+            Cohort {
+                first: DOCKING_BASE,
+                class: TenantClass::Docking,
+                stream: (SEED ^ 0xD0C4).wrapping_sub(SEED),
+                ..Cohort::new(DOCKING_TENANTS, 1, 0.5)
             },
-            ..ServiceConfig::default()
-        },
+        ],
         // hedge and deadline budgets tight enough to fire inside a
         // 2.5 s window
-        ResilienceConfig {
+        resilience: ResilienceConfig {
             hedge: HedgePolicy {
                 deadline_s: 0.6,
                 hedge_after_s: 0.2,
@@ -136,34 +135,37 @@ fn build() -> TuningService<Segmented> {
             },
             ..ResilienceConfig::hardened()
         },
-        Segmented(mux),
-    )
-    .with_chaos(chaos)
-    .with_front_door(FrontDoorConfig {
-        admission: AdmissionConfig::hardened(),
-        autoscale: AutoscaleConfig {
-            min_workers: 2,
-            max_workers: 8,
-            ..AutoscaleConfig::hardened()
+        chaos: Some(chaos),
+        front_door: Some(FrontDoorConfig {
+            admission: AdmissionConfig::hardened(),
+            autoscale: AutoscaleConfig {
+                min_workers: 2,
+                max_workers: 8,
+                ..AutoscaleConfig::hardened()
+            },
+        }),
+        sched: SchedConfig::work_stealing(),
+        energy: EnergyModel {
+            node_static_w: 3.5,
+            cooling_overhead: 0.22,
+            cache_lookup_w: 0.7,
         },
-    })
-    .with_scheduler(SchedConfig::work_stealing())
-    .with_energy_model(EnergyModel {
-        node_static_w: 3.5,
-        cooling_overhead: 0.22,
-        cache_lookup_w: 0.7,
-    });
+        ..Campaign::new(SEED, DURATION_S, Batching::Window(WINDOW_S))
+    };
+    // a queue just shorter than the first window's probe demand, so
+    // the pool sheds a few
+    campaign.service.pool.queue_capacity = QUEUE_CAPACITY;
+    campaign.workers(2)
+}
 
-    for tenant in 0..NAV_TENANTS {
-        service
-            .register_tenant(
-                tenant as u64,
-                driver::nav_manager(0.5),
-                driver::archetype_features(tenant % NAV_ARCHETYPES),
-            )
-            .expect("nav tenant ids are distinct");
-    }
-    docking::register_docking_tenants(&service, DOCKING_BASE, DOCKING_TENANTS, SEED, 0.5);
+/// The campaign's service plus the tenants only this test needs: the
+/// abuser and the contract offenders.
+fn build(campaign: &Campaign) -> TuningService<Segmented> {
+    // a planner fast enough that the 0.5 s SLO is meetable whenever
+    // capacity matches demand
+    let mut mux = TenantMux::city_and_screening(SEED);
+    mux.nav.expansions_per_s *= 8.0;
+    let service = campaign.build(Segmented(mux));
     service
         .register_tenant(
             POISONED,
@@ -188,70 +190,35 @@ fn build() -> TuningService<Segmented> {
     service
 }
 
-/// The merged arrival sequence, chunked into batch windows.
-fn windows() -> Vec<Vec<TuningRequest>> {
-    let nav = DriverConfig {
-        tenants: NAV_TENANTS,
-        archetypes: NAV_ARCHETYPES,
+/// The campaign's arrivals merged with the offenders': the abuser
+/// bursts; the three contract offenders (consecutive ids from
+/// `INFEASIBLE`) trickle.
+fn requests(campaign: &Campaign) -> Vec<TuningRequest> {
+    let offenders = |tenants: usize, rate_per_tenant_hz: f64, salt: u64| DriverConfig {
+        tenants,
+        archetypes: 1,
         duration_s: DURATION_S,
-        rate_per_tenant_hz: 0.8,
+        rate_per_tenant_hz,
         batch_window_s: WINDOW_S,
-        seed: SEED,
+        seed: SEED ^ salt,
     };
-    let shifted = |config: &DriverConfig, base: u64, bursty: bool| {
-        let requests = if bursty {
-            driver::bursty_arrivals(config, &BurstProfile::aggressive())
-        } else {
-            driver::arrivals(config)
-        };
+    let shifted = |requests: Vec<TuningRequest>, base: u64| {
         requests.into_iter().map(move |mut request| {
             request.tenant += base;
             request
         })
     };
-    let mut requests = driver::arrivals(&nav);
+    let mut requests = campaign.arrivals();
     requests.extend(shifted(
-        &DriverConfig {
-            tenants: DOCKING_TENANTS,
-            rate_per_tenant_hz: 0.5,
-            seed: SEED ^ 0xD0C4,
-            ..nav
-        },
-        DOCKING_BASE,
-        false,
-    ));
-    // the abuser bursts; the three contract offenders (consecutive
-    // ids from `INFEASIBLE`) trickle
-    requests.extend(shifted(
-        &DriverConfig {
-            tenants: 1,
-            rate_per_tenant_hz: 1.5,
-            seed: SEED ^ 0xBAD,
-            ..nav
-        },
+        driver::bursty_arrivals(&offenders(1, 1.5, 0xBAD), &BurstProfile::aggressive()),
         POISONED,
-        true,
     ));
     requests.extend(shifted(
-        &DriverConfig {
-            tenants: 3,
-            rate_per_tenant_hz: 0.15,
-            seed: SEED ^ 0x0DD,
-            ..nav
-        },
+        driver::arrivals(&offenders(3, 0.15, 0x0DD)),
         INFEASIBLE,
-        false,
     ));
-    requests.sort_by(|a, b| {
-        a.arrival_s
-            .total_cmp(&b.arrival_s)
-            .then(a.tenant.cmp(&b.tenant))
-    });
-    let window_of = |r: &TuningRequest| (r.arrival_s / WINDOW_S) as usize;
+    driver::sort_arrivals(&mut requests);
     requests
-        .chunk_by(|a, b| window_of(a) == window_of(b))
-        .map(<[TuningRequest]>::to_vec)
-        .collect()
 }
 
 /// 64-bit FNV-1a: the same digest under any toolchain.
@@ -303,8 +270,10 @@ fn named_entry(entry: &JournalEntry) -> String {
 
 #[test]
 fn composed_campaign_conserves_requests_and_matches_the_parent_commit() {
-    let service = build();
-    let windows = windows();
+    let campaign = campaign();
+    let service = build(&campaign);
+    let requests = requests(&campaign);
+    let windows: Vec<&[TuningRequest]> = campaign.batching.batches(&requests).collect();
     assert!(windows.len() >= 16, "the campaign spans many windows");
 
     let mut fold = Fnv::new();

@@ -20,9 +20,9 @@
 //! The counters are process-wide, so this binary holds exactly one test.
 
 use antarex::monitor::series::TimeSeries;
-use antarex::serve::driver::{self, DriverConfig};
+use antarex::serve::driver::DriverConfig;
 use antarex::serve::nav::NavEvaluator;
-use antarex::serve::{BatchReport, ServiceConfig, TuningRequest, TuningService};
+use antarex::serve::{BatchReport, TuningRequest, TuningService};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -148,13 +148,13 @@ fn measure(
 
 #[test]
 fn a_cache_hit_request_stays_within_its_allocation_budget() {
-    let config = DriverConfig {
+    let service = DriverConfig {
         tenants: TENANTS as usize,
         archetypes: 4,
         ..DriverConfig::smoke(SEED)
-    };
-    let service = TuningService::new(ServiceConfig::default(), NavEvaluator::city(SEED));
-    driver::register_nav_tenants(&service, &config, 0.5);
+    }
+    .campaign()
+    .build(NavEvaluator::city(SEED));
 
     // warm up: online learning moves tenants between operating points
     // for a few rounds; the cache is hot once a run of batches probes
