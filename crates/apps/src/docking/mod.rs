@@ -12,11 +12,9 @@
 //! heavily in size, so does the runtime.
 
 pub mod molecule;
-pub mod parallel;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod scoring;
 
-pub use molecule::{generate_library, generate_pocket, Ligand, Pocket};
-pub use parallel::run_parallel;
-pub use pipeline::{DockingCampaign, DockingResult};
-pub use scoring::{dock_ligand, DockingScore};
+pub use molecule::{generate_library, generate_pocket, Ligand};
+pub use pipeline::DockingCampaign;
+pub use scoring::dock_ligand;

@@ -30,7 +30,7 @@ impl Ligand {
     }
 
     /// Geometric centroid.
-    pub fn centroid(&self) -> [f64; 3] {
+    pub(crate) fn centroid(&self) -> [f64; 3] {
         let n = self.atoms.len().max(1) as f64;
         let mut c = [0.0; 3];
         for atom in &self.atoms {
@@ -52,7 +52,7 @@ pub struct Pocket {
 
 impl Pocket {
     /// Number of probe spheres.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.spheres.len()
     }
 }

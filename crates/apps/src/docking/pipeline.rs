@@ -69,31 +69,6 @@ impl DockingCampaign {
         }
     }
 
-    /// Library size.
-    pub fn len(&self) -> usize {
-        self.library.len()
-    }
-
-    /// Returns `true` if the library is empty.
-    pub fn is_empty(&self) -> bool {
-        self.library.is_empty()
-    }
-
-    /// The pose-count knob.
-    pub fn poses(&self) -> usize {
-        self.poses
-    }
-
-    /// Changes the pose-count knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `poses` is zero.
-    pub fn set_poses(&mut self, poses: usize) {
-        assert!(poses > 0, "need at least one pose");
-        self.poses = poses;
-    }
-
     /// Actually computes every docking score (deterministic per seed:
     /// each ligand gets an independent RNG stream).
     pub fn run(&self) -> DockingResult {
@@ -206,12 +181,5 @@ mod tests {
         for pair in hits.windows(2) {
             assert!(score_of(pair[0]) <= score_of(pair[1]));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pose")]
-    fn zero_pose_knob_rejected() {
-        let mut c = campaign(8);
-        c.set_poses(0);
     }
 }

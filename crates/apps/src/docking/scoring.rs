@@ -111,7 +111,7 @@ pub fn dock_ligand(
 /// pipeline (~50 iterations of ~40 flops), so the platform-level estimate
 /// is ~2000 flops per interaction — calibrated to LiGen-like
 /// seconds-per-ligand runtimes on a 2015 Xeon core.
-pub fn estimated_flops(ligand: &Ligand, pocket: &Pocket, poses: usize) -> f64 {
+pub(crate) fn estimated_flops(ligand: &Ligand, pocket: &Pocket, poses: usize) -> f64 {
     2000.0 * ligand.size() as f64 * pocket.size() as f64 * poses as f64
 }
 
@@ -192,5 +192,31 @@ mod tests {
         let pocket = generate_pocket(5, &mut rng);
         let ligand = crate::docking::molecule::generate_ligand(0, 5, &mut rng);
         dock_ligand(&ligand, &pocket, 0, &mut rng);
+    }
+
+    #[test]
+    fn the_plan_balances_a_scaffold_sorted_library() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let pocket = generate_pocket(25, &mut rng);
+        let mut library = generate_library(200, 24, &mut rng);
+        // adversarial order: whole scaffolds of whales up front, the
+        // exact shape that starves a static block partition
+        library.sort_by_key(|l| std::cmp::Reverse(l.size()));
+        let estimates: Vec<f64> = library
+            .iter()
+            .map(|l| estimated_flops(l, &pocket, 8))
+            .collect();
+        let plan = antarex_sim::sched::steal_schedule(&estimates, &estimates, 4);
+        let mut per_core = [0.0f64; 4];
+        for (job, &core) in plan.assignments.iter().enumerate() {
+            per_core[core] += estimates[job];
+        }
+        let heaviest = per_core.iter().fold(0.0f64, |a, &b| a.max(b));
+        let lightest = per_core.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+        assert!(
+            heaviest < 1.25 * lightest,
+            "stealing plan left cores imbalanced: {per_core:?}"
+        );
+        assert!(plan.stats.steals > 0, "sorted tail must trigger steals");
     }
 }

@@ -4,7 +4,7 @@ use rand::Rng;
 
 /// A directed edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Edge {
+pub(crate) struct Edge {
     /// Destination node.
     pub to: usize,
     /// Free-flow travel time, seconds.
@@ -93,23 +93,13 @@ impl RoadNetwork {
         self.coords.is_empty()
     }
 
-    /// Number of directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
     /// Outgoing edges of a node.
-    pub fn edges(&self, node: usize) -> &[Edge] {
+    pub(crate) fn edges(&self, node: usize) -> &[Edge] {
         &self.adjacency[node]
     }
 
-    /// Planar coordinates of a node, metres.
-    pub fn coord(&self, node: usize) -> (f64, f64) {
-        self.coords[node]
-    }
-
     /// Euclidean distance between two nodes, metres.
-    pub fn distance_m(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn distance_m(&self, a: usize, b: usize) -> f64 {
         let (ax, ay) = self.coords[a];
         let (bx, by) = self.coords[b];
         ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
@@ -117,7 +107,7 @@ impl RoadNetwork {
 
     /// Admissible travel-time lower bound between nodes (highway speed
     /// over the straight-line distance), seconds — the A* heuristic.
-    pub fn heuristic_s(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn heuristic_s(&self, a: usize, b: usize) -> f64 {
         self.distance_m(a, b) / (110.0 / 3.6)
     }
 }
@@ -134,7 +124,8 @@ mod tests {
         let network = RoadNetwork::city_grid(10, &mut rng);
         assert_eq!(network.len(), 100);
         // 2 * (2 * 10 * 9) street edges plus highway edges
-        assert!(network.edge_count() > 360);
+        let edge_count: usize = (0..network.len()).map(|n| network.edges(n).len()).sum();
+        assert!(edge_count > 360);
         // corner has exactly 2 street neighbours
         assert_eq!(network.edges(0).len(), 2);
     }

@@ -12,14 +12,13 @@
 //! → better traffic-aware choices, more CPU per request). Under rush-hour
 //! load the ANTAREX runtime dials the knob down to hold the latency SLA.
 
-pub mod error;
-pub mod graph;
+pub(crate) mod error;
+pub(crate) mod graph;
 pub mod route;
-pub mod server;
-pub mod traffic;
+pub(crate) mod server;
+pub(crate) mod traffic;
 
-pub use error::NavError;
 pub use graph::RoadNetwork;
-pub use route::{alternative_routes, shortest_path, Route};
-pub use server::{NavigationServer, RequestOutcome};
+pub use route::{alternative_routes, shortest_path};
+pub use server::NavigationServer;
 pub use traffic::TrafficModel;

@@ -62,11 +62,6 @@ impl NavigationServer {
         }
     }
 
-    /// The road network served.
-    pub fn network(&self) -> &RoadNetwork {
-        &self.network
-    }
-
     /// The current quality knob: alternatives per request.
     pub fn alternatives(&self) -> usize {
         self.alternatives
@@ -80,12 +75,6 @@ impl NavigationServer {
     pub fn set_alternatives(&mut self, alternatives: usize) {
         assert!(alternatives > 0, "need at least one route");
         self.alternatives = alternatives;
-    }
-
-    /// Pending work in the queue, expressed as seconds of single-request
-    /// service time.
-    pub fn backlog_s(&self) -> f64 {
-        self.backlog_s
     }
 
     /// Lets the queue drain for `dt` seconds of wall time without
@@ -126,35 +115,9 @@ impl NavigationServer {
     /// Serves one request arriving at `arrival_s` between two random
     /// nodes, computing the configured number of alternatives and
     /// returning the outcome. Queueing is modelled by a shared backlog:
-    /// service time adds to it, divided by the core count.
-    ///
-    /// Degenerate inputs surface as [`NavError`] instead of a panic:
-    /// this is the entry point for the multi-tenant serving tier, where
-    /// one bad request must not take down the process.
-    pub fn try_serve(
-        &mut self,
-        arrival_s: f64,
-        rng: &mut impl Rng,
-    ) -> Result<RequestOutcome, NavError> {
-        let (origin, destination, routes, queueing_s, compute_s) =
-            self.serve_core(arrival_s, rng)?;
-        let Some(first) = routes.first() else {
-            return Err(NavError::NoRoute {
-                origin,
-                destination,
-            });
-        };
-        Ok(RequestOutcome {
-            arrival_s,
-            latency_s: queueing_s + compute_s,
-            best_travel_time_s: first.travel_time_s,
-            alternatives: routes.len(),
-        })
-    }
-
-    /// Panicking convenience wrapper over the same planning path as
-    /// [`NavigationServer::try_serve`]; an unreachable destination is
-    /// reported as an infinite best travel time rather than an error.
+    /// service time adds to it, divided by the core count. An
+    /// unreachable destination is reported as an infinite best travel
+    /// time rather than an error.
     ///
     /// # Panics
     ///
@@ -171,43 +134,6 @@ impl NavigationServer {
                 alternatives: routes.len(),
             },
             Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Route-quality proxy of the current knob setting: the expected
-    /// improvement of best-of-k over best-of-1 on random OD pairs at a
-    /// reference time (1.0 = no improvement). Larger k explores more
-    /// detours around congestion.
-    pub fn quality_probe(&self, samples: usize, rng: &mut impl Rng) -> f64 {
-        let mut gain = 0.0;
-        let mut counted = 0;
-        for _ in 0..samples {
-            let origin = rng.gen_range(0..self.network.len());
-            let destination = rng.gen_range(0..self.network.len());
-            if origin == destination {
-                continue;
-            }
-            let routes = alternative_routes(
-                &self.network,
-                &self.traffic,
-                origin,
-                destination,
-                8.0 * 3600.0,
-                self.alternatives,
-            );
-            if let Some(first) = routes.first() {
-                let best = routes
-                    .iter()
-                    .map(|r| r.travel_time_s)
-                    .fold(f64::INFINITY, f64::min);
-                gain += first.travel_time_s / best.max(1e-9);
-                counted += 1;
-            }
-        }
-        if counted == 0 {
-            1.0
-        } else {
-            gain / counted as f64
         }
     }
 }
@@ -237,7 +163,7 @@ mod tests {
             last = outcome.latency_s;
         }
         assert!(last > first.latency_s, "queueing must build: {last}");
-        assert!(s.backlog_s() > 0.0);
+        assert!(s.backlog_s > 0.0);
     }
 
     #[test]
@@ -248,7 +174,7 @@ mod tests {
             s.serve(8.0 * 3600.0, &mut rng);
         }
         s.drain(1e9);
-        assert_eq!(s.backlog_s(), 0.0);
+        assert_eq!(s.backlog_s, 0.0);
     }
 
     #[test]
@@ -274,42 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn more_alternatives_find_better_or_equal_routes() {
-        let mut hi = server();
-        hi.set_alternatives(6);
-        let mut lo = server();
-        lo.set_alternatives(1);
-        let q_hi = hi.quality_probe(12, &mut StdRng::seed_from_u64(24));
-        let q_lo = lo.quality_probe(12, &mut StdRng::seed_from_u64(24));
-        // probe returns first/best ratio: 1.0 when k=1, >= 1.0 otherwise
-        assert_eq!(q_lo, 1.0);
-        assert!(q_hi >= 1.0);
-    }
-
-    #[test]
     fn outcome_fields_are_sane() {
         let mut s = server();
         let outcome = s.serve(5.0 * 3600.0, &mut StdRng::seed_from_u64(25));
         assert!(outcome.latency_s > 0.0);
         assert!(outcome.alternatives >= 1);
         assert!(outcome.best_travel_time_s >= 0.0);
-    }
-
-    #[test]
-    fn try_serve_matches_serve() {
-        let mut plain = server();
-        let mut fallible = server();
-        let mut rng_a = StdRng::seed_from_u64(40);
-        let mut rng_b = StdRng::seed_from_u64(40);
-        for i in 0..10 {
-            let t = 7.0 * 3600.0 + f64::from(i);
-            let a = plain.serve(t, &mut rng_a);
-            let b = fallible
-                .try_serve(t, &mut rng_b)
-                .expect("grid is connected");
-            assert_eq!(a, b, "request {i} diverged");
-        }
-        assert_eq!(plain.backlog_s(), fallible.backlog_s());
     }
 
     #[test]

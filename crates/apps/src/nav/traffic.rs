@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// An incident slowing one edge for a time window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Incident {
+pub(crate) struct Incident {
     /// Edge owner node.
     pub from: usize,
     /// Edge index within the node's adjacency.
@@ -61,13 +61,8 @@ impl TrafficModel {
         self
     }
 
-    /// The incidents.
-    pub fn incidents(&self) -> &[Incident] {
-        &self.incidents
-    }
-
     /// Congestion multiplier for an edge at a time of day.
-    pub fn multiplier(
+    pub(crate) fn multiplier(
         &self,
         from: usize,
         edge_index: usize,
@@ -142,7 +137,7 @@ mod tests {
     fn incident_generation() {
         let mut rng = StdRng::seed_from_u64(9);
         let traffic = TrafficModel::weekday().with_incidents(20, 100, &mut rng);
-        assert_eq!(traffic.incidents().len(), 20);
-        assert!(traffic.incidents().iter().all(|i| i.end_s > i.start_s));
+        assert_eq!(traffic.incidents.len(), 20);
+        assert!(traffic.incidents.iter().all(|i| i.end_s > i.start_s));
     }
 }

@@ -1,6 +1,6 @@
 //! Experiments A1–A4: autotuning comparisons and design-choice ablations.
 
-use antarex_ir::interp::{ExecEnv, Interp};
+use antarex_ir::interp::ExecEnv;
 use antarex_ir::value::Value;
 use antarex_ir::{parse_program, NodePath};
 use antarex_precision::tuner::{PrecisionTuner, TunerOptions};
@@ -18,6 +18,7 @@ use antarex_tuner::search::hillclimb::HillClimb;
 use antarex_tuner::search::random::RandomSearch;
 use antarex_tuner::search::{SearchTechnique, Tuner};
 use antarex_tuner::space::DesignSpace;
+use antarex_vm::Vm;
 use antarex_weaver::transform::unroll::unroll_by_factor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +40,7 @@ fn unrolled_cost(unroll: u64) -> f64 {
             .unwrap();
     }
     let mut env = ExecEnv::new();
-    Interp::new(program)
+    Vm::new(program)
         .call(
             "saxpy",
             &[
@@ -56,7 +57,7 @@ fn unrolled_cost(unroll: u64) -> f64 {
 /// A1: evaluations-to-near-optimum for black-box techniques on the full
 /// unroll space vs the same machinery on the annotation-shrunk grey-box
 /// space.
-pub fn a1_greybox_vs_blackbox() -> String {
+pub(crate) fn a1_greybox_vs_blackbox() -> String {
     let black = DesignSpace::new(vec![Knob::int("unroll", 1, 64, 1)]);
     // the annotation: "unroll factors worth trying are powers of two"
     let grey = black.restrict("unroll", |v| {
@@ -152,7 +153,7 @@ pub fn a1_greybox_vs_blackbox() -> String {
 }
 
 /// A2: precision autotuning across error budgets on the dot kernel.
-pub fn a2_precision_budget_sweep() -> String {
+pub(crate) fn a2_precision_budget_sweep() -> String {
     let program = parse_program(antarex_core::scenario::DOT_KERNEL).unwrap();
     let inputs: Vec<Vec<Value>> = (1..=5)
         .map(|k| {
@@ -191,7 +192,7 @@ pub fn a2_precision_budget_sweep() -> String {
 
 /// A3: hierarchical vs flat power management on a variability-affected,
 /// demand-skewed cluster phase.
-pub fn a3_hierarchical_vs_flat() -> String {
+pub(crate) fn a3_hierarchical_vs_flat() -> String {
     let mut rng = StdRng::seed_from_u64(10);
     let make_pool = |rng: &mut StdRng| -> Vec<Node> {
         (0..4)
@@ -240,7 +241,7 @@ pub fn a3_hierarchical_vs_flat() -> String {
 
 /// A4: thermal-aware operation in a hot rack vs an oblivious baseline,
 /// plus the MS3 admission profile.
-pub fn a4_thermal_aware() -> String {
+pub(crate) fn a4_thermal_aware() -> String {
     let throttle = ThermalThrottle {
         limit_c: 75.0,
         release_c: 65.0,
@@ -304,7 +305,7 @@ pub fn a4_thermal_aware() -> String {
 
 /// A5: energy-aware frequency assignment for co-scheduled jobs under a
 /// facility cap (the SuperMUC-style scheduling the paper cites, §V, ref. 22).
-pub fn a5_energy_aware_scheduling() -> String {
+pub(crate) fn a5_energy_aware_scheduling() -> String {
     use antarex_rtrm::energy_sched::{EnergyAwareAssigner, JobRequest};
     let jobs = vec![
         JobRequest {
@@ -363,7 +364,7 @@ pub fn a5_energy_aware_scheduling() -> String {
 
 /// A6: batch scheduling policies replayed on the node models — the
 /// cluster-level "job dispatching" knob of §V, with energy accounting.
-pub fn a6_scheduler_replay() -> String {
+pub(crate) fn a6_scheduler_replay() -> String {
     use antarex_rtrm::replay::replay;
     use antarex_rtrm::scheduler::{BatchScheduler, SchedulerPolicy};
     use antarex_sim::job::Job;

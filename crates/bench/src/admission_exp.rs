@@ -86,23 +86,8 @@ impl AdmissionScale {
         }
     }
 
-    /// A tiny campaign for smoke testing in `cargo test`.
-    pub fn tiny() -> Self {
-        AdmissionScale {
-            wb_tenants: 64,
-            aggressive_tenants: 16,
-            archetypes: 16,
-            fresh_every: 4,
-            duration_s: 30.0,
-            wb_rate_hz: 0.05,
-            aggressive_rate_hz: 0.2,
-            workers: 2,
-            queue_capacity: 24,
-        }
-    }
-
     /// Batch window of the campaign, seconds.
-    pub fn window_s(&self) -> f64 {
+    pub(crate) fn window_s(&self) -> f64 {
         5.0
     }
 
@@ -161,7 +146,7 @@ impl AdmissionScale {
 /// The merged campaign workload: well-behaved Poisson arrivals plus the
 /// aggressive tenants' bursty stream (ids offset past the well-behaved
 /// population), sorted by (time, tenant).
-pub fn mixed_arrivals(seed: u64, scale: &AdmissionScale) -> Vec<TuningRequest> {
+pub(crate) fn mixed_arrivals(seed: u64, scale: &AdmissionScale) -> Vec<TuningRequest> {
     scale.campaign(seed, scale.workers, None).arrivals()
 }
 
@@ -237,7 +222,7 @@ fn p99(latencies: &mut [f64]) -> f64 {
 
 /// Serves one campaign workload under one profile, classifying every
 /// outcome as well-behaved or aggressive.
-pub fn overload_run(
+pub(crate) fn overload_run(
     seed: u64,
     scale: &AdmissionScale,
     profile: &'static str,
@@ -364,7 +349,7 @@ pub fn crash_recovery_drill(seed: u64, scale: &AdmissionScale) -> CrashDrill<Nav
 }
 
 /// Renders the full AD1 report for one seed and scale.
-pub fn ad1_report(seed: u64, scale: &AdmissionScale) -> String {
+pub(crate) fn ad1_report(seed: u64, scale: &AdmissionScale) -> String {
     let mut out = String::new();
     let fd = FrontDoorConfig::hardened();
     let _ = writeln!(
@@ -460,7 +445,7 @@ pub fn ad1_report(seed: u64, scale: &AdmissionScale) -> String {
 }
 
 /// The registered `ad1` experiment.
-pub fn ad1_admission_control() -> String {
+pub(crate) fn ad1_admission_control() -> String {
     ad1_report(42, &AdmissionScale::full())
 }
 
@@ -468,10 +453,23 @@ pub fn ad1_admission_control() -> String {
 mod tests {
     use super::*;
 
+    /// A campaign small enough for `cargo test`.
+    const TINY: AdmissionScale = AdmissionScale {
+        wb_tenants: 64,
+        aggressive_tenants: 16,
+        archetypes: 16,
+        fresh_every: 4,
+        duration_s: 30.0,
+        wb_rate_hz: 0.05,
+        aggressive_rate_hz: 0.2,
+        workers: 2,
+        queue_capacity: 24,
+    };
+
     #[test]
     fn report_is_deterministic() {
-        let a = ad1_report(3, &AdmissionScale::tiny());
-        let b = ad1_report(3, &AdmissionScale::tiny());
+        let a = ad1_report(3, &TINY);
+        let b = ad1_report(3, &TINY);
         assert_eq!(a, b, "same seed must reproduce the report byte for byte");
     }
 
@@ -480,7 +478,7 @@ mod tests {
     #[test]
     fn mixed_stream_matches_the_parent_commit() {
         let mut digest = crate::Digest::new();
-        for request in mixed_arrivals(7, &AdmissionScale::tiny()) {
+        for request in mixed_arrivals(7, &TINY) {
             digest.u64(request.tenant);
             digest.f64(request.arrival_s);
         }
@@ -523,7 +521,7 @@ mod tests {
 
     #[test]
     fn controlled_outcomes_are_physical_worker_invariant() {
-        let outcome = worker_invariance(7, &AdmissionScale::tiny());
+        let outcome = worker_invariance(7, &TINY);
         assert!(
             outcome.outcomes_identical,
             "responses must not depend on threads"
@@ -533,7 +531,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_is_bit_identical() {
-        let outcome = crash_recovery_drill(7, &AdmissionScale::tiny());
+        let outcome = crash_recovery_drill(7, &TINY);
         assert!(outcome.batches_before_crash > 0);
         assert!(!outcome.reports.is_empty());
         assert!(outcome.bit_identical, "recovery must replay exactly");

@@ -10,8 +10,9 @@
 //! cargo run -p antarex-bench --bin experiments -- --list
 //! ```
 //!
-//! An id after `--only` that names no experiment is an error: nothing
-//! runs and the exit status is 2.
+//! An id after `--only` that names no experiment, an `--only` with no
+//! id, an unknown flag or a stray positional is an error: nothing runs
+//! and the exit status is 2.
 //!
 //! `--jobs N` runs experiments on N worker threads; each report renders
 //! into its own buffer and the merged output is printed in registry
@@ -22,45 +23,77 @@
 //! output rather than the working tree (it is generated, not tracked).
 
 use antarex_bench::{all_experiments, run_selected_jobs};
+use std::path::PathBuf;
+
+const USAGE: &str = "usage: experiments [--list] [--only ID...] [--jobs N] [--out [PATH]]";
+
+/// What the command line asked for.
+#[derive(Debug, PartialEq)]
+struct Cli {
+    list: bool,
+    /// Empty means every experiment: `--only` itself needs at least one id.
+    only: Vec<String>,
+    jobs: usize,
+    out: Option<PathBuf>,
+}
+
+/// Parses the arguments after the program name; anything it does not
+/// recognise is an error rather than a silent full run.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        list: false,
+        only: Vec::new(),
+        jobs: 1,
+        out: None,
+    };
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--list" => cli.list = true,
+            "--only" => {
+                while let Some(id) = rest.next_if(|a| !a.starts_with("--")) {
+                    cli.only.push(id.clone());
+                }
+                if cli.only.is_empty() {
+                    return Err("--only expects at least one experiment id".to_string());
+                }
+            }
+            "--jobs" => match rest.next().map(|n| n.parse::<usize>()) {
+                Some(Ok(n)) if n > 0 => cli.jobs = n,
+                _ => return Err("--jobs expects a positive integer".to_string()),
+            },
+            "--out" => {
+                let path = rest.next_if(|a| !a.starts_with("--"));
+                cli.out = Some(path.map_or_else(
+                    || PathBuf::from("target/experiments_output.txt"),
+                    PathBuf::from,
+                ));
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            stray => return Err(format!("unexpected argument {stray}")),
+        }
+    }
+    Ok(cli)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+    let cli = parse_args(&args).unwrap_or_else(|error| {
+        eprintln!("{error}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if cli.list {
         for experiment in all_experiments() {
             println!("{:<4} {}", experiment.id, experiment.title);
         }
         return;
     }
-    let only: Vec<String> = match args.iter().position(|a| a == "--only") {
-        Some(pos) => args[pos + 1..]
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .cloned()
-            .collect(),
-        None => Vec::new(),
-    };
-    let jobs = match args.iter().position(|a| a == "--jobs") {
-        Some(pos) => match args.get(pos + 1).map(|a| a.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => n,
-            _ => {
-                eprintln!("--jobs expects a positive integer");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    let out = args.iter().position(|a| a == "--out").map(|pos| {
-        match args.get(pos + 1).filter(|a| !a.starts_with("--")) {
-            Some(path) => std::path::PathBuf::from(path),
-            None => std::path::PathBuf::from("target/experiments_output.txt"),
-        }
-    });
-    let report = run_selected_jobs(&only, jobs).unwrap_or_else(|unknown| {
+    let report = run_selected_jobs(&cli.only, cli.jobs).unwrap_or_else(|unknown| {
         eprintln!("{unknown}");
         std::process::exit(2);
     });
     print!("{report}");
-    if let Some(path) = out {
+    if let Some(path) = cli.out {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent).expect("create report directory");
@@ -69,5 +102,40 @@ fn main() {
         std::fs::write(&path, &report)
             .unwrap_or_else(|e| panic!("write report to {}: {e}", path.display()));
         eprintln!("report written to {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn only_without_an_id_is_an_error_not_a_full_run() {
+        assert!(parse("--only").unwrap_err().contains("--only"));
+        assert!(parse("--only --jobs 2").unwrap_err().contains("--only"));
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_positionals_are_errors() {
+        assert_eq!(parse("--job 4").unwrap_err(), "unknown flag --job");
+        assert_eq!(parse("s1").unwrap_err(), "unexpected argument s1");
+    }
+
+    #[test]
+    fn the_documented_forms_parse() {
+        assert_eq!(
+            parse("--only c4 c5 --jobs 2 --out"),
+            Ok(Cli {
+                list: false,
+                only: vec!["c4".to_string(), "c5".to_string()],
+                jobs: 2,
+                out: Some(PathBuf::from("target/experiments_output.txt")),
+            })
+        );
     }
 }

@@ -63,17 +63,6 @@ impl ChaosScale {
         }
     }
 
-    /// A tiny campaign for smoke testing in `cargo test`.
-    pub fn tiny() -> Self {
-        ChaosScale {
-            tenants: 16,
-            archetypes: 16,
-            duration_s: 40.0,
-            rate_per_tenant_hz: 0.1,
-            workers: 2,
-        }
-    }
-
     /// The campaign served under one (resilience, chaos) profile.
     fn campaign(
         &self,
@@ -109,7 +98,7 @@ impl ChaosScale {
 /// horizon, so the rates are compressed to land several crashes, gray
 /// windows, and corruption windows on every run while keeping the same
 /// failure *shapes* as `FaultConfig::exascale`.
-pub fn serving_faults(seed: u64) -> FaultConfig {
+pub(crate) fn serving_faults(seed: u64) -> FaultConfig {
     let mut config = FaultConfig::none(seed);
     config.node_mtbf_s = 45.0;
     config.weibull_shape = 1.0;
@@ -134,7 +123,7 @@ pub struct GoodputRow {
 }
 
 /// Serves the seeded workload under one (resilience, chaos) profile.
-pub fn goodput_run(
+pub(crate) fn goodput_run(
     seed: u64,
     scale: &ChaosScale,
     profile: &'static str,
@@ -236,7 +225,7 @@ pub fn crash_recovery_drill(seed: u64, scale: &ChaosScale) -> CrashDrill<NavEval
 }
 
 /// Renders the full R2 report for one seed and scale.
-pub fn r2_report(seed: u64, scale: &ChaosScale) -> String {
+pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
     let mut out = String::new();
     let faults = serving_faults(seed);
     let _ = writeln!(
@@ -322,7 +311,7 @@ pub fn r2_report(seed: u64, scale: &ChaosScale) -> String {
 }
 
 /// The registered `r2` experiment.
-pub fn r2_chaos_hardening() -> String {
+pub(crate) fn r2_chaos_hardening() -> String {
     r2_report(42, &ChaosScale::full())
 }
 
@@ -330,10 +319,19 @@ pub fn r2_chaos_hardening() -> String {
 mod tests {
     use super::*;
 
+    /// A campaign small enough for `cargo test`.
+    const TINY: ChaosScale = ChaosScale {
+        tenants: 16,
+        archetypes: 16,
+        duration_s: 40.0,
+        rate_per_tenant_hz: 0.1,
+        workers: 2,
+    };
+
     #[test]
     fn report_is_deterministic() {
-        let a = r2_report(3, &ChaosScale::tiny());
-        let b = r2_report(3, &ChaosScale::tiny());
+        let a = r2_report(3, &TINY);
+        let b = r2_report(3, &TINY);
         assert_eq!(a, b, "same seed must reproduce the report byte for byte");
     }
 
@@ -369,7 +367,7 @@ mod tests {
 
     #[test]
     fn crash_recovery_is_bit_identical() {
-        let outcome = crash_recovery_drill(7, &ChaosScale::tiny());
+        let outcome = crash_recovery_drill(7, &TINY);
         assert!(outcome.batches_before_crash > 0);
         assert!(outcome.had_snapshot);
         assert!(!outcome.reports.is_empty());

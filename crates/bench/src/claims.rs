@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 /// C1: Green500-style efficiency of the simulated accelerated node vs the
 /// CPU-only node.
-pub fn c1_heterogeneous_efficiency() -> String {
+pub(crate) fn c1_heterogeneous_efficiency() -> String {
     let work = WorkUnit::compute_bound(2e13);
 
     let mut homo = Node::nominal(NodeSpec::cineca_xeon(), 0);
@@ -57,7 +57,7 @@ pub fn c1_heterogeneous_efficiency() -> String {
 }
 
 /// C2: Monte-Carlo energy distribution over sampled process corners.
-pub fn c2_variability_spread() -> String {
+pub(crate) fn c2_variability_spread() -> String {
     let mut rng = StdRng::seed_from_u64(161);
     let work = WorkUnit::with_intensity(2e12, 4.0);
     let mut energies: Vec<f64> = (0..200)
@@ -92,7 +92,7 @@ pub fn c2_variability_spread() -> String {
 
 /// C3: energy per workload profile under each governor, with the savings
 /// of the optimal operating point vs `performance`/`ondemand`.
-pub fn c3_governor_savings() -> String {
+pub(crate) fn c3_governor_savings() -> String {
     let profiles: [(&str, Vec<WorkUnit>); 4] = [
         ("memory-bound", vec![WorkUnit::memory_bound(3e11); 6]),
         ("intensity 1", vec![WorkUnit::with_intensity(3e11, 1.0); 6]),
@@ -136,7 +136,7 @@ pub fn c3_governor_savings() -> String {
 }
 
 /// C4: PUE across the year.
-pub fn c4_pue_seasons() -> String {
+pub(crate) fn c4_pue_seasons() -> String {
     let plant = CoolingPlant::european_datacenter();
     let mut out = String::new();
     let _ = writeln!(
@@ -170,7 +170,7 @@ pub fn c4_pue_seasons() -> String {
 }
 
 /// C5: project the measured use-case node metrics to one exaFLOPS.
-pub fn c5_exascale_projection() -> String {
+pub(crate) fn c5_exascale_projection() -> String {
     let work = WorkUnit::compute_bound(1e13);
     let mut out = String::new();
     let _ = writeln!(

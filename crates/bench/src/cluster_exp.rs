@@ -85,7 +85,7 @@ pub struct ClusterScale {
 /// A facility cap that forces mild throttling: 92% of the full-load
 /// facility draw (every node at the fastest P-state, hot junction) at
 /// the cool-morning cooling overhead.
-pub fn default_facility_cap_w(nodes: usize) -> f64 {
+pub(crate) fn default_facility_cap_w(nodes: usize) -> f64 {
     let probe = Node::nominal(NodeSpec::cineca_xeon(), 0);
     let it_full_w =
         estimated_power_at_temp(&probe, probe.spec().pstates.max_index(), 75.0) * nodes as f64;
@@ -166,7 +166,7 @@ pub enum ClusterProfile {
 
 impl ClusterProfile {
     /// Stable identifier used in reports and JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ClusterProfile::FaultFree => "fault_free",
             ClusterProfile::FaultTolerant => "fault_tolerant",
@@ -653,7 +653,7 @@ pub fn worker_invariance(seed: u64, scale: &ClusterScale, counts: &[usize]) -> I
 
 /// The registered `cl1` experiment: the tiny-scale campaign with the
 /// same four profiles and verdicts, deterministic text.
-pub fn cl1_cluster_rtrm() -> String {
+pub(crate) fn cl1_cluster_rtrm() -> String {
     let seed = 42;
     let scale = ClusterScale::tiny();
     let rows = cluster_campaign(seed, &scale, 2);

@@ -59,7 +59,7 @@ pub struct DockingScale {
 
 impl DockingScale {
     /// The experiment-report scale: fast under `cargo test`.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         DockingScale {
             tasks: 100_000,
             families: 48,
@@ -228,7 +228,7 @@ pub(crate) fn pinned_campaign(
 
 /// Runs the mixed campaign at the given *physical* worker count and
 /// digests every response plus the final service state.
-pub fn mixed_campaign_digest(seed: u64, physical: usize) -> u64 {
+pub(crate) fn mixed_campaign_digest(seed: u64, physical: usize) -> u64 {
     let smoke = DriverConfig::smoke(seed);
     let mut cohorts = smoke.campaign().cohorts;
     // registered only: docking tenants probe on a fixed clock,
@@ -270,7 +270,7 @@ pub fn campaign_invariance(seed: u64, counts: &[usize]) -> (Vec<u64>, bool) {
 
 /// The registered `d1` experiment: the tiny-scale grid plus the mixed
 /// campaign, deterministic text.
-pub fn d1_docking_scale() -> String {
+pub(crate) fn d1_docking_scale() -> String {
     let scale = DockingScale::tiny();
     let imbalanced = scaffold_sorted_library(&scale);
     let uniform = uniform_library(&scale);

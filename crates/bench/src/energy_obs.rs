@@ -47,7 +47,7 @@ pub struct EnergyScale {
 
 impl EnergyScale {
     /// The experiment-report scale: fast under `cargo test`.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         EnergyScale {
             nav_tenants: 6,
             docking_tenants: 2,
@@ -73,7 +73,7 @@ impl EnergyScale {
     }
 
     /// Expected request count (Poisson mean).
-    pub fn expected_requests(&self) -> f64 {
+    pub(crate) fn expected_requests(&self) -> f64 {
         (self.nav_tenants + self.docking_tenants) as f64 * self.duration_s * self.rate_per_tenant_hz
     }
 }
@@ -116,7 +116,7 @@ pub struct CampaignRun {
 /// Runs the mixed campaign at one *physical* worker count. Virtual
 /// capacity is pinned by the front door (as in `d1`), so everything
 /// observable may depend only on the workload.
-pub fn run_campaign(scale: &EnergyScale, physical: usize) -> CampaignRun {
+pub(crate) fn run_campaign(scale: &EnergyScale, physical: usize) -> CampaignRun {
     // the explicit Nav class lets the per-class energy histograms
     // separate the use cases; docking arrivals come from a second
     // Poisson stream on the same clock
@@ -209,7 +209,7 @@ pub fn campaign_invariance(scale: &EnergyScale, counts: &[usize]) -> (Vec<Campai
 
 /// The registered `e1` experiment: the tiny-scale campaign across the
 /// worker grid, deterministic text.
-pub fn e1_energy_observability() -> String {
+pub(crate) fn e1_energy_observability() -> String {
     let scale = EnergyScale::tiny();
     let counts = [1usize, 2, 4, 8];
     let (runs, identical) = campaign_invariance(&scale, &counts);

@@ -7,9 +7,10 @@ use antarex_dsl::figures::{
 };
 use antarex_dsl::interp::Weaver;
 use antarex_dsl::{parse_aspects, DslValue};
-use antarex_ir::interp::{ExecEnv, Interp};
+use antarex_ir::interp::ExecEnv;
 use antarex_ir::parse_program;
 use antarex_ir::value::Value;
+use antarex_vm::Vm;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,7 +18,7 @@ use std::rc::Rc;
 
 /// F2: weave Fig. 2 verbatim, run, and report the argument histogram the
 /// aspect exists to collect — plus the instrumentation overhead.
-pub fn f2_profile_arguments() -> String {
+pub(crate) fn f2_profile_arguments() -> String {
     let source = "double kernel(double a[], int size) {
         double s = 0.0;
         for (int i = 0; i < size; i++) { s += a[i]; }
@@ -30,7 +31,7 @@ pub fn f2_profile_arguments() -> String {
     }";
     let baseline_cost = {
         let mut env = ExecEnv::new();
-        Interp::new(parse_program(source).unwrap())
+        Vm::new(parse_program(source).unwrap())
             .call("sweep", &[Value::from(vec![1.0; 1024])], &mut env)
             .unwrap();
         env.stats.cost
@@ -45,10 +46,10 @@ pub fn f2_profile_arguments() -> String {
             &[DslValue::from("kernel")],
         )
         .unwrap();
-    let mut interp = Interp::new(program);
+    let mut vm = Vm::new(program);
     let histogram: Rc<RefCell<BTreeMap<i64, u32>>> = Rc::new(RefCell::new(BTreeMap::new()));
     let sink = Rc::clone(&histogram);
-    interp.register_host(
+    vm.register_host(
         "profile_args",
         Box::new(move |args| {
             if let Some(Value::Int(size)) = args.last() {
@@ -58,8 +59,7 @@ pub fn f2_profile_arguments() -> String {
         }),
     );
     let mut env = ExecEnv::new();
-    interp
-        .call("sweep", &[Value::from(vec![1.0; 1024])], &mut env)
+    vm.call("sweep", &[Value::from(vec![1.0; 1024])], &mut env)
         .unwrap();
 
     let mut out = String::new();
@@ -82,7 +82,7 @@ pub fn f2_profile_arguments() -> String {
 
 /// F3: sweep the unroll threshold of Fig. 3 and report loops remaining,
 /// cost, and speedup vs the unwoven program.
-pub fn f3_unroll_threshold_sweep() -> String {
+pub(crate) fn f3_unroll_threshold_sweep() -> String {
     let source = "double work(double a[]) {
         double s = 0.0;
         for (int i = 0; i < 4; i++) { s += a[i]; }
@@ -93,7 +93,7 @@ pub fn f3_unroll_threshold_sweep() -> String {
     let args = [Value::from(vec![0.5; 64])];
     let base_cost = {
         let mut env = ExecEnv::new();
-        Interp::new(parse_program(source).unwrap())
+        Vm::new(parse_program(source).unwrap())
             .call("work", &args, &mut env)
             .unwrap();
         env.stats.cost
@@ -117,7 +117,7 @@ pub fn f3_unroll_threshold_sweep() -> String {
             .unwrap();
         let loops = antarex_ir::analysis::loops(&program.function("work").unwrap().body).len();
         let mut env = ExecEnv::new();
-        Interp::new(program).call("work", &args, &mut env).unwrap();
+        Vm::new(program).call("work", &args, &mut env).unwrap();
         let _ = writeln!(
             out,
             "{threshold:>10} {loops:>14} {:>10} {:>8.2}x",
@@ -134,7 +134,7 @@ pub fn f3_unroll_threshold_sweep() -> String {
 
 /// F4: drive the deployed Fig. 4 runtime through a size sweep and report
 /// specialization decisions, cache behaviour and per-call cost.
-pub fn f4_dynamic_specialization() -> String {
+pub(crate) fn f4_dynamic_specialization() -> String {
     let aspects = format!("{FIG4_SPECIALIZE_KERNEL}\n{FIG3_UNROLL_INNERMOST_LOOPS}");
     let mut flow = ToolFlow::new(DYNAMIC_KERNEL, &aspects).unwrap();
     flow.weave("SpecializeKernel", &[DslValue::Int(4), DslValue::Int(64)])

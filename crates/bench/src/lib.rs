@@ -43,19 +43,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-pub mod ablations;
+pub(crate) mod ablations;
 pub mod admission_exp;
 pub mod chaos_exp;
-pub mod claims;
+pub(crate) mod claims;
 pub mod cluster_exp;
 pub mod docking_exp;
 pub mod energy_obs;
-pub mod figures;
+pub(crate) mod figures;
 pub mod obs_exp;
-pub mod resiliency;
+pub(crate) mod resiliency;
 pub mod serve_exp;
 pub mod tuner_exp;
-pub mod use_cases;
+pub(crate) mod use_cases;
 pub mod vm_exp;
 
 /// The first `lines` lines of `text`, each indented two spaces.
@@ -128,7 +128,7 @@ pub fn physical_cores() -> usize {
 
 /// One acceptance gate of a `*_bench` binary: its name, the measured
 /// detail it was judged on, and the verdict.
-pub type Gate = (&'static str, String, bool);
+pub(crate) type Gate = (&'static str, String, bool);
 
 /// Prints the `"gates"` object and the `"gates_passed"` line of a gate
 /// file.

@@ -48,7 +48,7 @@ pub struct ObsScale {
 
 impl ObsScale {
     /// The full sweep printed by the `o1` experiment.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         ObsScale {
             tenants: 32,
             archetypes: 8,
@@ -84,7 +84,7 @@ impl ObsScale {
 }
 
 /// Reads one service-wide counter from the registry by name.
-pub fn counter_value<E: Evaluator>(service: &TuningService<E>, name: &str) -> u64 {
+pub(crate) fn counter_value<E: Evaluator>(service: &TuningService<E>, name: &str) -> u64 {
     service
         .obs()
         .plane()
@@ -100,7 +100,7 @@ pub fn counter_value<E: Evaluator>(service: &TuningService<E>, name: &str) -> u6
 
 /// One driven run's observability artifacts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObsRun {
+pub(crate) struct ObsRun {
     /// Pool workers the run used.
     pub workers: usize,
     /// The driven run's statistics.
@@ -112,7 +112,7 @@ pub struct ObsRun {
 }
 
 /// Drives the seeded workload at `workers` and captures the plane.
-pub fn observed_run(seed: u64, scale: &ObsScale, workers: usize) -> ObsRun {
+pub(crate) fn observed_run(seed: u64, scale: &ObsScale, workers: usize) -> ObsRun {
     let (service, stats) = scale.campaign(seed, workers).run(NavEvaluator::city(seed));
     ObsRun {
         workers,
@@ -205,7 +205,7 @@ pub fn dual_accounting(seed: u64, scale: &ObsScale) -> Vec<AccountingRow> {
 }
 
 /// Renders the full O1 report for one seed and scale.
-pub fn o1_report(seed: u64, scale: &ObsScale) -> String {
+pub(crate) fn o1_report(seed: u64, scale: &ObsScale) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -304,7 +304,7 @@ pub fn o1_report(seed: u64, scale: &ObsScale) -> String {
 }
 
 /// The registered `o1` experiment.
-pub fn o1_observability() -> String {
+pub(crate) fn o1_observability() -> String {
     o1_report(42, &ObsScale::full())
 }
 

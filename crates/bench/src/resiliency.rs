@@ -36,7 +36,7 @@ use std::fmt::Write as _;
 
 /// Size of one campaign run.
 #[derive(Debug, Clone, Copy)]
-pub struct CampaignScale {
+pub(crate) struct CampaignScale {
     /// Nodes in the simulated cluster.
     pub nodes: usize,
     /// Work units of 1 TFLOP each per run.
@@ -47,27 +47,18 @@ pub struct CampaignScale {
 
 impl CampaignScale {
     /// The full campaign printed by the `r1` experiment.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         CampaignScale {
             nodes: 16,
             work_units: 2048,
             control_horizon_s: 4.0 * 3600.0,
         }
     }
-
-    /// A tiny grid for smoke testing in `cargo test`.
-    pub fn tiny() -> Self {
-        CampaignScale {
-            nodes: 4,
-            work_units: 8,
-            control_horizon_s: 1800.0,
-        }
-    }
 }
 
 /// One row of the checkpoint sweep.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointRow {
+pub(crate) struct CheckpointRow {
     /// Fault-rate multiplier (0 = fault-free).
     pub fault_rate: f64,
     /// Policy label (`none`, `fixed`, `daly`).
@@ -85,7 +76,7 @@ pub struct CheckpointRow {
 }
 
 /// Checkpoint/restart sweep: fault rate × policy × governor.
-pub fn checkpoint_sweep(seed: u64, scale: CampaignScale) -> Vec<CheckpointRow> {
+pub(crate) fn checkpoint_sweep(seed: u64, scale: CampaignScale) -> Vec<CheckpointRow> {
     let unit = WorkUnit::compute_bound(1e12);
     let ckpt_cost_s = 30.0;
     let restart_s = 60.0;
@@ -150,7 +141,7 @@ pub fn checkpoint_sweep(seed: u64, scale: CampaignScale) -> Vec<CheckpointRow> {
 
 /// One row of the thermal-control comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ThermalRow {
+pub(crate) struct ThermalRow {
     /// Fault-rate multiplier.
     pub fault_rate: f64,
     /// Consumer label (`naive` or `resilient`).
@@ -180,7 +171,7 @@ fn admissible_pstate(ambient: f64) -> usize {
 /// Thermal control under sensor loss: naive vs resilient consumption of
 /// a faulty temperature sensor. The true junction temperature is
 /// `ambient(t) + HEAT[pstate]`; the SLA is `temp <= 80 °C`.
-pub fn thermal_control_run(
+pub(crate) fn thermal_control_run(
     seed: u64,
     fault_rate: f64,
     resilient: bool,
@@ -255,7 +246,7 @@ pub fn thermal_control_run(
 
 /// One row of the safe-mode comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SafeModeRow {
+pub(crate) struct SafeModeRow {
     /// Fault-rate multiplier.
     pub fault_rate: f64,
     /// Controller label (`explorer` or `safe-mode`).
@@ -280,7 +271,12 @@ fn quality_config(alternatives: i64) -> Configuration {
 /// so at the 2× episode slowdown only quality levels up to 5 survive —
 /// exactly the configurations the guard has qualified as known-good
 /// right before a trip.
-pub fn safemode_run(seed: u64, fault_rate: f64, guarded: bool, horizon_s: f64) -> SafeModeRow {
+pub(crate) fn safemode_run(
+    seed: u64,
+    fault_rate: f64,
+    guarded: bool,
+    horizon_s: f64,
+) -> SafeModeRow {
     let mut config = FaultConfig::none(seed);
     if fault_rate > 0.0 {
         config.gray_mtbf_s = 4.0 * 3600.0 / fault_rate;
@@ -331,7 +327,7 @@ pub fn safemode_run(seed: u64, fault_rate: f64, guarded: bool, horizon_s: f64) -
 }
 
 /// Renders the full campaign for a seed and scale.
-pub fn campaign_report(seed: u64, scale: CampaignScale) -> String {
+pub(crate) fn campaign_report(seed: u64, scale: CampaignScale) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -418,7 +414,7 @@ pub fn campaign_report(seed: u64, scale: CampaignScale) -> String {
 }
 
 /// R1: the full fault campaign.
-pub fn r1_fault_campaign() -> String {
+pub(crate) fn r1_fault_campaign() -> String {
     campaign_report(101, CampaignScale::full())
 }
 
@@ -426,18 +422,25 @@ pub fn r1_fault_campaign() -> String {
 mod tests {
     use super::*;
 
+    /// A grid small enough for `cargo test`.
+    const TINY: CampaignScale = CampaignScale {
+        nodes: 4,
+        work_units: 8,
+        control_horizon_s: 1800.0,
+    };
+
     #[test]
     fn campaign_is_deterministic() {
-        let a = campaign_report(7, CampaignScale::tiny());
-        let b = campaign_report(7, CampaignScale::tiny());
+        let a = campaign_report(7, TINY);
+        let b = campaign_report(7, TINY);
         assert_eq!(a, b, "same seed must render byte-identical reports");
-        let c = campaign_report(8, CampaignScale::tiny());
+        let c = campaign_report(8, TINY);
         assert_ne!(a, c, "different seeds must differ");
     }
 
     #[test]
     fn zero_fault_rate_has_no_resiliency_cost_for_none_policy() {
-        let rows = checkpoint_sweep(5, CampaignScale::tiny());
+        let rows = checkpoint_sweep(5, TINY);
         for row in rows.iter().filter(|r| r.fault_rate == 0.0) {
             assert_eq!(row.restarts, 0);
             assert_eq!(row.wasted_fraction, 0.0);
@@ -453,7 +456,7 @@ mod tests {
 
     #[test]
     fn checkpointing_reduces_waste_under_faults() {
-        let rows = checkpoint_sweep(5, CampaignScale::tiny());
+        let rows = checkpoint_sweep(5, TINY);
         for governor in ["performance", "energy-optimal"] {
             for rate in [1.0, 4.0] {
                 let get = |policy: &str| {
@@ -516,7 +519,7 @@ mod tests {
 
     #[test]
     fn campaign_smoke_tiny_grid() {
-        let report = campaign_report(3, CampaignScale::tiny());
+        let report = campaign_report(3, TINY);
         assert!(report.contains("checkpoint/restart"));
         assert!(report.contains("thermal control"));
         assert!(report.contains("safe mode"));

@@ -159,7 +159,7 @@ pub fn batched_evaluation(seed: u64, tenants: usize, workers: usize) -> BatchBen
 }
 
 /// Renders the full S1 report for one seed and scale.
-pub fn s1_report(seed: u64, scale: &ServeScale) -> String {
+pub(crate) fn s1_report(seed: u64, scale: &ServeScale) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -235,7 +235,7 @@ pub fn s1_report(seed: u64, scale: &ServeScale) -> String {
 }
 
 /// The registered `s1` experiment.
-pub fn s1_service_scaling() -> String {
+pub(crate) fn s1_service_scaling() -> String {
     s1_report(42, &ServeScale::full())
 }
 

@@ -66,17 +66,6 @@ impl HotPathScale {
             dse_budget: 240,
         }
     }
-
-    /// A tiny scale for smoke testing in `cargo test`.
-    pub fn tiny() -> Self {
-        HotPathScale {
-            points: 96,
-            queries: 24,
-            mutations: 32,
-            key_cases: 24,
-            dse_budget: 40,
-        }
-    }
 }
 
 const METRICS: [&str; 3] = ["time", "energy", "quality"];
@@ -132,7 +121,7 @@ fn random_query(rng: &mut StdRng) -> (Objective, Vec<Constraint>) {
 
 /// Outcome of the indexed-vs-linear equivalence check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectEquivalence {
+pub(crate) struct SelectEquivalence {
     /// Points in the knowledge base after seeding.
     pub points: usize,
     /// Queries checked before mutation.
@@ -149,7 +138,7 @@ pub struct SelectEquivalence {
 
 /// Builds a seeded knowledge base and checks indexed `best()` against
 /// the linear reference around a mutation storm.
-pub fn select_equivalence(seed: u64, scale: &HotPathScale) -> SelectEquivalence {
+pub(crate) fn select_equivalence(seed: u64, scale: &HotPathScale) -> SelectEquivalence {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut kb = KnowledgeBase::new();
     for _ in 0..scale.points {
@@ -191,7 +180,7 @@ pub fn select_equivalence(seed: u64, scale: &HotPathScale) -> SelectEquivalence 
 
 /// Outcome of the structural-key equivalence check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyEquivalence {
+pub(crate) struct KeyEquivalence {
     /// Randomized (configuration, features) cases.
     pub cases: usize,
     /// Unordered case pairs compared.
@@ -203,7 +192,7 @@ pub struct KeyEquivalence {
 }
 
 /// Keys randomized cases both ways and compares the equality relations.
-pub fn key_equivalence(seed: u64, scale: &HotPathScale) -> KeyEquivalence {
+pub(crate) fn key_equivalence(seed: u64, scale: &HotPathScale) -> KeyEquivalence {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cases: Vec<(Configuration, Vec<f64>)> = Vec::with_capacity(scale.key_cases);
     for _ in 0..scale.key_cases {
@@ -288,7 +277,7 @@ fn virtual_cost(config: &Configuration) -> f64 {
 }
 
 /// Runs one technique at every worker count and checks invariance.
-pub fn dse_row(
+pub(crate) fn dse_row(
     seed: u64,
     budget: usize,
     technique: &'static str,
@@ -345,7 +334,7 @@ pub fn dse_grid(seed: u64, budget: usize) -> Vec<DseRow> {
 }
 
 /// Renders the P1 report.
-pub fn p1_hot_path(seed: u64, scale: &HotPathScale) -> String {
+pub(crate) fn p1_hot_path(seed: u64, scale: &HotPathScale) -> String {
     let mut out = String::new();
     let select = select_equivalence(seed, scale);
     let _ = writeln!(out, "-- indexed select vs linear reference --");
@@ -402,7 +391,7 @@ pub fn p1_hot_path(seed: u64, scale: &HotPathScale) -> String {
 }
 
 /// Entry point for the experiment registry.
-pub fn p1_hot_path_report() -> String {
+pub(crate) fn p1_hot_path_report() -> String {
     p1_hot_path(424242, &HotPathScale::full())
 }
 
@@ -410,9 +399,18 @@ pub fn p1_hot_path_report() -> String {
 mod tests {
     use super::*;
 
+    /// A scale small enough for `cargo test`.
+    const TINY: HotPathScale = HotPathScale {
+        points: 96,
+        queries: 24,
+        mutations: 32,
+        key_cases: 24,
+        dse_budget: 40,
+    };
+
     #[test]
     fn equivalence_is_total_at_tiny_scale() {
-        let scale = HotPathScale::tiny();
+        let scale = TINY;
         let select = select_equivalence(1, &scale);
         assert_eq!(select.agreements, select.queries);
         assert_eq!(select.post_agreements, select.post_queries);
@@ -423,7 +421,7 @@ mod tests {
 
     #[test]
     fn dse_rows_are_invariant_and_speed_up() {
-        for row in dse_grid(3, HotPathScale::tiny().dse_budget) {
+        for row in dse_grid(3, TINY.dse_budget) {
             assert!(row.invariant, "{} not worker-invariant", row.technique);
             assert!(row.evaluations > 0);
             let speedup_4 = row.makespans[0] / row.makespans[2];
@@ -437,7 +435,7 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let scale = HotPathScale::tiny();
+        let scale = TINY;
         assert_eq!(p1_hot_path(9, &scale), p1_hot_path(9, &scale));
     }
 }

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// U1: the docking sweep under the three dispatch strategies on the
 /// CINECA-like heterogeneous pool.
-pub fn u1_docking_dispatch() -> String {
+pub(crate) fn u1_docking_dispatch() -> String {
     let mut rng = StdRng::seed_from_u64(31);
     let pocket = generate_pocket(30, &mut rng);
     let mut library = generate_library(600, 24, &mut rng);
@@ -66,7 +66,7 @@ pub fn u1_docking_dispatch() -> String {
 }
 
 /// Shared navigation day simulation.
-pub fn navigation_day(adaptive: bool, seed: u64, hours: f64) -> (Sla, f64, u64) {
+pub(crate) fn navigation_day(adaptive: bool, seed: u64, hours: f64) -> (Sla, f64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let network = RoadNetwork::city_grid(14, &mut rng);
     let traffic = TrafficModel::weekday().with_incidents(10, network.len(), &mut rng);
@@ -106,7 +106,7 @@ pub fn navigation_day(adaptive: bool, seed: u64, hours: f64) -> (Sla, f64, u64) 
 
 /// U2: fixed vs SLA-adaptive navigation over a 6-hour window spanning
 /// the morning rush.
-pub fn u2_navigation_adaptivity() -> String {
+pub(crate) fn u2_navigation_adaptivity() -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -151,7 +151,7 @@ fn identical(
 }
 
 /// The v1 report (deterministic; no wall clock).
-pub fn v1_vm_equivalence() -> String {
+pub(crate) fn v1_vm_equivalence() -> String {
     let mut out = String::new();
     let model = CostModel::new();
 

@@ -87,24 +87,6 @@ pub fn amdahl_speedup(serial: f64, n: f64) -> f64 {
     1.0 / (serial + (1.0 - serial) / n)
 }
 
-/// Gustafson scaled speedup (weak scaling): the problem grows with the
-/// machine, as the paper's use cases do (bigger chemical libraries, more
-/// navigation users).
-///
-/// # Panics
-///
-/// Panics unless `serial` is in `[0, 1]` and `n ≥ 1`.
-pub fn gustafson_speedup(serial: f64, n: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&serial), "serial fraction in [0, 1]");
-    assert!(n >= 1.0, "need at least one processor");
-    serial + (1.0 - serial) * n
-}
-
-/// Parallel efficiency (speedup / n) under strong scaling.
-pub fn strong_scaling_efficiency(serial: f64, n: f64) -> f64 {
-    amdahl_speedup(serial, n) / n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn amdahl_saturates_gustafson_does_not() {
+    fn amdahl_saturates() {
         let serial = 0.01;
         let strong_1k = amdahl_speedup(serial, 1000.0);
         let strong_1m = amdahl_speedup(serial, 1_000_000.0);
@@ -147,23 +129,12 @@ mod tests {
             strong_1m < 1.0 / serial * 1.01,
             "Amdahl ceiling at 1/serial"
         );
-        let weak_1m = gustafson_speedup(serial, 1_000_000.0);
-        assert!(weak_1m > 0.9e6, "weak scaling keeps growing");
-    }
-
-    #[test]
-    fn efficiency_degrades_with_scale() {
-        let e_small = strong_scaling_efficiency(0.001, 100.0);
-        let e_large = strong_scaling_efficiency(0.001, 100_000.0);
-        assert!(e_small > 0.9);
-        assert!(e_large < e_small);
     }
 
     #[test]
     fn trivial_bounds() {
         assert_eq!(amdahl_speedup(1.0, 1e6), 1.0);
         assert!((amdahl_speedup(0.0, 64.0) - 64.0).abs() < 1e-9);
-        assert_eq!(gustafson_speedup(1.0, 1e6), 1.0);
     }
 
     #[test]

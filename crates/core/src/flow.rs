@@ -3,7 +3,7 @@
 use antarex_dsl::interp::Weaver;
 use antarex_dsl::{parse_aspects, DslError, DslValue};
 use antarex_ir::cost::ExecStats;
-use antarex_ir::interp::{ExecEnv, HostFn, Interp};
+use antarex_ir::interp::{ExecEnv, HostFn};
 use antarex_ir::value::Value;
 use antarex_ir::{parse_program, Executor, IrError, Program};
 use antarex_vm::Vm;
@@ -84,19 +84,9 @@ impl ToolFlow {
         })
     }
 
-    /// Builds a flow from already-parsed pieces.
-    pub fn from_parts(program: Program, weaver: Weaver) -> Self {
-        ToolFlow { program, weaver }
-    }
-
     /// The (current, possibly woven) program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// Mutable access to the program (manual design-time edits).
-    pub fn program_mut(&mut self) -> &mut Program {
-        &mut self.program
     }
 
     /// The weaver (aspect library, captured dynamic plans).
@@ -125,13 +115,6 @@ impl ToolFlow {
     /// bytecode VM (the fast engine; bit-identical to the interpreter).
     pub fn deploy(self) -> Runtime {
         self.deploy_on(Box::new(Vm::new(Program::new())))
-    }
-
-    /// As [`ToolFlow::deploy`], but on the tree-walking interpreter (the
-    /// executable reference engine) — useful for engine-equivalence
-    /// checks and debugging.
-    pub fn deploy_interpreted(self) -> Runtime {
-        self.deploy_on(Box::new(Interp::new(Program::new())))
     }
 
     fn deploy_on(self, mut engine: Box<dyn Executor>) -> Runtime {
@@ -166,7 +149,7 @@ impl fmt::Debug for Runtime {
 
 impl Runtime {
     /// Calls a function, returning its value and the statistics of *this
-    /// call* (cumulative stats are also kept; see [`Runtime::total_stats`]).
+    /// call* (cumulative stats are also kept and shown by `Debug`).
     ///
     /// # Errors
     ///
@@ -185,16 +168,6 @@ impl Runtime {
     /// Registers a host (instrumentation) function.
     pub fn register_host(&mut self, name: impl Into<String>, f: HostFn) {
         self.engine.register_host(name.into(), f);
-    }
-
-    /// The execution engine backing this runtime (`"vm"` / `"interp"`).
-    pub fn engine_name(&self) -> &'static str {
-        self.engine.engine_name()
-    }
-
-    /// Cumulative statistics across all calls.
-    pub fn total_stats(&self) -> ExecStats {
-        self.env.stats
     }
 
     /// The running program (it grows as dynamic weaving adds versions).
@@ -220,6 +193,7 @@ mod tests {
     use antarex_dsl::figures::{
         FIG2_PROFILE_ARGUMENTS, FIG3_UNROLL_INNERMOST_LOOPS, FIG4_SPECIALIZE_KERNEL,
     };
+    use antarex_ir::interp::Interp;
     use std::cell::RefCell;
 
     #[test]
@@ -271,7 +245,7 @@ mod tests {
         let buf = Value::from(vec![1.0; 16]);
         runtime.call("sumsq16", std::slice::from_ref(&buf)).unwrap();
         runtime.call("sumsq16", &[buf]).unwrap();
-        assert!(runtime.total_stats().flops >= 64);
+        assert!(runtime.env.stats.flops >= 64);
         assert_eq!(*calls.borrow(), 0, "aspect matched nothing: no probes");
     }
 
@@ -285,7 +259,7 @@ mod tests {
             flow.weave("SpecializeKernel", &[DslValue::Int(4), DslValue::Int(64)])
                 .unwrap();
             let mut runtime = if deploy_interp {
-                flow.deploy_interpreted()
+                flow.deploy_on(Box::new(Interp::new(Program::new())))
             } else {
                 flow.deploy()
             };
@@ -306,7 +280,7 @@ mod tests {
     fn deploy_defaults_to_the_vm() {
         let flow = ToolFlow::new("int f() { return 1; }", "aspectdef A\nend").unwrap();
         let runtime = flow.deploy();
-        assert_eq!(runtime.engine_name(), "vm");
+        assert_eq!(runtime.engine.engine_name(), "vm");
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //! * [`flow`] — [`flow::ToolFlow`]: parse → weave → deploy; the
 //!   deployed [`flow::Runtime`] executes the woven program with
 //!   dynamic weaving installed;
-//! * [`split`] — split-compilation statistics: offline preparation vs
-//!   online binding, version-cache behaviour;
 //! * [`scenario`] — the canonical mini-C kernels used by examples, tests
 //!   and benchmarks;
 //! * [`exascale`] — the projection toward the 20–30 MW Exascale envelope
 //!   the paper opens with (§I): efficiency-driven power extrapolation and
-//!   Amdahl/Gustafson scaling.
+//!   Amdahl scaling.
 //!
 //! # Examples
 //!
@@ -43,10 +41,8 @@
 //! # }
 //! ```
 
-pub mod bridge;
 pub mod exascale;
 pub mod flow;
 pub mod scenario;
-pub mod split;
 
-pub use flow::{FlowError, Runtime, ToolFlow};
+pub use flow::FlowError;

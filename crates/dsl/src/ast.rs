@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 /// A parsed aspect definition (`aspectdef ... end`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct AspectDef {
+pub(crate) struct AspectDef {
     /// Aspect name.
     pub name: String,
     /// Input parameter names (may be `$`-prefixed, e.g. `$func`).
@@ -17,7 +17,7 @@ pub struct AspectDef {
 
 /// One top-level item of an aspect body.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Item {
+pub(crate) enum Item {
     /// `select ... end` — establishes the current pointcut.
     Select(Select),
     /// `apply [dynamic] ... end` — actions over the current pointcut.
@@ -59,7 +59,7 @@ pub enum Filter {
 
 /// An `apply` section.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Apply {
+pub(crate) struct Apply {
     /// `true` for `apply dynamic` (deferred to runtime weaving).
     pub dynamic: bool,
     /// Actions executed per selected join point.
@@ -179,12 +179,12 @@ pub enum DExpr {
 
 impl DExpr {
     /// Builds an attribute access.
-    pub fn attr(base: DExpr, name: impl Into<String>) -> DExpr {
+    pub(crate) fn attr(base: DExpr, name: impl Into<String>) -> DExpr {
         DExpr::Attr(Box::new(base), name.into())
     }
 
     /// Builds a binary expression.
-    pub fn binary(op: DBinOp, lhs: DExpr, rhs: DExpr) -> DExpr {
+    pub(crate) fn binary(op: DBinOp, lhs: DExpr, rhs: DExpr) -> DExpr {
         DExpr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
 }
@@ -198,17 +198,17 @@ pub struct AspectLibrary {
 
 impl AspectLibrary {
     /// Creates an empty library.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds (or replaces) an aspect definition.
-    pub fn insert(&mut self, aspect: AspectDef) -> Option<AspectDef> {
+    pub(crate) fn insert(&mut self, aspect: AspectDef) -> Option<AspectDef> {
         self.aspects.insert(aspect.name.clone(), aspect)
     }
 
     /// Looks up an aspect by name.
-    pub fn get(&self, name: &str) -> Option<&AspectDef> {
+    pub(crate) fn get(&self, name: &str) -> Option<&AspectDef> {
         self.aspects.get(name)
     }
 
@@ -218,23 +218,8 @@ impl AspectLibrary {
     }
 
     /// Aspect names in sorted order.
-    pub fn names(&self) -> Vec<&str> {
+    pub(crate) fn names(&self) -> Vec<&str> {
         self.aspects.keys().map(String::as_str).collect()
-    }
-
-    /// Number of aspects in the library.
-    pub fn len(&self) -> usize {
-        self.aspects.len()
-    }
-
-    /// Returns `true` if the library is empty.
-    pub fn is_empty(&self) -> bool {
-        self.aspects.is_empty()
-    }
-
-    /// Merges another library into this one (later definitions win).
-    pub fn merge(&mut self, other: AspectLibrary) {
-        self.aspects.extend(other.aspects);
     }
 }
 
@@ -270,17 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn library_insert_lookup_merge() {
+    fn library_insert_lookup_replace() {
         let mut lib: AspectLibrary = [aspect("A"), aspect("B")].into_iter().collect();
         assert_eq!(lib.names(), vec!["A", "B"]);
         assert!(lib.contains("A"));
-        let mut other = AspectLibrary::new();
         let mut b2 = aspect("B");
         b2.inputs.push("x".into());
-        other.insert(b2);
-        other.insert(aspect("C"));
-        lib.merge(other);
-        assert_eq!(lib.len(), 3);
+        assert!(lib.insert(b2).is_some());
+        assert!(lib.insert(aspect("C")).is_none());
+        assert_eq!(lib.names(), vec!["A", "B", "C"]);
         assert_eq!(lib.get("B").unwrap().inputs, vec!["x".to_string()]);
     }
 }

@@ -39,7 +39,7 @@ pub struct DynamicPlan {
 
 /// Runtime statistics of the dynamic weaver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DynamicStats {
+pub(crate) struct DynamicStats {
     /// Calls redirected via the version table without running any plan.
     pub fast_hits: u64,
     /// Plan bodies executed (specializations performed).
@@ -70,7 +70,7 @@ impl std::fmt::Debug for DynamicWeaver {
 impl DynamicWeaver {
     /// Assembles a dynamic weaver; normally obtained via
     /// [`Weaver::into_dynamic`](crate::interp::Weaver::into_dynamic).
-    pub fn new(
+    pub(crate) fn new(
         library: AspectLibrary,
         actions: Box<dyn ActionHost>,
         store: Rc<RefCell<VersionStore>>,
@@ -83,21 +83,6 @@ impl DynamicWeaver {
             plans,
             stats: DynamicStats::default(),
         }
-    }
-
-    /// Runtime statistics so far.
-    pub fn stats(&self) -> DynamicStats {
-        self.stats
-    }
-
-    /// The shared version store.
-    pub fn store(&self) -> Rc<RefCell<VersionStore>> {
-        Rc::clone(&self.store)
-    }
-
-    /// Number of captured plans.
-    pub fn plan_count(&self) -> usize {
-        self.plans.len()
     }
 
     fn try_plans(
@@ -388,7 +373,7 @@ mod tests {
         let mut program = parse_program(APP).unwrap();
         let mut weaver = Weaver::new(lib);
         // bind `prep` via a custom pre-step: prepare manually through store
-        weaver.store().borrow_mut().prepare("kernel", "size", 1);
+        weaver.store().borrow_mut().prepare("kernel", 1);
         // `prep` must resolve inside the plan env: weave a wrapper aspect
         // that binds it is overkill here; instead exercise the error path:
         weaver.weave(&mut program, "A", &[]).unwrap();
@@ -414,6 +399,5 @@ mod tests {
             .resolve("kernel", &[IrValue::Int(1)], &mut program)
             .unwrap();
         assert_eq!(resolved, None);
-        assert_eq!(dynamic.stats(), DynamicStats::default());
     }
 }

@@ -32,7 +32,7 @@ pub enum DslError {
 
 impl DslError {
     /// Convenience constructor for parse errors.
-    pub fn parse(line: u32, col: u32, message: impl Into<String>) -> Self {
+    pub(crate) fn parse(line: u32, col: u32, message: impl Into<String>) -> Self {
         DslError::Parse {
             line,
             col,
@@ -41,7 +41,7 @@ impl DslError {
     }
 
     /// Convenience constructor for action failures.
-    pub fn action(action: impl Into<String>, message: impl fmt::Display) -> Self {
+    pub(crate) fn action(action: impl Into<String>, message: impl fmt::Display) -> Self {
         DslError::Action {
             action: action.into(),
             message: message.to_string(),

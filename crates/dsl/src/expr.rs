@@ -21,33 +21,26 @@ pub struct Env {
 
 impl Env {
     /// Creates an empty environment.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Binds a variable, returning the previous value if shadowed.
-    pub fn bind(&mut self, name: impl Into<String>, value: DslValue) -> Option<DslValue> {
+    pub(crate) fn bind(&mut self, name: impl Into<String>, value: DslValue) -> Option<DslValue> {
         self.vars.insert(name.into(), value)
     }
 
     /// Looks up a variable.
-    pub fn get(&self, name: &str) -> Option<&DslValue> {
+    pub(crate) fn get(&self, name: &str) -> Option<&DslValue> {
         self.vars.get(name)
     }
 
     /// Returns a copy with the filter candidate installed: bare identifiers
     /// that are not bound variables resolve to the candidate's attributes.
-    pub fn with_candidate(&self, candidate: DslValue) -> Env {
+    pub(crate) fn with_candidate(&self, candidate: DslValue) -> Env {
         let mut env = self.clone();
         env.candidate = Some(candidate);
         env
-    }
-
-    /// Bound variable names (for diagnostics).
-    pub fn names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.vars.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -61,7 +54,7 @@ impl Env {
 /// [`DslValue::Null`], which fails comparisons, so conditions like
 /// `$loop.numIter <= threshold` are simply false for loops with unknown
 /// trip counts.
-pub fn eval(expr: &DExpr, env: &Env) -> Result<DslValue, DslError> {
+pub(crate) fn eval(expr: &DExpr, env: &Env) -> Result<DslValue, DslError> {
     match expr {
         DExpr::Int(v) => Ok(DslValue::Int(*v)),
         DExpr::Float(v) => Ok(DslValue::Float(*v)),
@@ -120,7 +113,7 @@ pub fn eval(expr: &DExpr, env: &Env) -> Result<DslValue, DslError> {
 /// Resolves an attribute on a value: join points expose their static
 /// attributes, records their fields, function references their name.
 /// Unknown attributes yield [`DslValue::Null`].
-pub fn attr_of(value: &DslValue, name: &str) -> DslValue {
+pub(crate) fn attr_of(value: &DslValue, name: &str) -> DslValue {
     match value {
         DslValue::Jp(jp) => jp
             .attribute(name)
@@ -224,7 +217,7 @@ fn values_equal(l: &DslValue, r: &DslValue) -> bool {
 
 /// Binds a join point under its canonical variable name (`$fCall`, `$loop`,
 /// `$arg`, `$func`).
-pub fn bind_join_point(env: &mut Env, jp: &JoinPoint) {
+pub(crate) fn bind_join_point(env: &mut Env, jp: &JoinPoint) {
     let var = match jp.kind_name() {
         "fCall" => "$fCall",
         "loop" => "$loop",

@@ -7,9 +7,9 @@
 //! after the `apply`, as in the paper's listings).
 //!
 //! `apply dynamic` bodies are *not* executed here: they are captured as
-//! [`crate::dynamic::DynamicPlan`]s together with their
+//! `crate::dynamic::DynamicPlan`s together with their
 //! environment, and enacted at runtime by a
-//! [`DynamicWeaver`](crate::dynamic::DynamicWeaver) — the paper's split
+//! `DynamicWeaver` — the paper's split
 //! compilation: offline preparation, online binding.
 
 use crate::ast::{Action, Apply, AspectLibrary, CallAspect, DExpr, Filter, Item, SelLink, Select};
@@ -31,7 +31,7 @@ use std::rc::Rc;
 /// The [`StandardActions`] implementation provides the paper's action set
 /// (`LoopUnroll`, `Specialize`, `PrepareSpecialize`, `AddVersion`);
 /// embedders can wrap or replace it to add domain-specific actions.
-pub trait ActionHost {
+pub(crate) trait ActionHost {
     /// Invokes action `name` with evaluated arguments, optionally targeted
     /// at a join point, possibly mutating the program.
     ///
@@ -50,25 +50,20 @@ pub trait ActionHost {
 
 /// The built-in weaver actions from the paper's listings.
 #[derive(Debug, Clone)]
-pub struct StandardActions {
+pub(crate) struct StandardActions {
     store: Rc<RefCell<VersionStore>>,
 }
 
 impl StandardActions {
     /// Creates the standard action set with a fresh version store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StandardActions {
             store: Rc::new(RefCell::new(VersionStore::new())),
         }
     }
 
-    /// Creates the standard action set sharing an existing version store.
-    pub fn with_store(store: Rc<RefCell<VersionStore>>) -> Self {
-        StandardActions { store }
-    }
-
     /// The shared multi-version dispatch store.
-    pub fn store(&self) -> Rc<RefCell<VersionStore>> {
+    pub(crate) fn store(&self) -> Rc<RefCell<VersionStore>> {
         Rc::clone(&self.store)
     }
 
@@ -226,7 +221,7 @@ impl ActionHost for StandardActions {
                     .ok_or_else(|| {
                         DslError::action(name, format!("`{function}` has no parameter `{param}`"))
                     })?;
-                self.store.borrow_mut().prepare(&function, param, index);
+                self.store.borrow_mut().prepare(&function, index);
                 Ok(DslValue::record([
                     ("function", DslValue::Str(function)),
                     ("param", DslValue::Str(param.to_string())),
@@ -296,30 +291,9 @@ impl Weaver {
         }
     }
 
-    /// Creates a weaver with a custom action host (the host keeps its own
-    /// version store; pass one created via
-    /// [`StandardActions::with_store`] to share).
-    pub fn with_actions(
-        library: AspectLibrary,
-        actions: Box<dyn ActionHost>,
-        store: Rc<RefCell<VersionStore>>,
-    ) -> Self {
-        Weaver {
-            library,
-            actions,
-            store,
-            dynamic_plans: Vec::new(),
-        }
-    }
-
     /// The multi-version dispatch store shared with dynamic weaving.
     pub fn store(&self) -> Rc<RefCell<VersionStore>> {
         Rc::clone(&self.store)
-    }
-
-    /// The aspect library.
-    pub fn library(&self) -> &AspectLibrary {
-        &self.library
     }
 
     /// Dynamic plans captured so far by `apply dynamic` sections.
@@ -352,7 +326,7 @@ impl Weaver {
     }
 
     /// Consumes the weaver, producing the runtime half: a
-    /// [`DynamicWeaver`](crate::dynamic::DynamicWeaver) that enacts the
+    /// `DynamicWeaver` that enacts the
     /// captured `apply dynamic` plans while the program runs.
     pub fn into_dynamic(self) -> crate::dynamic::DynamicWeaver {
         crate::dynamic::DynamicWeaver::new(
@@ -374,7 +348,7 @@ pub(crate) struct Exec<'a> {
 }
 
 impl Exec<'_> {
-    pub fn run_aspect(
+    pub(crate) fn run_aspect(
         &mut self,
         name: &str,
         inputs: &[DslValue],
@@ -491,7 +465,7 @@ impl Exec<'_> {
         Ok(())
     }
 
-    pub fn exec_action(
+    pub(crate) fn exec_action(
         &mut self,
         action: &Action,
         env: &Env,
@@ -548,7 +522,7 @@ impl Exec<'_> {
     /// Executes the actions of one apply body sequentially, threading label
     /// bindings (used for dynamic plans, where `call spOut: ...` results
     /// feed later actions).
-    pub fn exec_actions_threaded(
+    pub(crate) fn exec_actions_threaded(
         &mut self,
         actions: &[Action],
         env: &mut Env,
@@ -588,7 +562,7 @@ impl Exec<'_> {
         }
     }
 
-    pub fn eval_select(
+    pub(crate) fn eval_select(
         &mut self,
         select: &Select,
         env: &Env,

@@ -9,7 +9,7 @@ use crate::error::DslError;
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword, possibly `$`-prefixed.
     Ident(String),
     /// Integer literal.
@@ -28,7 +28,7 @@ pub enum Tok {
 
 /// A token plus its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token.
     pub tok: Tok,
     /// 1-based line.
@@ -47,7 +47,7 @@ const PUNCTS: &[&str] = &[
 /// # Errors
 ///
 /// Returns [`DslError::Parse`] on malformed literals or stray characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, DslError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

@@ -5,14 +5,14 @@
 //! inspired by aspect-oriented programming and built on LARA. This crate
 //! implements that DSL for the mini-C substrate of [`antarex_ir`]:
 //!
-//! * [`lexer`] / [`parser`] / [`ast`] — the aspect language
+//! * `lexer` / `parser` / `ast` — the aspect language
 //!   (`aspectdef` / `input` / `select` / `apply` / `condition`, code
 //!   templates `%{ ... }%` with `[[expr]]` splices, weaver actions `do`,
 //!   aspect composition `call`, and `apply dynamic` for runtime weaving);
 //! * [`interp`] — the static weaver: runs aspects against a program,
 //!   selecting join points and firing actions;
-//! * [`dynamic`] — the runtime half: `apply dynamic` bodies become a
-//!   [`DynamicWeaver`](dynamic::DynamicWeaver) that plugs into the mini-C
+//! * `dynamic` — the runtime half: `apply dynamic` bodies become a
+//!   `DynamicWeaver` that plugs into the mini-C
 //!   interpreter as a call dispatcher and weaves specialized versions while
 //!   the application runs (split compilation).
 //!
@@ -45,19 +45,17 @@
 //! # }
 //! ```
 
-pub mod ast;
-pub mod dynamic;
-pub mod error;
-pub mod expr;
+pub(crate) mod ast;
+pub(crate) mod dynamic;
+pub(crate) mod error;
+pub(crate) mod expr;
 pub mod figures;
 pub mod interp;
-pub mod lexer;
-pub mod parser;
-pub mod template;
+pub(crate) mod lexer;
+pub(crate) mod parser;
+pub(crate) mod template;
 pub mod value;
 
-pub use ast::{Action, AspectDef, AspectLibrary};
 pub use error::DslError;
-pub use interp::Weaver;
 pub use parser::parse_aspects;
 pub use value::DslValue;

@@ -70,7 +70,7 @@ pub fn parse_aspects(source: &str) -> Result<crate::ast::AspectLibrary, DslError
 /// # Errors
 ///
 /// Returns [`DslError::Parse`] on syntax errors or trailing input.
-pub fn parse_dsl_expr(source: &str) -> Result<DExpr, DslError> {
+pub(crate) fn parse_dsl_expr(source: &str) -> Result<DExpr, DslError> {
     let tokens = lex(source)?;
     let mut parser = Parser::new(tokens);
     let expr = parser.expr()?;
@@ -570,7 +570,7 @@ mod tests {
     #[test]
     fn multiple_aspects_in_one_file() {
         let lib = parse_aspects(&format!("{FIG2}\n{FIG3}")).unwrap();
-        assert_eq!(lib.len(), 2);
+        assert_eq!(lib.names().len(), 2);
     }
 
     #[test]

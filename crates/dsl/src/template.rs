@@ -22,7 +22,7 @@ use crate::value::DslValue;
 ///
 /// Returns [`DslError::Parse`] if a `[[` splice is unterminated or its
 /// expression does not parse.
-pub fn parse_template(body: &str) -> Result<Template, DslError> {
+pub(crate) fn parse_template(body: &str) -> Result<Template, DslError> {
     let mut parts = Vec::new();
     let mut rest = body;
     while let Some(open) = rest.find("[[") {
@@ -49,7 +49,7 @@ pub fn parse_template(body: &str) -> Result<Template, DslError> {
 ///
 /// Propagates expression-evaluation errors; splicing [`DslValue::Null`]
 /// is an error (the aspect referenced a missing attribute).
-pub fn render(template: &Template, env: &Env) -> Result<String, DslError> {
+pub(crate) fn render(template: &Template, env: &Env) -> Result<String, DslError> {
     let mut out = String::new();
     let mut in_single = false;
     let mut in_double = false;

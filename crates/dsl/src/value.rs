@@ -32,7 +32,7 @@ pub enum DslValue {
 
 impl DslValue {
     /// Builds a record value from field pairs.
-    pub fn record<I, K>(fields: I) -> DslValue
+    pub(crate) fn record<I, K>(fields: I) -> DslValue
     where
         I: IntoIterator<Item = (K, DslValue)>,
         K: Into<String>,
@@ -41,7 +41,7 @@ impl DslValue {
     }
 
     /// Truthiness for `condition` evaluation.
-    pub fn truthy(&self) -> bool {
+    pub(crate) fn truthy(&self) -> bool {
         match self {
             DslValue::Null => false,
             DslValue::Bool(b) => *b,
@@ -53,7 +53,7 @@ impl DslValue {
     }
 
     /// Numeric view.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             DslValue::Int(v) => Some(*v as f64),
             DslValue::Float(v) => Some(*v),
@@ -63,7 +63,7 @@ impl DslValue {
     }
 
     /// Integer view (floats truncate).
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             DslValue::Int(v) => Some(*v),
             DslValue::Float(v) => Some(*v as i64),
@@ -73,7 +73,7 @@ impl DslValue {
     }
 
     /// String view for `Str` and `Code`.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             DslValue::Str(s) | DslValue::Code(s) => Some(s),
             _ => None,
@@ -82,7 +82,7 @@ impl DslValue {
 
     /// The function name this value designates, if any: a `FuncRef`, a
     /// function join point, or a record carrying a `$func` field.
-    pub fn as_func_name(&self) -> Option<&str> {
+    pub(crate) fn as_func_name(&self) -> Option<&str> {
         match self {
             DslValue::FuncRef(name) => Some(name),
             DslValue::Jp(JoinPoint::Function { name }) => Some(name),
@@ -93,7 +93,7 @@ impl DslValue {
     }
 
     /// Converts to a mini-C runtime value if scalar.
-    pub fn to_ir(&self) -> Option<IrValue> {
+    pub(crate) fn to_ir(&self) -> Option<IrValue> {
         match self {
             DslValue::Int(v) => Some(IrValue::Int(*v)),
             DslValue::Float(v) => Some(IrValue::Float(*v)),
@@ -104,7 +104,7 @@ impl DslValue {
     }
 
     /// Converts a mini-C runtime value into a DSL value.
-    pub fn from_ir(value: &IrValue) -> DslValue {
+    pub(crate) fn from_ir(value: &IrValue) -> DslValue {
         match value {
             IrValue::Int(v) => DslValue::Int(*v),
             IrValue::Float(v) => DslValue::Float(*v),

@@ -2,7 +2,7 @@
 //!
 //! The paper's `UnrollInnermostLoops` aspect (Fig. 3) guards its action with
 //! `$loop.isInnermost && $loop.numIter <= threshold`; this module provides
-//! exactly those attributes: [`trip_count`], [`is_innermost`], plus the call
+//! exactly those attributes: [`trip_count`], `is_innermost`, plus the call
 //! and loop inventories used by `select` statements.
 
 use crate::ast::{BinOp, Block, Expr, Stmt};
@@ -111,7 +111,7 @@ fn flip(op: BinOp) -> Option<BinOp> {
 /// Returns `true` if the loop statement contains no nested loops.
 ///
 /// Non-loop statements are vacuously *not* innermost loops (returns `false`).
-pub fn is_innermost(stmt: &Stmt) -> bool {
+pub(crate) fn is_innermost(stmt: &Stmt) -> bool {
     if !stmt.is_loop() {
         return false;
     }
@@ -128,7 +128,7 @@ fn contains_loop_in_children(stmt: &Stmt) -> bool {
 
 /// A function call site discovered inside a statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Path to the statement containing the call.
     pub path: NodePath,
     /// Callee name.
@@ -140,7 +140,7 @@ pub struct CallSite {
 /// Lists every call site in a body, pre-order by statement.
 ///
 /// A statement containing several calls yields several entries (same path).
-pub fn call_sites(body: &Block) -> Vec<CallSite> {
+pub(crate) fn call_sites(body: &Block) -> Vec<CallSite> {
     let mut sites = Vec::new();
     for (path, stmt) in NodePath::enumerate(body) {
         stmt.own_exprs(&mut |expr| {
@@ -164,23 +164,6 @@ pub fn loops(body: &Block) -> Vec<(NodePath, &Stmt)> {
         .into_iter()
         .filter(|(_, stmt)| stmt.is_loop())
         .collect()
-}
-
-/// Names of variables read anywhere in a body (conservative superset).
-pub fn read_variables(body: &Block) -> Vec<String> {
-    let mut names = Vec::new();
-    for (_, stmt) in NodePath::enumerate(body) {
-        stmt.own_exprs(&mut |expr| {
-            expr.walk(&mut |e| {
-                if let Expr::Var(name) = e {
-                    if !names.contains(name) {
-                        names.push(name.clone());
-                    }
-                }
-            });
-        });
-    }
-    names
 }
 
 #[cfg(test)]
@@ -293,15 +276,6 @@ mod tests {
         let sites = call_sites(&program.function("f").unwrap().body);
         let callees: Vec<&str> = sites.iter().map(|s| s.callee.as_str()).collect();
         assert_eq!(callees, vec!["g", "h", "g", "g", "g", "g"]);
-    }
-
-    #[test]
-    fn read_variables_unique_in_order() {
-        let program = parse_program("void f(int n) { int x = n + n; int y = x * n; }").unwrap();
-        assert_eq!(
-            read_variables(&program.function("f").unwrap().body),
-            vec!["n".to_string(), "x".to_string()]
-        );
     }
 
     #[test]

@@ -61,21 +61,6 @@ impl BinOp {
             BinOp::Or => "||",
         }
     }
-
-    /// Returns `true` for comparison and logical operators (result is 0/1).
-    pub fn is_boolean(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
 }
 
 impl fmt::Display for BinOp {
@@ -132,11 +117,6 @@ impl Expr {
     /// Builds a variable reference.
     pub fn var(name: impl Into<String>) -> Expr {
         Expr::Var(name.into())
-    }
-
-    /// Builds a call expression.
-    pub fn call(name: impl Into<String>, args: Vec<Expr>) -> Expr {
-        Expr::Call(name.into(), args)
     }
 
     /// Returns the constant integer value of the expression, if it is a
@@ -202,7 +182,7 @@ pub enum LValue {
 
 impl LValue {
     /// Name of the underlying variable or array.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             LValue::Var(name) | LValue::Index(name, _) => name,
         }
@@ -299,7 +279,7 @@ impl Stmt {
     }
 
     /// Mutable variant of [`Stmt::child_blocks`].
-    pub fn child_blocks_mut(&mut self) -> Vec<&mut Block> {
+    pub(crate) fn child_blocks_mut(&mut self) -> Vec<&mut Block> {
         match self {
             Stmt::If {
                 then_branch,
@@ -318,7 +298,7 @@ impl Stmt {
     }
 
     /// Returns `true` if this statement is a loop (`for` or `while`).
-    pub fn is_loop(&self) -> bool {
+    pub(crate) fn is_loop(&self) -> bool {
         matches!(self, Stmt::For { .. } | Stmt::While { .. })
     }
 
@@ -359,26 +339,6 @@ pub struct Param {
     pub ty: Type,
     /// `true` if the parameter is an array (`double a[]`).
     pub is_array: bool,
-}
-
-impl Param {
-    /// Creates a scalar parameter.
-    pub fn scalar(name: impl Into<String>, ty: Type) -> Self {
-        Param {
-            name: name.into(),
-            ty,
-            is_array: false,
-        }
-    }
-
-    /// Creates an array parameter.
-    pub fn array(name: impl Into<String>, ty: Type) -> Self {
-        Param {
-            name: name.into(),
-            ty,
-            is_array: true,
-        }
-    }
 }
 
 /// A function definition.
@@ -467,15 +427,6 @@ impl Program {
         self.functions.contains_key(name)
     }
 
-    /// Removes a function by name.
-    pub fn remove(&mut self, name: &str) -> Option<Rc<Function>> {
-        let prev = self.functions.remove(name);
-        if prev.is_some() {
-            self.order.retain(|n| n != name);
-        }
-        prev
-    }
-
     /// Function names in insertion order.
     pub fn function_names(&self) -> Vec<&str> {
         self.order.iter().map(String::as_str).collect()
@@ -549,8 +500,8 @@ mod tests {
         Expr::binary(
             BinOp::Mul,
             Expr::binary(BinOp::Add, Expr::var("x"), Expr::Int(2)),
-            Expr::call(
-                "f",
+            Expr::Call(
+                "f".into(),
                 vec![
                     Expr::var("x"),
                     Expr::Index("a".into(), Box::new(Expr::var("x"))),
@@ -631,16 +582,6 @@ mod tests {
         let mut program = Program::new();
         let err = program.edit_function("nope", |_| {}).unwrap_err();
         assert!(matches!(err, crate::IrError::Unresolved(_)));
-    }
-
-    #[test]
-    fn remove_updates_order() {
-        let mut program: Program = ["a", "b", "c"]
-            .into_iter()
-            .map(|n| Function::new(n, None, vec![], vec![]))
-            .collect();
-        program.remove("b");
-        assert_eq!(program.function_names(), vec!["a", "c"]);
     }
 
     #[test]

@@ -63,13 +63,6 @@ impl CostModel {
             host_call: 25,
         }
     }
-
-    /// A model where instrumentation is free — useful for separating
-    /// measurement overhead from kernel work in experiments.
-    pub fn free_instrumentation(mut self) -> Self {
-        self.host_call = 0;
-        self
-    }
 }
 
 impl Default for CostModel {
@@ -103,11 +96,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds another statistics record into this one (saturating — merging
     /// reports never panics or wraps, even near the counter ceiling).
     pub fn merge(&mut self, other: &ExecStats) {
@@ -145,16 +133,6 @@ impl ExecStats {
         self.flops = self.flops.saturating_add(n);
         self.flop_energy += n as f64 * unit;
     }
-
-    /// Arithmetic intensity: FLOPs per memory operation (`None` when no
-    /// memory traffic occurred).
-    pub fn arithmetic_intensity(&self) -> Option<f64> {
-        if self.mem_ops == 0 {
-            None
-        } else {
-            Some(self.flops as f64 / self.mem_ops as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,24 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_intensity() {
-        let s = ExecStats {
-            flops: 8,
-            mem_ops: 4,
-            ..ExecStats::default()
-        };
-        assert_eq!(s.arithmetic_intensity(), Some(2.0));
-        assert_eq!(ExecStats::default().arithmetic_intensity(), None);
-    }
-
-    #[test]
-    fn free_instrumentation_zeroes_host_cost() {
-        assert_eq!(CostModel::new().free_instrumentation().host_call, 0);
-    }
-
-    #[test]
     fn charge_overflows_to_typed_error() {
-        let mut s = ExecStats::new();
+        let mut s = ExecStats::default();
         s.charge(u64::MAX - 1).unwrap();
         assert_eq!(s.charge(2), Err(IrError::CostOverflow));
         // the counter is left at its pre-overflow value, not wrapped
@@ -232,7 +194,7 @@ mod tests {
 
     #[test]
     fn count_flops_matches_bulk_accumulation() {
-        let mut a = ExecStats::new();
+        let mut a = ExecStats::default();
         a.count_flops(4, 0.25);
         assert_eq!(a.flops, 4);
         assert_eq!(a.flop_energy, 1.0);

@@ -50,7 +50,7 @@ pub enum IrError {
 
 impl IrError {
     /// Convenience constructor for point parse errors (span of width zero).
-    pub fn parse(line: u32, col: u32, message: impl Into<String>) -> Self {
+    pub(crate) fn parse(line: u32, col: u32, message: impl Into<String>) -> Self {
         IrError::Parse {
             line,
             col,
@@ -61,23 +61,17 @@ impl IrError {
 
     /// Constructor for parse errors covering a token span
     /// `[col, end_col)` on `line`.
-    pub fn parse_span(line: u32, col: u32, end_col: u32, message: impl Into<String>) -> Self {
+    pub(crate) fn parse_span(
+        line: u32,
+        col: u32,
+        end_col: u32,
+        message: impl Into<String>,
+    ) -> Self {
         IrError::Parse {
             line,
             col,
             end_col,
             message: message.into(),
-        }
-    }
-
-    /// The source span of a parse error as `(line, col, end_col)`, if this
-    /// is a parse error.
-    pub fn span(&self) -> Option<(u32, u32, u32)> {
-        match self {
-            IrError::Parse {
-                line, col, end_col, ..
-            } => Some((*line, *col, *end_col)),
-            _ => None,
         }
     }
 }
@@ -132,8 +126,6 @@ mod tests {
     fn spanned_errors_render_the_range() {
         let err = IrError::parse_span(2, 5, 9, "expected type");
         assert_eq!(err.to_string(), "parse error at 2:5-9: expected type");
-        assert_eq!(err.span(), Some((2, 5, 9)));
-        assert_eq!(IrError::CostOverflow.span(), None);
     }
 
     #[test]

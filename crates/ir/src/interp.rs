@@ -178,15 +178,9 @@ impl Interp {
         result
     }
 
-    /// Replaces the cost model.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
     /// Sets (or clears) the execution budget in cost units. The default is
     /// 2·10⁸ units, which stops runaway loops in tests.
-    pub fn set_budget(&mut self, budget: Option<u64>) {
+    pub(crate) fn set_budget(&mut self, budget: Option<u64>) {
         self.budget = budget;
     }
 
@@ -214,11 +208,6 @@ impl Interp {
     /// Mutable access to the program (design-time edits between runs).
     pub fn program_mut(&mut self) -> &mut Program {
         &mut self.program
-    }
-
-    /// Consumes the interpreter, returning the (possibly grown) program.
-    pub fn into_program(self) -> Program {
-        self.program
     }
 
     /// Calls a function by name with the given arguments.

@@ -5,7 +5,7 @@
 //! rest of the workspace weaves into: a small C-like language with
 //!
 //! * an [`ast`] (AST) for expressions, statements, functions and programs,
-//! * a [`parser`] for a C subset so applications can be written as text,
+//! * a `parser` for a C subset so applications can be written as text,
 //! * a [pretty-printer](printer) producing C-like source back,
 //! * a [join-point model](joinpoint) (functions, loops, calls, arguments)
 //!   matching what the LARA-style DSL selects over,
@@ -43,13 +43,13 @@ pub mod exec;
 pub mod interp;
 pub mod joinpoint;
 pub mod ops;
-pub mod parser;
-pub mod path;
+pub(crate) mod parser;
+pub(crate) mod path;
 pub mod printer;
 pub mod types;
 pub mod value;
 
-pub use ast::{BinOp, Block, Expr, Function, LValue, Param, Program, Stmt, UnOp};
+pub use ast::{BinOp, Block, Expr, Function, LValue, Program, Stmt, UnOp};
 pub use error::IrError;
 pub use exec::Executor;
 pub use parser::{parse_expr, parse_program, parse_stmt, parse_stmts};

@@ -45,7 +45,7 @@ pub fn flop_unit(prec_ctx: u8) -> f64 {
 ///
 /// Panics if called with [`BinOp::And`] or [`BinOp::Or`].
 #[inline]
-pub fn apply_binary(
+pub(crate) fn apply_binary(
     op: BinOp,
     l: Value,
     r: Value,
@@ -56,13 +56,13 @@ pub fn apply_binary(
     apply_binary_with(op, &l, &r, model, || flop_unit(prec_ctx), stats)
 }
 
-/// [`apply_binary`] with borrowed operands and a lazily computed flop
+/// `apply_binary` with borrowed operands and a lazily computed flop
 /// unit — the hot-path entry the bytecode VM uses (it caches
 /// [`flop_unit`] alongside its precision context, so `unit` is a
 /// constant closure there). The unit closure runs at most once, only
 /// when the operation actually counts a flop, so the integer path pays
 /// nothing for it. Semantics, charge order and error text are identical
-/// to [`apply_binary`] — the wrapper *is* this function.
+/// to `apply_binary` — the wrapper *is* this function.
 ///
 /// # Errors
 ///
@@ -262,7 +262,7 @@ fn int_binary(op: BinOp, a: i64, b: i64) -> Result<Value, IrError> {
 /// [`IrError::Type`] when negating a non-number,
 /// [`IrError::CostOverflow`] when accounting overflows.
 #[inline]
-pub fn apply_unary(
+pub(crate) fn apply_unary(
     op: UnOp,
     value: Value,
     model: &CostModel,
@@ -272,7 +272,7 @@ pub fn apply_unary(
     apply_unary_with(op, &value, model, || flop_unit(prec_ctx), stats)
 }
 
-/// [`apply_unary`] with a borrowed operand and a lazily computed flop
+/// `apply_unary` with a borrowed operand and a lazily computed flop
 /// unit (see [`apply_binary_with`]). Semantics are identical.
 ///
 /// # Errors
@@ -432,7 +432,7 @@ mod tests {
             int_op: u64::MAX,
             ..CostModel::new()
         };
-        let mut stats = ExecStats::new();
+        let mut stats = ExecStats::default();
         stats.charge(10).unwrap();
         let err = apply_binary(
             BinOp::Add,
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn builtin_log_checks_domain_before_charging() {
-        let mut stats = ExecStats::new();
+        let mut stats = ExecStats::default();
         let err = try_builtin(
             "log",
             &[Value::Float(-1.0)],

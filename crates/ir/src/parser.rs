@@ -1012,7 +1012,12 @@ mod tests {
 
     /// Slices the token a parse error blames out of the source line.
     fn blamed(source: &str, err: &IrError) -> String {
-        let (line, col, end_col) = err.span().expect("parse error with a span");
+        let IrError::Parse {
+            line, col, end_col, ..
+        } = *err
+        else {
+            panic!("parse error with a span, got {err}");
+        };
         let text = source.lines().nth(line as usize - 1).unwrap();
         text.chars()
             .skip(col as usize - 1)
@@ -1050,8 +1055,7 @@ mod tests {
         let src = "int f() {\n  return 1 + wrong_name(;\n}";
         let err = parse_program(src).unwrap_err();
         // the `;` where an expression was expected, on line 2
-        let (line, _, _) = err.span().unwrap();
-        assert_eq!(line, 2);
+        assert!(matches!(err, IrError::Parse { line: 2, .. }), "{err}");
         assert_eq!(blamed(src, &err), ";");
     }
 

@@ -5,14 +5,14 @@
 //! The weaver uses paths to insert instrumentation before a call or replace a
 //! loop with its unrolled form, without needing global node identifiers.
 
-use crate::ast::{Block, Function, Stmt};
+use crate::ast::{Block, Stmt};
 use crate::error::IrError;
 use std::fmt;
 
 /// One step of a [`NodePath`]: which statement in the current block, and —
 /// when descending further — which child block of that statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathStep {
+pub(crate) struct PathStep {
     /// Index of the statement within the current block.
     pub stmt: usize,
     /// Index of the child block to descend into (0 = then/body, 1 = else).
@@ -68,34 +68,6 @@ impl NodePath {
     /// the default value, which addresses nothing.
     pub fn depth(&self) -> usize {
         self.steps.len()
-    }
-
-    /// The steps of the path.
-    pub fn steps(&self) -> &[PathStep] {
-        &self.steps
-    }
-
-    /// Index of the addressed statement within its innermost block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is empty.
-    pub fn leaf_index(&self) -> usize {
-        self.steps.last().expect("empty path").stmt
-    }
-
-    /// Path to the parent *block*'s owning statement, or `None` for
-    /// top-level statements.
-    pub fn parent(&self) -> Option<NodePath> {
-        if self.steps.len() <= 1 {
-            return None;
-        }
-        let mut steps = self.steps.clone();
-        steps.pop();
-        if let Some(last) = steps.last_mut() {
-            last.block = 0; // leaf block index is canonically 0
-        }
-        Some(NodePath { steps })
     }
 
     /// Returns `true` if `self` addresses a statement inside the statement
@@ -203,11 +175,6 @@ impl NodePath {
         rec(body, &NodePath::default(), &mut out);
         out
     }
-
-    /// Enumerates paths to every statement of a function body, pre-order.
-    pub fn enumerate_function(function: &Function) -> Vec<(NodePath, &Stmt)> {
-        Self::enumerate(&function.body)
-    }
 }
 
 impl fmt::Display for NodePath {
@@ -303,13 +270,6 @@ mod tests {
         assert!(!outer.is_inside(&outer));
         let sibling = NodePath::root(0);
         assert!(!inner.is_inside(&sibling));
-    }
-
-    #[test]
-    fn parent_of_nested_is_owner() {
-        let inner = NodePath::root(1).child(1, 0);
-        assert_eq!(inner.parent(), Some(NodePath::root(1)));
-        assert_eq!(NodePath::root(0).parent(), None);
     }
 
     #[test]

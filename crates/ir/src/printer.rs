@@ -150,7 +150,7 @@ fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
 
 /// Prints an expression with full parenthesisation (unambiguous, re-parses
 /// to the same tree).
-pub fn print_expr(expr: &Expr) -> String {
+pub(crate) fn print_expr(expr: &Expr) -> String {
     match expr {
         Expr::Int(v) => v.to_string(),
         Expr::Float(v) => {

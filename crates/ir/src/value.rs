@@ -56,7 +56,7 @@ impl Value {
 
     /// Returns `true` if the value is a float (not an int).
     #[inline]
-    pub fn is_float(&self) -> bool {
+    pub(crate) fn is_float(&self) -> bool {
         matches!(self, Value::Float(_))
     }
 }

@@ -1,12 +1,11 @@
-//! The collect-analyse-decide-act control loop.
+//! The decision vocabulary of the collect-analyse-decide-act loop.
 //!
 //! Paper §II: "The application monitoring and autotuning will be supported
 //! by a runtime layer implementing an application level
-//! collect-analyse-decide-act loop." This module gives that loop a shape:
-//! a [`CadaController`] implements the four stages; [`CadaLoop`] drives it
-//! on a fixed decision period and records what happened. The autotuner's
-//! runtime manager and the RTRM node controllers are both written against
-//! this trait.
+//! collect-analyse-decide-act loop." The loop itself lives where its
+//! stages do — `antarex_tuner::AppManager::adapt` collects, analyses,
+//! decides and acts in one round; this module is the [`Decision`] a round
+//! ends in.
 
 use std::fmt;
 
@@ -28,191 +27,9 @@ impl fmt::Display for Decision {
     }
 }
 
-/// The four stages of the ANTAREX runtime adaptation loop.
-///
-/// `Obs` is whatever the collect stage produces (sensor snapshot), `Sum`
-/// the analysed summary the decide stage consumes.
-pub trait CadaController {
-    /// Raw observation gathered each round.
-    type Obs;
-    /// Analysed summary.
-    type Sum;
-
-    /// Collect: sample the monitors at simulated time `time`.
-    fn collect(&mut self, time: f64) -> Self::Obs;
-    /// Analyse: reduce an observation to a summary (statistics, trends).
-    fn analyse(&mut self, obs: Self::Obs) -> Self::Sum;
-    /// Decide: choose to stay or switch configurations.
-    fn decide(&mut self, summary: &Self::Sum) -> Decision;
-    /// Act: enact a switch decision (reconfigure knobs, notify the RTRM).
-    fn act(&mut self, decision: &Decision);
-}
-
-/// Record of one executed round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Round {
-    /// Time the round ran.
-    pub time: f64,
-    /// The decision taken.
-    pub decision: Decision,
-}
-
-/// Drives a [`CadaController`] on a fixed decision period.
-#[derive(Debug)]
-pub struct CadaLoop<C> {
-    controller: C,
-    period: f64,
-    next_run: f64,
-    rounds: Vec<Round>,
-}
-
-impl<C: CadaController> CadaLoop<C> {
-    /// Creates a loop running the controller every `period` seconds,
-    /// starting at time 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive.
-    pub fn new(controller: C, period: f64) -> Self {
-        assert!(period > 0.0, "decision period must be positive");
-        CadaLoop {
-            controller,
-            period,
-            next_run: 0.0,
-            rounds: Vec::new(),
-        }
-    }
-
-    /// Decision period in seconds.
-    pub fn period(&self) -> f64 {
-        self.period
-    }
-
-    /// The wrapped controller.
-    pub fn controller(&self) -> &C {
-        &self.controller
-    }
-
-    /// Mutable access to the controller.
-    pub fn controller_mut(&mut self) -> &mut C {
-        &mut self.controller
-    }
-
-    /// Advances the loop to `now`, executing every due round in order.
-    /// Returns the decisions taken during this advance.
-    pub fn advance_to(&mut self, now: f64) -> Vec<Decision> {
-        let mut taken = Vec::new();
-        while self.next_run <= now {
-            let time = self.next_run;
-            let obs = self.controller.collect(time);
-            let summary = self.controller.analyse(obs);
-            let decision = self.controller.decide(&summary);
-            self.controller.act(&decision);
-            self.rounds.push(Round {
-                time,
-                decision: decision.clone(),
-            });
-            taken.push(decision);
-            self.next_run += self.period;
-        }
-        taken
-    }
-
-    /// All rounds executed so far.
-    pub fn rounds(&self) -> &[Round] {
-        &self.rounds
-    }
-
-    /// Number of switch decisions taken so far.
-    pub fn switch_count(&self) -> usize {
-        self.rounds
-            .iter()
-            .filter(|r| matches!(r.decision, Decision::Switch(_)))
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Toy controller: switches to "low" whenever the reading exceeds 10.
-    struct Thermostat {
-        readings: Vec<f64>,
-        cursor: usize,
-        acted: Vec<Decision>,
-    }
-
-    impl CadaController for Thermostat {
-        type Obs = f64;
-        type Sum = f64;
-
-        fn collect(&mut self, _time: f64) -> f64 {
-            let v = self.readings[self.cursor.min(self.readings.len() - 1)];
-            self.cursor += 1;
-            v
-        }
-
-        fn analyse(&mut self, obs: f64) -> f64 {
-            obs
-        }
-
-        fn decide(&mut self, summary: &f64) -> Decision {
-            if *summary > 10.0 {
-                Decision::Switch("low".into())
-            } else {
-                Decision::Stay
-            }
-        }
-
-        fn act(&mut self, decision: &Decision) {
-            self.acted.push(decision.clone());
-        }
-    }
-
-    #[test]
-    fn rounds_fire_on_schedule() {
-        let controller = Thermostat {
-            readings: vec![5.0, 12.0, 8.0, 20.0],
-            cursor: 0,
-            acted: vec![],
-        };
-        let mut cada = CadaLoop::new(controller, 1.0);
-        let decisions = cada.advance_to(3.0);
-        assert_eq!(decisions.len(), 4, "t = 0, 1, 2, 3");
-        assert_eq!(cada.switch_count(), 2);
-        assert_eq!(cada.controller().acted.len(), 4);
-        assert_eq!(
-            decisions[1],
-            Decision::Switch("low".into()),
-            "12.0 > 10.0 at t=1"
-        );
-    }
-
-    #[test]
-    fn advance_is_incremental() {
-        let controller = Thermostat {
-            readings: vec![0.0; 100],
-            cursor: 0,
-            acted: vec![],
-        };
-        let mut cada = CadaLoop::new(controller, 2.0);
-        assert_eq!(cada.advance_to(1.9).len(), 1, "only t=0 fired");
-        assert_eq!(cada.advance_to(6.0).len(), 3, "t = 2, 4, 6");
-        assert_eq!(cada.rounds().len(), 4);
-        assert_eq!(cada.advance_to(6.0).len(), 0, "no double fire");
-    }
-
-    #[test]
-    #[should_panic(expected = "period")]
-    fn zero_period_rejected() {
-        let controller = Thermostat {
-            readings: vec![0.0],
-            cursor: 0,
-            acted: vec![],
-        };
-        let _ = CadaLoop::new(controller, 0.0);
-    }
 
     #[test]
     fn decision_display() {

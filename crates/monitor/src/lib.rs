@@ -7,14 +7,17 @@
 //! feeding the autotuner and the resource manager. This crate is that
 //! layer:
 //!
-//! * [`series`] — bounded time series with streaming statistics (mean,
-//!   percentiles, EWMA) over sliding windows;
-//! * [`sensor`] — named sensors and a registry, the introspection points
-//!   the RTRM taps;
+//! * [`series`] — bounded time series with whole-window and
+//!   since-a-time means, the history behind every SLA;
 //! * [`sla`] — service-level objectives over monitored metrics, with
-//!   violation accounting;
-//! * [`cada`] — the collect→analyse→decide→act control-loop skeleton used
-//!   by the application autotuner and the hierarchical power manager.
+//!   violation accounting and error-budget burn rates;
+//! * [`resilient`] — a sensor channel hardened against dropouts
+//!   (hold → EWMA → unavailable), the ladder the cluster controller's
+//!   telemetry rests on;
+//! * [`drift`] — the Page–Hinkley change detector the online learner is
+//!   tested against;
+//! * [`cada`] — the [`cada::Decision`] a collect→analyse→decide→act round
+//!   ends in.
 //!
 //! Time is always supplied by the caller (simulated seconds), keeping every
 //! component deterministic.
@@ -35,11 +38,8 @@
 pub mod cada;
 pub mod drift;
 pub mod resilient;
-pub mod sensor;
 pub mod series;
 pub mod sla;
 
-pub use resilient::{Estimate, Fill, ResilientSensor};
-pub use sensor::{Sensor, SensorRegistry};
-pub use series::TimeSeries;
-pub use sla::{Sla, SlaKind, SlaReport};
+pub use resilient::{Fill, ResilientSensor};
+pub use sla::Sla;

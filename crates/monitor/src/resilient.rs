@@ -72,7 +72,7 @@ impl ResilientSensor {
     ///
     /// Panics if `max_hold_s` is negative or `alpha` is outside
     /// `(0, 1]`.
-    pub fn new(max_hold_s: f64, alpha: f64) -> Self {
+    pub(crate) fn new(max_hold_s: f64, alpha: f64) -> Self {
         assert!(max_hold_s >= 0.0, "hold window must be non-negative");
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         ResilientSensor {
@@ -134,31 +134,6 @@ impl ResilientSensor {
             }
         }
     }
-
-    /// The long-term EWMA, if any fresh reading was ever seen.
-    pub fn ewma(&self) -> Option<f64> {
-        self.ewma
-    }
-
-    /// Count of fresh readings observed.
-    pub fn fresh_count(&self) -> u64 {
-        self.fresh
-    }
-
-    /// Count of missing (or non-finite) readings observed.
-    pub fn missing_count(&self) -> u64 {
-        self.missing
-    }
-
-    /// Fraction of observations that were missing, in `[0, 1]`.
-    pub fn loss_rate(&self) -> f64 {
-        let total = self.fresh + self.missing;
-        if total == 0 {
-            0.0
-        } else {
-            self.missing as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +146,6 @@ mod tests {
         let e = s.observe(0.0, Some(40.0));
         assert_eq!(e.value, Some(40.0));
         assert_eq!(e.fill, Fill::Fresh);
-        assert_eq!(s.ewma(), Some(40.0));
     }
 
     #[test]
@@ -215,7 +189,7 @@ mod tests {
             assert_eq!(e.fill, Fill::Held);
             assert_eq!(e.value, Some(45.0), "no NaN may escape");
         }
-        assert_eq!(s.missing_count(), 3);
+        assert_eq!((s.fresh, s.missing), (1, 3));
     }
 
     #[test]
@@ -247,15 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn loss_rate_counts() {
+    fn fresh_and_missing_readings_are_counted() {
         let mut s = ResilientSensor::thermal();
         s.observe(0.0, Some(40.0));
         s.observe(1.0, None);
         s.observe(2.0, None);
         s.observe(3.0, Some(41.0));
-        assert_eq!(s.fresh_count(), 2);
-        assert_eq!(s.missing_count(), 2);
-        assert!((s.loss_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((s.fresh, s.missing), (2, 2));
     }
 
     #[test]

@@ -62,17 +62,6 @@ impl TimeSeries {
         }
     }
 
-    /// Sets the EWMA smoothing factor (default 0.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is not in `(0, 1]`.
-    pub fn with_ewma_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        self.ewma_alpha = alpha;
-        self
-    }
-
     /// Appends a sample, evicting the oldest if at capacity.
     pub fn push(&mut self, time: f64, value: f64) {
         if let Some(last) = self.samples.back() {
@@ -100,16 +89,6 @@ impl TimeSeries {
         self.samples.is_empty()
     }
 
-    /// Total samples ever pushed (including evicted ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<Sample> {
-        self.samples.back().copied()
-    }
-
     /// Iterates over retained samples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Sample> {
         self.samples.iter()
@@ -121,66 +100,6 @@ impl TimeSeries {
             return None;
         }
         Some(self.samples.iter().map(|s| s.value).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Population standard deviation of retained values.
-    pub fn stddev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .samples
-            .iter()
-            .map(|s| (s.value - mean).powi(2))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
-    /// Minimum retained value.
-    pub fn min(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
-    /// Maximum retained value.
-    pub fn max(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Exponentially-weighted moving average of all pushed values.
-    pub fn ewma(&self) -> Option<f64> {
-        self.ewma
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) of retained values, by the
-    /// nearest-rank method. `q = 0.5` is the median, `q = 0.95` the p95.
-    ///
-    /// Non-finite samples (NaN from a dead sensor, ±∞ from a division
-    /// gone wrong upstream) are excluded from the ranking rather than
-    /// poisoning it; the result is `None` when no finite sample
-    /// remains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let mut values: Vec<f64> = self
-            .samples
-            .iter()
-            .map(|s| s.value)
-            .filter(|v| v.is_finite())
-            .collect();
-        if values.is_empty() {
-            return None;
-        }
-        values.sort_by(f64::total_cmp);
-        let rank = ((values.len() as f64) * q).ceil() as usize;
-        Some(values[rank.saturating_sub(1).min(values.len() - 1)])
     }
 
     /// Values of samples with `time >= since`, oldest first.
@@ -226,29 +145,6 @@ impl TimeSeries {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Slope of a least-squares linear fit over the retained samples
-    /// (value units per second); `None` with fewer than two samples or a
-    /// degenerate time span. The autotuner uses this to detect drift.
-    pub fn trend(&self) -> Option<f64> {
-        if self.samples.len() < 2 {
-            return None;
-        }
-        let n = self.samples.len() as f64;
-        let mean_t = self.samples.iter().map(|s| s.time).sum::<f64>() / n;
-        let mean_v = self.samples.iter().map(|s| s.value).sum::<f64>() / n;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for s in &self.samples {
-            num += (s.time - mean_t) * (s.value - mean_v);
-            den += (s.time - mean_t).powi(2);
-        }
-        if den == 0.0 {
-            None
-        } else {
-            Some(num / den)
-        }
-    }
-
     /// Clears all retained samples and the EWMA state.
     pub fn clear(&mut self) {
         self.samples.clear();
@@ -287,19 +183,13 @@ mod tests {
     fn basic_stats() {
         let s = series(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(s.mean(), Some(2.5));
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
-        assert!((s.stddev().unwrap() - 1.118).abs() < 1e-3);
-        assert_eq!(s.last().unwrap().value, 4.0);
+        assert_eq!(s.iter().last().unwrap().value, 4.0);
     }
 
     #[test]
     fn empty_stats_are_none() {
         let s = TimeSeries::with_capacity(4);
         assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.trend(), None);
         assert!(s.is_empty());
     }
 
@@ -308,37 +198,21 @@ mod tests {
         let mut s = TimeSeries::with_capacity(3);
         s.extend((0..10).map(|i| (i as f64, i as f64)));
         assert_eq!(s.len(), 3);
-        assert_eq!(s.min(), Some(7.0));
-        assert_eq!(s.total_pushed(), 10);
-    }
-
-    #[test]
-    fn quantiles_nearest_rank() {
-        let s = series(&[5.0, 1.0, 3.0, 2.0, 4.0]);
-        assert_eq!(s.quantile(0.5), Some(3.0));
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(1.0), Some(5.0));
-        assert_eq!(s.quantile(0.95), Some(5.0));
-    }
-
-    #[test]
-    fn quantile_ignores_non_finite_samples() {
-        let s = series(&[5.0, f64::NAN, 1.0, f64::INFINITY, 3.0]);
-        assert_eq!(s.quantile(0.5), Some(3.0));
-        assert_eq!(s.quantile(1.0), Some(5.0));
-        let all_bad = series(&[f64::NAN, f64::NEG_INFINITY]);
-        assert_eq!(all_bad.quantile(0.5), None);
+        assert_eq!(s.iter().next().unwrap().value, 7.0);
+        assert!(format!("{s:?}").contains("total_pushed: 10"));
     }
 
     #[test]
     fn ewma_tracks_recent_values() {
-        let mut s = TimeSeries::with_capacity(8).with_ewma_alpha(0.5);
+        // the average is observable through the rendering recovery
+        // reports compare; the smoothing factor is 0.2
+        let mut s = TimeSeries::with_capacity(8);
         s.push(0.0, 10.0);
-        assert_eq!(s.ewma(), Some(10.0));
+        assert!(format!("{s:?}").contains("ewma: Some(10.0)"));
         s.push(1.0, 20.0);
-        assert_eq!(s.ewma(), Some(15.0));
-        s.push(2.0, 20.0);
-        assert_eq!(s.ewma(), Some(17.5));
+        assert!(format!("{s:?}").contains("ewma: Some(12.0)"));
+        s.push(2.0, 22.0);
+        assert!(format!("{s:?}").contains("ewma: Some(14.0)"));
     }
 
     #[test]
@@ -350,20 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn trend_detects_slope() {
-        let s = series(&[0.0, 2.0, 4.0, 6.0]);
-        assert!((s.trend().unwrap() - 2.0).abs() < 1e-12);
-        let flat = series(&[3.0, 3.0, 3.0]);
-        assert!(flat.trend().unwrap().abs() < 1e-12);
-    }
-
-    #[test]
     fn clear_resets() {
         let mut s = series(&[1.0, 2.0]);
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.ewma(), None);
-        assert_eq!(s.total_pushed(), 2, "lifetime counter preserved");
+        let rendered = format!("{s:?}");
+        assert!(rendered.contains("ewma: None"), "{rendered}");
+        assert!(
+            rendered.contains("total_pushed: 2"),
+            "lifetime counter preserved: {rendered}"
+        );
     }
 
     #[test]

@@ -9,20 +9,11 @@
 use crate::series::TimeSeries;
 use std::fmt;
 
-/// Direction of a service-level objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SlaKind {
-    /// The metric must stay at or below the threshold (latency, power).
-    UpperBound,
-    /// The metric must stay at or above the threshold (throughput, quality).
-    LowerBound,
-}
-
-/// A service-level objective over one metric.
+/// A service-level objective over one metric: the metric must stay at or
+/// below the threshold (latency, power).
 #[derive(Debug, Clone)]
 pub struct Sla {
     name: String,
-    kind: SlaKind,
     threshold: f64,
     checked: u64,
     violations: u64,
@@ -32,18 +23,8 @@ pub struct Sla {
 impl Sla {
     /// Creates an upper-bound SLA (`metric <= threshold`).
     pub fn upper_bound(name: impl Into<String>, threshold: f64) -> Self {
-        Sla::new(name, SlaKind::UpperBound, threshold)
-    }
-
-    /// Creates a lower-bound SLA (`metric >= threshold`).
-    pub fn lower_bound(name: impl Into<String>, threshold: f64) -> Self {
-        Sla::new(name, SlaKind::LowerBound, threshold)
-    }
-
-    fn new(name: impl Into<String>, kind: SlaKind, threshold: f64) -> Self {
         Sla {
             name: name.into(),
-            kind,
             threshold,
             checked: 0,
             violations: 0,
@@ -56,27 +37,9 @@ impl Sla {
         &self.name
     }
 
-    /// Objective direction.
-    pub fn kind(&self) -> SlaKind {
-        self.kind
-    }
-
-    /// Current threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Renegotiates the threshold (SLAs may be renegotiated at runtime).
-    pub fn set_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold;
-    }
-
     /// Returns `true` if `value` satisfies the objective.
-    pub fn satisfied_by(&self, value: f64) -> bool {
-        match self.kind {
-            SlaKind::UpperBound => value <= self.threshold,
-            SlaKind::LowerBound => value >= self.threshold,
-        }
+    fn satisfied_by(&self, value: f64) -> bool {
+        value <= self.threshold
     }
 
     /// Checks a measurement, recording it and counting violations.
@@ -89,21 +52,6 @@ impl Sla {
             self.violations += 1;
         }
         ok
-    }
-
-    /// Headroom of a measurement: positive when satisfied, negative when
-    /// violating, normalized by the threshold magnitude when non-zero.
-    /// Controllers use this as their error signal.
-    pub fn headroom(&self, value: f64) -> f64 {
-        let raw = match self.kind {
-            SlaKind::UpperBound => self.threshold - value,
-            SlaKind::LowerBound => value - self.threshold,
-        };
-        if self.threshold.abs() > f64::EPSILON {
-            raw / self.threshold.abs()
-        } else {
-            raw
-        }
     }
 
     /// Summary of all checks so far.
@@ -194,33 +142,6 @@ mod tests {
         assert_eq!(report.checked, 3);
         assert_eq!(report.violations, 1);
         assert!((report.violation_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lower_bound_checks() {
-        let mut sla = Sla::lower_bound("throughput", 100.0);
-        assert!(!sla.check(0.0, 80.0));
-        assert!(sla.check(1.0, 120.0));
-        assert_eq!(sla.report().violations, 1);
-    }
-
-    #[test]
-    fn headroom_signs() {
-        let sla = Sla::upper_bound("power", 200.0);
-        assert!(sla.headroom(150.0) > 0.0);
-        assert!(sla.headroom(250.0) < 0.0);
-        assert!((sla.headroom(150.0) - 0.25).abs() < 1e-12, "normalized");
-        let sla = Sla::lower_bound("quality", 0.9);
-        assert!(sla.headroom(0.95) > 0.0);
-        assert!(sla.headroom(0.5) < 0.0);
-    }
-
-    #[test]
-    fn renegotiation() {
-        let mut sla = Sla::upper_bound("latency", 0.5);
-        assert!(!sla.satisfied_by(0.8));
-        sla.set_threshold(1.0);
-        assert!(sla.satisfied_by(0.8));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Nanojoules per joule.
-pub const NJ_PER_J: f64 = 1e9;
+pub(crate) const NJ_PER_J: f64 = 1e9;
 
 /// Rounds a joule quantity to integer nanojoules — the single rounding
 /// step at the meter boundary. Negative and non-finite inputs clamp to
@@ -151,7 +151,7 @@ pub struct WindowSummary {
 impl WindowSummary {
     /// The conservation invariant for this window, checked in integer
     /// arithmetic: attributed + idle ≡ facility.
-    pub fn conserved(&self) -> bool {
+    pub(crate) fn conserved(&self) -> bool {
         u128::from(self.attributed_nj) + u128::from(self.idle_nj) == u128::from(self.facility_nj)
     }
 }
@@ -209,7 +209,7 @@ impl EnergyLedger {
     }
 
     /// Retained window summaries (record order).
-    pub fn windows(&self) -> Vec<WindowSummary> {
+    pub(crate) fn windows(&self) -> Vec<WindowSummary> {
         match self.inner.lock() {
             Ok(guard) => guard.windows.clone(),
             Err(poisoned) => poisoned.into_inner().windows.clone(),
@@ -217,7 +217,7 @@ impl EnergyLedger {
     }
 
     /// Windows whose summary was not retained (totals still counted).
-    pub fn windows_dropped(&self) -> u64 {
+    pub(crate) fn windows_dropped(&self) -> u64 {
         match self.inner.lock() {
             Ok(guard) => guard.windows_dropped,
             Err(poisoned) => poisoned.into_inner().windows_dropped,

@@ -1,6 +1,6 @@
 //! Text exporters over metric snapshots and SLO burn rows.
 //!
-//! Three formats, all deterministic byte-for-byte given the same
+//! Two formats, both deterministic byte-for-byte given the same
 //! readings (inputs arrive pre-sorted from
 //! [`MetricsRegistry::snapshot`](crate::metrics::MetricsRegistry::snapshot)
 //! and [`SloBank::burn_rates`](crate::slo::SloBank::burn_rates)):
@@ -8,9 +8,6 @@
 //! * [`exposition`] — Prometheus-style text: `# TYPE` headers,
 //!   `name{tenant="…"} value` samples, histograms rendered as
 //!   summaries with `quantile` labels plus `_sum`/`_count`;
-//! * [`json_dump`] — a self-describing JSON array for programmatic
-//!   diffing (non-finite floats are quoted strings, since JSON has no
-//!   NaN/inf);
 //! * the folded-stack trace format lives on
 //!   [`Tracer::folded_text`](crate::span::Tracer::folded_text).
 
@@ -131,60 +128,6 @@ pub fn burn_exposition(rows: &[BurnRow]) -> String {
     out
 }
 
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        format!("\"{}\"", fmt_f64(value))
-    }
-}
-
-/// Renders snapshot rows as a JSON array (one object per metric).
-/// Non-finite floats are quoted strings; absent quantiles are `null`.
-pub fn json_dump(rows: &[MetricSnapshot]) -> String {
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let tenant = row.tenant.map_or("null".to_string(), |t| t.to_string());
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"tenant\":{tenant},\"scope\":\"{}\"",
-            row.name,
-            row.scope.label()
-        );
-        match &row.value {
-            MetricValue::Counter(v) => {
-                let _ = write!(out, ",\"kind\":\"counter\",\"value\":{v}}}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = write!(out, ",\"kind\":\"gauge\",\"value\":{}}}", json_f64(*v));
-            }
-            MetricValue::Histogram(snap) => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"histogram\",\"count\":{},\"sum\":{},\"nan\":{},\
-                     \"underflow\":{},\"overflow\":{}",
-                    snap.count,
-                    json_f64(snap.sum),
-                    snap.nan,
-                    snap.underflow,
-                    snap.overflow
-                );
-                for (slot, q) in snap.quantiles.iter().zip(STANDARD_QUANTILES.iter()) {
-                    let key = format!("p{}", (q * 1000.0).round() as u64);
-                    let value = slot.map_or("null".to_string(), json_f64);
-                    let _ = write!(out, ",\"{key}\":{value}");
-                }
-                out.push('}');
-            }
-        }
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,27 +172,6 @@ mod tests {
         let a = exposition(&reg.snapshot(None));
         let b = exposition(&reg.snapshot(None));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn json_dump_handles_non_finite_values() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("export-test_nan_gauge", Scope::Invariant)
-            .set(f64::NAN);
-        let json = json_dump(&reg.snapshot(None));
-        assert!(json.contains("\"value\":\"NaN\""), "{json}");
-        assert!(!json.contains("value\":NaN"), "bare NaN is invalid JSON");
-    }
-
-    #[test]
-    fn json_dump_histogram_has_quantile_keys() {
-        let reg = MetricsRegistry::new();
-        let hist = reg.histogram("export-test_json_hist", Scope::Timing);
-        hist.record(0.5);
-        let json = json_dump(&reg.snapshot(None));
-        for key in ["\"p500\":", "\"p950\":", "\"p990\":", "\"p999\":"] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 
     #[test]

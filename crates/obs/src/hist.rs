@@ -30,14 +30,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Geometric bucket growth factor.
-pub const GAMMA: f64 = 1.05;
+pub(crate) const GAMMA: f64 = 1.05;
 
 /// Smallest value representable by a regular bucket (1 ns of virtual
 /// time when the unit is seconds).
 pub const MIN_VALUE: f64 = 1e-9;
 
 /// Regular buckets between [`MIN_VALUE`] and [`MAX_VALUE`].
-pub const BUCKETS: usize = 1136;
+pub(crate) const BUCKETS: usize = 1136;
 
 /// Upper edge of the last regular bucket: `MIN_VALUE · γ^BUCKETS`
 /// (≈ 1.1e15). Values at or above it report as `+inf`.
@@ -103,17 +103,6 @@ pub struct Snapshot {
     pub quantiles: [Option<f64>; 4],
 }
 
-impl Snapshot {
-    /// Mean of the recorded non-NaN samples (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.sum / self.count as f64)
-        } else {
-            None
-        }
-    }
-}
-
 fn bucket_index(value: f64) -> Option<usize> {
     // monotone in `value`; callers have excluded NaN
     if value < MIN_VALUE {
@@ -174,7 +163,7 @@ impl Histogram {
     }
 
     /// Non-NaN samples recorded so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         let c = &self.core;
         c.underflow.load(Ordering::Relaxed)
             + c.overflow.load(Ordering::Relaxed)
@@ -245,7 +234,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         let snap = h.snapshot();
         assert_eq!(snap.quantiles, [None; 4]);
-        assert_eq!(snap.mean(), None);
     }
 
     #[test]

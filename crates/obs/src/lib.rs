@@ -10,7 +10,7 @@
 //!
 //! Three pillars:
 //!
-//! * **Metrics** ([`metrics`]): counters, gauges, and log-bucketed
+//! * **Metrics** (`metrics`): counters, gauges, and log-bucketed
 //!   histograms ([`hist`], p50/p95/p99/p999 with a provable ≤ 2.47%
 //!   relative error) in a [`MetricsRegistry`] keyed by interned names.
 //!   Handles are shared atomics — the instrumented module and the
@@ -19,18 +19,18 @@
 //!   timestamps** in a fixed-capacity ring buffer, folded into
 //!   flamegraph format. Span times record work content, not queue
 //!   placement, so traces are byte-identical at any worker count.
-//! * **SLO burn** ([`slo`]): per-tenant error-budget burn rates over
+//! * **SLO burn** (`slo`): per-tenant error-budget burn rates over
 //!   [`antarex_monitor::sla`].
 //!
 //! Two cross-layer pillars sit on top:
 //!
-//! * **Causal traces** ([`trace`]): a 128-bit [`TraceCtx`] derived
+//! * **Causal traces** (`trace`): a 128-bit [`TraceCtx`] derived
 //!   from `(tenant, probe_seed, batch)` — no wall clock — propagates
 //!   admission → serve → sched → VM → RTRM, collecting linked events
 //!   in a bounded [`TraceStore`] with deterministic head-based
 //!   sampling, exported as Chrome `trace_event` JSON or a text
 //!   waterfall.
-//! * **Energy attribution** ([`energy`]): per-request joules = direct
+//! * **Energy attribution** (`energy`): per-request joules = direct
 //!   VM-metered energy + a demand-weighted share of node static and
 //!   cooling overhead, booked in integer nanojoules so that
 //!   Σ attributed + idle ≡ the facility meter *to the last bit* per
@@ -45,22 +45,22 @@
 //! `Timing` metrics (virtual latencies, makespans) are deterministic
 //! per worker count. Experiment `o1` in `crates/bench` enforces both.
 
-pub mod energy;
-pub mod export;
+pub(crate) mod energy;
+pub(crate) mod export;
 pub mod hist;
-pub mod metrics;
-pub mod slo;
+pub(crate) mod metrics;
+pub(crate) mod slo;
 pub mod span;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use energy::{
     largest_remainder_split, nj_to_j, to_nj, EnergyLedger, EnergyModel, WindowSummary,
 };
-pub use export::{burn_exposition, exposition, json_dump};
+pub use export::{burn_exposition, exposition};
 pub use hist::{Histogram, Snapshot as HistSnapshot, STANDARD_QUANTILES};
-pub use metrics::{Counter, Gauge, MetricKey, MetricSnapshot, MetricValue, MetricsRegistry, Scope};
-pub use slo::{BurnRow, SloBank};
-pub use span::{SpanId, SpanRecord, Tracer};
+pub use metrics::{Counter, Gauge, MetricValue, MetricsRegistry, Scope};
+pub(crate) use slo::SloBank;
+pub use span::{SpanId, Tracer};
 pub use trace::{Layer, TraceCtx, TraceEvent, TraceId, TraceStore};
 
 /// A complete observability plane: one registry, one tracer, one SLO
@@ -84,14 +84,14 @@ impl ObsPlane {
     /// A plane retaining `span_capacity` spans and tracking SLOs
     /// against `slo_target` (target good fraction, e.g. `0.999`).
     /// The trace store retains `4 × span_capacity` events at a 1/1
-    /// sampling rate; [`ObsPlane::with_trace`] overrides both.
+    /// sampling rate; `ObsPlane::with_trace` overrides both.
     pub fn new(span_capacity: usize, slo_target: f64) -> Self {
         ObsPlane::with_trace(span_capacity, slo_target, span_capacity * 4, 1)
     }
 
     /// A plane with explicit trace-store sizing: `trace_capacity`
     /// retained events, head-based sampling at `1/sample_every`.
-    pub fn with_trace(
+    pub(crate) fn with_trace(
         span_capacity: usize,
         slo_target: f64,
         trace_capacity: usize,
@@ -122,13 +122,6 @@ impl ObsPlane {
         }
     }
 
-    /// Full exposition: every metric (both scopes) plus SLO burn rows.
-    pub fn exposition(&self) -> String {
-        let mut out = export::exposition(&self.registry.snapshot(None));
-        out.push_str(&export::burn_exposition(&self.slo.burn_rates()));
-        out
-    }
-
     /// Exposition restricted to [`Scope::Invariant`] metrics — the
     /// subset that must be byte-identical across worker counts on the
     /// fault-free path. SLO burn rows are included when they derive
@@ -149,19 +142,6 @@ impl Default for ObsPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plane_exposition_combines_metrics_and_burn() {
-        let plane = ObsPlane::new(16, 0.99);
-        plane
-            .registry
-            .counter("plane-test_requests_total", Scope::Invariant)
-            .add(3);
-        plane.slo.check_upper(1, "latency", 1.0, 0.0, 2.0);
-        let text = plane.exposition();
-        assert!(text.contains("plane-test_requests_total 3"));
-        assert!(text.contains("slo_burn_rate{tenant=\"1\",objective=\"latency\"}"));
-    }
 
     #[test]
     fn drop_counters_surface_in_exposition() {

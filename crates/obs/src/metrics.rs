@@ -41,16 +41,6 @@ pub enum Scope {
     Timing,
 }
 
-impl Scope {
-    /// Stable lowercase label used by the exporters.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scope::Invariant => "invariant",
-            Scope::Timing => "timing",
-        }
-    }
-}
-
 /// A monotone event counter. Clones share the same atomic cell.
 #[derive(Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
@@ -103,7 +93,7 @@ impl Default for Gauge {
 
 impl Gauge {
     /// A fresh gauge at `0.0`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
     }
 
@@ -126,7 +116,7 @@ impl std::fmt::Debug for Gauge {
 
 /// Identity of a registered metric: interned name plus optional tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MetricKey {
+pub(crate) struct MetricKey {
     /// Interned metric name.
     pub name: SymbolId,
     /// Owning tenant, or `None` for service-wide metrics.
@@ -230,7 +220,7 @@ impl MetricsRegistry {
     }
 
     /// Registers (or retrieves) a per-tenant counter.
-    pub fn tenant_counter(&self, name: &str, tenant: Option<u64>, scope: Scope) -> Counter {
+    pub(crate) fn tenant_counter(&self, name: &str, tenant: Option<u64>, scope: Scope) -> Counter {
         self.find_or_insert(
             name,
             tenant,
@@ -250,7 +240,7 @@ impl MetricsRegistry {
     /// cell instead of creating a new one. This is how pre-existing
     /// module counters migrate onto the registry without breaking their
     /// accessors. Idempotent on the key; the first attached handle wins.
-    pub fn attach_counter(&self, name: &str, scope: Scope, handle: &Counter) -> Counter {
+    pub(crate) fn attach_counter(&self, name: &str, scope: Scope, handle: &Counter) -> Counter {
         self.find_or_insert(
             name,
             None,
@@ -269,7 +259,7 @@ impl MetricsRegistry {
     }
 
     /// Registers (or retrieves) a per-tenant gauge.
-    pub fn tenant_gauge(&self, name: &str, tenant: Option<u64>, scope: Scope) -> Gauge {
+    pub(crate) fn tenant_gauge(&self, name: &str, tenant: Option<u64>, scope: Scope) -> Gauge {
         self.find_or_insert(
             name,
             tenant,
@@ -291,7 +281,12 @@ impl MetricsRegistry {
     }
 
     /// Registers (or retrieves) a per-tenant histogram.
-    pub fn tenant_histogram(&self, name: &str, tenant: Option<u64>, scope: Scope) -> Histogram {
+    pub(crate) fn tenant_histogram(
+        &self,
+        name: &str,
+        tenant: Option<u64>,
+        scope: Scope,
+    ) -> Histogram {
         self.find_or_insert(
             name,
             tenant,
@@ -308,16 +303,11 @@ impl MetricsRegistry {
     }
 
     /// Number of registered metrics.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self.entries.lock() {
             Ok(guard) => guard.len(),
             Err(poisoned) => poisoned.into_inner().len(),
         }
-    }
-
-    /// `true` when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Reads every metric (optionally restricted to one [`Scope`]),

@@ -51,16 +51,11 @@ pub struct SloBank {
 impl SloBank {
     /// A bank with the given target good fraction (clamped into
     /// `[0, 1 − 1e-9]` so the error budget can never be zero).
-    pub fn new(target: f64) -> Self {
+    pub(crate) fn new(target: f64) -> Self {
         SloBank {
             target: target.clamp(0.0, 1.0 - 1e-9),
             slos: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// The configured target good fraction.
-    pub fn target(&self) -> f64 {
-        self.target
     }
 
     /// Checks `value` against the tenant's upper-bound objective,
@@ -117,17 +112,12 @@ impl SloBank {
     }
 
     /// Number of registered `(tenant, objective)` pairs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let slos = match self.slos.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
         slos.values().map(BTreeMap::len).sum()
-    }
-
-    /// `true` when no objective has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -33,7 +33,7 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// `true` for the root sentinel.
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
     }
 }
@@ -57,7 +57,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Span duration in virtual seconds.
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         (self.end_s - self.start_s).max(0.0)
     }
 }
@@ -131,14 +131,14 @@ impl Tracer {
     }
 
     /// Spans lost to ring wraparound (each overwrite evicts one).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.get()
     }
 
     /// Handle to the drop counter, for adoption into a registry via
     /// `MetricsRegistry::attach_counter` so ring saturation shows up
     /// in the Prometheus exposition instead of staying silent.
-    pub fn dropped_counter(&self) -> &Counter {
+    pub(crate) fn dropped_counter(&self) -> &Counter {
         &self.dropped
     }
 
@@ -151,16 +151,11 @@ impl Tracer {
     }
 
     /// Spans currently held (≤ capacity).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self.ring.lock() {
             Ok(guard) => guard.slots.len(),
             Err(poisoned) => poisoned.into_inner().slots.len(),
         }
-    }
-
-    /// `true` when no span has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The retained spans in record order (oldest first).

@@ -40,12 +40,7 @@ pub struct TraceId(pub u128);
 
 impl TraceId {
     /// The "no trace" sentinel.
-    pub const NONE: TraceId = TraceId(0);
-
-    /// `true` for the sentinel.
-    pub fn is_none(self) -> bool {
-        self.0 == 0
-    }
+    pub(crate) const NONE: TraceId = TraceId(0);
 
     /// Canonical 32-hex-digit rendering (W3C `trace-id` style).
     pub fn to_hex(self) -> String {
@@ -133,17 +128,8 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// All layers in lane order.
-    pub const ALL: [Layer; 5] = [
-        Layer::Admission,
-        Layer::Serve,
-        Layer::Sched,
-        Layer::Vm,
-        Layer::Rtrm,
-    ];
-
     /// Stable lane index (Chrome `tid`).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Layer::Admission => 0,
             Layer::Serve => 1,
@@ -154,7 +140,7 @@ impl Layer {
     }
 
     /// Human-readable lane label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Layer::Admission => "admission",
             Layer::Serve => "serve",
@@ -214,11 +200,6 @@ impl TraceStore {
         }
     }
 
-    /// The configured head-based sampling period.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
     /// Derives a request context using this store's sampling period.
     #[inline]
     pub fn derive(&self, tenant: u64, probe_seed: u64, batch: u64, seq: u32) -> TraceCtx {
@@ -255,7 +236,7 @@ impl TraceStore {
 
     /// Handle to the drop counter, for adoption into a registry via
     /// `MetricsRegistry::attach_counter`.
-    pub fn dropped_counter(&self) -> &Counter {
+    pub(crate) fn dropped_counter(&self) -> &Counter {
         &self.dropped
     }
 
@@ -268,7 +249,7 @@ impl TraceStore {
     }
 
     /// Retained events of one trace (record order).
-    pub fn events_for(&self, trace: TraceId) -> Vec<TraceEvent> {
+    pub(crate) fn events_for(&self, trace: TraceId) -> Vec<TraceEvent> {
         self.events()
             .into_iter()
             .filter(|event| event.trace == trace)
@@ -402,7 +383,7 @@ mod tests {
         let a = TraceCtx::derive(3, 0xdead_beef, 11, 2, 1);
         let b = TraceCtx::derive(3, 0xdead_beef, 11, 2, 1);
         assert_eq!(a, b, "derivation is a pure function of its inputs");
-        assert!(!a.id.is_none());
+        assert_ne!(a.id, TraceId::NONE);
         assert!(a.sampled, "sample_every=1 keeps everything");
         assert_eq!(a.tenant, 3);
     }

@@ -4,13 +4,13 @@ use antarex_ir::value::Value;
 
 /// Relative error of `approx` against `exact`, with an absolute fallback
 /// near zero: `|approx - exact| / max(|exact|, 1e-12)`.
-pub fn rel_error(exact: f64, approx: f64) -> f64 {
+pub(crate) fn rel_error(exact: f64, approx: f64) -> f64 {
     (approx - exact).abs() / exact.abs().max(1e-12)
 }
 
 /// Maximum relative error across paired outputs. Non-numeric or
 /// length-mismatched pairs count as infinite error (fail closed).
-pub fn max_rel_error(exact: &[Value], approx: &[Value]) -> f64 {
+pub(crate) fn max_rel_error(exact: &[Value], approx: &[Value]) -> f64 {
     if exact.len() != approx.len() {
         return f64::INFINITY;
     }
@@ -43,16 +43,6 @@ fn value_rel_error(exact: &Value, approx: &Value) -> f64 {
             _ => f64::INFINITY,
         },
     }
-}
-
-/// Root-mean-square error across paired scalar outputs.
-pub fn rmse(exact: &[f64], approx: &[f64]) -> f64 {
-    assert_eq!(exact.len(), approx.len(), "length mismatch");
-    if exact.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = exact.iter().zip(approx).map(|(e, a)| (e - a).powi(2)).sum();
-    (sum / exact.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -95,12 +85,5 @@ mod tests {
         let exact = [Value::Int(10)];
         let approx = [Value::Int(10)];
         assert_eq!(max_rel_error(&exact, &approx), 0.0);
-    }
-
-    #[test]
-    fn rmse_basic() {
-        assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
-        assert_eq!(rmse(&[], &[]), 0.0);
     }
 }

@@ -11,7 +11,7 @@
 //! * [`profile`] — dynamic-range profiling of function parameters across a
 //!   test-input set ("data acquired at runtime, e.g. dynamic range of
 //!   function parameters");
-//! * [`error`] — output-quality metrics (relative error, RMSE);
+//! * `error` — the output-quality metric (worst-case relative error);
 //! * [`tuner`] — a Precimonious-style greedy search that lowers each
 //!   variable's mantissa width as far as an error budget allows, measuring
 //!   quality against the full-precision output and energy via the
@@ -43,11 +43,7 @@
 //! # }
 //! ```
 
-pub mod error;
+pub(crate) mod error;
 pub mod profile;
 pub mod tuner;
 pub mod vars;
-
-pub use error::{max_rel_error, rel_error, rmse};
-pub use tuner::{PrecisionTuner, TuneOutcome, TunerOptions};
-pub use vars::{FloatVar, VarKind};

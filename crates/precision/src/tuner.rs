@@ -8,22 +8,18 @@
 //! [`flop_energy`](antarex_ir::cost::ExecStats::flop_energy).
 //!
 //! Candidates run on the bytecode VM (bit-identical to the reference
-//! interpreter, much faster across the many sweep evaluations);
-//! [`PrecisionTuner::with_cache`] shares instrumented bytecode across
-//! candidates, sweeps and tuner instances.
+//! interpreter, much faster across the many sweep evaluations).
 
 use crate::error::max_rel_error;
 use crate::vars::{float_vars, set_precision};
-use antarex_ir::cost::CostModel;
 use antarex_ir::interp::ExecEnv;
 use antarex_ir::value::Value;
 use antarex_ir::{Executor, IrError, Program};
-use antarex_vm::{InstrumentedCodeCache, Vm};
+use antarex_vm::Vm;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The precision ladder, full precision first.
-pub const LADDER: [u8; 7] = [52, 23, 16, 12, 10, 8, 5];
+pub(crate) const LADDER: [u8; 7] = [52, 23, 16, 12, 10, 8, 5];
 
 /// Options controlling the tuning run.
 #[derive(Debug, Clone)]
@@ -67,7 +63,6 @@ pub struct PrecisionTuner {
     inputs: Vec<Vec<Value>>,
     #[cfg(test)]
     use_reference_engine: bool,
-    cache: Option<Arc<InstrumentedCodeCache>>,
 }
 
 impl PrecisionTuner {
@@ -80,7 +75,6 @@ impl PrecisionTuner {
             inputs,
             #[cfg(test)]
             use_reference_engine: false,
-            cache: None,
         }
     }
 
@@ -92,23 +86,13 @@ impl PrecisionTuner {
         self
     }
 
-    /// Shares an instrumented-code cache: candidate programs that recur
-    /// across sweeps (or across tuners) lower once.
-    pub fn with_cache(mut self, cache: Arc<InstrumentedCodeCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Builds the candidate-evaluation engine for one program.
     fn engine(&self, program: &Program) -> Box<dyn Executor> {
         #[cfg(test)]
         if self.use_reference_engine {
             return Box::new(antarex_ir::interp::Interp::new(program.clone()));
         }
-        match &self.cache {
-            Some(cache) => Box::new(Vm::with_cache(program.clone(), CostModel::new(), cache)),
-            None => Box::new(Vm::new(program.clone())),
-        }
+        Box::new(Vm::new(program.clone()))
     }
 
     /// Runs the test set, returning outputs and total FP energy.
@@ -313,30 +297,6 @@ mod tests {
             reference.max_rel_error.to_bits()
         );
         assert_eq!(vm.energy_ratio.to_bits(), reference.energy_ratio.to_bits());
-    }
-
-    #[test]
-    fn shared_cache_replays_candidate_lowerings() {
-        let cache = Arc::new(InstrumentedCodeCache::new());
-        let program = parse_program(DOT).unwrap();
-        let options = TunerOptions {
-            error_budget: 1e-2,
-            max_sweeps: 8,
-        };
-        let first = PrecisionTuner::new(program.clone(), "dot", dot_inputs())
-            .with_cache(Arc::clone(&cache))
-            .tune(&options)
-            .unwrap();
-        let after_first = cache.misses();
-        // a second tuner over the same program re-walks the same candidate
-        // ladder: every lowering replays from the cache
-        let second = PrecisionTuner::new(program, "dot", dot_inputs())
-            .with_cache(Arc::clone(&cache))
-            .tune(&options)
-            .unwrap();
-        assert_eq!(first.assignment, second.assignment);
-        assert_eq!(cache.misses(), after_first, "no new lowerings");
-        assert!(cache.hits() >= after_first);
     }
 
     #[test]

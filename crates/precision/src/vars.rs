@@ -127,7 +127,7 @@ fn apply(function: &mut Function, var: &FloatVar, ty: Type) -> Result<(), IrErro
 
 /// Maps a mantissa width back to a source type (52 → `double`,
 /// 23 → `float`, otherwise a custom width).
-pub fn type_for_bits(bits: u8) -> Type {
+pub(crate) fn type_for_bits(bits: u8) -> Type {
     match bits {
         52 => Type::F64,
         23 => Type::F32,

@@ -74,7 +74,7 @@ impl CheckpointPolicy {
     }
 
     /// Does this policy ever checkpoint?
-    pub fn checkpoints(&self) -> bool {
+    pub(crate) fn checkpoints(&self) -> bool {
         self.interval_s.is_finite()
     }
 }

@@ -106,7 +106,7 @@ impl ClusterFaultView {
         ClusterFaultView { nodes, crash_count }
     }
 
-    /// Total node crashes in the schedule.
+    /// Total crash events indexed.
     pub fn crash_count(&self) -> usize {
         self.crash_count
     }
@@ -125,14 +125,6 @@ impl ClusterFaultView {
         let crashes = &self.nodes[node].crashes;
         let i = crashes.partition_point(|&c| c < from_s);
         crashes.get(i).copied().filter(|&c| c < to_s)
-    }
-
-    /// When the node is back after a crash at `crash_s`
-    /// (`f64::INFINITY` if it never rejoins within the horizon).
-    pub fn down_until(&self, node: usize, crash_s: f64) -> f64 {
-        let repairs = &self.nodes[node].repairs;
-        let i = repairs.partition_point(|&r| r <= crash_s);
-        repairs.get(i).copied().unwrap_or(f64::INFINITY)
     }
 
     /// What the telemetry channel of `node` does at time `t`. Matches
@@ -254,11 +246,6 @@ impl SensorChannel {
             },
         }
     }
-
-    /// Fraction of observations that were missing or distrusted.
-    pub fn loss_rate(&self) -> f64 {
-        self.inner.loss_rate()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +264,7 @@ pub enum RegionKind {
 /// The slowest P-state that still sustains a memory stream of the given
 /// arithmetic intensity (flops per byte) at full bandwidth — running any
 /// faster buys no throughput and only burns `V²f` power.
-pub fn memory_floor_pstate(node: &Node, intensity_flops_per_byte: f64) -> usize {
+pub(crate) fn memory_floor_pstate(node: &Node, intensity_flops_per_byte: f64) -> usize {
     let required_gflops = node.spec().mem_bw_gbs * intensity_flops_per_byte.max(0.0);
     for idx in 0..node.spec().pstates.len() {
         let freq = node.spec().pstates.state(idx).freq_ghz;
@@ -292,7 +279,7 @@ pub fn memory_floor_pstate(node: &Node, intensity_flops_per_byte: f64) -> usize 
 /// *sensed* temperature: compute regions take the fastest admissible
 /// state, memory regions the slowest state sustaining the stream (and
 /// never above the admissible one — the cap always wins).
-pub fn region_pstate(
+pub(crate) fn region_pstate(
     node: &Node,
     region: RegionKind,
     intensity_flops_per_byte: f64,
@@ -338,16 +325,6 @@ impl FacilityController {
             plant,
             guard,
         })
-    }
-
-    /// The facility cap, watts.
-    pub fn cap_w(&self) -> f64 {
-        self.cap_w
-    }
-
-    /// The cooling plant model in force.
-    pub fn plant(&self) -> &CoolingPlant {
-        &self.plant
     }
 
     /// Usable IT budget at this ambient, after cooling overhead and the
@@ -605,7 +582,16 @@ mod tests {
         assert_eq!(view.first_crash_in(node, t - 1.0, t + 1.0), Some(t));
         assert_eq!(view.first_crash_in(node, t, t + 1.0), Some(t));
         assert_eq!(view.first_crash_in(node, t + 1e-9, t + 1e-6), None);
-        let back = view.down_until(node, t);
+        let back = schedule
+            .events()
+            .iter()
+            .find_map(|e| match e.kind {
+                FaultKind::NodeRepair { node: repaired } if repaired == node && e.time_s > t => {
+                    Some(e.time_s)
+                }
+                _ => None,
+            })
+            .unwrap_or(f64::INFINITY);
         assert!(back > t, "repair strictly after crash");
         assert!(
             view.crashes_match_schedule(&schedule),
@@ -647,7 +633,6 @@ mod tests {
         // by now the channel treats the frozen value as missing
         let est = chan.sense(10.0, Some(61.0));
         assert_ne!(est.fill, SensedFill::Fresh, "frozen sensor distrusted");
-        assert!(chan.loss_rate() > 0.0);
         // a genuinely changing signal re-earns trust
         let est = chan.sense(11.0, Some(62.5));
         assert_eq!(est.fill, SensedFill::Fresh);
@@ -727,7 +712,8 @@ mod tests {
         assert!((total - facility.it_budget_w(20.0)).abs() < 1e-6);
         assert!(split[0] > split[1]);
         assert_eq!(facility.split(20.0, &[], &obs), None, "all nodes dead");
-        assert_eq!(obs.splits_refused(), 1);
+        let refused = registry.counter("rtrm_power_splits_refused_total", Scope::Invariant);
+        assert_eq!(refused.get(), 1);
     }
 
     #[test]

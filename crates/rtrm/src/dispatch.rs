@@ -49,7 +49,7 @@ impl DispatchStrategy {
 
 /// A compute device a task can run on: node CPU cores or one accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Device {
+pub(crate) struct Device {
     /// Index of the node in the pool.
     pub node: usize,
     /// `None` = CPU; `Some(i)` = accelerator `i` of that node.
@@ -83,7 +83,7 @@ impl DispatchOutcome {
 }
 
 /// Enumerates the devices of a node pool (CPU + every accelerator).
-pub fn devices_of(nodes: &[Node]) -> Vec<Device> {
+pub(crate) fn devices_of(nodes: &[Node]) -> Vec<Device> {
     let mut devices = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
         devices.push(Device {

@@ -80,11 +80,6 @@ impl EnergyAwareAssigner {
         EnergyAwareAssigner { spec, cap_w }
     }
 
-    /// The facility cap.
-    pub fn cap_w(&self) -> f64 {
-        self.cap_w
-    }
-
     /// Assigns P-states to the concurrent `jobs`.
     pub fn assign(&self, jobs: &[JobRequest]) -> EnergyPlan {
         let mut states: Vec<usize> = jobs

@@ -53,7 +53,7 @@ impl fmt::Display for RtrmError {
 impl std::error::Error for RtrmError {}
 
 /// Validates a budget/cap value: must be finite and strictly positive.
-pub fn check_budget_w(what: &'static str, value: f64) -> Result<f64, RtrmError> {
+pub(crate) fn check_budget_w(what: &'static str, value: f64) -> Result<f64, RtrmError> {
     if value.is_finite() && value > 0.0 {
         Ok(value)
     } else {

@@ -30,17 +30,6 @@ pub enum GovernorKind {
 }
 
 impl GovernorKind {
-    /// All implemented policies.
-    pub fn all() -> [GovernorKind; 5] {
-        [
-            GovernorKind::Performance,
-            GovernorKind::Powersave,
-            GovernorKind::Ondemand,
-            GovernorKind::Conservative,
-            GovernorKind::EnergyOptimal,
-        ]
-    }
-
     /// Canonical (Linux cpufreq) name.
     pub fn name(self) -> &'static str {
         match self {
@@ -74,15 +63,10 @@ impl Governor {
         }
     }
 
-    /// The policy kind.
-    pub fn kind(&self) -> GovernorKind {
-        self.kind
-    }
-
     /// Feeds the utilization observed over the last sampling period
     /// (0..=1); governors with dynamic policies react on the next
     /// [`Governor::select`].
-    pub fn observe_utilization(&mut self, utilization: f64) {
+    pub(crate) fn observe_utilization(&mut self, utilization: f64) {
         self.last_utilization = utilization.clamp(0.0, 1.0);
     }
 
@@ -248,7 +232,6 @@ mod tests {
     #[test]
     fn governor_names() {
         assert_eq!(GovernorKind::Ondemand.name(), "ondemand");
-        assert_eq!(GovernorKind::all().len(), 5);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl HierarchicalPowerManager {
 
     /// Creates a manager, rejecting non-finite or non-positive budgets
     /// with a typed error instead of panicking.
-    pub fn try_new(budget_w: f64) -> Result<Self, RtrmError> {
+    pub(crate) fn try_new(budget_w: f64) -> Result<Self, RtrmError> {
         check_budget_w("cluster budget", budget_w)
             .map(|budget_w| HierarchicalPowerManager { budget_w })
     }
@@ -78,7 +78,7 @@ impl HierarchicalPowerManager {
     /// into a typed error: a dispatcher that mis-counts its own queue
     /// gets an [`RtrmError::ShapeMismatch`] back, not a panic in the
     /// middle of the control loop.
-    pub fn try_run_phase(
+    pub(crate) fn try_run_phase(
         &self,
         nodes: &mut [Node],
         work: &[Vec<WorkUnit>],
@@ -149,7 +149,7 @@ impl FlatPowerManager {
 
     /// Creates the flat manager, rejecting invalid budgets with a typed
     /// error instead of panicking.
-    pub fn try_new(budget_w: f64) -> Result<Self, RtrmError> {
+    pub(crate) fn try_new(budget_w: f64) -> Result<Self, RtrmError> {
         check_budget_w("cluster budget", budget_w).map(|budget_w| FlatPowerManager { budget_w })
     }
 
@@ -166,7 +166,7 @@ impl FlatPowerManager {
 
     /// [`run_phase`](Self::run_phase) with typed errors in place of the
     /// shape assertion and the empty-cluster panic.
-    pub fn try_run_phase(
+    pub(crate) fn try_run_phase(
         &self,
         nodes: &mut [Node],
         work: &[Vec<WorkUnit>],

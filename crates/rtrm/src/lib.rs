@@ -30,22 +30,17 @@
 //! * [`cluster_ctrl`] — the fault-tolerant cluster-scale control plane:
 //!   facility budget tracking ambient cooling efficiency, sensor-hardened
 //!   per-node region cappers, checkpoint-based requeue on node crashes;
-//! * [`error`] — typed [`RtrmError`] returned by the non-panicking
+//! * `error` — the typed `RtrmError` returned by the non-panicking
 //!   control-plane APIs.
 
 pub mod checkpoint;
 pub mod cluster_ctrl;
 pub mod dispatch;
 pub mod energy_sched;
-pub mod error;
+pub(crate) mod error;
 pub mod governor;
 pub mod hierarchy;
 pub mod powercap;
 pub mod replay;
 pub mod scheduler;
 pub mod thermal_ctrl;
-
-pub use error::RtrmError;
-pub use governor::{Governor, GovernorKind};
-pub use powercap::PowerCapper;
-pub use scheduler::{BatchScheduler, SchedulerPolicy};

@@ -42,23 +42,13 @@ impl PowercapObs {
         }
     }
 
-    /// Budget splits performed.
-    pub fn splits(&self) -> u64 {
-        self.splits.get()
-    }
-
-    /// Splits refused because no node was alive to receive the budget.
-    pub fn splits_refused(&self) -> u64 {
-        self.splits_refused.get()
-    }
-
-    /// Enforcement calls that actually lowered a node's P-state.
+    /// Enforcements that actually lowered a node's P-state.
     pub fn clamps(&self) -> u64 {
         self.clamps.get()
     }
 }
 
-/// [`try_weighted_split`] with its decision recorded on `obs`: the
+/// `try_weighted_split` with its decision recorded on `obs`: the
 /// attempted budget and summed finite demand land in gauges, a refusal
 /// (empty alive set) bumps the refusal counter, and a successful split
 /// records the granted total (= budget, conservation).
@@ -109,7 +99,7 @@ pub fn estimated_power_at_temp(node: &Node, pstate_index: usize, temp_c: f64) ->
 
 /// A node power capper.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerCapper {
+pub(crate) struct PowerCapper {
     cap_w: f64,
 }
 
@@ -119,40 +109,25 @@ impl PowerCapper {
     /// # Panics
     ///
     /// Panics if the cap is not positive.
-    pub fn new(cap_w: f64) -> Self {
+    pub(crate) fn new(cap_w: f64) -> Self {
         Self::try_new(cap_w).expect("power cap must be positive")
     }
 
     /// Creates a capper, rejecting non-finite or non-positive caps with
     /// a typed error instead of panicking.
-    pub fn try_new(cap_w: f64) -> Result<Self, RtrmError> {
+    pub(crate) fn try_new(cap_w: f64) -> Result<Self, RtrmError> {
         check_budget_w("power cap", cap_w).map(|cap_w| PowerCapper { cap_w })
     }
 
     /// The budget.
-    pub fn cap_w(&self) -> f64 {
+    pub(crate) fn cap_w(&self) -> f64 {
         self.cap_w
-    }
-
-    /// Updates the budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cap is not positive.
-    pub fn set_cap(&mut self, cap_w: f64) {
-        self.try_set_cap(cap_w).expect("power cap must be positive");
-    }
-
-    /// Updates the budget, rejecting invalid caps with a typed error.
-    pub fn try_set_cap(&mut self, cap_w: f64) -> Result<(), RtrmError> {
-        self.cap_w = check_budget_w("power cap", cap_w)?;
-        Ok(())
     }
 
     /// The fastest P-state whose estimated power respects the cap
     /// (index 0 if even the slowest exceeds it — the cap is then
     /// unenforceable and the caller should shed load instead).
-    pub fn admissible_pstate(&self, node: &Node) -> usize {
+    pub(crate) fn admissible_pstate(&self, node: &Node) -> usize {
         self.admissible_pstate_at_temp(node, node.temp_c())
     }
 
@@ -160,7 +135,7 @@ impl PowerCapper {
     /// at an explicitly sensed junction temperature — the form a
     /// controller behind a degraded sensor channel must use (see
     /// [`estimated_power_at_temp`]).
-    pub fn admissible_pstate_at_temp(&self, node: &Node, temp_c: f64) -> usize {
+    pub(crate) fn admissible_pstate_at_temp(&self, node: &Node, temp_c: f64) -> usize {
         let mut chosen = 0;
         for idx in 0..node.spec().pstates.len() {
             if estimated_power_at_temp(node, idx, temp_c) <= self.cap_w {
@@ -172,42 +147,19 @@ impl PowerCapper {
 
     /// Applies the cap: clamps the node's current P-state.
     /// Returns the chosen index.
-    pub fn enforce(&self, node: &mut Node) -> usize {
+    pub(crate) fn enforce(&self, node: &mut Node) -> usize {
         let admissible = self.admissible_pstate(node);
         if node.pstate_index() > admissible {
             node.set_pstate(admissible);
         }
         node.pstate_index()
     }
-
-    /// [`enforce`](PowerCapper::enforce) with the decision recorded on
-    /// `obs`: counts the enforcement as a clamp only when the node's
-    /// P-state was actually lowered.
-    pub fn enforce_observed(&self, node: &mut Node, obs: &PowercapObs) -> usize {
-        let before = node.pstate_index();
-        let chosen = self.enforce(node);
-        if chosen < before {
-            obs.clamps.inc();
-        }
-        obs.budget_w.set(self.cap_w);
-        chosen
-    }
 }
 
-/// Splits a cluster budget uniformly across `nodes` nodes.
-///
-/// # Panics
-///
-/// Panics if `nodes` is zero; use [`try_uniform_split`] when the alive
-/// set may be empty (e.g. every node crashed).
-pub fn uniform_split(budget_w: f64, nodes: usize) -> Vec<f64> {
-    try_uniform_split(budget_w, nodes).expect("no nodes to budget")
-}
-
-/// [`uniform_split`] that returns `None` instead of panicking when
+/// Splits a cluster budget uniformly across `nodes` nodes; `None` when
 /// `nodes` is zero — the case a fault-ridden cluster actually hits when
 /// every node is down and there is nobody to give the budget to.
-pub fn try_uniform_split(budget_w: f64, nodes: usize) -> Option<Vec<f64>> {
+pub(crate) fn try_uniform_split(budget_w: f64, nodes: usize) -> Option<Vec<f64>> {
     if nodes == 0 {
         return None;
     }
@@ -216,21 +168,10 @@ pub fn try_uniform_split(budget_w: f64, nodes: usize) -> Option<Vec<f64>> {
 
 /// Splits a cluster budget proportionally to per-node demand weights
 /// (e.g. queued work); weights of zero receive an idle floor of 5% of the
-/// uniform share.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty; use [`try_weighted_split`] when the
-/// alive set may be empty.
-pub fn weighted_split(budget_w: f64, weights: &[f64]) -> Vec<f64> {
-    try_weighted_split(budget_w, weights).expect("no nodes to budget")
-}
-
-/// [`weighted_split`] that returns `None` instead of panicking on an
-/// empty weight list. Non-finite weights (a NaN utilization from a dead
-/// sensor) are treated as zero demand rather than poisoning every
-/// node's share.
-pub fn try_weighted_split(budget_w: f64, weights: &[f64]) -> Option<Vec<f64>> {
+/// uniform share. `None` on an empty weight list. Non-finite weights (a
+/// NaN utilization from a dead sensor) are treated as zero demand rather
+/// than poisoning every node's share.
+pub(crate) fn try_weighted_split(budget_w: f64, weights: &[f64]) -> Option<Vec<f64>> {
     if weights.is_empty() {
         return None;
     }
@@ -290,7 +231,7 @@ mod tests {
 
     #[test]
     fn split_digest_is_stable_and_sensitive() {
-        let shares = weighted_split(100.0, &[1.0, 2.0, 3.0]);
+        let shares = try_weighted_split(100.0, &[1.0, 2.0, 3.0]).expect("nodes to budget");
         let a = split_digest(100.0, &shares);
         let b = split_digest(100.0, &shares);
         assert_eq!(a, b, "digest is a pure function of the decision");
@@ -355,9 +296,9 @@ mod tests {
 
     #[test]
     fn uniform_and_weighted_splits_conserve_budget() {
-        let uniform = uniform_split(1000.0, 4);
+        let uniform = try_uniform_split(1000.0, 4).expect("nodes to budget");
         assert_eq!(uniform, vec![250.0; 4]);
-        let weighted = weighted_split(1000.0, &[3.0, 1.0, 0.0, 0.0]);
+        let weighted = try_weighted_split(1000.0, &[3.0, 1.0, 0.0, 0.0]).expect("nodes to budget");
         let total: f64 = weighted.iter().sum();
         assert!((total - 1000.0).abs() < 1e-9);
         assert!(weighted[0] > weighted[1]);
@@ -367,7 +308,7 @@ mod tests {
 
     #[test]
     fn weighted_split_with_all_zero_weights_is_uniform() {
-        let split = weighted_split(400.0, &[0.0, 0.0]);
+        let split = try_weighted_split(400.0, &[0.0, 0.0]).expect("nodes to budget");
         assert_eq!(split, vec![200.0, 200.0]);
     }
 
@@ -408,11 +349,6 @@ mod tests {
                 "cap {bad}"
             );
         }
-        let mut capper = PowerCapper::new(100.0);
-        assert!(capper.try_set_cap(f64::NAN).is_err());
-        assert_eq!(capper.cap_w(), 100.0, "failed update must not corrupt");
-        assert!(capper.try_set_cap(300.0).is_ok());
-        assert_eq!(capper.cap_w(), 300.0);
     }
 
     #[test]
@@ -451,25 +387,12 @@ mod tests {
             try_weighted_split(1000.0, &weights).unwrap(),
             "observation must not change the policy"
         );
-        assert_eq!(obs.splits(), 1);
-        assert_eq!(obs.splits_refused(), 0);
+        assert_eq!(obs.splits.get(), 1);
+        assert_eq!(obs.splits_refused.get(), 0);
         // empty alive set: refused, not split
         assert_eq!(try_weighted_split_observed(1000.0, &[], &obs), None);
-        assert_eq!(obs.splits(), 1);
-        assert_eq!(obs.splits_refused(), 1);
-    }
-
-    #[test]
-    fn observed_enforce_counts_only_real_clamps() {
-        let registry = MetricsRegistry::new();
-        let obs = PowercapObs::register(&registry);
-        let mut node = Node::nominal(NodeSpec::cineca_xeon(), 0);
-        node.set_pstate(node.spec().pstates.max_index());
-        let tight = PowerCapper::new(estimated_power_w(&node, 1));
-        tight.enforce_observed(&mut node, &obs);
-        assert_eq!(obs.clamps(), 1, "a lowering counts");
-        tight.enforce_observed(&mut node, &obs);
-        assert_eq!(obs.clamps(), 1, "already-admissible node is not a clamp");
+        assert_eq!(obs.splits.get(), 1);
+        assert_eq!(obs.splits_refused.get(), 1);
     }
 
     #[test]

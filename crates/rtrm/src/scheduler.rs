@@ -65,11 +65,6 @@ impl BatchScheduler {
         }
     }
 
-    /// The node pool size.
-    pub fn total_nodes(&self) -> usize {
-        self.total_nodes
-    }
-
     /// Schedules `jobs` (must be sorted by arrival), with `estimate`
     /// giving each job's runtime in seconds.
     ///

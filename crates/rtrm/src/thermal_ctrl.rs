@@ -24,7 +24,7 @@ pub struct ThermalThrottle {
 
 impl ThermalThrottle {
     /// A typical 85 °C limit with 10 °C hysteresis.
-    pub fn default_server() -> Self {
+    pub(crate) fn default_server() -> Self {
         ThermalThrottle {
             limit_c: 85.0,
             release_c: 75.0,
@@ -36,7 +36,7 @@ impl ThermalThrottle {
     /// respects the limit, with hysteresis on re-acceleration (the node
     /// must cool below `release_c` before speeding back up). Returns
     /// `true` if a throttling (slow-down) action was taken.
-    pub fn regulate(&self, node: &mut Node) -> bool {
+    pub(crate) fn regulate(&self, node: &mut Node) -> bool {
         let mut target = 0;
         for idx in 0..node.spec().pstates.len() {
             if node.steady_temp_at(idx, 1.0) <= self.limit_c {
@@ -108,11 +108,6 @@ impl Ms3Admission {
         let t = (ambient_c - self.comfort_c) / (self.extreme_c - self.comfort_c);
         1.0 - t * (1.0 - self.floor)
     }
-
-    /// Selects how many of `offered` tasks to admit at this ambient.
-    pub fn admit_count(&self, offered: usize, ambient_c: f64) -> usize {
-        ((offered as f64) * self.admitted_fraction(ambient_c)).round() as usize
-    }
 }
 
 #[cfg(test)]
@@ -173,12 +168,5 @@ mod tests {
         assert!(mid > 0.6 && mid < 1.0);
         // monotone decreasing
         assert!(ms3.admitted_fraction(20.0) >= ms3.admitted_fraction(30.0));
-    }
-
-    #[test]
-    fn admit_count_rounds() {
-        let ms3 = Ms3Admission::mediterranean();
-        assert_eq!(ms3.admit_count(100, 10.0), 100);
-        assert_eq!(ms3.admit_count(100, 40.0), 60);
     }
 }

@@ -46,7 +46,7 @@ pub enum AdmissionTier {
 
 impl AdmissionTier {
     /// Deterministic label for state reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             AdmissionTier::Admit => "admit",
             AdmissionTier::Degrade => "degrade",
@@ -173,11 +173,6 @@ impl AdmissionController {
         }
     }
 
-    /// The controller's tuning.
-    pub fn config(&self) -> AdmissionConfig {
-        self.config
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<TenantId, TenantAdmission>> {
         crate::lock_or_recover(&self.tenants)
     }
@@ -191,7 +186,7 @@ impl AdmissionController {
     }
 
     /// The tenant's smoothed burn (zero when never seen).
-    pub fn burn(&self, tenant: TenantId) -> f64 {
+    pub(crate) fn burn(&self, tenant: TenantId) -> f64 {
         self.lock().get(&tenant).map(|s| s.burn).unwrap_or(0.0)
     }
 
@@ -200,7 +195,7 @@ impl AdmissionController {
     /// burning (clamped at 8×), so heavier abusers are told to stay
     /// away longer. Integer milliseconds keep the hint `Eq`-comparable
     /// in [`crate::ServeError`].
-    pub fn retry_after_ms(&self, tenant: TenantId) -> u64 {
+    pub(crate) fn retry_after_ms(&self, tenant: TenantId) -> u64 {
         let burn = self.burn(tenant);
         let scale = if self.config.shed_enter > 0.0 {
             (burn / self.config.shed_enter).clamp(1.0, 8.0)
@@ -261,7 +256,7 @@ impl AdmissionController {
     /// autoscaler's SLO-pain signal. Degraded and shed tenants are
     /// already being handled by admission; capacity reacts to the pain
     /// of tenants still receiving full service.
-    pub fn max_admitted_burn(&self) -> f64 {
+    pub(crate) fn max_admitted_burn(&self) -> f64 {
         self.lock()
             .values()
             .filter(|s| s.tier == AdmissionTier::Admit)
@@ -269,21 +264,9 @@ impl AdmissionController {
             .fold(0.0, f64::max)
     }
 
-    /// How many tenants currently sit in each tier:
-    /// `(admit, degrade, shed)`.
-    pub fn tier_counts(&self) -> (usize, usize, usize) {
-        self.lock()
-            .values()
-            .fold((0, 0, 0), |(a, d, s), state| match state.tier {
-                AdmissionTier::Admit => (a + 1, d, s),
-                AdmissionTier::Degrade => (a, d + 1, s),
-                AdmissionTier::Shed => (a, d, s + 1),
-            })
-    }
-
     /// Every tenant's admission state, sorted by tenant id — the
     /// snapshot the journal persists.
-    pub fn snapshot(&self) -> Vec<(TenantId, TenantAdmission)> {
+    pub(crate) fn snapshot(&self) -> Vec<(TenantId, TenantAdmission)> {
         self.lock().iter().map(|(&t, &s)| (t, s)).collect()
     }
 
@@ -437,7 +420,6 @@ mod tests {
         let max = c.max_admitted_burn();
         assert!(max < 4.0, "shed tenant's burn must not leak: {max}");
         assert!(max > 0.0);
-        assert_eq!(c.tier_counts(), (1, 0, 1));
     }
 
     #[test]

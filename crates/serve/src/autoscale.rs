@@ -111,11 +111,6 @@ impl Autoscaler {
         }
     }
 
-    /// The autoscaler's tuning.
-    pub fn config(&self) -> AutoscaleConfig {
-        self.config
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, AutoscalerState> {
         crate::lock_or_recover(&self.state)
     }
@@ -128,7 +123,7 @@ impl Autoscaler {
     /// Takes one scaling decision at virtual time `now_s` given this
     /// window's queued probe count and the admission plane's worst
     /// admitted burn. Returns the new capacity when it changed.
-    pub fn decide(&self, now_s: f64, queue_depth: usize, burn: f64) -> Option<usize> {
+    pub(crate) fn decide(&self, now_s: f64, queue_depth: usize, burn: f64) -> Option<usize> {
         let mut state = self.lock();
         if now_s - state.last_change_s < self.config.cooldown_s {
             return None;
@@ -152,7 +147,7 @@ impl Autoscaler {
 
     /// Applies a journaled scaling decision during replay — the same
     /// commit the live `decide` ended in.
-    pub fn force(&self, now_s: f64, capacity: usize) {
+    pub(crate) fn force(&self, now_s: f64, capacity: usize) {
         self.commit(&mut self.lock(), now_s, capacity);
     }
 
@@ -170,7 +165,7 @@ impl Autoscaler {
     }
 
     /// The full state — what the journal's snapshot persists.
-    pub fn snapshot(&self) -> AutoscalerState {
+    pub(crate) fn snapshot(&self) -> AutoscalerState {
         *self.lock()
     }
 

@@ -37,7 +37,7 @@ pub struct BreakerConfig {
 impl BreakerConfig {
     /// The hardened default: open after 3 consecutive failures, retry
     /// one trial after 5 virtual seconds, close after 2 clean trials.
-    pub fn hardened() -> Self {
+    pub(crate) fn hardened() -> Self {
         BreakerConfig {
             failure_threshold: 3,
             cooldown_s: 5.0,
@@ -57,7 +57,7 @@ impl BreakerConfig {
 
 /// Breaker state; the classic three-state machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Requests flow; counting consecutive failures.
     Closed {
         /// Transient failures since the last success.
@@ -86,7 +86,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given tuning.
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         CircuitBreaker {
             config,
             state: BreakerState::Closed {
@@ -96,11 +96,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
     /// How many times the circuit has opened.
     pub fn trips(&self) -> u64 {
         self.trips
@@ -108,7 +103,7 @@ impl CircuitBreaker {
 
     /// May a request for this tenant proceed at virtual time `now_s`?
     /// Transitions open → half-open when the cooldown has elapsed.
-    pub fn allow(&mut self, now_s: f64) -> bool {
+    pub(crate) fn allow(&mut self, now_s: f64) -> bool {
         if self.config.failure_threshold == 0 {
             return true;
         }
@@ -126,7 +121,7 @@ impl CircuitBreaker {
     }
 
     /// Records a successfully served request.
-    pub fn on_success(&mut self, _now_s: f64) {
+    pub(crate) fn on_success(&mut self, _now_s: f64) {
         if self.config.failure_threshold == 0 {
             return;
         }
@@ -154,7 +149,7 @@ impl CircuitBreaker {
     /// virtual time `now_s`. Contract errors (unknown tenant,
     /// infeasible SLA) must not be fed here — they say nothing about
     /// the health of the evaluation path.
-    pub fn on_failure(&mut self, now_s: f64) {
+    pub(crate) fn on_failure(&mut self, now_s: f64) {
         if self.config.failure_threshold == 0 {
             return;
         }
@@ -183,7 +178,7 @@ impl CircuitBreaker {
 
     /// Compact deterministic state label for reports: `closed(n)`,
     /// `open(t)`, or `half-open(n)`.
-    pub fn state_label(&self) -> String {
+    pub(crate) fn state_label(&self) -> String {
         match self.state {
             BreakerState::Closed {
                 consecutive_failures,
@@ -200,7 +195,7 @@ impl CircuitBreaker {
 /// The bank keeps the total trip count in a shareable [`Counter`]: per-
 /// tenant trips live on each [`CircuitBreaker`] (they are part of the
 /// crash-recovery snapshot), and every trip observed inside
-/// [`with`](BreakerBank::with) is mirrored onto the counter, so the
+/// `with` is mirrored onto the counter, so the
 /// metric registry and [`total_trips`](BreakerBank::total_trips) read
 /// the same cell instead of re-summing the map.
 #[derive(Debug)]
@@ -219,17 +214,12 @@ impl BreakerBank {
 
     /// An empty bank whose aggregate trip count lands in the given
     /// counter handle — typically one registered on a metric registry.
-    pub fn with_trip_counter(config: BreakerConfig, trips: Counter) -> Self {
+    pub(crate) fn with_trip_counter(config: BreakerConfig, trips: Counter) -> Self {
         BreakerBank {
             config,
             breakers: Mutex::new(BTreeMap::new()),
             trips,
         }
-    }
-
-    /// The bank's tuning.
-    pub fn config(&self) -> BreakerConfig {
-        self.config
     }
 
     /// Whether breakers are live at all. A disabled bank is never fed:
@@ -241,7 +231,7 @@ impl BreakerBank {
     /// Runs `f` on the tenant's breaker (creating it closed if absent).
     /// Trips that happen inside `f` are mirrored onto the bank's trip
     /// counter.
-    pub fn with<R>(&self, tenant: TenantId, f: impl FnOnce(&mut CircuitBreaker) -> R) -> R {
+    pub(crate) fn with<R>(&self, tenant: TenantId, f: impl FnOnce(&mut CircuitBreaker) -> R) -> R {
         let mut breakers = self.breakers.lock().expect("breaker bank poisoned");
         let breaker = breakers
             .entry(tenant)
@@ -273,7 +263,7 @@ impl BreakerBank {
     }
 
     /// Total circuit trips across all tenants — a read of the shared
-    /// trip counter, which [`with`](BreakerBank::with) and
+    /// trip counter, which `with` and
     /// [`restore`](BreakerBank::restore) keep equal to the sum of
     /// per-breaker trips.
     pub fn total_trips(&self) -> u64 {
@@ -293,7 +283,7 @@ mod tests {
         b.on_failure(0.2);
         assert!(b.allow(0.3), "below threshold stays closed");
         b.on_failure(0.3);
-        assert_eq!(b.state(), BreakerState::Open { since_s: 0.3 });
+        assert_eq!(b.state, BreakerState::Open { since_s: 0.3 });
         assert!(!b.allow(0.4), "open fails fast");
         assert_eq!(b.trips(), 1);
     }
@@ -320,12 +310,12 @@ mod tests {
         b.on_failure(1.0);
         assert!(!b.allow(3.0), "cooldown not elapsed");
         assert!(b.allow(6.0), "half-open admits a trial");
-        assert_eq!(b.state(), BreakerState::HalfOpen { successes: 0 });
+        assert_eq!(b.state, BreakerState::HalfOpen { successes: 0 });
         b.on_success(6.1);
-        assert_eq!(b.state(), BreakerState::HalfOpen { successes: 1 });
+        assert_eq!(b.state, BreakerState::HalfOpen { successes: 1 });
         b.on_success(6.2);
         assert_eq!(
-            b.state(),
+            b.state,
             BreakerState::Closed {
                 consecutive_failures: 0
             }
@@ -343,7 +333,7 @@ mod tests {
         b.on_failure(0.0);
         assert!(b.allow(5.0), "half-open at exactly the cooldown");
         b.on_failure(5.5);
-        assert_eq!(b.state(), BreakerState::Open { since_s: 5.5 });
+        assert_eq!(b.state, BreakerState::Open { since_s: 5.5 });
         assert_eq!(b.trips(), 2);
         assert!(!b.allow(6.0));
     }
@@ -371,7 +361,7 @@ mod tests {
         assert_eq!(bank.total_trips(), 1);
 
         let snapshot = bank.snapshot();
-        let restored = BreakerBank::new(bank.config());
+        let restored = BreakerBank::new(bank.config);
         restored.restore(&snapshot);
         assert!(!restored.with(7, |b| b.allow(2.0)));
         assert!(restored.with(8, |b| b.allow(2.0)));

@@ -6,7 +6,7 @@
 //! lookup, not a re-evaluation. Entries are sharded like the session
 //! store so concurrent readers contend only per shard; hit/miss counts
 //! are lock-free [`Counter`] handles that can be shared with the
-//! metric registry ([`DesignPointCache::with_counters`]), so the
+//! metric registry (`DesignPointCache::with_counters`), so the
 //! cache's accessors and the observability plane read the same cells
 //! rather than maintaining duplicate tallies.
 //!
@@ -61,7 +61,7 @@ use std::sync::{Arc, Mutex};
 /// accessor, `&metrics` iteration, `metrics["power"]`); writing goes
 /// through [`DerefMut`], which copies the map first when any other
 /// handle shares it — so a fault injector flipping a bit in a delivered
-/// result ([`chaos::corrupt_evaluation`](crate::chaos::corrupt_evaluation))
+/// result (`chaos::corrupt_evaluation`)
 /// can never reach the memoized entry. `Debug` and `PartialEq` are the
 /// map's own.
 #[derive(Clone, Default, PartialEq)]
@@ -69,7 +69,7 @@ pub struct Metrics(Arc<BTreeMap<String, f64>>);
 
 impl Metrics {
     /// An empty metric set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -209,7 +209,7 @@ impl DesignKey {
     /// function of the structural hash, identical across lookups within
     /// a run. (For the probe RNG seed, which must be stable across
     /// processes, use [`probe_seed`] instead.)
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         (self.hash >> 64) as u64 ^ self.hash as u64
     }
 }
@@ -329,7 +329,7 @@ impl DesignPointCache {
     /// # Panics
     ///
     /// Panics if `shards` is zero.
-    pub fn with_counters(
+    pub(crate) fn with_counters(
         shards: usize,
         hits: Counter,
         misses: Counter,
@@ -371,7 +371,7 @@ impl DesignPointCache {
     /// Counts a hit that bypassed [`get`](Self::get) — a request
     /// coalesced onto an evaluation already in flight is served by the
     /// memo table even though the entry has not been filled yet.
-    pub fn note_coalesced_hit(&self) {
+    pub(crate) fn note_coalesced_hit(&self) {
         self.hits.inc();
     }
 
@@ -381,7 +381,7 @@ impl DesignPointCache {
     /// The eviction is charged to the miss counter — the coalesced
     /// waiters that would have been hits must re-probe — and the
     /// quarantine counter records the incident.
-    pub fn quarantine(&self, key: &DesignKey) {
+    pub(crate) fn quarantine(&self, key: &DesignKey) {
         self.lock(self.shard_of(key)).remove(key);
         self.misses.inc();
         self.quarantined.inc();
@@ -389,23 +389,13 @@ impl DesignPointCache {
 
     /// Every cached entry in key order — the deterministic dump the
     /// snapshot machinery persists at a checkpoint boundary.
-    pub fn entries(&self) -> Vec<(DesignKey, Metrics)> {
+    pub(crate) fn entries(&self) -> Vec<(DesignKey, Metrics)> {
         let mut out: Vec<(DesignKey, Metrics)> = Vec::new();
         for i in 0..self.shards.len() {
             out.extend(self.lock(i).iter().map(|(k, v)| (k.clone(), v.clone())));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Cached design points.
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
-    }
-
-    /// Returns `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lookups that found an entry.
@@ -461,7 +451,7 @@ mod tests {
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
         assert!((cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries().len(), 1);
     }
 
     #[test]
@@ -536,7 +526,7 @@ mod tests {
         cache.insert(DesignKey::new(&config(1), &[1.0]), metrics(0.1));
         cache.insert(DesignKey::new(&config(2), &[1.0]), metrics(0.2));
         cache.insert(DesignKey::new(&config(1), &[2.0]), metrics(0.3));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.entries().len(), 3);
         assert_eq!(
             cache.get(&DesignKey::new(&config(1), &[2.0])).unwrap(),
             metrics(0.3)
@@ -568,7 +558,7 @@ mod tests {
     fn empty_cache_reports_zero_rate() {
         let cache = DesignPointCache::new(1);
         assert_eq!(cache.hit_rate(), 0.0);
-        assert!(cache.is_empty());
+        assert!(cache.entries().is_empty());
     }
 
     #[test]
@@ -583,7 +573,10 @@ mod tests {
         let key = DesignKey::new(&config(3), &[7.0]);
         cache.insert(key.clone(), metrics(0.5));
         cache.quarantine(&key);
-        assert!(cache.is_empty(), "quarantined entry must be evicted");
+        assert!(
+            cache.entries().is_empty(),
+            "quarantined entry must be evicted"
+        );
         assert_eq!(cache.quarantined(), 1);
         assert_eq!(cache.misses(), 1, "eviction charged as a miss");
         assert!(cache.get(&key).is_none(), "waiters re-probe after eviction");

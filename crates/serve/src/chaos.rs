@@ -105,7 +105,7 @@ impl HedgePolicy {
     }
 
     /// Backoff before retry number `attempt` (1-based), capped.
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
+    pub(crate) fn backoff_s(&self, attempt: u32) -> f64 {
         let factor = 2f64.powi(attempt.saturating_sub(1).min(30) as i32);
         (self.backoff_base_s * factor).min(self.backoff_cap_s)
     }
@@ -113,7 +113,7 @@ impl HedgePolicy {
 
 /// FNV-1a digest of an evaluation — the end-to-end checksum a worker
 /// attaches to its result and the merge layer verifies.
-pub fn evaluation_digest(evaluation: &Evaluation) -> u64 {
+pub(crate) fn evaluation_digest(evaluation: &Evaluation) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -133,7 +133,7 @@ pub fn evaluation_digest(evaluation: &Evaluation) -> u64 {
 /// What a data-corruption window does to a result in flight: one bit
 /// of the first metric's mantissa flips. Detectable only because the
 /// digest was taken before the flip.
-pub fn corrupt_evaluation(evaluation: &Evaluation) -> Evaluation {
+pub(crate) fn corrupt_evaluation(evaluation: &Evaluation) -> Evaluation {
     let mut corrupted = evaluation.clone();
     if let Some((_, value)) = corrupted.metrics.iter_mut().next() {
         *value = f64::from_bits(value.to_bits() ^ (1 << 51));
@@ -145,7 +145,7 @@ pub fn corrupt_evaluation(evaluation: &Evaluation) -> Evaluation {
 
 /// Does the delivered evaluation still match the digest taken at
 /// compute time?
-pub fn integrity_ok(delivered: &Evaluation, expected_digest: u64) -> bool {
+pub(crate) fn integrity_ok(delivered: &Evaluation, expected_digest: u64) -> bool {
     evaluation_digest(delivered) == expected_digest
 }
 
@@ -160,7 +160,7 @@ enum Attempt {
 
 /// Accounting of one chaos-scheduled job.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct JobChaosStats {
+pub(crate) struct JobChaosStats {
     /// Failed attempts that were re-dispatched with backoff.
     pub retries: u32,
     /// Hedge duplicates dispatched against stragglers.
@@ -173,7 +173,7 @@ pub struct JobChaosStats {
 
 /// Outcome of one job under chaos: its verified virtual completion
 /// time, or the typed error that ended it.
-pub type JobOutcome = Result<f64, ServeError>;
+pub(crate) type JobOutcome = Result<f64, ServeError>;
 
 /// Replays one batch's evaluations through the fault-aware list
 /// scheduler on `workers` virtual workers starting at virtual time
@@ -187,7 +187,7 @@ pub type JobOutcome = Result<f64, ServeError>;
 /// Deterministic: a pure function of its arguments — jobs are laid out
 /// in id order, ties broken by worker index, and all timing is
 /// virtual.
-pub fn chaos_schedule(
+pub(crate) fn chaos_schedule(
     evaluations: &[Evaluation],
     poisoned: &[bool],
     workers: usize,

@@ -58,7 +58,7 @@ pub struct DockingEvaluator {
 
 impl DockingEvaluator {
     /// Creates an evaluator over an explicit pocket.
-    pub fn new(pocket: Pocket) -> Self {
+    pub(crate) fn new(pocket: Pocket) -> Self {
         DockingEvaluator {
             pocket,
             flops_per_s: 4.0e9,
@@ -68,14 +68,9 @@ impl DockingEvaluator {
     }
 
     /// A standard 30-sphere screening pocket, seeded.
-    pub fn screening(seed: u64) -> Self {
+    pub(crate) fn screening(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         DockingEvaluator::new(generate_pocket(30, &mut rng))
-    }
-
-    /// The binding pocket probed.
-    pub fn pocket(&self) -> &Pocket {
-        &self.pocket
     }
 }
 
@@ -114,7 +109,7 @@ impl Evaluator for DockingEvaluator {
 /// The `poses` knob's design-time knowledge base: optimistic estimates
 /// (median-ligand latency, log-growing affinity) the service corrects
 /// through online learning.
-pub fn docking_knowledge() -> KnowledgeBase {
+pub(crate) fn docking_knowledge() -> KnowledgeBase {
     [2i64, 4, 8, 16, 32, 64]
         .into_iter()
         .map(|poses| {
@@ -133,7 +128,7 @@ pub fn docking_knowledge() -> KnowledgeBase {
         .collect()
 }
 
-/// A per-tenant runtime manager over [`docking_knowledge`] with the
+/// A per-tenant runtime manager over `docking_knowledge` with the
 /// screening SLA: maximize binding affinity while probe latency stays
 /// within `sla_s`.
 pub fn docking_manager(sla_s: f64) -> AppManager {
@@ -145,7 +140,7 @@ pub fn docking_manager(sla_s: f64) -> AppManager {
 /// Workload features of docking tenant `index`: a ligand size drawn
 /// from the screening library's lognormal distribution (median 24,
 /// log-σ 0.5) — per-tenant heavy tails, deterministic in `seed`.
-pub fn docking_features(index: usize, seed: u64) -> Vec<f64> {
+pub(crate) fn docking_features(index: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(mix64(
         seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
     ));
@@ -300,8 +295,7 @@ mod tests {
     fn mixed_campaign_serves_both_classes_end_to_end() {
         let mut campaign = DriverConfig::smoke(17).campaign();
         campaign.cohorts.push(docking_cohort(1000, 8));
-        campaign.sched =
-            SchedConfig::default().with_class(TenantClass::Docking, SchedPolicy::WorkSteal);
+        campaign.sched.per_class[TenantClass::Docking.index()] = Some(SchedPolicy::WorkSteal);
         let service = campaign.build(TenantMux::city_and_screening(17));
         let mut requests: Vec<TuningRequest> = (0..4)
             .map(|tenant| TuningRequest {

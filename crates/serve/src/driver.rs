@@ -9,7 +9,7 @@
 //! [`Cohort`]; [`Campaign::arrivals`] merges the tenants' seeded
 //! Poisson or [bursty](BurstProfile) streams; [`Batching::batches`]
 //! cuts them into `serve_batch` calls that [`Campaign::drive`] serves;
-//! [`Campaign::recover`] re-creates a crashed service *from the same
+//! `Campaign::recover` re-creates a crashed service *from the same
 //! value*, so nothing can drift between build and recovery, and
 //! [`Campaign::crash_drill`] is the recover ≡ uninterrupted check.
 //!
@@ -175,7 +175,7 @@ pub fn archetype_features(index: usize) -> Vec<f64> {
 
 /// The navigation quality knob's design-time knowledge base: optimistic
 /// estimates the service corrects through online learning.
-pub fn nav_knowledge() -> KnowledgeBase {
+pub(crate) fn nav_knowledge() -> KnowledgeBase {
     [1i64, 2, 4, 8]
         .into_iter()
         .map(|k| {
@@ -193,7 +193,7 @@ pub fn nav_knowledge() -> KnowledgeBase {
         .collect()
 }
 
-/// A per-tenant runtime manager over [`nav_knowledge`] with the
+/// A per-tenant runtime manager over `nav_knowledge` with the
 /// standard navigation SLA (latency ≤ `sla_s`, maximize quality).
 pub fn nav_manager(sla_s: f64) -> AppManager {
     let mut manager = AppManager::new(nav_knowledge(), Objective::maximize("quality"));
@@ -551,7 +551,7 @@ impl Campaign {
     /// Rebuilds the service after a crash from its last snapshot and
     /// the journal suffix — what [`TuningService::crash`] returns — to
     /// the crashed instance's state, bit for bit.
-    pub fn recover<E: Evaluator>(
+    pub(crate) fn recover<E: Evaluator>(
         &self,
         evaluator: E,
         snapshot: Option<Snapshot>,
@@ -708,20 +708,6 @@ pub struct CrashDrill<E> {
     pub bit_identical: bool,
 }
 
-/// Registers `config.tenants` navigation tenants on the service, each
-/// with its archetype's workload features.
-pub fn register_nav_tenants<E: Evaluator>(
-    service: &TuningService<E>,
-    config: &DriverConfig,
-    sla_s: f64,
-) {
-    Cohort::new(config.tenants, config.archetypes, config.rate_per_tenant_hz).register(
-        service,
-        config.seed,
-        sla_s,
-    );
-}
-
 /// Generates the merged arrival sequence: per-tenant Poisson streams in
 /// [`sort_arrivals`] order.
 pub fn arrivals(config: &DriverConfig) -> Vec<TuningRequest> {
@@ -756,13 +742,6 @@ fn counter_snapshot<E: Evaluator>(service: &TuningService<E>) -> [u64; 10] {
     ]
 }
 
-/// Drives the service with the configured workload: arrivals are
-/// chunked into batch windows and served window by window.
-pub fn drive<E: Evaluator>(service: &TuningService<E>, config: &DriverConfig) -> DriveStats {
-    let campaign = config.campaign();
-    campaign.drive(service, &campaign.arrivals(), |_, _| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,15 +764,6 @@ mod tests {
         assert_eq!(a.served, serial.served);
         assert_eq!(a.cache_hits, serial.cache_hits);
         assert_eq!(a.evaluated, serial.evaluated);
-    }
-
-    #[test]
-    fn the_shorthand_functions_are_the_campaign() {
-        let config = DriverConfig::smoke(11);
-        let bare = Campaign::new(config.seed, config.duration_s, Batching::Count(1))
-            .build(NavEvaluator::city(900));
-        register_nav_tenants(&bare, &config, SLA_S);
-        assert_eq!(drive(&bare, &config), run(&config, 4));
     }
 
     #[test]

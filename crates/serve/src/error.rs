@@ -94,7 +94,8 @@ pub(crate) struct ErrorRow {
     /// Whether the error says the eval path is unhealthy for this
     /// tenant, i.e. counts against its circuit breaker.
     pub(crate) feeds_breaker: bool,
-    /// See [`ServeError::is_retryable`].
+    /// Whether retrying the request (later, or against a healthy
+    /// worker) is worthwhile.
     pub(crate) retryable: bool,
 }
 
@@ -131,28 +132,6 @@ impl ServeError {
             burns_slo,
             feeds_breaker,
             retryable,
-        }
-    }
-
-    /// Is retrying this request (later, or against a healthy worker)
-    /// worthwhile? Transient capacity and fault errors are retryable;
-    /// contract errors (unknown tenant, infeasible SLA, empty
-    /// knowledge) never clear on their own. An admission rejection is
-    /// also **not** retryable: the controller is deliberately shedding
-    /// this tenant, and an immediate retry (or a hedge) would stampede
-    /// the very backpressure protecting its neighbors — honor
-    /// [`ServeError::retry_after_ms`] instead.
-    pub fn is_retryable(&self) -> bool {
-        self.row(false).retryable
-    }
-
-    /// The backpressure hint carried by an admission rejection:
-    /// milliseconds of virtual time after which a retry becomes
-    /// sensible. `None` for every other error.
-    pub fn retry_after_ms(&self) -> Option<u64> {
-        match self {
-            ServeError::AdmissionRejected { retry_after_ms, .. } => Some(*retry_after_ms),
-            _ => None,
         }
     }
 }
@@ -240,17 +219,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retry_after_hint_surfaces_only_on_admission_rejections() {
-        let rejected = ServeError::AdmissionRejected {
-            tenant: 3,
-            retry_after_ms: 7500,
-        };
-        assert_eq!(rejected.retry_after_ms(), Some(7500));
-        assert_eq!(ServeError::Shed { capacity: 4 }.retry_after_ms(), None);
-        assert_eq!(ServeError::CircuitOpen { tenant: 3 }.retry_after_ms(), None);
-    }
-
     /// The policy as one table, a line per variant — a change of
     /// policy is a one-line diff here. An admission rejection is the
     /// row to watch: it burns only for a degraded tenant, and it is
@@ -291,7 +259,6 @@ mod tests {
                 };
                 assert_eq!(error.row(degraded), row, "{error:?}, degraded={degraded}");
             }
-            assert_eq!(error.is_retryable(), retryable, "{error:?}");
         }
     }
 }

@@ -193,22 +193,12 @@ impl Journal {
 
     /// The sequence number the *next* append will get — the compaction
     /// watermark a snapshot records.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
     }
 
-    /// Entries currently held (post-compaction).
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
-    }
-
-    /// Returns `true` when no entry is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// All pending entries merged back into append order.
-    pub fn entries_in_order(&self) -> Vec<JournalEntry> {
+    pub(crate) fn entries_in_order(&self) -> Vec<JournalEntry> {
         let mut all: Vec<(u64, JournalEntry)> = Vec::new();
         for i in 0..self.shards.len() {
             all.extend(self.lock(i).iter().cloned());
@@ -219,7 +209,7 @@ impl Journal {
 
     /// Drops every entry with a sequence number below `through_seq` —
     /// they are covered by a snapshot now.
-    pub fn compact(&self, through_seq: u64) {
+    pub(crate) fn compact(&self, through_seq: u64) {
         for i in 0..self.shards.len() {
             self.lock(i).retain(|(seq, _)| *seq >= through_seq);
         }
@@ -516,7 +506,6 @@ mod tests {
             journal.append(entry.clone());
         }
         assert_eq!(journal.entries_in_order(), script);
-        assert_eq!(journal.len(), script.len());
     }
 
     #[test]
@@ -625,7 +614,7 @@ mod tests {
 
         let snapshot = take_snapshot(10.0, &journal, &store, &cache, &breakers, None);
         journal.compact(snapshot.through_seq);
-        assert!(journal.is_empty());
+        assert!(journal.entries_in_order().is_empty());
 
         let late = JournalEntry::CacheInsert {
             key: DesignKey::new(&level(2), &[1.0]),
@@ -673,7 +662,7 @@ mod tests {
             None,
             &make_manager,
         );
-        assert!(cache.is_empty());
+        assert!(cache.entries().is_empty());
         assert_eq!(cache.quarantined(), 1);
     }
 

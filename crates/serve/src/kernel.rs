@@ -78,7 +78,10 @@ impl KernelEvaluator {
     ///
     /// Returns [`IrError`] if the source fails to parse or lacks the
     /// function.
-    pub fn new(source: impl Into<String>, function: impl Into<String>) -> Result<Self, IrError> {
+    pub(crate) fn new(
+        source: impl Into<String>,
+        function: impl Into<String>,
+    ) -> Result<Self, IrError> {
         let source = source.into();
         let function = function.into();
         let program = parse_program(&source)?;
@@ -98,14 +101,6 @@ impl KernelEvaluator {
     /// The standard FMA-reduction kernel ([`DEFAULT_KERNEL`]).
     pub fn fma() -> Self {
         KernelEvaluator::new(DEFAULT_KERNEL, "kernel").expect("default kernel parses")
-    }
-
-    /// Shares an instrumented-code cache (e.g. one cache across every
-    /// tenant of a service, or across services).
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<InstrumentedCodeCache>) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// The shared instrumented-code cache (hit/miss accounting).
@@ -226,7 +221,7 @@ impl Evaluator for KernelEvaluator {
 
 /// Design-time knowledge for the precision knob: optimistic estimates
 /// the service corrects through online learning.
-pub fn kernel_knowledge() -> KnowledgeBase {
+pub(crate) fn kernel_knowledge() -> KnowledgeBase {
     [52i64, 23, 12, 8]
         .into_iter()
         .map(|bits| {
@@ -244,7 +239,7 @@ pub fn kernel_knowledge() -> KnowledgeBase {
         .collect()
 }
 
-/// A per-tenant runtime manager over [`kernel_knowledge`]: minimize
+/// A per-tenant runtime manager over `kernel_knowledge`: minimize
 /// power while the precision-loss error stays within `error_budget`.
 pub fn kernel_manager(error_budget: f64) -> AppManager {
     let mut manager = AppManager::new(kernel_knowledge(), Objective::minimize("power"));

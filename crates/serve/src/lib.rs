@@ -67,14 +67,14 @@
 //! );
 //! ```
 
-pub mod admission;
-pub mod autoscale;
+pub(crate) mod admission;
+pub(crate) mod autoscale;
 pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod docking;
 pub mod driver;
-pub mod error;
+pub(crate) mod error;
 pub mod journal;
 pub mod kernel;
 pub mod nav;
@@ -83,22 +83,18 @@ pub mod pool;
 pub mod service;
 pub mod store;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionTier};
+pub use admission::{AdmissionConfig, AdmissionController};
 pub use autoscale::{AutoscaleConfig, Autoscaler};
-pub use breaker::{BreakerBank, BreakerConfig, CircuitBreaker};
+pub use breaker::BreakerBank;
 pub use cache::{probe_seed, DesignKey, DesignPointCache, ReferenceKey};
-pub use chaos::{ChaosConfig, HedgePolicy};
-pub use docking::{DockingEvaluator, TenantMux};
 pub use error::ServeError;
 pub use journal::{Journal, JournalEntry, Snapshot};
-pub use kernel::KernelEvaluator;
-pub use obs::ServeObs;
-pub use pool::{CostEstimator, EvalPool, PoolConfig, SchedConfig, SchedPolicy, SchedStats};
+pub use pool::{EvalPool, SchedConfig, SchedPolicy};
 pub use service::{
     BatchReport, Evaluator, FrontDoorConfig, ProbeSegment, ResilienceConfig, ServiceConfig,
-    TuningRequest, TuningResponse, TuningService,
+    TuningRequest, TuningService,
 };
-pub use store::{Session, SessionStore, TenantId};
+pub use store::SessionStore;
 
 /// Locks a mutex, recovering the guarded data from a poisoned lock — the
 /// crate's one poisoned-lock policy: a panic under another holder

@@ -35,7 +35,7 @@ pub struct NavEvaluator {
 
 impl NavEvaluator {
     /// Creates an evaluator over a network and traffic model.
-    pub fn new(network: RoadNetwork, traffic: TrafficModel) -> Self {
+    pub(crate) fn new(network: RoadNetwork, traffic: TrafficModel) -> Self {
         NavEvaluator {
             network,
             traffic,
@@ -51,11 +51,6 @@ impl NavEvaluator {
             RoadNetwork::city_grid(16, &mut rng),
             TrafficModel::weekday(),
         )
-    }
-
-    /// The road network probed.
-    pub fn network(&self) -> &RoadNetwork {
-        &self.network
     }
 }
 

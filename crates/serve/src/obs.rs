@@ -17,29 +17,29 @@ use antarex_rtrm::powercap::PowercapObs;
 /// Nominal virtual width of a `select` span: PR 4's measured indexed
 /// feasibility-select cost (26 ns). Purely a trace annotation — it
 /// never feeds back into any serving metric.
-pub const SELECT_SPAN_S: f64 = 26e-9;
+pub(crate) const SELECT_SPAN_S: f64 = 26e-9;
 
 /// Nominal virtual width of a `cache_probe` span.
-pub const CACHE_PROBE_SPAN_S: f64 = 40e-9;
+pub(crate) const CACHE_PROBE_SPAN_S: f64 = 40e-9;
 
 /// Nominal virtual width of a `learn` (observe feedback) span.
-pub const LEARN_SPAN_S: f64 = 50e-9;
+pub(crate) const LEARN_SPAN_S: f64 = 50e-9;
 
 /// Nominal virtual width of an `adapt` round span.
-pub const ADAPT_SPAN_S: f64 = 100e-9;
+pub(crate) const ADAPT_SPAN_S: f64 = 100e-9;
 
 /// Default per-tenant latency SLO threshold (virtual seconds) — the
 /// navigation workload's standard 0.5 s answer budget.
-pub const DEFAULT_SLO_LATENCY_S: f64 = 0.5;
+pub(crate) const DEFAULT_SLO_LATENCY_S: f64 = 0.5;
 
 /// Default per-request energy budget (joules of attributed facility
 /// energy). Chosen well above a typical cached answer and around the
 /// cost of a heavyweight fresh probe, so burn only accumulates on
 /// genuinely expensive requests.
-pub const DEFAULT_SLO_ENERGY_J: f64 = 10.0;
+pub(crate) const DEFAULT_SLO_ENERGY_J: f64 = 10.0;
 
 /// Default SLO target good fraction (99.9%).
-pub const DEFAULT_SLO_TARGET: f64 = 0.999;
+pub(crate) const DEFAULT_SLO_TARGET: f64 = 0.999;
 
 /// Default span-ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
@@ -97,7 +97,7 @@ impl ServeObs {
     /// pool's worker count. The latency and makespan histograms are
     /// [`Scope::Timing`]: they summarize the virtual schedule, which
     /// legitimately depends on how many virtual cores serve it.
-    pub fn new(span_capacity: usize, slo_target: f64, slo_latency_s: f64) -> Self {
+    pub(crate) fn new(span_capacity: usize, slo_target: f64, slo_latency_s: f64) -> Self {
         let plane = ObsPlane::new(span_capacity, slo_target);
         let reg = &plane.registry;
         let inv = Scope::Invariant;
@@ -163,11 +163,6 @@ impl ServeObs {
         &self.plane
     }
 
-    /// Full exposition: every metric plus SLO burn rows.
-    pub fn exposition(&self) -> String {
-        self.plane.exposition()
-    }
-
     /// Exposition restricted to worker-count-invariant metrics — the
     /// byte-diffable subset of the o1 determinism contract.
     pub fn invariant_exposition(&self) -> String {
@@ -194,24 +189,9 @@ impl ServeObs {
         self.scale_events.get()
     }
 
-    /// Current virtual pool capacity (workers the schedule runs on).
-    pub fn pool_capacity(&self) -> f64 {
-        self.pool_capacity.get()
-    }
-
     /// Successful steal transactions in the virtual schedules so far.
     pub fn sched_steals(&self) -> u64 {
         self.sched_steals.get()
-    }
-
-    /// Failed steal probes (empty peer queues scanned) so far.
-    pub fn sched_steal_fails(&self) -> u64 {
-        self.sched_steal_fails.get()
-    }
-
-    /// Jobs of the given tenant class that migrated cores via a steal.
-    pub fn class_steals(&self, class: TenantClass) -> u64 {
-        self.class_steals[class.index()].get()
     }
 
     /// Checks one served response's virtual latency against the
@@ -222,11 +202,6 @@ impl ServeObs {
         self.plane
             .slo
             .check_upper(tenant, "latency", self.slo_latency_s, time_s, latency_s)
-    }
-
-    /// The per-request attributed-energy budget checked per response.
-    pub fn slo_energy_j(&self) -> f64 {
-        self.slo_energy_j
     }
 
     /// Attributed facility energy in the tenant-class histogram for

@@ -15,7 +15,7 @@
 //! bit for bit. Heavy-tailed tenant classes (drug-discovery docking)
 //! opt into [`SchedPolicy::WorkSteal`] — a deterministic work-stealing
 //! simulation whose placement runs on *estimated* costs from the pool's
-//! [`CostEstimator`] (quantized feature keys, EWMA-refined from
+//! `CostEstimator` (quantized feature keys, EWMA-refined from
 //! observed probe costs) — or the [`SchedPolicy::Lpt`] placement
 //! fallback. A mixed batch resolves to the most dynamic policy among
 //! its classes.
@@ -29,7 +29,8 @@ use crate::error::ServeError;
 use crate::store::{TenantClass, TenantId};
 use antarex_obs::TraceCtx;
 use antarex_sim::sched;
-pub use antarex_sim::sched::{SchedPolicy, SchedStats};
+pub use antarex_sim::sched::SchedPolicy;
+pub(crate) use antarex_sim::sched::SchedStats;
 use antarex_tuner::Configuration;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,23 +105,9 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A pool with the given worker count and a 256-probe queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn with_workers(workers: usize) -> Self {
-        let config = PoolConfig {
-            workers,
-            queue_capacity: 256,
-        };
-        config.validate();
-        config
-    }
-
     /// Validates the sizing, returning a typed error instead of
     /// panicking.
-    pub fn try_validate(&self) -> Result<(), ServeError> {
+    pub(crate) fn try_validate(&self) -> Result<(), ServeError> {
         if self.workers == 0 {
             return Err(ServeError::InvalidConfig {
                 reason: "pool needs at least one worker",
@@ -157,11 +144,6 @@ pub struct SchedConfig {
 }
 
 impl SchedConfig {
-    /// The legacy static list schedule for every class.
-    pub fn static_only() -> Self {
-        SchedConfig::default()
-    }
-
     /// Work stealing for every class.
     pub fn work_stealing() -> Self {
         SchedConfig {
@@ -170,20 +152,17 @@ impl SchedConfig {
         }
     }
 
-    /// Sets the policy override for one tenant class.
-    pub fn with_class(mut self, class: TenantClass, policy: SchedPolicy) -> Self {
-        self.per_class[class.index()] = Some(policy);
-        self
-    }
-
     /// The policy a single class resolves to.
-    pub fn resolve(&self, class: TenantClass) -> SchedPolicy {
+    pub(crate) fn resolve(&self, class: TenantClass) -> SchedPolicy {
         self.per_class[class.index()].unwrap_or(self.default)
     }
 
     /// The policy a batch of jobs resolves to: the most dynamic among
     /// the classes present (default for an empty batch).
-    pub fn policy_for<I: IntoIterator<Item = TenantClass>>(&self, classes: I) -> SchedPolicy {
+    pub(crate) fn policy_for<I: IntoIterator<Item = TenantClass>>(
+        &self,
+        classes: I,
+    ) -> SchedPolicy {
         classes
             .into_iter()
             .map(|class| self.resolve(class))
@@ -203,7 +182,7 @@ impl SchedConfig {
 /// pure function of the job stream — independent of physical thread
 /// count.
 #[derive(Debug, Clone, Default)]
-pub struct CostEstimator {
+pub(crate) struct CostEstimator {
     state: Arc<Mutex<EstimatorState>>,
 }
 
@@ -220,7 +199,7 @@ const ESTIMATE_ALPHA: f64 = 0.3;
 impl CostEstimator {
     /// Predicted cost for a probe key: the refined per-key EWMA, the
     /// global mean for unseen keys, or 1.0 before any observation.
-    pub fn estimate(&self, key: u64) -> f64 {
+    pub(crate) fn estimate(&self, key: u64) -> f64 {
         let state = crate::lock_or_recover(&self.state);
         match state.table.get(&key) {
             Some(&cost) => cost,
@@ -231,7 +210,7 @@ impl CostEstimator {
 
     /// Folds an observed probe cost into the per-key EWMA and the
     /// global mean.
-    pub fn observe(&self, key: u64, cost_s: f64) {
+    pub(crate) fn observe(&self, key: u64, cost_s: f64) {
         let cost = cost_s.max(0.0);
         let mut state = crate::lock_or_recover(&self.state);
         state
@@ -242,11 +221,6 @@ impl CostEstimator {
         state.observed += 1;
         let n = state.observed as f64;
         state.mean += (cost - state.mean) / n;
-    }
-
-    /// Number of distinct probe keys with a refined estimate.
-    pub fn keys(&self) -> usize {
-        crate::lock_or_recover(&self.state).table.len()
     }
 }
 
@@ -273,17 +247,6 @@ impl EvalPool {
         }
     }
 
-    /// Creates a pool, returning a typed error on an invalid sizing
-    /// instead of panicking.
-    pub fn try_new(config: PoolConfig) -> Result<Self, ServeError> {
-        config.try_validate()?;
-        Ok(EvalPool {
-            config,
-            sched: SchedConfig::default(),
-            estimator: CostEstimator::default(),
-        })
-    }
-
     /// Replaces the scheduler policy selection.
     pub fn with_sched(mut self, sched: SchedConfig) -> Self {
         self.sched = sched;
@@ -291,40 +254,21 @@ impl EvalPool {
     }
 
     /// The pool sizing.
-    pub fn config(&self) -> PoolConfig {
+    pub(crate) fn config(&self) -> PoolConfig {
         self.config
     }
 
-    /// The scheduler policy selection.
-    pub fn sched(&self) -> SchedConfig {
-        self.sched
-    }
-
-    /// The pool's cost estimator (shared across clones).
-    pub fn estimator(&self) -> &CostEstimator {
-        &self.estimator
-    }
-
-    /// Evaluates a batch: admits up to `queue_capacity` jobs, sheds the
-    /// rest, runs the admitted probes on scoped worker threads, and
-    /// merges results deterministically.
-    ///
-    /// `probe` must be a pure function of the job — the contract that
-    /// makes the parallel schedule invisible in the output.
-    pub fn evaluate_batch<F>(&self, jobs: Vec<EvalJob>, probe: &F) -> BatchOutcome
-    where
-        F: Fn(&EvalJob) -> Evaluation + Sync,
-    {
-        self.evaluate_batch_on(jobs, self.config.workers, probe)
-    }
-
-    /// [`evaluate_batch`](EvalPool::evaluate_batch) with an explicit
-    /// *virtual* core count for the replayed schedule — the
-    /// autoscaler's entry point. Physical parallelism stays at the
-    /// configured worker count; only the virtual schedule (and hence
-    /// completion times and makespan) follows `virtual_workers`, so a
-    /// capacity change is a pure work-content decision and the output
-    /// stays byte-identical at any physical thread count.
+    /// Evaluates a batch — admits up to `queue_capacity` jobs, sheds
+    /// the rest, runs the admitted probes on scoped worker threads and
+    /// merges results deterministically — with an explicit *virtual*
+    /// core count for the replayed schedule: the autoscaler's entry
+    /// point. `probe` must be a pure function of the job, the contract
+    /// that makes the parallel schedule invisible in the output.
+    /// Physical parallelism stays at the configured worker count; only
+    /// the virtual schedule (and hence completion times and makespan)
+    /// follows `virtual_workers`, so a capacity change is a pure
+    /// work-content decision and the output stays byte-identical at
+    /// any physical thread count.
     ///
     /// # Panics
     ///
@@ -348,7 +292,7 @@ impl EvalPool {
     /// [`evaluate_batch_on`](EvalPool::evaluate_batch_on) returning a
     /// typed [`ServeError::InvalidConfig`] when `virtual_workers` is
     /// zero instead of panicking.
-    pub fn try_evaluate_batch_on<F>(
+    pub(crate) fn try_evaluate_batch_on<F>(
         &self,
         mut jobs: Vec<EvalJob>,
         virtual_workers: usize,
@@ -466,6 +410,14 @@ mod tests {
         }
     }
 
+    /// A pool of `workers` threads behind the default 256-probe queue.
+    fn pool_of(workers: usize) -> EvalPool {
+        EvalPool::new(PoolConfig {
+            workers,
+            queue_capacity: 256,
+        })
+    }
+
     fn probe(j: &EvalJob) -> Evaluation {
         Evaluation {
             metrics: [("latency".to_string(), 0.01 * (j.id + 1) as f64)]
@@ -478,8 +430,8 @@ mod tests {
 
     #[test]
     fn results_come_back_in_job_order() {
-        let pool = EvalPool::new(PoolConfig::with_workers(4));
-        let outcome = pool.evaluate_batch((0..37).map(job).collect(), &probe);
+        let pool = pool_of(4);
+        let outcome = pool.evaluate_batch_on((0..37).map(job).collect(), 4, &probe);
         assert_eq!(outcome.results.len(), 37);
         for (i, r) in outcome.results.iter().enumerate() {
             assert_eq!(r.job.id, i);
@@ -494,21 +446,19 @@ mod tests {
     #[test]
     fn parallel_batches_are_byte_identical() {
         let jobs: Vec<EvalJob> = (0..64).map(job).collect();
-        let four = EvalPool::new(PoolConfig::with_workers(4));
-        let a = four.evaluate_batch(jobs.clone(), &probe);
-        let b = four.evaluate_batch(jobs, &probe);
+        let four = pool_of(4);
+        let a = four.evaluate_batch_on(jobs.clone(), 4, &probe);
+        let b = four.evaluate_batch_on(jobs, 4, &probe);
         assert_eq!(a, b, "same batch must merge identically across runs");
     }
 
     #[test]
     fn virtual_makespan_scales_with_workers() {
         let jobs: Vec<EvalJob> = (0..64).map(job).collect();
-        let one = EvalPool::new(PoolConfig::with_workers(1))
-            .evaluate_batch(jobs.clone(), &probe)
+        let one = pool_of(1)
+            .evaluate_batch_on(jobs.clone(), 1, &probe)
             .makespan_s;
-        let four = EvalPool::new(PoolConfig::with_workers(4))
-            .evaluate_batch(jobs, &probe)
-            .makespan_s;
+        let four = pool_of(4).evaluate_batch_on(jobs, 4, &probe).makespan_s;
         assert!((one - 64.0).abs() < 1e-9);
         assert!(
             (four - 16.0).abs() < 1e-9,
@@ -522,7 +472,7 @@ mod tests {
             workers: 2,
             queue_capacity: 10,
         });
-        let outcome = pool.evaluate_batch((0..15).map(job).collect(), &probe);
+        let outcome = pool.evaluate_batch_on((0..15).map(job).collect(), 2, &probe);
         assert_eq!(outcome.results.len(), 10);
         assert_eq!(outcome.shed.len(), 5);
         assert_eq!(outcome.shed[0].id, 10, "shed jobs are the batch tail");
@@ -530,8 +480,8 @@ mod tests {
 
     #[test]
     fn completion_times_include_queue_wait() {
-        let pool = EvalPool::new(PoolConfig::with_workers(2));
-        let outcome = pool.evaluate_batch((0..4).map(job).collect(), &probe);
+        let pool = pool_of(2);
+        let outcome = pool.evaluate_batch_on((0..4).map(job).collect(), 2, &probe);
         let completions: Vec<f64> = outcome.results.iter().map(|r| r.completion_s).collect();
         // unit costs, 2 virtual cores: jobs 0,1 finish at 1.0; jobs 2,3 at 2.0
         assert_eq!(completions, vec![1.0, 1.0, 2.0, 2.0]);
@@ -540,8 +490,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let pool = EvalPool::new(PoolConfig::with_workers(4));
-        let outcome = pool.evaluate_batch(Vec::new(), &probe);
+        let pool = pool_of(4);
+        let outcome = pool.evaluate_batch_on(Vec::new(), 4, &probe);
         assert!(outcome.results.is_empty());
         assert_eq!(outcome.makespan_s, 0.0);
     }
@@ -549,37 +499,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
-        let _ = PoolConfig::with_workers(0);
+        let _ = pool_of(0);
     }
 
     #[test]
     fn virtual_capacity_overrides_schedule_not_parallelism() {
         let jobs: Vec<EvalJob> = (0..64).map(job).collect();
-        let pool = EvalPool::new(PoolConfig::with_workers(4));
+        let pool = pool_of(4);
         // 16 virtual cores on a 4-thread pool: the schedule follows
         // the virtual count
         let scaled = pool.evaluate_batch_on(jobs.clone(), 16, &probe);
         assert!((scaled.makespan_s - 4.0).abs() < 1e-9);
         // and the outcome is byte-identical to a pool physically
         // configured with 16 workers
-        let native = EvalPool::new(PoolConfig {
-            workers: 16,
-            queue_capacity: 256,
-        })
-        .evaluate_batch(jobs, &probe);
+        let native = pool_of(16).evaluate_batch_on(jobs, 16, &probe);
         assert_eq!(scaled, native);
     }
 
     #[test]
     #[should_panic(expected = "virtual worker")]
     fn zero_virtual_workers_rejected() {
-        let pool = EvalPool::new(PoolConfig::with_workers(2));
+        let pool = pool_of(2);
         let _ = pool.evaluate_batch_on(vec![job(0)], 0, &probe);
     }
 
     #[test]
     fn try_path_returns_typed_invalid_config() {
-        let pool = EvalPool::new(PoolConfig::with_workers(2));
+        let pool = pool_of(2);
         let err = pool
             .try_evaluate_batch_on(vec![job(0)], 0, &probe)
             .unwrap_err();
@@ -589,11 +535,11 @@ mod tests {
                 reason: "need at least one virtual worker"
             }
         );
-        assert!(!err.is_retryable(), "misconfiguration never clears alone");
-        assert!(EvalPool::try_new(PoolConfig {
+        assert!(PoolConfig {
             workers: 0,
             queue_capacity: 8,
-        })
+        }
+        .try_validate()
         .is_err());
         assert!(PoolConfig {
             workers: 2,
@@ -630,8 +576,8 @@ mod tests {
             queue_capacity: 1024,
         })
         .with_sched(SchedConfig::work_stealing());
-        let blocked = static_pool.evaluate_batch(jobs.clone(), &whale_probe);
-        let stolen = steal_pool.evaluate_batch(jobs, &whale_probe);
+        let blocked = static_pool.evaluate_batch_on(jobs.clone(), 4, &whale_probe);
+        let stolen = steal_pool.evaluate_batch_on(jobs, 4, &whale_probe);
         assert_eq!(blocked.policy, SchedPolicy::Block);
         assert_eq!(stolen.policy, SchedPolicy::WorkSteal);
         assert!(
@@ -664,9 +610,9 @@ mod tests {
 
     #[test]
     fn mixed_batches_resolve_to_the_most_dynamic_class_policy() {
-        let sched = SchedConfig::default()
-            .with_class(TenantClass::Docking, SchedPolicy::WorkSteal)
-            .with_class(TenantClass::Nav, SchedPolicy::Static);
+        let mut sched = SchedConfig::default();
+        sched.per_class[TenantClass::Docking.index()] = Some(SchedPolicy::WorkSteal);
+        sched.per_class[TenantClass::Nav.index()] = Some(SchedPolicy::Static);
         assert_eq!(
             sched.policy_for([TenantClass::Nav, TenantClass::Generic]),
             SchedPolicy::Static
@@ -692,6 +638,6 @@ mod tests {
             estimator.state.lock().unwrap().mean,
             "unseen keys fall back to the global mean"
         );
-        assert_eq!(estimator.keys(), 1);
+        assert_eq!(estimator.state.lock().unwrap().table.len(), 1);
     }
 }

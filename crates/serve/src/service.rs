@@ -325,7 +325,7 @@ impl<E: Evaluator> TuningService<E> {
 
     /// Overrides the energy model attributing node static and cooling
     /// overhead to requests (default: [`EnergyModel::default`]).
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
+    pub(crate) fn with_energy_model(mut self, energy: EnergyModel) -> Self {
         self.energy = energy;
         self
     }
@@ -909,7 +909,10 @@ mod tests {
             report.retries,
             u64::from(HedgePolicy::hardened().max_retries)
         );
-        assert!(service.cache().is_empty(), "corrupt results never memoize");
+        assert!(
+            service.cache().entries().is_empty(),
+            "corrupt results never memoize"
+        );
 
         // three consecutive failures opened the circuit: within the
         // cooldown the tenant fails fast without reaching the pool
@@ -1053,8 +1056,14 @@ mod tests {
         let report = batch(10.0);
         assert_eq!(report.admission_shed, 1);
         assert_eq!(report.evaluated, 0);
-        let hint = report.responses[0].as_ref().unwrap_err().retry_after_ms();
-        assert!(hint.is_some_and(|ms| ms >= 5000), "hint {hint:?}");
+        let rejection = report.responses[0].as_ref().unwrap_err();
+        assert!(
+            matches!(
+                rejection,
+                ServeError::AdmissionRejected { retry_after_ms, .. } if *retry_after_ms >= 5000
+            ),
+            "{rejection:?}"
+        );
 
         // quiet windows: zero-sample decay de-escalates through the
         // exit hysteresis back to degraded service

@@ -4,7 +4,7 @@
 //! shards so lookups and updates from many serving threads contend only
 //! within a shard, never globally. Shards hold `BTreeMap`s and the shard
 //! index is a pure function of the tenant id, so every whole-store
-//! iteration (`tenants`, `fold`) visits sessions in the same order on
+//! iteration (`fold`, `dump`) visits sessions in the same order on
 //! every run — the determinism the service's reports rely on.
 //!
 //! Sessions are copy-on-write: a shard holds `Arc<Session>`, a
@@ -102,7 +102,7 @@ impl Session {
     }
 
     /// Creates a session with an explicit workload class.
-    pub fn classed(manager: AppManager, features: Vec<f64>, class: TenantClass) -> Self {
+    pub(crate) fn classed(manager: AppManager, features: Vec<f64>, class: TenantClass) -> Self {
         Session {
             manager,
             features,
@@ -240,11 +240,6 @@ impl SessionStore {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, tenant: TenantId) -> usize {
         self.ring.shard_of(tenant)
     }
@@ -261,14 +256,6 @@ impl SessionStore {
         }
         shard.insert(tenant, Arc::new(session));
         Ok(())
-    }
-
-    /// Removes a tenant session, returning it if present (copied only
-    /// when a dump still shares it).
-    pub fn remove(&self, tenant: TenantId) -> Option<Session> {
-        self.lock(self.shard_of(tenant))
-            .remove(&tenant)
-            .map(Arc::unwrap_or_clone)
     }
 
     /// Runs `f` on the tenant's session under the shard lock. A
@@ -294,15 +281,6 @@ impl SessionStore {
     /// Returns `true` when no tenant is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Every tenant id, sorted — a deterministic iteration order for
-    /// reports and aggregate control decisions.
-    pub fn tenants(&self) -> Vec<TenantId> {
-        self.fold_shared(Vec::new(), |mut out, tenant, _| {
-            out.push(tenant);
-            out
-        })
     }
 
     /// Every session in sorted-tenant order, shared with the store —
@@ -384,20 +362,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_lookup_remove() {
+    fn insert_and_lookup() {
         let store = SessionStore::new(4);
         store.insert(1, session()).unwrap();
         store.insert(2, session()).unwrap();
         assert_eq!(store.insert(1, session()), Err(ServeError::TenantExists(1)));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.tenants(), vec![1, 2]);
+        let tenants: Vec<TenantId> = store.dump().iter().map(|(t, _)| *t).collect();
+        assert_eq!(tenants, vec![1, 2]);
         assert_eq!(
             store.with(3, |_| ()).unwrap_err(),
             ServeError::UnknownTenant(3)
         );
-        assert!(store.remove(1).is_some());
-        assert!(store.remove(1).is_none());
-        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -448,7 +424,8 @@ mod tests {
                 acc
             });
             assert_eq!(order, expected, "{shards} shards");
-            assert_eq!(store.tenants(), expected);
+            let dumped: Vec<TenantId> = store.dump().iter().map(|(t, _)| *t).collect();
+            assert_eq!(dumped, expected);
         }
         assert_eq!(SessionStore::new(3).fold(0, |n, _, _| n + 1), 0);
     }
@@ -535,7 +512,7 @@ mod tests {
             "dump is sorted"
         );
         let recovered = SessionStore::recover(4, dump);
-        assert_eq!(recovered.tenants(), store.tenants());
+        assert_eq!(recovered.len(), store.len());
         assert_eq!(recovered.with(9, |s| s.requests).unwrap(), 42);
     }
 
@@ -559,21 +536,6 @@ mod tests {
         recovered.with(1, |s| s.requests = 9).unwrap();
         assert_eq!(dump[0].1.requests, 0);
         assert_eq!(store.with(1, |s| s.requests).unwrap(), 0);
-    }
-
-    #[test]
-    fn remove_returns_an_owned_session_shared_or_not() {
-        let store = SessionStore::new(2);
-        for t in [1, 2] {
-            store.insert(t, session()).unwrap();
-        }
-        store.with(1, |s| s.requests = 3).unwrap();
-        assert_eq!(store.remove(1).map(|s| s.requests), Some(3));
-        let dump = store.dump();
-        let mut removed = store.remove(2).expect("tenant 2 is registered");
-        removed.requests = 5;
-        assert_eq!(dump[0].1.requests, 0, "the dump keeps its own session");
-        assert!(store.is_empty());
     }
 
     #[test]

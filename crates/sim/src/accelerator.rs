@@ -36,7 +36,7 @@ pub struct AcceleratorSpec {
 
 impl AcceleratorSpec {
     /// A Tesla K40-class GPGPU: 1430 DP GFLOP/s, 288 GB/s, 235 W.
-    pub fn tesla_k40() -> Self {
+    pub(crate) fn tesla_k40() -> Self {
         AcceleratorSpec {
             kind: AcceleratorKind::Gpgpu,
             peak_gflops: 1430.0,
@@ -48,7 +48,7 @@ impl AcceleratorSpec {
     }
 
     /// A Xeon Phi 7120-class MIC: 1208 DP GFLOP/s, 352 GB/s, 300 W.
-    pub fn xeon_phi_7120() -> Self {
+    pub(crate) fn xeon_phi_7120() -> Self {
         AcceleratorSpec {
             kind: AcceleratorKind::MicPhi,
             peak_gflops: 1208.0,
@@ -60,7 +60,7 @@ impl AcceleratorSpec {
     }
 
     /// Sustained throughput on a compute-bound kernel, GFLOP/s.
-    pub fn sustained_gflops(&self) -> f64 {
+    pub(crate) fn sustained_gflops(&self) -> f64 {
         self.peak_gflops * self.efficiency
     }
 
@@ -73,13 +73,8 @@ impl AcceleratorSpec {
     }
 
     /// Board power while executing with the given activity (0..=1).
-    pub fn power_w(&self, activity: f64) -> f64 {
+    pub(crate) fn power_w(&self, activity: f64) -> f64 {
         self.idle_w + (self.tdp_w - self.idle_w) * activity.clamp(0.0, 1.0)
-    }
-
-    /// Full-load energy efficiency on compute-bound work, MFLOPS/W.
-    pub fn mflops_per_watt(&self) -> f64 {
-        self.sustained_gflops() * 1000.0 / self.tdp_w
     }
 }
 
@@ -94,7 +89,7 @@ mod tests {
             AcceleratorSpec::tesla_k40(),
             AcceleratorSpec::xeon_phi_7120(),
         ] {
-            let eff = spec.mflops_per_watt();
+            let eff = spec.sustained_gflops() * 1000.0 / spec.tdp_w;
             assert!(
                 eff > 2000.0,
                 "{:?} efficiency {eff} MFLOPS/W too low",

@@ -10,48 +10,24 @@
 //! rises.
 //!
 //! Every public method sanitizes ambient temperature: finite inputs are
-//! clamped to the physically meaningful [`AMBIENT_MIN_C`]..[`AMBIENT_MAX_C`]
-//! band; NaN/∞ fall back to assume-worst ([`AMBIENT_MAX_C`]) so a lying
-//! weather sensor can only shrink the budget, never blow the cap. The
-//! `try_` variants return [`SimError`] instead for callers that want to
-//! reject bad telemetry explicitly.
-
-use crate::error::SimError;
+//! clamped to the physically meaningful `AMBIENT_MIN_C`..`AMBIENT_MAX_C`
+//! band; NaN/∞ fall back to assume-worst (`AMBIENT_MAX_C`) so a lying
+//! weather sensor can only shrink the budget, never blow the cap.
 
 /// Coldest ambient temperature the models accept, °C.
-pub const AMBIENT_MIN_C: f64 = -40.0;
+pub(crate) const AMBIENT_MIN_C: f64 = -40.0;
 /// Hottest ambient temperature the models accept, °C — also the
 /// assume-worst fallback for non-finite readings.
-pub const AMBIENT_MAX_C: f64 = 60.0;
+pub(crate) const AMBIENT_MAX_C: f64 = 60.0;
 
 /// Clamps a finite ambient reading into the accepted band; non-finite
 /// readings fall back to assume-worst ([`AMBIENT_MAX_C`]).
-pub fn sanitize_ambient_c(ambient_c: f64) -> f64 {
+pub(crate) fn sanitize_ambient_c(ambient_c: f64) -> f64 {
     if ambient_c.is_finite() {
         ambient_c.clamp(AMBIENT_MIN_C, AMBIENT_MAX_C)
     } else {
         AMBIENT_MAX_C
     }
-}
-
-/// Validates an ambient reading: non-finite or out-of-band values are a
-/// typed [`SimError`].
-pub fn check_ambient_c(ambient_c: f64) -> Result<f64, SimError> {
-    if !ambient_c.is_finite() {
-        return Err(SimError::NonFinite {
-            what: "ambient temperature",
-            value: ambient_c,
-        });
-    }
-    if !(AMBIENT_MIN_C..=AMBIENT_MAX_C).contains(&ambient_c) {
-        return Err(SimError::OutOfRange {
-            what: "ambient temperature",
-            value: ambient_c,
-            min: AMBIENT_MIN_C,
-            max: AMBIENT_MAX_C,
-        });
-    }
-    Ok(ambient_c)
 }
 
 /// Cooling-plant parameters.
@@ -88,7 +64,7 @@ impl CoolingPlant {
     /// temperature (∞ is never returned; COP is clamped to `[1, 20]`,
     /// so the efficiency stays finite even near the free-cooling
     /// crossover where the temperature lift collapses).
-    pub fn chiller_cop(&self, ambient_c: f64) -> f64 {
+    pub(crate) fn chiller_cop(&self, ambient_c: f64) -> f64 {
         let ambient_c = sanitize_ambient_c(ambient_c);
         let t_cold = self.chw_supply_c + 273.15;
         // condenser runs ~10 °C above ambient
@@ -109,13 +85,6 @@ impl CoolingPlant {
         self.free_cooling_overhead + chiller + self.distribution_overhead
     }
 
-    /// Validating variant of [`overhead_fraction`](Self::overhead_fraction):
-    /// rejects non-finite or out-of-band ambient readings instead of
-    /// assuming worst.
-    pub fn try_overhead_fraction(&self, ambient_c: f64) -> Result<f64, SimError> {
-        check_ambient_c(ambient_c).map(|a| self.overhead_fraction(a))
-    }
-
     /// The IT power that fits under a total facility cap at the given
     /// ambient temperature: `cap / (1 + overhead_fraction)`. A hot
     /// afternoon raises the cooling overhead, so the same facility cap
@@ -129,26 +98,9 @@ impl CoolingPlant {
         cap / (1.0 + self.overhead_fraction(ambient_c))
     }
 
-    /// Validating variant of [`it_budget_w`](Self::it_budget_w).
-    pub fn try_it_budget_w(&self, facility_cap_w: f64, ambient_c: f64) -> Result<f64, SimError> {
-        if !facility_cap_w.is_finite() {
-            return Err(SimError::NonFinite {
-                what: "facility cap",
-                value: facility_cap_w,
-            });
-        }
-        if facility_cap_w <= 0.0 {
-            return Err(SimError::NonPositive {
-                what: "facility cap",
-                value: facility_cap_w,
-            });
-        }
-        check_ambient_c(ambient_c).map(|a| self.it_budget_w(facility_cap_w, a))
-    }
-
     /// Cooling power drawn to remove `it_power_w` of heat at the given
     /// ambient temperature.
-    pub fn cooling_power_w(&self, it_power_w: f64, ambient_c: f64) -> f64 {
+    pub(crate) fn cooling_power_w(&self, it_power_w: f64, ambient_c: f64) -> f64 {
         let ambient_c = sanitize_ambient_c(ambient_c);
         if ambient_c <= self.free_cooling_limit_c {
             return it_power_w * self.free_cooling_overhead;
@@ -169,20 +121,6 @@ impl CoolingPlant {
         let cooling = self.cooling_power_w(it_power_w, ambient_c);
         let distribution = it_power_w * self.distribution_overhead;
         (it_power_w + cooling + distribution) / it_power_w
-    }
-
-    /// Facility energy drawn to deliver `it_energy_j` of IT work at the
-    /// given ambient: `it · (1 + overhead_fraction)`. Because the plant
-    /// model's overhead fraction is load-independent, energy scales the
-    /// same way power does — this is the joule-domain form the serving
-    /// tier's energy-attribution meter uses.
-    pub fn facility_energy_j(&self, it_energy_j: f64, ambient_c: f64) -> f64 {
-        let it = if it_energy_j.is_finite() {
-            it_energy_j.max(0.0)
-        } else {
-            0.0
-        };
-        it * (1.0 + self.overhead_fraction(ambient_c))
     }
 }
 
@@ -217,18 +155,6 @@ pub fn heat_wave_ambient_c(time_s: f64, start_c: f64, peak_c: f64, ramp_s: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn facility_energy_matches_overhead_fraction() {
-        let plant = CoolingPlant::european_datacenter();
-        let ambient = 20.0;
-        let facility = plant.facility_energy_j(100.0, ambient);
-        let expected = 100.0 * (1.0 + plant.overhead_fraction(ambient));
-        assert_eq!(facility, expected);
-        assert!(facility > 100.0, "overhead is strictly positive");
-        assert_eq!(plant.facility_energy_j(-5.0, ambient), 0.0);
-        assert_eq!(plant.facility_energy_j(f64::NAN, ambient), 0.0);
-    }
 
     #[test]
     fn seasons_have_the_right_shape() {
@@ -293,7 +219,6 @@ mod tests {
                 plant.cooling_power_w(1e6, bad),
                 plant.cooling_power_w(1e6, AMBIENT_MAX_C)
             );
-            assert!(plant.try_overhead_fraction(bad).is_err());
         }
         // sub-zero and absurd ambients clamp instead of extrapolating
         assert_eq!(
@@ -304,20 +229,13 @@ mod tests {
             plant.overhead_fraction(500.0),
             plant.overhead_fraction(AMBIENT_MAX_C)
         );
-        assert!(plant.try_overhead_fraction(-200.0).is_err());
-        assert!(plant.try_overhead_fraction(20.0).is_ok());
     }
 
     #[test]
-    fn it_budget_rejects_bad_caps() {
+    fn it_budget_assumes_worst_on_bad_inputs() {
         let plant = CoolingPlant::european_datacenter();
-        assert!(plant.try_it_budget_w(f64::NAN, 20.0).is_err());
-        assert!(plant.try_it_budget_w(0.0, 20.0).is_err());
-        assert!(plant.try_it_budget_w(-5.0, 20.0).is_err());
-        assert!(plant.try_it_budget_w(1e6, f64::NAN).is_err());
-        let ok = plant.try_it_budget_w(1e6, 20.0).unwrap();
+        let ok = plant.it_budget_w(1e6, 20.0);
         assert!(ok > 0.0 && ok < 1e6);
-        // assume-worst fallback in the plain method
         assert_eq!(plant.it_budget_w(f64::NAN, 20.0), 0.0);
         assert_eq!(
             plant.it_budget_w(1e6, f64::NAN),

@@ -95,52 +95,11 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules an event `delay` seconds from now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or NaN.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative");
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         let scheduled = self.heap.pop()?;
         self.now = scheduled.time;
         Some((scheduled.time, scheduled.event))
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drains events until the queue empties or `until` is reached,
-    /// calling `handle` for each; `handle` may schedule follow-up events.
-    /// Returns the number of events processed.
-    pub fn run_until(&mut self, until: f64, mut handle: impl FnMut(&mut Self, f64, E)) -> usize {
-        let mut processed = 0;
-        while let Some(time) = self.peek_time() {
-            if time > until {
-                break;
-            }
-            let (time, event) = self.pop().expect("peeked");
-            handle(self, time, event);
-            processed += 1;
-        }
-        processed
     }
 }
 
@@ -197,39 +156,5 @@ mod tests {
         q.schedule(2.0, ());
         q.pop();
         q.schedule(1.0, ());
-    }
-
-    #[test]
-    fn run_until_processes_cascading_events() {
-        let mut q = EventQueue::new();
-        q.schedule(0.0, 3u32); // countdown event: reschedules itself
-        let mut fired = Vec::new();
-        let processed = q.run_until(100.0, |q, t, remaining| {
-            fired.push((t, remaining));
-            if remaining > 0 {
-                q.schedule_in(1.0, remaining - 1);
-            }
-        });
-        assert_eq!(processed, 4);
-        assert_eq!(fired, vec![(0.0, 3), (1.0, 2), (2.0, 1), (3.0, 0)]);
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, ());
-        q.schedule(10.0, ());
-        let processed = q.run_until(5.0, |_, _, ()| {});
-        assert_eq!(processed, 1);
-        assert_eq!(q.len(), 1, "the t=10 event remains");
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(2.0, "base");
-        q.pop();
-        q.schedule_in(3.0, "rel");
-        assert_eq!(q.peek_time(), Some(5.0));
     }
 }

@@ -29,7 +29,7 @@ impl PStateTable {
     ///
     /// Panics if `states` is empty or frequencies are not strictly
     /// increasing.
-    pub fn new(states: Vec<PState>) -> Self {
+    pub(crate) fn new(states: Vec<PState>) -> Self {
         assert!(!states.is_empty(), "need at least one P-state");
         assert!(
             states.windows(2).all(|w| w[0].freq_ghz < w[1].freq_ghz),
@@ -41,7 +41,7 @@ impl PStateTable {
     /// A Haswell-like table: 1.2–3.0 GHz in 0.2 GHz steps with linear
     /// voltage scaling 0.75–1.25 V (the shape of the paper's Xeon E5 v3
     /// platforms).
-    pub fn xeon_haswell() -> Self {
+    pub(crate) fn xeon_haswell() -> Self {
         let mut states = Vec::new();
         let steps = 10;
         for i in 0..steps {
@@ -52,11 +52,6 @@ impl PStateTable {
             });
         }
         PStateTable::new(states)
-    }
-
-    /// The states, slowest first.
-    pub fn states(&self) -> &[PState] {
-        &self.states
     }
 
     /// Number of states.
@@ -89,7 +84,7 @@ impl PStateTable {
     }
 
     /// The slowest state.
-    pub fn slowest(&self) -> PState {
+    pub(crate) fn slowest(&self) -> PState {
         self.states[0]
     }
 

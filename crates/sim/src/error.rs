@@ -11,24 +11,13 @@ use std::fmt;
 
 /// An invalid input to one of the physical models.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimError {
+pub(crate) enum SimError {
     /// A quantity that must be finite was NaN or infinite.
     NonFinite {
         /// Which quantity.
         what: &'static str,
         /// The offending value.
         value: f64,
-    },
-    /// A quantity fell outside its physically meaningful range.
-    OutOfRange {
-        /// Which quantity.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-        /// Inclusive lower bound.
-        min: f64,
-        /// Inclusive upper bound.
-        max: f64,
     },
     /// A quantity that must be strictly positive was not.
     NonPositive {
@@ -45,12 +34,6 @@ impl fmt::Display for SimError {
             SimError::NonFinite { what, value } => {
                 write!(f, "{what} must be finite, got {value}")
             }
-            SimError::OutOfRange {
-                what,
-                value,
-                min,
-                max,
-            } => write!(f, "{what} = {value} outside [{min}, {max}]"),
             SimError::NonPositive { what, value } => {
                 write!(f, "{what} must be positive, got {value}")
             }
@@ -71,13 +54,6 @@ mod tests {
             value: f64::NAN,
         };
         assert!(e.to_string().contains("ambient temperature"));
-        let e = SimError::OutOfRange {
-            what: "ambient temperature",
-            value: 99.0,
-            min: -40.0,
-            max: 60.0,
-        };
-        assert!(e.to_string().contains("[-40, 60]"));
         let e = SimError::NonPositive {
             what: "capacitance",
             value: 0.0,

@@ -429,13 +429,8 @@ impl FaultSchedule {
     }
 
     /// Number of events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Returns `true` if no faults were scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Node count the schedule was generated for.
@@ -508,35 +503,6 @@ impl FaultSchedule {
             }
         }
         effect
-    }
-
-    /// Extra power drawn by `node` at time `t` from active rail spikes,
-    /// watts.
-    pub fn power_extra_w(&self, node: usize, t: f64) -> f64 {
-        self.events
-            .iter()
-            .take_while(|e| e.time_s <= t)
-            .filter_map(|e| match e.kind {
-                FaultKind::PowerSpike {
-                    node: n,
-                    extra_w,
-                    until_s,
-                } if n == node && t < until_s => Some(extra_w),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Interconnect bandwidth multiplier at time `t` (1.0 = healthy).
-    pub fn link_factor(&self, t: f64) -> f64 {
-        self.events
-            .iter()
-            .take_while(|e| e.time_s <= t)
-            .filter_map(|e| match e.kind {
-                FaultKind::LinkDegraded { factor, until_s } if t < until_s => Some(factor),
-                _ => None,
-            })
-            .fold(1.0, f64::min)
     }
 
     /// Execution slowdown of `node` at time `t` (1.0 = full speed).
@@ -702,21 +668,22 @@ mod tests {
     #[test]
     fn zero_rate_is_fault_free() {
         let schedule = FaultSchedule::generate(&FaultConfig::none(5), 16, 3600.0);
-        assert!(schedule.is_empty());
+        assert!(schedule.events().is_empty());
         assert_eq!(schedule.summary(), "no faults");
         assert!(schedule.node_alive(3, 1800.0));
         assert_eq!(schedule.sensor_effect(3, 1800.0), SensorEffect::Ok);
-        assert_eq!(schedule.power_extra_w(3, 1800.0), 0.0);
-        assert_eq!(schedule.link_factor(1800.0), 1.0);
         assert_eq!(schedule.slowdown(3, 1800.0), 1.0);
         let rate0 = FaultSchedule::generate(&FaultConfig::exascale(5, 0.0), 16, 3600.0);
-        assert!(rate0.is_empty(), "rate 0 == disabled");
+        assert!(rate0.events().is_empty(), "rate 0 == disabled");
     }
 
     #[test]
     fn events_time_ordered() {
         let schedule = harsh(7);
-        assert!(!schedule.is_empty(), "harsh profile must produce faults");
+        assert!(
+            !schedule.events().is_empty(),
+            "harsh profile must produce faults"
+        );
         for pair in schedule.events().windows(2) {
             assert!(pair[0].time_s <= pair[1].time_s);
         }
@@ -795,26 +762,8 @@ mod tests {
     }
 
     #[test]
-    fn spikes_links_and_gray_report_effects() {
+    fn gray_slowdowns_report_effects() {
         let schedule = harsh(19);
-        let spike = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::PowerSpike { node, extra_w, .. } => Some((e.time_s, node, extra_w)),
-                _ => None,
-            })
-            .expect("spikes scheduled");
-        assert_eq!(schedule.power_extra_w(spike.1, spike.0 + 1.0), spike.2);
-        let link = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::LinkDegraded { factor, .. } => Some((e.time_s, factor)),
-                _ => None,
-            })
-            .expect("link events scheduled");
-        assert_eq!(schedule.link_factor(link.0 + 1.0), link.1);
         let gray = schedule
             .events()
             .iter()

@@ -26,18 +26,8 @@ impl Interconnect {
     }
 
     /// Point-to-point transfer time for a message of `bytes`.
-    pub fn p2p_s(&self, bytes: f64) -> f64 {
+    pub(crate) fn p2p_s(&self, bytes: f64) -> f64 {
         self.latency_s + bytes.max(0.0) / self.bandwidth_bps
-    }
-
-    /// Barrier across `ranks` (log-tree of empty messages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ranks` is zero.
-    pub fn barrier_s(&self, ranks: usize) -> f64 {
-        assert!(ranks > 0, "need at least one rank");
-        (ranks as f64).log2().ceil().max(0.0) * self.latency_s
     }
 
     /// Allreduce of `bytes` across `ranks` (recursive-doubling shape:
@@ -46,7 +36,7 @@ impl Interconnect {
     /// # Panics
     ///
     /// Panics if `ranks` is zero.
-    pub fn allreduce_s(&self, ranks: usize, bytes: f64) -> f64 {
+    pub(crate) fn allreduce_s(&self, ranks: usize, bytes: f64) -> f64 {
         assert!(ranks > 0, "need at least one rank");
         if ranks == 1 {
             return 0.0;
@@ -112,9 +102,6 @@ mod tests {
     #[test]
     fn collectives_grow_logarithmically() {
         let net = Interconnect::truescale_qdr();
-        let b16 = net.barrier_s(16);
-        let b256 = net.barrier_s(256);
-        assert!((b256 / b16 - 2.0).abs() < 1e-9, "log2(256)/log2(16) = 2");
         assert_eq!(net.allreduce_s(1, 1e6), 0.0);
         assert!(net.allreduce_s(64, 1e6) > net.allreduce_s(8, 1e6));
     }
@@ -143,11 +130,5 @@ mod tests {
         // only barrier-free allreduce latency remains (zero bytes still
         // pays alpha): near-ideal but not perfect
         assert!(e > 0.99, "efficiency {e}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn zero_ranks_rejected() {
-        let _ = Interconnect::truescale_qdr().barrier_s(0);
     }
 }

@@ -15,7 +15,7 @@ impl WorkUnit {
     /// # Panics
     ///
     /// Panics on negative quantities.
-    pub fn new(flops: f64, bytes: f64) -> Self {
+    pub(crate) fn new(flops: f64, bytes: f64) -> Self {
         assert!(flops >= 0.0 && bytes >= 0.0, "work must be non-negative");
         WorkUnit { flops, bytes }
     }
@@ -39,15 +39,6 @@ impl WorkUnit {
     pub fn with_intensity(flops: f64, intensity: f64) -> Self {
         assert!(intensity > 0.0, "intensity must be positive");
         WorkUnit::new(flops, flops / intensity)
-    }
-
-    /// Arithmetic intensity (flops per byte); infinite for zero traffic.
-    pub fn intensity(&self) -> f64 {
-        if self.bytes == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / self.bytes
-        }
     }
 
     /// Splits the work into `n` equal chunks.
@@ -107,14 +98,6 @@ impl Job {
             work_per_node,
         }
     }
-
-    /// Total work across all nodes.
-    pub fn total_work(&self) -> WorkUnit {
-        WorkUnit::new(
-            self.work_per_node.flops * self.nodes as f64,
-            self.work_per_node.bytes * self.nodes as f64,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -123,10 +106,10 @@ mod tests {
 
     #[test]
     fn intensity_classification() {
-        assert!(WorkUnit::compute_bound(1e9).intensity() > 10.0);
-        assert!(WorkUnit::memory_bound(1e9).intensity() < 0.1);
-        assert_eq!(WorkUnit::with_intensity(1e9, 4.0).intensity(), 4.0);
-        assert_eq!(WorkUnit::new(1.0, 0.0).intensity(), f64::INFINITY);
+        let intensity = |work: WorkUnit| work.flops / work.bytes;
+        assert!(intensity(WorkUnit::compute_bound(1e9)) > 10.0);
+        assert!(intensity(WorkUnit::memory_bound(1e9)) < 0.1);
+        assert_eq!(intensity(WorkUnit::with_intensity(1e9, 4.0)), 4.0);
     }
 
     #[test]
@@ -139,12 +122,6 @@ mod tests {
             .fold(WorkUnit::new(0.0, 0.0), |a, b| a + b);
         assert!((total.flops - 100.0).abs() < 1e-9);
         assert!((total.bytes - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn job_total_work() {
-        let job = Job::new(1, 0.0, 4, WorkUnit::new(10.0, 2.0));
-        assert_eq!(job.total_work().flops, 40.0);
     }
 
     #[test]

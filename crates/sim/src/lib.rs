@@ -10,20 +10,18 @@
 //! those mechanisms:
 //!
 //! * [`des`] — a deterministic discrete-event engine;
-//! * [`dvfs`] — P-state tables (frequency/voltage pairs);
-//! * [`power`] — dynamic (`C·V²·f`) plus temperature-dependent leakage
+//! * `dvfs` — P-state tables (frequency/voltage pairs);
+//! * `power` — dynamic (`C·V²·f`) plus temperature-dependent leakage
 //!   power;
 //! * [`thermal`] — first-order RC thermal model per node;
 //! * [`variability`] — per-chip process variation (leakage and frequency);
-//! * [`accelerator`] — GPGPU and MIC (Xeon Phi) accelerator models;
+//! * `accelerator` — GPGPU and MIC (Xeon Phi) accelerator models;
 //! * [`node`] — a compute node: roofline execution model over cores +
 //!   accelerators, DVFS, power and thermal integration;
 //! * [`cooling`] — chiller/free-cooling plant with seasonal ambient
 //!   temperature and PUE accounting;
-//! * [`cluster`] — racks of nodes with facility-level energy accounting;
 //! * [`job`] / [`workload`] — tasks, jobs and the workload generators used
 //!   by the use cases (including the heavy-tailed docking sweep);
-//! * [`metrics`] — FLOPS/W and energy bookkeeping;
 //! * [`sched`] — deterministic virtual schedulers (static list, block,
 //!   LPT-by-estimate, work stealing) for heavy-tailed task batches;
 //! * [`faults`] — deterministic fault injection (node crashes, sensor
@@ -45,25 +43,17 @@
 //! assert!(outcome.energy_j > 0.0);
 //! ```
 
-pub mod accelerator;
-pub mod cluster;
+pub(crate) mod accelerator;
 pub mod cooling;
 pub mod des;
-pub mod dvfs;
-pub mod error;
+pub(crate) mod dvfs;
+pub(crate) mod error;
 pub mod faults;
 pub mod interconnect;
 pub mod job;
-pub mod metrics;
 pub mod node;
-pub mod power;
+pub(crate) mod power;
 pub mod sched;
 pub mod thermal;
 pub mod variability;
 pub mod workload;
-
-pub use cluster::Cluster;
-pub use des::EventQueue;
-pub use dvfs::{PState, PStateTable};
-pub use error::SimError;
-pub use node::{ExecOutcome, Node, NodeSpec};

@@ -73,7 +73,7 @@ impl NodeSpec {
     }
 
     /// Total CPU cores.
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.sockets * self.cores_per_socket
     }
 
@@ -164,11 +164,6 @@ impl Node {
         self.inlet_temp_c = temp_c;
     }
 
-    /// Current inlet temperature.
-    pub fn inlet_temp_c(&self) -> f64 {
-        self.inlet_temp_c
-    }
-
     /// Current junction temperature.
     pub fn temp_c(&self) -> f64 {
         self.thermal.temp_c()
@@ -207,15 +202,6 @@ impl Node {
     /// Total useful flops performed so far.
     pub fn flops_done(&self) -> f64 {
         self.flops_done
-    }
-
-    /// Lifetime efficiency, MFLOPS/W.
-    pub fn lifetime_mflops_per_watt(&self) -> f64 {
-        if self.energy_j == 0.0 {
-            0.0
-        } else {
-            self.flops_done / 1e6 / self.energy_j
-        }
     }
 
     /// Predicted steady-state junction temperature at the given P-state
@@ -498,6 +484,5 @@ mod tests {
         assert!(node.busy_s() > 0.0);
         assert!(node.energy_j() > 0.0);
         assert_eq!(node.flops_done(), 2e12);
-        assert!(node.lifetime_mflops_per_watt() > 0.0);
     }
 }

@@ -35,7 +35,7 @@ impl PowerParams {
     /// race-to-idle competitive on compute-bound work, so the
     /// energy-optimal P-state genuinely depends on the workload — the
     /// effect the paper's runtime manager exploits.
-    pub fn xeon_socket() -> Self {
+    pub(crate) fn xeon_socket() -> Self {
         PowerParams {
             ceff_w_per_v2_ghz: 18.0,
             leak_w_at_ref: 12.0,
@@ -46,7 +46,7 @@ impl PowerParams {
     }
 
     /// Dynamic power at a P-state and activity factor (0..=1).
-    pub fn dynamic_w(&self, pstate: PState, activity: f64) -> f64 {
+    pub(crate) fn dynamic_w(&self, pstate: PState, activity: f64) -> f64 {
         self.ceff_w_per_v2_ghz * pstate.voltage.powi(2) * pstate.freq_ghz * activity.clamp(0.0, 1.0)
     }
 
@@ -56,7 +56,7 @@ impl PowerParams {
     /// The evaluation temperature saturates at 105 °C: beyond that point
     /// real parts hit thermal protection, and an unclamped exponential
     /// would make the leakage–temperature feedback loop diverge.
-    pub fn leakage_w(&self, temp_c: f64, process_factor: f64) -> f64 {
+    pub(crate) fn leakage_w(&self, temp_c: f64, process_factor: f64) -> f64 {
         let temp_c = temp_c.clamp(-25.0, 105.0);
         self.leak_w_at_ref
             * self

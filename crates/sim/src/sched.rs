@@ -46,16 +46,6 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Human-readable label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedPolicy::Static => "static",
-            SchedPolicy::Block => "block",
-            SchedPolicy::Lpt => "lpt",
-            SchedPolicy::WorkSteal => "steal",
-        }
-    }
-
     /// How aggressively the policy rebalances; mixed batches resolve to
     /// the most dynamic policy among their tenant classes.
     pub fn dynamism(&self) -> u8 {

@@ -25,7 +25,7 @@ impl ThermalModel {
     /// # Panics
     ///
     /// Panics unless resistance and capacitance are positive.
-    pub fn new(resistance_c_per_w: f64, capacitance_j_per_c: f64, env_temp_c: f64) -> Self {
+    pub(crate) fn new(resistance_c_per_w: f64, capacitance_j_per_c: f64, env_temp_c: f64) -> Self {
         Self::try_new(resistance_c_per_w, capacitance_j_per_c, env_temp_c)
             .expect("valid thermal parameters")
     }
@@ -33,7 +33,7 @@ impl ThermalModel {
     /// Creates a model at thermal equilibrium with `env_temp_c`,
     /// rejecting non-finite or non-positive parameters with a typed
     /// error instead of panicking.
-    pub fn try_new(
+    pub(crate) fn try_new(
         resistance_c_per_w: f64,
         capacitance_j_per_c: f64,
         env_temp_c: f64,
@@ -72,12 +72,12 @@ impl ThermalModel {
     }
 
     /// Current junction temperature.
-    pub fn temp_c(&self) -> f64 {
+    pub(crate) fn temp_c(&self) -> f64 {
         self.temp_c
     }
 
     /// Steady-state temperature for constant `power_w` and `env_temp_c`.
-    pub fn steady_state_c(&self, power_w: f64, env_temp_c: f64) -> f64 {
+    pub(crate) fn steady_state_c(&self, power_w: f64, env_temp_c: f64) -> f64 {
         env_temp_c + self.resistance_c_per_w * power_w
     }
 
@@ -96,16 +96,6 @@ impl ThermalModel {
         let decay = (-dt / tau).exp();
         self.temp_c = target + (self.temp_c - target) * decay;
         self.temp_c
-    }
-
-    /// Resets the junction to `temp_c` (e.g. after a long idle).
-    pub fn reset(&mut self, temp_c: f64) {
-        self.temp_c = temp_c;
-    }
-
-    /// Thermal time constant `R·C`, seconds.
-    pub fn time_constant_s(&self) -> f64 {
-        self.resistance_c_per_w * self.capacitance_j_per_c
     }
 }
 

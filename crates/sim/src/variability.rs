@@ -25,7 +25,7 @@ pub struct ProcessVariation {
 
 impl ProcessVariation {
     /// The nominal (typical-typical) corner.
-    pub fn nominal() -> Self {
+    pub(crate) fn nominal() -> Self {
         ProcessVariation {
             leakage_factor: 1.0,
             dynamic_factor: 1.0,

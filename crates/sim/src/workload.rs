@@ -11,7 +11,7 @@ use crate::job::{Job, Task, WorkUnit};
 use rand::Rng;
 
 /// Standard normal draw via Box–Muller.
-pub fn gaussian(rng: &mut impl Rng) -> f64 {
+pub(crate) fn gaussian(rng: &mut impl Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -31,17 +31,6 @@ pub fn exponential(rng: &mut impl Rng, rate: f64) -> f64 {
     assert!(rate > 0.0, "rate must be positive");
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -u.ln() / rate
-}
-
-/// Generates `count` uniform tasks of `flops` each at intensity
-/// `flops_per_byte`.
-pub fn uniform_tasks(count: usize, flops: f64, flops_per_byte: f64) -> Vec<Task> {
-    (0..count)
-        .map(|i| Task {
-            id: i as u64,
-            work: WorkUnit::with_intensity(flops, flops_per_byte),
-        })
-        .collect()
 }
 
 /// Generates a heavy-tailed docking-like sweep: lognormal per-task flops
@@ -109,14 +98,6 @@ mod tests {
         // mean exceeds median (right skew)
         let mean = flops.iter().sum::<f64>() / flops.len() as f64;
         assert!(mean > median);
-    }
-
-    #[test]
-    fn uniform_tasks_are_uniform() {
-        let tasks = uniform_tasks(10, 5e8, 4.0);
-        assert_eq!(tasks.len(), 10);
-        assert!(tasks.iter().all(|t| t.work.flops == 5e8));
-        assert_eq!(tasks[3].id, 3);
     }
 
     #[test]

@@ -27,15 +27,6 @@ pub struct DseReport {
     pub best: Option<Configuration>,
 }
 
-impl DseReport {
-    /// The Pareto-optimal operating points under the given metrics (all
-    /// minimized) — the multi-objective view the runtime manager filters
-    /// at deployment time.
-    pub fn pareto(&self, metrics: &[&str]) -> Vec<&crate::point::OperatingPoint> {
-        self.knowledge.pareto(metrics)
-    }
-}
-
 /// Explores the design space, measuring all metrics per configuration.
 ///
 /// `eval` returns named metrics; `objective` steers the search (its metric
@@ -346,23 +337,6 @@ mod tests {
         );
         assert_eq!(report.evaluations, 3);
         assert_eq!(report.knowledge.len(), 3);
-    }
-
-    #[test]
-    fn pareto_view_of_the_exploration() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let report = explore(
-            &space(),
-            Box::new(Exhaustive::new()),
-            &Objective::minimize("time"),
-            100,
-            &mut rng,
-            metrics,
-        );
-        let front = report.pareto(&["time", "energy"]);
-        // time = 16/u (decreasing), energy = u^2 (increasing): every
-        // point is non-dominated
-        assert_eq!(front.len(), 8);
     }
 
     #[test]

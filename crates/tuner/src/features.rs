@@ -10,27 +10,15 @@
 //! [`crate::point::KnowledgeBase`].
 
 use crate::goal::{Constraint, Objective};
-use crate::point::{KnowledgeBase, OperatingPoint};
+use crate::point::KnowledgeBase;
 use crate::space::Configuration;
 
 /// A feature cluster: a centroid in feature space plus the operating
 /// points measured for inputs like it.
 #[derive(Debug, Clone)]
-pub struct FeatureCluster {
+pub(crate) struct FeatureCluster {
     centroid: Vec<f64>,
     knowledge: KnowledgeBase,
-}
-
-impl FeatureCluster {
-    /// The cluster centroid.
-    pub fn centroid(&self) -> &[f64] {
-        &self.centroid
-    }
-
-    /// The cluster's knowledge base.
-    pub fn knowledge(&self) -> &KnowledgeBase {
-        &self.knowledge
-    }
 }
 
 /// Feature-aware runtime selection.
@@ -70,7 +58,6 @@ pub struct FeatureManager {
     dimensions: usize,
     clusters: Vec<FeatureCluster>,
     scale: Vec<f64>,
-    learn_alpha: f64,
 }
 
 impl FeatureManager {
@@ -87,21 +74,7 @@ impl FeatureManager {
             dimensions,
             clusters: Vec::new(),
             scale: vec![1.0; dimensions],
-            learn_alpha: 0.4,
         }
-    }
-
-    /// Sets per-dimension scale factors used in distance computation
-    /// (features with larger natural ranges should get smaller scales).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or non-positive scales.
-    pub fn with_scale(mut self, scale: Vec<f64>) -> Self {
-        assert_eq!(scale.len(), self.dimensions, "scale dimension mismatch");
-        assert!(scale.iter().all(|&s| s > 0.0), "scales must be positive");
-        self.scale = scale;
-        self
     }
 
     /// Adds an SLA constraint (applies across clusters).
@@ -126,16 +99,6 @@ impl FeatureManager {
         });
     }
 
-    /// Number of clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// The clusters.
-    pub fn clusters(&self) -> &[FeatureCluster] {
-        &self.clusters
-    }
-
     fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         a.iter()
             .zip(b)
@@ -150,7 +113,7 @@ impl FeatureManager {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn nearest_cluster(&self, features: &[f64]) -> Option<usize> {
+    pub(crate) fn nearest_cluster(&self, features: &[f64]) -> Option<usize> {
         assert_eq!(
             features.len(),
             self.dimensions,
@@ -175,21 +138,13 @@ impl FeatureManager {
             .best(&self.objective, &self.constraints)
             .map(|p| (&p.config, cluster))
     }
-
-    /// Feeds a runtime measurement back into the cluster nearest to the
-    /// measured input (online learning, per cluster).
-    pub fn learn(&mut self, features: &[f64], point: OperatingPoint) {
-        if let Some(cluster) = self.nearest_cluster(features) {
-            let alpha = self.learn_alpha;
-            self.clusters[cluster].knowledge.learn(point, alpha);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::knob::KnobValue;
+    use crate::point::OperatingPoint;
 
     fn config(poses: i64) -> Configuration {
         let mut c = Configuration::new();
@@ -244,33 +199,6 @@ mod tests {
         let mut manager = manager();
         manager.add_constraint(Constraint::at_least("quality", 0.99));
         assert!(manager.select(&[120.0]).is_none());
-    }
-
-    #[test]
-    fn learning_routes_to_the_right_cluster() {
-        let mut manager = manager();
-        // a large-input measurement shows 64 poses got slower
-        manager.learn(&[110.0], point(64, 60.0, 0.85));
-        let large_kb = manager.clusters()[1].knowledge();
-        let learned = large_kb.find(&config(64)).unwrap().metric("time").unwrap();
-        assert!(learned > 30.0, "cluster 1 updated: {learned}");
-        // cluster 0 untouched
-        let small_kb = manager.clusters()[0].knowledge();
-        assert_eq!(
-            small_kb.find(&config(64)).unwrap().metric("time"),
-            Some(8.0)
-        );
-    }
-
-    #[test]
-    fn scaling_reweights_dimensions() {
-        let mut manager =
-            FeatureManager::new(Objective::minimize("time"), 2).with_scale(vec![1.0, 100.0]);
-        manager.add_cluster(vec![0.0, 0.0], [point(1, 1.0, 1.0)].into_iter().collect());
-        manager.add_cluster(vec![10.0, 0.1], [point(2, 1.0, 1.0)].into_iter().collect());
-        // feature [9, 0]: dimension 0 says cluster 1, but the scaled
-        // second dimension (0.1 * 100 = 10) pushes it back to cluster 0
-        assert_eq!(manager.nearest_cluster(&[9.0, 0.0]), Some(0));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Smaller is better.
     Minimize,
     /// Larger is better.
@@ -40,7 +40,7 @@ impl Objective {
     }
 
     /// The metric name.
-    pub fn metric(&self) -> &str {
+    pub(crate) fn metric(&self) -> &str {
         self.metric.name()
     }
 
@@ -50,7 +50,7 @@ impl Objective {
     }
 
     /// The direction.
-    pub fn direction(&self) -> Direction {
+    pub(crate) fn direction(&self) -> Direction {
         self.direction
     }
 
@@ -60,11 +60,6 @@ impl Objective {
             Direction::Minimize => -value,
             Direction::Maximize => value,
         }
-    }
-
-    /// Returns `true` if `candidate` improves on `incumbent`.
-    pub fn improves(&self, candidate: f64, incumbent: f64) -> bool {
-        self.score(candidate) > self.score(incumbent)
     }
 }
 
@@ -110,13 +105,8 @@ impl Constraint {
     }
 
     /// The interned metric id.
-    pub fn metric_id(&self) -> SymbolId {
+    pub(crate) fn metric_id(&self) -> SymbolId {
         self.metric
-    }
-
-    /// The bound.
-    pub fn bound(&self) -> f64 {
-        self.bound
     }
 
     /// Adjusts the bound (runtime SLA renegotiation).
@@ -125,7 +115,7 @@ impl Constraint {
     }
 
     /// Returns `true` if `value` satisfies the constraint.
-    pub fn satisfied_by(&self, value: f64) -> bool {
+    pub(crate) fn satisfied_by(&self, value: f64) -> bool {
         if self.upper {
             value <= self.bound
         } else {
@@ -148,10 +138,6 @@ mod tests {
     #[test]
     fn objective_scores() {
         let min = Objective::minimize("time");
-        assert!(min.improves(1.0, 2.0));
-        assert!(!min.improves(2.0, 1.0));
-        let max = Objective::maximize("throughput");
-        assert!(max.improves(2.0, 1.0));
         assert_eq!(min.to_string(), "minimize time");
     }
 

@@ -91,7 +91,7 @@ pub fn intern(name: &str) -> SymbolId {
 }
 
 /// Looks up an already-interned name without growing the table.
-pub fn lookup(name: &str) -> Option<SymbolId> {
+pub(crate) fn lookup(name: &str) -> Option<SymbolId> {
     let interner = match table().read() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -104,21 +104,12 @@ pub fn lookup(name: &str) -> Option<SymbolId> {
 /// # Panics
 ///
 /// Panics if `id` was not produced by [`intern`] in this process.
-pub fn resolve(id: SymbolId) -> &'static str {
+pub(crate) fn resolve(id: SymbolId) -> &'static str {
     let interner = match table().read() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
     interner.names[id.0 as usize]
-}
-
-/// Number of distinct names interned so far (diagnostics).
-pub fn len() -> usize {
-    let interner = match table().read() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    interner.names.len()
 }
 
 #[cfg(test)]
@@ -142,13 +133,6 @@ mod tests {
         assert_ne!(a.index(), b.index());
         assert_eq!(resolve(a), "intern-test-a");
         assert_eq!(resolve(b), "intern-test-b");
-    }
-
-    #[test]
-    fn lookup_does_not_grow_the_table() {
-        let before = len();
-        assert_eq!(lookup("intern-test-never-interned-xyzzy"), None);
-        assert_eq!(len(), before);
     }
 
     #[test]

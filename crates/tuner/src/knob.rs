@@ -27,7 +27,7 @@ impl KnobValue {
     }
 
     /// Float view (ints promote).
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             KnobValue::Int(v) => Some(*v as f64),
             KnobValue::Float(v) => Some(*v),
@@ -36,7 +36,7 @@ impl KnobValue {
     }
 
     /// Choice view.
-    pub fn as_choice(&self) -> Option<&str> {
+    pub(crate) fn as_choice(&self) -> Option<&str> {
         match self {
             KnobValue::Choice(s) => Some(s),
             _ => None,
@@ -56,7 +56,7 @@ impl fmt::Display for KnobValue {
 
 /// The domain of one knob.
 #[derive(Debug, Clone, PartialEq)]
-pub enum KnobDomain {
+pub(crate) enum KnobDomain {
     /// Integers `lo..=hi` with the given step.
     Int {
         /// Lower bound (inclusive).
@@ -69,8 +69,6 @@ pub enum KnobDomain {
     /// An explicit, sorted list of integer levels (produced by
     /// [`Knob::restrict`] when the survivors are not uniformly spaced).
     IntLevels(Vec<i64>),
-    /// An explicit list of float levels.
-    FloatLevels(Vec<f64>),
     /// Categorical alternatives.
     Choices(Vec<String>),
 }
@@ -97,20 +95,6 @@ impl Knob {
         }
     }
 
-    /// Float knob over explicit levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty.
-    pub fn float_levels(name: impl Into<String>, levels: impl IntoIterator<Item = f64>) -> Self {
-        let levels: Vec<f64> = levels.into_iter().collect();
-        assert!(!levels.is_empty(), "empty float domain");
-        Knob {
-            name: name.into(),
-            domain: KnobDomain::FloatLevels(levels),
-        }
-    }
-
     /// Categorical knob.
     ///
     /// # Panics
@@ -129,35 +113,20 @@ impl Knob {
     }
 
     /// Knob name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The domain.
-    pub fn domain(&self) -> &KnobDomain {
+    pub(crate) fn domain(&self) -> &KnobDomain {
         &self.domain
     }
 
-    /// Integer knob over explicit levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is empty.
-    pub fn int_levels(name: impl Into<String>, levels: impl IntoIterator<Item = i64>) -> Self {
-        let levels: Vec<i64> = levels.into_iter().collect();
-        assert!(!levels.is_empty(), "empty integer domain");
-        Knob {
-            name: name.into(),
-            domain: KnobDomain::IntLevels(levels),
-        }
-    }
-
     /// Number of admissible values.
-    pub fn cardinality(&self) -> usize {
+    pub(crate) fn cardinality(&self) -> usize {
         match &self.domain {
             KnobDomain::Int { lo, hi, step } => ((hi - lo) / step + 1) as usize,
             KnobDomain::IntLevels(levels) => levels.len(),
-            KnobDomain::FloatLevels(levels) => levels.len(),
             KnobDomain::Choices(choices) => choices.len(),
         }
     }
@@ -167,17 +136,16 @@ impl Knob {
     /// # Panics
     ///
     /// Panics if `index >= cardinality()`.
-    pub fn value_at(&self, index: usize) -> KnobValue {
+    pub(crate) fn value_at(&self, index: usize) -> KnobValue {
         match &self.domain {
             KnobDomain::Int { lo, step, .. } => KnobValue::Int(lo + (index as i64) * step),
             KnobDomain::IntLevels(levels) => KnobValue::Int(levels[index]),
-            KnobDomain::FloatLevels(levels) => KnobValue::Float(levels[index]),
             KnobDomain::Choices(choices) => KnobValue::Choice(choices[index].clone()),
         }
     }
 
     /// Index of a value within the domain, if admissible.
-    pub fn index_of(&self, value: &KnobValue) -> Option<usize> {
+    pub(crate) fn index_of(&self, value: &KnobValue) -> Option<usize> {
         match (&self.domain, value) {
             (KnobDomain::Int { lo, hi, step }, KnobValue::Int(v)) => {
                 if v < lo || v > hi || (v - lo) % step != 0 {
@@ -187,9 +155,6 @@ impl Knob {
                 }
             }
             (KnobDomain::IntLevels(levels), KnobValue::Int(v)) => {
-                levels.iter().position(|l| l == v)
-            }
-            (KnobDomain::FloatLevels(levels), KnobValue::Float(v)) => {
                 levels.iter().position(|l| l == v)
             }
             (KnobDomain::Choices(choices), KnobValue::Choice(c)) => {
@@ -202,7 +167,7 @@ impl Knob {
     /// Restricts the domain to values accepted by `keep`, returning the
     /// shrunk knob (grey-box annotation support). Returns `None` if nothing
     /// survives.
-    pub fn restrict(&self, keep: impl Fn(&KnobValue) -> bool) -> Option<Knob> {
+    pub(crate) fn restrict(&self, keep: impl Fn(&KnobValue) -> bool) -> Option<Knob> {
         let surviving: Vec<usize> = (0..self.cardinality())
             .filter(|&i| keep(&self.value_at(i)))
             .collect();
@@ -226,9 +191,6 @@ impl Knob {
                 } else {
                     KnobDomain::IntLevels(values)
                 }
-            }
-            KnobDomain::FloatLevels(levels) => {
-                KnobDomain::FloatLevels(surviving.iter().map(|&i| levels[i]).collect())
             }
             KnobDomain::Choices(choices) => {
                 KnobDomain::Choices(surviving.iter().map(|&i| choices[i].clone()).collect())
@@ -277,13 +239,6 @@ mod tests {
         assert_eq!(k.value_at(1), KnobValue::Choice("b".into()));
         assert_eq!(k.index_of(&KnobValue::Choice("c".into())), Some(2));
         assert_eq!(k.index_of(&KnobValue::Int(0)), None, "type mismatch");
-    }
-
-    #[test]
-    fn float_levels_knob() {
-        let k = Knob::float_levels("alpha", [0.1, 0.5, 0.9]);
-        assert_eq!(k.cardinality(), 3);
-        assert_eq!(k.value_at(2), KnobValue::Float(0.9));
     }
 
     #[test]

@@ -51,15 +51,12 @@ pub mod knob;
 pub mod manager;
 pub mod model;
 pub mod online;
-pub mod point;
+pub(crate) mod point;
 pub mod safemode;
 pub mod search;
 pub mod space;
 
-pub use goal::{Constraint, Objective};
-pub use intern::SymbolId;
-pub use knob::{Knob, KnobValue};
+pub use knob::KnobValue;
 pub use manager::AppManager;
 pub use point::{KnowledgeBase, OperatingPoint};
-pub use safemode::{SafeModeAction, SafeModeGuard};
-pub use space::{Configuration, DesignSpace};
+pub use space::Configuration;

@@ -161,7 +161,7 @@ impl AppManager {
     /// The fold is in place: each monitor's mean over `[previous now,
     /// ..]` (inclusive — see [`TimeSeries::mean_since`]) is blended
     /// straight into the current configuration's operating point, one
-    /// [`KnowledgeBase::learn_metric`] per metric that has fresh
+    /// `KnowledgeBase::learn_metric` per metric that has fresh
     /// samples, and the decision is read off `switches()` rather than
     /// off a saved copy of the configuration. A round whose current
     /// configuration the knowledge base cannot find (only a
@@ -207,75 +207,6 @@ impl AppManager {
             }
             _ => Decision::Stay,
         }
-    }
-}
-
-/// Adapts an [`AppManager`] plus a measurement probe into the monitor
-/// crate's [`CadaController`](antarex_monitor::cada::CadaController), so a
-/// [`CadaLoop`](antarex_monitor::cada::CadaLoop) can drive the
-/// application's adaptation on a fixed period — the runtime layer shape
-/// the paper describes in §II.
-pub struct ManagedApp<P> {
-    manager: AppManager,
-    probe: P,
-}
-
-impl<P> ManagedApp<P>
-where
-    P: FnMut(f64) -> Vec<(String, f64)>,
-{
-    /// Wraps a manager with a collect-stage probe: `probe(time)` returns
-    /// the fresh measurements (metric name, value) for the current
-    /// configuration.
-    pub fn new(manager: AppManager, probe: P) -> Self {
-        ManagedApp { manager, probe }
-    }
-
-    /// The wrapped manager.
-    pub fn manager(&self) -> &AppManager {
-        &self.manager
-    }
-
-    /// Mutable access to the wrapped manager.
-    pub fn manager_mut(&mut self) -> &mut AppManager {
-        &mut self.manager
-    }
-}
-
-impl<P> std::fmt::Debug for ManagedApp<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ManagedApp")
-            .field("manager", &self.manager)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P> antarex_monitor::cada::CadaController for ManagedApp<P>
-where
-    P: FnMut(f64) -> Vec<(String, f64)>,
-{
-    type Obs = (f64, Vec<(String, f64)>);
-    type Sum = f64;
-
-    fn collect(&mut self, time: f64) -> Self::Obs {
-        (time, (self.probe)(time))
-    }
-
-    fn analyse(&mut self, obs: Self::Obs) -> f64 {
-        let (time, samples) = obs;
-        for (metric, value) in samples {
-            self.manager.observe(time, &metric, value);
-        }
-        time
-    }
-
-    fn decide(&mut self, time: &f64) -> Decision {
-        self.manager.adapt(*time)
-    }
-
-    fn act(&mut self, _decision: &Decision) {
-        // `AppManager::adapt` already enacted the switch on `current()`;
-        // embedders reconfigure the application from the loop's decisions.
     }
 }
 
@@ -367,30 +298,6 @@ mod tests {
         // old sample must not be re-learned at the next round
         let decision = manager.adapt(2.0);
         assert_eq!(decision, Decision::Stay);
-    }
-
-    #[test]
-    fn cada_loop_drives_the_manager() {
-        use antarex_monitor::cada::CadaLoop;
-        let mut manager =
-            AppManager::new(kb(), Objective::maximize("quality")).with_learn_alpha(1.0);
-        manager.add_constraint(Constraint::at_most("latency", 0.45));
-        manager.select();
-        // probe: latency of the *current* level; levels above 3 now
-        // measure over-SLA (a load spike)
-        let managed = ManagedApp::new(manager, |_time: f64| vec![("latency".to_string(), 0.9)]);
-        let mut cada = CadaLoop::new(managed, 10.0);
-        let decisions = cada.advance_to(30.0);
-        assert!(decisions.iter().any(|d| matches!(d, Decision::Switch(_))));
-        // the manager walked down to a feasible level
-        let level = cada
-            .controller()
-            .manager()
-            .current()
-            .unwrap()
-            .get_int("level")
-            .unwrap();
-        assert!(level < 4, "downgraded from level 4, now {level}");
     }
 
     #[test]

@@ -100,12 +100,12 @@ impl OperatingPoint {
     }
 
     /// Number of measured metrics.
-    pub fn metric_count(&self) -> usize {
+    pub(crate) fn metric_count(&self) -> usize {
         self.metrics.len()
     }
 
     /// Returns `true` if every constraint is met (missing metrics fail).
-    pub fn satisfies(&self, constraints: &[Constraint]) -> bool {
+    pub(crate) fn satisfies(&self, constraints: &[Constraint]) -> bool {
         constraints.iter().all(|c| {
             self.metric_id(c.metric_id())
                 .is_some_and(|v| c.satisfied_by(v))
@@ -255,14 +255,6 @@ impl KnowledgeBase {
         self.points.is_empty()
     }
 
-    /// Points satisfying every constraint.
-    pub fn feasible<'a>(
-        &'a self,
-        constraints: &'a [Constraint],
-    ) -> impl Iterator<Item = &'a OperatingPoint> {
-        self.points.iter().filter(move |p| p.satisfies(constraints))
-    }
-
     /// The best feasible point under the objective: mARGOt's runtime
     /// selection. Ties resolve to the earliest point.
     ///
@@ -339,7 +331,7 @@ impl KnowledgeBase {
     }
 
     /// Index of the point for a configuration, if measured before.
-    pub fn find_index(&self, config: &Configuration) -> Option<usize> {
+    pub(crate) fn find_index(&self, config: &Configuration) -> Option<usize> {
         self.by_config
             .get(&config_hash(config))?
             .iter()
@@ -370,7 +362,7 @@ impl KnowledgeBase {
     /// `alpha` (`new = old + alpha * (measured - old)`); appends when the
     /// configuration is unknown. This is the paper's "continuous on-line
     /// learning ... to update the knowledge from the data collected by the
-    /// monitors". One [`learn_metric`](Self::learn_metric) per metric of
+    /// monitors". One `learn_metric` per metric of
     /// a known configuration.
     pub fn learn(&mut self, point: OperatingPoint, alpha: f64) {
         match self.find_index(&point.config) {
@@ -392,7 +384,7 @@ impl KnowledgeBase {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub fn learn_metric(&mut self, index: usize, id: SymbolId, measured: f64, alpha: f64) {
+    pub(crate) fn learn_metric(&mut self, index: usize, id: SymbolId, measured: f64, alpha: f64) {
         let idx = index as u32;
         let point = &mut self.points[index];
         match point.metrics.iter_mut().find(|(other, _)| *other == id) {

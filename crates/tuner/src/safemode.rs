@@ -119,20 +119,9 @@ impl SafeModeGuard {
         }
     }
 
-    /// Is safe mode currently engaged?
-    pub fn engaged(&self) -> bool {
-        self.engaged
-    }
-
     /// How many times the guard has tripped.
     pub fn trips(&self) -> u64 {
         self.trips
-    }
-
-    /// The configuration the guard would fall back to, if any has
-    /// qualified.
-    pub fn last_known_good(&self) -> Option<&Configuration> {
-        self.last_known_good.as_ref()
     }
 }
 
@@ -158,7 +147,7 @@ mod tests {
                 "round {t}"
             );
         }
-        assert_eq!(guard.last_known_good(), Some(&config(1)));
+        assert_eq!(guard.last_known_good.as_ref(), Some(&config(1)));
         // two violations: not yet
         assert_eq!(
             guard.record_round(false, &config(9)),
@@ -168,13 +157,13 @@ mod tests {
             guard.record_round(false, &config(9)),
             SafeModeAction::Normal
         );
-        assert!(!guard.engaged());
+        assert!(!guard.engaged);
         // third trips
         assert_eq!(
             guard.record_round(false, &config(9)),
             SafeModeAction::Engage(config(1))
         );
-        assert!(guard.engaged());
+        assert!(guard.engaged);
         assert_eq!(guard.trips(), 1);
     }
 
@@ -191,7 +180,7 @@ mod tests {
             );
             assert_eq!(guard.record_round(true, &config(1)), SafeModeAction::Normal);
         }
-        assert!(!guard.engaged(), "alternating rounds must never trip");
+        assert!(!guard.engaged, "alternating rounds must never trip");
     }
 
     #[test]
@@ -214,7 +203,7 @@ mod tests {
             guard.record_round(true, &config(1)),
             SafeModeAction::Release
         );
-        assert!(!guard.engaged());
+        assert!(!guard.engaged);
     }
 
     #[test]
@@ -226,7 +215,7 @@ mod tests {
                 SafeModeAction::Normal
             );
         }
-        assert!(!guard.engaged());
+        assert!(!guard.engaged);
         assert_eq!(guard.trips(), 0);
     }
 
@@ -234,10 +223,10 @@ mod tests {
     fn lucky_single_round_does_not_qualify_as_known_good() {
         let mut guard = SafeModeGuard::new(3, 1);
         guard.record_round(true, &config(1));
-        assert_eq!(guard.last_known_good(), None);
+        assert_eq!(guard.last_known_good.as_ref(), None);
         guard.record_round(true, &config(1));
         guard.record_round(true, &config(1));
-        assert_eq!(guard.last_known_good(), Some(&config(1)));
+        assert_eq!(guard.last_known_good.as_ref(), Some(&config(1)));
     }
 
     #[test]

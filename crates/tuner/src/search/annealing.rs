@@ -27,7 +27,7 @@ impl Annealing {
     /// # Panics
     ///
     /// Panics unless `temperature > 0` and `0 < cooling < 1`.
-    pub fn with_schedule(temperature: f64, cooling: f64) -> Self {
+    pub(crate) fn with_schedule(temperature: f64, cooling: f64) -> Self {
         assert!(temperature > 0.0, "temperature must be positive");
         assert!(
             (0.0..1.0).contains(&cooling) && cooling > 0.0,
@@ -41,11 +41,6 @@ impl Annealing {
             accept_draw: 0.5,
             scratch: Vec::new(),
         }
-    }
-
-    /// Current temperature.
-    pub fn temperature(&self) -> f64 {
-        self.temperature
     }
 }
 
@@ -146,12 +141,12 @@ mod tests {
         let mut annealer = Annealing::new();
         let space = quadratic_space();
         let mut rng = StdRng::seed_from_u64(2);
-        let t0 = annealer.temperature();
+        let t0 = annealer.temperature;
         for _ in 0..10 {
             let c = annealer.propose(&space, &mut rng).unwrap();
             annealer.feedback(&c, 1.0);
         }
-        assert!(annealer.temperature() < t0);
+        assert!(annealer.temperature < t0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl Bandit {
     /// # Panics
     ///
     /// Panics if `techniques` is empty.
-    pub fn new(techniques: Vec<Box<dyn SearchTechnique>>) -> Self {
+    pub(crate) fn new(techniques: Vec<Box<dyn SearchTechnique>>) -> Self {
         assert!(
             !techniques.is_empty(),
             "bandit needs at least one technique"
@@ -89,13 +89,8 @@ impl Bandit {
     }
 
     /// Names of the arms.
-    pub fn arm_names(&self) -> Vec<&'static str> {
+    pub(crate) fn arm_names(&self) -> Vec<&'static str> {
         self.arms.iter().map(|a| a.technique.name()).collect()
-    }
-
-    /// Pull counts per arm (diagnostics).
-    pub fn arm_pulls(&self) -> Vec<u64> {
-        self.arms.iter().map(|a| a.pulls).collect()
     }
 
     fn pick_arm(&self) -> Option<usize> {
@@ -188,11 +183,8 @@ mod tests {
             let c = bandit.propose(&space, &mut rng).unwrap();
             bandit.feedback(&c, 1.0);
         }
-        assert!(
-            bandit.arm_pulls().iter().all(|&p| p > 0),
-            "{:?}",
-            bandit.arm_pulls()
-        );
+        let pulls: Vec<u64> = bandit.arms.iter().map(|a| a.pulls).collect();
+        assert!(pulls.iter().all(|&p| p > 0), "{pulls:?}");
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub struct GeneticBatch {
 impl GeneticBatch {
     /// Creates a generational GA with population 16 and mutation rate
     /// 0.15.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_params(16, 0.15)
     }
 
@@ -147,11 +147,6 @@ impl GeneticBatch {
             mutation_rate,
             population: Vec::new(),
         }
-    }
-
-    /// Current evaluated population size.
-    pub fn population_len(&self) -> usize {
-        self.population.len()
     }
 
     fn tournament<'a>(&'a self, rng: &mut dyn RngCore) -> &'a Configuration {
@@ -273,7 +268,7 @@ mod tests {
             .map(|c| (c.clone(), quadratic_cost(&c)))
             .collect();
         ga.feedback_batch(&results);
-        assert_eq!(ga.population_len(), 8);
+        assert_eq!(ga.population.len(), 8);
         let next = ga.propose_batch(&space, 8, 100);
         assert_eq!(next.len(), 8);
         // survivor selection keeps the population bounded
@@ -282,7 +277,7 @@ mod tests {
             .map(|c| (c.clone(), quadratic_cost(&c)))
             .collect();
         ga.feedback_batch(&results);
-        assert_eq!(ga.population_len(), 8);
+        assert_eq!(ga.population.len(), 8);
     }
 
     #[test]

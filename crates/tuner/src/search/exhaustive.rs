@@ -50,7 +50,7 @@ mod tests {
         assert_eq!(cost, 0.0);
         assert_eq!(config.get_int("x"), Some(7));
         assert_eq!(config.get_int("y"), Some(3));
-        assert_eq!(tuner.history().len(), 256, "16 x 16 cells, then stop");
+        assert_eq!(tuner.history.len(), 256, "16 x 16 cells, then stop");
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl Genetic {
     /// # Panics
     ///
     /// Panics if `population_size < 2` or `mutation_rate` not in `[0, 1]`.
-    pub fn with_params(population_size: usize, mutation_rate: f64) -> Self {
+    pub(crate) fn with_params(population_size: usize, mutation_rate: f64) -> Self {
         assert!(population_size >= 2, "population must hold at least 2");
         assert!(
             (0.0..=1.0).contains(&mutation_rate),
@@ -38,11 +38,6 @@ impl Genetic {
             population: Vec::new(),
             pending: None,
         }
-    }
-
-    /// Current evaluated population size.
-    pub fn population_len(&self) -> usize {
-        self.population.len()
     }
 
     fn tournament<'a>(&'a self, rng: &mut dyn RngCore) -> &'a (Configuration, f64) {
@@ -173,11 +168,11 @@ mod tests {
             let c = ga.propose(&space, &mut rng).unwrap();
             ga.feedback(&c, 1.0);
         }
-        assert_eq!(ga.population_len(), 4);
+        assert_eq!(ga.population.len(), 4);
         // further feedback keeps size constant
         let c = ga.propose(&space, &mut rng).unwrap();
         ga.feedback(&c, 0.5);
-        assert_eq!(ga.population_len(), 4);
+        assert_eq!(ga.population.len(), 4);
     }
 
     #[test]

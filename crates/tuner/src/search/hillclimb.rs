@@ -39,11 +39,6 @@ impl HillClimb {
         }
     }
 
-    /// Number of random restarts performed.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
     fn refill_queue(&mut self, space: &DesignSpace, rng: &mut dyn RngCore) {
         let (config, _) = self.current.as_ref().expect("incumbent set");
         // reuse the queue's allocations across refills

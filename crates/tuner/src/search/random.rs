@@ -15,11 +15,6 @@ impl RandomSearch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of proposals made so far.
-    pub fn proposals(&self) -> u64 {
-        self.proposals
-    }
 }
 
 impl SearchTechnique for RandomSearch {
@@ -62,6 +57,6 @@ mod tests {
         for _ in 0..5 {
             technique.propose(&space, &mut rng);
         }
-        assert_eq!(technique.proposals(), 5);
+        assert_eq!(technique.proposals, 5);
     }
 }

@@ -38,7 +38,7 @@ impl Configuration {
     }
 
     /// Creates an empty configuration with room for `knobs` assignments.
-    pub fn with_capacity(knobs: usize) -> Self {
+    pub(crate) fn with_capacity(knobs: usize) -> Self {
         Configuration {
             values: Vec::with_capacity(knobs),
         }
@@ -51,7 +51,7 @@ impl Configuration {
 
     /// Sets a knob value by pre-interned id (the allocation-free path
     /// the [`DesignSpace`] enumeration and search inner loops use).
-    pub fn set_id(&mut self, id: SymbolId, value: KnobValue) {
+    pub(crate) fn set_id(&mut self, id: SymbolId, value: KnobValue) {
         for entry in &mut self.values {
             if entry.0 == id {
                 entry.1 = value;
@@ -68,12 +68,12 @@ impl Configuration {
     }
 
     /// Gets a knob value.
-    pub fn get(&self, knob: &str) -> Option<&KnobValue> {
+    pub(crate) fn get(&self, knob: &str) -> Option<&KnobValue> {
         self.get_id(lookup(knob)?)
     }
 
     /// Gets a knob value by pre-interned id.
-    pub fn get_id(&self, id: SymbolId) -> Option<&KnobValue> {
+    pub(crate) fn get_id(&self, id: SymbolId) -> Option<&KnobValue> {
         self.values
             .iter()
             .find(|(other, _)| *other == id)
@@ -86,7 +86,7 @@ impl Configuration {
     }
 
     /// Float value of a knob (ints promote).
-    pub fn get_float(&self, knob: &str) -> Option<f64> {
+    pub(crate) fn get_float(&self, knob: &str) -> Option<f64> {
         self.get(knob)?.as_float()
     }
 
@@ -107,13 +107,8 @@ impl Configuration {
     }
 
     /// Number of assigned knobs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Returns `true` if no knobs are assigned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -177,18 +172,13 @@ impl DesignSpace {
     }
 
     /// The knobs, in declaration order.
-    pub fn knobs(&self) -> &[Knob] {
+    pub(crate) fn knobs(&self) -> &[Knob] {
         &self.knobs
     }
 
     /// The knobs' interned ids, parallel to [`knobs`](Self::knobs).
-    pub fn knob_ids(&self) -> &[SymbolId] {
+    pub(crate) fn knob_ids(&self) -> &[SymbolId] {
         &self.ids
-    }
-
-    /// Looks up a knob by name.
-    pub fn knob(&self, name: &str) -> Option<&Knob> {
-        self.knobs.iter().find(|k| k.name() == name)
     }
 
     /// Total number of configurations.
@@ -206,7 +196,7 @@ impl DesignSpace {
     }
 
     /// Uniformly samples one configuration.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Configuration {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Configuration {
         let mut config = Configuration::with_capacity(self.knobs.len());
         for (knob, &id) in self.knobs.iter().zip(&self.ids) {
             let index = rng.gen_range(0..knob.cardinality());
@@ -215,19 +205,11 @@ impl DesignSpace {
         config
     }
 
-    /// All single-knob neighbours of a configuration (one knob moved one
-    /// step up or down its domain; choices move to adjacent entries).
-    pub fn neighbors(&self, config: &Configuration) -> Vec<Configuration> {
-        let mut out = Vec::new();
-        self.neighbors_into(config, &mut out);
-        out
-    }
-
     /// Writes the neighbours of `config` into `out`, reusing its
     /// existing `Configuration` allocations — the buffer local search
     /// loops keep across iterations instead of reallocating every
-    /// refill. Order is identical to [`neighbors`](Self::neighbors).
-    pub fn neighbors_into(&self, config: &Configuration, out: &mut Vec<Configuration>) {
+    /// refill. Knobs are visited in declaration order, the lower neighbour first.
+    pub(crate) fn neighbors_into(&self, config: &Configuration, out: &mut Vec<Configuration>) {
         let mut used = 0;
         for (knob, &id) in self.knobs.iter().zip(&self.ids) {
             let Some(value) = config.get_id(id) else {
@@ -304,16 +286,6 @@ impl DesignSpace {
             let digit = (index % card) as usize;
             index /= card;
             config.set_id(id, knob.value_at(digit));
-        }
-        config
-    }
-
-    /// The configuration at the centre of every domain (a reasonable
-    /// starting point for local search).
-    pub fn center(&self) -> Configuration {
-        let mut config = Configuration::with_capacity(self.knobs.len());
-        for (knob, &id) in self.knobs.iter().zip(&self.ids) {
-            config.set_id(id, knob.value_at(knob.cardinality() / 2));
         }
         config
     }
@@ -401,7 +373,7 @@ mod tests {
         assert_eq!(s.size(), 1);
         let all: Vec<_> = s.iter().collect();
         assert_eq!(all.len(), 1);
-        assert!(all[0].is_empty());
+        assert_eq!(all[0].len(), 0);
     }
 
     #[test]
@@ -419,30 +391,36 @@ mod tests {
         let mut config = Configuration::new();
         config.set("unroll", KnobValue::Int(2));
         config.set("variant", KnobValue::Choice("a".into()));
-        let neighbors = s.neighbors(&config);
+        let mut neighbors = Vec::new();
+        s.neighbors_into(&config, &mut neighbors);
         // unroll: 1 or 3; variant: b
         assert_eq!(neighbors.len(), 3);
         assert!(neighbors.iter().all(|n| s.contains(n)));
         // boundary: unroll=1 has only one integer neighbour
         config.set("unroll", KnobValue::Int(1));
-        assert_eq!(s.neighbors(&config).len(), 2);
+        s.neighbors_into(&config, &mut neighbors);
+        assert_eq!(neighbors.len(), 2);
     }
 
     #[test]
-    fn neighbors_into_reuses_and_matches_neighbors() {
+    fn neighbors_into_overwrites_a_reused_buffer() {
         let s = space();
         let mut config = Configuration::new();
         config.set("unroll", KnobValue::Int(2));
         config.set("variant", KnobValue::Choice("a".into()));
         // oversized, stale buffer: must be overwritten and truncated
-        let mut buffer = vec![s.center(); 7];
+        let mut buffer = vec![config.clone(); 7];
         s.neighbors_into(&config, &mut buffer);
-        assert_eq!(buffer, s.neighbors(&config));
+        let mut fresh = Vec::new();
+        s.neighbors_into(&config, &mut fresh);
+        assert_eq!(buffer, fresh);
         // undersized buffer: must grow
         config.set("unroll", KnobValue::Int(3));
         buffer.truncate(1);
         s.neighbors_into(&config, &mut buffer);
-        assert_eq!(buffer, s.neighbors(&config));
+        fresh.clear();
+        s.neighbors_into(&config, &mut fresh);
+        assert_eq!(buffer, fresh);
     }
 
     #[test]
@@ -474,12 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn center_is_admissible() {
-        let s = space();
-        assert!(s.contains(&s.center()));
-    }
-
-    #[test]
     fn configuration_display() {
         let mut c = Configuration::new();
         c.set("b", KnobValue::Int(1));
@@ -503,7 +475,7 @@ mod tests {
     #[test]
     fn get_by_id_matches_get_by_name() {
         let s = space();
-        let c = s.center();
+        let c = s.iter().next().expect("a non-empty space");
         for (&id, knob) in s.knob_ids().iter().zip(s.knobs()) {
             assert_eq!(c.get_id(id), c.get(knob.name()));
         }

@@ -163,7 +163,7 @@ impl Chunk {
     }
 
     /// Number of local slots (parameters included).
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         self.slot_names.len()
     }
 
@@ -197,38 +197,18 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Creates an empty compiled program.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds (or replaces) a chunk under its function name.
-    pub fn insert(&mut self, chunk: Chunk) {
+    pub(crate) fn insert(&mut self, chunk: Chunk) {
         self.chunks.insert(chunk.name.clone(), Arc::new(chunk));
     }
 
     /// Looks up a chunk by function name.
-    pub fn get(&self, name: &str) -> Option<&Arc<Chunk>> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Arc<Chunk>> {
         self.chunks.get(name)
-    }
-
-    /// Iterates over chunks (name order).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Chunk>)> {
-        self.chunks.iter().map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// Number of chunks.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Returns `true` when no chunks are present.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Total instruction count across all chunks.
-    pub fn instruction_count(&self) -> usize {
-        self.chunks.values().map(|c| c.len()).sum()
     }
 }
 

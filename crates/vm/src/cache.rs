@@ -79,19 +79,6 @@ impl InstrumentedCodeCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct `(program, model)` pairs cached.
-    pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// Returns `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Hit fraction over all lookups so far (0.0 when none were made).
     pub fn hit_rate(&self) -> f64 {
         let hits = self.hits();
@@ -124,7 +111,6 @@ mod tests {
         let ca = cache.instrument(&a, &model);
         let cb = cache.instrument(&b, &model);
         assert!(!Arc::ptr_eq(&ca, &cb));
-        assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
     }
 
@@ -138,7 +124,7 @@ mod tests {
         let a = cache.instrument(&program, &base);
         let b = cache.instrument(&program, &tweaked);
         assert!(!Arc::ptr_eq(&a, &b), "different metering, different entry");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]

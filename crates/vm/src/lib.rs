@@ -3,8 +3,8 @@
 //! The tree-walking interpreter in `antarex-ir` is the *executable
 //! reference*: it defines what a woven program computes and what it
 //! costs. This crate is the fast path: it lowers the same AST to a
-//! compact stack [bytecode] with the cost metering *woven in
-//! at lowering time* (fused per-basic-block [`Instr::Meter`]
+//! compact stack bytecode with the cost metering *woven in
+//! at lowering time* (fused per-basic-block `Instr::Meter`
 //! instructions instead of per-node charges), executes it on a [`Vm`],
 //! and memoizes the instrumented bytecode in a hash-keyed
 //! [`InstrumentedCodeCache`] so a `(program digest, metering params)`
@@ -57,15 +57,14 @@
 //! # }
 //! ```
 
-pub mod bytecode;
-pub mod cache;
-pub mod digest;
-pub mod lower;
+pub(crate) mod bytecode;
+pub(crate) mod cache;
+pub(crate) mod digest;
+pub(crate) mod lower;
 pub(crate) mod reg;
 pub(crate) mod trace;
-pub mod vm;
+pub(crate) mod vm;
 
-pub use bytecode::{Chunk, CompiledProgram, Instr};
 pub use cache::InstrumentedCodeCache;
 pub use digest::CodeKey;
 pub use lower::{lower_function, lower_program};

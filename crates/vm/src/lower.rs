@@ -25,7 +25,7 @@ use antarex_ir::cost::CostModel;
 use antarex_ir::value::Value;
 use std::collections::HashMap;
 
-/// Lowers a single function to a metered [`Chunk`] under `model`.
+/// Lowers a single function to a metered `Chunk` under `model`.
 pub fn lower_function(function: &Function, model: &CostModel) -> Chunk {
     let mut lowerer = Lowerer::new(model);
     for param in &function.params {

@@ -56,9 +56,11 @@ use std::sync::Arc;
 /// ```
 pub struct Vm {
     program: Program,
-    /// Pre-lowered chunks backing [`Vm::from_compiled`]: consulted only
-    /// when the (possibly empty) program has no function of the name, so
-    /// a stale chunk can never shadow a live program edit.
+    /// Pre-lowered chunks for a program-less VM: consulted only when
+    /// the (possibly empty) program has no function of the name, so a
+    /// stale chunk can never shadow a live program edit. No constructor
+    /// sets it any more; the lookup in the call path goes with the next
+    /// change that may edit that path.
     compiled: Option<Arc<CompiledProgram>>,
     /// Per-function lowering memo, validated by `Rc` pointer identity.
     memo: HashMap<String, (Rc<antarex_ir::ast::Function>, Arc<Chunk>)>,
@@ -111,7 +113,7 @@ impl Vm {
 
     /// Replaces the cost model (clears the lowering memo — metering is
     /// woven into the bytecode, so chunks are model-specific).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
+    pub(crate) fn with_cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
         self.memo.clear();
         self
@@ -140,19 +142,9 @@ impl Vm {
         vm
     }
 
-    /// Creates a VM that executes pre-lowered chunks directly, with an
-    /// empty program. This is the cheap per-request constructor for the
-    /// serving tier: the `Arc<CompiledProgram>` is shared, the VM itself
-    /// is a handful of words.
-    pub fn from_compiled(compiled: Arc<CompiledProgram>) -> Self {
-        let mut vm = Vm::new(Program::new());
-        vm.compiled = Some(compiled);
-        vm
-    }
-
     /// Sets (or clears) the execution budget in cost units. The default
     /// is 2·10⁸ units, matching the interpreter.
-    pub fn set_budget(&mut self, budget: Option<u64>) {
+    pub(crate) fn set_budget(&mut self, budget: Option<u64>) {
         self.budget = budget;
     }
 
@@ -163,38 +155,19 @@ impl Vm {
     }
 
     /// Installs the dynamic-weaving dispatcher.
-    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
+    pub(crate) fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
         self.dispatcher = Some(dispatcher);
     }
 
-    /// Removes the dispatcher, returning it.
-    pub fn take_dispatcher(&mut self) -> Option<Box<dyn Dispatcher>> {
-        self.dispatcher.take()
-    }
-
     /// The program being executed (it may grow under dynamic weaving).
-    pub fn program(&self) -> &Program {
+    pub(crate) fn program(&self) -> &Program {
         &self.program
     }
 
     /// Mutable access to the program (design-time edits between runs;
     /// edited functions re-lower on next call via `Rc` identity).
-    pub fn program_mut(&mut self) -> &mut Program {
+    pub(crate) fn program_mut(&mut self) -> &mut Program {
         &mut self.program
-    }
-
-    /// Consumes the VM, returning the (possibly grown) program.
-    pub fn into_program(self) -> Program {
-        self.program
-    }
-
-    /// The lowered chunk for a function, if it exists (lowering it now if
-    /// needed) — exposes meter-fusion and bytecode-size statistics.
-    pub fn chunk(&mut self, name: &str) -> Option<Arc<Chunk>> {
-        if self.program.contains(name) {
-            return Some(self.chunk_for(name));
-        }
-        self.compiled.as_ref().and_then(|c| c.get(name)).cloned()
     }
 
     /// Calls a function by name with the given arguments.
@@ -1640,19 +1613,6 @@ mod tests {
             vm.call("g", &[], &mut ExecEnv::new()).unwrap(),
             Value::Int(7)
         );
-    }
-
-    #[test]
-    fn from_compiled_runs_without_a_program() {
-        let program = parse_program("int inc(int x) { return x + 1; }").unwrap();
-        let compiled = Arc::new(crate::lower::lower_program(&program, &CostModel::new()));
-        let mut vm = Vm::from_compiled(compiled);
-        assert_eq!(
-            vm.call("inc", &[Value::Int(41)], &mut ExecEnv::new())
-                .unwrap(),
-            Value::Int(42)
-        );
-        assert!(vm.program().is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use antarex_ir::{Block, IrError, NodePath, Stmt};
 
 /// Where to splice relative to the addressed statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InsertPos {
+pub(crate) enum InsertPos {
     /// Immediately before the statement.
     Before,
     /// Immediately after the statement.
@@ -41,7 +41,7 @@ pub fn insert_after(body: &mut Block, path: &NodePath, stmts: Vec<Stmt>) -> Resu
 ///
 /// Returns [`IrError::BadPath`] if the path does not address a statement of
 /// `body`.
-pub fn insert_at(
+pub(crate) fn insert_at(
     body: &mut Block,
     path: &NodePath,
     stmts: Vec<Stmt>,

@@ -4,7 +4,7 @@
 //! al., DATE 2016): the operations a LARA-style aspect triggers on the
 //! program under weaving.
 //!
-//! * [`insert`] — inject instrumentation statements before/after a join
+//! * `insert` — inject instrumentation statements before/after a join
 //!   point (paper Fig. 2, `insert before %{profile_args(...)}%`),
 //! * [`transform::unroll`] — full and partial loop unrolling (paper Fig. 3,
 //!   `do LoopUnroll('full')`),
@@ -12,7 +12,7 @@
 //!   propagation and folding (paper Fig. 4, `Specialize($fCall, ...)`),
 //! * [`transform::fold`] — constant folding / branch pruning that makes
 //!   specialization pay off,
-//! * [`versioning`] — the multi-version dispatch tables behind
+//! * `versioning` — the multi-version dispatch tables behind
 //!   `PrepareSpecialize` / `AddVersion`, consulted at runtime by the
 //!   dynamic weaver (split compilation: offline preparation, online
 //!   binding).
@@ -36,9 +36,9 @@
 //! # }
 //! ```
 
-pub mod insert;
+pub(crate) mod insert;
 pub mod transform;
-pub mod versioning;
+pub(crate) mod versioning;
 
-pub use insert::{insert_after, insert_before, InsertPos};
+pub use insert::{insert_after, insert_before};
 pub use versioning::VersionStore;

@@ -48,7 +48,7 @@ fn has_call(expr: &Expr) -> bool {
 /// Returns the number of statements removed. Run to a fixed point by the
 /// caller if cascading removal is wanted ([`eliminate_dead_stores`] does
 /// one pass; [`dce_fixpoint`] iterates).
-pub fn eliminate_dead_stores(body: &mut Block) -> usize {
+pub(crate) fn eliminate_dead_stores(body: &mut Block) -> usize {
     // collect candidate paths first (immutable walk), then delete in
     // reverse pre-order so paths stay valid
     let listing = NodePath::enumerate(body);
@@ -85,7 +85,7 @@ pub fn eliminate_dead_stores(body: &mut Block) -> usize {
     removed
 }
 
-/// Runs [`eliminate_dead_stores`] to a fixed point (removing a store can
+/// Runs `eliminate_dead_stores` to a fixed point (removing a store can
 /// kill the stores feeding it). Returns total statements removed.
 pub fn dce_fixpoint(body: &mut Block) -> usize {
     let mut total = 0;

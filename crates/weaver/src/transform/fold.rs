@@ -12,7 +12,7 @@ use antarex_ir::{BinOp, Block, Expr, Stmt, UnOp};
 /// Integer arithmetic folds exactly (wrapping); float arithmetic folds in
 /// f64. Division by a constant zero is left unfolded so the runtime error
 /// surfaces where the programmer wrote it.
-pub fn fold_expr(expr: &Expr) -> Expr {
+pub(crate) fn fold_expr(expr: &Expr) -> Expr {
     match expr {
         Expr::Unary(op, inner) => {
             let inner = fold_expr(inner);

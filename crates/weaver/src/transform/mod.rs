@@ -4,6 +4,6 @@ pub mod dce;
 pub mod fold;
 pub mod inline;
 pub mod specialize;
-pub mod subst;
+pub(crate) mod subst;
 pub mod tile;
 pub mod unroll;

@@ -49,7 +49,7 @@ impl std::error::Error for SpecializeError {}
 
 /// Derives the name of the specialized version of `function` with `param`
 /// bound to `value` (e.g. `kernel__size_64`).
-pub fn specialized_name(function: &str, param: &str, value: &Value) -> String {
+pub(crate) fn specialized_name(function: &str, param: &str, value: &Value) -> String {
     let tag = match value {
         Value::Int(v) => v.to_string().replace('-', "m"),
         Value::Float(v) => format!("{v}").replace('-', "m").replace('.', "p"),
@@ -65,7 +65,7 @@ pub fn specialized_name(function: &str, param: &str, value: &Value) -> String {
 /// simply never read), so existing call sites — and the runtime dispatcher
 /// that redirects them — keep passing the same argument list. The caller is
 /// responsible for inserting the returned function into the program (and
-/// for updating call sites or a [version table](crate::versioning)).
+/// for updating call sites or a version table).
 ///
 /// # Errors
 ///

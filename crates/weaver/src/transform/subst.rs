@@ -8,7 +8,7 @@ use antarex_ir::{Block, Expr, LValue, Stmt};
 /// is genuinely constant; specialization removes the parameter entirely so no
 /// writes can exist, and unrolling substitutes the induction variable only in
 /// body copies where it is not reassigned).
-pub fn substitute_block(block: &Block, name: &str, value: &Expr) -> Block {
+pub(crate) fn substitute_block(block: &Block, name: &str, value: &Expr) -> Block {
     block
         .iter()
         .map(|s| substitute_stmt(s, name, value))
@@ -16,7 +16,7 @@ pub fn substitute_block(block: &Block, name: &str, value: &Expr) -> Block {
 }
 
 /// Replaces every read of `name` with `value` in one statement (recursively).
-pub fn substitute_stmt(stmt: &Stmt, name: &str, value: &Expr) -> Stmt {
+pub(crate) fn substitute_stmt(stmt: &Stmt, name: &str, value: &Expr) -> Stmt {
     match stmt {
         Stmt::Decl { name: n, ty, init } => Stmt::Decl {
             name: n.clone(),

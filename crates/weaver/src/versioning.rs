@@ -14,12 +14,12 @@ use std::fmt;
 
 /// Canonical dispatch key derived from a runtime argument value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VersionKey(String);
+pub(crate) struct VersionKey(String);
 
 impl VersionKey {
     /// Builds a key from a runtime value. Floats are keyed by their exact
     /// bit pattern, so `0.1` and `0.1 + 1e-18` are distinct versions.
-    pub fn of(value: &Value) -> Option<VersionKey> {
+    pub(crate) fn of(value: &Value) -> Option<VersionKey> {
         match value {
             Value::Int(v) => Some(VersionKey(format!("i{v}"))),
             Value::Float(v) => Some(VersionKey(format!("f{:016x}", v.to_bits()))),
@@ -37,14 +37,10 @@ impl fmt::Display for VersionKey {
 
 #[derive(Debug, Clone, Default)]
 struct Table {
-    param: String,
     param_index: usize,
     versions: BTreeMap<VersionKey, String>,
-    /// Logical timestamp of each version's last dispatch (LRU state).
-    last_used: BTreeMap<VersionKey, u64>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 /// Registry of multi-versioned functions and their specialized variants.
@@ -56,7 +52,7 @@ struct Table {
 /// use antarex_ir::value::Value;
 ///
 /// let mut store = VersionStore::new();
-/// store.prepare("kernel", "size", 1);
+/// store.prepare("kernel", 1);
 /// store.add_version("kernel", &Value::Int(64), "kernel__size_64");
 /// let resolved = store.resolve("kernel", &[Value::Unit, Value::Int(64)]);
 /// assert_eq!(resolved, Some("kernel__size_64"));
@@ -64,52 +60,22 @@ struct Table {
 #[derive(Debug, Clone, Default)]
 pub struct VersionStore {
     tables: HashMap<String, Table>,
-    /// Maximum versions per function; `None` = unbounded.
-    capacity: Option<usize>,
-    clock: u64,
 }
 
 impl VersionStore {
-    /// Creates an empty, unbounded store.
+    /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a store evicting least-recently-dispatched versions beyond
-    /// `capacity` per function — code caches are finite in real JIT
-    /// systems, and eviction pressure is part of the split-compilation
-    /// trade-off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        VersionStore {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
-    }
-
-    /// The per-function capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Total versions evicted from a function's table so far.
-    pub fn evictions(&self, function: &str) -> u64 {
-        self.tables.get(function).map_or(0, |t| t.evictions)
-    }
-
     /// Registers `function` for multi-version dispatch on the parameter
-    /// `param` at position `param_index` (the offline preparation step).
+    /// at position `param_index` (the offline preparation step).
     ///
     /// Re-preparing an already-prepared function resets its version table.
-    pub fn prepare(&mut self, function: &str, param: &str, param_index: usize) {
+    pub fn prepare(&mut self, function: &str, param_index: usize) {
         self.tables.insert(
             function.to_string(),
             Table {
-                param: param.to_string(),
                 param_index,
                 ..Table::default()
             },
@@ -121,49 +87,17 @@ impl VersionStore {
         self.tables.contains_key(function)
     }
 
-    /// The dispatch parameter (name, index) of a prepared function.
-    pub fn dispatch_param(&self, function: &str) -> Option<(&str, usize)> {
-        self.tables
-            .get(function)
-            .map(|t| (t.param.as_str(), t.param_index))
-    }
-
     /// Adds a specialized version for the given dispatch value (the online
     /// binding step). Returns `false` if the function was never prepared or
     /// the value cannot be keyed.
-    ///
-    /// On a capacity-bounded store, inserting past the per-function limit
-    /// evicts the least-recently-dispatched version (its function body
-    /// stays in the program but will no longer be dispatched to; a
-    /// re-occurring value re-specializes).
     pub fn add_version(&mut self, function: &str, value: &Value, specialized: &str) -> bool {
-        let capacity = self.capacity;
-        self.clock += 1;
-        let clock = self.clock;
         let Some(table) = self.tables.get_mut(function) else {
             return false;
         };
         let Some(key) = VersionKey::of(value) else {
             return false;
         };
-        table.versions.insert(key.clone(), specialized.to_string());
-        table.last_used.insert(key.clone(), clock);
-        if let Some(capacity) = capacity {
-            while table.versions.len() > capacity {
-                let Some(victim) = table
-                    .last_used
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .min_by_key(|(_, &t)| t)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                table.versions.remove(&victim);
-                table.last_used.remove(&victim);
-                table.evictions += 1;
-            }
-        }
+        table.versions.insert(key, specialized.to_string());
         true
     }
 
@@ -172,15 +106,12 @@ impl VersionStore {
     ///
     /// Updates hit/miss counters used by the split-compilation experiments.
     pub fn resolve(&mut self, function: &str, args: &[Value]) -> Option<&str> {
-        self.clock += 1;
-        let clock = self.clock;
         let table = self.tables.get_mut(function)?;
         let arg = args.get(table.param_index)?;
         let key = VersionKey::of(arg)?;
         match table.versions.get(&key) {
             Some(name) => {
                 table.hits += 1;
-                table.last_used.insert(key, clock);
                 Some(name.as_str())
             }
             None => {
@@ -188,14 +119,6 @@ impl VersionStore {
                 None
             }
         }
-    }
-
-    /// Like [`VersionStore::resolve`] but without touching the counters.
-    pub fn peek(&self, function: &str, args: &[Value]) -> Option<&str> {
-        let table = self.tables.get(function)?;
-        let arg = args.get(table.param_index)?;
-        let key = VersionKey::of(arg)?;
-        table.versions.get(&key).map(String::as_str)
     }
 
     /// Number of versions registered for a function.
@@ -209,13 +132,6 @@ impl VersionStore {
             .get(function)
             .map_or((0, 0), |t| (t.hits, t.misses))
     }
-
-    /// Names of all prepared functions.
-    pub fn prepared_functions(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -226,9 +142,8 @@ mod tests {
     fn prepare_add_resolve_cycle() {
         let mut store = VersionStore::new();
         assert!(!store.is_prepared("kernel"));
-        store.prepare("kernel", "size", 1);
+        store.prepare("kernel", 1);
         assert!(store.is_prepared("kernel"));
-        assert_eq!(store.dispatch_param("kernel"), Some(("size", 1)));
 
         assert!(store.add_version("kernel", &Value::Int(8), "kernel__size_8"));
         assert!(store.add_version("kernel", &Value::Int(16), "kernel__size_16"));
@@ -253,7 +168,7 @@ mod tests {
     #[test]
     fn float_keys_are_exact() {
         let mut store = VersionStore::new();
-        store.prepare("k", "x", 0);
+        store.prepare("k", 0);
         store.add_version("k", &Value::Float(0.5), "k_half");
         assert_eq!(store.resolve("k", &[Value::Float(0.5)]), Some("k_half"));
         assert_eq!(store.resolve("k", &[Value::Float(0.5000001)]), None);
@@ -262,7 +177,7 @@ mod tests {
     #[test]
     fn array_dispatch_value_is_unkeyable() {
         let mut store = VersionStore::new();
-        store.prepare("k", "a", 0);
+        store.prepare("k", 0);
         assert!(!store.add_version("k", &Value::Array(vec![]), "nope"));
         assert_eq!(store.resolve("k", &[Value::Array(vec![])]), None);
     }
@@ -270,52 +185,9 @@ mod tests {
     #[test]
     fn re_prepare_resets_versions() {
         let mut store = VersionStore::new();
-        store.prepare("k", "x", 0);
+        store.prepare("k", 0);
         store.add_version("k", &Value::Int(1), "k_1");
-        store.prepare("k", "x", 0);
+        store.prepare("k", 0);
         assert_eq!(store.version_count("k"), 0);
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_dispatched() {
-        let mut store = VersionStore::with_capacity(2);
-        store.prepare("k", "x", 0);
-        store.add_version("k", &Value::Int(1), "k_1");
-        store.add_version("k", &Value::Int(2), "k_2");
-        // touch version 1 so version 2 becomes the LRU
-        assert_eq!(store.resolve("k", &[Value::Int(1)]), Some("k_1"));
-        store.add_version("k", &Value::Int(3), "k_3");
-        assert_eq!(store.version_count("k"), 2);
-        assert_eq!(store.evictions("k"), 1);
-        assert_eq!(store.peek("k", &[Value::Int(2)]), None, "LRU evicted");
-        assert_eq!(store.peek("k", &[Value::Int(1)]), Some("k_1"));
-        assert_eq!(store.peek("k", &[Value::Int(3)]), Some("k_3"));
-    }
-
-    #[test]
-    fn unbounded_store_never_evicts() {
-        let mut store = VersionStore::new();
-        store.prepare("k", "x", 0);
-        for i in 0..100 {
-            store.add_version("k", &Value::Int(i), &format!("k_{i}"));
-        }
-        assert_eq!(store.version_count("k"), 100);
-        assert_eq!(store.evictions("k"), 0);
-        assert_eq!(store.capacity(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = VersionStore::with_capacity(0);
-    }
-
-    #[test]
-    fn peek_does_not_count() {
-        let mut store = VersionStore::new();
-        store.prepare("k", "x", 0);
-        store.add_version("k", &Value::Int(1), "k_1");
-        assert_eq!(store.peek("k", &[Value::Int(1)]), Some("k_1"));
-        assert_eq!(store.stats("k"), (0, 0));
     }
 }
