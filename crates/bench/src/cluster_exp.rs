@@ -27,7 +27,7 @@ use crate::Digest;
 use antarex_obs::{MetricsRegistry, Scope};
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::cluster_ctrl::{
-    ClusterFaultView, ClusterObs, FacilityController, NodeController, RegionKind, SensedFill,
+    ClusterObs, FacilityController, NodeController, RegionKind, SensedFill,
 };
 use antarex_rtrm::powercap::{
     estimated_power_at_temp, estimated_power_w, try_weighted_split_observed, PowercapObs,
@@ -292,7 +292,6 @@ pub fn run_profile(
         _ => storm_config(seed, scale.crash_rate),
     };
     let schedule = FaultSchedule::generate(&fault_config, scale.nodes, scale.horizon_s);
-    let view = ClusterFaultView::new(&schedule);
 
     let registry = MetricsRegistry::new();
     let obs = ClusterObs::register(&registry);
@@ -359,7 +358,7 @@ pub fn run_profile(
 
         // --- sequential: absorb crashes, requeue victims -------------
         for slot in slots.iter_mut() {
-            let crashed_now = view.first_crash_in(slot.index, t, t + dt).is_some();
+            let crashed_now = schedule.first_crash_in(slot.index, t, t + dt).is_some();
             if crashed_now {
                 obs.crashes.inc();
                 if let Some(job) = slot.running.take() {
@@ -376,7 +375,7 @@ pub fn run_profile(
                     });
                 }
             }
-            slot.alive = view.node_alive(slot.index, t) && !crashed_now;
+            slot.alive = schedule.node_alive(slot.index, t) && !crashed_now;
         }
 
         // --- sequential: dispatch in node-index order ----------------
@@ -435,7 +434,7 @@ pub fn run_profile(
             for chunk_slots in slots.chunks_mut(chunk) {
                 scope.spawn(|| {
                     for slot in chunk_slots {
-                        step_slot(slot, &view, t, dt, ckpt_interval_s, scale, flat_pstate);
+                        step_slot(slot, &schedule, t, dt, ckpt_interval_s, scale, flat_pstate);
                     }
                 });
             }
@@ -521,7 +520,7 @@ pub fn run_profile(
 /// its own slot, so the parallel phase is chunk-shape-invariant.
 fn step_slot(
     slot: &mut NodeSlot,
-    view: &ClusterFaultView,
+    schedule: &FaultSchedule,
     t: f64,
     dt: f64,
     ckpt_interval_s: f64,
@@ -543,7 +542,7 @@ fn step_slot(
 
     // hardened telemetry: the out-of-band path may drop or freeze
     let truth_c = slot.node.temp_c();
-    let raw = match view.sensor_effect(slot.index, t) {
+    let raw = match schedule.sensor_effect(slot.index, t) {
         SensorEffect::Ok => {
             slot.stuck_frozen = None;
             Some(truth_c)

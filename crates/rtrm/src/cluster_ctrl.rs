@@ -14,9 +14,7 @@
 //!    demand every control step (`powercap::try_weighted_split_observed`).
 //! 2. **Job dispatch** — crashes reported by `sim::faults` requeue the
 //!    victim's job from its last checkpoint (`rtrm::checkpoint` cadence);
-//!    re-dispatch onto another node is a migration. [`ClusterFaultView`]
-//!    indexes the fault schedule for O(log n) point queries so a
-//!    4096-node campaign is not O(events) per step.
+//!    re-dispatch onto another node is a migration.
 //! 3. **Per-node region capper** ([`NodeController`]) — picks a P-state
 //!    per application region following the Chadha/Gerndt DVFS/UFS model:
 //!    compute-bound regions run at the fastest cap-admissible state,
@@ -40,112 +38,7 @@ use crate::thermal_ctrl::ThermalThrottle;
 use antarex_monitor::resilient::{Fill, ResilientSensor};
 use antarex_obs::{Counter, Gauge, MetricsRegistry, Scope};
 use antarex_sim::cooling::CoolingPlant;
-use antarex_sim::faults::{FaultKind, FaultSchedule, SensorEffect};
 use antarex_sim::node::Node;
-
-// ---------------------------------------------------------------------------
-// Fault-schedule index
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SensorWindow {
-    start_s: f64,
-    until_s: f64,
-    stuck: bool,
-}
-
-/// Per-node index of one node's fault timeline.
-#[derive(Debug, Clone, Default)]
-struct NodeFaultIndex {
-    crashes: Vec<f64>,
-    repairs: Vec<f64>,
-    sensor_windows: Vec<SensorWindow>,
-}
-
-/// A per-node index over a [`FaultSchedule`]: the schedule's point
-/// queries scan the whole event list (fine for eight nodes, ruinous for
-/// 4096 × 240 control steps), this view answers the same questions by
-/// binary search. Built once per campaign; semantics are verified
-/// against the schedule's own queries in the tests.
-#[derive(Debug, Clone)]
-pub struct ClusterFaultView {
-    nodes: Vec<NodeFaultIndex>,
-    crash_count: usize,
-}
-
-impl ClusterFaultView {
-    /// Indexes `schedule` (crash/repair alternation and sensor windows;
-    /// the other fault classes keep their schedule-side queries).
-    pub fn new(schedule: &FaultSchedule) -> Self {
-        let mut nodes = vec![NodeFaultIndex::default(); schedule.nodes()];
-        let mut crash_count = 0;
-        for event in schedule.events() {
-            match event.kind {
-                FaultKind::NodeCrash { node } => {
-                    nodes[node].crashes.push(event.time_s);
-                    crash_count += 1;
-                }
-                FaultKind::NodeRepair { node } => nodes[node].repairs.push(event.time_s),
-                FaultKind::SensorDropout { node, until_s } => {
-                    nodes[node].sensor_windows.push(SensorWindow {
-                        start_s: event.time_s,
-                        until_s,
-                        stuck: false,
-                    })
-                }
-                FaultKind::SensorStuck { node, until_s } => {
-                    nodes[node].sensor_windows.push(SensorWindow {
-                        start_s: event.time_s,
-                        until_s,
-                        stuck: true,
-                    })
-                }
-                _ => {}
-            }
-        }
-        ClusterFaultView { nodes, crash_count }
-    }
-
-    /// Total crash events indexed.
-    pub fn crash_count(&self) -> usize {
-        self.crash_count
-    }
-
-    /// Is `node` up at time `t`? Matches
-    /// [`FaultSchedule::node_alive`] (events at exactly `t` included).
-    pub fn node_alive(&self, node: usize, t: f64) -> bool {
-        let idx = &self.nodes[node];
-        let crashed = idx.crashes.partition_point(|&c| c <= t);
-        let repaired = idx.repairs.partition_point(|&r| r <= t);
-        crashed == repaired
-    }
-
-    /// First crash of `node` in `[from_s, to_s)`, if any.
-    pub fn first_crash_in(&self, node: usize, from_s: f64, to_s: f64) -> Option<f64> {
-        let crashes = &self.nodes[node].crashes;
-        let i = crashes.partition_point(|&c| c < from_s);
-        crashes.get(i).copied().filter(|&c| c < to_s)
-    }
-
-    /// What the telemetry channel of `node` does at time `t`. Matches
-    /// [`FaultSchedule::sensor_effect`].
-    pub fn sensor_effect(&self, node: usize, t: f64) -> SensorEffect {
-        let windows = &self.nodes[node].sensor_windows;
-        let i = windows.partition_point(|w| w.start_s <= t);
-        // windows are non-overlapping per node; only the latest started
-        // one can still be active
-        match i.checked_sub(1).map(|j| windows[j]) {
-            Some(w) if t < w.until_s => {
-                if w.stuck {
-                    SensorEffect::StuckSince(w.start_s)
-                } else {
-                    SensorEffect::Dropped
-                }
-            }
-            _ => SensorEffect::Ok,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Hardened telemetry channel
@@ -528,77 +421,7 @@ impl ClusterObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antarex_sim::faults::FaultConfig;
     use antarex_sim::node::NodeSpec;
-
-    fn storm_schedule(seed: u64) -> FaultSchedule {
-        let mut config = FaultConfig::exascale(seed, 4.0);
-        config.power_spike_mtbf_s = 0.0;
-        config.link_mtbf_s = 0.0;
-        config.gray_mtbf_s = 0.0;
-        config.corrupt_mtbf_s = 0.0;
-        FaultSchedule::generate(&config, 12, 24.0 * 3600.0)
-    }
-
-    #[test]
-    fn fault_view_matches_schedule_queries() {
-        let schedule = storm_schedule(71);
-        let view = ClusterFaultView::new(&schedule);
-        assert!(view.crash_count() > 0, "storm must crash nodes");
-        // sample a grid of (node, time) points plus every event edge
-        let mut times: Vec<f64> = (0..200).map(|i| i as f64 * 431.7).collect();
-        for e in schedule.events() {
-            times.push(e.time_s);
-            times.push(e.time_s + 1e-6);
-        }
-        for node in 0..schedule.nodes() {
-            for &t in &times {
-                assert_eq!(
-                    view.node_alive(node, t),
-                    schedule.node_alive(node, t),
-                    "alive({node}, {t})"
-                );
-                assert_eq!(
-                    view.sensor_effect(node, t),
-                    schedule.sensor_effect(node, t),
-                    "sensor({node}, {t})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fault_view_crash_windows_and_repair() {
-        let schedule = storm_schedule(73);
-        let view = ClusterFaultView::new(&schedule);
-        let (t, node) = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::NodeCrash { node } => Some((e.time_s, node)),
-                _ => None,
-            })
-            .expect("storm crashes");
-        assert_eq!(view.first_crash_in(node, t - 1.0, t + 1.0), Some(t));
-        assert_eq!(view.first_crash_in(node, t, t + 1.0), Some(t));
-        assert_eq!(view.first_crash_in(node, t + 1e-9, t + 1e-6), None);
-        let back = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::NodeRepair { node: repaired } if repaired == node && e.time_s > t => {
-                    Some(e.time_s)
-                }
-                _ => None,
-            })
-            .unwrap_or(f64::INFINITY);
-        assert!(back > t, "repair strictly after crash");
-        assert!(
-            view.crashes_match_schedule(&schedule),
-            "every crash indexed"
-        );
-        assert!(!view.node_alive(node, (t + back.min(t + 1e9)) / 2.0));
-    }
 
     #[test]
     fn sensor_channel_degradation_ladder() {
@@ -775,17 +598,5 @@ mod tests {
         // idempotent re-registration shares cells
         let again = ClusterObs::register(&registry);
         assert_eq!(again.crashes.get(), 1);
-    }
-
-    impl ClusterFaultView {
-        /// Test helper: every schedule crash is indexed exactly once.
-        fn crashes_match_schedule(&self, schedule: &FaultSchedule) -> bool {
-            let scheduled = schedule
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, FaultKind::NodeCrash { .. }))
-                .count();
-            scheduled == self.crash_count
-        }
     }
 }

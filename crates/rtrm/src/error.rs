@@ -2,10 +2,8 @@
 //!
 //! A facility controller that re-splits its budget every few virtual
 //! seconds cannot afford a panic because one telemetry sample carried a
-//! NaN or a crashed node shrank the alive set to zero. Constructors and
-//! phase runners in [`crate::hierarchy`] and [`crate::powercap`] expose
-//! `try_` variants returning [`RtrmError`]; the legacy panicking forms
-//! remain as thin `expect` wrappers so existing callers compile.
+//! NaN. Constructors in [`crate::cluster_ctrl`] and [`crate::powercap`]
+//! validate their budgets and return [`RtrmError`] instead.
 
 use std::fmt;
 
@@ -20,18 +18,6 @@ pub enum RtrmError {
         /// The offending value.
         value: f64,
     },
-    /// Two parallel collections that must line up did not (e.g. one
-    /// work list per node).
-    ShapeMismatch {
-        /// What must match.
-        what: &'static str,
-        /// Expected length.
-        expected: usize,
-        /// Actual length.
-        actual: usize,
-    },
-    /// An operation needed at least one alive node and found none.
-    NoAliveNodes,
 }
 
 impl fmt::Display for RtrmError {
@@ -40,12 +26,6 @@ impl fmt::Display for RtrmError {
             RtrmError::InvalidBudget { what, value } => {
                 write!(f, "{what} must be positive and finite, got {value}")
             }
-            RtrmError::ShapeMismatch {
-                what,
-                expected,
-                actual,
-            } => write!(f, "{what}: expected {expected}, got {actual}"),
-            RtrmError::NoAliveNodes => write!(f, "no alive nodes to manage"),
         }
     }
 }
@@ -73,14 +53,6 @@ mod tests {
         }
         .to_string()
         .contains("positive"));
-        assert!(RtrmError::ShapeMismatch {
-            what: "one work list per node",
-            expected: 4,
-            actual: 3
-        }
-        .to_string()
-        .contains("expected 4"));
-        assert!(RtrmError::NoAliveNodes.to_string().contains("alive"));
     }
 
     #[test]

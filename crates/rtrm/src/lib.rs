@@ -23,13 +23,12 @@
 //! * [`thermal_ctrl`] — the thermally-safe operating point: junction
 //!   throttling plus the MS3-style "do less when it's too hot" admission
 //!   policy;
-//! * [`hierarchy`] — the multi-layer control loop composing cluster power
-//!   budgeting, job-level managers and node governors;
 //! * [`checkpoint`] — coordinated checkpoint/restart with a tunable
 //!   interval (Daly-optimal baseline) for the resiliency experiments;
-//! * [`cluster_ctrl`] — the fault-tolerant cluster-scale control plane:
-//!   facility budget tracking ambient cooling efficiency, sensor-hardened
-//!   per-node region cappers, checkpoint-based requeue on node crashes;
+//! * [`cluster_ctrl`] — the hierarchical control loop, fault-tolerant at
+//!   cluster scale: a facility budget tracking ambient cooling
+//!   efficiency, split by demand across sensor-hardened per-node region
+//!   cappers, with checkpoint-based requeue on node crashes;
 //! * `error` — the typed `RtrmError` returned by the non-panicking
 //!   control-plane APIs.
 
@@ -39,7 +38,6 @@ pub mod dispatch;
 pub mod energy_sched;
 pub(crate) mod error;
 pub mod governor;
-pub mod hierarchy;
 pub mod powercap;
 pub mod replay;
 pub mod scheduler;

@@ -2,7 +2,7 @@
 //!
 //! Node-level capping picks the fastest P-state whose estimated full-load
 //! power stays under the cap; cluster-level capping splits a facility
-//! budget across nodes, either uniformly or weighted by demand — the
+//! budget across nodes weighted by demand — the
 //! "maximum power budget that can be allocated to a specific computation"
 //! from §IV.
 
@@ -124,16 +124,11 @@ impl PowerCapper {
         self.cap_w
     }
 
-    /// The fastest P-state whose estimated power respects the cap
-    /// (index 0 if even the slowest exceeds it — the cap is then
-    /// unenforceable and the caller should shed load instead).
-    pub(crate) fn admissible_pstate(&self, node: &Node) -> usize {
-        self.admissible_pstate_at_temp(node, node.temp_c())
-    }
-
-    /// [`admissible_pstate`](PowerCapper::admissible_pstate) evaluated
-    /// at an explicitly sensed junction temperature — the form a
-    /// controller behind a degraded sensor channel must use (see
+    /// The fastest P-state whose estimated power at the sensed junction
+    /// temperature `temp_c` respects the cap (index 0 if even the
+    /// slowest exceeds it — the cap is then unenforceable and the caller
+    /// should shed load instead). A controller behind a degraded sensor
+    /// channel regulates against what it sensed, never ground truth (see
     /// [`estimated_power_at_temp`]).
     pub(crate) fn admissible_pstate_at_temp(&self, node: &Node, temp_c: f64) -> usize {
         let mut chosen = 0;
@@ -144,26 +139,6 @@ impl PowerCapper {
         }
         chosen
     }
-
-    /// Applies the cap: clamps the node's current P-state.
-    /// Returns the chosen index.
-    pub(crate) fn enforce(&self, node: &mut Node) -> usize {
-        let admissible = self.admissible_pstate(node);
-        if node.pstate_index() > admissible {
-            node.set_pstate(admissible);
-        }
-        node.pstate_index()
-    }
-}
-
-/// Splits a cluster budget uniformly across `nodes` nodes; `None` when
-/// `nodes` is zero — the case a fault-ridden cluster actually hits when
-/// every node is down and there is nobody to give the budget to.
-pub(crate) fn try_uniform_split(budget_w: f64, nodes: usize) -> Option<Vec<f64>> {
-    if nodes == 0 {
-        return None;
-    }
-    Some(vec![budget_w / nodes as f64; nodes])
 }
 
 /// Splits a cluster budget proportionally to per-node demand weights
@@ -226,7 +201,6 @@ fn weighted_split_clean(budget_w: f64, weights: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antarex_sim::job::WorkUnit;
     use antarex_sim::node::NodeSpec;
 
     #[test]
@@ -257,47 +231,18 @@ mod tests {
         // generous cap: fastest state allowed
         let capper = PowerCapper::new(hi_power + 10.0);
         assert_eq!(
-            capper.admissible_pstate(&node),
+            capper.admissible_pstate_at_temp(&node, node.temp_c()),
             node.spec().pstates.max_index()
         );
         // tight cap: must back off
         let capper = PowerCapper::new(hi_power * 0.6);
-        let idx = capper.admissible_pstate(&node);
+        let idx = capper.admissible_pstate_at_temp(&node, node.temp_c());
         assert!(idx < node.spec().pstates.max_index());
         assert!(estimated_power_w(&node, idx) <= hi_power * 0.6);
     }
 
     #[test]
-    fn enforce_clamps_but_never_raises() {
-        let mut node = Node::nominal(NodeSpec::cineca_xeon(), 0);
-        node.set_pstate(2);
-        let generous = PowerCapper::new(1e6);
-        assert_eq!(generous.enforce(&mut node), 2, "cap must not overclock");
-        node.set_pstate(node.spec().pstates.max_index());
-        let tight = PowerCapper::new(estimated_power_w(&node, 3));
-        let chosen = tight.enforce(&mut node);
-        assert!(chosen <= 3);
-    }
-
-    #[test]
-    fn capped_node_draws_less_power() {
-        let work = WorkUnit::compute_bound(1e12);
-        let mut free = Node::nominal(NodeSpec::cineca_xeon(), 0);
-        let uncapped = free.execute(&work);
-        let mut capped = Node::nominal(NodeSpec::cineca_xeon(), 1);
-        PowerCapper::new(uncapped.avg_power_w * 0.7).enforce(&mut capped);
-        let capped_outcome = capped.execute(&work);
-        assert!(capped_outcome.avg_power_w < uncapped.avg_power_w);
-        assert!(
-            capped_outcome.time_s > uncapped.time_s,
-            "capping costs time"
-        );
-    }
-
-    #[test]
-    fn uniform_and_weighted_splits_conserve_budget() {
-        let uniform = try_uniform_split(1000.0, 4).expect("nodes to budget");
-        assert_eq!(uniform, vec![250.0; 4]);
+    fn weighted_split_conserves_budget() {
         let weighted = try_weighted_split(1000.0, &[3.0, 1.0, 0.0, 0.0]).expect("nodes to budget");
         let total: f64 = weighted.iter().sum();
         assert!((total - 1000.0).abs() < 1e-9);
@@ -313,10 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn try_splits_survive_an_empty_cluster() {
-        assert_eq!(try_uniform_split(1000.0, 0), None);
+    fn weighted_split_survives_an_empty_cluster() {
         assert_eq!(try_weighted_split(1000.0, &[]), None);
-        assert_eq!(try_uniform_split(1000.0, 2), Some(vec![500.0, 500.0]));
     }
 
     #[test]

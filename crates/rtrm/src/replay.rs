@@ -9,9 +9,9 @@
 //! comparisons.
 
 use crate::scheduler::Schedule;
-use antarex_sim::des::EventQueue;
 use antarex_sim::job::Job;
 use antarex_sim::node::Node;
+use std::collections::VecDeque;
 
 /// Result of replaying one schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,11 +26,6 @@ pub struct ReplayOutcome {
     pub job_runtimes_s: Vec<f64>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Start(usize),
-}
-
 /// Replays `schedule` for `jobs` on the node pool.
 ///
 /// Node assignment is by availability at each placement's start time (the
@@ -43,15 +38,19 @@ enum Event {
 /// Panics if the pool is smaller than the schedule's peak node demand or
 /// if a placement references an unknown job.
 pub fn replay(schedule: &Schedule, jobs: &[Job], nodes: &mut [Node]) -> ReplayOutcome {
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for (i, placement) in schedule.placements.iter().enumerate() {
-        queue.schedule(placement.start_s, Event::Start(i));
-    }
+    // (start time, placement) in time order, FIFO among equal times: the
+    // stable sort keeps placement order, a delayed start re-enters last
+    let starts = schedule
+        .placements
+        .iter()
+        .map(|placement| placement.start_s);
+    let mut queue: VecDeque<(f64, usize)> = starts.zip(0..).collect();
+    queue.make_contiguous().sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut node_free_at = vec![0.0f64; nodes.len()];
     let mut job_runtimes = vec![0.0f64; schedule.placements.len()];
     let mut makespan: f64 = 0.0;
 
-    while let Some((time, Event::Start(index))) = queue.pop() {
+    while let Some((time, index)) = queue.pop_front() {
         let placement = &schedule.placements[index];
         let job = jobs
             .iter()
@@ -78,7 +77,8 @@ pub fn replay(schedule: &Schedule, jobs: &[Job], nodes: &mut [Node]) -> ReplayOu
             let mut free_times = node_free_at.clone();
             free_times.sort_by(f64::total_cmp);
             let ready_at = free_times[job.nodes - 1].max(time) + 1e-6;
-            queue.schedule(ready_at, Event::Start(index));
+            let behind = queue.partition_point(|&(due, _)| due <= ready_at);
+            queue.insert(behind, (ready_at, index));
             continue;
         }
         let mut slowest = 0.0f64;

@@ -349,7 +349,6 @@ fn pick_worker(
     chaos: &ChaosConfig,
     exclude: &[usize],
 ) -> Option<(usize, f64)> {
-    let horizon = chaos.schedule.horizon_s();
     let mut best: Option<(usize, f64)> = None;
     for (worker, &busy) in busy_until.iter().enumerate() {
         if exclude.contains(&worker) {
@@ -358,19 +357,9 @@ fn pick_worker(
         let mut ready = busy.max(not_before);
         if !chaos.schedule.node_alive(worker, ready) {
             // wait for the repair: the next instant the node is alive
-            match chaos
-                .schedule
-                .events()
-                .iter()
-                .find(|e| {
-                    e.time_s > ready
-                        && matches!(e.kind,
-                            antarex_sim::faults::FaultKind::NodeRepair { node } if node == worker)
-                })
-                .map(|e| e.time_s)
-            {
-                Some(repair) if repair < horizon => ready = repair,
-                _ => continue,
+            match chaos.schedule.next_repair_after(worker, ready) {
+                Some(repair) => ready = repair,
+                None => continue,
             }
         }
         match best {
@@ -387,12 +376,7 @@ fn pick_worker(
 fn run_attempt(worker: usize, start: f64, cost: f64, chaos: &ChaosConfig) -> Attempt {
     let effective = cost * chaos.schedule.slowdown(worker, start).max(1.0);
     let end = start + effective;
-    match chaos
-        .schedule
-        .crashes_between(worker, start, end)
-        .first()
-        .copied()
-    {
+    match chaos.schedule.first_crash_in(worker, start, end) {
         Some(crash) => Attempt::Crashed(crash),
         None => Attempt::Finished(end),
     }
@@ -509,14 +493,10 @@ mod tests {
         config.gray_slowdown = 10.0;
         config.gray_duration_s = 5_000.0;
         let schedule = FaultSchedule::generate(&config, 1, 10_000.0);
-        let gray_start = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                antarex_sim::faults::FaultKind::GraySlowdown { node: 0, .. } => Some(e.time_s),
-                _ => None,
-            })
-            .expect("gray event on node 0");
+        let gray_start = (0..10_000)
+            .map(f64::from)
+            .find(|&t| schedule.slowdown(0, t) > 1.0)
+            .expect("gray window on node 0");
         let chaos = ChaosConfig::new(schedule);
         let policy = HedgePolicy {
             hedge_after_s: 0.5,

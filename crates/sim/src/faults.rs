@@ -144,7 +144,7 @@ impl FaultConfig {
 
 /// One class of injected fault, with its effect window where relevant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
+enum FaultKind {
     /// The node dies, losing in-flight (uncheckpointed) work.
     NodeCrash {
         /// Crashed node id.
@@ -223,11 +223,11 @@ impl FaultKind {
 
 /// A timestamped fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
+struct FaultEvent {
     /// Injection time, seconds.
-    pub time_s: f64,
+    time_s: f64,
     /// What happens.
-    pub kind: FaultKind,
+    kind: FaultKind,
 }
 
 /// What a consumer should expect from a sensor at a point in time.
@@ -242,12 +242,145 @@ pub enum SensorEffect {
     StuckSince(f64),
 }
 
+/// One effect window of a per-node fault class: `[start_s, until_s)`
+/// and the class's payload (stuck flag, slowdown factor, nothing).
+type Window<T> = (f64, f64, T);
+
+/// The window covering `t`, if any. Windows of one (class, node) never
+/// overlap — each generator loop resumes at the previous window's end —
+/// so only the latest one started at or before `t` can still be open.
+fn active_at<T: Copy>(windows: &[Window<T>], t: f64) -> Option<Window<T>> {
+    let started = windows.partition_point(|&(start_s, ..)| start_s <= t);
+    let latest = *windows.get(started.checked_sub(1)?)?;
+    (t < latest.1).then_some(latest)
+}
+
+/// One fault class filed by node: node `n`'s entries, in time order,
+/// are `items[ends[n - 1]..ends[n]]`. Flat and sized exactly: a Vec per
+/// node, or lanes grown by doubling, each cost 4096-node generation a
+/// third more time than the events themselves.
+#[derive(Debug, Clone, PartialEq)]
+struct Lane<T> {
+    ends: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> Lane<T> {
+    fn with_capacity(nodes: usize, items: usize) -> Self {
+        Lane {
+            ends: Vec::with_capacity(nodes),
+            items: Vec::with_capacity(items),
+        }
+    }
+
+    /// The entries of `node`; none for a node past the generated count.
+    fn of(&self, node: usize) -> &[T] {
+        let Some(&end) = self.ends.get(node) else {
+            return &[];
+        };
+        let start = node.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.items[start..end]
+    }
+}
+
+/// The queries' view of the event list: one lane per queried per-node
+/// class, plus every node's crashes merged in time order.
+#[derive(Debug, Clone, PartialEq)]
+struct TimelineIndex {
+    crashes: Lane<f64>,
+    repairs: Lane<f64>,
+    /// Sensor faults; the payload is `true` for stuck-at, `false` for dropout.
+    sensor: Lane<Window<bool>>,
+    /// Gray episodes; the payload is the execution-time multiplier.
+    gray: Lane<Window<f64>>,
+    corrupt: Lane<Window<()>>,
+    any_crash: Vec<f64>,
+}
+
+impl TimelineIndex {
+    /// Files `events` as generated — node after node, and within a node
+    /// class after class, each class in time order — so every lane comes
+    /// out sorted without sorting.
+    fn build(events: &[FaultEvent], nodes: usize) -> Self {
+        let (mut crashes, mut repairs, mut sensor, mut gray, mut corrupt) = (0, 0, 0, 0, 0);
+        for event in events {
+            match event.kind {
+                FaultKind::NodeCrash { .. } => crashes += 1,
+                FaultKind::NodeRepair { .. } => repairs += 1,
+                FaultKind::SensorDropout { .. } | FaultKind::SensorStuck { .. } => sensor += 1,
+                FaultKind::GraySlowdown { .. } => gray += 1,
+                FaultKind::DataCorruption { .. } => corrupt += 1,
+                // no query reads these two classes
+                FaultKind::PowerSpike { .. } | FaultKind::LinkDegraded { .. } => {}
+            }
+        }
+        let mut index = TimelineIndex {
+            crashes: Lane::with_capacity(nodes, crashes),
+            repairs: Lane::with_capacity(nodes, repairs),
+            sensor: Lane::with_capacity(nodes, sensor),
+            gray: Lane::with_capacity(nodes, gray),
+            corrupt: Lane::with_capacity(nodes, corrupt),
+            any_crash: Vec::new(),
+        };
+        for event in events {
+            let Some(node) = event_node(event) else {
+                continue;
+            };
+            index.close_nodes_before(node);
+            let start_s = event.time_s;
+            match event.kind {
+                FaultKind::NodeCrash { .. } => index.crashes.items.push(start_s),
+                FaultKind::NodeRepair { .. } => index.repairs.items.push(start_s),
+                FaultKind::SensorDropout { until_s, .. } => {
+                    index.sensor.items.push((start_s, until_s, false))
+                }
+                FaultKind::SensorStuck { until_s, .. } => {
+                    index.sensor.items.push((start_s, until_s, true))
+                }
+                FaultKind::GraySlowdown {
+                    slowdown, until_s, ..
+                } => index.gray.items.push((start_s, until_s, slowdown)),
+                FaultKind::DataCorruption { until_s, .. } => {
+                    index.corrupt.items.push((start_s, until_s, ()))
+                }
+                FaultKind::PowerSpike { .. } | FaultKind::LinkDegraded { .. } => {}
+            }
+        }
+        index.close_nodes_before(nodes);
+        // equal crash times are equal values, so this is the event order
+        index.any_crash = index.crashes.items.clone();
+        index.any_crash.sort_unstable_by(f64::total_cmp);
+        index
+    }
+
+    /// Ends the run of every node before `node`: what is pushed next
+    /// belongs to `node`.
+    fn close_nodes_before(&mut self, node: usize) {
+        while self.crashes.ends.len() < node {
+            self.crashes.ends.push(self.crashes.items.len());
+            self.repairs.ends.push(self.repairs.items.len());
+            self.sensor.ends.push(self.sensor.items.len());
+            self.gray.ends.push(self.gray.items.len());
+            self.corrupt.ends.push(self.corrupt.items.len());
+        }
+    }
+}
+
 /// The complete, immutable fault timeline of one simulated run.
+///
+/// The event list is the record (digest, summary, equality); the
+/// queries read a per-node index filed alongside it, once, in
+/// [`FaultSchedule::generate`], and cost a binary search each. Every
+/// per-node query answers "fault-free node" for a `node` at or past the
+/// generated node count: a consumer may run more workers than the
+/// schedule was generated for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
     nodes: usize,
     horizon_s: f64,
+    /// A pure function of `events`.
+    index: TimelineIndex,
 }
 
 impl FaultSchedule {
@@ -280,9 +413,10 @@ impl FaultSchedule {
         };
 
         for node in 0..nodes {
+            let id = node as u64;
             // crashes: Weibull renewal process with repair downtime
             if config.node_mtbf_s > 0.0 {
-                let mut rng = stream(1, node as u64);
+                let mut rng = stream(1, id);
                 let scale = weibull_scale(config.node_mtbf_s, config.weibull_shape);
                 let mut t = 0.0;
                 loop {
@@ -305,111 +439,74 @@ impl FaultSchedule {
                 }
             }
 
-            // sensor faults: Poisson arrivals, dropout or stuck-at
-            if config.sensor_mtbf_s > 0.0 {
-                let mut rng = stream(2, node as u64);
-                let mut t = 0.0;
-                loop {
-                    t += exponential_sample(&mut rng, config.sensor_mtbf_s);
-                    if t >= horizon_s {
-                        break;
-                    }
-                    let until_s = t + config.sensor_outage_s;
-                    let kind = if rng.gen_bool(config.stuck_fraction) {
+            // the window classes; sensor faults draw dropout or stuck-at
+            push_windows(
+                &mut events,
+                horizon_s,
+                stream(2, id),
+                config.sensor_mtbf_s,
+                config.sensor_outage_s,
+                |rng, until_s| {
+                    if rng.gen_bool(config.stuck_fraction) {
                         FaultKind::SensorStuck { node, until_s }
                     } else {
                         FaultKind::SensorDropout { node, until_s }
-                    };
-                    events.push(FaultEvent { time_s: t, kind });
-                    t = until_s;
-                }
-            }
-
-            // power-rail spikes
-            if config.power_spike_mtbf_s > 0.0 {
-                let mut rng = stream(3, node as u64);
-                let mut t = 0.0;
-                loop {
-                    t += exponential_sample(&mut rng, config.power_spike_mtbf_s);
-                    if t >= horizon_s {
-                        break;
                     }
-                    events.push(FaultEvent {
-                        time_s: t,
-                        kind: FaultKind::PowerSpike {
-                            node,
-                            extra_w: config.power_spike_w,
-                            until_s: t + config.power_spike_s,
-                        },
-                    });
-                    t += config.power_spike_s;
-                }
-            }
-
-            // gray failures
-            if config.gray_mtbf_s > 0.0 {
-                let mut rng = stream(4, node as u64);
-                let mut t = 0.0;
-                loop {
-                    t += exponential_sample(&mut rng, config.gray_mtbf_s);
-                    if t >= horizon_s {
-                        break;
-                    }
-                    events.push(FaultEvent {
-                        time_s: t,
-                        kind: FaultKind::GraySlowdown {
-                            node,
-                            slowdown: config.gray_slowdown,
-                            until_s: t + config.gray_duration_s,
-                        },
-                    });
-                    t += config.gray_duration_s;
-                }
-            }
-
-            // silent data-corruption windows
-            if config.corrupt_mtbf_s > 0.0 {
-                let mut rng = stream(6, node as u64);
-                let mut t = 0.0;
-                loop {
-                    t += exponential_sample(&mut rng, config.corrupt_mtbf_s);
-                    if t >= horizon_s {
-                        break;
-                    }
-                    events.push(FaultEvent {
-                        time_s: t,
-                        kind: FaultKind::DataCorruption {
-                            node,
-                            until_s: t + config.corrupt_window_s,
-                        },
-                    });
-                    t += config.corrupt_window_s;
-                }
-            }
+                },
+            );
+            push_windows(
+                &mut events,
+                horizon_s,
+                stream(3, id),
+                config.power_spike_mtbf_s,
+                config.power_spike_s,
+                |_, until_s| FaultKind::PowerSpike {
+                    node,
+                    extra_w: config.power_spike_w,
+                    until_s,
+                },
+            );
+            push_windows(
+                &mut events,
+                horizon_s,
+                stream(4, id),
+                config.gray_mtbf_s,
+                config.gray_duration_s,
+                |_, until_s| FaultKind::GraySlowdown {
+                    node,
+                    slowdown: config.gray_slowdown,
+                    until_s,
+                },
+            );
+            push_windows(
+                &mut events,
+                horizon_s,
+                stream(6, id),
+                config.corrupt_mtbf_s,
+                config.corrupt_window_s,
+                |_, until_s| FaultKind::DataCorruption { node, until_s },
+            );
         }
 
         // interconnect: one cluster-wide stream
-        if config.link_mtbf_s > 0.0 {
-            let mut rng = stream(5, 0);
-            let mut t = 0.0;
-            loop {
-                t += exponential_sample(&mut rng, config.link_mtbf_s);
-                if t >= horizon_s {
-                    break;
-                }
-                events.push(FaultEvent {
-                    time_s: t,
-                    kind: FaultKind::LinkDegraded {
-                        factor: config.link_factor,
-                        until_s: t + config.link_outage_s,
-                    },
-                });
-                t += config.link_outage_s;
-            }
-        }
+        push_windows(
+            &mut events,
+            horizon_s,
+            stream(5, 0),
+            config.link_mtbf_s,
+            config.link_outage_s,
+            |_, until_s| FaultKind::LinkDegraded {
+                factor: config.link_factor,
+                until_s,
+            },
+        );
+
+        // before the sort: the index is filed from the generation order
+        let index = TimelineIndex::build(&events, nodes);
 
         // deterministic global order: time, then node, then class label
-        events.sort_by(|a, b| {
+        // (events that tie on all three are identical)
+        events.sort_unstable_by(|a, b| {
             a.time_s
                 .total_cmp(&b.time_s)
                 .then_with(|| event_node(a).cmp(&event_node(b)))
@@ -420,117 +517,65 @@ impl FaultSchedule {
             events,
             nodes,
             horizon_s,
+            index,
         }
-    }
-
-    /// All events, time-ordered.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Number of events.
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Node count the schedule was generated for.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Horizon the schedule covers, seconds.
-    pub fn horizon_s(&self) -> f64 {
-        self.horizon_s
     }
 
     /// Is `node` up at time `t` (not between a crash and its repair)?
+    /// A crash or repair at exactly `t` has already happened. A node the
+    /// schedule was not generated for is always up.
     pub fn node_alive(&self, node: usize, t: f64) -> bool {
-        let mut alive = true;
-        for event in &self.events {
-            if event.time_s > t {
-                break;
-            }
-            match event.kind {
-                FaultKind::NodeCrash { node: n } if n == node => alive = false,
-                FaultKind::NodeRepair { node: n } if n == node => alive = true,
-                _ => {}
-            }
-        }
-        alive
+        let crashed = self.index.crashes.of(node).partition_point(|&c| c <= t);
+        let repaired = self.index.repairs.of(node).partition_point(|&r| r <= t);
+        crashed == repaired
     }
 
-    /// Crash times of `node` within `[from_s, to_s)`.
-    pub fn crashes_between(&self, node: usize, from_s: f64, to_s: f64) -> Vec<f64> {
-        self.events
-            .iter()
-            .filter(|e| e.time_s >= from_s && e.time_s < to_s)
-            .filter_map(|e| match e.kind {
-                FaultKind::NodeCrash { node: n } if n == node => Some(e.time_s),
-                _ => None,
-            })
-            .collect()
+    /// First crash of `node` within `[from_s, to_s)`, if any. `None` for
+    /// a node the schedule was not generated for.
+    pub fn first_crash_in(&self, node: usize, from_s: f64, to_s: f64) -> Option<f64> {
+        let crashes = self.index.crashes.of(node);
+        let first = *crashes.get(crashes.partition_point(|&c| c < from_s))?;
+        (first < to_s).then_some(first)
     }
 
-    /// Crash times of any node within `[from_s, to_s)` — the events a
-    /// coordinated (all-nodes) checkpoint scheme must survive.
+    /// The first repair of `node` strictly after `t` — when a node found
+    /// dead at `t` rejoins — or `None` if it stays down to the horizon
+    /// (repairs at or past the horizon are never scheduled). `None` for a
+    /// node the schedule was not generated for.
+    pub fn next_repair_after(&self, node: usize, t: f64) -> Option<f64> {
+        let repairs = self.index.repairs.of(node);
+        repairs.get(repairs.partition_point(|&r| r <= t)).copied()
+    }
+
+    /// Crash times of any node within `[from_s, to_s)`, ascending — the
+    /// events a coordinated (all-nodes) checkpoint scheme must survive.
     pub fn any_crash_between(&self, from_s: f64, to_s: f64) -> Vec<f64> {
-        self.events
-            .iter()
-            .filter(|e| e.time_s >= from_s && e.time_s < to_s)
-            .filter_map(|e| match e.kind {
-                FaultKind::NodeCrash { .. } => Some(e.time_s),
-                _ => None,
-            })
-            .collect()
+        let crashes = &self.index.any_crash;
+        let tail = &crashes[crashes.partition_point(|&c| c < from_s)..];
+        tail[..tail.partition_point(|&c| c < to_s)].to_vec()
     }
 
     /// What the sensor of `node` does at time `t`.
+    /// [`SensorEffect::Ok`] for a node the schedule was not generated for.
     pub fn sensor_effect(&self, node: usize, t: f64) -> SensorEffect {
-        // last wins when windows overlap (later fault supersedes)
-        let mut effect = SensorEffect::Ok;
-        for event in &self.events {
-            if event.time_s > t {
-                break;
-            }
-            match event.kind {
-                FaultKind::SensorDropout { node: n, until_s } if n == node && t < until_s => {
-                    effect = SensorEffect::Dropped;
-                }
-                FaultKind::SensorStuck { node: n, until_s } if n == node && t < until_s => {
-                    effect = SensorEffect::StuckSince(event.time_s);
-                }
-                _ => {}
-            }
+        match active_at(self.index.sensor.of(node), t) {
+            Some((since_s, _, true)) => SensorEffect::StuckSince(since_s),
+            Some(_) => SensorEffect::Dropped,
+            None => SensorEffect::Ok,
         }
-        effect
     }
 
-    /// Execution slowdown of `node` at time `t` (1.0 = full speed).
+    /// Execution slowdown of `node` at time `t`, never below 1.0 (full
+    /// speed); 1.0 for a node the schedule was not generated for.
     pub fn slowdown(&self, node: usize, t: f64) -> f64 {
-        self.events
-            .iter()
-            .take_while(|e| e.time_s <= t)
-            .filter_map(|e| match e.kind {
-                FaultKind::GraySlowdown {
-                    node: n,
-                    slowdown,
-                    until_s,
-                } if n == node && t < until_s => Some(slowdown),
-                _ => None,
-            })
-            .fold(1.0, f64::max)
+        active_at(self.index.gray.of(node), t).map_or(1.0, |(.., slowdown)| slowdown.max(1.0))
     }
 
     /// Is a result computed on `node` at time `t` silently bit-flipped?
     /// The serving layer's end-to-end integrity checks consume this.
+    /// `false` for a node the schedule was not generated for.
     pub fn corrupted(&self, node: usize, t: f64) -> bool {
-        self.events
-            .iter()
-            .take_while(|e| e.time_s <= t)
-            .any(|e| match e.kind {
-                FaultKind::DataCorruption { node: n, until_s } => n == node && t < until_s,
-                _ => false,
-            })
+        active_at(self.index.corrupt.of(node), t).is_some()
     }
 
     /// Stable 64-bit digest of the full schedule (FNV-1a over the event
@@ -575,11 +620,36 @@ impl fmt::Display for FaultSchedule {
         write!(
             f,
             "{} faults over {:.0} s on {} nodes ({})",
-            self.len(),
+            self.events.len(),
             self.horizon_s,
             self.nodes,
             self.summary()
         )
+    }
+}
+
+/// Appends one window class from its stream: exponential gaps of mean
+/// `mtbf_s` (0 disables the class) between windows `duration_s` long,
+/// `kind` naming the fault from the stream and the window's end. The
+/// next gap starts where the window ends, so the windows of one stream
+/// never overlap.
+fn push_windows(
+    events: &mut Vec<FaultEvent>,
+    horizon_s: f64,
+    mut rng: StdRng,
+    mtbf_s: f64,
+    duration_s: f64,
+    kind: impl Fn(&mut StdRng, f64) -> FaultKind,
+) {
+    if mtbf_s <= 0.0 {
+        return;
+    }
+    let mut t = exponential_sample(&mut rng, mtbf_s);
+    while t < horizon_s {
+        let until_s = t + duration_s;
+        let kind = kind(&mut rng, until_s);
+        events.push(FaultEvent { time_s: t, kind });
+        t = until_s + exponential_sample(&mut rng, mtbf_s);
     }
 }
 
@@ -652,6 +722,190 @@ mod tests {
         FaultSchedule::generate(&FaultConfig::exascale(seed, 4.0), 8, 24.0 * 3600.0)
     }
 
+    fn first_crash(schedule: &FaultSchedule) -> (f64, usize) {
+        schedule
+            .events
+            .iter()
+            .find_map(|e| match e.kind {
+                FaultKind::NodeCrash { node } => Some((e.time_s, node)),
+                _ => None,
+            })
+            .expect("harsh profile crashes")
+    }
+
+    /// The O(events) scans the index replaced, kept verbatim as the
+    /// oracle the indexed queries are compared against.
+    mod scan {
+        use super::*;
+
+        pub fn node_alive(s: &FaultSchedule, node: usize, t: f64) -> bool {
+            let mut alive = true;
+            for event in &s.events {
+                if event.time_s > t {
+                    break;
+                }
+                match event.kind {
+                    FaultKind::NodeCrash { node: n } if n == node => alive = false,
+                    FaultKind::NodeRepair { node: n } if n == node => alive = true,
+                    _ => {}
+                }
+            }
+            alive
+        }
+
+        pub fn crashes_in(s: &FaultSchedule, node: usize, from_s: f64, to_s: f64) -> Vec<f64> {
+            s.events
+                .iter()
+                .filter(|e| e.time_s >= from_s && e.time_s < to_s)
+                .filter_map(|e| match e.kind {
+                    FaultKind::NodeCrash { node: n } if n == node => Some(e.time_s),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        pub fn any_crash_between(s: &FaultSchedule, from_s: f64, to_s: f64) -> Vec<f64> {
+            s.events
+                .iter()
+                .filter(|e| e.time_s >= from_s && e.time_s < to_s)
+                .filter_map(|e| match e.kind {
+                    FaultKind::NodeCrash { .. } => Some(e.time_s),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        pub fn next_repair_after(s: &FaultSchedule, node: usize, t: f64) -> Option<f64> {
+            s.events
+                .iter()
+                .find(|e| {
+                    e.time_s > t && matches!(e.kind, FaultKind::NodeRepair { node: n } if n == node)
+                })
+                .map(|e| e.time_s)
+        }
+
+        pub fn sensor_effect(s: &FaultSchedule, node: usize, t: f64) -> SensorEffect {
+            // last wins when windows overlap (later fault supersedes)
+            let mut effect = SensorEffect::Ok;
+            for event in &s.events {
+                if event.time_s > t {
+                    break;
+                }
+                match event.kind {
+                    FaultKind::SensorDropout { node: n, until_s } if n == node && t < until_s => {
+                        effect = SensorEffect::Dropped;
+                    }
+                    FaultKind::SensorStuck { node: n, until_s } if n == node && t < until_s => {
+                        effect = SensorEffect::StuckSince(event.time_s);
+                    }
+                    _ => {}
+                }
+            }
+            effect
+        }
+
+        pub fn slowdown(s: &FaultSchedule, node: usize, t: f64) -> f64 {
+            s.events
+                .iter()
+                .take_while(|e| e.time_s <= t)
+                .filter_map(|e| match e.kind {
+                    FaultKind::GraySlowdown {
+                        node: n,
+                        slowdown,
+                        until_s,
+                    } if n == node && t < until_s => Some(slowdown),
+                    _ => None,
+                })
+                .fold(1.0, f64::max)
+        }
+
+        pub fn corrupted(s: &FaultSchedule, node: usize, t: f64) -> bool {
+            s.events
+                .iter()
+                .take_while(|e| e.time_s <= t)
+                .any(|e| match e.kind {
+                    FaultKind::DataCorruption { node: n, until_s } => n == node && t < until_s,
+                    _ => false,
+                })
+        }
+    }
+
+    #[test]
+    fn indexed_queries_match_the_linear_scan() {
+        for seed in [71, 73, 79] {
+            for nodes in [3usize, 8] {
+                let horizon = 8.0 * 3600.0;
+                let schedule =
+                    FaultSchedule::generate(&FaultConfig::exascale(seed, 4.0), nodes, horizon);
+                let summary = schedule.summary();
+                assert_eq!(summary.split(' ').count(), 8, "a class is off: {summary}");
+
+                // a coarse grid plus both sides of every event instant
+                let mut times: Vec<f64> = (0..200).map(|i| i as f64 * horizon / 199.0).collect();
+                for event in &schedule.events {
+                    times.extend([event.time_s - 1e-6, event.time_s, event.time_s + 1e-6]);
+                }
+                times.sort_by(f64::total_cmp);
+
+                // every node, plus one the schedule was not generated for
+                for node in 0..=nodes {
+                    for &t in &times {
+                        assert_eq!(
+                            schedule.node_alive(node, t),
+                            scan::node_alive(&schedule, node, t),
+                            "alive({node}, {t})"
+                        );
+                        assert_eq!(
+                            schedule.sensor_effect(node, t),
+                            scan::sensor_effect(&schedule, node, t),
+                            "sensor({node}, {t})"
+                        );
+                        assert_eq!(
+                            schedule.slowdown(node, t),
+                            scan::slowdown(&schedule, node, t),
+                            "slowdown({node}, {t})"
+                        );
+                        assert_eq!(
+                            schedule.corrupted(node, t),
+                            scan::corrupted(&schedule, node, t),
+                            "corrupted({node}, {t})"
+                        );
+                        assert_eq!(
+                            schedule.next_repair_after(node, t),
+                            scan::next_repair_after(&schedule, node, t),
+                            "repair({node}, {t})"
+                        );
+                        // zero-length, sub-microsecond and half-hour windows
+                        for to in [t, t + 1e-6, t + 1800.0] {
+                            assert_eq!(
+                                schedule.first_crash_in(node, t, to),
+                                scan::crashes_in(&schedule, node, t, to).first().copied(),
+                                "first_crash_in({node}, {t}, {to})"
+                            );
+                        }
+                    }
+                }
+                // the scans match nothing for that extra node: fault-free
+                assert!(schedule.node_alive(nodes, horizon));
+                assert_eq!(schedule.sensor_effect(nodes, horizon), SensorEffect::Ok);
+                assert_eq!(schedule.slowdown(nodes, horizon), 1.0);
+                assert!(!schedule.corrupted(nodes, horizon));
+                assert_eq!(schedule.first_crash_in(nodes, 0.0, horizon), None);
+                assert_eq!(schedule.next_repair_after(nodes, 0.0), None);
+
+                for pair in times.windows(2) {
+                    for (from, to) in [(pair[0], pair[1]), (pair[0], pair[0]), (pair[0], horizon)] {
+                        assert_eq!(
+                            schedule.any_crash_between(from, to),
+                            scan::any_crash_between(&schedule, from, to),
+                            "any_crash_between({from}, {to})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn same_seed_identical_schedule() {
         let a = harsh(99);
@@ -668,23 +922,23 @@ mod tests {
     #[test]
     fn zero_rate_is_fault_free() {
         let schedule = FaultSchedule::generate(&FaultConfig::none(5), 16, 3600.0);
-        assert!(schedule.events().is_empty());
+        assert!(schedule.events.is_empty());
         assert_eq!(schedule.summary(), "no faults");
         assert!(schedule.node_alive(3, 1800.0));
         assert_eq!(schedule.sensor_effect(3, 1800.0), SensorEffect::Ok);
         assert_eq!(schedule.slowdown(3, 1800.0), 1.0);
         let rate0 = FaultSchedule::generate(&FaultConfig::exascale(5, 0.0), 16, 3600.0);
-        assert!(rate0.events().is_empty(), "rate 0 == disabled");
+        assert!(rate0.events.is_empty(), "rate 0 == disabled");
     }
 
     #[test]
     fn events_time_ordered() {
         let schedule = harsh(7);
         assert!(
-            !schedule.events().is_empty(),
+            !schedule.events.is_empty(),
             "harsh profile must produce faults"
         );
-        for pair in schedule.events().windows(2) {
+        for pair in schedule.events.windows(2) {
             assert!(pair[0].time_s <= pair[1].time_s);
         }
     }
@@ -692,9 +946,9 @@ mod tests {
     #[test]
     fn crash_repair_alternate_per_node() {
         let schedule = harsh(11);
-        for node in 0..schedule.nodes() {
+        for node in 0..schedule.nodes {
             let mut expect_crash = true;
-            for event in schedule.events() {
+            for event in &schedule.events {
                 match event.kind {
                     FaultKind::NodeCrash { node: n } if n == node => {
                         assert!(expect_crash, "two crashes without repair on {node}");
@@ -713,21 +967,18 @@ mod tests {
     #[test]
     fn node_alive_tracks_crash_windows() {
         let schedule = harsh(13);
-        let crash = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::NodeCrash { node } => Some((e.time_s, node)),
-                _ => None,
-            })
-            .expect("harsh profile crashes");
-        let (t, node) = crash;
+        let (t, node) = first_crash(&schedule);
         assert!(schedule.node_alive(node, t - 1.0));
         assert!(!schedule.node_alive(node, t + 1.0));
-        // after repair (120 s) the node is back, unless it crashed again
-        let after = t + 121.0;
-        if schedule.crashes_between(node, t + 1.0, after).is_empty() {
-            assert!(schedule.node_alive(node, after));
+        // the repair (120 s later) brings the node back, unless it
+        // crashed again right away
+        let back = schedule
+            .next_repair_after(node, t)
+            .expect("a first crash this early is repaired");
+        assert_eq!(back, t + 120.0);
+        if schedule.first_crash_in(node, back, back + 1.0).is_none() {
+            assert!(schedule.node_alive(node, back));
+            assert!(schedule.node_alive(node, back + 1.0));
         }
     }
 
@@ -736,16 +987,12 @@ mod tests {
         let schedule = harsh(17);
         let mut saw_drop = false;
         let mut saw_stuck = false;
-        for event in schedule.events() {
+        for event in &schedule.events {
             match event.kind {
                 FaultKind::SensorDropout { node, until_s } => {
                     saw_drop = true;
                     let mid = (event.time_s + until_s) / 2.0;
                     assert_eq!(schedule.sensor_effect(node, mid), SensorEffect::Dropped);
-                    assert_eq!(
-                        schedule.sensor_effect(node, until_s + 1e-6),
-                        schedule.sensor_effect(node, until_s + 1e-6),
-                    );
                 }
                 FaultKind::SensorStuck { node, until_s } => {
                     saw_stuck = true;
@@ -765,7 +1012,7 @@ mod tests {
     fn gray_slowdowns_report_effects() {
         let schedule = harsh(19);
         let gray = schedule
-            .events()
+            .events
             .iter()
             .find_map(|e| match e.kind {
                 FaultKind::GraySlowdown { node, slowdown, .. } => Some((e.time_s, node, slowdown)),
@@ -812,7 +1059,7 @@ mod tests {
         config.corrupt_window_s = 10.0;
         let schedule = FaultSchedule::generate(&config, 4, 3600.0);
         let window = schedule
-            .events()
+            .events
             .iter()
             .find_map(|e| match e.kind {
                 FaultKind::DataCorruption { node, until_s } => Some((e.time_s, node, until_s)),
@@ -841,57 +1088,45 @@ mod tests {
     #[test]
     fn crash_queries_at_exact_event_timestamps() {
         let schedule = harsh(29);
-        let (t, node) = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::NodeCrash { node } => Some((e.time_s, node)),
-                _ => None,
-            })
-            .expect("harsh profile crashes");
+        let (t, node) = first_crash(&schedule);
         // the from bound is inclusive, the to bound exclusive
-        assert_eq!(schedule.crashes_between(node, t, t + 1e-9), vec![t]);
-        assert!(schedule.crashes_between(node, t - 1.0, t).is_empty());
+        assert_eq!(schedule.first_crash_in(node, t, t + 1e-9), Some(t));
+        assert_eq!(schedule.first_crash_in(node, t - 1.0, t), None);
         assert!(schedule.any_crash_between(t, t + 1e-9).contains(&t));
         assert!(!schedule.any_crash_between(t - 1.0, t).contains(&t));
+        // a repair at exactly `t` is not "after" `t`
+        let repair = schedule.next_repair_after(node, t).expect("repaired");
+        assert_ne!(schedule.next_repair_after(node, repair), Some(repair));
+        assert_eq!(
+            schedule.next_repair_after(node, repair - 1e-9),
+            Some(repair)
+        );
     }
 
     #[test]
     fn zero_length_windows_contain_nothing() {
         let schedule = harsh(37);
-        let t = schedule
-            .events()
-            .iter()
-            .find_map(|e| match e.kind {
-                FaultKind::NodeCrash { .. } => Some(e.time_s),
-                _ => None,
-            })
-            .expect("harsh profile crashes");
+        let (t, _) = first_crash(&schedule);
         assert!(schedule.any_crash_between(t, t).is_empty());
-        for node in 0..schedule.nodes() {
-            assert!(schedule.crashes_between(node, t, t).is_empty());
+        for node in 0..schedule.nodes {
+            assert_eq!(schedule.first_crash_in(node, t, t), None);
         }
     }
 
     #[test]
     fn node_alive_at_domain_boundaries() {
         let schedule = harsh(41);
-        let horizon = schedule.horizon_s();
-        for node in 0..schedule.nodes() {
+        let horizon = schedule.horizon_s;
+        for node in 0..schedule.nodes {
             assert!(schedule.node_alive(node, 0.0), "every node starts alive");
         }
         // at the horizon the answer is still well-defined: dead only if
         // the last crash of the node has no later repair
-        for node in 0..schedule.nodes() {
-            let mut alive = true;
-            for event in schedule.events() {
-                match event.kind {
-                    FaultKind::NodeCrash { node: n } if n == node => alive = false,
-                    FaultKind::NodeRepair { node: n } if n == node => alive = true,
-                    _ => {}
-                }
-            }
-            assert_eq!(schedule.node_alive(node, horizon), alive);
+        for node in 0..schedule.nodes {
+            assert_eq!(
+                schedule.node_alive(node, horizon),
+                scan::node_alive(&schedule, node, f64::INFINITY)
+            );
         }
     }
 }

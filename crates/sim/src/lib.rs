@@ -9,7 +9,6 @@
 //! (>10% PUE degradation from winter to summer). This crate simulates
 //! those mechanisms:
 //!
-//! * [`des`] — a deterministic discrete-event engine;
 //! * `dvfs` — P-state tables (frequency/voltage pairs);
 //! * `power` — dynamic (`C·V²·f`) plus temperature-dependent leakage
 //!   power;
@@ -45,7 +44,6 @@
 
 pub(crate) mod accelerator;
 pub mod cooling;
-pub mod des;
 pub(crate) mod dvfs;
 pub(crate) mod error;
 pub mod faults;

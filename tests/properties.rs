@@ -1,7 +1,7 @@
 //! Property-based tests on the core invariants: parser/printer round
 //! trips, semantic preservation of weaver transforms, design-space
-//! enumeration, quantization monotonicity, event-queue ordering and SLA
-//! accounting.
+//! enumeration, quantization monotonicity, the fault timeline's queries
+//! and SLA accounting.
 //!
 //! The properties are exercised with seeded random case generation (the
 //! workspace's deterministic [`rand`] shim) rather than proptest, which
@@ -12,7 +12,7 @@ use antarex::ir::interp::{ExecEnv, Interp};
 use antarex::ir::types::quantize_mantissa;
 use antarex::ir::value::Value;
 use antarex::ir::{parse_program, printer::print_program, NodePath};
-use antarex::sim::des::EventQueue;
+use antarex::sim::faults::{FaultConfig, FaultSchedule};
 use antarex::tuner::knob::Knob;
 use antarex::tuner::space::DesignSpace;
 use antarex::weaver::transform::fold::fold_block;
@@ -154,25 +154,78 @@ fn design_space_enumeration() {
     }
 }
 
-/// Event queue: pops are globally time-ordered and FIFO within ties.
+/// Fault timeline: the point and window queries of one schedule agree
+/// with each other. A node is down exactly on `[crash, repair)`,
+/// `first_crash_in` sees a crash iff `node_alive` flips inside the
+/// window, and the cluster-wide crash list is the sorted union of the
+/// per-node ones.
 #[test]
-fn event_queue_ordering() {
+fn fault_timeline_queries_agree() {
     let mut rng = StdRng::seed_from_u64(0xA56);
     for _ in 0..64 {
-        let count = rng.gen_range(1usize..40);
-        let times: Vec<u32> = (0..count).map(|_| rng.gen_range(0u32..100)).collect();
-        let mut queue = EventQueue::new();
-        for (seq, t) in times.iter().enumerate() {
-            queue.schedule(f64::from(*t), seq);
-        }
-        let mut last: (f64, usize) = (-1.0, 0);
-        while let Some((t, seq)) = queue.pop() {
-            assert!(t >= last.0);
-            if t == last.0 {
-                assert!(seq > last.1, "FIFO violated at t={t}");
+        let seed: u64 = rng.gen();
+        let nodes = rng.gen_range(1usize..12);
+        let horizon = rng.gen_range(3600.0f64..86_400.0);
+        let config = FaultConfig::exascale(seed, rng.gen_range(0.5f64..8.0));
+        let schedule = FaultSchedule::generate(&config, nodes, horizon);
+
+        let mut all_crashes = Vec::new();
+        for node in 0..nodes {
+            // walk the node's down windows: each crash, then its repair
+            let mut down: Vec<(f64, f64)> = Vec::new();
+            let mut from = 0.0;
+            while let Some(crash) = schedule.first_crash_in(node, from, horizon) {
+                let repair = schedule.next_repair_after(node, crash);
+                let repair = repair.unwrap_or(f64::INFINITY);
+                assert!(repair > crash, "node {node}: {crash} -> {repair}");
+                down.push((crash, repair));
+                from = repair;
             }
-            last = (t, seq);
+            // both edges of every window, and a grid finer than the repair
+            // time: a window the walk skipped would be a dead sample
+            let step = config.repair_time_s / 2.0;
+            let marks: Vec<f64> = down
+                .iter()
+                .flat_map(|&(crash, repair)| [crash - 1e-6, crash, repair - 1e-6, repair])
+                .filter(|t| t.is_finite())
+                .chain(
+                    (0..)
+                        .map(|i| f64::from(i) * step)
+                        .take_while(|&t| t <= horizon),
+                )
+                .collect();
+            for &t in &marks {
+                let is_down = down.iter().any(|&(crash, repair)| crash <= t && t < repair);
+                assert_eq!(schedule.node_alive(node, t), !is_down, "node {node} at {t}");
+            }
+            // a window holds a crash iff the node goes down inside it
+            for _ in 0..32 {
+                let (a, b) = (
+                    *marks.choose(&mut rng).unwrap(),
+                    *marks.choose(&mut rng).unwrap(),
+                );
+                let expected = down.iter().map(|&(c, _)| c).find(|&c| a <= c && c < b);
+                assert_eq!(
+                    schedule.first_crash_in(node, a, b),
+                    expected,
+                    "node {node} [{a}, {b})"
+                );
+            }
+            all_crashes.extend(down.iter().map(|&(crash, _)| crash));
         }
+        // a node the schedule was not generated for never fails
+        assert!(schedule.node_alive(nodes, horizon / 2.0));
+        assert_eq!(schedule.first_crash_in(nodes, 0.0, horizon), None);
+
+        all_crashes.sort_by(f64::total_cmp);
+        for _ in 0..32 {
+            let a = rng.gen_range(0.0..horizon);
+            let b = rng.gen_range(a..horizon);
+            let mut expected = all_crashes.clone();
+            expected.retain(|&c| a <= c && c < b);
+            assert_eq!(schedule.any_crash_between(a, b), expected, "[{a}, {b})");
+        }
+        assert_eq!(schedule.any_crash_between(0.0, horizon), all_crashes);
     }
 }
 
@@ -199,7 +252,6 @@ fn sla_counting() {
 /// identical seeds yield identical schedules, different seeds differ.
 #[test]
 fn fault_schedules_deterministic_per_seed() {
-    use antarex::sim::faults::{FaultConfig, FaultSchedule};
     let mut rng = StdRng::seed_from_u64(0xA5B);
     for _ in 0..24 {
         let seed: u64 = rng.gen();
