@@ -5,13 +5,15 @@
 use antarex_ir::parse_program;
 use antarex_ir::value::Value;
 use antarex_precision::tuner::{PrecisionTuner, TunerOptions};
+use antarex_tuner::dse::explore;
+use antarex_tuner::goal::Objective;
 use antarex_tuner::knob::Knob;
 use antarex_tuner::search::annealing::Annealing;
 use antarex_tuner::search::bandit::Bandit;
 use antarex_tuner::search::genetic::Genetic;
 use antarex_tuner::search::hillclimb::HillClimb;
 use antarex_tuner::search::random::RandomSearch;
-use antarex_tuner::search::{SearchTechnique, Tuner};
+use antarex_tuner::search::SearchTechnique;
 use antarex_tuner::space::DesignSpace;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -49,9 +51,15 @@ fn bench_techniques(c: &mut Criterion) {
     for (name, make) in mk {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                let mut tuner = Tuner::new(space(), make());
                 let mut rng = StdRng::seed_from_u64(5);
-                black_box(tuner.run(100, &mut rng, cost))
+                black_box(explore(
+                    &space(),
+                    make(),
+                    &Objective::minimize("cost"),
+                    100,
+                    &mut rng,
+                    |config| [("cost".to_string(), cost(config))].into(),
+                ))
             })
         });
     }

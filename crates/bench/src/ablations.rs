@@ -9,6 +9,8 @@ use antarex_rtrm::thermal_ctrl::{Ms3Admission, ThermalThrottle};
 use antarex_sim::job::WorkUnit;
 use antarex_sim::node::{Node, NodeSpec};
 use antarex_sim::variability::ProcessVariation;
+use antarex_tuner::dse::{explore, DseReport};
+use antarex_tuner::goal::Objective;
 use antarex_tuner::knob::Knob;
 use antarex_tuner::search::annealing::Annealing;
 use antarex_tuner::search::bandit::Bandit;
@@ -16,8 +18,8 @@ use antarex_tuner::search::exhaustive::Exhaustive;
 use antarex_tuner::search::genetic::Genetic;
 use antarex_tuner::search::hillclimb::HillClimb;
 use antarex_tuner::search::random::RandomSearch;
-use antarex_tuner::search::{SearchTechnique, Tuner};
-use antarex_tuner::space::DesignSpace;
+use antarex_tuner::search::SearchTechnique;
+use antarex_tuner::space::{Configuration, DesignSpace};
 use antarex_vm::Vm;
 use antarex_weaver::transform::unroll::unroll_by_factor;
 use rand::rngs::StdRng;
@@ -54,6 +56,35 @@ fn unrolled_cost(unroll: u64) -> f64 {
     env.stats.cost as f64
 }
 
+/// Explores `space` with `technique` for up to `budget` evaluations of
+/// the unrolled kernel's cost; returns the report and the best cost.
+fn tune_unroll(
+    space: &DesignSpace,
+    technique: Box<dyn SearchTechnique>,
+    budget: usize,
+    seed: u64,
+) -> (DseReport, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let report = explore(
+        space,
+        technique,
+        &Objective::minimize("cost"),
+        budget,
+        &mut rng,
+        |c: &Configuration| {
+            let cost = unrolled_cost(c.get_int("unroll").unwrap() as u64);
+            [("cost".to_string(), cost)].into()
+        },
+    );
+    let best = report
+        .knowledge
+        .points()
+        .iter()
+        .filter_map(|p| p.metric("cost"))
+        .fold(f64::INFINITY, f64::min);
+    (report, best)
+}
+
 /// A1: evaluations-to-near-optimum for black-box techniques on the full
 /// unroll space vs the same machinery on the annotation-shrunk grey-box
 /// space.
@@ -64,13 +95,7 @@ pub(crate) fn a1_greybox_vs_blackbox() -> String {
         v.as_int().is_some_and(|i| i > 0 && (i & (i - 1)) == 0)
     });
     // ground truth optimum via exhaustive search on the full space
-    let mut truth = Tuner::new(black.clone(), Box::new(Exhaustive::new()));
-    let mut rng = StdRng::seed_from_u64(1);
-    let (_, optimum) = truth
-        .run(200, &mut rng, |c| {
-            unrolled_cost(c.get_int("unroll").unwrap() as u64)
-        })
-        .unwrap();
+    let (_, optimum) = tune_unroll(&black, Box::new(Exhaustive::new()), 200, 1);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -89,18 +114,18 @@ pub(crate) fn a1_greybox_vs_blackbox() -> String {
                    technique: Box<dyn SearchTechnique>,
                    label: &str,
                    out: &mut String| {
-        let mut tuner = Tuner::new(space.clone(), technique);
-        let mut rng = StdRng::seed_from_u64(11);
-        let best = tuner
-            .run(40, &mut rng, |c| {
-                unrolled_cost(c.get_int("unroll").unwrap() as u64)
-            })
-            .unwrap();
-        let hit = tuner
-            .evaluations_to_reach(optimum, 0.05)
-            .map(|e| e.to_string())
+        let (report, best) = tune_unroll(space, technique, 40, 11);
+        // the knowledge base holds the evaluations in order: the first
+        // point within 5% of the optimum is the evaluation that hit it
+        let threshold = optimum * 1.05;
+        let hit = report
+            .knowledge
+            .points()
+            .iter()
+            .position(|p| p.metric("cost").is_some_and(|c| c <= threshold))
+            .map(|index| (index + 1).to_string())
             .unwrap_or_else(|| "-".into());
-        let _ = writeln!(out, "{label:<24} {:>10.0} {hit:>16}", best.1);
+        let _ = writeln!(out, "{label:<24} {best:>10.0} {hit:>16}");
     };
 
     run_one(

@@ -1,17 +1,20 @@
 //! Aggregates every `BENCH_*.json` gate file into one markdown table.
 //!
-//! Each gated bench binary (`obs_bench`, `serve_bench`, `chaos_bench`,
+//! Each bench binary (`obs_bench`, `serve_bench`, `chaos_bench`,
 //! `tuner_bench`, `energy_obs_bench`, ...) prints a flat-ish JSON
-//! object of headline numbers and boolean gates. This tool scans a
-//! directory (default: the current directory) for `BENCH_*.json`,
-//! extracts every scalar with a tolerant line-based reader (no JSON
-//! dependency — the files are machine-written, one scalar per line),
-//! and renders:
+//! object of headline numbers; a gated one adds a `"gates"` object,
+//! written by `antarex_bench::print_gates` one gate per line:
+//! `"name": { "pass": true, "detail": "measured vs budget" }`. This
+//! tool scans a directory (default: the current directory) for
+//! `BENCH_*.json`, reads them with a tolerant line-based reader (no
+//! JSON dependency — the files are machine-written, one scalar or one
+//! gate per line), and renders:
 //!
 //! * a summary table — one row per bench, its gate tally, and a
-//!   pass/FAIL verdict (a gate is any boolean field; pass means all
-//!   booleans are `true`);
-//! * a per-bench detail list of every scalar, in file order.
+//!   pass/FAIL verdict (a gate is an entry of the `"gates"` object and
+//!   nothing else; pass means every gate passed);
+//! * a per-bench detail list of every scalar and every gate, in file
+//!   order.
 //!
 //! `--update-readme` instead rewrites the region between the
 //! `<!-- bench-summary:start -->` / `<!-- bench-summary:end -->`
@@ -77,13 +80,55 @@ fn extract_scalars(json: &str) -> Vec<(String, Scalar)> {
     out
 }
 
+/// One entry of a gate file's `"gates"` object.
+#[derive(Debug, Clone, PartialEq)]
+struct Gate {
+    name: String,
+    pass: bool,
+    detail: String,
+}
+
+/// Parses the one-line entries of the `"gates"` object.
+fn extract_gates(json: &str) -> Vec<Gate> {
+    let mut lines = json.lines().map(|line| line.trim().trim_end_matches(','));
+    if !lines.any(|line| line == "\"gates\": {") {
+        return Vec::new();
+    }
+    lines
+        .take_while(|line| *line != "}")
+        .filter_map(parse_gate)
+        .collect()
+}
+
+/// Parses `"name": { "pass": true, "detail": "…" }`.
+fn parse_gate(line: &str) -> Option<Gate> {
+    let (name, body) = line.strip_prefix('"')?.split_once("\": {")?;
+    let (_, pass) = body.split_once("\"pass\": ")?;
+    let (_, detail) = body.split_once("\"detail\": \"")?;
+    let (detail, _) = detail.rsplit_once('"')?;
+    Some(Gate {
+        name: name.to_string(),
+        pass: pass.starts_with("true"),
+        detail: detail.to_string(),
+    })
+}
+
 /// One parsed gate file.
 struct Bench {
     file: String,
     scalars: Vec<(String, Scalar)>,
+    gates: Vec<Gate>,
 }
 
 impl Bench {
+    fn parse(file: &str, json: &str) -> Self {
+        Bench {
+            file: file.to_string(),
+            scalars: extract_scalars(json),
+            gates: extract_gates(json),
+        }
+    }
+
     fn name(&self) -> &str {
         self.scalars
             .iter()
@@ -94,23 +139,13 @@ impl Bench {
             .unwrap_or(&self.file)
     }
 
-    fn gates(&self) -> (usize, usize) {
-        let total = self
-            .scalars
-            .iter()
-            .filter(|(_, v)| matches!(v, Scalar::Bool(_)))
-            .count();
-        let passed = self
-            .scalars
-            .iter()
-            .filter(|(_, v)| matches!(v, Scalar::Bool(true)))
-            .count();
-        (passed, total)
+    fn tally(&self) -> (usize, usize) {
+        let passed = self.gates.iter().filter(|gate| gate.pass).count();
+        (passed, self.gates.len())
     }
 
     fn passes(&self) -> bool {
-        let (passed, total) = self.gates();
-        passed == total
+        self.gates.iter().all(|gate| gate.pass)
     }
 }
 
@@ -128,14 +163,8 @@ fn load_benches(dir: &Path) -> std::io::Result<Vec<Bench>> {
     let mut benches = Vec::new();
     for path in files {
         let json = std::fs::read_to_string(&path)?;
-        benches.push(Bench {
-            file: path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string(),
-            scalars: extract_scalars(&json),
-        });
+        let file = path.file_name().and_then(|n| n.to_str());
+        benches.push(Bench::parse(file.unwrap_or_default(), &json));
     }
     Ok(benches)
 }
@@ -143,7 +172,7 @@ fn load_benches(dir: &Path) -> std::io::Result<Vec<Bench>> {
 fn summary_table(benches: &[Bench]) -> String {
     let mut out = String::from("| gate file | benchmark | gates | verdict |\n|---|---|---|---|\n");
     for bench in benches {
-        let (passed, total) = bench.gates();
+        let (passed, total) = bench.tally();
         let _ = writeln!(
             out,
             "| `{}` | {} | {passed}/{total} | {} |",
@@ -162,6 +191,10 @@ fn full_report(benches: &[Bench]) -> String {
         let _ = write!(out, "\n## {}\n\n", bench.file);
         for (key, value) in &bench.scalars {
             let _ = writeln!(out, "- `{key}`: {}", value.render());
+        }
+        for gate in &bench.gates {
+            let verdict = if gate.pass { "pass" } else { "FAIL" };
+            let _ = writeln!(out, "- gate `{}`: {verdict} ({})", gate.name, gate.detail);
         }
     }
     out
@@ -234,9 +267,15 @@ mod tests {
   "per_event_ns": {
     "counter_inc": 6.6
   },
-  "within_budget": true,
-  "worker_invariant": false,
+  "worker_invariance": {
+    "identical": true
+  },
   "digests": ["aa", "bb"],
+  "gates": {
+    "within_budget": { "pass": true, "detail": "6.6 ns <= 25.0 ns" },
+    "worker_invariant": { "pass": false, "detail": "digests differ: aa / bb" }
+  },
+  "gates_passed": false,
   "note": "text value"
 }"#;
 
@@ -250,8 +289,8 @@ mod tests {
                 "benchmark",
                 "physical_cores",
                 "counter_inc",
-                "within_budget",
-                "worker_invariant",
+                "identical",
+                "gates_passed",
                 "note"
             ]
         );
@@ -260,16 +299,40 @@ mod tests {
     }
 
     #[test]
-    fn gate_tally_counts_booleans_only() {
-        let bench = Bench {
-            file: "BENCH_sample.json".to_string(),
-            scalars: extract_scalars(SAMPLE),
-        };
-        assert_eq!(bench.gates(), (1, 2));
+    fn parses_the_one_line_gate_shape() {
+        let gates = extract_gates(SAMPLE);
+        let parsed: Vec<_> = gates
+            .iter()
+            .map(|gate| (gate.name.as_str(), gate.pass, gate.detail.as_str()))
+            .collect();
+        assert_eq!(
+            parsed,
+            [
+                ("within_budget", true, "6.6 ns <= 25.0 ns"),
+                ("worker_invariant", false, "digests differ: aa / bb"),
+            ]
+        );
+    }
+
+    #[test]
+    fn gate_tally_counts_gates_entries_only() {
+        // `identical` and `gates_passed` are booleans, not gates
+        let bench = Bench::parse("BENCH_sample.json", SAMPLE);
+        assert_eq!(bench.tally(), (1, 2));
         assert!(!bench.passes());
         assert_eq!(bench.name(), "sample bench");
+        let report = full_report(std::slice::from_ref(&bench));
+        assert!(report.contains("gate `worker_invariant`: FAIL (digests differ"));
         let table = summary_table(&[bench]);
         assert!(table.contains("**FAIL**"));
         assert!(table.contains("1/2"));
+    }
+
+    #[test]
+    fn a_file_without_gates_tallies_zero_and_passes() {
+        let json = "{\n  \"benchmark\": \"plain\",\n  \"bit_identical\": true\n}";
+        let bench = Bench::parse("BENCH_plain.json", json);
+        assert_eq!(bench.tally(), (0, 0));
+        assert!(bench.passes());
     }
 }

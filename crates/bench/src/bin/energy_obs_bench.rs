@@ -16,13 +16,13 @@
 //!   exposition + energy ledger + Chrome trace export) is
 //!   byte-identical at 1/2/4/8 physical workers.
 //!
-//! The binary exits nonzero when any gate fails — CI publishes the
-//! JSON and gates on the exit code.
+//! The four are the file's `"gates"`; the binary exits nonzero when any
+//! fails — CI publishes the JSON and gates on the exit code.
 //!
 //! Usage: `cargo run --release -p antarex-bench --bin energy_obs_bench`
 
 use antarex_bench::energy_obs::{campaign_invariance, EnergyScale};
-use antarex_bench::{env_budget_ns, exit_on_failed_gates, ns_per_op, physical_cores};
+use antarex_bench::{env_budget_ns, exit_on_failed_gates, ns_per_op, physical_cores, print_gates};
 use antarex_obs::{Layer, SpanId, TraceCtx, TraceEvent, TraceId, TraceStore};
 use std::hint::black_box;
 
@@ -61,11 +61,34 @@ fn main() {
     let counts = [1usize, 2, 4, 8];
     let (runs, worker_invariant) = campaign_invariance(&scale, &counts);
     let reference = &runs[0];
-    let conservation_exact = runs.iter().all(|run| run.conserved);
-    let requests_at_scale = reference.requests >= 100_000;
+    let conserved = runs.iter().filter(|run| run.conserved).count();
 
     let trace_budget_ns = env_budget_ns("ENERGY_OBS_TRACE_BUDGET_NS", 25.0);
-    let trace_ctx_within_budget = derive_ns <= trace_budget_ns;
+    let gates = [
+        (
+            "trace_ctx_within_budget",
+            format!("derive {derive_ns:.1} ns <= {trace_budget_ns:.1} ns"),
+            derive_ns <= trace_budget_ns,
+        ),
+        (
+            "requests_at_scale",
+            format!("{} requests >= 100000", reference.requests),
+            reference.requests >= 100_000,
+        ),
+        (
+            "conservation_exact",
+            format!(
+                "{conserved} of {} worker counts conserve exactly",
+                runs.len()
+            ),
+            conserved == runs.len(),
+        ),
+        (
+            "worker_invariant",
+            format!("campaign digests identical at {counts:?}: {worker_invariant}"),
+            worker_invariant,
+        ),
+    ];
 
     let cores = physical_cores();
     println!("{{");
@@ -73,18 +96,12 @@ fn main() {
     println!("  \"physical_cores\": {cores},");
     println!("  \"trace_ctx_derive_ns\": {derive_ns:.1},");
     println!("  \"trace_budget_ns\": {trace_budget_ns:.1},");
-    println!(
-        "  \"trace_ctx_within_budget\": {},",
-        trace_ctx_within_budget
-    );
     println!("  \"trace_record_ns\": {record_ns:.1},");
     println!("  \"campaign_requests\": {},", reference.requests);
     println!("  \"campaign_served\": {},", reference.served);
-    println!("  \"requests_at_scale\": {},", requests_at_scale);
     println!("  \"facility_joules\": {:.6},", reference.facility_j);
     println!("  \"attributed_joules\": {:.6},", reference.attributed_j);
     println!("  \"idle_joules\": {:.6},", reference.idle_j);
-    println!("  \"conservation_exact\": {},", conservation_exact);
     println!(
         "  \"worker_digests\": [{}],",
         runs.iter()
@@ -92,19 +109,9 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("  \"worker_invariant\": {},", worker_invariant);
+    print_gates(&gates);
     println!("  \"trace_events_retained\": {},", reference.trace_retained);
     println!("  \"trace_events_dropped\": {}", reference.trace_dropped);
     println!("}}");
-
-    let gate = |name, pass| (name, String::new(), pass);
-    exit_on_failed_gates(
-        "energy_obs_bench",
-        &[
-            gate("trace_ctx_within_budget", trace_ctx_within_budget),
-            gate("requests_at_scale", requests_at_scale),
-            gate("conservation_exact", conservation_exact),
-            gate("worker_invariant", worker_invariant),
-        ],
-    );
+    exit_on_failed_gates("energy_obs_bench", &gates);
 }

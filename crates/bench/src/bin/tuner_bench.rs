@@ -8,10 +8,14 @@
 //! single-core host the wall-clock DSE speedup sits near 1.0 while the
 //! virtual speedup reflects the evaluation schedule).
 //!
+//! Its one gate, `dse_worker_invariance`, holds when every technique of
+//! the DSE grid explores byte-identically at 1, 2, 4 and 8 workers; the
+//! binary exits nonzero when it fails.
+//!
 //! Usage: `cargo run --release -p antarex-bench --bin tuner_bench`
 
 use antarex_bench::tuner_exp::{dse_grid, HotPathScale, WORKER_COUNTS};
-use antarex_bench::{ns_per_op, physical_cores, timed};
+use antarex_bench::{exit_on_failed_gates, ns_per_op, physical_cores, print_gates, timed};
 use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::KnobValue;
@@ -95,7 +99,20 @@ fn main() {
     // parallel DSE: deterministic virtual speedups + wall clock
     let scale = HotPathScale::full();
     let (grid, dse_wall_s) = timed(|| dse_grid(424244, scale.dse_budget));
-    let invariant = grid.iter().all(|r| r.invariant);
+    let diverged: Vec<&str> = grid
+        .iter()
+        .filter(|row| !row.invariant)
+        .map(|row| row.technique)
+        .collect();
+    let gates = [(
+        "dse_worker_invariance",
+        if diverged.is_empty() {
+            format!("reports identical at {WORKER_COUNTS:?} workers")
+        } else {
+            format!("diverged: {}", diverged.join(", "))
+        },
+        diverged.is_empty(),
+    )];
 
     let cores = physical_cores();
     println!("{{");
@@ -117,12 +134,9 @@ fn main() {
     println!("    \"string_reference_ns_per_op\": {cache_ref_ns:.0},");
     println!("    \"speedup\": {:.1}", cache_ref_ns / cache_hit_ns);
     println!("  }},");
+    print_gates(&gates);
     println!("  \"parallel_dse\": {{");
     println!("    \"budget_per_technique\": {},", scale.dse_budget);
-    println!(
-        "    \"worker_invariant\": {},",
-        if invariant { "true" } else { "false" }
-    );
     println!("    \"grid_wall_s\": {dse_wall_s:.3},");
     println!("    \"techniques\": [");
     for (t, row) in grid.iter().enumerate() {
@@ -143,4 +157,5 @@ fn main() {
     println!("    ]");
     println!("  }}");
     println!("}}");
+    exit_on_failed_gates("tuner_bench", &gates);
 }

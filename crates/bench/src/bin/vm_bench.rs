@@ -17,7 +17,7 @@
 //! Usage: `cargo run --release -p antarex-bench --bin vm_bench`
 
 use antarex_bench::vm_exp::kernel_suite;
-use antarex_bench::{exit_on_failed_gates, ns_per_op, physical_cores};
+use antarex_bench::{exit_on_failed_gates, ns_per_op, physical_cores, print_gates};
 use antarex_ir::cost::CostModel;
 use antarex_ir::interp::{ExecEnv, Interp};
 use antarex_ir::parse_program;
@@ -110,19 +110,13 @@ fn main() {
     }
     println!("  ],");
     println!("  \"probe_speedup_geomean\": {geomean_speedup:.1},");
+    print_gates(&gates);
     println!("  \"serving_replay\": {{");
     println!("    \"ns_per_probe\": {replay_ns:.0},");
     println!("    \"code_cache_hits\": {},", evaluator.cache().hits());
     println!("    \"code_cache_misses\": {},", evaluator.cache().misses());
     println!("    \"hit_rate\": {hit_rate:.3}");
-    println!("  }},");
-    println!("  \"gates\": {{");
-    for (i, (name, detail, ok)) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        println!("    \"{name}\": {{\"detail\": \"{detail}\", \"pass\": {ok}}}{comma}");
-    }
-    println!("  }},");
-    println!("  \"gates_passed\": {}", gates.iter().all(|gate| gate.2));
+    println!("  }}");
     println!("}}");
     exit_on_failed_gates("vm_bench", &gates);
 }

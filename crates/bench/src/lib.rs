@@ -39,8 +39,7 @@
 
 use antarex_serve::driver::CrashDrill;
 use antarex_serve::Evaluator;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use antarex_tuner::dse::par_map;
 use std::time::Instant;
 
 pub(crate) mod ablations;
@@ -365,30 +364,9 @@ pub fn run_selected_jobs(only: &[String], jobs: usize) -> Result<String, String>
         .into_iter()
         .filter(|e| only.is_empty() || only.iter().any(|o| o == e.id))
         .collect();
-    let reports: Vec<Mutex<Option<String>>> = selected.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(selected.len()) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(experiment) = selected.get(index) else {
-                    break;
-                };
-                let body = (experiment.run)();
-                match reports[index].lock() {
-                    Ok(mut slot) => *slot = Some(body),
-                    Err(poisoned) => *poisoned.into_inner() = Some(body),
-                }
-            });
-        }
-    });
+    let reports = par_map(&selected, jobs, |experiment| (experiment.run)());
     let mut out = String::new();
-    for (experiment, report) in selected.iter().zip(&reports) {
-        let body = match report.lock() {
-            Ok(mut slot) => slot.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        }
-        .unwrap_or_default();
+    for (experiment, body) in selected.iter().zip(reports) {
         out.push_str(&format!(
             "==============================================================\n[{}] {}\n==============================================================\n",
             experiment.id, experiment.title

@@ -15,9 +15,9 @@
 //!    (configuration, features) pairs are keyed both ways; the
 //!    equality relations must coincide, and `probe_seed` must equal
 //!    the historical string-fold seed everywhere.
-//! 3. **Parallel DSE invariance** — exhaustive, random and genetic
-//!    batch techniques explore the same space at 1, 2, 4 and 8
-//!    workers; the reports must be byte-identical, and the virtual
+//! 3. **Parallel DSE invariance** — exhaustive, random and
+//!    generational-genetic search explore the same space in rounds of
+//!    16 at 1, 2, 4 and 8 workers; the reports must be byte-identical, and the virtual
 //!    makespan of each run (greedy list scheduling, the same
 //!    virtual-time determinism the serving pool uses) yields exact,
 //!    hardware-independent speedups.
@@ -32,7 +32,10 @@ use antarex_sim::sched::list_schedule;
 use antarex_tuner::dse::{explore_parallel, DseReport};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::{Knob, KnobValue};
-use antarex_tuner::search::batch::{BatchTechnique, ExhaustiveBatch, GeneticBatch, RandomBatch};
+use antarex_tuner::search::exhaustive::Exhaustive;
+use antarex_tuner::search::genetic::GeneticBatch;
+use antarex_tuner::search::random::RandomSearch;
+use antarex_tuner::search::SearchTechnique;
 use antarex_tuner::space::{Configuration, DesignSpace};
 use antarex_tuner::{KnowledgeBase, OperatingPoint};
 use rand::rngs::StdRng;
@@ -281,7 +284,7 @@ pub(crate) fn dse_row(
     seed: u64,
     budget: usize,
     technique: &'static str,
-    make: fn() -> Box<dyn BatchTechnique>,
+    make: fn() -> Box<dyn SearchTechnique>,
 ) -> DseRow {
     let run = |workers: usize| -> DseReport {
         explore_parallel(
@@ -289,8 +292,7 @@ pub(crate) fn dse_row(
             make(),
             &Objective::minimize("time"),
             budget,
-            seed,
-            workers,
+            dse_ga().rounds(seed, workers),
             dse_metrics,
         )
     };
@@ -320,16 +322,18 @@ pub(crate) fn dse_row(
     }
 }
 
+/// The grid's generational GA; every technique explores in its rounds
+/// of 16.
+fn dse_ga() -> GeneticBatch {
+    GeneticBatch::with_params(16, 0.15)
+}
+
 /// All three technique rows of the DSE grid.
 pub fn dse_grid(seed: u64, budget: usize) -> Vec<DseRow> {
     vec![
-        dse_row(seed, budget, "exhaustive", || {
-            Box::new(ExhaustiveBatch::new())
-        }),
-        dse_row(seed, budget, "random", || Box::new(RandomBatch::new(16))),
-        dse_row(seed, budget, "genetic", || {
-            Box::new(GeneticBatch::with_params(16, 0.15))
-        }),
+        dse_row(seed, budget, "exhaustive", || Box::new(Exhaustive::new())),
+        dse_row(seed, budget, "random", || Box::new(RandomSearch::new())),
+        dse_row(seed, budget, "genetic", || Box::new(dse_ga())),
     ]
 }
 

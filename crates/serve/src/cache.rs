@@ -68,11 +68,6 @@ use std::sync::{Arc, Mutex};
 pub struct Metrics(Arc<BTreeMap<String, f64>>);
 
 impl Metrics {
-    /// An empty metric set.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Whether two handles share one allocation (not merely equal
     /// contents).
     pub fn ptr_eq(&self, other: &Metrics) -> bool {
@@ -510,7 +505,7 @@ mod tests {
         let shared: Metrics = map.clone().into_iter().collect();
         assert_eq!(format!("{shared:?}"), format!("{map:?}"));
         assert_eq!(format!("{shared:#?}"), format!("{map:#?}"));
-        assert_eq!(format!("{:?}", Metrics::new()), "{}");
+        assert_eq!(format!("{:?}", Metrics::default()), "{}");
         assert_eq!(*shared == map, map == map, "NaN compares as in the map");
         let bits = |(name, value): (&String, &f64)| (name.clone(), value.to_bits());
         assert_eq!(

@@ -31,9 +31,9 @@ use antarex_obs::TraceCtx;
 use antarex_sim::sched;
 pub use antarex_sim::sched::SchedPolicy;
 pub(crate) use antarex_sim::sched::SchedStats;
+use antarex_tuner::dse::par_map;
 use antarex_tuner::Configuration;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One design-point probe to evaluate.
@@ -308,7 +308,7 @@ impl EvalPool {
         }
         let admitted_count = jobs.len().min(self.config.queue_capacity);
         let shed = jobs.split_off(admitted_count);
-        let evaluations = self.run_parallel(&jobs, probe);
+        let evaluations = par_map(&jobs, self.config.workers, probe);
         let policy = self.sched.policy_for(jobs.iter().map(|job| job.class));
         let costs: Vec<f64> = evaluations.iter().map(|e| e.cost_s).collect();
         let schedule = if policy == SchedPolicy::Static {
@@ -348,47 +348,6 @@ impl EvalPool {
             policy,
             stats: schedule.stats,
         })
-    }
-
-    /// Runs the probes on `workers` scoped threads; returns evaluations
-    /// in job order regardless of which thread ran what.
-    fn run_parallel<F>(&self, jobs: &[EvalJob], probe: &F) -> Vec<Evaluation>
-    where
-        F: Fn(&EvalJob) -> Evaluation + Sync,
-    {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.config.workers.min(jobs.len());
-        if threads == 1 {
-            return jobs.iter().map(probe).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Evaluation>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(index) else { break };
-                    let evaluation = probe(job);
-                    if let Ok(mut slot) = slots[index].lock() {
-                        *slot = Some(evaluation);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .unwrap_or(Evaluation {
-                        metrics: Metrics::new(),
-                        cost_s: 0.0,
-                        energy_j: 0.0,
-                    })
-            })
-            .collect()
     }
 }
 
@@ -554,7 +513,7 @@ mod tests {
     /// core zero.
     fn whale_probe(j: &EvalJob) -> Evaluation {
         Evaluation {
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             cost_s: (256 - j.id) as f64,
             energy_j: 0.0,
         }

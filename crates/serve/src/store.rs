@@ -126,81 +126,6 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A consistent-hash ring mapping 64-bit keys onto shards.
-///
-/// Each shard owns `vnodes` pseudo-random points on a 64-bit ring; a
-/// key belongs to the shard owning the first point at or after the
-/// key's hash (wrapping). Compared to `hash % shards`, growing or
-/// shrinking the shard count moves only ~`1/shards` of the keys — the
-/// property that lets a resharded store (or a scaled service tier)
-/// keep almost every tenant's placement, instead of reshuffling nearly
-/// all of them. Ring points come from the fixed `mix64` finalizer,
-/// so placement is platform-independent and identical on every run.
-///
-/// # Examples
-///
-/// ```
-/// use antarex_serve::store::ShardRing;
-///
-/// let ring = ShardRing::new(8, ShardRing::DEFAULT_VNODES);
-/// let shard = ring.shard_of(42);
-/// assert!(shard < 8);
-/// assert_eq!(shard, ring.shard_of(42), "placement is stable");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardRing {
-    /// `(ring position, shard)`, sorted by position.
-    points: Vec<(u64, usize)>,
-    shards: usize,
-}
-
-impl ShardRing {
-    /// Default virtual nodes per shard: enough that per-shard load
-    /// imbalance stays small without bloating the ring.
-    pub const DEFAULT_VNODES: usize = 64;
-
-    /// Builds a ring of `shards` shards with `vnodes` points each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `vnodes` is zero.
-    pub fn new(shards: usize, vnodes: usize) -> Self {
-        assert!(shards > 0, "ring needs at least one shard");
-        assert!(vnodes > 0, "ring needs at least one virtual node");
-        // the salt keeps vnode points out of the key-hash image:
-        // without it, point(shard 0, vnode v) == mix64(v), so every
-        // small key would land exactly on its own point — all on
-        // shard 0
-        const RING_SALT: u64 = 0xC0F5_EE1D_0B5E_55ED;
-        let mut points: Vec<(u64, usize)> = Vec::with_capacity(shards * vnodes);
-        for shard in 0..shards {
-            for vnode in 0..vnodes {
-                let point = mix64(RING_SALT ^ (((shard as u64) << 32) | vnode as u64));
-                points.push((point, shard));
-            }
-        }
-        points.sort_unstable();
-        // a hash collision between two shards' points would make
-        // ownership order-dependent: keep the lowest shard, always
-        points.dedup_by_key(|p| p.0);
-        ShardRing { points, shards }
-    }
-
-    /// The shard count the ring was built for.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `key`: the first ring point at or after
-    /// `mix64(key)`, wrapping past the top of the ring.
-    pub fn shard_of(&self, key: u64) -> usize {
-        let hash = mix64(key);
-        let index = self.points.partition_point(|&(point, _)| point < hash);
-        let index = if index == self.points.len() { 0 } else { index };
-        self.points[index].1
-    }
-}
-
 /// Hash-sharded map of tenant sessions.
 ///
 /// # Examples
@@ -223,7 +148,6 @@ impl ShardRing {
 #[derive(Debug)]
 pub struct SessionStore {
     shards: Vec<Mutex<Shard>>,
-    ring: ShardRing,
 }
 
 impl SessionStore {
@@ -236,12 +160,13 @@ impl SessionStore {
         assert!(shards > 0, "store needs at least one shard");
         SessionStore {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            ring: ShardRing::new(shards, ShardRing::DEFAULT_VNODES),
         }
     }
 
+    /// The tenant's shard: its `mix64` modulo the shard count, the rule
+    /// the journal routes the same tenant's entries by.
     fn shard_of(&self, tenant: TenantId) -> usize {
-        self.ring.shard_of(tenant)
+        (mix64(tenant) % self.shards.len() as u64) as usize
     }
 
     fn lock(&self, index: usize) -> std::sync::MutexGuard<'_, Shard> {
@@ -455,47 +380,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = SessionStore::new(0);
-    }
-
-    #[test]
-    fn ring_growth_moves_few_keys() {
-        let before = ShardRing::new(16, ShardRing::DEFAULT_VNODES);
-        let after = ShardRing::new(17, ShardRing::DEFAULT_VNODES);
-        let keys = 10_000u64;
-        let ring_moved = (0..keys)
-            .filter(|&k| before.shard_of(k) != after.shard_of(k))
-            .count();
-        let modulo_moved = (0..keys)
-            .filter(|&k| mix64(k) % 16 != mix64(k) % 17)
-            .count();
-        // the ideal move fraction is 1/17 ≈ 5.9%; allow slack for
-        // vnode imbalance but demand far less churn than modulo's ~94%
-        assert!(
-            ring_moved < (keys as usize) * 15 / 100,
-            "ring moved {ring_moved} of {keys} keys"
-        );
-        assert!(
-            ring_moved * 4 < modulo_moved,
-            "ring churn {ring_moved} must beat modulo churn {modulo_moved}"
-        );
-    }
-
-    #[test]
-    fn ring_spreads_keys_evenly_enough() {
-        let ring = ShardRing::new(8, ShardRing::DEFAULT_VNODES);
-        let mut counts = [0usize; 8];
-        for key in 0..8_000u64 {
-            counts[ring.shard_of(key)] += 1;
-        }
-        let (min, max) = (*counts.iter().min().unwrap(), *counts.iter().max().unwrap());
-        assert!(min > 0, "every shard must own keys: {counts:?}");
-        assert!(max < 4 * min, "vnode imbalance out of bounds: {counts:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one virtual node")]
-    fn ring_rejects_zero_vnodes() {
-        let _ = ShardRing::new(4, 0);
     }
 
     #[test]

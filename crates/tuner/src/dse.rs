@@ -5,21 +5,29 @@
 //! evaluation as an operating point. The resulting
 //! [`crate::point::KnowledgeBase`] is handed to the runtime
 //! [`AppManager`](crate::manager::AppManager).
+//!
+//! One loop does the exploring, a round at a time: propose, resolve
+//! each proposal against the knowledge base, evaluate the fresh ones,
+//! then — in proposal order — record them, track the incumbent and feed
+//! every cost back. [`explore`] runs it with rounds of one proposal
+//! drawn from the caller's generator; [`explore_parallel`] with rounds
+//! of [`Rounds::size`] proposals evaluated across worker threads.
 
 use crate::goal::Objective;
 use crate::point::{KnowledgeBase, OperatingPoint};
-use crate::search::batch::BatchTechnique;
 use crate::search::SearchTechnique;
 use crate::space::{Configuration, DesignSpace};
-use rand::RngCore;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+type Metrics = BTreeMap<String, f64>;
 
 /// Result of a design-space exploration run.
 #[derive(Debug, Clone)]
 pub struct DseReport {
-    /// Every evaluated operating point.
+    /// Every evaluated operating point, in evaluation order.
     pub knowledge: KnowledgeBase,
     /// Evaluations performed.
     pub evaluations: usize,
@@ -60,46 +68,34 @@ pub struct DseReport {
 /// ```
 pub fn explore(
     space: &DesignSpace,
-    mut technique: Box<dyn SearchTechnique>,
+    technique: Box<dyn SearchTechnique>,
     objective: &Objective,
     budget: usize,
     rng: &mut dyn RngCore,
-    mut eval: impl FnMut(&Configuration) -> BTreeMap<String, f64>,
+    mut eval: impl FnMut(&Configuration) -> Metrics,
 ) -> DseReport {
-    let mut knowledge = KnowledgeBase::new();
-    let mut best: Option<(Configuration, f64)> = None;
-    let mut evaluations = 0;
-    let mut proposals = 0;
-    let cap = budget.saturating_mul(10).max(budget);
-    while evaluations < budget && proposals < cap {
-        let Some(config) = technique.propose(space, rng) else {
-            break;
-        };
-        proposals += 1;
-        if let Some(point) = knowledge.find(&config) {
-            if let Some(value) = point.metric(objective.metric()) {
-                technique.feedback(&config, -objective.score(value));
-            }
-            continue;
-        }
-        let metrics = eval(&config);
-        evaluations += 1;
-        let value = metrics.get(objective.metric()).copied();
-        knowledge.push(OperatingPoint::new(config.clone(), metrics));
-        if let Some(value) = value {
-            let score = objective.score(value);
-            if best.as_ref().is_none_or(|(_, b)| score > *b) {
-                best = Some((config.clone(), score));
-            }
-            // techniques minimize: negate the score
-            technique.feedback(&config, -score);
-        }
-    }
-    DseReport {
-        knowledge,
-        evaluations,
-        best: best.map(|(c, _)| c),
-    }
+    explore_rounds(
+        technique,
+        objective,
+        budget,
+        |technique, _round, _limit| technique.propose(space, rng).into_iter().collect(),
+        |jobs| jobs.iter().map(&mut eval).collect(),
+    )
+}
+
+/// How [`explore_parallel`] rounds its proposals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rounds {
+    /// Proposals per round. The generational
+    /// [`GeneticBatch`](crate::search::genetic::GeneticBatch) needs it
+    /// equal to its population size, so build its rounds with
+    /// [`GeneticBatch::rounds`](crate::search::genetic::GeneticBatch::rounds).
+    pub size: usize,
+    /// Base seed: round `r` proposes from a generator seeded by a
+    /// deterministic split of `(seed, r)`.
+    pub seed: u64,
+    /// Threads evaluating each round.
+    pub workers: usize,
 }
 
 /// SplitMix64 finalizer — the per-round seed splitter.
@@ -116,73 +112,102 @@ fn split_seed(base_seed: u64, round: u64) -> u64 {
     mix64(base_seed ^ mix64(round))
 }
 
-/// Evaluates `jobs` across `workers` scoped threads. Work is handed
-/// out through an atomic cursor; each result lands in the slot of its
-/// job index, so the returned vector is in job order no matter how the
-/// threads interleaved.
-fn evaluate_jobs<E>(jobs: &[Configuration], workers: usize, eval: &E) -> Vec<BTreeMap<String, f64>>
+/// Maps `f` over `items` on up to `workers` scoped threads and returns
+/// the results in item order, however the threads interleaved.
+///
+/// Threads pull items through a shared cursor, so a slow item never
+/// holds up the rest. With one thread to use (one worker, or at most
+/// one item) nothing is spawned. A panic in `f` propagates to the
+/// caller.
+///
+/// # Examples
+///
+/// ```
+/// use antarex_tuner::dse::par_map;
+///
+/// let squares = par_map(&[1u64, 2, 3, 4, 5], 3, |x| x * x);
+/// assert_eq!(squares, [1, 4, 9, 16, 25]);
+/// ```
+pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
-    E: Fn(&Configuration) -> BTreeMap<String, f64> + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
 {
-    let slots: Vec<Mutex<Option<BTreeMap<String, f64>>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
+    let threads = workers.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(jobs.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let metrics = eval(&jobs[i]);
-                let mut slot = match slots[i].lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                *slot = Some(metrics);
-            });
-        }
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            return mine;
+                        };
+                        mine.push((index, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            match slot.into_inner() {
-                Ok(inner) => inner,
-                Err(poisoned) => poisoned.into_inner(),
-            }
-            .expect("every job slot is filled before the scope ends")
-        })
-        .collect()
+    results.sort_unstable_by_key(|&(index, _)| index);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Explores the design space with a [`BatchTechnique`], evaluating each
-/// round of proposals across `workers` threads.
+/// Explores the design space in [`Rounds`], evaluating each round of
+/// proposals across `rounds.workers` threads.
 ///
 /// The report is **byte-identical at any worker count**: proposals are
-/// a pure function of `(base_seed, round index)` via deterministic seed
-/// splitting, duplicate configurations are resolved against the
+/// a pure function of `(rounds.seed, round index)` via deterministic
+/// seed splitting, duplicate configurations are resolved against the
 /// knowledge base before any thread starts, and results are merged —
 /// knowledge-base insertion, incumbent updates, technique feedback — in
 /// proposal order. Worker threads only ever run `eval`, which must
 /// therefore be a pure function of the configuration.
 ///
+/// A round makes all its proposals before the first cost comes back,
+/// so only techniques that can propose without waiting are worth
+/// driving here: [`Exhaustive`](crate::search::exhaustive::Exhaustive),
+/// [`RandomSearch`](crate::search::random::RandomSearch) and
+/// [`GeneticBatch`](crate::search::genetic::GeneticBatch). The
+/// sequential ones — hill climbing, annealing, the bandit and the
+/// steady-state GA — track one pending proposal, so within a round they
+/// learn only from the last cost (hill climbing spends its whole first
+/// round re-proposing its start point): drive them with [`explore`].
+///
+/// # Panics
+///
+/// Panics if `rounds.size` is zero.
+///
 /// # Examples
 ///
 /// ```
-/// use antarex_tuner::dse::explore_parallel;
+/// use antarex_tuner::dse::{explore_parallel, Rounds};
 /// use antarex_tuner::goal::Objective;
 /// use antarex_tuner::knob::Knob;
-/// use antarex_tuner::search::batch::ExhaustiveBatch;
+/// use antarex_tuner::search::exhaustive::Exhaustive;
 /// use antarex_tuner::space::DesignSpace;
 ///
 /// let space = DesignSpace::new(vec![Knob::int("n", 1, 4, 1)]);
 /// let report = explore_parallel(
 ///     &space,
-///     Box::new(ExhaustiveBatch::new()),
+///     Box::new(Exhaustive::new()),
 ///     &Objective::minimize("time"),
 ///     100,
-///     0,
-///     4,
+///     Rounds { size: 16, seed: 0, workers: 4 },
 ///     |cfg| {
 ///         let n = cfg.get_int("n").unwrap() as f64;
 ///         [("time".to_string(), 10.0 / n)].into()
@@ -193,16 +218,43 @@ where
 /// ```
 pub fn explore_parallel<E>(
     space: &DesignSpace,
-    mut technique: Box<dyn BatchTechnique>,
+    technique: Box<dyn SearchTechnique>,
     objective: &Objective,
     budget: usize,
-    base_seed: u64,
-    workers: usize,
+    rounds: Rounds,
     eval: E,
 ) -> DseReport
 where
-    E: Fn(&Configuration) -> BTreeMap<String, f64> + Sync,
+    E: Fn(&Configuration) -> Metrics + Sync,
 {
+    assert!(rounds.size > 0, "a round needs at least one proposal");
+    explore_rounds(
+        technique,
+        objective,
+        budget,
+        |technique, round, limit| {
+            let mut rng = StdRng::seed_from_u64(split_seed(rounds.seed, round));
+            (0..rounds.size.min(limit))
+                .map_while(|_| technique.propose(space, &mut rng))
+                .collect()
+        },
+        |jobs| par_map(jobs, rounds.workers, &eval),
+    )
+}
+
+/// The exploration loop. `propose(technique, round, limit)` makes the
+/// round's proposals — at most `limit`, none once the technique is
+/// exhausted — and `evaluate` measures the round's fresh configurations
+/// in order. Evaluations stop at `budget`, proposals at `10 × budget`
+/// (cached proposals consume no budget, so a converged technique must
+/// still terminate).
+fn explore_rounds(
+    mut technique: Box<dyn SearchTechnique>,
+    objective: &Objective,
+    budget: usize,
+    mut propose: impl FnMut(&mut dyn SearchTechnique, u64, usize) -> Vec<Configuration>,
+    mut evaluate: impl FnMut(&[Configuration]) -> Vec<Metrics>,
+) -> DseReport {
     let mut knowledge = KnowledgeBase::new();
     let mut best: Option<(Configuration, f64)> = None;
     let mut evaluations = 0;
@@ -210,57 +262,45 @@ where
     let cap = budget.saturating_mul(10).max(budget);
     let mut round: u64 = 0;
     while evaluations < budget && proposals < cap {
-        let remaining = budget - evaluations;
-        let batch = technique.propose_batch(space, split_seed(base_seed, round), remaining);
+        let batch = propose(technique.as_mut(), round, budget - evaluations);
         round += 1;
         if batch.is_empty() {
             break;
         }
         proposals += batch.len();
-        // resolve each proposal to cached metrics or a fresh job;
-        // within-batch duplicates ride on the first occurrence
-        enum Source {
-            Known(usize),
-            Job(usize),
-        }
+        // resolve each proposal to a knowledge-base index: a known
+        // point's, or the one its fresh job will be recorded at — jobs
+        // are numbered in first-occurrence order, so job `j` lands at
+        // `base + j` and within-round duplicates ride on it
+        let base = knowledge.len();
         let mut jobs: Vec<Configuration> = Vec::new();
-        let mut sources: Vec<Source> = Vec::with_capacity(batch.len());
+        let mut indices = Vec::with_capacity(batch.len());
         for config in &batch {
-            if let Some(index) = knowledge.find_index(config) {
-                sources.push(Source::Known(index));
-            } else if let Some(job) = jobs.iter().position(|j| j == config) {
-                sources.push(Source::Job(job));
-            } else {
-                jobs.push(config.clone());
-                sources.push(Source::Job(jobs.len() - 1));
-            }
+            let index = knowledge.find_index(config).unwrap_or_else(|| {
+                base + jobs.iter().position(|j| j == config).unwrap_or_else(|| {
+                    jobs.push(config.clone());
+                    jobs.len() - 1
+                })
+            });
+            indices.push(index);
         }
-        let results = evaluate_jobs(&jobs, workers, &eval);
+        let mut results = evaluate(&jobs);
         evaluations += jobs.len();
-        // merge in proposal order: push fresh points, update the
-        // incumbent, collect feedback — exactly as the sequential
-        // explorer would have seen them
-        let mut fresh = vec![true; jobs.len()];
-        let mut feedback: Vec<(Configuration, f64)> = Vec::with_capacity(batch.len());
-        for (config, source) in batch.iter().zip(&sources) {
-            let value = match source {
-                Source::Known(index) => knowledge.points()[*index].metric(objective.metric()),
-                Source::Job(job) => {
-                    if std::mem::take(&mut fresh[*job]) {
-                        knowledge.push(OperatingPoint::new(config.clone(), results[*job].clone()));
-                    }
-                    results[*job].get(objective.metric()).copied()
-                }
+        for (config, &index) in batch.iter().zip(&indices) {
+            if index == knowledge.len() {
+                let metrics = std::mem::take(&mut results[index - base]);
+                knowledge.push(OperatingPoint::new(config.clone(), metrics));
+            }
+            let Some(value) = knowledge.points()[index].metric(objective.metric()) else {
+                continue;
             };
-            let Some(value) = value else { continue };
             let score = objective.score(value);
-            if matches!(source, Source::Job(_)) && best.as_ref().is_none_or(|(_, b)| score > *b) {
+            if index >= base && best.as_ref().is_none_or(|(_, b)| score > *b) {
                 best = Some((config.clone(), score));
             }
             // techniques minimize: negate the score
-            feedback.push((config.clone(), -score));
+            technique.feedback(config, -score);
         }
-        technique.feedback_batch(&feedback);
     }
     DseReport {
         knowledge,
@@ -273,17 +313,15 @@ where
 mod tests {
     use super::*;
     use crate::knob::Knob;
-    use crate::search::batch::{ExhaustiveBatch, GeneticBatch, RandomBatch};
     use crate::search::exhaustive::Exhaustive;
+    use crate::search::genetic::GeneticBatch;
     use crate::search::random::RandomSearch;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn space() -> DesignSpace {
         DesignSpace::new(vec![Knob::int("unroll", 1, 8, 1)])
     }
 
-    fn metrics(cfg: &Configuration) -> BTreeMap<String, f64> {
+    fn metrics(cfg: &Configuration) -> Metrics {
         let u = cfg.get_int("unroll").unwrap() as f64;
         [
             ("time".to_string(), 16.0 / u),
@@ -292,16 +330,39 @@ mod tests {
         .into()
     }
 
+    /// [`explore`]s [`space`] under `objective`, proposing from a
+    /// generator seeded by `seed`.
+    fn sequential(
+        technique: Box<dyn SearchTechnique>,
+        objective: Objective,
+        budget: usize,
+        seed: u64,
+    ) -> DseReport {
+        let mut rng = StdRng::seed_from_u64(seed);
+        explore(&space(), technique, &objective, budget, &mut rng, metrics)
+    }
+
+    /// [`explore_parallel`]s [`space`], minimizing time.
+    fn parallel(technique: Box<dyn SearchTechnique>, budget: usize, rounds: Rounds) -> DseReport {
+        let objective = Objective::minimize("time");
+        explore_parallel(&space(), technique, &objective, budget, rounds, metrics)
+    }
+
+    fn rounds(size: usize, seed: u64, workers: usize) -> Rounds {
+        Rounds {
+            size,
+            seed,
+            workers,
+        }
+    }
+
     #[test]
     fn exhaustive_dse_builds_full_knowledge_base() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let report = explore(
-            &space(),
+        let report = sequential(
             Box::new(Exhaustive::new()),
-            &Objective::minimize("time"),
+            Objective::minimize("time"),
             100,
-            &mut rng,
-            metrics,
+            0,
         );
         assert_eq!(report.knowledge.len(), 8);
         assert_eq!(report.best.unwrap().get_int("unroll"), Some(8));
@@ -312,108 +373,56 @@ mod tests {
 
     #[test]
     fn maximize_objective_flips_best() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let report = explore(
-            &space(),
+        let report = sequential(
             Box::new(Exhaustive::new()),
-            &Objective::maximize("time"),
+            Objective::maximize("time"),
             100,
-            &mut rng,
-            metrics,
+            0,
         );
         assert_eq!(report.best.unwrap().get_int("unroll"), Some(1));
     }
 
     #[test]
     fn budget_limits_evaluations() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let report = explore(
-            &space(),
+        let report = sequential(
             Box::new(RandomSearch::new()),
-            &Objective::minimize("time"),
+            Objective::minimize("time"),
             3,
-            &mut rng,
-            metrics,
+            1,
         );
         assert_eq!(report.evaluations, 3);
         assert_eq!(report.knowledge.len(), 3);
     }
 
     #[test]
+    fn parallel_exhaustive_matches_sequential_explore() {
+        let objective = Objective::minimize("time");
+        let sequential = sequential(Box::new(Exhaustive::new()), objective, 100, 0);
+        let parallel = parallel(Box::new(Exhaustive::new()), 100, rounds(3, 0, 4));
+        assert_eq!(format!("{parallel:?}"), format!("{sequential:?}"));
+    }
+
+    #[test]
     fn parallel_report_is_identical_at_any_worker_count() {
-        for technique in ["exhaustive", "random", "genetic"] {
-            let make: fn() -> Box<dyn crate::search::batch::BatchTechnique> = match technique {
-                "exhaustive" => || Box::new(ExhaustiveBatch::new()),
-                "random" => || Box::new(RandomBatch::new(8)),
-                _ => || Box::new(GeneticBatch::with_params(8, 0.2)),
-            };
-            let reports: Vec<DseReport> = [1, 2, 4, 7]
-                .iter()
-                .map(|&workers| {
-                    explore_parallel(
-                        &space(),
-                        make(),
-                        &Objective::minimize("time"),
-                        30,
-                        99,
-                        workers,
-                        metrics,
-                    )
-                })
-                .collect();
-            for report in &reports[1..] {
-                assert_eq!(
-                    format!("{:?}", report.knowledge),
-                    format!("{:?}", reports[0].knowledge),
-                    "{technique}: knowledge must not depend on worker count"
-                );
-                assert_eq!(report.evaluations, reports[0].evaluations, "{technique}");
-                assert_eq!(report.best, reports[0].best, "{technique}");
+        // 8 points, budget 30: once the space is covered every proposal
+        // is answered from the knowledge base until the proposal cap.
+        // Every technique runs in the GA's rounds.
+        fn ga() -> GeneticBatch {
+            GeneticBatch::with_params(8, 0.2)
+        }
+        type Make = fn() -> Box<dyn SearchTechnique>;
+        let techniques: [(&str, Make); 3] = [
+            ("exhaustive", || Box::new(Exhaustive::new())),
+            ("random", || Box::new(RandomSearch::new())),
+            ("genetic", || Box::new(ga())),
+        ];
+        for (name, make) in techniques {
+            let run = |workers| format!("{:?}", parallel(make(), 30, ga().rounds(99, workers)));
+            let baseline = run(1);
+            for workers in [2, 4, 7] {
+                assert_eq!(run(workers), baseline, "{name}: {workers} workers");
             }
         }
-    }
-
-    #[test]
-    fn parallel_exhaustive_matches_sequential_explore() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let sequential = explore(
-            &space(),
-            Box::new(Exhaustive::new()),
-            &Objective::minimize("time"),
-            100,
-            &mut rng,
-            metrics,
-        );
-        let parallel = explore_parallel(
-            &space(),
-            Box::new(ExhaustiveBatch::new()),
-            &Objective::minimize("time"),
-            100,
-            0,
-            4,
-            metrics,
-        );
-        assert_eq!(
-            format!("{:?}", parallel.knowledge),
-            format!("{:?}", sequential.knowledge)
-        );
-        assert_eq!(parallel.evaluations, sequential.evaluations);
-        assert_eq!(parallel.best, sequential.best);
-    }
-
-    #[test]
-    fn parallel_budget_is_respected() {
-        let report = explore_parallel(
-            &space(),
-            Box::new(RandomBatch::new(8)),
-            &Objective::minimize("time"),
-            5,
-            3,
-            4,
-            metrics,
-        );
-        assert!(report.evaluations <= 5);
-        assert_eq!(report.knowledge.len(), report.evaluations);
     }
 
     #[test]
@@ -422,19 +431,14 @@ mod tests {
             Knob::int("unroll", 1, 32, 1),
             Knob::int("block", 1, 32, 1),
         ]);
-        let report = explore_parallel(
-            &space,
-            Box::new(GeneticBatch::with_params(16, 0.15)),
-            &Objective::minimize("time"),
-            400,
-            11,
-            4,
-            |cfg| {
-                let u = cfg.get_int("unroll").unwrap() as f64;
-                let b = cfg.get_int("block").unwrap() as f64;
-                [("time".to_string(), (u - 20.0).powi(2) + (b - 9.0).powi(2))].into()
-            },
-        );
+        let ga = GeneticBatch::with_params(16, 0.15);
+        let rounds = ga.rounds(11, 4);
+        let objective = Objective::minimize("time");
+        let report = explore_parallel(&space, Box::new(ga), &objective, 400, rounds, |cfg| {
+            let u = cfg.get_int("unroll").unwrap() as f64;
+            let b = cfg.get_int("block").unwrap() as f64;
+            [("time".to_string(), (u - 20.0).powi(2) + (b - 9.0).powi(2))].into()
+        });
         let best = report.best.expect("found something");
         let u = best.get_int("unroll").unwrap();
         let b = best.get_int("block").unwrap();
@@ -442,6 +446,19 @@ mod tests {
             (u - 20).abs() <= 3 && (b - 9).abs() <= 3,
             "GA should land near (20, 9), got ({u}, {b})"
         );
+    }
+
+    #[test]
+    fn parallel_budget_is_respected() {
+        let report = parallel(Box::new(RandomSearch::new()), 5, rounds(8, 3, 4));
+        assert!(report.evaluations <= 5);
+        assert_eq!(report.knowledge.len(), report.evaluations);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one proposal")]
+    fn empty_rounds_rejected() {
+        let _ = parallel(Box::new(RandomSearch::new()), 5, rounds(0, 3, 4));
     }
 
     #[test]
@@ -461,5 +478,47 @@ mod tests {
         );
         assert!(calls <= 8, "only 8 distinct configurations exist");
         assert_eq!(report.evaluations, calls);
+    }
+
+    #[test]
+    fn repeated_proposals_do_not_burn_budget() {
+        // a one-point space: random search proposes the same
+        // configuration forever; only one evaluation may happen, and the
+        // proposal cap must end the run
+        let space = DesignSpace::new(vec![Knob::int("x", 3, 3, 1)]);
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut calls = 0;
+        let report = explore(
+            &space,
+            Box::new(RandomSearch::new()),
+            &Objective::minimize("time"),
+            10,
+            &mut rng,
+            |_| {
+                calls += 1;
+                [("time".to_string(), 1.0)].into()
+            },
+        );
+        assert_eq!((calls, report.evaluations), (1, 1));
+    }
+
+    #[test]
+    fn par_map_keeps_item_order_at_any_worker_count() {
+        let items: Vec<u64> = (0..37).collect();
+        for workers in [0, 1, 2, 4, 64] {
+            let doubled = par_map(&items, workers, |x| x * 2);
+            assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        }
+        assert!(par_map(&[] as &[u64], 4, |x| *x).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn par_map_propagates_a_panicking_job() {
+        let items: Vec<u64> = (0..8).collect();
+        let _ = par_map(&items, 4, |&x| {
+            assert!(x != 5, "job {x} failed");
+            x
+        });
     }
 }

@@ -24,23 +24,31 @@
 //! # Examples
 //!
 //! ```
+//! use antarex_tuner::dse::explore;
+//! use antarex_tuner::goal::Objective;
 //! use antarex_tuner::knob::Knob;
 //! use antarex_tuner::space::DesignSpace;
-//! use antarex_tuner::search::{hillclimb::HillClimb, Tuner};
+//! use antarex_tuner::search::hillclimb::HillClimb;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let space = DesignSpace::new(vec![
 //!     Knob::int("unroll", 1, 16, 1),
 //!     Knob::choice("variant", ["scalar", "blocked"]),
 //! ]);
-//! let mut tuner = Tuner::new(space, Box::new(HillClimb::new()));
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let best = tuner.run(200, &mut rng, |cfg| {
-//!     // pretend cost surface: bigger unroll is better up to 8
-//!     let u = cfg.get_int("unroll").unwrap() as f64;
-//!     (u - 8.0).abs()
-//! });
-//! assert_eq!(best.unwrap().0.get_int("unroll"), Some(8));
+//! let report = explore(
+//!     &space,
+//!     Box::new(HillClimb::new()),
+//!     &Objective::minimize("cost"),
+//!     200,
+//!     &mut rng,
+//!     |cfg| {
+//!         // pretend cost surface: bigger unroll is better up to 8
+//!         let u = cfg.get_int("unroll").unwrap() as f64;
+//!         [("cost".to_string(), (u - 8.0).abs())].into()
+//!     },
+//! );
+//! assert_eq!(report.best.unwrap().get_int("unroll"), Some(8));
 //! ```
 
 pub mod dse;

@@ -100,18 +100,13 @@ impl SearchTechnique for Annealing {
 mod tests {
     use super::*;
     use crate::search::test_support::*;
-    use crate::search::Tuner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn cools_and_converges_on_convex() {
-        let mut tuner = Tuner::new(
-            quadratic_space(),
-            Box::new(Annealing::with_schedule(20.0, 0.95)),
-        );
-        let mut rng = StdRng::seed_from_u64(21);
-        let (_, cost) = tuner.run(400, &mut rng, quadratic_cost).unwrap();
+        let annealer = Box::new(Annealing::with_schedule(20.0, 0.95));
+        let (_, cost) = best(&tune(annealer, 400, 21, quadratic_cost));
         assert!(
             cost <= 2.0,
             "annealing should settle near the optimum, got {cost}"
@@ -123,12 +118,8 @@ mod tests {
         // across seeds, annealing should hit the global basin at least once
         let mut hits = 0;
         for seed in 0..8 {
-            let mut tuner = Tuner::new(
-                quadratic_space(),
-                Box::new(Annealing::with_schedule(60.0, 0.995)),
-            );
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (_, cost) = tuner.run(600, &mut rng, multimodal_cost).unwrap();
+            let annealer = Box::new(Annealing::with_schedule(60.0, 0.995));
+            let (_, cost) = best(&tune(annealer, 600, seed, multimodal_cost));
             if cost < 5.0 {
                 hits += 1;
             }

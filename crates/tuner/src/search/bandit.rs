@@ -162,15 +162,13 @@ impl SearchTechnique for Bandit {
 mod tests {
     use super::*;
     use crate::search::test_support::*;
-    use crate::search::Tuner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn ensemble_converges() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(Bandit::default_ensemble()));
-        let mut rng = StdRng::seed_from_u64(19);
-        let (_, cost) = tuner.run(300, &mut rng, quadratic_cost).unwrap();
+        let ensemble = Box::new(Bandit::default_ensemble());
+        let (_, cost) = best(&tune(ensemble, 300, 19, quadratic_cost));
         assert!(cost <= 1.0, "bandit ensemble should converge, got {cost}");
     }
 
@@ -214,15 +212,10 @@ mod tests {
         let mut best_bandit = f64::INFINITY;
         let mut best_random = f64::INFINITY;
         for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut t = Tuner::new(quadratic_space(), Box::new(Bandit::default_ensemble()));
-            best_bandit = best_bandit.min(t.run(150, &mut rng, multimodal_cost).unwrap().1);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut t = Tuner::new(
-                quadratic_space(),
-                Box::new(crate::search::random::RandomSearch::new()),
-            );
-            best_random = best_random.min(t.run(150, &mut rng, multimodal_cost).unwrap().1);
+            let ensemble = Box::new(Bandit::default_ensemble());
+            best_bandit = best_bandit.min(best(&tune(ensemble, 150, seed, multimodal_cost)).1);
+            let random = Box::new(crate::search::random::RandomSearch::new());
+            best_random = best_random.min(best(&tune(random, 150, seed, multimodal_cost)).1);
         }
         assert!(best_bandit <= best_random + 1.0);
     }

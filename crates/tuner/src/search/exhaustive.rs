@@ -38,19 +38,20 @@ impl SearchTechnique for Exhaustive {
 mod tests {
     use super::*;
     use crate::search::test_support::*;
-    use crate::search::Tuner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn finds_exact_optimum() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(Exhaustive::new()));
-        let mut rng = StdRng::seed_from_u64(0);
-        let (config, cost) = tuner.run(10_000, &mut rng, quadratic_cost).unwrap();
+        let report = tune(Box::new(Exhaustive::new()), 10_000, 0, quadratic_cost);
+        let (config, cost) = best(&report);
         assert_eq!(cost, 0.0);
         assert_eq!(config.get_int("x"), Some(7));
         assert_eq!(config.get_int("y"), Some(3));
-        assert_eq!(tuner.history.len(), 256, "16 x 16 cells, then stop");
+        assert_eq!(report.evaluations, 256, "16 x 16 cells, then stop");
+        // the convergence metric: the optimum is cell 7 * 16 + 3
+        assert_eq!(evaluations_to_reach(&report, 0.0), Some(116));
+        assert_eq!(evaluations_to_reach(&report, -5.0), None);
     }
 
     #[test]

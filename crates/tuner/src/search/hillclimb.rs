@@ -143,24 +143,17 @@ impl SearchTechnique for HillClimb {
 mod tests {
     use super::*;
     use crate::search::test_support::*;
-    use crate::search::Tuner;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn descends_convex_bowl_to_optimum() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(HillClimb::new()));
-        let mut rng = StdRng::seed_from_u64(5);
-        let (config, cost) = tuner.run(200, &mut rng, quadratic_cost).unwrap();
+        let (config, cost) = best(&tune(Box::new(HillClimb::new()), 200, 5, quadratic_cost));
         assert_eq!(cost, 0.0, "convex surface must reach the optimum");
         assert_eq!(config.get_int("x"), Some(7));
     }
 
     #[test]
     fn restarts_escape_local_optimum() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(HillClimb::new()));
-        let mut rng = StdRng::seed_from_u64(9);
-        let (_, cost) = tuner.run(400, &mut rng, multimodal_cost).unwrap();
+        let (_, cost) = best(&tune(Box::new(HillClimb::new()), 400, 9, multimodal_cost));
         assert_eq!(
             cost, 0.0,
             "restarts should eventually find the global basin"
@@ -169,17 +162,11 @@ mod tests {
 
     #[test]
     fn converges_faster_than_random_on_convex() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut hill = Tuner::new(quadratic_space(), Box::new(HillClimb::new()));
-        hill.run(100, &mut rng, quadratic_cost);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut random = Tuner::new(
-            quadratic_space(),
-            Box::new(crate::search::random::RandomSearch::new()),
-        );
-        random.run(100, &mut rng, quadratic_cost);
-        let hill_hit = hill.evaluations_to_reach(0.0, 0.0);
-        let rand_hit = random.evaluations_to_reach(0.0, 0.0);
+        let hill = tune(Box::new(HillClimb::new()), 100, 13, quadratic_cost);
+        let random = Box::new(crate::search::random::RandomSearch::new());
+        let random = tune(random, 100, 13, quadratic_cost);
+        let hill_hit = evaluations_to_reach(&hill, 0.0);
+        let rand_hit = evaluations_to_reach(&random, 0.0);
         match (hill_hit, rand_hit) {
             (Some(h), Some(r)) => assert!(h <= r, "hill {h} vs random {r}"),
             (Some(_), None) => {}

@@ -10,10 +10,36 @@
 //! same machinery run on an annotation-shrunk space (see
 //! [`DesignSpace::restrict`](crate::space::DesignSpace::restrict)) —
 //! benchmark A1 measures the difference.
+//!
+//! A technique only proposes and listens: [`crate::dse::explore`]
+//! drives it one proposal at a time, [`crate::dse::explore_parallel`]
+//! in seeded rounds evaluated across threads. Either way the explorer
+//! answers repeated proposals from the knowledge base, tracks the
+//! incumbent and feeds every cost back in proposal order.
+//!
+//! ```
+//! use antarex_tuner::dse::explore;
+//! use antarex_tuner::goal::Objective;
+//! use antarex_tuner::knob::Knob;
+//! use antarex_tuner::search::hillclimb::HillClimb;
+//! use antarex_tuner::space::DesignSpace;
+//! use rand::{rngs::StdRng, SeedableRng};
+//!
+//! let space = DesignSpace::new(vec![Knob::int("x", 0, 15, 1)]);
+//! let mut rng = StdRng::seed_from_u64(3);
+//! let report = explore(
+//!     &space,
+//!     Box::new(HillClimb::new()),
+//!     &Objective::minimize("cost"),
+//!     40,
+//!     &mut rng,
+//!     |cfg| [("cost".to_string(), (cfg.get_int("x").unwrap() as f64 - 9.0).abs())].into(),
+//! );
+//! assert_eq!(report.best.unwrap().get_int("x"), Some(9));
+//! ```
 
 pub mod annealing;
 pub mod bandit;
-pub mod batch;
 pub mod exhaustive;
 pub mod genetic;
 pub mod hillclimb;
@@ -22,8 +48,10 @@ pub mod random;
 use crate::space::{Configuration, DesignSpace};
 use rand::RngCore;
 
-/// A sequential search technique: propose a configuration, receive its
-/// measured cost (smaller is better), repeat.
+/// A search technique: propose a configuration, receive its measured
+/// cost (smaller is better), repeat. Within an
+/// [`explore_parallel`](crate::dse::explore_parallel) round every
+/// proposal is made before the first cost comes back.
 pub trait SearchTechnique {
     /// Human-readable technique name.
     fn name(&self) -> &'static str;
@@ -36,107 +64,15 @@ pub trait SearchTechnique {
     fn feedback(&mut self, config: &Configuration, cost: f64);
 }
 
-/// One evaluated trial.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Trial {
-    /// Evaluated configuration.
-    pub config: Configuration,
-    /// Measured cost (smaller is better).
-    pub cost: f64,
-    /// 1-based evaluation index at which this trial ran.
-    pub evaluation: usize,
-}
-
-/// Drives a [`SearchTechnique`] against an evaluation function, caching
-/// repeated proposals and tracking the incumbent best.
-pub struct Tuner {
-    space: DesignSpace,
-    technique: Box<dyn SearchTechnique>,
-    history: Vec<Trial>,
-    best: Option<(Configuration, f64)>,
-}
-
-impl std::fmt::Debug for Tuner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tuner")
-            .field("technique", &self.technique.name())
-            .field("evaluations", &self.history.len())
-            .field("best", &self.best)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Tuner {
-    /// Creates a tuner for `space` using `technique`.
-    pub fn new(space: DesignSpace, technique: Box<dyn SearchTechnique>) -> Self {
-        Tuner {
-            space,
-            technique,
-            history: Vec::new(),
-            best: None,
-        }
-    }
-
-    /// Runs up to `budget` evaluations of `eval`, returning the best
-    /// configuration found and its cost.
-    ///
-    /// Proposals already evaluated are answered from cache without
-    /// consuming budget (but count against a proposal cap of `10 × budget`
-    /// to guarantee termination on converged techniques).
-    pub fn run(
-        &mut self,
-        budget: usize,
-        rng: &mut impl RngCore,
-        mut eval: impl FnMut(&Configuration) -> f64,
-    ) -> Option<(Configuration, f64)> {
-        let mut evaluations = 0;
-        let mut proposals = 0;
-        let proposal_cap = budget.saturating_mul(10).max(budget);
-        while evaluations < budget && proposals < proposal_cap {
-            let Some(config) = self.technique.propose(&self.space, rng) else {
-                break;
-            };
-            proposals += 1;
-            if let Some(prior) = self.history.iter().find(|t| t.config == config) {
-                let cost = prior.cost;
-                self.technique.feedback(&config, cost);
-                continue;
-            }
-            let cost = eval(&config);
-            evaluations += 1;
-            self.history.push(Trial {
-                config: config.clone(),
-                cost,
-                evaluation: evaluations,
-            });
-            if self.best.as_ref().is_none_or(|(_, b)| cost < *b) {
-                self.best = Some((config.clone(), cost));
-            }
-            self.technique.feedback(&config, cost);
-        }
-        self.best.clone()
-    }
-
-    /// Number of evaluations needed to first reach a cost within
-    /// `tolerance` (relative) of `target`, if ever (convergence metric for
-    /// benchmark A1).
-    pub fn evaluations_to_reach(&self, target: f64, tolerance: f64) -> Option<usize> {
-        let threshold = target * (1.0 + tolerance);
-        let mut best = f64::INFINITY;
-        for trial in &self.history {
-            best = best.min(trial.cost);
-            if best <= threshold {
-                return Some(trial.evaluation);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
+    use super::SearchTechnique;
+    use crate::dse::{explore, DseReport};
+    use crate::goal::Objective;
     use crate::knob::Knob;
     use crate::space::{Configuration, DesignSpace};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// A 2-D integer test space with a known optimum at (7, 3).
     pub fn quadratic_space() -> DesignSpace {
@@ -159,52 +95,43 @@ pub(crate) mod test_support {
         let global = (x - 13.0).powi(2) + (y - 13.0).powi(2);
         local.min(global)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::test_support::*;
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    /// Explores [`quadratic_space`] with `technique` for up to `budget`
+    /// evaluations of `cost`, drawing from a generator seeded by `seed`.
+    pub fn tune(
+        technique: Box<dyn SearchTechnique>,
+        budget: usize,
+        seed: u64,
+        cost: fn(&Configuration) -> f64,
+    ) -> DseReport {
+        let mut rng = StdRng::seed_from_u64(seed);
+        explore(
+            &quadratic_space(),
+            technique,
+            &Objective::minimize("cost"),
+            budget,
+            &mut rng,
+            |config| [("cost".to_string(), cost(config))].into(),
+        )
+    }
 
-    #[test]
-    fn tuner_tracks_best_and_history() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(random::RandomSearch::new()));
-        let mut rng = StdRng::seed_from_u64(1);
-        let best = tuner.run(64, &mut rng, quadratic_cost).unwrap();
-        assert_eq!(tuner.history.len(), 64);
-        // incumbent matches history minimum
-        let min = tuner
-            .history
+    /// The incumbent of a [`tune`] run and its cost.
+    pub fn best(report: &DseReport) -> (Configuration, f64) {
+        let config = report.best.clone().expect("something was evaluated");
+        let cost = report
+            .knowledge
+            .find(&config)
+            .and_then(|p| p.metric("cost"));
+        (config, cost.expect("every point has a cost"))
+    }
+
+    /// The 1-based evaluation at which a [`tune`] run first reached a
+    /// cost of `target` or below.
+    pub fn evaluations_to_reach(report: &DseReport, target: f64) -> Option<usize> {
+        let points = report.knowledge.points();
+        let hit = points
             .iter()
-            .map(|t| t.cost)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(best.1, min);
-    }
-
-    #[test]
-    fn repeated_proposals_do_not_burn_budget() {
-        // A degenerate one-point space: random search proposes the same
-        // configuration forever; only one evaluation must happen.
-        let space = DesignSpace::new(vec![crate::knob::Knob::int("x", 3, 3, 1)]);
-        let mut tuner = Tuner::new(space, Box::new(random::RandomSearch::new()));
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut evals = 0;
-        tuner.run(10, &mut rng, |_| {
-            evals += 1;
-            1.0
-        });
-        assert_eq!(evals, 1);
-    }
-
-    #[test]
-    fn evaluations_to_reach_convergence_metric() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(exhaustive::Exhaustive::new()));
-        let mut rng = StdRng::seed_from_u64(3);
-        tuner.run(256, &mut rng, quadratic_cost);
-        let hit = tuner.evaluations_to_reach(0.0, 0.05).unwrap();
-        assert!(hit <= 256);
-        assert!(tuner.evaluations_to_reach(-5.0, 0.0).is_none());
+            .position(|p| p.metric("cost").is_some_and(|c| c <= target));
+        hit.map(|index| index + 1)
     }
 }

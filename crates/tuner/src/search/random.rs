@@ -34,15 +34,13 @@ impl SearchTechnique for RandomSearch {
 mod tests {
     use super::*;
     use crate::search::test_support::*;
-    use crate::search::Tuner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn finds_decent_point_on_small_space() {
-        let mut tuner = Tuner::new(quadratic_space(), Box::new(RandomSearch::new()));
-        let mut rng = StdRng::seed_from_u64(11);
-        let (_, cost) = tuner.run(200, &mut rng, quadratic_cost).unwrap();
+        let report = tune(Box::new(RandomSearch::new()), 200, 11, quadratic_cost);
+        let (_, cost) = best(&report);
         assert!(
             cost <= 4.0,
             "200 samples over 256 cells should land near optimum"

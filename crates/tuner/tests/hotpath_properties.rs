@@ -11,7 +11,10 @@
 use antarex_tuner::dse::explore_parallel;
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::{Knob, KnobValue};
-use antarex_tuner::search::batch::{BatchTechnique, ExhaustiveBatch, GeneticBatch, RandomBatch};
+use antarex_tuner::search::exhaustive::Exhaustive;
+use antarex_tuner::search::genetic::GeneticBatch;
+use antarex_tuner::search::random::RandomSearch;
+use antarex_tuner::search::SearchTechnique;
 use antarex_tuner::space::{Configuration, DesignSpace};
 use antarex_tuner::{KnowledgeBase, OperatingPoint};
 use rand::rngs::StdRng;
@@ -143,41 +146,29 @@ fn surface(config: &Configuration) -> BTreeMap<String, f64> {
 #[test]
 fn parallel_exploration_is_worker_count_invariant() {
     let space = DesignSpace::new(vec![Knob::int("x", 0, 9, 1), Knob::int("y", 0, 9, 1)]);
-    type Make = fn() -> Box<dyn BatchTechnique>;
+    // every technique runs in the GA's rounds
+    fn ga() -> GeneticBatch {
+        GeneticBatch::with_params(6, 0.25)
+    }
+    type Make = fn() -> Box<dyn SearchTechnique>;
     let techniques: Vec<(&str, Make)> = vec![
-        ("exhaustive", || Box::new(ExhaustiveBatch::new())),
-        ("random", || Box::new(RandomBatch::new(6))),
-        ("genetic", || Box::new(GeneticBatch::with_params(6, 0.25))),
+        ("exhaustive", || Box::new(Exhaustive::new())),
+        ("random", || Box::new(RandomSearch::new())),
+        ("genetic", || Box::new(ga())),
     ];
+    let objective = Objective::minimize("time");
     for (name, make) in techniques {
         for seed in 0..6 {
-            let baseline = format!(
-                "{:?}",
-                explore_parallel(
-                    &space,
-                    make(),
-                    &Objective::minimize("time"),
-                    40,
-                    seed,
-                    1,
-                    surface,
-                )
-            );
+            let run = |workers| {
+                let rounds = ga().rounds(seed, workers);
+                let report = explore_parallel(&space, make(), &objective, 40, rounds, surface);
+                format!("{report:?}")
+            };
+            let baseline = run(1);
             for workers in [2, 3, 4, 8] {
-                let report = format!(
-                    "{:?}",
-                    explore_parallel(
-                        &space,
-                        make(),
-                        &Objective::minimize("time"),
-                        40,
-                        seed,
-                        workers,
-                        surface,
-                    )
-                );
                 assert_eq!(
-                    report, baseline,
+                    run(workers),
+                    baseline,
                     "{name} seed {seed}: {workers} workers diverged from 1 worker"
                 );
             }

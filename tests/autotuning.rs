@@ -6,11 +6,15 @@ use antarex::ir::interp::{ExecEnv, Interp};
 use antarex::ir::value::Value;
 use antarex::ir::{parse_program, NodePath};
 use antarex::precision::tuner::{PrecisionTuner, TunerOptions};
-use antarex::tuner::dse::explore;
+use antarex::tuner::dse::{explore, explore_parallel};
 use antarex::tuner::goal::Objective;
 use antarex::tuner::knob::Knob;
 use antarex::tuner::search::bandit::Bandit;
 use antarex::tuner::search::exhaustive::Exhaustive;
+use antarex::tuner::search::genetic::GeneticBatch;
+use antarex::tuner::search::hillclimb::HillClimb;
+use antarex::tuner::search::random::RandomSearch;
+use antarex::tuner::search::SearchTechnique;
 use antarex::tuner::space::{Configuration, DesignSpace};
 use antarex::weaver::transform::unroll::unroll_by_factor;
 use rand::rngs::StdRng;
@@ -231,4 +235,104 @@ fn code_variant_knob_selects_the_best_transform() {
         results.push(out);
     }
     assert!(results.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// 64-bit FNV-1a over a report's `Debug` rendering.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// Digests captured from the parent commit of the one-loop explorer
+/// (PR 25), where parallel rounds ran through a since-deleted second
+/// technique trait and `explore` had its own loop: the one loop
+/// proposes, evaluates, stores and reports exactly what the loops it
+/// replaced did.
+const GOLDEN: [(&str, u64); 24] = [
+    ("exhaustive/0/1", 0x802902b955c45376),
+    ("exhaustive/0/4", 0x802902b955c45376),
+    ("random/0/1", 0x71a2c2ac04054d5f),
+    ("random/0/4", 0x71a2c2ac04054d5f),
+    ("genetic/0/1", 0x16131ce0bc4de201),
+    ("genetic/0/4", 0x16131ce0bc4de201),
+    ("bandit/0", 0x6cce4463f9f14317),
+    ("hill-climb/0", 0xec2ad23181f4f192),
+    ("exhaustive/7/1", 0x802902b955c45376),
+    ("exhaustive/7/4", 0x802902b955c45376),
+    ("random/7/1", 0xecbe3a6cf3009110),
+    ("random/7/4", 0xecbe3a6cf3009110),
+    ("genetic/7/1", 0xf82da35ca687a6ea),
+    ("genetic/7/4", 0xf82da35ca687a6ea),
+    ("bandit/7", 0xac290c05d69fc255),
+    ("hill-climb/7", 0x2b91021727e8e5e7),
+    ("exhaustive/2016/1", 0x802902b955c45376),
+    ("exhaustive/2016/4", 0x802902b955c45376),
+    ("random/2016/1", 0x3bf59480f45395ba),
+    ("random/2016/4", 0x3bf59480f45395ba),
+    ("genetic/2016/1", 0x80e0c8297b6e357d),
+    ("genetic/2016/4", 0x80e0c8297b6e357d),
+    ("bandit/2016", 0xa065aa51962d10ed),
+    ("hill-climb/2016", 0x392a7ee685342971),
+];
+
+/// Pins exploration bit for bit: every proposal, evaluation, stored
+/// point and incumbent of seeded parallel rounds (1 and 4 workers) and
+/// of sequential runs, digested from the reports' `Debug` rendering.
+#[test]
+fn exploration_is_pinned_bit_for_bit() {
+    let space = DesignSpace::new(vec![
+        Knob::int("unroll", 0, 15, 1),
+        Knob::int("block", 0, 15, 1),
+        Knob::choice("variant", ["scalar", "blocked"]),
+    ]);
+    let surface = |config: &Configuration| -> BTreeMap<String, f64> {
+        let u = config.get_int("unroll").unwrap() as f64;
+        let b = config.get_int("block").unwrap() as f64;
+        let bias = if config.get_choice("variant") == Some("blocked") {
+            0.5
+        } else {
+            0.0
+        };
+        let time = (u - 11.0).powi(2) + (b - 4.0).powi(2) + bias;
+        [
+            ("time".to_string(), time),
+            ("energy".to_string(), u + 2.0 * b),
+        ]
+        .into()
+    };
+    let objective = Objective::minimize("time");
+    let budget = 120;
+    // every technique explores in the GA's rounds
+    fn ga() -> GeneticBatch {
+        GeneticBatch::with_params(16, 0.15)
+    }
+    type Make = fn() -> Box<dyn SearchTechnique>;
+    let in_rounds: [(&str, Make); 3] = [
+        ("exhaustive", || Box::new(Exhaustive::new())),
+        ("random", || Box::new(RandomSearch::new())),
+        ("genetic", || Box::new(ga())),
+    ];
+    let sequential: [(&str, Make); 2] = [
+        ("bandit", || Box::new(Bandit::default_ensemble())),
+        ("hill-climb", || Box::new(HillClimb::new())),
+    ];
+    let mut digests = Vec::new();
+    for seed in [0u64, 7, 2016] {
+        for (name, make) in in_rounds {
+            for workers in [1, 4] {
+                let rounds = ga().rounds(seed, workers);
+                let report = explore_parallel(&space, make(), &objective, budget, rounds, surface);
+                let label = format!("{name}/{seed}/{workers}");
+                digests.push((label, fnv1a(&format!("{report:?}"))));
+            }
+        }
+        for (name, make) in sequential {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let report = explore(&space, make(), &objective, budget, &mut rng, surface);
+            digests.push((format!("{name}/{seed}"), fnv1a(&format!("{report:?}"))));
+        }
+    }
+    let expected: Vec<(String, u64)> = GOLDEN.iter().map(|&(l, d)| (l.to_string(), d)).collect();
+    assert_eq!(digests, expected);
 }
