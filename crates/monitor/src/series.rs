@@ -45,7 +45,9 @@ impl std::fmt::Debug for TimeSeries {
 }
 
 impl TimeSeries {
-    /// Creates a series retaining at most `capacity` samples.
+    /// Creates a series retaining at most `capacity` samples. Nothing
+    /// is allocated up front: storage grows with the samples pushed
+    /// until it holds `capacity`, then eviction reuses it.
     ///
     /// # Panics
     ///
@@ -53,7 +55,7 @@ impl TimeSeries {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         TimeSeries {
-            samples: VecDeque::with_capacity(capacity),
+            samples: VecDeque::new(),
             capacity,
             total_pushed: 0,
             ewma: None,

@@ -15,8 +15,7 @@ use std::fmt;
 pub struct Sla {
     name: String,
     threshold: f64,
-    checked: u64,
-    violations: u64,
+    report: SlaReport,
     history: TimeSeries,
 }
 
@@ -26,8 +25,7 @@ impl Sla {
         Sla {
             name: name.into(),
             threshold,
-            checked: 0,
-            violations: 0,
+            report: SlaReport::default(),
             history: TimeSeries::with_capacity(512),
         }
     }
@@ -45,21 +43,15 @@ impl Sla {
     /// Checks a measurement, recording it and counting violations.
     /// Returns `true` when the objective is met.
     pub fn check(&mut self, time: f64, value: f64) -> bool {
-        self.checked += 1;
         self.history.push(time, value);
         let ok = self.satisfied_by(value);
-        if !ok {
-            self.violations += 1;
-        }
+        self.report.record(ok);
         ok
     }
 
     /// Summary of all checks so far.
     pub fn report(&self) -> SlaReport {
-        SlaReport {
-            checked: self.checked,
-            violations: self.violations,
-        }
+        self.report
     }
 
     /// The recorded measurement history.
@@ -78,6 +70,12 @@ pub struct SlaReport {
 }
 
 impl SlaReport {
+    /// Counts one check, and a violation unless `ok`.
+    pub fn record(&mut self, ok: bool) {
+        self.checked += 1;
+        self.violations += u64::from(!ok);
+    }
+
     /// Fraction of checks that violated the objective (0 when unchecked).
     pub fn violation_rate(&self) -> f64 {
         if self.checked == 0 {
@@ -142,6 +140,21 @@ mod tests {
         assert_eq!(report.checked, 3);
         assert_eq!(report.violations, 1);
         assert!((report.violation_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_counts_checks_and_violations() {
+        let mut report = SlaReport::default();
+        for ok in [true, false, true, false, false] {
+            report.record(ok);
+        }
+        assert_eq!(
+            report,
+            SlaReport {
+                checked: 5,
+                violations: 3
+            }
+        );
     }
 
     #[test]

@@ -1,18 +1,24 @@
-//! Property suite for `TimeSeries::mean_since`.
+//! Property suite for `TimeSeries`.
 //!
 //! `mean_since` walks back from the newest sample while the series is
 //! time-ordered and filters every retained sample otherwise; both
 //! promise the *bits* of the body they replaced, which survives here as
 //! the oracle: filter the retained samples on `time >= since`, collect
 //! them, sum oldest first, divide by the count.
+//!
+//! A series allocates its storage as samples arrive instead of up
+//! front; [`PreSized`] keeps the up-front body as the oracle that
+//! growth changes nothing a caller can see.
 
 use antarex_monitor::series::{Sample, TimeSeries};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
-/// The pre-optimization body of `mean_since`, verbatim.
-fn mean_since_oracle(series: &TimeSeries, since: f64) -> Option<f64> {
-    let window: Vec<Sample> = series.iter().filter(|s| s.time >= since).copied().collect();
+/// The pre-optimization body of `mean_since`, verbatim, over the
+/// retained samples oldest first.
+fn mean_since_oracle<'a>(samples: impl Iterator<Item = &'a Sample>, since: f64) -> Option<f64> {
+    let window: Vec<Sample> = samples.filter(|s| s.time >= since).copied().collect();
     if window.is_empty() {
         return None;
     }
@@ -45,7 +51,7 @@ fn assert_matches_oracle(series: &TimeSeries, context: &str) {
     for since in probes(series) {
         assert_eq!(
             series.mean_since(since).map(f64::to_bits),
-            mean_since_oracle(series, since).map(f64::to_bits),
+            mean_since_oracle(series.iter(), since).map(f64::to_bits),
             "{context}: mean_since({since}) over {series:?}"
         );
     }
@@ -148,4 +154,94 @@ fn debug_rendering_shows_stored_state_only() {
         "TimeSeries { samples: [Sample { time: 1.0, value: 1.0 }, Sample { time: 2.0, value: 2.0 }], \
          capacity: 2, total_pushed: 3, ewma: Some(1.2), ewma_alpha: 0.2 }"
     );
+}
+
+/// The series as it was before it grew on demand: the whole window
+/// reserved at construction, the oldest sample evicted when full.
+struct PreSized {
+    samples: VecDeque<Sample>,
+    capacity: usize,
+    total_pushed: u64,
+    ewma: Option<f64>,
+    ewma_alpha: f64,
+}
+
+impl PreSized {
+    fn with_capacity(capacity: usize) -> Self {
+        PreSized {
+            samples: VecDeque::with_capacity(capacity),
+            capacity,
+            total_pushed: 0,
+            ewma: None,
+            ewma_alpha: 0.2,
+        }
+    }
+
+    fn push(&mut self, time: f64, value: f64) {
+        if self.samples.len() == self.capacity {
+            self.samples.pop_front();
+        }
+        self.samples.push_back(Sample { time, value });
+        self.total_pushed += 1;
+        self.ewma = Some(match self.ewma {
+            Some(prev) => prev + self.ewma_alpha * (value - prev),
+            None => value,
+        });
+    }
+}
+
+impl std::fmt::Debug for PreSized {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TimeSeries")
+            .field("samples", &self.samples)
+            .field("capacity", &self.capacity)
+            .field("total_pushed", &self.total_pushed)
+            .field("ewma", &self.ewma)
+            .field("ewma_alpha", &self.ewma_alpha)
+            .finish()
+    }
+}
+
+#[test]
+fn a_series_grown_on_demand_matches_the_pre_sized_one() {
+    for seed in 0..24 {
+        let mut rng = StdRng::seed_from_u64(2_000 + seed);
+        let capacity = rng.gen_range(1..601);
+        let mut grown = TimeSeries::with_capacity(capacity);
+        let mut oracle = PreSized::with_capacity(capacity);
+        let ordered = seed % 2 == 0;
+        let mut time = 0.0;
+        // past the bound, so eviction runs over storage that grew
+        let pushes = capacity + rng.gen_range(1..capacity + 9);
+        for step in 0..pushes {
+            time = if ordered {
+                time + [0.0, 0.5, 1.0][rng.gen_range(0..3usize)]
+            } else {
+                match rng.gen_range(0..10) {
+                    0 => f64::NAN,
+                    1 => f64::NEG_INFINITY,
+                    _ => f64::from(rng.gen_range(0..64)),
+                }
+            };
+            let value = random_value(&mut rng);
+            grown.push(time, value);
+            oracle.push(time, value);
+            assert_eq!(grown.len(), oracle.samples.len(), "seed {seed} step {step}");
+            let retained = oracle.samples[rng.gen_range(0..oracle.samples.len())].time;
+            for since in [f64::NEG_INFINITY, f64::NAN, time, retained, retained + 0.25] {
+                assert_eq!(
+                    grown.mean_since(since).map(f64::to_bits),
+                    mean_since_oracle(oracle.samples.iter(), since).map(f64::to_bits),
+                    "seed {seed} step {step}: mean_since({since})"
+                );
+            }
+            if step % 97 == 0 || step + 1 == capacity || step + 1 == pushes {
+                assert_eq!(
+                    format!("{grown:?}"),
+                    format!("{oracle:?}"),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+    }
 }

@@ -177,7 +177,7 @@ mod tests {
             .registry
             .histogram("plane-test_latency_seconds", Scope::Timing)
             .record(0.5);
-        plane.slo.check_upper(1, "latency", 1.0, 0.0, 2.0);
+        plane.slo.check_upper(1, "latency", 1.0, 2.0);
         let text = plane.invariant_exposition();
         assert!(text.contains("plane-test_inv_total 1"));
         assert!(!text.contains("plane-test_latency_seconds"));

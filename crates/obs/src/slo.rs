@@ -1,4 +1,4 @@
-//! Per-tenant SLO burn-rate tracking over [`antarex_monitor::sla`].
+//! Per-tenant SLO burn-rate tracking.
 //!
 //! An SLO sets a *target* fraction of good events (e.g. `0.999`); the
 //! complement is the error budget. The **burn rate** is how fast a
@@ -10,12 +10,16 @@
 //!
 //! `burn == 1` means the budget is being consumed exactly at the
 //! sustainable pace; `burn > 1` means the tenant will exhaust its
-//! budget early — the standard multi-window alerting signal. The bank
-//! wraps one [`Sla`] per `(tenant, objective)` pair so the serving
-//! layer can check every response against per-tenant objectives and
-//! export burn rates next to the metric plane.
+//! budget early — the standard multi-window alerting signal.
+//!
+//! The bank keeps counts only: per `(tenant, objective)` pair, the
+//! threshold fixed at registration and an [`SlaReport`] of checks and
+//! violations — no name copy and no samples. Burn rates are the one
+//! thing read from it, and they need nothing else. An objective whose
+//! measurement history matters (the adaptive loop of experiment U2)
+//! uses [`antarex_monitor::sla::Sla`], which records every sample.
 
-use antarex_monitor::sla::{Sla, SlaReport};
+use antarex_monitor::sla::SlaReport;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -32,6 +36,12 @@ pub struct BurnRow {
     pub burn: f64,
 }
 
+/// One `(tenant, objective)` pair's upper bound and record.
+struct Slo {
+    threshold: f64,
+    report: SlaReport,
+}
+
 /// Per-tenant SLO bank: registers objectives lazily and accumulates
 /// violation records deterministically (storage and
 /// [`burn_rates`](SloBank::burn_rates) are ordered, so iteration and
@@ -39,13 +49,13 @@ pub struct BurnRow {
 pub struct SloBank {
     /// Target good fraction in `[0, 1)`, shared by all objectives.
     target: f64,
-    /// Objective → tenant → SLA. Nested rather than keyed by
+    /// Objective → tenant → SLO. Nested rather than keyed by
     /// `(u64, String)` so a check probes by `&str` and then by `u64`,
-    /// allocating only the first time an objective name is seen; the
-    /// objective is the outer key because there are a handful of
-    /// objectives and thousands of tenants (one map node per tenant
-    /// would be mostly empty slots).
-    slos: Mutex<BTreeMap<String, BTreeMap<u64, Sla>>>,
+    /// allocating only the first time an objective name or a pair is
+    /// seen; the objective is the outer key because there are a
+    /// handful of objectives and thousands of tenants (one map node per
+    /// tenant would be mostly empty slots).
+    slos: Mutex<BTreeMap<String, BTreeMap<u64, Slo>>>,
 }
 
 impl SloBank {
@@ -63,26 +73,22 @@ impl SloBank {
     /// the objective is met. The threshold is fixed at registration;
     /// later calls ignore the argument (SLAs renegotiate explicitly,
     /// not implicitly per measurement).
-    pub fn check_upper(
-        &self,
-        tenant: u64,
-        objective: &str,
-        threshold: f64,
-        time_s: f64,
-        value: f64,
-    ) -> bool {
+    pub fn check_upper(&self, tenant: u64, objective: &str, threshold: f64, value: f64) -> bool {
         let mut slos = match self.slos.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if !slos.contains_key(objective) {
-            slos.insert(objective.to_string(), BTreeMap::new());
-        }
-        let tenants = slos.get_mut(objective).expect("inserted above");
-        tenants
-            .entry(tenant)
-            .or_insert_with(|| Sla::upper_bound(objective, threshold))
-            .check(time_s, value)
+        let tenants = match slos.get_mut(objective) {
+            Some(tenants) => tenants,
+            None => slos.entry(objective.to_string()).or_default(),
+        };
+        let slo = tenants.entry(tenant).or_insert(Slo {
+            threshold,
+            report: SlaReport::default(),
+        });
+        let ok = value <= slo.threshold;
+        slo.report.record(ok);
+        ok
     }
 
     /// Burn-rate rows for every registered `(tenant, objective)`,
@@ -95,14 +101,11 @@ impl SloBank {
         let mut rows: Vec<BurnRow> = slos
             .iter()
             .flat_map(|(objective, tenants)| {
-                tenants.iter().map(|(tenant, sla)| {
-                    let report = sla.report();
-                    BurnRow {
-                        tenant: *tenant,
-                        objective: objective.clone(),
-                        report,
-                        burn: report.burn_rate(self.target),
-                    }
+                tenants.iter().map(|(tenant, slo)| BurnRow {
+                    tenant: *tenant,
+                    objective: objective.clone(),
+                    report: slo.report,
+                    burn: slo.report.burn_rate(self.target),
                 })
             })
             .collect();
@@ -140,7 +143,7 @@ mod tests {
         for i in 0..100 {
             // exactly 1 violation in 100 checks
             let value = if i == 7 { 2.0 } else { 0.5 };
-            bank.check_upper(1, "latency", 1.0, i as f64, value);
+            bank.check_upper(1, "latency", 1.0, value);
         }
         let rows = bank.burn_rates();
         assert_eq!(rows.len(), 1);
@@ -151,8 +154,8 @@ mod tests {
     #[test]
     fn heavy_violations_burn_fast() {
         let bank = SloBank::new(0.999);
-        for i in 0..10 {
-            bank.check_upper(2, "latency", 1.0, i as f64, 5.0); // all violate
+        for _ in 0..10 {
+            bank.check_upper(2, "latency", 1.0, 5.0); // all violate
         }
         let burn = bank.burn_rates()[0].burn;
         assert!(
@@ -164,9 +167,9 @@ mod tests {
     #[test]
     fn rows_are_ordered_by_tenant_then_objective() {
         let bank = SloBank::new(0.99);
-        bank.check_upper(9, "zz", 1.0, 0.0, 0.5);
-        bank.check_upper(1, "power", 1.0, 0.0, 0.5);
-        bank.check_upper(1, "latency", 1.0, 0.0, 0.5);
+        bank.check_upper(9, "zz", 1.0, 0.5);
+        bank.check_upper(1, "power", 1.0, 0.5);
+        bank.check_upper(1, "latency", 1.0, 0.5);
         let rows = bank.burn_rates();
         let keys: Vec<(u64, &str)> = rows
             .iter()
@@ -175,7 +178,7 @@ mod tests {
         assert_eq!(keys, vec![(1, "latency"), (1, "power"), (9, "zz")]);
         assert_eq!(bank.len(), 3, "pairs, not tenants");
         // a second check of a registered pair registers nothing
-        bank.check_upper(1, "power", 99.0, 1.0, 5.0);
+        bank.check_upper(1, "power", 99.0, 5.0);
         assert_eq!(bank.len(), 3);
         assert_eq!(
             bank.burn_rates()[1].report.violations,
@@ -187,7 +190,7 @@ mod tests {
     #[test]
     fn clean_tenant_has_zero_burn() {
         let bank = SloBank::new(0.999);
-        bank.check_upper(4, "latency", 1.0, 0.0, 0.2);
+        bank.check_upper(4, "latency", 1.0, 0.2);
         assert_eq!(bank.burn_rates()[0].burn, 0.0);
     }
 }

@@ -28,6 +28,7 @@ use antarex_tuner::manager::AppManager;
 use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 
 /// Calibrated platform flops per scored atom–sphere interaction, the
 /// same constant as [`antarex_apps::docking::scoring::estimated_flops`].
@@ -108,11 +109,12 @@ impl Evaluator for DockingEvaluator {
 
 /// The `poses` knob's design-time knowledge base: optimistic estimates
 /// (median-ligand latency, log-growing affinity) the service corrects
-/// through online learning.
-pub(crate) fn docking_knowledge() -> KnowledgeBase {
-    [2i64, 4, 8, 16, 32, 64]
-        .into_iter()
-        .map(|poses| {
+/// through online learning. Built once per process; every docking
+/// manager shares it until it learns.
+fn docking_knowledge() -> Arc<KnowledgeBase> {
+    static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
+    let base = BASE.get_or_init(|| {
+        let points = [2i64, 4, 8, 16, 32, 64].into_iter().map(|poses| {
             let mut config = Configuration::new();
             config.set("poses", KnobValue::Int(poses));
             let median_flops = FLOPS_PER_INTERACTION * MEDIAN_ATOMS * 30.0 * poses as f64;
@@ -124,8 +126,10 @@ pub(crate) fn docking_knowledge() -> KnowledgeBase {
                     ("power".to_string(), 15.0 + 0.15 * poses as f64),
                 ],
             )
-        })
-        .collect()
+        });
+        Arc::new(points.collect())
+    });
+    Arc::clone(base)
 }
 
 /// A per-tenant runtime manager over `docking_knowledge` with the

@@ -34,6 +34,7 @@ use antarex_tuner::manager::AppManager;
 use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, OnceLock};
 
 /// The latency SLA every campaign tenant registers with, seconds.
 const SLA_S: f64 = 0.5;
@@ -174,11 +175,12 @@ pub fn archetype_features(index: usize) -> Vec<f64> {
 }
 
 /// The navigation quality knob's design-time knowledge base: optimistic
-/// estimates the service corrects through online learning.
-pub(crate) fn nav_knowledge() -> KnowledgeBase {
-    [1i64, 2, 4, 8]
-        .into_iter()
-        .map(|k| {
+/// estimates the service corrects through online learning. Built once
+/// per process; every navigation manager shares it until it learns.
+fn nav_knowledge() -> Arc<KnowledgeBase> {
+    static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
+    let base = BASE.get_or_init(|| {
+        let points = [1i64, 2, 4, 8].into_iter().map(|k| {
             let mut config = Configuration::new();
             config.set("alternatives", KnobValue::Int(k));
             OperatingPoint::new(
@@ -189,12 +191,15 @@ pub(crate) fn nav_knowledge() -> KnowledgeBase {
                     ("power".to_string(), 5.0 + 2.0 * k as f64),
                 ],
             )
-        })
-        .collect()
+        });
+        Arc::new(points.collect())
+    });
+    Arc::clone(base)
 }
 
 /// A per-tenant runtime manager over `nav_knowledge` with the
-/// standard navigation SLA (latency ≤ `sla_s`, maximize quality).
+/// standard navigation SLA (latency ≤ `sla_s`, maximize quality). It
+/// costs one allocation, the constraint list: the base is shared.
 pub fn nav_manager(sla_s: f64) -> AppManager {
     let mut manager = AppManager::new(nav_knowledge(), Objective::maximize("quality"));
     manager.add_constraint(Constraint::at_most("latency", sla_s));
@@ -764,6 +769,22 @@ mod tests {
         assert_eq!(a.served, serial.served);
         assert_eq!(a.cache_hits, serial.cache_hits);
         assert_eq!(a.evaluated, serial.evaluated);
+    }
+
+    #[test]
+    fn manager_factories_share_one_base_each() {
+        let factories: [fn() -> AppManager; 3] = [
+            || nav_manager(0.5),
+            || docking_manager(0.5),
+            || crate::kernel::kernel_manager(1e-3),
+        ];
+        for factory in factories {
+            let (a, b) = (factory(), factory());
+            assert!(std::ptr::eq(a.knowledge(), b.knowledge()));
+            assert!(!a.knowledge().is_empty());
+        }
+        let (nav, docking) = (nav_manager(0.5), docking_manager(0.5));
+        assert!(!std::ptr::eq(nav.knowledge(), docking.knowledge()));
     }
 
     #[test]

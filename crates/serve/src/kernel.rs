@@ -30,7 +30,7 @@ use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 use antarex_vm::{InstrumentedCodeCache, Vm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The default probe kernel: a fused multiply-accumulate reduction with
 /// enough float locals for the precision knob to bite.
@@ -220,11 +220,12 @@ impl Evaluator for KernelEvaluator {
 }
 
 /// Design-time knowledge for the precision knob: optimistic estimates
-/// the service corrects through online learning.
-pub(crate) fn kernel_knowledge() -> KnowledgeBase {
-    [52i64, 23, 12, 8]
-        .into_iter()
-        .map(|bits| {
+/// the service corrects through online learning. Built once per
+/// process; every kernel manager shares it until it learns.
+fn kernel_knowledge() -> Arc<KnowledgeBase> {
+    static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
+    let base = BASE.get_or_init(|| {
+        let points = [52i64, 23, 12, 8].into_iter().map(|bits| {
             let mut config = Configuration::new();
             config.set("mantissa", KnobValue::Int(bits));
             OperatingPoint::new(
@@ -235,8 +236,10 @@ pub(crate) fn kernel_knowledge() -> KnowledgeBase {
                     ("power".to_string(), 5.0 + 0.1 * bits as f64),
                 ],
             )
-        })
-        .collect()
+        });
+        Arc::new(points.collect())
+    });
+    Arc::clone(base)
 }
 
 /// A per-tenant runtime manager over `kernel_knowledge`: minimize

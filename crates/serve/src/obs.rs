@@ -198,10 +198,10 @@ impl ServeObs {
     /// tenant's latency SLO. Returns `true` when the SLO was met —
     /// the admission controller consumes the complement as its
     /// violation signal.
-    pub(crate) fn check_latency_slo(&self, tenant: u64, time_s: f64, latency_s: f64) -> bool {
+    pub(crate) fn check_latency_slo(&self, tenant: u64, latency_s: f64) -> bool {
         self.plane
             .slo
-            .check_upper(tenant, "latency", self.slo_latency_s, time_s, latency_s)
+            .check_upper(tenant, "latency", self.slo_latency_s, latency_s)
     }
 
     /// Attributed facility energy in the tenant-class histogram for
@@ -221,11 +221,11 @@ impl ServeObs {
     /// per-request energy budget. Burn accrues in the SLO bank under
     /// the `energy` objective — surfaced to the admission tier as an
     /// observed (not yet acting) signal alongside latency burn.
-    pub(crate) fn check_energy_slo(&self, tenant: u64, time_s: f64, energy_j: f64) -> bool {
+    pub(crate) fn check_energy_slo(&self, tenant: u64, energy_j: f64) -> bool {
         let ok = self
             .plane
             .slo
-            .check_upper(tenant, "energy", self.slo_energy_j, time_s, energy_j);
+            .check_upper(tenant, "energy", self.slo_energy_j, energy_j);
         if !ok {
             self.energy_slo_overruns.inc();
         }

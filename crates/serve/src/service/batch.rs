@@ -649,9 +649,7 @@ impl<E: Evaluator> TuningService<E> {
         }
         self.obs.learns.add(answer.metrics.len() as u64);
         self.obs.latency.record(answer.latency_s);
-        let slo_met = self
-            .obs
-            .check_latency_slo(tenant, arrival, answer.latency_s);
+        let slo_met = self.obs.check_latency_slo(tenant, answer.latency_s);
         if self.front_door.is_some() {
             let tally = batch.slo_tally.entry(tenant).or_default();
             tally.0 += 1;
@@ -771,7 +769,7 @@ impl<E: Evaluator> TuningService<E> {
             self.obs.class_energy[class.index()].record(energy_j);
             // observed-only SLO: burn accrues under the `energy`
             // objective but no admission tier acts on it yet
-            let _ = self.obs.check_energy_slo(tenant, arrival_s, energy_j);
+            let _ = self.obs.check_energy_slo(tenant, energy_j);
             self.mark(ctx, Layer::Serve, "energy", arrival_s, energy_j);
         }
         let idle_nj = facility_nj - attributed_nj;

@@ -13,6 +13,13 @@
 //! first write after a dump. A dump is therefore immutable, and a
 //! checkpoint costs one deep copy per session *touched* since the last
 //! one, not one per session.
+//!
+//! The same rule holds one level down, for the design-time knowledge
+//! base inside each session's manager: the manager factories hand every
+//! tenant one shared `Arc<KnowledgeBase>`, and a manager copies it only
+//! when online learning first writes to it. So the copy of a touched
+//! session bumps a reference count for a base the tenant has not
+//! learned into, and the shared base, like a snapshot, never changes.
 
 use crate::error::ServeError;
 use antarex_tuner::manager::AppManager;

@@ -7,6 +7,12 @@
 //! by the constraints, (3) ranks by the objective, and (4) switches the
 //! application's configuration if a better feasible point emerged. This is
 //! the per-application "autotuning control loop" of the paper's Fig. 1.
+//!
+//! The design-time knowledge base is shared, not owned: managers built
+//! from one base (and clones of a manager) hold the same
+//! `Arc<KnowledgeBase>` until online learning first writes to it, and
+//! that first write copies it (`Arc::make_mut`). A tenant that never
+//! learns never pays for a base of its own.
 
 use crate::goal::{Constraint, Objective};
 use crate::intern::{intern, lookup, SymbolId};
@@ -15,6 +21,7 @@ use crate::space::Configuration;
 use antarex_monitor::cada::Decision;
 use antarex_monitor::series::TimeSeries;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The per-application runtime autotuner.
 ///
@@ -40,7 +47,7 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AppManager {
-    knowledge: KnowledgeBase,
+    knowledge: Arc<KnowledgeBase>,
     objective: Objective,
     constraints: Vec<Constraint>,
     current: Option<Configuration>,
@@ -51,10 +58,11 @@ pub struct AppManager {
 }
 
 impl AppManager {
-    /// Creates a manager over a design-time knowledge base.
-    pub fn new(knowledge: KnowledgeBase, objective: Objective) -> Self {
+    /// Creates a manager over a design-time knowledge base: an owned
+    /// base, or an `Arc` that other managers share until they learn.
+    pub fn new(knowledge: impl Into<Arc<KnowledgeBase>>, objective: Objective) -> Self {
         AppManager {
-            knowledge,
+            knowledge: knowledge.into(),
             objective,
             constraints: Vec::new(),
             current: None,
@@ -140,8 +148,10 @@ impl AppManager {
     }
 
     /// Records a runtime measurement of `metric` for the *current*
-    /// configuration. Series are keyed by interned id, so the
-    /// steady-state path (series already exists) allocates nothing.
+    /// configuration. Series are keyed by interned id and bounded at
+    /// 256 samples; a series grows with its samples up to that bound
+    /// and from then on evicts in place, so once every metric's series
+    /// is full an observation allocates nothing.
     pub fn observe(&mut self, time: f64, metric: &str, value: f64) {
         self.monitors
             .entry(intern(metric))
@@ -167,25 +177,30 @@ impl AppManager {
     /// configuration the knowledge base cannot find (only a
     /// configuration that is not equal to itself, i.e. one holding a
     /// NaN knob) appends a new point instead, which allocates.
+    ///
+    /// A round with no fresh samples writes nothing, so it leaves a
+    /// shared knowledge base shared; the first round that learns or
+    /// appends copies a base other managers still hold.
     pub fn adapt(&mut self, now: f64) -> Decision {
         let since = self.last_adapt;
         self.last_adapt = now;
         if let Some(current) = &self.current {
-            let fresh = self
+            let mut fresh = self
                 .monitors
                 .iter()
-                .filter_map(|(&metric, series)| Some((metric, series.mean_since(since)?)));
-            match self.knowledge.find_index(current) {
-                Some(index) => {
-                    for (metric, mean) in fresh {
-                        self.knowledge
-                            .learn_metric(index, metric, mean, self.learn_alpha);
+                .filter_map(|(&metric, series)| Some((metric, series.mean_since(since)?)))
+                .peekable();
+            if fresh.peek().is_some() {
+                match self.knowledge.find_index(current) {
+                    Some(index) => {
+                        let knowledge = Arc::make_mut(&mut self.knowledge);
+                        for (metric, mean) in fresh {
+                            knowledge.learn_metric(index, metric, mean, self.learn_alpha);
+                        }
                     }
-                }
-                None => {
-                    let point = OperatingPoint::with_metric_ids(current.clone(), fresh);
-                    if point.metric_count() > 0 {
-                        self.knowledge.push(point);
+                    None => {
+                        let point = OperatingPoint::with_metric_ids(current.clone(), fresh);
+                        Arc::make_mut(&mut self.knowledge).push(point);
                     }
                 }
             }
@@ -214,6 +229,7 @@ impl AppManager {
 mod tests {
     use super::*;
     use crate::knob::KnobValue;
+    use std::sync::OnceLock;
 
     fn config(level: i64) -> Configuration {
         let mut c = Configuration::new();
@@ -234,6 +250,74 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A factory handing out managers over one process-wide base, as
+    /// the serving tier's `nav_manager` does.
+    fn shared_manager() -> AppManager {
+        static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
+        let base = Arc::clone(BASE.get_or_init(|| Arc::new(kb())));
+        AppManager::new(base, Objective::maximize("quality")).with_learn_alpha(1.0)
+    }
+
+    #[test]
+    fn managers_from_one_factory_share_their_base_until_one_learns() {
+        let mut learner = shared_manager();
+        let idle = shared_manager();
+        assert!(Arc::ptr_eq(&learner.knowledge, &idle.knowledge));
+        learner.select();
+        learner.observe(0.0, "latency", 0.9);
+        assert!(
+            Arc::ptr_eq(&learner.knowledge, &idle.knowledge),
+            "selecting and observing write no base"
+        );
+        learner.adapt(1.0);
+        assert!(!Arc::ptr_eq(&learner.knowledge, &idle.knowledge));
+        assert_eq!(*idle.knowledge, kb(), "the shared base is unchanged");
+        assert_ne!(*learner.knowledge, kb());
+    }
+
+    #[test]
+    fn adapt_without_fresh_samples_does_not_copy_the_base() {
+        let mut manager = shared_manager();
+        let shared = Arc::clone(&manager.knowledge);
+        // first round: deploys a configuration, no monitor yet
+        assert!(matches!(manager.adapt(0.0), Decision::Switch(_)));
+        assert!(Arc::ptr_eq(&manager.knowledge, &shared));
+        // a learning round takes a base of its own ...
+        manager.observe(0.5, "latency", 0.2);
+        manager.adapt(1.0);
+        assert!(!Arc::ptr_eq(&manager.knowledge, &shared));
+        // ... which a clone shares; the sample at 0.5 is older than the
+        // next window, so the next round has nothing to learn
+        let twin = manager.clone();
+        assert_eq!(manager.adapt(2.0), Decision::Stay);
+        assert!(Arc::ptr_eq(&manager.knowledge, &twin.knowledge));
+    }
+
+    #[test]
+    fn learning_on_a_clone_leaves_the_original_unchanged() {
+        let mut original = shared_manager();
+        original.select();
+        original.observe(0.0, "latency", 0.1);
+        let mut clone = original.clone();
+        clone.observe(0.5, "latency", 0.9);
+        clone.adapt(1.0);
+        let learned = |m: &AppManager| m.knowledge().find(&config(4))?.metric("latency");
+        assert!(
+            learned(&clone).is_some_and(|latency| (latency - 0.5).abs() < 1e-12),
+            "mean of 0.1 and 0.9"
+        );
+        assert_eq!(learned(&original), Some(0.4), "the design-time estimate");
+        assert_eq!(original.knowledge(), &kb());
+        assert!(Arc::ptr_eq(
+            &original.knowledge,
+            &shared_manager().knowledge
+        ));
+        // the original's own monitors still learn into its own copy
+        original.adapt(1.0);
+        assert!(learned(&original).is_some_and(|latency| (latency - 0.1).abs() < 1e-12));
+        assert_eq!(*shared_manager().knowledge, kb());
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl OperatingPoint {
         self.metrics.iter().map(|(id, v)| (id.name(), *v))
     }
 
-    /// Number of measured metrics.
-    pub(crate) fn metric_count(&self) -> usize {
-        self.metrics.len()
-    }
-
     /// Returns `true` if every constraint is met (missing metrics fail).
     pub(crate) fn satisfies(&self, constraints: &[Constraint]) -> bool {
         constraints.iter().all(|c| {
@@ -657,6 +652,5 @@ mod tests {
         let p = point(1, 4.0, 1.0);
         let names: Vec<&str> = p.metrics().map(|(n, _)| n).collect();
         assert_eq!(names, ["energy", "time"]);
-        assert_eq!(p.metric_count(), 2);
     }
 }

@@ -1,0 +1,198 @@
+//! Integration: what one tenant session holds.
+//!
+//! The serving tier keeps one runtime manager per tenant, so every byte
+//! a session holds is multiplied by the tenant count. This test pins
+//! three numbers, counting heap allocations exactly:
+//!
+//! * `driver::nav_manager(0.5)` costs at most 2 allocations and 256 B.
+//!   It measures 1 allocation of 64 B, the constraint list: every
+//!   navigation manager shares one process-wide design-time knowledge
+//!   base. It measured 32 allocations and 2.3 KB while each manager
+//!   built a base of its own.
+//! * Cloning a manager that has selected a configuration and observed
+//!   three metrics, but not yet learned, costs at most 8 allocations —
+//!   the copy a session pays on its first write after a snapshot. It
+//!   measures 6: the base is shared, not copied. It measured 24 while
+//!   the clone deep-copied the base.
+//! * A campaign shaped like the overload-chaos benchmark at its tiny
+//!   scale (well-behaved tenants with a fresh-feature slice, bursty
+//!   poisoned aggressors, hardened resilience with the journal on, the
+//!   SLO front door) holds at most 6 KB of live heap per session after
+//!   serving, over what the same service holds with no tenants. It
+//!   measures 6,132 B, so the budget has 12 B of room: the next byte a
+//!   session keeps must pay for itself. It measured 22,310 B while the
+//!   SLO bank kept a 512-sample history per (tenant, objective) pair,
+//!   every monitor series reserved 256 samples up front and every
+//!   manager owned its base.
+//!
+//! The counters are process-wide, so this binary holds exactly one test.
+
+use antarex::serve::chaos::ChaosConfig;
+use antarex::serve::driver::{self, Batching, BurstProfile, Campaign, Cohort};
+use antarex::serve::nav::NavEvaluator;
+use antarex::serve::pool::PoolConfig;
+use antarex::serve::{FrontDoorConfig, ResilienceConfig, ServiceConfig};
+use antarex::sim::faults::{FaultConfig, FaultSchedule};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
+// Relaxed: the cells are statistics that publish no other data.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+/// `System`, counting every allocation, the bytes it asked for, and the
+/// bytes still allocated.
+struct CountingAlloc;
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    LIVE.fetch_add(size as i64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const SEED: u64 = 2016;
+const SLA_S: f64 = 0.5;
+const NAV_METRICS: [&str; 3] = ["latency", "power", "quality"];
+
+/// The overload-chaos benchmark at its tiny scale.
+const WELL_BEHAVED: usize = 64;
+const AGGRESSIVE: usize = 16;
+const DURATION_S: f64 = 60.0;
+
+/// Allocations and bytes `f` asks for, and what it returns.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let result = f();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before.0;
+    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+    (allocs, bytes, result)
+}
+
+/// Live heap `f` leaves behind, held by what it returns (dropped after
+/// measuring).
+fn live_bytes<R>(f: impl FnOnce() -> R) -> i64 {
+    let before = LIVE.load(Ordering::Relaxed);
+    let held = f();
+    let live = LIVE.load(Ordering::Relaxed) - before;
+    drop(held);
+    live
+}
+
+/// Well-behaved tenants sharing sixteen archetypes, every fourth with
+/// features of its own, and bursty aggressors whose probes always fail
+/// integrity, behind the hardened front door, journaled.
+fn overload_chaos(cohorts: Vec<Cohort>) -> Campaign {
+    let schedule = FaultSchedule::generate(&FaultConfig::none(SEED), 8, DURATION_S + 60.0);
+    let aggressors = WELL_BEHAVED as u64..(WELL_BEHAVED + AGGRESSIVE) as u64;
+    Campaign {
+        cohorts,
+        service: ServiceConfig {
+            pool: PoolConfig {
+                workers: 1,
+                queue_capacity: 24,
+            },
+            ..ServiceConfig::default()
+        },
+        resilience: ResilienceConfig::hardened(),
+        chaos: Some(aggressors.fold(ChaosConfig::new(schedule), ChaosConfig::poison)),
+        front_door: Some(FrontDoorConfig::hardened()),
+        ..Campaign::new(SEED, DURATION_S, Batching::Window(5.0))
+    }
+}
+
+#[test]
+fn a_session_holds_what_it_learned_and_shares_the_rest() {
+    // the first manager builds the shared base and interns the metric
+    // names; what a tenant pays is every manager after it
+    let mut manager = driver::nav_manager(SLA_S);
+    let (allocs, bytes, fresh) = allocations(|| driver::nav_manager(SLA_S));
+    assert!(
+        allocs <= 2 && bytes <= 256,
+        "nav_manager: {allocs} allocations, {bytes} B (budget 2, 256 B)"
+    );
+    assert!(std::ptr::eq(fresh.knowledge(), manager.knowledge()));
+
+    manager.select().expect("the navigation SLA is feasible");
+    for metric in NAV_METRICS {
+        manager.observe(0.0, metric, 0.1);
+    }
+    let (allocs, _, copy) = allocations(|| manager.clone());
+    assert!(
+        allocs <= 8,
+        "clone before learning: {allocs} allocations (budget 8)"
+    );
+    assert!(std::ptr::eq(copy.knowledge(), manager.knowledge()));
+    drop((fresh, copy, manager));
+
+    let campaign = overload_chaos(vec![
+        Cohort {
+            fresh_every: 4,
+            ..Cohort::new(WELL_BEHAVED, 16, 0.05)
+        },
+        Cohort {
+            first: WELL_BEHAVED as u64,
+            fresh_every: 1,
+            burst: Some(BurstProfile::aggressive()),
+            ..Cohort::new(AGGRESSIVE, 16, 0.2)
+        },
+    ]);
+    let requests = campaign.arrivals();
+    let evaluator = || {
+        let mut evaluator = NavEvaluator::city(SEED);
+        evaluator.expansions_per_s *= 8.0;
+        evaluator
+    };
+    let empty = live_bytes(|| overload_chaos(Vec::new()).build(evaluator()));
+    let served = live_bytes(|| {
+        let service = campaign.build(evaluator());
+        let stats = campaign.drive(&service, &requests, |_, _| ());
+        assert!(
+            stats.served > 0 && stats.shed + stats.rejected + stats.failed > 0,
+            "the campaign both answers and turns requests away: {stats:?}"
+        );
+        service
+    });
+    let sessions = (WELL_BEHAVED + AGGRESSIVE) as i64;
+    let per_session = (served - empty) / sessions;
+    assert!(
+        per_session <= 6 * 1024,
+        "{per_session} B of live heap per session after serving (budget 6 KB)"
+    );
+}
