@@ -3,8 +3,8 @@
 //!
 //! Times one metered probe per iteration on each engine for the
 //! canonical kernel suite, plus the lowering step the instrumented-code
-//! cache amortizes. The `BENCH_vm.json` gate numbers come from the
-//! `vm_bench` binary; this bench exists for profiling dispatch-level
+//! cache amortizes. The `BENCH_vm.json` gate numbers come from
+//! `experiments --bench vm`; this bench exists for profiling dispatch-level
 //! regressions with criterion's statistics.
 
 use antarex_bench::vm_exp::kernel_suite;

@@ -27,6 +27,7 @@
 //! Everything is virtual-time and seeded, so the whole report is
 //! reproducible byte for byte — the CI determinism smoke diffs two runs.
 
+use crate::{crash_recovery_map, fixed, list, physical_cores, timed, BenchFile, Map};
 use antarex_serve::chaos::ChaosConfig;
 use antarex_serve::driver::{Batching, BurstProfile, Campaign, Cohort, CrashDrill};
 use antarex_serve::nav::NavEvaluator;
@@ -38,7 +39,7 @@ use std::fmt::Write as _;
 
 /// Size of one AD1 campaign.
 #[derive(Debug, Clone, Copy)]
-pub struct AdmissionScale {
+pub(crate) struct AdmissionScale {
     /// Well-behaved tenant sessions (ids `0..wb_tenants`).
     pub wb_tenants: usize,
     /// Aggressive tenant sessions (ids `wb_tenants..`), each with its
@@ -72,7 +73,7 @@ impl AdmissionScale {
     /// well-behaved tenants — most sharing archetypes (cache-friendly),
     /// a fresh slice carrying steady probe demand — against four
     /// hundred bursty aggressors.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         AdmissionScale {
             wb_tenants: 10_000,
             aggressive_tenants: 400,
@@ -164,7 +165,7 @@ fn campaign_evaluator(seed: u64) -> NavEvaluator {
 
 /// Per-class outcome of one campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassStats {
+pub(crate) struct ClassStats {
     /// Requests the class generated.
     pub requests: usize,
     /// Requests answered with a configuration.
@@ -181,7 +182,7 @@ pub struct ClassStats {
 
 impl ClassStats {
     /// Fraction of the class's requests answered with a configuration.
-    pub fn goodput(&self) -> f64 {
+    pub(crate) fn goodput(&self) -> f64 {
         if self.requests > 0 {
             self.served as f64 / self.requests as f64
         } else {
@@ -192,7 +193,7 @@ impl ClassStats {
 
 /// Outcome of one campaign run under one front-door profile.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
+pub(crate) struct RunOutcome {
     /// Profile label (`uncontended`, `open_door`, `controlled`).
     pub profile: &'static str,
     /// The well-behaved population's outcome.
@@ -284,7 +285,7 @@ pub(crate) fn overload_run(
 /// The three-way overload comparison: well-behaved-only reference, the
 /// mixed workload with the door open, the mixed workload behind the
 /// front door.
-pub fn overload_campaign(seed: u64, scale: &AdmissionScale) -> Vec<RunOutcome> {
+pub(crate) fn overload_campaign(seed: u64, scale: &AdmissionScale) -> Vec<RunOutcome> {
     vec![
         overload_run(seed, scale, "uncontended", None, false),
         overload_run(seed, scale, "open_door", None, true),
@@ -300,7 +301,7 @@ pub fn overload_campaign(seed: u64, scale: &AdmissionScale) -> Vec<RunOutcome> {
 
 /// Outcome of the virtual-capacity invariance proof.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InvarianceOutcome {
+pub(crate) struct InvarianceOutcome {
     /// Physical worker counts compared.
     pub worker_counts: Vec<usize>,
     /// Whether every run produced byte-identical per-class outcomes.
@@ -312,7 +313,7 @@ pub struct InvarianceOutcome {
 /// Runs the controlled campaign at several physical worker counts and
 /// checks that outcomes and final state are byte-identical: the
 /// autoscaler only ever resizes *virtual* capacity.
-pub fn worker_invariance(seed: u64, scale: &AdmissionScale) -> InvarianceOutcome {
+pub(crate) fn worker_invariance(seed: u64, scale: &AdmissionScale) -> InvarianceOutcome {
     let worker_counts = vec![1, 2, 4, 8];
     let events = mixed_arrivals(seed, scale);
     let mut outcomes: Vec<(String, String)> = Vec::new();
@@ -341,7 +342,7 @@ pub fn worker_invariance(seed: u64, scale: &AdmissionScale) -> InvarianceOutcome
 /// journal suffix (replaying `AdmissionUpdate` and `Scale` entries),
 /// finishes the workload, and compares against an uninterrupted run —
 /// admission tiers, EWMA burns, and autoscaler state included.
-pub fn crash_recovery_drill(seed: u64, scale: &AdmissionScale) -> CrashDrill<NavEvaluator> {
+pub(crate) fn crash_recovery_drill(seed: u64, scale: &AdmissionScale) -> CrashDrill<NavEvaluator> {
     let campaign = scale.campaign(seed, scale.workers, Some(FrontDoorConfig::hardened()));
     let events = campaign.arrivals();
     let crash_at = campaign.batching.batches(&events).count() / 2;
@@ -447,6 +448,84 @@ pub(crate) fn ad1_report(seed: u64, scale: &AdmissionScale) -> String {
 /// The registered `ad1` experiment.
 pub(crate) fn ad1_admission_control() -> String {
     ad1_report(42, &AdmissionScale::full())
+}
+
+/// `BENCH_admission.json`: the full campaign's per-class outcomes, the
+/// invariance and recovery verdicts, and the front door's gates.
+pub(crate) fn ad1_bench() -> BenchFile {
+    let seed = 42;
+    let scale = AdmissionScale::full();
+    let (rows, campaign_s) = timed(|| overload_campaign(seed, &scale));
+    let (invariance, invariance_s) = timed(|| worker_invariance(seed, &scale));
+    let (recovery, recovery_s) = timed(|| crash_recovery_drill(seed, &scale));
+
+    let (uncontended, open_door, controlled) = (&rows[0], &rows[1], &rows[2]);
+    let reference = uncontended.wb.goodput();
+    let controlled_rel = controlled.wb.goodput() / reference;
+    let open_rel = open_door.wb.goodput() / reference;
+    let (controlled_p99, open_p99) = (controlled.wb.p99_latency_s, open_door.wb.p99_latency_s);
+    let class = |stats: &ClassStats| {
+        map! {
+            "requests": stats.requests,
+            "served": stats.served,
+            "shed": stats.shed,
+            "failed": stats.failed,
+            "goodput": fixed(stats.goodput(), 4),
+            "p99_latency_s": fixed(stats.p99_latency_s, 4),
+        }
+    };
+    let outcome = |row: &RunOutcome| {
+        map! {
+            "wb": class(&row.wb),
+            "aggressive": class(&row.aggressive),
+            "degraded": row.degraded,
+            "admission_shed": row.admission_shed,
+            "tier_transitions": row.transitions,
+            "peak_virtual_capacity": row.peak_capacity,
+        }
+    };
+    let (identical_outcomes, identical_state) =
+        (invariance.outcomes_identical, invariance.state_identical);
+
+    BenchFile {
+        title: "antarex-serve: SLO front door under bursty overload",
+        fields: map! {
+            "workload": map! {
+                "well_behaved_tenants": scale.wb_tenants,
+                "aggressive_tenants": scale.aggressive_tenants,
+                "workers": scale.workers,
+                "queue_capacity": scale.queue_capacity,
+                "virtual_duration_s": fixed(scale.duration_s, 0),
+            },
+            "overload_campaign": rows.iter().map(|row| (row.profile, outcome(row))).collect::<Map>(),
+            "worker_invariance": map! {
+                "worker_counts": list(invariance.worker_counts),
+                "outcomes_identical": identical_outcomes,
+                "state_identical": identical_state,
+            },
+            "crash_recovery": crash_recovery_map(&recovery),
+        },
+        gates: gates! {
+            "controlled_keeps_wb_goodput": controlled_rel >= 0.95, "{controlled_rel:.4} >= 0.95";
+            "open_door_collapses": open_rel <= 0.90, "{open_rel:.4} <= 0.90";
+            "controlled_holds_p99": controlled_p99 < open_p99, "{controlled_p99:.3} s < {open_p99:.3} s";
+            "autoscaler_grew_capacity": controlled.peak_capacity > scale.workers,
+                "{} > {}", controlled.peak_capacity, scale.workers;
+            "aggressive_tenants_shed": controlled.admission_shed > 0,
+                "{} > 0", controlled.admission_shed;
+            "physical_worker_invariance": identical_outcomes && identical_state,
+                "outcomes {identical_outcomes} / state {identical_state}";
+            "crash_recovery_bit_identical": recovery.bit_identical, "{}", recovery.bit_identical;
+        },
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "wall_clock_s": map! {
+                "overload_campaign": fixed(campaign_s, 3),
+                "worker_invariance": fixed(invariance_s, 3),
+                "recovery_drill": fixed(recovery_s, 3),
+            },
+        },
+    }
 }
 
 #[cfg(test)]

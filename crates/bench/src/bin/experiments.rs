@@ -1,4 +1,5 @@
-//! Regenerates every figure and quantitative claim of the paper.
+//! Regenerates every figure and quantitative claim of the paper, and
+//! the `BENCH_*.json` gate files.
 //!
 //! Usage:
 //!
@@ -8,11 +9,12 @@
 //! cargo run -p antarex-bench --bin experiments -- --jobs 4
 //! cargo run -p antarex-bench --bin experiments -- --out   # also write a file
 //! cargo run -p antarex-bench --bin experiments -- --list
+//! cargo run --release -p antarex-bench --bin experiments -- --bench all
 //! ```
 //!
-//! An id after `--only` that names no experiment, an `--only` with no
-//! id, an unknown flag or a stray positional is an error: nothing runs
-//! and the exit status is 2.
+//! An id after `--only` or `--bench` that names nothing, either flag
+//! with no id, an unknown flag or a stray positional is an error:
+//! nothing runs and the exit status is 2.
 //!
 //! `--jobs N` runs experiments on N worker threads; each report renders
 //! into its own buffer and the merged output is printed in registry
@@ -21,11 +23,20 @@
 //! `--out [PATH]` additionally writes the report to PATH — by default
 //! `target/experiments_output.txt`, so the artifact lands in build
 //! output rather than the working tree (it is generated, not tracked).
+//!
+//! `--bench <id>...|all` runs the selected full-scale campaigns serially
+//! and writes each as `BENCH_<id>.json` in the working directory. When
+//! every gate file ran, it also rewrites the gate table between
+//! README.md's `bench-summary` markers. A failed gate is named on stderr
+//! and the exit status is 1.
 
-use antarex_bench::{all_experiments, run_selected_jobs};
+use antarex_bench::{
+    all_experiments, gate_table, run_selected_jobs, select_benches, with_gate_table, BENCHES,
+};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: experiments [--list] [--only ID...] [--jobs N] [--out [PATH]]";
+const USAGE: &str =
+    "usage: experiments [--list] [--only ID...] [--jobs N] [--out [PATH]] | --bench ID...|all";
 
 /// What the command line asked for.
 #[derive(Debug, PartialEq)]
@@ -35,6 +46,8 @@ struct Cli {
     only: Vec<String>,
     jobs: usize,
     out: Option<PathBuf>,
+    /// Gate files to write; non-empty means nothing else runs.
+    bench: Vec<&'static str>,
 }
 
 /// Parses the arguments after the program name; anything it does not
@@ -45,6 +58,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         only: Vec::new(),
         jobs: 1,
         out: None,
+        bench: Vec::new(),
     };
     let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
@@ -69,11 +83,62 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     PathBuf::from,
                 ));
             }
+            "--bench" => {
+                let mut ids = Vec::new();
+                while let Some(id) = rest.next_if(|a| !a.starts_with("--")) {
+                    ids.push(id.clone());
+                }
+                cli.bench = select_benches(&ids)?;
+            }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             stray => return Err(format!("unexpected argument {stray}")),
         }
     }
+    let reporting = cli.list || !cli.only.is_empty() || cli.jobs != 1 || cli.out.is_some();
+    if !cli.bench.is_empty() && reporting {
+        return Err("--bench takes no other flag".to_string());
+    }
     Ok(cli)
+}
+
+/// Writes `BENCH_<id>.json` for each id, in registry order, and the
+/// README table when every file ran; returns the exit status.
+fn write_benches(ids: &[&str]) -> i32 {
+    let mut files = Vec::new();
+    for &(id, experiment, run) in BENCHES.iter().filter(|(id, ..)| ids.contains(id)) {
+        let file = run();
+        let path = format!("BENCH_{id}.json");
+        std::fs::write(&path, file.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        let (passed, total) = file.tally();
+        println!("{path} ({experiment}): {passed}/{total} gates pass");
+        files.push((id, file));
+    }
+    if files.len() == BENCHES.len() {
+        let updated = std::fs::read_to_string("README.md")
+            .map_err(|e| format!("README.md: {e}"))
+            .and_then(|readme| with_gate_table(&readme, &gate_table(&files)))
+            .and_then(|readme| {
+                std::fs::write("README.md", readme).map_err(|e| format!("README.md: {e}"))
+            });
+        if let Err(error) = updated {
+            eprintln!("{error}");
+            return 1;
+        }
+    }
+    let failed: Vec<String> = files
+        .iter()
+        .flat_map(|(id, file)| {
+            file.failed_gates()
+                .into_iter()
+                .map(move |gate| format!("{id}.{gate}"))
+        })
+        .collect();
+    if failed.is_empty() {
+        0
+    } else {
+        eprintln!("FAILED gates: {}", failed.join(", "));
+        1
+    }
 }
 
 fn main() {
@@ -82,6 +147,9 @@ fn main() {
         eprintln!("{error}\n{USAGE}");
         std::process::exit(2);
     });
+    if !cli.bench.is_empty() {
+        std::process::exit(write_benches(&cli.bench));
+    }
     if cli.list {
         for experiment in all_experiments() {
             println!("{:<4} {}", experiment.id, experiment.title);
@@ -127,6 +195,27 @@ mod tests {
     }
 
     #[test]
+    fn bench_without_an_id_or_with_an_unknown_one_names_the_valid_ids() {
+        let valid =
+            "valid ids: docking, energy_obs, admission, chaos, cluster, obs, serve, tuner, vm, all";
+        let missing = parse("--bench").unwrap_err();
+        assert_eq!(
+            missing,
+            format!("unknown or missing bench id(s) []; {valid}")
+        );
+        assert_eq!(parse("--bench --list").unwrap_err(), missing);
+        let unknown = parse("--bench vm d1 all").unwrap_err();
+        assert_eq!(
+            unknown,
+            format!("unknown or missing bench id(s) [d1]; {valid}")
+        );
+        assert_eq!(
+            parse("--bench vm --only c4").unwrap_err(),
+            "--bench takes no other flag"
+        );
+    }
+
+    #[test]
     fn the_documented_forms_parse() {
         assert_eq!(
             parse("--only c4 c5 --jobs 2 --out"),
@@ -135,7 +224,14 @@ mod tests {
                 only: vec!["c4".to_string(), "c5".to_string()],
                 jobs: 2,
                 out: Some(PathBuf::from("target/experiments_output.txt")),
+                bench: Vec::new(),
             })
+        );
+        let every: Vec<&str> = BENCHES.iter().map(|(id, ..)| *id).collect();
+        assert_eq!(parse("--bench all").map(|cli| cli.bench), Ok(every));
+        assert_eq!(
+            parse("--bench vm cluster").map(|cli| cli.bench),
+            Ok(vec!["cluster", "vm"])
         );
     }
 }

@@ -23,6 +23,7 @@
 //! Everything is virtual-time and seeded, so the whole report is
 //! reproducible byte for byte — the CI determinism smoke diffs two runs.
 
+use crate::{crash_recovery_map, fixed, physical_cores, timed, BenchFile, Map};
 use antarex_serve::chaos::ChaosConfig;
 use antarex_serve::driver::{Batching, Campaign, Cohort, CrashDrill, DriveStats};
 use antarex_serve::nav::NavEvaluator;
@@ -33,7 +34,7 @@ use std::fmt::Write as _;
 
 /// Size of one R2 run.
 #[derive(Debug, Clone, Copy)]
-pub struct ChaosScale {
+pub(crate) struct ChaosScale {
     /// Concurrent tenant sessions.
     pub tenants: usize,
     /// Distinct workload archetypes shared among tenants.
@@ -53,7 +54,7 @@ impl ChaosScale {
     /// for the whole run (no cross-tenant memoization hiding the
     /// faults), which is exactly the regime where hardening matters:
     /// a workload the cache has fully absorbed cannot fail.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         ChaosScale {
             tenants: 96,
             archetypes: 96,
@@ -113,7 +114,7 @@ pub(crate) fn serving_faults(seed: u64) -> FaultConfig {
 
 /// One row of the goodput comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GoodputRow {
+pub(crate) struct GoodputRow {
     /// Profile label (`baseline`, `unhardened`, `hardened`).
     pub profile: &'static str,
     /// The driven-run statistics.
@@ -142,7 +143,7 @@ pub(crate) fn goodput_run(
 
 /// The three-way goodput comparison: baseline, unhardened under faults,
 /// hardened under the same faults.
-pub fn goodput_campaign(seed: u64, scale: &ChaosScale) -> Vec<GoodputRow> {
+pub(crate) fn goodput_campaign(seed: u64, scale: &ChaosScale) -> Vec<GoodputRow> {
     let chaos = || Some(scale.chaos(&serving_faults(seed)));
     let unhardened = ResilienceConfig {
         hedge: antarex_serve::chaos::HedgePolicy::disabled(),
@@ -166,7 +167,7 @@ pub fn goodput_campaign(seed: u64, scale: &ChaosScale) -> Vec<GoodputRow> {
 
 /// Outcome of the poisoned-tenant containment run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ContainmentOutcome {
+pub(crate) struct ContainmentOutcome {
     /// The poisoned tenant.
     pub tenant: TenantId,
     /// Requests the poisoned tenant issued.
@@ -182,7 +183,7 @@ pub struct ContainmentOutcome {
 }
 
 /// Poisons one tenant's probes and measures the blast radius.
-pub fn poisoned_tenant_containment(seed: u64, scale: &ChaosScale) -> ContainmentOutcome {
+pub(crate) fn poisoned_tenant_containment(seed: u64, scale: &ChaosScale) -> ContainmentOutcome {
     let poisoned: TenantId = 0;
     let chaos = scale.chaos(&FaultConfig::none(seed)).poison(poisoned);
     let (service, stats) = scale
@@ -213,7 +214,7 @@ pub fn poisoned_tenant_containment(seed: u64, scale: &ChaosScale) -> Containment
 /// Kills the hardened service mid-run, recovers from snapshot + journal
 /// suffix, finishes the workload, and compares against an uninterrupted
 /// run of the same seed.
-pub fn crash_recovery_drill(seed: u64, scale: &ChaosScale) -> CrashDrill<NavEvaluator> {
+pub(crate) fn crash_recovery_drill(seed: u64, scale: &ChaosScale) -> CrashDrill<NavEvaluator> {
     let campaign = scale.campaign(
         seed,
         ResilienceConfig::hardened(),
@@ -313,6 +314,64 @@ pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
 /// The registered `r2` experiment.
 pub(crate) fn r2_chaos_hardening() -> String {
     r2_report(42, &ChaosScale::full())
+}
+
+/// `BENCH_chaos.json`: goodput per hardening profile, poisoned-tenant
+/// containment and the crash drill of the full campaign; no gates.
+pub(crate) fn r2_bench() -> BenchFile {
+    let seed = 42;
+    let scale = ChaosScale::full();
+    let (rows, goodput_s) = timed(|| goodput_campaign(seed, &scale));
+    let (containment, containment_s) = timed(|| poisoned_tenant_containment(seed, &scale));
+    let (recovery, recovery_s) = timed(|| crash_recovery_drill(seed, &scale));
+
+    let baseline = rows[0].stats.goodput();
+    let outcome = |stats: &DriveStats| {
+        let relative = if baseline > 0.0 {
+            stats.goodput() / baseline
+        } else {
+            0.0
+        };
+        map! {
+            "served": stats.served,
+            "failed": stats.failed,
+            "goodput": fixed(stats.goodput(), 4),
+            "relative_goodput": fixed(relative, 4),
+            "retries": stats.retries,
+            "hedges": stats.hedges,
+            "quarantined": stats.quarantined,
+        }
+    };
+
+    BenchFile {
+        title: "antarex-serve: chaos-hardened serving tier",
+        fields: map! {
+            "workload": map! {
+                "tenants": scale.tenants,
+                "workers": scale.workers,
+                "virtual_duration_s": fixed(scale.duration_s, 0),
+                "requests": rows[0].stats.requests,
+            },
+            "goodput_under_faults": rows.iter().map(|row| (row.profile, outcome(&row.stats))).collect::<Map>(),
+            "poisoned_tenant_containment": map! {
+                "poisoned_requests": containment.poisoned_requests,
+                "poisoned_rejected": containment.poisoned_rejected,
+                "breaker_trips": containment.breaker_trips,
+                "quarantined": containment.quarantined,
+                "others_served": containment.others_served,
+            },
+            "crash_recovery": crash_recovery_map(&recovery),
+        },
+        gates: Vec::new(),
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "wall_clock_s": map! {
+                "goodput_campaign": fixed(goodput_s, 3),
+                "containment": fixed(containment_s, 3),
+                "recovery_drill": fixed(recovery_s, 3),
+            },
+        },
+    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! running FNV-1a digest over the facility-power trajectory and final
 //! state is byte-identical at any worker count.
 
-use crate::Digest;
+use crate::{fixed, hex, list, physical_cores, timed, BenchFile, Digest, Map, Value};
 use antarex_obs::{MetricsRegistry, Scope};
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::cluster_ctrl::{
@@ -607,7 +607,11 @@ fn step_slot(
 
 /// Runs all four profiles; order is fixed (`fault_free` first so row 0
 /// is always the retention denominator).
-pub fn cluster_campaign(seed: u64, scale: &ClusterScale, workers: usize) -> Vec<ProfileOutcome> {
+pub(crate) fn cluster_campaign(
+    seed: u64,
+    scale: &ClusterScale,
+    workers: usize,
+) -> Vec<ProfileOutcome> {
     [
         ClusterProfile::FaultFree,
         ClusterProfile::FaultTolerant,
@@ -621,7 +625,7 @@ pub fn cluster_campaign(seed: u64, scale: &ClusterScale, workers: usize) -> Vec<
 
 /// Worker-count invariance verdict.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InvarianceOutcome {
+pub(crate) struct InvarianceOutcome {
     /// Worker counts exercised.
     pub worker_counts: Vec<usize>,
     /// Campaign digest per worker count.
@@ -633,7 +637,11 @@ pub struct InvarianceOutcome {
 /// Reruns the fault-tolerant profile at each worker count and compares
 /// the full-state digests: physical parallelism must never leak into
 /// the virtual campaign.
-pub fn worker_invariance(seed: u64, scale: &ClusterScale, counts: &[usize]) -> InvarianceOutcome {
+pub(crate) fn worker_invariance(
+    seed: u64,
+    scale: &ClusterScale,
+    counts: &[usize],
+) -> InvarianceOutcome {
     let digests: Vec<u64> = counts
         .iter()
         .map(|&workers| run_profile(seed, scale, ClusterProfile::FaultTolerant, workers).digest)
@@ -716,6 +724,79 @@ pub(crate) fn cl1_cluster_rtrm() -> String {
         if flat.peak_overshoot_frac > tolerant.peak_overshoot_frac { "yes" } else { "NO" },
     ));
     out
+}
+
+/// `BENCH_cluster.json`: the four profiles at 4096 nodes under the
+/// storm, the 1/2/4/8-worker digests, and the control plane's gates.
+pub(crate) fn cl1_bench() -> BenchFile {
+    let seed = 42;
+    let scale = ClusterScale::full();
+    let cores = physical_cores();
+    let workers = cores.min(8);
+    let (rows, campaign_s) = timed(|| cluster_campaign(seed, &scale, workers));
+    let (invariance, invariance_s) = timed(|| worker_invariance(seed, &scale, &[1, 2, 4, 8]));
+
+    let retention = |row: &ProfileOutcome| row.goodput_flops / rows[0].goodput_flops;
+    let outcome = |row: &ProfileOutcome| {
+        map! {
+            "goodput_flops": Value::Raw(format!("{:.6e}", row.goodput_flops)),
+            "goodput_retention": fixed(retention(row), 4),
+            "completed_jobs": row.completed_jobs,
+            "peak_overshoot_frac": fixed(row.peak_overshoot_frac, 6),
+            "overshoot_ws": fixed(row.overshoot_ws, 3),
+            "crashes": row.crashes,
+            "requeues": row.requeues,
+            "migrations": row.migrations,
+            "throttle_events": row.throttle_events,
+            "sensor_fallbacks": row.sensor_fallbacks,
+            "checkpoints": row.checkpoints,
+            "energy_mj": fixed(row.energy_j / 1e6, 3),
+            "digest": hex(row.digest),
+        }
+    };
+    let (tolerant, no_ckpt, flat) = (&rows[1], &rows[2], &rows[3]);
+    let (tolerant_over, flat_over) = (tolerant.peak_overshoot_frac, flat.peak_overshoot_frac);
+    let (tolerant_kept, no_ckpt_kept) = (retention(tolerant), retention(no_ckpt));
+    let (crashes, fallbacks) = (tolerant.crashes, tolerant.sensor_fallbacks);
+    let counts = &invariance.worker_counts;
+
+    BenchFile {
+        title: "antarex-rtrm: fault-tolerant cluster-scale control plane",
+        fields: map! {
+            "workload": map! {
+                "nodes": scale.nodes,
+                "jobs": scale.jobs,
+                "virtual_horizon_s": fixed(scale.horizon_s, 0),
+                "control_step_s": fixed(scale.dt_s, 0),
+                "facility_cap_w": fixed(scale.facility_cap_w, 0),
+                "node_mtbf_s": fixed(scale.node_mtbf_s(), 0),
+                "heat_wave_c": list([fixed(scale.ambient_start_c, 0), fixed(scale.ambient_peak_c, 0)]),
+            },
+            "profiles": rows.iter().map(|row| (row.profile, outcome(row))).collect::<Map>(),
+            "worker_invariance": map! {
+                "worker_counts": list(counts.clone()),
+                "digests": list(invariance.digests.iter().map(|&digest| hex(digest))),
+                "identical": invariance.identical,
+            },
+        },
+        gates: gates! {
+            "tolerant_holds_facility_cap": tolerant_over <= 0.01, "peak overshoot {tolerant_over:.4} <= 0.01";
+            "tolerant_retains_goodput": tolerant_kept >= 0.95, "retention {tolerant_kept:.4} >= 0.95";
+            "flat_breaks_the_cap": flat_over > 0.01, "peak overshoot {flat_over:.4} > 0.01";
+            "no_checkpoint_loses_goodput": no_ckpt_kept < 0.95, "retention {no_ckpt_kept:.4} < 0.95";
+            "storm_actually_fired": crashes > 0 && fallbacks > 0,
+                "crashes {crashes} > 0, sensor fallbacks {fallbacks} > 0";
+            "worker_invariance": invariance.identical, "digests identical at {counts:?}";
+        },
+        wall: map! {
+            "physical_cores": cores,
+            "workers": workers,
+            "wall_clock_s": map! {
+                "campaign": fixed(campaign_s, 3),
+                "worker_invariance": fixed(invariance_s, 3),
+            },
+        },
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //!   run at 1/2/4/8 *physical* workers with virtual capacity pinned —
 //!   the full response/state digest must be byte-identical.
 
-use crate::Digest;
+use crate::{fixed, hex, list, physical_cores, timed, BenchFile, Digest, Map};
 use antarex_serve::docking::TenantMux;
 use antarex_serve::driver::{self, Batching, Campaign, Cohort, DriverConfig};
 use antarex_serve::service::FrontDoorConfig;
@@ -45,7 +45,7 @@ const FAMILY_POSES: [usize; 6] = [64, 32, 16, 8, 4, 2];
 
 /// Library sizing.
 #[derive(Debug, Clone)]
-pub struct DockingScale {
+pub(crate) struct DockingScale {
     /// Virtual docking tasks (ligands to score).
     pub tasks: usize,
     /// Scaffold families; each carries one pose budget (2–64) and its
@@ -69,7 +69,7 @@ impl DockingScale {
     }
 
     /// The gated-bench scale: the use case's million-ligand campaign.
-    pub fn million() -> Self {
+    pub(crate) fn million() -> Self {
         DockingScale {
             tasks: 1_048_576,
             ..DockingScale::tiny()
@@ -80,7 +80,7 @@ impl DockingScale {
 /// One synthetic library: true per-task costs plus the per-scaffold
 /// estimates the scheduler is allowed to see.
 #[derive(Debug, Clone)]
-pub struct Library {
+pub(crate) struct Library {
     /// True per-ligand docking cost, virtual seconds.
     pub costs: Vec<f64>,
     /// Quantized per-task estimate: the task's scaffold-family median
@@ -92,7 +92,7 @@ pub struct Library {
 /// grouped by family, heaviest pose budgets first — the order a
 /// screening deck file actually has, and the worst case for a static
 /// block partition.
-pub fn scaffold_sorted_library(scale: &DockingScale) -> Library {
+pub(crate) fn scaffold_sorted_library(scale: &DockingScale) -> Library {
     let mut rng = StdRng::seed_from_u64(scale.seed);
     // per-family median atom counts, themselves lognormal around the
     // library median of 24 heavy atoms
@@ -128,7 +128,7 @@ pub fn scaffold_sorted_library(scale: &DockingScale) -> Library {
 /// Generates the uniform control library: every ligand the median
 /// fragment at the default pose budget. Static partitioning is optimal
 /// here, so it bounds the stealing overhead.
-pub fn uniform_library(scale: &DockingScale) -> Library {
+pub(crate) fn uniform_library(scale: &DockingScale) -> Library {
     let cost = 24.0 * scale.spheres as f64 * 8.0 * SECONDS_PER_INTERACTION;
     Library {
         costs: vec![cost; scale.tasks],
@@ -138,7 +138,7 @@ pub fn uniform_library(scale: &DockingScale) -> Library {
 
 /// One (policy × cores) grid cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GridRow {
+pub(crate) struct GridRow {
     /// Virtual cores scheduled onto.
     pub cores: usize,
     /// Static block partition (OpenMP `schedule(static)` analogue).
@@ -157,18 +157,18 @@ pub struct GridRow {
 
 impl GridRow {
     /// Stealing speedup over the static block partition.
-    pub fn speedup_vs_block(&self) -> f64 {
+    pub(crate) fn speedup_vs_block(&self) -> f64 {
         self.block_s / self.steal_s
     }
 
     /// Effective cores: total work over the stealing makespan.
-    pub fn goodput_cores(&self, total_work_s: f64) -> f64 {
+    pub(crate) fn goodput_cores(&self, total_work_s: f64) -> f64 {
         total_work_s / self.steal_s
     }
 }
 
 /// Schedules the library under every policy across the core grid.
-pub fn schedule_grid(library: &Library, cores_grid: &[usize]) -> Vec<GridRow> {
+pub(crate) fn schedule_grid(library: &Library, cores_grid: &[usize]) -> Vec<GridRow> {
     cores_grid
         .iter()
         .map(|&cores| {
@@ -255,7 +255,7 @@ pub(crate) fn mixed_campaign_digest(seed: u64, physical: usize) -> u64 {
 }
 
 /// Digests the mixed campaign at each physical worker count.
-pub fn campaign_invariance(seed: u64, counts: &[usize]) -> (Vec<u64>, bool) {
+pub(crate) fn campaign_invariance(seed: u64, counts: &[usize]) -> (Vec<u64>, bool) {
     let digests: Vec<u64> = counts
         .iter()
         .map(|&physical| mixed_campaign_digest(seed, physical))
@@ -329,6 +329,75 @@ pub(crate) fn d1_docking_scale() -> String {
         if identical { "yes" } else { "NO" },
     ));
     out
+}
+
+/// `BENCH_docking.json`: the million-ligand schedule grid, the uniform
+/// control, the mixed campaign's digests, and the scheduler's gates.
+pub(crate) fn d1_bench() -> BenchFile {
+    let scale = DockingScale::million();
+    let (imbalanced, library_s) = timed(|| scaffold_sorted_library(&scale));
+    let total_work: f64 = imbalanced.costs.iter().sum();
+    let (grid, grid_s) = timed(|| schedule_grid(&imbalanced, &[1, 2, 4, 8]));
+    let (uniform_grid, uniform_s) = timed(|| schedule_grid(&uniform_library(&scale), &[8]));
+    let counts = [1usize, 2, 4, 8];
+    let ((digests, identical), campaign_s) = timed(|| campaign_invariance(scale.seed, &counts));
+
+    let cell = |row: &GridRow| {
+        map! {
+            "block_makespan_s": fixed(row.block_s, 3),
+            "list_makespan_s": fixed(row.list_s, 3),
+            "lpt_makespan_s": fixed(row.lpt_s, 3),
+            "steal_makespan_s": fixed(row.steal_s, 3),
+            "steals": row.steals,
+            "steal_vs_block": fixed(row.speedup_vs_block(), 3),
+            "effective_cores": fixed(row.goodput_cores(total_work), 3),
+            "digest": hex(row.digest),
+        }
+    };
+    let eight = grid.last().expect("grid has rows");
+    let (speedup, steals) = (eight.speedup_vs_block(), eight.steals);
+    let uniform = &uniform_grid[0];
+    let uniform_ratio = uniform.steal_s / uniform.block_s;
+
+    BenchFile {
+        title: "antarex-serve: deterministic work stealing at drug-discovery scale",
+        fields: map! {
+            "workload": map! {
+                "tasks": scale.tasks,
+                "scaffold_families": scale.families,
+                "pocket_spheres": scale.spheres,
+                "seed": scale.seed,
+                "total_work_core_s": fixed(total_work, 1),
+            },
+            "schedule_grid": grid.iter().map(|row| (format!("cores_{}", row.cores), cell(row))).collect::<Map>(),
+            "uniform_control": map! {
+                "block_makespan_s": fixed(uniform.block_s, 3),
+                "steal_makespan_s": fixed(uniform.steal_s, 3),
+                "steal_over_block": fixed(uniform_ratio, 4),
+            },
+            "mixed_campaign_invariance": map! {
+                "physical_workers": list(counts),
+                "digests": list(digests.into_iter().map(hex)),
+                "identical": identical,
+            },
+        },
+        gates: gates! {
+            "million_task_scale": scale.tasks >= 1_000_000, "{} tasks >= 1000000", scale.tasks;
+            "stealing_beats_static_block": speedup >= 1.5, "steal-vs-block {speedup:.2}x >= 1.50x at 8 cores";
+            "uniform_parity_held": uniform_ratio <= 1.02, "uniform steal/block {uniform_ratio:.4} <= 1.02";
+            "stealing_actually_fired": steals > 0, "{steals} steal transactions at 8 cores";
+            "physical_worker_invariance": identical, "campaign digests identical at {counts:?}";
+        },
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "wall_clock_s": map! {
+                "library": fixed(library_s, 3),
+                "schedule_grid": fixed(grid_s, 3),
+                "uniform_control": fixed(uniform_s, 3),
+                "mixed_campaign": fixed(campaign_s, 3),
+            },
+        },
+    }
 }
 
 fn heaviest_over_median(costs: &[f64]) -> f64 {

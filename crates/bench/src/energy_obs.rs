@@ -16,19 +16,20 @@
 //!   the invariant metric exposition, the energy ledger, the Chrome
 //!   trace export — is byte-identical at 1/2/4/8 *physical* workers,
 //!   because every recorded quantity is virtual work content.
-//! * **Bounded cost.** Deriving a [`antarex_obs::TraceCtx`] is gated
-//!   ≤ 25 ns by `energy_obs_bench`, so the untraced hot path stays hot.
+//! * **Bounded cost.** Deriving a [`TraceCtx`] is gated ≤ 25 ns by
+//!   `BENCH_energy_obs.json`, so the untraced hot path stays hot.
 
 use crate::docking_exp::{pinned_campaign, DOCKING_BASE};
-use crate::{head, Digest};
-use antarex_obs::nj_to_j;
+use crate::{fixed, head, hex, list, ns_per_op, physical_cores, BenchFile, Digest};
+use antarex_obs::{nj_to_j, Layer, SpanId, TraceCtx, TraceEvent, TraceId, TraceStore};
 use antarex_serve::docking::TenantMux;
 use antarex_serve::driver::Cohort;
 use antarex_serve::store::TenantClass;
+use std::hint::black_box;
 
 /// Campaign sizing.
 #[derive(Debug, Clone)]
-pub struct EnergyScale {
+pub(crate) struct EnergyScale {
     /// Navigation tenants (ids `0..nav_tenants`).
     pub nav_tenants: usize,
     /// Docking tenants (ids `DOCKING_BASE..`).
@@ -60,7 +61,7 @@ impl EnergyScale {
     }
 
     /// The gated-bench scale: ≥ 10⁵ requests through the full stack.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         EnergyScale {
             nav_tenants: 192,
             docking_tenants: 64,
@@ -80,9 +81,7 @@ impl EnergyScale {
 
 /// Everything one campaign run exposes, plus the invariance digest.
 #[derive(Debug, Clone)]
-pub struct CampaignRun {
-    /// Physical worker threads the pool actually spawned.
-    pub physical_workers: usize,
+pub(crate) struct CampaignRun {
     /// Requests submitted.
     pub requests: usize,
     /// Requests answered `Ok`.
@@ -178,7 +177,6 @@ pub(crate) fn run_campaign(scale: &EnergyScale, physical: usize) -> CampaignRun 
     digest.bytes(service.state_report().as_bytes());
 
     CampaignRun {
-        physical_workers: physical,
         requests: requests.len(),
         served,
         facility_j: nj_to_j(facility_nj),
@@ -198,7 +196,10 @@ pub(crate) fn run_campaign(scale: &EnergyScale, physical: usize) -> CampaignRun 
 
 /// Runs the campaign at each physical worker count; `true` when every
 /// digest matches the first.
-pub fn campaign_invariance(scale: &EnergyScale, counts: &[usize]) -> (Vec<CampaignRun>, bool) {
+pub(crate) fn campaign_invariance(
+    scale: &EnergyScale,
+    counts: &[usize],
+) -> (Vec<CampaignRun>, bool) {
     let runs: Vec<CampaignRun> = counts
         .iter()
         .map(|&physical| run_campaign(scale, physical))
@@ -281,6 +282,77 @@ pub(crate) fn e1_energy_observability() -> String {
         if reference.trace_retained > 0 { "yes" } else { "NO" },
     ));
     out
+}
+
+/// Wall-clock budget of one [`TraceCtx::derive`]: the cost tracing adds
+/// to every request, sampled or not.
+const TRACE_CTX_BUDGET_NS: f64 = 25.0;
+
+/// `BENCH_energy_obs.json`: the full campaign's energy totals and
+/// digests, and the attribution gates.
+pub(crate) fn e1_bench() -> BenchFile {
+    // wall-clock: the per-request cost tracing adds even when nothing
+    // is sampled (derivation), and the sampled-path record cost
+    let mut seq = 0u32;
+    let derive_ns = ns_per_op(20_000_000, || {
+        seq = seq.wrapping_add(1);
+        black_box(TraceCtx::derive(
+            black_box(7),
+            black_box(0x9e37_79b9),
+            black_box(11),
+            seq,
+            black_box(8),
+        ));
+    });
+    let store = TraceStore::new(1 << 20, 1);
+    let mut t = 0.0f64;
+    let record_ns = ns_per_op(1_000_000, || {
+        t += 1e-6;
+        black_box(store.record(TraceEvent {
+            trace: TraceId(42),
+            tenant: 7,
+            layer: Layer::Vm,
+            name: "bench",
+            start_s: t,
+            end_s: t + 1e-7,
+            value: 1.0,
+            span: SpanId::NONE,
+        }));
+    });
+
+    let counts = [1usize, 2, 4, 8];
+    let (runs, worker_invariant) = campaign_invariance(&EnergyScale::full(), &counts);
+    let reference = &runs[0];
+    let requests = reference.requests;
+    let conserved = runs.iter().filter(|run| run.conserved).count();
+
+    BenchFile {
+        title: "antarex-obs: causal tracing + energy attribution",
+        fields: map! {
+            "trace_budget_ns": fixed(TRACE_CTX_BUDGET_NS, 1),
+            "campaign_requests": requests,
+            "campaign_served": reference.served,
+            "facility_joules": fixed(reference.facility_j, 6),
+            "attributed_joules": fixed(reference.attributed_j, 6),
+            "idle_joules": fixed(reference.idle_j, 6),
+            "worker_digests": list(runs.iter().map(|run| hex(run.digest))),
+            "trace_events_retained": reference.trace_retained,
+            "trace_events_dropped": reference.trace_dropped,
+        },
+        gates: gates! {
+            "trace_ctx_within_budget": derive_ns <= TRACE_CTX_BUDGET_NS, "derive <= {TRACE_CTX_BUDGET_NS:.1} ns";
+            "requests_at_scale": requests >= 100_000, "{requests} requests >= 100000";
+            "conservation_exact": conserved == runs.len(),
+                "{conserved} of {} worker counts conserve exactly", runs.len();
+            "worker_invariant": worker_invariant,
+                "campaign digests identical at {counts:?}: {worker_invariant}";
+        },
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "trace_ctx_derive_ns": fixed(derive_ns, 1),
+            "trace_record_ns": fixed(record_ns, 1),
+        },
+    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,14 @@
 //! `experiments` binary prints them all (or a `--only` selection), and
 //! the criterion benches time the underlying mechanisms.
 //!
+//! Nine experiments also run a full-scale campaign as a [`BenchFile`]:
+//! named deterministic fields, acceptance gates, and a separate `wall`
+//! map for every wall-clock or host-derived number.
+//! `experiments --bench <id>...|all` writes each as `BENCH_<id>.json`
+//! ([`BENCHES`] lists the ids), exits nonzero when a gate fails, and with
+//! `all` rewrites README's gate table ([`gate_table`]) from the same
+//! values.
+//!
 //! Experiment index (see DESIGN.md §4 and EXPERIMENTS.md):
 //!
 //! | id | source | reproduces |
@@ -42,18 +50,34 @@ use antarex_serve::Evaluator;
 use antarex_tuner::dse::par_map;
 use std::time::Instant;
 
+/// A gate-file object literal in the shape of the JSON it renders:
+/// `map! { "key": value, ... }`, each value anything `Into<Value>`.
+macro_rules! map {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::Map::default()$(.with($key, $value))*
+    };
+}
+
+/// The gates of a gate file: `gates! { "name": pass, "detail", args...; ... }`,
+/// the detail formatted as by `format!`.
+macro_rules! gates {
+    ($($name:literal: $pass:expr, $($detail:expr),+;)*) => {
+        vec![$($crate::Gate { name: $name, pass: $pass, detail: format!($($detail),+) }),*]
+    };
+}
+
 pub(crate) mod ablations;
-pub mod admission_exp;
-pub mod chaos_exp;
+pub(crate) mod admission_exp;
+pub(crate) mod chaos_exp;
 pub(crate) mod claims;
 pub mod cluster_exp;
-pub mod docking_exp;
-pub mod energy_obs;
+pub(crate) mod docking_exp;
+pub(crate) mod energy_obs;
 pub(crate) mod figures;
-pub mod obs_exp;
+pub(crate) mod obs_exp;
 pub(crate) mod resiliency;
-pub mod serve_exp;
-pub mod tuner_exp;
+pub(crate) mod serve_exp;
+pub(crate) mod tuner_exp;
 pub(crate) mod use_cases;
 pub mod vm_exp;
 
@@ -95,14 +119,14 @@ impl Digest {
 }
 
 /// Runs `f`; returns its value and the wall-clock seconds it took.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed().as_secs_f64())
 }
 
 /// ns/op of `op` over `iters` iterations.
-pub fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
+pub(crate) fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
     let start = Instant::now();
     for _ in 0..iters {
         op();
@@ -110,44 +134,239 @@ pub fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// A budget override from the environment, in nanoseconds.
-pub fn env_budget_ns(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The host's hardware threads: the `"physical_cores"` of a gate file.
-pub fn physical_cores() -> usize {
+pub(crate) fn physical_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// One acceptance gate of a `*_bench` binary: its name, the measured
-/// detail it was judged on, and the verdict.
-pub(crate) type Gate = (&'static str, String, bool);
-
-/// Prints the `"gates"` object and the `"gates_passed"` line of a gate
-/// file.
-pub fn print_gates(gates: &[Gate]) {
-    println!("  \"gates\": {{");
-    for (i, (name, detail, ok)) in gates.iter().enumerate() {
-        let comma = if i + 1 < gates.len() { "," } else { "" };
-        println!("    \"{name}\": {{ \"pass\": {ok}, \"detail\": \"{detail}\" }}{comma}");
-    }
-    println!("  }},");
-    println!("  \"gates_passed\": {},", gates.iter().all(|gate| gate.2));
+/// One value of a gate file. A scalar carries its rendered text, so each
+/// number keeps the digits it was always published with.
+#[derive(Debug, Clone)]
+pub(crate) enum Value {
+    /// A number or boolean, rendered as is.
+    Raw(String),
+    Text(String),
+    List(Vec<Value>),
+    Map(Map),
 }
 
-/// Ends a `*_bench` binary: names the failed gates on stderr and exits
-/// nonzero, so CI can run the binary directly; returns when all passed.
-pub fn exit_on_failed_gates(bin: &str, gates: &[Gate]) {
-    let failed: Vec<&str> = gates.iter().filter(|g| !g.2).map(|g| g.0).collect();
-    if !failed.is_empty() {
-        eprintln!("{bin}: FAILED gates: {}", failed.join(", "));
-        std::process::exit(1);
+/// `x` with `digits` decimals.
+pub(crate) fn fixed(x: f64, digits: usize) -> Value {
+    Value::Raw(format!("{x:.digits$}"))
+}
+
+/// A digest as sixteen hex digits.
+pub(crate) fn hex(digest: u64) -> Value {
+    Value::Text(format!("{digest:016x}"))
+}
+
+/// A list of values.
+pub(crate) fn list<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+    Value::List(items.into_iter().map(Into::into).collect())
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Raw(n.to_string())
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Raw(n.to_string())
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Raw(b.to_string())
+    }
+}
+
+impl From<&str> for Value {
+    fn from(text: &str) -> Self {
+        Value::Text(text.to_string())
+    }
+}
+
+impl From<Map> for Value {
+    fn from(map: Map) -> Self {
+        Value::Map(map)
+    }
+}
+
+impl Value {
+    /// Renders a value whose key sits at `indent` spaces: a non-empty map
+    /// one entry per line (`None`: on one line), anything else on one
+    /// line. Text is program-written ASCII, for which `Debug` quoting is
+    /// JSON quoting.
+    fn render(&self, indent: Option<usize>, out: &mut String) {
+        match self {
+            Value::Raw(text) => out.push_str(text),
+            Value::Text(text) => out.push_str(&format!("{text:?}")),
+            Value::List(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ", " } else { "" });
+                    item.render(None, out);
+                }
+                out.push(']');
+            }
+            Value::Map(map) => map.render(indent, out),
+        }
+    }
+}
+
+/// An ordered JSON object of a gate file.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Map(Vec<(String, Value)>);
+
+impl Map {
+    /// This map with `key: value` appended.
+    pub(crate) fn with(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
+        self.0.push((key.into(), value.into()));
+        self
+    }
+
+    /// Renders the map as [`Value::render`] does.
+    fn render(&self, indent: Option<usize>, out: &mut String) {
+        let (comma, lead, close) = match indent.filter(|_| !self.0.is_empty()) {
+            Some(n) => (
+                ",",
+                format!("\n{}  ", " ".repeat(n)),
+                format!("\n{}}}", " ".repeat(n)),
+            ),
+            None => (", ", String::new(), "}".to_string()),
+        };
+        out.push('{');
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            out.push_str(&format!(
+                "{}{lead}{key:?}: ",
+                if i > 0 { comma } else { "" }
+            ));
+            value.render(indent.map(|n| n + 2), out);
+        }
+        out.push_str(&close);
+    }
+}
+
+impl<K: Into<String>, V: Into<Value>> FromIterator<(K, V)> for Map {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
+        entries
+            .into_iter()
+            .fold(Map::default(), |map, (key, value)| map.with(key, value))
+    }
+}
+
+/// One acceptance gate: its name, the verdict, and what the verdict was
+/// judged against.
+#[derive(Debug, Clone)]
+pub(crate) struct Gate {
+    pub(crate) name: &'static str,
+    pub(crate) pass: bool,
+    pub(crate) detail: String,
+}
+
+/// One gate file, `BENCH_<id>.json`, as a value: a title, named
+/// deterministic fields, gates, and a `wall` map holding every
+/// wall-clock or host-derived number. Everything outside `wall` is a
+/// function of the seed, so two runs on one host differ only on the
+/// `"wall"` line that [`BenchFile::render`] writes.
+#[derive(Debug, Clone)]
+pub struct BenchFile {
+    pub(crate) title: &'static str,
+    pub(crate) fields: Map,
+    pub(crate) gates: Vec<Gate>,
+    pub(crate) wall: Map,
+}
+
+impl BenchFile {
+    /// `(passed, total)` over the gates; no other boolean counts.
+    pub fn tally(&self) -> (usize, usize) {
+        let passed = self.gates.iter().filter(|gate| gate.pass).count();
+        (passed, self.gates.len())
+    }
+
+    /// The names of the gates that failed.
+    pub fn failed_gates(&self) -> Vec<&'static str> {
+        let failed = self.gates.iter().filter(|gate| !gate.pass);
+        failed.map(|gate| gate.name).collect()
+    }
+
+    /// The JSON text: the title as `"benchmark"`, the fields, one line
+    /// per gate (the object is omitted when there is none), and `"wall"`
+    /// on the last line.
+    pub fn render(&self) -> String {
+        let mut out = format!("{{\n  \"benchmark\": {:?}", self.title);
+        for (key, value) in &self.fields.0 {
+            out.push_str(&format!(",\n  {key:?}: "));
+            value.render(Some(2), &mut out);
+        }
+        if !self.gates.is_empty() {
+            out.push_str(",\n  \"gates\": {");
+            for (i, gate) in self.gates.iter().enumerate() {
+                out.push_str(&format!(
+                    "{}\n    {:?}: {{ \"pass\": {}, \"detail\": {:?} }}",
+                    if i > 0 { "," } else { "" },
+                    gate.name,
+                    gate.pass,
+                    gate.detail
+                ));
+            }
+            out.push_str("\n  }");
+        }
+        out.push_str(",\n  \"wall\": ");
+        self.wall.render(None, &mut out);
+        out.push_str("\n}\n");
+        out
+    }
+}
+
+/// README's gate table: one row per file, by file name, with its gate
+/// tally and a pass/FAIL verdict.
+pub fn gate_table(files: &[(&str, BenchFile)]) -> String {
+    let mut rows: Vec<&(&str, BenchFile)> = files.iter().collect();
+    rows.sort_by_key(|(id, _)| *id);
+    let mut out = String::from("| gate file | benchmark | gates | verdict |\n|---|---|---|---|\n");
+    for (id, file) in rows {
+        let (passed, total) = file.tally();
+        let verdict = if passed == total { "pass" } else { "**FAIL**" };
+        out.push_str(&format!(
+            "| `BENCH_{id}.json` | {} | {passed}/{total} | {verdict} |\n",
+            file.title
+        ));
+    }
+    out
+}
+
+/// `readme` with the text between its `bench-summary` markers replaced
+/// by `table`.
+///
+/// # Errors
+///
+/// A missing or out-of-order marker.
+pub fn with_gate_table(readme: &str, table: &str) -> Result<String, String> {
+    const START: &str = "<!-- bench-summary:start -->";
+    const END: &str = "<!-- bench-summary:end -->";
+    let start = readme
+        .find(START)
+        .ok_or("bench-summary:start marker missing")?;
+    let end = readme.find(END).filter(|&end| end > start);
+    let end = end.ok_or("bench-summary:end marker missing or misplaced")?;
+    let head = &readme[..start + START.len()];
+    Ok(format!("{head}\n{table}{}", &readme[end..]))
+}
+
+/// The `"crash_recovery"` object of a gate file.
+pub(crate) fn crash_recovery_map<E: Evaluator>(recovery: &CrashDrill<E>) -> Map {
+    map! {
+        "windows_before_crash": recovery.batches_before_crash,
+        "windows_after_crash": recovery.reports.len(),
+        "had_snapshot": recovery.had_snapshot,
+        "replayed_entries": recovery.replayed_entries,
+        "bit_identical": recovery.bit_identical,
     }
 }
 
@@ -166,20 +385,6 @@ pub(crate) fn crash_drill_line<E: Evaluator>(recovery: &CrashDrill<E>, what: &st
             "DIVERGED from"
         }
     )
-}
-
-/// Prints the `"crash_recovery"` object of a gate file.
-pub fn print_crash_recovery<E: Evaluator>(recovery: &CrashDrill<E>) {
-    println!("  \"crash_recovery\": {{");
-    println!(
-        "    \"windows_before_crash\": {},",
-        recovery.batches_before_crash
-    );
-    println!("    \"windows_after_crash\": {},", recovery.reports.len());
-    println!("    \"had_snapshot\": {},", recovery.had_snapshot);
-    println!("    \"replayed_entries\": {},", recovery.replayed_entries);
-    println!("    \"bit_identical\": {}", recovery.bit_identical);
-    println!("  }},");
 }
 
 /// One registered experiment.
@@ -328,6 +533,53 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
+/// One gate file `experiments --bench` writes: the `<id>` of
+/// `BENCH_<id>.json`, the experiment whose campaign it runs at full
+/// scale, and the function that runs it.
+pub type Bench = (&'static str, &'static str, fn() -> BenchFile);
+
+/// Every gate file, in run order. `docking` and `energy_obs` run first:
+/// their campaign digests still depend on which campaigns ran earlier
+/// in the process (ROADMAP, "Outcomes are a function of the seed"), and
+/// first they match a process of their own.
+pub const BENCHES: [Bench; 9] = [
+    ("docking", "d1", docking_exp::d1_bench),
+    ("energy_obs", "e1", energy_obs::e1_bench),
+    ("admission", "ad1", admission_exp::ad1_bench),
+    ("chaos", "r2", chaos_exp::r2_bench),
+    ("cluster", "cl1", cluster_exp::cl1_bench),
+    ("obs", "o1", obs_exp::o1_bench),
+    ("serve", "s1", serve_exp::s1_bench),
+    ("tuner", "p1", tuner_exp::p1_bench),
+    ("vm", "v1", vm_exp::v1_bench),
+];
+
+/// The bench ids `ids` selects, in run order; `all` selects every one.
+///
+/// # Errors
+///
+/// No id, or an id that names no gate file: nothing should run, and the
+/// message lists the valid ids.
+pub fn select_benches(ids: &[String]) -> Result<Vec<&'static str>, String> {
+    let mut valid: Vec<&str> = BENCHES.iter().map(|(id, ..)| *id).collect();
+    valid.push("all");
+    let unknown: Vec<&str> = ids
+        .iter()
+        .map(String::as_str)
+        .filter(|id| !valid.contains(id))
+        .collect();
+    if ids.is_empty() || !unknown.is_empty() {
+        return Err(format!(
+            "unknown or missing bench id(s) [{}]; valid ids: {}",
+            unknown.join(", "),
+            valid.join(", ")
+        ));
+    }
+    let all = ids.iter().any(|id| id == "all");
+    valid.retain(|id| *id != "all" && (all || ids.iter().any(|want| want == id)));
+    Ok(valid)
+}
+
 /// Runs experiments by id (all when `only` is empty) on `jobs` worker
 /// threads.
 ///
@@ -421,5 +673,98 @@ mod tests {
     #[should_panic(expected = "at least one job")]
     fn zero_jobs_rejected() {
         let _ = run_selected_jobs(&[], 0);
+    }
+
+    #[test]
+    fn bench_ids_are_unique_and_each_names_one_experiment() {
+        let experiments = all_experiments();
+        for (i, (id, experiment, _)) in BENCHES.iter().enumerate() {
+            for (other_id, other_experiment, _) in &BENCHES[i + 1..] {
+                assert_ne!(id, other_id);
+                assert_ne!(experiment, other_experiment);
+            }
+            let named = experiments.iter().filter(|e| e.id == *experiment);
+            assert_eq!(named.count(), 1, "{id}");
+        }
+    }
+
+    fn sample(gates: Vec<Gate>) -> BenchFile {
+        BenchFile {
+            title: "sample bench",
+            fields: map! {
+                "workload": map! { "tenants": 8usize, "share": fixed(0.5, 3), "nested": map! { "identical": true } },
+                "digests": list([hex(0xaa), hex(0xbb)]),
+                "rows": list([map! { "name": "a", "x": 1u64 }]),
+            },
+            gates,
+            wall: map! { "physical_cores": 2usize, "wall_clock_s": map! { "run": fixed(1.25, 3) } },
+        }
+    }
+
+    #[test]
+    fn the_writer_renders_the_golden_text() {
+        let file = sample(gates! {
+            "within_budget": true, "<= {:.1} ns", 25.0;
+            "worker_invariant": false, "digests differ";
+        });
+        let golden = r#"{
+  "benchmark": "sample bench",
+  "workload": {
+    "tenants": 8,
+    "share": 0.500,
+    "nested": {
+      "identical": true
+    }
+  },
+  "digests": ["00000000000000aa", "00000000000000bb"],
+  "rows": [{"name": "a", "x": 1}],
+  "gates": {
+    "within_budget": { "pass": true, "detail": "<= 25.0 ns" },
+    "worker_invariant": { "pass": false, "detail": "digests differ" }
+  },
+  "wall": {"physical_cores": 2, "wall_clock_s": {"run": 1.250}}
+}
+"#;
+        assert_eq!(file.render(), golden);
+    }
+
+    #[test]
+    fn gate_tally_counts_gates_entries_only() {
+        // `identical` is a boolean field, not a gate
+        let file = sample(gates! {
+            "within_budget": true, "<= 25.0 ns";
+            "worker_invariant": false, "digests differ";
+        });
+        assert_eq!(file.tally(), (1, 2));
+        assert_eq!(file.failed_gates(), ["worker_invariant"]);
+        let table = gate_table(&[("sample", file)]);
+        assert!(table.contains("| `BENCH_sample.json` | sample bench | 1/2 | **FAIL** |"));
+    }
+
+    #[test]
+    fn a_file_without_gates_tallies_zero_and_passes() {
+        let file = sample(Vec::new());
+        assert_eq!(file.tally(), (0, 0));
+        assert!(file.failed_gates().is_empty());
+        assert!(!file.render().contains("\"gates"));
+        let table = gate_table(&[("zz", file.clone()), ("plain", file)]);
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(
+            rows,
+            [
+                "| `BENCH_plain.json` | sample bench | 0/0 | pass |",
+                "| `BENCH_zz.json` | sample bench | 0/0 | pass |"
+            ]
+        );
+    }
+
+    #[test]
+    fn the_table_replaces_the_marked_region_only() {
+        let readme = "intro\n<!-- bench-summary:start -->\nold\n<!-- bench-summary:end -->\ntail\n";
+        assert_eq!(
+            with_gate_table(readme, "new\n").unwrap(),
+            "intro\n<!-- bench-summary:start -->\nnew\n<!-- bench-summary:end -->\ntail\n"
+        );
+        assert!(with_gate_table("no markers", "new\n").is_err());
     }
 }

@@ -21,8 +21,9 @@
 //! Everything is virtual-time and seeded: the whole report reproduces
 //! byte for byte, and CI diffs two runs.
 
-use crate::head;
-use antarex_obs::MetricValue;
+use crate::serve_exp::{scaling_row, ServeScale};
+use crate::{fixed, head, ns_per_op, physical_cores, BenchFile};
+use antarex_obs::{MetricValue, MetricsRegistry, Scope, SpanId, Tracer};
 use antarex_serve::chaos::ChaosConfig;
 use antarex_serve::driver::{Batching, Campaign, Cohort, DriveStats};
 use antarex_serve::nav::NavEvaluator;
@@ -30,10 +31,11 @@ use antarex_serve::service::ResilienceConfig;
 use antarex_serve::{Evaluator, TuningService};
 use antarex_sim::faults::FaultSchedule;
 use std::fmt::Write as _;
+use std::hint::black_box;
 
 /// Size of one O1 run.
 #[derive(Debug, Clone, Copy)]
-pub struct ObsScale {
+pub(crate) struct ObsScale {
     /// Concurrent tenant sessions.
     pub tenants: usize,
     /// Distinct workload archetypes shared among tenants.
@@ -59,7 +61,7 @@ impl ObsScale {
     }
 
     /// A tiny sweep for smoke testing in `cargo test`.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         ObsScale {
             tenants: 8,
             archetypes: 3,
@@ -124,7 +126,7 @@ pub(crate) fn observed_run(seed: u64, scale: &ObsScale, workers: usize) -> ObsRu
 
 /// Whether the invariant exposition and the folded trace are
 /// byte-identical across every worker count of the sweep.
-pub fn invariance_holds(seed: u64, scale: &ObsScale) -> bool {
+pub(crate) fn invariance_holds(seed: u64, scale: &ObsScale) -> bool {
     let runs: Vec<ObsRun> = scale
         .worker_counts
         .iter()
@@ -140,7 +142,7 @@ pub fn invariance_holds(seed: u64, scale: &ObsScale) -> bool {
 /// pre-migration bookkeeping) against the registry counter it migrated
 /// onto.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AccountingRow {
+pub(crate) struct AccountingRow {
     /// Registry metric name.
     pub metric: &'static str,
     /// Sum over [`antarex_serve::BatchReport`]s and responses.
@@ -152,7 +154,7 @@ pub struct AccountingRow {
 /// Serves the R2 hardened fault campaign window by window, tallying
 /// the batch reports the way the driver did before the migration, and
 /// compares every figure against the registry.
-pub fn dual_accounting(seed: u64, scale: &ObsScale) -> Vec<AccountingRow> {
+pub(crate) fn dual_accounting(seed: u64, scale: &ObsScale) -> Vec<AccountingRow> {
     let schedule = FaultSchedule::generate(
         &crate::chaos_exp::serving_faults(seed),
         4,
@@ -306,6 +308,90 @@ pub(crate) fn o1_report(seed: u64, scale: &ObsScale) -> String {
 /// The registered `o1` experiment.
 pub(crate) fn o1_observability() -> String {
     o1_report(42, &ObsScale::full())
+}
+
+/// Wall-clock budget of one hot-path metric event (counter increment,
+/// gauge set, histogram record).
+const HOT_PATH_BUDGET_NS: f64 = 25.0;
+
+/// Wall-clock budget of one span record: a mutexed ring push and an
+/// interning probe.
+const SPAN_BUDGET_NS: f64 = 250.0;
+
+/// `BENCH_obs.json`: the plane's determinism and accounting checks on
+/// the tiny scales, and its per-event costs against their budgets.
+pub(crate) fn o1_bench() -> BenchFile {
+    let registry = MetricsRegistry::new();
+    let counter = registry.counter("bench_events_total", Scope::Invariant);
+    let gauge = registry.gauge("bench_level", Scope::Invariant);
+    let histogram = registry.histogram("bench_latency_seconds", Scope::Timing);
+
+    let counter_inc_ns = ns_per_op(20_000_000, || counter.inc());
+    let mut level = 0.0f64;
+    let gauge_set_ns = ns_per_op(20_000_000, || {
+        level += 1.0;
+        gauge.set(black_box(level));
+    });
+    let values: Vec<f64> = (0..1024).map(|i| 1e-6 * (i + 1) as f64).collect();
+    let mut i = 0usize;
+    let histogram_record_ns = ns_per_op(20_000_000, || {
+        i = (i + 1) & 1023;
+        histogram.record(black_box(values[i]));
+    });
+    let tracer = Tracer::new(4096);
+    let mut t = 0.0f64;
+    let span_record_ns = ns_per_op(2_000_000, || {
+        t += 1e-6;
+        black_box(tracer.record("bench", Some(1), SpanId::NONE, t, t + 1e-7));
+    });
+    let hot_path_event_ns = counter_inc_ns.max(gauge_set_ns).max(histogram_record_ns);
+
+    // determinism + accounting checks on the tiny scales: virtual-time,
+    // so the verdicts are hardware-independent
+    let obs_scale = ObsScale::tiny();
+    let worker_invariant = invariance_holds(42, &obs_scale);
+    let accounting = dual_accounting(42, &obs_scale);
+    let agreeing = accounting
+        .iter()
+        .filter(|r| r.report_sum == r.registry)
+        .count();
+    let serve_scale = ServeScale::tiny();
+    let one = scaling_row(42, &serve_scale, 6, 1);
+    let four = scaling_row(42, &serve_scale, 6, 4);
+    let s1_figures_match = one.requests == four.requests
+        && one.served == four.served
+        && one.shed == four.shed
+        && one.evaluated == four.evaluated
+        && one.cache_hit_rate() == four.cache_hit_rate();
+
+    BenchFile {
+        title: "antarex-obs: tracing + metrics plane",
+        fields: map! {
+            "budget_ns": fixed(HOT_PATH_BUDGET_NS, 1),
+            "span_budget_ns": fixed(SPAN_BUDGET_NS, 1),
+        },
+        gates: gates! {
+            "within_budget": hot_path_event_ns <= HOT_PATH_BUDGET_NS,
+                "hot-path event <= {HOT_PATH_BUDGET_NS:.1} ns";
+            "span_within_budget": span_record_ns <= SPAN_BUDGET_NS, "span record <= {SPAN_BUDGET_NS:.1} ns";
+            "worker_invariant": worker_invariant,
+                "exposition + folded trace identical across workers: {worker_invariant}";
+            "s1_figures_match": s1_figures_match,
+                "1 vs 4 workers: {} / {} served, {} / {} evaluated", one.served, four.served, one.evaluated, four.evaluated;
+            "r2_figures_match": agreeing == accounting.len(),
+                "{agreeing} of {} report sums equal the registry", accounting.len();
+        },
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "hot_path_event_ns": fixed(hot_path_event_ns, 1),
+            "per_event_ns": map! {
+                "counter_inc": fixed(counter_inc_ns, 1),
+                "gauge_set": fixed(gauge_set_ns, 1),
+                "histogram_record": fixed(histogram_record_ns, 1),
+                "span_record": fixed(span_record_ns, 1),
+            },
+        },
+    }
 }
 
 #[cfg(test)]

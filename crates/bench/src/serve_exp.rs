@@ -20,6 +20,7 @@
 //! Everything is seeded: the same seed reproduces the identical report,
 //! byte for byte (the determinism test relies on it).
 
+use crate::{fixed, physical_cores, timed, BenchFile};
 use antarex_serve::driver::{Batching, Campaign, Cohort, DriveStats};
 use antarex_serve::nav::NavEvaluator;
 use antarex_serve::TuningRequest;
@@ -27,7 +28,7 @@ use std::fmt::Write as _;
 
 /// Size of one S1 run.
 #[derive(Debug, Clone, Copy)]
-pub struct ServeScale {
+pub(crate) struct ServeScale {
     /// Tenant counts swept by the scaling grid.
     pub tenant_counts: &'static [usize],
     /// Pool worker counts swept by the scaling grid.
@@ -43,7 +44,7 @@ pub struct ServeScale {
 
 impl ServeScale {
     /// The full grid printed by the `s1` experiment.
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         ServeScale {
             tenant_counts: &[8, 32, 64],
             worker_counts: &[1, 2, 4, 8],
@@ -54,7 +55,7 @@ impl ServeScale {
     }
 
     /// A tiny grid for smoke testing in `cargo test`.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         ServeScale {
             tenant_counts: &[6],
             worker_counts: &[1, 4],
@@ -77,7 +78,12 @@ fn campaign(seed: u64, scale: &ServeScale, tenants: usize, workers: usize) -> Ca
 
 /// Runs one driven workload: the stats of a grid row. Only pool timing
 /// depends on `workers`.
-pub fn scaling_row(seed: u64, scale: &ServeScale, tenants: usize, workers: usize) -> DriveStats {
+pub(crate) fn scaling_row(
+    seed: u64,
+    scale: &ServeScale,
+    tenants: usize,
+    workers: usize,
+) -> DriveStats {
     campaign(seed, scale, tenants, workers)
         .run(NavEvaluator::city(seed))
         .1
@@ -85,7 +91,7 @@ pub fn scaling_row(seed: u64, scale: &ServeScale, tenants: usize, workers: usize
 
 /// Result of the batched-evaluation benchmark.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchBench {
+pub(crate) struct BatchBench {
     /// Distinct design points evaluated per run.
     pub jobs: usize,
     /// Virtual makespan with a single worker, seconds.
@@ -98,7 +104,7 @@ pub struct BatchBench {
 
 impl BatchBench {
     /// Serial over parallel makespan.
-    pub fn speedup(&self) -> f64 {
+    pub(crate) fn speedup(&self) -> f64 {
         if self.parallel_makespan_s > 0.0 {
             self.serial_makespan_s / self.parallel_makespan_s
         } else {
@@ -107,7 +113,7 @@ impl BatchBench {
     }
 
     /// Evaluations per second of virtual makespan in the parallel run.
-    pub fn parallel_throughput_rps(&self) -> f64 {
+    pub(crate) fn parallel_throughput_rps(&self) -> f64 {
         if self.parallel_makespan_s > 0.0 {
             self.jobs as f64 / self.parallel_makespan_s
         } else {
@@ -116,7 +122,7 @@ impl BatchBench {
     }
 
     /// Evaluations per second of virtual makespan in the serial run.
-    pub fn serial_throughput_rps(&self) -> f64 {
+    pub(crate) fn serial_throughput_rps(&self) -> f64 {
         if self.serial_makespan_s > 0.0 {
             self.jobs as f64 / self.serial_makespan_s
         } else {
@@ -129,7 +135,7 @@ impl BatchBench {
 /// so every request is a genuine cache miss: the purest view of the
 /// evaluation pool. The batch is served once on one worker and once on
 /// `workers`; both runs see identical jobs.
-pub fn batched_evaluation(seed: u64, tenants: usize, workers: usize) -> BatchBench {
+pub(crate) fn batched_evaluation(seed: u64, tenants: usize, workers: usize) -> BatchBench {
     let run = |pool_workers: usize| {
         // all-distinct features: the cache cannot help; the batch below
         // stands in for arrivals
@@ -237,6 +243,45 @@ pub(crate) fn s1_report(seed: u64, scale: &ServeScale) -> String {
 /// The registered `s1` experiment.
 pub(crate) fn s1_service_scaling() -> String {
     s1_report(42, &ServeScale::full())
+}
+
+/// `BENCH_serve.json`: the 64-tenant driven workload at 1 and 4
+/// workers and the batched-evaluation makespans; no gates.
+pub(crate) fn s1_bench() -> BenchFile {
+    let seed = 42;
+    let scale = ServeScale::full();
+    let tenants = 64;
+    let (one, one_s) = timed(|| scaling_row(seed, &scale, tenants, 1));
+    let (four, four_s) = timed(|| scaling_row(seed, &scale, tenants, 4));
+    let batch = batched_evaluation(seed, scale.batch_tenants, 4);
+
+    BenchFile {
+        title: "antarex-serve: multi-tenant autotuning service",
+        fields: map! {
+            "driven_workload": map! {
+                "tenants": tenants,
+                "requests": one.requests,
+                "served": one.served,
+                "cache_hit_rate": fixed(one.cache_hit_rate(), 4),
+                "virtual_throughput_rps_1_worker": fixed(one.throughput_rps(), 1),
+                "virtual_throughput_rps_4_workers": fixed(four.throughput_rps(), 1),
+            },
+            "batched_evaluation": map! {
+                "distinct_design_points": batch.jobs,
+                "virtual_makespan_s_1_worker": fixed(batch.serial_makespan_s, 3),
+                "virtual_makespan_s_4_workers": fixed(batch.parallel_makespan_s, 3),
+                "virtual_speedup_4_workers": fixed(batch.speedup(), 2),
+                "virtual_eval_per_s_1_worker": fixed(batch.serial_throughput_rps(), 1),
+                "virtual_eval_per_s_4_workers": fixed(batch.parallel_throughput_rps(), 1),
+            },
+        },
+        gates: Vec::new(),
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "wall_s_1_worker": fixed(one_s, 3),
+            "wall_s_4_workers": fixed(four_s, 3),
+        },
+    }
 }
 
 #[cfg(test)]

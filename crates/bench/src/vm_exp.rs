@@ -5,8 +5,8 @@
 //! kernel once to metered bytecode and replays it from a weave-time
 //! [`InstrumentedCodeCache`]. This experiment proves the two properties
 //! the redesign rests on, with **no wall-clock numbers** (CI runs the
-//! report twice and diffs it byte-for-byte; timings live in the
-//! `vm_bench` binary):
+//! report twice and diffs it byte-for-byte; timings live in the `wall`
+//! map of `BENCH_vm.json`):
 //!
 //! 1. **bit-identity** — over the canonical kernel suite, its woven
 //!    variants, and a precision sweep, the VM reproduces the reference
@@ -16,6 +16,7 @@
 //!    replay into cache hits: a `(program digest, metering params)`
 //!    pair lowers once across tenants, rungs and rounds.
 
+use crate::{fixed, list, ns_per_op, physical_cores, timed, BenchFile};
 use antarex_core::scenario::{
     DOT_KERNEL, DYNAMIC_KERNEL, MATVEC_KERNEL, STENCIL_KERNEL, SUMSQ_KERNEL,
 };
@@ -27,11 +28,12 @@ use antarex_precision::vars::{float_vars, set_precision};
 use antarex_serve::kernel::KernelEvaluator;
 use antarex_serve::Evaluator;
 use antarex_tuner::{Configuration, KnobValue};
-use antarex_vm::{lower_function, InstrumentedCodeCache, Vm};
+use antarex_vm::{lower_function, lower_program, InstrumentedCodeCache, Vm};
 use antarex_weaver::transform::unroll::unroll_by_factor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
+use std::hint::black_box;
 
 /// One kernel of the equivalence suite: source, entry point, arguments.
 pub struct SuiteCase {
@@ -238,14 +240,7 @@ pub(crate) fn v1_vm_equivalence() -> String {
 
     writeln!(out, "\ninstrumented-code cache (serving-tier replay)").unwrap();
     let evaluator = KernelEvaluator::fma();
-    let mut config = Configuration::new();
-    for round in 0..25 {
-        for bits in [52i64, 23, 12, 8] {
-            config.set("mantissa", KnobValue::Int(bits));
-            let features = [16.0 + (round % 3) as f64 * 8.0];
-            evaluator.evaluate(&config, &features);
-        }
-    }
+    replay_probes(&evaluator);
     let cache = evaluator.cache();
     writeln!(
         out,
@@ -295,6 +290,101 @@ pub(crate) fn v1_vm_equivalence() -> String {
     )
     .unwrap();
     out
+}
+
+/// Minimum ns/op across `windows` measurement windows: the minimum is the
+/// standard estimator for "time absent interference" on a noisy machine —
+/// scheduler preemption and frequency transitions only ever add time.
+fn min_ns_per_op(windows: u32, iters: u64, mut op: impl FnMut()) -> f64 {
+    (0..windows)
+        .map(|_| ns_per_op(iters, &mut op))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `BENCH_vm.json`: the serving-tier replay's code-cache counts and the
+/// VM's gates; probe and lowering times per kernel go to `wall`.
+pub(crate) fn v1_bench() -> BenchFile {
+    let model = CostModel::new();
+    let mut kernels = Vec::new();
+    let mut log_speedup_sum = 0.0;
+    let suite = kernel_suite();
+    for case in &suite {
+        let program = parse_program(case.source).expect("suite kernel parses");
+
+        // warm up, then time probe replay on each engine: same budget
+        // semantics, same statistics, same results (experiment v1)
+        let mut interp = Interp::new(program.clone());
+        interp
+            .call(case.function, &case.args, &mut ExecEnv::new())
+            .unwrap();
+        let interp_ns = min_ns_per_op(3, 300, || {
+            let mut env = ExecEnv::new();
+            black_box(interp.call(case.function, black_box(&case.args), &mut env)).unwrap();
+        });
+
+        let mut vm = Vm::new(program.clone());
+        vm.call(case.function, &case.args, &mut ExecEnv::new())
+            .unwrap();
+        let vm_ns = min_ns_per_op(3, 3000, || {
+            let mut env = ExecEnv::new();
+            black_box(vm.call(case.function, black_box(&case.args), &mut env)).unwrap();
+        });
+
+        let lower_ns = min_ns_per_op(3, 2000, || {
+            black_box(lower_program(black_box(&program), black_box(&model)));
+        });
+
+        let speedup = interp_ns / vm_ns;
+        log_speedup_sum += speedup.ln();
+        kernels.push(map! {
+            "kernel": case.name,
+            "interp_ns_per_probe": fixed(interp_ns, 0),
+            "vm_ns_per_probe": fixed(vm_ns, 0),
+            "speedup": fixed(speedup, 1),
+            "lowering_ns": fixed(lower_ns, 0),
+        });
+    }
+    let geomean_speedup = (log_speedup_sum / suite.len() as f64).exp();
+
+    let evaluator = KernelEvaluator::fma();
+    let ((), replay_s) = timed(|| replay_probes(&evaluator));
+    let replay_ns = replay_s * 1e9 / 100.0;
+    let cache = evaluator.cache();
+    let hit_rate = cache.hit_rate();
+
+    BenchFile {
+        title: "antarex-vm: metered bytecode probe throughput",
+        fields: map! {
+            "serving_replay": map! {
+                "code_cache_hits": cache.hits(),
+                "code_cache_misses": cache.misses(),
+                "hit_rate": fixed(hit_rate, 3),
+            },
+        },
+        gates: gates! {
+            "probe_speedup": geomean_speedup >= 10.0, "geomean >= 10x";
+            "replay_hit_rate": hit_rate >= 0.95, "{:.1}% >= 95%", hit_rate * 100.0;
+        },
+        wall: map! {
+            "physical_cores": physical_cores(),
+            "kernels": list(kernels),
+            "probe_speedup_geomean": fixed(geomean_speedup, 1),
+            "replay_ns_per_probe": fixed(replay_ns, 0),
+        },
+    }
+}
+
+/// The serving-tier replay: 100 probes over 4 precision rungs x 3
+/// workloads through one evaluator's instrumented-code cache.
+fn replay_probes(evaluator: &KernelEvaluator) {
+    let mut config = Configuration::new();
+    for round in 0..25 {
+        for bits in [52i64, 23, 12, 8] {
+            config.set("mantissa", KnobValue::Int(bits));
+            let features = [16.0 + (round % 3) as f64 * 8.0];
+            evaluator.evaluate(&config, &features);
+        }
+    }
 }
 
 fn describe(result: &Result<Value, IrError>) -> String {

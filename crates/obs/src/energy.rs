@@ -27,7 +27,7 @@
 //!
 //! The [`EnergyLedger`] retains bounded per-window summaries plus
 //! exact running totals and per-tenant tallies, and is the source the
-//! conservation gates in `energy_obs_bench` and the property tests
+//! conservation gates of `BENCH_energy_obs.json` and the property tests
 //! replay against.
 
 use std::collections::BTreeMap;

@@ -18,7 +18,7 @@
 //! * **Bounded cost.** Sampling is *head-based*: the decision is made
 //!   once, from the id alone, when the context is derived; unsampled
 //!   requests pay only the derivation (a few SplitMix64 rounds,
-//!   gated ≤ 25 ns by `energy_obs_bench`). The store keeps the first
+//!   gated ≤ 25 ns in `BENCH_energy_obs.json`). The store keeps the first
 //!   `capacity` events and counts the rest in a drop counter exposed
 //!   through the metrics registry — saturation is visible, never
 //!   silent, and the retained prefix is deterministic because events

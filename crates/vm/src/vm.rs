@@ -14,12 +14,12 @@
 //! observable on successful paths — budget-check outcomes included — are
 //! identical.
 
-use crate::bytecode::{Chunk, CompiledProgram};
+use crate::bytecode::Chunk;
 use crate::cache::InstrumentedCodeCache;
 use crate::lower::lower_function;
 use crate::reg::{RInstr, IDX_MASK, TAG_MASK, TAG_SLOT};
 use crate::trace::{Bound, Trace, TraceKind};
-use antarex_ir::ast::{BinOp, Program};
+use antarex_ir::ast::{BinOp, Function, Program};
 use antarex_ir::cost::{CostModel, ExecStats};
 use antarex_ir::error::IrError;
 use antarex_ir::exec::Executor;
@@ -56,14 +56,8 @@ use std::sync::Arc;
 /// ```
 pub struct Vm {
     program: Program,
-    /// Pre-lowered chunks for a program-less VM: consulted only when
-    /// the (possibly empty) program has no function of the name, so a
-    /// stale chunk can never shadow a live program edit. No constructor
-    /// sets it any more; the lookup in the call path goes with the next
-    /// change that may edit that path.
-    compiled: Option<Arc<CompiledProgram>>,
     /// Per-function lowering memo, validated by `Rc` pointer identity.
-    memo: HashMap<String, (Rc<antarex_ir::ast::Function>, Arc<Chunk>)>,
+    memo: HashMap<String, (Rc<Function>, Arc<Chunk>)>,
     cost_model: CostModel,
     budget: Option<u64>,
     hosts: HashMap<String, HostFn>,
@@ -97,7 +91,6 @@ impl Vm {
     pub fn new(program: Program) -> Self {
         Vm {
             program,
-            compiled: None,
             memo: HashMap::new(),
             cost_model: CostModel::new(),
             budget: Some(200_000_000),
@@ -232,12 +225,9 @@ impl Vm {
         Ok(())
     }
 
-    fn chunk_for(&mut self, name: &str) -> Arc<Chunk> {
-        let function = Rc::clone(
-            self.program
-                .function(name)
-                .expect("caller checked contains"),
-        );
+    /// The lowered chunk of `function`, the program's current definition
+    /// of `name`.
+    fn chunk_for(&mut self, name: &str, function: Rc<Function>) -> Arc<Chunk> {
         if let Some((cached_fn, chunk)) = self.memo.get(name) {
             if Rc::ptr_eq(cached_fn, &function) {
                 return Arc::clone(chunk);
@@ -265,16 +255,8 @@ impl Vm {
             name.to_string()
         };
 
-        if self.program.contains(&resolved) {
-            let chunk = self.chunk_for(&resolved);
-            return self.exec_chunk(&chunk, args, env);
-        }
-        if let Some(chunk) = self
-            .compiled
-            .as_ref()
-            .and_then(|c| c.get(&resolved))
-            .cloned()
-        {
+        if let Some(function) = self.program.function(&resolved).cloned() {
+            let chunk = self.chunk_for(&resolved, function);
             return self.exec_chunk(&chunk, args, env);
         }
         if let Some(value) = ops::try_builtin(
@@ -286,10 +268,9 @@ impl Vm {
         )? {
             return Ok((value, vec![]));
         }
-        if self.hosts.contains_key(&resolved) {
+        if let Some(host) = self.hosts.get_mut(&resolved) {
             env.stats.charge(self.cost_model.host_call)?;
             env.stats.host_calls = env.stats.host_calls.saturating_add(1);
-            let host = self.hosts.get_mut(&resolved).expect("checked above");
             let value = host(&args)?;
             return Ok((value, vec![]));
         }
