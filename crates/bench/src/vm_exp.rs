@@ -23,7 +23,7 @@ use antarex_core::scenario::{
 use antarex_ir::cost::{CostModel, ExecStats};
 use antarex_ir::interp::{ExecEnv, Interp};
 use antarex_ir::value::Value;
-use antarex_ir::{analysis, parse_program, Executor, IrError, Program};
+use antarex_ir::{analysis, parse_program, IrError, Program};
 use antarex_precision::vars::{float_vars, set_precision};
 use antarex_serve::kernel::KernelEvaluator;
 use antarex_serve::Evaluator;
@@ -127,14 +127,13 @@ fn variants(case: &SuiteCase) -> Vec<(String, Program)> {
     out
 }
 
-/// Runs one engine, returning the outcome and the metered statistics.
-fn run_engine(
-    engine: &mut dyn Executor,
-    function: &str,
-    args: &[Value],
+/// Runs one engine call in a fresh environment, returning the outcome
+/// and the metered statistics.
+fn metered(
+    call: impl FnOnce(&mut ExecEnv) -> Result<Value, IrError>,
 ) -> (Result<Value, IrError>, ExecStats) {
     let mut env = ExecEnv::new();
-    let result = engine.call(function, args, &mut env);
+    let result = call(&mut env);
     (result, env.stats)
 }
 
@@ -170,8 +169,8 @@ pub(crate) fn v1_vm_equivalence() -> String {
         for (label, program) in variants(&case) {
             let mut interp = Interp::new(program.clone());
             let mut vm = Vm::new(program);
-            let a = run_engine(&mut interp, case.function, &case.args);
-            let b = run_engine(&mut vm, case.function, &case.args);
+            let a = metered(|env| interp.call(case.function, &case.args, env));
+            let b = metered(|env| vm.call(case.function, &case.args, env));
             let ok = identical(&a, &b);
             checked += 1;
             agreed += usize::from(ok);
@@ -201,8 +200,8 @@ pub(crate) fn v1_vm_equivalence() -> String {
     interp.set_budget(Some(10_000));
     let mut vm = Vm::new(program);
     vm.set_budget(Some(10_000));
-    let a = run_engine(&mut interp, "spin", &[Value::Int(1)]);
-    let b = run_engine(&mut vm, "spin", &[Value::Int(1)]);
+    let a = metered(|env| interp.call("spin", &[Value::Int(1)], env));
+    let b = metered(|env| vm.call("spin", &[Value::Int(1)], env));
     writeln!(
         out,
         "  budget 10000 -> interp: {} | vm: {} | {}",
@@ -226,7 +225,7 @@ pub(crate) fn v1_vm_equivalence() -> String {
     for case in kernel_suite() {
         let program = parse_program(case.source).unwrap();
         let function = program.function(case.function).unwrap();
-        let chunk = lower_function(function, &model);
+        let chunk = lower_function(function, &model).unwrap();
         writeln!(
             out,
             "  {:<16} {:>8} {:>8} {:>14.1}",

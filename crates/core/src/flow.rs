@@ -5,7 +5,7 @@ use antarex_dsl::{parse_aspects, DslError, DslValue};
 use antarex_ir::cost::ExecStats;
 use antarex_ir::interp::{ExecEnv, HostFn};
 use antarex_ir::value::Value;
-use antarex_ir::{parse_program, Executor, IrError, Program};
+use antarex_ir::{parse_program, IrError, Program};
 use antarex_vm::Vm;
 use antarex_weaver::VersionStore;
 use std::cell::RefCell;
@@ -114,14 +114,9 @@ impl ToolFlow {
     /// weaver installed as the call dispatcher, executing on the metered
     /// bytecode VM (the fast engine; bit-identical to the interpreter).
     pub fn deploy(self) -> Runtime {
-        self.deploy_on(Box::new(Vm::new(Program::new())))
-    }
-
-    fn deploy_on(self, mut engine: Box<dyn Executor>) -> Runtime {
         let store = self.weaver.store();
-        let dynamic = self.weaver.into_dynamic();
-        *engine.program_mut() = self.program;
-        engine.set_dispatcher(Box::new(dynamic));
+        let mut engine = Vm::new(self.program);
+        engine.set_dispatcher(Box::new(self.weaver.into_dynamic()));
         Runtime {
             engine,
             store,
@@ -132,7 +127,7 @@ impl ToolFlow {
 
 /// The runtime half: the deployed application under dynamic weaving.
 pub struct Runtime {
-    engine: Box<dyn Executor>,
+    engine: Vm,
     store: Rc<RefCell<VersionStore>>,
     env: ExecEnv,
 }
@@ -140,7 +135,6 @@ pub struct Runtime {
 impl fmt::Debug for Runtime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Runtime")
-            .field("engine", &self.engine.engine_name())
             .field("functions", &self.engine.program().function_names())
             .field("total_stats", &self.env.stats)
             .finish()
@@ -167,7 +161,7 @@ impl Runtime {
 
     /// Registers a host (instrumentation) function.
     pub fn register_host(&mut self, name: impl Into<String>, f: HostFn) {
-        self.engine.register_host(name.into(), f);
+        self.engine.register_host(name, f);
     }
 
     /// The running program (it grows as dynamic weaving adds versions).
@@ -251,36 +245,36 @@ mod tests {
 
     #[test]
     fn deploy_engines_are_equivalent() {
-        // the default (VM) and reference (interp) deployments must agree
-        // on values and statistics for the same woven program
+        // the deployed VM and the reference interpreter, given the same
+        // woven program and dynamic weaver, must agree on values and
+        // statistics
         let aspects = format!("{FIG4_SPECIALIZE_KERNEL}\n{FIG3_UNROLL_INNERMOST_LOOPS}");
-        let run = |deploy_interp: bool| {
+        let woven = || {
             let mut flow = ToolFlow::new(DYNAMIC_KERNEL, &aspects).unwrap();
             flow.weave("SpecializeKernel", &[DslValue::Int(4), DslValue::Int(64)])
                 .unwrap();
-            let mut runtime = if deploy_interp {
-                flow.deploy_on(Box::new(Interp::new(Program::new())))
-            } else {
-                flow.deploy()
-            };
-            let buf = Value::from(vec![0.5; 32]);
-            let (v1, s1) = runtime.call("run", &[buf.clone(), Value::Int(32)]).unwrap();
-            let (v2, s2) = runtime.call("run", &[buf, Value::Int(32)]).unwrap();
-            (v1, s1, v2, s2)
+            flow
         };
-        let (iv1, is1, iv2, is2) = run(true);
-        let (vv1, vs1, vv2, vs2) = run(false);
+        let args = [Value::from(vec![0.5; 32]), Value::Int(32)];
+
+        let flow = woven();
+        let mut interp = Interp::new(flow.program);
+        interp.set_dispatcher(Box::new(flow.weaver.into_dynamic()));
+        let mut reference = || {
+            let mut env = ExecEnv::new();
+            let value = interp.call("run", &args, &mut env).unwrap();
+            (value, env.stats)
+        };
+        let (iv1, is1) = reference();
+        let (iv2, is2) = reference();
+
+        let mut runtime = woven().deploy();
+        let (vv1, vs1) = runtime.call("run", &args).unwrap();
+        let (vv2, vs2) = runtime.call("run", &args).unwrap();
         assert_eq!(iv1, vv1);
         assert_eq!(iv2, vv2);
         assert_eq!(is1, vs1, "first-call stats must be identical");
         assert_eq!(is2, vs2, "cached-version stats must be identical");
-    }
-
-    #[test]
-    fn deploy_defaults_to_the_vm() {
-        let flow = ToolFlow::new("int f() { return 1; }", "aspectdef A\nend").unwrap();
-        let runtime = flow.deploy();
-        assert_eq!(runtime.engine.engine_name(), "vm");
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Interp {
 
     /// Sets (or clears) the execution budget in cost units. The default is
     /// 2·10⁸ units, which stops runaway loops in tests.
-    pub(crate) fn set_budget(&mut self, budget: Option<u64>) {
+    pub fn set_budget(&mut self, budget: Option<u64>) {
         self.budget = budget;
     }
 

@@ -17,9 +17,9 @@
 //!   specialization, reduced precision) is observable as work, FLOPs and
 //!   simulated energy,
 //! * the shared [operational core](ops) (arithmetic, builtins, coercions
-//!   with overflow-checked cost accounting) and the [`Executor`] trait,
-//!   which let the bytecode VM in `antarex-vm` run the same programs
-//!   bit-identically to the interpreter.
+//!   with overflow-checked cost accounting), which lets the bytecode VM
+//!   in `antarex-vm` — the engine production code runs — execute the
+//!   same programs bit-identically to the interpreter, its test oracle.
 //!
 //! # Examples
 //!
@@ -39,7 +39,6 @@ pub mod analysis;
 pub mod ast;
 pub mod cost;
 pub mod error;
-pub mod exec;
 pub mod interp;
 pub mod joinpoint;
 pub mod ops;
@@ -51,7 +50,6 @@ pub mod value;
 
 pub use ast::{BinOp, Block, Expr, Function, LValue, Program, Stmt, UnOp};
 pub use error::IrError;
-pub use exec::Executor;
 pub use parser::{parse_expr, parse_program, parse_stmt, parse_stmts};
 pub use path::NodePath;
 pub use types::Type;

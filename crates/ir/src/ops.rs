@@ -1,8 +1,9 @@
 //! Shared operational semantics of mini-C: the numeric core used by
 //! **both** execution engines.
 //!
-//! The tree-walking [`crate::interp::Interp`] and the bytecode VM
-//! (`antarex-vm`) must agree bit-for-bit on every value, every cost unit
+//! The tree-walking [`crate::interp::Interp`] (the reference the tests
+//! hold the VM to) and the bytecode VM (`antarex-vm`, the engine
+//! production code calls by name) must agree bit-for-bit on every value, every cost unit
 //! and every precision-weighted energy contribution. The only way to make
 //! that a structural guarantee rather than a test-enforced hope is to
 //! have exactly one implementation of the dynamic operations — binary

@@ -14,7 +14,7 @@ use crate::error::max_rel_error;
 use crate::vars::{float_vars, set_precision};
 use antarex_ir::interp::ExecEnv;
 use antarex_ir::value::Value;
-use antarex_ir::{Executor, IrError, Program};
+use antarex_ir::{IrError, Program};
 use antarex_vm::Vm;
 use std::collections::BTreeMap;
 
@@ -61,8 +61,6 @@ pub struct PrecisionTuner {
     program: Program,
     function: String,
     inputs: Vec<Vec<Value>>,
-    #[cfg(test)]
-    use_reference_engine: bool,
 }
 
 impl PrecisionTuner {
@@ -73,26 +71,12 @@ impl PrecisionTuner {
             program,
             function: function.into(),
             inputs,
-            #[cfg(test)]
-            use_reference_engine: false,
         }
-    }
-
-    /// Evaluates candidates on the reference tree-walking interpreter
-    /// instead of the bytecode VM: the oracle of the equivalence test.
-    #[cfg(test)]
-    fn with_reference_engine(mut self) -> Self {
-        self.use_reference_engine = true;
-        self
     }
 
     /// Builds the candidate-evaluation engine for one program.
-    fn engine(&self, program: &Program) -> Box<dyn Executor> {
-        #[cfg(test)]
-        if self.use_reference_engine {
-            return Box::new(antarex_ir::interp::Interp::new(program.clone()));
-        }
-        Box::new(Vm::new(program.clone()))
+    fn engine(&self, program: &Program) -> Vm {
+        Vm::new(program.clone())
     }
 
     /// Runs the test set, returning outputs and total FP energy.
@@ -113,12 +97,23 @@ impl PrecisionTuner {
     /// Returns [`IrError`] if the entry function is missing or the test
     /// set fails to execute at full precision.
     pub fn tune(&self, options: &TunerOptions) -> Result<TuneOutcome, IrError> {
+        self.tune_with(options, |program| self.run(program))
+    }
+
+    /// [`PrecisionTuner::tune`] with the test-set evaluation supplied by
+    /// the caller: `run` maps a candidate program to its outputs and
+    /// total FP energy.
+    fn tune_with(
+        &self,
+        options: &TunerOptions,
+        run: impl Fn(&Program) -> Result<(Vec<Value>, f64), IrError>,
+    ) -> Result<TuneOutcome, IrError> {
         let function = self
             .program
             .function(&self.function)
             .ok_or_else(|| IrError::Unresolved(self.function.clone()))?;
         let vars = float_vars(function);
-        let (reference, full_energy) = self.run(&self.program)?;
+        let (reference, full_energy) = run(&self.program)?;
         let mut evaluations = 1;
 
         let mut program = self.program.clone();
@@ -135,7 +130,7 @@ impl PrecisionTuner {
                 let candidate_bits = LADDER[rungs[i] + 1];
                 let mut candidate = program.clone();
                 set_precision(&mut candidate, &self.function, var, candidate_bits)?;
-                match self.run(&candidate) {
+                match run(&candidate) {
                     Ok((outputs, _)) => {
                         evaluations += 1;
                         let err = max_rel_error(&reference, &outputs);
@@ -158,7 +153,7 @@ impl PrecisionTuner {
             }
         }
 
-        let (outputs, tuned_energy) = self.run(&program)?;
+        let (outputs, tuned_energy) = run(&program)?;
         evaluations += 1;
         let final_error = max_rel_error(&reference, &outputs);
         debug_assert!(final_error <= options.error_budget || vars.is_empty());
@@ -184,6 +179,7 @@ impl PrecisionTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use antarex_ir::interp::Interp;
     use antarex_ir::parse_program;
 
     const DOT: &str = "double dot(double a[], double b[], int n) {
@@ -282,13 +278,19 @@ mod tests {
             error_budget: 1e-4,
             max_sweeps: 8,
         };
-        let program = parse_program(DOT).unwrap();
-        let vm = PrecisionTuner::new(program.clone(), "dot", dot_inputs())
-            .tune(&options)
-            .unwrap();
-        let reference = PrecisionTuner::new(program, "dot", dot_inputs())
-            .with_reference_engine()
-            .tune(&options)
+        let tuner = PrecisionTuner::new(parse_program(DOT).unwrap(), "dot", dot_inputs());
+        let vm = tuner.tune(&options).unwrap();
+        let reference = tuner
+            .tune_with(&options, |program| {
+                let mut interp = Interp::new(program.clone());
+                let mut env = ExecEnv::new();
+                let outputs = tuner
+                    .inputs
+                    .iter()
+                    .map(|args| interp.call("dot", args, &mut env))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok((outputs, env.stats.flop_energy))
+            })
             .unwrap();
         assert_eq!(vm.assignment, reference.assignment);
         assert_eq!(vm.evaluations, reference.evaluations);

@@ -94,9 +94,6 @@ pub(crate) struct ErrorRow {
     /// Whether the error says the eval path is unhealthy for this
     /// tenant, i.e. counts against its circuit breaker.
     pub(crate) feeds_breaker: bool,
-    /// Whether retrying the request (later, or against a healthy
-    /// worker) is worthwhile.
-    pub(crate) retryable: bool,
 }
 
 impl ServeError {
@@ -116,22 +113,21 @@ impl ServeError {
     /// open circuits, and contract errors do not.
     pub(crate) fn row(&self, degraded: bool) -> ErrorRow {
         use ErrorCounter::{Failed, Rejected, Shed};
-        let (counter, burns_slo, feeds_breaker, retryable) = match self {
-            ServeError::Shed { .. } => (Shed, true, false, true),
-            ServeError::AdmissionRejected { .. } => (Shed, degraded, false, false),
-            ServeError::WorkerFailed { .. } | ServeError::Deadline => (Failed, true, true, true),
-            ServeError::CircuitOpen { .. } => (Failed, false, false, true),
+        let (counter, burns_slo, feeds_breaker) = match self {
+            ServeError::Shed { .. } => (Shed, true, false),
+            ServeError::AdmissionRejected { .. } => (Shed, degraded, false),
+            ServeError::WorkerFailed { .. } | ServeError::Deadline => (Failed, true, true),
+            ServeError::CircuitOpen { .. } => (Failed, false, false),
             ServeError::UnknownTenant(_)
             | ServeError::TenantExists(_)
             | ServeError::Infeasible(_)
             | ServeError::EmptyKnowledge(_)
-            | ServeError::InvalidConfig { .. } => (Rejected, false, false, false),
+            | ServeError::InvalidConfig { .. } => (Rejected, false, false),
         };
         ErrorRow {
             counter,
             burns_slo,
             feeds_breaker,
-            retryable,
         }
     }
 }
@@ -221,9 +217,7 @@ mod tests {
 
     /// The policy as one table, a line per variant — a change of
     /// policy is a one-line diff here. An admission rejection is the
-    /// row to watch: it burns only for a degraded tenant, and it is
-    /// not retryable (a shedding controller must not be retried blind),
-    /// while every transient fault is.
+    /// row to watch: it burns only for a degraded tenant.
     #[test]
     fn every_variant_has_its_row() {
         use ErrorCounter::{Failed, Rejected, Shed};
@@ -236,26 +230,25 @@ mod tests {
         let invalid = ServeError::InvalidConfig {
             reason: "queue capacity must be positive",
         };
-        // error, counter, burns, burns if degraded, feeds breaker, retryable
+        // error, counter, burns, burns if degraded, feeds breaker
         let table = [
-            (ServeError::UnknownTenant(1), Rejected, F, F, F, F),
-            (ServeError::TenantExists(1), Rejected, F, F, F, F),
-            (ServeError::Shed { capacity: 4 }, Shed, T, T, F, T),
-            (ServeError::Infeasible(1), Rejected, F, F, F, F),
-            (ServeError::EmptyKnowledge(1), Rejected, F, F, F, F),
-            (ServeError::WorkerFailed { worker: 0 }, Failed, T, T, T, T),
-            (ServeError::Deadline, Failed, T, T, T, T),
-            (ServeError::CircuitOpen { tenant: 1 }, Failed, F, F, F, T),
-            (rejected, Shed, F, T, F, F),
-            (invalid, Rejected, F, F, F, F),
+            (ServeError::UnknownTenant(1), Rejected, F, F, F),
+            (ServeError::TenantExists(1), Rejected, F, F, F),
+            (ServeError::Shed { capacity: 4 }, Shed, T, T, F),
+            (ServeError::Infeasible(1), Rejected, F, F, F),
+            (ServeError::EmptyKnowledge(1), Rejected, F, F, F),
+            (ServeError::WorkerFailed { worker: 0 }, Failed, T, T, T),
+            (ServeError::Deadline, Failed, T, T, T),
+            (ServeError::CircuitOpen { tenant: 1 }, Failed, F, F, F),
+            (rejected, Shed, F, T, F),
+            (invalid, Rejected, F, F, F),
         ];
-        for (error, counter, burns, burns_degraded, feeds_breaker, retryable) in table {
+        for (error, counter, burns, burns_degraded, feeds_breaker) in table {
             for (degraded, burns_slo) in [(false, burns), (true, burns_degraded)] {
                 let row = ErrorRow {
                     counter,
                     burns_slo,
                     feeds_breaker,
-                    retryable,
                 };
                 assert_eq!(error.row(degraded), row, "{error:?}, degraded={degraded}");
             }

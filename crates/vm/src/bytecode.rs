@@ -1,4 +1,10 @@
-//! The compact stack bytecode the mini-C AST lowers to.
+//! The two forms of a lowered mini-C function.
+//!
+//! Lowering walks the AST into the compact stack bytecode [`Instr`],
+//! then converts that stream once into register form
+//! ([`crate::reg`]). The stack stream lives only inside lowering; the
+//! [`Chunk`] it produces holds the register code the VM runs, and that
+//! chunk is what the code cache shares.
 //!
 //! Design notes:
 //!
@@ -20,16 +26,18 @@
 //!   [`Chunk::slot_names`] for error messages, which must match the
 //!   interpreter's byte-for-byte.
 
+use crate::reg::RInstr;
+use crate::trace::Trace;
 use antarex_ir::ast::{BinOp, Param, UnOp};
 use antarex_ir::types::Type;
 use antarex_ir::value::Value;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// One bytecode instruction. Jump targets are absolute instruction
-/// indices into [`Chunk::code`].
+/// One stack-bytecode instruction. Jump targets are absolute indices
+/// into the lowerer's instruction stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Instr {
+pub(crate) enum Instr {
     /// Push `consts[idx]`.
     Const(u32),
     /// Push the value of a slot; error if the variable is unbound.
@@ -129,45 +137,43 @@ pub enum Instr {
     PopPrec,
 }
 
-/// A lowered function: bytecode plus the constant/name tables it needs.
+/// A lowered function, ready to run: the register code the VM
+/// dispatches, its frame size and native loop traces, plus the
+/// constant/name tables the executor reads.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// Function name (for dispatch and error messages).
-    pub name: String,
-    /// The instruction stream.
-    pub code: Vec<Instr>,
+    pub(crate) name: String,
+    /// The register-form instruction stream.
+    pub(crate) code: Vec<RInstr>,
+    /// Frame size: named slots plus the maximum temporary depth.
+    pub(crate) frame_size: usize,
+    /// Native loop traces, indexed by [`RInstr::TraceHead`].
+    pub(crate) traces: Vec<Trace>,
     /// Constant pool.
-    pub consts: Vec<Value>,
-    /// Callee names referenced by [`Instr::Call`].
-    pub callees: Vec<String>,
+    pub(crate) consts: Vec<Value>,
+    /// Callee names referenced by [`RInstr::Call`].
+    pub(crate) callees: Vec<String>,
     /// Per-call-site copy-out maps: `(argument index, caller slot)` for
     /// every argument that is a plain variable reference. Applied to
     /// whatever array parameters the *resolved* callee reports at run
     /// time (the dispatcher may redirect calls).
-    pub copyouts: Vec<Vec<(u16, u16)>>,
+    pub(crate) copyouts: Vec<Vec<(u16, u16)>>,
     /// Slot names, for error messages (`slot_names[i]` names slot `i`).
-    pub slot_names: Vec<String>,
+    pub(crate) slot_names: Vec<String>,
     /// Parameters (parameter `i` binds slot `i`).
-    pub params: Vec<Param>,
+    pub(crate) params: Vec<Param>,
     /// Declared return type (`None` = void), for return quantization.
-    pub ret: Option<Type>,
-    /// Lazily derived register form (the tier the VM dispatches); shared
-    /// through the `Arc<Chunk>` wherever the chunk is cached.
-    pub(crate) reg: OnceLock<crate::reg::RegChunk>,
+    pub(crate) ret: Option<Type>,
 }
 
 impl Chunk {
-    /// The register form, converting on first use.
-    pub(crate) fn reg(&self) -> &crate::reg::RegChunk {
-        self.reg.get_or_init(|| crate::reg::regify(self))
-    }
-
     /// Number of local slots (parameters included).
     pub(crate) fn num_slots(&self) -> usize {
         self.slot_names.len()
     }
 
-    /// Number of instructions.
+    /// Number of register instructions.
     pub fn len(&self) -> usize {
         self.code.len()
     }
@@ -178,12 +184,25 @@ impl Chunk {
         self.code.is_empty()
     }
 
-    /// Number of fused [`Instr::Meter`] instructions — the weave-time
-    /// metering density the v1 experiment reports.
+    /// Number of instructions that charge a fused static meter — the
+    /// weave-time metering density the v1 experiment reports. Each
+    /// block-granular [`Instr::Meter`] of the stack form fuses into
+    /// exactly one of them.
     pub fn meter_count(&self) -> usize {
         self.code
             .iter()
-            .filter(|i| matches!(i, Instr::Meter { .. }))
+            .filter(|i| {
+                matches!(
+                    i,
+                    RInstr::Meter { .. }
+                        | RInstr::MeterCheck { .. }
+                        | RInstr::MeterJumpIfFalsy { .. }
+                        | RInstr::MeterBinStoreForStepJump { .. }
+                        | RInstr::LoopTick { .. }
+                        | RInstr::LoopTickPushPrec { .. }
+                        | RInstr::LoopTickPushPrecOf { .. }
+                )
+            })
             .count()
     }
 }

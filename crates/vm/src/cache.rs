@@ -1,11 +1,13 @@
 //! The weave-time instrumented-code cache.
 //!
 //! Lowering a program injects metering instructions — it *instruments*
-//! the code. [`InstrumentedCodeCache`] memoizes that work under a
-//! [`CodeKey`] (structural program digest × metering-parameter digest),
-//! so a given `(program, cost model)` pair lowers exactly once per
-//! process and the resulting [`CompiledProgram`] is shared — across
-//! serving tenants, DSE rounds and precision sweeps alike.
+//! the code — and converts it to the register form the VM executes.
+//! [`InstrumentedCodeCache`] memoizes that work under a [`CodeKey`]
+//! (structural program digest × metering-parameter digest), so a given
+//! `(program, cost model)` pair lowers exactly once per process and the
+//! resulting [`CompiledProgram`] — ready-to-run chunks, not an
+//! intermediate form — is shared across serving tenants, DSE rounds and
+//! precision sweeps alike.
 //!
 //! The cache is `Sync`: chunks are `Arc`-shared and the map sits behind a
 //! mutex (lowering is fast enough that holding the lock during a miss is
@@ -20,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Process-wide cache of instrumented (metered) bytecode.
+/// Process-wide cache of instrumented (metered) register code.
 ///
 /// # Examples
 ///
@@ -52,8 +54,9 @@ impl InstrumentedCodeCache {
         Self::default()
     }
 
-    /// Returns the instrumented bytecode for `(program, model)`, lowering
-    /// (and caching) it on first sight of the pair.
+    /// Returns the instrumented code for `(program, model)`, lowering
+    /// (and caching) it on first sight of the pair. A function that
+    /// fails to lower is left out of the result.
     pub fn instrument(&self, program: &Program, model: &CostModel) -> Arc<CompiledProgram> {
         let key = CodeKey::of(program, model);
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);

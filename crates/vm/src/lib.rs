@@ -5,27 +5,27 @@
 //! costs. This crate is the fast path: it lowers the same AST to a
 //! compact stack bytecode with the cost metering *woven in
 //! at lowering time* (fused per-basic-block `Instr::Meter`
-//! instructions instead of per-node charges), executes it on a [`Vm`],
-//! and memoizes the instrumented bytecode in a hash-keyed
-//! [`InstrumentedCodeCache`] so a `(program digest, metering params)`
-//! pair lowers once and is shared across tenants, DSE rounds and
-//! precision sweeps.
+//! instructions instead of per-node charges), converts that stream
+//! once into a register form (fused superinstructions, direct
+//! frame-index operands), executes it on a [`Vm`], and memoizes the
+//! ready-to-run code in a hash-keyed [`InstrumentedCodeCache`] so a
+//! `(program digest, metering params)` pair lowers once and is shared
+//! across tenants, DSE rounds and precision sweeps.
 //!
-//! Execution is tiered: the stack chunk is the instrumentation format,
-//! a lazily derived register form (fused superinstructions, direct
-//! frame-index operands) is what the dispatch loop runs, and recognized
-//! metered loop idioms — reduce and three-tap stencil — execute as
-//! native traces with the exact charge schedule, falling back to
-//! generic dispatch whenever entry validation cannot prove equivalence.
+//! The stack stream exists only inside lowering; the cached chunk holds
+//! the register code the dispatch loop runs. Recognized metered loop
+//! idioms — reduce and three-tap stencil — execute as native traces
+//! with the exact charge schedule, falling back to generic dispatch
+//! whenever entry validation cannot prove equivalence.
 //!
-//! The contract — enforced by the differential suite in `tests/` — is
-//! **bit-identity** with the interpreter on everything observable:
-//! return values, every [`ExecStats`](antarex_ir::cost::ExecStats)
-//! counter including `flop_energy` to the last bit, reduced-precision
-//! quantization, host-call traces (the join-point observability channel)
-//! and errors. Both engines sit behind the
-//! [`Executor`](antarex_ir::Executor) trait, so consumers choose an
-//! engine by constructor, not by API.
+//! The contract — enforced by the differential suite in `tests/`, which
+//! calls the interpreter and the VM by name — is **bit-identity** with
+//! the interpreter on everything observable: return values, every
+//! [`ExecStats`](antarex_ir::cost::ExecStats) counter including
+//! `flop_energy` to the last bit, reduced-precision quantization,
+//! host-call traces (the join-point observability channel) and errors.
+//! The one exception is a function too large for the register encoding:
+//! the interpreter runs it, the VM returns an error when it reaches it.
 //!
 //! # Examples
 //!
@@ -43,7 +43,7 @@
 //!      }",
 //! )?;
 //! // first tenant lowers; every later tenant with the same program and
-//! // cost model reuses the instrumented bytecode
+//! // cost model reuses the instrumented register code
 //! let mut vm = Vm::with_cache(program, CostModel::new(), &cache);
 //! let mut env = ExecEnv::new();
 //! let out = vm.call(

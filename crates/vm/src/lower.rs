@@ -1,5 +1,9 @@
 //! AST → bytecode lowering with weave-time metering injection.
 //!
+//! The stack stream built here is an intermediate: [`lower_function`]
+//! hands it straight to [`crate::reg`] and returns the register-form
+//! chunk the VM runs.
+//!
 //! The lowerer walks a function exactly once and emits bytecode whose
 //! *observable accounting* matches the tree-walking interpreter
 //! bit-for-bit. Two invariants make that true:
@@ -20,41 +24,70 @@
 //!    intra-segment order).
 
 use crate::bytecode::{Chunk, CompiledProgram, Instr};
+use crate::reg::regify;
 use antarex_ir::ast::{BinOp, Block, Expr, Function, LValue, Program, Stmt};
 use antarex_ir::cost::CostModel;
+use antarex_ir::error::IrError;
 use antarex_ir::value::Value;
 use std::collections::HashMap;
 
-/// Lowers a single function to a metered `Chunk` under `model`.
-pub fn lower_function(function: &Function, model: &CostModel) -> Chunk {
-    let mut lowerer = Lowerer::new(model);
-    for param in &function.params {
-        lowerer.slot(&param.name);
-    }
-    lowerer.lower_block(&function.body);
-    lowerer.flush();
-    lowerer.emit(Instr::RetUnit);
-    Chunk {
+/// Lowers a single function to a metered, ready-to-run `Chunk` under
+/// `model`: the stack bytecode is emitted and converted to register
+/// form in one step.
+///
+/// # Errors
+///
+/// [`IrError::Eval`] when the function exceeds an encoding limit: more
+/// than 65,535 locals, callees, call sites or call arguments, a
+/// constant pool beyond `u32`, an array size beyond `u32`, or more
+/// locals plus expression temporaries than a register operand can name.
+pub fn lower_function(function: &Function, model: &CostModel) -> Result<Chunk, IrError> {
+    let stack = lower_stack(function, model)?;
+    let (code, frame_size, traces) = regify(&stack.code, stack.slots.len(), &stack.consts)?;
+    Ok(Chunk {
         name: function.name.clone(),
-        code: lowerer.code,
-        consts: lowerer.consts,
-        callees: lowerer.callees,
-        copyouts: lowerer.copyouts,
-        slot_names: lowerer.slots,
+        code,
+        frame_size,
+        traces,
+        consts: stack.consts,
+        callees: stack.callees,
+        copyouts: stack.copyouts,
+        slot_names: stack.slots,
         params: function.params.clone(),
         ret: function.ret,
-        reg: std::sync::OnceLock::new(),
-    }
+    })
 }
 
 /// Lowers every function of a program (the unit the
-/// [`crate::cache::InstrumentedCodeCache`] keys and shares).
+/// [`crate::cache::InstrumentedCodeCache`] keys and shares). A function
+/// that fails to lower is left out; the VM lowers it again, and returns
+/// the error, when execution reaches it.
 pub fn lower_program(program: &Program, model: &CostModel) -> CompiledProgram {
     let mut compiled = CompiledProgram::new();
     for function in program.iter() {
-        compiled.insert(lower_function(function, model));
+        if let Ok(chunk) = lower_function(function, model) {
+            compiled.insert(chunk);
+        }
     }
     compiled
+}
+
+/// The stack-bytecode pass: the lowerer after it has walked the whole
+/// function and emitted the final return.
+fn lower_stack<'a>(function: &Function, model: &'a CostModel) -> Result<Lowerer<'a>, IrError> {
+    let mut lowerer = Lowerer::new(model);
+    for param in &function.params {
+        lowerer.slot(&param.name)?;
+    }
+    lowerer.lower_block(&function.body)?;
+    lowerer.flush();
+    lowerer.emit(Instr::RetUnit);
+    Ok(lowerer)
+}
+
+/// An encoding limit the input exceeded.
+fn too_large(what: &str) -> IrError {
+    IrError::Eval(what.to_string())
 }
 
 struct Lowerer<'a> {
@@ -87,17 +120,18 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn slot(&mut self, name: &str) -> u16 {
+    fn slot(&mut self, name: &str) -> Result<u16, IrError> {
         if let Some(&slot) = self.slot_index.get(name) {
-            return slot;
+            return Ok(slot);
         }
-        let slot = u16::try_from(self.slots.len()).expect("more than 65535 locals");
+        let slot =
+            u16::try_from(self.slots.len()).map_err(|_| too_large("more than 65535 locals"))?;
         self.slots.push(name.to_string());
         self.slot_index.insert(name.to_string(), slot);
-        slot
+        Ok(slot)
     }
 
-    fn konst(&mut self, value: Value) -> u32 {
+    fn konst(&mut self, value: Value) -> Result<u32, IrError> {
         // small pools: linear dedup keeps chunks compact without hashing
         // floats (NaN-safe via bit equality through PartialEq on Value is
         // not guaranteed, so compare bits for floats explicitly)
@@ -107,22 +141,24 @@ impl<'a> Lowerer<'a> {
                 (a, b) => a == b,
             };
             if same {
-                return i as u32;
+                return Ok(i as u32);
             }
         }
-        let idx = u32::try_from(self.consts.len()).expect("constant pool overflow");
+        let idx =
+            u32::try_from(self.consts.len()).map_err(|_| too_large("constant pool overflow"))?;
         self.consts.push(value);
-        idx
+        Ok(idx)
     }
 
-    fn callee(&mut self, name: &str) -> u16 {
+    fn callee(&mut self, name: &str) -> Result<u16, IrError> {
         if let Some(&i) = self.callee_index.get(name) {
-            return i;
+            return Ok(i);
         }
-        let i = u16::try_from(self.callees.len()).expect("more than 65535 callees");
+        let i =
+            u16::try_from(self.callees.len()).map_err(|_| too_large("more than 65535 callees"))?;
         self.callees.push(name.to_string());
         self.callee_index.insert(name.to_string(), i);
-        i
+        Ok(i)
     }
 
     fn emit(&mut self, instr: Instr) -> usize {
@@ -198,24 +234,25 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_block(&mut self, block: &Block) {
+    fn lower_block(&mut self, block: &Block) -> Result<(), IrError> {
         for stmt in block {
-            self.lower_stmt(stmt);
+            self.lower_stmt(stmt)?;
         }
+        Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) {
+    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), IrError> {
         // statement prologue: the interpreter budget-checks every
         // statement before executing it
         self.flush();
         self.emit(Instr::Check);
         match stmt {
             Stmt::Decl { name, ty, init } => {
-                let slot = self.slot(name);
+                let slot = self.slot(name)?;
                 match init {
                     Some(init) => {
                         self.emit(Instr::PushPrec(ty.mantissa_bits()));
-                        self.lower_expr(init);
+                        self.lower_expr(init)?;
                         self.emit(Instr::PopPrec);
                         self.emit(Instr::StoreDecl { slot, ty: *ty });
                     }
@@ -225,28 +262,30 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Stmt::ArrayDecl { name, ty, size } => {
-                let slot = self.slot(name);
+                let slot = self.slot(name)?;
+                let size =
+                    u32::try_from(*size).map_err(|_| too_large("array too large to lower"))?;
                 self.emit(Instr::NewArray {
                     slot,
                     ty: *ty,
-                    size: u32::try_from(*size).expect("array too large to lower"),
+                    size,
                 });
             }
             Stmt::Assign { target, value } => match target {
                 LValue::Var(name) => {
-                    let slot = self.slot(name);
+                    let slot = self.slot(name)?;
                     self.emit(Instr::PushPrecOf(slot));
-                    self.lower_expr(value);
+                    self.lower_expr(value)?;
                     self.emit(Instr::PopPrec);
                     self.emit(Instr::StoreVar(slot));
                     self.pend(self.model.reg_op);
                 }
                 LValue::Index(name, index) => {
-                    let slot = self.slot(name);
+                    let slot = self.slot(name)?;
                     self.emit(Instr::PushPrecOf(slot));
-                    self.lower_expr(value);
+                    self.lower_expr(value)?;
                     self.emit(Instr::PopPrec);
-                    self.lower_expr(index);
+                    self.lower_expr(index)?;
                     self.emit(Instr::StoreIndex(slot));
                     self.pend(self.model.mem_op);
                     self.pend_mem();
@@ -257,16 +296,16 @@ impl<'a> Lowerer<'a> {
                 then_branch,
                 else_branch,
             } => {
-                self.lower_expr(cond);
+                self.lower_expr(cond)?;
                 self.flush();
                 let jf = self.emit(Instr::JumpIfFalsy(u32::MAX));
-                self.lower_block(then_branch);
+                self.lower_block(then_branch)?;
                 match else_branch {
                     Some(else_branch) => {
                         self.flush();
                         let jend = self.emit(Instr::Jump(u32::MAX));
                         self.patch(jf);
-                        self.lower_block(else_branch);
+                        self.lower_block(else_branch)?;
                         self.flush();
                         self.patch(jend);
                     }
@@ -283,20 +322,20 @@ impl<'a> Lowerer<'a> {
                 step,
                 body,
             } => {
-                let slot = self.slot(var);
-                self.lower_expr(init);
+                let slot = self.slot(var)?;
+                self.lower_expr(init)?;
                 self.flush();
                 self.emit(Instr::StoreForInit(slot));
                 let top = self.here();
-                self.lower_expr(cond);
+                self.lower_expr(cond)?;
                 self.flush();
                 let jf = self.emit(Instr::JumpIfFalsy(u32::MAX));
                 self.pend(self.model.loop_overhead);
                 self.flush();
                 self.emit(Instr::TickLoop);
                 self.emit(Instr::Check);
-                self.lower_block(body);
-                self.lower_expr(step);
+                self.lower_block(body)?;
+                self.lower_expr(step)?;
                 self.flush();
                 self.emit(Instr::StoreForStep(slot));
                 self.emit(Instr::Jump(top));
@@ -304,21 +343,21 @@ impl<'a> Lowerer<'a> {
             }
             Stmt::While { cond, body } => {
                 let top = self.here();
-                self.lower_expr(cond);
+                self.lower_expr(cond)?;
                 self.flush();
                 let jf = self.emit(Instr::JumpIfFalsy(u32::MAX));
                 self.pend(self.model.loop_overhead);
                 self.flush();
                 self.emit(Instr::TickLoop);
                 self.emit(Instr::Check);
-                self.lower_block(body);
+                self.lower_block(body)?;
                 self.flush();
                 self.emit(Instr::Jump(top));
                 self.patch(jf);
             }
             Stmt::Return(value) => match value {
                 Some(value) => {
-                    self.lower_expr(value);
+                    self.lower_expr(value)?;
                     self.flush();
                     self.emit(Instr::Ret);
                 }
@@ -328,109 +367,121 @@ impl<'a> Lowerer<'a> {
                 }
             },
             Stmt::ExprStmt(expr) => {
-                self.lower_expr(expr);
+                self.lower_expr(expr)?;
                 self.emit(Instr::Pop);
             }
         }
         // statement epilogue: fold this statement's statics into one meter
         self.flush();
+        Ok(())
     }
 
-    fn lower_expr(&mut self, expr: &Expr) {
+    fn lower_expr(&mut self, expr: &Expr) -> Result<(), IrError> {
         match expr {
             Expr::Int(v) => {
-                let idx = self.konst(Value::Int(*v));
+                let idx = self.konst(Value::Int(*v))?;
                 self.emit(Instr::Const(idx));
             }
             Expr::Float(v) => {
-                let idx = self.konst(Value::Float(*v));
+                let idx = self.konst(Value::Float(*v))?;
                 self.emit(Instr::Const(idx));
             }
             Expr::Str(s) => {
-                let idx = self.konst(Value::Str(s.clone()));
+                let idx = self.konst(Value::Str(s.clone()))?;
                 self.emit(Instr::Const(idx));
             }
             Expr::Var(name) => {
                 self.pend(self.model.reg_op);
-                let slot = self.slot(name);
+                let slot = self.slot(name)?;
                 self.emit(Instr::LoadVar(slot));
             }
             Expr::Index(name, index) => {
-                let slot = self.slot(name);
-                self.lower_expr(index);
+                let slot = self.slot(name)?;
+                self.lower_expr(index)?;
                 self.pend(self.model.mem_op);
                 self.pend_mem();
                 self.emit(Instr::LoadIndex(slot));
             }
             Expr::Unary(op, inner) => {
-                self.lower_expr(inner);
+                self.lower_expr(inner)?;
                 self.emit(Instr::Unary(*op));
             }
             Expr::Binary(BinOp::And, lhs, rhs) => {
-                self.lower_expr(lhs);
+                self.lower_expr(lhs)?;
                 self.pend(self.model.int_op);
                 self.flush();
                 let probe = self.emit(Instr::AndProbe(u32::MAX));
-                self.lower_expr(rhs);
+                self.lower_expr(rhs)?;
                 self.flush();
                 self.emit(Instr::CastBool);
                 self.patch(probe);
             }
             Expr::Binary(BinOp::Or, lhs, rhs) => {
-                self.lower_expr(lhs);
+                self.lower_expr(lhs)?;
                 self.pend(self.model.int_op);
                 self.flush();
                 let probe = self.emit(Instr::OrProbe(u32::MAX));
-                self.lower_expr(rhs);
+                self.lower_expr(rhs)?;
                 self.flush();
                 self.emit(Instr::CastBool);
                 self.patch(probe);
             }
             Expr::Binary(op, lhs, rhs) => {
-                self.lower_expr(lhs);
-                self.lower_expr(rhs);
+                self.lower_expr(lhs)?;
+                self.lower_expr(rhs)?;
                 self.emit(Instr::Binary(*op));
             }
             Expr::Call(name, args) => {
                 for arg in args {
-                    self.lower_expr(arg);
+                    self.lower_expr(arg)?;
                 }
                 self.flush();
-                let callee = self.callee(name);
-                let map: Vec<(u16, u16)> = args
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, arg)| match arg {
-                        Expr::Var(var) => Some((i as u16, self.slot(var))),
-                        _ => None,
-                    })
-                    .collect();
+                let callee = self.callee(name)?;
+                let argc = u16::try_from(args.len())
+                    .map_err(|_| too_large("more than 65535 arguments"))?;
+                let mut map = Vec::new();
+                for (i, arg) in args.iter().enumerate() {
+                    if let Expr::Var(var) = arg {
+                        map.push((i as u16, self.slot(var)?));
+                    }
+                }
                 let copyout = if map.is_empty() {
                     0
                 } else {
-                    let idx =
-                        u16::try_from(self.copyouts.len()).expect("more than 65535 call sites");
+                    let idx = u16::try_from(self.copyouts.len())
+                        .map_err(|_| too_large("more than 65535 call sites"))?;
                     self.copyouts.push(map);
                     idx
                 };
                 self.emit(Instr::Call {
                     callee,
-                    argc: u16::try_from(args.len()).expect("more than 65535 arguments"),
+                    argc,
                     copyout,
                 });
             }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reg::RInstr;
     use antarex_ir::parse_program;
 
     fn chunk_of(src: &str, name: &str) -> Chunk {
         let program = parse_program(src).unwrap();
-        lower_function(program.function(name).unwrap(), &CostModel::new())
+        lower_function(program.function(name).unwrap(), &CostModel::new()).unwrap()
+    }
+
+    /// The stack stream lowering emits before register conversion.
+    fn stack_of(src: &str, name: &str) -> Vec<Instr> {
+        let program = parse_program(src).unwrap();
+        let model = CostModel::new();
+        lower_stack(program.function(name).unwrap(), &model)
+            .unwrap()
+            .code
     }
 
     #[test]
@@ -439,7 +490,7 @@ mod tests {
         // twice, and s twice (read + write): statically 2 mem + 4 reg ops,
         // all fused into ONE meter at the statement end (the multiply and
         // add are dynamic and charged by ops::apply_binary)
-        let chunk = chunk_of(
+        let code = stack_of(
             "double dot(double a[], double b[], int n) {
                  double s = 0.0;
                  for (int i = 0; i < n; i++) { s += a[i] * b[i]; }
@@ -453,9 +504,8 @@ mod tests {
             mem_ops: 2,
         };
         assert!(
-            chunk.code.contains(&body_meter),
-            "expected fused body meter in {:?}",
-            chunk.code
+            code.contains(&body_meter),
+            "expected fused body meter in {code:?}"
         );
     }
 
@@ -470,7 +520,7 @@ mod tests {
 
     #[test]
     fn jumps_are_patched_in_bounds() {
-        let chunk = chunk_of(
+        let code = stack_of(
             "int f(int n) {
                  int s = 0;
                  for (int i = 0; i < n; i++) { if (i % 2 == 0) { s += i; } else { s -= 1; } }
@@ -479,14 +529,11 @@ mod tests {
              }",
             "f",
         );
-        for instr in &chunk.code {
+        for instr in &code {
             if let Instr::Jump(t) | Instr::JumpIfFalsy(t) | Instr::AndProbe(t) | Instr::OrProbe(t) =
                 instr
             {
-                assert!(
-                    (*t as usize) <= chunk.code.len(),
-                    "unpatched jump {instr:?}"
-                );
+                assert!((*t as usize) <= code.len(), "unpatched jump {instr:?}");
                 assert_ne!(*t, u32::MAX, "unpatched jump {instr:?}");
             }
         }
@@ -512,10 +559,41 @@ mod tests {
             .code
             .iter()
             .find_map(|i| match i {
-                Instr::Call { copyout, .. } => Some(*copyout),
+                RInstr::Call { copyout, .. } => Some(*copyout),
                 _ => None,
             })
             .expect("call instruction");
         assert_eq!(chunk.copyouts[call as usize].len(), 1, "buf is a var arg");
+    }
+
+    #[test]
+    fn register_form_is_denser_than_stack_form() {
+        let src = "double poly(double x, int n) {
+                       double s = 0.0;
+                       for (int i = 0; i < n; i++) { s = s * x + 1.0; }
+                       return s;
+                   }";
+        let (stack, chunk) = (stack_of(src, "poly"), chunk_of(src, "poly"));
+        assert!(
+            chunk.len() < stack.len(),
+            "register form {} vs stack form {}",
+            chunk.len(),
+            stack.len()
+        );
+    }
+
+    #[test]
+    fn every_stack_meter_lands_in_one_register_instruction() {
+        let src = "double drain(double a[], int n) {
+                       double s = 0.0;
+                       for (int i = 0; i < n; i++) { s += a[i] * a[i]; }
+                       while (a[0] > 0.0 && n > 1) { s += a[0]; a[0] -= 1.0; }
+                       return s;
+                   }";
+        let stack_meters = stack_of(src, "drain")
+            .iter()
+            .filter(|i| matches!(i, Instr::Meter { .. }))
+            .count();
+        assert_eq!(chunk_of(src, "drain").meter_count(), stack_meters);
     }
 }

@@ -1,14 +1,15 @@
-//! Stack bytecode → register form: the dispatch tier the VM executes.
+//! Stack bytecode → register form: the code the VM executes.
 //!
-//! The stack [`Chunk`](crate::bytecode::Chunk) is the *instrumentation
-//! format* — it is what lowering produces, what the code cache shares
-//! and what the metering reports inspect. Executing it directly,
-//! however, pays for a push/pop of a 32-byte `Value` around every
-//! operand. This module converts a chunk once (lazily, memoized on the
-//! chunk) into an equivalent **register form** where every operand is a
-//! direct frame index: locals keep their slots, and each stack depth `d`
-//! becomes the fixed temporary `num_slots + d` (stack depths are static
-//! in structured code, so the conversion is a compile-time simulation).
+//! Lowering emits the stack stream ([`Instr`]) because metering is
+//! easiest to weave there. Executing it directly, however, would pay
+//! for a push/pop of a 32-byte `Value` around every operand. Lowering
+//! therefore ends by converting the stream, once, into an equivalent
+//! **register form** where every operand is a direct frame index:
+//! locals keep their slots, and each stack depth `d` becomes the fixed
+//! temporary `num_slots + d` (stack depths are static in structured
+//! code, so the conversion is a compile-time simulation). The register
+//! code is what a [`Chunk`](crate::bytecode::Chunk) holds, what the
+//! code cache shares and what the VM dispatches.
 //!
 //! Three rules keep the conversion bit-identical to stack execution —
 //! the differential suite drives random programs through both the
@@ -34,9 +35,12 @@
 //! Fused execution preserves the exact charge/check order of the
 //! unfused sequence.
 
-use crate::bytecode::{Chunk, Instr};
+use crate::bytecode::Instr;
+use crate::trace::Trace;
 use antarex_ir::ast::{BinOp, UnOp};
+use antarex_ir::error::IrError;
 use antarex_ir::types::Type;
+use antarex_ir::value::Value;
 
 /// Operand tag bits (high two bits of a `u16` operand).
 pub(crate) const TAG_MASK: u16 = 0xC000;
@@ -219,20 +223,9 @@ pub(crate) enum RInstr {
     /// Fused `PopPrec` + `StoreDecl`.
     PopPrecStoreDecl { src: u16, slot: u16, ty: Type },
     /// Entry point of a native loop trace (see [`crate::trace`]): the VM
-    /// validates [`RegChunk::traces`]`[trace]` and either runs the whole
+    /// validates the chunk's `traces[trace]` and either runs the whole
     /// loop natively or falls back to the generic body that follows.
     TraceHead { trace: u16 },
-}
-
-/// A register-form function body (tables live on the owning [`Chunk`]).
-#[derive(Debug, Clone)]
-pub(crate) struct RegChunk {
-    /// The instruction stream.
-    pub code: Vec<RInstr>,
-    /// Frame size: named slots plus the maximum temporary depth.
-    pub frame_size: usize,
-    /// Native loop traces, indexed by [`RInstr::TraceHead`].
-    pub traces: Vec<crate::trace::Trace>,
 }
 
 /// Compile-time symbolic stack entry.
@@ -246,23 +239,24 @@ enum Sym {
     Const(u32),
 }
 
-struct Conv<'a> {
-    num_slots: u16,
+struct Conv {
+    num_slots: usize,
     out: Vec<RInstr>,
     stack: Vec<Sym>,
     max_depth: usize,
-    _chunk: &'a Chunk,
 }
 
-impl Conv<'_> {
-    /// The canonical temporary holding stack depth `d`.
-    fn temp(&self, depth: usize) -> u16 {
-        let t = self.num_slots as usize + depth;
-        assert!(
-            t <= IDX_MASK as usize,
-            "function too large for register encoding"
-        );
-        t as u16
+impl Conv {
+    /// The canonical temporary holding stack depth `d`, if an operand
+    /// can name it.
+    fn temp(&self, depth: usize) -> Result<u16, IrError> {
+        let t = self.num_slots + depth;
+        if t > IDX_MASK as usize {
+            return Err(IrError::Eval(
+                "function too large for register encoding".into(),
+            ));
+        }
+        Ok(t as u16)
     }
 
     fn push(&mut self, entry: Sym) {
@@ -270,10 +264,11 @@ impl Conv<'_> {
         self.max_depth = self.max_depth.max(self.stack.len());
     }
 
-    /// Encodes the entry at `depth` as a tagged operand.
+    /// Encodes the entry at `depth` as a tagged operand. A `Temp` entry
+    /// was materialized through [`Conv::temp`], so its index fits.
     fn opnd(&self, depth: usize) -> u16 {
         match self.stack[depth] {
-            Sym::Temp => self.temp(depth),
+            Sym::Temp => (self.num_slots + depth) as u16,
             Sym::Slot(slot) => TAG_SLOT | slot,
             Sym::Const(idx) => TAG_CONST | (idx as u16),
         }
@@ -284,7 +279,7 @@ impl Conv<'_> {
     /// `consts_too`, i.e. before jumps, where merge states must agree).
     /// Emission is bottom-up — original push order — so deferred
     /// unresolved-variable errors fire in the original order.
-    fn force(&mut self, keep_top: usize, consts_too: bool) {
+    fn force(&mut self, keep_top: usize, consts_too: bool) -> Result<(), IrError> {
         let n = self
             .stack
             .len()
@@ -294,40 +289,42 @@ impl Conv<'_> {
             match self.stack[d] {
                 Sym::Temp => {}
                 Sym::Slot(slot) => {
-                    let dst = self.temp(d);
+                    let dst = self.temp(d)?;
                     self.out.push(RInstr::Read { slot, dst });
                     self.stack[d] = Sym::Temp;
                 }
                 Sym::Const(idx) => {
                     if consts_too {
-                        let dst = self.temp(d);
+                        let dst = self.temp(d)?;
                         self.out.push(RInstr::Const { idx, dst });
                         self.stack[d] = Sym::Temp;
                     }
                 }
             }
         }
+        Ok(())
     }
 
     /// Materializes the top `count` entries (call arguments) into their
     /// canonical — and therefore contiguous — temporaries.
-    fn force_top(&mut self, count: usize) {
+    fn force_top(&mut self, count: usize) -> Result<(), IrError> {
         let len = self.stack.len();
         for d in len - count..len {
             match self.stack[d] {
                 Sym::Temp => {}
                 Sym::Slot(slot) => {
-                    let dst = self.temp(d);
+                    let dst = self.temp(d)?;
                     self.out.push(RInstr::Read { slot, dst });
                     self.stack[d] = Sym::Temp;
                 }
                 Sym::Const(idx) => {
-                    let dst = self.temp(d);
+                    let dst = self.temp(d)?;
                     self.out.push(RInstr::Const { idx, dst });
                     self.stack[d] = Sym::Temp;
                 }
             }
         }
+        Ok(())
     }
 
     /// Consumes the top entry as an operand.
@@ -338,9 +335,19 @@ impl Conv<'_> {
     }
 }
 
-/// Converts a stack chunk into register form.
-pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
-    let code = &chunk.code;
+/// Converts a function's stack stream into register form, returning the
+/// register code, its frame size and its native loop traces. `num_slots`
+/// counts the function's named locals; `consts` is its constant pool.
+///
+/// # Errors
+///
+/// [`IrError::Eval`] when locals plus expression temporaries exceed what
+/// a register operand can name.
+pub(crate) fn regify(
+    code: &[Instr],
+    num_slots: usize,
+    consts: &[Value],
+) -> Result<(Vec<RInstr>, usize, Vec<Trace>), IrError> {
     let mut is_target = vec![false; code.len() + 1];
     for instr in code {
         if let Instr::Jump(t) | Instr::JumpIfFalsy(t) | Instr::AndProbe(t) | Instr::OrProbe(t) =
@@ -352,11 +359,10 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
     let fusable = |j: usize| j < code.len() && !is_target[j];
 
     let mut c = Conv {
-        num_slots: u16::try_from(chunk.num_slots()).expect("more than 65535 locals"),
+        num_slots,
         out: Vec::with_capacity(code.len()),
         stack: Vec::new(),
         max_depth: 0,
-        _chunk: chunk,
     };
     let mut map = vec![0u32; code.len() + 1];
     // Output position of the most recent jump target. Peepholes that
@@ -383,7 +389,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 if idx <= u32::from(IDX_MASK) {
                     c.push(Sym::Const(idx));
                 } else {
-                    let dst = c.temp(c.stack.len());
+                    let dst = c.temp(c.stack.len())?;
                     c.out.push(RInstr::Const { idx, dst });
                     c.push(Sym::Temp);
                 }
@@ -392,15 +398,15 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 if slot <= IDX_MASK {
                     c.push(Sym::Slot(slot));
                 } else {
-                    let dst = c.temp(c.stack.len());
+                    let dst = c.temp(c.stack.len())?;
                     c.out.push(RInstr::Read { slot, dst });
                     c.push(Sym::Temp);
                 }
             }
             Instr::LoadIndex(slot) => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let idx = c.consume();
-                let dst = c.temp(c.stack.len());
+                let dst = c.temp(c.stack.len())?;
                 // peephole: a just-materialized variable read (the
                 // accumulator of an indexed loop) rides along with the
                 // load — `ReadLoadIndex` performs read-then-load in the
@@ -431,7 +437,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 c.push(Sym::Temp);
             }
             Instr::StoreDecl { slot, ty } => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let src = c.consume();
                 c.out.push(RInstr::StoreDecl { src, slot, ty });
             }
@@ -440,12 +446,12 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 c.out.push(RInstr::NewArray { slot, ty, size });
             }
             Instr::StoreVar(slot) => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let src = c.consume();
                 c.out.push(RInstr::StoreVar { src, slot });
             }
             Instr::StoreIndex(slot) => {
-                c.force(2, false);
+                c.force(2, false)?;
                 let idx = c.consume();
                 let val = c.consume();
                 // peephole: the stored value comes straight out of a
@@ -474,12 +480,12 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 c.out.push(RInstr::StoreIndex { val, idx, slot });
             }
             Instr::StoreForInit(slot) => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let src = c.consume();
                 c.out.push(RInstr::StoreForInit { src, slot });
             }
             Instr::StoreForStep(slot) => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let src = c.consume();
                 if fusable(i + 1) {
                     if let Instr::Jump(target) = code[i + 1] {
@@ -494,20 +500,20 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 c.out.push(RInstr::StoreForStep { src, slot });
             }
             Instr::Unary(op) => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let src = c.consume();
-                let dst = c.temp(c.stack.len());
+                let dst = c.temp(c.stack.len())?;
                 c.out.push(RInstr::Unary { op, src, dst });
                 c.push(Sym::Temp);
             }
             Instr::Binary(op) => {
-                c.force(2, false);
+                c.force(2, false)?;
                 // fuse consumers that take the result straight off the
                 // stack (each preserves the unfused charge/error order)
                 if fusable(i + 1) {
                     match code[i + 1] {
                         Instr::JumpIfFalsy(target) => {
-                            c.force(2, true);
+                            c.force(2, true)?;
                             let r = c.consume();
                             let l = c.consume();
                             c.out.push(RInstr::BinJumpIfFalsy { op, l, r, target });
@@ -517,7 +523,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                         }
                         Instr::StoreForStep(slot) if fusable(i + 2) => {
                             if let Instr::Jump(target) = code[i + 2] {
-                                c.force(2, true);
+                                c.force(2, true)?;
                                 let r = c.consume();
                                 let l = c.consume();
                                 debug_assert!(c.stack.is_empty(), "step jump with a live stack");
@@ -583,7 +589,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                             // (and its charges) still runs first
                             let r = c.consume();
                             let l = c.consume();
-                            let dst = c.temp(c.stack.len());
+                            let dst = c.temp(c.stack.len())?;
                             c.out.push(RInstr::BinLoadIndex { op, l, r, arr, dst });
                             map[i + 1] = c.out.len() as u32 - 1;
                             c.push(Sym::Temp);
@@ -595,7 +601,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 }
                 let r = c.consume();
                 let l = c.consume();
-                let dst = c.temp(c.stack.len());
+                let dst = c.temp(c.stack.len())?;
                 // peephole: right operand straight out of an indexed load
                 // — the load still runs (and errors) before the binary.
                 // The left operand must not be a deferred variable alias:
@@ -628,29 +634,29 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 // pure, but the result must land in the canonical
                 // temporary: it flows into a short-circuit merge point
                 let src = c.consume();
-                let dst = c.temp(c.stack.len());
+                let dst = c.temp(c.stack.len())?;
                 c.out.push(RInstr::CastBool { src, dst });
                 c.push(Sym::Temp);
             }
             Instr::Jump(target) => {
-                c.force(0, true);
+                c.force(0, true)?;
                 c.out.push(RInstr::Jump(target));
             }
             Instr::JumpIfFalsy(target) => {
-                c.force(1, true);
+                c.force(1, true)?;
                 let cond = c.consume();
                 c.out.push(RInstr::JumpIfFalsy { cond, target });
             }
             Instr::AndProbe(target) => {
-                c.force(1, true);
+                c.force(1, true)?;
                 let cond = c.consume();
-                let dst = c.temp(c.stack.len());
+                let dst = c.temp(c.stack.len())?;
                 c.out.push(RInstr::AndProbe { cond, dst, target });
             }
             Instr::OrProbe(target) => {
-                c.force(1, true);
+                c.force(1, true)?;
                 let cond = c.consume();
-                let dst = c.temp(c.stack.len());
+                let dst = c.temp(c.stack.len())?;
                 c.out.push(RInstr::OrProbe { cond, dst, target });
             }
             Instr::Call {
@@ -659,12 +665,12 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 copyout,
             } => {
                 let n = argc as usize;
-                c.force(n, false);
-                c.force_top(n);
+                c.force(n, false)?;
+                c.force_top(n)?;
                 for _ in 0..n {
                     c.stack.pop();
                 }
-                let base = c.temp(c.stack.len());
+                let base = c.temp(c.stack.len())?;
                 c.out.push(RInstr::Call {
                     callee,
                     argc,
@@ -674,7 +680,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 c.push(Sym::Temp);
             }
             Instr::Ret => {
-                c.force(1, false);
+                c.force(1, false)?;
                 let src = c.consume();
                 c.out.push(RInstr::Ret { src });
             }
@@ -684,14 +690,14 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                     Sym::Slot(slot) => {
                         // the engines check the variable exists even when
                         // the value is discarded
-                        let dst = c.temp(c.stack.len());
+                        let dst = c.temp(c.stack.len())?;
                         c.out.push(RInstr::Read { slot, dst });
                     }
                     Sym::Temp | Sym::Const(_) => {}
                 }
             }
             Instr::Meter { cost, mem_ops } => {
-                c.force(0, false);
+                c.force(0, false)?;
                 if fusable(i + 1) {
                     match code[i + 1] {
                         Instr::TickLoop if fusable(i + 2) && code[i + 2] == Instr::Check => {
@@ -708,7 +714,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                             continue;
                         }
                         Instr::JumpIfFalsy(target) => {
-                            c.force(1, true);
+                            c.force(1, true)?;
                             let cond = c.consume();
                             c.out.push(RInstr::MeterJumpIfFalsy {
                                 cost,
@@ -726,11 +732,11 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 c.out.push(RInstr::Meter { cost, mem_ops });
             }
             Instr::TickLoop => {
-                c.force(0, false);
+                c.force(0, false)?;
                 c.out.push(RInstr::TickLoop);
             }
             Instr::Check => {
-                c.force(0, false);
+                c.force(0, false)?;
                 // a check immediately after another check (back-edge
                 // check followed by a statement-prologue check, nothing
                 // observable between) has the same outcome — drop it
@@ -806,7 +812,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                 if fusable(i + 1) {
                     match code[i + 1] {
                         Instr::StoreVar(slot) => {
-                            c.force(1, false);
+                            c.force(1, false)?;
                             let src = c.consume();
                             c.out.push(RInstr::PopPrecStoreVar { src, slot });
                             map[i + 1] = c.out.len() as u32 - 1;
@@ -814,7 +820,7 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
                             continue;
                         }
                         Instr::StoreDecl { slot, ty } => {
-                            c.force(1, false);
+                            c.force(1, false)?;
                             let src = c.consume();
                             c.out.push(RInstr::PopPrecStoreDecl { src, slot, ty });
                             map[i + 1] = c.out.len() as u32 - 1;
@@ -846,25 +852,21 @@ pub(crate) fn regify(chunk: &Chunk) -> RegChunk {
         }
     }
 
-    let traces = crate::trace::detect(&mut c.out, chunk);
-    RegChunk {
-        code: c.out,
-        frame_size: chunk.num_slots() + c.max_depth,
-        traces,
-    }
+    let traces = crate::trace::detect(&mut c.out, consts);
+    Ok((c.out, num_slots + c.max_depth, traces))
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::bytecode::Chunk;
     use crate::lower::lower_function;
     use antarex_ir::cost::CostModel;
     use antarex_ir::parse_program;
 
-    pub(super) fn reg_of(src: &str, name: &str) -> RegChunk {
+    fn reg_of(src: &str, name: &str) -> Chunk {
         let program = parse_program(src).unwrap();
-        let chunk = lower_function(program.function(name).unwrap(), &CostModel::new());
-        regify(&chunk)
+        lower_function(program.function(name).unwrap(), &CostModel::new()).unwrap()
     }
 
     #[test]
@@ -965,26 +967,6 @@ pub(crate) mod tests {
                 .any(|r| matches!(r, RInstr::MeterJumpIfFalsy { .. })),
             "{:?}",
             reg.code
-        );
-    }
-
-    #[test]
-    fn register_form_is_denser_than_stack_form() {
-        let program = parse_program(
-            "double poly(double x, int n) {
-                 double s = 0.0;
-                 for (int i = 0; i < n; i++) { s = s * x + 1.0; }
-                 return s;
-             }",
-        )
-        .unwrap();
-        let chunk = lower_function(program.function("poly").unwrap(), &CostModel::new());
-        let reg = regify(&chunk);
-        assert!(
-            reg.code.len() < chunk.code.len(),
-            "register form {} vs stack form {}",
-            reg.code.len(),
-            chunk.code.len()
         );
     }
 

@@ -34,7 +34,6 @@
 //! fallback costs one extra validation attempt per loop entry and
 //! nothing else.
 
-use crate::bytecode::Chunk;
 use crate::reg::{RInstr, IDX_MASK, TAG_CONST, TAG_MASK, TAG_SLOT};
 use antarex_ir::ast::BinOp;
 use antarex_ir::value::Value;
@@ -109,21 +108,21 @@ fn as_plain(o: u16) -> Option<u16> {
     (o & TAG_MASK == 0).then_some(o)
 }
 
-fn const_int(chunk: &Chunk, o: u16) -> Option<i64> {
+fn const_int(consts: &[Value], o: u16) -> Option<i64> {
     if o & TAG_MASK != TAG_CONST {
         return None;
     }
-    match chunk.consts.get((o & IDX_MASK) as usize) {
+    match consts.get((o & IDX_MASK) as usize) {
         Some(Value::Int(v)) => Some(*v),
         _ => None,
     }
 }
 
-fn const_float(chunk: &Chunk, o: u16) -> Option<f64> {
+fn const_float(consts: &[Value], o: u16) -> Option<f64> {
     if o & TAG_MASK != TAG_CONST {
         return None;
     }
-    match chunk.consts.get((o & IDX_MASK) as usize) {
+    match consts.get((o & IDX_MASK) as usize) {
         Some(Value::Float(v)) => Some(*v),
         _ => None,
     }
@@ -142,7 +141,7 @@ struct Scaffold {
     prec_slot: u16,
 }
 
-fn scaffold(code: &[RInstr], chunk: &Chunk, h: usize, body_len: usize) -> Option<Scaffold> {
+fn scaffold(code: &[RInstr], consts: &[Value], h: usize, body_len: usize) -> Option<Scaffold> {
     let RInstr::BinJumpIfFalsy {
         op: BinOp::Lt,
         l,
@@ -155,7 +154,7 @@ fn scaffold(code: &[RInstr], chunk: &Chunk, h: usize, body_len: usize) -> Option
     let ctr = as_slot(l)?;
     let bound = match as_slot(r) {
         Some(slot) => Bound::Slot(slot),
-        None => Bound::Const(const_int(chunk, r)?),
+        None => Bound::Const(const_int(consts, r)?),
     };
     let exit = h.checked_add(body_len)? as u32;
     if target != exit || code.len() < exit as usize {
@@ -184,7 +183,7 @@ fn scaffold(code: &[RInstr], chunk: &Chunk, h: usize, body_len: usize) -> Option
 /// The trailing meter + step + back-edge, shared by both shapes.
 fn back_edge(
     code: &[RInstr],
-    chunk: &Chunk,
+    consts: &[Value],
     at: usize,
     ctr: u16,
     head: usize,
@@ -204,7 +203,7 @@ fn back_edge(
     if as_slot(l)? != ctr || slot != ctr || target as usize != head {
         return None;
     }
-    let step = const_int(chunk, r)?;
+    let step = const_int(consts, r)?;
     (step >= 1).then_some((cost, mem_ops, step))
 }
 
@@ -220,13 +219,13 @@ fn back_edge(
 ///                                              BinPopPrecStoreVar { Add, ta, t, acc }
 ///                                              MeterBinStoreForStepJump { -> h }
 /// ```
-fn match_reduce(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
+fn match_reduce(code: &[RInstr], consts: &[Value], h: usize) -> Option<Trace> {
     // try the direct form first, then the based form
     for (body_len, based) in [(6usize, false), (8, true)] {
         if h + body_len > code.len() {
             continue;
         }
-        let Some(s) = scaffold(code, chunk, h, body_len) else {
+        let Some(s) = scaffold(code, consts, h, body_len) else {
             continue;
         };
         let ctr_opnd = TAG_SLOT | s.ctr;
@@ -243,7 +242,7 @@ fn match_reduce(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
             else {
                 continue;
             };
-            let (bslot, bfac) = (as_slot(bl), const_int(chunk, br));
+            let (bslot, bfac) = (as_slot(bl), const_int(consts, br));
             let RInstr::BinLoadIndex {
                 op: BinOp::Add,
                 l: il,
@@ -315,7 +314,7 @@ fn match_reduce(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
         {
             continue;
         }
-        let (meter_cost, meter_mem, step) = back_edge(code, chunk, h + body_len - 1, s.ctr, h)?;
+        let (meter_cost, meter_mem, step) = back_edge(code, consts, h + body_len - 1, s.ctr, h)?;
         return Some(Trace {
             ctr: s.ctr,
             bound: s.bound,
@@ -354,12 +353,12 @@ fn match_reduce(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
 /// h+10 StoreIndex { t, ctr, Out }
 /// h+11 MeterBinStoreForStepJump { -> h }
 /// ```
-fn match_stencil(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
+fn match_stencil(code: &[RInstr], consts: &[Value], h: usize) -> Option<Trace> {
     const BODY: usize = 12;
     if h + BODY > code.len() {
         return None;
     }
-    let s = scaffold(code, chunk, h, BODY)?;
+    let s = scaffold(code, consts, h, BODY)?;
     let ctr_opnd = TAG_SLOT | s.ctr;
     let RInstr::BinLoadIndex {
         op: BinOp::Sub,
@@ -452,14 +451,14 @@ fn match_stencil(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
     {
         return None;
     }
-    let o0 = const_int(chunk, r0)?;
-    let o2 = const_int(chunk, r2)?;
+    let o0 = const_int(consts, r0)?;
+    let o2 = const_int(consts, r2)?;
     let w = [
-        const_float(chunk, w0)?,
-        const_float(chunk, w1)?,
-        const_float(chunk, w2)?,
+        const_float(consts, w0)?,
+        const_float(consts, w1)?,
+        const_float(consts, w2)?,
     ];
-    let (meter_cost, meter_mem, step) = back_edge(code, chunk, h + 11, s.ctr, h)?;
+    let (meter_cost, meter_mem, step) = back_edge(code, consts, h + 11, s.ctr, h)?;
     Some(Trace {
         ctr: s.ctr,
         bound: s.bound,
@@ -484,13 +483,14 @@ fn match_stencil(code: &[RInstr], chunk: &Chunk, h: usize) -> Option<Trace> {
 
 /// Scans finished register code for traceable loops. Returns the traces
 /// and rewrites each recognized head into [`RInstr::TraceHead`].
-pub(crate) fn detect(code: &mut [RInstr], chunk: &Chunk) -> Vec<Trace> {
+pub(crate) fn detect(code: &mut [RInstr], consts: &[Value]) -> Vec<Trace> {
     let mut traces = Vec::new();
     for h in 0..code.len() {
         if traces.len() >= u16::MAX as usize {
             break;
         }
-        if let Some(trace) = match_reduce(code, chunk, h).or_else(|| match_stencil(code, chunk, h))
+        if let Some(trace) =
+            match_reduce(code, consts, h).or_else(|| match_stencil(code, consts, h))
         {
             code[h] = RInstr::TraceHead {
                 trace: traces.len() as u16,

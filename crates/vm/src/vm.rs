@@ -1,6 +1,7 @@
 //! The metered bytecode VM.
 //!
-//! [`Vm`] executes [`Chunk`]s produced by [`crate::lower`], with the same
+//! [`Vm`] executes the register code of the [`Chunk`]s produced by
+//! [`crate::lower`], with the same
 //! observable behaviour as the tree-walking interpreter in `antarex-ir`:
 //! identical values, identical [`ExecStats`]
 //! (including `flop_energy` bit-for-bit), identical host-call traces and
@@ -22,7 +23,6 @@ use crate::trace::{Bound, Trace, TraceKind};
 use antarex_ir::ast::{BinOp, Function, Program};
 use antarex_ir::cost::{CostModel, ExecStats};
 use antarex_ir::error::IrError;
-use antarex_ir::exec::Executor;
 use antarex_ir::interp::{Dispatcher, ExecEnv, HostFn, MAX_CALL_DEPTH};
 use antarex_ir::ops::{self, coerce_scalar, coerce_scalar_or_array, zero_of};
 use antarex_ir::types::Type;
@@ -33,9 +33,10 @@ use std::sync::Arc;
 
 /// The bytecode execution engine.
 ///
-/// Functions lower lazily on first call and the lowered chunk is memoized
-/// per function (invalidated when the program's `Rc<Function>` identity
-/// changes, e.g. after `edit_function` or a dispatcher insertion).
+/// Functions lower lazily on first call — straight to the register code
+/// the VM runs — and the chunk is memoized per function (invalidated
+/// when the program's `Rc<Function>` identity changes, e.g. after
+/// `edit_function` or a dispatcher insertion).
 /// [`Vm::with_cache`] additionally seeds the memo from a shared
 /// [`InstrumentedCodeCache`], so a `(program digest, metering params)`
 /// pair lowers once process-wide.
@@ -43,7 +44,7 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use antarex_ir::{parse_program, interp::ExecEnv, value::Value, Executor};
+/// use antarex_ir::{parse_program, interp::ExecEnv, value::Value};
 /// use antarex_vm::Vm;
 ///
 /// # fn main() -> Result<(), antarex_ir::IrError> {
@@ -115,7 +116,9 @@ impl Vm {
     /// Creates a VM whose lowering memo is seeded from (and populates)
     /// the shared `cache`: the `(program digest, cost-model digest)` pair
     /// lowers once and the instrumented chunks are shared across tenants,
-    /// DSE rounds and precision sweeps.
+    /// DSE rounds and precision sweeps. A function the cache could not
+    /// lower is absent from the memo; [`Vm::call`] returns its lowering
+    /// error when execution reaches it.
     pub fn with_cache(
         program: Program,
         cost_model: CostModel,
@@ -137,7 +140,7 @@ impl Vm {
 
     /// Sets (or clears) the execution budget in cost units. The default
     /// is 2·10⁸ units, matching the interpreter.
-    pub(crate) fn set_budget(&mut self, budget: Option<u64>) {
+    pub fn set_budget(&mut self, budget: Option<u64>) {
         self.budget = budget;
     }
 
@@ -148,19 +151,13 @@ impl Vm {
     }
 
     /// Installs the dynamic-weaving dispatcher.
-    pub(crate) fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
+    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
         self.dispatcher = Some(dispatcher);
     }
 
     /// The program being executed (it may grow under dynamic weaving).
-    pub(crate) fn program(&self) -> &Program {
+    pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// Mutable access to the program (design-time edits between runs;
-    /// edited functions re-lower on next call via `Rc` identity).
-    pub(crate) fn program_mut(&mut self) -> &mut Program {
-        &mut self.program
     }
 
     /// Calls a function by name with the given arguments.
@@ -171,7 +168,8 @@ impl Vm {
     /// # Errors
     ///
     /// * [`IrError::Unresolved`] — unknown function.
-    /// * [`IrError::Type`] / [`IrError::Eval`] — dynamic errors.
+    /// * [`IrError::Type`] / [`IrError::Eval`] — dynamic errors, and a
+    ///   reached function too large to lower.
     /// * [`IrError::BudgetExceeded`] — the work budget was exhausted.
     /// * [`IrError::CostOverflow`] — cost accounting overflowed.
     pub fn call(
@@ -227,16 +225,16 @@ impl Vm {
 
     /// The lowered chunk of `function`, the program's current definition
     /// of `name`.
-    fn chunk_for(&mut self, name: &str, function: Rc<Function>) -> Arc<Chunk> {
+    fn chunk_for(&mut self, name: &str, function: Rc<Function>) -> Result<Arc<Chunk>, IrError> {
         if let Some((cached_fn, chunk)) = self.memo.get(name) {
             if Rc::ptr_eq(cached_fn, &function) {
-                return Arc::clone(chunk);
+                return Ok(Arc::clone(chunk));
             }
         }
-        let chunk = Arc::new(lower_function(&function, &self.cost_model));
+        let chunk = Arc::new(lower_function(&function, &self.cost_model)?);
         self.memo
             .insert(name.to_string(), (function, Arc::clone(&chunk)));
-        chunk
+        Ok(chunk)
     }
 
     fn call_with_writeback(
@@ -256,7 +254,7 @@ impl Vm {
         };
 
         if let Some(function) = self.program.function(&resolved).cloned() {
-            let chunk = self.chunk_for(&resolved, function);
+            let chunk = self.chunk_for(&resolved, function)?;
             return self.exec_chunk(&chunk, args, env);
         }
         if let Some(value) = ops::try_builtin(
@@ -303,7 +301,7 @@ impl Vm {
             )));
         }
 
-        let frame_size = chunk.reg().frame_size;
+        let frame_size = chunk.frame_size;
         let (mut frame, mut types) = self.pool.pop().unwrap_or_default();
         frame.clear();
         frame.resize(frame_size, Value::Unit);
@@ -403,8 +401,7 @@ impl Vm {
         env: &mut ExecEnv,
         stats: &mut antarex_ir::cost::ExecStats,
     ) -> Result<Value, IrError> {
-        let reg = chunk.reg();
-        let code = &reg.code;
+        let code = &chunk.code;
         let budget = self.budget.unwrap_or(u64::MAX);
         let mut pc = 0usize;
         while pc < code.len() {
@@ -801,7 +798,7 @@ impl Vm {
                     store_slot(frame, types, slot, value);
                 }
                 RInstr::TraceHead { trace } => {
-                    let t = reg.traces[trace as usize];
+                    let t = chunk.traces[trace as usize];
                     match self.run_trace(&t, frame, types, stats, budget)? {
                         Some(exit) => pc = exit as usize,
                         None => {
@@ -1336,36 +1333,6 @@ fn store_slot(frame: &mut [Value], types: &[Option<Type>], slot: usize, mut valu
     frame[slot] = value;
 }
 
-impl Executor for Vm {
-    fn call(&mut self, name: &str, args: &[Value], env: &mut ExecEnv) -> Result<Value, IrError> {
-        Vm::call(self, name, args, env)
-    }
-
-    fn register_host(&mut self, name: String, f: HostFn) -> Option<HostFn> {
-        Vm::register_host(self, name, f)
-    }
-
-    fn set_budget(&mut self, budget: Option<u64>) {
-        Vm::set_budget(self, budget)
-    }
-
-    fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
-        Vm::set_dispatcher(self, dispatcher)
-    }
-
-    fn program(&self) -> &Program {
-        Vm::program(self)
-    }
-
-    fn program_mut(&mut self) -> &mut Program {
-        Vm::program_mut(self)
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "vm"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1513,29 +1480,31 @@ mod tests {
         let src =
             "void probe(int n) { for (int i = 0; i < n; i++) { record(\"iter\", i, i * i); } }";
         let program = parse_program(src).unwrap();
-        let run_traced = |engine: &mut dyn Executor| {
-            let collected = std::rc::Rc::new(RefCell::new(Vec::new()));
-            let sink = std::rc::Rc::clone(&collected);
-            engine.register_host(
-                "record".into(),
-                Box::new(move |args: &[Value]| {
-                    sink.borrow_mut().push(args.to_vec());
-                    Ok(Value::Unit)
-                }),
-            );
-            engine
-                .call("probe", &[Value::Int(4)], &mut ExecEnv::new())
-                .unwrap();
-            let trace = collected.borrow().clone();
-            trace
+        let recorder = || {
+            let collected = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&collected);
+            let host: HostFn = Box::new(move |args: &[Value]| {
+                sink.borrow_mut().push(args.to_vec());
+                Ok(Value::Unit)
+            });
+            (collected, host)
         };
         let interp_trace = {
+            let (collected, host) = recorder();
             let mut interp = Interp::new(program.clone());
-            run_traced(&mut interp)
+            interp.register_host("record", host);
+            interp
+                .call("probe", &[Value::Int(4)], &mut ExecEnv::new())
+                .unwrap();
+            collected.take()
         };
         let vm_trace = {
+            let (collected, host) = recorder();
             let mut vm = Vm::new(program);
-            run_traced(&mut vm)
+            vm.register_host("record", host);
+            vm.call("probe", &[Value::Int(4)], &mut ExecEnv::new())
+                .unwrap();
+            collected.take()
         };
         assert_eq!(interp_trace, vm_trace);
         assert_eq!(interp_trace.len(), 4);
@@ -1589,7 +1558,7 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("call depth"), "{err}");
         // the VM remains usable afterwards
-        *vm.program_mut() = parse_program("int g() { return 7; }").unwrap();
+        vm.program = parse_program("int g() { return 7; }").unwrap();
         assert_eq!(
             vm.call("g", &[], &mut ExecEnv::new()).unwrap(),
             Value::Int(7)
@@ -1604,7 +1573,7 @@ mod tests {
             vm.call("f", &[], &mut ExecEnv::new()).unwrap(),
             Value::Int(1)
         );
-        *vm.program_mut() = parse_program("int f() { return 2; }").unwrap();
+        vm.program = parse_program("int f() { return 2; }").unwrap();
         assert_eq!(
             vm.call("f", &[], &mut ExecEnv::new()).unwrap(),
             Value::Int(2)
@@ -1620,13 +1589,52 @@ mod tests {
     }
 
     #[test]
-    fn executor_trait_object_works() {
-        let program = parse_program("int inc(int x) { return x + 1; }").unwrap();
-        let mut engine: Box<dyn Executor> = Box::new(Vm::new(program));
-        assert_eq!(engine.engine_name(), "vm");
-        let out = engine
-            .call("inc", &[Value::Int(41)], &mut ExecEnv::new())
-            .unwrap();
-        assert_eq!(out, Value::Int(42));
+    fn tenants_of_one_program_run_the_cached_chunk() {
+        let cache = InstrumentedCodeCache::new();
+        let src = "int f(int x) { return x * x; }";
+        let mut a = Vm::with_cache(parse_program(src).unwrap(), CostModel::new(), &cache);
+        let mut b = Vm::with_cache(parse_program(src).unwrap(), CostModel::new(), &cache);
+        for vm in [&mut a, &mut b] {
+            let out = vm.call("f", &[Value::Int(6)], &mut ExecEnv::new());
+            assert_eq!(out, Ok(Value::Int(36)));
+        }
+        let compiled = cache.instrument(&parse_program(src).unwrap(), &CostModel::new());
+        let cached = compiled.get("f").expect("f lowered");
+        assert!(Arc::ptr_eq(&a.memo["f"].1, cached));
+        assert!(Arc::ptr_eq(&b.memo["f"].1, cached));
+        // the cache holds the register code the dispatch loop runs
+        assert!(matches!(cached.code.last(), Some(RInstr::RetUnit)));
+        assert!(cached.frame_size > cached.num_slots());
+        assert_eq!((cache.misses(), cache.hits()), (1, 2));
+    }
+
+    #[test]
+    fn a_function_too_large_to_encode_is_an_error_not_a_panic() {
+        // 16,400 locals leave no operand index for an expression temporary
+        let mut src = String::from("int f() {");
+        for i in 0..16_400 {
+            src.push_str(&format!(" int v{i} = {};", i % 7));
+        }
+        src.push_str(" return v0 + v16399; }");
+        let program = parse_program(&src).unwrap();
+        let expected = Err(IrError::Eval(
+            "function too large for register encoding".into(),
+        ));
+
+        let mut interp = Interp::new(program.clone());
+        let out = interp.call("f", &[], &mut ExecEnv::new());
+        assert_eq!(out, Ok(Value::Int(5)));
+
+        let mut vm = Vm::new(program.clone());
+        assert_eq!(vm.call("f", &[], &mut ExecEnv::new()), expected);
+
+        let cache = InstrumentedCodeCache::new();
+        let compiled = cache.instrument(&program, &CostModel::new());
+        assert!(
+            compiled.get("f").is_none(),
+            "the failed function is left out"
+        );
+        let mut vm = Vm::with_cache(program, CostModel::new(), &cache);
+        assert_eq!(vm.call("f", &[], &mut ExecEnv::new()), expected);
     }
 }

@@ -7,10 +7,10 @@
 //! so the offending case round-trips into a reproducible unit test.
 
 use antarex_ir::cost::ExecStats;
-use antarex_ir::interp::{ExecEnv, Interp};
+use antarex_ir::interp::{ExecEnv, HostFn, Interp};
 use antarex_ir::printer::print_program;
 use antarex_ir::value::Value;
-use antarex_ir::{analysis, parse_program, Executor, IrError, Program};
+use antarex_ir::{analysis, parse_program, IrError, Program};
 use antarex_vm::{CodeKey, Vm};
 use antarex_weaver::transform::dce::dce_fixpoint;
 use antarex_weaver::transform::fold::fold_block;
@@ -279,33 +279,40 @@ fn weave(program: &mut Program, seed: u64, count: u32) {
 
 type Trace = Rc<RefCell<Vec<Vec<Value>>>>;
 
-fn run_engine(
-    engine: &mut dyn Executor,
-    args: &[Value],
+/// A tight budget keeps generated-runaway cases fast; budget errors are
+/// themselves compared between the engines.
+const BUDGET: Option<u64> = Some(300_000);
+
+/// Runs one engine's `kernel` call: `call` receives the recording
+/// `probe` host to register and a fresh environment.
+fn observe(
+    call: impl FnOnce(HostFn, &mut ExecEnv) -> Result<Value, IrError>,
 ) -> (Result<Value, IrError>, ExecStats, Vec<Vec<Value>>) {
     let trace: Trace = Rc::new(RefCell::new(Vec::new()));
     let sink = Rc::clone(&trace);
-    engine.register_host(
-        "probe".into(),
-        Box::new(move |args: &[Value]| {
-            sink.borrow_mut().push(args.to_vec());
-            Ok(Value::Unit)
-        }),
-    );
-    // a tight budget keeps generated-runaway cases fast; budget errors
-    // are themselves compared between the engines
-    engine.set_budget(Some(300_000));
+    let probe: HostFn = Box::new(move |args: &[Value]| {
+        sink.borrow_mut().push(args.to_vec());
+        Ok(Value::Unit)
+    });
     let mut env = ExecEnv::new();
-    let result = engine.call("kernel", args, &mut env);
-    let observed = trace.borrow().clone();
+    let result = call(probe, &mut env);
+    let observed = trace.take();
     (result, env.stats, observed)
 }
 
 fn assert_engines_agree(program: &Program, args: &[Value], context: &str) {
-    let mut interp = Interp::new(program.clone());
-    let (ires, istats, itrace) = run_engine(&mut interp, args);
-    let mut vm = Vm::new(program.clone());
-    let (vres, vstats, vtrace) = run_engine(&mut vm, args);
+    let (ires, istats, itrace) = observe(|probe, env| {
+        let mut interp = Interp::new(program.clone());
+        interp.register_host("probe", probe);
+        interp.set_budget(BUDGET);
+        interp.call("kernel", args, env)
+    });
+    let (vres, vstats, vtrace) = observe(|probe, env| {
+        let mut vm = Vm::new(program.clone());
+        vm.register_host("probe", probe);
+        vm.set_budget(BUDGET);
+        vm.call("kernel", args, env)
+    });
 
     let source = print_program(program);
     match (&ires, &vres) {
