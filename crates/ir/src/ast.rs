@@ -9,7 +9,7 @@
 use crate::types::Type;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Binary operators, in C semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -378,9 +378,11 @@ impl Function {
 
 /// A whole program: an ordered map from name to function.
 ///
-/// Functions are stored behind [`Rc`] so the interpreter can hold the body of
+/// Functions are stored behind [`Arc`] so the interpreter can hold the body of
 /// the currently-executing function while a dynamic-weaving hook adds new
-/// (specialized) functions to the program.
+/// (specialized) functions to the program, and so a program is `Send +
+/// Sync`: evaluator threads share prebuilt programs and clone them by
+/// reference count.
 ///
 /// # Examples
 ///
@@ -395,7 +397,7 @@ impl Function {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
-    functions: BTreeMap<String, Rc<Function>>,
+    functions: BTreeMap<String, Arc<Function>>,
     /// Insertion order, for stable printing.
     order: Vec<String>,
 }
@@ -408,9 +410,9 @@ impl Program {
 
     /// Adds (or replaces) a function; returns the previous definition if the
     /// name was already bound.
-    pub fn insert(&mut self, function: Function) -> Option<Rc<Function>> {
+    pub fn insert(&mut self, function: Function) -> Option<Arc<Function>> {
         let name = function.name.clone();
-        let prev = self.functions.insert(name.clone(), Rc::new(function));
+        let prev = self.functions.insert(name.clone(), Arc::new(function));
         if prev.is_none() {
             self.order.push(name);
         }
@@ -418,7 +420,7 @@ impl Program {
     }
 
     /// Looks up a function by name.
-    pub fn function(&self, name: &str) -> Option<&Rc<Function>> {
+    pub fn function(&self, name: &str) -> Option<&Arc<Function>> {
         self.functions.get(name)
     }
 
@@ -433,7 +435,7 @@ impl Program {
     }
 
     /// Iterates over functions in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Rc<Function>> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<Function>> {
         self.order.iter().filter_map(|n| self.functions.get(n))
     }
 
@@ -449,8 +451,8 @@ impl Program {
 
     /// Applies an in-place edit to the named function.
     ///
-    /// The function is cloned out of its `Rc` (copy-on-write), mutated, and
-    /// reinserted, so outstanding `Rc` handles (e.g. a frame currently being
+    /// The function is cloned out of its `Arc` (copy-on-write), mutated, and
+    /// reinserted, so outstanding `Arc` handles (e.g. a frame currently being
     /// interpreted) keep seeing the old body — exactly the semantics of
     /// runtime code patching with in-flight activations.
     ///
@@ -468,7 +470,7 @@ impl Program {
             .ok_or_else(|| crate::IrError::Unresolved(name.to_string()))?;
         let mut function = (**rc).clone();
         edit(&mut function);
-        self.functions.insert(name.to_string(), Rc::new(function));
+        self.functions.insert(name.to_string(), Arc::new(function));
         Ok(())
     }
 }
@@ -569,7 +571,7 @@ mod tests {
     fn edit_function_is_copy_on_write() {
         let mut program = Program::new();
         program.insert(Function::new("f", None, vec![], vec![]));
-        let old_handle = Rc::clone(program.function("f").unwrap());
+        let old_handle = Arc::clone(program.function("f").unwrap());
         program
             .edit_function("f", |f| f.body.push(Stmt::Return(None)))
             .unwrap();

@@ -24,7 +24,7 @@ use crate::ops::{self, coerce_scalar, coerce_scalar_or_array, zero_of};
 use crate::types::Type;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Host (intrinsic) function: receives evaluated arguments, returns a value.
 pub type HostFn = Box<dyn FnMut(&[Value]) -> Result<Value, IrError>>;
@@ -249,7 +249,7 @@ impl Interp {
         };
 
         if let Some(function) = self.program.function(&resolved) {
-            let function = Rc::clone(function);
+            let function = Arc::clone(function);
             return self.exec_function(&function, args, env);
         }
         if let Some(value) = self.try_builtin(&resolved, &args, env)? {

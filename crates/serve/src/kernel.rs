@@ -9,6 +9,17 @@
 //! design-space-exploration rounds, or precision rungs replay it —
 //! the sharing story the VM's weave-time cache exists for.
 //!
+//! **Compile once, run once.** The kernel is parsed once, at
+//! construction. Each mantissa rung's precision variant is built once,
+//! on the first probe that asks for it, and kept; a probe hands a clone
+//! of the ready program (reference-counted functions) to
+//! [`Vm::with_cache`], so no probe parses or re-types anything. At full
+//! precision the tuned program *is* the reference program, so that
+//! probe runs it once and reports the one run as both segments. A probe
+//! of [`DEFAULT_KERNEL`] therefore costs a code-cache lookup and one or
+//! two VM runs, each a single native loop trace (`vm::trace`), plus a
+//! few dozen allocations for its inputs and frames.
+//!
 //! Like [`NavEvaluator`](crate::nav::NavEvaluator), the probe derives
 //! its input data from [`probe_seed`], making every evaluation a pure
 //! function of (configuration, workload features): the purity the pool
@@ -23,7 +34,7 @@ use antarex_ir::cost::CostModel;
 use antarex_ir::cost::ExecStats;
 use antarex_ir::value::Value;
 use antarex_ir::{parse_program, IrError, Program};
-use antarex_precision::vars::{float_vars, set_precision};
+use antarex_precision::vars::{float_vars, set_precision, FloatVar};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
@@ -44,6 +55,11 @@ pub const DEFAULT_KERNEL: &str = "double kernel(double a[], double b[], int n) {
     return acc;
 }";
 
+/// The narrowest mantissa rung the knob reaches.
+const MIN_BITS: u8 = 2;
+/// Full precision: the rung whose program is the parsed kernel itself.
+const FULL_BITS: u8 = 52;
+
 /// Evaluates precision design points of a mini-C kernel on the VM.
 ///
 /// Knob: `mantissa` (int, 2..=52) — the mantissa width every float
@@ -59,8 +75,14 @@ pub const DEFAULT_KERNEL: &str = "double kernel(double a[], double b[], int n) {
 /// per-probe figures are 256-element figures.)
 #[derive(Debug, Clone)]
 pub struct KernelEvaluator {
-    source: String,
     function: String,
+    /// The parsed kernel: the full-precision rung.
+    base: Program,
+    /// The kernel's float declarations, inventoried from `base`.
+    vars: Vec<FloatVar>,
+    /// One precision variant per rung `MIN_BITS..FULL_BITS`, built on the
+    /// rung's first probe.
+    rungs: Box<[OnceLock<Program>]>,
     cost_model: CostModel,
     cache: Arc<InstrumentedCodeCache>,
     /// Abstract metered cost units per virtual second (probe
@@ -70,27 +92,35 @@ pub struct KernelEvaluator {
     pub watts_per_unit_energy: f64,
 }
 
+/// One metered run under the evaluator's calibration.
+#[derive(Clone, Copy)]
+struct Metered {
+    value: f64,
+    latency_s: f64,
+    power_w: f64,
+    energy_j: f64,
+}
+
 impl KernelEvaluator {
     /// Creates an evaluator over `function` of the given mini-C source,
-    /// with a fresh instrumented-code cache.
+    /// with a fresh instrumented-code cache. Precision variants are
+    /// built lazily, one per rung, on first use.
     ///
     /// # Errors
     ///
     /// Returns [`IrError`] if the source fails to parse or lacks the
     /// function.
-    pub(crate) fn new(
-        source: impl Into<String>,
-        function: impl Into<String>,
-    ) -> Result<Self, IrError> {
-        let source = source.into();
-        let function = function.into();
-        let program = parse_program(&source)?;
-        if program.function(&function).is_none() {
-            return Err(IrError::Unresolved(function));
-        }
+    fn new(source: &str, function: &str) -> Result<Self, IrError> {
+        let base = parse_program(source)?;
+        let vars = float_vars(
+            base.function(function)
+                .ok_or_else(|| IrError::Unresolved(function.to_string()))?,
+        );
         Ok(KernelEvaluator {
-            source,
-            function,
+            function: function.to_string(),
+            base,
+            vars,
+            rungs: (MIN_BITS..FULL_BITS).map(|_| OnceLock::new()).collect(),
             cost_model: CostModel::new(),
             cache: Arc::new(InstrumentedCodeCache::new()),
             cost_per_second: 2.0e6,
@@ -100,7 +130,9 @@ impl KernelEvaluator {
 
     /// The standard FMA-reduction kernel ([`DEFAULT_KERNEL`]).
     pub fn fma() -> Self {
-        KernelEvaluator::new(DEFAULT_KERNEL, "kernel").expect("default kernel parses")
+        // cannot fire: `DEFAULT_KERNEL` is a constant that parses and
+        // defines `kernel` — every test in this module builds it
+        KernelEvaluator::new(DEFAULT_KERNEL, "kernel").expect("the default kernel parses")
     }
 
     /// The shared instrumented-code cache (hit/miss accounting).
@@ -108,40 +140,50 @@ impl KernelEvaluator {
         &self.cache
     }
 
-    /// The base program at full precision.
-    fn base_program(&self) -> Program {
-        parse_program(&self.source).expect("validated at construction")
-    }
-
-    /// The program with every float declaration lowered to `bits`.
-    fn variant(&self, bits: u8) -> Program {
-        let mut program = self.base_program();
-        let vars = program
-            .function(&self.function)
-            .map(|f| float_vars(f))
-            .unwrap_or_default();
-        for var in &vars {
-            set_precision(&mut program, &self.function, var, bits)
-                .expect("inventoried variable exists");
+    /// The program with every float declaration at `bits` of mantissa
+    /// (`MIN_BITS..=FULL_BITS`), built on the rung's first use.
+    fn rung(&self, bits: u8) -> &Program {
+        if bits >= FULL_BITS {
+            return &self.base;
         }
-        program
+        self.rungs[usize::from(bits - MIN_BITS)].get_or_init(|| {
+            let mut program = self.base.clone();
+            for var in &self.vars {
+                // cannot fire: `var` came from `float_vars` of this same
+                // function in `new`, so its declaration is where it says
+                set_precision(&mut program, &self.function, var, bits)
+                    .expect("an inventoried variable exists");
+            }
+            program
+        })
     }
 
-    /// Runs one program over the seeded inputs, returning the scalar
-    /// output and the metered statistics.
-    fn run(&self, program: Program, args: &[Value]) -> Result<(f64, ExecStats), IrError> {
-        let mut vm = Vm::with_cache(program, self.cost_model.clone(), &self.cache);
-        let (value, stats) = vm.run_segment(&self.function, args)?;
-        Ok((scalar(&value), stats))
+    /// Runs one program over the seeded `n`-element inputs and meters it.
+    fn run(&self, program: &Program, args: &[Value], n: usize) -> Metered {
+        let mut vm = Vm::with_cache(program.clone(), self.cost_model.clone(), &self.cache);
+        // cannot fire: the evaluator runs only `DEFAULT_KERNEL` (`new` is
+        // private), whose `(a, b, n)` signature `args` matches with `a`
+        // and `b` exactly n ≤ 256 floats long; its cost, ≈40 units per
+        // element whatever the data, stays under 10⁴ against the VM's
+        // 2·10⁸ budget
+        let (value, stats) = vm
+            .run_segment(&self.function, args)
+            .expect("the kernel runs within budget");
+        self.meter(scalar(&value), &stats, n)
     }
 
-    /// Converts one segment's metered stats to (virtual seconds,
-    /// joules) under the evaluator's calibration.
-    fn meter(&self, stats: &ExecStats, n: usize) -> (f64, f64) {
+    /// Converts one run's metered stats to virtual seconds, watts and
+    /// joules under the evaluator's calibration.
+    fn meter(&self, value: f64, stats: &ExecStats, n: usize) -> Metered {
         let latency_s = stats.cost as f64 / self.cost_per_second;
         // power is intensity, not total work: weight FP energy per element
         let power_w = 5.0 + self.watts_per_unit_energy * stats.flop_energy / n as f64;
-        (latency_s, power_w * latency_s)
+        Metered {
+            value,
+            latency_s,
+            power_w,
+            energy_j: power_w * latency_s,
+        }
     }
 }
 
@@ -163,42 +205,38 @@ impl Evaluator for KernelEvaluator {
         config: &Configuration,
         features: &[f64],
     ) -> (Evaluation, Vec<ProbeSegment>) {
-        let bits = config.get_int("mantissa").unwrap_or(52).clamp(2, 52) as u8;
+        let bits = config
+            .get_int("mantissa")
+            .unwrap_or(52)
+            .clamp(MIN_BITS.into(), FULL_BITS.into()) as u8;
         let n = features.first().copied().unwrap_or(32.0).clamp(4.0, 256.0) as usize;
         // inputs derive from the design key: identical (config, features)
         // pairs probe identical data forever
         let mut rng = StdRng::seed_from_u64(probe_seed(config, features));
         let a: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let args = vec![Value::from(a), Value::from(b), Value::Int(n as i64)];
+        let args = [Value::from(a), Value::from(b), Value::Int(n as i64)];
 
-        let (reference, ref_stats) = self
-            .run(self.base_program(), &args)
-            .expect("full-precision kernel runs");
-        let (tuned, stats) = if bits < 52 {
-            self.run(self.variant(bits), &args)
-                .expect("lowered kernel runs")
+        let reference = self.run(self.rung(FULL_BITS), &args, n);
+        // at full precision the tuned program is the reference program:
+        // the one run serves as both
+        let tuned = if bits < FULL_BITS {
+            self.run(self.rung(bits), &args, n)
         } else {
-            self.run(self.base_program(), &args)
-                .expect("full-precision kernel runs")
+            reference
         };
 
-        let error = (tuned - reference).abs() / reference.abs().max(1e-12);
-        let latency_s = stats.cost as f64 / self.cost_per_second;
-        // power is intensity, not total work: weight FP energy per element
-        let power_w = 5.0 + self.watts_per_unit_energy * stats.flop_energy / n as f64;
-        let (ref_cost_s, ref_energy_j) = self.meter(&ref_stats, n);
-        let (tuned_cost_s, tuned_energy_j) = self.meter(&stats, n);
+        let error = (tuned.value - reference.value).abs() / reference.value.abs().max(1e-12);
         let evaluation = Evaluation {
             metrics: [
-                ("latency".to_string(), latency_s),
+                ("latency".to_string(), tuned.latency_s),
                 ("error".to_string(), error),
-                ("power".to_string(), power_w),
+                ("power".to_string(), tuned.power_w),
             ]
             .into_iter()
             .collect(),
-            cost_s: latency_s,
-            energy_j: tuned_energy_j,
+            cost_s: tuned.latency_s,
+            energy_j: tuned.energy_j,
         };
         // the reference run is metered too, but only the tuned kernel
         // is the probe's billable work: segments describe both for the
@@ -206,13 +244,13 @@ impl Evaluator for KernelEvaluator {
         let segments = vec![
             ProbeSegment {
                 name: "reference",
-                cost_s: ref_cost_s,
-                energy_j: ref_energy_j,
+                cost_s: reference.latency_s,
+                energy_j: reference.energy_j,
             },
             ProbeSegment {
                 name: "tuned",
-                cost_s: tuned_cost_s,
-                energy_j: tuned_energy_j,
+                cost_s: tuned.latency_s,
+                energy_j: tuned.energy_j,
             },
         ];
         (evaluation, segments)
@@ -301,6 +339,122 @@ mod tests {
             "serving-tier replay must hit: {}",
             cache.hit_rate()
         );
+    }
+
+    /// The probe as it was before rungs were kept: a parse per run, a
+    /// fresh precision variant per tuned run, and two runs even at full
+    /// precision. The oracle `evaluate_segmented` must reproduce.
+    fn parse_per_probe(
+        evaluator: &KernelEvaluator,
+        config: &Configuration,
+        features: &[f64],
+    ) -> (Evaluation, Vec<ProbeSegment>) {
+        let base_program = || parse_program(DEFAULT_KERNEL).unwrap();
+        let variant = |bits: u8| {
+            let mut program = base_program();
+            let vars = float_vars(program.function("kernel").unwrap());
+            for var in &vars {
+                set_precision(&mut program, "kernel", var, bits).unwrap();
+            }
+            program
+        };
+        let run = |program: Program, args: &[Value]| {
+            let mut vm = Vm::with_cache(program, CostModel::new(), evaluator.cache());
+            let (value, stats) = vm.run_segment("kernel", args).unwrap();
+            (scalar(&value), stats)
+        };
+        let meter = |stats: &ExecStats, n: usize| {
+            let latency_s = stats.cost as f64 / evaluator.cost_per_second;
+            let power_w = 5.0 + evaluator.watts_per_unit_energy * stats.flop_energy / n as f64;
+            (latency_s, power_w * latency_s)
+        };
+
+        let bits = config.get_int("mantissa").unwrap_or(52).clamp(2, 52) as u8;
+        let n = features.first().copied().unwrap_or(32.0).clamp(4.0, 256.0) as usize;
+        let mut rng = StdRng::seed_from_u64(probe_seed(config, features));
+        let a: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let args = vec![Value::from(a), Value::from(b), Value::Int(n as i64)];
+
+        let (reference, ref_stats) = run(base_program(), &args);
+        let (tuned, stats) = if bits < 52 {
+            run(variant(bits), &args)
+        } else {
+            run(base_program(), &args)
+        };
+
+        let error = (tuned - reference).abs() / reference.abs().max(1e-12);
+        let latency_s = stats.cost as f64 / evaluator.cost_per_second;
+        let power_w = 5.0 + evaluator.watts_per_unit_energy * stats.flop_energy / n as f64;
+        let (ref_cost_s, ref_energy_j) = meter(&ref_stats, n);
+        let (tuned_cost_s, tuned_energy_j) = meter(&stats, n);
+        let evaluation = Evaluation {
+            metrics: [
+                ("latency".to_string(), latency_s),
+                ("error".to_string(), error),
+                ("power".to_string(), power_w),
+            ]
+            .into_iter()
+            .collect(),
+            cost_s: latency_s,
+            energy_j: tuned_energy_j,
+        };
+        let segments = vec![
+            ProbeSegment {
+                name: "reference",
+                cost_s: ref_cost_s,
+                energy_j: ref_energy_j,
+            },
+            ProbeSegment {
+                name: "tuned",
+                cost_s: tuned_cost_s,
+                energy_j: tuned_energy_j,
+            },
+        ];
+        (evaluation, segments)
+    }
+
+    /// Every float of a probe's outcome as raw bits, labelled.
+    fn probe_bits((evaluation, segments): &(Evaluation, Vec<ProbeSegment>)) -> Vec<(String, u64)> {
+        let mut bits: Vec<(String, u64)> = evaluation
+            .metrics
+            .iter()
+            .map(|(name, v)| (name.clone(), v.to_bits()))
+            .collect();
+        bits.push(("cost_s".into(), evaluation.cost_s.to_bits()));
+        bits.push(("energy_j".into(), evaluation.energy_j.to_bits()));
+        for segment in segments {
+            bits.push((format!("{}.cost_s", segment.name), segment.cost_s.to_bits()));
+            bits.push((
+                format!("{}.energy_j", segment.name),
+                segment.energy_j.to_bits(),
+            ));
+        }
+        bits
+    }
+
+    #[test]
+    fn kept_rungs_and_one_full_precision_run_reproduce_the_parse_per_probe_oracle() {
+        let evaluator = KernelEvaluator::fma();
+        for bits in 2..=52 {
+            for n in [1.0, 4.0, 37.0, 256.0, 4000.0] {
+                let features = [n];
+                let probe = evaluator.evaluate_segmented(&config(bits), &features);
+                let oracle = parse_per_probe(&evaluator, &config(bits), &features);
+                assert_eq!(
+                    probe_bits(&probe),
+                    probe_bits(&oracle),
+                    "mantissa {bits}, n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn programs_and_the_evaluator_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Program>();
+        assert_send_sync::<KernelEvaluator>();
     }
 
     #[test]

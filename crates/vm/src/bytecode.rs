@@ -184,6 +184,12 @@ impl Chunk {
         self.code.is_empty()
     }
 
+    /// Number of loops the register code runs as native traces
+    /// ([`crate::trace`]).
+    pub fn trace_count(&self) -> usize {
+        self.traces.len()
+    }
+
     /// Number of instructions that charge a fused static meter — the
     /// weave-time metering density the v1 experiment reports. Each
     /// block-granular [`Instr::Meter`] of the stack form fuses into

@@ -146,8 +146,8 @@ mod tests {
     #[test]
     fn concurrent_instrumentation_shares_one_lowering() {
         let cache = Arc::new(InstrumentedCodeCache::new());
-        // Program is not Send (Rc inside), so each thread parses its own
-        // copy — structural digesting still maps them to one cache entry.
+        // each thread parses its own copy: structural digesting, not
+        // pointer identity, maps them to one cache entry
         let src = "int f(int x) { return x * x; }";
         let handles: Vec<_> = (0..8)
             .map(|_| {

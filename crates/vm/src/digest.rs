@@ -269,18 +269,33 @@ fn fold_program(lanes: &mut Lanes, program: &Program) {
 }
 
 fn fold_model(lanes: &mut Lanes, model: &CostModel) {
+    // exhaustive, no `..`: a new cost field fails to compile here instead
+    // of silently aliasing the cache entries of models that differ in it
+    let CostModel {
+        int_op,
+        int_mul,
+        int_div,
+        float_op,
+        float_mul,
+        float_div,
+        mem_op,
+        reg_op,
+        loop_overhead,
+        call_overhead,
+        host_call,
+    } = *model;
     for field in [
-        model.int_op,
-        model.int_mul,
-        model.int_div,
-        model.float_op,
-        model.float_mul,
-        model.float_div,
-        model.mem_op,
-        model.reg_op,
-        model.loop_overhead,
-        model.call_overhead,
-        model.host_call,
+        int_op,
+        int_mul,
+        int_div,
+        float_op,
+        float_mul,
+        float_div,
+        mem_op,
+        reg_op,
+        loop_overhead,
+        call_overhead,
+        host_call,
     ] {
         lanes.mix(field);
     }
@@ -350,6 +365,36 @@ mod tests {
         let other = CodeKey::of(&program, &tweaked);
         assert_eq!(base.code, other.code, "code lane is model-independent");
         assert_ne!(base.metering, other.metering);
+    }
+
+    #[test]
+    fn every_cost_field_feeds_the_metering_lane() {
+        let program = parse_program("int f(int x) { return x + 1; }").unwrap();
+        let base = CodeKey::of(&program, &CostModel::new());
+        let bumps: [fn(&mut CostModel); 11] = [
+            |m| m.int_op += 1,
+            |m| m.int_mul += 1,
+            |m| m.int_div += 1,
+            |m| m.float_op += 1,
+            |m| m.float_mul += 1,
+            |m| m.float_div += 1,
+            |m| m.mem_op += 1,
+            |m| m.reg_op += 1,
+            |m| m.loop_overhead += 1,
+            |m| m.call_overhead += 1,
+            |m| m.host_call += 1,
+        ];
+        let mut seen = std::collections::HashSet::from([base.metering]);
+        for (field, bump) in bumps.iter().enumerate() {
+            let mut model = CostModel::new();
+            bump(&mut model);
+            let key = CodeKey::of(&program, &model);
+            assert_eq!(key.code, base.code, "field {field}: code lane moved");
+            assert!(
+                seen.insert(key.metering),
+                "field {field}: metering lane aliases another model"
+            );
+        }
     }
 
     #[test]

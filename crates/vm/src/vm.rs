@@ -19,7 +19,7 @@ use crate::bytecode::Chunk;
 use crate::cache::InstrumentedCodeCache;
 use crate::lower::lower_function;
 use crate::reg::{RInstr, IDX_MASK, TAG_MASK, TAG_SLOT};
-use crate::trace::{Bound, Trace, TraceKind};
+use crate::trace::{Bound, LoopPrec, Trace, TraceKind};
 use antarex_ir::ast::{BinOp, Function, Program};
 use antarex_ir::cost::{CostModel, ExecStats};
 use antarex_ir::error::IrError;
@@ -28,14 +28,13 @@ use antarex_ir::ops::{self, coerce_scalar, coerce_scalar_or_array, zero_of};
 use antarex_ir::types::Type;
 use antarex_ir::value::Value;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// The bytecode execution engine.
 ///
 /// Functions lower lazily on first call — straight to the register code
 /// the VM runs — and the chunk is memoized per function (invalidated
-/// when the program's `Rc<Function>` identity changes, e.g. after
+/// when the program's `Arc<Function>` identity changes, e.g. after
 /// `edit_function` or a dispatcher insertion).
 /// [`Vm::with_cache`] additionally seeds the memo from a shared
 /// [`InstrumentedCodeCache`], so a `(program digest, metering params)`
@@ -57,8 +56,8 @@ use std::sync::Arc;
 /// ```
 pub struct Vm {
     program: Program,
-    /// Per-function lowering memo, validated by `Rc` pointer identity.
-    memo: HashMap<String, (Rc<Function>, Arc<Chunk>)>,
+    /// Per-function lowering memo, validated by `Arc` pointer identity.
+    memo: HashMap<String, (Arc<Function>, Arc<Chunk>)>,
     cost_model: CostModel,
     budget: Option<u64>,
     hosts: HashMap<String, HostFn>,
@@ -129,7 +128,7 @@ impl Vm {
         for function in program.iter() {
             if let Some(chunk) = compiled.get(&function.name) {
                 if let Some(rc) = program.function(&function.name) {
-                    memo.insert(function.name.clone(), (Rc::clone(rc), Arc::clone(chunk)));
+                    memo.insert(function.name.clone(), (Arc::clone(rc), Arc::clone(chunk)));
                 }
             }
         }
@@ -225,9 +224,9 @@ impl Vm {
 
     /// The lowered chunk of `function`, the program's current definition
     /// of `name`.
-    fn chunk_for(&mut self, name: &str, function: Rc<Function>) -> Result<Arc<Chunk>, IrError> {
+    fn chunk_for(&mut self, name: &str, function: Arc<Function>) -> Result<Arc<Chunk>, IrError> {
         if let Some((cached_fn, chunk)) = self.memo.get(name) {
-            if Rc::ptr_eq(cached_fn, &function) {
+            if Arc::ptr_eq(cached_fn, &function) {
                 return Ok(Arc::clone(chunk));
             }
         }
@@ -838,12 +837,14 @@ impl Vm {
     /// in bounds, every element it will read a `Float`, and the counter
     /// never overflows. The loop then replays the *exact* charge sequence
     /// of the generic instructions — one checked charge per original
-    /// charge, in original order, with the budget checkpoint at the loop
-    /// tick and one `count_flops` call per float op so `flop_energy`
+    /// charge, in original order, with every budget checkpoint in its
+    /// original place (the loop tick, and `FmaTemp`'s mid-body meter
+    /// check) and one `count_flops` call per float op so `flop_energy`
     /// accumulates bit-identically. On an accounting failure mid-loop the
     /// frame is left exactly as the generic engine would leave it
-    /// (counter and accumulator at their last stored values) and, if the
-    /// failure falls inside the loop's pushed precision window, that push
+    /// (counter, accumulator and any temporary at their last stored
+    /// values, with the temporary's type binding) and, if the failure
+    /// falls inside one of the loop's pushed precision windows, that push
     /// is reconstructed before the error propagates.
     fn run_trace(
         &mut self,
@@ -883,9 +884,11 @@ impl Vm {
             None
         };
         let outer_prec = self.prec_ctx;
-        let eff_bits = types[t.prec_slot as usize]
-            .and_then(Type::mantissa_bits)
-            .unwrap_or(outer_prec);
+        let eff_bits = match t.prec {
+            LoopPrec::Of(slot) => types[slot as usize].and_then(Type::mantissa_bits),
+            LoopPrec::Bits(bits) => bits,
+        }
+        .unwrap_or(outer_prec);
         let unit = ops::flop_unit(eff_bits);
         let cm = &self.cost_model;
         let (c_int, c_intmul, c_fmul, c_fop) = (cm.int_op, cm.int_mul, cm.float_mul, cm.float_op);
@@ -1142,6 +1145,112 @@ impl Vm {
                 }
                 Ok(Some(t.exit))
             }
+            TraceKind::FmaTemp {
+                acc,
+                tmp,
+                tmp_ty,
+                scale,
+                arrs,
+            } => {
+                let (acc_slot, tmp_slot) = (acc as usize, tmp as usize);
+                let Value::Float(acc0) = frame[acc_slot] else {
+                    return Ok(None);
+                };
+                let acc_ty = types[acc_slot];
+                if acc_ty.is_some_and(|ty| !ty.is_float()) {
+                    return Ok(None);
+                }
+                // the matcher proved `scale` is never written in the body
+                let Value::Float(s) = frame[scale as usize] else {
+                    return Ok(None);
+                };
+                let Some((lo, hi)) = range else {
+                    stats.charge(c_int)?;
+                    return Ok(Some(t.exit));
+                };
+                // the second window runs under the accumulator's binding
+                let acc_bits = acc_ty.and_then(Type::mantissa_bits).unwrap_or(outer_prec);
+                let acc_unit = ops::flop_unit(acc_bits);
+                let (mut i, mut acc_v) = (i0, acc0);
+                // the temporary's last stored value, once an iteration
+                // has reached its declaration
+                let mut tmp_v: Option<f64> = None;
+                // an accounting failure, with the precision context of the
+                // window it fell in (`None`: between windows)
+                let fail: Option<(IrError, Option<u8>)> = {
+                    let mut items: [&[Value]; 3] = [&[]; 3];
+                    for (k, &slot) in arrs.iter().enumerate() {
+                        let Value::Array(arr) = &frame[slot as usize] else {
+                            return Ok(None);
+                        };
+                        if !all_floats(arr, lo, hi) {
+                            return Ok(None);
+                        }
+                        items[k] = arr.as_slice();
+                    }
+                    let [a, b, c] = items;
+                    let between = |e| (e, None);
+                    let in_decl = |e| (e, Some(eff_bits));
+                    let in_acc = |e| (e, Some(acc_bits));
+                    let mut body = || -> Result<(), (IrError, Option<u8>)> {
+                        loop {
+                            // head condition (always Int < Int here)
+                            stats.charge(c_int).map_err(between)?;
+                            if i >= bound {
+                                return Ok(());
+                            }
+                            stats.charge(t.tick_cost).map_err(between)?;
+                            stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.tick_mem));
+                            stats.loop_iters = stats.loop_iters.saturating_add(1);
+                            if stats.cost > budget {
+                                return Err((IrError::BudgetExceeded { limit: budget }, None));
+                            }
+                            // the declaration's window: two products, a sum
+                            stats.charge(c_fmul).map_err(in_decl)?;
+                            stats.count_flops(1, unit);
+                            let x = felem(a, i) * felem(b, i);
+                            stats.charge(c_fmul).map_err(in_decl)?;
+                            stats.count_flops(1, unit);
+                            let y = s * felem(c, i);
+                            stats.charge(c_fop).map_err(in_decl)?;
+                            stats.count_flops(1, unit);
+                            let tv = tmp_ty.quantize(x + y);
+                            tmp_v = Some(tv);
+                            // the mid-body meter and budget checkpoint
+                            stats.charge(t.meter_cost).map_err(between)?;
+                            stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.meter_mem));
+                            if stats.cost > budget {
+                                return Err((IrError::BudgetExceeded { limit: budget }, None));
+                            }
+                            // the accumulation's window
+                            stats.charge(c_fmul).map_err(in_acc)?;
+                            stats.count_flops(1, acc_unit);
+                            let sq = tv * tv;
+                            stats.charge(c_fop).map_err(in_acc)?;
+                            stats.count_flops(1, acc_unit);
+                            acc_v = quantize_opt(acc_ty, acc_v + sq);
+                            // the step's add; no meter on this back edge
+                            stats.charge(c_int).map_err(between)?;
+                            i = i.wrapping_add(t.step);
+                        }
+                    };
+                    body().err()
+                };
+                frame[t.ctr as usize] = Value::Int(i);
+                frame[acc_slot] = Value::Float(acc_v);
+                if let Some(tv) = tmp_v {
+                    types[tmp_slot] = Some(tmp_ty);
+                    frame[tmp_slot] = Value::Float(tv);
+                }
+                if let Some((e, window)) = fail {
+                    if let Some(bits) = window {
+                        self.prec_stack.push(outer_prec);
+                        self.set_prec(bits);
+                    }
+                    return Err(e);
+                }
+                Ok(Some(t.exit))
+            }
         }
     }
 }
@@ -1340,6 +1449,7 @@ mod tests {
     use antarex_ir::interp::Interp;
     use antarex_ir::parse_program;
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn run_both(src: &str, f: &str, args: &[Value]) -> ((Value, ExecStats), (Value, ExecStats)) {
         let program = parse_program(src).unwrap();
@@ -1606,6 +1716,85 @@ mod tests {
         assert!(matches!(cached.code.last(), Some(RInstr::RetUnit)));
         assert!(cached.frame_size > cached.num_slots());
         assert_eq!((cache.misses(), cache.hits()), (1, 2));
+    }
+
+    /// A traced chunk and the same chunk with every trace head restored
+    /// to the loop condition it replaced (the generic register tier).
+    fn traced_and_generic(function: &Function, model: &CostModel) -> (Chunk, Chunk) {
+        let traced = lower_function(function, model).unwrap();
+        let mut generic = traced.clone();
+        for instr in &mut generic.code {
+            if let RInstr::TraceHead { trace } = *instr {
+                let t = generic.traces[trace as usize];
+                *instr = RInstr::BinJumpIfFalsy {
+                    op: BinOp::Lt,
+                    l: t.cond_l,
+                    r: t.cond_r,
+                    target: t.exit,
+                };
+            }
+        }
+        generic.traces.clear();
+        (traced, generic)
+    }
+
+    #[test]
+    fn the_fma_trace_replays_the_generic_tier_at_every_failure_point() {
+        for ty in ["double", "float12"] {
+            // the serving tier's probe kernel at two precision rungs
+            let src = format!(
+                "{ty} kernel({ty} a[], {ty} b[], int n) {{
+                     {ty} acc = 0.0;
+                     {ty} scale = 0.5;
+                     for (int i = 0; i < n; i++) {{
+                         {ty} t = a[i] * b[i] + scale * a[i];
+                         acc += t * t;
+                     }}
+                     return acc;
+                 }}"
+            );
+            let program = parse_program(&src).unwrap();
+            let function = Arc::clone(program.function("kernel").unwrap());
+            let ramp =
+                |k: f64| Value::from((0..16).map(|i| i as f64 * k - 1.0).collect::<Vec<_>>());
+            let args = [ramp(0.125), ramp(-0.0625), Value::Int(16)];
+            let compare = |model: CostModel, budget: Option<u64>| {
+                let (traced, generic) = traced_and_generic(&function, &model);
+                assert_eq!(traced.traces.len(), 1, "{ty}");
+                let run = |chunk: Chunk| {
+                    let mut vm = Vm::new(program.clone()).with_cost_model(model.clone());
+                    vm.memo
+                        .insert("kernel".into(), (Arc::clone(&function), Arc::new(chunk)));
+                    vm.set_budget(budget);
+                    let mut env = ExecEnv::new();
+                    let out = vm.call("kernel", &args, &mut env);
+                    let s = env.stats;
+                    let stats = (s.cost, s.flops, s.flop_energy.to_bits(), s.mem_ops);
+                    (out, stats, s.loop_iters, vm.prec_ctx, vm.prec_stack)
+                };
+                let context = format!("{ty}, budget {budget:?}, {model:?}");
+                assert_eq!(run(traced), run(generic), "{context}");
+            };
+            // every budget from the call entry to past the loop's end
+            // exhausts at each checkpoint in turn (the loop tick, the
+            // mid-body meter check), then succeeds
+            for budget in 0..=700 {
+                compare(CostModel::new(), Some(budget));
+            }
+            // an operation that overflows the cost counter on its k-th
+            // charge fails inside the declaration's precision window, the
+            // accumulation's, or between them (the loop's int charges)
+            let huge: [fn(&mut CostModel, u64); 3] = [
+                |m, c| m.float_mul = c,
+                |m, c| m.float_op = c,
+                |m, c| m.int_op = c,
+            ];
+            for (bump, k) in huge.iter().flat_map(|b| (4..16).map(move |k| (b, k))) {
+                let mut model = CostModel::new();
+                bump(&mut model, u64::MAX / k);
+                compare(model, None);
+            }
+        }
     }
 
     #[test]

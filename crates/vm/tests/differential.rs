@@ -6,12 +6,13 @@
 //! On a mismatch the failure message embeds the pretty-printed program,
 //! so the offending case round-trips into a reproducible unit test.
 
+use antarex_ir::cost::CostModel;
 use antarex_ir::cost::ExecStats;
 use antarex_ir::interp::{ExecEnv, HostFn, Interp};
 use antarex_ir::printer::print_program;
 use antarex_ir::value::Value;
 use antarex_ir::{analysis, parse_program, IrError, Program};
-use antarex_vm::{CodeKey, Vm};
+use antarex_vm::{lower_function, CodeKey, Vm};
 use antarex_weaver::transform::dce::dce_fixpoint;
 use antarex_weaver::transform::fold::fold_block;
 use antarex_weaver::transform::inline::inline_calls;
@@ -301,16 +302,25 @@ fn observe(
 }
 
 fn assert_engines_agree(program: &Program, args: &[Value], context: &str) {
+    assert_engines_agree_under(program, args, context, BUDGET);
+}
+
+fn assert_engines_agree_under(
+    program: &Program,
+    args: &[Value],
+    context: &str,
+    budget: Option<u64>,
+) {
     let (ires, istats, itrace) = observe(|probe, env| {
         let mut interp = Interp::new(program.clone());
         interp.register_host("probe", probe);
-        interp.set_budget(BUDGET);
+        interp.set_budget(budget);
         interp.call("kernel", args, env)
     });
     let (vres, vstats, vtrace) = observe(|probe, env| {
         let mut vm = Vm::new(program.clone());
         vm.register_host("probe", probe);
-        vm.set_budget(BUDGET);
+        vm.set_budget(budget);
         vm.call("kernel", args, env)
     });
 
@@ -421,7 +431,7 @@ fn precision_sweep_is_bit_identical() {
 
 #[test]
 fn generated_programs_have_distinct_cache_keys() {
-    let model = antarex_ir::cost::CostModel::new();
+    let model = CostModel::new();
     let mut keys = std::collections::HashSet::new();
     let mut sources = Vec::new();
     for seed in 0..150u64 {
@@ -506,6 +516,30 @@ fn traced_loops_and_their_fallbacks_are_bit_identical() {
         Value::Float(7.0),
         Value::Float(8.0),
     ]);
+    // the serving tier's probe kernel (`serve::kernel::DEFAULT_KERNEL`):
+    // a declared temporary feeds the accumulator; `{ty}` is every float
+    // declaration's type, as the precision knob rewrites it
+    let fma = |ty: &str, a2: &str| {
+        format!(
+            "{ty} kernel({ty} a[], {ty} b[], int n) {{
+                 {ty} acc = 0.0;
+                 {ty} scale = 0.5;
+                 for (int i = 0; i < n; i++) {{
+                     {ty} t = a[i] * {a2}[i] + scale * a[i];
+                     acc += t * t;
+                 }}
+                 return acc;
+             }}"
+        )
+    };
+    let fma_double = fma("double", "b");
+    let fma_narrow = fma("float11", "b");
+    let fma_aliased = fma("double", "a");
+    for source in [&fma_double, &fma_narrow, &fma_aliased] {
+        let program = parse_program(source).unwrap();
+        let chunk = lower_function(program.function("kernel").unwrap(), &CostModel::new()).unwrap();
+        assert_eq!(chunk.trace_count(), 1, "the FMA body is traced:\n{source}");
+    }
     let big = ramp(16384);
     let cases: Vec<(&str, &str, Vec<Value>)> = vec![
         (
@@ -558,9 +592,52 @@ fn traced_loops_and_their_fallbacks_are_bit_identical() {
             dot,
             vec![big.clone(), big.clone(), Value::Int(16384)],
         ),
+        (
+            "fma traced",
+            fma_double.as_str(),
+            vec![a8.clone(), b8.clone(), Value::Int(8)],
+        ),
+        (
+            "fma reduced precision",
+            fma_narrow.as_str(),
+            vec![a8.clone(), b8.clone(), Value::Int(8)],
+        ),
+        (
+            "fma fallback: Int element",
+            fma_double.as_str(),
+            vec![mixed.clone(), b8.clone(), Value::Int(8)],
+        ),
+        (
+            "fma fallback: n past the array length",
+            fma_double.as_str(),
+            vec![a8.clone(), b8.clone(), Value::Int(12)],
+        ),
+        (
+            "fma zero iterations",
+            fma_double.as_str(),
+            vec![a8.clone(), b8.clone(), Value::Int(0)],
+        ),
+        (
+            "fma a and b the same array",
+            fma_aliased.as_str(),
+            vec![a8.clone(), b8.clone(), Value::Int(8)],
+        ),
     ];
     for (context, source, args) in cases {
         let program = parse_program(source).unwrap();
         assert_engines_agree(&program, &args, context);
+    }
+    // budget exhaustion: one FMA iteration charges 37 units with two
+    // budget checkpoints (the loop tick and the mid-body meter check), so
+    // sweeping the budget across more than one iteration's worth of cost
+    // exhausts it at each checkpoint in turn
+    let program = parse_program(&fma_double).unwrap();
+    for budget in 300..=340 {
+        assert_engines_agree_under(
+            &program,
+            &[ramp(64), ramp(64), Value::Int(64)],
+            &format!("fma budget exhaustion at {budget}"),
+            Some(budget),
+        );
     }
 }
