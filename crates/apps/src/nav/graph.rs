@@ -1,6 +1,13 @@
 //! Synthetic road network: an urban grid with a highway overlay.
+//!
+//! Edges are stored in compressed-sparse-row (CSR) form: one flat array
+//! holding every node's outgoing edges node by node, plus an offset per
+//! node. An edge's index in that array is its *flat edge id*, which the
+//! route planner uses to index its per-edge tables (congested cost,
+//! penalty flags) directly.
 
 use rand::Rng;
+use std::ops::Range;
 
 /// A directed edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,8 +24,11 @@ pub(crate) struct Edge {
 #[derive(Debug, Clone)]
 pub struct RoadNetwork {
     coords: Vec<(f64, f64)>,
-    adjacency: Vec<Vec<Edge>>,
-    edge_count: usize,
+    /// Every node's outgoing edges, node by node, each node's in the
+    /// order they were added.
+    edges: Vec<Edge>,
+    /// Node `v`'s edges are `edges[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
 }
 
 impl RoadNetwork {
@@ -33,12 +43,15 @@ impl RoadNetwork {
         assert!(n >= 2, "grid must be at least 2x2");
         let block_m = 500.0;
         let street_time = block_m / (50.0 / 3.6);
-        let mut network = RoadNetwork {
-            coords: (0..n * n)
-                .map(|i| ((i % n) as f64 * block_m, (i / n) as f64 * block_m))
-                .collect(),
-            adjacency: vec![Vec::new(); n * n],
-            edge_count: 0,
+        let mut adjacency: Vec<Vec<Edge>> = vec![Vec::new(); n * n];
+        let mut link = |a: usize, b: usize, base_time_s: f64, highway: bool| {
+            for (from, to) in [(a, b), (b, a)] {
+                adjacency[from].push(Edge {
+                    to,
+                    base_time_s,
+                    highway,
+                });
+            }
         };
         let id = |x: usize, y: usize| y * n + x;
         for y in 0..n {
@@ -46,10 +59,10 @@ impl RoadNetwork {
                 let mut jitter = || 1.0 + rng.gen_range(-0.15..0.25);
                 let (j1, j2) = (jitter(), jitter());
                 if x + 1 < n {
-                    network.add_bidirectional(id(x, y), id(x + 1, y), street_time * j1, false);
+                    link(id(x, y), id(x + 1, y), street_time * j1, false);
                 }
                 if y + 1 < n {
-                    network.add_bidirectional(id(x, y), id(x, y + 1), street_time * j2, false);
+                    link(id(x, y), id(x, y + 1), street_time * j2, false);
                 }
             }
         }
@@ -61,26 +74,25 @@ impl RoadNetwork {
         for fixed in [q1, q3] {
             let mut x = 0;
             while x + hop < n {
-                network.add_bidirectional(id(x, fixed), id(x + hop, fixed), hw_time, true);
-                network.add_bidirectional(id(fixed, x), id(fixed, x + hop), hw_time, true);
+                link(id(x, fixed), id(x + hop, fixed), hw_time, true);
+                link(id(fixed, x), id(fixed, x + hop), hw_time, true);
                 x += hop;
             }
         }
-        network
-    }
-
-    fn add_bidirectional(&mut self, a: usize, b: usize, time: f64, highway: bool) {
-        self.adjacency[a].push(Edge {
-            to: b,
-            base_time_s: time,
-            highway,
-        });
-        self.adjacency[b].push(Edge {
-            to: a,
-            base_time_s: time,
-            highway,
-        });
-        self.edge_count += 2;
+        let mut offsets = Vec::with_capacity(adjacency.len() + 1);
+        offsets.push(0);
+        let mut edges = Vec::with_capacity(adjacency.iter().map(Vec::len).sum());
+        for node_edges in adjacency {
+            edges.extend(node_edges);
+            offsets.push(edges.len());
+        }
+        RoadNetwork {
+            coords: (0..n * n)
+                .map(|i| ((i % n) as f64 * block_m, (i / n) as f64 * block_m))
+                .collect(),
+            edges,
+            offsets,
+        }
     }
 
     /// Number of nodes.
@@ -95,7 +107,24 @@ impl RoadNetwork {
 
     /// Outgoing edges of a node.
     pub(crate) fn edges(&self, node: usize) -> &[Edge] {
-        &self.adjacency[node]
+        &self.edges[self.edge_ids(node)]
+    }
+
+    /// Flat ids of a node's outgoing edges, in adjacency order.
+    pub(crate) fn edge_ids(&self, node: usize) -> Range<usize> {
+        self.offsets[node]..self.offsets[node + 1]
+    }
+
+    /// Flat id of a node's `edge_index`-th outgoing edge, if it exists.
+    pub(crate) fn edge_id(&self, node: usize, edge_index: usize) -> Option<usize> {
+        let start = *self.offsets.get(node)?;
+        let end = *self.offsets.get(node + 1)?;
+        (edge_index < end - start).then_some(start + edge_index)
+    }
+
+    /// Every edge, indexed by flat id.
+    pub(crate) fn all_edges(&self) -> &[Edge] {
+        &self.edges
     }
 
     /// Euclidean distance between two nodes, metres.
@@ -128,6 +157,23 @@ mod tests {
         assert!(edge_count > 360);
         // corner has exactly 2 street neighbours
         assert_eq!(network.edges(0).len(), 2);
+    }
+
+    #[test]
+    fn flat_ids_address_each_nodes_edges_in_order() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let network = RoadNetwork::city_grid(6, &mut rng);
+        let mut next_id = 0;
+        for node in 0..network.len() {
+            for (edge_index, edge) in network.edges(node).iter().enumerate() {
+                assert_eq!(network.edge_id(node, edge_index), Some(next_id));
+                assert_eq!(network.all_edges()[next_id], *edge);
+                next_id += 1;
+            }
+            assert_eq!(network.edge_id(node, network.edges(node).len()), None);
+        }
+        assert_eq!(next_id, network.all_edges().len());
+        assert_eq!(network.edge_id(network.len(), 0), None, "no such node");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! the "contextual information" (§III) the self-adaptive navigation
 //! server reacts to.
 
+use super::graph::RoadNetwork;
 use antarex_sim::workload::rush_hour_profile;
 use rand::Rng;
 
@@ -61,29 +62,48 @@ impl TrafficModel {
         self
     }
 
-    /// Congestion multiplier for an edge at a time of day.
-    pub(crate) fn multiplier(
-        &self,
-        from: usize,
-        edge_index: usize,
-        highway: bool,
-        time_of_day_s: f64,
-    ) -> f64 {
+    /// Rush-hour multiplier of a road class at a time of day: the part
+    /// of an edge's congestion every edge of the class shares.
+    pub(crate) fn profile(&self, highway: bool, time_of_day_s: f64) -> f64 {
         let peak = if highway {
             self.highway_peak
         } else {
             self.street_peak
         };
-        let mut m = rush_hour_profile(time_of_day_s, peak);
-        for incident in &self.incidents {
-            if incident.from == from
-                && incident.edge_index == edge_index
-                && (incident.start_s..incident.end_s).contains(&time_of_day_s)
-            {
-                m *= incident.severity;
+        rush_hour_profile(time_of_day_s, peak)
+    }
+
+    /// The incidents active at a time of day, in list order.
+    pub(crate) fn incidents_at(&self, time_of_day_s: f64) -> impl Iterator<Item = &Incident> {
+        self.incidents
+            .iter()
+            .filter(move |incident| (incident.start_s..incident.end_s).contains(&time_of_day_s))
+    }
+
+    /// Congested travel time of every edge of `network` at a time of day,
+    /// indexed by flat edge id: the free-flow time scaled by the edge's
+    /// multiplier, which is its class [`profile`](Self::profile) times
+    /// the severity of each active incident on the edge, applied in list
+    /// order. An incident naming an edge the network lacks slows nothing.
+    pub(crate) fn edge_costs(&self, network: &RoadNetwork, time_of_day_s: f64) -> Vec<f64> {
+        let class = [
+            self.profile(false, time_of_day_s),
+            self.profile(true, time_of_day_s),
+        ];
+        let edges = network.all_edges();
+        let mut multiplier: Vec<f64> = edges
+            .iter()
+            .map(|edge| class[usize::from(edge.highway)])
+            .collect();
+        for incident in self.incidents_at(time_of_day_s) {
+            if let Some(id) = network.edge_id(incident.from, incident.edge_index) {
+                multiplier[id] *= incident.severity;
             }
         }
-        m
+        for (m, edge) in multiplier.iter_mut().zip(edges) {
+            *m *= edge.base_time_s;
+        }
+        multiplier
     }
 }
 
@@ -103,34 +123,43 @@ mod tests {
     fn rush_hour_hits_streets_harder() {
         let traffic = TrafficModel::weekday();
         let rush = 8.0 * 3600.0;
-        let street = traffic.multiplier(0, 0, false, rush);
-        let highway = traffic.multiplier(0, 0, true, rush);
+        let street = traffic.profile(false, rush);
+        let highway = traffic.profile(true, rush);
         assert!(street > highway);
         assert!(street > 2.0);
         // night is quiet
-        assert!(traffic.multiplier(0, 0, false, 3.0 * 3600.0) < 1.3);
+        assert!(traffic.profile(false, 3.0 * 3600.0) < 1.3);
     }
 
     #[test]
     fn incidents_multiply_in_their_window() {
+        let network = RoadNetwork::city_grid(4, &mut StdRng::seed_from_u64(8));
+        let incident = |from, edge_index, severity| Incident {
+            from,
+            edge_index,
+            start_s: 100.0,
+            end_s: 200.0,
+            severity,
+        };
         let traffic = TrafficModel {
             street_peak: 1.0,
             highway_peak: 1.0,
-            incidents: vec![Incident {
-                from: 5,
-                edge_index: 1,
-                start_s: 100.0,
-                end_s: 200.0,
-                severity: 3.0,
-            }],
+            // two on one edge compound; one names an edge node 0 lacks
+            incidents: vec![
+                incident(5, 1, 3.0),
+                incident(0, 3, 9.0),
+                incident(5, 1, 2.0),
+            ],
         };
-        assert_eq!(traffic.multiplier(5, 1, false, 150.0), 3.0);
-        assert_eq!(traffic.multiplier(5, 1, false, 250.0), 1.0);
-        assert_eq!(
-            traffic.multiplier(5, 0, false, 150.0),
-            1.0,
-            "other edge clear"
-        );
+        let free = |id: usize| network.all_edges()[id].base_time_s;
+        let hit = network.edge_id(5, 1).unwrap();
+        let during = traffic.edge_costs(&network, 150.0);
+        assert_eq!(during[hit], free(hit) * (3.0 * 2.0));
+        let after = traffic.edge_costs(&network, 250.0);
+        assert_eq!(after[hit], free(hit));
+        for id in (0..during.len()).filter(|&id| id != hit) {
+            assert_eq!(during[id], free(id), "other edges clear");
+        }
     }
 
     #[test]

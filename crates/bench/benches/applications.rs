@@ -53,18 +53,24 @@ fn bench_routing(c: &mut Criterion) {
             black_box(shortest_path(&network, &traffic, 0, dest, 8.0 * 3600.0, true).unwrap())
         })
     });
-    c.bench_function("alternatives_k4_16x16", |b| {
-        b.iter(|| {
-            black_box(alternative_routes(
-                &network,
-                &traffic,
-                0,
-                dest,
-                8.0 * 3600.0,
-                4,
-            ))
-        })
-    });
+    // effort grows faster than k (each round searches a more penalized
+    // network); the cost per expansion should not
+    let mut group = c.benchmark_group("alternatives_16x16");
+    for k in [1, 4, 8] {
+        group.bench_function(BenchmarkId::new("k", k), |b| {
+            b.iter(|| {
+                black_box(alternative_routes(
+                    &network,
+                    &traffic,
+                    0,
+                    dest,
+                    8.0 * 3600.0,
+                    k,
+                ))
+            })
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_docking, bench_dispatch, bench_routing);

@@ -11,7 +11,7 @@
 use crate::cache::probe_seed;
 use crate::pool::Evaluation;
 use crate::service::Evaluator;
-use antarex_apps::nav::route::alternative_routes;
+use antarex_apps::nav::route::RoutePlanner;
 use antarex_apps::nav::{RoadNetwork, TrafficModel};
 use antarex_tuner::Configuration;
 use rand::rngs::StdRng;
@@ -68,18 +68,14 @@ impl Evaluator for NavEvaluator {
         let mut expanded_total = 0usize;
         let mut gain = 0.0;
         let mut counted = 0;
+        // one time of day, so one planner prices the network for all
+        // three origin–destination pairs
+        let mut planner = RoutePlanner::new(&self.network, &self.traffic, time_of_day_s);
         for _ in 0..3 {
             let origin = rng.gen_range(0..n);
             let offset = rng.gen_range(1..reach);
             let destination = (origin + offset) % n;
-            let routes = alternative_routes(
-                &self.network,
-                &self.traffic,
-                origin,
-                destination,
-                time_of_day_s,
-                alternatives,
-            );
+            let routes = planner.alternative_routes(origin, destination, alternatives);
             expanded_total += routes.iter().map(|r| r.expanded).sum::<usize>();
             if let Some(first) = routes.first() {
                 let best = routes

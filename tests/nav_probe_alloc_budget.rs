@@ -1,0 +1,91 @@
+//! Integration: the allocation budget of one navigation probe.
+//!
+//! A `NavEvaluator` probe plans three origin–destination pairs at one
+//! time of day. It should cost one route planner (an edge-cost table,
+//! penalty flags and the search buffers, allocated once and reused by
+//! all three pairs and every alternative), one node vector per route it
+//! returns, and the evaluation itself — not a fresh set of search
+//! buffers per search, a penalty list that grows with every route, or a
+//! node vector rebuilt by repeated pushes. This test warms one evaluator
+//! up and then counts the heap allocations of single probes at each
+//! archetype's features: at most 32 at `alternatives = 1` and 80 at
+//! `alternatives = 8`. The planner measures 19 and 42–43. It measured
+//! 43–52 and 285–331 when every search allocated its own buffers, so a
+//! per-search buffer or a per-route growth pattern fails tier-1 if it
+//! comes back.
+//! (The counts are exact, not timings: the headroom is not noise
+//! margin.)
+//!
+//! The counters are process-wide, so this binary holds exactly one test.
+
+use antarex::serve::driver::archetype_features;
+use antarex::serve::nav::NavEvaluator;
+use antarex::serve::Evaluator;
+use antarex::tuner::{Configuration, KnobValue};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+// Relaxed: the cell is a statistic that publishes no other data.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// `System`, counting every allocation.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(alternatives, allocation budget per probe)`.
+const BUDGETS: [(i64, u64); 2] = [(1, 32), (8, 80)];
+
+#[test]
+fn a_navigation_probe_stays_within_its_allocation_budget() {
+    let evaluator = NavEvaluator::city(2016);
+    let mut config = Configuration::new();
+    config.set("alternatives", KnobValue::Int(1));
+    // warm up: one-time lazy state (thread-locals, the RNG) is paid here
+    drop(evaluator.evaluate(&config, &archetype_features(0)));
+
+    for (alternatives, budget) in BUDGETS {
+        config.set("alternatives", KnobValue::Int(alternatives));
+        for archetype in 0..4 {
+            let features = archetype_features(archetype);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let probe = evaluator.evaluate(&config, &features);
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            drop(probe);
+            assert!(
+                allocs <= budget,
+                "an alternatives = {alternatives} probe at archetype {archetype} made \
+                 {allocs} allocations (budget {budget})"
+            );
+        }
+    }
+}
