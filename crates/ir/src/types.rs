@@ -68,23 +68,31 @@ impl Type {
 }
 
 /// Rounds `x` to `bits` explicit mantissa bits (round-to-nearest-even).
+///
+/// Branch-free on the data: adding `half - 1` plus the kept mantissa's
+/// lowest bit carries into that bit exactly when the dropped remainder
+/// is above half, or at half with an odd kept mantissa; the mask then
+/// drops the remainder. A carry out of the mantissa bumps the exponent,
+/// so the largest finite values round to infinity, and zeros and
+/// subnormals need no special case. Infinities and NaNs (exponent all
+/// ones) are selected through unchanged, payload included. The
+/// interpreter, the VM's generic tier, its native traces and argument
+/// copy-in all round through this one function.
 pub fn quantize_mantissa(x: f64, bits: u8) -> f64 {
     debug_assert!((1..=52).contains(&bits));
-    if bits >= 52 || !x.is_finite() || x == 0.0 {
+    if bits >= 52 {
         return x;
     }
+    const EXP_MASK: u64 = 0x7ff0_0000_0000_0000;
     let shift = 52 - u32::from(bits);
     let raw = x.to_bits();
-    let half = 1u64 << (shift - 1);
-    let mask = !((1u64 << shift) - 1);
-    let truncated = raw & mask;
-    let remainder = raw & !mask;
-    let rounded = if remainder > half || (remainder == half && (truncated >> shift) & 1 == 1) {
-        truncated.wrapping_add(1u64 << shift)
-    } else {
-        truncated
-    };
-    f64::from_bits(rounded)
+    let lsb = (raw >> shift) & 1;
+    // wrapping: only a NaN's add can pass `u64::MAX`, and the select
+    // below discards it
+    let rounded = raw.wrapping_add((1u64 << (shift - 1)) - 1 + lsb) & !((1u64 << shift) - 1);
+    // all ones when `x` is finite, zero for an infinity or a NaN
+    let finite = 0u64.wrapping_sub(u64::from(raw & EXP_MASK != EXP_MASK));
+    f64::from_bits((rounded & finite) | (raw & !finite))
 }
 
 impl fmt::Display for Type {
@@ -149,6 +157,99 @@ mod tests {
         assert_eq!(quantize_mantissa(1.25, 1), 1.0);
         // 1.75 is halfway between 1.5 and 2.0 -> ties to even (2.0).
         assert_eq!(quantize_mantissa(1.75, 1), 2.0);
+    }
+
+    /// The branchy rounding `quantize_mantissa` replaced: the oracle the
+    /// branch-free version must match bit for bit.
+    fn quantize_mantissa_branchy(x: f64, bits: u8) -> f64 {
+        if bits >= 52 || !x.is_finite() || x == 0.0 {
+            return x;
+        }
+        let shift = 52 - u32::from(bits);
+        let raw = x.to_bits();
+        let half = 1u64 << (shift - 1);
+        let mask = !((1u64 << shift) - 1);
+        let truncated = raw & mask;
+        let remainder = raw & !mask;
+        let rounded = if remainder > half || (remainder == half && (truncated >> shift) & 1 == 1) {
+            truncated.wrapping_add(1u64 << shift)
+        } else {
+            truncated
+        };
+        f64::from_bits(rounded)
+    }
+
+    fn assert_matches_oracle(raw: u64, bits: u8) {
+        let x = f64::from_bits(raw);
+        assert_eq!(
+            quantize_mantissa(x, bits).to_bits(),
+            quantize_mantissa_branchy(x, bits).to_bits(),
+            "x = {raw:#018x}, {bits} bits"
+        );
+    }
+
+    #[test]
+    fn branch_free_rounding_matches_the_branchy_oracle() {
+        const SIGN: u64 = 1 << 63;
+        const EXP: u64 = 0x7ff0_0000_0000_0000;
+        let one = 1.0f64.to_bits();
+        for bits in 1..=51u8 {
+            let shift = 52 - u32::from(bits);
+            let ulp = 1u64 << shift;
+            let half = ulp >> 1;
+            let mut cases = vec![
+                // ties: even kept mantissa stays, odd rounds up
+                one | half,
+                one | ulp | half,
+                // just either side of a tie
+                one | (half - 1),
+                one | ulp | (half + 1),
+                // a round-up that carries into the exponent
+                one | ((1 << 52) - 1),
+                // the largest finite value rounds to infinity; with the
+                // remainder below half it stays finite
+                f64::MAX.to_bits(),
+                (f64::MAX.to_bits() & !(ulp - 1)) | (half - 1),
+                // subnormals, their ties and their carry into the normals
+                1,
+                half,
+                half | ulp,
+                (1u64 << 52) - 1,
+                f64::MIN_POSITIVE.to_bits() - 1,
+                // zeros and infinities
+                0,
+                EXP,
+                // NaNs: quiet, signalling, payloads all over the mantissa
+                f64::NAN.to_bits(),
+                EXP | 1,
+                EXP | half,
+                EXP | ((1 << 52) - 1),
+            ];
+            cases.extend(cases.clone().into_iter().map(|raw| raw | SIGN));
+            for raw in cases {
+                assert_matches_oracle(raw, bits);
+            }
+        }
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        assert_eq!(
+            quantize_mantissa(nan, 8).to_bits(),
+            nan.to_bits(),
+            "payload kept"
+        );
+        assert_eq!(quantize_mantissa(f64::MAX, 12), f64::INFINITY);
+        assert_eq!(quantize_mantissa(-f64::MAX, 12), f64::NEG_INFINITY);
+        // seeded random bit patterns (SplitMix64), each at every width
+        let mut state = 2016u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            for bits in 1..=51u8 {
+                assert_matches_oracle(z, bits);
+            }
+        }
     }
 
     #[test]

@@ -11,14 +11,18 @@
 //!
 //! **Compile once, run once.** The kernel is parsed once, at
 //! construction. Each mantissa rung's precision variant is built once,
-//! on the first probe that asks for it, and kept; a probe hands a clone
-//! of the ready program (reference-counted functions) to
-//! [`Vm::with_cache`], so no probe parses or re-types anything. At full
-//! precision the tuned program *is* the reference program, so that
-//! probe runs it once and reports the one run as both segments. A probe
-//! of [`DEFAULT_KERNEL`] therefore costs a code-cache lookup and one or
-//! two VM runs, each a single native loop trace (`vm::trace`), plus a
-//! few dozen allocations for its inputs and frames.
+//! on the first probe that asks for it, and kept together with the
+//! [`CodeKey`] it digests to; a probe hands a clone of the ready program
+//! (reference-counted functions) and that key to
+//! [`Vm::with_cache_key`], so no probe parses, re-types or re-digests
+//! anything. The inputs are drawn straight into the argument vector and
+//! moved into the last run; only the reference run below full precision
+//! gets a copy. At full precision the tuned program *is* the reference
+//! program, so that probe runs it once and reports the one run as both
+//! segments. A probe of [`DEFAULT_KERNEL`] therefore costs a code-cache
+//! lookup and one or two VM runs, each a single native loop trace
+//! (`vm::trace`) rounding its narrow stores without a data-dependent
+//! branch, plus a few dozen allocations for its inputs and frames.
 //!
 //! Like [`NavEvaluator`](crate::nav::NavEvaluator), the probe derives
 //! its input data from [`probe_seed`], making every evaluation a pure
@@ -38,7 +42,7 @@ use antarex_precision::vars::{float_vars, set_precision, FloatVar};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
-use antarex_vm::{InstrumentedCodeCache, Vm};
+use antarex_vm::{CodeKey, InstrumentedCodeCache, Vm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
@@ -64,11 +68,12 @@ const FULL_BITS: u8 = 52;
 ///
 /// Knob: `mantissa` (int, 2..=52) — the mantissa width every float
 /// declaration in the kernel is lowered to. Workload features:
-/// `[problem_size]` (elements; defaults to 32).
+/// `[problem_size]` (elements; defaults to 32, as does a NaN size).
 ///
-/// The probe runs over `problem_size` clamped to `[4, 256]` elements.
-/// The clamp bounds a probe's cost, not its identity: the unclamped
-/// feature still keys the design-point cache and seeds the input data,
+/// The probe runs over `problem_size` clamped to `[4, 256]` elements,
+/// after a missing or NaN size has become the default 32. The clamp
+/// bounds a probe's cost, not its identity: the unclamped feature still
+/// keys the design-point cache and seeds the input data,
 /// so tenants asking for 300 and for 4,000 elements run distinct
 /// probes of the same 256-element size. (Of `serve_kernel_cold`'s 4,000
 /// tenants, sized 64‥4,159, all but about 190 run at n = 256 — its
@@ -77,12 +82,12 @@ const FULL_BITS: u8 = 52;
 pub struct KernelEvaluator {
     function: String,
     /// The parsed kernel: the full-precision rung.
-    base: Program,
+    base: Rung,
     /// The kernel's float declarations, inventoried from `base`.
     vars: Vec<FloatVar>,
     /// One precision variant per rung `MIN_BITS..FULL_BITS`, built on the
     /// rung's first probe.
-    rungs: Box<[OnceLock<Program>]>,
+    rungs: Box<[OnceLock<Rung>]>,
     cost_model: CostModel,
     cache: Arc<InstrumentedCodeCache>,
     /// Abstract metered cost units per virtual second (probe
@@ -90,6 +95,21 @@ pub struct KernelEvaluator {
     pub cost_per_second: f64,
     /// Watts per unit of precision-weighted FP energy per element.
     pub watts_per_unit_energy: f64,
+}
+
+/// One rung's program and the code key it digests to under the
+/// evaluator's cost model, computed once when the rung is built.
+#[derive(Debug, Clone)]
+struct Rung {
+    program: Program,
+    key: CodeKey,
+}
+
+impl Rung {
+    fn new(program: Program, cost_model: &CostModel) -> Self {
+        let key = CodeKey::of(&program, cost_model);
+        Rung { program, key }
+    }
 }
 
 /// One metered run under the evaluator's calibration.
@@ -116,12 +136,13 @@ impl KernelEvaluator {
             base.function(function)
                 .ok_or_else(|| IrError::Unresolved(function.to_string()))?,
         );
+        let cost_model = CostModel::new();
         Ok(KernelEvaluator {
             function: function.to_string(),
-            base,
+            base: Rung::new(base, &cost_model),
             vars,
             rungs: (MIN_BITS..FULL_BITS).map(|_| OnceLock::new()).collect(),
-            cost_model: CostModel::new(),
+            cost_model,
             cache: Arc::new(InstrumentedCodeCache::new()),
             cost_per_second: 2.0e6,
             watts_per_unit_energy: 0.02,
@@ -140,27 +161,32 @@ impl KernelEvaluator {
         &self.cache
     }
 
-    /// The program with every float declaration at `bits` of mantissa
-    /// (`MIN_BITS..=FULL_BITS`), built on the rung's first use.
-    fn rung(&self, bits: u8) -> &Program {
+    /// The rung with every float declaration at `bits` of mantissa
+    /// (`MIN_BITS..=FULL_BITS`), built and digested on its first use.
+    fn rung(&self, bits: u8) -> &Rung {
         if bits >= FULL_BITS {
             return &self.base;
         }
         self.rungs[usize::from(bits - MIN_BITS)].get_or_init(|| {
-            let mut program = self.base.clone();
+            let mut program = self.base.program.clone();
             for var in &self.vars {
                 // cannot fire: `var` came from `float_vars` of this same
                 // function in `new`, so its declaration is where it says
                 set_precision(&mut program, &self.function, var, bits)
                     .expect("an inventoried variable exists");
             }
-            program
+            Rung::new(program, &self.cost_model)
         })
     }
 
-    /// Runs one program over the seeded `n`-element inputs and meters it.
-    fn run(&self, program: &Program, args: &[Value], n: usize) -> Metered {
-        let mut vm = Vm::with_cache(program.clone(), self.cost_model.clone(), &self.cache);
+    /// Runs one rung over the seeded `n`-element inputs and meters it.
+    fn run(&self, rung: &Rung, args: Vec<Value>, n: usize) -> Metered {
+        let mut vm = Vm::with_cache_key(
+            rung.program.clone(),
+            self.cost_model.clone(),
+            &self.cache,
+            rung.key,
+        );
         // cannot fire: the evaluator runs only `DEFAULT_KERNEL` (`new` is
         // private), whose `(a, b, n)` signature `args` matches with `a`
         // and `b` exactly n ≤ 256 floats long; its cost, ≈40 units per
@@ -209,21 +235,32 @@ impl Evaluator for KernelEvaluator {
             .get_int("mantissa")
             .unwrap_or(52)
             .clamp(MIN_BITS.into(), FULL_BITS.into()) as u8;
-        let n = features.first().copied().unwrap_or(32.0).clamp(4.0, 256.0) as usize;
+        let n = features
+            .first()
+            .copied()
+            .filter(|size| !size.is_nan())
+            .unwrap_or(32.0)
+            .clamp(4.0, 256.0) as usize;
         // inputs derive from the design key: identical (config, features)
         // pairs probe identical data forever
         let mut rng = StdRng::seed_from_u64(probe_seed(config, features));
-        let a: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let args = [Value::from(a), Value::from(b), Value::Int(n as i64)];
+        let mut draw = || {
+            Value::Array(
+                (0..n)
+                    .map(|_| Value::Float(rng.gen_range(-1.0..1.0)))
+                    .collect(),
+            )
+        };
+        let args = vec![draw(), draw(), Value::Int(n as i64)];
 
-        let reference = self.run(self.rung(FULL_BITS), &args, n);
         // at full precision the tuned program is the reference program:
-        // the one run serves as both
-        let tuned = if bits < FULL_BITS {
-            self.run(self.rung(bits), &args, n)
+        // the one run serves as both, and takes the inputs
+        let (reference, tuned) = if bits < FULL_BITS {
+            let reference = self.run(self.rung(FULL_BITS), args.clone(), n);
+            (reference, self.run(self.rung(bits), args, n))
         } else {
-            reference
+            let reference = self.run(self.rung(FULL_BITS), args, n);
+            (reference, reference)
         };
 
         let error = (tuned.value - reference.value).abs() / reference.value.abs().max(1e-12);
@@ -324,6 +361,30 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_problem_size_probes_the_default_size() {
+        let evaluator = KernelEvaluator::fma();
+        for bits in [52, 12] {
+            let nan = evaluator.evaluate_segmented(&config(bits), &[f64::NAN]);
+            let (evaluation, segments) = &nan;
+            for (name, raw) in probe_bits(&nan) {
+                assert!(
+                    f64::from_bits(raw).is_finite(),
+                    "{name} of a NaN-sized probe"
+                );
+            }
+            // n = 32: the same metered cost as a 32-element probe (the
+            // kernel's cost depends on n alone, not on the data)
+            let sized = evaluator.evaluate_segmented(&config(bits), &[32.0]);
+            assert_eq!(evaluation.cost_s, sized.0.cost_s, "mantissa {bits}");
+            assert_eq!(segments[0].cost_s, sized.1[0].cost_s, "mantissa {bits}");
+            assert_ne!(
+                evaluation.cost_s,
+                evaluator.evaluate(&config(bits), &[31.0]).cost_s
+            );
+        }
+    }
+
+    #[test]
     fn replay_hits_the_instrumented_code_cache() {
         let evaluator = KernelEvaluator::fma();
         for round in 0..25 {
@@ -360,7 +421,7 @@ mod tests {
         };
         let run = |program: Program, args: &[Value]| {
             let mut vm = Vm::with_cache(program, CostModel::new(), evaluator.cache());
-            let (value, stats) = vm.run_segment("kernel", args).unwrap();
+            let (value, stats) = vm.run_segment("kernel", args.to_vec()).unwrap();
             (scalar(&value), stats)
         };
         let meter = |stats: &ExecStats, n: usize| {

@@ -58,7 +58,18 @@ impl InstrumentedCodeCache {
     /// (and caching) it on first sight of the pair. A function that
     /// fails to lower is left out of the result.
     pub fn instrument(&self, program: &Program, model: &CostModel) -> Arc<CompiledProgram> {
-        let key = CodeKey::of(program, model);
+        self.instrument_keyed(CodeKey::of(program, model), program, model)
+    }
+
+    /// [`InstrumentedCodeCache::instrument`] under a key the caller
+    /// already holds, which must be `CodeKey::of(program, model)`.
+    pub(crate) fn instrument_keyed(
+        &self,
+        key: CodeKey,
+        program: &Program,
+        model: &CostModel,
+    ) -> Arc<CompiledProgram> {
+        debug_assert_eq!(key, CodeKey::of(program, model), "a stale code key");
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(entry) => {

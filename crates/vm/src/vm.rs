@@ -15,8 +15,9 @@
 //! observable on successful paths — budget-check outcomes included — are
 //! identical.
 
-use crate::bytecode::Chunk;
+use crate::bytecode::{Chunk, CompiledProgram};
 use crate::cache::InstrumentedCodeCache;
+use crate::digest::CodeKey;
 use crate::lower::lower_function;
 use crate::reg::{RInstr, IDX_MASK, TAG_MASK, TAG_SLOT};
 use crate::trace::{Bound, LoopPrec, Trace, TraceKind};
@@ -27,6 +28,7 @@ use antarex_ir::interp::{Dispatcher, ExecEnv, HostFn, MAX_CALL_DEPTH};
 use antarex_ir::ops::{self, coerce_scalar, coerce_scalar_or_array, zero_of};
 use antarex_ir::types::Type;
 use antarex_ir::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,9 +38,9 @@ use std::sync::Arc;
 /// the VM runs — and the chunk is memoized per function (invalidated
 /// when the program's `Arc<Function>` identity changes, e.g. after
 /// `edit_function` or a dispatcher insertion).
-/// [`Vm::with_cache`] additionally seeds the memo from a shared
-/// [`InstrumentedCodeCache`], so a `(program digest, metering params)`
-/// pair lowers once process-wide.
+/// [`Vm::with_cache`] instead runs the chunks of a shared
+/// [`InstrumentedCodeCache`] entry, so a `(program digest, metering
+/// params)` pair lowers once process-wide.
 ///
 /// # Examples
 ///
@@ -56,6 +58,11 @@ use std::sync::Arc;
 /// ```
 pub struct Vm {
     program: Program,
+    /// The cached code of `program` as the VM was built with it
+    /// ([`Vm::with_cache`]): consulted first, with no identity check,
+    /// because nothing can edit the program while no dispatcher is
+    /// installed; [`Vm::set_dispatcher`] moves it into `memo`.
+    compiled: Option<Arc<CompiledProgram>>,
     /// Per-function lowering memo, validated by `Arc` pointer identity.
     memo: HashMap<String, (Arc<Function>, Arc<Chunk>)>,
     cost_model: CostModel,
@@ -91,6 +98,7 @@ impl Vm {
     pub fn new(program: Program) -> Self {
         Vm {
             program,
+            compiled: None,
             memo: HashMap::new(),
             cost_model: CostModel::new(),
             budget: Some(200_000_000),
@@ -104,36 +112,43 @@ impl Vm {
         }
     }
 
-    /// Replaces the cost model (clears the lowering memo — metering is
+    /// Replaces the cost model (drops the lowered code — metering is
     /// woven into the bytecode, so chunks are model-specific).
     pub(crate) fn with_cost_model(mut self, cost_model: CostModel) -> Self {
         self.cost_model = cost_model;
+        self.compiled = None;
         self.memo.clear();
         self
     }
 
-    /// Creates a VM whose lowering memo is seeded from (and populates)
-    /// the shared `cache`: the `(program digest, cost-model digest)` pair
-    /// lowers once and the instrumented chunks are shared across tenants,
-    /// DSE rounds and precision sweeps. A function the cache could not
-    /// lower is absent from the memo; [`Vm::call`] returns its lowering
-    /// error when execution reaches it.
+    /// Creates a VM that runs the instrumented code of the shared
+    /// `cache` (looked up, or lowered and cached, on the way in): the
+    /// `(program digest, cost-model digest)` pair lowers once and the
+    /// instrumented chunks are shared across tenants, DSE rounds and
+    /// precision sweeps. A function the cache could not lower has no
+    /// cached chunk; [`Vm::call`] returns its lowering error when
+    /// execution reaches it.
     pub fn with_cache(
         program: Program,
         cost_model: CostModel,
         cache: &InstrumentedCodeCache,
     ) -> Self {
-        let compiled = cache.instrument(&program, &cost_model);
-        let mut memo = HashMap::new();
-        for function in program.iter() {
-            if let Some(chunk) = compiled.get(&function.name) {
-                if let Some(rc) = program.function(&function.name) {
-                    memo.insert(function.name.clone(), (Arc::clone(rc), Arc::clone(chunk)));
-                }
-            }
-        }
+        let key = CodeKey::of(&program, &cost_model);
+        Vm::with_cache_key(program, cost_model, cache, key)
+    }
+
+    /// [`Vm::with_cache`] for a caller that already holds the program's
+    /// key, `CodeKey::of(&program, &cost_model)` — digested once when the
+    /// program was built, rather than on every VM built from it.
+    pub fn with_cache_key(
+        program: Program,
+        cost_model: CostModel,
+        cache: &InstrumentedCodeCache,
+        key: CodeKey,
+    ) -> Self {
+        let compiled = cache.instrument_keyed(key, &program, &cost_model);
         let mut vm = Vm::new(program).with_cost_model(cost_model);
-        vm.memo = memo;
+        vm.compiled = Some(compiled);
         vm
     }
 
@@ -149,8 +164,17 @@ impl Vm {
         self.hosts.insert(name.into(), f)
     }
 
-    /// Installs the dynamic-weaving dispatcher.
+    /// Installs the dynamic-weaving dispatcher. The dispatcher may edit
+    /// the program, so cached chunks move into the identity-checked memo.
     pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
+        if let Some(compiled) = self.compiled.take() {
+            for function in self.program.iter() {
+                if let Some(chunk) = compiled.get(&function.name) {
+                    let entry = (Arc::clone(function), Arc::clone(chunk));
+                    self.memo.insert(function.name.clone(), entry);
+                }
+            }
+        }
         self.dispatcher = Some(dispatcher);
     }
 
@@ -177,13 +201,23 @@ impl Vm {
         args: &[Value],
         env: &mut ExecEnv,
     ) -> Result<Value, IrError> {
+        self.call_owned(name, args.to_vec(), env)
+    }
+
+    /// [`Vm::call`] on arguments the VM may consume.
+    fn call_owned(
+        &mut self,
+        name: &str,
+        args: Vec<Value>,
+        env: &mut ExecEnv,
+    ) -> Result<Value, IrError> {
         // The interpreter's precision context is provably 52 at every
         // top-level entry (it restores on unwind even through errors);
         // the VM skips per-frame unwinding and re-establishes the
         // invariant here instead.
         self.set_prec(52);
         self.prec_stack.clear();
-        let (value, _) = self.call_with_writeback(name, args.to_vec(), env)?;
+        let (value, _) = self.call_with_writeback(name, args, false, env)?;
         Ok(value)
     }
 
@@ -192,7 +226,8 @@ impl Vm {
     /// `flops`, `flop_energy`, memory traffic — are returned alongside
     /// the value. This is the unit of metering the cross-layer tracing
     /// pipeline attributes energy to: one segment, one stats record,
-    /// no bleed-through from other calls on the same VM.
+    /// no bleed-through from other calls on the same VM. The arguments
+    /// are moved in, so array data is not copied on the way.
     ///
     /// # Errors
     ///
@@ -200,10 +235,10 @@ impl Vm {
     pub fn run_segment(
         &mut self,
         name: &str,
-        args: &[Value],
+        args: Vec<Value>,
     ) -> Result<(Value, ExecStats), IrError> {
         let mut env = ExecEnv::new();
-        let value = self.call(name, args, &mut env)?;
+        let value = self.call_owned(name, args, &mut env)?;
         Ok((value, env.stats))
     }
 
@@ -225,6 +260,9 @@ impl Vm {
     /// The lowered chunk of `function`, the program's current definition
     /// of `name`.
     fn chunk_for(&mut self, name: &str, function: Arc<Function>) -> Result<Arc<Chunk>, IrError> {
+        if let Some(chunk) = self.compiled.as_ref().and_then(|c| c.get(name)) {
+            return Ok(Arc::clone(chunk));
+        }
         if let Some((cached_fn, chunk)) = self.memo.get(name) {
             if Arc::ptr_eq(cached_fn, &function) {
                 return Ok(Arc::clone(chunk));
@@ -236,25 +274,29 @@ impl Vm {
         Ok(chunk)
     }
 
+    /// Calls `name`, returning with its value the final contents of its
+    /// array parameters when `copy_out` asks for them (a nested call's
+    /// copy-out; a top-level call discards them).
     fn call_with_writeback(
         &mut self,
         name: &str,
         args: Vec<Value>,
+        copy_out: bool,
         env: &mut ExecEnv,
     ) -> Result<(Value, Vec<(usize, Value)>), IrError> {
         // Dynamic-weaving hook: the dispatcher may redirect and/or extend
         // the program with specialized versions (which then lower lazily).
-        let resolved = if let Some(dispatcher) = self.dispatcher.as_mut() {
-            dispatcher
-                .resolve(name, &args, &mut self.program)?
-                .unwrap_or_else(|| name.to_string())
-        } else {
-            name.to_string()
+        let resolved = match self.dispatcher.as_mut() {
+            Some(dispatcher) => match dispatcher.resolve(name, &args, &mut self.program)? {
+                Some(redirect) => Cow::Owned(redirect),
+                None => Cow::Borrowed(name),
+            },
+            None => Cow::Borrowed(name),
         };
 
         if let Some(function) = self.program.function(&resolved).cloned() {
             let chunk = self.chunk_for(&resolved, function)?;
-            return self.exec_chunk(&chunk, args, env);
+            return self.exec_chunk(&chunk, args, copy_out, env);
         }
         if let Some(value) = ops::try_builtin(
             &resolved,
@@ -265,19 +307,20 @@ impl Vm {
         )? {
             return Ok((value, vec![]));
         }
-        if let Some(host) = self.hosts.get_mut(&resolved) {
+        if let Some(host) = self.hosts.get_mut(resolved.as_ref()) {
             env.stats.charge(self.cost_model.host_call)?;
             env.stats.host_calls = env.stats.host_calls.saturating_add(1);
             let value = host(&args)?;
             return Ok((value, vec![]));
         }
-        Err(IrError::Unresolved(resolved))
+        Err(IrError::Unresolved(resolved.into_owned()))
     }
 
     fn exec_chunk(
         &mut self,
         chunk: &Arc<Chunk>,
         args: Vec<Value>,
+        copy_out: bool,
         env: &mut ExecEnv,
     ) -> Result<(Value, Vec<(usize, Value)>), IrError> {
         if args.len() != chunk.params.len() {
@@ -307,7 +350,7 @@ impl Vm {
         types.clear();
         types.resize(chunk.num_slots(), None);
 
-        let result = self.exec_frame(chunk, args, &mut frame, &mut types, env);
+        let result = self.exec_frame(chunk, args, copy_out, &mut frame, &mut types, env);
 
         frame.clear();
         types.clear();
@@ -319,6 +362,7 @@ impl Vm {
         &mut self,
         chunk: &Arc<Chunk>,
         args: Vec<Value>,
+        copy_out: bool,
         frame: &mut [Value],
         types: &mut [Option<Type>],
         env: &mut ExecEnv,
@@ -364,7 +408,7 @@ impl Vm {
         // copy-out array parameters
         let mut writeback = Vec::new();
         for (i, param) in chunk.params.iter().enumerate() {
-            if param.is_array {
+            if copy_out && param.is_array {
                 match std::mem::replace(&mut frame[i], Value::Unit) {
                     Value::Unit => {}
                     value => writeback.push((i, value)),
@@ -685,7 +729,7 @@ impl Vm {
                     // across the boundary in both directions
                     env.stats = *stats;
                     let nested =
-                        self.call_with_writeback(&chunk.callees[callee as usize], args, env);
+                        self.call_with_writeback(&chunk.callees[callee as usize], args, true, env);
                     *stats = env.stats;
                     let (value, writeback) = nested?;
                     // copy-out: array arguments passed as plain variables
@@ -1710,12 +1754,50 @@ mod tests {
         }
         let compiled = cache.instrument(&parse_program(src).unwrap(), &CostModel::new());
         let cached = compiled.get("f").expect("f lowered");
-        assert!(Arc::ptr_eq(&a.memo["f"].1, cached));
-        assert!(Arc::ptr_eq(&b.memo["f"].1, cached));
+        for vm in [&a, &b] {
+            let seeded = vm.compiled.as_ref().and_then(|c| c.get("f"));
+            assert!(seeded.is_some_and(|chunk| Arc::ptr_eq(chunk, cached)));
+            assert!(vm.memo.is_empty(), "nothing lowered outside the cache");
+        }
         // the cache holds the register code the dispatch loop runs
         assert!(matches!(cached.code.last(), Some(RInstr::RetUnit)));
         assert!(cached.frame_size > cached.num_slots());
         assert_eq!((cache.misses(), cache.hits()), (1, 2));
+    }
+
+    #[test]
+    fn a_dispatcher_on_a_cached_vm_keeps_the_cached_chunks() {
+        struct Swap;
+        impl Dispatcher for Swap {
+            fn resolve(
+                &mut self,
+                callee: &str,
+                args: &[Value],
+                program: &mut Program,
+            ) -> Result<Option<String>, IrError> {
+                if callee == "g" && args == [Value::Int(2)] {
+                    let edited = parse_program("int g(int x) { return 100 + x; }").unwrap();
+                    program.insert((**edited.function("g").unwrap()).clone());
+                }
+                Ok(None)
+            }
+        }
+        let cache = InstrumentedCodeCache::new();
+        let src = "int g(int x) { return x; } int f(int x) { return g(x) * 2; }";
+        let mut vm = Vm::with_cache(parse_program(src).unwrap(), CostModel::new(), &cache);
+        vm.set_dispatcher(Box::new(Swap));
+        let compiled = cache.instrument(&parse_program(src).unwrap(), &CostModel::new());
+        for name in ["f", "g"] {
+            assert!(Arc::ptr_eq(&vm.memo[name].1, compiled.get(name).unwrap()));
+        }
+        let mut env = ExecEnv::new();
+        assert_eq!(vm.call("f", &[Value::Int(1)], &mut env), Ok(Value::Int(2)));
+        // the edit replaces `g`'s `Arc`: its cached chunk is stale
+        assert_eq!(
+            vm.call("f", &[Value::Int(2)], &mut env),
+            Ok(Value::Int(204))
+        );
+        assert!(Arc::ptr_eq(&vm.memo["f"].1, compiled.get("f").unwrap()));
     }
 
     /// A traced chunk and the same chunk with every trace head restored

@@ -2,14 +2,17 @@
 //!
 //! A `KernelEvaluator` probe should cost what it runs — the seeded
 //! inputs, a code-cache lookup, a VM frame per run and the evaluation it
-//! returns — not a re-parse of its kernel or a rebuild of its precision
-//! variant. This test warms one evaluator up on a rung (the rung's
-//! variant is built and lowered once, on first use) and then counts the
-//! heap allocations of single probes at mantissa 12 and n = 256: at most
-//! 64. The probe measures 41 (26 at full precision, which runs the
-//! kernel once). It measured 577 (280) when every probe parsed the
-//! kernel twice and re-typed it once, so a per-probe parse, variant
-//! build or AST copy fails tier-1 if it comes back. (The count is exact,
+//! returns — not a re-parse of its kernel, a rebuild of its precision
+//! variant or a copy of its inputs. This test warms one evaluator up on
+//! a rung (the rung's variant is built, digested and lowered once, on
+//! first use) and then counts the heap allocations of single probes at
+//! mantissa 12 and n = 256: at most 40. The probe measures 29 (18 at
+//! full precision, which runs the kernel once on the inputs it drew).
+//! It measured 41 (26) while the inputs were staged as `f64` vectors,
+//! copied into each run and the VM rebuilt a per-function memo on every
+//! construction, and 577 (280) when every probe parsed the kernel twice
+//! and re-typed it once, so a per-probe parse, variant build, AST copy
+//! or argument copy fails tier-1 if it comes back. (The count is exact,
 //! not a timing: the headroom is not noise margin.)
 //!
 //! The counters are process-wide, so this binary holds exactly one test.
@@ -57,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-const BUDGET: u64 = 64;
+const BUDGET: u64 = 40;
 
 #[test]
 fn a_precision_probe_stays_within_its_allocation_budget() {
