@@ -1,13 +1,14 @@
 //! Criterion: platform-simulator mechanism costs (experiments C1–C4
 //! building blocks).
 
+use antarex_rtrm::cluster_ctrl::{NodeController, RegionKind};
 use antarex_rtrm::governor::{run_with_governor, Governor, GovernorKind};
 use antarex_sim::cooling::CoolingPlant;
 use antarex_sim::job::WorkUnit;
 use antarex_sim::node::{Node, NodeSpec};
 use antarex_sim::thermal::ThermalModel;
 use antarex_sim::variability::ProcessVariation;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,5 +58,34 @@ fn bench_governors(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_node_execution, bench_models, bench_governors);
+/// One control decision on a cool node and on one warmed past the
+/// thermal clamp's 75 °C release, where the clamp predicts steady-state
+/// temperatures (e2e's `rtrm.cluster_ctrl.plan_ns_per_node` replays
+/// fresh 26 °C nodes and never reaches it).
+fn bench_plan(c: &mut Criterion) {
+    let cool = Node::nominal(NodeSpec::cineca_xeon(), 0);
+    let mut hot = Node::nominal(NodeSpec::cineca_xeon(), 1);
+    hot.set_inlet_temp(36.0);
+    hot.execute(&WorkUnit::compute_bound(5e13));
+    assert!(hot.temp_c() > NodeController::new().throttle.release_c);
+    let mut group = c.benchmark_group("rtrm/plan");
+    for (name, node) in [("cool_26c", cool), ("hot_clamp", hot)] {
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            let mut node = node.clone();
+            let mut ctl = NodeController::new();
+            ctl.set_cap(260.0);
+            let raw = Some(node.temp_c());
+            b.iter(|| black_box(ctl.plan(&mut node, RegionKind::Compute, 64.0, 0.0, raw)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_node_execution,
+    bench_models,
+    bench_governors,
+    bench_plan
+);
 criterion_main!(benches);

@@ -429,16 +429,21 @@ pub fn run_profile(
         }
 
         // --- parallel: every node steps independently ----------------
-        let chunk = slots.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for chunk_slots in slots.chunks_mut(chunk) {
-                scope.spawn(|| {
-                    for slot in chunk_slots {
-                        step_slot(slot, &schedule, t, dt, ckpt_interval_s, scale, flat_pstate);
-                    }
-                });
+        let step_chunk = |chunk_slots: &mut [NodeSlot]| {
+            for slot in chunk_slots {
+                step_slot(slot, &schedule, t, dt, ckpt_interval_s, scale, flat_pstate);
             }
-        });
+        };
+        if workers == 1 {
+            step_chunk(&mut slots);
+        } else {
+            let chunk = slots.len().div_ceil(workers);
+            std::thread::scope(|scope| {
+                for chunk_slots in slots.chunks_mut(chunk) {
+                    scope.spawn(|| step_chunk(chunk_slots));
+                }
+            });
+        }
 
         // --- sequential merge, node-index order ----------------------
         let mut it_power_w = 0.0;

@@ -301,8 +301,11 @@ impl NodeController {
     /// One control decision: senses temperature through the hardened
     /// channel, picks the per-region P-state under the cap at the
     /// *sensed* temperature, then applies the local thermal-emergency
-    /// clamp (hysteresis: engaged while the die is above the release
-    /// temperature) and programs the node.
+    /// clamp (hysteresis: engaged while the die is at or above the
+    /// release temperature) and programs the node. The clamp tests the
+    /// cap-chosen state first ([`ThermalThrottle`]'s `clamp`), so a hot
+    /// die whose chosen state is already safe costs one steady-state
+    /// prediction, not one per P-state.
     pub fn plan(
         &mut self,
         node: &mut Node,
@@ -319,20 +322,11 @@ impl NodeController {
             &self.capper,
             sensed.temp_c,
         );
-        let mut pstate = chosen;
-        let mut throttled = false;
-        if node.temp_c() >= self.throttle.release_c {
-            let mut safe = 0;
-            for idx in 0..node.spec().pstates.len() {
-                if node.steady_temp_at(idx, 1.0) <= self.throttle.limit_c {
-                    safe = idx;
-                }
-            }
-            if safe < pstate {
-                pstate = safe;
-                throttled = true;
-            }
-        }
+        let (pstate, throttled) = if node.temp_c() >= self.throttle.release_c {
+            self.throttle.clamp(node, chosen)
+        } else {
+            (chosen, false)
+        };
         node.set_pstate(pstate);
         NodePlan {
             pstate,

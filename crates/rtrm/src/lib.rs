@@ -42,3 +42,6 @@ pub mod powercap;
 pub mod replay;
 pub mod scheduler;
 pub mod thermal_ctrl;
+
+#[cfg(test)]
+mod scan_oracles;

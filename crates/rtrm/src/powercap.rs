@@ -88,13 +88,24 @@ pub fn estimated_power_w(node: &Node, pstate_index: usize) -> f64 {
 /// fall back to a pessimistic 95 °C so a lying sensor can only
 /// over-estimate power and back off.
 pub fn estimated_power_at_temp(node: &Node, pstate_index: usize, temp_c: f64) -> f64 {
-    let temp_c = if temp_c.is_finite() { temp_c } else { 95.0 };
-    let pstate = node.spec().pstates.state(pstate_index);
-    let per_socket =
-        node.spec()
-            .socket_power
-            .total_w(pstate, 1.0, temp_c, node.variation().leakage_factor);
-    per_socket * node.spec().sockets as f64
+    let spec = node.spec();
+    let per_socket = spec.socket_power.total_w(
+        spec.pstates.state(pstate_index),
+        1.0,
+        worst_if_unsensed(temp_c),
+        node.variation().leakage_factor,
+    );
+    per_socket * spec.sockets as f64
+}
+
+/// The temperature a power estimate uses: a non-finite reading becomes
+/// a pessimistic 95 °C.
+fn worst_if_unsensed(temp_c: f64) -> f64 {
+    if temp_c.is_finite() {
+        temp_c
+    } else {
+        95.0
+    }
 }
 
 /// A node power capper.
@@ -130,14 +141,25 @@ impl PowerCapper {
     /// should shed load instead). A controller behind a degraded sensor
     /// channel regulates against what it sensed, never ground truth (see
     /// [`estimated_power_at_temp`]).
+    ///
+    /// Leakage depends on the temperature, not on the P-state, so it is
+    /// evaluated once per decision. The scan runs top-down and stops at
+    /// the first state under the cap: the same index as keeping the last
+    /// pass of a bottom-up scan, with no monotonicity assumed.
     pub(crate) fn admissible_pstate_at_temp(&self, node: &Node, temp_c: f64) -> usize {
-        let mut chosen = 0;
-        for idx in 0..node.spec().pstates.len() {
-            if estimated_power_at_temp(node, idx, temp_c) <= self.cap_w {
-                chosen = idx;
-            }
-        }
-        chosen
+        let spec = node.spec();
+        let leakage_w = spec
+            .socket_power
+            .leakage_w(worst_if_unsensed(temp_c), node.variation().leakage_factor);
+        (0..spec.pstates.len())
+            .rev()
+            .find(|&idx| {
+                let per_socket =
+                    spec.socket_power
+                        .total_with_leakage_w(spec.pstates.state(idx), 1.0, leakage_w);
+                per_socket * spec.sockets as f64 <= self.cap_w
+            })
+            .unwrap_or(0)
     }
 }
 

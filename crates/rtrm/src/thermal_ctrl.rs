@@ -12,6 +12,7 @@
 
 use antarex_sim::job::WorkUnit;
 use antarex_sim::node::Node;
+use std::ops::Range;
 
 /// Hysteresis P-state throttle keeping the junction under a limit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,18 +32,46 @@ impl ThermalThrottle {
         }
     }
 
+    /// Whether the node's full-load steady-state junction temperature at
+    /// P-state `idx` is at or below the limit.
+    fn is_safe(&self, node: &Node, idx: usize) -> bool {
+        node.steady_temp_at(idx, 1.0) <= self.limit_c
+    }
+
+    /// The fastest thermally safe P-state in `states`, if any. The scan
+    /// runs top-down and stops at the first safe state: the same index
+    /// as keeping the last pass of a bottom-up scan, with no monotonicity
+    /// of steady temperature in the P-state assumed.
+    fn fastest_safe(&self, node: &Node, states: Range<usize>) -> Option<usize> {
+        states.rev().find(|&idx| self.is_safe(node, idx))
+    }
+
+    /// The thermal-emergency clamp on a P-state `chosen` by the capper:
+    /// `(pstate, throttled)`, where `pstate` is the fastest safe state
+    /// (0 if none is safe) whenever that is slower than `chosen`, and
+    /// `chosen` otherwise. `chosen` is tested first, so a decision the
+    /// clamp does not touch costs one steady-state prediction; the states
+    /// above it are tried before any below, so the answer is exact even
+    /// where a faster state would be safe and `chosen` is not.
+    pub(crate) fn clamp(&self, node: &Node, chosen: usize) -> (usize, bool) {
+        let len = node.spec().pstates.len();
+        if self.is_safe(node, chosen) || self.fastest_safe(node, chosen + 1..len).is_some() {
+            return (chosen, false);
+        }
+        let safe = self.fastest_safe(node, 0..chosen).unwrap_or(0);
+        (safe, safe < chosen)
+    }
+
     /// Adjusts the node's P-state: model-predictive selection of the
     /// fastest state whose full-load steady-state junction temperature
-    /// respects the limit, with hysteresis on re-acceleration (the node
-    /// must cool below `release_c` before speeding back up). Returns
-    /// `true` if a throttling (slow-down) action was taken.
+    /// respects the limit (0 if none does), with hysteresis on
+    /// re-acceleration (the node must cool below `release_c` before
+    /// speeding back up). Returns `true` if a throttling (slow-down)
+    /// action was taken.
     pub(crate) fn regulate(&self, node: &mut Node) -> bool {
-        let mut target = 0;
-        for idx in 0..node.spec().pstates.len() {
-            if node.steady_temp_at(idx, 1.0) <= self.limit_c {
-                target = idx;
-            }
-        }
+        let target = self
+            .fastest_safe(node, 0..node.spec().pstates.len())
+            .unwrap_or(0);
         let current = node.pstate_index();
         if target < current {
             node.set_pstate(target);

@@ -56,7 +56,7 @@ impl PowerParams {
     /// The evaluation temperature saturates at 105 °C: beyond that point
     /// real parts hit thermal protection, and an unclamped exponential
     /// would make the leakage–temperature feedback loop diverge.
-    pub(crate) fn leakage_w(&self, temp_c: f64, process_factor: f64) -> f64 {
+    pub fn leakage_w(&self, temp_c: f64, process_factor: f64) -> f64 {
         let temp_c = temp_c.clamp(-25.0, 105.0);
         self.leak_w_at_ref
             * self
@@ -67,7 +67,15 @@ impl PowerParams {
 
     /// Total power.
     pub fn total_w(&self, pstate: PState, activity: f64, temp_c: f64, process_factor: f64) -> f64 {
-        self.constant_w + self.dynamic_w(pstate, activity) + self.leakage_w(temp_c, process_factor)
+        self.total_with_leakage_w(pstate, activity, self.leakage_w(temp_c, process_factor))
+    }
+
+    /// [`PowerParams::total_w`] with the leakage term already evaluated:
+    /// a caller comparing several P-states at one temperature pays the
+    /// `powf` once. Adds the terms in `total_w`'s order, so the two agree
+    /// bit for bit.
+    pub fn total_with_leakage_w(&self, pstate: PState, activity: f64, leakage_w: f64) -> f64 {
+        self.constant_w + self.dynamic_w(pstate, activity) + leakage_w
     }
 }
 

@@ -2,7 +2,8 @@
 //! heat wave with degraded telemetry — the facility loop never hands out
 //! more than the ambient-shrunk IT budget, every node decision respects
 //! its cap, a dropped and a stuck sensor channel walk their degradation
-//! ladders, and the whole trajectory is a pure function of its inputs.
+//! ladders, and the whole trajectory is a pure function of its inputs,
+//! pinned bit for bit by a golden digest (thermal clamps included).
 
 use antarex::obs::MetricsRegistry;
 use antarex::rtrm::cluster_ctrl::{
@@ -163,4 +164,49 @@ fn heat_wave_with_degraded_telemetry_stays_under_every_cap() {
 #[test]
 fn the_control_trajectory_is_a_pure_function_of_its_inputs() {
     assert_eq!(heat_wave_run(), heat_wave_run());
+}
+
+/// 64-bit FNV-1a over a trajectory: every f64 by its bits, every plan's
+/// P-state, fill and throttle flag.
+fn trajectory_digest(steps: &[Step]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for step in steps {
+        eat(step.ambient_c.to_bits());
+        eat(step.it_budget_w.to_bits());
+        for cap in &step.caps_w {
+            eat(cap.to_bits());
+        }
+        for plan in &step.plans {
+            eat(plan.pstate as u64);
+            eat(plan.sensed.temp_c.to_bits());
+            eat(plan.sensed.fill as u64);
+            eat(u64::from(plan.throttled));
+        }
+    }
+    hash
+}
+
+/// [`trajectory_digest`] of [`heat_wave_run`], captured from the build
+/// before the thermal clamp and the capper scanned top-down.
+const GOLDEN: u64 = 0xa049_fea5_c064_35da;
+
+#[test]
+fn the_control_trajectory_is_pinned_bit_for_bit() {
+    let steps = heat_wave_run();
+    let throttled = steps
+        .iter()
+        .flat_map(|s| &s.plans)
+        .filter(|p| p.throttled)
+        .count();
+    assert!(throttled > 0, "the run must reach the thermal clamp");
+    assert_eq!(
+        trajectory_digest(&steps),
+        GOLDEN,
+        "a P-state, cap, sensed value or throttle flag moved"
+    );
 }
