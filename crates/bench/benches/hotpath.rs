@@ -3,9 +3,14 @@
 //! Times the four operations the serving layer performs per request —
 //! knowledge-base `best()` (indexed vs the retained linear reference),
 //! online `learn()`, the Pareto filter, and design-point cache probes
-//! (structural key vs the retained string reference).
+//! (structural key vs the retained string reference) — and then the
+//! whole request: one warm navigation batch of 64 cache hits through
+//! `serve_batch` (`serve/cache_hit`).
 
 use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};
+use antarex_serve::driver::DriverConfig;
+use antarex_serve::nav::NavEvaluator;
+use antarex_serve::{BatchReport, TuningRequest};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::KnobValue;
 use antarex_tuner::space::Configuration;
@@ -113,11 +118,65 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// 32 navigation tenants over four archetypes, each asking twice per
+/// batch: once the campaign has settled, every request is a cache hit.
+fn bench_serve_cache_hit(c: &mut Criterion) {
+    const TENANTS: u64 = 32;
+    let service = DriverConfig {
+        tenants: TENANTS as usize,
+        archetypes: 4,
+        ..DriverConfig::smoke(2016)
+    }
+    .campaign()
+    .build(NavEvaluator::city(2016));
+    let mut batch: Vec<TuningRequest> = (0..2 * TENANTS)
+        .map(|slot| TuningRequest {
+            tenant: slot % TENANTS,
+            arrival_s: slot as f64 / (4 * TENANTS) as f64,
+        })
+        .collect();
+    // each batch one virtual second after the last
+    let next = |batch: &mut Vec<TuningRequest>| {
+        for request in batch.iter_mut() {
+            request.arrival_s += 1.0;
+        }
+    };
+    let all_hits = |report: &BatchReport| {
+        report.evaluated == 0
+            && report
+                .responses
+                .iter()
+                .all(|r| r.as_ref().is_ok_and(|answer| answer.cache_hit))
+    };
+    let mut quiet = 0;
+    for _ in 0..256 {
+        next(&mut batch);
+        quiet = if all_hits(&service.serve_batch(&batch)) {
+            quiet + 1
+        } else {
+            0
+        };
+        if quiet == 8 {
+            break;
+        }
+    }
+    assert_eq!(quiet, 8, "the campaign settles onto cached points");
+    let mut group = c.benchmark_group("serve/cache_hit");
+    group.bench_function(BenchmarkId::from_parameter("nav_batch_64"), |b| {
+        b.iter(|| {
+            next(&mut batch);
+            black_box(service.serve_batch(black_box(&batch)))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_select,
     bench_learn,
     bench_pareto,
-    bench_cache
+    bench_cache,
+    bench_serve_cache_hit
 );
 criterion_main!(benches);

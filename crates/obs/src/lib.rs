@@ -60,7 +60,8 @@ pub use export::{burn_exposition, exposition};
 pub use hist::{Histogram, Snapshot as HistSnapshot, STANDARD_QUANTILES};
 pub use metrics::{Counter, Gauge, MetricValue, MetricsRegistry, Scope};
 pub(crate) use slo::SloBank;
-pub use span::{SpanId, Tracer};
+pub use slo::SloVerdict;
+pub use span::{SpanAt, SpanId, SpanName, Tracer};
 pub use trace::{Layer, TraceCtx, TraceEvent, TraceId, TraceStore};
 
 /// A complete observability plane: one registry, one tracer, one SLO

@@ -42,6 +42,40 @@ struct Slo {
     report: SlaReport,
 }
 
+/// An upper-bound SLO check whose verdict the caller already took
+/// (`ok` is `value <= threshold`), for the SLO bank to book in one
+/// call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SloVerdict {
+    /// Tenant id.
+    pub tenant: u64,
+    /// Objective name.
+    pub objective: &'static str,
+    /// The bound the verdict was taken against; registers the pair on
+    /// its first check, as an upper-bound check does.
+    pub threshold: f64,
+    /// Whether the objective was met.
+    pub ok: bool,
+}
+
+type Slos = BTreeMap<String, BTreeMap<u64, Slo>>;
+
+/// The objective's tenants, registering the objective on first use.
+fn tenants_of<'a>(slos: &'a mut Slos, objective: &str) -> &'a mut BTreeMap<u64, Slo> {
+    if !slos.contains_key(objective) {
+        slos.insert(objective.to_string(), BTreeMap::new());
+    }
+    slos.get_mut(objective).expect("registered above")
+}
+
+/// The tenant's SLO, registered at `threshold` on first use.
+fn slo_of(tenants: &mut BTreeMap<u64, Slo>, tenant: u64, threshold: f64) -> &mut Slo {
+    tenants.entry(tenant).or_insert(Slo {
+        threshold,
+        report: SlaReport::default(),
+    })
+}
+
 /// Per-tenant SLO bank: registers objectives lazily and accumulates
 /// violation records deterministically (storage and
 /// [`burn_rates`](SloBank::burn_rates) are ordered, so iteration and
@@ -55,7 +89,7 @@ pub struct SloBank {
     /// seen; the objective is the outer key because there are a
     /// handful of objectives and thousands of tenants (one map node per
     /// tenant would be mostly empty slots).
-    slos: Mutex<BTreeMap<String, BTreeMap<u64, Slo>>>,
+    slos: Mutex<Slos>,
 }
 
 impl SloBank {
@@ -74,30 +108,44 @@ impl SloBank {
     /// later calls ignore the argument (SLAs renegotiate explicitly,
     /// not implicitly per measurement).
     pub fn check_upper(&self, tenant: u64, objective: &str, threshold: f64, value: f64) -> bool {
-        let mut slos = match self.slos.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let tenants = match slos.get_mut(objective) {
-            Some(tenants) => tenants,
-            None => slos.entry(objective.to_string()).or_default(),
-        };
-        let slo = tenants.entry(tenant).or_insert(Slo {
-            threshold,
-            report: SlaReport::default(),
-        });
+        let mut slos = self.lock();
+        let slo = slo_of(tenants_of(&mut slos, objective), tenant, threshold);
         let ok = value <= slo.threshold;
         slo.report.record(ok);
         ok
     }
 
+    /// Books checks whose verdicts the caller took, in order, under one
+    /// lock — what a batch of [`check_upper`](SloBank::check_upper)
+    /// calls books when each pair's registered threshold is the one
+    /// its verdict was taken against. A run of verdicts for one
+    /// objective looks the objective up once.
+    pub fn record(&self, verdicts: &[SloVerdict]) {
+        if verdicts.is_empty() {
+            return;
+        }
+        let mut slos = self.lock();
+        for run in verdicts.chunk_by(|a, b| a.objective == b.objective) {
+            let tenants = tenants_of(&mut slos, run[0].objective);
+            for verdict in run {
+                slo_of(tenants, verdict.tenant, verdict.threshold)
+                    .report
+                    .record(verdict.ok);
+            }
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slos> {
+        match self.slos.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     /// Burn-rate rows for every registered `(tenant, objective)`,
     /// in `(tenant, objective)` order.
     pub fn burn_rates(&self) -> Vec<BurnRow> {
-        let slos = match self.slos.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let slos = self.lock();
         let mut rows: Vec<BurnRow> = slos
             .iter()
             .flat_map(|(objective, tenants)| {
@@ -116,11 +164,7 @@ impl SloBank {
 
     /// Number of registered `(tenant, objective)` pairs.
     pub(crate) fn len(&self) -> usize {
-        let slos = match self.slos.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slos.values().map(BTreeMap::len).sum()
+        self.lock().values().map(BTreeMap::len).sum()
     }
 }
 
@@ -185,6 +229,33 @@ mod tests {
             1,
             "threshold stays 1.0"
         );
+    }
+
+    #[test]
+    fn recorded_verdicts_book_what_checks_would() {
+        let checked = SloBank::new(0.99);
+        let recorded = SloBank::new(0.99);
+        let checks = [
+            (3, "latency", 0.5, 0.25),
+            (1, "energy", 10.0, 12.0),
+            (3, "latency", 0.5, 0.75),
+            (1, "latency", 0.5, 0.5),
+        ];
+        let mut verdicts = Vec::new();
+        for (tenant, objective, threshold, value) in checks {
+            let ok = checked.check_upper(tenant, objective, threshold, value);
+            assert_eq!(ok, value <= threshold);
+            verdicts.push(SloVerdict {
+                tenant,
+                objective,
+                threshold,
+                ok,
+            });
+        }
+        recorded.record(&verdicts);
+        recorded.record(&[]);
+        assert_eq!(recorded.burn_rates(), checked.burn_rates());
+        assert_eq!(recorded.len(), 3);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! Spans land in a fixed-capacity ring buffer: recording is one
 //! mutex-protected slot write, no allocation after construction, and
 //! the oldest spans are overwritten on wraparound — bounded memory no
-//! matter how long the service runs.
+//! matter how long the service runs. A hot path names its spans by
+//! [`SpanName`] (interned once, on first use) and records a parent with
+//! its children under one lock ([`Tracer::record_family`]); the ids,
+//! parents and names are the ones the same spans recorded one by one
+//! through [`Tracer::record`] get.
 //!
 //! [`Tracer::folded`] aggregates the ring into folded-stack lines
 //! (`root;child;leaf <weight>`), the input format of flamegraph
@@ -22,7 +26,7 @@
 use crate::metrics::Counter;
 use antarex_tuner::intern::{intern, SymbolId};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Identifier of a recorded span. `SpanId(0)` means "no parent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -62,12 +66,82 @@ impl SpanRecord {
     }
 }
 
+/// A span name a hot path records under, interned on its first use
+/// rather than when the program starts: interning order assigns every
+/// later name its id, and the ids of knob names feed design-key hashes,
+/// so interning a span name ahead of its first use would renumber every
+/// name interned in between.
+pub struct SpanName {
+    name: &'static str,
+    id: OnceLock<SymbolId>,
+}
+
+impl SpanName {
+    /// A name not yet interned.
+    pub const fn new(name: &'static str) -> Self {
+        SpanName {
+            name,
+            id: OnceLock::new(),
+        }
+    }
+
+    /// The interned id: the table's lock is taken on the first call
+    /// only.
+    pub fn id(&self) -> SymbolId {
+        *self.id.get_or_init(|| intern(self.name))
+    }
+}
+
+/// One span of a [`Tracer::record_family`]: name and `[start, end]` in
+/// virtual seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanAt {
+    /// Interned span name.
+    pub name: SymbolId,
+    /// Virtual start time (seconds).
+    pub start_s: f64,
+    /// Virtual end time (seconds).
+    pub end_s: f64,
+}
+
 struct Ring {
     slots: Vec<SpanRecord>,
     capacity: usize,
     head: usize,
     recorded: u64,
     next_id: u64,
+}
+
+impl Ring {
+    /// Writes one span, assigning the next id. `end_s` is clamped up
+    /// to `start_s`.
+    fn push(
+        &mut self,
+        dropped: &Counter,
+        span: SpanAt,
+        tenant: Option<u64>,
+        parent: SpanId,
+    ) -> SpanId {
+        let id = SpanId(self.next_id);
+        self.next_id += 1;
+        self.recorded += 1;
+        let record = SpanRecord {
+            id,
+            parent,
+            name: span.name,
+            tenant,
+            start_s: span.start_s,
+            end_s: span.end_s.max(span.start_s),
+        };
+        if self.slots.len() < self.capacity {
+            self.slots.push(record);
+        } else {
+            self.slots[self.head] = record;
+            dropped.inc();
+        }
+        self.head = (self.head + 1) % self.capacity;
+        id
+    }
 }
 
 /// Fixed-capacity span recorder (see module docs).
@@ -92,6 +166,13 @@ impl Tracer {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        match self.ring.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     /// Records a completed span and returns its id for use as a
     /// child's `parent`. `end_s` is clamped up to `start_s` so a
     /// malformed interval can never produce negative durations.
@@ -103,31 +184,36 @@ impl Tracer {
         start_s: f64,
         end_s: f64,
     ) -> SpanId {
-        let record = SpanRecord {
-            id: SpanId::NONE, // assigned under the lock
-            parent,
+        let span = SpanAt {
             name: intern(name),
-            tenant,
             start_s,
-            end_s: end_s.max(start_s),
+            end_s,
         };
-        let mut ring = match self.ring.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let id = SpanId(ring.next_id);
-        ring.next_id += 1;
-        ring.recorded += 1;
-        let record = SpanRecord { id, ..record };
-        if ring.slots.len() < ring.capacity {
-            ring.slots.push(record);
-        } else {
-            let head = ring.head;
-            ring.slots[head] = record;
-            self.dropped.inc();
+        self.record_id(span, tenant, parent)
+    }
+
+    /// [`record`](Tracer::record) under an already-interned name.
+    pub fn record_id(&self, span: SpanAt, tenant: Option<u64>, parent: SpanId) -> SpanId {
+        self.lock().push(&self.dropped, span, tenant, parent)
+    }
+
+    /// Records `root` under `parent` and then each of `children` under
+    /// `root`, all for one tenant and under one lock, and returns
+    /// `root`'s id. The spans get the ids they would get recorded one
+    /// by one in that order.
+    pub fn record_family(
+        &self,
+        root: SpanAt,
+        children: &[SpanAt],
+        tenant: Option<u64>,
+        parent: SpanId,
+    ) -> SpanId {
+        let mut ring = self.lock();
+        let root_id = ring.push(&self.dropped, root, tenant, parent);
+        for &child in children {
+            ring.push(&self.dropped, child, tenant, root_id);
         }
-        ring.head = (ring.head + 1) % ring.capacity;
-        id
+        root_id
     }
 
     /// Spans lost to ring wraparound (each overwrite evicts one).
@@ -144,27 +230,17 @@ impl Tracer {
 
     /// Total spans ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        match self.ring.lock() {
-            Ok(guard) => guard.recorded,
-            Err(poisoned) => poisoned.into_inner().recorded,
-        }
+        self.lock().recorded
     }
 
     /// Spans currently held (≤ capacity).
     pub(crate) fn len(&self) -> usize {
-        match self.ring.lock() {
-            Ok(guard) => guard.slots.len(),
-            Err(poisoned) => poisoned.into_inner().slots.len(),
-        }
+        self.lock().slots.len()
     }
 
     /// The retained spans in record order (oldest first).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let ring = match self.ring.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let mut out = ring.slots.clone();
+        let mut out = self.lock().slots.clone();
         out.sort_by_key(|span| span.id);
         out
     }
@@ -292,6 +368,62 @@ mod tests {
         let folds = tracer.folded();
         assert_eq!(folds.len(), 1);
         assert_eq!(folds[0].0, "child", "orphan folds as a root");
+    }
+
+    #[test]
+    fn id_and_family_recording_match_recording_by_name() {
+        // a batch, a request with three children, an error request with
+        // none, then one more span — through a ring small enough to
+        // wrap, so the drop accounting is compared too
+        let at = |name: &str, start_s: f64, end_s: f64| SpanAt {
+            name: intern(name),
+            start_s,
+            end_s,
+        };
+        let children = [
+            at("select", 0.0, 0.1),
+            at("cache_probe", 0.1, 0.2),
+            at("learn", 0.5, 0.4),
+        ];
+        let by_name = Tracer::new(5);
+        let batch = by_name.record("batch", None, SpanId::NONE, 0.0, 2.0);
+        let request = by_name.record("request", Some(7), batch, 0.0, 0.5);
+        for child in &children {
+            by_name.record(
+                child.name.name(),
+                Some(7),
+                request,
+                child.start_s,
+                child.end_s,
+            );
+        }
+        let failed = by_name.record("request", Some(8), batch, 1.0, 1.0);
+        by_name.record("adapt", Some(7), batch, 2.0, 2.1);
+
+        let by_id = Tracer::new(5);
+        let batch = by_id.record_id(at("batch", 0.0, 2.0), None, SpanId::NONE);
+        let family = by_id.record_family(at("request", 0.0, 0.5), &children, Some(7), batch);
+        assert_eq!(family, request);
+        let lone = by_id.record_family(at("request", 1.0, 1.0), &[], Some(8), batch);
+        assert_eq!(lone, failed);
+        by_id.record_id(at("adapt", 2.0, 2.1), Some(7), batch);
+
+        assert_eq!(by_id.spans(), by_name.spans());
+        assert_eq!(by_id.recorded(), by_name.recorded());
+        assert_eq!(by_id.dropped(), 2);
+        assert_eq!(by_name.dropped(), 2);
+        assert_eq!(by_id.folded(), by_name.folded());
+        let learn = by_id.spans()[2];
+        assert_eq!(learn.name.name(), "learn");
+        assert_eq!(learn.parent, request);
+        assert_eq!(learn.duration_s(), 0.0, "clamped like record()");
+    }
+
+    #[test]
+    fn a_span_name_interns_once() {
+        static NAME: SpanName = SpanName::new("span-test-lazy-name");
+        assert_eq!(NAME.id(), intern("span-test-lazy-name"));
+        assert_eq!(NAME.id(), NAME.id());
     }
 
     #[test]

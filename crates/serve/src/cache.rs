@@ -146,21 +146,59 @@ impl KnobBits {
     }
 }
 
+/// One element of a [`DesignKey`]: a knob assignment or a quantized
+/// feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyPart {
+    Knob(SymbolId, KnobBits),
+    Feature(i64),
+}
+
 /// Cache key: a 128-bit structural hash of the configuration and the
 /// workload features quantized to a fixed grid (micro-resolution, so
 /// float noise below 1e-6 does not defeat memoization), plus the dense
-/// knob vector the hash was computed from for collision verification.
+/// knob vector and quantized features the hash was computed from, for
+/// collision verification.
 ///
-/// Ordering is hash-first: `entries()` dumps and the coalescing map
-/// iterate in hash order, which is deterministic within a process but —
-/// like the hash itself — depends on symbol-interning order, so raw key
-/// order must never surface in output that is byte-compared across
-/// processes (reports print names, not keys).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// The knobs and features live in one shared allocation, so a clone is
+/// a reference-count bump: the coalescing map, the cache entry and the
+/// journal's `CacheInsert` share the key a session's
+/// [`Selection`](crate::store::Selection) built.
+///
+/// Ordering is hash-first, then the knobs, then the features: `entries()`
+/// dumps and the coalescing map iterate in hash order, which is
+/// deterministic within a process but — like the hash itself — depends
+/// on symbol-interning order, so raw key order must never surface in
+/// output that is byte-compared across processes (reports print names,
+/// not keys). `Debug` renders the hash, the knob vector and the feature
+/// vector.
+#[derive(Clone)]
 pub struct DesignKey {
     hash: u128,
-    knobs: Vec<(SymbolId, KnobBits)>,
-    features: Vec<i64>,
+    parts: Arc<[KeyPart]>,
+}
+
+impl PartialEq for DesignKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.parts == other.parts
+    }
+}
+
+impl Eq for DesignKey {}
+
+impl PartialOrd for DesignKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for DesignKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.hash
+            .cmp(&other.hash)
+            .then_with(|| self.knobs().cmp(other.knobs()))
+            .then_with(|| self.features().cmp(other.features()))
+    }
 }
 
 impl Hash for DesignKey {
@@ -170,34 +208,72 @@ impl Hash for DesignKey {
     }
 }
 
+impl std::fmt::Debug for DesignKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct List<I>(I);
+        impl<I: Iterator<Item = T> + Clone, T: std::fmt::Debug> std::fmt::Debug for List<I> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.clone()).finish()
+            }
+        }
+        f.debug_struct("DesignKey")
+            .field("hash", &self.hash)
+            .field("knobs", &List(self.knobs()))
+            .field("features", &List(self.features()))
+            .finish()
+    }
+}
+
 impl DesignKey {
     /// Builds the key for a configuration evaluated under the given
-    /// workload features. No allocation beyond the two dense vectors;
-    /// no string formatting.
+    /// workload features: one allocation, no string formatting.
     pub fn new(config: &Configuration, features: &[f64]) -> Self {
-        let knobs: Vec<(SymbolId, KnobBits)> = config
+        let knobs = config
             .entries()
             .iter()
-            .map(|(id, value)| (*id, KnobBits::encode(value)))
-            .collect();
-        let features: Vec<i64> = features.iter().map(|&f| quantize(f)).collect();
+            .map(|(id, value)| KeyPart::Knob(*id, KnobBits::encode(value)));
+        let features = features.iter().map(|&f| KeyPart::Feature(quantize(f)));
+        let parts: Arc<[KeyPart]> = knobs.chain(features).collect();
         // two independently-seeded 64-bit lanes make the 128-bit hash;
         // a collision needs both lanes to agree
         let mut lo = 0xcbf2_9ce4_8422_2325u64;
         let mut hi = 0x9e37_79b9_7f4a_7c15u64;
-        for (id, bits) in &knobs {
-            lo = bits.fold(mix64(lo ^ u64::from(id.index())));
-            hi = bits.fold(mix64(hi ^ u64::from(id.index()).rotate_left(17)));
-        }
-        for q in &features {
-            lo = mix64(lo ^ (*q as u64));
-            hi = mix64(hi ^ (*q as u64).rotate_left(31));
+        for part in parts.iter() {
+            match *part {
+                KeyPart::Knob(id, bits) => {
+                    lo = bits.fold(mix64(lo ^ u64::from(id.index())));
+                    hi = bits.fold(mix64(hi ^ u64::from(id.index()).rotate_left(17)));
+                }
+                KeyPart::Feature(q) => {
+                    lo = mix64(lo ^ (q as u64));
+                    hi = mix64(hi ^ (q as u64).rotate_left(31));
+                }
+            }
         }
         DesignKey {
             hash: (u128::from(hi) << 64) | u128::from(lo),
-            knobs,
-            features,
+            parts,
         }
+    }
+
+    fn knobs(&self) -> impl Iterator<Item = (SymbolId, KnobBits)> + Clone + '_ {
+        self.parts.iter().filter_map(|part| match *part {
+            KeyPart::Knob(id, bits) => Some((id, bits)),
+            KeyPart::Feature(_) => None,
+        })
+    }
+
+    fn features(&self) -> impl Iterator<Item = i64> + Clone + '_ {
+        self.parts.iter().filter_map(|part| match *part {
+            KeyPart::Feature(q) => Some(q),
+            KeyPart::Knob(..) => None,
+        })
+    }
+
+    /// Whether `features` quantize to the ones this key was built from
+    /// — the only way the key (and [`probe_seed`]) reads them.
+    pub(crate) fn has_features(&self, features: &[f64]) -> bool {
+        self.features().eq(features.iter().map(|&f| quantize(f)))
     }
 
     /// Folds the key into a 64-bit value for shard selection — a pure

@@ -38,7 +38,7 @@ use crate::admission::{AdmissionController, TenantAdmission};
 use crate::autoscale::{Autoscaler, AutoscalerState};
 use crate::breaker::{BreakerBank, CircuitBreaker};
 use crate::cache::{DesignKey, DesignPointCache, Metrics};
-use crate::store::{mix64, Session, SessionStore, TenantClass, TenantId};
+use crate::store::{mix64, Selection, Session, SessionStore, TenantClass, TenantId};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::Configuration;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,8 +79,9 @@ pub enum JournalEntry {
         tenant: TenantId,
         /// Virtual arrival time of the request, seconds.
         time_s: f64,
-        /// The configuration that answered it.
-        config: Configuration,
+        /// The configuration that answered it (the session's selection,
+        /// shared with the response).
+        config: Selection,
         /// The measured (or cached) metrics fed to the monitors.
         metrics: Metrics,
     },
@@ -275,25 +276,26 @@ pub fn take_snapshot(
 /// [`AdmissionController::update`]; [`Autoscaler::decide`] and
 /// [`Autoscaler::force`] commit through one private body).
 pub(crate) mod apply {
-    use super::{BreakerBank, Configuration, Metrics, SessionStore, TenantClass, TenantId};
+    use super::{
+        BreakerBank, Configuration, Metrics, Selection, SessionStore, TenantClass, TenantId,
+    };
     use crate::error::ServeError;
 
     /// `Select`: the tenant's manager deploys its best feasible
-    /// operating point; `read` sees it beside the borrowed session's
-    /// features and class. `Err` means `select()` did not run (unknown
-    /// tenant, empty knowledge) and nothing is journaled; `Ok(None)`
-    /// means it ran and found the SLA infeasible.
-    pub(crate) fn select<R>(
+    /// operating point, and the session's kept selection follows it
+    /// ([`Session::select`](crate::store::Session)). `Err` means
+    /// `select()` did not run (unknown tenant, empty knowledge) and
+    /// nothing is journaled; `Ok(None)` means it ran and found the SLA
+    /// infeasible.
+    pub(crate) fn select(
         store: &SessionStore,
         tenant: TenantId,
-        read: impl FnOnce(&Configuration, &[f64], TenantClass) -> R,
-    ) -> Result<Option<R>, ServeError> {
+    ) -> Result<Option<(Selection, TenantClass)>, ServeError> {
         store.with(tenant, |session| {
             if session.manager.knowledge().is_empty() {
                 return Err(ServeError::EmptyKnowledge(tenant));
             }
-            let chosen = session.manager.select();
-            Ok(chosen.map(|config| read(config, &session.features, session.class)))
+            Ok(session.select().map(|selection| (selection, session.class)))
         })?
     }
 
@@ -391,7 +393,7 @@ pub fn replay<F>(
                 );
             }
             JournalEntry::Select { tenant } => {
-                let _ = apply::select(store, *tenant, |_, _, _| ());
+                let _ = apply::select(store, *tenant);
             }
             JournalEntry::BreakerAllow { tenant, time_s } => {
                 apply::breaker_allow(breakers, *tenant, *time_s);
@@ -494,7 +496,7 @@ mod tests {
             JournalEntry::Learn {
                 tenant: 3,
                 time_s: 2.0,
-                config: level(1),
+                config: Selection::new(&level(1), &[1.0]),
                 metrics: metrics(0.1),
             },
             JournalEntry::Adapt {
@@ -550,7 +552,7 @@ mod tests {
         run(JournalEntry::Learn {
             tenant: 7,
             time_s: 1.5,
-            config: level(1),
+            config: Selection::new(&level(1), &[2.0]),
             metrics: metrics(0.12),
         });
         run(JournalEntry::Reject {

@@ -94,7 +94,7 @@ pub use service::{
     BatchReport, Evaluator, FrontDoorConfig, ProbeSegment, ResilienceConfig, ServiceConfig,
     TuningRequest, TuningService,
 };
-pub use store::SessionStore;
+pub use store::{Selection, SessionStore};
 
 /// Locks a mutex, recovering the guarded data from a poisoned lock — the
 /// crate's one poisoned-lock policy: a panic under another holder

@@ -11,8 +11,17 @@
 //! makespan histograms.
 
 use crate::store::TenantClass;
-use antarex_obs::{Counter, Gauge, Histogram, ObsPlane, Scope};
+use antarex_obs::{Counter, Gauge, Histogram, ObsPlane, Scope, SloVerdict, SpanName};
 use antarex_rtrm::powercap::PowercapObs;
+
+/// The spans `serve_batch` records, by name.
+pub(crate) static BATCH_SPAN: SpanName = SpanName::new("batch");
+pub(crate) static EVAL_SPAN: SpanName = SpanName::new("eval");
+pub(crate) static REQUEST_SPAN: SpanName = SpanName::new("request");
+pub(crate) static SELECT_SPAN: SpanName = SpanName::new("select");
+pub(crate) static CACHE_PROBE_SPAN: SpanName = SpanName::new("cache_probe");
+pub(crate) static LEARN_SPAN: SpanName = SpanName::new("learn");
+pub(crate) static ADAPT_SPAN: SpanName = SpanName::new("adapt");
 
 /// Nominal virtual width of a `select` span: PR 4's measured indexed
 /// feasibility-select cost (26 ns). Purely a trace annotation — it
@@ -194,14 +203,17 @@ impl ServeObs {
         self.sched_steals.get()
     }
 
-    /// Checks one served response's virtual latency against the
-    /// tenant's latency SLO. Returns `true` when the SLO was met —
-    /// the admission controller consumes the complement as its
-    /// violation signal.
-    pub(crate) fn check_latency_slo(&self, tenant: u64, latency_s: f64) -> bool {
-        self.plane
-            .slo
-            .check_upper(tenant, "latency", self.slo_latency_s, latency_s)
+    /// One served response's virtual latency checked against the
+    /// tenant's latency SLO; `ok` means the SLO was met — the admission
+    /// controller consumes the complement as its violation signal. The
+    /// batch books its verdicts in the SLO bank in one call.
+    pub(crate) fn latency_verdict(&self, tenant: u64, latency_s: f64) -> SloVerdict {
+        SloVerdict {
+            tenant,
+            objective: "latency",
+            threshold: self.slo_latency_s,
+            ok: latency_s <= self.slo_latency_s,
+        }
     }
 
     /// Attributed facility energy in the tenant-class histogram for
@@ -217,19 +229,22 @@ impl ServeObs {
         self.energy_slo_overruns.get()
     }
 
-    /// Checks one served response's attributed energy against the
-    /// per-request energy budget. Burn accrues in the SLO bank under
-    /// the `energy` objective — surfaced to the admission tier as an
-    /// observed (not yet acting) signal alongside latency burn.
-    pub(crate) fn check_energy_slo(&self, tenant: u64, energy_j: f64) -> bool {
-        let ok = self
-            .plane
-            .slo
-            .check_upper(tenant, "energy", self.slo_energy_j, energy_j);
+    /// One served response's attributed energy checked against the
+    /// per-request energy budget, counting an overrun. Burn accrues in
+    /// the SLO bank under the `energy` objective — surfaced to the
+    /// admission tier as an observed (not yet acting) signal alongside
+    /// latency burn.
+    pub(crate) fn energy_verdict(&self, tenant: u64, energy_j: f64) -> SloVerdict {
+        let ok = energy_j <= self.slo_energy_j;
         if !ok {
             self.energy_slo_overruns.inc();
         }
-        ok
+        SloVerdict {
+            tenant,
+            objective: "energy",
+            threshold: self.slo_energy_j,
+            ok,
+        }
     }
 }
 

@@ -22,7 +22,7 @@ use crate::error::ServeError;
 use crate::journal::{Journal, JournalEntry, Snapshot};
 use crate::obs::ServeObs;
 use crate::pool::{EvalPool, Evaluation, PoolConfig, SchedConfig};
-use crate::store::{Session, SessionStore, TenantClass, TenantId};
+use crate::store::{Selection, Session, SessionStore, TenantClass, TenantId};
 use antarex_obs::{EnergyModel, Layer, SpanId, TraceEvent, TraceId};
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::powercap::{split_digest, try_weighted_split_observed};
@@ -203,8 +203,10 @@ pub struct TuningResponse {
     pub tenant: TenantId,
     /// Virtual arrival time, seconds.
     pub arrival_s: f64,
-    /// The configuration the tenant should deploy.
-    pub config: Configuration,
+    /// The configuration the tenant should deploy: the session's kept
+    /// [`Selection`], shared rather than copied (it dereferences to
+    /// the [`Configuration`]).
+    pub config: Selection,
     /// Measured (or cached) metrics of that configuration.
     pub metrics: Metrics,
     /// Virtual service latency: cache lookup, or queue wait plus probe
@@ -631,6 +633,7 @@ impl<E: Evaluator> TuningService<E> {
 mod tests {
     use super::*;
     use crate::admission::AdmissionTier;
+    use crate::cache::{probe_seed, DesignKey};
     use antarex_tuner::goal::{Constraint, Objective};
     use antarex_tuner::{KnobValue, KnowledgeBase, OperatingPoint};
 
@@ -697,6 +700,21 @@ mod tests {
                 arrival_s: i as f64,
             })
             .collect()
+    }
+
+    /// Shifts a batch's arrivals to start at `t0` seconds.
+    trait MapArrival {
+        fn map_arrival(self, t0: impl Into<f64>) -> Self;
+    }
+
+    impl MapArrival for Vec<TuningRequest> {
+        fn map_arrival(mut self, t0: impl Into<f64>) -> Self {
+            let t0 = t0.into();
+            for request in &mut self {
+                request.arrival_s += t0;
+            }
+            self
+        }
     }
 
     #[test]
@@ -792,6 +810,124 @@ mod tests {
             }
         }
         assert!(level < 4, "learned latency must force a downgrade: {level}");
+    }
+
+    /// Every answer's shared key and seed are what
+    /// `DesignKey::new` / `probe_seed` derive from its configuration
+    /// and the tenant's current features.
+    fn assert_selections_fresh<E: Evaluator>(service: &TuningService<E>, report: &BatchReport) {
+        let mut answers = 0;
+        for answer in report.responses.iter().flatten() {
+            let features = service
+                .store()
+                .with(answer.tenant, |s| s.features.clone())
+                .unwrap();
+            let config: &Configuration = &answer.config;
+            assert_eq!(answer.config.key(), &DesignKey::new(config, &features));
+            assert_eq!(answer.config.seed(), probe_seed(config, &features));
+            answers += 1;
+        }
+        assert!(answers > 0, "the batch answered");
+    }
+
+    #[test]
+    fn a_switch_made_by_adapt_rebuilds_the_selection() {
+        // as above: level 4 measures over the SLA, so adapt walks the
+        // tenant down; every request in between reuses the selection
+        let service = service();
+        service.register_tenant(1, manager(), vec![2.0]).unwrap();
+        let mut previous: Option<TuningResponse> = None;
+        let (mut switches, mut reuses) = (0, 0);
+        for round in 0..6 {
+            let report = service.serve_batch(&requests(&[1, 1]).map_arrival(round));
+            assert_selections_fresh(&service, &report);
+            for answer in report.responses.into_iter().flatten() {
+                if let Some(before) = &previous {
+                    let shared = std::ptr::eq(&*before.config, &*answer.config);
+                    if before.config == answer.config {
+                        assert!(shared, "an unchanged selection is shared");
+                        reuses += 1;
+                    } else {
+                        assert!(!shared);
+                        switches += 1;
+                    }
+                }
+                previous = Some(answer);
+            }
+        }
+        assert!(switches > 0, "adapt switched the tenant");
+        assert!(reuses > 0);
+        assert_eq!(
+            u64::try_from(switches).unwrap(),
+            service.store().with(1, |s| s.manager.switches()).unwrap()
+        );
+    }
+
+    #[test]
+    fn editing_the_features_rebuilds_the_selection() {
+        // one operating point: the manager never switches, so only the
+        // features can change the selection
+        let only: KnowledgeBase = [OperatingPoint::new(
+            config(2),
+            [("latency".to_string(), 0.2), ("quality".to_string(), 2.0)],
+        )]
+        .into_iter()
+        .collect();
+        let service = service();
+        let manager = AppManager::new(only, Objective::maximize("quality"));
+        service.register_tenant(4, manager, vec![1.0]).unwrap();
+        let serve = |t0: u32| {
+            let report = service.serve_batch(&requests(&[4]).map_arrival(t0));
+            assert_selections_fresh(&service, &report);
+            report
+        };
+        let first = serve(0);
+        // other features: a new design point, so a new probe
+        service.store().with(4, |s| s.features = vec![1.5]).unwrap();
+        let second = serve(1);
+        assert_eq!(second.evaluated, 1, "the old key must not answer");
+        // features that quantize alike keep the selection
+        service
+            .store()
+            .with(4, |s| s.features = vec![1.5 + 1e-9])
+            .unwrap();
+        let third = serve(2);
+        assert_eq!(third.evaluated, 0);
+        let [a, b, c] = [&first, &second, &third].map(|r| r.responses[0].as_ref().unwrap());
+        assert!(a.config == b.config && b.config == c.config);
+        assert_ne!(a.config.key(), b.config.key());
+        assert_ne!(a.config.seed(), b.config.seed());
+        assert!(!std::ptr::eq(&*a.config, &*b.config));
+        assert!(std::ptr::eq(&*b.config, &*c.config));
+    }
+
+    #[test]
+    fn a_recovered_service_derives_fresh_selections() {
+        fn factory(_tenant: TenantId) -> AppManager {
+            manager()
+        }
+        let config = ServiceConfig::default();
+        let resilience = ResilienceConfig::hardened();
+        let victim = TuningService::with_resilience(config, resilience, Probe);
+        for tenant in 0..4u64 {
+            victim
+                .register_tenant(tenant, factory(tenant), vec![2.0 + (tenant % 2) as f64])
+                .unwrap();
+        }
+        // snapshot mid-way (the Daly interval is ≈16.8 s), then a
+        // journal suffix in which adapt switches tenants
+        for t0 in [0.0, 6.0, 20.0, 30.0] {
+            victim.serve_batch(&requests(&[0, 1, 2, 3]).map_arrival(t0));
+        }
+        let (snapshot, entries) = victim.crash();
+        assert!(snapshot.is_some() && !entries.is_empty());
+        let recovered = TuningService::recover(
+            config, resilience, None, None, Probe, snapshot, &entries, &factory,
+        );
+        for t0 in [36.0, 42.0] {
+            let report = recovered.serve_batch(&requests(&[0, 1, 2, 3]).map_arrival(t0));
+            assert_selections_fresh(&recovered, &report);
+        }
     }
 
     #[test]

@@ -13,17 +13,20 @@
 
 use super::{BatchReport, Evaluator, ProbeSegment, TuningRequest, TuningResponse, TuningService};
 use crate::admission::AdmissionTier;
-use crate::cache::{probe_seed, DesignKey, Metrics};
+use crate::cache::{DesignKey, Metrics};
 use crate::chaos::chaos_schedule;
 use crate::error::{ErrorCounter, ServeError};
 use crate::journal::{apply, take_snapshot, JournalEntry};
-use crate::obs::{ADAPT_SPAN_S, CACHE_PROBE_SPAN_S, LEARN_SPAN_S, SELECT_SPAN_S};
-use crate::pool::{BatchOutcome, EvalJob, Evaluation};
-use crate::store::{TenantClass, TenantId};
-use antarex_obs::{
-    largest_remainder_split, nj_to_j, to_nj, Layer, SpanId, TraceCtx, TraceEvent, WindowSummary,
+use crate::obs::{
+    ADAPT_SPAN, ADAPT_SPAN_S, BATCH_SPAN, CACHE_PROBE_SPAN, CACHE_PROBE_SPAN_S, EVAL_SPAN,
+    LEARN_SPAN, LEARN_SPAN_S, REQUEST_SPAN, SELECT_SPAN, SELECT_SPAN_S,
 };
-use antarex_tuner::Configuration;
+use crate::pool::{BatchOutcome, EvalJob, Evaluation};
+use crate::store::{Selection, TenantClass, TenantId};
+use antarex_obs::{
+    largest_remainder_split, nj_to_j, to_nj, Layer, SloVerdict, SpanAt, SpanId, TraceCtx,
+    TraceEvent, WindowSummary,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -39,21 +42,12 @@ struct Door {
     retry_after_ms: u64,
 }
 
-/// What `select()` chose for one request, with the identities derived
-/// from it while the session was borrowed.
-struct Selected {
-    config: Configuration,
-    key: DesignKey,
-    seed: u64,
-    class: TenantClass,
-}
-
 /// What a request waits for between admission and its answer.
 enum Pending {
     Err(ServeError),
-    Hit(Configuration, Metrics),
+    Hit(Selection, Metrics),
     Job {
-        config: Configuration,
+        config: Selection,
         job_id: usize,
         coalesced: bool,
     },
@@ -83,8 +77,9 @@ struct Batch<'a> {
     meta: Vec<Meta>,
     pending: Vec<Pending>,
     jobs: Vec<EvalJob>,
-    /// Coalescing map of this batch's queued design points; owns the
-    /// keys memoize/quarantine later file results under.
+    /// Coalescing map of this batch's queued design points; holds the
+    /// keys (shared with the selections) memoize/quarantine later file
+    /// results under.
     job_of_key: BTreeMap<DesignKey, usize>,
     /// Per admitted job: virtual completion relative to batch start,
     /// or the typed error that ended it.
@@ -96,10 +91,14 @@ struct Batch<'a> {
     served: Vec<(usize, u64)>,
     cache_lookups: u64,
     touched: Vec<TenantId>,
-    /// Per-tenant (checked, violations) the front door consumes at the
-    /// batch end; every request's tenant gets an entry so a quiet
-    /// (fully shed) tenant still decays toward readmission.
-    slo_tally: BTreeMap<TenantId, (u64, u64)>,
+    /// The latency and energy SLO verdicts of this batch, in the order
+    /// they were taken; booked in the SLO bank in one call.
+    slo_verdicts: Vec<SloVerdict>,
+    /// One `(tenant, checked, violations)` row per request while a
+    /// front door is installed, merged per tenant at the batch end;
+    /// every request's tenant gets a row so a quiet (fully shed) tenant
+    /// still decays toward readmission.
+    slo_tally: Vec<(TenantId, u64, u64)>,
     // the report's tallies
     makespan_s: f64,
     shed: usize,
@@ -135,9 +134,9 @@ impl<E: Evaluator> TuningService<E> {
         for (index, pending) in std::mem::take(&mut batch.pending).into_iter().enumerate() {
             responses.push(self.answer(&mut batch, index, pending, &outcome));
         }
-        self.close_energy_window(&batch, &outcome, &mut responses);
+        self.close_energy_window(&mut batch, &outcome, &mut responses);
         self.adapt(&mut batch);
-        self.admission_feedback(&batch);
+        self.admission_feedback(&mut batch);
         self.checkpoint(&batch);
         BatchReport {
             responses,
@@ -165,7 +164,13 @@ impl<E: Evaluator> TuningService<E> {
             lookup_nj: to_nj(self.energy.cache_lookup_w * CACHE_LOOKUP_S),
             meta: Vec::with_capacity(requests.len()),
             pending: Vec::with_capacity(requests.len()),
+            served: Vec::with_capacity(requests.len()),
             touched: Vec::with_capacity(requests.len()),
+            slo_verdicts: Vec::with_capacity(2 * requests.len()),
+            slo_tally: match self.front_door {
+                Some(_) => Vec::with_capacity(requests.len()),
+                None => Vec::new(),
+            },
             ..Batch::default()
         }
     }
@@ -221,17 +226,13 @@ impl<E: Evaluator> TuningService<E> {
         (door.tier.label(), Ok(()))
     }
 
-    /// Stage: select the tenant's operating point and, while the
-    /// session is still borrowed, build the request's probe seed and
-    /// design key — once, with no copy of the features.
-    fn select(&self, request: &TuningRequest) -> Result<Selected, ServeError> {
+    /// Stage: select the tenant's operating point. The session hands
+    /// out the selection it keeps — configuration, design key and probe
+    /// seed — and derives a new one only when the manager switched or
+    /// the features changed.
+    fn select(&self, request: &TuningRequest) -> Result<(Selection, TenantClass), ServeError> {
         let tenant = request.tenant;
-        let selected = apply::select(&self.store, tenant, |config, features, class| Selected {
-            config: config.clone(),
-            key: DesignKey::new(config, features),
-            seed: probe_seed(config, features),
-            class,
-        })?;
+        let selected = apply::select(&self.store, tenant)?;
         // `select()` mutates the manager (deploy/switch): journal it
         // whenever it ran, even when it found the SLA infeasible
         self.obs.selects.inc();
@@ -250,10 +251,10 @@ impl<E: Evaluator> TuningService<E> {
         request: &TuningRequest,
         door: Door,
         verdict: &'static str,
-        selected: Result<Selected, ServeError>,
+        selected: Result<(Selection, TenantClass), ServeError>,
     ) {
         let tenant = request.tenant;
-        let seed = selected.as_ref().map_or(0, |s| s.seed);
+        let seed = selected.as_ref().map_or(0, |(s, _)| s.seed());
         let seq = batch.meta.len() as u32;
         let ctx = self
             .obs
@@ -263,7 +264,7 @@ impl<E: Evaluator> TuningService<E> {
         let degraded = door.tier == AdmissionTier::Degrade;
         let (class, pending) = match selected {
             Err(e) => (TenantClass::Generic, Pending::Err(e)),
-            Ok(s) if degraded => {
+            Ok((s, class)) if degraded => {
                 // degraded tier: cache-only service. A memoized design
                 // point still answers (cheap, no pool), but the tenant
                 // gets no fresh probe — cache-miss demand is rejected
@@ -272,16 +273,16 @@ impl<E: Evaluator> TuningService<E> {
                 // recovers
                 batch.degraded += 1;
                 self.obs.admission_degraded.inc();
-                let pending = match self.cache.get(&s.key) {
-                    Some(metrics) => Pending::Hit(s.config, metrics),
+                let pending = match self.cache.get(s.key()) {
+                    Some(metrics) => Pending::Hit(s, metrics),
                     None => Pending::Err(ServeError::AdmissionRejected {
                         tenant,
                         retry_after_ms: door.retry_after_ms,
                     }),
                 };
-                (s.class, pending)
+                (class, pending)
             }
-            Ok(s) => (s.class, self.hit_or_enqueue(batch, tenant, ctx, s)),
+            Ok((s, class)) => (class, self.hit_or_enqueue(batch, tenant, ctx, s, class)),
         };
         self.mark(ctx, Layer::Admission, verdict, request.arrival_s, 0.0);
         batch.pending.push(pending);
@@ -310,25 +311,24 @@ impl<E: Evaluator> TuningService<E> {
 
     /// An admitted request's design point: coalesced onto an earlier
     /// request's probe, answered from the cache, or queued as a new
-    /// pool job — the only path that copies the tenant's features.
+    /// pool job — the only path that copies the tenant's features and
+    /// the configuration.
     fn hit_or_enqueue(
         &self,
         batch: &mut Batch,
         tenant: TenantId,
         ctx: TraceCtx,
-        selected: Selected,
+        config: Selection,
+        class: TenantClass,
     ) -> Pending {
-        let Selected {
-            config, key, class, ..
-        } = selected;
-        if let Some(&job_id) = batch.job_of_key.get(&key) {
+        if let Some(&job_id) = batch.job_of_key.get(config.key()) {
             return Pending::Job {
                 config,
                 job_id,
                 coalesced: true,
             };
         }
-        if let Some(metrics) = self.cache.get(&key) {
+        if let Some(metrics) = self.cache.get(config.key()) {
             return Pending::Hit(config, metrics);
         }
         let features = match self.store.with(tenant, |session| session.features.clone()) {
@@ -342,11 +342,11 @@ impl<E: Evaluator> TuningService<E> {
             id: job_id,
             tenant,
             class,
-            config: config.clone(),
+            config: (*config).clone(),
             features,
             trace: ctx,
         });
-        batch.job_of_key.insert(key, job_id);
+        batch.job_of_key.insert(config.key().clone(), job_id);
         Pending::Job {
             config,
             job_id,
@@ -485,23 +485,25 @@ impl<E: Evaluator> TuningService<E> {
         let start_s = batch.start_s;
         if !batch.requests.is_empty() {
             let total_cost_s: f64 = results.iter().map(|r| r.evaluation.cost_s).sum();
-            batch.span = self.obs.plane.tracer.record(
-                "batch",
-                None,
-                SpanId::NONE,
+            let span = SpanAt {
+                name: BATCH_SPAN.id(),
                 start_s,
-                batch.end_s.max(start_s) + total_cost_s,
-            );
+                end_s: batch.end_s.max(start_s) + total_cost_s,
+            };
+            batch.span = self.obs.plane.tracer.record_id(span, None, SpanId::NONE);
         }
         for result in results {
             let cost_s = result.evaluation.cost_s;
-            let eval_span = self.obs.plane.tracer.record(
-                "eval",
-                Some(result.job.tenant),
-                batch.span,
+            let span = SpanAt {
+                name: EVAL_SPAN.id(),
                 start_s,
-                start_s + cost_s,
-            );
+                end_s: start_s + cost_s,
+            };
+            let eval_span =
+                self.obs
+                    .plane
+                    .tracer
+                    .record_id(span, Some(result.job.tenant), batch.span);
             let ctx = result.job.trace;
             if !ctx.sampled {
                 continue;
@@ -564,7 +566,8 @@ impl<E: Evaluator> TuningService<E> {
     }
 
     /// Stage: answer request `index` and feed the outcome back —
-    /// `learn` for a served response, `reject` for an error.
+    /// `learn` for a served response, `reject` for an error — then
+    /// tally the request for the front door.
     fn answer(
         &self,
         batch: &mut Batch,
@@ -573,9 +576,6 @@ impl<E: Evaluator> TuningService<E> {
         outcome: &BatchOutcome,
     ) -> Result<TuningResponse, ServeError> {
         let TuningRequest { tenant, arrival_s } = batch.requests[index];
-        if self.front_door.is_some() {
-            batch.slo_tally.entry(tenant).or_default();
-        }
         let served = |config, metrics, latency_s, cache_hit| TuningResponse {
             tenant,
             arrival_s,
@@ -620,27 +620,39 @@ impl<E: Evaluator> TuningService<E> {
                 }
             },
         };
-        let request_span = self.obs.plane.tracer.record(
-            "request",
-            Some(tenant),
-            batch.span,
-            arrival_s,
-            arrival_s + work_s,
-        );
-        match &response {
+        let request_span = SpanAt {
+            name: REQUEST_SPAN.id(),
+            start_s: arrival_s,
+            end_s: arrival_s + work_s,
+        };
+        // (checked, violations) this request adds to its tenant's SLO
+        // window
+        let tally = match &response {
             Ok(answer) => {
                 batch.served.push((index, direct_nj));
-                self.learn(batch, answer, work_s, request_span);
+                let slo_met = self.learn(batch, answer, request_span);
+                (1, u64::from(!slo_met))
             }
-            Err(e) => self.reject(batch, index, e),
+            Err(e) => {
+                self.obs
+                    .plane
+                    .tracer
+                    .record_id(request_span, Some(tenant), batch.span);
+                let burns_slo = self.reject(batch, index, e);
+                (u64::from(burns_slo), u64::from(burns_slo))
+            }
+        };
+        if self.front_door.is_some() {
+            batch.slo_tally.push((tenant, tally.0, tally.1));
         }
         response
     }
 
-    /// A served response: counters, the latency SLO check, the
-    /// request's child spans, then online learning — the measurement
-    /// flows into the tenant's session and monitors.
-    fn learn(&self, batch: &mut Batch, answer: &TuningResponse, work_s: f64, request_span: SpanId) {
+    /// A served response: counters, the latency SLO verdict, the
+    /// request span with its three children, then online learning —
+    /// the measurement flows into the tenant's session and monitors.
+    /// Returns whether the latency SLO was met.
+    fn learn(&self, batch: &mut Batch, answer: &TuningResponse, request_span: SpanAt) -> bool {
         let (tenant, arrival) = (answer.tenant, answer.arrival_s);
         self.obs.served.inc();
         if answer.cache_hit {
@@ -649,28 +661,31 @@ impl<E: Evaluator> TuningService<E> {
         }
         self.obs.learns.add(answer.metrics.len() as u64);
         self.obs.latency.record(answer.latency_s);
-        let slo_met = self.obs.check_latency_slo(tenant, answer.latency_s);
-        if self.front_door.is_some() {
-            let tally = batch.slo_tally.entry(tenant).or_default();
-            tally.0 += 1;
-            tally.1 += u64::from(!slo_met);
-        }
+        let verdict = self.obs.latency_verdict(tenant, answer.latency_s);
+        batch.slo_verdicts.push(verdict);
         let select_end_s = arrival + SELECT_SPAN_S;
-        let learn_s = arrival + work_s;
-        for (name, start_s, end_s) in [
-            ("select", arrival, select_end_s),
-            (
-                "cache_probe",
-                select_end_s,
-                select_end_s + CACHE_PROBE_SPAN_S,
-            ),
-            ("learn", learn_s, learn_s + LEARN_SPAN_S),
-        ] {
-            self.obs
-                .plane
-                .tracer
-                .record(name, Some(tenant), request_span, start_s, end_s);
-        }
+        let learn_s = request_span.end_s;
+        let children = [
+            SpanAt {
+                name: SELECT_SPAN.id(),
+                start_s: arrival,
+                end_s: select_end_s,
+            },
+            SpanAt {
+                name: CACHE_PROBE_SPAN.id(),
+                start_s: select_end_s,
+                end_s: select_end_s + CACHE_PROBE_SPAN_S,
+            },
+            SpanAt {
+                name: LEARN_SPAN.id(),
+                start_s: learn_s,
+                end_s: learn_s + LEARN_SPAN_S,
+            },
+        ];
+        self.obs
+            .plane
+            .tracer
+            .record_family(request_span, &children, Some(tenant), batch.span);
         let (config, metrics) = (&answer.config, &answer.metrics);
         apply::learn(
             &self.store,
@@ -687,23 +702,20 @@ impl<E: Evaluator> TuningService<E> {
             metrics: metrics.clone(),
         });
         batch.touched.push(tenant);
+        verdict.ok
     }
 
     /// An errored request: what the error means is one row
-    /// ([`ServeError::row`]); the counter, the burn tally, the breaker
-    /// and the journaled flag all read it.
-    fn reject(&self, batch: &mut Batch, index: usize, error: &ServeError) {
+    /// ([`ServeError::row`]); the counter, the breaker and the
+    /// journaled flag all read it. Returns whether the error burns the
+    /// tenant's SLO budget (only while a front door tallies it).
+    fn reject(&self, batch: &Batch, index: usize, error: &ServeError) -> bool {
         let TuningRequest { tenant, arrival_s } = batch.requests[index];
         let row = error.row(batch.meta[index].degraded);
         match row.counter {
             ErrorCounter::Shed => self.obs.shed.inc(),
             ErrorCounter::Failed => self.obs.failed.inc(),
             ErrorCounter::Rejected => self.obs.rejected.inc(),
-        }
-        if row.burns_slo && self.front_door.is_some() {
-            let tally = batch.slo_tally.entry(tenant).or_default();
-            tally.0 += 1;
-            tally.1 += 1;
         }
         let breaker_feedback = row.feeds_breaker && self.breakers.enabled();
         if apply::reject(
@@ -719,6 +731,7 @@ impl<E: Evaluator> TuningService<E> {
                 breaker_feedback,
             });
         }
+        row.burns_slo
     }
 
     /// Stage: close the batch's energy window. All bookkeeping is in
@@ -727,7 +740,7 @@ impl<E: Evaluator> TuningService<E> {
     /// ledger re-checks the invariant per window).
     fn close_energy_window(
         &self,
-        batch: &Batch,
+        batch: &mut Batch,
         outcome: &BatchOutcome,
         responses: &mut [Result<TuningResponse, ServeError>],
     ) {
@@ -769,9 +782,11 @@ impl<E: Evaluator> TuningService<E> {
             self.obs.class_energy[class.index()].record(energy_j);
             // observed-only SLO: burn accrues under the `energy`
             // objective but no admission tier acts on it yet
-            let _ = self.obs.check_energy_slo(tenant, energy_j);
+            let verdict = self.obs.energy_verdict(tenant, energy_j);
+            batch.slo_verdicts.push(verdict);
             self.mark(ctx, Layer::Serve, "energy", arrival_s, energy_j);
         }
+        self.obs.plane.slo.record(&batch.slo_verdicts);
         let idle_nj = facility_nj - attributed_nj;
         self.obs.energy_facility_nj.add(facility_nj);
         self.obs.energy_attributed_nj.add(attributed_nj);
@@ -801,28 +816,38 @@ impl<E: Evaluator> TuningService<E> {
         for &tenant in &batch.touched {
             apply::adapt(&self.store, tenant, now_s);
             self.obs.adapts.inc();
-            self.obs.plane.tracer.record(
-                "adapt",
-                Some(tenant),
-                batch.span,
-                now_s,
-                now_s + ADAPT_SPAN_S,
-            );
+            let span = SpanAt {
+                name: ADAPT_SPAN.id(),
+                start_s: now_s,
+                end_s: now_s + ADAPT_SPAN_S,
+            };
+            self.obs
+                .plane
+                .tracer
+                .record_id(span, Some(tenant), batch.span);
             self.journal_append(|| JournalEntry::Adapt { tenant, now_s });
         }
     }
 
     /// Stage: feed the batch's SLO outcomes to the admission
-    /// controller — one EWMA window per tenant at the batch end,
-    /// journaled so replay reproduces every tier transition
+    /// controller — one EWMA window per tenant, in tenant order, at the
+    /// batch end, journaled so replay reproduces every tier transition
     /// bit-identically.
-    fn admission_feedback(&self, batch: &Batch) {
+    fn admission_feedback(&self, batch: &mut Batch) {
         let Some(fd) = &self.front_door else { return };
         if !batch.end_s.is_finite() {
             return;
         }
         let time_s = batch.end_s;
-        for (&tenant, &(checked, violations)) in &batch.slo_tally {
+        // the rows' sums do not depend on their order within a tenant
+        batch.slo_tally.sort_unstable_by_key(|&(tenant, ..)| tenant);
+        for rows in batch.slo_tally.chunk_by(|a, b| a.0 == b.0) {
+            let tenant = rows[0].0;
+            let (checked, violations) = rows
+                .iter()
+                .fold((0, 0), |(c, v), &(_, checked, violations)| {
+                    (c + checked, v + violations)
+                });
             if fd
                 .admission
                 .update(tenant, time_s, checked, violations)

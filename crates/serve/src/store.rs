@@ -20,12 +20,18 @@
 //! when online learning first writes to it. So the copy of a touched
 //! session bumps a reference count for a base the tenant has not
 //! learned into, and the shared base, like a snapshot, never changes.
+//!
+//! A session also keeps its current [`Selection`] — the deployed
+//! configuration with its design key and probe seed — so a request
+//! that selects what the previous one selected derives nothing.
 
+use crate::cache::{probe_seed, DesignKey};
 use crate::error::ServeError;
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::Configuration;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tenant identifier: one concurrent application instance.
@@ -74,6 +80,75 @@ impl TenantClass {
     }
 }
 
+/// A session's current selection: the configuration its manager
+/// deployed, with the identities derived from it under the session's
+/// features — the design-cache key and the probe seed — behind one
+/// shared allocation.
+///
+/// A session rebuilds its selection only when `select()` deploys a
+/// different configuration or its features no longer quantize to the
+/// ones the key was built from; every request in between shares it.
+/// The cache probe, the coalescing map, the pending answer and the
+/// response ([`TuningResponse::config`](crate::service::TuningResponse)) hold
+/// the same `Arc`, so a clone is a reference-count bump. Reading goes
+/// through [`Deref`] to the configuration; `Debug` and `PartialEq` are
+/// the configuration's.
+#[derive(Clone)]
+pub struct Selection(Arc<Selected>);
+
+struct Selected {
+    config: Configuration,
+    key: DesignKey,
+    seed: u64,
+}
+
+impl Selection {
+    /// Derives the key and the seed of `config` under `features`.
+    pub(crate) fn new(config: &Configuration, features: &[f64]) -> Self {
+        Selection(Arc::new(Selected {
+            config: config.clone(),
+            key: DesignKey::new(config, features),
+            seed: probe_seed(config, features),
+        }))
+    }
+
+    /// Whether this selection is what [`new`](Selection::new) would
+    /// build from `config` and `features`.
+    fn is_current(&self, config: &Configuration, features: &[f64]) -> bool {
+        self.0.config == *config && self.0.key.has_features(features)
+    }
+
+    /// The design-point cache key: `DesignKey::new(config, features)`.
+    pub(crate) fn key(&self) -> &DesignKey {
+        &self.0.key
+    }
+
+    /// The probe seed: `probe_seed(config, features)`.
+    pub(crate) fn seed(&self) -> u64 {
+        self.0.seed
+    }
+}
+
+impl Deref for Selection {
+    type Target = Configuration;
+
+    fn deref(&self) -> &Configuration {
+        &self.0.config
+    }
+}
+
+impl PartialEq for Selection {
+    fn eq(&self, other: &Selection) -> bool {
+        self.0.config == other.0.config
+    }
+}
+
+impl std::fmt::Debug for Selection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.0.config, f)
+    }
+}
+
 /// Per-tenant session state: the tenant's runtime autotuner plus the
 /// bookkeeping the service layer needs around it.
 ///
@@ -99,6 +174,10 @@ pub struct Session {
     /// Workload class: which scheduler policy and metric bucket the
     /// tenant's probes belong to.
     pub class: TenantClass,
+    /// The selection the last `select()` deployed, if any; checked
+    /// against the manager's choice and `features` before it is reused
+    /// (see [`Session::select`]).
+    selection: Option<Selection>,
 }
 
 impl Session {
@@ -118,6 +197,24 @@ impl Session {
             power_demand_w: 0.0,
             last_config: None,
             class,
+            selection: None,
+        }
+    }
+
+    /// Runs the manager's `select()` and returns the deployed
+    /// configuration's selection: the one this session kept when it is
+    /// still current, a new one (kept for the next request) when the
+    /// manager switched or `features` changed. `None` when no point is
+    /// feasible.
+    pub(crate) fn select(&mut self) -> Option<Selection> {
+        let config = self.manager.select()?;
+        match &self.selection {
+            Some(kept) if kept.is_current(config, &self.features) => Some(kept.clone()),
+            _ => {
+                let fresh = Selection::new(config, &self.features);
+                self.selection = Some(fresh.clone());
+                Some(fresh)
+            }
         }
     }
 }

@@ -15,12 +15,11 @@
 //! learns never pays for a base of its own.
 
 use crate::goal::{Constraint, Objective};
-use crate::intern::{intern, lookup, SymbolId};
+use crate::intern::{intern, SymbolId};
 use crate::point::{KnowledgeBase, OperatingPoint};
 use crate::space::Configuration;
 use antarex_monitor::cada::Decision;
 use antarex_monitor::series::TimeSeries;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The per-application runtime autotuner.
@@ -51,7 +50,7 @@ pub struct AppManager {
     objective: Objective,
     constraints: Vec<Constraint>,
     current: Option<Configuration>,
-    monitors: BTreeMap<SymbolId, TimeSeries>,
+    monitors: Monitors,
     learn_alpha: f64,
     switches: u64,
     last_adapt: f64,
@@ -66,7 +65,7 @@ impl AppManager {
             objective,
             constraints: Vec::new(),
             current: None,
-            monitors: BTreeMap::new(),
+            monitors: Monitors::default(),
             learn_alpha: 0.4,
             switches: 0,
             last_adapt: f64::NEG_INFINITY,
@@ -148,20 +147,18 @@ impl AppManager {
     }
 
     /// Records a runtime measurement of `metric` for the *current*
-    /// configuration. Series are keyed by interned id and bounded at
-    /// 256 samples; a series grows with its samples up to that bound
-    /// and from then on evicts in place, so once every metric's series
-    /// is full an observation allocates nothing.
+    /// configuration. Series are bounded at 256 samples; a series grows
+    /// with its samples up to that bound and from then on evicts in
+    /// place, so once every metric's series is full an observation
+    /// allocates nothing. Only a metric's first observation interns its
+    /// name.
     pub fn observe(&mut self, time: f64, metric: &str, value: f64) {
-        self.monitors
-            .entry(intern(metric))
-            .or_insert_with(|| TimeSeries::with_capacity(256))
-            .push(time, value);
+        self.monitors.series_mut(metric).push(time, value);
     }
 
     /// The monitor series for a metric, if any measurements arrived.
     pub fn monitor(&self, metric: &str) -> Option<&TimeSeries> {
-        self.monitors.get(&lookup(metric)?)
+        self.monitors.get(metric)
     }
 
     /// One adaptation round at time `now`: folds measurements since the
@@ -187,8 +184,9 @@ impl AppManager {
         if let Some(current) = &self.current {
             let mut fresh = self
                 .monitors
+                .0
                 .iter()
-                .filter_map(|(&metric, series)| Some((metric, series.mean_since(since)?)))
+                .filter_map(|(metric, _, series)| Some((*metric, series.mean_since(since)?)))
                 .peekable();
             if fresh.peek().is_some() {
                 match self.knowledge.find_index(current) {
@@ -222,6 +220,48 @@ impl AppManager {
             }
             _ => Decision::Stay,
         }
+    }
+}
+
+/// A manager's runtime monitors: one series per observed metric, in
+/// interned-id order, which is the order `adapt` learns in. A manager
+/// watches a handful of metrics, so a series is found by comparing
+/// names: no interning and no lock per observation, and no spare slots
+/// for series the manager will never hold. `Debug` renders a map from
+/// id to series, as the recovery check and the serving digests expect.
+#[derive(Clone, Default)]
+struct Monitors(Vec<(SymbolId, &'static str, TimeSeries)>);
+
+impl Monitors {
+    fn get(&self, metric: &str) -> Option<&TimeSeries> {
+        self.0
+            .iter()
+            .find(|(_, name, _)| *name == metric)
+            .map(|(_, _, series)| series)
+    }
+
+    /// The metric's series, created (and its name interned) on the
+    /// metric's first observation.
+    fn series_mut(&mut self, metric: &str) -> &mut TimeSeries {
+        let at = match self.0.iter().position(|(_, name, _)| *name == metric) {
+            Some(at) => at,
+            None => {
+                let id = intern(metric);
+                let at = self.0.partition_point(|(other, _, _)| *other < id);
+                self.0
+                    .insert(at, (id, id.name(), TimeSeries::with_capacity(256)));
+                at
+            }
+        };
+        &mut self.0[at].2
+    }
+}
+
+impl std::fmt::Debug for Monitors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(id, _, series)| (id, series)))
+            .finish()
     }
 }
 
@@ -439,5 +479,63 @@ mod tests {
             assert_eq!(manager.select().unwrap().get_int("level"), Some(3));
         }
         assert_eq!(manager.switches(), 0, "ties must not cause switches");
+    }
+
+    /// The `Debug` rendering recovery byte-compares and the serving
+    /// digests fold, captured from the `BTreeMap`-backed monitors before
+    /// they became a `Vec`. Metric ids are interned z < a < m, observed
+    /// out of that order, plus one metric the base does not name; the
+    /// names are this test's own, so no other test can intern them
+    /// first.
+    #[test]
+    fn debug_rendering_matches_the_map_backed_monitors() {
+        for name in ["mgr-golden-z", "mgr-golden-a", "mgr-golden-m"] {
+            intern(name);
+        }
+        let kb: KnowledgeBase = (1..=2)
+            .map(|l| {
+                let mut c = Configuration::new();
+                c.set("mgr-golden-level", KnobValue::Int(l));
+                OperatingPoint::new(
+                    c,
+                    [
+                        ("mgr-golden-a".to_string(), 0.5 * l as f64),
+                        ("mgr-golden-m".to_string(), l as f64),
+                    ],
+                )
+            })
+            .collect();
+        let mut manager = AppManager::new(kb, Objective::maximize("mgr-golden-m"));
+        manager.add_constraint(Constraint::at_most("mgr-golden-a", 0.75));
+        manager.select();
+        manager.observe(0.5, "mgr-golden-m", 1.5);
+        manager.observe(0.5, "mgr-golden-z", -2.0);
+        manager.observe(1.0, "mgr-golden-a", 0.25);
+        manager.observe(1.5, "mgr-golden-m", 0.5);
+        manager.observe(2.0, "mgr-golden-new", 7.0);
+        manager.adapt(3.0);
+        manager.observe(3.5, "mgr-golden-z", 4.0);
+        assert_eq!(
+            format!("{manager:?}"),
+            concat!(
+                r#"AppManager { knowledge: KnowledgeBase { points: [OperatingPoint { config: Configuration { values: [("mgr-golden-level", Int(1))] }, metrics: [("mgr-golden-a", 0.4), ("mgr-golden-m", 1.0), ("mgr-golden-new", 7.0), ("mgr-golden-z", -2.0)] }, OperatingPoint { config: Configuration { values: [("mgr-golden-level", Int(2))] }, metrics: [("mgr-golden-a", 1.0), ("mgr-golden-m", 2.0)] }] }, "#,
+                r#"objective: Objective { metric: "mgr-golden-m", direction: Maximize }, constraints: [Constraint { metric: "mgr-golden-a", bound: 0.75, upper: true }], current: Some(Configuration { values: [("mgr-golden-level", Int(1))] }), "#,
+                r#"monitors: {"mgr-golden-z": TimeSeries { samples: [Sample { time: 0.5, value: -2.0 }, Sample { time: 3.5, value: 4.0 }], capacity: 256, total_pushed: 2, ewma: Some(-0.7999999999999998), ewma_alpha: 0.2 }, "#,
+                r#""mgr-golden-a": TimeSeries { samples: [Sample { time: 1.0, value: 0.25 }], capacity: 256, total_pushed: 1, ewma: Some(0.25), ewma_alpha: 0.2 }, "#,
+                r#""mgr-golden-m": TimeSeries { samples: [Sample { time: 0.5, value: 1.5 }, Sample { time: 1.5, value: 0.5 }], capacity: 256, total_pushed: 2, ewma: Some(1.3), ewma_alpha: 0.2 }, "#,
+                r#""mgr-golden-new": TimeSeries { samples: [Sample { time: 2.0, value: 7.0 }], capacity: 256, total_pushed: 1, ewma: Some(7.0), ewma_alpha: 0.2 }}, "#,
+                r#"learn_alpha: 0.4, switches: 0, last_adapt: 3.0 }"#,
+            )
+        );
+        let empty = AppManager::new(KnowledgeBase::new(), Objective::minimize("mgr-golden-a"));
+        assert_eq!(
+            format!("{empty:?}"),
+            r#"AppManager { knowledge: KnowledgeBase { points: [] }, objective: Objective { metric: "mgr-golden-a", direction: Minimize }, constraints: [], current: None, monitors: {}, learn_alpha: 0.4, switches: 0, last_adapt: -inf }"#
+        );
+        assert_eq!(
+            manager.monitor("mgr-golden-z").map(TimeSeries::len),
+            Some(2)
+        );
+        assert!(manager.monitor("mgr-golden-unobserved").is_none());
     }
 }
