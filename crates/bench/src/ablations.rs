@@ -439,7 +439,13 @@ pub(crate) fn a6_scheduler_replay() -> String {
         ("FIFO", SchedulerPolicy::Fifo),
         ("EASY backfill", SchedulerPolicy::EasyBackfill),
     ] {
-        let schedule = BatchScheduler::new(4, policy).schedule(&jobs, estimate);
+        let schedule = match BatchScheduler::new(4, policy).schedule(&jobs, estimate) {
+            Ok(schedule) => schedule,
+            Err(err) => {
+                let _ = writeln!(out, "{label:<16} {err}");
+                continue;
+            }
+        };
         let mut nodes = pool(7);
         let outcome = replay(&schedule, &jobs, &mut nodes);
         let _ = writeln!(

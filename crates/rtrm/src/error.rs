@@ -3,7 +3,8 @@
 //! A facility controller that re-splits its budget every few virtual
 //! seconds cannot afford a panic because one telemetry sample carried a
 //! NaN. Constructors in [`crate::cluster_ctrl`] and [`crate::powercap`]
-//! validate their budgets and return [`RtrmError`] instead.
+//! validate their budgets, and [`crate::scheduler::BatchScheduler`] its
+//! jobs, and return [`RtrmError`] instead.
 
 use std::fmt;
 
@@ -18,6 +19,15 @@ pub enum RtrmError {
         /// The offending value.
         value: f64,
     },
+    /// A batch job the scheduler cannot place: its runtime estimate is
+    /// negative or not finite, or it wants more nodes than the pool
+    /// holds.
+    InvalidJob {
+        /// The job's id.
+        job: u64,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for RtrmError {
@@ -26,6 +36,7 @@ impl fmt::Display for RtrmError {
             RtrmError::InvalidBudget { what, value } => {
                 write!(f, "{what} must be positive and finite, got {value}")
             }
+            RtrmError::InvalidJob { job, reason } => write!(f, "job {job}: {reason}"),
         }
     }
 }

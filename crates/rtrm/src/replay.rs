@@ -155,11 +155,17 @@ mod tests {
         job.work_per_node.flops / (192e9) * 1.3 + 10.0
     }
 
+    /// The 4-node plan of `jobs` under `policy`.
+    fn plan(policy: SchedulerPolicy, jobs: &[Job]) -> Schedule {
+        BatchScheduler::new(4, policy)
+            .schedule(jobs, estimate)
+            .unwrap()
+    }
+
     #[test]
     fn replay_executes_all_jobs_and_accounts_energy() {
         let jobs = jobs();
-        let schedule =
-            BatchScheduler::new(4, SchedulerPolicy::EasyBackfill).schedule(&jobs, estimate);
+        let schedule = plan(SchedulerPolicy::EasyBackfill, &jobs);
         let mut nodes = pool(1);
         let outcome = replay(&schedule, &jobs, &mut nodes);
         assert_eq!(outcome.job_runtimes_s.len(), 4);
@@ -176,8 +182,8 @@ mod tests {
             Job::new(1, 1.0, 4, WorkUnit::compute_bound(5e12)),
             Job::new(2, 2.0, 1, WorkUnit::compute_bound(5e12)),
         ];
-        let fifo = BatchScheduler::new(4, SchedulerPolicy::Fifo).schedule(&jobs, estimate);
-        let easy = BatchScheduler::new(4, SchedulerPolicy::EasyBackfill).schedule(&jobs, estimate);
+        let fifo = plan(SchedulerPolicy::Fifo, &jobs);
+        let easy = plan(SchedulerPolicy::EasyBackfill, &jobs);
         let fifo_outcome = replay(&fifo, &jobs, &mut pool(2));
         let easy_outcome = replay(&easy, &jobs, &mut pool(2));
         assert!(
@@ -192,7 +198,7 @@ mod tests {
     #[test]
     fn downclocked_pool_trades_time_for_power() {
         let jobs = jobs();
-        let schedule = BatchScheduler::new(4, SchedulerPolicy::Fifo).schedule(&jobs, estimate);
+        let schedule = plan(SchedulerPolicy::Fifo, &jobs);
         let mut fast_pool = pool(3);
         let fast = replay(&schedule, &jobs, &mut fast_pool);
         let mut slow_pool = pool(3);
@@ -213,7 +219,7 @@ mod tests {
     #[should_panic(expected = "pool exhausted")]
     fn undersized_pool_panics() {
         let jobs = vec![Job::new(0, 0.0, 4, WorkUnit::compute_bound(1e12))];
-        let schedule = BatchScheduler::new(4, SchedulerPolicy::Fifo).schedule(&jobs, estimate);
+        let schedule = plan(SchedulerPolicy::Fifo, &jobs);
         let mut nodes = pool(4);
         let mut small: Vec<Node> = nodes.drain(0..2).collect();
         replay(&schedule, &jobs, &mut small);

@@ -6,6 +6,7 @@
 //! the queue when they cannot delay the first blocked job — the classic
 //! utilization/energy win for irregular HPC workloads.
 
+use crate::error::RtrmError;
 use antarex_sim::job::Job;
 
 /// Scheduling policy.
@@ -68,44 +69,52 @@ impl BatchScheduler {
     /// Schedules `jobs` (must be sorted by arrival), with `estimate`
     /// giving each job's runtime in seconds.
     ///
-    /// # Panics
-    ///
-    /// Panics if a job requests more nodes than the pool holds.
-    pub fn schedule(&self, jobs: &[Job], estimate: impl Fn(&Job) -> f64) -> Schedule {
-        for job in jobs {
-            assert!(
-                job.nodes <= self.total_nodes,
-                "job {} wants {} nodes, pool has {}",
-                job.id,
-                job.nodes,
-                self.total_nodes
-            );
-        }
-        match self.policy {
-            SchedulerPolicy::Fifo => self.fifo(jobs, &estimate),
-            SchedulerPolicy::EasyBackfill => self.backfill(jobs, &estimate),
-        }
+    /// Returns `RtrmError::InvalidJob` for the first job whose
+    /// estimate is negative or not finite, or that requests more nodes
+    /// than the pool holds: either would let the plan overcommit nodes.
+    pub fn schedule(
+        &self,
+        jobs: &[Job],
+        estimate: impl Fn(&Job) -> f64,
+    ) -> Result<Schedule, RtrmError> {
+        let durations = jobs
+            .iter()
+            .map(|job| {
+                let invalid = |reason| RtrmError::InvalidJob {
+                    job: job.id,
+                    reason,
+                };
+                if job.nodes > self.total_nodes {
+                    return Err(invalid("wants more nodes than the pool holds"));
+                }
+                let duration = estimate(job);
+                if !(duration.is_finite() && duration >= 0.0) {
+                    return Err(invalid("runtime estimate is negative or not finite"));
+                }
+                Ok(duration)
+            })
+            .collect::<Result<Vec<f64>, RtrmError>>()?;
+        Ok(match self.policy {
+            SchedulerPolicy::Fifo => self.fifo(jobs, &durations),
+            SchedulerPolicy::EasyBackfill => self.backfill(jobs, &durations),
+        })
     }
 
-    fn fifo(&self, jobs: &[Job], estimate: &dyn Fn(&Job) -> f64) -> Schedule {
-        let mut running: Vec<Placement> = Vec::new();
+    fn fifo(&self, jobs: &[Job], durations: &[f64]) -> Schedule {
         let mut placements = Vec::new();
-        for job in jobs {
-            let duration = estimate(job);
-            let start = self.earliest_start(&running, job.arrival_s, job.nodes);
-            let placement = Placement {
+        for (job, &duration) in jobs.iter().zip(durations) {
+            let start = self.earliest_start(&placements, job.arrival_s, job.nodes);
+            placements.push(Placement {
                 job_id: job.id,
                 start_s: start,
                 end_s: start + duration,
                 nodes: job.nodes,
-            };
-            running.push(placement.clone());
-            placements.push(placement);
+            });
         }
         summarize(jobs, placements)
     }
 
-    fn backfill(&self, jobs: &[Job], estimate: &dyn Fn(&Job) -> f64) -> Schedule {
+    fn backfill(&self, jobs: &[Job], durations: &[f64]) -> Schedule {
         // Process in arrival order, but allow later jobs to start before
         // an earlier blocked job when they do not push back its
         // reservation (EASY: one reservation for the queue head).
@@ -118,7 +127,7 @@ impl BatchScheduler {
                 .find(|&i| !scheduled[i])
                 .expect("jobs remain");
             let head_job = &jobs[head];
-            let head_duration = estimate(head_job);
+            let head_duration = durations[head];
             let head_start = self.earliest_start(&placements, head_job.arrival_s, head_job.nodes);
             // try to backfill later arrivals that fit before head_start
             let mut backfilled = false;
@@ -126,7 +135,7 @@ impl BatchScheduler {
                 if scheduled[i] || jobs[i].arrival_s > head_start {
                     continue;
                 }
-                let duration = estimate(&jobs[i]);
+                let duration = durations[i];
                 let start = self.earliest_start(&placements, jobs[i].arrival_s, jobs[i].nodes);
                 // must end before the head reservation OR leave enough
                 // nodes for the head to start on time
@@ -233,11 +242,16 @@ mod tests {
         3600.0
     }
 
+    /// The 4-node plan of `jobs` under `policy` with hour estimates.
+    fn plan(policy: SchedulerPolicy, jobs: &[Job]) -> Schedule {
+        BatchScheduler::new(4, policy).schedule(jobs, hour).unwrap()
+    }
+
     #[test]
     fn fifo_runs_jobs_in_order_with_capacity() {
         let scheduler = BatchScheduler::new(4, SchedulerPolicy::Fifo);
         let jobs = vec![job(0, 0.0, 2), job(1, 0.0, 2), job(2, 0.0, 2)];
-        let schedule = scheduler.schedule(&jobs, hour);
+        let schedule = scheduler.schedule(&jobs, hour).unwrap();
         // jobs 0 and 1 run together; job 2 waits
         assert_eq!(schedule.placements[0].start_s, 0.0);
         assert_eq!(schedule.placements[1].start_s, 0.0);
@@ -250,7 +264,7 @@ mod tests {
         let scheduler = BatchScheduler::new(4, SchedulerPolicy::Fifo);
         // wide job blocks; narrow job behind it must wait under FIFO
         let jobs = vec![job(0, 0.0, 4), job(1, 1.0, 4), job(2, 2.0, 1)];
-        let schedule = scheduler.schedule(&jobs, hour);
+        let schedule = scheduler.schedule(&jobs, hour).unwrap();
         let p2 = schedule.placements.iter().find(|p| p.job_id == 2).unwrap();
         assert!(p2.start_s >= 7200.0, "narrow job stuck behind wide ones");
     }
@@ -266,7 +280,7 @@ mod tests {
             Job::new(1, 1.0, 4, WorkUnit::compute_bound(1e12)),
             Job::new(2, 2.0, 1, WorkUnit::compute_bound(1e12)),
         ];
-        let schedule = scheduler.schedule(&jobs, hour);
+        let schedule = scheduler.schedule(&jobs, hour).unwrap();
         let p1 = schedule.placements.iter().find(|p| p.job_id == 1).unwrap();
         let p2 = schedule.placements.iter().find(|p| p.job_id == 2).unwrap();
         assert_eq!(p1.start_s, 3600.0, "wide job reserved at hour one");
@@ -284,8 +298,8 @@ mod tests {
         let jobs: Vec<Job> = (0..10)
             .map(|i| job(i, i as f64 * 10.0, 1 + (i as usize % 3)))
             .collect();
-        let fifo = BatchScheduler::new(4, SchedulerPolicy::Fifo).schedule(&jobs, hour);
-        let easy = BatchScheduler::new(4, SchedulerPolicy::EasyBackfill).schedule(&jobs, hour);
+        let fifo = plan(SchedulerPolicy::Fifo, &jobs);
+        let easy = plan(SchedulerPolicy::EasyBackfill, &jobs);
         assert!(easy.mean_wait_s <= fifo.mean_wait_s + 1e-9);
         assert!(easy.makespan_s <= fifo.makespan_s + 1e-9);
     }
@@ -294,7 +308,7 @@ mod tests {
     fn capacity_is_never_exceeded() {
         let scheduler = BatchScheduler::new(4, SchedulerPolicy::EasyBackfill);
         let jobs: Vec<Job> = (0..12).map(|i| job(i, (i / 3) as f64, 2)).collect();
-        let schedule = scheduler.schedule(&jobs, hour);
+        let schedule = scheduler.schedule(&jobs, hour).unwrap();
         // sample usage at many instants
         for k in 0..200 {
             let t = k as f64 * 120.0;
@@ -309,9 +323,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wants")]
     fn oversized_job_rejected() {
         let scheduler = BatchScheduler::new(2, SchedulerPolicy::Fifo);
-        scheduler.schedule(&[job(0, 0.0, 3)], hour);
+        let err = scheduler.schedule(&[job(0, 0.0, 3)], hour).unwrap_err();
+        assert!(matches!(err, RtrmError::InvalidJob { job: 0, .. }));
+        assert!(err.to_string().contains("more nodes"));
+    }
+
+    #[test]
+    fn bad_estimates_are_rejected_not_overcommitted() {
+        // a NaN end time never counts as running, so before validation
+        // both 4-node jobs started at t=0 on a 4-node pool
+        let jobs = vec![job(0, 0.0, 4), job(1, 0.0, 4)];
+        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::EasyBackfill] {
+            let scheduler = BatchScheduler::new(4, policy);
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let estimate = |j: &Job| if j.id == 0 { bad } else { 3600.0 };
+                assert_eq!(
+                    scheduler.schedule(&jobs, estimate),
+                    Err(RtrmError::InvalidJob {
+                        job: 0,
+                        reason: "runtime estimate is negative or not finite"
+                    }),
+                    "{policy:?} with estimate {bad}"
+                );
+            }
+        }
     }
 }

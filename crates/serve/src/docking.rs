@@ -211,7 +211,7 @@ mod tests {
     use crate::admission::AdmissionConfig;
     use crate::autoscale::AutoscaleConfig;
     use crate::driver::{Batching, Campaign, Cohort, DriverConfig};
-    use crate::pool::{SchedConfig, SchedPolicy};
+    use crate::pool::SchedConfig;
     use crate::service::{FrontDoorConfig, TuningRequest};
 
     fn config(poses: i64) -> Configuration {
@@ -299,7 +299,7 @@ mod tests {
     fn mixed_campaign_serves_both_classes_end_to_end() {
         let mut campaign = DriverConfig::smoke(17).campaign();
         campaign.cohorts.push(docking_cohort(1000, 8));
-        campaign.sched.per_class[TenantClass::Docking.index()] = Some(SchedPolicy::WorkSteal);
+        campaign.sched = SchedConfig::work_stealing();
         let service = campaign.build(TenantMux::city_and_screening(17));
         let mut requests: Vec<TuningRequest> = (0..4)
             .map(|tenant| TuningRequest {

@@ -55,7 +55,7 @@ pub enum JournalEntry {
         tenant: TenantId,
         /// Its workload features.
         features: Vec<f64>,
-        /// Its workload class (scheduler policy + metric bucket).
+        /// Its workload class (its metric bucket).
         class: TenantClass,
     },
     /// The tenant's manager ran one `select()` during request

@@ -20,8 +20,8 @@
 //! * [`service`] — the tying layer: select → cache → probe → learn →
 //!   adapt per batch, plus the aggregate power demand the RTRM's
 //!   facility capper splits across tenants;
-//! * [`chaos`] — the **fault-injected scheduler**: the pool's virtual
-//!   list schedule replayed against a deterministic
+//! * [`chaos`] — **fault injection**: each batch re-placed by
+//!   `antarex_sim::sched`'s list placement against a deterministic
 //!   [`FaultSchedule`](antarex_sim::faults::FaultSchedule) — worker
 //!   crashes retried with capped backoff, stragglers hedged, results
 //!   integrity-checked, per-job deadline budgets enforced;

@@ -10,15 +10,15 @@
 //! tests consume, so runs are byte-identical at any physical core
 //! count.
 //!
-//! The default [`SchedPolicy::Static`] replays the legacy greedy list
-//! schedule (earliest-finishing worker first, lowest index on ties)
-//! bit for bit. Heavy-tailed tenant classes (drug-discovery docking)
-//! opt into [`SchedPolicy::WorkSteal`] — a deterministic work-stealing
-//! simulation whose placement runs on *estimated* costs from the pool's
-//! `CostEstimator` (quantized feature keys, EWMA-refined from
-//! observed probe costs) — or the [`SchedPolicy::Lpt`] placement
-//! fallback. A mixed batch resolves to the most dynamic policy among
-//! its classes.
+//! The service runs one [`SchedPolicy`]. The default
+//! [`SchedPolicy::Static`] is the greedy list placement of
+//! [`antarex_sim::sched::list_schedule`] (earliest-free worker first,
+//! lowest index on ties) on the actual costs. Heavy-tailed campaigns
+//! (drug-discovery docking) run [`SchedPolicy::WorkSteal`] — a
+//! deterministic work-stealing simulation whose placement runs on
+//! *estimated* costs from the pool's `CostEstimator` (quantized feature
+//! keys, EWMA-refined from observed probe costs) — or the
+//! [`SchedPolicy::Lpt`] placement fallback.
 //!
 //! Admission control is load shedding: the queue is bounded, and a
 //! batch that overflows it has its tail shed *before* any work starts
@@ -43,8 +43,8 @@ pub struct EvalJob {
     pub id: usize,
     /// Tenant that first requested this design point.
     pub tenant: TenantId,
-    /// Workload class of the requesting tenant; selects the scheduler
-    /// policy and the metric bucket.
+    /// Workload class of the requesting tenant; selects the metric
+    /// bucket its steals and makespan are counted in.
     pub class: TenantClass,
     /// The knob configuration to measure.
     pub config: Configuration,
@@ -128,46 +128,19 @@ impl PoolConfig {
     }
 }
 
-/// Per-class scheduler policy selection.
-///
-/// Each tenant class resolves to its override, falling back to the
-/// default; a batch mixing classes is scheduled with the most dynamic
-/// resolved policy (work stealing > LPT > block > static), so a single
-/// heavy-tailed tenant class is enough to turn rebalancing on for the
-/// batches it appears in.
+/// The scheduler policy of one service: every batch replays on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedConfig {
-    /// Policy for classes without an override.
-    pub default: SchedPolicy,
-    /// Per-class overrides, indexed by [`TenantClass::index`].
-    pub per_class: [Option<SchedPolicy>; TenantClass::COUNT],
+    /// The policy every batch is scheduled with.
+    pub policy: SchedPolicy,
 }
 
 impl SchedConfig {
-    /// Work stealing for every class.
+    /// Work stealing for every batch.
     pub fn work_stealing() -> Self {
         SchedConfig {
-            default: SchedPolicy::WorkSteal,
-            per_class: [None; TenantClass::COUNT],
+            policy: SchedPolicy::WorkSteal,
         }
-    }
-
-    /// The policy a single class resolves to.
-    pub(crate) fn resolve(&self, class: TenantClass) -> SchedPolicy {
-        self.per_class[class.index()].unwrap_or(self.default)
-    }
-
-    /// The policy a batch of jobs resolves to: the most dynamic among
-    /// the classes present (default for an empty batch).
-    pub(crate) fn policy_for<I: IntoIterator<Item = TenantClass>>(
-        &self,
-        classes: I,
-    ) -> SchedPolicy {
-        classes
-            .into_iter()
-            .map(|class| self.resolve(class))
-            .max_by_key(|policy| policy.dynamism())
-            .unwrap_or(self.default)
     }
 }
 
@@ -247,7 +220,7 @@ impl EvalPool {
         }
     }
 
-    /// Replaces the scheduler policy selection.
+    /// Replaces the scheduler policy.
     pub fn with_sched(mut self, sched: SchedConfig) -> Self {
         self.sched = sched;
         self
@@ -309,11 +282,12 @@ impl EvalPool {
         let admitted_count = jobs.len().min(self.config.queue_capacity);
         let shed = jobs.split_off(admitted_count);
         let evaluations = par_map(&jobs, self.config.workers, probe);
-        let policy = self.sched.policy_for(jobs.iter().map(|job| job.class));
+        let policy = self.sched.policy;
         let costs: Vec<f64> = evaluations.iter().map(|e| e.cost_s).collect();
         let schedule = if policy == SchedPolicy::Static {
-            // The legacy list schedule places by actual cost; skip the
-            // estimator entirely so the hot path stays unchanged.
+            // List placement places by actual cost: refining estimates
+            // would add a table entry per fresh design point that
+            // nothing reads.
             sched::list_schedule(&costs, virtual_workers)
         } else {
             let keys: Vec<u64> = jobs
@@ -527,8 +501,7 @@ mod tests {
             queue_capacity: 1024,
         })
         .with_sched(SchedConfig {
-            default: SchedPolicy::Block,
-            per_class: [None; TenantClass::COUNT],
+            policy: SchedPolicy::Block,
         });
         let steal_pool = EvalPool::new(PoolConfig {
             workers: 4,
@@ -565,22 +538,6 @@ mod tests {
         for other in &outcomes[1..] {
             assert_eq!(&outcomes[0], other, "schedule must not see thread count");
         }
-    }
-
-    #[test]
-    fn mixed_batches_resolve_to_the_most_dynamic_class_policy() {
-        let mut sched = SchedConfig::default();
-        sched.per_class[TenantClass::Docking.index()] = Some(SchedPolicy::WorkSteal);
-        sched.per_class[TenantClass::Nav.index()] = Some(SchedPolicy::Static);
-        assert_eq!(
-            sched.policy_for([TenantClass::Nav, TenantClass::Generic]),
-            SchedPolicy::Static
-        );
-        assert_eq!(
-            sched.policy_for([TenantClass::Nav, TenantClass::Docking]),
-            SchedPolicy::WorkSteal
-        );
-        assert_eq!(sched.policy_for([]), SchedPolicy::Static);
     }
 
     #[test]

@@ -520,10 +520,10 @@ impl<E: Evaluator> TuningService<E> {
     }
 
     /// Registers a tenant under an explicit workload class. The class
-    /// selects the scheduler policy its probes are replayed with (per
-    /// the pool's [`crate::pool::SchedConfig`]) and the
-    /// metric bucket its makespans land in; it is journaled so crash
-    /// recovery restores it exactly.
+    /// selects the metric bucket its steals and makespans land in (the
+    /// scheduler policy is the service's one
+    /// [`crate::pool::SchedConfig`]); it is journaled so crash recovery
+    /// restores it exactly.
     pub fn register_tenant_classed(
         &self,
         tenant: TenantId,

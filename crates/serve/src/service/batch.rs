@@ -14,19 +14,20 @@
 use super::{BatchReport, Evaluator, ProbeSegment, TuningRequest, TuningResponse, TuningService};
 use crate::admission::AdmissionTier;
 use crate::cache::{DesignKey, Metrics};
-use crate::chaos::chaos_schedule;
+use crate::chaos::job_result;
 use crate::error::{ErrorCounter, ServeError};
 use crate::journal::{apply, take_snapshot, JournalEntry};
 use crate::obs::{
     ADAPT_SPAN, ADAPT_SPAN_S, BATCH_SPAN, CACHE_PROBE_SPAN, CACHE_PROBE_SPAN_S, EVAL_SPAN,
     LEARN_SPAN, LEARN_SPAN_S, REQUEST_SPAN, SELECT_SPAN, SELECT_SPAN_S,
 };
-use crate::pool::{BatchOutcome, EvalJob, Evaluation};
+use crate::pool::{BatchOutcome, EvalJob};
 use crate::store::{Selection, TenantClass, TenantId};
 use antarex_obs::{
     largest_remainder_split, nj_to_j, to_nj, Layer, SloVerdict, SpanAt, SpanId, TraceCtx,
     TraceEvent, WindowSummary,
 };
+use antarex_sim::sched::list_place;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -411,31 +412,34 @@ impl<E: Evaluator> TuningService<E> {
     }
 
     /// Stage: what became of each admitted probe. Under an injected
-    /// chaos config the evaluations are replayed through the
-    /// fault-aware scheduler (only their virtual scheduling changes);
-    /// otherwise the pool's own schedule passes through.
+    /// chaos config the probe costs are re-placed by the fault-aware
+    /// list placement of [`antarex_sim::sched`] (only their virtual
+    /// scheduling changes); otherwise the pool's own schedule passes
+    /// through.
     fn fault_schedule(&self, batch: &mut Batch, outcome: &BatchOutcome, capacity: usize) {
         let results = &outcome.results;
         if let Some(chaos) = &self.chaos {
-            let evaluations: Vec<Evaluation> =
-                results.iter().map(|r| r.evaluation.clone()).collect();
+            let costs: Vec<f64> = results.iter().map(|r| r.evaluation.cost_s).collect();
             let poisoned: Vec<bool> = results
                 .iter()
                 .map(|r| chaos.poisoned_tenants.contains(&r.job.tenant))
                 .collect();
-            let (fates, stats, makespan_s) = chaos_schedule(
-                &evaluations,
+            let start_s = batch.start_s;
+            batch.fates.reserve(results.len());
+            batch.makespan_s = list_place(
+                &costs,
                 &poisoned,
                 capacity,
-                batch.start_s,
-                chaos,
+                start_s,
+                Some(&chaos.schedule),
                 &self.resilience.hedge,
+                |id, job| {
+                    batch.retries += u64::from(job.retries);
+                    batch.hedges += u64::from(job.hedges);
+                    let fate = job_result(&job, &results[id].evaluation, start_s);
+                    batch.fates.push(fate);
+                },
             );
-            let start_s = batch.start_s;
-            batch.fates = fates.into_iter().map(|f| f.map(|t| t - start_s)).collect();
-            batch.makespan_s = makespan_s;
-            batch.retries = stats.iter().map(|s| u64::from(s.retries)).sum();
-            batch.hedges = stats.iter().map(|s| u64::from(s.hedges)).sum();
         } else {
             batch.fates = results.iter().map(|r| Ok(r.completion_s)).collect();
             batch.makespan_s = outcome.makespan_s;

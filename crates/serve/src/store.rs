@@ -37,12 +37,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Tenant identifier: one concurrent application instance.
 pub type TenantId = u64;
 
-/// Workload class of a tenant, used to pick scheduler policy and to
-/// attribute scheduler metrics. Classes are coarse: they describe the
+/// Workload class of a tenant, used to attribute scheduler and energy
+/// metrics. Classes are coarse: they describe the
 /// *shape* of the tenant's probe costs, not its identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum TenantClass {
-    /// No declared shape; scheduled with the pool default policy.
+    /// No declared shape.
     #[default]
     Generic,
     /// Navigation planning (use case b): near-uniform probe costs.
@@ -171,8 +171,8 @@ pub struct Session {
     pub power_demand_w: f64,
     /// The configuration most recently deployed for this tenant.
     pub last_config: Option<Configuration>,
-    /// Workload class: which scheduler policy and metric bucket the
-    /// tenant's probes belong to.
+    /// Workload class: which metric bucket the tenant's probes belong
+    /// to.
     pub class: TenantClass,
     /// The selection the last `select()` deployed, if any; checked
     /// against the manager's choice and `features` before it is reused

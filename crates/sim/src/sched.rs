@@ -9,9 +9,11 @@
 //!
 //! Four policies are provided:
 //!
-//! * [`list_schedule`] — greedy earliest-finishing-core list scheduling
-//!   in job-id order (the legacy `serve::pool` schedule, kept
-//!   byte-identical);
+//! * [`list_schedule`] — greedy earliest-free-core list placement in
+//!   job-id order: [`list_place`], the one list-placement loop, with no
+//!   fault timeline and hedging off. Given a [`FaultSchedule`] the same
+//!   loop is the serving tier's chaos replay (retries, hedges,
+//!   integrity failures, deadlines);
 //! * [`block_schedule`] — contiguous block partitioning, the analogue of
 //!   OpenMP `schedule(static)`: the strawman that a sorted heavy-tailed
 //!   library defeats;
@@ -29,6 +31,7 @@
 //! costs. This mirrors a real scheduler that only knows predictions up
 //! front, while keeping the replay deterministic.
 
+use crate::faults::FaultSchedule;
 use std::collections::VecDeque;
 
 /// Scheduling policy for a virtual batch replay.
@@ -43,19 +46,6 @@ pub enum SchedPolicy {
     Lpt,
     /// Deterministic work stealing with a guided chunked initial deal.
     WorkSteal,
-}
-
-impl SchedPolicy {
-    /// How aggressively the policy rebalances; mixed batches resolve to
-    /// the most dynamic policy among their tenant classes.
-    pub fn dynamism(&self) -> u8 {
-        match self {
-            SchedPolicy::Static => 0,
-            SchedPolicy::Block => 1,
-            SchedPolicy::Lpt => 2,
-            SchedPolicy::WorkSteal => 3,
-        }
-    }
 }
 
 /// Counters describing how a schedule was produced.
@@ -117,30 +107,323 @@ pub fn schedule(policy: SchedPolicy, costs: &[f64], estimates: &[f64], cores: us
     }
 }
 
+/// Deadline, hedging, and retry budget of one list-placed job.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HedgePolicy {
+    /// Virtual deadline budget per job, measured from its first
+    /// dispatch; `f64::INFINITY` disables deadline enforcement.
+    pub deadline_s: f64,
+    /// A primary attempt still running this long after dispatch gets a
+    /// hedge duplicate on another core; `f64::INFINITY` disables
+    /// hedging.
+    pub hedge_after_s: f64,
+    /// Retries after a failed (crashed or corrupted) attempt.
+    pub max_retries: u32,
+    /// First retry backoff, virtual seconds.
+    pub backoff_base_s: f64,
+    /// Backoff cap: delays grow `base · 2^attempt` up to this.
+    pub backoff_cap_s: f64,
+}
+
+impl HedgePolicy {
+    /// The hardened default: three retries, 50 ms base backoff capped
+    /// at 1 s, hedging after 1 s, a 30 s deadline.
+    pub fn hardened() -> Self {
+        HedgePolicy {
+            deadline_s: 30.0,
+            hedge_after_s: 1.0,
+            max_retries: 3,
+            backoff_base_s: 0.05,
+            backoff_cap_s: 1.0,
+        }
+    }
+
+    /// The unhardened baseline: no retries, no hedging, no deadline —
+    /// a crashed or corrupted attempt is simply a failed job.
+    pub fn disabled() -> Self {
+        HedgePolicy {
+            deadline_s: f64::INFINITY,
+            hedge_after_s: f64::INFINITY,
+            max_retries: 0,
+            backoff_base_s: 0.0,
+            backoff_cap_s: 0.0,
+        }
+    }
+
+    /// Backoff before retry number `attempt` (1-based), capped.
+    fn backoff_s(&self, attempt: u32) -> f64 {
+        let factor = 2f64.powi(attempt.saturating_sub(1).min(30) as i32);
+        (self.backoff_base_s * factor).min(self.backoff_cap_s)
+    }
+}
+
+/// How a list-placed job ended.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum Fate {
+    /// A verified result at this absolute virtual time.
+    Done(f64),
+    /// The deadline budget ran out.
+    Deadline,
+    /// The last attempt crashed or failed integrity on this core.
+    Failed {
+        /// The core of the failed attempt.
+        worker: usize,
+    },
+    /// Every core was down with no repair before the timeline's horizon.
+    #[default]
+    NoLiveWorker,
+}
+
+/// One job's list placement: its fate, the core of its last attempt
+/// (the winner's for [`Fate::Done`]) and what it took to get there.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PlacedJob {
+    /// How the job ended.
+    pub fate: Fate,
+    /// Core of the last attempt that ran (0 if none did).
+    pub worker: usize,
+    /// Failed attempts that were re-dispatched with backoff.
+    pub retries: u32,
+    /// Hedge duplicates dispatched against stragglers.
+    pub hedges: u32,
+    /// Attempts whose result failed the integrity check.
+    pub corrupt_attempts: u32,
+    /// Attempts that died with their core.
+    pub crashed_attempts: u32,
+}
+
 /// Greedy earliest-finishing-core list schedule in job-id order.
 ///
-/// Byte-identical to the legacy `serve::pool` virtual schedule: each job
-/// goes to the core with the smallest accumulated busy time (ties break
-/// to the lowest core index) and costs are floored at zero.
+/// Each job goes to the core with the smallest accumulated busy time
+/// (ties break to the lowest core index) and costs are floored at zero:
+/// [`list_place`] on a fault-free timeline with hedging off.
 pub fn list_schedule(costs: &[f64], cores: usize) -> Schedule {
-    let cores = cores.max(1);
-    let mut busy_until = vec![0.0f64; cores];
+    let mut completions = Vec::with_capacity(costs.len());
     let mut assignments = Vec::with_capacity(costs.len());
-    let completions = costs
-        .iter()
-        .map(|&cost| {
-            let core = busy_until
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            busy_until[core] += cost.max(0.0);
-            assignments.push(core);
-            busy_until[core]
-        })
-        .collect();
-    Schedule::from_parts(completions, assignments, SchedStats::default())
+    let no_hedge = HedgePolicy::disabled();
+    let makespan_s = list_place(costs, &[], cores, 0.0, None, &no_hedge, |_, job| {
+        // no timeline, no corrupt mask, no deadline: every job is done
+        let Fate::Done(t) = job.fate else {
+            unreachable!("fault-free list placement failed a job")
+        };
+        completions.push(t);
+        assignments.push(job.worker);
+    });
+    Schedule {
+        completions,
+        assignments,
+        makespan_s,
+        stats: SchedStats::default(),
+    }
+}
+
+/// List placement: the one loop behind [`list_schedule`] and the
+/// serving tier's chaos replay.
+///
+/// Jobs are placed in id order from virtual time `start_s` onto
+/// `workers` cores, each on the core that is free (and, under `faults`,
+/// alive) earliest, lowest index on ties; costs are floored at zero.
+/// Core *w* is fault-timeline node *w*:
+///
+/// * an attempt whose core crashes mid-run fails at the crash instant
+///   and is **retried** after a capped exponential backoff;
+/// * a primary still running [`HedgePolicy::hedge_after_s`] after
+///   dispatch (a gray straggler) is **hedged** on another core; the
+///   first finisher wins, the loser is cancelled at the winning instant;
+/// * a result finished inside a corruption window, or of a job marked
+///   in `always_corrupt` (missing entries read `false`), fails
+///   integrity and burns a retry;
+/// * each job has a **deadline budget** from its first dispatch.
+///
+/// Each job's placement is handed to `placed(id, job)` in id order, so
+/// the loop allocates nothing per job. Returns the makespan: the latest
+/// busy instant over all cores, relative to `start_s`.
+pub fn list_place(
+    costs: &[f64],
+    always_corrupt: &[bool],
+    workers: usize,
+    start_s: f64,
+    faults: Option<&FaultSchedule>,
+    hedge: &HedgePolicy,
+    mut placed: impl FnMut(usize, PlacedJob),
+) -> f64 {
+    let mut busy = vec![start_s; workers.max(1)];
+    for (id, &cost) in costs.iter().enumerate() {
+        let corrupt = always_corrupt.get(id).copied().unwrap_or(false);
+        placed(
+            id,
+            place_job(&mut busy, cost.max(0.0), corrupt, start_s, faults, hedge),
+        );
+    }
+    busy.iter().fold(start_s, |acc, &t| acc.max(t)) - start_s
+}
+
+/// One scheduled attempt of a job on a virtual core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Attempt {
+    /// The attempt completed (integrity still unchecked) at the time.
+    Finished(f64),
+    /// The core crashed mid-run at the time.
+    Crashed(f64),
+}
+
+impl Attempt {
+    fn end(self) -> f64 {
+        match self {
+            Attempt::Finished(t) | Attempt::Crashed(t) => t,
+        }
+    }
+}
+
+/// Places one job of [`list_place`] on cores busy until `busy[w]`:
+/// attempts, hedges and retries until it succeeds, fails for good or
+/// runs out of deadline.
+fn place_job(
+    busy: &mut [f64],
+    cost: f64,
+    always_corrupt: bool,
+    start_s: f64,
+    faults: Option<&FaultSchedule>,
+    hedge: &HedgePolicy,
+) -> PlacedJob {
+    let mut job = PlacedJob::default();
+    let mut not_before = start_s;
+    let mut first_dispatch: Option<f64> = None;
+    for attempt in 0..=hedge.max_retries {
+        let Some((worker, start)) = pick_worker(busy, not_before, faults, None) else {
+            // every core is down with no repair in sight
+            job.fate = Fate::NoLiveWorker;
+            return job;
+        };
+        let deadline = *first_dispatch.get_or_insert(start) + hedge.deadline_s;
+        if start > deadline {
+            job.fate = Fate::Deadline;
+            return job;
+        }
+        let primary = run_attempt(worker, start, cost, faults);
+        // hedge a straggling primary on a different live core
+        let mut duplicate: Option<(usize, Attempt)> = None;
+        let hedge_at = start + hedge.hedge_after_s;
+        if primary.end() > hedge_at {
+            if let Some((w, t)) = pick_worker(busy, hedge_at, faults, Some(worker)) {
+                if t <= deadline {
+                    job.hedges += 1;
+                    duplicate = Some((w, run_attempt(w, t, cost, faults)));
+                }
+            }
+        }
+        let replicas = || std::iter::once((worker, primary)).chain(duplicate);
+
+        // first *successful* finisher wins; crashes only count when
+        // both replicas crash
+        let winner = replicas()
+            .filter_map(|(w, attempt)| match attempt {
+                Attempt::Finished(t) => Some((w, t)),
+                Attempt::Crashed(_) => None,
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let (fail_worker, fail_t) = match winner {
+            Some((win_worker, win_t)) => {
+                // occupy both cores up to the decisive instant; the
+                // losing replica is cancelled at the win
+                for (w, attempt) in replicas() {
+                    busy[w] = busy[w].max(attempt.end().min(win_t));
+                    if matches!(attempt, Attempt::Crashed(t) if t <= win_t) {
+                        job.crashed_attempts += 1;
+                    }
+                }
+                job.worker = win_worker;
+                if !(always_corrupt || faults.is_some_and(|f| f.corrupted(win_worker, win_t))) {
+                    job.fate = if win_t > deadline {
+                        Fate::Deadline
+                    } else {
+                        Fate::Done(win_t)
+                    };
+                    return job;
+                }
+                // the end-to-end checksum catches the bit flip: the
+                // result is quarantined, the attempt has failed
+                job.corrupt_attempts += 1;
+                (win_worker, win_t)
+            }
+            None => {
+                // every replica crashed: cores are blocked until their
+                // crash instants
+                let mut last = (worker, start);
+                for (w, attempt) in replicas() {
+                    if let Attempt::Crashed(t) = attempt {
+                        busy[w] = busy[w].max(t);
+                        job.crashed_attempts += 1;
+                        if t >= last.1 {
+                            last = (w, t);
+                        }
+                    }
+                }
+                last
+            }
+        };
+        if fail_t > deadline {
+            job.fate = Fate::Deadline;
+            return job;
+        }
+        job.worker = fail_worker;
+        job.fate = Fate::Failed {
+            worker: fail_worker,
+        };
+        if attempt == hedge.max_retries {
+            break;
+        }
+        // retry after backoff
+        job.retries += 1;
+        not_before = fail_t + hedge.backoff_s(attempt + 1);
+    }
+    job
+}
+
+/// The earliest (core, dispatch time) at or after `not_before` whose
+/// core is alive at dispatch, lowest index on ties; `exclude` is
+/// skipped (hedge placement). Dead cores become eligible again at their
+/// repair instant. Returns `None` when no core is ever alive again
+/// within the timeline's horizon.
+fn pick_worker(
+    busy_until: &[f64],
+    not_before: f64,
+    faults: Option<&FaultSchedule>,
+    exclude: Option<usize>,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (worker, &busy) in busy_until.iter().enumerate() {
+        if exclude == Some(worker) {
+            continue;
+        }
+        let mut ready = busy.max(not_before);
+        if let Some(faults) = faults.filter(|f| !f.node_alive(worker, ready)) {
+            // wait for the repair: the next instant the core is alive
+            match faults.next_repair_after(worker, ready) {
+                Some(repair) => ready = repair,
+                None => continue,
+            }
+        }
+        match best {
+            Some((_, t)) if t <= ready => {}
+            _ => best = Some((worker, ready)),
+        }
+    }
+    best
+}
+
+/// Runs one attempt on a virtual core: the cost is stretched by the
+/// core's gray slowdown at dispatch, and a crash inside the execution
+/// window kills the attempt at the crash instant.
+fn run_attempt(worker: usize, start: f64, cost: f64, faults: Option<&FaultSchedule>) -> Attempt {
+    let Some(faults) = faults else {
+        return Attempt::Finished(start + cost);
+    };
+    let end = start + cost * faults.slowdown(worker, start).max(1.0);
+    match faults.first_crash_in(worker, start, end) {
+        Some(crash) => Attempt::Crashed(crash),
+        None => Attempt::Finished(end),
+    }
 }
 
 /// Contiguous block partition: job `i` of `n` runs on core
@@ -148,19 +431,10 @@ pub fn list_schedule(costs: &[f64], cores: usize) -> Schedule {
 pub fn block_schedule(costs: &[f64], cores: usize) -> Schedule {
     let cores = cores.max(1);
     let n = costs.len();
-    let mut busy_until = vec![0.0f64; cores];
-    let mut assignments = Vec::with_capacity(n);
-    let completions = costs
-        .iter()
-        .enumerate()
-        .map(|(i, &cost)| {
-            let core = (i * cores / n.max(1)).min(cores - 1);
-            busy_until[core] += cost.max(0.0);
-            assignments.push(core);
-            busy_until[core]
-        })
+    let assignments = (0..n)
+        .map(|i| (i * cores / n.max(1)).min(cores - 1))
         .collect();
-    Schedule::from_parts(completions, assignments, SchedStats::default())
+    run_in_id_order(costs, assignments, cores)
 }
 
 /// Longest-processing-time-first placement by estimate.
@@ -175,7 +449,7 @@ pub fn lpt_schedule(costs: &[f64], estimates: &[f64], cores: usize) -> Schedule 
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| estimates[b].total_cmp(&estimates[a]).then(a.cmp(&b)));
     let mut est_load = vec![0.0f64; cores];
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); cores];
+    let mut assignments = vec![0usize; n];
     for &job in &order {
         let core = est_load
             .iter()
@@ -184,19 +458,23 @@ pub fn lpt_schedule(costs: &[f64], estimates: &[f64], cores: usize) -> Schedule 
             .map(|(i, _)| i)
             .unwrap_or(0);
         est_load[core] += estimates[job].max(0.0);
-        queues[core].push(job);
+        assignments[job] = core;
     }
-    let mut completions = vec![0.0f64; n];
-    let mut assignments = vec![0usize; n];
-    for (core, queue) in queues.iter_mut().enumerate() {
-        queue.sort_unstable();
-        let mut now = 0.0f64;
-        for &job in queue.iter() {
-            now += costs[job].max(0.0);
-            completions[job] = now;
-            assignments[job] = core;
-        }
-    }
+    run_in_id_order(costs, assignments, cores)
+}
+
+/// Executes a fixed assignment: every core runs its jobs back to back
+/// in ascending id order, each cost floored at zero.
+fn run_in_id_order(costs: &[f64], assignments: Vec<usize>, cores: usize) -> Schedule {
+    let mut busy_until = vec![0.0f64; cores];
+    let completions = costs
+        .iter()
+        .zip(&assignments)
+        .map(|(&cost, &core)| {
+            busy_until[core] += cost.max(0.0);
+            busy_until[core]
+        })
+        .collect();
     Schedule::from_parts(completions, assignments, SchedStats::default())
 }
 
@@ -305,8 +583,16 @@ pub fn steal_schedule(costs: &[f64], estimates: &[f64], cores: usize) -> Schedul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    const ALL: [SchedPolicy; 4] = [
+        SchedPolicy::Static,
+        SchedPolicy::Block,
+        SchedPolicy::Lpt,
+        SchedPolicy::WorkSteal,
+    ];
 
     fn heavy_tailed(seed: u64, n: usize) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -356,12 +642,7 @@ mod tests {
     fn all_policies_produce_valid_schedules() {
         let costs = heavy_tailed(7, 500);
         for &cores in &[1usize, 2, 4, 8] {
-            for policy in [
-                SchedPolicy::Static,
-                SchedPolicy::Block,
-                SchedPolicy::Lpt,
-                SchedPolicy::WorkSteal,
-            ] {
+            for policy in ALL {
                 let s = schedule(policy, &costs, &costs, cores);
                 assert_valid(&s, &costs, cores);
             }
@@ -379,12 +660,7 @@ mod tests {
                 acc
             })
             .collect();
-        for policy in [
-            SchedPolicy::Static,
-            SchedPolicy::Block,
-            SchedPolicy::Lpt,
-            SchedPolicy::WorkSteal,
-        ] {
+        for policy in ALL {
             let s = schedule(policy, &costs, &costs, 1);
             if policy == SchedPolicy::Lpt {
                 // LPT reorders; only the makespan matches sequentially.
@@ -517,12 +793,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        for policy in [
-            SchedPolicy::Static,
-            SchedPolicy::Block,
-            SchedPolicy::Lpt,
-            SchedPolicy::WorkSteal,
-        ] {
+        for policy in ALL {
             let s = schedule(policy, &[], &[], 4);
             assert!(s.completions.is_empty());
             assert_eq!(s.makespan_s, 0.0);
@@ -540,5 +811,225 @@ mod tests {
         assert!(s.stats.steal_fails >= 1);
         assert!(!s.stats.stolen_jobs.is_empty());
         assert!(s.stats.max_queue_depth > 0);
+    }
+
+    /// The list-schedule loop [`list_place`] replaced, kept as the
+    /// oracle `list_schedule` must match bit for bit.
+    fn reference_list(costs: &[f64], cores: usize) -> Schedule {
+        let mut busy_until = vec![0.0f64; cores.max(1)];
+        let mut assignments = Vec::with_capacity(costs.len());
+        let completions = costs
+            .iter()
+            .map(|&cost| {
+                let core = busy_until
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                busy_until[core] += cost.max(0.0);
+                assignments.push(core);
+                busy_until[core]
+            })
+            .collect();
+        Schedule::from_parts(completions, assignments, SchedStats::default())
+    }
+
+    #[test]
+    fn list_schedule_matches_the_reference_loop_bit_for_bit() {
+        let bits =
+            |s: &Schedule| -> Vec<u64> { s.completions.iter().map(|c| c.to_bits()).collect() };
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(900 + seed);
+            let mut costs = heavy_tailed(seed, 1 + (seed as usize % 97));
+            for cost in costs.iter_mut() {
+                *cost = [0.0, -1.0, f64::NAN]
+                    .get(rng.gen_range(0..10usize))
+                    .copied()
+                    .unwrap_or(*cost);
+            }
+            for cores in [1usize, 2, 3, 4, 8] {
+                let (got, want) = (list_schedule(&costs, cores), reference_list(&costs, cores));
+                assert_eq!(bits(&got), bits(&want), "seed {seed} cores {cores}");
+                assert_eq!(got.assignments, want.assignments);
+                assert_eq!(got.makespan_s.to_bits(), want.makespan_s.to_bits());
+            }
+        }
+    }
+
+    /// [`list_place`] on `faults`, its placements collected.
+    fn place(
+        costs: &[f64],
+        corrupt: &[bool],
+        workers: usize,
+        start_s: f64,
+        faults: &FaultSchedule,
+        hedge: &HedgePolicy,
+    ) -> (Vec<PlacedJob>, f64) {
+        let mut jobs = Vec::new();
+        let push = |_, job| jobs.push(job);
+        let makespan = list_place(costs, corrupt, workers, start_s, Some(faults), hedge, push);
+        (jobs, makespan)
+    }
+
+    fn done_at(job: &PlacedJob) -> f64 {
+        match job.fate {
+            Fate::Done(t) => t,
+            other => panic!("job not done: {other:?}"),
+        }
+    }
+
+    fn quiet_faults() -> FaultSchedule {
+        FaultSchedule::generate(&FaultConfig::none(1), 4, 10_000.0)
+    }
+
+    /// A timeline with exactly one crash (repaired after 5 s) on the
+    /// single core, found by scanning seeds — deterministic once the
+    /// scan settles.
+    fn one_crash_faults() -> FaultSchedule {
+        for seed in 0..1000 {
+            let mut config = FaultConfig::none(seed);
+            config.node_mtbf_s = 30.0;
+            config.weibull_shape = 1.0;
+            config.repair_time_s = 5.0;
+            let schedule = FaultSchedule::generate(&config, 1, 100.0);
+            let crashes = schedule.any_crash_between(0.0, 100.0);
+            if crashes.len() == 1 && crashes[0] < 40.0 {
+                return schedule;
+            }
+        }
+        panic!("no single-crash seed in scan range");
+    }
+
+    #[test]
+    fn fault_free_chaos_matches_plain_list_schedule() {
+        let hardened = HedgePolicy::hardened();
+        let (jobs, makespan) = place(&[1.0; 6], &[false; 6], 2, 0.0, &quiet_faults(), &hardened);
+        let completions: Vec<f64> = jobs.iter().map(done_at).collect();
+        assert_eq!(completions, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
+        assert_eq!(makespan, 3.0);
+        let counts = |j: &PlacedJob| (j.retries, j.hedges, j.corrupt_attempts, j.crashed_attempts);
+        assert!(jobs.iter().all(|j| counts(j) == (0, 0, 0, 0)));
+    }
+
+    #[test]
+    fn hardened_hedging_dispatches_duplicates_without_faults() {
+        // costs above `hedge_after_s` are hedged on an idle core even on
+        // a fault-free timeline: why list placement passes hedging off
+        let hardened = HedgePolicy::hardened();
+        let costs = [2.0 * hardened.hedge_after_s; 4];
+        let (jobs, _) = place(&costs, &[], 2, 0.0, &quiet_faults(), &hardened);
+        assert!(jobs.iter().map(|j| j.hedges).sum::<u32>() > 0);
+        let hedged: Vec<f64> = jobs.iter().map(done_at).collect();
+        assert_ne!(hedged, list_schedule(&costs, 2).completions);
+    }
+
+    #[test]
+    fn crashed_attempt_retries_on_backoff_and_succeeds() {
+        let faults = one_crash_faults();
+        let first_crash = faults.any_crash_between(0.0, 100.0)[0];
+        // a long job dispatched at t=0 straddles the crash
+        let policy = HedgePolicy {
+            deadline_s: f64::INFINITY,
+            hedge_after_s: f64::INFINITY,
+            ..HedgePolicy::hardened()
+        };
+        let (jobs, _) = place(&[first_crash + 1.0], &[false], 1, 0.0, &faults, &policy);
+        assert!(
+            matches!(jobs[0].fate, Fate::Done(_)),
+            "retry after repair must succeed"
+        );
+        assert_eq!(jobs[0].retries, 1);
+        assert_eq!(jobs[0].crashed_attempts, 1);
+        // the retry waited for the repair (crash + 5 s)
+        assert!(done_at(&jobs[0]) > first_crash + 5.0);
+    }
+
+    #[test]
+    fn unhardened_policy_drops_the_crashed_job() {
+        let faults = one_crash_faults();
+        let first_crash = faults.any_crash_between(0.0, 100.0)[0];
+        let disabled = HedgePolicy::disabled();
+        let (jobs, _) = place(&[first_crash + 1.0], &[false], 1, 0.0, &faults, &disabled);
+        assert!(matches!(jobs[0].fate, Fate::Failed { .. }));
+    }
+
+    #[test]
+    fn straggler_is_hedged_and_the_fast_replica_wins() {
+        // the timeline is generated for ONE node, so only core 0 has
+        // gray windows; core 1 of the two-core pool is fault-free
+        let mut config = FaultConfig::none(3);
+        config.gray_mtbf_s = 4.0;
+        config.gray_slowdown = 10.0;
+        config.gray_duration_s = 5_000.0;
+        let faults = FaultSchedule::generate(&config, 1, 10_000.0);
+        let gray_start = (0..10_000)
+            .map(f64::from)
+            .find(|&t| faults.slowdown(0, t) > 1.0)
+            .expect("gray window on node 0");
+        let policy = HedgePolicy {
+            hedge_after_s: 0.5,
+            ..HedgePolicy::hardened()
+        };
+        let (jobs, _) = place(&[2.0], &[false], 2, gray_start, &faults, &policy);
+        let done = done_at(&jobs[0]);
+        assert_eq!(jobs[0].hedges, 1, "slowed primary must be hedged");
+        // winner is the healthy hedge: dispatched 0.5 s in, runs 2 s,
+        // while the gray primary would have taken 20 s
+        assert!(
+            done < gray_start + 20.0,
+            "hedge must beat the 10x straggler: {done}"
+        );
+    }
+
+    #[test]
+    fn poisoned_job_exhausts_retries_and_fails() {
+        let policy = HedgePolicy::hardened();
+        let (jobs, _) = place(&[1.0], &[true], 2, 0.0, &quiet_faults(), &policy);
+        assert!(matches!(jobs[0].fate, Fate::Failed { .. }));
+        assert_eq!(jobs[0].retries, policy.max_retries);
+        assert_eq!(jobs[0].corrupt_attempts, policy.max_retries + 1);
+    }
+
+    #[test]
+    fn deadline_budget_is_enforced() {
+        let policy = HedgePolicy {
+            deadline_s: 0.5,
+            hedge_after_s: f64::INFINITY,
+            ..HedgePolicy::hardened()
+        };
+        let (jobs, _) = place(&[2.0], &[false], 2, 0.0, &quiet_faults(), &policy);
+        assert_eq!(jobs[0].fate, Fate::Deadline);
+    }
+
+    #[test]
+    fn backoff_is_capped_exponential() {
+        let policy = HedgePolicy {
+            backoff_base_s: 0.1,
+            backoff_cap_s: 0.5,
+            ..HedgePolicy::hardened()
+        };
+        assert_eq!(policy.backoff_s(1), 0.1);
+        assert_eq!(policy.backoff_s(2), 0.2);
+        assert_eq!(policy.backoff_s(3), 0.4);
+        assert_eq!(policy.backoff_s(4), 0.5, "capped");
+        assert_eq!(policy.backoff_s(30), 0.5, "stays capped");
+    }
+
+    #[test]
+    fn fault_aware_placement_is_deterministic() {
+        let faults = one_crash_faults();
+        let costs: Vec<f64> = (0..8).map(|i| 0.5 + 0.25 * i as f64).collect();
+        let run = || {
+            place(
+                &costs,
+                &[false; 8],
+                1,
+                0.0,
+                &faults,
+                &HedgePolicy::hardened(),
+            )
+        };
+        assert_eq!(run(), run());
     }
 }
