@@ -9,12 +9,13 @@
 
 use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};
 use antarex_serve::driver::DriverConfig;
+use antarex_serve::kernel::kernel_manager;
 use antarex_serve::nav::NavEvaluator;
 use antarex_serve::{BatchReport, TuningRequest};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::KnobValue;
 use antarex_tuner::space::Configuration;
-use antarex_tuner::{KnowledgeBase, OperatingPoint};
+use antarex_tuner::{AppManager, KnowledgeBase, OperatingPoint};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +119,50 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// One learning round of a precision tenant at `now`: a measurement
+/// of each of the three metrics half a second earlier, then `adapt`.
+/// The measurements stay close enough to the design-time estimates of
+/// the deployed 12-bit mantissa that the round learns without
+/// switching.
+fn kernel_round(manager: &mut AppManager, now: f64) {
+    for (metric, value) in [("latency", 0.012), ("error", 2.0e-4), ("power", 6.25)] {
+        manager.observe(now - 0.5, metric, value);
+    }
+    black_box(manager.adapt(now));
+}
+
+/// A fresh kernel manager on the process-wide base: its first select
+/// and learning round, and the round after it. Setup builds the
+/// manager off the clock; dropping it is on the clock in both rows.
+fn bench_first_learn(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tuner/first_learn");
+    group.bench_function(BenchmarkId::from_parameter("select_observe_adapt"), |b| {
+        b.iter_with_setup(
+            || kernel_manager(1e-3),
+            |mut manager| {
+                black_box(manager.select());
+                kernel_round(&mut manager, 1.0);
+                manager
+            },
+        )
+    });
+    group.bench_function(BenchmarkId::from_parameter("second_round"), |b| {
+        b.iter_with_setup(
+            || {
+                let mut manager = kernel_manager(1e-3);
+                manager.select();
+                kernel_round(&mut manager, 1.0);
+                manager
+            },
+            |mut manager| {
+                kernel_round(&mut manager, 2.0);
+                manager
+            },
+        )
+    });
+    group.finish();
+}
+
 /// 32 navigation tenants over four archetypes, each asking twice per
 /// batch: once the campaign has settled, every request is a cache hit.
 fn bench_serve_cache_hit(c: &mut Criterion) {
@@ -177,6 +222,7 @@ criterion_group!(
     bench_learn,
     bench_pareto,
     bench_cache,
+    bench_first_learn,
     bench_serve_cache_hit
 );
 criterion_main!(benches);

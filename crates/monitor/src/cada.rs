@@ -4,8 +4,9 @@
 //! by a runtime layer implementing an application level
 //! collect-analyse-decide-act loop." The loop itself lives where its
 //! stages do — `antarex_tuner::AppManager::adapt` collects, analyses,
-//! decides and acts in one round; this module is the [`Decision`] a round
-//! ends in.
+//! decides and acts in one round, and hands back the configuration it
+//! switched to without formatting it; this module is the [`Decision`]
+//! such a round is reported as, the configuration rendered as its label.
 
 use std::fmt;
 

@@ -17,7 +17,7 @@
 //! * [`drift`] — the Page–Hinkley change detector the online learner is
 //!   tested against;
 //! * [`cada`] — the [`cada::Decision`] a collect→analyse→decide→act round
-//!   ends in.
+//!   is reported as.
 //!
 //! Time is always supplied by the caller (simulated seconds), keeping every
 //! component deterministic.

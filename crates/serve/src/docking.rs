@@ -110,7 +110,7 @@ impl Evaluator for DockingEvaluator {
 /// The `poses` knob's design-time knowledge base: optimistic estimates
 /// (median-ligand latency, log-growing affinity) the service corrects
 /// through online learning. Built once per process; every docking
-/// manager shares it until it learns.
+/// manager shares it for life and learns into an overlay of its own.
 fn docking_knowledge() -> Arc<KnowledgeBase> {
     static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
     let base = BASE.get_or_init(|| {

@@ -176,7 +176,8 @@ pub fn archetype_features(index: usize) -> Vec<f64> {
 
 /// The navigation quality knob's design-time knowledge base: optimistic
 /// estimates the service corrects through online learning. Built once
-/// per process; every navigation manager shares it until it learns.
+/// per process; every navigation manager shares it for life and learns
+/// into an overlay of its own.
 fn nav_knowledge() -> Arc<KnowledgeBase> {
     static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
     let base = BASE.get_or_init(|| {
@@ -780,11 +781,14 @@ mod tests {
         ];
         for factory in factories {
             let (a, b) = (factory(), factory());
-            assert!(std::ptr::eq(a.knowledge(), b.knowledge()));
+            assert!(std::ptr::eq(a.knowledge().base(), b.knowledge().base()));
             assert!(!a.knowledge().is_empty());
         }
         let (nav, docking) = (nav_manager(0.5), docking_manager(0.5));
-        assert!(!std::ptr::eq(nav.knowledge(), docking.knowledge()));
+        assert!(!std::ptr::eq(
+            nav.knowledge().base(),
+            docking.knowledge().base()
+        ));
     }
 
     #[test]

@@ -40,7 +40,6 @@ use crate::breaker::{BreakerBank, CircuitBreaker};
 use crate::cache::{DesignKey, DesignPointCache, Metrics};
 use crate::store::{mix64, Selection, Session, SessionStore, TenantClass, TenantId};
 use antarex_tuner::manager::AppManager;
-use antarex_tuner::Configuration;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -276,9 +275,7 @@ pub fn take_snapshot(
 /// [`AdmissionController::update`]; [`Autoscaler::decide`] and
 /// [`Autoscaler::force`] commit through one private body).
 pub(crate) mod apply {
-    use super::{
-        BreakerBank, Configuration, Metrics, Selection, SessionStore, TenantClass, TenantId,
-    };
+    use super::{BreakerBank, Metrics, Selection, SessionStore, TenantClass, TenantId};
     use crate::error::ServeError;
 
     /// `Select`: the tenant's manager deploys its best feasible
@@ -307,13 +304,14 @@ pub(crate) mod apply {
     }
 
     /// `Learn`: session bookkeeping, one `observe()` per metric, and
-    /// breaker success feedback when breakers are live.
+    /// breaker success feedback when breakers are live. The session
+    /// keeps the answering selection itself, a reference-count bump.
     pub(crate) fn learn(
         store: &SessionStore,
         breakers: &BreakerBank,
         tenant: TenantId,
         time_s: f64,
-        config: &Configuration,
+        config: &Selection,
         metrics: &Metrics,
     ) {
         let _ = store.with(tenant, |session| {
@@ -440,7 +438,7 @@ mod tests {
     use super::*;
     use crate::breaker::BreakerConfig;
     use antarex_tuner::goal::{Constraint, Objective};
-    use antarex_tuner::{KnobValue, KnowledgeBase, OperatingPoint};
+    use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 
     fn kb() -> KnowledgeBase {
         (1..=3)

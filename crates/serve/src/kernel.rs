@@ -296,7 +296,8 @@ impl Evaluator for KernelEvaluator {
 
 /// Design-time knowledge for the precision knob: optimistic estimates
 /// the service corrects through online learning. Built once per
-/// process; every kernel manager shares it until it learns.
+/// process; every kernel manager shares it for life and learns into an
+/// overlay of its own.
 fn kernel_knowledge() -> Arc<KnowledgeBase> {
     static BASE: OnceLock<Arc<KnowledgeBase>> = OnceLock::new();
     let base = BASE.get_or_init(|| {

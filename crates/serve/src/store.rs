@@ -16,10 +16,12 @@
 //!
 //! The same rule holds one level down, for the design-time knowledge
 //! base inside each session's manager: the manager factories hand every
-//! tenant one shared `Arc<KnowledgeBase>`, and a manager copies it only
-//! when online learning first writes to it. So the copy of a touched
-//! session bumps a reference count for a base the tenant has not
-//! learned into, and the shared base, like a snapshot, never changes.
+//! tenant one shared `Arc<KnowledgeBase>`, which no manager ever writes.
+//! What a tenant learns goes to its manager's overlay, one small row
+//! behind an `Arc` of its own. So the copy of a touched session bumps a
+//! reference count for the base and another for the row, a learning
+//! round copies the row only while a snapshot still shares it, and the
+//! shared base, like a snapshot, never changes.
 //!
 //! A session also keeps its current [`Selection`] — the deployed
 //! configuration with its design key and probe seed — so a request
@@ -169,8 +171,9 @@ pub struct Session {
     /// Estimated power demand of the tenant's current operating point,
     /// watts — what the cluster-level power capper consumes.
     pub power_demand_w: f64,
-    /// The configuration most recently deployed for this tenant.
-    pub last_config: Option<Configuration>,
+    /// The selection that answered this tenant's most recent request,
+    /// shared with the response and the journal entry.
+    pub last_config: Option<Selection>,
     /// Workload class: which metric bucket the tenant's probes belong
     /// to.
     pub class: TenantClass,

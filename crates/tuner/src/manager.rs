@@ -8,18 +8,25 @@
 //! application's configuration if a better feasible point emerged. This is
 //! the per-application "autotuning control loop" of the paper's Fig. 1.
 //!
-//! The design-time knowledge base is shared, not owned: managers built
-//! from one base (and clones of a manager) hold the same
-//! `Arc<KnowledgeBase>` until online learning first writes to it, and
-//! that first write copies it (`Arc::make_mut`). A tenant that never
-//! learns never pays for a base of its own.
+//! The design-time knowledge base is shared and never written: managers
+//! built from one base (and clones of a manager) hold the same
+//! `Arc<KnowledgeBase>` for life. What a manager learns goes to its own
+//! overlay instead — one row with a slot for every metric of the base,
+//! allocated by the first round that learns and shared by clones until
+//! one of them learns again. The rarer writes, a metric a point lacks
+//! and a point for a configuration the base cannot find, go to a second
+//! shared part of the overlay. [`Knowledge`] reads base ⊕ overlay in
+//! place, and [`AppManager::select`] is one scan over it with
+//! [`KnowledgeBase::best_linear`]'s semantics, which the indexed
+//! [`KnowledgeBase::best`] equals: a manager's base holds a handful of
+//! points, so the scan is the cheap way to stay exact.
 
 use crate::goal::{Constraint, Objective};
-use crate::intern::{intern, SymbolId};
+use crate::intern::{intern, lookup, SymbolId};
 use crate::point::{KnowledgeBase, OperatingPoint};
 use crate::space::Configuration;
-use antarex_monitor::cada::Decision;
 use antarex_monitor::series::TimeSeries;
+use std::fmt;
 use std::sync::Arc;
 
 /// The per-application runtime autotuner.
@@ -44,9 +51,10 @@ use std::sync::Arc;
 /// let chosen = manager.select().unwrap();
 /// assert_eq!(chosen.get_int("alternatives"), Some(1), "0.9 s point violates the SLA");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AppManager {
-    knowledge: Arc<KnowledgeBase>,
+    base: Arc<KnowledgeBase>,
+    learned: Overlay,
     objective: Objective,
     constraints: Vec<Constraint>,
     current: Option<Configuration>,
@@ -58,10 +66,11 @@ pub struct AppManager {
 
 impl AppManager {
     /// Creates a manager over a design-time knowledge base: an owned
-    /// base, or an `Arc` that other managers share until they learn.
+    /// base, or an `Arc` that other managers share.
     pub fn new(knowledge: impl Into<Arc<KnowledgeBase>>, objective: Objective) -> Self {
         AppManager {
-            knowledge: knowledge.into(),
+            base: knowledge.into(),
+            learned: Overlay::default(),
             objective,
             constraints: Vec::new(),
             current: None,
@@ -110,9 +119,13 @@ impl AppManager {
         &self.objective
     }
 
-    /// The knowledge base (updated by online learning).
-    pub fn knowledge(&self) -> &KnowledgeBase {
-        &self.knowledge
+    /// The knowledge online learning keeps current: the shared base with
+    /// what this manager learned laid over it, read in place.
+    pub fn knowledge(&self) -> Knowledge<'_> {
+        Knowledge {
+            base: &self.base,
+            learned: &self.learned,
+        }
     }
 
     /// The configuration currently deployed.
@@ -132,10 +145,12 @@ impl AppManager {
     /// When the winner is the configuration already deployed, nothing
     /// is cloned — the steady-state re-selection path only compares.
     pub fn select(&mut self) -> Option<&Configuration> {
-        let best = &self
-            .knowledge
-            .best(&self.objective, &self.constraints)?
-            .config;
+        // borrows the two fields alone, so `current` stays writable
+        let knowledge = Knowledge {
+            base: &self.base,
+            learned: &self.learned,
+        };
+        let best = knowledge.best(&self.objective, &self.constraints)?;
         if self.current.as_ref() != Some(best) {
             let best = best.clone();
             if self.current.is_some() {
@@ -162,23 +177,22 @@ impl AppManager {
     }
 
     /// One adaptation round at time `now`: folds measurements since the
-    /// previous round into the knowledge base (for the current
-    /// configuration), re-selects, and reports the decision.
+    /// previous round into the knowledge (for the current
+    /// configuration), re-selects, and returns the configuration the
+    /// round switched to, or `None` when it stayed.
     ///
-    /// The fold is in place: each monitor's mean over `[previous now,
-    /// ..]` (inclusive — see [`TimeSeries::mean_since`]) is blended
-    /// straight into the current configuration's operating point, one
-    /// `KnowledgeBase::learn_metric` per metric that has fresh
-    /// samples, and the decision is read off `switches()` rather than
-    /// off a saved copy of the configuration. A round whose current
-    /// configuration the knowledge base cannot find (only a
-    /// configuration that is not equal to itself, i.e. one holding a
-    /// NaN knob) appends a new point instead, which allocates.
-    ///
-    /// A round with no fresh samples writes nothing, so it leaves a
-    /// shared knowledge base shared; the first round that learns or
-    /// appends copies a base other managers still hold.
-    pub fn adapt(&mut self, now: f64) -> Decision {
+    /// Each monitor's mean over `[previous now, ..]` (inclusive — see
+    /// [`TimeSeries::mean_since`]) is blended into the current
+    /// configuration's values in the overlay; the base is never
+    /// written. The first round that learns allocates the overlay's
+    /// row, and a round whose row a clone still shares copies it; every
+    /// other round writes in place. A round whose current configuration
+    /// the base cannot find (only a configuration that is not equal to
+    /// itself, i.e. one holding a NaN knob) appends a point to the
+    /// overlay instead, which allocates. The decision is read off
+    /// `switches()` rather than off a saved copy of the configuration,
+    /// and nothing is formatted.
+    pub fn adapt(&mut self, now: f64) -> Option<&Configuration> {
         let since = self.last_adapt;
         self.last_adapt = now;
         if let Some(current) = &self.current {
@@ -189,37 +203,311 @@ impl AppManager {
                 .filter_map(|(metric, _, series)| Some((*metric, series.mean_since(since)?)))
                 .peekable();
             if fresh.peek().is_some() {
-                match self.knowledge.find_index(current) {
-                    Some(index) => {
-                        let knowledge = Arc::make_mut(&mut self.knowledge);
-                        for (metric, mean) in fresh {
-                            knowledge.learn_metric(index, metric, mean, self.learn_alpha);
-                        }
-                    }
-                    None => {
-                        let point = OperatingPoint::with_metric_ids(current.clone(), fresh);
-                        Arc::make_mut(&mut self.knowledge).push(point);
-                    }
-                }
+                self.learned
+                    .learn(&self.base, current, fresh, self.learn_alpha);
             }
         }
         let had_current = self.current.is_some();
         let switches = self.switches;
         let reselected = self.select().is_some();
-        match &self.current {
-            // `select` counts a switch exactly when it replaces a
-            // deployed configuration with an unequal one. When it finds
-            // no feasible point it leaves `current` alone, and the
-            // decision has always been "previous != current" — true of
-            // a configuration that is not equal to itself.
-            #[allow(clippy::eq_op)]
-            Some(next)
-                if !had_current || self.switches != switches || (!reselected && next != next) =>
-            {
-                Decision::Switch(next.to_string())
+        let next = self.current.as_ref()?;
+        // `select` counts a switch exactly when it replaces a deployed
+        // configuration with an unequal one. When it finds no feasible
+        // point it leaves `current` alone, and the decision has always
+        // been "previous != current" — true of a configuration that is
+        // not equal to itself.
+        #[allow(clippy::eq_op)]
+        let switched = !had_current || self.switches != switches || (!reselected && next != next);
+        switched.then_some(next)
+    }
+}
+
+impl fmt::Debug for AppManager {
+    /// Renders the knowledge as the `KnowledgeBase` a manager that
+    /// learned into a copy of its base would hold: state reports and
+    /// crash recovery byte-compare this.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AppManager")
+            .field("knowledge", &self.knowledge())
+            .field("objective", &self.objective)
+            .field("constraints", &self.constraints)
+            .field("current", &self.current)
+            .field("monitors", &self.monitors)
+            .field("learn_alpha", &self.learn_alpha)
+            .field("switches", &self.switches)
+            .field("last_adapt", &self.last_adapt)
+            .finish()
+    }
+}
+
+/// Online learning's update, `old + alpha * (measured - old)`; a metric
+/// with no old value takes the measurement.
+fn blend(old: Option<f64>, measured: f64, alpha: f64) -> f64 {
+    old.map_or(measured, |old| old + alpha * (measured - old))
+}
+
+/// What one manager learned, laid over its shared base. Both parts sit
+/// behind an `Arc`, so cloning a manager bumps counts; a write copies
+/// a part only while a clone still shares it.
+#[derive(Clone, Default)]
+struct Overlay {
+    /// A slot for every metric of the base — point by point in base
+    /// order, each point's metrics in name order — holding the learned
+    /// value (the base's own until a round learns it); `None` until the
+    /// first round that learns into a base point.
+    row: Option<Arc<[f64]>>,
+    /// The writes the row has no slot for; `None` while there are none.
+    more: Option<Arc<Additions>>,
+}
+
+/// The overlay's writes beyond the row's slots.
+#[derive(Clone, Default)]
+struct Additions {
+    /// `(point, metric, value)` for metrics learned on a base point that
+    /// lacks them, sorted by point.
+    metrics: Vec<(usize, SymbolId, f64)>,
+    /// Points learned for configurations the base cannot find.
+    points: Vec<OperatingPoint>,
+}
+
+impl Overlay {
+    /// Blends each fresh `(metric, mean)` into the base point for
+    /// `config` — its row slots, or its additions for a metric it lacks
+    /// — or appends a point when the base cannot find `config`. Only a
+    /// configuration that is not equal to itself (a NaN knob) is not
+    /// found, so an appended point is never found again either: each
+    /// such round appends, as it does in a `KnowledgeBase`.
+    fn learn(
+        &mut self,
+        base: &KnowledgeBase,
+        config: &Configuration,
+        fresh: impl Iterator<Item = (SymbolId, f64)>,
+        alpha: f64,
+    ) {
+        let Some(index) = base.find_index(config) else {
+            Arc::make_mut(self.more.get_or_insert_default())
+                .points
+                .push(OperatingPoint::with_metric_ids(config.clone(), fresh));
+            return;
+        };
+        let points = base.points();
+        let entries = points[index].metric_entries();
+        let offset: usize = points[..index]
+            .iter()
+            .map(|point| point.metric_entries().len())
+            .sum();
+        let row = Arc::make_mut(self.row.get_or_insert_with(|| row_of(base)));
+        let values = &mut row[offset..offset + entries.len()];
+        for (id, measured) in fresh {
+            match entries.iter().position(|&(other, _)| other == id) {
+                Some(at) => values[at] = blend(Some(values[at]), measured, alpha),
+                None => Arc::make_mut(self.more.get_or_insert_default())
+                    .learn_metric(index, id, measured, alpha),
             }
-            _ => Decision::Stay,
         }
+    }
+}
+
+impl Additions {
+    /// Blends `measured` into the added metric `id` of base point
+    /// `point`, adding it on its first measurement.
+    fn learn_metric(&mut self, point: usize, id: SymbolId, measured: f64, alpha: f64) {
+        let added = &mut self.metrics;
+        match added
+            .iter_mut()
+            .find(|(p, other, _)| *p == point && *other == id)
+        {
+            Some((_, _, value)) => *value = blend(Some(*value), measured, alpha),
+            None => {
+                let at = added.partition_point(|&(other, ..)| other <= point);
+                added.insert(at, (point, id, measured));
+            }
+        }
+    }
+}
+
+/// The base's metric values as one row, allocated once: a `Range` map
+/// has an exact length, so `collect` writes the shared slice in place
+/// (a `flat_map` would collect into a `Vec` first). `values` yields
+/// exactly `slots` values, so the fallback never runs.
+fn row_of(base: &KnowledgeBase) -> Arc<[f64]> {
+    let slots = base
+        .points()
+        .iter()
+        .map(|point| point.metric_entries().len())
+        .sum();
+    let mut values = base
+        .points()
+        .iter()
+        .flat_map(OperatingPoint::metric_entries)
+        .map(|&(_, value)| value);
+    (0..slots)
+        .map(|_| values.next().unwrap_or(f64::NAN))
+        .collect()
+}
+
+/// A manager's knowledge: the shared design-time base with what the
+/// manager learned laid over it, read in place. Its `Debug` is the
+/// `KnowledgeBase` learning into a copy of the base would have built.
+#[derive(Clone, Copy)]
+pub struct Knowledge<'a> {
+    base: &'a KnowledgeBase,
+    learned: &'a Overlay,
+}
+
+impl<'a> Knowledge<'a> {
+    /// The shared design-time base, which learning never changes.
+    pub fn base(self) -> &'a KnowledgeBase {
+        self.base
+    }
+
+    /// Number of points: the base's and those learned for
+    /// configurations it cannot find.
+    pub fn len(self) -> usize {
+        self.base.len() + self.additions().1.len()
+    }
+
+    /// Returns `true` if there is no point to select.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The current estimate of `metric` for `config`'s point (the first
+    /// point whose configuration equals it), if that point has one.
+    pub fn metric(self, config: &Configuration, metric: &str) -> Option<f64> {
+        let id = lookup(metric)?;
+        self.points()
+            .find(|seen| seen.point.config == *config)?
+            .metric_id(id)
+    }
+
+    /// The added metrics and appended points.
+    fn additions(self) -> (&'a [(usize, SymbolId, f64)], &'a [OperatingPoint]) {
+        match self.learned.more.as_deref() {
+            Some(more) => (&more.metrics, &more.points),
+            None => (&[], &[]),
+        }
+    }
+
+    /// Every point as the manager sees it, base points first.
+    fn points(self) -> impl Iterator<Item = Seen<'a>> {
+        let (added, appended) = self.additions();
+        let row = self.learned.row.as_deref();
+        let mut offset = 0;
+        let base = self
+            .base
+            .points()
+            .iter()
+            .enumerate()
+            .map(move |(index, point)| {
+                let slots = point.metric_entries().len();
+                let values = row.map(|row| &row[offset..offset + slots]);
+                offset += slots;
+                let from = added.partition_point(|&(other, ..)| other < index);
+                let to = added.partition_point(|&(other, ..)| other <= index);
+                Seen {
+                    point,
+                    values,
+                    added: &added[from..to],
+                }
+            });
+        base.chain(appended.iter().map(|point| Seen {
+            point,
+            values: None,
+            added: &[],
+        }))
+    }
+
+    /// [`KnowledgeBase::best_linear`] over base ⊕ overlay: among the
+    /// feasible points that have the objective's metric, the first with
+    /// a strictly better score (ties go to the earliest point; a NaN
+    /// score displaces and is displaced, as there).
+    fn best(self, objective: &Objective, constraints: &[Constraint]) -> Option<&'a Configuration> {
+        let mut best: Option<(&Configuration, f64)> = None;
+        for seen in self.points().filter(|seen| seen.satisfies(constraints)) {
+            let Some(value) = seen.metric_id(objective.metric_id()) else {
+                continue;
+            };
+            let score = objective.score(value);
+            match best {
+                Some((_, best_score)) if best_score >= score => {}
+                _ => best = Some((&seen.point.config, score)),
+            }
+        }
+        best.map(|(config, _)| config)
+    }
+}
+
+impl fmt::Debug for Knowledge<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Points<'a>(Knowledge<'a>);
+        impl fmt::Debug for Points<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.points()).finish()
+            }
+        }
+        f.debug_struct("KnowledgeBase")
+            .field("points", &Points(*self))
+            .finish()
+    }
+}
+
+/// One point as a manager sees it: a base point with what the manager
+/// learned for it, or a point the manager appended.
+#[derive(Clone, Copy)]
+struct Seen<'a> {
+    point: &'a OperatingPoint,
+    /// The learned values of the point's own metrics, in its order;
+    /// `None` where the point's own values hold.
+    values: Option<&'a [f64]>,
+    /// Metrics learned for a base point that lacks them.
+    added: &'a [(usize, SymbolId, f64)],
+}
+
+impl Seen<'_> {
+    /// The value of the point's `at`-th own metric.
+    fn value(self, at: usize) -> f64 {
+        self.values
+            .map_or(self.point.metric_entries()[at].1, |values| values[at])
+    }
+
+    fn metric_id(self, id: SymbolId) -> Option<f64> {
+        match self
+            .point
+            .metric_entries()
+            .iter()
+            .position(|&(other, _)| other == id)
+        {
+            Some(at) => Some(self.value(at)),
+            None => self
+                .added
+                .iter()
+                .find(|&&(_, other, _)| other == id)
+                .map(|&(_, _, value)| value),
+        }
+    }
+
+    /// Returns `true` if every constraint is met (missing metrics fail).
+    fn satisfies(self, constraints: &[Constraint]) -> bool {
+        constraints.iter().all(|c| {
+            self.metric_id(c.metric_id())
+                .is_some_and(|v| c.satisfied_by(v))
+        })
+    }
+}
+
+impl fmt::Debug for Seen<'_> {
+    /// Renders the `OperatingPoint` the view stands for, built for the
+    /// purpose: reports and recovery checks are off the serving path.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut point = self.point.clone();
+        for (at, &(id, _)) in self.point.metric_entries().iter().enumerate() {
+            point.set_metric(id, self.value(at));
+        }
+        for &(_, id, value) in self.added {
+            point.set_metric(id, value);
+        }
+        point.fmt(f)
     }
 }
 
@@ -257,8 +545,8 @@ impl Monitors {
     }
 }
 
-impl std::fmt::Debug for Monitors {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Monitors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
             .entries(self.0.iter().map(|(id, _, series)| (id, series)))
             .finish()
@@ -300,39 +588,60 @@ mod tests {
         AppManager::new(base, Objective::maximize("quality")).with_learn_alpha(1.0)
     }
 
-    #[test]
-    fn managers_from_one_factory_share_their_base_until_one_learns() {
-        let mut learner = shared_manager();
-        let idle = shared_manager();
-        assert!(Arc::ptr_eq(&learner.knowledge, &idle.knowledge));
-        learner.select();
-        learner.observe(0.0, "latency", 0.9);
-        assert!(
-            Arc::ptr_eq(&learner.knowledge, &idle.knowledge),
-            "selecting and observing write no base"
-        );
-        learner.adapt(1.0);
-        assert!(!Arc::ptr_eq(&learner.knowledge, &idle.knowledge));
-        assert_eq!(*idle.knowledge, kb(), "the shared base is unchanged");
-        assert_ne!(*learner.knowledge, kb());
+    /// The overlay row a manager learned into.
+    fn row(manager: &AppManager) -> &Arc<[f64]> {
+        manager.learned.row.as_ref().expect("the manager learned")
+    }
+
+    fn close_to(expected: f64) -> impl Fn(f64) -> bool {
+        move |value| (value - expected).abs() < 1e-12
     }
 
     #[test]
-    fn adapt_without_fresh_samples_does_not_copy_the_base() {
+    fn managers_from_one_factory_share_their_base_for_life() {
+        let mut learner = shared_manager();
+        let idle = shared_manager();
+        assert!(Arc::ptr_eq(&learner.base, &idle.base));
+        learner.select();
+        for round in 1..=5 {
+            learner.observe(f64::from(round) - 0.5, "latency", 0.9);
+            learner.adapt(f64::from(round));
+            assert!(Arc::ptr_eq(&learner.base, &idle.base), "round {round}");
+        }
+        assert_eq!(*idle.base, kb(), "the shared base is unchanged");
+        let latency = |m: &AppManager| m.knowledge().metric(&config(4), "latency");
+        assert!(latency(&learner).is_some_and(close_to(0.9)));
+        assert_eq!(latency(&idle), Some(0.4), "the design-time estimate");
+    }
+
+    #[test]
+    fn adapt_writes_the_overlay_never_the_base() {
         let mut manager = shared_manager();
-        let shared = Arc::clone(&manager.knowledge);
+        let shared = Arc::clone(&manager.base);
         // first round: deploys a configuration, no monitor yet
-        assert!(matches!(manager.adapt(0.0), Decision::Switch(_)));
-        assert!(Arc::ptr_eq(&manager.knowledge, &shared));
-        // a learning round takes a base of its own ...
+        assert!(manager.adapt(0.0).is_some());
+        assert!(
+            manager.learned.row.is_none(),
+            "nothing learned, nothing held"
+        );
+        // a learning round writes a row of the manager's own ...
         manager.observe(0.5, "latency", 0.2);
         manager.adapt(1.0);
-        assert!(!Arc::ptr_eq(&manager.knowledge, &shared));
+        assert_eq!(row(&manager).len(), 8, "a slot per metric of the base");
         // ... which a clone shares; the sample at 0.5 is older than the
         // next window, so the next round has nothing to learn
         let twin = manager.clone();
-        assert_eq!(manager.adapt(2.0), Decision::Stay);
-        assert!(Arc::ptr_eq(&manager.knowledge, &twin.knowledge));
+        assert_eq!(manager.adapt(2.0), None);
+        assert!(Arc::ptr_eq(row(&manager), row(&twin)));
+        // the next round that learns copies the row, never the base
+        manager.observe(2.5, "latency", 0.3);
+        manager.adapt(3.0);
+        assert!(!Arc::ptr_eq(row(&manager), row(&twin)));
+        for m in [&manager, &twin] {
+            assert!(Arc::ptr_eq(&m.base, &shared));
+        }
+        assert_eq!(*shared, kb());
+        assert!(manager.learned.more.is_none(), "no metric or point added");
     }
 
     #[test]
@@ -343,21 +652,23 @@ mod tests {
         let mut clone = original.clone();
         clone.observe(0.5, "latency", 0.9);
         clone.adapt(1.0);
-        let learned = |m: &AppManager| m.knowledge().find(&config(4))?.metric("latency");
+        let learned = |m: &AppManager| m.knowledge().metric(&config(4), "latency");
         assert!(
-            learned(&clone).is_some_and(|latency| (latency - 0.5).abs() < 1e-12),
+            learned(&clone).is_some_and(close_to(0.5)),
             "mean of 0.1 and 0.9"
         );
         assert_eq!(learned(&original), Some(0.4), "the design-time estimate");
-        assert_eq!(original.knowledge(), &kb());
-        assert!(Arc::ptr_eq(
-            &original.knowledge,
-            &shared_manager().knowledge
-        ));
-        // the original's own monitors still learn into its own copy
+        assert!(original.learned.row.is_none());
+        // the original's own monitors still learn into its own overlay,
+        // and the clone's estimate stays its own
         original.adapt(1.0);
-        assert!(learned(&original).is_some_and(|latency| (latency - 0.1).abs() < 1e-12));
-        assert_eq!(*shared_manager().knowledge, kb());
+        assert!(learned(&original).is_some_and(close_to(0.1)));
+        assert!(learned(&clone).is_some_and(close_to(0.5)));
+        let fresh = shared_manager();
+        for m in [&original, &clone] {
+            assert!(Arc::ptr_eq(&m.base, &fresh.base));
+        }
+        assert_eq!(*fresh.base, kb());
     }
 
     #[test]
@@ -390,16 +701,10 @@ mod tests {
         for t in 0..5 {
             manager.observe(t as f64, "latency", 0.9);
         }
-        let decision = manager.adapt(5.0);
-        assert!(matches!(decision, Decision::Switch(_)), "must downgrade");
+        assert!(manager.adapt(5.0).is_some(), "must downgrade");
         assert_eq!(manager.current().unwrap().get_int("level"), Some(3));
         // the knowledge base reflects the measurement
-        let learned = manager
-            .knowledge()
-            .find(&config(4))
-            .unwrap()
-            .metric("latency")
-            .unwrap();
+        let learned = manager.knowledge().metric(&config(4), "latency").unwrap();
         assert!((learned - 0.9).abs() < 1e-9);
     }
 
@@ -407,8 +712,8 @@ mod tests {
     fn adapt_without_new_data_stays() {
         let mut manager = AppManager::new(kb(), Objective::maximize("quality"));
         manager.select();
-        assert_eq!(manager.adapt(1.0), Decision::Stay);
-        assert_eq!(manager.adapt(2.0), Decision::Stay);
+        assert_eq!(manager.adapt(1.0), None);
+        assert_eq!(manager.adapt(2.0), None);
         assert_eq!(manager.switches(), 0);
     }
 
@@ -420,15 +725,13 @@ mod tests {
         manager.observe(0.0, "latency", 9.9);
         manager.adapt(1.0);
         // old sample must not be re-learned at the next round
-        let decision = manager.adapt(2.0);
-        assert_eq!(decision, Decision::Stay);
+        assert_eq!(manager.adapt(2.0), None);
     }
 
     #[test]
     fn first_select_counts_as_switch_decision_in_adapt() {
         let mut manager = AppManager::new(kb(), Objective::maximize("quality"));
-        let decision = manager.adapt(0.0);
-        assert!(matches!(decision, Decision::Switch(_)));
+        assert!(manager.adapt(0.0).is_some());
     }
 
     #[test]
@@ -445,8 +748,8 @@ mod tests {
         let mut manager = AppManager::new(KnowledgeBase::default(), Objective::maximize("quality"));
         // measurements with no deployed configuration must be ignored
         manager.observe(0.0, "latency", 0.5);
-        assert_eq!(manager.adapt(1.0), Decision::Stay);
-        assert_eq!(manager.adapt(2.0), Decision::Stay);
+        assert_eq!(manager.adapt(1.0), None);
+        assert_eq!(manager.adapt(2.0), None);
         assert!(manager.knowledge().is_empty(), "nothing to learn into");
     }
 
@@ -460,7 +763,7 @@ mod tests {
         assert!(manager.select().is_none());
         assert!(manager.current().is_none());
         // adapt must survive the infeasible state and report no switch
-        assert_eq!(manager.adapt(1.0), Decision::Stay);
+        assert_eq!(manager.adapt(1.0), None);
         assert_eq!(manager.switches(), 0);
     }
 

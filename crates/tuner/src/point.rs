@@ -99,6 +99,11 @@ impl OperatingPoint {
         self.metrics.iter().map(|(id, v)| (id.name(), *v))
     }
 
+    /// The metric column: `(metric, value)` in metric-name order.
+    pub(crate) fn metric_entries(&self) -> &[(SymbolId, f64)] {
+        &self.metrics
+    }
+
     /// Returns `true` if every constraint is met (missing metrics fail).
     pub(crate) fn satisfies(&self, constraints: &[Constraint]) -> bool {
         constraints.iter().all(|c| {

@@ -1,18 +1,19 @@
-//! Property suite for the in-place online-learning fold.
+//! Property suite for online learning into the overlay.
 //!
-//! `AppManager::adapt` blends each monitor's mean straight into the
-//! current operating point and reads its decision off the switch
-//! counter. It promises the *bits* of the round it replaced, which
-//! cloned the current configuration, collected the means into a vector,
-//! built a throw-away operating point from them, handed that to the
-//! knowledge base, and compared a second clone of the configuration
-//! against the re-selected one. That round survives here as
-//! [`OracleManager`] — with two deliberate differences that make it an
-//! independent check rather than a second caller of the same code: its
-//! means are the filter-collect-sum the monitors used to run, and its
-//! learning step rebuilds the whole point and `upsert`s it, so it shares
-//! neither `TimeSeries::mean_since`'s suffix walk nor
-//! `KnowledgeBase::learn_metric`'s skipped re-index.
+//! `AppManager::adapt` blends each monitor's mean into the manager's
+//! overlay over a shared, never-written base, `select` scans base ⊕
+//! overlay, and the decision is read off the switch counter. They
+//! promise the *bits* of the round they replaced, which owned its
+//! knowledge base, cloned the current configuration, collected the
+//! means into a vector, built a throw-away operating point from them,
+//! handed that to the knowledge base, selected through the base's
+//! index, and compared a second clone of the configuration against the
+//! re-selected one. That round survives here as [`OracleManager`] —
+//! with two deliberate differences that make it an independent check
+//! rather than a second caller of the same code: its means are the
+//! filter-collect-sum the monitors used to run, and its learning step
+//! rebuilds the whole point and `upsert`s it, so it shares neither
+//! `TimeSeries::mean_since`'s suffix walk nor the overlay's blend.
 
 use antarex_monitor::cada::Decision;
 use antarex_monitor::series::{Sample, TimeSeries};
@@ -27,7 +28,9 @@ use std::collections::BTreeMap;
 
 const METRICS: [&str; 4] = ["time", "energy", "quality", "power"];
 
-/// The adaptation round as it was before the in-place fold.
+/// The adaptation round as it was before the overlay: a knowledge base
+/// of its own, selected through the index.
+#[derive(Clone)]
 struct OracleManager {
     knowledge: KnowledgeBase,
     objective: Objective,
@@ -127,6 +130,10 @@ impl OracleManager {
     }
 }
 
+/// A metric no base point starts with: the monitors observe it, so the
+/// first round that learns it adds it to the deployed point.
+const EXTRA: &str = "drift";
+
 fn random_value(rng: &mut StdRng) -> f64 {
     match rng.gen_range(0..20) {
         0 => f64::NAN,
@@ -137,6 +144,15 @@ fn random_value(rng: &mut StdRng) -> f64 {
     }
 }
 
+fn random_metric(rng: &mut StdRng) -> &'static str {
+    // one pick in nine is the metric the base lacks
+    if rng.gen_range(0..9) == 0 {
+        EXTRA
+    } else {
+        METRICS[rng.gen_range(0..METRICS.len())]
+    }
+}
+
 fn config(x: i64, gain: f64) -> Configuration {
     let mut config = Configuration::new();
     config.set("x", KnobValue::Int(x));
@@ -144,23 +160,30 @@ fn config(x: i64, gain: f64) -> Configuration {
     config
 }
 
-/// Five ordinary points (some lacking a metric) and one whose
-/// configuration holds a NaN knob: it is not equal to itself, so once
-/// deployed the knowledge base cannot find it again and learning takes
-/// the append branch. `favour_nan` makes that point the objective's
-/// winner so the branch is reached on purpose, not by luck.
+/// Five ordinary points (some lacking a metric, one in three tied with
+/// its predecessor on the objective) and one whose configuration holds
+/// a NaN knob: it is not equal to itself, so once deployed the
+/// knowledge base cannot find it again and learning takes the append
+/// branch. `favour_nan` makes that point the objective's winner so the
+/// branch is reached on purpose, not by luck.
 fn random_knowledge(rng: &mut StdRng, objective: &Objective, favour_nan: bool) -> KnowledgeBase {
-    let mut points: Vec<OperatingPoint> = (0..5)
-        .map(|x| {
-            let mut metrics: Vec<(String, f64)> = Vec::new();
-            for name in METRICS {
-                if rng.gen_range(0..8) < 7 {
-                    metrics.push((name.to_string(), random_value(rng)));
-                }
+    let mut points: Vec<OperatingPoint> = Vec::new();
+    for x in 0..5 {
+        let mut metrics: Vec<(String, f64)> = Vec::new();
+        for name in METRICS {
+            if rng.gen_range(0..8) < 7 {
+                metrics.push((name.to_string(), random_value(rng)));
             }
-            OperatingPoint::new(config(x, 0.5), metrics)
-        })
-        .collect();
+        }
+        let mut point = OperatingPoint::new(config(x, 0.5), metrics);
+        let tied = points
+            .last()
+            .and_then(|previous| previous.metric_id(objective.metric_id()));
+        if let Some(value) = tied.filter(|_| rng.gen_range(0..3) == 0) {
+            point.set_metric(objective.metric_id(), value);
+        }
+        points.push(point);
+    }
     let mut odd = OperatingPoint::new(
         config(9, f64::NAN),
         METRICS.map(|name| (name.to_string(), random_value(rng))),
@@ -191,6 +214,138 @@ struct Coverage {
     nan_means: u32,
     idle_rounds: u32,
     boundary_rounds: u32,
+    tied_selects: u32,
+    added_metrics: u32,
+    twin_learns: u32,
+}
+
+/// A manager, its oracle, and the storm's clock for them.
+#[derive(Clone)]
+struct Pair {
+    manager: AppManager,
+    oracle: OracleManager,
+    clock: f64,
+    last_sample_s: f64,
+    fresh: bool,
+}
+
+/// How many feasible points score exactly what the best one does.
+fn winners(knowledge: &KnowledgeBase, objective: &Objective, constraints: &[Constraint]) -> usize {
+    let Some(best) = knowledge
+        .best(objective, constraints)
+        .and_then(|point| point.metric_id(objective.metric_id()))
+    else {
+        return 0;
+    };
+    knowledge
+        .points()
+        .iter()
+        .filter(|point| point.metric_id(objective.metric_id()) == Some(best))
+        .filter(|point| {
+            // feasible iff a base of this point alone has a best
+            let alone: KnowledgeBase = [(*point).clone()].into_iter().collect();
+            alone.best(objective, constraints).is_some()
+        })
+        .count()
+}
+
+/// One random operation on `pair`, checked against its oracle.
+fn step(rng: &mut StdRng, pair: &mut Pair, twin: bool, coverage: &mut Coverage, context: &str) {
+    let Pair {
+        manager, oracle, ..
+    } = pair;
+    match rng.gen_range(0..20) {
+        0..=9 => {
+            pair.clock += [0.0, 0.0, 0.5, 1.0][rng.gen_range(0..4usize)];
+            // one sample in sixteen arrives late, which drops its
+            // series onto the filtering path for good
+            let time = if rng.gen_range(0..16) == 0 {
+                pair.clock - 2.0
+            } else {
+                pair.clock
+            };
+            let metric = random_metric(rng);
+            let value = random_value(rng);
+            manager.observe(time, metric, value);
+            oracle.observe(time, metric, value);
+            coverage.nan_means += u32::from(value.is_nan());
+            pair.last_sample_s = time;
+            pair.fresh = true;
+        }
+        10..=14 => {
+            // mostly "now" is the newest sample's own timestamp, so
+            // that sample is counted again by the next round
+            let now = if rng.gen_bool(0.75) {
+                pair.clock
+            } else {
+                pair.clock + 0.5
+            };
+            let before = manager.knowledge().len();
+            let decision = manager
+                .adapt(now)
+                .map_or(Decision::Stay, |next| Decision::Switch(next.to_string()));
+            assert_eq!(decision, oracle.adapt(now), "{context}: decision");
+            match decision {
+                Decision::Switch(_) => coverage.switched += 1,
+                Decision::Stay => coverage.stayed += 1,
+            }
+            coverage.appended += u32::from(manager.knowledge().len() > before);
+            coverage.idle_rounds += u32::from(!pair.fresh);
+            coverage.boundary_rounds += u32::from(now == pair.last_sample_s);
+            coverage.twin_learns += u32::from(twin && pair.fresh);
+            pair.fresh = false;
+            pair.clock = now;
+        }
+        15..=17 => {
+            coverage.tied_selects +=
+                u32::from(winners(&oracle.knowledge, &oracle.objective, &oracle.constraints) > 1);
+            assert_eq!(
+                debug_of(manager.select()),
+                debug_of(oracle.select()),
+                "{context}: select"
+            );
+        }
+        _ => {
+            let metric = random_metric(rng);
+            // one renegotiation in four leaves nothing feasible
+            let bound = if rng.gen_range(0..4) == 0 {
+                -1e12
+            } else {
+                rng.gen::<f64>() * 10.0
+            };
+            assert_eq!(
+                manager.set_constraint_bound(metric, bound),
+                oracle.set_constraint_bound(metric, bound),
+                "{context}: renegotiation"
+            );
+        }
+    }
+    let Pair {
+        manager, oracle, ..
+    } = pair;
+    assert_eq!(
+        debug_of(manager.knowledge()),
+        debug_of(&oracle.knowledge),
+        "{context}: knowledge"
+    );
+    assert_eq!(
+        debug_of(manager.current()),
+        debug_of(oracle.current.as_ref()),
+        "{context}: deployed configuration"
+    );
+    assert_eq!(manager.switches(), oracle.switches, "{context}: switches");
+    // the oracle's sorted columns are not part of the rendering above;
+    // they are right iff its index probe still agrees with the scan
+    let knowledge = &oracle.knowledge;
+    for metric in METRICS.into_iter().chain([EXTRA]) {
+        for objective in [Objective::minimize(metric), Objective::maximize(metric)] {
+            assert_eq!(
+                debug_of(knowledge.best(&objective, &[])),
+                debug_of(knowledge.best_linear(&objective, &[])),
+                "{context}: indexed best for {objective}"
+            );
+        }
+    }
 }
 
 fn storm(seed: u64, coverage: &mut Coverage) {
@@ -203,7 +358,7 @@ fn storm(seed: u64, coverage: &mut Coverage) {
     };
     let constraints: Vec<Constraint> = (0..rng.gen_range(0..3))
         .map(|_| {
-            let metric = METRICS[rng.gen_range(0..METRICS.len())];
+            let metric = random_metric(&mut rng);
             if rng.gen_bool(0.5) {
                 Constraint::at_most(metric, 2.0 + rng.gen::<f64>() * 8.0)
             } else {
@@ -222,116 +377,67 @@ fn storm(seed: u64, coverage: &mut Coverage) {
     for constraint in &constraints {
         manager.add_constraint(constraint.clone());
     }
-    let mut oracle = OracleManager {
-        knowledge,
-        objective,
-        constraints,
-        current: None,
-        monitors: BTreeMap::new(),
-        learn_alpha: alpha,
-        switches: 0,
-        last_adapt: f64::NEG_INFINITY,
+    let mut pair = Pair {
+        manager,
+        oracle: OracleManager {
+            knowledge,
+            objective,
+            constraints,
+            current: None,
+            monitors: BTreeMap::new(),
+            learn_alpha: alpha,
+            switches: 0,
+            last_adapt: f64::NEG_INFINITY,
+        },
+        clock: 0.0,
+        last_sample_s: f64::NAN,
+        fresh: false,
     };
 
-    let mut clock = 0.0f64;
-    let mut last_sample_s = f64::NAN;
-    let mut fresh = false;
-    for step in 0..160 {
-        let context = format!("seed {seed} step {step}");
-        match rng.gen_range(0..20) {
-            0..=9 => {
-                clock += [0.0, 0.0, 0.5, 1.0][rng.gen_range(0..4usize)];
-                // one sample in sixteen arrives late, which drops its
-                // series onto the filtering path for good
-                let time = if rng.gen_range(0..16) == 0 {
-                    clock - 2.0
-                } else {
-                    clock
-                };
-                let metric = METRICS[rng.gen_range(0..METRICS.len())];
-                let value = random_value(&mut rng);
-                manager.observe(time, metric, value);
-                oracle.observe(time, metric, value);
-                coverage.nan_means += u32::from(value.is_nan());
-                last_sample_s = time;
-                fresh = true;
-            }
-            10..=14 => {
-                // mostly "now" is the newest sample's own timestamp, so
-                // that sample is counted again by the next round
-                let now = if rng.gen_bool(0.75) {
-                    clock
-                } else {
-                    clock + 0.5
-                };
-                let before = manager.knowledge().len();
-                let decision = manager.adapt(now);
-                assert_eq!(decision, oracle.adapt(now), "{context}: decision");
-                match decision {
-                    Decision::Switch(_) => coverage.switched += 1,
-                    Decision::Stay => coverage.stayed += 1,
-                }
-                coverage.appended += u32::from(manager.knowledge().len() > before);
-                coverage.idle_rounds += u32::from(!fresh);
-                coverage.boundary_rounds += u32::from(now == last_sample_s);
-                fresh = false;
-                clock = now;
-            }
-            15..=17 => {
-                assert_eq!(
-                    debug_of(manager.select()),
-                    debug_of(oracle.select()),
-                    "{context}: select"
-                );
-            }
-            _ => {
-                let metric = METRICS[rng.gen_range(0..METRICS.len())];
-                // one renegotiation in four leaves nothing feasible
-                let bound = if rng.gen_range(0..4) == 0 {
-                    -1e12
-                } else {
-                    rng.gen::<f64>() * 10.0
-                };
-                assert_eq!(
-                    manager.set_constraint_bound(metric, bound),
-                    oracle.set_constraint_bound(metric, bound),
-                    "{context}: renegotiation"
-                );
-            }
+    // from a random step on, a clone and its own oracle take steps of
+    // their own, interleaved: what either side learns must not reach
+    // the other, whether or not the clone shares a learned row
+    let fork_at = rng.gen_range(20..140);
+    let mut twin: Option<Pair> = None;
+    for step_at in 0..160 {
+        if step_at == fork_at {
+            twin = Some(pair.clone());
         }
-        assert_eq!(
-            debug_of(manager.knowledge()),
-            debug_of(&oracle.knowledge),
-            "{context}: knowledge base"
+        step(
+            &mut rng,
+            &mut pair,
+            false,
+            coverage,
+            &format!("seed {seed} step {step_at}"),
         );
-        assert_eq!(
-            debug_of(manager.current()),
-            debug_of(oracle.current.as_ref()),
-            "{context}: deployed configuration"
-        );
-        assert_eq!(manager.switches(), oracle.switches, "{context}: switches");
-        // the sorted columns are not part of the rendering above; they
-        // are right iff the index probe still agrees with the scan
-        let knowledge = manager.knowledge();
-        assert_eq!(
-            debug_of(knowledge.best(manager.objective(), manager.constraints())),
-            debug_of(knowledge.best_linear(manager.objective(), manager.constraints())),
-            "{context}: indexed best under the manager's goals"
-        );
-        for metric in METRICS {
-            for objective in [Objective::minimize(metric), Objective::maximize(metric)] {
-                assert_eq!(
-                    debug_of(knowledge.best(&objective, &[])),
-                    debug_of(knowledge.best_linear(&objective, &[])),
-                    "{context}: indexed best for {objective}"
-                );
-            }
+        if let Some(twin) = &mut twin {
+            step(
+                &mut rng,
+                twin,
+                true,
+                coverage,
+                &format!("seed {seed} step {step_at} (clone)"),
+            );
         }
+    }
+    for side in [Some(&pair), twin.as_ref()].into_iter().flatten() {
+        let knowledge = side.manager.knowledge();
+        coverage.added_metrics += (0..5)
+            .filter(|&x| knowledge.metric(&config(x, 0.5), EXTRA).is_some())
+            .count() as u32;
+        assert!(
+            knowledge
+                .base()
+                .points()
+                .iter()
+                .all(|p| p.metric(EXTRA).is_none()),
+            "seed {seed}: the base is never written"
+        );
     }
 }
 
 #[test]
-fn in_place_adapt_equals_the_clone_and_rebuild_round() {
+fn overlay_adapt_equals_the_clone_and_rebuild_round() {
     let mut coverage = Coverage::default();
     for seed in 0..60 {
         storm(seed, &mut coverage);
@@ -358,6 +464,21 @@ fn in_place_adapt_equals_the_clone_and_rebuild_round() {
         "rounds whose `now` was the newest sample's timestamp: {}",
         coverage.boundary_rounds
     );
+    assert!(
+        coverage.tied_selects > 50,
+        "selects with more than one feasible point at the best score: {}",
+        coverage.tied_selects
+    );
+    assert!(
+        coverage.added_metrics > 40,
+        "base points that learned the metric the base lacks: {}",
+        coverage.added_metrics
+    );
+    assert!(
+        coverage.twin_learns > 300,
+        "learning rounds on a clone: {}",
+        coverage.twin_learns
+    );
 }
 
 #[test]
@@ -366,7 +487,7 @@ fn a_round_without_a_feasible_point_keeps_the_deployed_configuration() {
     // SLA leaves nothing feasible: `select` changes nothing and counts
     // nothing, yet the round reports a switch, because the decision is
     // "previous != current" and this configuration is not equal to
-    // itself. Odd, and unchanged by the in-place fold.
+    // itself. Odd, and unchanged by the overlay.
     let knowledge: KnowledgeBase = [OperatingPoint::new(
         config(1, f64::NAN),
         [("time".to_string(), 1.0)],
@@ -375,9 +496,9 @@ fn a_round_without_a_feasible_point_keeps_the_deployed_configuration() {
     .collect();
     let mut manager = AppManager::new(knowledge, Objective::minimize("time"));
     manager.add_constraint(Constraint::at_most("time", 5.0));
-    assert!(matches!(manager.adapt(0.0), Decision::Switch(_)));
+    assert!(manager.adapt(0.0).is_some());
     assert!(manager.set_constraint_bound("time", 0.5));
-    assert!(matches!(manager.adapt(1.0), Decision::Switch(_)));
+    assert!(manager.adapt(1.0).is_some());
     assert_eq!(manager.switches(), 0);
     assert_eq!(manager.knowledge().len(), 1, "no samples, nothing appended");
 }
