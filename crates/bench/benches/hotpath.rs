@@ -5,13 +5,18 @@
 //! online `learn()`, the Pareto filter, and design-point cache probes
 //! (structural key vs the retained string reference) — and then the
 //! whole request: one warm navigation batch of 64 cache hits through
-//! `serve_batch` (`serve/cache_hit`).
+//! `serve_batch` (`serve/cache_hit`). `pool/dispatch` times what the
+//! evaluation pool adds around its probes: a batch of 64 trivial probes
+//! through `EvalPool::evaluate_batch_on` at 1, 2 and 4 workers.
 
+use antarex_obs::TraceCtx;
 use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};
 use antarex_serve::driver::DriverConfig;
 use antarex_serve::kernel::kernel_manager;
 use antarex_serve::nav::NavEvaluator;
-use antarex_serve::{BatchReport, TuningRequest};
+use antarex_serve::pool::{EvalJob, Evaluation, PoolConfig};
+use antarex_serve::store::TenantClass;
+use antarex_serve::{BatchReport, EvalPool, TuningRequest};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::knob::KnobValue;
 use antarex_tuner::space::Configuration;
@@ -216,6 +221,40 @@ fn bench_serve_cache_hit(c: &mut Criterion) {
     group.finish();
 }
 
+/// 64 jobs of a probe that returns a canned evaluation: the batch costs
+/// what the pool adds, on as many workers as the group names.
+fn bench_pool_dispatch(c: &mut Criterion) {
+    let jobs: Vec<EvalJob> = (0..64u64)
+        .map(|id| EvalJob {
+            id: id as usize,
+            tenant: id,
+            class: TenantClass::Generic,
+            config: config(id),
+            features: vec![id as f64],
+            trace: TraceCtx::NONE,
+        })
+        .collect();
+    let probe = |job: &EvalJob| Evaluation {
+        metrics: Metrics::default(),
+        cost_s: 1.0 + job.id as f64,
+        energy_j: 0.0,
+    };
+    let mut group = c.benchmark_group("pool/dispatch");
+    for workers in [1, 2, 4] {
+        let pool = EvalPool::new(PoolConfig {
+            workers,
+            queue_capacity: 256,
+        });
+        group.bench_function(BenchmarkId::new("jobs_64", workers), |b| {
+            b.iter_with_setup(
+                || jobs.clone(),
+                |jobs| pool.evaluate_batch_on(jobs, workers, &probe),
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_select,
@@ -223,6 +262,7 @@ criterion_group!(
     bench_pareto,
     bench_cache,
     bench_first_learn,
-    bench_serve_cache_hit
+    bench_serve_cache_hit,
+    bench_pool_dispatch
 );
 criterion_main!(benches);

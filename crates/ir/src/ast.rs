@@ -381,8 +381,10 @@ impl Function {
 /// Functions are stored behind [`Arc`] so the interpreter can hold the body of
 /// the currently-executing function while a dynamic-weaving hook adds new
 /// (specialized) functions to the program, and so a program is `Send +
-/// Sync`: evaluator threads share prebuilt programs and clone them by
-/// reference count.
+/// Sync`: evaluator threads share prebuilt programs. The function table
+/// and its order sit behind one more [`Arc`], so a clone is a single
+/// reference-count bump; [`Program::insert`] and
+/// [`Program::edit_function`] copy the table on write when it is shared.
 ///
 /// # Examples
 ///
@@ -395,11 +397,28 @@ impl Function {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Program {
+    table: Arc<FunctionTable>,
+}
+
+/// What a [`Program`] shares between its clones.
+#[derive(Clone, Default, PartialEq)]
+struct FunctionTable {
     functions: BTreeMap<String, Arc<Function>>,
     /// Insertion order, for stable printing.
     order: Vec<String>,
+}
+
+/// Renders as the two fields it had before the table was shared, so
+/// reports and state dumps that print a program read the same.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("functions", &self.table.functions)
+            .field("order", &self.table.order)
+            .finish()
+    }
 }
 
 impl Program {
@@ -411,42 +430,44 @@ impl Program {
     /// Adds (or replaces) a function; returns the previous definition if the
     /// name was already bound.
     pub fn insert(&mut self, function: Function) -> Option<Arc<Function>> {
+        let table = Arc::make_mut(&mut self.table);
         let name = function.name.clone();
-        let prev = self.functions.insert(name.clone(), Arc::new(function));
+        let prev = table.functions.insert(name.clone(), Arc::new(function));
         if prev.is_none() {
-            self.order.push(name);
+            table.order.push(name);
         }
         prev
     }
 
     /// Looks up a function by name.
     pub fn function(&self, name: &str) -> Option<&Arc<Function>> {
-        self.functions.get(name)
+        self.table.functions.get(name)
     }
 
     /// Returns `true` if a function with this name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.functions.contains_key(name)
+        self.table.functions.contains_key(name)
     }
 
     /// Function names in insertion order.
     pub fn function_names(&self) -> Vec<&str> {
-        self.order.iter().map(String::as_str).collect()
+        self.table.order.iter().map(String::as_str).collect()
     }
 
     /// Iterates over functions in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Function>> {
-        self.order.iter().filter_map(|n| self.functions.get(n))
+        let table = &*self.table;
+        table.order.iter().filter_map(|n| table.functions.get(n))
     }
 
     /// Number of functions.
     pub fn len(&self) -> usize {
-        self.functions.len()
+        self.table.functions.len()
     }
 
     /// Returns `true` if the program has no functions.
     pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
+        self.table.functions.is_empty()
     }
 
     /// Applies an in-place edit to the named function.
@@ -465,12 +486,13 @@ impl Program {
         edit: impl FnOnce(&mut Function),
     ) -> Result<(), crate::IrError> {
         let rc = self
-            .functions
-            .get(name)
+            .function(name)
             .ok_or_else(|| crate::IrError::Unresolved(name.to_string()))?;
         let mut function = (**rc).clone();
         edit(&mut function);
-        self.functions.insert(name.to_string(), Arc::new(function));
+        Arc::make_mut(&mut self.table)
+            .functions
+            .insert(name.to_string(), Arc::new(function));
         Ok(())
     }
 }
@@ -565,6 +587,32 @@ mod tests {
         assert!(prev.is_some());
         assert_eq!(program.len(), 1);
         assert_eq!(program.function_names(), vec!["f"]);
+    }
+
+    #[test]
+    fn a_program_clone_shares_its_table_until_a_write() {
+        let mut program = Program::new();
+        program.insert(Function::new("f", None, vec![], vec![]));
+        let snapshot = program.clone();
+        assert!(Arc::ptr_eq(&program.table, &snapshot.table));
+        program.insert(Function::new("g", None, vec![], vec![]));
+        program
+            .edit_function("f", |f| f.body.push(Stmt::Return(None)))
+            .unwrap();
+        assert_eq!(snapshot.function_names(), vec!["f"]);
+        assert!(snapshot.function("f").unwrap().body.is_empty());
+        assert_eq!(program.function_names(), vec!["f", "g"]);
+    }
+
+    #[test]
+    fn a_program_renders_its_functions_and_order() {
+        let mut program = Program::new();
+        program.insert(Function::new("f", None, vec![], vec![]));
+        let function = program.function("f").unwrap();
+        assert_eq!(
+            format!("{program:?}"),
+            format!("Program {{ functions: {{\"f\": {function:?}}}, order: [\"f\"] }}")
+        );
     }
 
     #[test]

@@ -12,17 +12,18 @@
 //! **Compile once, run once.** The kernel is parsed once, at
 //! construction. Each mantissa rung's precision variant is built once,
 //! on the first probe that asks for it, and kept together with the
-//! [`CodeKey`] it digests to; a probe hands a clone of the ready program
-//! (reference-counted functions) and that key to
-//! [`Vm::with_cache_key`], so no probe parses, re-types or re-digests
-//! anything. The inputs are drawn straight into the argument vector and
-//! moved into the last run; only the reference run below full precision
-//! gets a copy. At full precision the tuned program *is* the reference
-//! program, so that probe runs it once and reports the one run as both
-//! segments. A probe of [`DEFAULT_KERNEL`] therefore costs a code-cache
-//! lookup and one or two VM runs, each a single native loop trace
-//! (`vm::trace`) rounding its narrow stores without a data-dependent
-//! branch, plus a few dozen allocations for its inputs and frames.
+//! [`CodeKey`] it digests to; a probe hands the ready program (a clone
+//! is one reference-count bump) and that key to [`Vm::with_cache_key`],
+//! so no probe parses, re-types, re-digests or copies anything. The
+//! inputs are drawn straight into the argument vector and moved into the
+//! reference run, which hands its array arguments back for the tuned
+//! run. At full precision the tuned program *is* the reference program,
+//! so that probe runs it once and reports the one run as both segments;
+//! an untraced probe builds no segments at all. A probe of
+//! [`DEFAULT_KERNEL`] therefore costs a code-cache lookup and one or two
+//! VM runs, each a single native loop trace (`vm::trace`) rounding its
+//! narrow stores without a data-dependent branch, plus about twenty
+//! allocations for its inputs, frames and evaluation.
 //!
 //! Like [`NavEvaluator`](crate::nav::NavEvaluator), the probe derives
 //! its input data from [`probe_seed`], making every evaluation a pure
@@ -179,8 +180,10 @@ impl KernelEvaluator {
         })
     }
 
-    /// Runs one rung over the seeded `n`-element inputs and meters it.
-    fn run(&self, rung: &Rung, args: Vec<Value>, n: usize) -> Metered {
+    /// Runs one rung over the seeded `n`-element inputs and meters it,
+    /// handing back the arguments as the run left them
+    /// ([`Vm::run_segment`]).
+    fn run(&self, rung: &Rung, args: Vec<Value>, n: usize) -> (Metered, Vec<Value>) {
         let mut vm = Vm::with_cache_key(
             rung.program.clone(),
             self.cost_model.clone(),
@@ -192,10 +195,10 @@ impl KernelEvaluator {
         // and `b` exactly n ≤ 256 floats long; its cost, ≈40 units per
         // element whatever the data, stays under 10⁴ against the VM's
         // 2·10⁸ budget
-        let (value, stats) = vm
+        let (value, stats, args) = vm
             .run_segment(&self.function, args)
             .expect("the kernel runs within budget");
-        self.meter(scalar(&value), &stats, n)
+        (self.meter(scalar(&value), &stats, n), args)
     }
 
     /// Converts one run's metered stats to virtual seconds, watts and
@@ -221,16 +224,10 @@ fn scalar(value: &Value) -> f64 {
     }
 }
 
-impl Evaluator for KernelEvaluator {
-    fn evaluate(&self, config: &Configuration, features: &[f64]) -> Evaluation {
-        self.evaluate_segmented(config, features).0
-    }
-
-    fn evaluate_segmented(
-        &self,
-        config: &Configuration,
-        features: &[f64],
-    ) -> (Evaluation, Vec<ProbeSegment>) {
+impl KernelEvaluator {
+    /// One probe: the evaluation of the tuned run, and the reference
+    /// and tuned runs it was judged from.
+    fn probe(&self, config: &Configuration, features: &[f64]) -> (Evaluation, Metered, Metered) {
         let bits = config
             .get_int("mantissa")
             .unwrap_or(52)
@@ -253,14 +250,16 @@ impl Evaluator for KernelEvaluator {
         };
         let args = vec![draw(), draw(), Value::Int(n as i64)];
 
+        let (reference, mut args) = self.run(self.rung(FULL_BITS), args, n);
         // at full precision the tuned program is the reference program:
-        // the one run serves as both, and takes the inputs
-        let (reference, tuned) = if bits < FULL_BITS {
-            let reference = self.run(self.rung(FULL_BITS), args.clone(), n);
-            (reference, self.run(self.rung(bits), args, n))
+        // the one run serves as both
+        let tuned = if bits < FULL_BITS {
+            // the reference takes `a` and `b` as `double` and never stores
+            // to them, so the arrays it hands back are the drawn inputs
+            args[2] = Value::Int(n as i64);
+            self.run(self.rung(bits), args, n).0
         } else {
-            let reference = self.run(self.rung(FULL_BITS), args, n);
-            (reference, reference)
+            reference
         };
 
         let error = (tuned.value - reference.value).abs() / reference.value.abs().max(1e-12);
@@ -275,6 +274,21 @@ impl Evaluator for KernelEvaluator {
             cost_s: tuned.latency_s,
             energy_j: tuned.energy_j,
         };
+        (evaluation, reference, tuned)
+    }
+}
+
+impl Evaluator for KernelEvaluator {
+    fn evaluate(&self, config: &Configuration, features: &[f64]) -> Evaluation {
+        self.probe(config, features).0
+    }
+
+    fn evaluate_segmented(
+        &self,
+        config: &Configuration,
+        features: &[f64],
+    ) -> (Evaluation, Vec<ProbeSegment>) {
+        let (evaluation, reference, tuned) = self.probe(config, features);
         // the reference run is metered too, but only the tuned kernel
         // is the probe's billable work: segments describe both for the
         // trace, the evaluation charges the tuned run alone
@@ -422,7 +436,7 @@ mod tests {
         };
         let run = |program: Program, args: &[Value]| {
             let mut vm = Vm::with_cache(program, CostModel::new(), evaluator.cache());
-            let (value, stats) = vm.run_segment("kernel", args.to_vec()).unwrap();
+            let (value, stats, _) = vm.run_segment("kernel", args.to_vec()).unwrap();
             (scalar(&value), stats)
         };
         let meter = |stats: &ExecStats, n: usize| {

@@ -13,8 +13,8 @@
 //!   configuration, quantized workload features), with lock-free
 //!   hit/miss accounting: identical configurations are never measured
 //!   twice, even across tenants;
-//! * [`pool`] — the **parallel evaluation pool**: scoped worker
-//!   threads over a bounded, load-shedding queue, with results merged
+//! * [`pool`] — the **parallel evaluation pool**: worker threads kept
+//!   for the pool's life over a bounded, load-shedding queue, with results merged
 //!   in job order and timing replayed on *virtual* cores so outputs
 //!   are byte-identical at any physical core count;
 //! * [`service`] — the tying layer: select → cache → probe → learn →

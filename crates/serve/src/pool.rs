@@ -1,7 +1,7 @@
 //! The parallel evaluation pool.
 //!
-//! Batches of design-point probes run on scoped worker threads pulling
-//! from a shared index — real parallelism — while every observable
+//! Batches of design-point probes run on worker threads pulling from a
+//! shared index — real parallelism — while every observable
 //! output stays deterministic: probes are pure functions of their job,
 //! results are merged back in job order, and timing is *virtual*: a
 //! policy-selected schedule from [`antarex_sim::sched`] replays the
@@ -9,6 +9,13 @@
 //! costs. The virtual makespan, not the wall clock, is what reports and
 //! tests consume, so runs are byte-identical at any physical core
 //! count.
+//!
+//! The threads are the pool's for its life (a
+//! [`WorkerSet`]): `workers − 1`
+//! helpers, spawned by the first parallel batch and joined when the
+//! pool drops, with the thread calling
+//! [`EvalPool::evaluate_batch_on`] as worker 0. A batch wakes them; it
+//! spawns nothing. At one worker nothing is ever spawned.
 //!
 //! The service runs one [`SchedPolicy`]. The default
 //! [`SchedPolicy::Static`] is the greedy list placement of
@@ -31,7 +38,7 @@ use antarex_obs::TraceCtx;
 use antarex_sim::sched;
 pub use antarex_sim::sched::SchedPolicy;
 pub(crate) use antarex_sim::sched::SchedStats;
-use antarex_tuner::dse::par_map;
+use antarex_tuner::dse::WorkerSet;
 use antarex_tuner::Configuration;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -89,8 +96,6 @@ pub struct BatchOutcome {
     pub shed: Vec<EvalJob>,
     /// Virtual makespan of the admitted jobs on `workers` cores.
     pub makespan_s: f64,
-    /// The policy the batch was scheduled with.
-    pub policy: SchedPolicy,
     /// Steal/queue accounting from the virtual schedule.
     pub stats: SchedStats,
 }
@@ -198,11 +203,14 @@ impl CostEstimator {
 }
 
 /// The evaluation pool.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EvalPool {
     config: PoolConfig,
     sched: SchedConfig,
     estimator: CostEstimator,
+    /// `config.workers` threads for the pool's life: the caller of a
+    /// batch and `workers − 1` helpers.
+    workers: WorkerSet,
 }
 
 impl EvalPool {
@@ -217,6 +225,7 @@ impl EvalPool {
             config,
             sched: SchedConfig::default(),
             estimator: CostEstimator::default(),
+            workers: WorkerSet::new(config.workers),
         }
     }
 
@@ -232,7 +241,7 @@ impl EvalPool {
     }
 
     /// Evaluates a batch — admits up to `queue_capacity` jobs, sheds
-    /// the rest, runs the admitted probes on scoped worker threads and
+    /// the rest, runs the admitted probes on the pool's workers and
     /// merges results deterministically — with an explicit *virtual*
     /// core count for the replayed schedule: the autoscaler's entry
     /// point. `probe` must be a pure function of the job, the contract
@@ -281,7 +290,7 @@ impl EvalPool {
         }
         let admitted_count = jobs.len().min(self.config.queue_capacity);
         let shed = jobs.split_off(admitted_count);
-        let evaluations = par_map(&jobs, self.config.workers, probe);
+        let evaluations = self.workers.map(&jobs, probe);
         let policy = self.sched.policy;
         let costs: Vec<f64> = evaluations.iter().map(|e| e.cost_s).collect();
         let schedule = if policy == SchedPolicy::Static {
@@ -319,7 +328,6 @@ impl EvalPool {
             results,
             shed,
             makespan_s: schedule.makespan_s,
-            policy,
             stats: schedule.stats,
         })
     }
@@ -510,8 +518,7 @@ mod tests {
         .with_sched(SchedConfig::work_stealing());
         let blocked = static_pool.evaluate_batch_on(jobs.clone(), 4, &whale_probe);
         let stolen = steal_pool.evaluate_batch_on(jobs, 4, &whale_probe);
-        assert_eq!(blocked.policy, SchedPolicy::Block);
-        assert_eq!(stolen.policy, SchedPolicy::WorkSteal);
+        assert_eq!(blocked.stats.steals, 0, "block placement never steals");
         assert!(
             stolen.makespan_s < blocked.makespan_s,
             "steal {} vs block {}",

@@ -12,7 +12,6 @@
 use antarex_obs::TraceCtx;
 use antarex_serve::pool::{EvalJob, EvalPool, Evaluation, PoolConfig, SchedConfig};
 use antarex_serve::store::TenantClass;
-use antarex_serve::SchedPolicy;
 use antarex_sim::sched::{steal_schedule, Schedule};
 use antarex_sim::workload::lognormal;
 use antarex_tuner::{Configuration, KnobValue};
@@ -153,7 +152,10 @@ fn pool_digest(physical: usize, virtual_workers: usize) -> String {
             energy_j: 0.0,
         }
     });
-    assert_eq!(outcome.policy, SchedPolicy::WorkSteal);
+    assert!(
+        outcome.stats.steals > 0,
+        "a heavy tail is rebalanced by stealing"
+    );
     let mut digest = String::new();
     for result in &outcome.results {
         digest.push_str(&format!(

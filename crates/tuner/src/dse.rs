@@ -19,8 +19,12 @@ use crate::search::SearchTechnique;
 use crate::space::{Configuration, DesignSpace};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle};
 
 type Metrics = BTreeMap<String, f64>;
 
@@ -112,13 +116,12 @@ fn split_seed(base_seed: u64, round: u64) -> u64 {
     mix64(base_seed ^ mix64(round))
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads and returns
-/// the results in item order, however the threads interleaved.
+/// Maps `f` over `items` on up to `workers` threads and returns the
+/// results in item order, however the threads interleaved: a
+/// [`WorkerSet::map`] on a set built for this one call.
 ///
-/// Threads pull items through a shared cursor, so a slow item never
-/// holds up the rest. With one thread to use (one worker, or at most
-/// one item) nothing is spawned. A panic in `f` propagates to the
-/// caller.
+/// With one thread to use (one worker, or at most one item) nothing is
+/// spawned. A panic in `f` propagates to the caller.
 ///
 /// # Examples
 ///
@@ -134,37 +137,256 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = workers.min(items.len());
-    if threads <= 1 {
-        return items.iter().map(f).collect();
+    WorkerSet::new(workers.min(items.len())).map(items, f)
+}
+
+/// Threads that outlive one parallel map: the workspace's one in-order
+/// parallel map is [`WorkerSet::map`].
+///
+/// A set of `workers` has `workers − 1` helper threads, spawned by its
+/// first parallel map and joined when it drops; the thread calling
+/// [`map`](WorkerSet::map) is worker 0. A set of one worker spawns
+/// nothing.
+///
+/// # Examples
+///
+/// ```
+/// use antarex_tuner::dse::WorkerSet;
+///
+/// let workers = WorkerSet::new(2);
+/// for round in 0..3u64 {
+///     let shifted = workers.map(&[1u64, 2, 3], |x| x + round);
+///     assert_eq!(shifted, [1 + round, 2 + round, 3 + round]);
+/// }
+/// ```
+pub struct WorkerSet {
+    workers: usize,
+    shared: Arc<Shared>,
+    helpers: OnceLock<Vec<JoinHandle<()>>>,
+    /// Threads spawned over the set's life.
+    spawned: AtomicUsize,
+}
+
+impl std::fmt::Debug for WorkerSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerSet")
+            .field("workers", &self.workers)
+            .finish_non_exhaustive()
     }
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(index) else {
-                            return mine;
-                        };
-                        mine.push((index, f(item)));
-                    }
+}
+
+/// What the caller of a map and the helpers share.
+#[derive(Default)]
+struct Shared {
+    state: Mutex<State>,
+    /// Wakes the helpers: a batch was posted, or the set is stopping.
+    posted: Condvar,
+    /// Wakes the caller: the last helper let go of the posted batch.
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct State {
+    /// The batch helpers may join, while its caller still works it.
+    batch: Option<&'static dyn Work>,
+    /// Bumped by every post, so a helper joins each batch at most once.
+    epoch: u64,
+    /// Helpers working the batch in flight.
+    holding: usize,
+    /// A batch is posted or still held: a second map works alone.
+    in_flight: bool,
+    stopping: bool,
+}
+
+/// One map's items, as every thread working them sees them.
+trait Work: Sync {
+    /// Works items until none is left. A panicking item is caught and
+    /// kept for the caller, and stops the others being handed out.
+    fn work(&self);
+}
+
+struct Batch<'a, T, R, F> {
+    items: &'a [T],
+    f: &'a F,
+    cursor: AtomicUsize,
+    done: Mutex<Vec<(usize, R)>>,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl<T, R, F> Work for Batch<'_, T, R, F>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    fn work(&self) {
+        let mut mine = Vec::new();
+        let worked = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            // Relaxed: the cursor only hands out indices; the items and
+            // the results travel under the set's locks
+            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = self.items.get(index) else {
+                return;
+            };
+            mine.push((index, (self.f)(item)));
+        }));
+        if let Err(payload) = worked {
+            self.cursor.store(self.items.len(), Ordering::Relaxed);
+            lock(&self.panic).get_or_insert(payload);
+        }
+        lock(&self.done).append(&mut mine);
+    }
+}
+
+/// Locks `mutex`. Nothing panics while holding one of the set's locks,
+/// so a poisoned lock still guards consistent data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl WorkerSet {
+    /// A set of `workers` threads, the caller's included (zero counts
+    /// as one). No thread starts before the first parallel map.
+    pub fn new(workers: usize) -> Self {
+        WorkerSet {
+            workers: workers.max(1),
+            shared: Arc::default(),
+            helpers: OnceLock::new(),
+            spawned: AtomicUsize::new(0),
+        }
+    }
+
+    /// Maps `f` over `items` and returns the results in item order,
+    /// however the threads interleaved.
+    ///
+    /// Threads pull items through a shared cursor, so a slow item never
+    /// holds up the rest. The calling thread works the items too and
+    /// returns only once no helper holds any of them. It never waits to
+    /// start: a map issued while the set is busy — from another thread,
+    /// or from inside an item of this set's own map — works its items
+    /// alone. A panic in `f` propagates to the caller after the other
+    /// threads let go, and the set stays usable.
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        if self.workers == 1 || items.len() <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let batch = Batch {
+            items,
+            f: &f,
+            cursor: AtomicUsize::new(0),
+            done: Mutex::new(Vec::with_capacity(items.len())),
+            panic: Mutex::new(None),
+        };
+        self.work_with_helpers(&batch);
+        if let Some(payload) = batch
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            panic::resume_unwind(payload);
+        }
+        let mut done = batch
+            .done
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// Works `batch` on this thread and, when the set is idle, on its
+    /// helpers; returns once no helper holds it.
+    fn work_with_helpers(&self, batch: &dyn Work) {
+        self.helpers.get_or_init(|| {
+            (1..self.workers)
+                .map(|_| {
+                    // Relaxed: a statistic that publishes no other data
+                    self.spawned.fetch_add(1, Ordering::Relaxed);
+                    let shared = Arc::clone(&self.shared);
+                    thread::spawn(move || help(&shared))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| {
-                handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    });
-    results.sort_unstable_by_key(|&(index, _)| index);
-    results.into_iter().map(|(_, result)| result).collect()
+                .collect()
+        });
+        // SAFETY: only the lifetime is erased. The `'static` reference
+        // is reachable through `State::batch` alone; helpers copy it out
+        // only under the lock, count themselves in `holding` as they do,
+        // and use their copy for the last time before they stop
+        // counting. This function retracts it and waits for `holding` to
+        // reach zero before it returns, whether or not an item panicked
+        // (`work` catches that), so no thread uses it once `batch` is
+        // gone.
+        let erased: &'static dyn Work =
+            unsafe { std::mem::transmute::<&dyn Work, &'static dyn Work>(batch) };
+        let posted = {
+            let mut state = lock(&self.shared.state);
+            let idle = !state.in_flight;
+            if idle {
+                state.in_flight = true;
+                state.batch = Some(erased);
+                state.epoch += 1;
+                self.shared.posted.notify_all();
+            }
+            idle
+        };
+        batch.work();
+        if posted {
+            let mut state = lock(&self.shared.state);
+            state.batch = None;
+            while state.holding > 0 {
+                state = self
+                    .shared
+                    .released
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.in_flight = false;
+        }
+    }
+}
+
+/// A helper's life: join each posted batch once, until the set stops.
+fn help(shared: &Shared) {
+    let mut seen = 0;
+    let mut state = lock(&shared.state);
+    loop {
+        if state.stopping {
+            return;
+        }
+        match state.batch {
+            Some(batch) if state.epoch != seen => {
+                seen = state.epoch;
+                state.holding += 1;
+                drop(state);
+                batch.work();
+                state = lock(&shared.state);
+                state.holding -= 1;
+                if state.holding == 0 {
+                    shared.released.notify_all();
+                }
+            }
+            _ => {
+                state = shared
+                    .posted
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+}
+
+impl Drop for WorkerSet {
+    fn drop(&mut self) {
+        lock(&self.shared.state).stopping = true;
+        self.shared.posted.notify_all();
+        for helper in self.helpers.take().into_iter().flatten() {
+            // a helper catches every panicking item, so it ends cleanly
+            let _ = helper.join();
+        }
+    }
 }
 
 /// Explores the design space in [`Rounds`], evaluating each round of
@@ -228,6 +450,7 @@ where
     E: Fn(&Configuration) -> Metrics + Sync,
 {
     assert!(rounds.size > 0, "a round needs at least one proposal");
+    let workers = WorkerSet::new(rounds.workers);
     explore_rounds(
         technique,
         objective,
@@ -238,7 +461,7 @@ where
                 .map_while(|_| technique.propose(space, &mut rng))
                 .collect()
         },
-        |jobs| par_map(jobs, rounds.workers, &eval),
+        |jobs| workers.map(jobs, &eval),
     )
 }
 
@@ -316,6 +539,7 @@ mod tests {
     use crate::search::exhaustive::Exhaustive;
     use crate::search::genetic::GeneticBatch;
     use crate::search::random::RandomSearch;
+    use std::sync::atomic::AtomicBool;
 
     fn space() -> DesignSpace {
         DesignSpace::new(vec![Knob::int("unroll", 1, 8, 1)])
@@ -520,5 +744,107 @@ mod tests {
             assert!(x != 5, "job {x} failed");
             x
         });
+    }
+
+    #[test]
+    fn worker_set_keeps_item_order_across_a_thousand_maps() {
+        let items: Vec<u64> = (0..37).collect();
+        for workers in [1, 2, 4, 8] {
+            let set = WorkerSet::new(workers);
+            for round in 0..1_000u64 {
+                // a result left over from an earlier map would be off
+                // by its round
+                let shifted = set.map(&items, |x| x * 3 + round);
+                assert!(
+                    shifted.iter().zip(&items).all(|(s, x)| *s == x * 3 + round),
+                    "{workers} workers, map {round}: {shifted:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn worker_set_propagates_a_panicking_item_and_stays_usable() {
+        let set = WorkerSet::new(2);
+        let items: Vec<u64> = (0..64).collect();
+        let caller = thread::current().id();
+        for _ in 0..3 {
+            let helper_failed = AtomicBool::new(false);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                set.map(&items, |&x| {
+                    if thread::current().id() == caller {
+                        // hold the caller until the helper has failed, so
+                        // the panic has to cross threads
+                        while !helper_failed.load(Ordering::Acquire) {
+                            thread::yield_now();
+                        }
+                        return x;
+                    }
+                    helper_failed.store(true, Ordering::Release);
+                    panic!("item {x} failed on a helper");
+                })
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.ends_with("failed on a helper"), "{message}");
+            assert_eq!(set.map(&items, |x| x + 1), (1..65).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn worker_set_completes_a_map_inside_a_map_item() {
+        let set = WorkerSet::new(4);
+        let outer: Vec<u64> = (0..16).collect();
+        let inner: Vec<u64> = (0..8).collect();
+        for _ in 0..50 {
+            let sums = set.map(&outer, |&x| set.map(&inner, |&y| x * y).iter().sum::<u64>());
+            assert_eq!(sums, outer.iter().map(|x| x * 28).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn worker_set_serves_two_callers_at_once() {
+        let set = WorkerSet::new(3);
+        let items: Vec<u64> = (0..23).collect();
+        thread::scope(|scope| {
+            for caller in 0..2u64 {
+                let (set, items) = (&set, &items);
+                scope.spawn(move || {
+                    for round in 0..200 {
+                        let tagged = set.map(items, |x| x + caller * 1_000 + round);
+                        let expected: Vec<u64> =
+                            items.iter().map(|x| x + caller * 1_000 + round).collect();
+                        assert_eq!(tagged, expected, "caller {caller}, map {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn worker_set_spawns_only_on_its_first_map() {
+        let spawned = |set: &WorkerSet| set.spawned.load(Ordering::Relaxed);
+        let items: Vec<u64> = (0..32).collect();
+        let set = WorkerSet::new(4);
+        assert_eq!(spawned(&set), 0, "no thread before the first map");
+        set.map(&items, |x| x + 1);
+        assert_eq!(spawned(&set), 3, "three helpers beside the caller");
+        for _ in 0..100 {
+            set.map(&items, |x| x + 1);
+        }
+        assert_eq!(spawned(&set), 3, "later maps reuse the helpers");
+        let single = WorkerSet::new(1);
+        single.map(&items, |x| x + 1);
+        assert_eq!(spawned(&single), 0, "one worker is the caller alone");
+    }
+
+    #[test]
+    fn worker_set_joins_its_threads_on_drop() {
+        let set = WorkerSet::new(4);
+        set.map(&(0..32).collect::<Vec<u64>>(), |x| x + 1);
+        let shared = Arc::downgrade(&set.shared);
+        assert_eq!(shared.strong_count(), 4, "the set and its three helpers");
+        drop(set);
+        assert_eq!(shared.strong_count(), 0, "every helper has exited");
     }
 }

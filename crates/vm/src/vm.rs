@@ -201,24 +201,26 @@ impl Vm {
         args: &[Value],
         env: &mut ExecEnv,
     ) -> Result<Value, IrError> {
-        self.call_owned(name, args.to_vec(), env)
+        let (value, _) = self.call_owned(name, args.to_vec(), env)?;
+        Ok(value)
     }
 
-    /// [`Vm::call`] on arguments the VM may consume.
+    /// [`Vm::call`] on arguments the VM may consume, returning with the
+    /// value the arguments as the call left them (see
+    /// [`Vm::call_with_writeback`]).
     fn call_owned(
         &mut self,
         name: &str,
         args: Vec<Value>,
         env: &mut ExecEnv,
-    ) -> Result<Value, IrError> {
+    ) -> Result<(Value, Vec<Value>), IrError> {
         // The interpreter's precision context is provably 52 at every
         // top-level entry (it restores on unwind even through errors);
         // the VM skips per-frame unwinding and re-establishes the
         // invariant here instead.
         self.set_prec(52);
         self.prec_stack.clear();
-        let (value, _) = self.call_with_writeback(name, args, false, env)?;
-        Ok(value)
+        self.call_with_writeback(name, args, env)
     }
 
     /// Runs `name` as one *instrumented segment*: a fresh [`ExecEnv`]
@@ -227,7 +229,10 @@ impl Vm {
     /// the value. This is the unit of metering the cross-layer tracing
     /// pipeline attributes energy to: one segment, one stats record,
     /// no bleed-through from other calls on the same VM. The arguments
-    /// are moved in, so array data is not copied on the way.
+    /// are moved in, so array data is not copied on the way, and come
+    /// back out in the same vector: each array argument holds its final
+    /// contents, every other position `Value::Unit`. A caller can run the
+    /// same data again without having kept a copy.
     ///
     /// # Errors
     ///
@@ -236,10 +241,10 @@ impl Vm {
         &mut self,
         name: &str,
         args: Vec<Value>,
-    ) -> Result<(Value, ExecStats), IrError> {
+    ) -> Result<(Value, ExecStats, Vec<Value>), IrError> {
         let mut env = ExecEnv::new();
-        let value = self.call_owned(name, args, &mut env)?;
-        Ok((value, env.stats))
+        let (value, args) = self.call_owned(name, args, &mut env)?;
+        Ok((value, env.stats, args))
     }
 
     #[inline]
@@ -274,16 +279,17 @@ impl Vm {
         Ok(chunk)
     }
 
-    /// Calls `name`, returning with its value the final contents of its
-    /// array parameters when `copy_out` asks for them (a nested call's
-    /// copy-out; a top-level call discards them).
+    /// Calls `name`, returning with its value the argument vector as the
+    /// call left it — the copy-out of a nested call or a
+    /// [`Vm::run_segment`] ([`Vm::call`] discards it): each array
+    /// parameter's final contents sit at its index, and `Value::Unit`
+    /// everywhere else. A builtin or host call copies nothing out.
     fn call_with_writeback(
         &mut self,
         name: &str,
         args: Vec<Value>,
-        copy_out: bool,
         env: &mut ExecEnv,
-    ) -> Result<(Value, Vec<(usize, Value)>), IrError> {
+    ) -> Result<(Value, Vec<Value>), IrError> {
         // Dynamic-weaving hook: the dispatcher may redirect and/or extend
         // the program with specialized versions (which then lower lazily).
         let resolved = match self.dispatcher.as_mut() {
@@ -296,7 +302,7 @@ impl Vm {
 
         if let Some(function) = self.program.function(&resolved).cloned() {
             let chunk = self.chunk_for(&resolved, function)?;
-            return self.exec_chunk(&chunk, args, copy_out, env);
+            return self.exec_chunk(&chunk, args, env);
         }
         if let Some(value) = ops::try_builtin(
             &resolved,
@@ -320,9 +326,8 @@ impl Vm {
         &mut self,
         chunk: &Arc<Chunk>,
         args: Vec<Value>,
-        copy_out: bool,
         env: &mut ExecEnv,
-    ) -> Result<(Value, Vec<(usize, Value)>), IrError> {
+    ) -> Result<(Value, Vec<Value>), IrError> {
         if args.len() != chunk.params.len() {
             return Err(IrError::Type(format!(
                 "function `{}` expects {} arguments, got {}",
@@ -350,7 +355,7 @@ impl Vm {
         types.clear();
         types.resize(chunk.num_slots(), None);
 
-        let result = self.exec_frame(chunk, args, copy_out, &mut frame, &mut types, env);
+        let result = self.exec_frame(chunk, args, &mut frame, &mut types, env);
 
         frame.clear();
         types.clear();
@@ -361,16 +366,16 @@ impl Vm {
     fn exec_frame(
         &mut self,
         chunk: &Arc<Chunk>,
-        args: Vec<Value>,
-        copy_out: bool,
+        mut args: Vec<Value>,
         frame: &mut [Value],
         types: &mut [Option<Type>],
         env: &mut ExecEnv,
-    ) -> Result<(Value, Vec<(usize, Value)>), IrError> {
+    ) -> Result<(Value, Vec<Value>), IrError> {
         // NOTE: binding errors below deliberately do NOT restore `depth`
         // — the interpreter leaks one depth level on parameter-binding
         // failure and bit-identity includes replicating that.
-        for (slot, (param, arg)) in chunk.params.iter().zip(args).enumerate() {
+        for (slot, (param, arg)) in chunk.params.iter().zip(args.iter_mut()).enumerate() {
+            let arg = std::mem::replace(arg, Value::Unit);
             types[slot] = Some(param.ty);
             if param.is_array {
                 match arg {
@@ -405,17 +410,13 @@ impl Vm {
         if let (Some(ty), Value::Float(v)) = (chunk.ret, &result) {
             result = Value::Float(ty.quantize(*v));
         }
-        // copy-out array parameters
-        let mut writeback = Vec::new();
+        // copy-out array parameters, each into its argument's place
         for (i, param) in chunk.params.iter().enumerate() {
-            if copy_out && param.is_array {
-                match std::mem::replace(&mut frame[i], Value::Unit) {
-                    Value::Unit => {}
-                    value => writeback.push((i, value)),
-                }
+            if param.is_array {
+                args[i] = std::mem::replace(&mut frame[i], Value::Unit);
             }
         }
-        Ok((result, writeback))
+        Ok((result, args))
     }
 
     fn run(
@@ -729,13 +730,16 @@ impl Vm {
                     // across the boundary in both directions
                     env.stats = *stats;
                     let nested =
-                        self.call_with_writeback(&chunk.callees[callee as usize], args, true, env);
+                        self.call_with_writeback(&chunk.callees[callee as usize], args, env);
                     *stats = env.stats;
                     let (value, writeback) = nested?;
                     // copy-out: array arguments passed as plain variables
                     // get the callee's final contents back
                     let map = &chunk.copyouts[copyout as usize];
-                    for (param_idx, array) in writeback {
+                    for (param_idx, array) in writeback.into_iter().enumerate() {
+                        if matches!(array, Value::Unit) {
+                            continue;
+                        }
                         if let Some(&(_, slot)) =
                             map.iter().find(|(arg_i, _)| *arg_i as usize == param_idx)
                         {
