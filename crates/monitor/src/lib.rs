@@ -13,11 +13,11 @@
 //!   violation accounting and error-budget burn rates;
 //! * [`resilient`] — a sensor channel hardened against dropouts
 //!   (hold → EWMA → unavailable), the ladder the cluster controller's
-//!   telemetry rests on;
-//! * [`drift`] — the Page–Hinkley change detector the online learner is
-//!   tested against;
-//! * [`cada`] — the [`cada::Decision`] a collect→analyse→decide→act round
-//!   is reported as.
+//!   telemetry rests on.
+//!
+//! The loop itself runs where its stages live: `AppManager::adapt` in
+//! `antarex-tuner` collects these series, analyses them, decides and acts
+//! in one round.
 //!
 //! Time is always supplied by the caller (simulated seconds), keeping every
 //! component deterministic.
@@ -35,8 +35,6 @@
 //! assert!((latency.mean().unwrap() - 12.666).abs() < 0.01);
 //! ```
 
-pub mod cada;
-pub mod drift;
 pub mod resilient;
 pub mod series;
 pub mod sla;

@@ -60,8 +60,6 @@ pub struct ResilientSensor {
     last_value: Option<f64>,
     last_fresh_at: f64,
     ewma: Option<f64>,
-    fresh: u64,
-    missing: u64,
 }
 
 impl ResilientSensor {
@@ -81,8 +79,6 @@ impl ResilientSensor {
             last_value: None,
             last_fresh_at: f64::NEG_INFINITY,
             ewma: None,
-            fresh: 0,
-            missing: 0,
         }
     }
 
@@ -98,7 +94,6 @@ impl ResilientSensor {
     pub fn observe(&mut self, time_s: f64, reading: Option<f64>) -> Estimate {
         match reading {
             Some(v) if v.is_finite() => {
-                self.fresh += 1;
                 self.last_value = Some(v);
                 self.last_fresh_at = time_s;
                 self.ewma = Some(match self.ewma {
@@ -110,28 +105,25 @@ impl ResilientSensor {
                     fill: Fill::Fresh,
                 }
             }
-            _ => {
-                self.missing += 1;
-                match self.last_value {
-                    None => Estimate {
-                        value: None,
-                        fill: Fill::Unavailable,
-                    },
-                    Some(held) => {
-                        if time_s - self.last_fresh_at <= self.max_hold_s {
-                            Estimate {
-                                value: Some(held),
-                                fill: Fill::Held,
-                            }
-                        } else {
-                            Estimate {
-                                value: self.ewma,
-                                fill: Fill::Ewma,
-                            }
+            _ => match self.last_value {
+                None => Estimate {
+                    value: None,
+                    fill: Fill::Unavailable,
+                },
+                Some(held) => {
+                    if time_s - self.last_fresh_at <= self.max_hold_s {
+                        Estimate {
+                            value: Some(held),
+                            fill: Fill::Held,
+                        }
+                    } else {
+                        Estimate {
+                            value: self.ewma,
+                            fill: Fill::Ewma,
                         }
                     }
                 }
-            }
+            },
         }
     }
 }
@@ -183,13 +175,13 @@ mod tests {
     #[test]
     fn nan_and_infinite_are_missing() {
         let mut s = ResilientSensor::new(10.0, 0.5);
-        s.observe(0.0, Some(45.0));
+        let mut fills = vec![s.observe(0.0, Some(45.0)).fill];
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let e = s.observe(1.0, Some(bad));
-            assert_eq!(e.fill, Fill::Held);
             assert_eq!(e.value, Some(45.0), "no NaN may escape");
+            fills.push(e.fill);
         }
-        assert_eq!((s.fresh, s.missing), (1, 3));
+        assert_eq!(fills, [Fill::Fresh, Fill::Held, Fill::Held, Fill::Held]);
     }
 
     #[test]
@@ -223,11 +215,15 @@ mod tests {
     #[test]
     fn fresh_and_missing_readings_are_counted() {
         let mut s = ResilientSensor::thermal();
-        s.observe(0.0, Some(40.0));
-        s.observe(1.0, None);
-        s.observe(2.0, None);
-        s.observe(3.0, Some(41.0));
-        assert_eq!((s.fresh, s.missing), (2, 2));
+        let fills = [
+            (0.0, Some(40.0)),
+            (1.0, None),
+            (2.0, None),
+            (3.0, Some(41.0)),
+        ]
+        .map(|(t, reading)| s.observe(t, reading).fill);
+        let fresh = fills.iter().filter(|&&f| f == Fill::Fresh).count();
+        assert_eq!((fresh, fills.len() - fresh), (2, 2));
     }
 
     #[test]

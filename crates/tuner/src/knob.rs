@@ -26,15 +26,6 @@ impl KnobValue {
         }
     }
 
-    /// Float view (ints promote).
-    pub(crate) fn as_float(&self) -> Option<f64> {
-        match self {
-            KnobValue::Int(v) => Some(*v as f64),
-            KnobValue::Float(v) => Some(*v),
-            KnobValue::Choice(_) => None,
-        }
-    }
-
     /// Choice view.
     pub(crate) fn as_choice(&self) -> Option<&str> {
         match self {
@@ -115,11 +106,6 @@ impl Knob {
     /// Knob name.
     pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The domain.
-    pub(crate) fn domain(&self) -> &KnobDomain {
-        &self.domain
     }
 
     /// Number of admissible values.
@@ -249,20 +235,18 @@ mod tests {
             .unwrap();
         assert_eq!(shrunk.cardinality(), 5, "1, 2, 4, 8, 16");
         // non-uniform gaps fall back to explicit integer levels
-        assert!(matches!(shrunk.domain(), KnobDomain::IntLevels(_)));
+        assert!(matches!(shrunk.domain, KnobDomain::IntLevels(_)));
         assert_eq!(shrunk.value_at(4), KnobValue::Int(16));
         assert_eq!(shrunk.index_of(&KnobValue::Int(8)), Some(3));
         let even = k
             .restrict(|v| v.as_int().is_some_and(|i| i % 2 == 0))
             .unwrap();
-        assert!(matches!(even.domain(), KnobDomain::Int { step: 2, .. }));
+        assert!(matches!(even.domain, KnobDomain::Int { step: 2, .. }));
         assert!(k.restrict(|_| false).is_none());
     }
 
     #[test]
     fn value_conversions() {
-        assert_eq!(KnobValue::Int(4).as_float(), Some(4.0));
-        assert_eq!(KnobValue::Choice("x".into()).as_float(), None);
         assert_eq!(KnobValue::Float(0.5).as_int(), None);
     }
 

@@ -14,12 +14,9 @@
 //!   operating points via [DSE](dse);
 //! * manages the application at runtime — the mARGOt-style
 //!   [`manager::AppManager`] filters operating points by SLA
-//!   [goals](goal) and picks the best, while [online learning](online)
-//!   keeps the knowledge fresh "according to the most recent operating
-//!   conditions";
-//! * predicts promising configurations with simple [models](model)
-//!   (linear regression, k-nearest-neighbours) — "machine learning
-//!   techniques are also adopted by the decision-making engine".
+//!   [goals](goal) and picks the best, and learns what it measures into
+//!   its own overlay, keeping the knowledge fresh "according to the most
+//!   recent operating conditions".
 //!
 //! # Examples
 //!
@@ -57,8 +54,6 @@ pub mod goal;
 pub mod intern;
 pub mod knob;
 pub mod manager;
-pub mod model;
-pub mod online;
 pub(crate) mod point;
 pub mod safemode;
 pub mod search;

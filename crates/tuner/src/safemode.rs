@@ -15,8 +15,7 @@
 //! design space nor measures anything — it consumes a boolean per CADA
 //! round and a reference to the configuration that produced it, and
 //! emits a [`SafeModeAction`]. This keeps it composable with any
-//! controller ([`AppManager`](crate::manager::AppManager),
-//! [`OnlineLearner`](crate::online::OnlineLearner), or the bench
+//! controller ([`AppManager`](crate::manager::AppManager) or the bench
 //! campaign's governor loop).
 
 use crate::space::Configuration;

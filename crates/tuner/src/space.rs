@@ -85,11 +85,6 @@ impl Configuration {
         self.get(knob)?.as_int()
     }
 
-    /// Float value of a knob (ints promote).
-    pub(crate) fn get_float(&self, knob: &str) -> Option<f64> {
-        self.get(knob)?.as_float()
-    }
-
     /// Choice value of a knob.
     pub fn get_choice(&self, knob: &str) -> Option<&str> {
         self.get(knob)?.as_choice()

@@ -15,7 +15,6 @@
 //! rebuilds the whole point and `upsert`s it, so it shares neither
 //! `TimeSeries::mean_since`'s suffix walk nor the overlay's blend.
 
-use antarex_monitor::cada::Decision;
 use antarex_monitor::series::{Sample, TimeSeries};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::intern::{intern, SymbolId};
@@ -27,6 +26,14 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 const METRICS: [&str; 4] = ["time", "energy", "quality", "power"];
+
+/// Outcome of one adaptation round: stay, or switch to the rendered
+/// configuration.
+#[derive(Debug, PartialEq)]
+enum Decision {
+    Stay,
+    Switch(String),
+}
 
 /// The adaptation round as it was before the overlay: a knowledge base
 /// of its own, selected through the index.
