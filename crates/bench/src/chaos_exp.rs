@@ -206,7 +206,7 @@ pub(crate) fn poisoned_tenant_containment(seed: u64, scale: &ChaosScale) -> Cont
         poisoned_rejected: rejected,
         breaker_trips: trips,
         others_served: stats.served as u64
-            - service.store().with(poisoned, |s| s.requests).unwrap_or(0),
+            - service.store().read(poisoned, |s| s.requests).unwrap_or(0),
         quarantined: stats.quarantined,
     }
 }

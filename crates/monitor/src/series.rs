@@ -15,7 +15,10 @@ pub struct Sample {
 ///
 /// When full, the oldest sample is evicted (sliding window by count). Use
 /// [`TimeSeries::window_since`] for time-based windows.
-#[derive(Clone)]
+///
+/// A clone reserves the storage its source holds, not just its
+/// samples, so the clone's next [`push`](TimeSeries::push) does not
+/// grow it where the source's would not.
 pub struct TimeSeries {
     samples: VecDeque<Sample>,
     capacity: usize,
@@ -27,6 +30,21 @@ pub struct TimeSeries {
     /// `time >= since` are a suffix of `samples`. Derived state, left
     /// out of `Debug`.
     time_ordered: bool,
+}
+
+impl Clone for TimeSeries {
+    fn clone(&self) -> Self {
+        let mut samples = VecDeque::with_capacity(self.samples.capacity());
+        samples.extend(self.samples.iter().copied());
+        TimeSeries {
+            samples,
+            capacity: self.capacity,
+            total_pushed: self.total_pushed,
+            ewma: self.ewma,
+            ewma_alpha: self.ewma_alpha,
+            time_ordered: self.time_ordered,
+        }
+    }
 }
 
 impl std::fmt::Debug for TimeSeries {
@@ -236,6 +254,21 @@ mod tests {
             rendered.contains("total_pushed: 2"),
             "lifetime counter preserved: {rendered}"
         );
+    }
+
+    #[test]
+    fn a_clone_keeps_the_storage_its_source_holds() {
+        let source = series(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mut copy = source.clone();
+        assert_eq!(format!("{copy:?}"), format!("{source:?}"));
+        assert_eq!(copy.samples.capacity(), source.samples.capacity());
+        assert!(copy.samples.capacity() > copy.len(), "room to push");
+        let held = copy.samples.capacity();
+        copy.push(6.0, 6.0);
+        assert_eq!(copy.samples.capacity(), held, "the push did not grow it");
+        assert_eq!(copy.mean_since(0.0), Some(3.5));
+        let empty = TimeSeries::with_capacity(4).clone();
+        assert_eq!(empty.samples.capacity(), 0, "nothing reserved");
     }
 
     #[test]

@@ -103,17 +103,115 @@ pub struct Snapshot {
     pub quantiles: [Option<f64>; 4],
 }
 
+/// The regular bucket of `value`, `Some(BUCKETS)` for overflow, `None`
+/// for underflow; callers have excluded NaN. It is the bucket the
+/// formula `⌊ln(value / MIN_VALUE) / ln γ⌋` names (kept as the test
+/// oracle `tests::formula_index`), found without a logarithm: a first
+/// guess from the sample's exponent and top mantissa bits, corrected by
+/// a compare or two against the [`Boundaries`] table.
 fn bucket_index(value: f64) -> Option<usize> {
-    // monotone in `value`; callers have excluded NaN
     if value < MIN_VALUE {
         return None; // underflow
     }
-    let idx = ((value / MIN_VALUE).ln() / GAMMA.ln()).floor();
-    if idx >= BUCKETS as f64 {
-        Some(BUCKETS) // overflow sentinel
-    } else {
-        Some(idx.max(0.0) as usize)
+    let table = Boundaries::get();
+    if value >= table.lower[BUCKETS] {
+        return Some(BUCKETS); // overflow sentinel (+inf included)
     }
+    let cell = ((value.to_bits() >> CELL_SHIFT) - FIRST_CELL) as usize;
+    let mut index = usize::from(table.guess[cell]);
+    while value >= table.lower[index + 1] {
+        index += 1;
+    }
+    Some(index)
+}
+
+/// Mantissa bits dropped to name a cell: the 4 kept split each octave
+/// into 16 cells, narrower than a bucket (≈ 14.2 per octave), so a
+/// cell meets at most two buckets.
+const CELL_SHIFT: u32 = 52 - 4;
+
+/// The cell of [`MIN_VALUE`], the first a regular sample can land in.
+const FIRST_CELL: u64 = MIN_VALUE.to_bits() >> CELL_SHIFT;
+
+/// Cells up to twice [`MAX_VALUE`], which the overflow boundary stays
+/// below (checked where the table is built).
+const CELLS: usize = (((2.0 * MAX_VALUE).to_bits() >> CELL_SHIFT) - FIRST_CELL) as usize + 1;
+
+/// Where the formula's buckets start, found once per process by
+/// bisection over bit patterns, so bucketing is bit-exact against the
+/// formula. Fixed-size: nothing on the heap.
+struct Boundaries {
+    /// `lower[i]`: the smallest `f64` the formula puts in bucket `i` or
+    /// above; `lower[BUCKETS]` is where overflow starts.
+    lower: [f64; BUCKETS + 1],
+    /// The bucket of each cell's smallest value (0 below `MIN_VALUE`).
+    guess: [u16; CELLS],
+}
+
+impl Boundaries {
+    fn get() -> &'static Boundaries {
+        static TABLE: std::sync::OnceLock<Boundaries> = std::sync::OnceLock::new();
+        TABLE.get_or_init(Boundaries::build)
+    }
+
+    fn build() -> Boundaries {
+        let mut lower = [MIN_VALUE; BUCKETS + 1];
+        for (index, bound) in lower.iter_mut().enumerate().skip(1) {
+            *bound = f64::from_bits(first_reaching(index));
+        }
+        assert!(
+            lower[BUCKETS] < 2.0 * MAX_VALUE,
+            "the cell table covers the regular buckets"
+        );
+        let mut guess = [0u16; CELLS];
+        let mut index = 0;
+        for (cell, slot) in guess.iter_mut().enumerate() {
+            let smallest = f64::from_bits((FIRST_CELL + cell as u64) << CELL_SHIFT);
+            while index < BUCKETS && smallest >= lower[index + 1] {
+                index += 1;
+            }
+            *slot = index as u16;
+        }
+        Boundaries { lower, guess }
+    }
+}
+
+/// The formula's real-valued bucket of a value at or above `MIN_VALUE`.
+fn formula(value: f64) -> f64 {
+    ((value / MIN_VALUE).ln() / GAMMA.ln()).floor()
+}
+
+/// The bits of the smallest positive `f64` the formula puts in bucket
+/// `index` or above: gallop out from `MIN_VALUE · γ^index` until the
+/// bracket straddles the boundary, then bisect the bit patterns (they
+/// order positive floats as their values).
+fn first_reaching(index: usize) -> u64 {
+    let reaches = |bits: u64| formula(f64::from_bits(bits)) >= index as f64;
+    let guess = (MIN_VALUE * GAMMA.powi(index as i32)).to_bits();
+    let (mut below, mut reached) = (guess, guess);
+    let mut step = 1;
+    if reaches(guess) {
+        while reaches(below) {
+            reached = below;
+            below -= step;
+            step *= 2;
+        }
+    } else {
+        while !reaches(reached) {
+            below = reached;
+            reached += step;
+            step *= 2;
+        }
+    }
+    while reached - below > 1 {
+        let mid = below + (reached - below) / 2;
+        if reaches(mid) {
+            reached = mid;
+        } else {
+            below = mid;
+        }
+    }
+    reached
 }
 
 fn representative(index: usize) -> f64 {
@@ -226,6 +324,81 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bucketing the table reproduces: the formula, applied to
+    /// every non-NaN sample.
+    pub(super) fn formula_index(value: f64) -> Option<usize> {
+        if value < MIN_VALUE {
+            return None; // underflow
+        }
+        let idx = formula(value);
+        if idx >= BUCKETS as f64 {
+            Some(BUCKETS) // overflow sentinel
+        } else {
+            Some(idx.max(0.0) as usize)
+        }
+    }
+
+    fn next_up(value: f64) -> f64 {
+        f64::from_bits(value.to_bits() + 1)
+    }
+
+    fn next_down(value: f64) -> f64 {
+        f64::from_bits(value.to_bits() - 1)
+    }
+
+    #[test]
+    fn every_boundary_is_bit_exact_against_the_formula() {
+        let table = Boundaries::get();
+        for (index, &bound) in table.lower.iter().enumerate() {
+            assert_eq!(
+                formula_index(bound),
+                Some(index),
+                "bucket {index} starts at {bound:e}"
+            );
+            for value in [next_down(bound), bound, next_up(bound)] {
+                assert_eq!(bucket_index(value), formula_index(value), "{value:e}");
+            }
+        }
+        for value in [
+            MIN_VALUE,
+            next_down(MIN_VALUE),
+            MAX_VALUE,
+            next_down(MAX_VALUE),
+            next_up(MAX_VALUE),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            0.0,
+            -0.0,
+            -1.0,
+            1.0,
+        ] {
+            assert_eq!(bucket_index(value), formula_index(value), "{value:e}");
+        }
+        // a cell's guess is never past the bucket of the cell's values
+        let mut value = MIN_VALUE;
+        while value < 4.0 * MAX_VALUE {
+            for probe in [value, next_up(value), value * 1.013, value * 1.031] {
+                assert_eq!(bucket_index(probe), formula_index(probe), "{probe:e}");
+            }
+            value *= 1.0173;
+        }
+    }
+
+    #[test]
+    fn nan_and_infinities_record_where_they_did() {
+        let h = Histogram::new();
+        h.record(f64::NAN);
+        h.record(f64::INFINITY);
+        h.record(f64::NEG_INFINITY);
+        let snap = h.snapshot();
+        assert_eq!((snap.nan, snap.overflow, snap.underflow), (1, 1, 1));
+        assert_eq!(snap.count, 2);
+    }
 
     #[test]
     fn empty_histogram_has_no_quantiles() {

@@ -24,10 +24,15 @@
 //! **A snapshot is immutable: the store copies before it writes.**
 //! Sessions are `Arc`-shared between the [`SessionStore`] and the
 //! snapshot; [`SessionStore::with`] deep-copies a shared session on its
-//! first write after the checkpoint and never writes through. So a
-//! checkpoint costs one reference-count bump per session when it is
-//! cut, and one session copy per tenant a request touches before the
-//! next one — resilience paid in proportion to the state that changed.
+//! first write after the checkpoint and never writes through, and
+//! records the tenant as written. The service keeps its last snapshot
+//! and cuts the next one by refreshing it in place: only the written
+//! tenants' entries are replaced, so neither the cut nor the drop of
+//! what it supersedes walks a clean session. A checkpoint costs one
+//! session copy per tenant a request wrote to since the last one, and
+//! that entry's swap at the cut — resilience paid in proportion to the
+//! state that changed. [`take_snapshot`] cuts the same snapshot from
+//! scratch.
 //!
 //! The journal lives in memory here (the simulator has no disk), but
 //! the contract is exactly a WAL's: entries are durable the moment
@@ -253,10 +258,46 @@ pub fn take_snapshot(
     breakers: &BreakerBank,
     front_door: Option<(&AdmissionController, &Autoscaler)>,
 ) -> Snapshot {
+    cut(at_s, journal, || store.dump(), cache, breakers, front_door)
+}
+
+/// The snapshot [`take_snapshot`] would cut now, made from `previous`
+/// — the last snapshot this function returned for `store`, the one
+/// `store` was recovered from, or `None` for a new store — by
+/// refreshing its sessions in place ([`SessionStore::refresh`]).
+/// `previous` is consumed: its sessions are reused, the rest is cut
+/// afresh.
+pub(crate) fn refresh_snapshot(
+    previous: Option<Snapshot>,
+    at_s: f64,
+    journal: &Journal,
+    store: &SessionStore,
+    cache: &DesignPointCache,
+    breakers: &BreakerBank,
+    front_door: Option<(&AdmissionController, &Autoscaler)>,
+) -> Snapshot {
+    let mut sessions = previous.map(|snap| snap.sessions).unwrap_or_default();
+    let refreshed = || {
+        store.refresh(&mut sessions);
+        sessions
+    };
+    cut(at_s, journal, refreshed, cache, breakers, front_door)
+}
+
+/// A snapshot whose sessions come from `sessions`, taken after the
+/// journal watermark is read.
+fn cut(
+    at_s: f64,
+    journal: &Journal,
+    sessions: impl FnOnce() -> Vec<(TenantId, Arc<Session>)>,
+    cache: &DesignPointCache,
+    breakers: &BreakerBank,
+    front_door: Option<(&AdmissionController, &Autoscaler)>,
+) -> Snapshot {
     Snapshot {
         at_s,
         through_seq: journal.next_seq(),
-        sessions: store.dump(),
+        sessions: sessions(),
         cache: cache.entries(),
         breakers: breakers.snapshot(),
         admission: front_door

@@ -459,6 +459,13 @@ impl<E: Evaluator> TuningService<E> {
         (snapshot, entries)
     }
 
+    /// The last snapshot the service cut (or recovered from), as a
+    /// [`crash`](TuningService::crash) would find it now. A clone: its
+    /// sessions are shared, not copied.
+    pub fn last_snapshot(&self) -> Option<Snapshot> {
+        crate::lock_or_recover(&self.snapshot).clone()
+    }
+
     /// The sizing the service was built with.
     pub fn config(&self) -> ServiceConfig {
         self.config
@@ -753,7 +760,7 @@ mod tests {
         service.register_tenant(7, m, vec![1.0]).unwrap();
         let report = service.serve_batch(&requests(&[7]));
         assert_eq!(report.responses[0], Err(ServeError::Infeasible(7)));
-        assert_eq!(service.store().with(7, |s| s.rejected).unwrap(), 1);
+        assert_eq!(service.store().read(7, |s| s.rejected).unwrap(), 1);
     }
 
     #[test]
@@ -820,7 +827,7 @@ mod tests {
         for answer in report.responses.iter().flatten() {
             let features = service
                 .store()
-                .with(answer.tenant, |s| s.features.clone())
+                .read(answer.tenant, |s| s.features.clone())
                 .unwrap();
             let config: &Configuration = &answer.config;
             assert_eq!(answer.config.key(), &DesignKey::new(config, &features));
@@ -859,7 +866,7 @@ mod tests {
         assert!(reuses > 0);
         assert_eq!(
             u64::try_from(switches).unwrap(),
-            service.store().with(1, |s| s.manager.switches()).unwrap()
+            service.store().read(1, |s| s.manager.switches()).unwrap()
         );
     }
 
@@ -1062,7 +1069,7 @@ mod tests {
         );
         assert_eq!(report.evaluated, 0);
         assert_eq!(service.breakers().total_trips(), 1);
-        assert_eq!(service.store().with(9, |s| s.rejected).unwrap(), 4);
+        assert_eq!(service.store().read(9, |s| s.rejected).unwrap(), 4);
     }
 
     #[test]
@@ -1249,7 +1256,7 @@ mod tests {
         }
         assert_eq!(tier, AdmissionTier::Shed);
         let trips_before = service.breakers().total_trips();
-        let rejected_before = service.store().with(9, |s| s.rejected).unwrap();
+        let rejected_before = service.store().read(9, |s| s.rejected).unwrap();
 
         let report = service.serve_batch(&[TuningRequest {
             tenant: 9,
@@ -1264,7 +1271,7 @@ mod tests {
         assert_eq!(report.evaluated, 0);
         assert_eq!(service.breakers().total_trips(), trips_before);
         assert_eq!(
-            service.store().with(9, |s| s.rejected).unwrap(),
+            service.store().read(9, |s| s.rejected).unwrap(),
             rejected_before + 1,
             "exactly one rejection booked"
         );
@@ -1354,6 +1361,6 @@ mod tests {
             config, resilience, None, None, Probe, snapshot, &entries, &factory,
         );
         assert_eq!(recovered.state_report(), before);
-        assert_eq!(recovered.store().with(3, |s| s.requests).unwrap(), 2);
+        assert_eq!(recovered.store().read(3, |s| s.requests).unwrap(), 2);
     }
 }

@@ -16,7 +16,7 @@ use crate::admission::AdmissionTier;
 use crate::cache::{DesignKey, Metrics};
 use crate::chaos::job_result;
 use crate::error::{ErrorCounter, ServeError};
-use crate::journal::{apply, take_snapshot, JournalEntry};
+use crate::journal::{apply, refresh_snapshot, JournalEntry};
 use crate::obs::{
     ADAPT_SPAN, ADAPT_SPAN_S, BATCH_SPAN, CACHE_PROBE_SPAN, CACHE_PROBE_SPAN_S, EVAL_SPAN,
     LEARN_SPAN, LEARN_SPAN_S, REQUEST_SPAN, SELECT_SPAN, SELECT_SPAN_S,
@@ -332,7 +332,7 @@ impl<E: Evaluator> TuningService<E> {
         if let Some(metrics) = self.cache.get(config.key()) {
             return Pending::Hit(config, metrics);
         }
-        let features = match self.store.with(tenant, |session| session.features.clone()) {
+        let features = match self.store.read(tenant, |session| session.features.clone()) {
             Ok(features) => features,
             Err(e) => return Pending::Err(e),
         };
@@ -870,8 +870,9 @@ impl<E: Evaluator> TuningService<E> {
 
     /// Stage: the Daly-informed snapshot cadence — checkpoint the full
     /// state and compact the journal once the interval has elapsed.
-    /// The snapshot shares every session with the store; the store
-    /// copies a session when a later request first writes to it.
+    /// The retained snapshot is refreshed in place: only the sessions
+    /// written since it was cut are swapped in, and each stays shared
+    /// with the store until a later request writes to it.
     fn checkpoint(&self, batch: &Batch) {
         let Some(journal) = &self.journal else { return };
         if !batch.end_s.is_finite() {
@@ -881,7 +882,9 @@ impl<E: Evaluator> TuningService<E> {
         if batch.end_s < *due {
             return;
         }
-        let snap = take_snapshot(
+        let mut retained = crate::lock_or_recover(&self.snapshot);
+        let snap = refresh_snapshot(
+            retained.take(),
             batch.end_s,
             journal,
             &self.store,
@@ -892,7 +895,7 @@ impl<E: Evaluator> TuningService<E> {
                 .map(|fd| (&fd.admission, &fd.autoscaler)),
         );
         journal.compact(snap.through_seq);
-        *crate::lock_or_recover(&self.snapshot) = Some(snap);
+        *retained = Some(snap);
         let interval = self.resilience.snapshot_interval_s();
         while *due <= batch.end_s {
             *due += interval;

@@ -10,9 +10,17 @@
 //! Sessions are copy-on-write: a shard holds `Arc<Session>`, a
 //! [`SessionStore::dump`] shares those `Arc`s with the journal's
 //! snapshot, and [`SessionStore::with`] copies a session before the
-//! first write after a dump. A dump is therefore immutable, and a
-//! checkpoint costs one deep copy per session *touched* since the last
-//! one, not one per session.
+//! first write after a dump. A dump is therefore immutable. A session
+//! gets a new `Arc` in exactly two places, [`SessionStore::insert`] and
+//! that copy, and both record the tenant in its shard's written list
+//! once the store keeps one (from its first refresh, or from the dump
+//! it was recovered from). So a service that keeps its last snapshot
+//! brings it up to date by replacing the written tenants' entries
+//! alone: a checkpoint costs the sessions *written* since the last one
+//! — one copy each, made by the write, and one entry swapped at the cut
+//! — never a walk over the clean ones. Reads that must not write go
+//! through [`SessionStore::read`], which copies nothing and records
+//! nothing.
 //!
 //! The same rule holds one level down, for the design-time knowledge
 //! base inside each session's manager: the manager factories hand every
@@ -222,7 +230,18 @@ impl Session {
     }
 }
 
-type Shard = BTreeMap<TenantId, Arc<Session>>;
+/// One lock's worth of the store: its sessions, and the tenants whose
+/// `Arc` changed since the last [`refresh`](SessionStore::refresh).
+#[derive(Debug, Default)]
+struct Shard {
+    sessions: BTreeMap<TenantId, Arc<Session>>,
+    /// Tenants inserted, or copied before a write, since the last
+    /// refresh; a tenant a dump other than the refreshed one also
+    /// shares can appear twice. `None` until the first refresh, when
+    /// every session counts as written: a store nobody refreshes (a
+    /// service without a journal) records nothing.
+    written: Option<Vec<TenantId>>,
+}
 
 /// SplitMix64 finalizer: a fixed, platform-independent mix so the
 /// shard of a tenant never depends on hasher randomization.
@@ -266,7 +285,7 @@ impl SessionStore {
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "store needs at least one shard");
         SessionStore {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
         }
     }
 
@@ -283,31 +302,58 @@ impl SessionStore {
     /// Registers a new tenant session.
     pub fn insert(&self, tenant: TenantId, session: Session) -> Result<(), ServeError> {
         let mut shard = self.lock(self.shard_of(tenant));
-        if shard.contains_key(&tenant) {
+        if shard.sessions.contains_key(&tenant) {
             return Err(ServeError::TenantExists(tenant));
         }
-        shard.insert(tenant, Arc::new(session));
+        shard.sessions.insert(tenant, Arc::new(session));
+        if let Some(written) = &mut shard.written {
+            written.push(tenant);
+        }
         Ok(())
     }
 
     /// Runs `f` on the tenant's session under the shard lock. A
     /// session a dump still shares is copied first, so `f` never writes
-    /// through to a snapshot.
+    /// through to a snapshot, and the copy is recorded as written.
     pub fn with<R>(
         &self,
         tenant: TenantId,
         f: impl FnOnce(&mut Session) -> R,
     ) -> Result<R, ServeError> {
         let mut shard = self.lock(self.shard_of(tenant));
-        match shard.get_mut(&tenant) {
-            Some(session) => Ok(f(Arc::make_mut(session))),
+        let Shard { sessions, written } = &mut *shard;
+        match sessions.get_mut(&tenant) {
+            Some(session) => {
+                if let Some(written) = written {
+                    if Arc::get_mut(session).is_none() {
+                        written.push(tenant);
+                    }
+                }
+                Ok(f(Arc::make_mut(session)))
+            }
+            None => Err(ServeError::UnknownTenant(tenant)),
+        }
+    }
+
+    /// Runs `f` on the tenant's session under the shard lock, read
+    /// only: nothing is copied, even while a dump shares the session.
+    pub fn read<R>(
+        &self,
+        tenant: TenantId,
+        f: impl FnOnce(&Session) -> R,
+    ) -> Result<R, ServeError> {
+        let shard = self.lock(self.shard_of(tenant));
+        match shard.sessions.get(&tenant) {
+            Some(session) => Ok(f(session)),
             None => Err(ServeError::UnknownTenant(tenant)),
         }
     }
 
     /// Total sessions across all shards.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.lock(i).len()).sum()
+        (0..self.shards.len())
+            .map(|i| self.lock(i).sessions.len())
+            .sum()
     }
 
     /// Returns `true` when no tenant is registered.
@@ -326,8 +372,64 @@ impl SessionStore {
         })
     }
 
+    /// Brings `dump` up to what [`dump`](SessionStore::dump) would
+    /// return now. `dump` must be what the previous refresh left, the
+    /// dump this store was [recovered](SessionStore::recover) from, or
+    /// empty before the first refresh of a new store: the written
+    /// lists, which this drains, name every tenant whose `Arc` changed
+    /// since then, and the rest of `dump` already shares the store's
+    /// `Arc`s. Each written tenant's entry is replaced (found by binary
+    /// search), and the tenants registered since are merged in one
+    /// sorted pass; clean sessions are neither visited nor dropped.
+    pub(crate) fn refresh(&self, dump: &mut Vec<(TenantId, Arc<Session>)>) {
+        let mut written = Vec::new();
+        {
+            let mut guards: Vec<_> = (0..self.shards.len()).map(|i| self.lock(i)).collect();
+            for shard in &mut guards {
+                let Shard {
+                    sessions,
+                    written: tenants,
+                } = &mut **shard;
+                match tenants {
+                    Some(tenants) => written.extend(
+                        tenants
+                            .drain(..)
+                            .map(|tenant| (tenant, Arc::clone(&sessions[&tenant]))),
+                    ),
+                    None => {
+                        written.extend(sessions.iter().map(|(&t, s)| (t, Arc::clone(s))));
+                        *tenants = Some(Vec::new());
+                    }
+                }
+            }
+        }
+        written.sort_unstable_by_key(|&(tenant, _)| tenant);
+        written.dedup_by_key(|&mut (tenant, _)| tenant);
+        let mut added = Vec::new();
+        for (tenant, session) in written {
+            match dump.binary_search_by_key(&tenant, |&(t, _)| t) {
+                Ok(at) => dump[at].1 = session,
+                Err(_) => added.push((tenant, session)),
+            }
+        }
+        if added.is_empty() {
+            return;
+        }
+        let mut added = added.into_iter().peekable();
+        let mut merged = Vec::with_capacity(dump.len() + added.len());
+        for entry in std::mem::take(dump) {
+            while let Some(next) = added.next_if(|&(tenant, _)| tenant < entry.0) {
+                merged.push(next);
+            }
+            merged.push(entry);
+        }
+        merged.extend(added);
+        *dump = merged;
+    }
+
     /// Rebuilds a store from a snapshot dump (crash recovery), adopting
-    /// the dump's sessions without copying them. The journal suffix is
+    /// the dump's sessions without copying them, and records from then
+    /// on what changes relative to that dump. The journal suffix is
     /// replayed on top by the caller — see [`crate::journal::replay`].
     ///
     /// # Panics
@@ -336,13 +438,19 @@ impl SessionStore {
     /// (a [`dump`](SessionStore::dump) never does).
     pub fn recover(shards: usize, sessions: Vec<(TenantId, Arc<Session>)>) -> Self {
         let mut store = SessionStore::new(shards);
+        for shard in &mut store.shards {
+            shard
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .written = Some(Vec::new());
+        }
         for (tenant, session) in sessions {
             let index = store.shard_of(tenant);
             let shard = store.shards[index]
                 .get_mut()
                 .unwrap_or_else(PoisonError::into_inner);
             assert!(
-                shard.insert(tenant, session).is_none(),
+                shard.sessions.insert(tenant, session).is_none(),
                 "tenant {tenant} appears twice in the dump"
             );
         }
@@ -362,7 +470,10 @@ impl SessionStore {
     /// iterators.
     fn fold_shared<A>(&self, init: A, mut f: impl FnMut(A, TenantId, &Arc<Session>) -> A) -> A {
         let guards: Vec<_> = (0..self.shards.len()).map(|i| self.lock(i)).collect();
-        let mut iters: Vec<_> = guards.iter().map(|g| g.iter().peekable()).collect();
+        let mut iters: Vec<_> = guards
+            .iter()
+            .map(|g| g.sessions.iter().peekable())
+            .collect();
         let mut heads: BinaryHeap<Reverse<(TenantId, usize)>> = iters
             .iter_mut()
             .enumerate()
@@ -418,7 +529,7 @@ mod tests {
             .filter(|&i| {
                 store.shards[i]
                     .lock()
-                    .map(|s| !s.is_empty())
+                    .map(|s| !s.sessions.is_empty())
                     .unwrap_or(false)
             })
             .count();
@@ -527,6 +638,93 @@ mod tests {
         recovered.with(1, |s| s.requests = 9).unwrap();
         assert_eq!(dump[0].1.requests, 0);
         assert_eq!(store.with(1, |s| s.requests).unwrap(), 0);
+    }
+
+    /// `kept` holds exactly the store's `Arc`s, in dump order.
+    fn assert_current(store: &SessionStore, kept: &[(TenantId, Arc<Session>)]) {
+        let dump = store.dump();
+        assert_eq!(
+            kept.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            dump.iter().map(|(t, _)| *t).collect::<Vec<_>>()
+        );
+        for ((tenant, kept), (_, now)) in kept.iter().zip(&dump) {
+            assert!(Arc::ptr_eq(kept, now), "tenant {tenant}");
+        }
+    }
+
+    /// Whether any shard keeps a written list.
+    fn records(store: &SessionStore) -> bool {
+        store
+            .shards
+            .iter()
+            .any(|s| s.lock().unwrap().written.is_some())
+    }
+
+    #[test]
+    fn refresh_swaps_in_what_was_written_and_nothing_else() {
+        // a store nobody refreshed records nothing; its first refresh
+        // takes every session
+        let store = SessionStore::new(3);
+        for t in [4, 1, 9] {
+            store.insert(t, session()).unwrap();
+        }
+        store.with(4, |s| s.requests = 0).unwrap();
+        assert!(!records(&store));
+        let mut kept = Vec::new();
+        store.refresh(&mut kept);
+        assert_current(&store, &kept);
+        assert!(records(&store));
+
+        // a write copies and records; a read does neither; new tenants
+        // land before, between and after the kept ones
+        let before = kept.clone();
+        store.with(9, |s| s.requests = 1).unwrap();
+        assert_eq!(store.read(1, |s| s.requests).unwrap(), 0);
+        for t in [12, 0, 5] {
+            store.insert(t, session()).unwrap();
+        }
+        store.refresh(&mut kept);
+        assert_current(&store, &kept);
+        let entry = |dump: &[(TenantId, Arc<Session>)], t: TenantId| {
+            Arc::clone(&dump.iter().find(|(other, _)| *other == t).unwrap().1)
+        };
+        for t in [1, 4] {
+            assert!(Arc::ptr_eq(&entry(&before, t), &entry(&kept, t)), "{t}");
+        }
+        assert!(!Arc::ptr_eq(&entry(&before, 9), &entry(&kept, 9)));
+        assert_eq!(entry(&before, 9).requests, 0, "the old cut never changes");
+
+        // a tenant copied twice, once more for a dump held elsewhere,
+        // is swapped in once; a refresh with nothing written is a no-op
+        let elsewhere = store.dump();
+        store.with(4, |s| s.requests = 2).unwrap();
+        let again = store.dump();
+        store.with(4, |s| s.requests = 3).unwrap();
+        store.refresh(&mut kept);
+        assert_current(&store, &kept);
+        assert_eq!(entry(&kept, 4).requests, 3);
+        drop((elsewhere, again));
+        let settled = kept.clone();
+        store.refresh(&mut kept);
+        assert_current(&store, &settled);
+
+        // a store recovered from a dump refreshes from that dump
+        let recovered = SessionStore::recover(2, settled.clone());
+        recovered.with(5, |s| s.requests = 4).unwrap();
+        let mut from = settled.clone();
+        recovered.refresh(&mut from);
+        assert_current(&recovered, &from);
+        for ((tenant, then), (_, now)) in settled.iter().zip(&from) {
+            assert_eq!(Arc::ptr_eq(then, now), *tenant != 5, "{tenant}");
+        }
+        assert_eq!(
+            store.with(3, |_| ()).unwrap_err(),
+            ServeError::UnknownTenant(3)
+        );
+        assert_eq!(
+            store.read(3, |_| ()).unwrap_err(),
+            ServeError::UnknownTenant(3)
+        );
     }
 
     #[test]

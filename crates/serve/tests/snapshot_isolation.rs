@@ -11,6 +11,12 @@
 //!   byte-identically to that snapshot after any number of later
 //!   batches; tenants that sent no later request stay pointer-shared,
 //!   tenants that sent one are copied.
+//! * **The refreshed snapshot is the full dump.** The service cuts
+//!   each Daly snapshot by refreshing the one it kept, swapping in only
+//!   the sessions written since. At every Daly batch the snapshot it
+//!   keeps renders byte-identically to a full [`take_snapshot`] of an
+//!   identical service, and a tenant no request reached since the
+//!   previous cut keeps the previous cut's very `Arc`.
 //! * **Recovery is exact at every batch boundary.** `recover(snapshot,
 //!   suffix)` from a crash after any batch — before the first snapshot,
 //!   exactly on a snapshot batch, or anywhere between two — continues
@@ -233,6 +239,69 @@ fn a_snapshot_never_sees_writes_made_after_it_was_cut() {
             render(&oracle),
             "seed {seed}: the later batches must have changed the store"
         );
+    }
+}
+
+#[test]
+fn the_refreshed_snapshot_is_the_full_dump_at_every_daly_batch() {
+    for seed in 0..12u64 {
+        let campaign = Campaign::draw(seed);
+        let service = campaign.service();
+        let mut previous: Option<Snapshot> = None;
+        let mut touched = BTreeSet::new();
+        let mut cuts = 0;
+        for at in 1..=BATCHES {
+            touched.extend(campaign.serve(&service, at - 1, at));
+            let Some(retained) = service.last_snapshot() else {
+                continue;
+            };
+            if previous.as_ref().map(|p| p.at_s) == Some(retained.at_s) {
+                continue;
+            }
+            cuts += 1;
+
+            // what stable storage holds after a crash on this batch
+            let (crashed, entries) = campaign.crash_after(at);
+            let crashed = crashed.expect("the victim cut the same snapshot");
+            assert!(entries.is_empty(), "seed {seed}: batch {at} compacted");
+            assert_eq!(format!("{crashed:?}"), format!("{retained:?}"));
+
+            // the oracle: a full cut of an identical service; the
+            // watermark is the journal's append count, which recovery
+            // checks, so it is carried over
+            let twin = campaign.service();
+            campaign.serve(&twin, 0, at);
+            let oracle = Snapshot {
+                through_seq: crashed.through_seq,
+                ..take_snapshot(
+                    crashed.at_s,
+                    &Journal::new(1),
+                    twin.store(),
+                    twin.cache(),
+                    twin.breakers(),
+                    twin.admission().zip(twin.autoscaler()),
+                )
+            };
+            assert_eq!(
+                format!("{crashed:?}"),
+                format!("{oracle:?}"),
+                "seed {seed}: the snapshot refreshed at batch {at} is not the full dump"
+            );
+
+            if let Some(previous) = &previous {
+                assert_eq!(previous.sessions.len(), retained.sessions.len());
+                for ((tenant, then), (_, now)) in previous.sessions.iter().zip(&retained.sessions) {
+                    assert_eq!(
+                        Arc::ptr_eq(then, now),
+                        !touched.contains(tenant),
+                        "seed {seed}: tenant {tenant} at the cut after batch {at}"
+                    );
+                }
+            }
+            touched.clear();
+            previous = Some(retained);
+        }
+        assert!(cuts >= 2, "seed {seed}: {cuts} Daly cuts");
     }
 }
 

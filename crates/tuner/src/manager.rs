@@ -20,6 +20,13 @@
 //! [`KnowledgeBase::best_linear`]'s semantics, which the indexed
 //! [`KnowledgeBase::best`] equals: a manager's base holds a handful of
 //! points, so the scan is the cheap way to stay exact.
+//!
+//! A clone copies only what a write can change between two clones: the
+//! monitors. The constraints sit behind a shared `Arc<[Constraint]>`
+//! that only [`AppManager::add_constraint`] and
+//! [`AppManager::set_constraint_bound`] replace, and the deployed
+//! configuration is held as the index of its point in the knowledge,
+//! whose points are never removed or reordered.
 
 use crate::goal::{Constraint, Objective};
 use crate::intern::{intern, lookup, SymbolId};
@@ -56,8 +63,10 @@ pub struct AppManager {
     base: Arc<KnowledgeBase>,
     learned: Overlay,
     objective: Objective,
-    constraints: Vec<Constraint>,
-    current: Option<Configuration>,
+    constraints: Arc<[Constraint]>,
+    /// The deployed point: its index in [`Knowledge`]'s points, base
+    /// points first.
+    current: Option<usize>,
     monitors: Monitors,
     learn_alpha: f64,
     switches: u64,
@@ -72,7 +81,7 @@ impl AppManager {
             base: knowledge.into(),
             learned: Overlay::default(),
             objective,
-            constraints: Vec::new(),
+            constraints: Arc::default(),
             current: None,
             monitors: Monitors::default(),
             learn_alpha: 0.4,
@@ -94,19 +103,22 @@ impl AppManager {
 
     /// Adds an SLA constraint.
     pub fn add_constraint(&mut self, constraint: Constraint) {
-        self.constraints.push(constraint);
+        self.constraints = self
+            .constraints
+            .iter()
+            .cloned()
+            .chain(std::iter::once(constraint))
+            .collect();
     }
 
     /// Renegotiates the bound of the named constraint; returns `false` if
     /// no such constraint exists.
     pub fn set_constraint_bound(&mut self, metric: &str, bound: f64) -> bool {
-        match self.constraints.iter_mut().find(|c| c.metric() == metric) {
-            Some(c) => {
-                c.set_bound(bound);
-                true
-            }
-            None => false,
-        }
+        let Some(at) = self.constraints.iter().position(|c| c.metric() == metric) else {
+            return false;
+        };
+        Arc::make_mut(&mut self.constraints)[at].set_bound(bound);
+        true
     }
 
     /// The active constraints.
@@ -130,7 +142,7 @@ impl AppManager {
 
     /// The configuration currently deployed.
     pub fn current(&self) -> Option<&Configuration> {
-        self.current.as_ref()
+        Some(self.knowledge().config(self.current?))
     }
 
     /// Number of configuration switches decided so far.
@@ -142,23 +154,24 @@ impl AppManager {
     /// Returns `None` when no point satisfies the constraints (SLA
     /// infeasible — the caller should escalate to the RTRM).
     ///
-    /// When the winner is the configuration already deployed, nothing
-    /// is cloned — the steady-state re-selection path only compares.
+    /// Nothing is cloned: the deployed point is an index, replaced
+    /// when the winner's configuration is not equal to the deployed
+    /// one (so always, for a configuration holding a NaN knob).
     pub fn select(&mut self) -> Option<&Configuration> {
         // borrows the two fields alone, so `current` stays writable
         let knowledge = Knowledge {
             base: &self.base,
             learned: &self.learned,
         };
-        let best = knowledge.best(&self.objective, &self.constraints)?;
-        if self.current.as_ref() != Some(best) {
-            let best = best.clone();
-            if self.current.is_some() {
+        let (at, best) = knowledge.best(&self.objective, &self.constraints)?;
+        let deployed = self.current.map(|current| knowledge.config(current));
+        if deployed != Some(best) {
+            if deployed.is_some() {
                 self.switches += 1;
             }
-            self.current = Some(best);
+            self.current = Some(at);
         }
-        self.current.as_ref()
+        self.current()
     }
 
     /// Records a runtime measurement of `metric` for the *current*
@@ -195,7 +208,7 @@ impl AppManager {
     pub fn adapt(&mut self, now: f64) -> Option<&Configuration> {
         let since = self.last_adapt;
         self.last_adapt = now;
-        if let Some(current) = &self.current {
+        if let Some(current) = self.current {
             let mut fresh = self
                 .monitors
                 .0
@@ -203,14 +216,26 @@ impl AppManager {
                 .filter_map(|(metric, _, series)| Some((*metric, series.mean_since(since)?)))
                 .peekable();
             if fresh.peek().is_some() {
-                self.learned
-                    .learn(&self.base, current, fresh, self.learn_alpha);
+                let knowledge = Knowledge {
+                    base: &self.base,
+                    learned: &self.learned,
+                };
+                let config = knowledge.config(current);
+                match self.base.find_index(config) {
+                    Some(index) => self
+                        .learned
+                        .learn(&self.base, index, fresh, self.learn_alpha),
+                    None => {
+                        let point = OperatingPoint::with_metric_ids(config.clone(), fresh);
+                        self.learned.append(point);
+                    }
+                }
             }
         }
         let had_current = self.current.is_some();
         let switches = self.switches;
         let reselected = self.select().is_some();
-        let next = self.current.as_ref()?;
+        let next = self.current()?;
         // `select` counts a switch exactly when it replaces a deployed
         // configuration with an unequal one. When it finds no feasible
         // point it leaves `current` alone, and the decision has always
@@ -231,7 +256,7 @@ impl fmt::Debug for AppManager {
             .field("knowledge", &self.knowledge())
             .field("objective", &self.objective)
             .field("constraints", &self.constraints)
-            .field("current", &self.current)
+            .field("current", &self.current())
             .field("monitors", &self.monitors)
             .field("learn_alpha", &self.learn_alpha)
             .field("switches", &self.switches)
@@ -271,25 +296,15 @@ struct Additions {
 }
 
 impl Overlay {
-    /// Blends each fresh `(metric, mean)` into the base point for
-    /// `config` — its row slots, or its additions for a metric it lacks
-    /// — or appends a point when the base cannot find `config`. Only a
-    /// configuration that is not equal to itself (a NaN knob) is not
-    /// found, so an appended point is never found again either: each
-    /// such round appends, as it does in a `KnowledgeBase`.
+    /// Blends each fresh `(metric, mean)` into base point `index` — its
+    /// row slots, or its additions for a metric it lacks.
     fn learn(
         &mut self,
         base: &KnowledgeBase,
-        config: &Configuration,
+        index: usize,
         fresh: impl Iterator<Item = (SymbolId, f64)>,
         alpha: f64,
     ) {
-        let Some(index) = base.find_index(config) else {
-            Arc::make_mut(self.more.get_or_insert_default())
-                .points
-                .push(OperatingPoint::with_metric_ids(config.clone(), fresh));
-            return;
-        };
         let points = base.points();
         let entries = points[index].metric_entries();
         let offset: usize = points[..index]
@@ -305,6 +320,16 @@ impl Overlay {
                     .learn_metric(index, id, measured, alpha),
             }
         }
+    }
+
+    /// Appends a point learned for a configuration the base cannot
+    /// find. Only a configuration that is not equal to itself (a NaN
+    /// knob) is not found, so an appended point is never found again
+    /// either: each such round appends, as it does in a `KnowledgeBase`.
+    fn append(&mut self, point: OperatingPoint) {
+        Arc::make_mut(self.more.get_or_insert_default())
+            .points
+            .push(point);
     }
 }
 
@@ -381,6 +406,16 @@ impl<'a> Knowledge<'a> {
             .metric_id(id)
     }
 
+    /// The configuration of point `at`, counted as [`points`] counts.
+    ///
+    /// [`points`]: Knowledge::points
+    fn config(self, at: usize) -> &'a Configuration {
+        match at.checked_sub(self.base.len()) {
+            None => &self.base.points()[at].config,
+            Some(appended) => &self.additions().1[appended].config,
+        }
+    }
+
     /// The added metrics and appended points.
     fn additions(self) -> (&'a [(usize, SymbolId, f64)], &'a [OperatingPoint]) {
         match self.learned.more.as_deref() {
@@ -421,20 +456,28 @@ impl<'a> Knowledge<'a> {
     /// [`KnowledgeBase::best_linear`] over base ⊕ overlay: among the
     /// feasible points that have the objective's metric, the first with
     /// a strictly better score (ties go to the earliest point; a NaN
-    /// score displaces and is displaced, as there).
-    fn best(self, objective: &Objective, constraints: &[Constraint]) -> Option<&'a Configuration> {
-        let mut best: Option<(&Configuration, f64)> = None;
-        for seen in self.points().filter(|seen| seen.satisfies(constraints)) {
+    /// score displaces and is displaced, as there), with its index.
+    fn best(
+        self,
+        objective: &Objective,
+        constraints: &[Constraint],
+    ) -> Option<(usize, &'a Configuration)> {
+        let mut best: Option<(usize, &Configuration, f64)> = None;
+        let feasible = self
+            .points()
+            .enumerate()
+            .filter(|(_, seen)| seen.satisfies(constraints));
+        for (at, seen) in feasible {
             let Some(value) = seen.metric_id(objective.metric_id()) else {
                 continue;
             };
             let score = objective.score(value);
             match best {
-                Some((_, best_score)) if best_score >= score => {}
-                _ => best = Some((&seen.point.config, score)),
+                Some((.., best_score)) if best_score >= score => {}
+                _ => best = Some((at, &seen.point.config, score)),
             }
         }
-        best.map(|(config, _)| config)
+        best.map(|(at, config, _)| (at, config))
     }
 }
 
@@ -669,6 +712,24 @@ mod tests {
             assert!(Arc::ptr_eq(&m.base, &fresh.base));
         }
         assert_eq!(*fresh.base, kb());
+    }
+
+    #[test]
+    fn a_clone_shares_constraints_and_deployed_point_until_it_changes_them() {
+        let mut manager = shared_manager();
+        manager.add_constraint(Constraint::at_most("latency", 0.25));
+        let deployed = manager.select().cloned();
+        let mut twin = manager.clone();
+        assert!(Arc::ptr_eq(&manager.constraints, &twin.constraints));
+        assert_eq!(twin.current().cloned(), deployed);
+        // renegotiating the clone's SLA copies the list, and its next
+        // selection moves its deployed point alone
+        assert!(twin.set_constraint_bound("latency", 1.0));
+        assert!(!Arc::ptr_eq(&manager.constraints, &twin.constraints));
+        assert_eq!(twin.select().unwrap().get_int("level"), Some(4));
+        assert_eq!(manager.current().cloned(), deployed);
+        assert_eq!(manager.select().cloned(), deployed);
+        assert_eq!((manager.switches(), twin.switches()), (0, 1));
     }
 
     #[test]
