@@ -39,9 +39,9 @@ pub const MIN_VALUE: f64 = 1e-9;
 /// Regular buckets between [`MIN_VALUE`] and [`MAX_VALUE`].
 pub(crate) const BUCKETS: usize = 1136;
 
-/// Upper edge of the last regular bucket: `MIN_VALUE · γ^BUCKETS`
-/// (≈ 1.1e15). Values at or above it report as `+inf`.
-pub const MAX_VALUE: f64 = 1.1e15;
+/// Upper edge of the last regular bucket, ≈ `MIN_VALUE · γ^BUCKETS`:
+/// the smallest `f64` the bucket formula overflows. It and above report `+inf`.
+pub const MAX_VALUE: f64 = 1.177_724_591_518_774_8e15;
 
 /// The guaranteed relative error of quantile estimates over positive
 /// finite samples in `[MIN_VALUE, MAX_VALUE)`: `√γ − 1`.
@@ -387,6 +387,11 @@ mod tests {
             }
             value *= 1.0173;
         }
+    }
+
+    #[test]
+    fn max_value_is_where_overflow_starts() {
+        assert_eq!(Boundaries::get().lower[BUCKETS], MAX_VALUE);
     }
 
     #[test]

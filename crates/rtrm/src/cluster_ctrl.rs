@@ -12,8 +12,9 @@
 //!    cooling overhead (`sim::cooling`), keeps a guard band for
 //!    estimation error, and re-splits the budget across alive nodes by
 //!    demand every control step (`powercap::try_weighted_split_observed`).
-//! 2. **Job dispatch** — crashes reported by `sim::faults` requeue the
-//!    victim's job from its last checkpoint (`rtrm::checkpoint` cadence);
+//! 2. **Job dispatch** ([`campaign`](crate::campaign) runs all three
+//!    levels) — crashes reported by `sim::faults` requeue the victim's
+//!    job from its last checkpoint (`rtrm::checkpoint` cadence);
 //!    re-dispatch onto another node is a migration.
 //! 3. **Per-node region capper** ([`NodeController`]) — picks a P-state
 //!    per application region following the Chadha/Gerndt DVFS/UFS model:

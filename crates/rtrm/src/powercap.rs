@@ -7,6 +7,7 @@
 //! from §IV.
 
 use crate::error::{check_budget_w, RtrmError};
+use crate::Fnv;
 use antarex_obs::{Counter, Gauge, MetricsRegistry, Scope};
 use antarex_sim::node::Node;
 
@@ -74,14 +75,9 @@ pub fn try_weighted_split_observed(
     }
 }
 
-/// Estimates the node's full-activity power at a P-state index, at the
-/// node's present temperature (the quantity a RAPL controller regulates).
-pub fn estimated_power_w(node: &Node, pstate_index: usize) -> f64 {
-    estimated_power_at_temp(node, pstate_index, node.temp_c())
-}
-
-/// [`estimated_power_w`] at an explicitly supplied junction
-/// temperature. A controller behind degraded telemetry must regulate
+/// Estimates the node's full-activity power at a P-state index (the
+/// quantity a RAPL controller regulates) at an explicitly supplied
+/// junction temperature. A controller behind degraded telemetry must regulate
 /// against its *sensed* (held/EWMA/assume-worst) temperature rather
 /// than reaching into ground truth — that is the difference between a
 /// model of the plant and the plant itself. Non-finite temperatures
@@ -186,21 +182,13 @@ pub(crate) fn try_weighted_split(budget_w: f64, weights: &[f64]) -> Option<Vec<f
 /// linked to the requests it throttled and compared across runs
 /// without serializing the whole share vector.
 pub fn split_digest(budget_w: f64, shares: &[f64]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut eat = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(budget_w.to_bits());
-    eat(shares.len() as u64);
-    for share in shares {
-        eat(share.to_bits());
+    let mut hash = Fnv::OFFSET;
+    hash.f64(budget_w);
+    hash.u64(shares.len() as u64);
+    for &share in shares {
+        hash.f64(share);
     }
-    hash
+    hash.0
 }
 
 fn weighted_split_clean(budget_w: f64, weights: &[f64]) -> Vec<f64> {
@@ -231,6 +219,7 @@ mod tests {
         let a = split_digest(100.0, &shares);
         let b = split_digest(100.0, &shares);
         assert_eq!(a, b, "digest is a pure function of the decision");
+        assert_eq!(a, 0xcab2_4cce_d24b_a325, "serve folds it into trace ids");
         assert_ne!(a, split_digest(101.0, &shares), "budget changes digest");
         let mut nudged = shares.clone();
         nudged[0] += 1e-9;
@@ -241,15 +230,16 @@ mod tests {
     #[test]
     fn estimated_power_grows_with_pstate() {
         let node = Node::nominal(NodeSpec::cineca_xeon(), 0);
-        let lo = estimated_power_w(&node, 0);
-        let hi = estimated_power_w(&node, node.spec().pstates.max_index());
+        let lo = estimated_power_at_temp(&node, 0, node.temp_c());
+        let hi = estimated_power_at_temp(&node, node.spec().pstates.max_index(), node.temp_c());
         assert!(hi > lo * 1.5);
     }
 
     #[test]
     fn cap_selects_fastest_admissible_state() {
         let node = Node::nominal(NodeSpec::cineca_xeon(), 0);
-        let hi_power = estimated_power_w(&node, node.spec().pstates.max_index());
+        let hi_power =
+            estimated_power_at_temp(&node, node.spec().pstates.max_index(), node.temp_c());
         // generous cap: fastest state allowed
         let capper = PowerCapper::new(hi_power + 10.0);
         assert_eq!(
@@ -260,7 +250,7 @@ mod tests {
         let capper = PowerCapper::new(hi_power * 0.6);
         let idx = capper.admissible_pstate_at_temp(&node, node.temp_c());
         assert!(idx < node.spec().pstates.max_index());
-        assert!(estimated_power_w(&node, idx) <= hi_power * 0.6);
+        assert!(estimated_power_at_temp(&node, idx, node.temp_c()) <= hi_power * 0.6);
     }
 
     #[test]
@@ -317,14 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn explicit_temperature_estimation_matches_and_degrades_safely() {
+    fn explicit_temperature_estimation_degrades_safely() {
         let node = Node::nominal(NodeSpec::cineca_xeon(), 0);
         let idx = node.spec().pstates.max_index();
-        assert_eq!(
-            estimated_power_w(&node, idx),
-            estimated_power_at_temp(&node, idx, node.temp_c()),
-            "at the true temperature the two estimators coincide"
-        );
         // hotter silicon leaks more
         assert!(
             estimated_power_at_temp(&node, idx, 85.0) > estimated_power_at_temp(&node, idx, 45.0)

@@ -4,8 +4,11 @@
 //! its cap, a dropped and a stuck sensor channel walk their degradation
 //! ladders, and the whole trajectory is a pure function of its inputs,
 //! pinned bit for bit by a golden digest (thermal clamps included).
+//! The whole storm campaign built on it (`rtrm::campaign`) is pinned
+//! the same way.
 
 use antarex::obs::MetricsRegistry;
+use antarex::rtrm::campaign::{run_profile, ClusterProfile, ClusterScale};
 use antarex::rtrm::cluster_ctrl::{
     FacilityController, NodeController, NodePlan, RegionKind, SensedFill, SensorChannel,
 };
@@ -209,4 +212,26 @@ fn the_control_trajectory_is_pinned_bit_for_bit() {
         GOLDEN,
         "a P-state, cap, sensed value or throttle flag moved"
     );
+}
+
+/// The whole storm campaign at the tiny scale, pinned at one and two
+/// workers to the digests `run_profile` gave while it lived in the
+/// experiments crate: the fault-tolerant hierarchy, and the flat
+/// baseline whose one global P-state comes from the node capper.
+#[test]
+fn the_storm_campaign_is_pinned_bit_for_bit() {
+    let scale = ClusterScale::tiny();
+    for workers in [1, 2] {
+        let digest = |profile| run_profile(42, &scale, profile, workers).digest;
+        assert_eq!(
+            digest(ClusterProfile::FaultTolerant),
+            0x52eb_c753_b64f_d956,
+            "fault_tolerant, {workers} workers"
+        );
+        assert_eq!(
+            digest(ClusterProfile::Flat),
+            0x83c7_bae1_ecf2_55ee,
+            "flat, {workers} workers"
+        );
+    }
 }
