@@ -9,8 +9,12 @@
 //! A series allocates its storage as samples arrive instead of up
 //! front; [`PreSized`] keeps the up-front body as the oracle that
 //! growth changes nothing a caller can see.
+//!
+//! A `SeriesSet` packs many series into one buffer and runs the same
+//! ring code over each member's segment; a standalone `TimeSeries` per
+//! member is the oracle that the packing changes nothing either.
 
-use antarex_monitor::series::{Sample, TimeSeries};
+use antarex_monitor::series::{Sample, SeriesSet, SeriesView, TimeSeries};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -243,5 +247,108 @@ fn a_series_grown_on_demand_matches_the_pre_sized_one() {
                 );
             }
         }
+    }
+}
+
+/// A member of the set under test: its oracle, how often it is fed and
+/// how its times run.
+struct Fed {
+    oracle: TimeSeries,
+    weight: u32,
+    ordered: bool,
+    time: f64,
+}
+
+impl Fed {
+    fn next_time(&mut self, rng: &mut StdRng) -> f64 {
+        self.time = if self.ordered {
+            self.time + [0.0, 0.5, 1.0, 3.0][rng.gen_range(0..4usize)]
+        } else {
+            match rng.gen_range(0..10) {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                2 => f64::INFINITY,
+                _ => f64::from(rng.gen_range(0..8)),
+            }
+        };
+        self.time
+    }
+}
+
+fn bits(samples: impl Iterator<Item = Sample>) -> Vec<(u64, u64)> {
+    samples
+        .map(|s| (s.time.to_bits(), s.value.to_bits()))
+        .collect()
+}
+
+fn assert_member_matches(view: SeriesView<'_>, oracle: &TimeSeries, context: &str) {
+    assert_eq!(view.len(), oracle.len(), "{context}");
+    assert_eq!(
+        bits(view.iter().copied()),
+        bits(oracle.iter().copied()),
+        "{context}"
+    );
+    for since in probes(oracle) {
+        assert_eq!(
+            view.mean_since(since).map(f64::to_bits),
+            oracle.mean_since(since).map(f64::to_bits),
+            "{context}: mean_since({since})"
+        );
+    }
+    assert_eq!(format!("{view:?}"), format!("{oracle:?}"), "{context}");
+}
+
+#[test]
+fn every_member_of_a_packed_set_matches_a_standalone_series() {
+    for seed in 0..28u64 {
+        let mut rng = StdRng::seed_from_u64(3_000 + seed);
+        // bounds below, at and past the first segment, none a power of
+        // two past it, so doublings clamp and full rings wrap
+        let capacity = [1, 2, 3, 4, 5, 9, 37][seed as usize % 7];
+        let members = rng.gen_range(3..7);
+        let mut set = SeriesSet::new(capacity);
+        let mut fed: Vec<Fed> = Vec::new();
+        let mut keys: Vec<u64> = Vec::new();
+        for step in 0..3 * members * capacity + 24 {
+            // members join at random header positions while others grow,
+            // so a new segment lands after segments that later double
+            if fed.len() < members && (fed.len() < 3 || rng.gen_range(0..8) == 0) {
+                let at = rng.gen_range(0..fed.len() + 1);
+                let key = step as u64;
+                set.insert(at, key);
+                keys.insert(at, key);
+                fed.insert(
+                    at,
+                    Fed {
+                        oracle: TimeSeries::with_capacity(capacity),
+                        weight: rng.gen_range(1..9),
+                        ordered: rng.gen_range(0..3) > 0,
+                        time: 0.0,
+                    },
+                );
+            }
+            let total: u32 = fed.iter().map(|f| f.weight).sum();
+            let mut pick = rng.gen_range(0..total);
+            let index = fed
+                .iter()
+                .position(|f| {
+                    let hit = pick < f.weight;
+                    pick = pick.saturating_sub(f.weight);
+                    hit
+                })
+                .expect("a member is picked");
+            let time = fed[index].next_time(&mut rng);
+            let value = random_value(&mut rng);
+            set.push(index, time, value);
+            fed[index].oracle.push(time, value);
+            assert!(set.keys().copied().eq(keys.iter().copied()));
+            for (at, member) in fed.iter().enumerate() {
+                let context = format!("seed {seed} step {step} member {at}");
+                assert_member_matches(set.get(at), &member.oracle, &context);
+            }
+        }
+        // a clone is the same set
+        let copy = set.clone();
+        assert_eq!(format!("{copy:?}"), format!("{set:?}"), "seed {seed}");
     }
 }

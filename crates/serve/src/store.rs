@@ -29,7 +29,12 @@
 //! behind an `Arc` of its own. So the copy of a touched session bumps a
 //! reference count for the base and another for the row, a learning
 //! round copies the row only while a snapshot still shares it, and the
-//! shared base, like a snapshot, never changes.
+//! shared base, like a snapshot, never changes. What the copy does
+//! copy is the session itself, its features and the manager's
+//! monitors, whose series all sit in one header table and one sample
+//! buffer: at most four allocations however many metrics the tenant
+//! reports, and as many blocks for the next cut to free when it drops
+//! the version the copy replaced.
 //!
 //! A session also keeps its current [`Selection`] — the deployed
 //! configuration with its design key and probe seed — so a request

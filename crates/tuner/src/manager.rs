@@ -22,9 +22,11 @@
 //! points, so the scan is the cheap way to stay exact.
 //!
 //! A clone copies only what a write can change between two clones: the
-//! monitors. The constraints sit behind a shared `Arc<[Constraint]>`
-//! that only [`AppManager::add_constraint`] and
-//! [`AppManager::set_constraint_bound`] replace, and the deployed
+//! monitors, every series of which sits in one `SeriesSet`, so the copy
+//! is two allocations (its header table and its sample buffer) however
+//! many metrics the manager watches. The constraints sit behind a
+//! shared `Arc<[Constraint]>` that only [`AppManager::add_constraint`]
+//! and [`AppManager::set_constraint_bound`] replace, and the deployed
 //! configuration is held as the index of its point in the knowledge,
 //! whose points are never removed or reordered.
 
@@ -32,7 +34,7 @@ use crate::goal::{Constraint, Objective};
 use crate::intern::{intern, lookup, SymbolId};
 use crate::point::{KnowledgeBase, OperatingPoint};
 use crate::space::Configuration;
-use antarex_monitor::series::TimeSeries;
+use antarex_monitor::series::{SeriesSet, SeriesView};
 use std::fmt;
 use std::sync::Arc;
 
@@ -83,7 +85,7 @@ impl AppManager {
             objective,
             constraints: Arc::default(),
             current: None,
-            monitors: Monitors::default(),
+            monitors: Monitors(SeriesSet::new(MONITOR_CAPACITY)),
             learn_alpha: 0.4,
             switches: 0,
             last_adapt: f64::NEG_INFINITY,
@@ -175,17 +177,19 @@ impl AppManager {
     }
 
     /// Records a runtime measurement of `metric` for the *current*
-    /// configuration. Series are bounded at 256 samples; a series grows
-    /// with its samples up to that bound and from then on evicts in
-    /// place, so once every metric's series is full an observation
-    /// allocates nothing. Only a metric's first observation interns its
-    /// name.
+    /// configuration. Series are bounded at 256 samples; a series'
+    /// segment of the monitors' shared buffer doubles as its samples
+    /// arrive, up to that bound, and from then on evicts in place, so
+    /// once every metric's series is full an observation allocates
+    /// nothing. Only a metric's first observation interns its name; the
+    /// first observation of a manager allocates the header table and the
+    /// buffer, with room for four metrics.
     pub fn observe(&mut self, time: f64, metric: &str, value: f64) {
-        self.monitors.series_mut(metric).push(time, value);
+        self.monitors.observe(time, metric, value);
     }
 
     /// The monitor series for a metric, if any measurements arrived.
-    pub fn monitor(&self, metric: &str) -> Option<&TimeSeries> {
+    pub fn monitor(&self, metric: &str) -> Option<SeriesView<'_>> {
         self.monitors.get(metric)
     }
 
@@ -195,7 +199,7 @@ impl AppManager {
     /// round switched to, or `None` when it stayed.
     ///
     /// Each monitor's mean over `[previous now, ..]` (inclusive — see
-    /// [`TimeSeries::mean_since`]) is blended into the current
+    /// [`SeriesView::mean_since`]) is blended into the current
     /// configuration's values in the overlay; the base is never
     /// written. The first round that learns allocates the overlay's
     /// row, and a round whose row a clone still shares copies it; every
@@ -213,7 +217,7 @@ impl AppManager {
                 .monitors
                 .0
                 .iter()
-                .filter_map(|(metric, _, series)| Some((*metric, series.mean_since(since)?)))
+                .filter_map(|(&(metric, _), series)| Some((metric, series.mean_since(since)?)))
                 .peekable();
             if fresh.peek().is_some() {
                 let knowledge = Knowledge {
@@ -554,44 +558,48 @@ impl fmt::Debug for Seen<'_> {
     }
 }
 
+/// Samples a monitor series retains.
+const MONITOR_CAPACITY: usize = 256;
+
 /// A manager's runtime monitors: one series per observed metric, in
-/// interned-id order, which is the order `adapt` learns in. A manager
-/// watches a handful of metrics, so a series is found by comparing
-/// names: no interning and no lock per observation, and no spare slots
-/// for series the manager will never hold. `Debug` renders a map from
-/// id to series, as the recovery check and the serving digests expect.
-#[derive(Clone, Default)]
-struct Monitors(Vec<(SymbolId, &'static str, TimeSeries)>);
+/// interned-id order, which is the order `adapt` learns in, all in one
+/// [`SeriesSet`] — a header table and a sample buffer, whatever the
+/// number of metrics. A manager watches a handful of metrics, so a
+/// series is found by comparing names: no interning and no lock per
+/// observation. `Debug` renders a map from id to series, as the
+/// recovery check and the serving digests expect.
+#[derive(Clone)]
+struct Monitors(SeriesSet<(SymbolId, &'static str)>);
 
 impl Monitors {
-    fn get(&self, metric: &str) -> Option<&TimeSeries> {
-        self.0
-            .iter()
-            .find(|(_, name, _)| *name == metric)
-            .map(|(_, _, series)| series)
+    fn position(&self, metric: &str) -> Option<usize> {
+        self.0.keys().position(|&(_, name)| name == metric)
     }
 
-    /// The metric's series, created (and its name interned) on the
-    /// metric's first observation.
-    fn series_mut(&mut self, metric: &str) -> &mut TimeSeries {
-        let at = match self.0.iter().position(|(_, name, _)| *name == metric) {
+    fn get(&self, metric: &str) -> Option<SeriesView<'_>> {
+        Some(self.0.get(self.position(metric)?))
+    }
+
+    /// Records a sample of the metric's series, created (and its name
+    /// interned) on the metric's first observation.
+    fn observe(&mut self, time: f64, metric: &str, value: f64) {
+        let at = match self.position(metric) {
             Some(at) => at,
             None => {
                 let id = intern(metric);
-                let at = self.0.partition_point(|(other, _, _)| *other < id);
-                self.0
-                    .insert(at, (id, id.name(), TimeSeries::with_capacity(256)));
+                let at = self.0.keys().take_while(|&&(other, _)| other < id).count();
+                self.0.insert(at, (id, id.name()));
                 at
             }
         };
-        &mut self.0[at].2
+        self.0.push(at, time, value);
     }
 }
 
 impl fmt::Debug for Monitors {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
-            .entries(self.0.iter().map(|(id, _, series)| (id, series)))
+            .entries(self.0.iter().map(|(&(id, _), series)| (id, series)))
             .finish()
     }
 }
@@ -897,7 +905,7 @@ mod tests {
             r#"AppManager { knowledge: KnowledgeBase { points: [] }, objective: Objective { metric: "mgr-golden-a", direction: Minimize }, constraints: [], current: None, monitors: {}, learn_alpha: 0.4, switches: 0, last_adapt: -inf }"#
         );
         assert_eq!(
-            manager.monitor("mgr-golden-z").map(TimeSeries::len),
+            manager.monitor("mgr-golden-z").map(|series| series.len()),
             Some(2)
         );
         assert!(manager.monitor("mgr-golden-unobserved").is_none());
