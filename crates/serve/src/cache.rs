@@ -97,8 +97,16 @@ impl std::fmt::Debug for Metrics {
 }
 
 impl FromIterator<(String, f64)> for Metrics {
+    /// Inserts the pairs one by one: `BTreeMap`'s own `from_iter` first
+    /// collects them into a vector to sort, one allocation more for the
+    /// few names a probe reports. A repeated name keeps its last value,
+    /// as it does there.
     fn from_iter<I: IntoIterator<Item = (String, f64)>>(iter: I) -> Self {
-        Metrics(Arc::new(iter.into_iter().collect()))
+        let mut map = BTreeMap::new();
+        for (name, value) in iter {
+            map.insert(name, value);
+        }
+        Metrics(Arc::new(map))
     }
 }
 
@@ -589,6 +597,23 @@ mod tests {
             map.iter().map(bits).collect::<Vec<_>>()
         );
         assert_eq!(shared["latency"], 0.25);
+    }
+
+    #[test]
+    fn a_repeated_metric_name_keeps_its_last_value_as_in_a_map() {
+        let pairs = || {
+            [
+                ("power".to_string(), 1.0),
+                ("latency".to_string(), 0.5),
+                ("power".to_string(), 2.0),
+                ("latency".to_string(), 0.25),
+                ("power".to_string(), 3.0),
+            ]
+        };
+        let metrics: Metrics = pairs().into_iter().collect();
+        let map: BTreeMap<String, f64> = pairs().into_iter().collect();
+        assert_eq!(*metrics, map);
+        assert_eq!((metrics["latency"], metrics["power"]), (0.25, 3.0));
     }
 
     #[test]

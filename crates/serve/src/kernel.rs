@@ -14,16 +14,20 @@
 //! on the first probe that asks for it, and kept together with the
 //! [`CodeKey`] it digests to; a probe hands the ready program (a clone
 //! is one reference-count bump) and that key to [`Vm::with_cache_key`],
-//! so no probe parses, re-types, re-digests or copies anything. The
-//! inputs are drawn straight into the argument vector and moved into the
-//! reference run, which hands its array arguments back for the tuned
+//! so no probe parses, re-types, re-digests or copies anything. A
+//! probe's working memory — the VM's frames and precision stack
+//! ([`VmScratch`]) and the argument vector with its two input arrays —
+//! is kept on a free list from one probe to the next, one entry per
+//! thread that probed at once. The inputs are drawn into the kept arrays
+//! and moved into the reference run, which hands them back for the tuned
 //! run. At full precision the tuned program *is* the reference program,
 //! so that probe runs it once and reports the one run as both segments;
-//! an untraced probe builds no segments at all. A probe of
+//! an untraced probe builds no segments at all. A warm probe of
 //! [`DEFAULT_KERNEL`] therefore costs a code-cache lookup and one or two
 //! VM runs, each a single native loop trace (`vm::trace`) rounding its
-//! narrow stores without a data-dependent branch, plus about twenty
-//! allocations for its inputs, frames and evaluation.
+//! narrow stores without a data-dependent branch, plus the five
+//! allocations of the evaluation it returns: three metric names, the
+//! map's node and its `Arc`.
 //!
 //! Like [`NavEvaluator`](crate::nav::NavEvaluator), the probe derives
 //! its input data from [`probe_seed`], making every evaluation a pure
@@ -43,10 +47,10 @@ use antarex_precision::vars::{float_vars, set_precision, FloatVar};
 use antarex_tuner::goal::{Constraint, Objective};
 use antarex_tuner::manager::AppManager;
 use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
-use antarex_vm::{CodeKey, InstrumentedCodeCache, Vm};
+use antarex_vm::{CodeKey, InstrumentedCodeCache, Vm, VmScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The default probe kernel: a fused multiply-accumulate reduction with
 /// enough float locals for the precision knob to bite.
@@ -91,6 +95,8 @@ pub struct KernelEvaluator {
     rungs: Box<[OnceLock<Rung>]>,
     cost_model: CostModel,
     cache: Arc<InstrumentedCodeCache>,
+    /// The working memory of finished probes, for the next ones.
+    scratch: FreeList,
     /// Abstract metered cost units per virtual second (probe
     /// throughput calibration).
     pub cost_per_second: f64,
@@ -110,6 +116,62 @@ impl Rung {
     fn new(program: Program, cost_model: &CostModel) -> Self {
         let key = CodeKey::of(&program, cost_model);
         Rung { program, key }
+    }
+}
+
+/// What a probe works in, kept from one probe to the next: the VM's
+/// frames and precision stack, and the `(a, b, n)` argument vector,
+/// whose two arrays keep their capacity.
+#[derive(Debug, Default)]
+struct ProbeScratch {
+    vm: VmScratch,
+    args: Vec<Value>,
+}
+
+impl ProbeScratch {
+    /// Refills the arguments with `n`-element `a` and `b`, drawn in that
+    /// order, and `n`.
+    fn draw_inputs(&mut self, rng: &mut StdRng, n: usize) {
+        self.args.resize(3, Value::Unit);
+        for slot in &mut self.args[..2] {
+            let mut items = match std::mem::replace(slot, Value::Unit) {
+                Value::Array(items) => items,
+                _ => Vec::new(),
+            };
+            items.clear();
+            items.extend((0..n).map(|_| Value::Float(rng.gen_range(-1.0..1.0))));
+            *slot = Value::Array(items);
+        }
+        self.args[2] = Value::Int(n as i64);
+    }
+}
+
+/// The kept [`ProbeScratch`]es. A probe takes one, or starts an empty
+/// one, and gives it back when done, so the list never holds more
+/// entries than there were threads probing at once. A clone of the
+/// evaluator starts with an empty list: memory is never shared.
+#[derive(Default)]
+struct FreeList(Mutex<Vec<ProbeScratch>>);
+
+impl FreeList {
+    fn take(&self) -> ProbeScratch {
+        crate::lock_or_recover(&self.0).pop().unwrap_or_default()
+    }
+
+    fn give_back(&self, scratch: ProbeScratch) {
+        crate::lock_or_recover(&self.0).push(scratch);
+    }
+}
+
+impl Clone for FreeList {
+    fn clone(&self) -> Self {
+        FreeList::default()
+    }
+}
+
+impl std::fmt::Debug for FreeList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FreeList").finish_non_exhaustive()
     }
 }
 
@@ -145,6 +207,7 @@ impl KernelEvaluator {
             rungs: (MIN_BITS..FULL_BITS).map(|_| OnceLock::new()).collect(),
             cost_model,
             cache: Arc::new(InstrumentedCodeCache::new()),
+            scratch: FreeList::default(),
             cost_per_second: 2.0e6,
             watts_per_unit_energy: 0.02,
         })
@@ -180,25 +243,28 @@ impl KernelEvaluator {
         })
     }
 
-    /// Runs one rung over the seeded `n`-element inputs and meters it,
-    /// handing back the arguments as the run left them
-    /// ([`Vm::run_segment`]).
-    fn run(&self, rung: &Rung, args: Vec<Value>, n: usize) -> (Metered, Vec<Value>) {
+    /// Runs one rung on the scratch's `n`-element inputs and meters it,
+    /// leaving in the scratch the arguments as the run handed them back
+    /// ([`Vm::run_segment`]) and the VM's working memory.
+    fn run(&self, rung: &Rung, scratch: &mut ProbeScratch, n: usize) -> Metered {
         let mut vm = Vm::with_cache_key(
             rung.program.clone(),
             self.cost_model.clone(),
             &self.cache,
             rung.key,
-        );
+        )
+        .with_scratch(std::mem::take(&mut scratch.vm));
         // cannot fire: the evaluator runs only `DEFAULT_KERNEL` (`new` is
         // private), whose `(a, b, n)` signature `args` matches with `a`
         // and `b` exactly n ≤ 256 floats long; its cost, ≈40 units per
         // element whatever the data, stays under 10⁴ against the VM's
         // 2·10⁸ budget
         let (value, stats, args) = vm
-            .run_segment(&self.function, args)
+            .run_segment(&self.function, std::mem::take(&mut scratch.args))
             .expect("the kernel runs within budget");
-        (self.meter(scalar(&value), &stats, n), args)
+        scratch.vm = vm.into_scratch();
+        scratch.args = args;
+        self.meter(scalar(&value), &stats, n)
     }
 
     /// Converts one run's metered stats to virtual seconds, watts and
@@ -241,26 +307,21 @@ impl KernelEvaluator {
         // inputs derive from the design key: identical (config, features)
         // pairs probe identical data forever
         let mut rng = StdRng::seed_from_u64(probe_seed(config, features));
-        let mut draw = || {
-            Value::Array(
-                (0..n)
-                    .map(|_| Value::Float(rng.gen_range(-1.0..1.0)))
-                    .collect(),
-            )
-        };
-        let args = vec![draw(), draw(), Value::Int(n as i64)];
+        let mut scratch = self.scratch.take();
+        scratch.draw_inputs(&mut rng, n);
 
-        let (reference, mut args) = self.run(self.rung(FULL_BITS), args, n);
+        let reference = self.run(self.rung(FULL_BITS), &mut scratch, n);
         // at full precision the tuned program is the reference program:
         // the one run serves as both
         let tuned = if bits < FULL_BITS {
             // the reference takes `a` and `b` as `double` and never stores
             // to them, so the arrays it hands back are the drawn inputs
-            args[2] = Value::Int(n as i64);
-            self.run(self.rung(bits), args, n).0
+            scratch.args[2] = Value::Int(n as i64);
+            self.run(self.rung(bits), &mut scratch, n)
         } else {
             reference
         };
+        self.scratch.give_back(scratch);
 
         let error = (tuned.value - reference.value).abs() / reference.value.abs().max(1e-12);
         let evaluation = Evaluation {
@@ -524,6 +585,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn two_threads_probing_one_evaluator_reproduce_the_serial_probes() {
+        // sizes that shrink and grow the kept arrays, at rungs either
+        // side of full precision
+        let design: Vec<(i64, f64)> = [52, 12, 2, 23, 52, 8]
+            .into_iter()
+            .flat_map(|bits| [256.0, 3.0, 37.0, 4000.0, 1.0].map(|n| (bits, n)))
+            .collect();
+        let probe = |evaluator: &KernelEvaluator, &(bits, n): &(i64, f64)| {
+            probe_bits(&evaluator.evaluate_segmented(&config(bits), &[n]))
+        };
+        let serial_evaluator = KernelEvaluator::fma();
+        let serial: Vec<_> = design
+            .iter()
+            .map(|point| probe(&serial_evaluator, point))
+            .collect();
+
+        let shared = KernelEvaluator::fma();
+        std::thread::scope(|scope| {
+            let forward = scope.spawn(|| design.iter().map(|p| probe(&shared, p)).collect());
+            let backward = scope.spawn(|| design.iter().rev().map(|p| probe(&shared, p)).collect());
+            let forward: Vec<_> = forward.join().unwrap();
+            let mut backward: Vec<_> = backward.join().unwrap();
+            backward.reverse();
+            assert_eq!(forward, serial, "forward thread");
+            assert_eq!(backward, serial, "backward thread");
+        });
+        let kept = crate::lock_or_recover(&shared.scratch.0).len();
+        assert!(
+            (1..=2).contains(&kept),
+            "one kept scratch per thread that probed at once, not {kept}"
+        );
+        assert_eq!(
+            crate::lock_or_recover(&shared.clone().scratch.0).len(),
+            0,
+            "a clone starts with none"
+        );
     }
 
     #[test]

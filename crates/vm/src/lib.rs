@@ -68,4 +68,4 @@ pub(crate) mod vm;
 pub use cache::InstrumentedCodeCache;
 pub use digest::CodeKey;
 pub use lower::{lower_function, lower_program};
-pub use vm::Vm;
+pub use vm::{Vm, VmScratch};

@@ -80,7 +80,26 @@ pub struct Vm {
     /// Current mini-C call depth.
     depth: u32,
     /// Recycled frames (values + type bindings), one per active depth.
-    pool: Vec<(Vec<Value>, Vec<Option<Type>>)>,
+    pool: Vec<Frame>,
+}
+
+/// A recycled frame: its values and its slots' type bindings.
+type Frame = (Vec<Value>, Vec<Option<Type>>);
+
+/// A VM's grow-only working memory: the recycled frames and type tables
+/// of its frame pool and the saved-precision stack. A caller that runs
+/// many short calls on fresh VMs hands one scratch from each finished
+/// VM ([`Vm::into_scratch`]) to the next ([`Vm::with_scratch`]), so the
+/// buffers are allocated once rather than once per VM.
+///
+/// A scratch carries capacity, never state: every frame is cleared and
+/// resized when a call takes it, and the precision stack is cleared at
+/// every top-level entry, so a run on a handed-on scratch — even one a
+/// failed run left — behaves exactly as a run on a fresh VM.
+#[derive(Debug, Default)]
+pub struct VmScratch {
+    pool: Vec<Frame>,
+    prec_stack: Vec<u8>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -150,6 +169,24 @@ impl Vm {
         let mut vm = Vm::new(program).with_cost_model(cost_model);
         vm.compiled = Some(compiled);
         vm
+    }
+
+    /// Gives the VM the working memory another VM left
+    /// ([`Vm::into_scratch`]), replacing its own (empty until it first
+    /// runs).
+    pub fn with_scratch(mut self, scratch: VmScratch) -> Self {
+        self.pool = scratch.pool;
+        self.prec_stack = scratch.prec_stack;
+        self
+    }
+
+    /// Consumes the VM, returning its working memory for the next VM
+    /// ([`Vm::with_scratch`]).
+    pub fn into_scratch(self) -> VmScratch {
+        VmScratch {
+            pool: self.pool,
+            prec_stack: self.prec_stack,
+        }
     }
 
     /// Sets (or clears) the execution budget in cost units. The default

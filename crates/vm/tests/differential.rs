@@ -3,6 +3,11 @@
 //! programs — values, every `ExecStats` counter (`flop_energy` compared
 //! bit-for-bit), host-call traces and errors.
 //!
+//! Every case also runs a second time, on a VM handed the working memory
+//! ([`VmScratch`]) the case before it left on the same thread, and must
+//! match a fresh VM's run exactly: a scratch carries capacity, never
+//! state, whichever way the run before it ended.
+//!
 //! On a mismatch the failure message embeds the pretty-printed program,
 //! so the offending case round-trips into a reproducible unit test.
 
@@ -12,7 +17,7 @@ use antarex_ir::interp::{ExecEnv, HostFn, Interp};
 use antarex_ir::printer::print_program;
 use antarex_ir::value::Value;
 use antarex_ir::{analysis, parse_program, IrError, Program};
-use antarex_vm::{lower_function, CodeKey, Vm};
+use antarex_vm::{lower_function, CodeKey, Vm, VmScratch};
 use antarex_weaver::transform::dce::dce_fixpoint;
 use antarex_weaver::transform::fold::fold_block;
 use antarex_weaver::transform::inline::inline_calls;
@@ -364,6 +369,138 @@ fn assert_engines_agree_under(
         itrace, vtrace,
         "[{context}] host-call traces diverge\n--- program ---\n{source}"
     );
+    assert_a_handed_on_scratch_changes_nothing(program, args, budget, context);
+}
+
+thread_local! {
+    /// The working memory the last case's VM on this thread left.
+    static LEFT: RefCell<VmScratch> = RefCell::default();
+}
+
+/// One [`Vm::run_segment`] of `kernel` on a VM given `scratch`: the
+/// outcome (value, stats and handed-back arguments, or the error) and
+/// host-call trace rendered with `{:?}` — so floats compare by their
+/// digits, `NaN` and `-0.0` included — and the scratch the VM leaves.
+fn run_segment_on(
+    program: &Program,
+    args: &[Value],
+    budget: Option<u64>,
+    scratch: VmScratch,
+) -> (String, VmScratch) {
+    let trace: Trace = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&trace);
+    let mut vm = Vm::new(program.clone()).with_scratch(scratch);
+    vm.register_host(
+        "probe",
+        Box::new(move |args: &[Value]| {
+            sink.borrow_mut().push(args.to_vec());
+            Ok(Value::Unit)
+        }),
+    );
+    vm.set_budget(budget);
+    let outcome = vm.run_segment("kernel", args.to_vec());
+    let rendered = format!("{outcome:?} {:?}", trace.take());
+    (rendered, vm.into_scratch())
+}
+
+/// Runs the case on a fresh VM and on one given the scratch the previous
+/// case left, which it then leaves for the next.
+fn assert_a_handed_on_scratch_changes_nothing(
+    program: &Program,
+    args: &[Value],
+    budget: Option<u64>,
+    context: &str,
+) {
+    let (fresh, _) = run_segment_on(program, args, budget, VmScratch::default());
+    let (reused, left) = run_segment_on(program, args, budget, LEFT.take());
+    LEFT.set(left);
+    assert_eq!(
+        fresh,
+        reused,
+        "[{context}] a handed-on scratch changed the run\n--- program ---\n{}",
+        print_program(program)
+    );
+}
+
+/// Runs that end every way a run can — a runaway recursion past the
+/// call-depth limit (leaving a full frame pool), a nested call with the
+/// wrong number of arguments, an array argument that is not one, an
+/// index out of bounds inside a reduced-precision window (leaving a
+/// saved context on the precision stack), a budget exhausted at every
+/// checkpoint of a narrow loop — each followed by a run that succeeds,
+/// so every ending hands its scratch to the next case.
+#[test]
+fn a_scratch_left_by_any_ending_changes_nothing() {
+    let ok = "double kernel(double a[], double b[], int n) {
+                  float9 s = 0.0;
+                  for (int i = 0; i < n; i++) { s += a[i] * b[i]; probe(\"s\", s); }
+                  return s;
+              }";
+    let runaway = "double r(double x) { return r(x + 1.0); }
+                   double kernel(double a[], double b[], int n) { return r(a[0]); }";
+    let arity = "double h(double x) { return x; }
+                 double kernel(double a[], double b[], int n) {
+                     double t = h(a[0]);
+                     return t + h(a[1], b[1]);
+                 }";
+    let window = "double kernel(double a[], double b[], int n) {
+                      float9 s = 0.0;
+                      for (int i = 0; i < n; i++) { float5 t = a[i] * b[i + 1]; s += t; }
+                      return s;
+                  }";
+    let narrow = "double kernel(double a[], double b[], int n) {
+                      float11 s = 0.0;
+                      for (int i = 0; i < n; i++) { float7 t = a[i] * b[i] + 0.5; s += t * t; }
+                      return s;
+                  }";
+    let args = kernel_args(3);
+    let scalar_a = vec![Value::Float(1.0), args[1].clone(), Value::Int(8)];
+    // (case, program, arguments, how the run ends)
+    let cases: Vec<(&str, &str, Vec<Value>, &str)> = vec![
+        ("ok", ok, args.clone(), "Ok("),
+        ("runaway", runaway, args.clone(), "call depth exceeded"),
+        ("ok after call depth", ok, args.clone(), "Ok("),
+        (
+            "nested arity",
+            arity,
+            args.clone(),
+            "expects 1 arguments, got 2",
+        ),
+        ("ok after arity error", ok, args.clone(), "Ok("),
+        ("scalar for an array", ok, scalar_a, "expects an array"),
+        ("ok after a binding error", ok, args.clone(), "Ok("),
+        ("bounds in a window", window, args.clone(), "out of bounds"),
+        ("ok after a window error", ok, args.clone(), "Ok("),
+    ];
+    for (context, source, args, ends) in cases {
+        let program = parse_program(source).unwrap();
+        let (outcome, _) = run_segment_on(&program, &args, BUDGET, VmScratch::default());
+        assert!(outcome.contains(ends), "[{context}] ended {outcome}");
+        assert_engines_agree(&program, &args, context);
+    }
+    let (_, left) = run_segment_on(
+        &parse_program(window).unwrap(),
+        &args,
+        BUDGET,
+        VmScratch::default(),
+    );
+    assert!(
+        !format!("{left:?}").contains("prec_stack: []"),
+        "the window's error leaves its saved context: {left:?}"
+    );
+    // exhaust the budget at every checkpoint of a narrow loop, each
+    // abort followed by a full run on the scratch it left
+    let program = parse_program(narrow).unwrap();
+    for budget in 0..=120 {
+        let context = format!("narrow budget {budget}");
+        let (outcome, _) = run_segment_on(&program, &args, Some(budget), VmScratch::default());
+        assert!(
+            outcome.starts_with("Err(BudgetExceeded"),
+            "[{context}] ended {outcome}"
+        );
+        assert_engines_agree_under(&program, &args, &context, Some(budget));
+        assert_engines_agree(&program, &args, &format!("ok after {context}"));
+    }
 }
 
 fn kernel_args(seed: u64) -> Vec<Value> {
