@@ -8,6 +8,10 @@
 //! `serve_batch` (`serve/cache_hit`). `pool/dispatch` times what the
 //! evaluation pool adds around its probes: a batch of 64 trivial probes
 //! through `EvalPool::evaluate_batch_on` at 1, 2 and 4 workers.
+//!
+//! `kb_select_2048`, `kb_learn_2048` and `cache_probe` are the only home
+//! of the select, learn and cache-probe timings: `BENCH_tuner.json`
+//! holds virtual makespans only.
 
 use antarex_obs::TraceCtx;
 use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};

@@ -2,11 +2,13 @@
 //! (experiment V1 mechanisms).
 //!
 //! Times one metered probe per iteration on each engine for the
-//! canonical kernel suite, the lowering step the instrumented-code
-//! cache amortizes, and the serving tier's precision probe on fresh
-//! data. The `BENCH_vm.json` gate numbers come from
-//! `experiments --bench vm`; this bench exists for profiling dispatch-level
-//! regressions with criterion's statistics.
+//! canonical kernel suite (`probe`), the lowering step the
+//! instrumented-code cache amortizes (`lower`), and the serving tier's
+//! precision probe on fresh data (`probe/kernel_evaluator`). These groups
+//! are the only home of the per-kernel probe and lowering times:
+//! `experiments --bench vm` judges the interpreter-vs-VM geomean against
+//! its 10x bound and prints it, but writes no timing into
+//! `BENCH_vm.json`.
 
 use antarex_bench::vm_exp::kernel_suite;
 use antarex_ir::cost::CostModel;

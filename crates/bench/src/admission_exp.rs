@@ -25,9 +25,9 @@
 //!    byte against an uninterrupted run.
 //!
 //! Everything is virtual-time and seeded, so the whole report is
-//! reproducible byte for byte — the CI determinism smoke diffs two runs.
+//! reproducible byte for byte — CI compares it with its committed golden.
 
-use crate::{crash_recovery_map, fixed, list, physical_cores, timed, BenchFile, Map};
+use crate::{crash_recovery_map, fixed, list, BenchFile, Map};
 use antarex_serve::chaos::ChaosConfig;
 use antarex_serve::driver::{Batching, BurstProfile, Campaign, Cohort, CrashDrill};
 use antarex_serve::nav::NavEvaluator;
@@ -455,9 +455,9 @@ pub(crate) fn ad1_admission_control() -> String {
 pub(crate) fn ad1_bench() -> BenchFile {
     let seed = 42;
     let scale = AdmissionScale::full();
-    let (rows, campaign_s) = timed(|| overload_campaign(seed, &scale));
-    let (invariance, invariance_s) = timed(|| worker_invariance(seed, &scale));
-    let (recovery, recovery_s) = timed(|| crash_recovery_drill(seed, &scale));
+    let rows = overload_campaign(seed, &scale);
+    let invariance = worker_invariance(seed, &scale);
+    let recovery = crash_recovery_drill(seed, &scale);
 
     let (uncontended, open_door, controlled) = (&rows[0], &rows[1], &rows[2]);
     let reference = uncontended.wb.goodput();
@@ -517,14 +517,7 @@ pub(crate) fn ad1_bench() -> BenchFile {
                 "outcomes {identical_outcomes} / state {identical_state}";
             "crash_recovery_bit_identical": recovery.bit_identical, "{}", recovery.bit_identical;
         },
-        wall: map! {
-            "physical_cores": physical_cores(),
-            "wall_clock_s": map! {
-                "overload_campaign": fixed(campaign_s, 3),
-                "worker_invariance": fixed(invariance_s, 3),
-                "recovery_drill": fixed(recovery_s, 3),
-            },
-        },
+        host_clock: Vec::new(),
     }
 }
 

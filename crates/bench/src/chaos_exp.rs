@@ -21,9 +21,9 @@
 //!    of the same seed.
 //!
 //! Everything is virtual-time and seeded, so the whole report is
-//! reproducible byte for byte — the CI determinism smoke diffs two runs.
+//! reproducible byte for byte — CI compares it with its committed golden.
 
-use crate::{crash_recovery_map, fixed, physical_cores, timed, BenchFile, Map};
+use crate::{crash_recovery_map, fixed, BenchFile, Map};
 use antarex_serve::chaos::ChaosConfig;
 use antarex_serve::driver::{Batching, Campaign, Cohort, CrashDrill, DriveStats};
 use antarex_serve::nav::NavEvaluator;
@@ -321,9 +321,9 @@ pub(crate) fn r2_chaos_hardening() -> String {
 pub(crate) fn r2_bench() -> BenchFile {
     let seed = 42;
     let scale = ChaosScale::full();
-    let (rows, goodput_s) = timed(|| goodput_campaign(seed, &scale));
-    let (containment, containment_s) = timed(|| poisoned_tenant_containment(seed, &scale));
-    let (recovery, recovery_s) = timed(|| crash_recovery_drill(seed, &scale));
+    let rows = goodput_campaign(seed, &scale);
+    let containment = poisoned_tenant_containment(seed, &scale);
+    let recovery = crash_recovery_drill(seed, &scale);
 
     let baseline = rows[0].stats.goodput();
     let outcome = |stats: &DriveStats| {
@@ -363,14 +363,7 @@ pub(crate) fn r2_bench() -> BenchFile {
             "crash_recovery": crash_recovery_map(&recovery),
         },
         gates: Vec::new(),
-        wall: map! {
-            "physical_cores": physical_cores(),
-            "wall_clock_s": map! {
-                "goodput_campaign": fixed(goodput_s, 3),
-                "containment": fixed(containment_s, 3),
-                "recovery_drill": fixed(recovery_s, 3),
-            },
-        },
+        host_clock: Vec::new(),
     }
 }
 

@@ -19,7 +19,7 @@
 //!   run at 1/2/4/8 *physical* workers with virtual capacity pinned —
 //!   the full response/state digest must be byte-identical.
 
-use crate::{fixed, hex, list, physical_cores, timed, BenchFile, Digest, Map};
+use crate::{fixed, hex, list, BenchFile, Digest, Map};
 use antarex_serve::docking::TenantMux;
 use antarex_serve::driver::{self, Batching, Campaign, Cohort, DriverConfig};
 use antarex_serve::service::FrontDoorConfig;
@@ -335,12 +335,12 @@ pub(crate) fn d1_docking_scale() -> String {
 /// control, the mixed campaign's digests, and the scheduler's gates.
 pub(crate) fn d1_bench() -> BenchFile {
     let scale = DockingScale::million();
-    let (imbalanced, library_s) = timed(|| scaffold_sorted_library(&scale));
+    let imbalanced = scaffold_sorted_library(&scale);
     let total_work: f64 = imbalanced.costs.iter().sum();
-    let (grid, grid_s) = timed(|| schedule_grid(&imbalanced, &[1, 2, 4, 8]));
-    let (uniform_grid, uniform_s) = timed(|| schedule_grid(&uniform_library(&scale), &[8]));
+    let grid = schedule_grid(&imbalanced, &[1, 2, 4, 8]);
+    let uniform_grid = schedule_grid(&uniform_library(&scale), &[8]);
     let counts = [1usize, 2, 4, 8];
-    let ((digests, identical), campaign_s) = timed(|| campaign_invariance(scale.seed, &counts));
+    let (digests, identical) = campaign_invariance(scale.seed, &counts);
 
     let cell = |row: &GridRow| {
         map! {
@@ -388,15 +388,7 @@ pub(crate) fn d1_bench() -> BenchFile {
             "stealing_actually_fired": steals > 0, "{steals} steal transactions at 8 cores";
             "physical_worker_invariance": identical, "campaign digests identical at {counts:?}";
         },
-        wall: map! {
-            "physical_cores": physical_cores(),
-            "wall_clock_s": map! {
-                "library": fixed(library_s, 3),
-                "schedule_grid": fixed(grid_s, 3),
-                "uniform_control": fixed(uniform_s, 3),
-                "mixed_campaign": fixed(campaign_s, 3),
-            },
-        },
+        host_clock: Vec::new(),
     }
 }
 

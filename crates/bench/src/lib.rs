@@ -7,12 +7,19 @@
 //! the criterion benches time the underlying mechanisms.
 //!
 //! Nine experiments also run a full-scale campaign as a [`BenchFile`]:
-//! named deterministic fields, acceptance gates, and a separate `wall`
-//! map for every wall-clock or host-derived number.
-//! `experiments --bench <id>...|all` writes each as `BENCH_<id>.json`
-//! ([`BENCHES`] lists the ids), exits nonzero when a gate fails, and with
-//! `all` rewrites README's gate table ([`gate_table`]) from the same
-//! values.
+//! named deterministic fields and acceptance gates, a function of the
+//! seed alone. `experiments --bench <id>...|all` writes each as
+//! `BENCH_<id>.json` ([`BENCHES`] lists the ids), exits nonzero when a
+//! gate fails, and with `all` rewrites README's gate table
+//! ([`gate_table`]) from the same values. The committed files are
+//! goldens: a run whose gates pass reproduces them byte for byte. Four
+//! gates judge the host's clock against constant bounds; the values
+//! they judged are printed, never written ([`BenchFile::summary`]).
+//! Every other host timing lives in a `cargo bench` group or an `e2e`
+//! per-layer row.
+//!
+//! Each experiment's report is a golden too: `crates/bench/reports/<id>.txt`
+//! holds the output of `experiments --only <id>`.
 //!
 //! Experiment index (see DESIGN.md §4 and EXPERIMENTS.md):
 //!
@@ -118,13 +125,6 @@ impl Digest {
     }
 }
 
-/// Runs `f`; returns its value and the wall-clock seconds it took.
-pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed().as_secs_f64())
-}
-
 /// ns/op of `op` over `iters` iterations.
 pub(crate) fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -132,13 +132,6 @@ pub(crate) fn ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
         op();
     }
     start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// The host's hardware threads: the `"physical_cores"` of a gate file.
-pub(crate) fn physical_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// One value of a gate file. A scalar carries its rendered text, so each
@@ -270,16 +263,17 @@ pub(crate) struct Gate {
 }
 
 /// One gate file, `BENCH_<id>.json`, as a value: a title, named
-/// deterministic fields, gates, and a `wall` map holding every
-/// wall-clock or host-derived number. Everything outside `wall` is a
-/// function of the seed, so two runs on one host differ only on the
-/// `"wall"` line that [`BenchFile::render`] writes.
+/// deterministic fields and gates, plus the host-clock values its
+/// timing gates judged. [`BenchFile::render`] writes everything but
+/// those values, so a file whose gates pass depends on the seed alone.
 #[derive(Debug, Clone)]
 pub struct BenchFile {
     pub(crate) title: &'static str,
     pub(crate) fields: Map,
     pub(crate) gates: Vec<Gate>,
-    pub(crate) wall: Map,
+    /// `(name, value)` of each host-clock measurement a gate judged:
+    /// printed by `experiments --bench`, never rendered into the file.
+    pub(crate) host_clock: Vec<(&'static str, f64)>,
 }
 
 impl BenchFile {
@@ -295,9 +289,20 @@ impl BenchFile {
         failed.map(|gate| gate.name).collect()
     }
 
-    /// The JSON text: the title as `"benchmark"`, the fields, one line
-    /// per gate (the object is omitted when there is none), and `"wall"`
-    /// on the last line.
+    /// `<passed>/<total> gates pass`, then the host-clock values the
+    /// gates judged, one decimal each.
+    pub fn summary(&self) -> String {
+        let (passed, total) = self.tally();
+        let mut out = format!("{passed}/{total} gates pass");
+        for (i, (name, value)) in self.host_clock.iter().enumerate() {
+            out.push_str(if i == 0 { "; host clock: " } else { ", " });
+            out.push_str(&format!("{name} {value:.1}"));
+        }
+        out
+    }
+
+    /// The JSON text: the title as `"benchmark"`, the fields, and one
+    /// line per gate (the object is omitted when there is none).
     pub fn render(&self) -> String {
         let mut out = format!("{{\n  \"benchmark\": {:?}", self.title);
         for (key, value) in &self.fields.0 {
@@ -317,8 +322,6 @@ impl BenchFile {
             }
             out.push_str("\n  }");
         }
-        out.push_str(",\n  \"wall\": ");
-        self.wall.render(None, &mut out);
         out.push_str("\n}\n");
         out
     }
@@ -697,7 +700,7 @@ mod tests {
                 "rows": list([map! { "name": "a", "x": 1u64 }]),
             },
             gates,
-            wall: map! { "physical_cores": 2usize, "wall_clock_s": map! { "run": fixed(1.25, 3) } },
+            host_clock: vec![("hot_path_event_ns", 19.04), ("span_record_ns", 49.1)],
         }
     }
 
@@ -721,11 +724,40 @@ mod tests {
   "gates": {
     "within_budget": { "pass": true, "detail": "<= 25.0 ns" },
     "worker_invariant": { "pass": false, "detail": "digests differ" }
-  },
-  "wall": {"physical_cores": 2, "wall_clock_s": {"run": 1.250}}
+  }
 }
 "#;
         assert_eq!(file.render(), golden);
+        assert_eq!(
+            file.summary(),
+            "1/2 gates pass; host clock: hot_path_event_ns 19.0, span_record_ns 49.1"
+        );
+    }
+
+    #[test]
+    fn host_clock_values_never_reach_the_file() {
+        let gates = || gates! { "within_budget": true, "<= {:.1} ns", 25.0; };
+        let (fast, mut slow) = (sample(gates()), sample(gates()));
+        slow.host_clock = vec![("hot_path_event_ns", 24.9)];
+        assert_eq!(fast.render(), slow.render());
+        assert_ne!(fast.summary(), slow.summary());
+    }
+
+    #[test]
+    fn every_experiment_has_exactly_one_report_golden() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/reports");
+        let mut goldens: Vec<String> = std::fs::read_dir(dir)
+            .expect("the report goldens directory")
+            .map(|entry| entry.expect("a directory entry").file_name())
+            .map(|name| name.to_string_lossy().into_owned())
+            .collect();
+        goldens.sort();
+        let mut ids: Vec<String> = all_experiments()
+            .iter()
+            .map(|experiment| format!("{}.txt", experiment.id))
+            .collect();
+        ids.sort();
+        assert_eq!(goldens, ids);
     }
 
     #[test]

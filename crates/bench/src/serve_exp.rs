@@ -20,7 +20,7 @@
 //! Everything is seeded: the same seed reproduces the identical report,
 //! byte for byte (the determinism test relies on it).
 
-use crate::{fixed, physical_cores, timed, BenchFile};
+use crate::{fixed, BenchFile};
 use antarex_serve::driver::{Batching, Campaign, Cohort, DriveStats};
 use antarex_serve::nav::NavEvaluator;
 use antarex_serve::TuningRequest;
@@ -251,8 +251,8 @@ pub(crate) fn s1_bench() -> BenchFile {
     let seed = 42;
     let scale = ServeScale::full();
     let tenants = 64;
-    let (one, one_s) = timed(|| scaling_row(seed, &scale, tenants, 1));
-    let (four, four_s) = timed(|| scaling_row(seed, &scale, tenants, 4));
+    let one = scaling_row(seed, &scale, tenants, 1);
+    let four = scaling_row(seed, &scale, tenants, 4);
     let batch = batched_evaluation(seed, scale.batch_tenants, 4);
 
     BenchFile {
@@ -276,11 +276,7 @@ pub(crate) fn s1_bench() -> BenchFile {
             },
         },
         gates: Vec::new(),
-        wall: map! {
-            "physical_cores": physical_cores(),
-            "wall_s_1_worker": fixed(one_s, 3),
-            "wall_s_4_workers": fixed(four_s, 3),
-        },
+        host_clock: Vec::new(),
     }
 }
 

@@ -24,11 +24,12 @@
 //!
 //! Nothing in the report depends on wall clocks, thread interleaving,
 //! or symbol-interning order, so two runs print identical bytes — CI
-//! diffs them. Wall-clock throughput lives in the `wall` map of
-//! `BENCH_tuner.json` ([`p1_bench`]).
+//! compares the report with its committed golden. The wall-clock cost of
+//! select, learn and a cache probe is timed by `cargo bench --bench
+//! hotpath` (groups `kb_select_2048`, `kb_learn_2048`, `cache_probe`).
 
-use crate::{fixed, list, ns_per_op, physical_cores, timed, BenchFile, Map};
-use antarex_serve::cache::{DesignKey, DesignPointCache, Metrics, ReferenceKey};
+use crate::{fixed, list, BenchFile, Map};
+use antarex_serve::cache::{DesignKey, ReferenceKey};
 use antarex_serve::probe_seed;
 use antarex_sim::sched::list_schedule;
 use antarex_tuner::dse::{explore_parallel, DseReport};
@@ -44,7 +45,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::hint::black_box;
 
 /// Size of one P1 run.
 #[derive(Debug, Clone, Copy)]
@@ -402,80 +402,11 @@ pub(crate) fn p1_hot_path_report() -> String {
     p1_hot_path(424242, &HotPathScale::full())
 }
 
-/// The `i`-th configuration of the wall-clock micro-loops.
-fn indexed_config(i: u64) -> Configuration {
-    let mut c = Configuration::new();
-    c.set("unroll", KnobValue::Int((i % 32) as i64));
-    c.set("block", KnobValue::Int((i / 32 % 32) as i64));
-    c.set("threads", KnobValue::Int((i / 1024 % 8) as i64));
-    c
-}
-
 /// `BENCH_tuner.json`: the DSE grid's virtual makespans and its
-/// worker-invariance gate; the select, learn and cache-probe micro-loops
-/// go to `wall`.
+/// worker-invariance gate.
 pub(crate) fn p1_bench() -> BenchFile {
-    let mut rng = StdRng::seed_from_u64(7);
-    let kb: KnowledgeBase = (0..2048)
-        .map(|i| {
-            OperatingPoint::new(
-                indexed_config(i),
-                [
-                    ("time".to_string(), rng.gen::<f64>() * 10.0),
-                    ("energy".to_string(), rng.gen::<f64>() * 100.0),
-                    ("quality".to_string(), rng.gen::<f64>()),
-                ],
-            )
-        })
-        .collect();
-    let objective = Objective::minimize("time");
-    let constraints = [
-        Constraint::at_most("energy", 60.0),
-        Constraint::at_least("quality", 0.2),
-    ];
-
-    // select micro-loop: indexed probe vs retained linear scan
-    let select_indexed_ns = ns_per_op(20_000, || {
-        black_box(kb.best(black_box(&objective), black_box(&constraints)));
-    });
-    let select_linear_ns = ns_per_op(2_000, || {
-        black_box(kb.best_linear(black_box(&objective), black_box(&constraints)));
-    });
-
-    // learn micro-loop: steady-state online update on the indexed base
-    let mut learner = kb.clone();
-    let mut i = 0u64;
-    let learn_ns = ns_per_op(20_000, || {
-        i = i.wrapping_add(997);
-        let point = OperatingPoint::new(indexed_config(i % 2048), [("time".to_string(), 1.0)]);
-        learner.learn(point, 0.2);
-    });
-
-    // cache probes: structural key vs retained string-keyed reference
-    let cache = DesignPointCache::new(8);
-    let metrics: Metrics = [("time".to_string(), 1.0)].into_iter().collect();
-    let mut reference: BTreeMap<ReferenceKey, Metrics> = BTreeMap::new();
-    for j in 0..256u64 {
-        cache.insert(DesignKey::new(&indexed_config(j), &[1.0]), metrics.clone());
-        reference.insert(
-            ReferenceKey::new(&indexed_config(j), &[1.0]),
-            metrics.clone(),
-        );
-    }
-    let mut k = 0u64;
-    let cache_hit_ns = ns_per_op(50_000, || {
-        k = k.wrapping_add(1);
-        black_box(cache.get(&DesignKey::new(&indexed_config(k % 256), &[1.0])));
-    });
-    let mut k = 0u64;
-    let cache_ref_ns = ns_per_op(50_000, || {
-        k = k.wrapping_add(1);
-        black_box(reference.get(&ReferenceKey::new(&indexed_config(k % 256), &[1.0])));
-    });
-
-    // parallel DSE: deterministic virtual speedups + wall clock
     let scale = HotPathScale::full();
-    let (grid, dse_s) = timed(|| dse_grid(424244, scale.dse_budget));
+    let grid = dse_grid(424244, scale.dse_budget);
     let diverged: Vec<&str> = grid
         .iter()
         .filter(|row| !row.invariant)
@@ -507,21 +438,7 @@ pub(crate) fn p1_bench() -> BenchFile {
         gates: gates! {
             "dse_worker_invariance": diverged.is_empty(), "{detail}";
         },
-        wall: map! {
-            "physical_cores": physical_cores(),
-            "select_2048_points": map! {
-                "indexed_ns_per_op": fixed(select_indexed_ns, 0),
-                "linear_reference_ns_per_op": fixed(select_linear_ns, 0),
-                "speedup": fixed(select_linear_ns / select_indexed_ns, 1),
-            },
-            "learn_2048_points": map! { "ns_per_op": fixed(learn_ns, 0) },
-            "cache_probe_hit": map! {
-                "structural_ns_per_op": fixed(cache_hit_ns, 0),
-                "string_reference_ns_per_op": fixed(cache_ref_ns, 0),
-                "speedup": fixed(cache_ref_ns / cache_hit_ns, 1),
-            },
-            "grid_wall_s": fixed(dse_s, 3),
-        },
+        host_clock: Vec::new(),
     }
 }
 

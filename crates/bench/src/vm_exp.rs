@@ -4,9 +4,8 @@
 //! thousands of times per tuning session; `antarex-vm` lowers each
 //! kernel once to metered bytecode and replays it from a weave-time
 //! [`InstrumentedCodeCache`]. This experiment proves the two properties
-//! the redesign rests on, with **no wall-clock numbers** (CI runs the
-//! report twice and diffs it byte-for-byte; timings live in the `wall`
-//! map of `BENCH_vm.json`):
+//! the redesign rests on, with **no wall-clock numbers** (CI compares
+//! the report with its committed golden byte for byte):
 //!
 //! 1. **bit-identity** — over the canonical kernel suite, its woven
 //!    variants, and a precision sweep, the VM reproduces the reference
@@ -15,8 +14,15 @@
 //! 2. **sharing** — the instrumented-code cache turns serving-tier
 //!    replay into cache hits: a `(program digest, metering params)`
 //!    pair lowers once across tenants, rungs and rounds.
+//!
+//! `BENCH_vm.json` (`v1_bench`) gates the VM's probe-throughput
+//! geomean over the interpreter on the host clock and prints the value
+//! it judged; it writes only the code-cache counts. Per-kernel probe and
+//! lowering times, and whole `KernelEvaluator` probes, are timed by
+//! `cargo bench --bench vm_dispatch` (groups `probe`, `lower` and
+//! `probe/kernel_evaluator`).
 
-use crate::{fixed, list, ns_per_op, physical_cores, timed, BenchFile};
+use crate::{fixed, ns_per_op, BenchFile};
 use antarex_core::scenario::{
     DOT_KERNEL, DYNAMIC_KERNEL, MATVEC_KERNEL, STENCIL_KERNEL, SUMSQ_KERNEL,
 };
@@ -28,7 +34,7 @@ use antarex_precision::vars::{float_vars, set_precision};
 use antarex_serve::kernel::KernelEvaluator;
 use antarex_serve::Evaluator;
 use antarex_tuner::{Configuration, KnobValue};
-use antarex_vm::{lower_function, lower_program, InstrumentedCodeCache, Vm};
+use antarex_vm::{lower_function, InstrumentedCodeCache, Vm};
 use antarex_weaver::transform::unroll::unroll_by_factor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -301,10 +307,9 @@ fn min_ns_per_op(windows: u32, iters: u64, mut op: impl FnMut()) -> f64 {
 }
 
 /// `BENCH_vm.json`: the serving-tier replay's code-cache counts and the
-/// VM's gates; probe and lowering times per kernel go to `wall`.
+/// VM's gates; the probe-speedup geomean the first gate judged is
+/// printed, not written.
 pub(crate) fn v1_bench() -> BenchFile {
-    let model = CostModel::new();
-    let mut kernels = Vec::new();
     let mut log_speedup_sum = 0.0;
     let suite = kernel_suite();
     for case in &suite {
@@ -328,26 +333,12 @@ pub(crate) fn v1_bench() -> BenchFile {
             let mut env = ExecEnv::new();
             black_box(vm.call(case.function, black_box(&case.args), &mut env)).unwrap();
         });
-
-        let lower_ns = min_ns_per_op(3, 2000, || {
-            black_box(lower_program(black_box(&program), black_box(&model)));
-        });
-
-        let speedup = interp_ns / vm_ns;
-        log_speedup_sum += speedup.ln();
-        kernels.push(map! {
-            "kernel": case.name,
-            "interp_ns_per_probe": fixed(interp_ns, 0),
-            "vm_ns_per_probe": fixed(vm_ns, 0),
-            "speedup": fixed(speedup, 1),
-            "lowering_ns": fixed(lower_ns, 0),
-        });
+        log_speedup_sum += (interp_ns / vm_ns).ln();
     }
     let geomean_speedup = (log_speedup_sum / suite.len() as f64).exp();
 
     let evaluator = KernelEvaluator::fma();
-    let ((), replay_s) = timed(|| replay_probes(&evaluator));
-    let replay_ns = replay_s * 1e9 / 100.0;
+    replay_probes(&evaluator);
     let cache = evaluator.cache();
     let hit_rate = cache.hit_rate();
 
@@ -364,12 +355,7 @@ pub(crate) fn v1_bench() -> BenchFile {
             "probe_speedup": geomean_speedup >= 10.0, "geomean >= 10x";
             "replay_hit_rate": hit_rate >= 0.95, "{:.1}% >= 95%", hit_rate * 100.0;
         },
-        wall: map! {
-            "physical_cores": physical_cores(),
-            "kernels": list(kernels),
-            "probe_speedup_geomean": fixed(geomean_speedup, 1),
-            "replay_ns_per_probe": fixed(replay_ns, 0),
-        },
+        host_clock: vec![("probe_speedup_geomean", geomean_speedup)],
     }
 }
 
