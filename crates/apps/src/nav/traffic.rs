@@ -80,30 +80,34 @@ impl TrafficModel {
             .filter(move |incident| (incident.start_s..incident.end_s).contains(&time_of_day_s))
     }
 
-    /// Congested travel time of every edge of `network` at a time of day,
-    /// indexed by flat edge id: the free-flow time scaled by the edge's
-    /// multiplier, which is its class [`profile`](Self::profile) times
-    /// the severity of each active incident on the edge, applied in list
-    /// order. An incident naming an edge the network lacks slows nothing.
-    pub(crate) fn edge_costs(&self, network: &RoadNetwork, time_of_day_s: f64) -> Vec<f64> {
+    /// Fills `costs` with the congested travel time of every edge of
+    /// `network` at a time of day, indexed by flat edge id: the free-flow
+    /// time scaled by the edge's multiplier, which is its class
+    /// [`profile`](Self::profile) times the severity of each active
+    /// incident on the edge, applied in list order. An incident naming an
+    /// edge the network lacks slows nothing.
+    pub(crate) fn edge_costs(
+        &self,
+        network: &RoadNetwork,
+        time_of_day_s: f64,
+        costs: &mut Vec<f64>,
+    ) {
         let class = [
             self.profile(false, time_of_day_s),
             self.profile(true, time_of_day_s),
         ];
         let edges = network.all_edges();
-        let mut multiplier: Vec<f64> = edges
-            .iter()
-            .map(|edge| class[usize::from(edge.highway)])
-            .collect();
+        // the multipliers first, scaled to costs once they are complete
+        costs.clear();
+        costs.extend(edges.iter().map(|edge| class[usize::from(edge.highway)]));
         for incident in self.incidents_at(time_of_day_s) {
             if let Some(id) = network.edge_id(incident.from, incident.edge_index) {
-                multiplier[id] *= incident.severity;
+                costs[id] *= incident.severity;
             }
         }
-        for (m, edge) in multiplier.iter_mut().zip(edges) {
+        for (m, edge) in costs.iter_mut().zip(edges) {
             *m *= edge.base_time_s;
         }
-        multiplier
     }
 }
 
@@ -153,9 +157,13 @@ mod tests {
         };
         let free = |id: usize| network.all_edges()[id].base_time_s;
         let hit = network.edge_id(5, 1).unwrap();
-        let during = traffic.edge_costs(&network, 150.0);
+        let mut during = Vec::new();
+        traffic.edge_costs(&network, 150.0, &mut during);
         assert_eq!(during[hit], free(hit) * (3.0 * 2.0));
-        let after = traffic.edge_costs(&network, 250.0);
+        // a reused buffer holds the new time's costs only
+        let mut after = during.clone();
+        traffic.edge_costs(&network, 250.0, &mut after);
+        assert_eq!(after.len(), during.len());
         assert_eq!(after[hit], free(hit));
         for id in (0..during.len()).filter(|&id| id != hit) {
             assert_eq!(during[id], free(id), "other edges clear");

@@ -1,11 +1,16 @@
 //! Criterion: use-case application kernels (experiments U1/U2 mechanism
-//! costs).
+//! costs), and the serving tier's navigation probe at the knob settings
+//! the overload-chaos campaign probes (`nav_probe`).
 
 use antarex_apps::docking::{dock_ligand, generate_library, generate_pocket};
 use antarex_apps::nav::{alternative_routes, shortest_path, RoadNetwork, TrafficModel};
 use antarex_rtrm::dispatch::{run_task_pool, DispatchStrategy};
+use antarex_serve::driver::archetype_features;
+use antarex_serve::nav::NavEvaluator;
+use antarex_serve::Evaluator;
 use antarex_sim::node::{Node, NodeSpec};
 use antarex_sim::workload::docking_tasks;
+use antarex_tuner::{Configuration, KnobValue};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,5 +78,42 @@ fn bench_routing(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_docking, bench_dispatch, bench_routing);
+/// One `NavEvaluator` probe per iteration at `alternatives` = 2 and 4,
+/// the two settings `serve_overload_chaos` probes. The features rotate
+/// over 64 design points (the first sixteen archetypes, each at four
+/// minute offsets), so each probe plans its own origin–destination
+/// pairs, as the campaign's fresh-feature tenants do.
+fn bench_nav_probe(c: &mut Criterion) {
+    let evaluator = NavEvaluator::city(2016);
+    let features: Vec<Vec<f64>> = (0..64)
+        .map(|i| {
+            let mut f = archetype_features(i % 16);
+            f[0] += 60.0 * (i / 16) as f64;
+            f
+        })
+        .collect();
+    let mut group = c.benchmark_group("nav_probe");
+    for k in [2i64, 4] {
+        let mut config = Configuration::new();
+        config.set("alternatives", KnobValue::Int(k));
+        // warm up: the planner memory the evaluator keeps across probes
+        evaluator.evaluate(&config, &features[0]);
+        let mut point = 0;
+        group.bench_with_input(BenchmarkId::new("k", k), &config, |b, config| {
+            b.iter(|| {
+                point = (point + 1) % features.len();
+                black_box(evaluator.evaluate(config, black_box(&features[point])))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_docking,
+    bench_dispatch,
+    bench_routing,
+    bench_nav_probe
+);
 criterion_main!(benches);

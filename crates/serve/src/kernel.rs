@@ -39,6 +39,7 @@
 use crate::cache::probe_seed;
 use crate::pool::Evaluation;
 use crate::service::{Evaluator, ProbeSegment};
+use crate::FreeList;
 use antarex_ir::cost::CostModel;
 use antarex_ir::cost::ExecStats;
 use antarex_ir::value::Value;
@@ -50,7 +51,7 @@ use antarex_tuner::{Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 use antarex_vm::{CodeKey, InstrumentedCodeCache, Vm, VmScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// The default probe kernel: a fused multiply-accumulate reduction with
 /// enough float locals for the precision knob to bite.
@@ -96,7 +97,7 @@ pub struct KernelEvaluator {
     cost_model: CostModel,
     cache: Arc<InstrumentedCodeCache>,
     /// The working memory of finished probes, for the next ones.
-    scratch: FreeList,
+    scratch: FreeList<ProbeScratch>,
     /// Abstract metered cost units per virtual second (probe
     /// throughput calibration).
     pub cost_per_second: f64,
@@ -143,35 +144,6 @@ impl ProbeScratch {
             *slot = Value::Array(items);
         }
         self.args[2] = Value::Int(n as i64);
-    }
-}
-
-/// The kept [`ProbeScratch`]es. A probe takes one, or starts an empty
-/// one, and gives it back when done, so the list never holds more
-/// entries than there were threads probing at once. A clone of the
-/// evaluator starts with an empty list: memory is never shared.
-#[derive(Default)]
-struct FreeList(Mutex<Vec<ProbeScratch>>);
-
-impl FreeList {
-    fn take(&self) -> ProbeScratch {
-        crate::lock_or_recover(&self.0).pop().unwrap_or_default()
-    }
-
-    fn give_back(&self, scratch: ProbeScratch) {
-        crate::lock_or_recover(&self.0).push(scratch);
-    }
-}
-
-impl Clone for FreeList {
-    fn clone(&self) -> Self {
-        FreeList::default()
-    }
-}
-
-impl std::fmt::Debug for FreeList {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FreeList").finish_non_exhaustive()
     }
 }
 

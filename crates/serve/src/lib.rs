@@ -105,3 +105,38 @@ pub(crate) fn lock_or_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::Mute
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// Working memory of finished probes, kept for the next ones. A probe
+/// takes an entry, or starts an empty one, and gives it back when done,
+/// so the list never holds more entries than there were threads probing
+/// at once. A clone of the list (and of the evaluator holding it)
+/// starts empty: memory is never shared.
+pub(crate) struct FreeList<T>(std::sync::Mutex<Vec<T>>);
+
+impl<T: Default> FreeList<T> {
+    pub(crate) fn take(&self) -> T {
+        lock_or_recover(&self.0).pop().unwrap_or_default()
+    }
+
+    pub(crate) fn give_back(&self, scratch: T) {
+        lock_or_recover(&self.0).push(scratch);
+    }
+}
+
+impl<T> Default for FreeList<T> {
+    fn default() -> Self {
+        FreeList(std::sync::Mutex::new(Vec::new()))
+    }
+}
+
+impl<T> Clone for FreeList<T> {
+    fn clone(&self) -> Self {
+        FreeList::default()
+    }
+}
+
+impl<T> std::fmt::Debug for FreeList<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FreeList").finish_non_exhaustive()
+    }
+}

@@ -7,11 +7,26 @@
 //! origin/destination draws from a seed mixed out of the design key
 //! itself, making it a pure function of (configuration, features) —
 //! the purity the pool and the cache demand.
+//!
+//! A probe plans its three pairs on one [`RoutePlanner`] at the
+//! probe's time of day, and asks each pair for
+//! [`alternatives`](RoutePlanner::alternatives): the route count,
+//! expansions and travel times it reports, with no route list built.
+//! The planner's working memory (the edge-cost table, penalty flags,
+//! search buffers and the distinct routes' nodes, one
+//! [`PlannerScratch`]) is kept on a free list from one probe to the
+//! next, one entry per thread that probed at once, as
+//! [`KernelEvaluator`](crate::kernel::KernelEvaluator) keeps the VM's.
+//! A warm probe therefore allocates only the evaluation it returns:
+//! three metric names, the map's node and its `Arc`. A route list that
+//! grows past every earlier probe's (more alternatives, longer routes)
+//! still grows the kept buffer once.
 
 use crate::cache::probe_seed;
 use crate::pool::Evaluation;
 use crate::service::Evaluator;
-use antarex_apps::nav::route::RoutePlanner;
+use crate::FreeList;
+use antarex_apps::nav::route::{PlannerScratch, RoutePlanner};
 use antarex_apps::nav::{RoadNetwork, TrafficModel};
 use antarex_tuner::Configuration;
 use rand::rngs::StdRng;
@@ -26,6 +41,8 @@ use rand::{Rng, SeedableRng};
 pub struct NavEvaluator {
     network: RoadNetwork,
     traffic: TrafficModel,
+    /// The planner memory of finished probes, for the next ones.
+    scratch: FreeList<PlannerScratch>,
     /// Node expansions per second per core (planner throughput); the
     /// same calibration as [`antarex_apps::nav::NavigationServer`].
     pub expansions_per_s: f64,
@@ -39,6 +56,7 @@ impl NavEvaluator {
         NavEvaluator {
             network,
             traffic,
+            scratch: FreeList::default(),
             expansions_per_s: 1500.0,
             watts_per_kexpansion: 0.4,
         }
@@ -70,22 +88,23 @@ impl Evaluator for NavEvaluator {
         let mut counted = 0;
         // one time of day, so one planner prices the network for all
         // three origin–destination pairs
-        let mut planner = RoutePlanner::new(&self.network, &self.traffic, time_of_day_s);
+        let mut planner = RoutePlanner::with_scratch(
+            &self.network,
+            &self.traffic,
+            time_of_day_s,
+            self.scratch.take(),
+        );
         for _ in 0..3 {
             let origin = rng.gen_range(0..n);
             let offset = rng.gen_range(1..reach);
             let destination = (origin + offset) % n;
-            let routes = planner.alternative_routes(origin, destination, alternatives);
-            expanded_total += routes.iter().map(|r| r.expanded).sum::<usize>();
-            if let Some(first) = routes.first() {
-                let best = routes
-                    .iter()
-                    .map(|r| r.travel_time_s)
-                    .fold(f64::INFINITY, f64::min);
-                gain += first.travel_time_s / best.max(1e-9);
+            if let Some(found) = planner.alternatives(origin, destination, alternatives) {
+                expanded_total += found.expanded;
+                gain += found.first_travel_time_s / found.best_travel_time_s.max(1e-9);
                 counted += 1;
             }
         }
+        self.scratch.give_back(planner.into_scratch());
         let latency_s = expanded_total as f64 / self.expansions_per_s;
         let quality = if counted > 0 {
             gain / f64::from(counted)
@@ -161,5 +180,47 @@ mod tests {
         let e = evaluator.evaluate(&Configuration::new(), &[]);
         assert!(e.metrics["latency"] > 0.0);
         assert_eq!(e.cost_s, e.metrics["latency"]);
+    }
+
+    #[test]
+    fn two_threads_probing_one_evaluator_reproduce_the_serial_probes() {
+        // knob settings that shrink and grow the kept route buffer, at
+        // hours and spreads that move the cost table and the routes
+        let design: Vec<(i64, [f64; 2])> = [1, 8, 2, 4, 1, 6]
+            .into_iter()
+            .flat_map(|k| {
+                [[3.0, 0.4], [8.0, 1.0], [12.0, 0.1], [18.0, 0.8]]
+                    .map(|[hour, spread]| (k, [hour * 3600.0, spread]))
+            })
+            .collect();
+        let probe = |evaluator: &NavEvaluator, (k, features): &(i64, [f64; 2])| {
+            evaluator.evaluate(&config(*k), features)
+        };
+        let serial_evaluator = NavEvaluator::city(44);
+        let serial: Vec<_> = design
+            .iter()
+            .map(|point| probe(&serial_evaluator, point))
+            .collect();
+
+        let shared = NavEvaluator::city(44);
+        std::thread::scope(|scope| {
+            let forward = scope.spawn(|| design.iter().map(|p| probe(&shared, p)).collect());
+            let backward = scope.spawn(|| design.iter().rev().map(|p| probe(&shared, p)).collect());
+            let forward: Vec<_> = forward.join().unwrap();
+            let mut backward: Vec<_> = backward.join().unwrap();
+            backward.reverse();
+            assert_eq!(forward, serial, "forward thread");
+            assert_eq!(backward, serial, "backward thread");
+        });
+        let kept = crate::lock_or_recover(&shared.scratch.0).len();
+        assert!(
+            (1..=2).contains(&kept),
+            "one kept scratch per thread that probed at once, not {kept}"
+        );
+        assert_eq!(
+            crate::lock_or_recover(&shared.clone().scratch.0).len(),
+            0,
+            "a clone starts with none"
+        );
     }
 }

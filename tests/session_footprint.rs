@@ -37,12 +37,18 @@
 //!   poisoned aggressors, hardened resilience with the journal on, the
 //!   SLO front door) holds at most 3,520 B of live heap per session
 //!   after serving, over what the same service holds with no tenants.
-//!   It measures 3,392 B, so the budget has 4% of room: the next byte
-//!   a session keeps must pay for itself. It measured 3,450 B (budget
-//!   3,590 B) while each monitor series had a ring of its own, 3,521 B
-//!   while a session copy copied its constraints and deployed
-//!   configuration, 4,944 B while a tenant's first learning round
-//!   copied the shared base (budget 5,000 B), 6,132 B while the
+//!   The empty service's evaluator runs one probe before it is built:
+//!   the navigation evaluator keeps its route planner's memory (≈42 KB
+//!   on the 16×16 city) from one probe to the next, one per worker that
+//!   probed, however many tenants there are, so the difference cancels
+//!   it and bills the sessions only what they hold. It measures 3,404 B,
+//!   so the budget has 3% of room: the next byte a session keeps must
+//!   pay for itself. It measured 3,928 B with that probe left out, and
+//!   3,392 B while every probe built its planner afresh. It measured
+//!   3,450 B (budget 3,590 B) while each monitor series had a ring of
+//!   its own, 3,521 B while a session copy copied its constraints and
+//!   deployed configuration, 4,944 B while a tenant's first learning
+//!   round copied the shared base (budget 5,000 B), 6,132 B while the
 //!   monitors sat in a `BTreeMap`, and 22,310 B while the SLO bank kept
 //!   a 512-sample history per (tenant, objective) pair, every monitor
 //!   series reserved 256 samples up front and every manager owned its
@@ -55,9 +61,9 @@ use antarex::serve::driver::{self, Batching, BurstProfile, Campaign, Cohort};
 use antarex::serve::kernel::kernel_manager;
 use antarex::serve::nav::NavEvaluator;
 use antarex::serve::pool::PoolConfig;
-use antarex::serve::{FrontDoorConfig, ResilienceConfig, ServiceConfig};
+use antarex::serve::{Evaluator, FrontDoorConfig, ResilienceConfig, ServiceConfig};
 use antarex::sim::faults::{FaultConfig, FaultSchedule};
-use antarex::tuner::AppManager;
+use antarex::tuner::{AppManager, Configuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -271,7 +277,14 @@ fn a_session_holds_what_it_learned_and_shares_the_rest() {
         evaluator.expansions_per_s *= 8.0;
         evaluator
     };
-    let empty = live_bytes(|| overload_chaos(Vec::new()).build(evaluator()));
+    // the evaluator keeps one planner's memory per worker that probed,
+    // whatever the tenant count: one probe before the empty build keeps
+    // it there too, so served − empty holds the sessions alone
+    let empty = live_bytes(|| {
+        let evaluator = evaluator();
+        drop(evaluator.evaluate(&Configuration::new(), &[]));
+        overload_chaos(Vec::new()).build(evaluator)
+    });
     let served = live_bytes(|| {
         let service = campaign.build(evaluator());
         let stats = campaign.drive(&service, &requests, |_, _| ());
