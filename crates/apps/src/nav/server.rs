@@ -9,7 +9,7 @@
 
 use super::error::NavError;
 use super::graph::RoadNetwork;
-use super::route::{alternative_routes, Route};
+use super::route::{Alternatives, PlannerScratch, RoutePlanner};
 use super::traffic::TrafficModel;
 use rand::Rng;
 
@@ -27,7 +27,7 @@ pub struct RequestOutcome {
 }
 
 /// The navigation server.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NavigationServer {
     network: RoadNetwork,
     traffic: TrafficModel,
@@ -37,6 +37,24 @@ pub struct NavigationServer {
     pub expansions_per_s: f64,
     alternatives: usize,
     backlog_s: f64,
+    /// The route planner's memory, kept from one request to the next.
+    scratch: PlannerScratch,
+}
+
+impl Clone for NavigationServer {
+    /// A copy of the server's state; its planner starts on empty
+    /// memory, since a scratch carries capacity and never state.
+    fn clone(&self) -> Self {
+        NavigationServer {
+            network: self.network.clone(),
+            traffic: self.traffic.clone(),
+            cores: self.cores,
+            expansions_per_s: self.expansions_per_s,
+            alternatives: self.alternatives,
+            backlog_s: self.backlog_s,
+            scratch: PlannerScratch::default(),
+        }
+    }
 }
 
 impl NavigationServer {
@@ -59,6 +77,7 @@ impl NavigationServer {
             expansions_per_s: 1500.0,
             alternatives: 4,
             backlog_s: 0.0,
+            scratch: PlannerScratch::default(),
         }
     }
 
@@ -83,33 +102,32 @@ impl NavigationServer {
         self.backlog_s = (self.backlog_s - dt).max(0.0);
     }
 
-    /// Draws an OD pair, plans the configured alternatives and charges
-    /// the compute to the shared backlog. Returns the drawn pair, the
-    /// routes, and the (queueing, compute) latency split.
+    /// Draws an OD pair, plans the configured alternatives in the
+    /// server's kept planner memory and charges the compute to the
+    /// shared backlog. Returns what the planner found (`None` for an
+    /// unreachable destination) and the (queueing, compute) latency
+    /// split.
     fn serve_core(
         &mut self,
         arrival_s: f64,
         rng: &mut impl Rng,
-    ) -> Result<(usize, usize, Vec<Route>, f64, f64), NavError> {
+    ) -> Result<(Option<Alternatives>, f64, f64), NavError> {
         if self.network.is_empty() {
             return Err(NavError::EmptyNetwork);
         }
         let origin = rng.gen_range(0..self.network.len());
         let destination = rng.gen_range(0..self.network.len());
-        let routes = alternative_routes(
-            &self.network,
-            &self.traffic,
-            origin,
-            destination,
-            arrival_s,
-            self.alternatives,
-        );
-        let expanded: usize = routes.iter().map(|r| r.expanded).sum();
+        let scratch = std::mem::take(&mut self.scratch);
+        let mut planner =
+            RoutePlanner::with_scratch(&self.network, &self.traffic, arrival_s, scratch);
+        let found = planner.alternatives(origin, destination, self.alternatives);
+        self.scratch = planner.into_scratch();
+        let expanded = found.map_or(0, |a| a.expanded);
         let compute_s = expanded as f64 / self.expansions_per_s / self.cores as f64;
         let queueing_s = self.backlog_s;
         // the work was done even when no route came back
         self.backlog_s += compute_s;
-        Ok((origin, destination, routes, queueing_s, compute_s))
+        Ok((found, queueing_s, compute_s))
     }
 
     /// Serves one request arriving at `arrival_s` between two random
@@ -124,14 +142,11 @@ impl NavigationServer {
     /// Panics when the network is empty.
     pub fn serve(&mut self, arrival_s: f64, rng: &mut impl Rng) -> RequestOutcome {
         match self.serve_core(arrival_s, rng) {
-            Ok((_, _, routes, queueing_s, compute_s)) => RequestOutcome {
+            Ok((found, queueing_s, compute_s)) => RequestOutcome {
                 arrival_s,
                 latency_s: queueing_s + compute_s,
-                best_travel_time_s: routes
-                    .first()
-                    .map(|r| r.travel_time_s)
-                    .unwrap_or(f64::INFINITY),
-                alternatives: routes.len(),
+                best_travel_time_s: found.map_or(f64::INFINITY, |a| a.first_travel_time_s),
+                alternatives: found.map_or(0, |a| a.count),
             },
             Err(e) => panic!("{e}"),
         }
@@ -141,8 +156,9 @@ impl NavigationServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nav::alternative_routes;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn server() -> NavigationServer {
         let mut rng = StdRng::seed_from_u64(20);
@@ -206,6 +222,40 @@ mod tests {
         assert!(outcome.latency_s > 0.0);
         assert!(outcome.alternatives >= 1);
         assert!(outcome.best_travel_time_s >= 0.0);
+    }
+
+    #[test]
+    fn the_kept_planner_serves_what_a_fresh_route_list_says() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let network = RoadNetwork::city_grid(16, &mut rng);
+        let traffic = TrafficModel::weekday();
+        for k in 1..=4 {
+            let mut s = NavigationServer::new(network.clone(), traffic.clone(), 4);
+            s.set_alternatives(k);
+            let mut draws = StdRng::seed_from_u64(27 + k as u64);
+            for request in 0..24 {
+                let arrival_s = 3600.0 * request as f64;
+                let mut fresh = draws.clone();
+                let outcome = s.serve(arrival_s, &mut draws);
+                // a drained queue: the latency is the compute alone
+                s.drain(1e9);
+                let origin = fresh.gen_range(0..network.len());
+                let destination = fresh.gen_range(0..network.len());
+                let routes =
+                    alternative_routes(&network, &traffic, origin, destination, arrival_s, k);
+                let expanded: usize = routes.iter().map(|r| r.expanded).sum();
+                let compute_s = expanded as f64 / s.expansions_per_s / s.cores as f64;
+                let best = routes.first().map_or(f64::INFINITY, |r| r.travel_time_s);
+                assert_eq!(outcome.alternatives, routes.len(), "k {k}, #{request}");
+                assert_eq!(outcome.latency_s.to_bits(), compute_s.to_bits());
+                assert_eq!(outcome.best_travel_time_s.to_bits(), best.to_bits());
+            }
+            // a clone starts on empty planner memory and serves the same
+            let mut copy = s.clone();
+            let mut a = StdRng::seed_from_u64(99);
+            let mut b = a.clone();
+            assert_eq!(s.serve(7200.0, &mut a), copy.serve(7200.0, &mut b));
+        }
     }
 
     #[test]

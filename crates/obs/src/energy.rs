@@ -85,47 +85,54 @@ impl Default for EnergyModel {
 
 /// Splits `total` into `weights.len()` integer shares proportional to
 /// `weights`, distributing every unit: the shares always sum to
-/// `total` exactly.
+/// `total` exactly. The shares are written to `shares`, one per weight
+/// in weight order; `remainders` is the ranking's working memory. Both
+/// are cleared first, so a caller that keeps them from one split to the
+/// next allocates only when a split outgrows every earlier one.
 ///
 /// Quotients are floored and the leftover units go to the largest
 /// fractional remainders (ties to the lowest index), the classic
 /// largest-remainder apportionment. All-zero weights fall back to an
-/// equal split. An empty slice returns no shares — the caller keeps
+/// equal split. An empty slice leaves no shares — the caller keeps
 /// `total` as an explicit residual.
-pub fn largest_remainder_split(total: u64, weights: &[u64]) -> Vec<u64> {
-    if weights.is_empty() {
-        return Vec::new();
-    }
+pub fn largest_remainder_split(
+    total: u64,
+    weights: &[u64],
+    shares: &mut Vec<u64>,
+    remainders: &mut Vec<(u128, usize)>,
+) {
+    shares.clear();
+    remainders.clear();
     let n = weights.len();
+    if n == 0 {
+        return;
+    }
     let weight_sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
     if weight_sum == 0 {
         let base = total / n as u64;
         let extra = (total % n as u64) as usize;
-        return (0..n).map(|i| base + u64::from(i < extra)).collect();
+        shares.extend((0..n).map(|i| base + u64::from(i < extra)));
+        return;
     }
-    let mut shares = vec![0u64; n];
-    let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(n);
     let mut assigned: u64 = 0;
     for (i, &w) in weights.iter().enumerate() {
         let product = u128::from(total) * u128::from(w);
         let quotient = (product / weight_sum) as u64;
-        shares[i] = quotient;
+        shares.push(quotient);
         assigned += quotient;
         remainders.push((product % weight_sum, i));
     }
-    let mut leftover = total - assigned;
+    let leftover = total - assigned;
     if leftover > 0 {
         // Largest remainder first; ties broken by lowest index for
-        // determinism.
-        remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        // determinism. Indices are distinct, so the order is total and
+        // an unstable sort (which needs no buffer) is exact.
+        remainders.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         for &(_, i) in remainders.iter().take(leftover as usize) {
             shares[i] += 1;
         }
-        leftover = 0;
     }
-    debug_assert_eq!(leftover, 0);
     debug_assert_eq!(shares.iter().sum::<u64>(), total);
-    shares
 }
 
 /// Exact energy bookkeeping for one virtual window (one serve batch).
@@ -301,25 +308,58 @@ mod tests {
         assert!((nj_to_j(2_500_000_000) - 2.5).abs() < 1e-12);
     }
 
+    /// One split on fresh buffers.
+    fn split(total: u64, weights: &[u64]) -> Vec<u64> {
+        let mut shares = Vec::new();
+        largest_remainder_split(total, weights, &mut shares, &mut Vec::new());
+        shares
+    }
+
     #[test]
     fn split_is_exact_and_proportional() {
-        let shares = largest_remainder_split(100, &[1, 1, 2]);
+        let shares = split(100, &[1, 1, 2]);
         assert_eq!(shares.iter().sum::<u64>(), 100);
         assert_eq!(shares, vec![25, 25, 50]);
     }
 
     #[test]
     fn split_distributes_every_leftover_unit() {
-        let shares = largest_remainder_split(10, &[3, 3, 3]);
+        let shares = split(10, &[3, 3, 3]);
         assert_eq!(shares.iter().sum::<u64>(), 10);
         assert_eq!(shares, vec![4, 3, 3], "tie broken to lowest index");
     }
 
     #[test]
     fn split_handles_zero_weights_and_empty() {
-        assert_eq!(largest_remainder_split(7, &[0, 0, 0]), vec![3, 2, 2]);
-        assert!(largest_remainder_split(7, &[]).is_empty());
-        assert_eq!(largest_remainder_split(0, &[5, 9]), vec![0, 0]);
+        assert_eq!(split(7, &[0, 0, 0]), vec![3, 2, 2]);
+        assert!(split(7, &[]).is_empty());
+        assert_eq!(split(0, &[5, 9]), vec![0, 0]);
+    }
+
+    #[test]
+    fn split_on_kept_dirty_buffers_equals_a_fresh_split() {
+        let cases: [(u64, &[u64]); 7] = [
+            (100, &[1, 1, 2]),
+            (10, &[3, 3, 3]),
+            (7, &[0, 0, 0]),
+            (7, &[]),
+            (0, &[5, 9]),
+            (
+                1_000_003,
+                &[
+                    7, 0, 13, 13, 2, 40, 1, 1, 9, 30, 11, 5, 5, 5, 8, 3, 2, 1, 6, 4, 19, 23,
+                ],
+            ),
+            (u64::MAX, &[u64::MAX, 1, 2]),
+        ];
+        // one pair of buffers for every case, in both orders, so each
+        // split starts on what a longer or shorter one left behind
+        let mut shares = vec![99; 40];
+        let mut remainders = vec![(u128::MAX, usize::MAX); 40];
+        for &(total, weights) in cases.iter().chain(cases.iter().rev()) {
+            largest_remainder_split(total, weights, &mut shares, &mut remainders);
+            assert_eq!(shares, split(total, weights), "{total} over {weights:?}");
+        }
     }
 
     #[test]

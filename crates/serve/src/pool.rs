@@ -288,6 +288,18 @@ impl EvalPool {
                 reason: "need at least one virtual worker",
             });
         }
+        if jobs.is_empty() {
+            // Nothing admitted, nothing to schedule: what every policy
+            // returns for zero jobs, without the vectors a schedule
+            // builds, and no estimator refinement. A batch answered
+            // wholly from the cache ends here.
+            return Ok(BatchOutcome {
+                results: Vec::new(),
+                shed: jobs,
+                makespan_s: 0.0,
+                stats: SchedStats::default(),
+            });
+        }
         let admitted_count = jobs.len().min(self.config.queue_capacity);
         let shed = jobs.split_off(admitted_count);
         let evaluations = self.workers.map(&jobs, probe);
@@ -435,6 +447,41 @@ mod tests {
         let outcome = pool.evaluate_batch_on(Vec::new(), 4, &probe);
         assert!(outcome.results.is_empty());
         assert_eq!(outcome.makespan_s, 0.0);
+    }
+
+    #[test]
+    fn an_empty_batch_returns_what_every_policy_schedules_for_no_job() {
+        let policies = [
+            SchedPolicy::Static,
+            SchedPolicy::Block,
+            SchedPolicy::Lpt,
+            SchedPolicy::WorkSteal,
+        ];
+        for policy in policies {
+            for cores in 1..=8 {
+                let pool = pool_of(2).with_sched(SchedConfig { policy });
+                // an earlier batch left the estimator refined
+                pool.estimator.observe(7, 3.0);
+                let estimator = |pool: &EvalPool| {
+                    let state = pool.estimator.state.lock().unwrap();
+                    (state.table.clone(), state.mean, state.observed)
+                };
+                let before = estimator(&pool);
+                let outcome = pool.evaluate_batch_on(Vec::new(), cores, &probe);
+                let scheduled = sched::schedule(policy, &[], &[], cores);
+                assert_eq!(
+                    outcome,
+                    BatchOutcome {
+                        results: Vec::new(),
+                        shed: Vec::new(),
+                        makespan_s: scheduled.makespan_s,
+                        stats: scheduled.stats,
+                    },
+                    "{policy:?} on {cores} cores"
+                );
+                assert_eq!(estimator(&pool), before, "{policy:?} on {cores} cores");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 mod batch;
 
+use self::batch::BatchScratch;
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::autoscale::{AutoscaleConfig, Autoscaler};
 use crate::breaker::{BreakerBank, BreakerConfig};
@@ -23,6 +24,7 @@ use crate::journal::{Journal, JournalEntry, Snapshot};
 use crate::obs::ServeObs;
 use crate::pool::{EvalPool, Evaluation, PoolConfig, SchedConfig};
 use crate::store::{Selection, Session, SessionStore, TenantClass, TenantId};
+use crate::FreeList;
 use antarex_obs::{EnergyModel, Layer, SpanId, TraceEvent, TraceId};
 use antarex_rtrm::checkpoint::daly_interval_s;
 use antarex_rtrm::powercap::{split_digest, try_weighted_split_observed};
@@ -271,6 +273,8 @@ pub struct TuningService<E> {
     /// zero, which renumbers traces but never changes any served
     /// answer or attributed joule.
     batch_ordinal: AtomicU64,
+    /// The working memory of finished batches, for the next ones.
+    batch_scratch: FreeList<BatchScratch>,
 }
 
 impl<E: Evaluator> TuningService<E> {
@@ -322,6 +326,7 @@ impl<E: Evaluator> TuningService<E> {
             obs,
             energy: EnergyModel::default(),
             batch_ordinal: AtomicU64::new(0),
+            batch_scratch: FreeList::default(),
         }
     }
 

@@ -10,6 +10,10 @@
 //! Record order is part of the output — spans get sequential ids and
 //! the trace store keeps the first events it is offered — so the
 //! stages run, and record, in one fixed order at any worker count.
+//!
+//! A batch's buffers are a [`BatchScratch`] the service keeps between
+//! batches, so a warm batch allocates only the responses it returns
+//! and what its probes and sessions create.
 
 use super::{BatchReport, Evaluator, ProbeSegment, TuningRequest, TuningResponse, TuningService};
 use crate::admission::AdmissionTier;
@@ -28,9 +32,9 @@ use antarex_obs::{
     TraceEvent, WindowSummary,
 };
 use antarex_sim::sched::list_place;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Virtual cost of answering from the cache, seconds.
 const CACHE_LOOKUP_S: f64 = 1e-4;
@@ -64,6 +68,119 @@ struct Meta {
     degraded: bool,
 }
 
+/// The working memory of one batch: every buffer a batch fills and
+/// empties, kept on the service (`TuningService::batch_scratch`) from
+/// one batch to the next.
+///
+/// A scratch carries capacity, never state: [`serve_batch`] takes one
+/// from the free list (a concurrent caller takes its own), and
+/// [`clear`](Self::clear)s it before giving it back, so no
+/// `Selection`, `Metrics` or `DesignKey` outlives its batch. A warm
+/// service's batch then allocates only the responses it returns, its
+/// pool jobs, and what its probes and sessions create; a batch larger
+/// than every earlier one grows the buffers once.
+///
+/// [`serve_batch`]: TuningService::serve_batch
+#[derive(Default)]
+pub(super) struct BatchScratch {
+    /// One row per request; `pending` is consumed by the answer stage.
+    meta: Vec<Meta>,
+    pending: Vec<Pending>,
+    /// The design key of each queued job, in job-id order: memoize and
+    /// quarantine file the results under them.
+    job_keys: Vec<DesignKey>,
+    /// Coalescing index of this batch's queued design points. Only
+    /// looked up, never iterated, so its order cannot reach an output.
+    job_of_key: HashMap<DesignKey, usize>,
+    /// The VM sub-segments of the sampled probes, `(job id, segments)`,
+    /// sorted by job id once the pool is done.
+    segments: Vec<(usize, Vec<ProbeSegment>)>,
+    /// Per admitted job: virtual completion relative to batch start,
+    /// or the typed error that ended it.
+    fates: Vec<Result<f64, ServeError>>,
+    /// The chaos replay's inputs: each admitted probe's cost, and
+    /// whether its tenant is poisoned.
+    costs: Vec<f64>,
+    poisoned: Vec<bool>,
+    /// One `(request index, direct nanojoules)` row per *served*
+    /// response: probe energy for fresh evaluations, nominal lookup
+    /// energy for cache answers.
+    served: Vec<(usize, u64)>,
+    /// The energy window's overhead split: the served rows' weights,
+    /// their shares, and the split's remainder ranking.
+    weights: Vec<u64>,
+    shares: Vec<u64>,
+    remainders: Vec<(u128, usize)>,
+    /// One `(tenant, attributed nanojoules)` row per served response,
+    /// merged per tenant in tenant order before the ledger books them.
+    tenant_nj: Vec<(TenantId, u64)>,
+    touched: Vec<TenantId>,
+    /// The latency and energy SLO verdicts of this batch, in the order
+    /// they were taken; booked in the SLO bank in one call.
+    slo_verdicts: Vec<SloVerdict>,
+    /// One `(tenant, checked, violations)` row per request while a
+    /// front door is installed, merged per tenant at the batch end;
+    /// every request's tenant gets a row so a quiet (fully shed) tenant
+    /// still decays toward readmission.
+    slo_tally: Vec<(TenantId, u64, u64)>,
+}
+
+impl BatchScratch {
+    /// Empties every buffer and keeps its capacity. Destructured, so a
+    /// buffer added to the scratch cannot be left out.
+    fn clear(&mut self) {
+        let BatchScratch {
+            meta,
+            pending,
+            job_keys,
+            job_of_key,
+            segments,
+            fates,
+            costs,
+            poisoned,
+            served,
+            weights,
+            shares,
+            remainders,
+            tenant_nj,
+            touched,
+            slo_verdicts,
+            slo_tally,
+        } = self;
+        meta.clear();
+        pending.clear();
+        job_keys.clear();
+        job_of_key.clear();
+        segments.clear();
+        fates.clear();
+        costs.clear();
+        poisoned.clear();
+        served.clear();
+        weights.clear();
+        shares.clear();
+        remainders.clear();
+        tenant_nj.clear();
+        touched.clear();
+        slo_verdicts.clear();
+        slo_tally.clear();
+    }
+}
+
+/// Sorts `(tenant, nanojoules)` rows by tenant and merges each tenant's
+/// rows into one that holds their sum, in place: the rows, in the order
+/// and with the sums a `BTreeMap` keyed by tenant would yield.
+fn merge_by_tenant(rows: &mut Vec<(TenantId, u64)>) {
+    rows.sort_unstable_by_key(|&(tenant, _)| tenant);
+    // `dedup_by` hands over the later row first, the kept row second
+    rows.dedup_by(|row, kept| {
+        let same = row.0 == kept.0;
+        if same {
+            kept.1 += row.1;
+        }
+        same
+    });
+}
+
 /// The per-batch context the stages read and write.
 #[derive(Default)]
 struct Batch<'a> {
@@ -74,32 +191,11 @@ struct Batch<'a> {
     /// Latest arrival (−∞ for an empty batch).
     end_s: f64,
     lookup_nj: u64,
-    /// One row per request; `pending` is consumed by the answer stage.
-    meta: Vec<Meta>,
-    pending: Vec<Pending>,
+    /// The pool consumes it, so each batch builds its own.
     jobs: Vec<EvalJob>,
-    /// Coalescing map of this batch's queued design points; holds the
-    /// keys (shared with the selections) memoize/quarantine later file
-    /// results under.
-    job_of_key: BTreeMap<DesignKey, usize>,
-    /// Per admitted job: virtual completion relative to batch start,
-    /// or the typed error that ended it.
-    fates: Vec<Result<f64, ServeError>>,
     span: SpanId,
-    /// One `(request index, direct nanojoules)` row per *served*
-    /// response: probe energy for fresh evaluations, nominal lookup
-    /// energy for cache answers.
-    served: Vec<(usize, u64)>,
     cache_lookups: u64,
-    touched: Vec<TenantId>,
-    /// The latency and energy SLO verdicts of this batch, in the order
-    /// they were taken; booked in the SLO bank in one call.
-    slo_verdicts: Vec<SloVerdict>,
-    /// One `(tenant, checked, violations)` row per request while a
-    /// front door is installed, merged per tenant at the batch end;
-    /// every request's tenant gets a row so a quiet (fully shed) tenant
-    /// still decays toward readmission.
-    slo_tally: Vec<(TenantId, u64, u64)>,
+    scratch: BatchScratch,
     // the report's tallies
     makespan_s: f64,
     shed: usize,
@@ -127,19 +223,21 @@ impl<E: Evaluator> TuningService<E> {
             self.probe(&mut batch, request, door, verdict, selected);
         }
         let capacity = self.autoscale(&batch);
-        let (outcome, segments) = self.evaluate(std::mem::take(&mut batch.jobs), capacity);
+        let outcome = self.evaluate(&mut batch, capacity);
         self.fault_schedule(&mut batch, &outcome, capacity);
-        self.trace_probes(&mut batch, &outcome, &segments);
+        self.trace_probes(&mut batch, &outcome);
         self.memoize(&mut batch, &outcome);
         let mut responses = Vec::with_capacity(requests.len());
-        for (index, pending) in std::mem::take(&mut batch.pending).into_iter().enumerate() {
+        let mut pending = std::mem::take(&mut batch.scratch.pending);
+        for (index, pending) in pending.drain(..).enumerate() {
             responses.push(self.answer(&mut batch, index, pending, &outcome));
         }
+        batch.scratch.pending = pending;
         self.close_energy_window(&mut batch, &outcome, &mut responses);
         self.adapt(&mut batch);
         self.admission_feedback(&mut batch);
         self.checkpoint(&batch);
-        BatchReport {
+        let report = BatchReport {
             responses,
             makespan_s: batch.makespan_s,
             evaluated: outcome.results.len(),
@@ -150,28 +248,36 @@ impl<E: Evaluator> TuningService<E> {
             retries: batch.retries,
             hedges: batch.hedges,
             quarantined: batch.quarantined,
-        }
+        };
+        let mut scratch = batch.scratch;
+        scratch.clear();
+        self.batch_scratch.give_back(scratch);
+        report
     }
 
+    /// Opens a batch on a kept scratch, reserving one row per request
+    /// in each per-request buffer.
     fn open<'a>(&self, requests: &'a [TuningRequest]) -> Batch<'a> {
         self.obs.requests.add(requests.len() as u64);
         let arrivals = || requests.iter().map(|r| r.arrival_s);
         let start_s = arrivals().fold(f64::INFINITY, f64::min);
+        let n = requests.len();
+        let mut scratch = self.batch_scratch.take();
+        scratch.meta.reserve(n);
+        scratch.pending.reserve(n);
+        scratch.served.reserve(n);
+        scratch.touched.reserve(n);
+        scratch.slo_verdicts.reserve(2 * n);
+        if self.front_door.is_some() {
+            scratch.slo_tally.reserve(n);
+        }
         Batch {
             requests,
             ordinal: self.batch_ordinal.fetch_add(1, Ordering::Relaxed),
             start_s: if start_s.is_finite() { start_s } else { 0.0 },
             end_s: arrivals().fold(f64::NEG_INFINITY, f64::max),
             lookup_nj: to_nj(self.energy.cache_lookup_w * CACHE_LOOKUP_S),
-            meta: Vec::with_capacity(requests.len()),
-            pending: Vec::with_capacity(requests.len()),
-            served: Vec::with_capacity(requests.len()),
-            touched: Vec::with_capacity(requests.len()),
-            slo_verdicts: Vec::with_capacity(2 * requests.len()),
-            slo_tally: match self.front_door {
-                Some(_) => Vec::with_capacity(requests.len()),
-                None => Vec::new(),
-            },
+            scratch,
             ..Batch::default()
         }
     }
@@ -256,7 +362,7 @@ impl<E: Evaluator> TuningService<E> {
     ) {
         let tenant = request.tenant;
         let seed = selected.as_ref().map_or(0, |(s, _)| s.seed());
-        let seq = batch.meta.len() as u32;
+        let seq = batch.scratch.meta.len() as u32;
         let ctx = self
             .obs
             .plane
@@ -286,8 +392,8 @@ impl<E: Evaluator> TuningService<E> {
             Ok((s, class)) => (class, self.hit_or_enqueue(batch, tenant, ctx, s, class)),
         };
         self.mark(ctx, Layer::Admission, verdict, request.arrival_s, 0.0);
-        batch.pending.push(pending);
-        batch.meta.push(Meta {
+        batch.scratch.pending.push(pending);
+        batch.scratch.meta.push(Meta {
             ctx,
             class,
             degraded,
@@ -322,7 +428,7 @@ impl<E: Evaluator> TuningService<E> {
         config: Selection,
         class: TenantClass,
     ) -> Pending {
-        if let Some(&job_id) = batch.job_of_key.get(config.key()) {
+        if let Some(&job_id) = batch.scratch.job_of_key.get(config.key()) {
             return Pending::Job {
                 config,
                 job_id,
@@ -347,7 +453,11 @@ impl<E: Evaluator> TuningService<E> {
             features,
             trace: ctx,
         });
-        batch.job_of_key.insert(config.key().clone(), job_id);
+        batch
+            .scratch
+            .job_of_key
+            .insert(config.key().clone(), job_id);
+        batch.scratch.job_keys.push(config.key().clone());
         Pending::Job {
             config,
             job_id,
@@ -384,31 +494,31 @@ impl<E: Evaluator> TuningService<E> {
 
     /// Stage: evaluate the deduplicated misses in parallel. The probes
     /// are pure and computed exactly once; sampled jobs additionally
-    /// report VM sub-segments for the trace, keyed by job id so
-    /// insertion order under physical parallelism cannot influence
+    /// report VM sub-segments for the trace, sorted by job id afterwards
+    /// so insertion order under physical parallelism cannot influence
     /// anything downstream.
-    fn evaluate(
-        &self,
-        jobs: Vec<EvalJob>,
-        capacity: usize,
-    ) -> (BatchOutcome, BTreeMap<usize, Vec<ProbeSegment>>) {
+    fn evaluate(&self, batch: &mut Batch, capacity: usize) -> BatchOutcome {
         let evaluator = &self.evaluator;
-        let stash: Mutex<BTreeMap<usize, Vec<ProbeSegment>>> = Mutex::new(BTreeMap::new());
-        let outcome = self
-            .pool
-            .evaluate_batch_on(jobs, capacity, &|job: &EvalJob| {
+        let stash = Mutex::new(std::mem::take(&mut batch.scratch.segments));
+        let outcome = self.pool.evaluate_batch_on(
+            std::mem::take(&mut batch.jobs),
+            capacity,
+            &|job: &EvalJob| {
                 if !job.trace.sampled {
                     return evaluator.evaluate(&job.config, &job.features);
                 }
                 let (evaluation, segments) =
                     evaluator.evaluate_segmented(&job.config, &job.features);
                 if !segments.is_empty() {
-                    crate::lock_or_recover(&stash).insert(job.id, segments);
+                    crate::lock_or_recover(&stash).push((job.id, segments));
                 }
                 evaluation
-            });
-        let segments = std::mem::take(&mut *crate::lock_or_recover(&stash));
-        (outcome, segments)
+            },
+        );
+        let mut segments = stash.into_inner().unwrap_or_else(PoisonError::into_inner);
+        segments.sort_unstable_by_key(|&(job_id, _)| job_id);
+        batch.scratch.segments = segments;
+        outcome
     }
 
     /// Stage: what became of each admitted probe. Under an injected
@@ -418,17 +528,21 @@ impl<E: Evaluator> TuningService<E> {
     /// through.
     fn fault_schedule(&self, batch: &mut Batch, outcome: &BatchOutcome, capacity: usize) {
         let results = &outcome.results;
+        let scratch = &mut batch.scratch;
         if let Some(chaos) = &self.chaos {
-            let costs: Vec<f64> = results.iter().map(|r| r.evaluation.cost_s).collect();
-            let poisoned: Vec<bool> = results
-                .iter()
-                .map(|r| chaos.poisoned_tenants.contains(&r.job.tenant))
-                .collect();
+            scratch
+                .costs
+                .extend(results.iter().map(|r| r.evaluation.cost_s));
+            scratch.poisoned.extend(
+                results
+                    .iter()
+                    .map(|r| chaos.poisoned_tenants.contains(&r.job.tenant)),
+            );
             let start_s = batch.start_s;
-            batch.fates.reserve(results.len());
+            scratch.fates.reserve(results.len());
             batch.makespan_s = list_place(
-                &costs,
-                &poisoned,
+                &scratch.costs,
+                &scratch.poisoned,
                 capacity,
                 start_s,
                 Some(&chaos.schedule),
@@ -437,11 +551,13 @@ impl<E: Evaluator> TuningService<E> {
                     batch.retries += u64::from(job.retries);
                     batch.hedges += u64::from(job.hedges);
                     let fate = job_result(&job, &results[id].evaluation, start_s);
-                    batch.fates.push(fate);
+                    scratch.fates.push(fate);
                 },
             );
         } else {
-            batch.fates = results.iter().map(|r| Ok(r.completion_s)).collect();
+            scratch
+                .fates
+                .extend(results.iter().map(|r| Ok(r.completion_s)));
             batch.makespan_s = outcome.makespan_s;
         }
         self.obs.evaluated.add(results.len() as u64);
@@ -455,12 +571,7 @@ impl<E: Evaluator> TuningService<E> {
     /// content* on virtual time — a probe's compute cost, never queue
     /// placement — so the retained trace is byte-identical at any
     /// worker count.
-    fn trace_probes(
-        &self,
-        batch: &mut Batch,
-        outcome: &BatchOutcome,
-        segments: &BTreeMap<usize, Vec<ProbeSegment>>,
-    ) {
+    fn trace_probes(&self, batch: &mut Batch, outcome: &BatchOutcome) {
         let results = &outcome.results;
         // batch-level, so the per-request budget is untouched. Stolen
         // jobs attribute to their tenant class; per-class makespan is
@@ -529,8 +640,10 @@ impl<E: Evaluator> TuningService<E> {
             // VM layer: the probe's metered sub-segments laid out
             // sequentially on virtual time; value carries each
             // segment's metered joules
+            let segments = &batch.scratch.segments;
+            let found = segments.binary_search_by_key(&result.job.id, |&(job_id, _)| job_id);
             let mut seg_start_s = start_s;
-            for segment in segments.get(&result.job.id).into_iter().flatten() {
+            for segment in found.map_or(&[][..], |at| &segments[at].1) {
                 self.obs.plane.trace.record(TraceEvent {
                     layer: Layer::Vm,
                     name: segment.name,
@@ -546,14 +659,14 @@ impl<E: Evaluator> TuningService<E> {
 
     /// Stage: verified results are memoized; failed design points are
     /// quarantined so coalesced waiters re-probe next time instead of
-    /// being served a poisoned entry. Filed under the keys the
-    /// coalescing map already owns.
+    /// being served a poisoned entry. Filed under the keys the batch
+    /// kept for its jobs.
     fn memoize(&self, batch: &mut Batch, outcome: &BatchOutcome) {
-        let mut keys: Vec<(DesignKey, usize)> =
-            std::mem::take(&mut batch.job_of_key).into_iter().collect();
-        keys.sort_unstable_by_key(|&(_, job_id)| job_id);
+        let scratch = &mut batch.scratch;
+        scratch.job_of_key.clear();
         // results hold the admitted prefix of the jobs, in id order
-        for ((result, fate), (key, _)) in outcome.results.iter().zip(&batch.fates).zip(keys) {
+        let keys = scratch.job_keys.drain(..);
+        for ((result, fate), key) in outcome.results.iter().zip(&scratch.fates).zip(keys) {
             let metrics = &result.evaluation.metrics;
             if fate.is_ok() {
                 self.journal_append(|| JournalEntry::CacheInsert {
@@ -602,7 +715,7 @@ impl<E: Evaluator> TuningService<E> {
                 config,
                 job_id,
                 coalesced,
-            } => match batch.fates.get(job_id) {
+            } => match batch.scratch.fates.get(job_id) {
                 Some(Ok(completion_s)) => {
                     let evaluation = &outcome.results[job_id].evaluation;
                     let spent = if coalesced {
@@ -633,7 +746,7 @@ impl<E: Evaluator> TuningService<E> {
         // window
         let tally = match &response {
             Ok(answer) => {
-                batch.served.push((index, direct_nj));
+                batch.scratch.served.push((index, direct_nj));
                 let slo_met = self.learn(batch, answer, request_span);
                 (1, u64::from(!slo_met))
             }
@@ -647,7 +760,7 @@ impl<E: Evaluator> TuningService<E> {
             }
         };
         if self.front_door.is_some() {
-            batch.slo_tally.push((tenant, tally.0, tally.1));
+            batch.scratch.slo_tally.push((tenant, tally.0, tally.1));
         }
         response
     }
@@ -666,7 +779,7 @@ impl<E: Evaluator> TuningService<E> {
         self.obs.learns.add(answer.metrics.len() as u64);
         self.obs.latency.record(answer.latency_s);
         let verdict = self.obs.latency_verdict(tenant, answer.latency_s);
-        batch.slo_verdicts.push(verdict);
+        batch.scratch.slo_verdicts.push(verdict);
         let select_end_s = arrival + SELECT_SPAN_S;
         let learn_s = request_span.end_s;
         let children = [
@@ -705,7 +818,7 @@ impl<E: Evaluator> TuningService<E> {
             config: config.clone(),
             metrics: metrics.clone(),
         });
-        batch.touched.push(tenant);
+        batch.scratch.touched.push(tenant);
         verdict.ok
     }
 
@@ -715,7 +828,7 @@ impl<E: Evaluator> TuningService<E> {
     /// tenant's SLO budget (only while a front door tallies it).
     fn reject(&self, batch: &Batch, index: usize, error: &ServeError) -> bool {
         let TuningRequest { tenant, arrival_s } = batch.requests[index];
-        let row = error.row(batch.meta[index].degraded);
+        let row = error.row(batch.scratch.meta[index].degraded);
         match row.counter {
             ErrorCounter::Shed => self.obs.shed.inc(),
             ErrorCounter::Failed => self.obs.failed.inc(),
@@ -769,16 +882,22 @@ impl<E: Evaluator> TuningService<E> {
         // overhead splits across served requests proportionally to
         // their direct demand (largest remainder, so shares sum
         // exactly); failed probes' direct energy stays unattributed
-        let weights: Vec<u64> = batch.served.iter().map(|&(_, nj)| nj).collect();
-        let shares = largest_remainder_split(overhead_nj, &weights);
+        let scratch = &mut batch.scratch;
+        let served = &scratch.served;
+        scratch.weights.extend(served.iter().map(|&(_, nj)| nj));
+        largest_remainder_split(
+            overhead_nj,
+            &scratch.weights,
+            &mut scratch.shares,
+            &mut scratch.remainders,
+        );
         let mut attributed_nj = 0u64;
-        let mut per_tenant: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for (&(index, direct_nj), &share) in batch.served.iter().zip(&shares) {
+        for (&(index, direct_nj), &share) in served.iter().zip(&scratch.shares) {
             let TuningRequest { tenant, arrival_s } = batch.requests[index];
-            let Meta { ctx, class, .. } = batch.meta[index];
+            let Meta { ctx, class, .. } = scratch.meta[index];
             let request_nj = direct_nj + share;
             attributed_nj += request_nj;
-            *per_tenant.entry(tenant).or_default() += request_nj;
+            scratch.tenant_nj.push((tenant, request_nj));
             let energy_j = nj_to_j(request_nj as u128);
             if let Ok(answer) = &mut responses[index] {
                 answer.energy_j = energy_j;
@@ -787,37 +906,38 @@ impl<E: Evaluator> TuningService<E> {
             // observed-only SLO: burn accrues under the `energy`
             // objective but no admission tier acts on it yet
             let verdict = self.obs.energy_verdict(tenant, energy_j);
-            batch.slo_verdicts.push(verdict);
+            scratch.slo_verdicts.push(verdict);
             self.mark(ctx, Layer::Serve, "energy", arrival_s, energy_j);
         }
-        self.obs.plane.slo.record(&batch.slo_verdicts);
+        self.obs.plane.slo.record(&scratch.slo_verdicts);
         let idle_nj = facility_nj - attributed_nj;
         self.obs.energy_facility_nj.add(facility_nj);
         self.obs.energy_attributed_nj.add(attributed_nj);
         self.obs.energy_idle_nj.add(idle_nj);
         self.obs.energy_windows.inc();
-        let per_tenant_rows: Vec<(TenantId, u64)> = per_tenant.into_iter().collect();
+        merge_by_tenant(&mut scratch.tenant_nj);
         self.obs.plane.energy.record_window(
             WindowSummary {
                 index: batch.ordinal,
-                requests: batch.served.len() as u64,
+                requests: served.len() as u64,
                 direct_nj,
                 overhead_nj,
                 facility_nj,
                 attributed_nj,
                 idle_nj,
             },
-            &per_tenant_rows,
+            &scratch.tenant_nj,
         );
     }
 
     /// Stage: one adaptation round per tenant served in this batch, in
     /// sorted order, at the batch's end time.
     fn adapt(&self, batch: &mut Batch) {
-        batch.touched.sort_unstable();
-        batch.touched.dedup();
+        let touched = &mut batch.scratch.touched;
+        touched.sort_unstable();
+        touched.dedup();
         let now_s = batch.end_s;
-        for &tenant in &batch.touched {
+        for &tenant in touched.iter() {
             apply::adapt(&self.store, tenant, now_s);
             self.obs.adapts.inc();
             let span = SpanAt {
@@ -844,8 +964,9 @@ impl<E: Evaluator> TuningService<E> {
         }
         let time_s = batch.end_s;
         // the rows' sums do not depend on their order within a tenant
-        batch.slo_tally.sort_unstable_by_key(|&(tenant, ..)| tenant);
-        for rows in batch.slo_tally.chunk_by(|a, b| a.0 == b.0) {
+        let slo_tally = &mut batch.scratch.slo_tally;
+        slo_tally.sort_unstable_by_key(|&(tenant, ..)| tenant);
+        for rows in slo_tally.chunk_by(|a, b| a.0 == b.0) {
             let tenant = rows[0].0;
             let (checked, violations) = rows
                 .iter()
@@ -899,6 +1020,173 @@ impl<E: Evaluator> TuningService<E> {
         let interval = self.resilience.snapshot_interval_s();
         while *due <= batch.end_s {
             *due += interval;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chaos::ChaosConfig;
+    use crate::pool::Evaluation;
+    use crate::service::{FrontDoorConfig, ResilienceConfig, ServiceConfig};
+    use antarex_sim::faults::{FaultConfig, FaultSchedule};
+    use antarex_tuner::goal::{Constraint, Objective};
+    use antarex_tuner::{AppManager, Configuration, KnobValue, KnowledgeBase, OperatingPoint};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    #[test]
+    fn merging_rows_by_tenant_equals_a_map() {
+        let mut rng = StdRng::seed_from_u64(48);
+        // one buffer for every case, as the batch keeps it
+        let mut rows = Vec::new();
+        for case in 0..500 {
+            let tenants = rng.gen_range(1..12u64);
+            let input: Vec<(TenantId, u64)> = (0..rng.gen_range(0..64))
+                .map(|_| (rng.gen_range(0..tenants), rng.gen_range(0..1u64 << 40)))
+                .collect();
+            let mut oracle: BTreeMap<TenantId, u64> = BTreeMap::new();
+            for &(tenant, nj) in &input {
+                *oracle.entry(tenant).or_default() += nj;
+            }
+            rows.clear();
+            rows.extend_from_slice(&input);
+            merge_by_tenant(&mut rows);
+            let expected: Vec<(TenantId, u64)> = oracle.into_iter().collect();
+            assert_eq!(rows, expected, "case {case}: {input:?}");
+        }
+    }
+
+    fn config(level: i64) -> Configuration {
+        let mut c = Configuration::new();
+        c.set("level", KnobValue::Int(level));
+        c
+    }
+
+    fn manager() -> AppManager {
+        let kb: KnowledgeBase = (1..=4)
+            .map(|l| {
+                OperatingPoint::new(
+                    config(l),
+                    [
+                        ("latency".to_string(), 0.1 * l as f64),
+                        ("quality".to_string(), l as f64),
+                    ],
+                )
+            })
+            .collect();
+        let mut m = AppManager::new(kb, Objective::maximize("quality"));
+        m.add_constraint(Constraint::at_most("latency", 0.45));
+        m
+    }
+
+    /// A probe that reports itself as two traced VM segments.
+    struct Segmented;
+
+    impl Evaluator for Segmented {
+        fn evaluate(&self, config: &Configuration, features: &[f64]) -> Evaluation {
+            let level = config.get_int("level").unwrap_or(1) as f64;
+            let latency = 0.1 * level * features.first().copied().unwrap_or(1.0);
+            Evaluation {
+                metrics: [
+                    ("latency".to_string(), latency),
+                    ("quality".to_string(), level),
+                ]
+                .into_iter()
+                .collect(),
+                cost_s: latency,
+                energy_j: level,
+            }
+        }
+
+        fn evaluate_segmented(
+            &self,
+            config: &Configuration,
+            features: &[f64],
+        ) -> (Evaluation, Vec<ProbeSegment>) {
+            let evaluation = self.evaluate(config, features);
+            let segments = ["reference", "tuned"]
+                .map(|name| ProbeSegment {
+                    name,
+                    cost_s: evaluation.cost_s / 2.0,
+                    energy_j: evaluation.energy_j / 2.0,
+                })
+                .to_vec();
+            (evaluation, segments)
+        }
+    }
+
+    #[test]
+    fn a_batch_gives_its_scratch_back_empty() {
+        let schedule = FaultSchedule::generate(&FaultConfig::none(2016), 8, 100.0);
+        // every buffer fills: probes and coalesced waiters, a poisoned
+        // tenant's failed probe under chaos, traced segments, served
+        // answers and the front door's tally
+        let service = TuningService::with_resilience(
+            ServiceConfig::default(),
+            ResilienceConfig::hardened(),
+            Segmented,
+        )
+        .with_chaos(ChaosConfig::new(schedule).poison(3))
+        .with_front_door(FrontDoorConfig::hardened());
+        for tenant in 0..4 {
+            service
+                .register_tenant(tenant, manager(), vec![1.0 + tenant as f64])
+                .unwrap();
+        }
+        let requests: Vec<TuningRequest> = (0..8u64)
+            .map(|slot| TuningRequest {
+                tenant: slot % 4,
+                arrival_s: slot as f64 * 0.1,
+            })
+            .collect();
+        for round in 0..2 {
+            let report = service.serve_batch(&requests);
+            assert_eq!(report.responses.len(), requests.len());
+            let kept = crate::lock_or_recover(&service.batch_scratch.0);
+            assert_eq!(kept.len(), 1, "round {round}: one batch, one scratch");
+            let BatchScratch {
+                meta,
+                pending,
+                job_keys,
+                job_of_key,
+                segments,
+                fates,
+                costs,
+                poisoned,
+                served,
+                weights,
+                shares,
+                remainders,
+                tenant_nj,
+                touched,
+                slo_verdicts,
+                slo_tally,
+            } = &kept[0];
+            let buffers = [
+                ("meta", meta.len(), meta.capacity()),
+                ("pending", pending.len(), pending.capacity()),
+                ("job_keys", job_keys.len(), job_keys.capacity()),
+                ("job_of_key", job_of_key.len(), job_of_key.capacity()),
+                ("segments", segments.len(), segments.capacity()),
+                ("fates", fates.len(), fates.capacity()),
+                ("costs", costs.len(), costs.capacity()),
+                ("poisoned", poisoned.len(), poisoned.capacity()),
+                ("served", served.len(), served.capacity()),
+                ("weights", weights.len(), weights.capacity()),
+                ("shares", shares.len(), shares.capacity()),
+                ("remainders", remainders.len(), remainders.capacity()),
+                ("tenant_nj", tenant_nj.len(), tenant_nj.capacity()),
+                ("touched", touched.len(), touched.capacity()),
+                ("slo_verdicts", slo_verdicts.len(), slo_verdicts.capacity()),
+                ("slo_tally", slo_tally.len(), slo_tally.capacity()),
+            ];
+            for (name, len, capacity) in buffers {
+                assert_eq!(len, 0, "round {round}: {name} is given back empty");
+                assert!(capacity > 0, "round {round}: {name} keeps its capacity");
+            }
         }
     }
 }

@@ -37,18 +37,27 @@
 //!   poisoned aggressors, hardened resilience with the journal on, the
 //!   SLO front door) holds at most 3,520 B of live heap per session
 //!   after serving, over what the same service holds with no tenants.
-//!   The empty service's evaluator runs one probe before it is built:
-//!   the navigation evaluator keeps its route planner's memory (≈42 KB
-//!   on the 16×16 city) from one probe to the next, one per worker that
-//!   probed, however many tenants there are, so the difference cancels
-//!   it and bills the sessions only what they hold. It measures 3,404 B,
-//!   so the budget has 3% of room: the next byte a session keeps must
-//!   pay for itself. It measured 3,928 B with that probe left out, and
-//!   3,392 B while every probe built its planner afresh. It measured
-//!   3,450 B (budget 3,590 B) while each monitor series had a ring of
-//!   its own, 3,521 B while a session copy copied its constraints and
-//!   deployed configuration, 4,944 B while a tenant's first learning
-//!   round copied the shared base (budget 5,000 B), 6,132 B while the
+//!   Per-service memory that does not grow with the tenant count is
+//!   made on both sides, so the difference cancels it and bills the
+//!   sessions only what they hold. The empty service's evaluator runs
+//!   one probe before it is built: the navigation evaluator keeps its
+//!   route planner's memory (≈42 KB on the 16×16 city) from one probe
+//!   to the next, one per worker that probed. The empty service then
+//!   serves the campaign's same batches, every request addressed to a
+//!   tenant it does not know: the service keeps one batch's buffers
+//!   per batch served at once, reserved per request, and the phantom's
+//!   batches grow them as the campaign's do, while admission and
+//!   breaker state exist for the one phantom tenant only. The same
+//!   drive also grows the rest of the memory the service sizes to its
+//!   traffic rather than to its tenants, as the campaign does. It
+//!   measures 3,037 B, and 3,975 B with the phantom drive left out. It
+//!   measured 3,404 B (2,970 B with the phantom drive) while every
+//!   batch built its own buffers, 3,928 B with the probe left out,
+//!   3,392 B while every probe built its planner afresh, 3,450 B
+//!   (budget 3,590 B) while each monitor series had a ring of its own,
+//!   3,521 B while a session copy copied its constraints and deployed
+//!   configuration, 4,944 B while a tenant's first learning round
+//!   copied the shared base (budget 5,000 B), 6,132 B while the
 //!   monitors sat in a `BTreeMap`, and 22,310 B while the SLO bank kept
 //!   a 512-sample history per (tenant, objective) pair, every monitor
 //!   series reserved 256 samples up front and every manager owned its
@@ -61,7 +70,7 @@ use antarex::serve::driver::{self, Batching, BurstProfile, Campaign, Cohort};
 use antarex::serve::kernel::kernel_manager;
 use antarex::serve::nav::NavEvaluator;
 use antarex::serve::pool::PoolConfig;
-use antarex::serve::{Evaluator, FrontDoorConfig, ResilienceConfig, ServiceConfig};
+use antarex::serve::{Evaluator, FrontDoorConfig, ResilienceConfig, ServiceConfig, TuningRequest};
 use antarex::sim::faults::{FaultConfig, FaultSchedule};
 use antarex::tuner::{AppManager, Configuration};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -124,6 +133,8 @@ const KERNEL_METRICS: [&str; 3] = ["error", "latency", "power"];
 const WELL_BEHAVED: usize = 64;
 const AGGRESSIVE: usize = 16;
 const DURATION_S: f64 = 60.0;
+/// A tenant id no campaign registers.
+const PHANTOM: u64 = u64::MAX;
 
 /// Allocations and bytes `f` asks for, and what it returns.
 fn allocations<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
@@ -278,12 +289,30 @@ fn a_session_holds_what_it_learned_and_shares_the_rest() {
         evaluator
     };
     // the evaluator keeps one planner's memory per worker that probed,
-    // whatever the tenant count: one probe before the empty build keeps
-    // it there too, so served − empty holds the sessions alone
+    // and the service one batch's buffers per batch served at once,
+    // whatever the tenant count: one probe before the empty build, and
+    // the same batches addressed to a tenant the empty service does not
+    // know, keep both there too, so served − empty holds the sessions
+    // alone
+    let phantom: Vec<TuningRequest> = requests
+        .iter()
+        .map(|request| TuningRequest {
+            tenant: PHANTOM,
+            ..*request
+        })
+        .collect();
     let empty = live_bytes(|| {
         let evaluator = evaluator();
         drop(evaluator.evaluate(&Configuration::new(), &[]));
-        overload_chaos(Vec::new()).build(evaluator)
+        let empty = overload_chaos(Vec::new());
+        let service = empty.build(evaluator);
+        let stats = empty.drive(&service, &phantom, |_, _| ());
+        assert_eq!(
+            stats.rejected,
+            phantom.len(),
+            "the empty service answers none of the phantom's requests: {stats:?}"
+        );
+        service
     });
     let served = live_bytes(|| {
         let service = campaign.build(evaluator());
