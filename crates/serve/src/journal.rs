@@ -535,7 +535,7 @@ mod tests {
             JournalEntry::Learn {
                 tenant: 3,
                 time_s: 2.0,
-                config: Selection::new(&level(1), &[1.0]),
+                config: Selection::new(&Arc::new(level(1)), &[1.0]),
                 metrics: metrics(0.1),
             },
             JournalEntry::Adapt {
@@ -591,7 +591,7 @@ mod tests {
         run(JournalEntry::Learn {
             tenant: 7,
             time_s: 1.5,
-            config: Selection::new(&level(1), &[2.0]),
+            config: Selection::new(&Arc::new(level(1)), &[2.0]),
             metrics: metrics(0.12),
         });
         run(JournalEntry::Reject {

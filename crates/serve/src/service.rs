@@ -855,7 +855,8 @@ mod tests {
             assert_selections_fresh(&service, &report);
             for answer in report.responses.into_iter().flatten() {
                 if let Some(before) = &previous {
-                    let shared = std::ptr::eq(&*before.config, &*answer.config);
+                    // the key's address names the selection's block
+                    let shared = std::ptr::eq(before.config.key(), answer.config.key());
                     if before.config == answer.config {
                         assert!(shared, "an unchanged selection is shared");
                         reuses += 1;
@@ -909,8 +910,12 @@ mod tests {
         assert!(a.config == b.config && b.config == c.config);
         assert_ne!(a.config.key(), b.config.key());
         assert_ne!(a.config.seed(), b.config.seed());
-        assert!(!std::ptr::eq(&*a.config, &*b.config));
-        assert!(std::ptr::eq(&*b.config, &*c.config));
+        // the key lives in the selection's shared block, so its address
+        // names the block: the new features built a new one, around the
+        // same knowledge point's configuration
+        assert!(!std::ptr::eq(a.config.key(), b.config.key()));
+        assert!(std::ptr::eq(b.config.key(), c.config.key()));
+        assert!(std::ptr::eq(&*a.config, &*b.config));
     }
 
     #[test]

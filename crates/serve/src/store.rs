@@ -38,7 +38,9 @@
 //!
 //! A session also keeps its current [`Selection`] — the deployed
 //! configuration with its design key and probe seed — so a request
-//! that selects what the previous one selected derives nothing.
+//! that selects what the previous one selected derives nothing, and
+//! one that selects anew shares the knowledge point's configuration
+//! rather than copying it.
 
 use crate::cache::{probe_seed, DesignKey};
 use crate::error::ServeError;
@@ -100,6 +102,11 @@ impl TenantClass {
 /// features — the design-cache key and the probe seed — behind one
 /// shared allocation.
 ///
+/// The configuration itself is the knowledge point's own `Arc`
+/// ([`AppManager::select`] hands it out), so building a selection
+/// copies no configuration: it allocates the shared block and the
+/// key's parts, two allocations in all.
+///
 /// A session rebuilds its selection only when `select()` deploys a
 /// different configuration or its features no longer quantize to the
 /// ones the key was built from; every request in between shares it.
@@ -111,26 +118,38 @@ impl TenantClass {
 #[derive(Clone)]
 pub struct Selection(Arc<Selected>);
 
+// A selection stays one pointer wide: journal `Learn` entries, both
+// session slots, pending answers and responses each hold one, so a
+// wide selection (the configuration's `Arc`, the key and the seed
+// inline, one allocation fewer per rebuild) raised the overload chaos
+// benchmark's peak RSS from 27.30 MB to 28.79 MB (one run each, 2-core
+// x86-64 host).
+const _: () = assert!(std::mem::size_of::<Selection>() == std::mem::size_of::<usize>());
+
 struct Selected {
-    config: Configuration,
+    config: Arc<Configuration>,
     key: DesignKey,
     seed: u64,
 }
 
 impl Selection {
-    /// Derives the key and the seed of `config` under `features`.
-    pub(crate) fn new(config: &Configuration, features: &[f64]) -> Self {
+    /// Derives the key and the seed of `config` under `features`, and
+    /// shares `config`.
+    pub(crate) fn new(config: &Arc<Configuration>, features: &[f64]) -> Self {
         Selection(Arc::new(Selected {
-            config: config.clone(),
+            config: Arc::clone(config),
             key: DesignKey::new(config, features),
             seed: probe_seed(config, features),
         }))
     }
 
     /// Whether this selection is what [`new`](Selection::new) would
-    /// build from `config` and `features`.
-    fn is_current(&self, config: &Configuration, features: &[f64]) -> bool {
-        self.0.config == *config && self.0.key.has_features(features)
+    /// build from `config` and `features`. The same `Arc` is the usual
+    /// case; an equal configuration at another knowledge point counts
+    /// too, since the key and the seed are functions of its value.
+    fn is_current(&self, config: &Arc<Configuration>, features: &[f64]) -> bool {
+        (Arc::ptr_eq(&self.0.config, config) || *self.0.config == **config)
+            && self.0.key.has_features(features)
     }
 
     /// The design-point cache key: `DesignKey::new(config, features)`.
@@ -499,8 +518,10 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antarex_tuner::goal::Objective;
-    use antarex_tuner::KnowledgeBase;
+    use antarex_tuner::goal::{Constraint, Objective};
+    use antarex_tuner::{KnobValue, KnowledgeBase, OperatingPoint};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn session() -> Session {
         Session::new(
@@ -737,5 +758,121 @@ mod tests {
     fn recover_rejects_a_duplicate_tenant() {
         let twice = vec![(5, Arc::new(session())), (5, Arc::new(session()))];
         let _ = SessionStore::recover(4, twice);
+    }
+
+    fn level(l: i64) -> Configuration {
+        let mut c = Configuration::new();
+        c.set("level", KnobValue::Int(l));
+        c
+    }
+
+    fn point(config: Configuration, latency: f64, energy: f64) -> OperatingPoint {
+        OperatingPoint::new(
+            config,
+            [
+                ("latency".to_string(), latency),
+                ("energy".to_string(), energy),
+            ],
+        )
+    }
+
+    /// A manager minimising latency under an energy bound.
+    fn manager(base: &Arc<KnowledgeBase>, energy_at_most: f64) -> AppManager {
+        let mut manager = AppManager::new(Arc::clone(base), Objective::minimize("latency"));
+        manager.add_constraint(Constraint::at_most("energy", energy_at_most));
+        manager
+    }
+
+    #[test]
+    fn a_selection_shares_the_knowledge_points_configuration() {
+        let base = Arc::new(KnowledgeBase::from_iter([
+            point(level(1), 0.3, 1.0),
+            point(level(2), 0.2, 2.0),
+        ]));
+        let mut session = Session::new(manager(&base, 1.5), vec![0.5]);
+        let first = session.select().unwrap();
+        let current = session.manager.current().unwrap();
+        assert!(Arc::ptr_eq(&first.0.config, current));
+        assert!(Arc::ptr_eq(&first.0.config, &base.points()[0].config));
+        let again = session.select().unwrap();
+        assert!(
+            Arc::ptr_eq(&first.0, &again.0),
+            "a current selection is kept"
+        );
+
+        // a switch builds a selection around the new point's `Arc`
+        assert!(session.manager.set_constraint_bound("energy", 3.0));
+        let switched = session.select().unwrap();
+        assert!(Arc::ptr_eq(
+            &switched.0.config,
+            session.manager.current().unwrap()
+        ));
+        assert!(Arc::ptr_eq(&switched.0.config, &base.points()[1].config));
+        assert_eq!(switched.get_int("level"), Some(2));
+    }
+
+    #[test]
+    fn an_equal_configuration_at_another_point_keeps_the_selection() {
+        // points 0 and 2 hold equal configurations in separate `Arc`s
+        let base = Arc::new(KnowledgeBase::from_iter([
+            point(level(1), 0.3, 1.0),
+            point(level(2), 0.25, 4.0),
+            point(level(1), 0.2, 2.0),
+        ]));
+        let mut session = Session::new(manager(&base, 1.5), vec![0.5]);
+        let kept = session.select().unwrap();
+        assert!(Arc::ptr_eq(&kept.0.config, &base.points()[0].config));
+
+        // a manager that deploys point 2 hands out the other `Arc`: the
+        // value-equality fallback keeps the selection, key and all
+        session.manager = manager(&base, 3.0);
+        let deployed = Arc::clone(session.manager.select().unwrap());
+        assert!(Arc::ptr_eq(&deployed, &base.points()[2].config));
+        assert!(!Arc::ptr_eq(&deployed, &kept.0.config));
+        let reused = session.select().unwrap();
+        assert!(Arc::ptr_eq(&reused.0, &kept.0), "not rebuilt");
+
+        // and back to point 0, still without a rebuild
+        session.manager = manager(&base, 1.5);
+        assert!(Arc::ptr_eq(&session.select().unwrap().0, &kept.0));
+
+        // new features do rebuild it, around the deployed `Arc`
+        session.features = vec![0.75];
+        let rebuilt = session.select().unwrap();
+        assert!(!Arc::ptr_eq(&rebuilt.0, &kept.0));
+        assert!(Arc::ptr_eq(
+            &rebuilt.0.config,
+            session.manager.current().unwrap()
+        ));
+    }
+
+    #[test]
+    fn a_selection_derives_what_the_key_and_the_seed_derive() {
+        let mut rng = StdRng::seed_from_u64(2016);
+        let float = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            3 => f64::INFINITY,
+            _ => rng.gen_range(-1e3..1e3),
+        };
+        for _ in 0..500 {
+            let mut config = Configuration::new();
+            for knob in 0..rng.gen_range(0..5) {
+                let value = match rng.gen_range(0..3) {
+                    0 => KnobValue::Int(rng.gen_range(-50..50)),
+                    1 => KnobValue::Float(float(&mut rng)),
+                    _ => KnobValue::Choice(format!("variant{}", rng.gen_range(0..4))),
+                };
+                config.set(format!("knob{knob}"), value);
+            }
+            let features: Vec<f64> = (0..rng.gen_range(0..4)).map(|_| float(&mut rng)).collect();
+            let shared = Arc::new(config);
+            let selection = Selection::new(&shared, &features);
+            assert!(Arc::ptr_eq(&selection.0.config, &shared));
+            assert_eq!(*selection.key(), DesignKey::new(&shared, &features));
+            assert_eq!(selection.seed(), probe_seed(&shared, &features));
+            assert!(selection.is_current(&shared, &features));
+        }
     }
 }

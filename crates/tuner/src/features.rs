@@ -136,7 +136,7 @@ impl FeatureManager {
         self.clusters[cluster]
             .knowledge
             .best(&self.objective, &self.constraints)
-            .map(|p| (&p.config, cluster))
+            .map(|p| (&*p.config, cluster))
     }
 }
 

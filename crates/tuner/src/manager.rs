@@ -28,7 +28,10 @@
 //! shared `Arc<[Constraint]>` that only [`AppManager::add_constraint`]
 //! and [`AppManager::set_constraint_bound`] replace, and the deployed
 //! configuration is held as the index of its point in the knowledge,
-//! whose points are never removed or reordered.
+//! whose points are never removed or reordered. Each point holds its
+//! configuration behind an `Arc`, which [`AppManager::select`] and
+//! [`AppManager::current`] hand out, so a caller that keeps the
+//! deployed configuration shares it rather than copying it.
 
 use crate::goal::{Constraint, Objective};
 use crate::intern::{intern, lookup, SymbolId};
@@ -45,6 +48,7 @@ use std::sync::Arc;
 /// ```
 /// use antarex_tuner::{AppManager, Configuration, KnobValue, KnowledgeBase, OperatingPoint};
 /// use antarex_tuner::goal::{Constraint, Objective};
+/// use std::sync::Arc;
 ///
 /// let mut quality = Configuration::new();
 /// quality.set("alternatives", KnobValue::Int(8));
@@ -57,8 +61,12 @@ use std::sync::Arc;
 ///
 /// let mut manager = AppManager::new(kb, Objective::maximize("quality"));
 /// manager.add_constraint(Constraint::at_most("latency", 0.5));
-/// let chosen = manager.select().unwrap();
+/// let chosen = Arc::clone(manager.select().unwrap());
 /// assert_eq!(chosen.get_int("alternatives"), Some(1), "0.9 s point violates the SLA");
+/// // the deployed configuration is the knowledge point's own, shared
+/// let point = &manager.knowledge().base().points()[1];
+/// assert!(Arc::ptr_eq(&chosen, &point.config));
+/// assert!(Arc::ptr_eq(&chosen, manager.current().unwrap()));
 /// ```
 #[derive(Clone)]
 pub struct AppManager {
@@ -142,8 +150,9 @@ impl AppManager {
         }
     }
 
-    /// The configuration currently deployed.
-    pub fn current(&self) -> Option<&Configuration> {
+    /// The configuration currently deployed: the knowledge point's own
+    /// `Arc`, so a caller that keeps it shares it.
+    pub fn current(&self) -> Option<&Arc<Configuration>> {
         Some(self.knowledge().config(self.current?))
     }
 
@@ -158,8 +167,10 @@ impl AppManager {
     ///
     /// Nothing is cloned: the deployed point is an index, replaced
     /// when the winner's configuration is not equal to the deployed
-    /// one (so always, for a configuration holding a NaN knob).
-    pub fn select(&mut self) -> Option<&Configuration> {
+    /// one (so always, for a configuration holding a NaN knob). The
+    /// configuration comes back as the knowledge point's own `Arc`, so
+    /// a caller that keeps it bumps a count instead of copying it.
+    pub fn select(&mut self) -> Option<&Arc<Configuration>> {
         // borrows the two fields alone, so `current` stays writable
         let knowledge = Knowledge {
             base: &self.base,
@@ -209,7 +220,7 @@ impl AppManager {
     /// overlay instead, which allocates. The decision is read off
     /// `switches()` rather than off a saved copy of the configuration,
     /// and nothing is formatted.
-    pub fn adapt(&mut self, now: f64) -> Option<&Configuration> {
+    pub fn adapt(&mut self, now: f64) -> Option<&Arc<Configuration>> {
         let since = self.last_adapt;
         self.last_adapt = now;
         if let Some(current) = self.current {
@@ -230,7 +241,7 @@ impl AppManager {
                         .learned
                         .learn(&self.base, index, fresh, self.learn_alpha),
                     None => {
-                        let point = OperatingPoint::with_metric_ids(config.clone(), fresh);
+                        let point = OperatingPoint::with_metric_ids(Arc::clone(config), fresh);
                         self.learned.append(point);
                     }
                 }
@@ -406,14 +417,14 @@ impl<'a> Knowledge<'a> {
     pub fn metric(self, config: &Configuration, metric: &str) -> Option<f64> {
         let id = lookup(metric)?;
         self.points()
-            .find(|seen| seen.point.config == *config)?
+            .find(|seen| *seen.point.config == *config)?
             .metric_id(id)
     }
 
     /// The configuration of point `at`, counted as [`points`] counts.
     ///
     /// [`points`]: Knowledge::points
-    fn config(self, at: usize) -> &'a Configuration {
+    fn config(self, at: usize) -> &'a Arc<Configuration> {
         match at.checked_sub(self.base.len()) {
             None => &self.base.points()[at].config,
             Some(appended) => &self.additions().1[appended].config,
@@ -465,8 +476,8 @@ impl<'a> Knowledge<'a> {
         self,
         objective: &Objective,
         constraints: &[Constraint],
-    ) -> Option<(usize, &'a Configuration)> {
-        let mut best: Option<(usize, &Configuration, f64)> = None;
+    ) -> Option<(usize, &'a Arc<Configuration>)> {
+        let mut best: Option<(usize, &Arc<Configuration>, f64)> = None;
         let feasible = self
             .points()
             .enumerate()

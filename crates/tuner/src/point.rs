@@ -22,24 +22,33 @@ use crate::intern::{intern, lookup, SymbolId};
 use crate::knob::KnobValue;
 use crate::space::Configuration;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A configuration plus its measured metrics.
 ///
 /// Metrics are stored as a dense `(SymbolId, f64)` column sorted by
 /// metric *name*, so equality and iteration order match the string-keyed
 /// map this replaced while lookups compare dense ids.
+///
+/// The configuration sits behind an `Arc`, so whoever deploys the point
+/// (a manager's `select`, a serving session's selection) shares it
+/// instead of copying it; `Debug` and equality are the configuration's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// The knob settings.
-    pub config: Configuration,
+    pub config: Arc<Configuration>,
     metrics: Vec<(SymbolId, f64)>,
 }
 
 impl OperatingPoint {
-    /// Creates an operating point.
-    pub fn new(config: Configuration, metrics: impl IntoIterator<Item = (String, f64)>) -> Self {
+    /// Creates an operating point from an owned configuration or a
+    /// shared one.
+    pub fn new(
+        config: impl Into<Arc<Configuration>>,
+        metrics: impl IntoIterator<Item = (String, f64)>,
+    ) -> Self {
         let mut point = OperatingPoint {
-            config,
+            config: config.into(),
             metrics: Vec::new(),
         };
         for (name, value) in metrics {
@@ -51,11 +60,11 @@ impl OperatingPoint {
     /// Creates an operating point from pre-interned metric ids (no
     /// name is hashed or interned; the column is still name-sorted).
     pub fn with_metric_ids(
-        config: Configuration,
+        config: impl Into<Arc<Configuration>>,
         metrics: impl IntoIterator<Item = (SymbolId, f64)>,
     ) -> Self {
         let mut point = OperatingPoint {
-            config,
+            config: config.into(),
             metrics: Vec::new(),
         };
         for (id, value) in metrics {
@@ -336,7 +345,7 @@ impl KnowledgeBase {
             .get(&config_hash(config))?
             .iter()
             .map(|&i| i as usize)
-            .find(|&i| self.points[i].config == *config)
+            .find(|&i| *self.points[i].config == *config)
     }
 
     /// Replaces the metrics of an existing configuration or appends a new

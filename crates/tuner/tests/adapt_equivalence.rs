@@ -83,8 +83,8 @@ impl OracleManager {
             .knowledge
             .best(&self.objective, &self.constraints)?
             .config;
-        if self.current.as_ref() != Some(best) {
-            let best = best.clone();
+        if self.current.as_ref() != Some(&**best) {
+            let best = Configuration::clone(best);
             if self.current.is_some() {
                 self.switches += 1;
             }

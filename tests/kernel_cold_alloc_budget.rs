@@ -6,14 +6,17 @@
 //! 0.05 Hz for 40 virtual seconds, batches of 16, one worker — on a
 //! fresh service and counts the heap allocations `serve_batch` makes per
 //! request, the first lowering of every program and rung included: at
-//! most 12.9. The campaign's 124 requests run 52 probes, so one more
-//! allocation per probe adds 0.42 per request. It measures 12.59, with a
+//! most 12.48. The campaign's 124 requests run 52 probes, so one more
+//! allocation per probe adds 0.42 per request. It measures 12.17, with a
 //! probe's VM frames, precision stack and input arrays kept from one
-//! probe to the next and a batch's buffers kept from one batch to the
-//! next. It measured 13.42 (budget 13.8) while every batch built its own
-//! buffers, and 18.37 while every probe allocated its VM memory afresh,
-//! so a per-probe buffer fails tier-1 if it comes back. (The
-//! count is exact, not a timing: the headroom is not noise margin.)
+//! probe to the next, a batch's buffers kept from one batch to the
+//! next, and every selection sharing its knowledge point's
+//! configuration. It measured 12.59 (budget 12.9) while each selection
+//! copied the configuration it deployed, 13.42 (budget 13.8) while
+//! every batch built its own buffers, and 18.37 while every probe
+//! allocated its VM memory afresh, so a per-probe buffer fails tier-1
+//! if it comes back. (The count is exact, not a timing: the headroom is
+//! not noise margin.)
 //!
 //! The counters are process-wide, so this binary holds exactly one test.
 
@@ -66,7 +69,7 @@ const TENANTS: u64 = 60;
 const BATCH: usize = 16;
 /// Allocations a cold precision request may make, its share of the
 /// batch's included.
-const BUDGET: f64 = 12.9;
+const BUDGET: f64 = 12.48;
 
 #[test]
 fn a_cold_precision_request_stays_within_its_allocation_budget() {
