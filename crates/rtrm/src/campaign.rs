@@ -21,6 +21,7 @@ use antarex_sim::job::WorkUnit;
 use antarex_sim::node::{Node, NodeSpec};
 use antarex_sim::variability::ProcessVariation;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Estimated draw of an alive idle node the facility loop reserves
 /// before splitting the budget across running nodes, watts.
@@ -267,7 +268,8 @@ pub fn run_profile(
 /// One profile run in progress: what a control step's phases share.
 struct Cluster<'a> {
     scale: &'a ClusterScale,
-    spec: NodeSpec,
+    /// The one spec every node shares.
+    spec: Arc<NodeSpec>,
     facility: FacilityController,
     schedule: FaultSchedule,
     registry: MetricsRegistry,
@@ -276,6 +278,9 @@ struct Cluster<'a> {
     ckpt_interval_s: f64,
     flat_pstate: Option<usize>,
     slots: Vec<NodeSlot>,
+    /// The facility split's demand weights, one per slot, kept from one
+    /// control step to the next.
+    weights: Vec<f64>,
     queue: VecDeque<PendingJob>,
     completed_flops: f64,
     overshoot_ws: f64,
@@ -285,7 +290,7 @@ struct Cluster<'a> {
 
 impl<'a> Cluster<'a> {
     fn build(seed: u64, scale: &'a ClusterScale, profile: ClusterProfile) -> Self {
-        let spec = NodeSpec::cineca_xeon();
+        let spec = Arc::new(NodeSpec::cineca_xeon());
         let plant = CoolingPlant::european_datacenter();
         let fault_config = match profile {
             ClusterProfile::FaultFree => FaultConfig::none(seed),
@@ -294,7 +299,7 @@ impl<'a> Cluster<'a> {
         // the flat baseline's one decision: the capper's pick for node
         // 0's cool-morning estimate against an ambient-blind uniform share
         let flat_pstate = (profile == ClusterProfile::Flat).then(|| {
-            let probe = Node::nominal(spec.clone(), 0);
+            let probe = Node::nominal(Arc::clone(&spec), 0);
             let share = scale.facility_cap_w
                 / (1.0 + plant.overhead_fraction(scale.ambient_start_c))
                 / scale.nodes as f64;
@@ -321,7 +326,7 @@ impl<'a> Cluster<'a> {
                 .enumerate()
                 .map(|(index, variation)| NodeSlot {
                     index,
-                    node: Node::with_variation(spec.clone(), index, variation),
+                    node: Node::with_variation(Arc::clone(&spec), index, variation),
                     ctl: NodeController::new(),
                     running: None,
                     stuck_frozen: None,
@@ -333,6 +338,7 @@ impl<'a> Cluster<'a> {
                     step_completed: None,
                 })
                 .collect(),
+            weights: vec![0.0; scale.nodes],
             queue: (0..scale.jobs)
                 .map(|id| PendingJob {
                     id,
@@ -403,8 +409,8 @@ impl<'a> Cluster<'a> {
         if self.flat_pstate.is_some() {
             return;
         }
-        let spec = &self.spec;
-        let mut weights = vec![0.0f64; self.slots.len()];
+        let (spec, weights) = (&self.spec, &mut self.weights);
+        weights.fill(0.0);
         let mut idle_alive = 0usize;
         for slot in self.slots.iter().filter(|slot| slot.alive) {
             match &slot.running {
@@ -417,7 +423,7 @@ impl<'a> Cluster<'a> {
         }
         let budget =
             (self.facility.it_budget_w(ambient) - idle_alive as f64 * IDLE_RESERVE_W).max(1.0);
-        if let Some(caps) = try_weighted_split_observed(budget, &weights, &self.pc_obs) {
+        if let Some(caps) = try_weighted_split_observed(budget, weights, &self.pc_obs) {
             for (slot, cap) in self.slots.iter_mut().zip(caps) {
                 slot.ctl.set_cap(cap);
             }

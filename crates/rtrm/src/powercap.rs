@@ -163,16 +163,29 @@ impl PowerCapper {
 /// (e.g. queued work); weights of zero receive an idle floor of 5% of the
 /// uniform share. `None` on an empty weight list. Non-finite weights (a
 /// NaN utilization from a dead sensor) are treated as zero demand rather
-/// than poisoning every node's share.
+/// than poisoning every node's share. Each weight is cleaned where it is
+/// read, so the shares are the one allocation.
 pub(crate) fn try_weighted_split(budget_w: f64, weights: &[f64]) -> Option<Vec<f64>> {
     if weights.is_empty() {
         return None;
     }
-    let weights: Vec<f64> = weights
-        .iter()
-        .map(|w| if w.is_finite() && *w > 0.0 { *w } else { 0.0 })
-        .collect();
-    Some(weighted_split_clean(budget_w, &weights))
+    let clean = |w: &f64| if w.is_finite() && *w > 0.0 { *w } else { 0.0 };
+    let floor = 0.05 * budget_w / weights.len() as f64;
+    let reserve = floor * weights.len() as f64;
+    let remaining = (budget_w - reserve).max(0.0);
+    let total: f64 = weights.iter().map(clean).sum();
+    Some(
+        weights
+            .iter()
+            .map(|w| {
+                if total > 0.0 {
+                    floor + remaining * clean(w) / total
+                } else {
+                    budget_w / weights.len() as f64
+                }
+            })
+            .collect(),
+    )
 }
 
 /// A stable 64-bit digest of one cap decision — the budget and the
@@ -189,23 +202,6 @@ pub fn split_digest(budget_w: f64, shares: &[f64]) -> u64 {
         hash.f64(share);
     }
     hash.0
-}
-
-fn weighted_split_clean(budget_w: f64, weights: &[f64]) -> Vec<f64> {
-    let floor = 0.05 * budget_w / weights.len() as f64;
-    let reserve = floor * weights.len() as f64;
-    let remaining = (budget_w - reserve).max(0.0);
-    let total: f64 = weights.iter().sum();
-    weights
-        .iter()
-        .map(|w| {
-            if total > 0.0 {
-                floor + remaining * w / total
-            } else {
-                budget_w / weights.len() as f64
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

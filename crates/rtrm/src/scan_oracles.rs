@@ -4,7 +4,10 @@
 //! properties below check the production scans against them over a
 //! population of nodes, die temperatures from cold to past the leakage
 //! saturation, unsensed readings, degenerate caps and every cap-chosen
-//! index.
+//! index. The oracles compare the full fixed point
+//! (`Node::steady_temp_at`) with the limit; the clamp asks the early-
+//! stopping `Node::steady_temp_within`, which is checked against that
+//! comparison directly as well.
 
 use crate::cluster_ctrl::{NodeController, RegionKind};
 use crate::powercap::{estimated_power_at_temp, PowerCapper};
@@ -12,6 +15,7 @@ use crate::thermal_ctrl::ThermalThrottle;
 use antarex_sim::job::WorkUnit;
 use antarex_sim::node::{Node, NodeSpec};
 use antarex_sim::variability::ProcessVariation;
+use std::sync::Arc;
 
 /// `ThermalThrottle::regulate` as a bottom-up scan.
 fn regulate_oracle(throttle: &ThermalThrottle, node: &mut Node) -> bool {
@@ -241,5 +245,71 @@ fn a_plan_matches_the_bottom_up_scans() {
                 }
             }
         }
+    }
+}
+
+/// Limits to test a prediction against: a grid from below the coldest
+/// inlet to past the hottest die, the prediction itself and one ULP
+/// either side of it, and the non-finite limits.
+fn limits_around(predicted_c: f64) -> Vec<f64> {
+    let mut limits: Vec<f64> = (-8..=30).map(|step| f64::from(step) * 5.0).collect();
+    limits.extend([
+        predicted_c,
+        predicted_c.next_down(),
+        predicted_c.next_up(),
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ]);
+    limits
+}
+
+/// `steady_temp_within` against the full fixed point on every sampled
+/// node, P-state, activity and limit.
+fn assert_within_matches_the_fixed_point(nodes: &[Node]) {
+    for node in nodes {
+        for idx in 0..node.spec().pstates.len() {
+            for activity in [0.0, 0.25, 1.0] {
+                let predicted_c = node.steady_temp_at(idx, activity);
+                for limit_c in limits_around(predicted_c) {
+                    assert_eq!(
+                        node.steady_temp_within(idx, activity, limit_c),
+                        predicted_c <= limit_c,
+                        "node {} at {} °C, P-state {idx}, activity {activity}: \
+                         predicted {predicted_c} °C against limit {limit_c} °C",
+                        node.id(),
+                        node.temp_c()
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_safety_test_matches_the_full_fixed_point() {
+    assert_within_matches_the_fixed_point(&sample_nodes());
+}
+
+#[test]
+fn a_spec_whose_leakage_falls_with_temperature_takes_the_full_fixed_point() {
+    // κ < 1 makes the step map decreasing, where no shortcut holds; a
+    // steep κ > 1 drives dies into the leakage saturation
+    for kappa in [0.5, 0.9, 1.0, 2.5] {
+        let mut spec = NodeSpec::cineca_xeon();
+        spec.socket_power.leak_kappa_per_10c = kappa;
+        let spec = Arc::new(spec);
+        let nodes: Vec<Node> = sample_nodes()
+            .into_iter()
+            .step_by(5)
+            .map(|sampled| {
+                let mut node =
+                    Node::with_variation(Arc::clone(&spec), sampled.id(), sampled.variation());
+                node.set_inlet_temp(sampled.temp_c() - 20.0);
+                node.execute(&WorkUnit::compute_bound(4e12));
+                node
+            })
+            .collect();
+        assert_within_matches_the_fixed_point(&nodes);
     }
 }

@@ -33,9 +33,13 @@ impl ThermalThrottle {
     }
 
     /// Whether the node's full-load steady-state junction temperature at
-    /// P-state `idx` is at or below the limit.
+    /// P-state `idx` is at or below the limit:
+    /// `steady_temp_at(idx, 1.0) <= limit_c`, decided by
+    /// [`Node::steady_temp_within`], which stops the prediction once the
+    /// answer is certain (one or two steps of the fixed point for most
+    /// states instead of twelve).
     fn is_safe(&self, node: &Node, idx: usize) -> bool {
-        node.steady_temp_at(idx, 1.0) <= self.limit_c
+        node.steady_temp_within(idx, 1.0, self.limit_c)
     }
 
     /// The fastest thermally safe P-state in `states`, if any. The scan
@@ -52,7 +56,9 @@ impl ThermalThrottle {
     /// `chosen` otherwise. `chosen` is tested first, so a decision the
     /// clamp does not touch costs one steady-state prediction; the states
     /// above it are tried before any below, so the answer is exact even
-    /// where a faster state would be safe and `chosen` is not.
+    /// where a faster state would be safe and `chosen` is not. Each
+    /// prediction is a safety test ([`Node::steady_temp_within`]), so it
+    /// costs the steps that decide it, not the full fixed point.
     pub(crate) fn clamp(&self, node: &Node, chosen: usize) -> (usize, bool) {
         let len = node.spec().pstates.len();
         if self.is_safe(node, chosen) || self.fastest_safe(node, chosen + 1..len).is_some() {

@@ -347,6 +347,10 @@ pub(crate) mod apply {
     /// `Learn`: session bookkeeping, one `observe()` per metric, and
     /// breaker success feedback when breakers are live. The session
     /// keeps the answering selection itself, a reference-count bump.
+    /// On a cache hit the answering selection is the one the session
+    /// already keeps: replacing it with itself would change nothing (a
+    /// NaN knob included, which the value comparison calls unequal), so
+    /// the pointer test skips the comparison.
     pub(crate) fn learn(
         store: &SessionStore,
         breakers: &BreakerBank,
@@ -357,7 +361,8 @@ pub(crate) mod apply {
     ) {
         let _ = store.with(tenant, |session| {
             session.requests += 1;
-            if session.last_config.as_ref() != Some(config) {
+            let kept = session.last_config.as_ref();
+            if !kept.is_some_and(|last| last.ptr_eq(config)) && kept != Some(config) {
                 session.last_config = Some(config.clone());
             }
             session.power_demand_w = metrics.get("power").copied().unwrap_or(0.0);

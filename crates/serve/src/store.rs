@@ -152,6 +152,12 @@ impl Selection {
             && self.0.key.has_features(features)
     }
 
+    /// Whether `self` and `other` are the same selection (one shared
+    /// block), not merely equal configurations.
+    pub(crate) fn ptr_eq(&self, other: &Selection) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// The design-point cache key: `DesignKey::new(config, features)`.
     pub(crate) fn key(&self) -> &DesignKey {
         &self.0.key

@@ -15,6 +15,18 @@ use crate::job::WorkUnit;
 use crate::power::PowerParams;
 use crate::thermal::ThermalModel;
 use crate::variability::ProcessVariation;
+use std::sync::Arc;
+
+/// Fixed-point iterations in a steady-state temperature prediction.
+const STEADY_ITERATIONS: usize = 12;
+
+/// The margin, °C, by which [`Node::steady_temp_within`] keeps its
+/// shortcuts clear of `powf`'s rounding (see there).
+const EPS: f64 = 1e-6;
+
+/// The largest limit magnitude, °C, at which `limit ± EPS` still differs
+/// from the limit by about `EPS` (an ULP of 10⁶ is 1.2·10⁻¹⁰).
+const SHORTCUT_LIMIT_C: f64 = 1e6;
 
 /// Static description of a node model.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,11 +119,12 @@ impl ExecOutcome {
 }
 
 /// A node instance: a spec stamped with a process corner, carrying DVFS
-/// and thermal state and an energy meter.
+/// and thermal state and an energy meter. Nodes of one model share their
+/// spec: a cluster of thousands holds one.
 #[derive(Debug, Clone)]
 pub struct Node {
     id: usize,
-    spec: NodeSpec,
+    spec: Arc<NodeSpec>,
     variation: ProcessVariation,
     pstate_index: usize,
     thermal: ThermalModel,
@@ -122,13 +135,20 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates a node at the nominal process corner.
-    pub fn nominal(spec: NodeSpec, id: usize) -> Self {
+    /// Creates a node at the nominal process corner. `spec` is an owned
+    /// [`NodeSpec`] or an `Arc` of one that other nodes share.
+    pub fn nominal(spec: impl Into<Arc<NodeSpec>>, id: usize) -> Self {
         Self::with_variation(spec, id, ProcessVariation::nominal())
     }
 
-    /// Creates a node with an explicit process corner.
-    pub fn with_variation(spec: NodeSpec, id: usize, variation: ProcessVariation) -> Self {
+    /// Creates a node with an explicit process corner. `spec` is an
+    /// owned [`NodeSpec`] or an `Arc` of one that other nodes share.
+    pub fn with_variation(
+        spec: impl Into<Arc<NodeSpec>>,
+        id: usize,
+        variation: ProcessVariation,
+    ) -> Self {
+        let spec = spec.into();
         let inlet = 26.0;
         let pstate_index = spec.pstates.max_index();
         Node {
@@ -205,24 +225,124 @@ impl Node {
     }
 
     /// Predicted steady-state junction temperature at the given P-state
-    /// and activity (fixed-point over the leakage–temperature coupling).
-    /// Model-predictive thermal controllers use this to pick the fastest
-    /// thermally-safe operating point.
+    /// and activity: twelve fixed-point iterations of the leakage–
+    /// temperature coupling from the current junction temperature,
+    /// `T ← g(T) = inlet + R·sockets·((constant + dynamic·f_dyn) +
+    /// leakage(T))`. This is the definition; a controller that only needs
+    /// to know whether the prediction respects a limit asks
+    /// [`Node::steady_temp_within`], which gives the same answer and
+    /// usually stops after one or two evaluations of `g`.
     pub fn steady_temp_at(&self, pstate_index: usize, activity: f64) -> f64 {
-        let pstate = self.spec.pstates.state(pstate_index);
+        self.steady_fixed_point(self.steady_base_w(pstate_index, activity))
+    }
+
+    /// Exactly `steady_temp_at(pstate_index, activity) <= limit_c`, but
+    /// stops iterating as soon as the answer is certain. Model-predictive
+    /// thermal controllers use this to pick the fastest thermally safe
+    /// operating point.
+    ///
+    /// The step map `g` above does not decrease as `T` rises: leakage
+    /// grows with temperature (κ ≥ 1, saturating at 105 °C) and every
+    /// other term is a constant or a non-negative scale. Rounding keeps
+    /// that, except in `powf`, which is within an ULP of the true power:
+    /// two arguments can come out in the wrong order only when their true
+    /// leakage differs by under two ULPs, so for `x ≤ y`,
+    /// `g(x) ≤ g(y) + δ` with `δ` about 10⁻¹³ °C for a socket's watts.
+    /// The margin ε = 10⁻⁶ °C (a constant) exceeds `δ` by seven orders of
+    /// magnitude. It sits on values of `g`, never on the point tested, so
+    /// the slack enters each argument once and needs no bound on the
+    /// slope of `g`. Three one-line arguments are then exact:
+    ///
+    /// * **Invariant interval.** If `g(L) ≤ L − ε`, then `T ≤ L` implies
+    ///   `g(T) ≤ g(L) + δ ≤ L`: once an iterate is at or below the limit,
+    ///   so is every later one, and the state is safe. If
+    ///   `g(L) ≥ L + ε`, then `T ≥ L` implies `g(T) > L`: once an iterate
+    ///   reaches the limit, the state is unsafe. `g(L)` costs one
+    ///   evaluation and is tested against every iterate.
+    /// * **Monotone run.** If an iterate `T ≤ L` is followed by
+    ///   `g(T) ≤ T − ε`, then `x ≤ T` implies `g(x) ≤ g(T) + δ ≤ T`, so
+    ///   no later iterate climbs past `T`: safe. Mirrored, `T > L`
+    ///   followed by `g(T) ≥ T + ε` keeps every later iterate at or
+    ///   above `T`: unsafe.
+    /// * **Fallback.** Otherwise the twelfth iterate is compared exactly,
+    ///   as `steady_temp_at` does.
+    ///
+    /// The shortcuts need `g` to be non-decreasing and never NaN, and
+    /// `L ± ε` to differ from `L`. A spec or corner that breaks that
+    /// (leakage falling with temperature, a zero or non-finite leakage
+    /// scale, a non-finite dynamic term or inlet, no sockets) or a limit
+    /// beyond ±10⁶ °C, NaN included, takes the fallback.
+    pub fn steady_temp_within(&self, pstate_index: usize, activity: f64, limit_c: f64) -> bool {
+        let base_w = self.steady_base_w(pstate_index, activity);
+        if !(self.steady_step_is_monotone(base_w) && limit_c.abs() <= SHORTCUT_LIMIT_C) {
+            return self.steady_fixed_point(base_w) <= limit_c;
+        }
         let mut temp = self.thermal.temp_c();
-        for _ in 0..12 {
-            let socket = self.spec.socket_power.constant_w
-                + self.spec.socket_power.dynamic_w(pstate, activity)
-                    * self.variation.dynamic_factor
-                + self
-                    .spec
-                    .socket_power
-                    .leakage_w(temp, self.variation.leakage_factor);
-            let power = socket * self.spec.sockets as f64;
-            temp = self.thermal.steady_state_c(power, self.inlet_temp_c);
+        let at_limit = self.steady_step(base_w, limit_c);
+        let stays_below = at_limit <= limit_c - EPS;
+        let stays_above = at_limit >= limit_c + EPS;
+        for _ in 0..STEADY_ITERATIONS {
+            if temp <= limit_c && stays_below {
+                return true;
+            }
+            if temp >= limit_c && stays_above {
+                return false;
+            }
+            let next = self.steady_step(base_w, temp);
+            if temp <= limit_c && next <= temp - EPS {
+                return true;
+            }
+            if temp > limit_c && next >= temp + EPS {
+                return false;
+            }
+            temp = next;
+        }
+        temp <= limit_c
+    }
+
+    /// The temperature-independent part of one socket's power in the
+    /// steady-state map: `constant + dynamic·f_dyn`.
+    fn steady_base_w(&self, pstate_index: usize, activity: f64) -> f64 {
+        let power = &self.spec.socket_power;
+        let pstate = self.spec.pstates.state(pstate_index);
+        power.constant_w + power.dynamic_w(pstate, activity) * self.variation.dynamic_factor
+    }
+
+    /// The twelfth iterate of `g` from the current junction temperature.
+    fn steady_fixed_point(&self, base_w: f64) -> f64 {
+        let mut temp = self.thermal.temp_c();
+        for _ in 0..STEADY_ITERATIONS {
+            temp = self.steady_step(base_w, temp);
         }
         temp
+    }
+
+    /// The steady-state map `g`: the junction temperature the node
+    /// settles at when leakage is evaluated at `temp_c`.
+    fn steady_step(&self, base_w: f64, temp_c: f64) -> f64 {
+        let socket = base_w
+            + self
+                .spec
+                .socket_power
+                .leakage_w(temp_c, self.variation.leakage_factor);
+        let power = socket * self.spec.sockets as f64;
+        self.thermal.steady_state_c(power, self.inlet_temp_c)
+    }
+
+    /// Whether `g` is non-decreasing and never NaN for a non-NaN
+    /// argument: leakage scales a power of κ ≥ 1 by a positive finite
+    /// factor, and the sum it joins, the socket count and the inlet are
+    /// finite and non-degenerate.
+    fn steady_step_is_monotone(&self, base_w: f64) -> bool {
+        let power = &self.spec.socket_power;
+        let leak_scale = power.leak_w_at_ref * self.variation.leakage_factor;
+        power.leak_kappa_per_10c >= 1.0
+            && !power.ref_temp_c.is_nan()
+            && leak_scale > 0.0
+            && leak_scale.is_finite()
+            && base_w.is_finite()
+            && self.spec.sockets > 0
+            && self.inlet_temp_c.is_finite()
     }
 
     /// Executes a work unit on the CPU cores at the current P-state.
