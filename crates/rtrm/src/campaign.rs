@@ -281,6 +281,8 @@ struct Cluster<'a> {
     /// The facility split's demand weights, one per slot, kept from one
     /// control step to the next.
     weights: Vec<f64>,
+    /// The facility split's per-slot caps, kept the same way.
+    caps: Vec<f64>,
     queue: VecDeque<PendingJob>,
     completed_flops: f64,
     overshoot_ws: f64,
@@ -339,6 +341,7 @@ impl<'a> Cluster<'a> {
                 })
                 .collect(),
             weights: vec![0.0; scale.nodes],
+            caps: Vec::with_capacity(scale.nodes),
             queue: (0..scale.jobs)
                 .map(|id| PendingJob {
                     id,
@@ -423,8 +426,10 @@ impl<'a> Cluster<'a> {
         }
         let budget =
             (self.facility.it_budget_w(ambient) - idle_alive as f64 * IDLE_RESERVE_W).max(1.0);
-        if let Some(caps) = try_weighted_split_observed(budget, weights, &self.pc_obs) {
-            for (slot, cap) in self.slots.iter_mut().zip(caps) {
+        if let Some(caps) =
+            try_weighted_split_observed(budget, weights, &mut self.caps, &self.pc_obs)
+        {
+            for (slot, &cap) in self.slots.iter_mut().zip(caps) {
                 slot.ctl.set_cap(cap);
             }
         }

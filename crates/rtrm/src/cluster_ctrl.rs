@@ -238,7 +238,9 @@ impl FacilityController {
     /// over `weights` (remaining demand per node; dead nodes weight 0),
     /// recorded on `obs`. `None` when no node is alive to receive it.
     pub fn split(&self, ambient_c: f64, weights: &[f64], obs: &PowercapObs) -> Option<Vec<f64>> {
-        try_weighted_split_observed(self.it_budget_w(ambient_c), weights, obs)
+        let mut shares = Vec::new();
+        try_weighted_split_observed(self.it_budget_w(ambient_c), weights, &mut shares, obs)?;
+        Some(shares)
     }
 }
 

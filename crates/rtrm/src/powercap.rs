@@ -52,16 +52,18 @@ impl PowercapObs {
 /// `try_weighted_split` with its decision recorded on `obs`: the
 /// attempted budget and summed finite demand land in gauges, a refusal
 /// (empty alive set) bumps the refusal counter, and a successful split
-/// records the granted total (= budget, conservation).
-pub fn try_weighted_split_observed(
+/// records the granted total (= budget, conservation). The shares are
+/// written into `shares`, as there.
+pub fn try_weighted_split_observed<'s>(
     budget_w: f64,
     weights: &[f64],
+    shares: &'s mut Vec<f64>,
     obs: &PowercapObs,
-) -> Option<Vec<f64>> {
+) -> Option<&'s [f64]> {
     obs.budget_w.set(budget_w);
     let demand: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
     obs.demand.set(demand);
-    match try_weighted_split(budget_w, weights) {
+    match try_weighted_split(budget_w, weights, shares) {
         Some(split) => {
             obs.splits.inc();
             obs.granted_w.set(split.iter().sum());
@@ -139,14 +141,21 @@ impl PowerCapper {
     /// [`estimated_power_at_temp`]).
     ///
     /// Leakage depends on the temperature, not on the P-state, so it is
-    /// evaluated once per decision. The scan runs top-down and stops at
+    /// evaluated at most once per decision: a reading equal to the die's
+    /// temperature bit for bit (every fresh one) takes the leakage the
+    /// node keeps for it ([`Node::leakage_w`]) and costs no `powf`; any
+    /// other reading evaluates it. The scan runs top-down and stops at
     /// the first state under the cap: the same index as keeping the last
     /// pass of a bottom-up scan, with no monotonicity assumed.
     pub(crate) fn admissible_pstate_at_temp(&self, node: &Node, temp_c: f64) -> usize {
         let spec = node.spec();
-        let leakage_w = spec
-            .socket_power
-            .leakage_w(worst_if_unsensed(temp_c), node.variation().leakage_factor);
+        let temp_c = worst_if_unsensed(temp_c);
+        let leakage_w = if temp_c.to_bits() == node.temp_c().to_bits() {
+            node.leakage_w()
+        } else {
+            spec.socket_power
+                .leakage_w(temp_c, node.variation().leakage_factor)
+        };
         (0..spec.pstates.len())
             .rev()
             .find(|&idx| {
@@ -163,9 +172,16 @@ impl PowerCapper {
 /// (e.g. queued work); weights of zero receive an idle floor of 5% of the
 /// uniform share. `None` on an empty weight list. Non-finite weights (a
 /// NaN utilization from a dead sensor) are treated as zero demand rather
-/// than poisoning every node's share. Each weight is cleaned where it is
-/// read, so the shares are the one allocation.
-pub(crate) fn try_weighted_split(budget_w: f64, weights: &[f64]) -> Option<Vec<f64>> {
+/// than poisoning every node's share. The shares replace the contents of
+/// `shares`, the caller's buffer (left empty on `None`), so a controller
+/// that keeps it splits without allocating; each weight is cleaned where
+/// it is read.
+pub(crate) fn try_weighted_split<'s>(
+    budget_w: f64,
+    weights: &[f64],
+    shares: &'s mut Vec<f64>,
+) -> Option<&'s [f64]> {
+    shares.clear();
     if weights.is_empty() {
         return None;
     }
@@ -174,18 +190,14 @@ pub(crate) fn try_weighted_split(budget_w: f64, weights: &[f64]) -> Option<Vec<f
     let reserve = floor * weights.len() as f64;
     let remaining = (budget_w - reserve).max(0.0);
     let total: f64 = weights.iter().map(clean).sum();
-    Some(
-        weights
-            .iter()
-            .map(|w| {
-                if total > 0.0 {
-                    floor + remaining * clean(w) / total
-                } else {
-                    budget_w / weights.len() as f64
-                }
-            })
-            .collect(),
-    )
+    shares.extend(weights.iter().map(|w| {
+        if total > 0.0 {
+            floor + remaining * clean(w) / total
+        } else {
+            budget_w / weights.len() as f64
+        }
+    }));
+    Some(shares)
 }
 
 /// A stable 64-bit digest of one cap decision — the budget and the
@@ -211,7 +223,8 @@ mod tests {
 
     #[test]
     fn split_digest_is_stable_and_sensitive() {
-        let shares = try_weighted_split(100.0, &[1.0, 2.0, 3.0]).expect("nodes to budget");
+        let mut shares = Vec::new();
+        try_weighted_split(100.0, &[1.0, 2.0, 3.0], &mut shares).expect("nodes to budget");
         let a = split_digest(100.0, &shares);
         let b = split_digest(100.0, &shares);
         assert_eq!(a, b, "digest is a pure function of the decision");
@@ -251,7 +264,8 @@ mod tests {
 
     #[test]
     fn weighted_split_conserves_budget() {
-        let weighted = try_weighted_split(1000.0, &[3.0, 1.0, 0.0, 0.0]).expect("nodes to budget");
+        let mut weighted = Vec::new();
+        try_weighted_split(1000.0, &[3.0, 1.0, 0.0, 0.0], &mut weighted).expect("nodes to budget");
         let total: f64 = weighted.iter().sum();
         assert!((total - 1000.0).abs() < 1e-9);
         assert!(weighted[0] > weighted[1]);
@@ -261,18 +275,34 @@ mod tests {
 
     #[test]
     fn weighted_split_with_all_zero_weights_is_uniform() {
-        let split = try_weighted_split(400.0, &[0.0, 0.0]).expect("nodes to budget");
+        let mut split = Vec::new();
+        try_weighted_split(400.0, &[0.0, 0.0], &mut split).expect("nodes to budget");
         assert_eq!(split, vec![200.0, 200.0]);
     }
 
     #[test]
     fn weighted_split_survives_an_empty_cluster() {
-        assert_eq!(try_weighted_split(1000.0, &[]), None);
+        let mut split = vec![7.0];
+        assert_eq!(try_weighted_split(1000.0, &[], &mut split), None);
+        assert!(split.is_empty(), "a refused split leaves no stale shares");
+    }
+
+    #[test]
+    fn a_kept_buffer_splits_like_a_fresh_one() {
+        let mut kept = vec![f64::NAN; 9];
+        for weights in [&[3.0, 1.0, f64::NAN][..], &[1.0; 5], &[0.0, 2.0]] {
+            let mut fresh = Vec::new();
+            try_weighted_split(750.0, weights, &mut fresh).expect("nodes to budget");
+            let split = try_weighted_split(750.0, weights, &mut kept).expect("nodes to budget");
+            assert_eq!(split, &fresh[..]);
+            assert_eq!(kept, fresh);
+        }
     }
 
     #[test]
     fn nan_weights_do_not_poison_the_split() {
-        let split = try_weighted_split(1000.0, &[f64::NAN, 1.0]).expect("two nodes");
+        let mut split = Vec::new();
+        try_weighted_split(1000.0, &[f64::NAN, 1.0], &mut split).expect("two nodes");
         assert!(split.iter().all(|w| w.is_finite()), "{split:?}");
         let total: f64 = split.iter().sum();
         assert!((total - 1000.0).abs() < 1e-9);
@@ -327,16 +357,17 @@ mod tests {
         let registry = MetricsRegistry::new();
         let obs = PowercapObs::register(&registry);
         let weights = [3.0, 1.0, f64::NAN];
-        let observed = try_weighted_split_observed(1000.0, &weights, &obs).expect("three nodes");
-        assert_eq!(
-            observed,
-            try_weighted_split(1000.0, &weights).unwrap(),
-            "observation must not change the policy"
-        );
+        let (mut observed, mut plain) = (Vec::new(), Vec::new());
+        try_weighted_split_observed(1000.0, &weights, &mut observed, &obs).expect("three nodes");
+        try_weighted_split(1000.0, &weights, &mut plain).expect("three nodes");
+        assert_eq!(observed, plain, "observation must not change the policy");
         assert_eq!(obs.splits.get(), 1);
         assert_eq!(obs.splits_refused.get(), 0);
         // empty alive set: refused, not split
-        assert_eq!(try_weighted_split_observed(1000.0, &[], &obs), None);
+        assert_eq!(
+            try_weighted_split_observed(1000.0, &[], &mut observed, &obs),
+            None
+        );
         assert_eq!(obs.splits.get(), 1);
         assert_eq!(obs.splits_refused.get(), 1);
     }
@@ -345,7 +376,7 @@ mod tests {
     fn observed_metrics_appear_on_the_registry() {
         let registry = MetricsRegistry::new();
         let obs = PowercapObs::register(&registry);
-        try_weighted_split_observed(500.0, &[1.0, 1.0], &obs);
+        try_weighted_split_observed(500.0, &[1.0, 1.0], &mut Vec::new(), &obs);
         let exposition = antarex_obs::exposition(&registry.snapshot(None));
         assert!(
             exposition.contains("rtrm_power_splits_total 1"),

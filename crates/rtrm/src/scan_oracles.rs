@@ -5,9 +5,11 @@
 //! population of nodes, die temperatures from cold to past the leakage
 //! saturation, unsensed readings, degenerate caps and every cap-chosen
 //! index. The oracles compare the full fixed point
-//! (`Node::steady_temp_at`) with the limit; the clamp asks the early-
-//! stopping `Node::steady_temp_within`, which is checked against that
-//! comparison directly as well.
+//! (`Node::steady_temp_at`, which evaluates every leakage afresh) with
+//! the limit; the clamp asks the early-stopping
+//! `SteadyLimit::steady_temp_within`, which reads the leakage the node
+//! keeps for its temperature, and is checked against that comparison
+//! directly as well.
 
 use crate::cluster_ctrl::{NodeController, RegionKind};
 use crate::powercap::{estimated_power_at_temp, PowerCapper};
@@ -194,7 +196,11 @@ fn the_capper_matches_the_bottom_up_scan() {
         120.0,
     ];
     for node in sample_nodes().into_iter().step_by(7) {
-        for temp_c in sensed_c.into_iter().chain([node.temp_c()]) {
+        // the die's own temperature takes the leakage the node keeps;
+        // one ULP either side evaluates it
+        let die_c = node.temp_c();
+        let around_die = [die_c, die_c.next_down(), die_c.next_up()];
+        for temp_c in sensed_c.into_iter().chain(around_die) {
             // the floor, a cap above every state, and each state's own
             // estimate (the tie) with a hair either side
             let mut caps = vec![1.0, 1e6];
@@ -273,7 +279,7 @@ fn assert_within_matches_the_fixed_point(nodes: &[Node]) {
                 let predicted_c = node.steady_temp_at(idx, activity);
                 for limit_c in limits_around(predicted_c) {
                     assert_eq!(
-                        node.steady_temp_within(idx, activity, limit_c),
+                        node.steady_limit(limit_c).steady_temp_within(idx, activity),
                         predicted_c <= limit_c,
                         "node {} at {} °C, P-state {idx}, activity {activity}: \
                          predicted {predicted_c} °C against limit {limit_c} °C",

@@ -11,7 +11,7 @@
 //!   energy and thermal safety.
 
 use antarex_sim::job::WorkUnit;
-use antarex_sim::node::Node;
+use antarex_sim::node::{Node, SteadyLimit};
 use std::ops::Range;
 
 /// Hysteresis P-state throttle keeping the junction under a limit.
@@ -32,22 +32,17 @@ impl ThermalThrottle {
         }
     }
 
-    /// Whether the node's full-load steady-state junction temperature at
-    /// P-state `idx` is at or below the limit:
-    /// `steady_temp_at(idx, 1.0) <= limit_c`, decided by
-    /// [`Node::steady_temp_within`], which stops the prediction once the
-    /// answer is certain (one or two steps of the fixed point for most
-    /// states instead of twelve).
-    fn is_safe(&self, node: &Node, idx: usize) -> bool {
-        node.steady_temp_within(idx, 1.0, self.limit_c)
-    }
-
-    /// The fastest thermally safe P-state in `states`, if any. The scan
-    /// runs top-down and stops at the first safe state: the same index
-    /// as keeping the last pass of a bottom-up scan, with no monotonicity
-    /// of steady temperature in the P-state assumed.
-    fn fastest_safe(&self, node: &Node, states: Range<usize>) -> Option<usize> {
-        states.rev().find(|&idx| self.is_safe(node, idx))
+    /// The fastest P-state in `states` whose full-load steady-state
+    /// junction temperature is at or below the limit
+    /// (`steady_temp_at(idx, 1.0) <= limit_c`), if any. Each state is
+    /// decided by [`SteadyLimit::steady_temp_within`], which stops the
+    /// prediction once the answer is certain (one or two steps of the
+    /// fixed point for most states instead of twelve). The scan runs
+    /// top-down and stops at the first safe state: the same index as
+    /// keeping the last pass of a bottom-up scan, with no monotonicity of
+    /// steady temperature in the P-state assumed.
+    fn fastest_safe(limit: &SteadyLimit, states: Range<usize>) -> Option<usize> {
+        states.rev().find(|&idx| limit.steady_temp_within(idx, 1.0))
     }
 
     /// The thermal-emergency clamp on a P-state `chosen` by the capper:
@@ -57,14 +52,21 @@ impl ThermalThrottle {
     /// clamp does not touch costs one steady-state prediction; the states
     /// above it are tried before any below, so the answer is exact even
     /// where a faster state would be safe and `chosen` is not. Each
-    /// prediction is a safety test ([`Node::steady_temp_within`]), so it
-    /// costs the steps that decide it, not the full fixed point.
+    /// prediction is a safety test ([`SteadyLimit::steady_temp_within`]),
+    /// so it costs the steps that decide it, not the full fixed point.
+    /// The leakage at the limit is evaluated once per decision
+    /// ([`Node::steady_limit`]) and the leakage at the die's temperature
+    /// is the node's kept one, so a prediction the first step decides
+    /// costs no `powf`, on any P-state.
     pub(crate) fn clamp(&self, node: &Node, chosen: usize) -> (usize, bool) {
+        let limit = node.steady_limit(self.limit_c);
         let len = node.spec().pstates.len();
-        if self.is_safe(node, chosen) || self.fastest_safe(node, chosen + 1..len).is_some() {
+        if limit.steady_temp_within(chosen, 1.0)
+            || Self::fastest_safe(&limit, chosen + 1..len).is_some()
+        {
             return (chosen, false);
         }
-        let safe = self.fastest_safe(node, 0..chosen).unwrap_or(0);
+        let safe = Self::fastest_safe(&limit, 0..chosen).unwrap_or(0);
         (safe, safe < chosen)
     }
 
@@ -75,9 +77,8 @@ impl ThermalThrottle {
     /// speeding back up). Returns `true` if a throttling (slow-down)
     /// action was taken.
     pub(crate) fn regulate(&self, node: &mut Node) -> bool {
-        let target = self
-            .fastest_safe(node, 0..node.spec().pstates.len())
-            .unwrap_or(0);
+        let limit = node.steady_limit(self.limit_c);
+        let target = Self::fastest_safe(&limit, 0..node.spec().pstates.len()).unwrap_or(0);
         let current = node.pstate_index();
         if target < current {
             node.set_pstate(target);

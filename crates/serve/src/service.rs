@@ -623,7 +623,8 @@ impl<E: Evaluator> TuningService<E> {
                 (tenants, demands)
             },
         );
-        let shares = try_weighted_split_observed(budget_w, &demands, &self.obs.powercap)?;
+        let mut shares = Vec::new();
+        try_weighted_split_observed(budget_w, &demands, &mut shares, &self.obs.powercap)?;
         // RTRM layer of the causal trace: a cap decision is not tied
         // to one request, so its trace id is the split's own digest —
         // stable across runs, linked to requests by the shared store

@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// Fixed-point iterations in a steady-state temperature prediction.
 const STEADY_ITERATIONS: usize = 12;
 
-/// The margin, °C, by which [`Node::steady_temp_within`] keeps its
+/// The margin, °C, by which [`SteadyLimit::steady_temp_within`] keeps its
 /// shortcuts clear of `powf`'s rounding (see there).
 const EPS: f64 = 1e-6;
 
@@ -128,6 +128,12 @@ pub struct Node {
     variation: ProcessVariation,
     pstate_index: usize,
     thermal: ThermalModel,
+    /// One socket's leakage at the current junction temperature and this
+    /// node's corner, `leakage_w(temp_c, leakage_factor)`: set at
+    /// construction and after every thermal step, so the next sub-step,
+    /// the first step of a safety test and the capper at a fresh reading
+    /// read it instead of evaluating the `powf` again.
+    leakage_w: f64,
     inlet_temp_c: f64,
     busy_s: f64,
     energy_j: f64,
@@ -151,12 +157,17 @@ impl Node {
         let spec = spec.into();
         let inlet = 26.0;
         let pstate_index = spec.pstates.max_index();
+        let thermal = ThermalModel::server_node(inlet);
+        let leakage_w = spec
+            .socket_power
+            .leakage_w(thermal.temp_c(), variation.leakage_factor);
         Node {
             id,
             spec,
             variation,
             pstate_index,
-            thermal: ThermalModel::server_node(inlet),
+            thermal,
+            leakage_w,
             inlet_temp_c: inlet,
             busy_s: 0.0,
             energy_j: 0.0,
@@ -187,6 +198,14 @@ impl Node {
     /// Current junction temperature.
     pub fn temp_c(&self) -> f64 {
         self.thermal.temp_c()
+    }
+
+    /// One socket's leakage power at the current junction temperature,
+    /// W: exactly `spec().socket_power.leakage_w(temp_c(),
+    /// variation().leakage_factor)`, kept since the temperature last
+    /// changed, so reading it costs no `powf`.
+    pub fn leakage_w(&self) -> f64 {
+        self.leakage_w
     }
 
     /// Selects a P-state by index (0 = slowest).
@@ -228,76 +247,26 @@ impl Node {
     /// and activity: twelve fixed-point iterations of the leakage–
     /// temperature coupling from the current junction temperature,
     /// `T ← g(T) = inlet + R·sockets·((constant + dynamic·f_dyn) +
-    /// leakage(T))`. This is the definition; a controller that only needs
-    /// to know whether the prediction respects a limit asks
-    /// [`Node::steady_temp_within`], which gives the same answer and
-    /// usually stops after one or two evaluations of `g`.
+    /// leakage(T))`, each evaluating its leakage afresh. This is the
+    /// definition; a controller that only needs to know whether the
+    /// prediction respects a limit asks [`SteadyLimit::steady_temp_within`],
+    /// which gives the same answer and usually stops after one or two
+    /// evaluations of `g`.
     pub fn steady_temp_at(&self, pstate_index: usize, activity: f64) -> f64 {
         self.steady_fixed_point(self.steady_base_w(pstate_index, activity))
     }
 
-    /// Exactly `steady_temp_at(pstate_index, activity) <= limit_c`, but
-    /// stops iterating as soon as the answer is certain. Model-predictive
-    /// thermal controllers use this to pick the fastest thermally safe
-    /// operating point.
-    ///
-    /// The step map `g` above does not decrease as `T` rises: leakage
-    /// grows with temperature (κ ≥ 1, saturating at 105 °C) and every
-    /// other term is a constant or a non-negative scale. Rounding keeps
-    /// that, except in `powf`, which is within an ULP of the true power:
-    /// two arguments can come out in the wrong order only when their true
-    /// leakage differs by under two ULPs, so for `x ≤ y`,
-    /// `g(x) ≤ g(y) + δ` with `δ` about 10⁻¹³ °C for a socket's watts.
-    /// The margin ε = 10⁻⁶ °C (a constant) exceeds `δ` by seven orders of
-    /// magnitude. It sits on values of `g`, never on the point tested, so
-    /// the slack enters each argument once and needs no bound on the
-    /// slope of `g`. Three one-line arguments are then exact:
-    ///
-    /// * **Invariant interval.** If `g(L) ≤ L − ε`, then `T ≤ L` implies
-    ///   `g(T) ≤ g(L) + δ ≤ L`: once an iterate is at or below the limit,
-    ///   so is every later one, and the state is safe. If
-    ///   `g(L) ≥ L + ε`, then `T ≥ L` implies `g(T) > L`: once an iterate
-    ///   reaches the limit, the state is unsafe. `g(L)` costs one
-    ///   evaluation and is tested against every iterate.
-    /// * **Monotone run.** If an iterate `T ≤ L` is followed by
-    ///   `g(T) ≤ T − ε`, then `x ≤ T` implies `g(x) ≤ g(T) + δ ≤ T`, so
-    ///   no later iterate climbs past `T`: safe. Mirrored, `T > L`
-    ///   followed by `g(T) ≥ T + ε` keeps every later iterate at or
-    ///   above `T`: unsafe.
-    /// * **Fallback.** Otherwise the twelfth iterate is compared exactly,
-    ///   as `steady_temp_at` does.
-    ///
-    /// The shortcuts need `g` to be non-decreasing and never NaN, and
-    /// `L ± ε` to differ from `L`. A spec or corner that breaks that
-    /// (leakage falling with temperature, a zero or non-finite leakage
-    /// scale, a non-finite dynamic term or inlet, no sockets) or a limit
-    /// beyond ±10⁶ °C, NaN included, takes the fallback.
-    pub fn steady_temp_within(&self, pstate_index: usize, activity: f64, limit_c: f64) -> bool {
-        let base_w = self.steady_base_w(pstate_index, activity);
-        if !(self.steady_step_is_monotone(base_w) && limit_c.abs() <= SHORTCUT_LIMIT_C) {
-            return self.steady_fixed_point(base_w) <= limit_c;
+    /// The junction limit `limit_c` prepared for this node's safety
+    /// tests ([`SteadyLimit::steady_temp_within`]): the leakage at the
+    /// limit is evaluated here, once, since it depends on the node's
+    /// corner and the limit but not on the P-state. A controller makes
+    /// one per decision and tests every P-state it scans against it.
+    pub fn steady_limit(&self, limit_c: f64) -> SteadyLimit<'_> {
+        SteadyLimit {
+            node: self,
+            limit_c,
+            leakage_w: self.socket_leakage_w(limit_c),
         }
-        let mut temp = self.thermal.temp_c();
-        let at_limit = self.steady_step(base_w, limit_c);
-        let stays_below = at_limit <= limit_c - EPS;
-        let stays_above = at_limit >= limit_c + EPS;
-        for _ in 0..STEADY_ITERATIONS {
-            if temp <= limit_c && stays_below {
-                return true;
-            }
-            if temp >= limit_c && stays_above {
-                return false;
-            }
-            let next = self.steady_step(base_w, temp);
-            if temp <= limit_c && next <= temp - EPS {
-                return true;
-            }
-            if temp > limit_c && next >= temp + EPS {
-                return false;
-            }
-            temp = next;
-        }
-        temp <= limit_c
     }
 
     /// The temperature-independent part of one socket's power in the
@@ -312,21 +281,23 @@ impl Node {
     fn steady_fixed_point(&self, base_w: f64) -> f64 {
         let mut temp = self.thermal.temp_c();
         for _ in 0..STEADY_ITERATIONS {
-            temp = self.steady_step(base_w, temp);
+            temp = self.steady_step(base_w, self.socket_leakage_w(temp));
         }
         temp
     }
 
-    /// The steady-state map `g`: the junction temperature the node
-    /// settles at when leakage is evaluated at `temp_c`.
-    fn steady_step(&self, base_w: f64, temp_c: f64) -> f64 {
-        let socket = base_w
-            + self
-                .spec
-                .socket_power
-                .leakage_w(temp_c, self.variation.leakage_factor);
-        let power = socket * self.spec.sockets as f64;
+    /// The steady-state map `g` at a temperature whose socket leakage is
+    /// `leakage_w`: the junction temperature the node settles at.
+    fn steady_step(&self, base_w: f64, leakage_w: f64) -> f64 {
+        let power = (base_w + leakage_w) * self.spec.sockets as f64;
         self.thermal.steady_state_c(power, self.inlet_temp_c)
+    }
+
+    /// One socket's leakage at `temp_c` for this node's corner.
+    fn socket_leakage_w(&self, temp_c: f64) -> f64 {
+        self.spec
+            .socket_power
+            .leakage_w(temp_c, self.variation.leakage_factor)
     }
 
     /// Whether `g` is non-decreasing and never NaN for a non-NaN
@@ -397,16 +368,14 @@ impl Node {
         let dt = time_s / steps as f64;
         let mut energy = 0.0;
         for _ in 0..steps {
-            let temp = self.thermal.temp_c();
             let socket_w = self.spec.socket_power.constant_w
                 + self.spec.socket_power.dynamic_w(pstate, activity)
                     * self.variation.dynamic_factor
-                + self
-                    .spec
-                    .socket_power
-                    .leakage_w(temp, self.variation.leakage_factor);
+                + self.leakage_w;
             let power = socket_w * self.spec.sockets as f64 + extra_power_w;
             self.thermal.step(power, self.inlet_temp_c, dt);
+            // the leakage the next sub-step (or the next reader) needs
+            self.leakage_w = self.socket_leakage_w(self.thermal.temp_c());
             energy += power * dt;
         }
         self.busy_s += time_s;
@@ -417,6 +386,100 @@ impl Node {
             avg_power_w: energy / time_s,
             final_temp_c: self.thermal.temp_c(),
         }
+    }
+}
+
+/// A junction limit prepared for one node's safety tests, made by
+/// [`Node::steady_limit`]: it holds the node, the limit and one socket's
+/// leakage at the limit, so that testing each P-state against it costs
+/// no `powf` at the limit.
+#[derive(Debug, Clone, Copy)]
+pub struct SteadyLimit<'a> {
+    node: &'a Node,
+    limit_c: f64,
+    /// One socket's leakage at `limit_c`, the only temperature-dependent
+    /// term of `g(L)`.
+    leakage_w: f64,
+}
+
+impl SteadyLimit<'_> {
+    /// Exactly `node.steady_temp_at(pstate_index, activity) <= limit_c`,
+    /// but stops iterating as soon as the answer is certain.
+    /// Model-predictive thermal controllers use this to pick the fastest
+    /// thermally safe operating point.
+    ///
+    /// The step map `g` does not decrease as `T` rises: leakage grows
+    /// with temperature (κ ≥ 1, saturating at 105 °C) and every other
+    /// term is a constant or a non-negative scale. Rounding keeps that,
+    /// except in `powf`, which is within an ULP of the true power: two
+    /// arguments can come out in the wrong order only when their true
+    /// leakage differs by under two ULPs, so for `x ≤ y`,
+    /// `g(x) ≤ g(y) + δ` with `δ` about 10⁻¹³ °C for a socket's watts.
+    /// The margin ε = 10⁻⁶ °C (a constant) exceeds `δ` by seven orders of
+    /// magnitude. It sits on values of `g`, never on the point tested, so
+    /// the slack enters each argument once and needs no bound on the
+    /// slope of `g`. Three one-line arguments are then exact:
+    ///
+    /// * **Invariant interval.** If `g(L) ≤ L − ε`, then `T ≤ L` implies
+    ///   `g(T) ≤ g(L) + δ ≤ L`: once an iterate is at or below the limit,
+    ///   so is every later one, and the state is safe. If
+    ///   `g(L) ≥ L + ε`, then `T ≥ L` implies `g(T) > L`: once an iterate
+    ///   reaches the limit, the state is unsafe. `g(L)` is tested against
+    ///   every iterate.
+    /// * **Monotone run.** If an iterate `T ≤ L` is followed by
+    ///   `g(T) ≤ T − ε`, then `x ≤ T` implies `g(x) ≤ g(T) + δ ≤ T`, so
+    ///   no later iterate climbs past `T`: safe. Mirrored, `T > L`
+    ///   followed by `g(T) ≥ T + ε` keeps every later iterate at or
+    ///   above `T`: unsafe.
+    /// * **Fallback.** Otherwise the twelfth iterate is compared exactly,
+    ///   as `steady_temp_at` does.
+    ///
+    /// `g(L)` and the first iterate `g(T0)` read leakages that do not
+    /// depend on the P-state: the one this limit evaluated at `L` and
+    /// the one the node keeps for its junction temperature `T0`
+    /// ([`Node::leakage_w`]). Each is the value `steady_temp_at` would
+    /// compute, bit for bit, so the iterates and the margin argument are
+    /// unchanged, and a test whose answer the invariant interval or the
+    /// first step decides costs no `powf`; later iterates evaluate their
+    /// leakage afresh.
+    ///
+    /// The shortcuts need `g` to be non-decreasing and never NaN, and
+    /// `L ± ε` to differ from `L`. A spec or corner that breaks that
+    /// (leakage falling with temperature, a zero or non-finite leakage
+    /// scale, a non-finite dynamic term or inlet, no sockets) or a limit
+    /// beyond ±10⁶ °C, NaN included, takes the fallback.
+    pub fn steady_temp_within(&self, pstate_index: usize, activity: f64) -> bool {
+        let (node, limit_c) = (self.node, self.limit_c);
+        let base_w = node.steady_base_w(pstate_index, activity);
+        if !(node.steady_step_is_monotone(base_w) && limit_c.abs() <= SHORTCUT_LIMIT_C) {
+            return node.steady_fixed_point(base_w) <= limit_c;
+        }
+        let mut temp = node.thermal.temp_c();
+        let at_limit = node.steady_step(base_w, self.leakage_w);
+        let stays_below = at_limit <= limit_c - EPS;
+        let stays_above = at_limit >= limit_c + EPS;
+        for step in 0..STEADY_ITERATIONS {
+            if temp <= limit_c && stays_below {
+                return true;
+            }
+            if temp >= limit_c && stays_above {
+                return false;
+            }
+            let leakage_w = if step == 0 {
+                node.leakage_w
+            } else {
+                node.socket_leakage_w(temp)
+            };
+            let next = node.steady_step(base_w, leakage_w);
+            if temp <= limit_c && next <= temp - EPS {
+                return true;
+            }
+            if temp > limit_c && next >= temp + EPS {
+                return false;
+            }
+            temp = next;
+        }
+        temp <= limit_c
     }
 }
 
@@ -594,6 +657,63 @@ mod tests {
         );
         node.idle(1000.0);
         assert!(node.temp_c() < hot - 10.0, "idle must cool down");
+    }
+
+    /// The leakage a node keeps, against a fresh evaluation at its
+    /// junction temperature.
+    fn assert_kept_leakage_is_fresh(node: &Node, after: &str) {
+        let fresh = node
+            .spec()
+            .socket_power
+            .leakage_w(node.temp_c(), node.variation().leakage_factor);
+        assert_eq!(
+            node.leakage_w().to_bits(),
+            fresh.to_bits(),
+            "after {after}: kept {} W at {} °C, fresh {fresh} W",
+            node.leakage_w(),
+            node.temp_c()
+        );
+    }
+
+    #[test]
+    fn the_kept_leakage_follows_the_junction_temperature() {
+        let corner = ProcessVariation {
+            leakage_factor: 1.17,
+            dynamic_factor: 0.93,
+            frequency_factor: 1.0,
+        };
+        let mut node = Node::with_variation(NodeSpec::cineca_accelerated(), 0, corner);
+        assert_kept_leakage_is_fresh(&node, "construction");
+        let start = node.temp_c();
+        node.execute(&WorkUnit::compute_bound(5e13));
+        assert!(node.temp_c() > start + 10.0, "the work heats the die");
+        assert_kept_leakage_is_fresh(&node, "execute");
+        node.execute_offloaded(&WorkUnit::compute_bound(1e13), 1);
+        assert_kept_leakage_is_fresh(&node, "execute_offloaded");
+        node.set_inlet_temp(40.0);
+        node.idle(300.0);
+        assert_kept_leakage_is_fresh(&node, "idle");
+
+        // steps the thermal model rejects leave the temperature, and so
+        // the kept leakage, as they were
+        let before = (node.temp_c().to_bits(), node.leakage_w().to_bits());
+        let nan_power = WorkUnit {
+            flops: f64::NAN,
+            ..WorkUnit::compute_bound(1e12)
+        };
+        node.execute(&nan_power);
+        node.idle(-5.0);
+        assert_eq!(
+            (node.temp_c().to_bits(), node.leakage_w().to_bits()),
+            before
+        );
+        assert_kept_leakage_is_fresh(&node, "rejected steps");
+
+        let mut copy = node.clone();
+        assert_kept_leakage_is_fresh(&copy, "clone");
+        copy.execute(&WorkUnit::memory_bound(1e12));
+        assert_kept_leakage_is_fresh(&copy, "a clone's own step");
+        assert_kept_leakage_is_fresh(&node, "a clone's step (the original)");
     }
 
     #[test]

@@ -862,16 +862,18 @@ fn kernel_cold_alloc_budget() -> String {
 /// the control loop: what it allocates should follow the campaign's
 /// shape (control steps, metrics, the fault schedule), not the number
 /// of nodes it controls. This test runs the tiny storm campaign on one
-/// worker and counts heap allocations. A pass must stay within 125 of
-/// them; it measures 113, 17 of which generate the fault schedule.
+/// worker and counts heap allocations. A pass must stay within 66 of
+/// them; it measures 54, 17 of which generate the fault schedule.
 /// Doubling the nodes must add none outside the schedule, whose event
 /// list grows by doubling (one more reallocation at 128 nodes). The
 /// pass measured 359, and 488 at 128 nodes, while every node held its
 /// own copy of the node spec (a name `String` and a P-state `Vec`) and
 /// the facility split built its demand weights and a cleaned copy of
-/// them every control step; a per-node or per-step allocation coming
-/// back fails here. (The counts are exact, not timings: the headroom is
-/// not noise margin.)
+/// them every control step; it measured 113 (budget 125) while the
+/// split still returned a fresh `Vec` of caps every control step, 60 of
+/// them in the tiny pass, where the cluster now keeps that buffer. A
+/// per-node or per-step allocation coming back fails here. (The counts
+/// are exact, not timings: the headroom is not noise margin.)
 fn cluster_alloc_budget() -> String {
     let tiny = ClusterScale::tiny();
     let doubled = ClusterScale {
@@ -884,7 +886,7 @@ fn cluster_alloc_budget() -> String {
     let pass = within(
         &format!("allocations of a {}-node pass", tiny.nodes),
         small,
-        125,
+        66,
     );
 
     let large = pass_allocations(&doubled);
