@@ -24,10 +24,14 @@
 //! so that probe runs it once and reports the one run as both segments;
 //! an untraced probe builds no segments at all. A warm probe of
 //! [`DEFAULT_KERNEL`] therefore costs a code-cache lookup and one or two
-//! VM runs, each a single native loop trace (`vm::trace`) rounding its
-//! narrow stores without a data-dependent branch, plus the five
-//! allocations of the evaluation it returns: three metric names, the
-//! map's node and its `Arc`.
+//! VM runs, plus the five allocations of the evaluation it returns:
+//! three metric names, the map's node and its `Arc`. Each run rounds
+//! its narrow `a` and `b` in place as it binds them, and its loop is a
+//! single native loop trace (`vm::trace`): its 256-element charge fits
+//! the VM's budget many times over, so every iteration runs in the
+//! trace's unchecked exact prefix, over locals, rounding its narrow
+//! stores without a data-dependent branch, and the checked exact tail
+//! charges only the final loop head.
 //!
 //! Like [`NavEvaluator`](crate::nav::NavEvaluator), the probe derives
 //! its input data from [`probe_seed`], making every evaluation a pure

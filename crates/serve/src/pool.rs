@@ -34,6 +34,7 @@
 use crate::cache::{probe_seed, Metrics};
 use crate::error::ServeError;
 use crate::store::{TenantClass, TenantId};
+use crate::FreeList;
 use antarex_obs::TraceCtx;
 use antarex_sim::sched;
 pub use antarex_sim::sched::SchedPolicy;
@@ -211,6 +212,20 @@ pub struct EvalPool {
     /// `config.workers` threads for the pool's life: the caller of a
     /// batch and `workers − 1` helpers.
     workers: WorkerSet,
+    /// The buffers of finished batches, for the next ones.
+    scratch: FreeList<PoolScratch>,
+}
+
+/// What a batch schedules in, kept from one batch to the next: the
+/// probes' costs, the list schedule's core timeline and completions,
+/// and the estimate-driven policies' probe keys and estimates.
+#[derive(Debug, Default)]
+struct PoolScratch {
+    costs: Vec<f64>,
+    busy: Vec<f64>,
+    completions: Vec<f64>,
+    keys: Vec<u64>,
+    estimates: Vec<f64>,
 }
 
 impl EvalPool {
@@ -226,6 +241,7 @@ impl EvalPool {
             sched: SchedConfig::default(),
             estimator: CostEstimator::default(),
             workers: WorkerSet::new(config.workers),
+            scratch: FreeList::default(),
         }
     }
 
@@ -304,43 +320,54 @@ impl EvalPool {
         let shed = jobs.split_off(admitted_count);
         let evaluations = self.workers.map(&jobs, probe);
         let policy = self.sched.policy;
-        let costs: Vec<f64> = evaluations.iter().map(|e| e.cost_s).collect();
-        let schedule = if policy == SchedPolicy::Static {
+        let mut scratch = self.scratch.take();
+        let PoolScratch {
+            costs,
+            busy,
+            completions,
+            keys,
+            estimates,
+        } = &mut scratch;
+        costs.clear();
+        costs.extend(evaluations.iter().map(|e| e.cost_s));
+        let (makespan_s, stats, completions) = if policy == SchedPolicy::Static {
             // List placement places by actual cost: refining estimates
             // would add a table entry per fresh design point that
             // nothing reads.
-            sched::list_schedule(&costs, virtual_workers)
+            let makespan_s = sched::list_schedule_into(costs, virtual_workers, busy, completions);
+            (makespan_s, SchedStats::default(), &completions[..])
         } else {
-            let keys: Vec<u64> = jobs
-                .iter()
-                .map(|job| probe_seed(&job.config, &job.features))
-                .collect();
-            let estimates: Vec<f64> = keys
-                .iter()
-                .map(|&key| self.estimator.estimate(key))
-                .collect();
-            let schedule = sched::schedule(policy, &costs, &estimates, virtual_workers);
+            keys.clear();
+            keys.extend(
+                jobs.iter()
+                    .map(|job| probe_seed(&job.config, &job.features)),
+            );
+            estimates.clear();
+            estimates.extend(keys.iter().map(|&key| self.estimator.estimate(key)));
+            let schedule = sched::schedule(policy, costs, estimates, virtual_workers);
             // Refine in job-id order: deterministic at any thread count.
-            for (&key, &cost) in keys.iter().zip(&costs) {
+            for (&key, &cost) in keys.iter().zip(costs.iter()) {
                 self.estimator.observe(key, cost);
             }
-            schedule
+            *completions = schedule.completions;
+            (schedule.makespan_s, schedule.stats, &completions[..])
         };
         let results = jobs
             .into_iter()
             .zip(evaluations)
-            .zip(schedule.completions)
-            .map(|((job, evaluation), completion_s)| EvalResult {
+            .zip(completions)
+            .map(|((job, evaluation), &completion_s)| EvalResult {
                 job,
                 evaluation,
                 completion_s,
             })
             .collect();
+        self.scratch.give_back(scratch);
         Ok(BatchOutcome {
             results,
             shed,
-            makespan_s: schedule.makespan_s,
-            stats: schedule.stats,
+            makespan_s,
+            stats,
         })
     }
 }
@@ -403,6 +430,24 @@ mod tests {
         let a = four.evaluate_batch_on(jobs.clone(), 4, &probe);
         let b = four.evaluate_batch_on(jobs, 4, &probe);
         assert_eq!(a, b, "same batch must merge identically across runs");
+    }
+
+    #[test]
+    fn a_pool_reusing_its_buffers_schedules_as_a_fresh_one() {
+        // the placements that read no estimate: a fresh pool's outcome
+        // is the reference for every batch a used pool runs
+        for policy in [SchedPolicy::Static, SchedPolicy::Block] {
+            let used = pool_of(2).with_sched(SchedConfig { policy });
+            for (size, cores) in [(37, 4), (5, 2), (64, 3), (1, 1), (40, 8)] {
+                let jobs: Vec<EvalJob> = (0..size).map(job).collect();
+                let fresh = pool_of(2).with_sched(SchedConfig { policy });
+                assert_eq!(
+                    used.evaluate_batch_on(jobs.clone(), cores, &whale_probe),
+                    fresh.evaluate_batch_on(jobs, cores, &whale_probe),
+                    "{policy:?}: {size} jobs on {cores} cores"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! * [`list_schedule`] — greedy earliest-free-core list placement in
 //!   job-id order: [`list_place`], the one list-placement loop, with no
-//!   fault timeline and hedging off. Given a [`FaultSchedule`] the same
+//!   fault timeline and hedging off ([`list_schedule_into`] places the
+//!   same way into kept buffers). Given a [`FaultSchedule`] the same
 //!   loop is the serving tier's chaos replay (retries, hedges,
 //!   integrity failures, deadlines);
 //! * [`block_schedule`] — contiguous block partitioning, the analogue of
@@ -215,6 +216,31 @@ pub fn list_schedule(costs: &[f64], cores: usize) -> Schedule {
         makespan_s,
         stats: SchedStats::default(),
     }
+}
+
+/// [`list_schedule`] into kept buffers, for a caller that schedules
+/// batch after batch: the same placement, with `busy` as the cores'
+/// timeline and each job's completion, in job-id order, written to
+/// `completions` (both cleared first). Returns the makespan. The core
+/// each job ran on is not kept.
+pub fn list_schedule_into(
+    costs: &[f64],
+    cores: usize,
+    busy: &mut Vec<f64>,
+    completions: &mut Vec<f64>,
+) -> f64 {
+    busy.clear();
+    busy.resize(cores.max(1), 0.0);
+    completions.clear();
+    let no_hedge = HedgePolicy::disabled();
+    for &cost in costs {
+        let job = place_job(busy, cost.max(0.0), false, 0.0, None, &no_hedge);
+        let Fate::Done(t) = job.fate else {
+            unreachable!("fault-free list placement failed a job")
+        };
+        completions.push(t);
+    }
+    busy.iter().fold(0.0, |acc: f64, &t| acc.max(t))
 }
 
 /// List placement: the one loop behind [`list_schedule`] and the
@@ -853,6 +879,30 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "seed {seed} cores {cores}");
                 assert_eq!(got.assignments, want.assignments);
                 assert_eq!(got.makespan_s.to_bits(), want.makespan_s.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn list_schedule_into_matches_list_schedule_on_kept_buffers() {
+        // buffers another batch left behind, longer than some batches
+        let (mut busy, mut completions) = (vec![7.0; 9], vec![-1.0; 50]);
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|c| c.to_bits()).collect() };
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(1_900 + seed);
+            let mut costs = heavy_tailed(seed, seed as usize % 97);
+            for cost in costs.iter_mut() {
+                *cost = [0.0, -1.0, f64::NAN]
+                    .get(rng.gen_range(0..10usize))
+                    .copied()
+                    .unwrap_or(*cost);
+            }
+            for cores in [1usize, 2, 3, 4, 8] {
+                let want = list_schedule(&costs, cores);
+                let makespan = list_schedule_into(&costs, cores, &mut busy, &mut completions);
+                let context = format!("seed {seed} cores {cores}");
+                assert_eq!(bits(&completions), bits(&want.completions), "{context}");
+                assert_eq!(makespan.to_bits(), want.makespan_s.to_bits(), "{context}");
             }
         }
     }

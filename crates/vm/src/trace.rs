@@ -16,16 +16,24 @@
 //!
 //! Bit-identity is preserved by construction, not by luck:
 //!
-//! * the native loop performs the **exact charge sequence** of the
-//!   generic superinstructions, one `checked_add` per original charge in
-//!   original order, with the budget checkpoints in their original
-//!   places (after the loop tick, and at a mid-body meter check), so
-//!   `BudgetExceeded` and `CostOverflow`
-//!   surface at the same iteration with the same partial statistics;
-//! * flop counting uses the same [`ExecStats::count_flops`] call per
-//!   floating-point op, so `flop_energy` accumulates in the same order
-//!   with the same per-op unit (one f64 add per flop — batching would
-//!   change the rounding);
+//! * the native loop makes the **charges** of the generic
+//!   superinstructions in two parts. The *exact prefix* is the leading
+//!   `k` iterations whose whole charge provably fits: at entry the
+//!   loop sums one iteration's charges (checked) and takes `k =
+//!   min(iters, (budget − cost) / per_iter)`. A charge never lowers the
+//!   cost, so no charge in those iterations can overflow and no budget
+//!   checkpoint can fail; they run unchecked and are charged once, in
+//!   closed form. The *exact tail* runs the rest, and the final head,
+//!   with one `checked_add` per original charge in original order and
+//!   the budget checkpoints in their original places (after the loop
+//!   tick, and at a mid-body meter check). The tail is the only code
+//!   that can fail, so `BudgetExceeded` and `CostOverflow` surface at
+//!   the same charge with the same partial statistics;
+//! * both parts count one flop per floating-point op in the same order
+//!   with the same per-op unit — the prefix with one `fe += unit` per
+//!   flop, the tail with [`ExecStats::count_flops`] — so `flop_energy`
+//!   is the same sequential sum (batching the adds would change the
+//!   rounding);
 //! * stores quantize through the same `Type::quantize` per iteration,
 //!   and a mid-loop failure leaves every slot, type binding and the
 //!   precision stack exactly as the generic tier would;

@@ -26,7 +26,7 @@ use antarex_ir::cost::{CostModel, ExecStats};
 use antarex_ir::error::IrError;
 use antarex_ir::interp::{Dispatcher, ExecEnv, HostFn, MAX_CALL_DEPTH};
 use antarex_ir::ops::{self, coerce_scalar, coerce_scalar_or_array, zero_of};
-use antarex_ir::types::Type;
+use antarex_ir::types::{quantize_mantissa, Type};
 use antarex_ir::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -418,11 +418,12 @@ impl Vm {
                 match arg {
                     Value::Array(mut items) => {
                         // copy-in quantization: a narrow parameter type
-                        // means the data arrives in that format
-                        if param.ty.mantissa_bits().is_some_and(|b| b < 52) {
+                        // means the data arrives in that format; each
+                        // float is rounded where it lies
+                        if let Some(bits) = param.ty.mantissa_bits().filter(|&b| b < 52) {
                             for item in &mut items {
                                 if let Value::Float(v) = item {
-                                    *item = Value::Float(param.ty.quantize(*v));
+                                    *v = quantize_mantissa(*v, bits);
                                 }
                             }
                         }
@@ -920,12 +921,19 @@ impl Vm {
     /// bound and base are bound `Int`s, the accumulator a `Float` with a
     /// float (or absent) type binding, every index the loop will touch is
     /// in bounds, every element it will read a `Float`, and the counter
-    /// never overflows. The loop then replays the *exact* charge sequence
-    /// of the generic instructions — one checked charge per original
-    /// charge, in original order, with every budget checkpoint in its
-    /// original place (the loop tick, and `FmaTemp`'s mid-body meter
-    /// check) and one `count_flops` call per float op so `flop_energy`
-    /// accumulates bit-identically. On an accounting failure mid-loop the
+    /// never overflows. The loop then makes the generic instructions'
+    /// charges in two parts. The *exact prefix* ([`Prefix`]) is the
+    /// leading iterations whose whole charge provably fits the cost
+    /// counter and the budget: a free function runs them with no check,
+    /// with the generic float operations in order and one `fe += unit`
+    /// per flop, and their charges are made once, in closed form. The
+    /// *exact tail* runs the rest and the final head with one checked
+    /// charge per original charge, in original order, every budget
+    /// checkpoint in its original place (the loop tick, and `FmaTemp`'s
+    /// mid-body meter check) and one `count_flops` call per float op.
+    /// The parts' charges are identical, and `flop_energy` is the same
+    /// sequential sum, so only the tail can fail, at the charge the
+    /// generic tier fails at. On an accounting failure mid-loop the
     /// frame is left exactly as the generic engine would leave it
     /// (counter, accumulator and any temporary at their last stored
     /// values, with the temporary's type binding) and, if the failure
@@ -949,22 +957,22 @@ impl Vm {
                 _ => return Ok(None),
             },
         };
-        // the counter values the loop will visit: i0, i0+step, .., last;
-        // the loop leaves the counter at last+step, which must not wrap
-        // (a wrapping counter re-enters the loop with unvalidated indices)
+        // the counter values the loop will visit: i0, i0+step, .., last,
+        // `iters` of them; the loop leaves the counter at last+step, which
+        // must not wrap (a wrapping counter re-enters the loop with
+        // unvalidated indices)
         let range = if i0 < bound {
-            let Some(last) = (bound - 1)
-                .checked_sub(i0)
-                .map(|span| span / t.step)
-                .and_then(|k| k.checked_mul(t.step))
-                .and_then(|d| i0.checked_add(d))
-            else {
+            let Some((last, iters)) = (bound - 1).checked_sub(i0).and_then(|span| {
+                let more = span / t.step;
+                let last = i0.checked_add(more.checked_mul(t.step)?)?;
+                Some((last, more as u64 + 1))
+            }) else {
                 return Ok(None);
             };
             if last.checked_add(t.step).is_none() {
                 return Ok(None);
             }
-            Some((i0, last))
+            Some((i0, last, iters))
         } else {
             None
         };
@@ -1010,7 +1018,7 @@ impl Vm {
                         }
                     }
                 };
-                let Some((lo, hi)) = range else {
+                let Some((lo, hi, iters)) = range else {
                     // zero iterations: only the failing head condition runs
                     stats.charge(c_int)?;
                     return Ok(Some(t.exit));
@@ -1030,6 +1038,44 @@ impl Vm {
                     if !all_floats(a_items, alo, ahi) || !all_floats(b_items, lo, hi) {
                         return Ok(None);
                     }
+                    // the exact prefix: one iteration's charges, in order
+                    // (a loop with no base makes no base charges)
+                    let [c_base_mul, c_base_add] = match base {
+                        Some(_) => [c_intmul, c_int],
+                        None => [0, 0],
+                    };
+                    let prefix = Prefix::new(
+                        stats,
+                        budget,
+                        &[
+                            c_int,
+                            t.tick_cost,
+                            c_base_mul,
+                            c_base_add,
+                            c_fmul,
+                            c_fop,
+                            t.meter_cost,
+                            c_int,
+                        ],
+                        iters,
+                        t.step,
+                    );
+                    let mut carry = Carry {
+                        i,
+                        fe: stats.flop_energy,
+                    };
+                    reduce_prefix(
+                        &prefix,
+                        [a_items, b_items],
+                        base_val,
+                        acc_ty,
+                        unit,
+                        &mut carry,
+                        &mut acc,
+                    );
+                    prefix.charge(stats, carry.fe, 2, [t.tick_mem, t.meter_mem]);
+                    i = carry.i;
+                    // the exact tail: every charge checked, from iteration k
                     let mut fail: Option<(IrError, bool)> = None;
                     loop {
                         // head condition (always Int < Int here)
@@ -1110,7 +1156,7 @@ impl Vm {
             } => {
                 let out_slot = arr_out as usize;
                 let out_ty = types[out_slot];
-                let Some((lo, hi)) = range else {
+                let Some((lo, hi, iters)) = range else {
                     stats.charge(c_int)?;
                     return Ok(Some(t.exit));
                 };
@@ -1142,7 +1188,42 @@ impl Vm {
                     Value::Array(v) => v,
                     _ => unreachable!("validated as an array above"),
                 };
-                let mut i = i0;
+                // the exact prefix: one iteration's charges, in order
+                let prefix = Prefix::new(
+                    stats,
+                    budget,
+                    &[
+                        c_int,
+                        t.tick_cost,
+                        c_int,
+                        c_fmul,
+                        c_fmul,
+                        c_fop,
+                        c_int,
+                        c_fmul,
+                        c_fop,
+                        t.meter_cost,
+                        c_int,
+                    ],
+                    iters,
+                    t.step,
+                );
+                let mut carry = Carry {
+                    i: i0,
+                    fe: stats.flop_energy,
+                };
+                let sources = taps.map(|slot| tap_items(frame, out_slot, slot));
+                stencil_prefix(
+                    &prefix,
+                    [0, 1, 2].map(|k| (sources[k], tap_offs[k], w[k])),
+                    &mut out_vec,
+                    out_ty,
+                    unit,
+                    &mut carry,
+                );
+                prefix.charge(stats, carry.fe, 5, [t.tick_mem, t.meter_mem]);
+                // the exact tail: every charge checked, from iteration k
+                let mut i = carry.i;
                 let mut fail: Option<(IrError, bool)> = None;
                 loop {
                     if let Err(e) = stats.charge(c_int) {
@@ -1249,7 +1330,7 @@ impl Vm {
                 let Value::Float(s) = frame[scale as usize] else {
                     return Ok(None);
                 };
-                let Some((lo, hi)) = range else {
+                let Some((lo, hi, iters)) = range else {
                     stats.charge(c_int)?;
                     return Ok(Some(t.exit));
                 };
@@ -1258,8 +1339,8 @@ impl Vm {
                 let acc_unit = ops::flop_unit(acc_bits);
                 let (mut i, mut acc_v) = (i0, acc0);
                 // the temporary's last stored value, once an iteration
-                // has reached its declaration
-                let mut tmp_v: Option<f64> = None;
+                // has reached its declaration (set by the prefix)
+                let mut tmp_v: Option<f64>;
                 // an accounting failure, with the precision context of the
                 // window it fell in (`None`: between windows)
                 let fail: Option<(IrError, Option<u8>)> = {
@@ -1273,6 +1354,40 @@ impl Vm {
                         }
                         items[k] = arr.as_slice();
                     }
+                    // the exact prefix: one iteration's charges, in order
+                    let prefix = Prefix::new(
+                        stats,
+                        budget,
+                        &[
+                            c_int,
+                            t.tick_cost,
+                            c_fmul,
+                            c_fmul,
+                            c_fop,
+                            t.meter_cost,
+                            c_fmul,
+                            c_fop,
+                            c_int,
+                        ],
+                        iters,
+                        t.step,
+                    );
+                    let mut carry = Carry {
+                        i,
+                        fe: stats.flop_energy,
+                    };
+                    tmp_v = fma_temp_prefix(
+                        &prefix,
+                        items,
+                        s,
+                        (tmp_ty, acc_ty),
+                        [unit, acc_unit],
+                        &mut carry,
+                        &mut acc_v,
+                    );
+                    prefix.charge(stats, carry.fe, 5, [t.tick_mem, t.meter_mem]);
+                    i = carry.i;
+                    // the exact tail: every charge checked, from iteration k
                     let [a, b, c] = items;
                     let between = |e| (e, None);
                     let in_decl = |e| (e, Some(eff_bits));
@@ -1493,19 +1608,184 @@ fn felem(items: &[Value], idx: i64) -> f64 {
     }
 }
 
+/// Trace body: a stencil tap's items, or `None` for a tap that aliases
+/// the (taken-out) output array.
+#[inline]
+fn tap_items(frame: &[Value], out_slot: usize, slot: u16) -> Option<&[Value]> {
+    if slot as usize == out_slot {
+        return None;
+    }
+    match &frame[slot as usize] {
+        Value::Array(items) => Some(items),
+        _ => unreachable!("trace entry validation proved an array"),
+    }
+}
+
 /// Trace body: a stencil tap read, observing in-flight stores when the
 /// tap aliases the (taken-out) output array.
 #[inline]
 fn tap_read(frame: &[Value], out_slot: usize, out_vec: &[Value], slot: u16, idx: i64) -> f64 {
-    let items = if slot as usize == out_slot {
-        out_vec
-    } else {
-        match &frame[slot as usize] {
-            Value::Array(items) => items,
-            _ => unreachable!("trace entry validation proved an array"),
+    felem(tap_items(frame, out_slot, slot).unwrap_or(out_vec), idx)
+}
+
+/// The exact prefix of a native loop: its leading `k` iterations, whose
+/// every charge provably fits the cost counter and the budget.
+///
+/// A charge never lowers the cost, so the cost inside the first `k`
+/// iterations is at most the cost after them, `cost + k · per_iter`.
+/// When that neither overflows nor exceeds the budget, no charge in
+/// them can overflow and no budget checkpoint in them can fail: they
+/// run with no check, and their charges are made once, in closed form
+/// ([`Prefix::charge`]). The exact tail then runs from iteration `k`
+/// with every charge checked in its original place, the final head
+/// included; it is the only code that can fail, so a failure surfaces
+/// at the same charge, with the same statistics, as in the generic
+/// tier.
+struct Prefix {
+    /// Leading iterations that cannot fail.
+    k: u64,
+    /// The counter's step.
+    step: i64,
+    /// One iteration's charges, summed (zero when `k` is).
+    per_iter: u64,
+}
+
+impl Prefix {
+    /// The prefix of a loop of `iters` iterations whose every iteration
+    /// makes the charges `charges`, entered at `stats` under `budget`
+    /// (`u64::MAX` when there is none). An iteration whose charges
+    /// overflow when summed has no prefix; one that charges nothing
+    /// makes every iteration the prefix.
+    fn new(stats: &ExecStats, budget: u64, charges: &[u64], iters: u64, step: i64) -> Prefix {
+        let per_iter = charges.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        let k = match per_iter {
+            None => 0,
+            Some(0) => iters,
+            Some(per_iter) => iters.min(budget.saturating_sub(stats.cost) / per_iter),
+        };
+        Prefix {
+            k,
+            step,
+            per_iter: per_iter.unwrap_or(0),
         }
-    };
-    felem(items, idx)
+    }
+
+    /// Makes the prefix's charges: `k` iterations' cost (which fits, by
+    /// construction), and on the saturating counters `k` iterations of
+    /// `flops` flops, of `mem` traffic and of one loop tick, which is
+    /// what `k` repeated saturating adds leave. `fe` is the
+    /// `flop_energy` sum the prefix body accrued one flop at a time.
+    fn charge(&self, stats: &mut ExecStats, fe: f64, flops: u64, mem: [u32; 2]) {
+        let k = self.k;
+        stats.cost += k * self.per_iter;
+        stats.flops = stats.flops.saturating_add(k.saturating_mul(flops));
+        let mem = u64::from(mem[0]) + u64::from(mem[1]);
+        stats.mem_ops = stats.mem_ops.saturating_add(k.saturating_mul(mem));
+        stats.loop_iters = stats.loop_iters.saturating_add(k);
+        stats.flop_energy = fe;
+    }
+}
+
+/// What a native loop carries from its exact prefix into its exact
+/// tail: the counter and the `flop_energy` sum.
+struct Carry {
+    i: i64,
+    fe: f64,
+}
+
+/// `Reduce`'s exact prefix: `acc += A[base + i] * B[i]`, `p.k` times,
+/// with the tail's float operations in the tail's order and one
+/// `fe += unit` per flop.
+fn reduce_prefix(
+    p: &Prefix,
+    [a, b]: [&[Value]; 2],
+    base: i64,
+    acc_ty: Option<Type>,
+    unit: f64,
+    carry: &mut Carry,
+    acc: &mut f64,
+) {
+    let (mut i, mut fe, mut acc_v) = (carry.i, carry.fe, *acc);
+    for _ in 0..p.k {
+        let m = felem(a, base + i) * felem(b, i);
+        fe += unit;
+        fe += unit;
+        acc_v = quantize_opt(acc_ty, acc_v + m);
+        i = i.wrapping_add(p.step);
+    }
+    *carry = Carry { i, fe };
+    *acc = acc_v;
+}
+
+/// `Stencil3`'s exact prefix: `Out[i] = w0*T0[i + o0] + w1*T1[i] +
+/// w2*T2[i + o2]`, `p.k` times, each tap given as (items, offset,
+/// weight), with the tail's float operations in the tail's order and
+/// one `fe += unit` per flop. A tap with no items of its own reads
+/// `out`, so a tap aliasing the output observes the earlier
+/// iterations' stores, as [`tap_read`] does.
+fn stencil_prefix(
+    p: &Prefix,
+    taps: [(Option<&[Value]>, i64, f64); 3],
+    out: &mut [Value],
+    out_ty: Option<Type>,
+    unit: f64,
+    carry: &mut Carry,
+) {
+    let (mut i, mut fe) = (carry.i, carry.fe);
+    let [(t0, o0, w0), (t1, o1, w1), (t2, o2, w2)] = taps;
+    for _ in 0..p.k {
+        let v0 = felem(t0.unwrap_or(out), i + o0);
+        fe += unit;
+        let mut sum = w0 * v0;
+        let v1 = felem(t1.unwrap_or(out), i + o1);
+        fe += unit;
+        let p1 = w1 * v1;
+        fe += unit;
+        sum += p1;
+        let v2 = felem(t2.unwrap_or(out), i + o2);
+        fe += unit;
+        let p2 = w2 * v2;
+        fe += unit;
+        sum += p2;
+        out[i as usize] = Value::Float(quantize_opt(out_ty, sum));
+        i = i.wrapping_add(p.step);
+    }
+    *carry = Carry { i, fe };
+}
+
+/// `FmaTemp`'s exact prefix: `T t = A[i]*B[i] + s*C[i]; acc += t*t`,
+/// `p.k` times, with the tail's float operations in the tail's order
+/// and one `fe += unit` per flop (`acc_unit` in the accumulation's
+/// window). Returns the temporary's last stored value, `None` when the
+/// prefix is empty.
+fn fma_temp_prefix(
+    p: &Prefix,
+    [a, b, c]: [&[Value]; 3],
+    s: f64,
+    (tmp_ty, acc_ty): (Type, Option<Type>),
+    [unit, acc_unit]: [f64; 2],
+    carry: &mut Carry,
+    acc: &mut f64,
+) -> Option<f64> {
+    let (mut i, mut fe, mut acc_v) = (carry.i, carry.fe, *acc);
+    let mut tv = None;
+    for _ in 0..p.k {
+        fe += unit;
+        let x = felem(a, i) * felem(b, i);
+        fe += unit;
+        let y = s * felem(c, i);
+        fe += unit;
+        let t = tmp_ty.quantize(x + y);
+        fe += acc_unit;
+        let sq = t * t;
+        fe += acc_unit;
+        acc_v = quantize_opt(acc_ty, acc_v + sq);
+        tv = Some(t);
+        i = i.wrapping_add(p.step);
+    }
+    *carry = Carry { i, fe };
+    *acc = acc_v;
+    tv
 }
 
 /// The store-side quantization of [`store_slot`]/[`store_index`] on a raw
@@ -1861,61 +2141,218 @@ mod tests {
         (traced, generic)
     }
 
-    #[test]
-    fn the_fma_trace_replays_the_generic_tier_at_every_failure_point() {
-        for ty in ["double", "float12"] {
-            // the serving tier's probe kernel at two precision rungs
-            let src = format!(
+    /// `chunk` with the instruction at `pc` replaced by a bare return:
+    /// run, it stops there, its cost the cost of reaching `pc`.
+    fn cut_at(chunk: &Chunk, pc: usize) -> Chunk {
+        let mut cut = chunk.clone();
+        cut.code[pc] = RInstr::RetUnit;
+        cut
+    }
+
+    /// Everything a run of `chunk` on `args` leaves observable, from the
+    /// statistics `entry` under `budget`: the outcome, the statistics (the
+    /// flop energy by its bits), the precision context and stack, and
+    /// every named slot with its type binding (as `Debug` text, which
+    /// tells -0.0 from 0.0). The frame is the test's own, so a failed
+    /// run's slots can be read.
+    fn observe(
+        program: &Program,
+        model: &CostModel,
+        chunk: Chunk,
+        args: &[Value],
+        budget: Option<u64>,
+        entry: ExecStats,
+    ) -> String {
+        let chunk = Arc::new(chunk);
+        let mut vm = Vm::new(program.clone()).with_cost_model(model.clone());
+        vm.set_budget(budget);
+        // what `exec_chunk` does around the frame, minus its charges
+        vm.depth = 1;
+        let mut env = ExecEnv::new();
+        env.stats = entry;
+        let mut frame = vec![Value::Unit; chunk.frame_size];
+        let mut types = vec![None; chunk.num_slots()];
+        let out = vm.exec_frame(&chunk, args.to_vec(), &mut frame, &mut types, &mut env);
+        let s = env.stats;
+        let stats = (
+            s.cost,
+            s.flops,
+            s.flop_energy.to_bits(),
+            s.mem_ops,
+            s.loop_iters,
+        );
+        let slots = &frame[..chunk.num_slots()];
+        format!(
+            "{out:?}\n{stats:?}\n{:?} {:?}\n{slots:?}\n{types:?}",
+            vm.prec_ctx, vm.prec_stack
+        )
+    }
+
+    /// A traced kernel's source, its arguments, and the test its one
+    /// trace's idiom passes.
+    type ReplayCase = (String, Vec<Value>, fn(&TraceKind) -> bool);
+
+    /// The traced loops the replay test runs: every idiom, at full and
+    /// narrow precision, a `Reduce` with and without an invariant
+    /// `base`, `Stencil3` with taps aliasing the output, and counters
+    /// stepping by 2.
+    fn replay_cases() -> Vec<ReplayCase> {
+        let ramp =
+            |n: usize, k: f64| Value::from((0..n).map(|i| i as f64 * k - 1.0).collect::<Vec<_>>());
+        let fma = |ty: &str, step: &str| {
+            format!(
                 "{ty} kernel({ty} a[], {ty} b[], int n) {{
                      {ty} acc = 0.0;
                      {ty} scale = 0.5;
-                     for (int i = 0; i < n; i++) {{
+                     for (int i = 0; i < n; {step}) {{
                          {ty} t = a[i] * b[i] + scale * a[i];
                          acc += t * t;
                      }}
                      return acc;
                  }}"
-            );
+            )
+        };
+        let dot = |ty: &str, step: &str| {
+            format!(
+                "double kernel(double a[], double b[], int n) {{
+                     {ty} s = 0.0;
+                     for (int i = 0; i < n; {step}) {{ s += a[i] * b[i]; }}
+                     return s;
+                 }}"
+            )
+        };
+        // the matvec inner loop: `row * 4` is the invariant base
+        let based = |ty: &str| {
+            format!(
+                "double kernel(double a[], double b[], int n) {{
+                     int row = 2;
+                     {ty} s = 0.0;
+                     for (int j = 0; j < n; j++) {{ s += a[row * 4 + j] * b[j]; }}
+                     return s;
+                 }}"
+            )
+        };
+        let stencil = |ty: &str, out: &str, mid: &str| {
+            format!(
+                "{ty} kernel({ty} a[], {ty} b[], int n) {{
+                     int m = n - 1;
+                     for (int i = 1; i < m; i++) {{
+                         {out}[i] = 0.25 * a[i - 1] + 0.5 * {mid}[i] + 0.25 * a[i + 1];
+                     }}
+                     return {out}[2];
+                 }}"
+            )
+        };
+        let fma_temp: fn(&TraceKind) -> bool = |k| matches!(k, TraceKind::FmaTemp { .. });
+        let direct: fn(&TraceKind) -> bool = |k| matches!(k, TraceKind::Reduce { base: None, .. });
+        let with_base: fn(&TraceKind) -> bool =
+            |k| matches!(k, TraceKind::Reduce { base: Some(_), .. });
+        let stencil3: fn(&TraceKind) -> bool = |k| matches!(k, TraceKind::Stencil3 { .. });
+        let args = |len: usize, n: i64| vec![ramp(len, 0.125), ramp(len, -0.0625), Value::Int(n)];
+        vec![
+            // the serving tier's probe kernel at two precision rungs
+            (fma("double", "i++"), args(16, 16), fma_temp),
+            (fma("float12", "i++"), args(16, 16), fma_temp),
+            (fma("float12", "i += 2"), args(16, 15), fma_temp),
+            (dot("double", "i++"), args(16, 16), direct),
+            (dot("float11", "i++"), args(16, 16), direct),
+            (dot("double", "i += 2"), args(16, 16), direct),
+            (based("double"), args(24, 16), with_base),
+            (based("float11"), args(24, 16), with_base),
+            // every tap reads the array the loop writes
+            (stencil("double", "a", "a"), args(16, 16), stencil3),
+            // the middle tap reads the output, the outer ones the input
+            (stencil("float12", "b", "b"), args(16, 16), stencil3),
+        ]
+    }
+
+    #[test]
+    fn every_trace_replays_the_generic_tier_at_every_failure_point() {
+        let at = |cost| ExecStats {
+            cost,
+            ..ExecStats::default()
+        };
+        for (src, args, is_kind) in replay_cases() {
             let program = parse_program(&src).unwrap();
             let function = Arc::clone(program.function("kernel").unwrap());
-            let ramp =
-                |k: f64| Value::from((0..16).map(|i| i as f64 * k - 1.0).collect::<Vec<_>>());
-            let args = [ramp(0.125), ramp(-0.0625), Value::Int(16)];
-            let compare = |model: CostModel, budget: Option<u64>| {
-                let (traced, generic) = traced_and_generic(&function, &model);
-                assert_eq!(traced.traces.len(), 1, "{ty}");
-                let run = |chunk: Chunk| {
-                    let mut vm = Vm::new(program.clone()).with_cost_model(model.clone());
-                    vm.memo
-                        .insert("kernel".into(), (Arc::clone(&function), Arc::new(chunk)));
-                    vm.set_budget(budget);
-                    let mut env = ExecEnv::new();
-                    let out = vm.call("kernel", &args, &mut env);
-                    let s = env.stats;
-                    let stats = (s.cost, s.flops, s.flop_energy.to_bits(), s.mem_ops);
-                    (out, stats, s.loop_iters, vm.prec_ctx, vm.prec_stack)
-                };
-                let context = format!("{ty}, budget {budget:?}, {model:?}");
+            let compare = |model: &CostModel, budget: Option<u64>, entry: ExecStats| {
+                let (traced, generic) = traced_and_generic(&function, model);
+                assert_eq!(traced.traces.len(), 1, "{src}");
+                assert!(is_kind(&traced.traces[0].kind), "{src}");
+                let run = |chunk| observe(&program, model, chunk, &args, budget, entry);
+                let context = format!("{src}\nbudget {budget:?}, entry {entry:?}, {model:?}");
                 assert_eq!(run(traced), run(generic), "{context}");
             };
-            // every budget from the call entry to past the loop's end
-            // exhausts at each checkpoint in turn (the loop tick, the
+            // what the generic tier has charged at the loop's head, and
+            // once every iteration has run (the final head not yet)
+            let model = CostModel::new();
+            let (traced, generic) = traced_and_generic(&function, &model);
+            let t = traced.traces[0];
+            let head = traced
+                .code
+                .iter()
+                .position(|i| matches!(i, RInstr::TraceHead { .. }))
+                .unwrap();
+            let cost_to = |pc| {
+                let cut = cut_at(&generic, pc);
+                let out = observe(&program, &model, cut, &args, None, at(0));
+                let cost = out.lines().nth(1).unwrap();
+                cost[1..cost.find(',').unwrap()].parse::<u64>().unwrap()
+            };
+            let (entry, after) = (cost_to(head), cost_to(t.exit as usize) - model.int_op);
+            assert!(after > entry, "{src}: the loop charges");
+
+            // every budget from zero to past the loop's end exhausts at
+            // each checkpoint in turn (the loop tick, and `FmaTemp`'s
             // mid-body meter check), then succeeds
-            for budget in 0..=700 {
-                compare(CostModel::new(), Some(budget));
+            for budget in 0..=after + 2 * model.int_op {
+                compare(&model, Some(budget), at(0));
+            }
+            // the loop's whole charge lands exactly on the budget, from a
+            // nonzero entry cost too
+            for entry_cost in [0, 1_000] {
+                for budget in [after - 1, after, after + 1] {
+                    compare(&model, Some(entry_cost + budget), at(entry_cost));
+                }
+            }
+            // with no budget, entered within the loop's whole charge of
+            // `u64::MAX`: the cost counter overflows at each charge in
+            // turn, or lands exactly on `u64::MAX`, or fits
+            for slack in 0..=after - entry + model.int_op {
+                compare(&model, None, at(u64::MAX - entry - slack));
+            }
+            // the saturating counters (flops, memory traffic, loop
+            // iterations) reach `u64::MAX` inside the loop
+            for below in 0..=24 {
+                let near = u64::MAX - below;
+                let entry = ExecStats {
+                    flops: near,
+                    mem_ops: near,
+                    loop_iters: near,
+                    ..at(0)
+                };
+                compare(&model, None, entry);
             }
             // an operation that overflows the cost counter on its k-th
-            // charge fails inside the declaration's precision window, the
-            // accumulation's, or between them (the loop's int charges)
-            let huge: [fn(&mut CostModel, u64); 3] = [
+            // charge fails inside a precision window or between windows;
+            // below k = 4, one iteration's charges overflow when summed
+            let huge: [fn(&mut CostModel, u64); 6] = [
                 |m, c| m.float_mul = c,
                 |m, c| m.float_op = c,
                 |m, c| m.int_op = c,
+                |m, c| m.int_mul = c,
+                |m, c| m.mem_op = c,
+                |m, c| m.loop_overhead = c,
             ];
-            for (bump, k) in huge.iter().flat_map(|b| (4..16).map(move |k| (b, k))) {
+            for (bump, k) in huge.iter().flat_map(|b| (1..16).map(move |k| (b, k))) {
                 let mut model = CostModel::new();
                 bump(&mut model, u64::MAX / k);
-                compare(model, None);
+                // a body meter that would overflow splits in two, and
+                // the split body is no idiom
+                if lower_function(&function, &model).unwrap().traces.is_empty() {
+                    continue;
+                }
+                compare(&model, None, at(0));
             }
         }
     }

@@ -793,12 +793,14 @@ fn nav_probe_alloc_budget() -> String {
 /// 0.05 Hz for 40 virtual seconds, batches of 16, one worker — on a
 /// fresh service and counts the heap allocations `serve_batch` makes per
 /// request, the first lowering of every program and rung included: at
-/// most 12.48. The campaign's 124 requests run 52 probes, so one more
-/// allocation per probe adds 0.42 per request. It measures 12.17, with a
+/// most 12.27. The campaign's 124 requests run 52 probes, so one more
+/// allocation per probe adds 0.42 per request. It measures 11.96, with a
 /// probe's VM frames, precision stack and input arrays kept from one
-/// probe to the next, a batch's buffers kept from one batch to the
-/// next, and every selection sharing its knowledge point's
-/// configuration. It measured 12.59 (budget 12.9) while each selection
+/// probe to the next, a batch's buffers and the pool's schedule buffers
+/// kept from one batch to the next, and every selection sharing its
+/// knowledge point's configuration. It measured 12.17 (budget 12.48)
+/// while the pool built its costs and its list schedule's vectors for
+/// every batch, 12.59 (budget 12.9) while each selection
 /// copied the configuration it deployed, 13.42 (budget 13.8) while
 /// every batch built its own buffers, and 18.37 while every probe
 /// allocated its VM memory afresh, so a per-probe buffer fails tier-1
@@ -809,7 +811,7 @@ fn kernel_cold_alloc_budget() -> String {
     const BATCH: usize = 16;
     /// Allocations a cold precision request may make, its share of the
     /// batch's included.
-    const BUDGET: f64 = 12.48;
+    const BUDGET: f64 = 12.27;
 
     let service = TuningService::new(
         ServiceConfig {
