@@ -202,8 +202,7 @@ mod tests {
 
     #[test]
     fn bench_without_an_id_or_with_an_unknown_one_names_the_valid_ids() {
-        let valid =
-            "valid ids: docking, energy_obs, admission, chaos, cluster, obs, serve, tuner, vm, all";
+        let valid = "valid ids: docking, energy_obs, admission, cluster, obs, tuner, vm, all";
         let missing = parse("--bench").unwrap_err();
         assert_eq!(
             missing,

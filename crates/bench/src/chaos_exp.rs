@@ -23,7 +23,6 @@
 //! Everything is virtual-time and seeded, so the whole report is
 //! reproducible byte for byte — CI compares it with its committed golden.
 
-use crate::{crash_recovery_map, fixed, BenchFile, Map};
 use antarex_serve::chaos::ChaosConfig;
 use antarex_serve::driver::{Batching, Campaign, Cohort, CrashDrill, DriveStats};
 use antarex_serve::nav::NavEvaluator;
@@ -250,7 +249,7 @@ pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
     let baseline_goodput = rows[0].stats.goodput();
     let _ = writeln!(
         out,
-        "\n{:>11} {:>9} {:>7} {:>7} {:>6} {:>9} {:>8} {:>7} {:>7} {:>6}",
+        "\n{:>11} {:>9} {:>7} {:>7} {:>6} {:>9} {:>8} {:>7} {:>7} {:>6} {:>11}",
         "profile",
         "requests",
         "served",
@@ -260,7 +259,8 @@ pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
         "rel",
         "retries",
         "hedges",
-        "trips"
+        "trips",
+        "quarantined"
     );
     for row in &rows {
         let relative = if baseline_goodput > 0.0 {
@@ -270,7 +270,7 @@ pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
         };
         let _ = writeln!(
             out,
-            "{:>11} {:>9} {:>7} {:>7} {:>6} {:>8.1}% {:>7.1}% {:>7} {:>7} {:>6}",
+            "{:>11} {:>9} {:>7} {:>7} {:>6} {:>8.1}% {:>7.1}% {:>7} {:>7} {:>6} {:>11}",
             row.profile,
             row.stats.requests,
             row.stats.served,
@@ -281,6 +281,7 @@ pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
             row.stats.retries,
             row.stats.hedges,
             row.breaker_trips,
+            row.stats.quarantined,
         );
     }
     let unhardened_rel = rows[1].stats.goodput() / baseline_goodput;
@@ -314,57 +315,6 @@ pub(crate) fn r2_report(seed: u64, scale: &ChaosScale) -> String {
 /// The registered `r2` experiment.
 pub(crate) fn r2_chaos_hardening() -> String {
     r2_report(42, &ChaosScale::full())
-}
-
-/// `BENCH_chaos.json`: goodput per hardening profile, poisoned-tenant
-/// containment and the crash drill of the full campaign; no gates.
-pub(crate) fn r2_bench() -> BenchFile {
-    let seed = 42;
-    let scale = ChaosScale::full();
-    let rows = goodput_campaign(seed, &scale);
-    let containment = poisoned_tenant_containment(seed, &scale);
-    let recovery = crash_recovery_drill(seed, &scale);
-
-    let baseline = rows[0].stats.goodput();
-    let outcome = |stats: &DriveStats| {
-        let relative = if baseline > 0.0 {
-            stats.goodput() / baseline
-        } else {
-            0.0
-        };
-        map! {
-            "served": stats.served,
-            "failed": stats.failed,
-            "goodput": fixed(stats.goodput(), 4),
-            "relative_goodput": fixed(relative, 4),
-            "retries": stats.retries,
-            "hedges": stats.hedges,
-            "quarantined": stats.quarantined,
-        }
-    };
-
-    BenchFile {
-        title: "antarex-serve: chaos-hardened serving tier",
-        fields: map! {
-            "workload": map! {
-                "tenants": scale.tenants,
-                "workers": scale.workers,
-                "virtual_duration_s": fixed(scale.duration_s, 0),
-                "requests": rows[0].stats.requests,
-            },
-            "goodput_under_faults": rows.iter().map(|row| (row.profile, outcome(&row.stats))).collect::<Map>(),
-            "poisoned_tenant_containment": map! {
-                "poisoned_requests": containment.poisoned_requests,
-                "poisoned_rejected": containment.poisoned_rejected,
-                "breaker_trips": containment.breaker_trips,
-                "quarantined": containment.quarantined,
-                "others_served": containment.others_served,
-            },
-            "crash_recovery": crash_recovery_map(&recovery),
-        },
-        gates: Vec::new(),
-        host_clock: Vec::new(),
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! `experiments` binary prints them all (or a `--only` selection), and
 //! the criterion benches time the underlying mechanisms.
 //!
-//! Nine experiments also run a full-scale campaign as a [`BenchFile`]:
+//! Seven experiments also run a full-scale campaign as a [`BenchFile`]:
 //! named deterministic fields and acceptance gates, a function of the
 //! seed alone. `experiments --bench <id>...|all` writes each as
 //! `BENCH_<id>.json` ([`BENCHES`] lists the ids), exits nonzero when a
@@ -545,14 +545,12 @@ pub type Bench = (&'static str, &'static str, fn() -> BenchFile);
 /// their campaign digests still depend on which campaigns ran earlier
 /// in the process (ROADMAP, "Outcomes are a function of the seed"), and
 /// first they match a process of their own.
-pub const BENCHES: [Bench; 9] = [
+pub const BENCHES: [Bench; 7] = [
     ("docking", "d1", docking_exp::d1_bench),
     ("energy_obs", "e1", energy_obs::e1_bench),
     ("admission", "ad1", admission_exp::ad1_bench),
-    ("chaos", "r2", chaos_exp::r2_bench),
     ("cluster", "cl1", cluster_exp::cl1_bench),
     ("obs", "o1", obs_exp::o1_bench),
-    ("serve", "s1", serve_exp::s1_bench),
     ("tuner", "p1", tuner_exp::p1_bench),
     ("vm", "v1", vm_exp::v1_bench),
 ];

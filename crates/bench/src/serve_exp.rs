@@ -20,7 +20,6 @@
 //! Everything is seeded: the same seed reproduces the identical report,
 //! byte for byte (the determinism test relies on it).
 
-use crate::{fixed, BenchFile};
 use antarex_serve::driver::{Batching, Campaign, Cohort, DriveStats};
 use antarex_serve::nav::NavEvaluator;
 use antarex_serve::TuningRequest;
@@ -116,15 +115,6 @@ impl BatchBench {
     pub(crate) fn parallel_throughput_rps(&self) -> f64 {
         if self.parallel_makespan_s > 0.0 {
             self.jobs as f64 / self.parallel_makespan_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Evaluations per second of virtual makespan in the serial run.
-    pub(crate) fn serial_throughput_rps(&self) -> f64 {
-        if self.serial_makespan_s > 0.0 {
-            self.jobs as f64 / self.serial_makespan_s
         } else {
             0.0
         }
@@ -243,41 +233,6 @@ pub(crate) fn s1_report(seed: u64, scale: &ServeScale) -> String {
 /// The registered `s1` experiment.
 pub(crate) fn s1_service_scaling() -> String {
     s1_report(42, &ServeScale::full())
-}
-
-/// `BENCH_serve.json`: the 64-tenant driven workload at 1 and 4
-/// workers and the batched-evaluation makespans; no gates.
-pub(crate) fn s1_bench() -> BenchFile {
-    let seed = 42;
-    let scale = ServeScale::full();
-    let tenants = 64;
-    let one = scaling_row(seed, &scale, tenants, 1);
-    let four = scaling_row(seed, &scale, tenants, 4);
-    let batch = batched_evaluation(seed, scale.batch_tenants, 4);
-
-    BenchFile {
-        title: "antarex-serve: multi-tenant autotuning service",
-        fields: map! {
-            "driven_workload": map! {
-                "tenants": tenants,
-                "requests": one.requests,
-                "served": one.served,
-                "cache_hit_rate": fixed(one.cache_hit_rate(), 4),
-                "virtual_throughput_rps_1_worker": fixed(one.throughput_rps(), 1),
-                "virtual_throughput_rps_4_workers": fixed(four.throughput_rps(), 1),
-            },
-            "batched_evaluation": map! {
-                "distinct_design_points": batch.jobs,
-                "virtual_makespan_s_1_worker": fixed(batch.serial_makespan_s, 3),
-                "virtual_makespan_s_4_workers": fixed(batch.parallel_makespan_s, 3),
-                "virtual_speedup_4_workers": fixed(batch.speedup(), 2),
-                "virtual_eval_per_s_1_worker": fixed(batch.serial_throughput_rps(), 1),
-                "virtual_eval_per_s_4_workers": fixed(batch.parallel_throughput_rps(), 1),
-            },
-        },
-        gates: Vec::new(),
-        host_clock: Vec::new(),
-    }
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //! single native loop trace (`vm::trace`): its 256-element charge fits
 //! the VM's budget many times over, so every iteration runs in the
 //! trace's unchecked exact prefix, over locals, rounding its narrow
-//! stores without a data-dependent branch, and the checked exact tail
-//! charges only the final loop head.
+//! stores without a data-dependent branch, and the generic tier it
+//! hands off to evaluates only the final loop head.
 //!
 //! Like [`NavEvaluator`](crate::nav::NavEvaluator), the probe derives
 //! its input data from [`probe_seed`], making every evaluation a pure

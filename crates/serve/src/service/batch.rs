@@ -99,9 +99,10 @@ pub(super) struct BatchScratch {
     /// or the typed error that ended it.
     fates: Vec<Result<f64, ServeError>>,
     /// The chaos replay's inputs: each admitted probe's cost, and
-    /// whether its tenant is poisoned.
+    /// whether its tenant is poisoned; and its cores' timeline.
     costs: Vec<f64>,
     poisoned: Vec<bool>,
+    busy: Vec<f64>,
     /// One `(request index, direct nanojoules)` row per *served*
     /// response: probe energy for fresh evaluations, nominal lookup
     /// energy for cache answers.
@@ -138,6 +139,7 @@ impl BatchScratch {
             fates,
             costs,
             poisoned,
+            busy,
             served,
             weights,
             shares,
@@ -155,6 +157,7 @@ impl BatchScratch {
         fates.clear();
         costs.clear();
         poisoned.clear();
+        busy.clear();
         served.clear();
         weights.clear();
         shares.clear();
@@ -547,6 +550,7 @@ impl<E: Evaluator> TuningService<E> {
                 start_s,
                 Some(&chaos.schedule),
                 &self.resilience.hedge,
+                &mut scratch.busy,
                 |id, job| {
                     batch.retries += u64::from(job.retries);
                     batch.hedges += u64::from(job.hedges);
@@ -1156,6 +1160,7 @@ mod tests {
                 fates,
                 costs,
                 poisoned,
+                busy,
                 served,
                 weights,
                 shares,
@@ -1174,6 +1179,7 @@ mod tests {
                 ("fates", fates.len(), fates.capacity()),
                 ("costs", costs.len(), costs.capacity()),
                 ("poisoned", poisoned.len(), poisoned.capacity()),
+                ("busy", busy.len(), busy.capacity()),
                 ("served", served.len(), served.capacity()),
                 ("weights", weights.len(), weights.capacity()),
                 ("shares", shares.len(), shares.capacity()),

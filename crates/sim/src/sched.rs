@@ -202,14 +202,24 @@ pub fn list_schedule(costs: &[f64], cores: usize) -> Schedule {
     let mut completions = Vec::with_capacity(costs.len());
     let mut assignments = Vec::with_capacity(costs.len());
     let no_hedge = HedgePolicy::disabled();
-    let makespan_s = list_place(costs, &[], cores, 0.0, None, &no_hedge, |_, job| {
-        // no timeline, no corrupt mask, no deadline: every job is done
-        let Fate::Done(t) = job.fate else {
-            unreachable!("fault-free list placement failed a job")
-        };
-        completions.push(t);
-        assignments.push(job.worker);
-    });
+    let mut busy = Vec::new();
+    let makespan_s = list_place(
+        costs,
+        &[],
+        cores,
+        0.0,
+        None,
+        &no_hedge,
+        &mut busy,
+        |_, job| {
+            // no timeline, no corrupt mask, no deadline: every job is done
+            let Fate::Done(t) = job.fate else {
+                unreachable!("fault-free list placement failed a job")
+            };
+            completions.push(t);
+            assignments.push(job.worker);
+        },
+    );
     Schedule {
         completions,
         assignments,
@@ -219,28 +229,24 @@ pub fn list_schedule(costs: &[f64], cores: usize) -> Schedule {
 }
 
 /// [`list_schedule`] into kept buffers, for a caller that schedules
-/// batch after batch: the same placement, with `busy` as the cores'
-/// timeline and each job's completion, in job-id order, written to
-/// `completions` (both cleared first). Returns the makespan. The core
-/// each job ran on is not kept.
+/// batch after batch: [`list_place`] with `busy` as the cores' timeline
+/// and each job's completion, in job-id order, written to `completions`
+/// (both cleared first). Returns the makespan. The core each job ran on
+/// is not kept.
 pub fn list_schedule_into(
     costs: &[f64],
     cores: usize,
     busy: &mut Vec<f64>,
     completions: &mut Vec<f64>,
 ) -> f64 {
-    busy.clear();
-    busy.resize(cores.max(1), 0.0);
     completions.clear();
     let no_hedge = HedgePolicy::disabled();
-    for &cost in costs {
-        let job = place_job(busy, cost.max(0.0), false, 0.0, None, &no_hedge);
+    list_place(costs, &[], cores, 0.0, None, &no_hedge, busy, |_, job| {
         let Fate::Done(t) = job.fate else {
             unreachable!("fault-free list placement failed a job")
         };
         completions.push(t);
-    }
-    busy.iter().fold(0.0, |acc: f64, &t| acc.max(t))
+    })
 }
 
 /// List placement: the one loop behind [`list_schedule`] and the
@@ -261,9 +267,12 @@ pub fn list_schedule_into(
 ///   integrity and burns a retry;
 /// * each job has a **deadline budget** from its first dispatch.
 ///
-/// Each job's placement is handed to `placed(id, job)` in id order, so
-/// the loop allocates nothing per job. Returns the makespan: the latest
-/// busy instant over all cores, relative to `start_s`.
+/// Each job's placement is handed to `placed(id, job)` in id order, and
+/// the cores' timeline is the caller's `busy` (cleared and refilled), so
+/// a caller that keeps it allocates nothing per batch. Returns the
+/// makespan: the latest busy instant over all cores, relative to
+/// `start_s`.
+#[allow(clippy::too_many_arguments)]
 pub fn list_place(
     costs: &[f64],
     always_corrupt: &[bool],
@@ -271,14 +280,16 @@ pub fn list_place(
     start_s: f64,
     faults: Option<&FaultSchedule>,
     hedge: &HedgePolicy,
+    busy: &mut Vec<f64>,
     mut placed: impl FnMut(usize, PlacedJob),
 ) -> f64 {
-    let mut busy = vec![start_s; workers.max(1)];
+    busy.clear();
+    busy.resize(workers.max(1), start_s);
     for (id, &cost) in costs.iter().enumerate() {
         let corrupt = always_corrupt.get(id).copied().unwrap_or(false);
         placed(
             id,
-            place_job(&mut busy, cost.max(0.0), corrupt, start_s, faults, hedge),
+            place_job(busy, cost.max(0.0), corrupt, start_s, faults, hedge),
         );
     }
     busy.iter().fold(start_s, |acc, &t| acc.max(t)) - start_s
@@ -916,9 +927,12 @@ mod tests {
         faults: &FaultSchedule,
         hedge: &HedgePolicy,
     ) -> (Vec<PlacedJob>, f64) {
-        let mut jobs = Vec::new();
+        let (mut jobs, mut busy) = (Vec::new(), Vec::new());
         let push = |_, job| jobs.push(job);
-        let makespan = list_place(costs, corrupt, workers, start_s, Some(faults), hedge, push);
+        let faults = Some(faults);
+        let makespan = list_place(
+            costs, corrupt, workers, start_s, faults, hedge, &mut busy, push,
+        );
         (jobs, makespan)
     }
 

@@ -16,37 +16,36 @@
 //!
 //! Bit-identity is preserved by construction, not by luck:
 //!
-//! * the native loop makes the **charges** of the generic
-//!   superinstructions in two parts. The *exact prefix* is the leading
-//!   `k` iterations whose whole charge provably fits: at entry the
-//!   loop sums one iteration's charges (checked) and takes `k =
+//! * the native loop fast-forwards through its *exact prefix*: the
+//!   leading `k` iterations whose whole charge provably fits. At entry
+//!   it sums one iteration's charges (checked) and takes `k =
 //!   min(iters, (budget − cost) / per_iter)`. A charge never lowers the
 //!   cost, so no charge in those iterations can overflow and no budget
 //!   checkpoint can fail; they run unchecked and are charged once, in
-//!   closed form. The *exact tail* runs the rest, and the final head,
-//!   with one `checked_add` per original charge in original order and
-//!   the budget checkpoints in their original places (after the loop
-//!   tick, and at a mid-body meter check). The tail is the only code
-//!   that can fail, so `BudgetExceeded` and `CostOverflow` surface at
-//!   the same charge with the same partial statistics;
-//! * both parts count one flop per floating-point op in the same order
-//!   with the same per-op unit — the prefix with one `fe += unit` per
-//!   flop, the tail with [`ExecStats::count_flops`] — so `flop_energy`
-//!   is the same sequential sum (batching the adds would change the
-//!   rounding);
-//! * stores quantize through the same `Type::quantize` per iteration,
-//!   and a mid-loop failure leaves every slot, type binding and the
-//!   precision stack exactly as the generic tier would;
+//!   closed form, with one `fe += unit` per flop in the generic order,
+//!   so `flop_energy` is the same sequential sum (batching the adds
+//!   would change the rounding);
+//! * the prefix then **hands off** to the generic tier: it writes the
+//!   loop's state back to the frame (counter, accumulator, any
+//!   temporary with its type binding, the output array), and the trace
+//!   head evaluates the head condition it replaced. The generic body
+//!   runs what is left, at most about two iterations, with every
+//!   charge, budget checkpoint and precision push in its original
+//!   place, so it is the only code that can fail, and `BudgetExceeded`
+//!   and `CostOverflow` surface where they always did;
+//! * stores quantize through the same `Type::quantize` per iteration;
 //! * entry **validation** proves that no per-iteration error other than
 //!   a charge failure is possible (slots bound and correctly typed,
 //!   every index in bounds, every loaded element a float); anything the
-//!   validator cannot prove falls back to the generic register tier,
-//!   which produces the exact error at the exact point.
+//!   validator cannot prove runs in the generic register tier, which
+//!   produces the exact error at the exact point.
 //!
 //! A trace replaces the loop's head condition with
 //! [`RInstr::TraceHead`]; the generic body stays in place after it and
-//! its back edge re-enters the head, so fallback costs one extra
-//! validation attempt per iteration and nothing else.
+//! its back edge re-enters the head, where validation runs again (and
+//! after a prefix finds nothing more that fits). A loop validation
+//! declines costs one validation attempt per iteration and nothing
+//! else.
 
 use crate::reg::{RInstr, IDX_MASK, TAG_CONST, TAG_MASK, TAG_SLOT};
 use antarex_ir::ast::BinOp;

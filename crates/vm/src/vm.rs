@@ -883,28 +883,24 @@ impl Vm {
                     store_slot(frame, types, slot, value);
                 }
                 RInstr::TraceHead { trace } => {
+                    // fast-forward what provably fits, then the head
+                    // condition the trace replaced: the loop exits, or the
+                    // generic body runs what is left of it
                     let t = chunk.traces[trace as usize];
-                    match self.run_trace(&t, frame, types, stats, budget)? {
-                        Some(exit) => pc = exit as usize,
-                        None => {
-                            // validation declined the trace: execute the
-                            // head condition the trace replaced and fall
-                            // through to the generic body
-                            let unit = self.prec_unit;
-                            let lv = read_opnd(frame, chunk, t.cond_l)?;
-                            let rv = read_opnd(frame, chunk, t.cond_r)?;
-                            let out = ops::apply_binary_with(
-                                BinOp::Lt,
-                                lv,
-                                rv,
-                                &self.cost_model,
-                                || unit,
-                                stats,
-                            )?;
-                            if !out.truthy() {
-                                pc = t.exit as usize;
-                            }
-                        }
+                    self.run_trace(&t, frame, types, stats, budget);
+                    let unit = self.prec_unit;
+                    let lv = read_opnd(frame, chunk, t.cond_l)?;
+                    let rv = read_opnd(frame, chunk, t.cond_r)?;
+                    let out = ops::apply_binary_with(
+                        BinOp::Lt,
+                        lv,
+                        rv,
+                        &self.cost_model,
+                        || unit,
+                        stats,
+                    )?;
+                    if !out.truthy() {
+                        pc = t.exit as usize;
                     }
                 }
             }
@@ -912,70 +908,61 @@ impl Vm {
         Ok(Value::Unit)
     }
 
-    /// Executes a recognized loop trace natively, or returns `Ok(None)`
-    /// (with **no** side effects) when entry validation cannot prove the
+    /// Fast-forwards a recognized loop through its *exact prefix*, or
+    /// leaves everything as it is when entry validation cannot prove the
     /// native loop equivalent to the generic body.
     ///
-    /// Validation establishes that the only errors the loop can raise are
+    /// Validation establishes that the loop's only possible errors are
     /// accounting failures (`CostOverflow` / `BudgetExceeded`): counter,
     /// bound and base are bound `Int`s, the accumulator a `Float` with a
     /// float (or absent) type binding, every index the loop will touch is
     /// in bounds, every element it will read a `Float`, and the counter
-    /// never overflows. The loop then makes the generic instructions'
-    /// charges in two parts. The *exact prefix* ([`Prefix`]) is the
-    /// leading iterations whose whole charge provably fits the cost
-    /// counter and the budget: a free function runs them with no check,
-    /// with the generic float operations in order and one `fe += unit`
-    /// per flop, and their charges are made once, in closed form. The
-    /// *exact tail* runs the rest and the final head with one checked
-    /// charge per original charge, in original order, every budget
-    /// checkpoint in its original place (the loop tick, and `FmaTemp`'s
-    /// mid-body meter check) and one `count_flops` call per float op.
-    /// The parts' charges are identical, and `flop_energy` is the same
-    /// sequential sum, so only the tail can fail, at the charge the
-    /// generic tier fails at. On an accounting failure mid-loop the
-    /// frame is left exactly as the generic engine would leave it
-    /// (counter, accumulator and any temporary at their last stored
-    /// values, with the temporary's type binding) and, if the failure
-    /// falls inside one of the loop's pushed precision windows, that push
-    /// is reconstructed before the error propagates.
+    /// never overflows. The exact prefix ([`Prefix`]) is then the leading
+    /// iterations whose whole charge provably fits the cost counter and
+    /// the budget: a free function runs them with no check, with the
+    /// generic float operations in order and one `fe += unit` per flop,
+    /// and their charges are made once, in closed form. The loop's state
+    /// goes back to the frame as the generic tier would leave it after
+    /// those iterations (counter, accumulator, `FmaTemp`'s temporary with
+    /// its type binding, `Stencil3`'s output array), and the caller hands
+    /// off to the generic tier at the loop's head: it runs the remaining
+    /// iterations, at most about two, with every charge, checkpoint and
+    /// precision push in its original place, so the generic tier is the
+    /// only code that can fail.
     fn run_trace(
-        &mut self,
+        &self,
         t: &Trace,
         frame: &mut [Value],
         types: &mut [Option<Type>],
         stats: &mut ExecStats,
         budget: u64,
-    ) -> Result<Option<u32>, IrError> {
+    ) {
         let Value::Int(i0) = frame[t.ctr as usize] else {
-            return Ok(None);
+            return;
         };
         let bound = match t.bound {
             Bound::Const(b) => b,
             Bound::Slot(s) => match frame[s as usize] {
                 Value::Int(b) => b,
-                _ => return Ok(None),
+                _ => return,
             },
         };
-        // the counter values the loop will visit: i0, i0+step, .., last,
-        // `iters` of them; the loop leaves the counter at last+step, which
+        // the counter values the loop will visit: i0, i0+step, .., hi,
+        // `iters` of them; the loop leaves the counter at hi+step, which
         // must not wrap (a wrapping counter re-enters the loop with
-        // unvalidated indices)
-        let range = if i0 < bound {
-            let Some((last, iters)) = (bound - 1).checked_sub(i0).and_then(|span| {
-                let more = span / t.step;
-                let last = i0.checked_add(more.checked_mul(t.step)?)?;
-                Some((last, more as u64 + 1))
-            }) else {
-                return Ok(None);
-            };
-            if last.checked_add(t.step).is_none() {
-                return Ok(None);
-            }
-            Some((i0, last, iters))
-        } else {
-            None
+        // unvalidated indices). A loop of no iterations has no prefix.
+        if i0 >= bound {
+            return;
+        }
+        let Some((hi, iters)) = (bound - 1).checked_sub(i0).and_then(|span| {
+            let more = span / t.step;
+            let hi = i0.checked_add(more.checked_mul(t.step)?)?;
+            hi.checked_add(t.step)?;
+            Some((hi, more as u64 + 1))
+        }) else {
+            return;
         };
+        let lo = i0;
         let outer_prec = self.prec_ctx;
         let eff_bits = match t.prec {
             LoopPrec::Of(slot) => types[slot as usize].and_then(Type::mantissa_bits),
@@ -985,7 +972,11 @@ impl Vm {
         let unit = ops::flop_unit(eff_bits);
         let cm = &self.cost_model;
         let (c_int, c_intmul, c_fmul, c_fop) = (cm.int_op, cm.int_mul, cm.float_mul, cm.float_op);
-        match t.kind {
+        let mut carry = Carry {
+            i: i0,
+            fe: stats.flop_energy,
+        };
+        let (prefix, flops) = match t.kind {
             TraceKind::Reduce {
                 acc,
                 arr_a,
@@ -993,12 +984,12 @@ impl Vm {
                 base,
             } => {
                 let acc_slot = acc as usize;
-                let Value::Float(acc0) = frame[acc_slot] else {
-                    return Ok(None);
+                let Value::Float(mut acc_v) = frame[acc_slot] else {
+                    return;
                 };
                 let acc_ty = types[acc_slot];
                 if acc_ty.is_some_and(|ty| !ty.is_float()) {
-                    return Ok(None);
+                    return;
                 }
                 // the base product is loop-invariant only if its slot is
                 // not the counter; checked here, wrapping in the generic
@@ -1007,146 +998,62 @@ impl Vm {
                     None => 0i64,
                     Some((slot, factor)) => {
                         if slot == t.ctr {
-                            return Ok(None);
+                            return;
                         }
                         let Value::Int(v) = frame[slot as usize] else {
-                            return Ok(None);
+                            return;
                         };
                         match v.checked_mul(factor) {
                             Some(b) => b,
-                            None => return Ok(None),
+                            None => return,
                         }
                     }
                 };
-                let Some((lo, hi, iters)) = range else {
-                    // zero iterations: only the failing head condition runs
-                    stats.charge(c_int)?;
-                    return Ok(Some(t.exit));
+                let (Value::Array(a_items), Value::Array(b_items)) =
+                    (&frame[arr_a as usize], &frame[arr_b as usize])
+                else {
+                    return;
                 };
-                let (mut i, mut acc) = (i0, acc0);
-                let fail = {
-                    let (Value::Array(a_items), Value::Array(b_items)) =
-                        (&frame[arr_a as usize], &frame[arr_b as usize])
-                    else {
-                        return Ok(None);
-                    };
-                    let (Some(alo), Some(ahi)) =
-                        (lo.checked_add(base_val), hi.checked_add(base_val))
-                    else {
-                        return Ok(None);
-                    };
-                    if !all_floats(a_items, alo, ahi) || !all_floats(b_items, lo, hi) {
-                        return Ok(None);
-                    }
-                    // the exact prefix: one iteration's charges, in order
-                    // (a loop with no base makes no base charges)
-                    let [c_base_mul, c_base_add] = match base {
-                        Some(_) => [c_intmul, c_int],
-                        None => [0, 0],
-                    };
-                    let prefix = Prefix::new(
-                        stats,
-                        budget,
-                        &[
-                            c_int,
-                            t.tick_cost,
-                            c_base_mul,
-                            c_base_add,
-                            c_fmul,
-                            c_fop,
-                            t.meter_cost,
-                            c_int,
-                        ],
-                        iters,
-                        t.step,
-                    );
-                    let mut carry = Carry {
-                        i,
-                        fe: stats.flop_energy,
-                    };
-                    reduce_prefix(
-                        &prefix,
-                        [a_items, b_items],
-                        base_val,
-                        acc_ty,
-                        unit,
-                        &mut carry,
-                        &mut acc,
-                    );
-                    prefix.charge(stats, carry.fe, 2, [t.tick_mem, t.meter_mem]);
-                    i = carry.i;
-                    // the exact tail: every charge checked, from iteration k
-                    let mut fail: Option<(IrError, bool)> = None;
-                    loop {
-                        // head condition (always Int < Int here)
-                        if let Err(e) = stats.charge(c_int) {
-                            fail = Some((e, false));
-                            break;
-                        }
-                        if i >= bound {
-                            break;
-                        }
-                        // loop tick: charge, traffic, iteration, budget
-                        if let Err(e) = stats.charge(t.tick_cost) {
-                            fail = Some((e, false));
-                            break;
-                        }
-                        stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.tick_mem));
-                        stats.loop_iters = stats.loop_iters.saturating_add(1);
-                        if stats.cost > budget {
-                            fail = Some((IrError::BudgetExceeded { limit: budget }, false));
-                            break;
-                        }
-                        // precision context pushed from here to the store
-                        if base.is_some() {
-                            // base product and index addition (int charges)
-                            if let Err(e) = stats.charge(c_intmul) {
-                                fail = Some((e, true));
-                                break;
-                            }
-                            if let Err(e) = stats.charge(c_int) {
-                                fail = Some((e, true));
-                                break;
-                            }
-                        }
-                        let av = felem(a_items, base_val + i);
-                        let bv = felem(b_items, i);
-                        if let Err(e) = stats.charge(c_fmul) {
-                            fail = Some((e, true));
-                            break;
-                        }
-                        stats.count_flops(1, unit);
-                        let m = av * bv;
-                        if let Err(e) = stats.charge(c_fop) {
-                            fail = Some((e, true));
-                            break;
-                        }
-                        stats.count_flops(1, unit);
-                        acc = quantize_opt(acc_ty, acc + m);
-                        // precision popped (balanced); bottom-of-loop meter
-                        if let Err(e) = stats.charge(t.meter_cost) {
-                            fail = Some((e, false));
-                            break;
-                        }
-                        stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.meter_mem));
-                        if let Err(e) = stats.charge(c_int) {
-                            fail = Some((e, false));
-                            break;
-                        }
-                        i = i.wrapping_add(t.step);
-                    }
-                    fail
+                let (Some(alo), Some(ahi)) = (lo.checked_add(base_val), hi.checked_add(base_val))
+                else {
+                    return;
                 };
-                frame[t.ctr as usize] = Value::Int(i);
-                frame[acc_slot] = Value::Float(acc);
-                if let Some((e, prec_pushed)) = fail {
-                    if prec_pushed {
-                        self.prec_stack.push(outer_prec);
-                        self.set_prec(eff_bits);
-                    }
-                    return Err(e);
+                if !all_floats(a_items, alo, ahi) || !all_floats(b_items, lo, hi) {
+                    return;
                 }
-                Ok(Some(t.exit))
+                // one iteration's charges, in order (a loop with no base
+                // makes no base charges)
+                let [c_base_mul, c_base_add] = match base {
+                    Some(_) => [c_intmul, c_int],
+                    None => [0, 0],
+                };
+                let prefix = Prefix::new(
+                    stats,
+                    budget,
+                    &[
+                        c_int,
+                        t.tick_cost,
+                        c_base_mul,
+                        c_base_add,
+                        c_fmul,
+                        c_fop,
+                        t.meter_cost,
+                        c_int,
+                    ],
+                    iters,
+                    t.step,
+                );
+                reduce_prefix(
+                    &prefix,
+                    [a_items, b_items],
+                    base_val,
+                    acc_ty,
+                    unit,
+                    &mut carry,
+                    &mut acc_v,
+                );
+                frame[acc_slot] = Value::Float(acc_v);
+                (prefix, 2)
             }
             TraceKind::Stencil3 {
                 taps,
@@ -1156,39 +1063,25 @@ impl Vm {
             } => {
                 let out_slot = arr_out as usize;
                 let out_ty = types[out_slot];
-                let Some((lo, hi, iters)) = range else {
-                    stats.charge(c_int)?;
-                    return Ok(Some(t.exit));
-                };
                 let tap_offs = [offs[0], 0, offs[1]];
-                {
-                    let Value::Array(out_items) = &frame[out_slot] else {
-                        return Ok(None);
+                let Value::Array(out_items) = &frame[out_slot] else {
+                    return;
+                };
+                if lo < 0 || hi >= out_items.len() as i64 {
+                    return;
+                }
+                for (k, &off) in tap_offs.iter().enumerate() {
+                    let (Some(tlo), Some(thi)) = (lo.checked_add(off), hi.checked_add(off)) else {
+                        return;
                     };
-                    if lo < 0 || hi >= out_items.len() as i64 {
-                        return Ok(None);
-                    }
-                    for (k, &off) in tap_offs.iter().enumerate() {
-                        let (Some(tlo), Some(thi)) = (lo.checked_add(off), hi.checked_add(off))
-                        else {
-                            return Ok(None);
-                        };
-                        let Value::Array(items) = &frame[taps[k] as usize] else {
-                            return Ok(None);
-                        };
-                        if !all_floats(items, tlo, thi) {
-                            return Ok(None);
-                        }
+                    let Value::Array(items) = &frame[taps[k] as usize] else {
+                        return;
+                    };
+                    if !all_floats(items, tlo, thi) {
+                        return;
                     }
                 }
-                // the output array is taken out of the frame so loads from
-                // a tap that aliases it observe stores in program order;
-                // it is restored on every exit path below
-                let mut out_vec = match std::mem::replace(&mut frame[out_slot], Value::Unit) {
-                    Value::Array(v) => v,
-                    _ => unreachable!("validated as an array above"),
-                };
-                // the exact prefix: one iteration's charges, in order
+                // one iteration's charges, in order
                 let prefix = Prefix::new(
                     stats,
                     budget,
@@ -1208,9 +1101,12 @@ impl Vm {
                     iters,
                     t.step,
                 );
-                let mut carry = Carry {
-                    i: i0,
-                    fe: stats.flop_energy,
+                // the output array is taken out of the frame so loads from
+                // a tap that aliases it observe stores in program order
+                let Value::Array(mut out_vec) =
+                    std::mem::replace(&mut frame[out_slot], Value::Unit)
+                else {
+                    unreachable!("validated as an array above");
                 };
                 let sources = taps.map(|slot| tap_items(frame, out_slot, slot));
                 stencil_prefix(
@@ -1221,95 +1117,8 @@ impl Vm {
                     unit,
                     &mut carry,
                 );
-                prefix.charge(stats, carry.fe, 5, [t.tick_mem, t.meter_mem]);
-                // the exact tail: every charge checked, from iteration k
-                let mut i = carry.i;
-                let mut fail: Option<(IrError, bool)> = None;
-                loop {
-                    if let Err(e) = stats.charge(c_int) {
-                        fail = Some((e, false));
-                        break;
-                    }
-                    if i >= bound {
-                        break;
-                    }
-                    if let Err(e) = stats.charge(t.tick_cost) {
-                        fail = Some((e, false));
-                        break;
-                    }
-                    stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.tick_mem));
-                    stats.loop_iters = stats.loop_iters.saturating_add(1);
-                    if stats.cost > budget {
-                        fail = Some((IrError::BudgetExceeded { limit: budget }, false));
-                        break;
-                    }
-                    // precision window: first tap index (int), then the
-                    // three weighted taps with their float charges
-                    if let Err(e) = stats.charge(c_int) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    let v0 = tap_read(frame, out_slot, &out_vec, taps[0], i + tap_offs[0]);
-                    if let Err(e) = stats.charge(c_fmul) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    stats.count_flops(1, unit);
-                    let mut sum = w[0] * v0;
-                    let v1 = tap_read(frame, out_slot, &out_vec, taps[1], i);
-                    if let Err(e) = stats.charge(c_fmul) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    stats.count_flops(1, unit);
-                    let p1 = w[1] * v1;
-                    if let Err(e) = stats.charge(c_fop) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    stats.count_flops(1, unit);
-                    sum += p1;
-                    if let Err(e) = stats.charge(c_int) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    let v2 = tap_read(frame, out_slot, &out_vec, taps[2], i + tap_offs[2]);
-                    if let Err(e) = stats.charge(c_fmul) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    stats.count_flops(1, unit);
-                    let p2 = w[2] * v2;
-                    if let Err(e) = stats.charge(c_fop) {
-                        fail = Some((e, true));
-                        break;
-                    }
-                    stats.count_flops(1, unit);
-                    sum += p2;
-                    // precision popped before the store; the store
-                    // quantizes per the output's element type
-                    out_vec[i as usize] = Value::Float(quantize_opt(out_ty, sum));
-                    if let Err(e) = stats.charge(t.meter_cost) {
-                        fail = Some((e, false));
-                        break;
-                    }
-                    stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.meter_mem));
-                    if let Err(e) = stats.charge(c_int) {
-                        fail = Some((e, false));
-                        break;
-                    }
-                    i = i.wrapping_add(t.step);
-                }
                 frame[out_slot] = Value::Array(out_vec);
-                frame[t.ctr as usize] = Value::Int(i);
-                if let Some((e, prec_pushed)) = fail {
-                    if prec_pushed {
-                        self.prec_stack.push(outer_prec);
-                        self.set_prec(eff_bits);
-                    }
-                    return Err(e);
-                }
-                Ok(Some(t.exit))
+                (prefix, 5)
             }
             TraceKind::FmaTemp {
                 acc,
@@ -1319,139 +1128,69 @@ impl Vm {
                 arrs,
             } => {
                 let (acc_slot, tmp_slot) = (acc as usize, tmp as usize);
-                let Value::Float(acc0) = frame[acc_slot] else {
-                    return Ok(None);
+                let Value::Float(mut acc_v) = frame[acc_slot] else {
+                    return;
                 };
                 let acc_ty = types[acc_slot];
                 if acc_ty.is_some_and(|ty| !ty.is_float()) {
-                    return Ok(None);
+                    return;
                 }
                 // the matcher proved `scale` is never written in the body
                 let Value::Float(s) = frame[scale as usize] else {
-                    return Ok(None);
-                };
-                let Some((lo, hi, iters)) = range else {
-                    stats.charge(c_int)?;
-                    return Ok(Some(t.exit));
+                    return;
                 };
                 // the second window runs under the accumulator's binding
-                let acc_bits = acc_ty.and_then(Type::mantissa_bits).unwrap_or(outer_prec);
-                let acc_unit = ops::flop_unit(acc_bits);
-                let (mut i, mut acc_v) = (i0, acc0);
-                // the temporary's last stored value, once an iteration
-                // has reached its declaration (set by the prefix)
-                let mut tmp_v: Option<f64>;
-                // an accounting failure, with the precision context of the
-                // window it fell in (`None`: between windows)
-                let fail: Option<(IrError, Option<u8>)> = {
-                    let mut items: [&[Value]; 3] = [&[]; 3];
-                    for (k, &slot) in arrs.iter().enumerate() {
-                        let Value::Array(arr) = &frame[slot as usize] else {
-                            return Ok(None);
-                        };
-                        if !all_floats(arr, lo, hi) {
-                            return Ok(None);
-                        }
-                        items[k] = arr.as_slice();
+                let acc_unit =
+                    ops::flop_unit(acc_ty.and_then(Type::mantissa_bits).unwrap_or(outer_prec));
+                let mut items: [&[Value]; 3] = [&[]; 3];
+                for (k, &slot) in arrs.iter().enumerate() {
+                    let Value::Array(arr) = &frame[slot as usize] else {
+                        return;
+                    };
+                    if !all_floats(arr, lo, hi) {
+                        return;
                     }
-                    // the exact prefix: one iteration's charges, in order
-                    let prefix = Prefix::new(
-                        stats,
-                        budget,
-                        &[
-                            c_int,
-                            t.tick_cost,
-                            c_fmul,
-                            c_fmul,
-                            c_fop,
-                            t.meter_cost,
-                            c_fmul,
-                            c_fop,
-                            c_int,
-                        ],
-                        iters,
-                        t.step,
-                    );
-                    let mut carry = Carry {
-                        i,
-                        fe: stats.flop_energy,
-                    };
-                    tmp_v = fma_temp_prefix(
-                        &prefix,
-                        items,
-                        s,
-                        (tmp_ty, acc_ty),
-                        [unit, acc_unit],
-                        &mut carry,
-                        &mut acc_v,
-                    );
-                    prefix.charge(stats, carry.fe, 5, [t.tick_mem, t.meter_mem]);
-                    i = carry.i;
-                    // the exact tail: every charge checked, from iteration k
-                    let [a, b, c] = items;
-                    let between = |e| (e, None);
-                    let in_decl = |e| (e, Some(eff_bits));
-                    let in_acc = |e| (e, Some(acc_bits));
-                    let mut body = || -> Result<(), (IrError, Option<u8>)> {
-                        loop {
-                            // head condition (always Int < Int here)
-                            stats.charge(c_int).map_err(between)?;
-                            if i >= bound {
-                                return Ok(());
-                            }
-                            stats.charge(t.tick_cost).map_err(between)?;
-                            stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.tick_mem));
-                            stats.loop_iters = stats.loop_iters.saturating_add(1);
-                            if stats.cost > budget {
-                                return Err((IrError::BudgetExceeded { limit: budget }, None));
-                            }
-                            // the declaration's window: two products, a sum
-                            stats.charge(c_fmul).map_err(in_decl)?;
-                            stats.count_flops(1, unit);
-                            let x = felem(a, i) * felem(b, i);
-                            stats.charge(c_fmul).map_err(in_decl)?;
-                            stats.count_flops(1, unit);
-                            let y = s * felem(c, i);
-                            stats.charge(c_fop).map_err(in_decl)?;
-                            stats.count_flops(1, unit);
-                            let tv = tmp_ty.quantize(x + y);
-                            tmp_v = Some(tv);
-                            // the mid-body meter and budget checkpoint
-                            stats.charge(t.meter_cost).map_err(between)?;
-                            stats.mem_ops = stats.mem_ops.saturating_add(u64::from(t.meter_mem));
-                            if stats.cost > budget {
-                                return Err((IrError::BudgetExceeded { limit: budget }, None));
-                            }
-                            // the accumulation's window
-                            stats.charge(c_fmul).map_err(in_acc)?;
-                            stats.count_flops(1, acc_unit);
-                            let sq = tv * tv;
-                            stats.charge(c_fop).map_err(in_acc)?;
-                            stats.count_flops(1, acc_unit);
-                            acc_v = quantize_opt(acc_ty, acc_v + sq);
-                            // the step's add; no meter on this back edge
-                            stats.charge(c_int).map_err(between)?;
-                            i = i.wrapping_add(t.step);
-                        }
-                    };
-                    body().err()
-                };
-                frame[t.ctr as usize] = Value::Int(i);
+                    items[k] = arr.as_slice();
+                }
+                // one iteration's charges, in order
+                let prefix = Prefix::new(
+                    stats,
+                    budget,
+                    &[
+                        c_int,
+                        t.tick_cost,
+                        c_fmul,
+                        c_fmul,
+                        c_fop,
+                        t.meter_cost,
+                        c_fmul,
+                        c_fop,
+                        c_int,
+                    ],
+                    iters,
+                    t.step,
+                );
+                let tmp_v = fma_temp_prefix(
+                    &prefix,
+                    items,
+                    s,
+                    (tmp_ty, acc_ty),
+                    [unit, acc_unit],
+                    &mut carry,
+                    &mut acc_v,
+                );
                 frame[acc_slot] = Value::Float(acc_v);
+                // the temporary's last stored value, once an iteration
+                // has reached its declaration
                 if let Some(tv) = tmp_v {
                     types[tmp_slot] = Some(tmp_ty);
                     frame[tmp_slot] = Value::Float(tv);
                 }
-                if let Some((e, window)) = fail {
-                    if let Some(bits) = window {
-                        self.prec_stack.push(outer_prec);
-                        self.set_prec(bits);
-                    }
-                    return Err(e);
-                }
-                Ok(Some(t.exit))
+                (prefix, 5)
             }
-        }
+        };
+        prefix.charge(stats, carry.fe, flops, [t.tick_mem, t.meter_mem]);
+        frame[t.ctr as usize] = Value::Int(carry.i);
     }
 }
 
@@ -1621,13 +1360,6 @@ fn tap_items(frame: &[Value], out_slot: usize, slot: u16) -> Option<&[Value]> {
     }
 }
 
-/// Trace body: a stencil tap read, observing in-flight stores when the
-/// tap aliases the (taken-out) output array.
-#[inline]
-fn tap_read(frame: &[Value], out_slot: usize, out_vec: &[Value], slot: u16, idx: i64) -> f64 {
-    felem(tap_items(frame, out_slot, slot).unwrap_or(out_vec), idx)
-}
-
 /// The exact prefix of a native loop: its leading `k` iterations, whose
 /// every charge provably fits the cost counter and the budget.
 ///
@@ -1636,11 +1368,9 @@ fn tap_read(frame: &[Value], out_slot: usize, out_vec: &[Value], slot: u16, idx:
 /// When that neither overflows nor exceeds the budget, no charge in
 /// them can overflow and no budget checkpoint in them can fail: they
 /// run with no check, and their charges are made once, in closed form
-/// ([`Prefix::charge`]). The exact tail then runs from iteration `k`
-/// with every charge checked in its original place, the final head
-/// included; it is the only code that can fail, so a failure surfaces
-/// at the same charge, with the same statistics, as in the generic
-/// tier.
+/// ([`Prefix::charge`]). The generic tier then runs from iteration `k`,
+/// the final head included, with every charge checked in its original
+/// place; it is the only code that can fail.
 struct Prefix {
     /// Leading iterations that cannot fail.
     k: u64,
@@ -1686,15 +1416,15 @@ impl Prefix {
     }
 }
 
-/// What a native loop carries from its exact prefix into its exact
-/// tail: the counter and the `flop_energy` sum.
+/// What a native loop's exact prefix hands back to the generic tier:
+/// the counter and the `flop_energy` sum.
 struct Carry {
     i: i64,
     fe: f64,
 }
 
 /// `Reduce`'s exact prefix: `acc += A[base + i] * B[i]`, `p.k` times,
-/// with the tail's float operations in the tail's order and one
+/// with the generic tier's float operations in its order and one
 /// `fe += unit` per flop.
 fn reduce_prefix(
     p: &Prefix,
@@ -1719,10 +1449,10 @@ fn reduce_prefix(
 
 /// `Stencil3`'s exact prefix: `Out[i] = w0*T0[i + o0] + w1*T1[i] +
 /// w2*T2[i + o2]`, `p.k` times, each tap given as (items, offset,
-/// weight), with the tail's float operations in the tail's order and
+/// weight), with the generic tier's float operations in its order and
 /// one `fe += unit` per flop. A tap with no items of its own reads
 /// `out`, so a tap aliasing the output observes the earlier
-/// iterations' stores, as [`tap_read`] does.
+/// iterations' stores, as the generic tier's loads do.
 fn stencil_prefix(
     p: &Prefix,
     taps: [(Option<&[Value]>, i64, f64); 3],
@@ -1754,7 +1484,7 @@ fn stencil_prefix(
 }
 
 /// `FmaTemp`'s exact prefix: `T t = A[i]*B[i] + s*C[i]; acc += t*t`,
-/// `p.k` times, with the tail's float operations in the tail's order
+/// `p.k` times, with the generic tier's float operations in its order
 /// and one `fe += unit` per flop (`acc_unit` in the accumulation's
 /// window). Returns the temporary's last stored value, `None` when the
 /// prefix is empty.
@@ -2194,8 +1924,9 @@ mod tests {
 
     /// The traced loops the replay test runs: every idiom, at full and
     /// narrow precision, a `Reduce` with and without an invariant
-    /// `base`, `Stencil3` with taps aliasing the output, and counters
-    /// stepping by 2.
+    /// `base`, `Stencil3` with taps aliasing the output, counters
+    /// stepping by 2, inputs whose narrow stores round, and each idiom
+    /// entered with `n = 0`.
     fn replay_cases() -> Vec<ReplayCase> {
         let ramp =
             |n: usize, k: f64| Value::from((0..n).map(|i| i as f64 * k - 1.0).collect::<Vec<_>>());
@@ -2249,6 +1980,9 @@ mod tests {
             |k| matches!(k, TraceKind::Reduce { base: Some(_), .. });
         let stencil3: fn(&TraceKind) -> bool = |k| matches!(k, TraceKind::Stencil3 { .. });
         let args = |len: usize, n: i64| vec![ramp(len, 0.125), ramp(len, -0.0625), Value::Int(n)];
+        // products and sums a narrow binding must round: the dyadic
+        // ramps above fit 11 bits, so their stores round nothing
+        let rough = |len: usize, n: i64| vec![ramp(len, 0.1), ramp(len, -0.07), Value::Int(n)];
         vec![
             // the serving tier's probe kernel at two precision rungs
             (fma("double", "i++"), args(16, 16), fma_temp),
@@ -2263,6 +1997,16 @@ mod tests {
             (stencil("double", "a", "a"), args(16, 16), stencil3),
             // the middle tap reads the output, the outer ones the input
             (stencil("float12", "b", "b"), args(16, 16), stencil3),
+            // every narrow store rounds
+            (fma("float12", "i++"), rough(16, 16), fma_temp),
+            (dot("float11", "i++"), rough(16, 16), direct),
+            (based("float11"), rough(24, 16), with_base),
+            (stencil("float12", "b", "b"), rough(16, 16), stencil3),
+            // zero trips: the head fails at once
+            (fma("float12", "i++"), args(16, 0), fma_temp),
+            (dot("float11", "i++"), args(16, 0), direct),
+            (based("double"), args(24, 0), with_base),
+            (stencil("double", "a", "a"), args(16, 0), stencil3),
         ]
     }
 
@@ -2300,6 +2044,19 @@ mod tests {
                 cost[1..cost.find(',').unwrap()].parse::<u64>().unwrap()
             };
             let (entry, after) = (cost_to(head), cost_to(t.exit as usize) - model.int_op);
+            if args[2] == Value::Int(0) {
+                assert_eq!(after, entry, "{src}: the loop does not run");
+                // every budget to two `int_op`s past the head's charge,
+                // and the head's charge overflowing the cost counter or
+                // landing exactly on `u64::MAX`
+                for budget in 0..=after + 3 * model.int_op {
+                    compare(&model, Some(budget), at(0));
+                }
+                for slack in 0..=model.int_op {
+                    compare(&model, None, at(u64::MAX - entry - slack));
+                }
+                continue;
+            }
             assert!(after > entry, "{src}: the loop charges");
 
             // every budget from zero to past the loop's end exhausts at
